@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import lcm
 from typing import List, Sequence, Tuple
 
+from .exactmath import rank
 from .rootdata import (
     Coords,
     RootSystem,
@@ -196,7 +197,7 @@ def typed_components_of_subsystem(
         ty = classify_simple_system(gram)
         long_norm = max(gram[i][i] for i in range(len(comp)))
         typed.append((ty, Q(level) * 2 / long_norm))
-    span_rank = _rank_of_alpha_coords([ac for _, ac in retained_pos])
+    span_rank = rank([ac for _, ac in retained_pos])
     abelian = rs.rank - span_rank
     return typed, abelian, dim
 
@@ -215,27 +216,6 @@ def fixed_subalgebra_of_ideal(
         if rs.ip(h.coords, fw).denominator == 1
     ]
     return typed_components_of_subsystem(rs, retained, a.level)
-
-
-def _rank_of_alpha_coords(rows: List[Tuple[int, ...]]) -> int:
-    if not rows:
-        return 0
-    m = [[Q(x) for x in row] for row in rows]
-    cols = len(m[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][c]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-    return rank
 
 
 def inner_fixed_subalgebra(

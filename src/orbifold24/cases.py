@@ -11,6 +11,7 @@ admissibility filter, and the lattice-side cross-check.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
@@ -86,18 +87,50 @@ class CaseFile:
 
     @staticmethod
     def from_json(path: str) -> "CaseFile":
+        """Load a case file; a malformed one raises ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        ambient = SemisimpleTypeWithLevels.parse(data["ambient"])
-        if ambient.abelian_rank:
+        if not isinstance(data, dict):
+            raise ValueError("case file must be a JSON object")
+        for key in ("ambient", "h"):
+            if key not in data:
+                raise ValueError(f"case file has no {key!r}")
+        for key in ("id", "ambient", "expected_fixed", "expected_target",
+                    "lattice", "isometry"):
+            if key in data and not isinstance(data[key], str):
+                raise ValueError(f"case field {key!r} must be a string")
+        fixed_dim = data.get("expected_fixed_dim")
+        if fixed_dim is not None and type(fixed_dim) is not int:
+            raise ValueError("case field 'expected_fixed_dim' must be an integer")
+        h = data["h"]
+        if not (isinstance(h, list) and all(isinstance(c, list) for c in h)):
+            raise ValueError("'h' must be a list of coordinate lists")
+        try:
+            # one token per ideal, kept in the written order that h follows
+            ambient = [
+                SemisimpleTypeWithLevels.parse(tok) for tok in data["ambient"].split()
+            ]
+            for c in itertools.chain.from_iterable(h):
+                Q(str(c))
+        except (ValueError, ZeroDivisionError, IndexError) as err:
+            raise ValueError(f"malformed case file: {err}") from None
+        if not ambient or any(a.abelian_rank for a in ambient):
             raise ValueError("case ambient must be semisimple")
-        ideals = [(str(t), int(k)) for t, k in ambient.ideals]
+        typed = [a.ideals[0] for a in ambient]
+        if any(k is None or k.denominator != 1 for _, k in typed):
+            raise ValueError("every ambient ideal needs an integer level")
+        ranks = [t.rank for t, _ in typed]
+        if [len(c) for c in h] != ranks:
+            raise ValueError(
+                f"'h' must give one coordinate list per ideal, of lengths {ranks}"
+            )
+        ideals = [(str(t), int(k)) for t, k in typed]
         return CaseFile(
             case_id=data.get("id", "custom"),
             ambient=tuple(ideals),
-            h_coords=tuple(tuple(str(c) for c in comp) for comp in data["h"]),
+            h_coords=tuple(tuple(str(c) for c in comp) for comp in h),
             expected_fixed=data.get("expected_fixed"),
-            expected_fixed_dim=data.get("expected_fixed_dim"),
+            expected_fixed_dim=fixed_dim,
             expected_target=data.get("expected_target"),
             lattice_name=data.get("lattice"),
             isometry_name=data.get("isometry"),

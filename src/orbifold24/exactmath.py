@@ -1,22 +1,25 @@
-"""Exact numeric substrate: Q(w) arithmetic and dense exact linear algebra.
+"""Exact numeric substrate: Q(w) scalars, one exact elimination core, and
+the float eigen fallback.
 
-All exact scalars are either `fractions.Fraction` or `Cyclo3` elements
-a + b*w, where w is a fixed primitive cube root of unity (w**2 = -1 - w).
-Matrices are dense lists of rows.  The only floating-point entry point is
-`float_eigen`, whose output is always re-verified exactly downstream.
+Exact scalars are either `fractions.Fraction` or `Cyclo3` elements a + b*w,
+where w is a fixed primitive cube root of unity (w**2 = -1 - w).  Matrices
+are dense lists of rational rows.  Every rank, kernel, inverse and
+determinant in the package comes from `_echelon`, a fraction-free
+Gauss-Jordan elimination on integer rows.  The only floating-point entry
+point is `float_eigen`, whose output is always re-verified exactly
+downstream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 Scalar = Union[int, Q, "Cyclo3"]
-
-_W_COMPLEX = complex(-0.5, 3.0 ** 0.5 / 2.0)
 
 
 def _as_q(x: Union[int, Q]) -> Q:
@@ -98,17 +101,6 @@ class Cyclo3:
     def __hash__(self) -> int:
         return hash((self.a, self.b))
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def rational(self) -> Q:
-        if self.b != 0:
-            raise ValueError(f"{self} is not rational")
-        return self.a
-
-    def to_complex(self) -> complex:
-        return float(self.a) + float(self.b) * _W_COMPLEX
-
     def __repr__(self) -> str:
         if self.b == 0:
             return f"{self.a}"
@@ -117,190 +109,103 @@ class Cyclo3:
 
 OMEGA = Cyclo3.omega()
 
-Row = List[Cyclo3]
+Matrix = Sequence[Sequence[Union[int, Q]]]
 
 
-class ExactMatrix:
-    """Dense matrix over Q(w) (rational entries embed)."""
-
-    def __init__(self, entries: Sequence[Sequence[Scalar]]):
-        self.entries: List[Row] = [[Cyclo3.of(x) for x in row] for row in entries]
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        if any(len(r) != self.cols for r in self.entries):
-            raise ValueError("ragged rows")
-
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij: Tuple[int, int]) -> Cyclo3:
-        return self.entries[ij[0]][ij[1]]
-
-    def row(self, i: int) -> Row:
-        return list(self.entries[i])
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return ExactMatrix(
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + other.scale(-1)
-
-    def scale(self, c: Scalar) -> "ExactMatrix":
-        cc = Cyclo3.of(c)
-        return ExactMatrix(
-            [[x * cc for x in row] for row in self.entries]
-        )
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.entries[i]
-            out.append(
-                [
-                    sum(
-                        (ri[k] * other.entries[k][j] for k in range(self.cols)),
-                        Cyclo3.of(0),
-                    )
-                    for j in range(other.cols)
-                ]
-            )
-        return ExactMatrix(out)
-
-    def apply(self, v: Sequence[Scalar]) -> List[Cyclo3]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        vv = [Cyclo3.of(x) for x in v]
-        return [
-            sum((row[k] * vv[k] for k in range(self.cols)), Cyclo3.of(0))
-            for row in self.entries
-        ]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactMatrix):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def is_rational(self) -> bool:
-        return all(x.is_rational() for row in self.entries for x in row)
-
-    def to_numpy(self) -> np.ndarray:
-        return np.array(
-            [[x.to_complex() for x in row] for row in self.entries], dtype=complex
-        )
-
-    def rref(self) -> Tuple["ExactMatrix", List[int]]:
-        """Reduced row echelon form and pivot column indices."""
-        m = [list(row) for row in self.entries]
-        pivots: List[int] = []
-        r = 0
-        for c in range(self.cols):
-            pivot = next((i for i in range(r, self.rows) if m[i][c]), None)
-            if pivot is None:
-                continue
-            m[r], m[pivot] = m[pivot], m[r]
-            inv = m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        return ExactMatrix(m), pivots
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def det(self) -> Cyclo3:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        m = [list(row) for row in self.entries]
-        det = Cyclo3.of(1)
-        for c in range(self.cols):
-            pivot = next((i for i in range(c, self.rows) if m[i][c]), None)
-            if pivot is None:
-                return Cyclo3.of(0)
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
-            det = det * m[c][c]
-            inv = m[c][c].inverse()
-            for i in range(c + 1, self.rows):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        return det
-
-    def inverse(self) -> "ExactMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        aug = ExactMatrix(
-            [
-                self.row(i) + [Cyclo3.of(1 if j == i else 0) for j in range(n)]
-                for i in range(n)
-            ]
-        )
-        red, pivots = aug.rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular")
-        return ExactMatrix([red.row(i)[n:] for i in range(n)])
+class InvariantError(Exception):
+    """An exact invariant of a computed result does not hold."""
 
 
-def solve_linear(
-    a: ExactMatrix, b: Sequence[Scalar]
-) -> Optional[Tuple[List[Cyclo3], List[List[Cyclo3]]]]:
-    """Solve a x = b exactly.
+def _echelon(
+    m: Matrix, with_det: bool = False
+) -> Tuple[List[List[int]], List[int], Optional[Q]]:
+    """Fraction-free reduced row echelon form of a rational matrix.
 
-    Returns (particular solution, kernel basis), or None when inconsistent.
+    Each row is cleared of denominators, then every pivot column is
+    eliminated above and below the pivot with integer row operations, and
+    each rewritten row is divided by the gcd of its entries.  Row t of the
+    result is a nonzero multiple of row t of the reduced row echelon form,
+    whose entries are therefore red[t][j] / red[t][pivots[t]].  With
+    with_det, the third value is the factor f with det(m) = f * prod of the
+    pivots (a square matrix of full rank); otherwise it is None.
     """
-    if len(b) != a.rows:
-        raise ValueError("dimension mismatch")
-    aug = ExactMatrix([a.row(i) + [b[i]] for i in range(a.rows)])
-    red, pivots = aug.rref()
-    if a.cols in pivots:
-        return None
-    x = [Cyclo3.of(0)] * a.cols
-    for r, c in enumerate(pivots):
-        x[c] = red[r, a.cols]
-    return x, kernel(a)
+    red: List[List[int]] = []
+    num, den = 1, 1
+    for row in m:
+        d = lcm(*[x.denominator for x in row])
+        red.append([x.numerator * (d // x.denominator) for x in row])
+        den *= d
+    rows, cols = len(red), len(red[0]) if red else 0
+    pivots: List[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, rows) if red[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            red[r], red[p] = red[p], red[r]
+            num = -num
+        pr = red[r]
+        pv = pr[c]
+        for i in range(rows):
+            f = red[i][c]
+            if f and i != r:
+                new = [pv * x - f * y for x, y in zip(red[i], pr)]
+                g = gcd(*new)
+                red[i] = [x // g for x in new] if g > 1 else new
+                if with_det:
+                    # det(new rows) = det(old rows) * pv / g
+                    num, den = num * g, den * pv
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return red, pivots, (Q(num, den) if with_det else None)
 
 
-def kernel(a: ExactMatrix) -> List[List[Cyclo3]]:
-    """Exact basis of the null space; len + rank = cols."""
-    red, pivots = a.rref()
-    free = [c for c in range(a.cols) if c not in pivots]
+def rank(m: Matrix) -> int:
+    """Rank over Q; the nullity of an n-row matrix is n - rank."""
+    return len(_echelon(m)[1])
+
+
+def kernel(m: Matrix) -> List[List[Q]]:
+    """Basis of {x : x m = 0} for a matrix acting on row vectors.
+
+    The basis is the reduced one: x is 1 at its free coordinate, 0 at the
+    other free coordinates, and -rref[t][free] at pivot coordinate t.
+    """
+    n = len(m)
+    red, pivots, _ = _echelon([list(col) for col in zip(*m)])
     basis = []
-    for f in free:
-        v = [Cyclo3.of(0)] * a.cols
-        v[f] = Cyclo3.of(1)
-        for r, c in enumerate(pivots):
-            v[c] = -red[r, f]
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [Q(0)] * n
+        v[f] = Q(1)
+        for t, c in enumerate(pivots):
+            v[c] = -Q(red[t][f], red[t][c])
         basis.append(v)
     return basis
+
+
+def inverse(m: Matrix) -> List[List[Q]]:
+    """Exact inverse of a square matrix; ValueError when it is singular."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    red, pivots, _ = _echelon(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [[Q(x, red[t][t]) for x in red[t][n:]] for t in range(n)]
+
+
+def det(m: Matrix) -> Q:
+    """Exact determinant of a square matrix."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of non-square matrix")
+    red, pivots, factor = _echelon(m, with_det=True)
+    if len(pivots) < n:
+        return Q(0)
+    for t in range(n):
+        factor *= red[t][t]
+    return factor
 
 
 class ResidualExceeded(Exception):
@@ -308,24 +213,25 @@ class ResidualExceeded(Exception):
 
 
 def float_eigen(
-    a: ExactMatrix, tol: Q = Q(1, 10**9)
+    a: Matrix, tol: Q = Q(1, 10**9)
 ) -> List[Tuple[complex, np.ndarray]]:
-    """Approximate eigenpairs of a square exact matrix.
+    """Approximate eigenpairs of a square rational matrix given as rows.
 
     Eigenvalues are clustered with gap threshold tol and every eigenvector is
     residual-checked against the exact matrix (evaluated in floats); callers
     must re-verify any integer or rational they round from the output.
     """
-    if a.rows != a.cols:
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("eigen-decomposition of non-square matrix")
-    mat = a.to_numpy()
+    mat = np.array([[complex(x) for x in row] for row in a], dtype=complex)
     tol_f = float(tol)
     vals, vecs = np.linalg.eig(mat)
     # a defective matrix yields a (nearly) singular eigenvector basis
     if np.linalg.cond(vecs) > 1.0 / tol_f:
         raise ResidualExceeded("eigenvector basis is numerically singular")
     pairs = []
-    for k in range(a.rows):
+    for k in range(n):
         v = vecs[:, k]
         lam = vals[k]
         resid = np.linalg.norm(mat @ v - lam * v)
@@ -343,11 +249,3 @@ def float_eigen(
         clustered.append((rep, v))
     return clustered
 
-
-def eigenvalues_clustered(a: ExactMatrix, tol: Q = Q(1, 10**9)) -> List[complex]:
-    """Distinct clustered eigenvalues of a, in deterministic order."""
-    seen: List[complex] = []
-    for lam, _ in float_eigen(a, tol):
-        if not any(abs(lam - s) < float(tol) for s in seen):
-            seen.append(lam)
-    return sorted(seen, key=lambda z: (round(z.real, 9), round(z.imag, 9)))

@@ -27,7 +27,15 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .exactmath import ExactMatrix, ResidualExceeded, float_eigen
+from .exactmath import (
+    InvariantError,
+    ResidualExceeded,
+    det,
+    float_eigen,
+    inverse,
+    kernel,
+    rank,
+)
 from .rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
@@ -57,74 +65,6 @@ def mat_mul(a: List[List[Q]], b: List[List[Q]]) -> List[List[Q]]:
                     if bt[j]:
                         row[j] += v * bt[j]
     return out
-
-
-def mat_inv(a: List[List[Q]]) -> List[List[Q]]:
-    n = len(a)
-    aug = [[Q(x) for x in row] + [Q(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(a)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
-def mat_det(a: List[List[Q]]) -> Q:
-    n = len(a)
-    m = [[Q(x) for x in row] for row in a]
-    det = Q(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if m[i][c]), None)
-        if p is None:
-            return Q(0)
-        if p != c:
-            m[c], m[p] = m[p], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
-def rational_kernel(m: List[List[Q]]) -> List[List[Q]]:
-    """Basis of {x : x m = 0} for a matrix acting on row vectors."""
-    rows, cols = len(m), len(m[0]) if m else 0
-    # transpose so the left kernel becomes a standard column-space kernel
-    mt = [[m[i][j] for i in range(rows)] for j in range(cols)]
-    red = [list(r) for r in mt]
-    pivots: List[int] = []
-    r = 0
-    for c in range(rows):
-        p = next((i for i in range(r, cols) if red[i][c]), None)
-        if p is None:
-            continue
-        red[r], red[p] = red[p], red[r]
-        inv = 1 / red[r][c]
-        red[r] = [x * inv for x in red[r]]
-        for i in range(cols):
-            if i != r and red[i][c]:
-                f = red[i][c]
-                red[i] = [x - f * y for x, y in zip(red[i], red[r])]
-        pivots.append(c)
-        r += 1
-    basis = []
-    free = [c for c in range(rows) if c not in pivots]
-    for f_col in free:
-        v = [Q(0)] * rows
-        v[f_col] = Q(1)
-        for idx, c in enumerate(pivots):
-            v[c] = -red[idx][f_col]
-        basis.append(v)
-    return basis
 
 
 def hnf_with_transform(m: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
@@ -180,13 +120,14 @@ def integer_row_kernel(m: List[List[int]]) -> List[List[int]]:
 def _digit_reps(t: SimpleType) -> Dict[int, Vec]:
     """Coset representatives of the discriminant group, in simple-root coords."""
     rs = build_root_system(t)
-    inv = mat_inv([[Q(x) for x in row] for row in rs.cartan])
+    inv = inverse(rs.cartan)
     weights = [tuple(inv[i]) for i in range(rs.rank)]  # row i = fund weight i
     if t == SimpleType("E", 6):
         # Z3 cosets: [1] and [2] are the two minuscule classes
         reps = {0: tuple([Q(0)] * 6), 1: weights[0], 2: weights[5]}
         diff = tuple(2 * a - b for a, b in zip(reps[1], reps[2]))
-        assert all(x.denominator == 1 for x in diff), "[2] must be 2*[1]"
+        if any(x.denominator != 1 for x in diff):
+            raise InvariantError("[2] must be 2*[1]")
         return reps
     if t == SimpleType("D", 4):
         # Klein cosets: the three minuscule weights on the outer nodes
@@ -347,10 +288,10 @@ def assemble_niemeier(code: GlueCode) -> EvenLattice:
                 raise ValueError("assembled lattice is not integral")
         if gram_q[i][i] % 2:
             raise ValueError("assembled lattice is not even")
-    det = mat_det(gram_q)
-    if det != 1:
-        raise ValueError(f"assembled lattice has determinant {det}, not 1")
-    inv = mat_inv([list(b) for b in basis])
+    d = det(gram_q)
+    if d != 1:
+        raise ValueError(f"assembled lattice has determinant {d}, not 1")
+    inv = inverse(basis)
     return EvenLattice(
         code,
         basis,
@@ -559,8 +500,9 @@ def fpf_e6_matrix() -> List[List[Q]]:
         rot[2 * k][2 * k + 1] = Q(1)      # a -> b
         rot[2 * k + 1][2 * k] = Q(-1)     # b -> -a-b
         rot[2 * k + 1][2 * k + 1] = Q(-1)
-    phi = mat_mul(mat_mul(mat_inv(t_rows), rot), t_rows)
-    assert all(x.denominator == 1 for row in phi for x in row)
+    phi = mat_mul(mat_mul(inverse(t_rows), rot), t_rows)
+    if any(x.denominator != 1 for row in phi for x in row):
+        raise InvariantError("conjugated E6 rotation is not integral")
     _assert_order3(phi, fixed_free=True)
     return phi
 
@@ -608,8 +550,9 @@ def fpf_d4_matrix() -> List[List[Q]]:
     assert found is not None
     s_rows = [[Q(x) for x in r] for r in found]
     w_mat = [[Q(x) for x in row] for row in _QUAT_LEFT_W]
-    phi = mat_mul(mat_mul(s_rows, w_mat), mat_inv(s_rows))
-    assert all(x.denominator == 1 for row in phi for x in row)
+    phi = mat_mul(mat_mul(s_rows, w_mat), inverse(s_rows))
+    if any(x.denominator != 1 for row in phi for x in row):
+        raise InvariantError("conjugated D4 rotation is not integral")
     _assert_order3(phi, fixed_free=True)
     return phi
 
@@ -935,7 +878,7 @@ class LiftedAutomorphism:
     def inverse(self) -> "LiftedAutomorphism":
         alg = self.algebra
         n = alg.lattice.rank
-        minv = mat_inv([[Q(x) for x in row] for row in self.isometry.matrix])
+        minv = inverse(self.isometry.matrix)
         mi = tuple(tuple(int(x) for x in row) for row in minv)
         perm_inv = [0] * alg.n_roots
         for k in range(alg.n_roots):
@@ -1164,7 +1107,8 @@ class FixedSubalgebra:
                 if sol[j]:
                     for i in range(r):
                         recon[i] += sol[j] * self.cartan_rows[j][i]
-            assert recon == cart, "Cartan part is outside the fixed sublattice"
+            if recon != cart:
+                raise InvariantError("Cartan part is outside the fixed sublattice")
             out[:nc] = sol
         for pos, rep in enumerate(self.orbit_reps):
             c = x.get(r + rep, Q(0))
@@ -1216,7 +1160,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     if nc:
         f = [[Q(x) for x in row] for row in cartan_rows]          # nc x r
         ft = [[f[i][j] for i in range(nc)] for j in range(len(f[0]))]
-        fft_inv = mat_inv(mat_mul(f, ft))
+        fft_inv = inverse(mat_mul(f, ft))
         solver = mat_mul(ft, fft_inv)                             # r x nc
     else:
         solver = [[Q(0)] * 0 for _ in range(alg.rank)]
@@ -1225,25 +1169,6 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
 
 class IdentificationError(Exception):
     """Float root-space discovery could not be verified exactly."""
-
-
-def _exact_nullity(m: List[List[Q]]) -> int:
-    n = len(m)
-    work = [list(r) for r in m]
-    rank = 0
-    for c in range(n):
-        p = next((i for i in range(rank, n) if work[i][c]), None)
-        if p is None:
-            continue
-        work[rank], work[p] = work[p], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(n):
-            if i != rank and work[i][c]:
-                fct = work[i][c]
-                work[i] = [x - fct * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return n - rank
 
 
 def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLevels:
@@ -1290,13 +1215,12 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
             kill[i][j] = kill[j][i] = total
     gram = sub.form_local()
 
-    center = rational_kernel(kill)
+    center = kernel(kill)
     abelian = len(center)
     # derived part: orthogonal complement of the center under the form
     if center:
-        ortho = [[sum(gram[i][j] * z[j] for j in range(dim)) for z in center]
-                 for i in range(dim)]
-        derived = rational_kernel(ortho)
+        ortho = mat_mul(gram, [list(col) for col in zip(*center)])
+        derived = kernel(ortho)
     else:
         derived = [[Q(1 if j == i else 0) for j in range(dim)] for i in range(dim)]
     sdim = len(derived)
@@ -1312,47 +1236,29 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     cartan: Optional[List[List[Q]]] = None
     for _ in range(12):
         x = random_derived()
-        adx = ad(x)
-        stack = [list(row) for row in adx]
+        stack = ad(x)
         if center:
             # intersect ker(ad x) with the derived part
-            ortho = [
-                [sum(gram[i][j] * z[j] for j in range(dim)) for z in center]
-                for i in range(dim)
-            ]
             stack = [row + ortho[i] for i, row in enumerate(stack)]
-        ker = rational_kernel(stack)
-        ab = all(
-            all(v == 0 for v in sub_bracket)
-            for a in range(len(ker))
-            for sub_bracket in [
-                _apply_bilinear(brackets, ker[a], kb) for kb in ker[a + 1:]
-            ]
-        )
-        if ker and ab:
-            cartan = ker
+        ker = kernel(stack)
+        ad_ker = [ad(k) for k in ker]
+        # [k_a, k_b] = -k_a ad(k_b), so the centralizer is abelian iff
+        # every ker[:b] ad(k_b) vanishes
+        if ker and all(
+            not any(any(row) for row in mat_mul(ker[:b], ad_ker[b]))
+            for b in range(1, len(ker))
+        ):
+            cartan, ad_cartan = ker, ad_ker
             break
     if cartan is None:
         raise IdentificationError("no abelian generic centralizer found")
     rank_ss = len(cartan)
 
-    ad_cartan = [ad(c) for c in cartan]
     ad_c_np = [
         np.array([[float(v) for v in row] for row in a]) for a in ad_cartan
     ]
-    g_c = [
-        [
-            sum(
-                cartan[a][i] * gram[i][j] * cartan[b][j]
-                for i in range(dim)
-                for j in range(dim)
-                if cartan[a][i] and cartan[b][j]
-            )
-            for b in range(rank_ss)
-        ]
-        for a in range(rank_ss)
-    ]
-    g_c_inv = np.array([[float(x) for x in row] for row in mat_inv(g_c)])
+    g_c = mat_mul(mat_mul(cartan, gram), [list(col) for col in zip(*cartan)])
+    g_c_inv = np.array([[float(x) for x in row] for row in inverse(g_c)])
 
     last_error: Optional[Exception] = None
     for _attempt in range(8):
@@ -1367,7 +1273,7 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
         raise IdentificationError(f"float discovery failed: {last_error}")
 
     # exact re-verification via the spectrum of M = gram^-1 * killing
-    m_op = mat_mul(mat_inv(gram), kill)
+    m_op = mat_mul(inverse(gram), kill)
     if abelian:
         spectrum[Q(0)] = spectrum.get(Q(0), 0) + abelian
     total = 0
@@ -1376,7 +1282,7 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
             [m_op[i][j] - (ev if i == j else 0) for j in range(dim)]
             for i in range(dim)
         ]
-        null = _exact_nullity(shifted)
+        null = dim - rank(shifted)
         if null != mult:
             raise IdentificationError(
                 f"eigenvalue {ev}: exact multiplicity {null} != claimed {mult}"
@@ -1391,22 +1297,6 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     return SemisimpleTypeWithLevels.of(ideals, abelian)
 
 
-def _apply_bilinear(
-    brackets: List[List[List[Q]]], x: List[Q], y: List[Q]
-) -> List[Q]:
-    dim = len(x)
-    out = [Q(0)] * dim
-    for i in range(dim):
-        if x[i]:
-            for j in range(dim):
-                if y[j]:
-                    row = brackets[i][j]
-                    for k in range(dim):
-                        if row[k]:
-                            out[k] += x[i] * y[j] * row[k]
-    return out
-
-
 def _float_root_pass(
     rng: random.Random,
     dim: int,
@@ -1418,15 +1308,13 @@ def _float_root_pass(
 ) -> Tuple[List[Tuple[SimpleType, Q]], Dict[Q, int]]:
     """One float root-space discovery attempt; raises on any inconsistency."""
     weights = [rng.randint(1, 997) for _ in ad_cartan]
-    h_exact = ExactMatrix(
+    h_exact = [
         [
-            [
-                sum(w * ad_cartan[k][i][j] for k, w in enumerate(weights))
-                for j in range(dim)
-            ]
-            for i in range(dim)
+            sum(w * ad_cartan[k][i][j] for k, w in enumerate(weights))
+            for j in range(dim)
         ]
-    )
+        for i in range(dim)
+    ]
     try:
         pairs = float_eigen(h_exact)
     except ResidualExceeded as err:
@@ -1561,12 +1449,13 @@ def twisted_ground_energy(g: LatticeIsometry) -> Tuple[Q, List[int]]:
         raise ValueError("unsupported eigenvalue order")
     mults = [0] * n
     for d in sorted(orders):
-        null = len(rational_kernel(poly_apply(_CYCLOTOMIC[d])))
+        null = dim - rank(poly_apply(_CYCLOTOMIC[d]))
         share = null // _euler_phi(d)
         for j in range(n):
             if (n // gcd(j, n) if j else 1) == d:
                 mults[j] = share
-    assert sum(mults) == dim
+    if sum(mults) != dim:
+        raise InvariantError("eigenvalue multiplicities do not fill the space")
     rho = sum(
         Q(j, n) * (1 - Q(j, n)) * mults[j] for j in range(1, n)
     ) / 4

@@ -17,25 +17,11 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .exactmath import inverse
+
 Coords = Tuple[Q, ...]
 
 _FAMILIES = "ABCDEFG"
-
-
-def _invert(m: List[List[Q]]) -> List[List[Q]]:
-    n = len(m)
-    aug = [[Q(x) for x in row] + [Q(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for c in range(n):
-        p = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[p] = aug[p], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 @dataclass(frozen=True, order=True)
@@ -180,7 +166,7 @@ class RootSystem:
     def _fundamental_weight_gram(self) -> List[List[Q]]:
         # (L_i|L_j) = (C^-1)_ji * d_i with d_i = (a_i|a_i)/2
         n = self.rank
-        inv = _invert(self.cartan)
+        inv = inverse(self.cartan)
         d = [self.gram[i][i] / 2 for i in range(n)]
         return [[inv[j][i] * d[i] for j in range(n)] for i in range(n)]
 

@@ -103,3 +103,48 @@ def test_missing_case_file_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["twist-bound", "--case", "/nonexistent/case.json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        pytest.param({"ambient": "A1,1"}, id="missing-h"),
+        pytest.param({"h": [["0"]]}, id="missing-ambient"),
+        pytest.param([{"ambient": "A1,1", "h": [["0"]]}], id="top-level-list"),
+        pytest.param({"ambient": "A1,1", "h": [["1/2"], ["0"]]}, id="extra-h-component"),
+        pytest.param({"ambient": "A1,1 A1,1", "h": [["1/2"]]}, id="missing-h-component"),
+        pytest.param({"ambient": "A2,1", "h": [["1/3"]]}, id="short-h-component"),
+        pytest.param({"ambient": "A2,1", "h": ["10"]}, id="string-h-component"),
+        pytest.param({"ambient": "A1,1", "h": [["1/0"]]}, id="zero-denominator"),
+        pytest.param({"ambient": "A1,1", "h": [["half"]]}, id="bad-rational"),
+        pytest.param({"ambient": "A1", "h": [["0"]]}, id="ambient-without-level"),
+        pytest.param({"ambient": "A1,3/2", "h": [["0"]]}, id="fractional-level"),
+        pytest.param({"ambient": ",", "h": [["0"]]}, id="empty-type-token"),
+        pytest.param({"ambient": ["A1,1"], "h": [["0"]]}, id="ambient-not-string"),
+        pytest.param({"id": ["x"], "ambient": "A1,1", "h": [["0"]]}, id="id-not-string"),
+    ],
+)
+def test_malformed_case_file_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(case), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["twist-bound", "--case", str(path), "--json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
+    # the same twist on G2, written before and after the A2 ideal
+    outputs = []
+    for case in (
+        {"ambient": "G2,1 A2,1", "h": [["0", "1"], ["0", "0"]]},
+        {"ambient": "A2,1 G2,1", "h": [["0", "0"], ["0", "1"]]},
+    ):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(case), encoding="utf-8")
+        code, out = run_cli(capsys, ["twist-bound", "--case", str(path), "--json"])
+        steps = json.loads(out)["steps"]
+        outputs.append((code, [(s["name"], s["computed"]) for s in steps]))
+    assert outputs[0] == outputs[1]
+    assert dict(outputs[0][1])["twist norm <h|h>"] == 2
