@@ -23,6 +23,7 @@ from .cases import (
     run_case,
     verify_tables,
 )
+from .exactmath import InvariantError
 from .report import Report
 from .rootdata import SemisimpleTypeWithLevels
 from .twistbound import invariant_norm, min_twisted_weight, shift_ok, tuple_space_size
@@ -31,6 +32,13 @@ from .twistbound import invariant_norm, min_twisted_weight, shift_ok, tuple_spac
 def _emit(rep: Report, as_json: bool) -> int:
     print(rep.to_json() if as_json else rep.to_text())
     return rep.exit_code
+
+
+def _rational(text: str) -> Q:
+    try:
+        return Q(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
 def _load_case(token: str) -> CaseFile:
@@ -82,8 +90,7 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 
 def cmd_candidates(args: argparse.Namespace) -> int:
     rep = Report("candidate enumeration")
-    ratio = Q(args.ratio)
-    cands = schellekens.enumerate_candidates(args.dim, ratio)
+    cands = schellekens.enumerate_candidates(args.dim, args.ratio)
     rep.note("candidates", [str(c.value) for c in cands])
     if args.fixed:
         target = SemisimpleTypeWithLevels.parse(args.fixed)
@@ -91,7 +98,8 @@ def cmd_candidates(args: argparse.Namespace) -> int:
         rep.note("survivors of the order-3 filter", [str(c.value) for c in survivors])
         for c in survivors:
             ok, witness = schellekens.admits_order3_with_fixed(c, target)
-            assert ok and witness is not None
+            if not ok or witness is None:
+                raise InvariantError(f"survivor {c.value} has no witness")
             rep.note(
                 f"witness for {c.value}",
                 [
@@ -179,7 +187,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("candidates", help="enumerate and filter candidates")
     common(p)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--ratio", required=True, help="h-dual/level ratio, e.g. 12 or 7/2")
+    p.add_argument(
+        "--ratio",
+        required=True,
+        type=_rational,
+        help="h-dual/level ratio, e.g. 12 or 7/2",
+    )
     p.add_argument("--fixed", help="target fixed type, e.g. 'E6,3 A2,1 A2,1 A2,1'")
     p.set_defaults(func=cmd_candidates)
 

@@ -1046,31 +1046,6 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     return lift
 
 
-def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
-    """Some algebra automorphism covering g (no phase normalization)."""
-    n = alg.rank
-    basis_imgs = [g.apply_coords(tuple(1 if j == i else 0 for j in range(n)))
-                  for i in range(n)]
-
-    def eps_bit(a: Sequence[int], b: Sequence[int]) -> int:
-        return 0 if alg.eps_coords(a, b) == 1 else 1
-
-    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    h_bits = [
-        [eps_bit(basis_imgs[i], basis_imgs[j]) ^ eps_bit(unit[i], unit[j])
-         for j in range(n)]
-        for i in range(n)
-    ]
-    perm = []
-    phase = []
-    for rc in alg.root_coords:
-        img = g.apply_coords(rc)
-        perm.append(alg.root_index[img])
-        lin, const = _phase_bit_expr(alg, h_bits, rc)
-        phase.append(-1 if const else 1)
-    return LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"rough({g.name})")
-
-
 # ---------------------------------------------------------------------------
 # fixed subalgebras and type identification
 

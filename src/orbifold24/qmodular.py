@@ -18,16 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import gcd, lcm
+from math import ceil, gcd, lcm
 from typing import Dict, List, Tuple, Union
 
-from .exactmath import Cyclo3, OMEGA
+from .exactmath import Cyclo3, InvariantError, OMEGA
 
 Coefficient = Union[Q, Cyclo3]
-
-
-def _czero(template: Coefficient) -> Coefficient:
-    return Cyclo3.of(0) if isinstance(template, Cyclo3) else Q(0)
 
 
 @dataclass(frozen=True)
@@ -48,11 +44,6 @@ class PuiseuxSeries:
     @staticmethod
     def one(trunc: Q | int) -> "PuiseuxSeries":
         return PuiseuxSeries.make(1, {0: Q(1)}, Q(trunc))
-
-    @staticmethod
-    def monomial(exp: Q, coeff: Coefficient, trunc: Q | int) -> "PuiseuxSeries":
-        e = Q(exp)
-        return PuiseuxSeries.make(e.denominator, {e.numerator: coeff}, Q(trunc))
 
     def rescaled(self, new_denom: int) -> "PuiseuxSeries":
         if new_denom % self.denom:
@@ -125,53 +116,6 @@ class PuiseuxSeries:
                 out[n] = prod if cur is None else cur + prod
         return PuiseuxSeries.make(d, out, trunc)
 
-    def inverse(self) -> "PuiseuxSeries":
-        if not self.coeffs:
-            raise ZeroDivisionError("inverse of zero series")
-        v_num = min(self.coeffs)
-        lead = self.coeffs[v_num]
-        v = Q(v_num, self.denom)
-        # self = lead q^v (1 + s) with s of positive valuation
-        lead_inv = 1 / lead if isinstance(lead, Q) else lead.inverse()
-        s = PuiseuxSeries.make(
-            self.denom,
-            {n - v_num: c * lead_inv for n, c in self.coeffs.items() if n != v_num},
-            self.trunc - v,
-        )
-        trunc_u = self.trunc - v
-        acc = PuiseuxSeries.one(trunc_u)
-        term = PuiseuxSeries.one(trunc_u)
-        sv = s.valuation()
-        if sv <= 0:
-            raise AssertionError("expected positive valuation remainder")
-        k = 0
-        while k * sv < trunc_u:
-            term = term * s
-            acc = acc + (-term if k % 2 == 0 else term)
-            k += 1
-        inv_shift = PuiseuxSeries.monomial(-v, lead_inv, trunc_u - v)
-        return (acc * inv_shift).normalized()
-
-    def __pow__(self, n: int) -> "PuiseuxSeries":
-        if n == 0:
-            return PuiseuxSeries.one(self.trunc - self.valuation())
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
-
-    def substitute_scaled(self, s: Q) -> "PuiseuxSeries":
-        """q -> q^s for positive rational s."""
-        if s <= 0:
-            raise ValueError("substitution exponent must be positive")
-        d = self.denom * s.denominator
-        return PuiseuxSeries.make(
-            d,
-            {int(n * s * d / self.denom): c for n, c in self.coeffs.items()},
-            self.trunc * s,
-        ).normalized()
-
     def omega_twist(self, power: int = 1) -> "PuiseuxSeries":
         """Coefficient twist q^(n/3) -> w^(n*power) q^(n/3).
 
@@ -183,7 +127,8 @@ class PuiseuxSeries:
         out: Dict[int, Coefficient] = {}
         for n, c in self.coeffs.items():
             e3 = Q(3 * n, self.denom)
-            assert e3.denominator == 1
+            if e3.denominator != 1:
+                raise InvariantError(f"exponent {Q(n, self.denom)} is not in thirds")
             k = (int(e3) * power) % 3
             if k == 0:
                 out[n] = c
@@ -198,7 +143,8 @@ class PuiseuxSeries:
         out: Dict[int, Coefficient] = {}
         for n, c in total.coeffs.items():
             cc = Cyclo3.of(c)
-            assert cc.b == 0, "trace left a non-rational coefficient"
+            if cc.b != 0:
+                raise InvariantError("trace left a non-rational coefficient")
             if cc.a:
                 out[n] = cc.a / 3
         return PuiseuxSeries.make(self.denom, out, self.trunc).normalized()
@@ -208,42 +154,43 @@ class PuiseuxSeries:
         return " + ".join(parts) + f" + O(q^{self.trunc})"
 
 
-@lru_cache(maxsize=None)
-def _product_one_minus_qn_power(m: int, terms: int) -> PuiseuxSeries:
-    """prod_{n>=1} (1 - x^n)^m up to (and excluding) x^(terms+1)."""
-    trunc = Q(terms + 1)
-    acc = PuiseuxSeries.one(trunc)
-    if m == 0:
-        return acc
-    if m < 0:
-        return _product_one_minus_qn_power(-m, terms).inverse()
-    half = m // 2
-    if half:
-        piece = _product_one_minus_qn_power(half, terms)
-        acc = piece * piece
-    if m % 2:
-        base = PuiseuxSeries.one(trunc)
-        for n in range(1, terms + 1):
-            base = base * PuiseuxSeries.make(1, {0: Q(1), n: Q(-1)}, trunc)
-        acc = acc * base
-    return acc
+def _euler_power(k: int, terms: int) -> List[int]:
+    """Coefficients of x^0 .. x^(terms-1) in prod_{m>=1} (1 - x^m)^k.
+
+    Euler's recurrence m a_m = -k sum_{j=1..m} sigma(j) a_{m-j}, the
+    logarithmic derivative of the product, on Python integers.
+    """
+    sigma = [0] * terms
+    for d in range(1, terms):
+        for multiple in range(d, terms, d):
+            sigma[multiple] += d
+    a = [1] + [0] * (terms - 1) if terms else []
+    for m in range(1, terms):
+        a[m], rem = divmod(-k * sum(sigma[j] * a[m - j] for j in range(1, m + 1)), m)
+        if rem:
+            raise InvariantError(f"Euler recurrence for power {k}: x^{m} is not integral")
+    return a
 
 
 @lru_cache(maxsize=None)
 def eta_expansion(scale: Q, power: int, trunc: int) -> PuiseuxSeries:
-    """Expansion of eta(scale*t)^power as an exact Puiseux series in q."""
+    """eta(scale*t)^power = q^(scale*power/24) prod (1 - q^(scale*m))^power.
+
+    Exact below q^trunc.
+    """
     if trunc <= 0:
         raise ValueError("truncation must be positive")
     s = Q(scale)
     if s <= 0:
         raise ValueError("scale must be positive")
-    prefix_exp = s * power / 24
-    # need product terms k with prefix + s*k < trunc
-    terms = max(0, int((Q(trunc) - prefix_exp) / s) + 1)
-    prod = _product_one_minus_qn_power(power, terms)
-    shifted = prod.substitute_scaled(s)
-    pre = PuiseuxSeries.monomial(prefix_exp, Q(1), Q(trunc) - prefix_exp + shifted.trunc)
-    return (shifted * pre).normalized()
+    prefix = s * power / 24
+    terms = max(0, ceil((trunc - prefix) / s))
+    d = lcm(prefix.denominator, s.denominator)
+    coeffs = {
+        int((prefix + s * m) * d): Q(c)
+        for m, c in enumerate(_euler_power(power, terms))
+    }
+    return PuiseuxSeries.make(d, coeffs, Q(trunc)).normalized()
 
 
 def euler_pentagonal(terms: int) -> PuiseuxSeries:
@@ -273,28 +220,26 @@ def hauptmodul_f(trunc: int = 12) -> PuiseuxSeries:
 
 
 @lru_cache(maxsize=None)
-def _cusp_base(margin: int) -> PuiseuxSeries:
-    return (
-        eta_expansion(Q(1), 12, margin) * eta_expansion(Q(1, 3), -12, margin)
-    ).scale(Q(3**6))
-
-
-@lru_cache(maxsize=None)
 def f_power_at_S(n: int, trunc: int = 12) -> PuiseuxSeries:
     """Expansion of f^n at the other cusp: (3^6 eta(t)^12 / eta(t/3)^12)^n.
 
-    Exponents lie in (1/3)Z.
+    In x = q^(1/3) this is the single product
+    3^(6n) x^n P(x^3)^(12n) P(x)^(-12n) with P(x) = prod (1 - x^m), so
+    exponents lie in (1/3)Z.  Exact below q^trunc.
     """
-    # a margin independent of |n| <= 3 keeps the base shared
-    margin = trunc + 2 + 2 * max(abs(n), 3)
-    base = _cusp_base(margin)
-    out = base**n
-    out = PuiseuxSeries.make(
-        out.denom, dict(out.coeffs), min(out.trunc, Q(trunc))
-    ).normalized()
-    if out.denom not in (1, 3):
-        raise AssertionError("cusp expansion exponents should lie in thirds")
-    return out
+    if trunc <= 0:
+        raise ValueError("truncation must be positive")
+    terms = max(0, 3 * trunc - n)  # x^(n+e) with e < terms lies below q^trunc
+    outer = _euler_power(12 * n, (terms + 2) // 3)
+    inner = _euler_power(-12 * n, terms)
+    coeffs: Dict[int, Coefficient] = {}
+    lead = Q(3) ** (6 * n)
+    for m, a in enumerate(outer):
+        if a:
+            for e in range(terms - 3 * m):
+                key = n + 3 * m + e
+                coeffs[key] = coeffs.get(key, 0) + lead * a * inner[e]
+    return PuiseuxSeries.make(3, coeffs, Q(trunc)).normalized()
 
 
 @dataclass(frozen=True)
@@ -382,7 +327,8 @@ def derive_dimension_formula(trunc: int = 12) -> Tuple[Q, Q, Q, Q]:
             else f_power_at_S(n, trunc)
         )
         gamma = series.integral_part_traced().coeff(0)
-        assert isinstance(gamma, Q)
+        if not isinstance(gamma, Q):
+            raise InvariantError(f"constant term of f^{n} at the cusp is not rational")
         total = _lin_add(total, _lin_scale(cn, 3 * gamma))
     # plus the constant term of Z(t) itself, which is c0 - 12
     total = _lin_add(total, _lin_add(c0, _lin(d=Q(-12))))

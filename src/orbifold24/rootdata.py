@@ -17,7 +17,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .exactmath import inverse
+from .exactmath import InvariantError, inverse
 
 Coords = Tuple[Q, ...]
 
@@ -287,7 +287,8 @@ def dual_coxeter(t: SimpleType) -> int:
     rs = build_root_system(t)
     theta = rs.theta
     val = 1 + 2 * rs.ip(rs.rho, theta) / rs.norm_of(theta)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise InvariantError(f"{t}: dual Coxeter number {val} is not an integer")
     return int(val)
 
 
@@ -382,7 +383,8 @@ def weight_system(lam: Weight) -> WeightSystem:
         mu_rho = tuple(c + 1 for c in mu)
         denom = n_lam - norm_scaled(mu_rho)
         val = Q(2 * acc * s_gram, s_root * denom)
-        assert val.denominator == 1 and val > 0
+        if val.denominator != 1 or val <= 0:
+            raise InvariantError(f"Freudenthal multiplicity {val} of {mu}")
         mult[mu] = int(val)
     entries = tuple(
         sorted((tuple(Q(c) for c in mu), m) for mu, m in mult.items())
@@ -405,7 +407,8 @@ def weyl_dim(lam: Weight) -> int:
         num *= rs.ip_with_root(lam_rho, ac)
         den *= rs.ip_with_root(rho, ac)
     val = num / den
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise InvariantError(f"Weyl dimension {val} of {lam} is not an integer")
     return int(val)
 
 
@@ -444,14 +447,15 @@ def lin_min_over_weights(big: Weight, lam: Weight) -> Q:
     """min of (big|mu) over the weight system of lam, for dominant-cone big.
 
     Brute force is authoritative; for A-type systems the w0 shortcut
-    (big|w0.lam) is asserted to agree.
+    (big|w0.lam) is checked to agree.
     """
     if not all(c >= 0 for c in big.coords):
         raise ValueError("first argument must be a dominant-cone vector")
     best = min_pairing_over_weights(big, lam)
     if lam.system.type.family == "A":
         shortcut = lam.system.ip(big.coords, lowest_weight(lam).coords)
-        assert best == shortcut, "A-type lowest-weight shortcut disagrees"
+        if best != shortcut:
+            raise InvariantError("A-type lowest-weight shortcut disagrees")
     return best
 
 
@@ -523,21 +527,25 @@ class SemisimpleTypeWithLevels:
         return SemisimpleTypeWithLevels.of(ideals, abelian)
 
 
-def classify_simple_system(gram: List[List[Q]]) -> SimpleType:
-    """Dynkin type of an irreducible simple system given its exact gram matrix."""
+def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
+    """Dynkin type of an irreducible simple system given its exact gram matrix.
+
+    The gram may be rational or any positive multiple of it in integers.
+    """
     n = len(gram)
     if n == 1:
         return SimpleType("A", 1)
-    cart = [
-        [2 * gram[i][j] / gram[j][j] for j in range(n)] for i in range(n)
-    ]
     bonds = {}
     adj: List[List[int]] = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            b = cart[i][j] * cart[j][i]
-            if b:
-                assert b.denominator == 1 and 1 <= b <= 3
+            if gram[i][j]:
+                # bond multiplicity = product of the two Cartan entries
+                num = 4 * gram[i][j] * gram[j][i]
+                den = gram[i][i] * gram[j][j]
+                b = num // den
+                if b * den != num or not 1 <= b <= 3:
+                    raise InvariantError(f"bond {num}/{den} is not 1, 2 or 3")
                 bonds[(i, j)] = int(b)
                 adj[i].append(j)
                 adj[j].append(i)
@@ -588,14 +596,31 @@ def classify_simple_system(gram: List[List[Q]]) -> SimpleType:
     raise ValueError(f"unrecognized branched diagram with legs {legs}")
 
 
-def _affine_node_data(t: SimpleType) -> Tuple[List[Coords], List[int]]:
-    """Untwisted affine node vectors (fw coords) and marks; node 0 = -theta."""
+@lru_cache(maxsize=None)
+def _affine_diagram(
+    t: SimpleType,
+) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], int]:
+    """Untwisted affine diagram: (node gram * scale, marks, scale).
+
+    Node 0 is -theta, nodes 1..r the simple roots; scale is the least
+    positive integer that makes the gram of the invariant form integral.
+    """
     rs = build_root_system(t)
+    r = rs.rank
     theta_ac = rs.root_alpha_coords[rs.roots.index(rs.theta)]
-    neg_theta = tuple(-c for c in rs.theta)
-    nodes = [neg_theta] + list(rs.simple_roots)
-    marks = [1] + [int(c) for c in theta_ac]
-    return nodes, marks
+    nodes = [tuple(-c for c in theta_ac)] + [
+        tuple(int(i == j) for j in range(r)) for i in range(r)
+    ]
+    scale = lcm(*(x.denominator for row in rs.gram for x in row))
+    g = [[int(x * scale) for x in row] for row in rs.gram]
+    gram = tuple(
+        tuple(
+            sum(a[i] * g[i][j] * b[j] for i in range(r) for j in range(r))
+            for b in nodes
+        )
+        for a in nodes
+    )
+    return gram, (1,) + tuple(theta_ac), scale
 
 
 # Twisted triple-cover diagram used for the branch-rotation case: three nodes
@@ -613,19 +638,25 @@ _TWISTED_D4_SUBTYPES: Dict[frozenset, List[SimpleType]] = {
 
 
 def kac_fixed_subalgebra(
-    t: SimpleType, s: Sequence[int], twist_order: int = 1
+    t: SimpleType,
+    s: Sequence[int],
+    twist_order: int = 1,
 ) -> SemisimpleTypeWithLevels:
     """Fixed-subalgebra type of the finite-order automorphism labelled by s.
 
     s lists non-negative integers on the (twisted) affine diagram nodes; the
     automorphism order is twist_order * sum(marks * s).  The semisimple part
     is the sub-diagram on nodes with s_i = 0; the abelian rank is one less
-    than the number of nonzero labels.  Levels are not determined here.
+    than the number of nonzero labels.  For an inner automorphism each
+    component carries its level inside a level-1 ideal, 2/(b|b), with (b|b)
+    its long-root norm in the ambient normalization; at level k it scales
+    by k.  Levels are left undetermined for the D4 triple twist.
     """
     if all(x == 0 for x in s):
         raise ValueError("labels must not all vanish")
     if any(x < 0 for x in s):
         raise ValueError("labels must be non-negative")
+    abelian = sum(1 for x in s if x) - 1
     if twist_order == 3:
         if t != SimpleType("D", 4):
             raise ValueError("triple twist supported for D4 only")
@@ -633,43 +664,24 @@ def kac_fixed_subalgebra(
             raise ValueError("twisted diagram has 3 nodes")
         kept = frozenset(i for i in range(3) if s[i] == 0)
         types = _TWISTED_D4_SUBTYPES[kept]
-        abelian = sum(1 for x in s if x) - 1
         return SemisimpleTypeWithLevels.of([(ty, None) for ty in types], abelian)
     if twist_order != 1:
         raise ValueError("twist order must be 1 or 3")
-    nodes, marks = _affine_node_data(t)
-    if len(s) != len(nodes):
-        raise ValueError(f"expected {len(nodes)} labels for affine {t}")
-    rs = build_root_system(t)
-    kept = [i for i in range(len(nodes)) if s[i] == 0]
-    types = _split_and_classify([nodes[i] for i in kept], rs)
-    abelian = sum(1 for x in s if x) - 1
-    return SemisimpleTypeWithLevels.of([(ty, None) for ty in types], abelian)
-
-
-def _split_and_classify(vectors: List[Coords], rs: RootSystem) -> List[SimpleType]:
-    """Split a simple system into connected components and classify each."""
-    n = len(vectors)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j in range(n):
-                if not seen[j] and rs.ip(vectors[i], vectors[j]) != 0:
-                    seen[j] = True
-                    comp.append(j)
-                    queue.append(j)
-        gram = [
-            [rs.ip(vectors[i], vectors[j]) for j in comp] for i in comp
-        ]
-        out.append(classify_simple_system(gram))
-    return out
+    gram, marks, scale = _affine_diagram(t)
+    if len(s) != len(marks):
+        raise ValueError(f"expected {len(marks)} labels for affine {t}")
+    unseen = [i for i in range(len(s)) if s[i] == 0]
+    ideals: List[Tuple[SimpleType, Q]] = []
+    while unseen:
+        comp = [unseen.pop()]
+        for i in comp:  # grows while it is walked: a breadth-first search
+            linked = [j for j in unseen if gram[i][j]]
+            comp.extend(linked)
+            unseen = [j for j in unseen if not gram[i][j]]
+        ty = classify_simple_system([[gram[i][j] for j in comp] for i in comp])
+        long_norm = Q(max(gram[i][i] for i in comp), scale)
+        ideals.append((ty, 2 / long_norm))
+    return SemisimpleTypeWithLevels.of(ideals, abelian)
 
 
 def automorphism_order(t: SimpleType, s: Sequence[int], twist_order: int = 1) -> int:
@@ -677,5 +689,5 @@ def automorphism_order(t: SimpleType, s: Sequence[int], twist_order: int = 1) ->
     if twist_order == 3:
         marks = _TWISTED_D4_MARKS
     else:
-        _, marks = _affine_node_data(t)
+        _, marks, _ = _affine_diagram(t)
     return twist_order * sum(m * x for m, x in zip(marks, s))

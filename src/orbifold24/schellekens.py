@@ -18,11 +18,11 @@ from functools import lru_cache
 from math import gcd
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .affinerep import typed_components_of_subsystem
 from .rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
     build_root_system,
+    kac_fixed_subalgebra,
 )
 
 Ideal = Tuple[SimpleType, Q]
@@ -124,29 +124,39 @@ class FixedOption:
 
 
 @lru_cache(maxsize=None)
+def _inner_options_at_level_one(t: SimpleType) -> FrozenSet[SemisimpleTypeWithLevels]:
+    """Kac fixed subalgebras of the inner order-3 classes of t at level 1.
+
+    A component's level is k * 2/(long-root norm), linear in the ambient
+    level k, so the options at level k scale these levels by k.
+    """
+    return frozenset(
+        kac_fixed_subalgebra(t, s) for s in _order3_label_vectors(t)
+    )
+
+
+@lru_cache(maxsize=None)
 def order3_fixed_options(t: SimpleType, level: int) -> FrozenSet[FixedOption]:
     """Fixed-subalgebra types realizable by an order-3 automorphism of one ideal.
 
     Includes the trivial class (the ideal itself).  Inner options come from
-    the full affine-label enumeration; ADE inner fixed ideals keep the
-    ambient level.  Outer options exist only for D4: the branch rotation
-    fixes A2 at triple level or G2 at the ambient level.
+    Kac's theorem over the full affine-label enumeration: the sub-diagram on
+    the nodes labelled 0 plus a centre of rank (#nonzero labels - 1); ADE
+    inner fixed ideals keep the ambient level.  Outer options exist only for
+    D4: the branch rotation fixes A2 at triple level or G2 at the ambient
+    level.
     """
-    rs = build_root_system(t)
     options = {
         FixedOption(
             SemisimpleTypeWithLevels.of([(t, Q(level))]), "trivial"
         )
     }
-    for s in _order3_label_vectors(t):
-        retained = [
-            (fw, ac)
-            for fw, ac in zip(rs.roots, rs.root_alpha_coords)
-            if sum(c * s[1 + j] for j, c in enumerate(ac)) % 3 == 0
-        ]
-        typed, abelian, _ = typed_components_of_subsystem(rs, retained, level)
+    for opt in _inner_options_at_level_one(t):
+        scaled = [(ty, k * level) for ty, k in opt.ideals]
         options.add(
-            FixedOption(SemisimpleTypeWithLevels.of(typed, abelian), "inner")
+            FixedOption(
+                SemisimpleTypeWithLevels.of(scaled, opt.abelian_rank), "inner"
+            )
         )
     if t == SimpleType("D", 4):
         options.add(

@@ -10,7 +10,8 @@ where ell is the module's lowest weight.  Inside a CFT-type holomorphic VOA
 whose weight-one space is exhausted by the ambient algebra, a non-vacuum
 module has ell >= 2 and ell integral, so only tuples with integral
 conformal-weight sum can occur; the minimum of the shifted bound over all
-such tuples is computed exhaustively for h and -h.
+such tuples is computed for h and -h by a min-plus dynamic program over
+(conformal-weight sum, non-vacuum) states, which accounts for every tuple.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .affinerep import (
     AffineAlgebra,
@@ -26,6 +27,7 @@ from .affinerep import (
     enumerate_level_weights,
     n_min,
 )
+from .exactmath import InvariantError
 from .rootdata import Coords, Weight
 
 
@@ -43,18 +45,6 @@ class CaseSpec:
 
     def negated(self) -> "CaseSpec":
         return CaseSpec(self.name + "-neg", self.ambient, self.h.negate())
-
-
-@dataclass(frozen=True)
-class TupleBound:
-    """One admissible weight per ideal with its minimal-weight bound."""
-
-    weights: Tuple[Coords, ...]
-    cw_sum: Q
-    ell_min: int
-    nmin_sum: Q
-    bound: Q
-    feasible: bool
 
 
 def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
@@ -76,7 +66,10 @@ def shift_ok(c: CaseSpec) -> bool:
 
 
 class _CaseTables:
-    """Per-ideal admissible weights with scaled-integer cw and n_min columns."""
+    """Per-ideal admissible weights with scaled-integer cw and n_min columns.
+
+    Row 0 of every ideal is the vacuum (the zero weight sorts first).
+    """
 
     def __init__(self, c: CaseSpec):
         self.case = c
@@ -102,95 +95,78 @@ class _CaseTables:
         self.nm_s = [[int(v * d) for v in col] for col in nm]
         self.half_norm_s = int(self.half_norm * d)
 
-    def tuple_count(self) -> int:
-        n = 1
-        for col in self.weights:
-            n *= len(col)
-        return n
-
-    def scan(self) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-        """Yield (index tuple, scaled cw sum, scaled n_min sum) for all tuples."""
-        sizes = [len(col) for col in self.weights]
-        idx = [0] * len(sizes)
-        while True:
-            s_cw = sum(self.cw_s[i][idx[i]] for i in range(len(idx)))
-            s_nm = sum(self.nm_s[i][idx[i]] for i in range(len(idx)))
-            yield tuple(idx), s_cw, s_nm
-            pos = len(idx) - 1
-            while pos >= 0:
-                idx[pos] += 1
-                if idx[pos] < sizes[pos]:
-                    break
-                idx[pos] = 0
-                pos -= 1
-            if pos < 0:
-                return
-
-
-def feasible_tuples(c: CaseSpec) -> List[TupleBound]:
-    """All weight tuples with integral conformal-weight sum, with bounds."""
-    t = _CaseTables(c)
-    d = t.scale
-    out: List[TupleBound] = []
-    for idx, s_cw, s_nm in t.scan():
+    def bound_s(self, s_cw: int, nonvacuum: bool, s_nm: int) -> Optional[int]:
+        """Scaled bound of a tuple with these sums; None if cw is not integral."""
+        d = self.scale
         if s_cw % d:
-            continue
-        nonzero = any(i for i in idx)
-        ell_s = max(2 * d if nonzero else 0, s_cw)
-        bound_s = ell_s + s_nm + t.half_norm_s
-        out.append(
-            TupleBound(
-                weights=tuple(t.weights[i][j] for i, j in enumerate(idx)),
-                cw_sum=Q(s_cw, d),
-                ell_min=ell_s // d,
-                nmin_sum=Q(s_nm, d),
-                bound=Q(bound_s, d),
-                feasible=True,
-            )
-        )
-    return out
+            return None
+        return max(2 * d if nonvacuum else 0, s_cw) + s_nm + self.half_norm_s
 
+    def minimize(self) -> Tuple[Q, Tuple[Coords, ...]]:
+        """Min-plus DP for the least bound and its witness.
 
-def twisted_weight_lower_bound(t: TupleBound, c: CaseSpec) -> Q:
-    """ell_min + sum n_min + <h|h>/2, recomputed from the case data."""
-    if not shift_ok(c):
-        raise ValueError("(h|alpha) >= -1 fails; the shift formula does not apply")
-    norm, _, _ = invariant_norm(c)
-    total = Q(t.ell_min) + norm / 2
-    for a, hi, w in zip(c.ambient, c.h.components, t.weights):
-        total += n_min(hi, Weight(w, a.root_system()))
-    return total
+        The state of a suffix of ideals is (scaled cw sum, non-vacuum flag);
+        a suffix reaching a state with the least n_min sum is the best
+        completion of every prefix, so completions[i] maps each state of the
+        ideals i.. to that least sum.  Every tuple reaches some state, so
+        the DP covers the whole tuple space.  The forward walk then takes at
+        each ideal the smallest row that still reaches the optimum, which
+        gives the lexicographically least minimizer.
+        """
+        n = len(self.weights)
+        completions: List[Dict[Tuple[int, bool], int]] = [{}] * n + [{(0, False): 0}]
+        for i in range(n - 1, -1, -1):
+            table: Dict[Tuple[int, bool], int] = {}
+            for j, (cw, nm) in enumerate(zip(self.cw_s[i], self.nm_s[i])):
+                for (s_cw, flag), s_nm in completions[i + 1].items():
+                    key = (s_cw + cw, flag or j > 0)
+                    cur = table.get(key)
+                    if cur is None or s_nm + nm < cur:
+                        table[key] = s_nm + nm
+            completions[i] = table
+
+        def best_from(i: int, s_cw: int, flag: bool, s_nm: int) -> Optional[int]:
+            found = None
+            for (c_cw, c_flag), c_nm in completions[i].items():
+                b = self.bound_s(s_cw + c_cw, flag or c_flag, s_nm + c_nm)
+                if b is not None and (found is None or b < found):
+                    found = b
+            return found
+
+        best = best_from(0, 0, False, 0)
+        if best is None:
+            raise InvariantError("no weight tuple has an integral cw sum")
+        witness: List[Coords] = []
+        s_cw, flag, s_nm = 0, False, 0
+        for i in range(n):
+            for j, (cw, nm) in enumerate(zip(self.cw_s[i], self.nm_s[i])):
+                if best_from(i + 1, s_cw + cw, flag or j > 0, s_nm + nm) == best:
+                    break
+            else:
+                raise InvariantError("no row of the forward walk reaches the optimum")
+            witness.append(self.weights[i][j])
+            s_cw, flag, s_nm = s_cw + cw, flag or j > 0, s_nm + nm
+        return Q(best, self.scale), tuple(witness)
 
 
 def min_twisted_weight(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...], Q, Tuple[Coords, ...]]:
-    """Exhaustive minimum of the bound over feasible tuples, for h and -h.
+    """Minimum of the bound over all feasible tuples, for h and -h.
 
     Returns (min for h, witness, min for -h, witness); witnesses are the
-    lexicographically least minimizers.  The -h scan is an independent run,
-    not a symmetry image.
+    lexicographically least minimizers.  The -h minimum is an independent
+    run, not a symmetry image.
     """
     if not shift_ok(c):
         raise ValueError("(h|alpha) >= -1 fails; the shift formula does not apply")
-    results = []
-    for case in (c, c.negated()):
-        t = _CaseTables(case)
-        d = t.scale
-        best: Optional[int] = None
-        best_idx: Optional[Tuple[int, ...]] = None
-        for idx, s_cw, s_nm in t.scan():
-            if s_cw % d:
-                continue
-            ell_s = max(2 * d if any(idx) else 0, s_cw)
-            bound_s = ell_s + s_nm + t.half_norm_s
-            if best is None or bound_s < best:
-                best = bound_s
-                best_idx = idx
-        assert best is not None and best_idx is not None
-        witness = tuple(t.weights[i][j] for i, j in enumerate(best_idx))
-        results.append((Q(best, d), witness))
-    (m1, w1), (m2, w2) = results
+    (m1, w1), (m2, w2) = (
+        _CaseTables(case).minimize() for case in (c, c.negated())
+    )
     return m1, w1, m2, w2
 
 
 def tuple_space_size(c: CaseSpec) -> int:
-    return _CaseTables(c).tuple_count()
+    """Number of weight tuples: the product of the ideals' table sizes."""
+    n = 1
+    for a in c.ambient:
+        n *= len(enumerate_level_weights(a))
+    return n

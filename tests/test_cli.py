@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,29 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["candidates", "--dim", "48", "--ratio", "1/0"], id="ratio-1/0"),
+        pytest.param(
+            ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0",
+             "--d23", "0", "--trunc", "0"],
+            id="trunc-0",
+        ),
+        pytest.param(
+            ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0",
+             "--d23", "0", "--trunc", "-3"],
+            id="trunc-negative",
+        ),
+    ],
+)
+def test_bad_numeric_argument_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_missing_case_file_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["twist-bound", "--case", "/nonexistent/case.json"])
@@ -148,3 +175,31 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         outputs.append((code, [(s["name"], s["computed"]) for s in steps]))
     assert outputs[0] == outputs[1]
     assert dict(outputs[0][1])["twist norm <h|h>"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twist-bound", "--case", "a2x6", "--json"],
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
+         "--json"],
+        ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
+         "E6,3 A2,1 A2,1 A2,1", "--json"],
+    ],
+    ids=["twist-bound", "dimension", "candidates"],
+)
+def test_optimized_interpreter_gives_same_bytes(argv):
+    # python -O strips assert statements; the invariant checks must not be
+    # among them, and the output must not change
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "orbifold24.cli", *argv],
+            capture_output=True, env=env, timeout=300,
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout

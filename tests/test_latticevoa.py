@@ -20,13 +20,14 @@ from orbifold24.latticevoa import (
     identify_type,
     lattice_roots,
     root_lattice,
-    rough_lift,
     standard_lift,
     twisted_ground_energy,
     weight_one_algebra,
     weyl_d4_matrix,
 )
 from orbifold24.rootdata import SimpleType
+
+from helpers import rough_lift
 
 
 @pytest.fixture(scope="module")

@@ -189,19 +189,27 @@ def test_kac_e6_trivalent_node():
     s = [0] * 7
     s[4] = 1  # the node with mark 3
     res = kac_fixed_subalgebra(SimpleType("E", 6), s)
-    assert str(res) == "A2 A2 A2"
+    assert str(res) == "A2,1 A2,1 A2,1"
     assert automorphism_order(SimpleType("E", 6), s) == 3
 
 
 def test_kac_d4_center_node():
     res = kac_fixed_subalgebra(SimpleType("D", 4), [1, 0, 1, 0, 0])
-    assert str(res) == "A1 A1 A1 U(1)"
+    assert str(res) == "A1,1 A1,1 A1,1 U(1)"
 
 
 def test_kac_twisted_d4():
     assert str(kac_fixed_subalgebra(SimpleType("D", 4), [1, 0, 0], 3)) == "G2"
     assert str(kac_fixed_subalgebra(SimpleType("D", 4), [0, 0, 1], 3)) == "A2"
     assert automorphism_order(SimpleType("D", 4), [1, 0, 0], 3) == 3
+
+
+def test_kac_levels_from_long_root_norms():
+    # the affine node -theta with the long simple root of G2
+    assert str(kac_fixed_subalgebra(SimpleType("G", 2), [0, 1, 0])) == "A2,1"
+    # C3 keeps a short A1 (level 2) and a long A1 (level 1)
+    res = kac_fixed_subalgebra(SimpleType("C", 3), [1, 0, 1, 0])
+    assert str(res) == "A1,1 A1,2 U(1)"
 
 
 def test_kac_rejects_zero_labels():

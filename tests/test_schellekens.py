@@ -1,5 +1,7 @@
 from fractions import Fraction as Q
 
+import pytest
+
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 from orbifold24.schellekens import (
     admits_order3_with_fixed,
@@ -8,6 +10,8 @@ from orbifold24.schellekens import (
     order3_fixed_options,
     simple_ideals_with_ratio,
 )
+
+from helpers import root_filter_options
 
 
 def names(pool):
@@ -145,3 +149,13 @@ def test_trivial_only_assignment_rejected():
     target = SemisimpleTypeWithLevels.parse("E6,1 E6,1 E6,1 E6,1")
     ok, _ = admits_order3_with_fixed(cand, target)
     assert not ok
+
+
+@pytest.mark.parametrize(
+    "name", ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4", "E6"]
+)
+def test_kac_options_match_root_filter(name):
+    t = SimpleType.parse(name)
+    for level in (1, 3):
+        kac = {o.result for o in order3_fixed_options(t, level) if o.kind == "inner"}
+        assert kac == root_filter_options(t, level)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -8,11 +9,15 @@ from orbifold24.cases import BUILTIN_CASES
 from orbifold24.rootdata import SimpleType, build_root_system
 from orbifold24.twistbound import (
     CaseSpec,
-    feasible_tuples,
     invariant_norm,
     min_twisted_weight,
     shift_ok,
     tuple_space_size,
+)
+
+from helpers import (
+    feasible_tuples,
+    scan_minimum,
     twisted_weight_lower_bound,
 )
 
@@ -133,3 +138,50 @@ def test_feasible_tuples_have_integral_sums():
         assert tb.ell_min >= tb.cw_sum
         nonzero = any(any(c for c in w) for w in tb.weights)
         assert tb.ell_min >= (2 if nonzero else 0)
+
+
+# Small (type, level) pairs for random cases: tables of 2 to 10 weights.
+SMALL_IDEALS = [("A", 1, 1), ("A", 1, 3), ("A", 2, 1), ("A", 2, 2), ("A", 3, 1),
+                ("B", 2, 1), ("C", 3, 1), ("G", 2, 1), ("G", 2, 2)]
+
+
+def random_case(rng: random.Random, k: int) -> CaseSpec:
+    """Up to four small ideals, each with a random dominant h, (h|theta) <= 1."""
+    ambient, hs = [], []
+    for _ in range(rng.randint(1, 4)):
+        fam, rank, level = rng.choice(SMALL_IDEALS)
+        a = AffineAlgebra(SimpleType(fam, rank), level)
+        rs = a.root_system()
+        while True:
+            h = rs.weight([rng.choice((0, 0, Q(1, 4), Q(1, 3), Q(1, 2), Q(2, 3), 1))
+                           for _ in range(rank)])
+            if rs.ip(h.coords, rs.theta) <= 1:
+                break
+        ambient.append(a)
+        hs.append(h)
+    return CaseSpec(f"random-{k}", tuple(ambient), TwistVector(tuple(hs)))
+
+
+def assert_dp_matches_scan(case):
+    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(case)
+    assert (m_pos, wit_pos) == scan_minimum(case)
+    assert (m_neg, wit_neg) == scan_minimum(case.negated())
+
+
+@pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=lambda c: c.name)
+def test_dp_matches_scan_on_builtin_cases(case):
+    assert_dp_matches_scan(case)
+
+
+def test_dp_matches_scan_on_random_cases():
+    rng = random.Random(3)
+    for k in range(100):
+        case = random_case(rng, k)
+        assert shift_ok(case)
+        assert_dp_matches_scan(case)
+
+
+@pytest.mark.parametrize("case", [CASE1, CASE3], ids=lambda c: c.name)
+def test_scan_minimum_agrees_with_feasible_tuples(case):
+    best = min(feasible_tuples(case), key=lambda tb: tb.bound)
+    assert scan_minimum(case) == (best.bound, best.weights)
