@@ -18,6 +18,7 @@ from typing import List, Sequence, Tuple
 from .exactmath import rank
 from .rootdata import (
     Coords,
+    IntCoords,
     RootSystem,
     SemisimpleTypeWithLevels,
     SimpleType,
@@ -115,12 +116,6 @@ class TwistVector:
 
     components: Tuple[Weight, ...]
 
-    def norms(self, algebras: Sequence[AffineAlgebra]) -> List[Q]:
-        return [
-            a.root_system().norm_of(h.coords)
-            for h, a in zip(self.components, algebras)
-        ]
-
     def negate(self) -> "TwistVector":
         return TwistVector(tuple(h.scale(-1) for h in self.components))
 
@@ -145,8 +140,8 @@ def sigma_order_on_category(
 
 
 def _indecomposable_positive(
-    retained_pos: List[Tuple[Coords, Tuple[int, ...]]], rs: RootSystem
-) -> List[Coords]:
+    retained_pos: List[Tuple[IntCoords, IntCoords]]
+) -> List[IntCoords]:
     """Simple system of a closed subsystem: indecomposable positive roots."""
     pos_set = {fw for fw, _ in retained_pos}
     simple = []
@@ -163,7 +158,7 @@ def _indecomposable_positive(
 
 def typed_components_of_subsystem(
     rs: RootSystem,
-    retained: List[Tuple[Coords, Tuple[int, ...]]],
+    retained: List[Tuple[IntCoords, IntCoords]],
     level: int,
 ) -> Tuple[List[Tuple[SimpleType, Q]], int, int]:
     """Type, level and rank bookkeeping for a closed root subsystem.
@@ -177,8 +172,8 @@ def typed_components_of_subsystem(
     dim = len(retained) + rs.rank
     if not retained:
         return [], rs.rank, dim
-    simple = _indecomposable_positive(retained_pos, rs)
-    comps: List[List[Coords]] = []
+    simple = _indecomposable_positive(retained_pos)
+    comps: List[List[IntCoords]] = []
     unused = list(simple)
     while unused:
         comp = [unused.pop()]

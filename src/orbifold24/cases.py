@@ -474,7 +474,19 @@ def verify_lattice(seed: int = 0) -> Report:
     return rep
 
 
-TABLE_FAMILIES = ("g2.1", "a2.3", "a1.1", "a5.3", "d4.3", "modular", "lattice")
+# module family -> (algebra, golden table, twist coordinates or None)
+MODULE_TABLES = {
+    "g2.1": (AffineAlgebra(SimpleType("G", 2), 1), golden.G2_1_TABLE, (Q(1), Q(0))),
+    "a2.3": (AffineAlgebra(SimpleType("A", 2), 3), golden.A2_3_TABLE, (Q(1), Q(0))),
+    "a1.1": (AffineAlgebra(SimpleType("A", 1), 1), golden.A1_1_TABLE, None),
+    "a5.3": (
+        AffineAlgebra(SimpleType("A", 5), 3),
+        golden.A5_3_TABLE,
+        (Q(0), Q(0), Q(2, 3), Q(0), Q(0)),
+    ),
+    "d4.3": (AffineAlgebra(SimpleType("D", 4), 3), golden.D4_3_TABLE, None),
+}
+TABLE_FAMILIES = tuple(MODULE_TABLES) + ("modular", "lattice")
 
 
 def verify_tables(which: str = "all", trunc: int = 12, seed: int = 0) -> Report:
@@ -484,40 +496,12 @@ def verify_tables(which: str = "all", trunc: int = 12, seed: int = 0) -> Report:
     rep = Report(f"verify {which}")
     selected = TABLE_FAMILIES if which == "all" else (which,)
     for fam in selected:
-        if fam == "g2.1":
-            sub = _table_report(
-                fam,
-                AffineAlgebra(SimpleType("G", 2), 1),
-                golden.G2_1_TABLE,
-                (Q(1), Q(0)),
-            )
-        elif fam == "a2.3":
-            sub = _table_report(
-                fam,
-                AffineAlgebra(SimpleType("A", 2), 3),
-                golden.A2_3_TABLE,
-                (Q(1), Q(0)),
-            )
-        elif fam == "a1.1":
-            sub = _table_report(
-                fam, AffineAlgebra(SimpleType("A", 1), 1), golden.A1_1_TABLE, None
-            )
-        elif fam == "a5.3":
-            sub = _table_report(
-                fam,
-                AffineAlgebra(SimpleType("A", 5), 3),
-                golden.A5_3_TABLE,
-                (Q(0), Q(0), Q(2, 3), Q(0), Q(0)),
-            )
-        elif fam == "d4.3":
-            sub = _table_report(
-                fam, AffineAlgebra(SimpleType("D", 4), 3), golden.D4_3_TABLE, None
-            )
+        if fam in MODULE_TABLES:
+            rep.extend(_table_report(fam, *MODULE_TABLES[fam]))
         elif fam == "modular":
-            sub = verify_modular(trunc)
+            rep.extend(verify_modular(trunc))
         else:
-            sub = verify_lattice(seed)
-        rep.extend(sub)
+            rep.extend(verify_lattice(seed))
     # candidate checks ride along with the full run
     if which == "all":
         rep.extend(verify_candidates())

@@ -41,6 +41,16 @@ def _rational(text: str) -> Q:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
+def _dimension(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"dimension must not be negative: {value}")
+    return value
+
+
 def _load_case(token: str) -> CaseFile:
     if token in BUILTIN_CASES:
         return BUILTIN_CASES[token]
@@ -186,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("candidates", help="enumerate and filter candidates")
     common(p)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument(
         "--ratio",
         required=True,

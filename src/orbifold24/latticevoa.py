@@ -120,7 +120,7 @@ def integer_row_kernel(m: List[List[int]]) -> List[List[int]]:
 def _digit_reps(t: SimpleType) -> Dict[int, Vec]:
     """Coset representatives of the discriminant group, in simple-root coords."""
     rs = build_root_system(t)
-    inv = inverse(rs.cartan)
+    inv = inverse(rs.simple_roots)
     weights = [tuple(inv[i]) for i in range(rs.rank)]  # row i = fund weight i
     if t == SimpleType("E", 6):
         # Z3 cosets: [1] and [2] are the two minuscule classes
@@ -237,15 +237,6 @@ class EvenLattice:
             out.append(int(v))
         return tuple(out)
 
-    def contains(self, x: Vec) -> bool:
-        return self.coords_of(x) is not None
-
-    def from_coords(self, c: Sequence[int]) -> Vec:
-        return tuple(
-            sum(Q(c[i]) * self.basis[i][j] for i in range(self.rank) if c[i])
-            for j in range(self.rank)
-        )
-
     def component_slices(self) -> List[Tuple[int, int]]:
         out = []
         pos = 0
@@ -345,7 +336,7 @@ def lattice_roots(lat: EvenLattice) -> List[Vec]:
     """All norm-2 vectors; nonzero glue cosets are excluded by norm bounds."""
     for w in lat.code.words():
         if any(w) and coset_norm_lower_bound(lat.code, w) <= 2:
-            raise AssertionError("a glue coset might contain norm-2 vectors")
+            raise InvariantError("a glue coset might contain norm-2 vectors")
     roots: List[Vec] = []
     offset = 0
     dim = lat.rank
@@ -385,13 +376,6 @@ class LatticeIsometry:
         return mat_mul(
             mat_mul([list(r) for r in lat.basis_inv], a),
             [list(b) for b in lat.basis],
-        )
-
-    def apply_ambient(self, x: Vec) -> Vec:
-        m = self.ambient_matrix()
-        n = len(x)
-        return tuple(
-            sum(x[i] * m[i][j] for i in range(n) if x[i]) for j in range(n)
         )
 
     def power(self, k: int) -> Tuple[IntVec, ...]:
@@ -466,14 +450,16 @@ def _identity_local(rank: int) -> List[List[Q]]:
     return [[Q(1) if j == i else Q(0) for j in range(rank)] for i in range(rank)]
 
 
-def _assert_order3(m: List[List[Q]], fixed_free: bool) -> None:
+def _check_order3(m: List[List[Q]], fixed_free: bool) -> None:
     n = len(m)
     ident = _identity_local(n)
     m2 = mat_mul(m, m)
-    assert mat_mul(m2, m) == ident, "matrix does not have order 3"
-    if fixed_free:
-        s = [[m2[i][j] + m[i][j] + ident[i][j] for j in range(n)] for i in range(n)]
-        assert all(x == 0 for row in s for x in row), "not fixed-point-free"
+    if mat_mul(m2, m) != ident:
+        raise InvariantError("matrix does not have order 3")
+    if fixed_free and any(
+        m2[i][j] + m[i][j] + ident[i][j] for i in range(n) for j in range(n)
+    ):
+        raise InvariantError("not fixed-point-free")
 
 
 def fpf_e6_matrix() -> List[List[Q]]:
@@ -483,8 +469,7 @@ def fpf_e6_matrix() -> List[List[Q]]:
     (a1,a3), (a5,a6), (a2,-theta); integrality certifies it preserves E6 and
     m^2 + m + 1 = 0 certifies the fixed-point-free order-3 action.
     """
-    rs = build_root_system(SimpleType("E", 6))
-    theta_ac = rs.root_alpha_coords[rs.roots.index(rs.theta)]
+    theta_ac = build_root_system(SimpleType("E", 6)).marks[1:]
     e = _identity_local(6)
     pairs = [
         (e[0], e[2]),
@@ -503,7 +488,7 @@ def fpf_e6_matrix() -> List[List[Q]]:
     phi = mat_mul(mat_mul(inverse(t_rows), rot), t_rows)
     if any(x.denominator != 1 for row in phi for x in row):
         raise InvariantError("conjugated E6 rotation is not integral")
-    _assert_order3(phi, fixed_free=True)
+    _check_order3(phi, fixed_free=True)
     return phi
 
 
@@ -537,7 +522,8 @@ def fpf_d4_matrix() -> List[List[Q]]:
         for c in itertools.product(range(-2, 3), repeat=4)
         if qip(c, c) == 2
     ]
-    assert len(qroots) == 24
+    if len(qroots) != 24:
+        raise InvariantError(f"Hurwitz model has {len(qroots)} roots, not 24")
     found = None
     for r2 in qroots:
         others = [r for r in qroots if qip(r, r2) == -1]
@@ -547,13 +533,14 @@ def fpf_d4_matrix() -> List[List[Q]]:
                 break
         if found:
             break
-    assert found is not None
+    if found is None:
+        raise InvariantError("no D4 simple system among the Hurwitz roots")
     s_rows = [[Q(x) for x in r] for r in found]
     w_mat = [[Q(x) for x in row] for row in _QUAT_LEFT_W]
     phi = mat_mul(mat_mul(s_rows, w_mat), inverse(s_rows))
     if any(x.denominator != 1 for row in phi for x in row):
         raise InvariantError("conjugated D4 rotation is not integral")
-    _assert_order3(phi, fixed_free=True)
+    _check_order3(phi, fixed_free=True)
     return phi
 
 
@@ -565,10 +552,9 @@ def weyl_d4_matrix() -> List[List[Q]]:
         [Q(1), Q(1), Q(1), Q(0)],
         [Q(1), Q(1), Q(0), Q(1)],
     ]
-    _assert_order3(m, fixed_free=False)
-    assert disc_digit_action(SimpleType("D", 4), m) == {0: 0, 1: 1, 2: 2, 3: 3}, (
-        "Weyl candidate acts nontrivially on the discriminant group"
-    )
+    _check_order3(m, fixed_free=False)
+    if disc_digit_action(SimpleType("D", 4), m) != {0: 0, 1: 1, 2: 2, 3: 3}:
+        raise InvariantError("Weyl candidate moves the discriminant group")
     return m
 
 
@@ -588,7 +574,8 @@ def disc_digit_action(t: SimpleType, local: List[List[Q]]) -> Dict[int, int]:
             for d2, rep2 in reps.items()
             if all((a - b).denominator == 1 for a, b in zip(img, rep2))
         ]
-        assert len(matches) == 1
+        if len(matches) != 1:
+            raise InvariantError(f"digit {d} maps to {len(matches)} cosets")
         out[d] = matches[0]
     return out
 
@@ -673,8 +660,10 @@ def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
             raise ValueError("no sigma4-shaped isometry preserves the glue")
     else:
         raise ValueError(f"unknown isometry name {name!r}")
-    assert iso.order() == 3
-    assert iso.preserves_gram()
+    if iso.order() != 3:
+        raise InvariantError(f"{name} does not have order 3")
+    if not iso.preserves_gram():
+        raise InvariantError(f"{name} does not preserve the gram")
     return iso
 
 
@@ -697,7 +686,8 @@ class LatticeLieAlgebra:
         self.rank = lat.rank
         roots_ambient = lattice_roots(lat)
         coords = [lat.coords_of(r) for r in roots_ambient]
-        assert all(c is not None for c in coords)
+        if any(c is None for c in coords):
+            raise InvariantError("a root is outside the lattice")
         self.root_coords: List[IntVec] = sorted(coords)  # type: ignore[arg-type]
         self.root_index: Dict[IntVec, int] = {
             c: i for i, c in enumerate(self.root_coords)
@@ -822,9 +812,6 @@ class LiftedAutomorphism:
     root_phase: Tuple[int, ...]      # sign per root index
     root_perm: Tuple[int, ...]       # image root index per root index
     name: str
-
-    def phase_of_root(self, k: int) -> int:
-        return self.root_phase[k]
 
     def apply(self, x: Dict[int, Q]) -> Dict[int, Q]:
         alg = self.algebra
@@ -998,9 +985,8 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     for i in range(n):
         for j in range(n):
             h_bits[i][j] = eps_bit(basis_imgs[i], basis_imgs[j]) ^ eps_bit(unit[i], unit[j])
-    for i in range(n):
-        for j in range(n):
-            assert h_bits[i][j] == h_bits[j][i], "twist bicharacter not symmetric"
+    if any(h_bits[i][j] != h_bits[j][i] for i in range(n) for j in range(n)):
+        raise InvariantError("twist bicharacter not symmetric")
 
     rows: List[List[int]] = []
     rhs: List[int] = []
@@ -1040,9 +1026,10 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     lift = LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"lift({g.name})")
     # order 3 on the whole algebra
     cube = lift.compose(lift).compose(lift)
-    assert cube.is_identity(), "standard lift does not cube to the identity"
-    for f in g.fixed_coords_basis():
-        assert phase_of(f) == 1
+    if not cube.is_identity():
+        raise InvariantError("standard lift does not cube to the identity")
+    if any(phase_of(f) != 1 for f in g.fixed_coords_basis()):
+        raise InvariantError("standard lift has a phase on the fixed sublattice")
     return lift
 
 
@@ -1122,12 +1109,14 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
                 orbit_reps.append(k)
             continue
         k2 = lift.root_perm[k1]
-        assert lift.root_perm[k2] == k
+        if lift.root_perm[k2] != k:
+            raise InvariantError(f"root orbit of {k} is not a 3-cycle")
         seen.update({k, k1, k2})
         # e^a + s(a) e^(ga) + s(a)s(ga) e^(g^2 a): the unique fixed line
         s0 = lift.root_phase[k]
         s1 = s0 * lift.root_phase[k1]
-        assert s1 * lift.root_phase[k2] == 1, "orbit phase product must be 1"
+        if s1 * lift.root_phase[k2] != 1:
+            raise InvariantError("orbit phase product must be 1")
         vec = {alg.rank + k: Q(1), alg.rank + k1: Q(s0), alg.rank + k2: Q(s1)}
         basis.append(vec)
         orbit_reps.append(k)
@@ -1467,10 +1456,11 @@ def count_orthogonal_subsystems(
     """
     rs = build_root_system(ambient)
     roots = rs.roots
-    subs: Set[FrozenSet] = set()
+    # each root subset maps to roots spanning it
+    subs: Dict[FrozenSet[IntVec], Tuple[IntVec, ...]] = {}
     if part == SimpleType("A", 1):
         for r in roots:
-            subs.add(frozenset({r, tuple(-c for c in r)}))
+            subs.setdefault(frozenset({r, tuple(-c for c in r)}), (r,))
     elif part == SimpleType("A", 2):
         for a, b in itertools.combinations(roots, 2):
             if rs.ip(a, b) == -1 and rs.norm_of(a) == rs.norm_of(b) == 2:
@@ -1485,14 +1475,20 @@ def count_orthogonal_subsystems(
                         tuple(-x for x in ab),
                     }
                 )
-                subs.add(hexagon)
+                subs.setdefault(hexagon, (a, b))
     else:
         raise ValueError("only A1 and A2 patterns are supported")
-    sub_list = sorted(subs, key=lambda s: sorted(s))
-    k = len(sub_list)
+    # two copies are orthogonal iff their spanning roots are
+    spans = list(subs.values())
+    duals = [[rs.covector(x) for x in span] for span in spans]
+    k = len(spans)
     ortho = [
         [
-            all(rs.ip(x, y) == 0 for x in sub_list[i] for y in sub_list[j])
+            all(
+                sum(a * b for a, b in zip(d, y)) == 0
+                for d in duals[i]
+                for y in spans[j]
+            )
             for j in range(k)
         ]
         for i in range(k)

@@ -14,12 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import InvariantError, inverse
 
 Coords = Tuple[Q, ...]
+IntCoords = Tuple[int, ...]
 
 _FAMILIES = "ABCDEFG"
 
@@ -129,27 +130,39 @@ def _gram_matrix(t: SimpleType) -> List[List[Q]]:
         ]
     if t.family == "G":
         return [[Q(2, 3), Q(-1)], [Q(-1), Q(2)]]
-    raise AssertionError
+    raise ValueError(f"no gram matrix for {t}")
 
 
 class RootSystem:
-    """Root system with exact inner products in the long-root-norm-2 form."""
+    """Root system with one integer-scaled invariant form.
+
+    Roots, simple roots, theta and rho have integer fundamental-weight
+    coordinates.  The form on fundamental-weight coordinates is the integer
+    matrix `form` over the least positive integer `scale` that clears its
+    denominators: (x|y) = x . form . y / scale, long roots of norm 2.
+    `marks` are the affine marks: 1 on the node -theta, then the
+    simple-root coordinates of theta.
+    """
 
     def __init__(self, t: SimpleType):
         self.type = t
-        self.rank = t.rank
+        self.rank = n = t.rank
         self.gram = _gram_matrix(t)
-        self.norms = [self.gram[i][i] for i in range(self.rank)]
-        # cartan[i][j] = 2(ai|aj)/(aj|aj); row i = fw coords of a_i
-        self.cartan = [
-            [2 * self.gram[i][j] / self.gram[j][j] for j in range(self.rank)]
-            for i in range(self.rank)
+        # fw coords of a_i = row i of the Cartan matrix, 2(ai|aj)/(aj|aj)
+        self.simple_roots: List[IntCoords] = [
+            tuple(int(2 * self.gram[i][j] / self.gram[j][j]) for j in range(n))
+            for i in range(n)
         ]
-        self.simple_roots: List[Coords] = [tuple(row) for row in self.cartan]
-        self.fw_gram = self._fundamental_weight_gram()
+        # (L_i|L_j) = (C^-1)_ji * d_i with d_i = (a_i|a_i)/2
+        inv = inverse(self.simple_roots)
+        rational = [
+            [inv[j][i] * self.gram[i][i] / 2 for j in range(n)] for i in range(n)
+        ]
+        self.scale = lcm(*(x.denominator for row in rational for x in row))
+        self.form = [[int(x * self.scale) for x in row] for row in rational]
         self.roots, self.root_alpha_coords = self._generate_roots()
         if len(self.roots) != t.root_count():
-            raise AssertionError(
+            raise InvariantError(
                 f"{t}: generated {len(self.roots)} roots, expected {t.root_count()}"
             )
         self.positive_roots = [
@@ -157,69 +170,42 @@ class RootSystem:
             for rt, ac in zip(self.roots, self.root_alpha_coords)
             if sum(ac) > 0
         ]
-        self.positive_alpha_coords = [
-            ac for ac in self.root_alpha_coords if sum(ac) > 0
-        ]
-        self.rho: Coords = tuple([Q(1)] * self.rank)
-        self.theta = self._highest_root()
+        self.rho: IntCoords = (1,) * n
+        top = max(range(len(self.roots)), key=lambda k: sum(self.root_alpha_coords[k]))
+        self.theta: IntCoords = self.roots[top]
+        self.marks: IntCoords = (1,) + self.root_alpha_coords[top]
 
-    def _fundamental_weight_gram(self) -> List[List[Q]]:
-        # (L_i|L_j) = (C^-1)_ji * d_i with d_i = (a_i|a_i)/2
-        n = self.rank
-        inv = inverse(self.cartan)
-        d = [self.gram[i][i] / 2 for i in range(n)]
-        return [[inv[j][i] * d[i] for j in range(n)] for i in range(n)]
-
-    def _generate_roots(self) -> Tuple[List[Coords], List[Tuple[int, ...]]]:
+    def _generate_roots(self) -> Tuple[List[IntCoords], List[IntCoords]]:
         # Weyl-orbit closure of the simple roots under simple reflections.
-        start: Dict[Coords, Tuple[int, ...]] = {}
-        for i in range(self.rank):
-            ac = tuple(1 if j == i else 0 for j in range(self.rank))
-            start[self.simple_roots[i]] = ac
+        n = self.rank
+        start = {
+            self.simple_roots[i]: tuple(int(j == i) for j in range(n))
+            for i in range(n)
+        }
         frontier = dict(start)
         found = dict(start)
         while frontier:
-            new: Dict[Coords, Tuple[int, ...]] = {}
+            new: Dict[IntCoords, IntCoords] = {}
             for fw, ac in frontier.items():
-                for j in range(self.rank):
-                    img_fw, img_ac = self._reflect(fw, ac, j)
-                    if img_fw not in found:
-                        new[img_fw] = img_ac
+                for j in range(n):
+                    m = fw[j]
+                    img = tuple(a - m * b for a, b in zip(fw, self.simple_roots[j]))
+                    if img not in found:
+                        new[img] = tuple(
+                            c - (m if k == j else 0) for k, c in enumerate(ac)
+                        )
             found.update(new)
             frontier = new
         roots = sorted(found)
         return roots, [found[rt] for rt in roots]
 
-    def _reflect(
-        self, fw: Coords, ac: Tuple[int, ...], j: int
-    ) -> Tuple[Coords, Tuple[int, ...]]:
-        m = fw[j]
-        new_fw = tuple(fw[k] - m * self.simple_roots[j][k] for k in range(self.rank))
-        new_ac = tuple(ac[k] - (m if k == j else 0) for k in range(self.rank))
-        return new_fw, tuple(int(x) for x in new_ac)
+    def covector(self, x: Sequence[Q | int]) -> List[Q | int]:
+        """form . x, so that pairing it with y gives scale * (x|y)."""
+        return [sum(f * c for f, c in zip(row, x) if c) for row in self.form]
 
-    def _highest_root(self) -> Coords:
-        best = max(
-            zip(self.roots, self.root_alpha_coords), key=lambda p: sum(p[1])
-        )
-        return best[0]
-
-    def ip(self, x: Coords, y: Coords) -> Q:
-        """Exact inner product of two fw-coordinate vectors."""
-        total = Q(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.fw_gram[i]
-                total += xi * sum(row[j] * y[j] for j in range(self.rank) if y[j])
-        return total
-
-    def ip_with_root(self, x: Coords, alpha_coords: Sequence[int]) -> Q:
-        """(x|a) for a root given in simple-root coordinates; O(rank)."""
-        return sum(
-            Q(c) * self.norms[j] / 2 * x[j]
-            for j, c in enumerate(alpha_coords)
-            if c and x[j]
-        )
+    def ip(self, x: Sequence[Q | int], y: Sequence[Q | int]) -> Q:
+        """Exact (x|y); the sum stays in integers unless a coordinate is a Fraction."""
+        return Q(sum(a * b for a, b in zip(self.covector(x), y) if b), self.scale)
 
     def norm_of(self, x: Coords) -> Q:
         return self.ip(x, x)
@@ -260,9 +246,6 @@ class Weight:
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(
             tuple(a + b for a, b in zip(self.coords, other.coords)), self.system
@@ -297,16 +280,16 @@ class WeightSystem:
     """Weights of an irreducible module with Freudenthal multiplicities."""
 
     highest: Weight
-    entries: Tuple[Tuple[Coords, int], ...]
+    entries: Tuple[Tuple[IntCoords, int], ...]
 
     def total_multiplicity(self) -> int:
         return sum(m for _, m in self.entries)
 
-    def weights(self) -> List[Coords]:
+    def weights(self) -> List[IntCoords]:
         return [w for w, _ in self.entries]
 
 
-_WS_CACHE: Dict[Tuple[SimpleType, Tuple[int, ...]], WeightSystem] = {}
+_WS_CACHE: Dict[Tuple[SimpleType, IntCoords], WeightSystem] = {}
 
 
 def weight_system(lam: Weight) -> WeightSystem:
@@ -320,12 +303,11 @@ def weight_system(lam: Weight) -> WeightSystem:
     if cached is not None:
         return cached
     n = rs.rank
-    # simple roots in fw coordinates are Cartan-matrix rows: integers
-    simple = [tuple(int(c) for c in row) for row in rs.simple_roots]
+    simple = rs.simple_roots
 
     # BFS down from the highest weight, level = height of lam - mu.
-    levels: Dict[int, List[Tuple[int, ...]]] = {0: [top]}
-    seen: Dict[Tuple[int, ...], int] = {top: 0}
+    levels: Dict[int, List[IntCoords]] = {0: [top]}
+    seen: Dict[IntCoords, int] = {top: 0}
     level = 0
     while level in levels:
         for mu in levels[level]:
@@ -345,51 +327,29 @@ def weight_system(lam: Weight) -> WeightSystem:
                         levels.setdefault(level + 1, []).append(down)
         level += 1
 
-    # Freudenthal multiplicities in scaled integer arithmetic.
-    s_root = lcm(*[(rs.norms[j] / 2).denominator for j in range(n)])
-    root_w = [
-        [int(Q(c) * rs.norms[j] / 2 * s_root) for j, c in enumerate(ac)]
-        for ac in rs.positive_alpha_coords
-    ]
-    s_gram = lcm(*[x.denominator for row in rs.fw_gram for x in row])
-    gram_i = [[int(x * s_gram) for x in row] for row in rs.fw_gram]
-
-    def norm_scaled(x: Tuple[int, ...]) -> int:
-        return sum(
-            x[i] * sum(gram_i[i][j] * x[j] for j in range(n) if x[j])
-            for i in range(n)
-            if x[i]
-        )
-
+    # Freudenthal multiplicities; acc sums scale * m(mu + k a) (mu + k a|a).
+    steps = [(a, rs.covector(a)) for a in rs.positive_roots]
     lam_rho = tuple(c + 1 for c in top)
-    n_lam = norm_scaled(lam_rho)
-    mult: Dict[Tuple[int, ...], int] = {top: 1}
-    order = sorted(seen.items(), key=lambda kv: kv[1])
-    pos_steps = [tuple(int(c) for c in fw) for fw in rs.positive_roots]
-    for mu, lev in order:
+    n_lam = rs.norm_of(lam_rho)
+    mult: Dict[IntCoords, int] = {top: 1}
+    for mu, lev in sorted(seen.items(), key=lambda kv: kv[1]):
         if lev == 0:
             continue
         acc = 0
-        for step, w in zip(pos_steps, root_w):
+        for step, dual in steps:
             shifted = tuple(a + b for a, b in zip(mu, step))
             while True:
                 m = mult.get(shifted)
                 if m is None:
                     break
-                acc += m * sum(
-                    w[j] * shifted[j] for j in range(n) if shifted[j]
-                )
+                acc += m * sum(d * c for d, c in zip(dual, shifted) if c)
                 shifted = tuple(a + b for a, b in zip(shifted, step))
         mu_rho = tuple(c + 1 for c in mu)
-        denom = n_lam - norm_scaled(mu_rho)
-        val = Q(2 * acc * s_gram, s_root * denom)
+        val = Q(2 * acc, rs.scale) / (n_lam - rs.norm_of(mu_rho))
         if val.denominator != 1 or val <= 0:
             raise InvariantError(f"Freudenthal multiplicity {val} of {mu}")
         mult[mu] = int(val)
-    entries = tuple(
-        sorted((tuple(Q(c) for c in mu), m) for mu, m in mult.items())
-    )
-    ws = WeightSystem(lam, entries)
+    ws = WeightSystem(lam, tuple(sorted(mult.items())))
     _WS_CACHE[key] = ws
     return ws
 
@@ -399,13 +359,12 @@ def weyl_dim(lam: Weight) -> int:
     if not (lam.is_dominant() and lam.is_integral()):
         raise ValueError("highest weight must be dominant integral")
     rs = lam.system
-    rho = rs.rho
-    lam_rho = tuple(a + b for a, b in zip(lam.coords, rho))
+    lam_rho = tuple(int(c) + 1 for c in lam.coords)
     num = Q(1)
     den = Q(1)
-    for ac in rs.positive_alpha_coords:
-        num *= rs.ip_with_root(lam_rho, ac)
-        den *= rs.ip_with_root(rho, ac)
+    for alpha in rs.positive_roots:
+        num *= rs.ip(lam_rho, alpha)
+        den *= rs.ip(rs.rho, alpha)
     val = num / den
     if val.denominator != 1:
         raise InvariantError(f"Weyl dimension {val} of {lam} is not an integer")
@@ -432,15 +391,13 @@ def min_pairing_over_weights(x: Weight, lam: Weight) -> Q:
     if x.system is not lam.system:
         raise ValueError("weights live in different root systems")
     rs = lam.system
-    ws = weight_system(lam)
-    fw_x = [
-        sum(rs.fw_gram[i][j] * x.coords[j] for j in range(rs.rank))
-        for i in range(rs.rank)
-    ]
-    return min(
-        sum((fw_x[i] * mu[i] for i in range(rs.rank) if mu[i]), Q(0))
-        for mu in ws.weights()
+    # den * x is integral, so every pairing below is an integer sum
+    den = prod({c.denominator for c in x.coords})
+    dual = rs.covector([int(c * den) for c in x.coords])
+    least = min(
+        sum(d * c for d, c in zip(dual, mu) if c) for mu in weight_system(lam).weights()
     )
+    return Q(least, den * rs.scale)
 
 
 def lin_min_over_weights(big: Weight, lam: Weight) -> Q:
@@ -491,11 +448,6 @@ class SemisimpleTypeWithLevels:
 
     def dim(self) -> int:
         return sum(t.dim() for t, _ in self.ideals) + self.abelian_rank
-
-    def types_only(self) -> "SemisimpleTypeWithLevels":
-        return SemisimpleTypeWithLevels.of(
-            [(t, None) for t, _ in self.ideals], self.abelian_rank
-        )
 
     def __str__(self) -> str:
         parts = []
@@ -597,30 +549,18 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
 
 
 @lru_cache(maxsize=None)
-def _affine_diagram(
-    t: SimpleType,
-) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...], int]:
-    """Untwisted affine diagram: (node gram * scale, marks, scale).
+def _affine_diagram(t: SimpleType) -> Tuple[Tuple[int, ...], ...]:
+    """Untwisted affine diagram as scale * (its node gram), in integers.
 
-    Node 0 is -theta, nodes 1..r the simple roots; scale is the least
-    positive integer that makes the gram of the invariant form integral.
+    Node 0 is -theta, nodes 1..r the simple roots; scale is the root
+    system's.
     """
     rs = build_root_system(t)
-    r = rs.rank
-    theta_ac = rs.root_alpha_coords[rs.roots.index(rs.theta)]
-    nodes = [tuple(-c for c in theta_ac)] + [
-        tuple(int(i == j) for j in range(r)) for i in range(r)
-    ]
-    scale = lcm(*(x.denominator for row in rs.gram for x in row))
-    g = [[int(x * scale) for x in row] for row in rs.gram]
-    gram = tuple(
-        tuple(
-            sum(a[i] * g[i][j] * b[j] for i in range(r) for j in range(r))
-            for b in nodes
-        )
-        for a in nodes
+    nodes = [tuple(-c for c in rs.theta)] + rs.simple_roots
+    return tuple(
+        tuple(sum(a * b for a, b in zip(rs.covector(x), y)) for y in nodes)
+        for x in nodes
     )
-    return gram, (1,) + tuple(theta_ac), scale
 
 
 # Twisted triple-cover diagram used for the branch-rotation case: three nodes
@@ -667,9 +607,10 @@ def kac_fixed_subalgebra(
         return SemisimpleTypeWithLevels.of([(ty, None) for ty in types], abelian)
     if twist_order != 1:
         raise ValueError("twist order must be 1 or 3")
-    gram, marks, scale = _affine_diagram(t)
-    if len(s) != len(marks):
-        raise ValueError(f"expected {len(marks)} labels for affine {t}")
+    gram = _affine_diagram(t)
+    scale = build_root_system(t).scale
+    if len(s) != len(gram):
+        raise ValueError(f"expected {len(gram)} labels for affine {t}")
     unseen = [i for i in range(len(s)) if s[i] == 0]
     ideals: List[Tuple[SimpleType, Q]] = []
     while unseen:
@@ -679,15 +620,11 @@ def kac_fixed_subalgebra(
             comp.extend(linked)
             unseen = [j for j in unseen if not gram[i][j]]
         ty = classify_simple_system([[gram[i][j] for j in comp] for i in comp])
-        long_norm = Q(max(gram[i][i] for i in comp), scale)
-        ideals.append((ty, 2 / long_norm))
+        ideals.append((ty, Q(2 * scale, max(gram[i][i] for i in comp))))
     return SemisimpleTypeWithLevels.of(ideals, abelian)
 
 
 def automorphism_order(t: SimpleType, s: Sequence[int], twist_order: int = 1) -> int:
     """Order twist * sum(marks * s) of the automorphism labelled by s."""
-    if twist_order == 3:
-        marks = _TWISTED_D4_MARKS
-    else:
-        _, marks, _ = _affine_diagram(t)
+    marks = _TWISTED_D4_MARKS if twist_order == 3 else build_root_system(t).marks
     return twist_order * sum(m * x for m, x in zip(marks, s))

@@ -96,9 +96,7 @@ def enumerate_candidates(total_dim: int, r: Q) -> List[CandidateAlgebra]:
 
 def _order3_label_vectors(t: SimpleType) -> List[Tuple[int, ...]]:
     """Affine-node label vectors of inner order-3 automorphism classes."""
-    rs = build_root_system(t)
-    theta_ac = rs.root_alpha_coords[rs.roots.index(rs.theta)]
-    marks = [1] + [int(c) for c in theta_ac]
+    marks = build_root_system(t).marks
     n = len(marks)
     out: List[Tuple[int, ...]] = []
 

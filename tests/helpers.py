@@ -8,6 +8,9 @@ against, and helpers that only the tests need.
 * Eta powers: series inversion, powers by repeated products and the
   product expansion of prod (1 - x^n)^m (`product_f_power_at_S`) against
   Euler's recurrence in `qmodular`.
+* Invariant form: the `Fraction` fundamental-weight Gram matrix
+  (`fraction_fw_gram`, `fraction_ip`) against the integer-scaled
+  `RootSystem.form`.
 * `rough_lift`: some algebra automorphism covering a lattice isometry.
 """
 
@@ -22,6 +25,7 @@ from typing import Iterator, List, Sequence, Set, Tuple
 import numpy as np
 
 from orbifold24.affinerep import n_min, typed_components_of_subsystem
+from orbifold24.exactmath import inverse
 from orbifold24.latticevoa import (
     LatticeIsometry,
     LatticeLieAlgebra,
@@ -31,6 +35,7 @@ from orbifold24.latticevoa import (
 from orbifold24.qmodular import PuiseuxSeries
 from orbifold24.rootdata import (
     Coords,
+    RootSystem,
     SemisimpleTypeWithLevels,
     SimpleType,
     Weight,
@@ -38,6 +43,30 @@ from orbifold24.rootdata import (
 )
 from orbifold24.schellekens import _order3_label_vectors
 from orbifold24.twistbound import CaseSpec, _CaseTables, invariant_norm, shift_ok
+
+# --- invariant form -------------------------------------------------------
+
+
+def fraction_fw_gram(rs: RootSystem) -> List[List[Q]]:
+    """(L_i|L_j) = (C^-1)_ji * (a_i|a_i)/2, in Fractions."""
+    n = rs.rank
+    inv = inverse(rs.simple_roots)
+    return [[inv[j][i] * rs.gram[i][i] / 2 for j in range(n)] for i in range(n)]
+
+
+def fraction_ip(gram: Sequence[Sequence[Q]], x: Sequence, y: Sequence) -> Q:
+    """(x|y) through a Fraction Gram matrix, term by term."""
+    return sum(
+        (
+            gram[i][j] * xi * yj
+            for i, xi in enumerate(x)
+            if xi
+            for j, yj in enumerate(y)
+            if yj
+        ),
+        Q(0),
+    )
+
 
 # --- twisted minima -------------------------------------------------------
 

@@ -108,6 +108,9 @@ def test_usage_error_exit_code():
     [
         pytest.param(["candidates", "--dim", "48", "--ratio", "1/0"], id="ratio-1/0"),
         pytest.param(
+            ["candidates", "--dim", "-12", "--ratio", "1", "--json"], id="dim-negative"
+        ),
+        pytest.param(
             ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0",
              "--d23", "0", "--trunc", "0"],
             id="trunc-0",
@@ -185,8 +188,9 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
          "--json"],
         ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
          "E6,3 A2,1 A2,1 A2,1", "--json"],
+        ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
     ],
-    ids=["twist-bound", "dimension", "candidates"],
+    ids=["twist-bound", "dimension", "candidates", "lattice"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv):
     # python -O strips assert statements; the invariant checks must not be

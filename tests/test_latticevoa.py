@@ -330,6 +330,9 @@ def test_subsystem_counts():
     assert count_orthogonal_subsystems(SimpleType("E", 6), SimpleType("A", 2), 3) == 40
     assert count_orthogonal_subsystems(SimpleType("D", 4), SimpleType("A", 1), 3) == 12
     assert count_orthogonal_subsystems(SimpleType("A", 2), SimpleType("A", 2), 1) == 1
+    assert count_orthogonal_subsystems(SimpleType("E", 6), SimpleType("A", 1), 3) == 540
+    assert count_orthogonal_subsystems(SimpleType("D", 4), SimpleType("A", 1), 4) == 3
+    assert count_orthogonal_subsystems(SimpleType("A", 5), SimpleType("A", 2), 2) == 10
 
 
 def test_glue_automorphism_orders():

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
+from helpers import fraction_fw_gram, fraction_ip
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
@@ -14,6 +16,7 @@ from orbifold24.rootdata import (
     kac_fixed_subalgebra,
     lin_min_over_weights,
     lowest_weight,
+    min_pairing_over_weights,
     weight_system,
     weyl_dim,
 )
@@ -66,8 +69,82 @@ def test_weight_root_duality(fam, rank):
     for i in range(rs.rank):
         for j in range(rs.rank):
             lhs = rs.ip(rs.fundamental_weight(i).coords, rs.simple_roots[j])
-            want = rs.norms[j] / 2 if i == j else Q(0)
+            want = rs.gram[j][j] / 2 if i == j else Q(0)
             assert lhs == want
+
+
+FORM_TYPES = ["A1", "A2", "A5", "B3", "C3", "D4", "E6", "E7", "E8", "F4", "G2"]
+
+
+def test_form_scales_cover_one_to_six():
+    scales = {build_root_system(SimpleType.parse(t)).scale for t in FORM_TYPES}
+    assert scales == {1, 2, 3, 4, 6}
+
+
+@pytest.mark.parametrize("name", FORM_TYPES)
+def test_integer_form_matches_fraction_gram(name):
+    rs = build_root_system(SimpleType.parse(name))
+    gram = fraction_fw_gram(rs)
+    assert rs.scale == lcm(*(x.denominator for row in gram for x in row))
+    assert rs.form == [[x * rs.scale for x in row] for row in gram]
+    for v in rs.roots + rs.simple_roots + [rs.theta, rs.rho]:
+        assert all(type(c) is int for c in v)
+    assert rs.marks[0] == 1 and rs.norm_of(rs.theta) == 2
+    assert rs.theta == tuple(
+        sum(m * a[k] for m, a in zip(rs.marks[1:], rs.simple_roots))
+        for k in range(rs.rank)
+    )
+
+
+@pytest.mark.parametrize("name", FORM_TYPES)
+def test_ip_matches_fraction_oracle_on_roots(name):
+    rs = build_root_system(SimpleType.parse(name))
+    gram = fraction_fw_gram(rs)
+    if rs.rank <= 6:
+        pairs = [(a, b) for a in rs.roots for b in rs.roots]
+    else:
+        rng = random.Random(name)
+        pairs = [(rng.choice(rs.roots), rng.choice(rs.roots)) for _ in range(2000)]
+    for a, b in pairs:
+        got = rs.ip(a, b)
+        assert isinstance(got, Q) and got == fraction_ip(gram, a, b)
+
+
+@pytest.mark.parametrize("name", FORM_TYPES)
+def test_ip_matches_fraction_oracle_on_rational_weights(name):
+    rs = build_root_system(SimpleType.parse(name))
+    gram = fraction_fw_gram(rs)
+    rng = random.Random(name)
+
+    def rational_weight():
+        return [Q(rng.randint(-6, 6), rng.randint(1, 6)) for _ in range(rs.rank)]
+
+    for _ in range(50):
+        x, y = rational_weight(), rational_weight()
+        assert rs.ip(x, y) == fraction_ip(gram, x, y)
+
+
+@pytest.mark.parametrize("name", ["A2", "B3", "C3", "D4", "G2"])
+def test_min_pairing_matches_fraction_oracle(name):
+    rs = build_root_system(SimpleType.parse(name))
+    gram = fraction_fw_gram(rs)
+    rng = random.Random(name)
+    for _ in range(6):
+        lam = rs.weight([rng.randint(0, 1) for _ in range(rs.rank)])
+        x = rs.weight(
+            [Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(rs.rank)]
+        )
+        ws = weight_system(lam)
+        want = min(fraction_ip(gram, x.coords, mu) for mu in ws.weights())
+        assert min_pairing_over_weights(x, lam) == want
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
+def test_weyl_dim_matches_freudenthal_on_fundamental_weights(name):
+    rs = build_root_system(SimpleType.parse(name))
+    for i in range(rs.rank):
+        lam = rs.fundamental_weight(i)
+        assert weyl_dim(lam) == weight_system(lam).total_multiplicity()
 
 
 def test_dual_coxeter_values():
@@ -159,7 +236,7 @@ def test_lowest_weight_in_system_and_below():
             for c in range(t.rank):
                 p = next(i for i in range(c, t.rank) if m[i][c])
                 m[c], m[p] = m[p], m[c]
-                scale = 1 / m[c][c]
+                scale = Q(1) / m[c][c]
                 m[c] = [x * scale for x in m[c]]
                 for i in range(t.rank):
                     if i != c and m[i][c]:
