@@ -2,8 +2,8 @@
 
 Subcommands: tables, twist-bound, dimension, candidates, lattice, verify-all.
 Reports print as human-readable tables, or as byte-stable JSON with --json.
-Exit code 0 means every expectation passed, 1 flags a mismatch, 2 a usage
-error.
+Exit code 0 means every expectation passed, 1 flags a mismatch (including an
+exact invariant or identification check that fails), 2 a usage error.
 """
 
 from __future__ import annotations
@@ -230,6 +230,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as err:
         parser.exit(2, f"error: {err}\n")
         return 2
+    except (InvariantError, latticevoa.IdentificationError) as err:
+        # an exact check failed on this input: a mismatch, not a usage error
+        parser.exit(1, f"error: {type(err).__name__}: {err}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import factorial, gcd, lcm
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -676,7 +676,8 @@ class LatticeLieAlgebra:
 
     Basis indices: 0..rank-1 are the Cartan directions dual to the lattice
     basis; rank+k is the root vector of the k-th root.  Elements are sparse
-    {index: Fraction} maps.  eps is bimultiplicative with
+    {index: int} maps: every structure constant is +-1 or a lattice inner
+    product.  eps is bimultiplicative with
     eps(b_i, b_j) = (-1)^(b_i|b_j) for i > j and 1 otherwise, which gives the
     commutation rule e^b e^a = (-1)^(a|b) e^a e^b.
     """
@@ -732,19 +733,19 @@ class LatticeLieAlgebra:
 
     # -- structure ------------------------------------------------------------
 
-    def cartan_element(self, coords: Sequence[int]) -> Dict[int, Q]:
-        return {i: Q(c) for i, c in enumerate(coords) if c}
+    def cartan_element(self, coords: Sequence[int]) -> Dict[int, int]:
+        return {i: c for i, c in enumerate(coords) if c}
 
-    def root_element(self, k: int) -> Dict[int, Q]:
-        return {self.rank + k: Q(1)}
+    def root_element(self, k: int) -> Dict[int, int]:
+        return {self.rank + k: 1}
 
-    def bracket_basis(self, x: int, y: int) -> Dict[int, Q]:
+    def bracket_basis(self, x: int, y: int) -> Dict[int, int]:
         r = self.rank
         if x < r and y < r:
             return {}
         if x < r:
             k = y - r
-            v = Q(int(self._ip_cr[x][k]))
+            v = int(self._ip_cr[x][k])
             return {y: v} if v else {}
         if y < r:
             out = self.bracket_basis(y, x)
@@ -755,28 +756,26 @@ class LatticeLieAlgebra:
             return {}
         if ip == -1:
             sgn = int(self._eps_rr[k][l])
-            return {r + self._sum_idx[(k, l)]: Q(sgn)}
+            return {r + self._sum_idx[(k, l)]: sgn}
         # ip == -2: opposite roots; bracket is the coroot direction
         sgn = int(self._eps_rr[k][l])
-        return {
-            i: Q(sgn * c) for i, c in enumerate(self.root_coords[k]) if c
-        }
+        return {i: sgn * c for i, c in enumerate(self.root_coords[k]) if c}
 
-    def bracket(self, x: Dict[int, Q], y: Dict[int, Q]) -> Dict[int, Q]:
-        out: Dict[int, Q] = {}
+    def bracket(self, x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
+        out: Dict[int, int] = {}
         for i, ci in x.items():
             for j, cj in y.items():
                 for k, ck in self.bracket_basis(i, j).items():
-                    v = out.get(k, Q(0)) + ci * cj * ck
+                    v = out.get(k, 0) + ci * cj * ck
                     if v:
                         out[k] = v
                     elif k in out:
                         del out[k]
         return out
 
-    def form(self, x: Dict[int, Q], y: Dict[int, Q]) -> Q:
+    def form(self, x: Dict[int, int], y: Dict[int, int]) -> int:
         """Invariant form: <t_a|t_b> = (a|b), <e^a|e^-a> = eps(a,-a)."""
-        total = Q(0)
+        total = 0
         gram = self.lattice.gram
         r = self.rank
         for i, ci in x.items():
@@ -813,16 +812,16 @@ class LiftedAutomorphism:
     root_perm: Tuple[int, ...]       # image root index per root index
     name: str
 
-    def apply(self, x: Dict[int, Q]) -> Dict[int, Q]:
+    def apply(self, x: Dict[int, int]) -> Dict[int, int]:
         alg = self.algebra
         r = alg.rank
-        out: Dict[int, Q] = {}
+        out: Dict[int, int] = {}
         mat = self.isometry.matrix
         for i, c in x.items():
             if i < r:
                 for j in range(r):
                     if mat[i][j]:
-                        v = out.get(j, Q(0)) + c * mat[i][j]
+                        v = out.get(j, 0) + c * mat[i][j]
                         if v:
                             out[j] = v
                         elif j in out:
@@ -830,7 +829,7 @@ class LiftedAutomorphism:
             else:
                 k = i - r
                 tgt = r + self.root_perm[k]
-                v = out.get(tgt, Q(0)) + c * self.root_phase[k]
+                v = out.get(tgt, 0) + c * self.root_phase[k]
                 if v:
                     out[tgt] = v
                 elif tgt in out:
@@ -1039,63 +1038,32 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
 
 @dataclass
 class FixedSubalgebra:
-    """Fixed points of an order-3 lifted automorphism, with local brackets."""
+    """Fixed points of an order-3 lifted automorphism as a structure table.
 
-    algebra: LatticeLieAlgebra
-    lift: LiftedAutomorphism
-    basis: List[Dict[int, Q]]
-    cartan_rows: List[IntVec]          # fixed-sublattice basis (coords)
-    orbit_reps: List[int]              # root index per orbit-sum basis vector
-    _cartan_solver: List[List[Q]] = field(repr=False, default_factory=list)
+    `basis` lists the fixed basis vectors in the big algebra: the
+    fixed-sublattice basis, then one orbit sum per root orbit.
+    `brackets[i][j]` maps k to the nonzero coefficient of basis[k] in
+    [basis[i], basis[j]]; `gram` is the invariant form on the basis.  Both
+    are integral.
+    """
+
+    basis: List[Dict[int, int]]
+    brackets: List[List[Dict[int, int]]]
+    gram: List[List[int]]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def to_local(self, x: Dict[int, Q]) -> List[Q]:
-        """Coordinates of a fixed vector in the fixed basis."""
-        alg = self.algebra
-        r = alg.rank
-        nc = len(self.cartan_rows)
-        out = [Q(0)] * self.dim
-        cart = [x.get(i, Q(0)) for i in range(r)]
-        if any(cart):
-            sol = [
-                sum(cart[i] * self._cartan_solver[i][j] for i in range(r))
-                for j in range(nc)
-            ]
-            recon = [Q(0)] * r
-            for j in range(nc):
-                if sol[j]:
-                    for i in range(r):
-                        recon[i] += sol[j] * self.cartan_rows[j][i]
-            if recon != cart:
-                raise InvariantError("Cartan part is outside the fixed sublattice")
-            out[:nc] = sol
-        for pos, rep in enumerate(self.orbit_reps):
-            c = x.get(r + rep, Q(0))
-            if c:
-                out[nc + pos] = c
-        return out
-
-    def bracket_local(self, i: int, j: int) -> List[Q]:
-        return self.to_local(self.algebra.bracket(self.basis[i], self.basis[j]))
-
-    def form_local(self) -> List[List[Q]]:
-        return [
-            [self.algebra.form(x, y) for y in self.basis] for x in self.basis
-        ]
-
 
 def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     """Exact fixed-point subalgebra of an order-3 lifted automorphism."""
     alg = lift.algebra
-    g = lift.isometry
-    cartan_rows = [tuple(r) for r in g.fixed_coords_basis()]
-    basis: List[Dict[int, Q]] = [
-        {i: Q(c) for i, c in enumerate(row) if c} for row in cartan_rows
-    ]
-    orbit_reps: List[int] = []
+    r = alg.rank
+    cartan_rows = lift.isometry.fixed_coords_basis()
+    basis = [alg.cartan_element(row) for row in cartan_rows]
+    nc = len(basis)
+    position: Dict[int, int] = {}      # orbit representative -> basis index
     seen: Set[int] = set()
     for k in range(alg.n_roots):
         if k in seen:
@@ -1105,8 +1073,8 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             seen.add(k)
             # a g-fixed root line survives only with trivial phase
             if lift.root_phase[k] == 1:
+                position[r + k] = len(basis)
                 basis.append(alg.root_element(k))
-                orbit_reps.append(k)
             continue
         k2 = lift.root_perm[k1]
         if lift.root_perm[k2] != k:
@@ -1117,18 +1085,39 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         s1 = s0 * lift.root_phase[k1]
         if s1 * lift.root_phase[k2] != 1:
             raise InvariantError("orbit phase product must be 1")
-        vec = {alg.rank + k: Q(1), alg.rank + k1: Q(s0), alg.rank + k2: Q(s1)}
-        basis.append(vec)
-        orbit_reps.append(k)
-    nc = len(cartan_rows)
+        position[r + k] = len(basis)
+        basis.append({r + k: 1, r + k1: s0, r + k2: s1})
     if nc:
-        f = [[Q(x) for x in row] for row in cartan_rows]          # nc x r
-        ft = [[f[i][j] for i in range(nc)] for j in range(len(f[0]))]
-        fft_inv = inverse(mat_mul(f, ft))
-        solver = mat_mul(ft, fft_inv)                             # r x nc
+        ft = [list(col) for col in zip(*cartan_rows)]                # r x nc
+        solver = mat_mul(ft, inverse(mat_mul(cartan_rows, ft)))     # r x nc
     else:
-        solver = [[Q(0)] * 0 for _ in range(alg.rank)]
-    return FixedSubalgebra(alg, lift, basis, cartan_rows, orbit_reps, solver)
+        solver = []
+
+    def coords(x: Dict[int, int]) -> Dict[int, int]:
+        """Coordinates of a fixed vector in the fixed basis."""
+        out = {position[k]: c for k, c in x.items() if k in position}
+        cart = [x.get(i, 0) for i in range(r)]
+        if any(cart):
+            sol = [sum(cart[i] * solver[i][j] for i in range(r)) for j in range(nc)]
+            recon = [
+                sum(s * row[i] for s, row in zip(sol, cartan_rows)) for i in range(r)
+            ]
+            if recon != cart:
+                raise InvariantError("Cartan part is outside the fixed sublattice")
+            out.update((j, s) for j, s in enumerate(sol) if s)
+        if any(c.denominator != 1 for c in out.values()):
+            raise InvariantError("a fixed structure constant is not integral")
+        return {k: int(c) for k, c in out.items()}
+
+    dim = len(basis)
+    brackets: List[List[Dict[int, int]]] = [[{} for _ in basis] for _ in basis]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            b = coords(alg.bracket(basis[i], basis[j]))
+            brackets[i][j] = b
+            brackets[j][i] = {k: -c for k, c in b.items()}
+    gram = [[alg.form(x, y) for y in basis] for x in basis]
+    return FixedSubalgebra(basis, brackets, gram)
 
 
 class IdentificationError(Exception):
@@ -1145,39 +1134,29 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     2 h-dual(X)/k with multiplicity dim X.
     """
     dim = sub.dim
-    brackets: List[List[List[Q]]] = [
-        [sub.bracket_local(i, j) for j in range(dim)] for i in range(dim)
-    ]
+    brackets = sub.brackets
 
-    def ad(vec: List[Q]) -> List[List[Q]]:
-        out = [[Q(0)] * dim for _ in range(dim)]
+    def ad(vec: Sequence[Q]) -> List[List[Q]]:
+        """ad(vec) on row vectors: row j holds the coordinates of [vec, basis[j]]."""
+        out: List[List[Q]] = [[0] * dim for _ in range(dim)]
         for i, ci in enumerate(vec):
             if ci:
-                bi = brackets[i]
-                for j in range(dim):
-                    row = bi[j]
-                    for k in range(dim):
-                        if row[k]:
-                            out[j][k] += ci * row[k]
+                for j, row in enumerate(brackets[i]):
+                    oj = out[j]
+                    for k, c in row.items():
+                        oj[k] += ci * c
         return out
 
-    # Killing gram, exactly
-    kill = [[Q(0)] * dim for _ in range(dim)]
-    sparse = [
-        [(j, k, brackets[i][j][k]) for j in range(dim) for k in range(dim)
-         if brackets[i][j][k]]
-        for i in range(dim)
-    ]
+    # Killing gram tr(ad b_i ad b_j), exactly
+    kill = [[0] * dim for _ in range(dim)]
     for i in range(dim):
+        entries = [
+            (a, b, c) for a, row in enumerate(brackets[i]) for b, c in row.items()
+        ]
         for j in range(i, dim):
-            total = Q(0)
             bj = brackets[j]
-            for (a, b, c) in sparse[i]:
-                v = bj[b][a]
-                if v:
-                    total += c * v
-            kill[i][j] = kill[j][i] = total
-    gram = sub.form_local()
+            kill[i][j] = kill[j][i] = sum(c * bj[b].get(a, 0) for a, b, c in entries)
+    gram = sub.gram
 
     center = kernel(kill)
     abelian = len(center)
@@ -1228,7 +1207,7 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     for _attempt in range(8):
         try:
             ideals, spectrum = _float_root_pass(
-                rng, dim, sdim, rank_ss, ad_cartan, ad_c_np, g_c_inv
+                rng, sdim, rank_ss, cartan, ad, ad_c_np, g_c_inv
             )
             break
         except IdentificationError as err:
@@ -1263,22 +1242,17 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
 
 def _float_root_pass(
     rng: random.Random,
-    dim: int,
     sdim: int,
     rank_ss: int,
-    ad_cartan: List[List[List[Q]]],
+    cartan: List[List[Q]],
+    ad: Callable[[Sequence[Q]], List[List[Q]]],
     ad_c_np: List[np.ndarray],
     g_c_inv: np.ndarray,
 ) -> Tuple[List[Tuple[SimpleType, Q]], Dict[Q, int]]:
     """One float root-space discovery attempt; raises on any inconsistency."""
-    weights = [rng.randint(1, 997) for _ in ad_cartan]
-    h_exact = [
-        [
-            sum(w * ad_cartan[k][i][j] for k, w in enumerate(weights))
-            for j in range(dim)
-        ]
-        for i in range(dim)
-    ]
+    weights = [rng.randint(1, 997) for _ in cartan]
+    # ad is linear: sum_k w_k ad(c_k) = ad(sum_k w_k c_k)
+    h_exact = ad([sum(w * x for w, x in zip(weights, col)) for col in zip(*cartan)])
     try:
         pairs = float_eigen(h_exact)
     except ResidualExceeded as err:
@@ -1308,14 +1282,10 @@ def _float_root_pass(
     if 2 * len(positives) != len(functionals):
         raise IdentificationError("positive system is unbalanced")
 
-    def approx_eq(u: np.ndarray, w: np.ndarray) -> bool:
-        return bool(np.max(np.abs(u - w)) < 1e-6)
-
-    simple = [
-        f
-        for f in positives
-        if not any(approx_eq(f, g1 + g2) for g1 in positives for g2 in positives)
-    ]
+    # a positive root is simple when it is no sum of two positive roots
+    pos = np.array(positives).reshape(len(positives), rank_ss)
+    sums = pos[:, None, :] + pos[None, :, :]
+    simple = [f for f in positives if not (np.abs(f - sums).max(axis=-1) < 1e-6).any()]
     if len(simple) != rank_ss:
         raise IdentificationError("simple-root count does not match the rank")
 

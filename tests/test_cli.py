@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from orbifold24 import cases, cli, latticevoa
 from orbifold24.cli import main
+from orbifold24.exactmath import InvariantError
 
 
 def run_cli(capsys, argv):
@@ -189,21 +191,47 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
          "E6,3 A2,1 A2,1 A2,1", "--json"],
         ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
+        ["verify-all", "--json"],
     ],
-    ids=["twist-bound", "dimension", "candidates", "lattice"],
+    ids=["twist-bound", "dimension", "candidates", "lattice", "verify-all"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv):
     # python -O strips assert statements; the invariant checks must not be
-    # among them, and the output must not change
+    # among them, and the output must not change.  The two interpreters run
+    # side by side.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    runs = [
-        subprocess.run(
+    procs = [
+        subprocess.Popen(
             [sys.executable, *flags, "-m", "orbifold24.cli", *argv],
-            capture_output=True, env=env, timeout=300,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
         )
         for flags in ([], ["-O"])
     ]
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stdout == runs[1].stdout
+    outputs = [p.communicate(timeout=300)[0] for p in procs]
+    assert [p.returncode for p in procs] == [0, 0]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        latticevoa.IdentificationError("float discovery failed: injected"),
+        InvariantError("Cartan part is outside the fixed sublattice"),
+    ],
+    ids=lambda e: type(e).__name__,
+)
+def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
+    def failing_identify_type(sub, seed=7):
+        raise error
+
+    monkeypatch.setattr(latticevoa, "identify_type", failing_identify_type)
+    # bypass the per-process cache so that the patched identification runs
+    monkeypatch.setattr(cli, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {type(error).__name__}: {error}\n"
+    assert "Traceback" not in err
