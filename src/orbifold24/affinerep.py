@@ -1,8 +1,10 @@
 """Irreducible-module tables of simple affine VOAs at positive integer level.
 
 A level-k table lists the dominant integral weights lam with (lam|theta) <= k
-together with the lowest conformal weight (lam, lam + 2 rho) / 2(k + h-dual)
-and the dimension of the top space.  Twist vectors pair one Cartan element
+together with the lowest conformal weight (lam, lam + 2 rho) / 2(k + h-dual),
+the dimension of the top space and its lowest weight w0.lam.  The least
+pairing of h with the weights of a module is the closed form (h+|w0.lam),
+h+ the dominant conjugate of h.  Twist vectors pair one Cartan element
 per simple ideal; their category order and fixed subalgebras drive the
 order-3 orbifold cases.
 """
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .exactmath import rank
@@ -25,9 +28,10 @@ from .rootdata import (
     Weight,
     build_root_system,
     classify_simple_system,
+    dominant_conjugate,
     dual_coxeter,
-    lin_min_over_weights,
-    min_pairing_over_weights,
+    lowest_weight,
+    min_pairing,
     weyl_dim,
 )
 
@@ -53,6 +57,7 @@ class TableRow:
     weight: Coords
     conformal_weight: Q
     dim_of_top: int
+    lowest: IntCoords  # w0.lam
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,9 @@ def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
     def rec(i: int, partial: List[int], budget: Q) -> None:
         if i == rs.rank:
             lam = rs.weight(partial)
+            low = tuple(map(int, lowest_weight(lam).coords))
             rows.append(
-                TableRow(lam.coords, conformal_weight(lam, a), weyl_dim(lam))
+                TableRow(lam.coords, conformal_weight(lam, a), weyl_dim(lam), low)
             )
             return
         top = int(budget / theta_ip[i])
@@ -102,12 +108,21 @@ def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
 
 
 def n_min(h_component: Weight, lam: Weight) -> Q:
-    """Minimum of (h|mu) over the weight system of lam."""
-    if all(c == 0 for c in h_component.coords):
-        return Q(0)
-    if all(c >= 0 for c in h_component.coords):
-        return lin_min_over_weights(h_component, lam)
-    return min_pairing_over_weights(h_component, lam)
+    """Minimum of (h|mu) over the weight system of lam, as (h+|w0.lam)."""
+    return min_pairing(h_component, lam)
+
+
+def n_min_column(a: AffineAlgebra, h: Weight) -> List[Q]:
+    """n_min(h, lam) for every row lam of the algebra's table, in table order.
+
+    h+ is found once; each row pairs den * h+ with its w0.lam in integers.
+    """
+    rs = a.root_system()
+    top = dominant_conjugate(h).coords
+    den = lcm(*(c.denominator for c in top))
+    dual = rs.covector([int(c * den) for c in top])
+    rows = enumerate_level_weights(a).rows
+    return [Q(sum(map(mul, dual, r.lowest)), den * rs.scale) for r in rows]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import InvariantError, inverse
@@ -293,7 +293,7 @@ _WS_CACHE: Dict[Tuple[SimpleType, IntCoords], WeightSystem] = {}
 
 
 def weight_system(lam: Weight) -> WeightSystem:
-    """All weights of the irreducible module with highest weight lam."""
+    """All weights of lam's module; the tests' oracle for `min_pairing`."""
     if not (lam.is_dominant() and lam.is_integral()):
         raise ValueError("highest weight must be dominant integral")
     rs = lam.system
@@ -371,49 +371,36 @@ def weyl_dim(lam: Weight) -> int:
     return int(val)
 
 
-def lowest_weight(lam: Weight) -> Weight:
-    """Unique minimum of the weight system under the root order (= w0.lam)."""
-    if not (lam.is_dominant() and lam.is_integral()):
-        raise ValueError("highest weight must be dominant integral")
-    rs = lam.system
-    cur = list(lam.coords)
-    while True:
-        j = next((k for k in range(rs.rank) if cur[k] > 0), None)
+def dominant_conjugate(x: Weight) -> Weight:
+    """The dominant weight in the Weyl orbit of the rational weight x.
+
+    Each s_j with x_j < 0 lowers by one the number of positive roots that
+    pair negatively with x, so |positive roots| reflections always suffice.
+    """
+    rs = x.system
+    cur = list(x.coords)
+    for _ in range(len(rs.positive_roots) + 1):
+        j = next((k for k, c in enumerate(cur) if c < 0), None)
         if j is None:
             return Weight(tuple(cur), rs)
         m = cur[j]
-        for k in range(rs.rank):
-            cur[k] -= m * rs.simple_roots[j][k]
+        cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
+    raise InvariantError(f"{x} is not dominant after {len(rs.positive_roots)} steps")
 
 
-def min_pairing_over_weights(x: Weight, lam: Weight) -> Q:
-    """Exact min of (x|mu) over the weight system of lam, by brute force."""
+def lowest_weight(lam: Weight) -> Weight:
+    """Lowest weight w0.lam of the module: minus the dominant conjugate of -lam."""
+    if not (lam.is_dominant() and lam.is_integral()):
+        raise ValueError("highest weight must be dominant integral")
+    return dominant_conjugate(lam.scale(-1)).scale(-1)
+
+
+def min_pairing(x: Weight, lam: Weight) -> Q:
+    """min of (x|mu) over the weights of lam's module: (x+|w0.lam), since the
+    weights lie in the hull of W.lam, where x+ pairs least with w0.lam."""
     if x.system is not lam.system:
         raise ValueError("weights live in different root systems")
-    rs = lam.system
-    # den * x is integral, so every pairing below is an integer sum
-    den = prod({c.denominator for c in x.coords})
-    dual = rs.covector([int(c * den) for c in x.coords])
-    least = min(
-        sum(d * c for d, c in zip(dual, mu) if c) for mu in weight_system(lam).weights()
-    )
-    return Q(least, den * rs.scale)
-
-
-def lin_min_over_weights(big: Weight, lam: Weight) -> Q:
-    """min of (big|mu) over the weight system of lam, for dominant-cone big.
-
-    Brute force is authoritative; for A-type systems the w0 shortcut
-    (big|w0.lam) is checked to agree.
-    """
-    if not all(c >= 0 for c in big.coords):
-        raise ValueError("first argument must be a dominant-cone vector")
-    best = min_pairing_over_weights(big, lam)
-    if lam.system.type.family == "A":
-        shortcut = lam.system.ip(big.coords, lowest_weight(lam).coords)
-        if best != shortcut:
-            raise InvariantError("A-type lowest-weight shortcut disagrees")
-    return best
+    return x.system.ip(dominant_conjugate(x).coords, lowest_weight(lam).coords)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,10 @@ from .affinerep import (
     AffineAlgebra,
     TwistVector,
     enumerate_level_weights,
-    n_min,
+    n_min_column,
 )
 from .exactmath import InvariantError
-from .rootdata import Coords, Weight
+from .rootdata import Coords
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,9 @@ class _CaseTables:
         nm: List[List[Q]] = []
         for a, hi in zip(c.ambient, c.h.components):
             table = enumerate_level_weights(a)
-            rs = a.root_system()
             self.weights.append([r.weight for r in table.rows])
             cw.append([r.conformal_weight for r in table.rows])
-            nm.append(
-                [n_min(hi, Weight(r.weight, rs)) for r in table.rows]
-            )
+            nm.append(n_min_column(a, hi))
         norm, _, _ = invariant_norm(c)
         self.half_norm = norm / 2
         denoms = [self.half_norm.denominator]

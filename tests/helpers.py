@@ -11,6 +11,9 @@ against, and helpers that only the tests need.
 * Invariant form: the `Fraction` fundamental-weight Gram matrix
   (`fraction_fw_gram`, `fraction_ip`) against the integer-scaled
   `RootSystem.form`.
+* Directional minima: the least pairing over the Freudenthal weight
+  system (`brute_force_min`) against the closed form (h+|w0.lam) in
+  `rootdata.min_pairing` and `affinerep.n_min_column`.
 * `rough_lift`: some algebra automorphism covering a lattice isometry.
 """
 
@@ -24,7 +27,7 @@ from typing import Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from orbifold24.affinerep import n_min, typed_components_of_subsystem
+from orbifold24.affinerep import typed_components_of_subsystem
 from orbifold24.exactmath import inverse
 from orbifold24.latticevoa import (
     LatticeIsometry,
@@ -40,6 +43,7 @@ from orbifold24.rootdata import (
     SimpleType,
     Weight,
     build_root_system,
+    weight_system,
 )
 from orbifold24.schellekens import _order3_label_vectors
 from orbifold24.twistbound import CaseSpec, _CaseTables, invariant_norm, shift_ok
@@ -66,6 +70,33 @@ def fraction_ip(gram: Sequence[Sequence[Q]], x: Sequence, y: Sequence) -> Q:
         ),
         Q(0),
     )
+
+
+def simple_root_coords(rs: RootSystem, x: Sequence) -> List[Q]:
+    """c with x = sum_i c_i a_i, for x in fundamental-weight coordinates."""
+    inv = inverse(rs.simple_roots)
+    return [
+        sum((xi * inv[i][j] for i, xi in enumerate(x)), Q(0)) for j in range(rs.rank)
+    ]
+
+
+# --- directional minima ---------------------------------------------------
+
+
+def brute_force_min(x: Weight, lam: Weight) -> Q:
+    """min of (x|mu) over every weight mu of the Freudenthal weight system.
+
+    A zero direction pairs to 0 with every weight, so its weight system (up
+    to 4 s for the E6,3 table) is not built.
+    """
+    if not any(x.coords):
+        return Q(0)
+    rs = lam.system
+    dual = rs.covector(x.coords)
+    least = min(
+        sum(d * c for d, c in zip(dual, mu)) for mu in weight_system(lam).weights()
+    )
+    return Q(least, rs.scale)
 
 
 # --- twisted minima -------------------------------------------------------
@@ -150,7 +181,7 @@ def twisted_weight_lower_bound(t: TupleBound, c: CaseSpec) -> Q:
     norm, _, _ = invariant_norm(c)
     total = Q(t.ell_min) + norm / 2
     for a, hi, w in zip(c.ambient, c.h.components, t.weights):
-        total += n_min(hi, Weight(w, a.root_system()))
+        total += brute_force_min(hi, Weight(w, a.root_system()))
     return total
 
 

@@ -13,18 +13,17 @@ from orbifold24.affinerep import (
     AffineAlgebra,
     enumerate_level_weights,
     inner_fixed_subalgebra,
+    n_min,
 )
 from orbifold24.cases import BUILTIN_CASES, lattice_data, verify_tables
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
     Weight,
-    lin_min_over_weights,
-    lowest_weight,
 )
 from orbifold24.twistbound import invariant_norm, min_twisted_weight, shift_ok
 
-from helpers import rough_lift, series_inverse, series_pow
+from helpers import brute_force_min, rough_lift, series_inverse, series_pow
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -152,22 +151,21 @@ def test_criterion_8_property_suites():
             ok = ok and lhs == {a: b for a, b in acc.items() if b}
     report("8a (Jacobi identity on 2 x 10^4 triples)", ok)
 
-    # brute-force directional minima equal the w0 shortcut on A-type rows
+    # closed-form directional minima equal the Freudenthal oracle
     ok = True
-    a2 = AffineAlgebra(SimpleType("A", 2), 3)
-    a5 = AffineAlgebra(SimpleType("A", 5), 3)
-    for alg, twist in (
-        (a2, (Q(1), Q(0))),
-        (a5, (Q(0), Q(0), Q(2, 3), Q(0), Q(0))),
-    ):
-        rs = alg.root_system()
-        big = Weight(twist, rs)
-        for row in enumerate_level_weights(alg).rows:
-            # lin_min_over_weights asserts the shortcut internally for A-type
-            lam = Weight(row.weight, rs)
-            val = lin_min_over_weights(big, lam)
-            ok = ok and val == rs.ip(big.coords, lowest_weight(lam).coords)
-    report("8b (brute-force minima match the w0 shortcut on all A-type rows)", ok)
+    for name in ("e6g2", "a2x6", "a5d4"):
+        case = BUILTIN_CASES[name].case_spec()
+        for c in (case, case.negated()):
+            for alg, h in zip(c.ambient, c.h.components):
+                rs = alg.root_system()
+                for row in enumerate_level_weights(alg).rows:
+                    lam = Weight(row.weight, rs)
+                    ok = ok and n_min(h, lam) == brute_force_min(h, lam)
+    report(
+        "8b (closed-form minima match the Freudenthal oracle on every case row,"
+        " both signs)",
+        ok,
+    )
 
     # identify_type invariance under 20 random lift conjugations
     nd4, alg_d4 = lattice_data("d4_6")

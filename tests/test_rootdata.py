@@ -1,22 +1,25 @@
 import random
 from fractions import Fraction as Q
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import fraction_fw_gram, fraction_ip
+from helpers import brute_force_min, fraction_fw_gram, fraction_ip, simple_root_coords
+from orbifold24.exactmath import InvariantError
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
+    Weight,
     automorphism_order,
     build_root_system,
     classify_simple_system,
+    dominant_conjugate,
     dual_coxeter,
     inner_product,
     kac_fixed_subalgebra,
-    lin_min_over_weights,
     lowest_weight,
-    min_pairing_over_weights,
+    min_pairing,
     weight_system,
     weyl_dim,
 )
@@ -136,7 +139,7 @@ def test_min_pairing_matches_fraction_oracle(name):
         )
         ws = weight_system(lam)
         want = min(fraction_ip(gram, x.coords, mu) for mu in ws.weights())
-        assert min_pairing_over_weights(x, lam) == want
+        assert min_pairing(x, lam) == want
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
@@ -224,42 +227,93 @@ def test_lowest_weight_in_system_and_below():
         for _ in range(3):
             lam = rs.weight([rng.randint(0, 2) for _ in range(t.rank)])
             low = lowest_weight(lam)
-            ws = weight_system(lam)
-            assert low.coords in ws.weights()
+            assert low.coords in weight_system(lam).weights()
             # lam - low is a non-negative integer root combination
             diff = [a - b for a, b in zip(lam.coords, low.coords)]
-            # solve diff = x . simple_roots
-            m = [list(row) + [Q(0)] for row in zip(*rs.simple_roots)]
-            for i in range(t.rank):
-                m[i][t.rank] = diff[i]
-            # gaussian
-            for c in range(t.rank):
-                p = next(i for i in range(c, t.rank) if m[i][c])
-                m[c], m[p] = m[p], m[c]
-                scale = Q(1) / m[c][c]
-                m[c] = [x * scale for x in m[c]]
-                for i in range(t.rank):
-                    if i != c and m[i][c]:
-                        f = m[i][c]
-                        m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-            sol = [m[i][t.rank] for i in range(t.rank)]
+            sol = simple_root_coords(rs, diff)
             assert all(s.denominator == 1 and s >= 0 for s in sol)
 
 
 def test_lin_min_examples():
     g2 = build_root_system(SimpleType("G", 2))
-    assert lin_min_over_weights(g2.fundamental_weight(0), g2.fundamental_weight(0)) == Q(-2, 3)
+    assert min_pairing(g2.fundamental_weight(0), g2.fundamental_weight(0)) == Q(-2, 3)
     a2 = build_root_system(SimpleType("A", 2))
-    assert lin_min_over_weights(a2.fundamental_weight(0), a2.weight([1, 2])) == Q(-5, 3)
+    assert min_pairing(a2.fundamental_weight(0), a2.weight([1, 2])) == Q(-5, 3)
     a5 = build_root_system(SimpleType("A", 5))
     big = a5.fundamental_weight(2).scale(Q(2, 3))
-    assert lin_min_over_weights(big, a5.weight([0, 0, 2, 0, 0])) == Q(-2)
+    assert min_pairing(big, a5.weight([0, 0, 2, 0, 0])) == Q(-2)
 
 
-def test_lin_min_requires_dominant_direction():
+# every family up to rank 6, plus E7 and E8
+ORACLE_TYPES = (
+    [f"A{r}" for r in range(1, 7)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 7)]
+    + [f"D{r}" for r in range(3, 7)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def rational_direction(rs, rng):
+    return rs.weight(
+        [Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank)]
+    )
+
+
+def nondominant_direction(rs, rng):
+    while True:
+        h = rational_direction(rs, rng)
+        if not h.is_dominant():
+            return h
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_min_pairing_matches_freudenthal_both_signs(name):
+    rs = build_root_system(SimpleType.parse(name))
+    rng = random.Random(name)
+    n = rs.rank
+    small = [rs.zero()] + [
+        rs.weight([int(k == i) + int(k == j) for k in range(n)])
+        for i in range(n)
+        for j in range(i, n + 1)  # j = n: the fundamental weight alone
+    ]
+    small = [lam for lam in small if weyl_dim(lam) <= 10**3]
+    for lam in rng.sample(small, min(4, len(small))):
+        for _ in range(2):
+            h = nondominant_direction(rs, rng)
+            for x in (h, h.scale(-1)):
+                assert min_pairing(x, lam) == brute_force_min(x, lam)
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_dominant_conjugate_properties(name):
+    rs = build_root_system(SimpleType.parse(name))
+    rng = random.Random(name)
+    for k in range(10):
+        if k % 2:
+            h = rational_direction(rs, rng)
+        else:
+            h = rs.weight([rng.randint(-4, 4) for _ in range(rs.rank)])
+        top = dominant_conjugate(h)
+        assert top.is_dominant()
+        assert rs.norm_of(top.coords) == rs.norm_of(h.coords)
+        # den * (h+ - h) is a non-negative integer combination of simple
+        # roots, den * h being integral; den = 1 for a weight-lattice h
+        den = lcm(*(c.denominator for c in h.coords))
+        diff = [a - b for a, b in zip(top.coords, h.coords)]
+        coeffs = simple_root_coords(rs, diff)
+        assert all((den * c).denominator == 1 and c >= 0 for c in coeffs)
+        assert dominant_conjugate(top).coords == top.coords
+
+
+def test_dominant_conjugate_stops_at_the_reflection_bound():
     a2 = build_root_system(SimpleType("A", 2))
-    with pytest.raises(ValueError):
-        lin_min_over_weights(a2.fundamental_weight(0).scale(-1), a2.fundamental_weight(0))
+    # -L1 needs two reflections; a system claiming one positive root allows one
+    stub = SimpleNamespace(
+        rank=2, simple_roots=a2.simple_roots, positive_roots=a2.positive_roots[:1]
+    )
+    with pytest.raises(InvariantError):
+        dominant_conjugate(Weight((Q(-1), Q(0)), stub))
+    assert dominant_conjugate(a2.weight([-1, 0])).coords == (Q(0), Q(1))
 
 
 def test_kac_e6_trivalent_node():

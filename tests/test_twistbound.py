@@ -1,12 +1,18 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
-from orbifold24.affinerep import AffineAlgebra, TwistVector
+from orbifold24.affinerep import (
+    AffineAlgebra,
+    TwistVector,
+    enumerate_level_weights,
+    n_min_column,
+)
 from orbifold24.cases import BUILTIN_CASES
-from orbifold24.rootdata import SimpleType, build_root_system
+from orbifold24.rootdata import SimpleType, Weight, build_root_system
 from orbifold24.twistbound import (
     CaseSpec,
     invariant_norm,
@@ -16,6 +22,7 @@ from orbifold24.twistbound import (
 )
 
 from helpers import (
+    brute_force_min,
     feasible_tuples,
     scan_minimum,
     twisted_weight_lower_bound,
@@ -185,3 +192,27 @@ def test_dp_matches_scan_on_random_cases():
 def test_scan_minimum_agrees_with_feasible_tuples(case):
     best = min(feasible_tuples(case), key=lambda tb: tb.bound)
     assert scan_minimum(case) == (best.bound, best.weights)
+
+
+@pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=lambda c: c.name)
+def test_n_min_column_matches_oracle_on_case_rows(case):
+    for c in (case, case.negated()):
+        for a, h in zip(c.ambient, c.h.components):
+            rs = a.root_system()
+            want = [
+                brute_force_min(h, Weight(w, rs))
+                for w in enumerate_level_weights(a).weights()
+            ]
+            assert n_min_column(a, h) == want
+
+
+def test_min_twisted_weight_builds_no_weight_system(monkeypatch):
+    def forbidden(lam):
+        raise AssertionError("a Freudenthal weight system on the hot path")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("orbifold24") and hasattr(mod, "weight_system"):
+            monkeypatch.setattr(mod, "weight_system", forbidden)
+    enumerate_level_weights.cache_clear()
+    for case in (CASE1, CASE2, CASE3):
+        min_twisted_weight(case)
