@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import List, Optional
 
 from . import golden, latticevoa, qmodular, schellekens
@@ -20,6 +21,7 @@ from .cases import (
     TABLE_FAMILIES,
     lattice_data,
     lattice_fixed_type,
+    lattice_isometry,
     run_case,
     verify_tables,
 )
@@ -131,7 +133,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     rep.check("glue index", lat.glue_index(), exp["glue_index"])
     rep.check("root count", alg.n_roots, exp["root_count"])
     rep.check("algebra dim", alg.dim, exp["algebra_dim"])
-    iso = latticevoa.build_isometry(lat, args.isometry)
+    iso = lattice_isometry(args.name, args.isometry)
     rep.check("isometry order", iso.order(), 3)
     rep.check("isometry preserves gram", iso.preserves_gram(), True)
     rep.note("fixed sublattice rank", len(iso.fixed_coords_basis()))
@@ -158,7 +160,9 @@ def cmd_verify_all(args: argparse.Namespace) -> int:
     return _emit(rep, args.json)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="orbifold24",
         description=(

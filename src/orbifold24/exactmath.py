@@ -173,15 +173,28 @@ def kernel(m: Matrix) -> List[List[Q]]:
     The basis is the reduced one: x is 1 at its free coordinate, 0 at the
     other free coordinates, and -rref[t][free] at pivot coordinate t.
     """
+    return [[Q(x, den) for x in row] for row, den in integer_kernel(m)]
+
+
+def integer_kernel(m: Matrix) -> List[Tuple[List[int], int]]:
+    """The reduced kernel basis of `kernel` as (row, den) pairs.
+
+    Each basis vector is row / den, with row a primitive integer vector:
+    den is the least common denominator of the vector, and also the entry of
+    row at its free coordinate.
+    """
     n = len(m)
     red, pivots, _ = _echelon([list(col) for col in zip(*m)])
     basis = []
     for f in sorted(set(range(n)) - set(pivots)):
-        v = [Q(0)] * n
-        v[f] = Q(1)
+        den = lcm(
+            *(red[t][c] // gcd(red[t][c], red[t][f]) for t, c in enumerate(pivots))
+        )
+        v = [0] * n
+        v[f] = den
         for t, c in enumerate(pivots):
-            v[c] = -Q(red[t][f], red[t][c])
-        basis.append(v)
+            v[c] = -red[t][f] * den // red[t][c]
+        basis.append((v, den))
     return basis
 
 

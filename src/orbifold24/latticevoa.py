@@ -1,11 +1,14 @@
 """Rank-24 even unimodular lattices from glue codes, their order-3 isometries,
 and the weight-one Lie algebra of the associated lattice vertex algebra.
 
-Lattice vectors are rows of rational coordinates over the concatenated
-simple-root bases of the components.  The two lattices used by the order-3
-uniqueness chains are assembled from their glue codes: four E6 components
-glued by a ternary code, and six D4 components glued by a binary code whose
-digits label the three nontrivial cosets of each D4 discriminant group.
+Lattice vectors are rows of coordinates over the concatenated simple-root
+bases of the components.  The two lattices used by the order-3 uniqueness
+chains are assembled from their glue codes: four E6 components glued by a
+ternary code, and six D4 components glued by a binary code whose digits
+label the three nontrivial cosets of each D4 discriminant group.  A lattice
+keeps its basis and the inverse basis as integer rows over one denominator
+each, so lattice coordinates, isometry candidates and their certificates
+are integer products and divisibility tests.
 
 The weight-one algebra has basis {Cartan directions} + {e^a : a a root},
 with structure constants through the sign bicharacter fixed on an ordered
@@ -13,7 +16,10 @@ lattice basis.  Standard lifts of order-3 isometries are solved exactly over
 F2 (phase 1 on the fixed sublattice, composite of order 3), fixed-point
 subalgebras are extracted orbit by orbit, and their types and levels are
 identified by a float root-space discovery pass whose every rounded integer
-is re-verified by exact rank computations.
+is re-verified by exact rank computations.  The generic centraliser behind
+that pass is spanned by primitive integer rows, so every ad matrix and
+commutator stays integral; the float pass divides by each row's
+denominator.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -32,8 +39,8 @@ from .exactmath import (
     ResidualExceeded,
     det,
     float_eigen,
+    integer_kernel,
     inverse,
-    kernel,
     rank,
 )
 from .rootdata import (
@@ -52,8 +59,9 @@ IntVec = Tuple[int, ...]
 
 
 def mat_mul(a: List[List[Q]], b: List[List[Q]]) -> List[List[Q]]:
+    """Matrix product; integer inputs give an integer product."""
     n, k, m = len(a), len(b), len(b[0])
-    out = [[Q(0)] * m for _ in range(n)]
+    out = [[0] * m for _ in range(n)]
     for i in range(n):
         ai = a[i]
         row = out[i]
@@ -113,25 +121,31 @@ def integer_row_kernel(m: List[List[int]]) -> List[List[int]]:
     return [u[i] for i in range(len(m)) if not any(h[i])]
 
 
+def transpose(m: Sequence[Sequence]) -> List[List]:
+    return [list(col) for col in zip(*m)]
+
+
 # ---------------------------------------------------------------------------
 # glue codes
 
 
-def _digit_reps(t: SimpleType) -> Dict[int, Vec]:
-    """Coset representatives of the discriminant group, in simple-root coords."""
+@lru_cache(maxsize=None)
+def _digit_reps(t: SimpleType) -> Tuple[Vec, ...]:
+    """Coset representatives of the discriminant group, in simple-root coords,
+    indexed by glue digit."""
     rs = build_root_system(t)
     inv = inverse(rs.simple_roots)
     weights = [tuple(inv[i]) for i in range(rs.rank)]  # row i = fund weight i
     if t == SimpleType("E", 6):
         # Z3 cosets: [1] and [2] are the two minuscule classes
-        reps = {0: tuple([Q(0)] * 6), 1: weights[0], 2: weights[5]}
+        reps = (tuple([Q(0)] * 6), weights[0], weights[5])
         diff = tuple(2 * a - b for a, b in zip(reps[1], reps[2]))
         if any(x.denominator != 1 for x in diff):
             raise InvariantError("[2] must be 2*[1]")
         return reps
     if t == SimpleType("D", 4):
         # Klein cosets: the three minuscule weights on the outer nodes
-        return {0: tuple([Q(0)] * 4), 1: weights[3], 2: weights[0], 3: weights[2]}
+        return (tuple([Q(0)] * 4), weights[3], weights[0], weights[2])
     raise ValueError(f"no glue digits defined for {t}")
 
 
@@ -207,12 +221,19 @@ NI_D4_6 = GlueCode(
 
 @dataclass(frozen=True)
 class EvenLattice:
-    """Even positive-definite lattice with an explicit rational basis."""
+    """Even positive-definite lattice with an integer-scaled basis.
+
+    Basis row i is basis[i] / scale in ambient coordinates, and the inverse
+    of the basis matrix is basis_inv / inv_scale: integer rows over one
+    denominator each, in the manner of `RootSystem.form` over its `scale`.
+    """
 
     code: GlueCode
-    basis: Tuple[Vec, ...]                      # rows, ambient coordinates
-    ambient_gram: Tuple[Vec, ...] = field(repr=False)
-    basis_inv: Tuple[Vec, ...] = field(repr=False)
+    basis: Tuple[IntVec, ...]                   # rows, ambient coordinates
+    scale: int
+    basis_inv: Tuple[IntVec, ...] = field(repr=False)
+    inv_scale: int = field(repr=False)
+    ambient_gram: Tuple[IntVec, ...] = field(repr=False)
     gram: Tuple[IntVec, ...] = field(repr=False)
 
     @property
@@ -227,14 +248,16 @@ class EvenLattice:
                 total += xi * sum(row[j] * y[j] for j in range(len(y)) if y[j])
         return total
 
-    def coords_of(self, x: Vec) -> Optional[IntVec]:
-        """Lattice-basis coordinates of an ambient vector, or None."""
+    def coords_of(self, x: Sequence, den: int = 1) -> Optional[IntVec]:
+        """Lattice-basis coordinates of the ambient vector x / den, or None."""
+        d = den * self.inv_scale
+        nz = [(xi, self.basis_inv[i]) for i, xi in enumerate(x) if xi]
         out = []
         for j in range(self.rank):
-            v = sum(x[i] * self.basis_inv[i][j] for i in range(self.rank) if x[i])
-            if v.denominator != 1:
+            c, r = divmod(sum(xi * row[j] for xi, row in nz), d)
+            if r:
                 return None
-            out.append(int(v))
+            out.append(c)
         return tuple(out)
 
     def component_slices(self) -> List[Tuple[int, int]]:
@@ -249,19 +272,50 @@ class EvenLattice:
         return len(self.code.words())
 
 
-def assemble_niemeier(code: GlueCode) -> EvenLattice:
-    """Lattice from component roots plus glue; verified even and unimodular."""
-    rank = sum(t.rank for t in code.components)
-    blocks: List[List[Q]] = [[Q(0)] * rank for _ in range(rank)]
+def lattice_from_basis(
+    code: GlueCode, rows: Sequence[Sequence[int]], scale: int
+) -> EvenLattice:
+    """The lattice spanned by rows / scale inside the ambient space of the
+    code's components, whose form is block-diagonal in the components' root
+    grams; ValueError unless it is integral and even."""
+    n = len(rows)
+    blocks = [[0] * n for _ in range(n)]
     pos = 0
     for t in code.components:
         rs = build_root_system(t)
         for i in range(t.rank):
             for j in range(t.rank):
-                blocks[pos + i][pos + j] = rs.gram[i][j]
+                if rs.gram[i][j].denominator != 1:
+                    raise ValueError(f"the {t} root lattice is not integral")
+                blocks[pos + i][pos + j] = int(rs.gram[i][j])
         pos += t.rank
+    rows = [list(r) for r in rows]
+    gram_s = mat_mul(mat_mul(rows, blocks), transpose(rows))
+    s2 = scale * scale
+    if any(x % s2 for row in gram_s for x in row):
+        raise ValueError("lattice is not integral")
+    gram = tuple(tuple(x // s2 for x in row) for row in gram_s)
+    if any(gram[i][i] % 2 for i in range(n)):
+        raise ValueError("lattice is not even")
+    # (rows / scale)^-1 = scale * rows^-1, cleared to one denominator
+    inv = [[scale * x for x in row] for row in inverse(rows)]
+    inv_scale = lcm(*(x.denominator for row in inv for x in row))
+    return EvenLattice(
+        code,
+        tuple(tuple(r) for r in rows),
+        scale,
+        tuple(tuple(int(x * inv_scale) for x in row) for row in inv),
+        inv_scale,
+        tuple(tuple(r) for r in blocks),
+        gram,
+    )
+
+
+def assemble_niemeier(code: GlueCode) -> EvenLattice:
+    """Lattice from component roots plus glue; verified even and unimodular."""
+    rank = sum(t.rank for t in code.components)
     gens: List[Vec] = [
-        tuple(Q(1) if j == i else Q(0) for j in range(rank)) for i in range(rank)
+        tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
     ]
     gens.extend(code.word_vector(g) for g in code.generators)
     den = lcm(*[x.denominator for row in gens for x in row])
@@ -270,45 +324,30 @@ def assemble_niemeier(code: GlueCode) -> EvenLattice:
     basis_rows = [r for r in h if any(r)]
     if len(basis_rows) != rank:
         raise ValueError("generators do not span a full-rank lattice")
-    basis = tuple(tuple(Q(x, den) for x in row) for row in basis_rows)
-    bt = [[basis[i][j] for i in range(rank)] for j in range(rank)]
-    gram_q = mat_mul(mat_mul([list(b) for b in basis], blocks), bt)
-    for i in range(rank):
-        for j in range(rank):
-            if gram_q[i][j].denominator != 1:
-                raise ValueError("assembled lattice is not integral")
-        if gram_q[i][i] % 2:
-            raise ValueError("assembled lattice is not even")
-    d = det(gram_q)
+    lat = lattice_from_basis(code, basis_rows, den)
+    d = det(lat.gram)
     if d != 1:
         raise ValueError(f"assembled lattice has determinant {d}, not 1")
-    inv = inverse(basis)
-    return EvenLattice(
-        code,
-        basis,
-        tuple(tuple(r) for r in blocks),
-        tuple(tuple(r) for r in inv),
-        tuple(tuple(int(x) for x in row) for row in gram_q),
-    )
+    return lat
 
 
 def root_lattice(t: SimpleType) -> EvenLattice:
     """The plain root lattice of a simple type (no glue, any determinant)."""
-    rs = build_root_system(t)
-    if any(x.denominator != 1 for row in rs.gram for x in row):
-        raise ValueError("root lattice is not integral in this normalization")
     n = t.rank
-    basis = tuple(
-        tuple(Q(1) if j == i else Q(0) for j in range(n)) for i in range(n)
+    unit = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    return lattice_from_basis(GlueCode((t,), ()), unit, 1)
+
+
+@lru_cache(maxsize=None)
+def _coset_norm_floor(t: SimpleType, d: int) -> Q:
+    """Least positive value congruent mod 2Z to the norm of digit d's coset."""
+    rs = build_root_system(t)
+    rep = _digit_reps(t)[d]
+    n = sum(
+        rep[i] * sum(rs.gram[i][j] * rep[j] for j in range(t.rank))
+        for i in range(t.rank)
     )
-    gram = tuple(tuple(int(x) for x in row) for row in rs.gram)
-    return EvenLattice(
-        GlueCode((t,), ()),
-        basis,
-        tuple(tuple(Q(x) for x in row) for row in rs.gram),
-        basis,
-        gram,
-    )
+    return n % 2 or Q(2)
 
 
 def coset_norm_lower_bound(code: GlueCode, word: IntVec) -> Q:
@@ -317,35 +356,25 @@ def coset_norm_lower_bound(code: GlueCode, word: IntVec) -> Q:
     Coset norms are fixed mod 2Z, so the bound sums, over nonzero digits,
     the least positive value congruent to the digit representative's norm.
     """
-    total = Q(0)
-    for t, d in zip(code.components, word):
-        if d == 0:
-            continue
-        rs = build_root_system(t)
-        rep = _digit_reps(t)[d]
-        n = sum(
-            rep[i] * sum(rs.gram[i][j] * rep[j] for j in range(t.rank))
-            for i in range(t.rank)
-        )
-        frac = n % 2
-        total += frac if frac else Q(2)
-    return total
+    return sum(
+        (_coset_norm_floor(t, d) for t, d in zip(code.components, word) if d),
+        Q(0),
+    )
 
 
-def lattice_roots(lat: EvenLattice) -> List[Vec]:
+def lattice_roots(lat: EvenLattice) -> List[IntVec]:
     """All norm-2 vectors; nonzero glue cosets are excluded by norm bounds."""
     for w in lat.code.words():
         if any(w) and coset_norm_lower_bound(lat.code, w) <= 2:
             raise InvariantError("a glue coset might contain norm-2 vectors")
-    roots: List[Vec] = []
+    roots: List[IntVec] = []
     offset = 0
     dim = lat.rank
     for t in lat.code.components:
         rs = build_root_system(t)
         for ac in rs.root_alpha_coords:
-            vec = [Q(0)] * dim
-            for i, c in enumerate(ac):
-                vec[offset + i] = Q(c)
+            vec = [0] * dim
+            vec[offset:offset + t.rank] = ac
             roots.append(tuple(vec))
         offset += t.rank
     return sorted(roots)
@@ -372,31 +401,23 @@ class LatticeIsometry:
 
     def ambient_matrix(self) -> List[List[Q]]:
         lat = self.lattice
-        a = [[Q(x) for x in row] for row in self.matrix]
-        return mat_mul(
-            mat_mul([list(r) for r in lat.basis_inv], a),
-            [list(b) for b in lat.basis],
-        )
+        m = mat_mul(mat_mul(lat.basis_inv, self.matrix), lat.basis)
+        return [[Q(x, lat.inv_scale * lat.scale) for x in row] for row in m]
 
     def power(self, k: int) -> Tuple[IntVec, ...]:
-        n = self.lattice.rank
-        out = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        out = _identity_local(self.lattice.rank)
         for _ in range(k):
-            out = tuple(
-                tuple(
-                    sum(out[i][t] * self.matrix[t][j] for t in range(n) if out[i][t])
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        return out
+            out = mat_mul(out, self.matrix)
+        return tuple(tuple(row) for row in out)
 
     def order(self) -> int:
         n = self.lattice.rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        cur = [list(row) for row in self.matrix]
         for k in range(1, 13):
-            if self.power(k) == ident:
+            if cur == ident:
                 return k
+            cur = mat_mul(cur, self.matrix)
         raise ValueError("order exceeds 12")
 
     def fixed_coords_basis(self) -> List[IntVec]:
@@ -422,35 +443,47 @@ class LatticeIsometry:
 
 def _slot_maps_to_isometry(
     lat: EvenLattice,
-    slot_maps: Sequence[Tuple[int, List[List[Q]]]],
+    slot_maps: Sequence[Tuple[int, List[List[int]]]],
     name: str,
 ) -> LatticeIsometry:
-    """Isometry from per-component maps: component c lands in slot_maps[c][0]."""
+    """Isometry from per-component maps: component c lands in slot_maps[c][0].
+
+    Each integer basis row is mapped block by block and must land in the
+    lattice again; the first row that does not rejects the candidate.
+    """
     slices = lat.component_slices()
-    dim = lat.rank
-    amb = [[Q(0)] * dim for _ in range(dim)]
-    for c, (tgt, local) in enumerate(slot_maps):
-        (a0, a1), (b0, b1) = slices[c], slices[tgt]
-        for i in range(a1 - a0):
-            for j in range(b1 - b0):
-                amb[a0 + i][b0 + j] = Q(local[i][j])
-    m = mat_mul(
-        mat_mul([list(b) for b in lat.basis], amb),
-        [list(r) for r in lat.basis_inv],
-    )
+    blocks = [
+        (a0, a1, slices[tgt][0], local)
+        for (a0, a1), (tgt, local) in zip(slices, slot_maps)
+    ]
     out = []
-    for row in m:
-        if any(x.denominator != 1 for x in row):
+    for row in lat.basis:
+        img = [0] * lat.rank
+        for a0, a1, b0, local in blocks:
+            for i in range(a1 - a0):
+                x = row[a0 + i]
+                if x:
+                    for j, v in enumerate(local[i]):
+                        if v:
+                            img[b0 + j] += x * v
+        coords = lat.coords_of(img, lat.scale)
+        if coords is None:
             raise ValueError("candidate isometry does not preserve the lattice")
-        out.append(tuple(int(x) for x in row))
+        out.append(coords)
     return LatticeIsometry(lat, tuple(out), name)
 
 
-def _identity_local(rank: int) -> List[List[Q]]:
-    return [[Q(1) if j == i else Q(0) for j in range(rank)] for i in range(rank)]
+def _identity_local(rank: int) -> List[List[int]]:
+    return [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
 
 
-def _check_order3(m: List[List[Q]], fixed_free: bool) -> None:
+def _integral(m: List[List[Q]], what: str) -> List[List[int]]:
+    if any(x.denominator != 1 for row in m for x in row):
+        raise InvariantError(f"{what} is not integral")
+    return [[int(x) for x in row] for row in m]
+
+
+def _check_order3(m: List[List[int]], fixed_free: bool) -> None:
     n = len(m)
     ident = _identity_local(n)
     m2 = mat_mul(m, m)
@@ -462,7 +495,7 @@ def _check_order3(m: List[List[Q]], fixed_free: bool) -> None:
         raise InvariantError("not fixed-point-free")
 
 
-def fpf_e6_matrix() -> List[List[Q]]:
+def fpf_e6_matrix() -> List[List[int]]:
     """Fixed-point-free order-3 isometry of the E6 root lattice.
 
     Simultaneous rotation of the orthogonal pair decomposition
@@ -474,20 +507,20 @@ def fpf_e6_matrix() -> List[List[Q]]:
     pairs = [
         (e[0], e[2]),
         (e[4], e[5]),
-        (e[1], [-Q(c) for c in theta_ac]),
+        (e[1], [-c for c in theta_ac]),
     ]
-    t_rows: List[List[Q]] = []
+    t_rows: List[List[int]] = []
     for a, b in pairs:
         t_rows.append(list(a))
         t_rows.append(list(b))
-    rot = [[Q(0)] * 6 for _ in range(6)]
+    rot = [[0] * 6 for _ in range(6)]
     for k in range(3):
-        rot[2 * k][2 * k + 1] = Q(1)      # a -> b
-        rot[2 * k + 1][2 * k] = Q(-1)     # b -> -a-b
-        rot[2 * k + 1][2 * k + 1] = Q(-1)
-    phi = mat_mul(mat_mul(inverse(t_rows), rot), t_rows)
-    if any(x.denominator != 1 for row in phi for x in row):
-        raise InvariantError("conjugated E6 rotation is not integral")
+        rot[2 * k][2 * k + 1] = 1      # a -> b
+        rot[2 * k + 1][2 * k] = -1     # b -> -a-b
+        rot[2 * k + 1][2 * k + 1] = -1
+    phi = _integral(
+        mat_mul(mat_mul(inverse(t_rows), rot), t_rows), "conjugated E6 rotation"
+    )
     _check_order3(phi, fixed_free=True)
     return phi
 
@@ -508,7 +541,7 @@ _QUAT_GRAM = [
 ]
 
 
-def fpf_d4_matrix() -> List[List[Q]]:
+def fpf_d4_matrix() -> List[List[int]]:
     """Fixed-point-free order-3 isometry of D4, outside the Weyl group."""
 
     def qip(x: Sequence[int], y: Sequence[int]) -> int:
@@ -535,22 +568,22 @@ def fpf_d4_matrix() -> List[List[Q]]:
             break
     if found is None:
         raise InvariantError("no D4 simple system among the Hurwitz roots")
-    s_rows = [[Q(x) for x in r] for r in found]
-    w_mat = [[Q(x) for x in row] for row in _QUAT_LEFT_W]
-    phi = mat_mul(mat_mul(s_rows, w_mat), inverse(s_rows))
-    if any(x.denominator != 1 for row in phi for x in row):
-        raise InvariantError("conjugated D4 rotation is not integral")
+    s_rows = [list(r) for r in found]
+    phi = _integral(
+        mat_mul(mat_mul(s_rows, _QUAT_LEFT_W), inverse(s_rows)),
+        "conjugated D4 rotation",
+    )
     _check_order3(phi, fixed_free=True)
     return phi
 
 
-def weyl_d4_matrix() -> List[List[Q]]:
+def weyl_d4_matrix() -> List[List[int]]:
     """Order-3 isometry of D4 inside the Weyl group (a coordinate 3-cycle)."""
     m = [
-        [Q(0), Q(1), Q(0), Q(0)],
-        [Q(-1), Q(-1), Q(0), Q(0)],
-        [Q(1), Q(1), Q(1), Q(0)],
-        [Q(1), Q(1), Q(0), Q(1)],
+        [0, 1, 0, 0],
+        [-1, -1, 0, 0],
+        [1, 1, 1, 0],
+        [1, 1, 0, 1],
     ]
     _check_order3(m, fixed_free=False)
     if disc_digit_action(SimpleType("D", 4), m) != {0: 0, 1: 1, 2: 2, 3: 3}:
@@ -558,11 +591,11 @@ def weyl_d4_matrix() -> List[List[Q]]:
     return m
 
 
-def disc_digit_action(t: SimpleType, local: List[List[Q]]) -> Dict[int, int]:
+def disc_digit_action(t: SimpleType, local: List[List[int]]) -> Dict[int, int]:
     """Induced permutation of the glue digits (trivial exactly on Weyl part)."""
     reps = _digit_reps(t)
     out = {0: 0}
-    for d, rep in reps.items():
+    for d, rep in enumerate(reps):
         if d == 0:
             continue
         img = tuple(
@@ -571,13 +604,45 @@ def disc_digit_action(t: SimpleType, local: List[List[Q]]) -> Dict[int, int]:
         )
         matches = [
             d2
-            for d2, rep2 in reps.items()
+            for d2, rep2 in enumerate(reps)
             if all((a - b).denominator == 1 for a, b in zip(img, rep2))
         ]
         if len(matches) != 1:
             raise InvariantError(f"digit {d} maps to {len(matches)} cosets")
         out[d] = matches[0]
     return out
+
+
+def sigma4_candidates() -> Iterator[List[Tuple[int, List[List[int]]]]]:
+    """Slot maps of the sigma4 shape on six D4 components, in search order.
+
+    One Weyl-rotation slot, two fixed-point-free slots, and a 3-cycle of
+    intact components whose edge maps compose to the identity.
+    """
+    phi = fpf_d4_matrix()
+    phi2 = mat_mul(phi, phi)
+    psi = weyl_d4_matrix()
+    psi2 = mat_mul(psi, psi)
+    ident = _identity_local(4)
+    rot = {0: ident, 1: phi, 2: phi2}
+    for cycle in itertools.combinations(range(6), 3):
+        singles = [c for c in range(6) if c not in cycle]
+        a, b, c3 = cycle
+        for cyc_perm in ({a: b, b: c3, c3: a}, {a: c3, c3: b, b: a}):
+            for e1, e2 in itertools.product(range(3), repeat=2):
+                e3 = (-e1 - e2) % 3
+                edges = [rot[e1], rot[e2], rot[e3]]
+                for psi_slot in singles:
+                    fps = [s for s in singles if s != psi_slot]
+                    for w in (psi, psi2):
+                        for m1, m2 in itertools.product((phi, phi2), repeat=2):
+                            slot_maps = [(i, ident) for i in range(6)]
+                            for k, (src, tgt) in enumerate(cyc_perm.items()):
+                                slot_maps[src] = (tgt, edges[k])
+                            slot_maps[psi_slot] = (psi_slot, w)
+                            slot_maps[fps[0]] = (fps[0], m1)
+                            slot_maps[fps[1]] = (fps[1], m2)
+                            yield slot_maps
 
 
 def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
@@ -616,39 +681,8 @@ def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
     elif name == "sigma4":
         if comps != (SimpleType("D", 4),) * 6:
             raise ValueError("sigma4 lives on the six-D4 lattice")
-        phi = fpf_d4_matrix()
-        phi2 = mat_mul(phi, phi)
-        psi = weyl_d4_matrix()
-        psi2 = mat_mul(psi, psi)
-        ident = _identity_local(4)
-        rot = {0: ident, 1: phi, 2: phi2}
-
-        def candidates():
-            # one Weyl-rotation slot, two fixed-point-free slots, and a
-            # 3-cycle whose edge maps compose to the identity
-            for cycle in itertools.combinations(range(6), 3):
-                singles = [c for c in range(6) if c not in cycle]
-                a, b, c3 = cycle
-                for cyc_perm in ({a: b, b: c3, c3: a}, {a: c3, c3: b, b: a}):
-                    for e1, e2 in itertools.product(range(3), repeat=2):
-                        e3 = (-e1 - e2) % 3
-                        edges = [rot[e1], rot[e2], rot[e3]]
-                        for psi_slot in singles:
-                            fps = [s for s in singles if s != psi_slot]
-                            for w in (psi, psi2):
-                                for m1, m2 in itertools.product((phi, phi2), repeat=2):
-                                    slot_maps: List[Tuple[int, List[List[Q]]]] = [
-                                        (i, ident) for i in range(6)
-                                    ]
-                                    for k, (src, tgt) in enumerate(cyc_perm.items()):
-                                        slot_maps[src] = (tgt, edges[k])
-                                    slot_maps[psi_slot] = (psi_slot, w)
-                                    slot_maps[fps[0]] = (fps[0], m1)
-                                    slot_maps[fps[1]] = (fps[1], m2)
-                                    yield slot_maps
-
         iso = None
-        for slot_maps in candidates():
+        for slot_maps in sigma4_candidates():
             try:
                 cand = _slot_maps_to_isometry(lat, slot_maps, name)
             except ValueError:
@@ -703,11 +737,9 @@ class LatticeLieAlgebra:
         low = np.tril(np.array(lat.gram, dtype=np.int64) & 1, k=-1)
         self._eps_rr = 1 - 2 * ((r @ low @ r.T) % 2)   # sign table
         sums: Dict[Tuple[int, int], int] = {}
-        for i, ci in enumerate(self.root_coords):
-            for j, cj in enumerate(self.root_coords):
-                if self._ip_rr[i][j] == -1:
-                    s = tuple(a + b for a, b in zip(ci, cj))
-                    sums[(i, j)] = self.root_index[s]
+        for i, j in np.argwhere(self._ip_rr == -1).tolist():
+            s = tuple(a + b for a, b in zip(self.root_coords[i], self.root_coords[j]))
+            sums[(i, j)] = self.root_index[s]
         self._sum_idx = sums
 
     # -- sign bicharacter ---------------------------------------------------
@@ -1087,27 +1119,32 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             raise InvariantError("orbit phase product must be 1")
         position[r + k] = len(basis)
         basis.append({r + k: 1, r + k1: s0, r + k2: s1})
+    # least-squares solver F^T (F F^T)^-1 for the Cartan part, as integer
+    # rows over the denominator sden
+    solver: List[List[int]] = []
+    sden = 1
     if nc:
-        ft = [list(col) for col in zip(*cartan_rows)]                # r x nc
-        solver = mat_mul(ft, inverse(mat_mul(cartan_rows, ft)))     # r x nc
-    else:
-        solver = []
+        ft = transpose(cartan_rows)                                  # r x nc
+        inv = inverse(mat_mul(cartan_rows, ft))
+        sden = lcm(*(x.denominator for row in inv for x in row))
+        solver = mat_mul(ft, [[int(x * sden) for x in row] for row in inv])
 
     def coords(x: Dict[int, int]) -> Dict[int, int]:
         """Coordinates of a fixed vector in the fixed basis."""
         out = {position[k]: c for k, c in x.items() if k in position}
         cart = [x.get(i, 0) for i in range(r)]
         if any(cart):
-            sol = [sum(cart[i] * solver[i][j] for i in range(r)) for j in range(nc)]
+            nz = [(c, solver[i]) for i, c in enumerate(cart) if c]
+            sol = [sum(c * row[j] for c, row in nz) for j in range(nc)]
             recon = [
                 sum(s * row[i] for s, row in zip(sol, cartan_rows)) for i in range(r)
             ]
-            if recon != cart:
+            if recon != [sden * c for c in cart]:
                 raise InvariantError("Cartan part is outside the fixed sublattice")
-            out.update((j, s) for j, s in enumerate(sol) if s)
-        if any(c.denominator != 1 for c in out.values()):
-            raise InvariantError("a fixed structure constant is not integral")
-        return {k: int(c) for k, c in out.items()}
+            if any(s % sden for s in sol):
+                raise InvariantError("a fixed structure constant is not integral")
+            out.update((j, s // sden) for j, s in enumerate(sol) if s)
+        return out
 
     dim = len(basis)
     brackets: List[List[Dict[int, int]]] = [[{} for _ in basis] for _ in basis]
@@ -1116,12 +1153,53 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             b = coords(alg.bracket(basis[i], basis[j]))
             brackets[i][j] = b
             brackets[j][i] = {k: -c for k, c in b.items()}
-    gram = [[alg.form(x, y) for y in basis] for x in basis]
+    gram = [[0] * dim for _ in basis]
+    for i in range(dim):
+        for j in range(i, dim):
+            gram[i][j] = gram[j][i] = alg.form(basis[i], basis[j])
     return FixedSubalgebra(basis, brackets, gram)
 
 
 class IdentificationError(Exception):
     """Float root-space discovery could not be verified exactly."""
+
+
+def _ad(brackets: List[List[Dict[int, int]]], vec: Sequence[int]) -> List[List[int]]:
+    """ad(vec) on row vectors: row j holds the coordinates of [vec, basis[j]]."""
+    dim = len(brackets)
+    out = [[0] * dim for _ in range(dim)]
+    for i, ci in enumerate(vec):
+        if ci:
+            for j, row in enumerate(brackets[i]):
+                oj = out[j]
+                for k, c in row.items():
+                    oj[k] += ci * c
+    return out
+
+
+def _generic_centralizer(
+    brackets: List[List[Dict[int, int]]],
+    x: Sequence[int],
+    ortho: List[List[int]],
+) -> Tuple[List[Tuple[List[int], int]], List[List[List[int]]], bool]:
+    """ker(ad x) inside the derived part (the columns of ortho cut it out).
+
+    Returns the reduced kernel basis as primitive integer rows with their
+    denominators, the integer ad matrix of each row, and whether the kernel
+    is abelian: [k_a, k_b] = -k_a ad(k_b), so it is iff every
+    rows[:b] ad(k_b) vanishes.
+    """
+    stack = _ad(brackets, x)
+    if ortho:
+        stack = [row + o for row, o in zip(stack, ortho)]
+    ker = integer_kernel(stack)
+    rows = [row for row, _ in ker]
+    ad_rows = [_ad(brackets, row) for row in rows]
+    abelian = bool(rows) and all(
+        not any(any(r) for r in mat_mul(rows[:b], ad_rows[b]))
+        for b in range(1, len(rows))
+    )
+    return ker, ad_rows, abelian
 
 
 def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLevels:
@@ -1130,22 +1208,12 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     The center, Killing form and all dimensions are exact; root-space
     discovery runs in floats and every rounded Cartan integer and level is
     re-verified by the exact spectrum of the Killing-to-invariant-form ratio
-    operator: an ideal of type X at level k contributes the eigenvalue
-    2 h-dual(X)/k with multiplicity dim X.
+    operator gram^-1 * Killing: an ideal of type X at level k contributes
+    the eigenvalue 2 h-dual(X)/k with multiplicity dim X.  The multiplicity
+    of p/q is the nullity of q * Killing - p * gram, for a nonsingular gram.
     """
     dim = sub.dim
     brackets = sub.brackets
-
-    def ad(vec: Sequence[Q]) -> List[List[Q]]:
-        """ad(vec) on row vectors: row j holds the coordinates of [vec, basis[j]]."""
-        out: List[List[Q]] = [[0] * dim for _ in range(dim)]
-        for i, ci in enumerate(vec):
-            if ci:
-                for j, row in enumerate(brackets[i]):
-                    oj = out[j]
-                    for k, c in row.items():
-                        oj[k] += ci * c
-        return out
 
     # Killing gram tr(ad b_i ad b_j), exactly
     kill = [[0] * dim for _ in range(dim)]
@@ -1158,56 +1226,54 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
             kill[i][j] = kill[j][i] = sum(c * bj[b].get(a, 0) for a, b, c in entries)
     gram = sub.gram
 
-    center = kernel(kill)
+    center = [row for row, _ in integer_kernel(kill)]
     abelian = len(center)
-    # derived part: orthogonal complement of the center under the form
+    # derived part: orthogonal complement of the center under the form, as
+    # rows over one denominator (ker(ad x) does not see the scale of x)
+    ortho: List[List[int]] = []
+    derived: List[List[int]] = []
     if center:
-        ortho = mat_mul(gram, [list(col) for col in zip(*center)])
-        derived = kernel(ortho)
-    else:
-        derived = [[Q(1 if j == i else 0) for j in range(dim)] for i in range(dim)]
-    sdim = len(derived)
+        ortho = mat_mul(gram, transpose(center))
+        kern = integer_kernel(ortho)
+        den = lcm(*(d for _, d in kern))
+        derived = [[v * (den // d) for v in row] for row, d in kern]
+    sdim = len(derived) if center else dim
     if sdim == 0:
         return SemisimpleTypeWithLevels.of([], abelian)
 
     rng = random.Random(seed)
-
-    def random_derived() -> List[Q]:
-        c = [Q(rng.randint(-9, 9)) for _ in range(sdim)]
-        return [sum(c[a] * derived[a][j] for a in range(sdim)) for j in range(dim)]
-
-    cartan: Optional[List[List[Q]]] = None
+    cartan: Optional[List[Tuple[List[int], int]]] = None
     for _ in range(12):
-        x = random_derived()
-        stack = ad(x)
-        if center:
-            # intersect ker(ad x) with the derived part
-            stack = [row + ortho[i] for i, row in enumerate(stack)]
-        ker = kernel(stack)
-        ad_ker = [ad(k) for k in ker]
-        # [k_a, k_b] = -k_a ad(k_b), so the centralizer is abelian iff
-        # every ker[:b] ad(k_b) vanishes
-        if ker and all(
-            not any(any(row) for row in mat_mul(ker[:b], ad_ker[b]))
-            for b in range(1, len(ker))
-        ):
+        # with no center the derived part is all of it, and x = c
+        c = [rng.randint(-9, 9) for _ in range(sdim)]
+        x = mat_mul([c], derived)[0] if center else c
+        ker, ad_ker, is_abelian = _generic_centralizer(brackets, x, ortho)
+        if is_abelian:
             cartan, ad_cartan = ker, ad_ker
             break
     if cartan is None:
         raise IdentificationError("no abelian generic centralizer found")
     rank_ss = len(cartan)
 
+    # the float pass sees each Cartan vector row / den, each entry rounded
+    # once by int true division (den may pass 2^53); cast to complex here,
+    # exactly, instead of in every product with a complex eigenvector
     ad_c_np = [
-        np.array([[float(v) for v in row] for row in a]) for a in ad_cartan
+        np.array([[x / d for x in row] for row in a], dtype=complex)
+        for a, (_, d) in zip(ad_cartan, cartan)
     ]
-    g_c = mat_mul(mat_mul(cartan, gram), [list(col) for col in zip(*cartan)])
-    g_c_inv = np.array([[float(x) for x in row] for row in inverse(g_c)])
+    rows = [row for row, _ in cartan]
+    g_c_inv_s = inverse(mat_mul(mat_mul(rows, gram), transpose(rows)))
+    g_c_inv = np.array([
+        [float(x * cartan[i][1] * cartan[j][1]) for j, x in enumerate(row)]
+        for i, row in enumerate(g_c_inv_s)
+    ])
 
     last_error: Optional[Exception] = None
     for _attempt in range(8):
         try:
             ideals, spectrum = _float_root_pass(
-                rng, sdim, rank_ss, cartan, ad, ad_c_np, g_c_inv
+                rng, sdim, rank_ss, brackets, cartan, ad_c_np, g_c_inv
             )
             break
         except IdentificationError as err:
@@ -1215,14 +1281,16 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     else:
         raise IdentificationError(f"float discovery failed: {last_error}")
 
-    # exact re-verification via the spectrum of M = gram^-1 * killing
-    m_op = mat_mul(inverse(gram), kill)
+    # exact re-verification via the spectrum of gram^-1 * killing
+    if rank(gram) != dim:
+        raise IdentificationError("the invariant form on the fixed algebra is singular")
     if abelian:
         spectrum[Q(0)] = spectrum.get(Q(0), 0) + abelian
     total = 0
     for ev, mult in spectrum.items():
+        p, q = ev.numerator, ev.denominator
         shifted = [
-            [m_op[i][j] - (ev if i == j else 0) for j in range(dim)]
+            [q * kill[i][j] - p * gram[i][j] for j in range(dim)]
             for i in range(dim)
         ]
         null = dim - rank(shifted)
@@ -1244,17 +1312,22 @@ def _float_root_pass(
     rng: random.Random,
     sdim: int,
     rank_ss: int,
-    cartan: List[List[Q]],
-    ad: Callable[[Sequence[Q]], List[List[Q]]],
+    brackets: List[List[Dict[int, int]]],
+    cartan: List[Tuple[List[int], int]],
     ad_c_np: List[np.ndarray],
     g_c_inv: np.ndarray,
 ) -> Tuple[List[Tuple[SimpleType, Q]], Dict[Q, int]]:
     """One float root-space discovery attempt; raises on any inconsistency."""
     weights = [rng.randint(1, 997) for _ in cartan]
-    # ad is linear: sum_k w_k ad(c_k) = ad(sum_k w_k c_k)
-    h_exact = ad([sum(w * x for w, x in zip(weights, col)) for col in zip(*cartan)])
+    # ad is linear: sum_k w_k ad(c_k) = ad(sum_k w_k c_k), taken over the
+    # common denominator of the Cartan rows
+    den = lcm(*(d for _, d in cartan))
+    h = [
+        sum(w * (den // d) * row[j] for w, (row, d) in zip(weights, cartan))
+        for j in range(len(brackets))
+    ]
     try:
-        pairs = float_eigen(h_exact)
+        pairs = float_eigen([[x / den for x in row] for row in _ad(brackets, h)])
     except ResidualExceeded as err:
         raise IdentificationError(f"eigen discovery failed: {err}")
     nonzero = [(lam, v) for lam, v in pairs if abs(lam) > 1e-7]
@@ -1366,16 +1439,15 @@ def twisted_ground_energy(g: LatticeIsometry) -> Tuple[Q, List[int]]:
     n = g.order()
     dim = g.lattice.rank
 
-    def poly_apply(coeffs: List[int]) -> List[List[Q]]:
-        out = [[Q(0)] * dim for _ in range(dim)]
-        power = [[Q(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-        mat = [[Q(x) for x in row] for row in g.matrix]
+    def poly_apply(coeffs: List[int]) -> List[List[int]]:
+        out = [[0] * dim for _ in range(dim)]
+        power = _identity_local(dim)
         for c in coeffs:
             if c:
                 for i in range(dim):
                     for j in range(dim):
                         out[i][j] += c * power[i][j]
-            power = mat_mul(power, mat)
+            power = mat_mul(power, g.matrix)
         return out
 
     orders = {n // gcd(j, n) if j else 1 for j in range(n)}
@@ -1426,6 +1498,13 @@ def count_orthogonal_subsystems(
     """
     rs = build_root_system(ambient)
     roots = rs.roots
+    # scale * (x|y) in integers, through each root's covector
+    duals = {r: rs.covector(r) for r in roots}
+
+    def ip_s(x: IntVec, y: IntVec) -> int:
+        return sum(a * b for a, b in zip(duals[x], y))
+
+    long_s = 2 * rs.scale
     # each root subset maps to roots spanning it
     subs: Dict[FrozenSet[IntVec], Tuple[IntVec, ...]] = {}
     if part == SimpleType("A", 1):
@@ -1433,7 +1512,7 @@ def count_orthogonal_subsystems(
             subs.setdefault(frozenset({r, tuple(-c for c in r)}), (r,))
     elif part == SimpleType("A", 2):
         for a, b in itertools.combinations(roots, 2):
-            if rs.ip(a, b) == -1 and rs.norm_of(a) == rs.norm_of(b) == 2:
+            if ip_s(a, b) == -rs.scale and ip_s(a, a) == ip_s(b, b) == long_s:
                 ab = tuple(x + y for x, y in zip(a, b))
                 hexagon = frozenset(
                     {
@@ -1450,15 +1529,10 @@ def count_orthogonal_subsystems(
         raise ValueError("only A1 and A2 patterns are supported")
     # two copies are orthogonal iff their spanning roots are
     spans = list(subs.values())
-    duals = [[rs.covector(x) for x in span] for span in spans]
     k = len(spans)
     ortho = [
         [
-            all(
-                sum(a * b for a, b in zip(d, y)) == 0
-                for d in duals[i]
-                for y in spans[j]
-            )
+            all(ip_s(x, y) == 0 for x in spans[i] for y in spans[j])
             for j in range(k)
         ]
         for i in range(k)
@@ -1513,22 +1587,29 @@ def glue_automorphism_group_order(code: GlueCode) -> int:
                     count += 1
         return count
 
-    # anchored search: requires the two constant full-support words
+    # anchored search: requires the two constant full-support words, whose
+    # images (w1, w2) fix every digit map; a pair (perm, maps) preserves the
+    # code iff every permuted generator lies in maps^-1(code)
     all1 = tuple([1] * k)
     all2 = tuple([2] * k)
     if all1 not in words or all2 not in words:
         raise ValueError("anchored search needs the constant words in the code")
     full_support = [w for w in words if all(w)]
+    permuted_gens = [
+        [tuple(g[p] for p in perm) for g in gens]
+        for perm in itertools.permutations(range(k))
+    ]
     count = 0
-    for perm in itertools.permutations(range(k)):
-        for w2img in full_support:
-            for w1img in full_support:
-                if any(a == b for a, b in zip(w1img, w2img)):
-                    continue
-                digit_maps = []
-                for i in range(k):
-                    third = ({1, 2, 3} - {w1img[i], w2img[i]}).pop()
-                    digit_maps.append({0: 0, 1: w1img[i], 2: w2img[i], 3: third})
-                if all(image(g, perm, digit_maps) in words for g in gens):
-                    count += 1
+    for w2img in full_support:
+        for w1img in full_support:
+            if any(a == b for a, b in zip(w1img, w2img)):
+                continue
+            inverse_maps = [
+                {0: 0, a: 1, b: 2, ({1, 2, 3} - {a, b}).pop(): 3}
+                for a, b in zip(w1img, w2img)
+            ]
+            preimage = {tuple(m[d] for m, d in zip(inverse_maps, w)) for w in words}
+            count += sum(
+                all(w in preimage for w in pg) for pg in permuted_gens
+            )
     return count

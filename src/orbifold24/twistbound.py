@@ -28,7 +28,7 @@ from .affinerep import (
     n_min_column,
 )
 from .exactmath import InvariantError
-from .rootdata import Coords
+from .rootdata import Coords, dominant_conjugate
 
 
 @dataclass(frozen=True)
@@ -56,12 +56,16 @@ def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
 
 
 def shift_ok(c: CaseSpec) -> bool:
-    """True iff (h|alpha) >= -1 for every root alpha of the ambient algebra."""
+    """True iff (h|alpha) >= -1 for every root alpha of the ambient algebra.
+
+    The roots of an ideal lie in the convex hull of the Weyl orbit of theta,
+    where the dominant conjugate h+ pairs most with theta itself, and they
+    are closed under negation; so their least pairing with h is -(h+|theta).
+    """
     for a, hi in zip(c.ambient, c.h.components):
         rs = a.root_system()
-        for root in rs.roots:
-            if rs.ip(hi.coords, root) < -1:
-                return False
+        if rs.ip(dominant_conjugate(hi).coords, rs.theta) > 1:
+            return False
     return True
 
 
@@ -151,10 +155,10 @@ def min_twisted_weight(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...], Q, Tuple[Coo
 
     Returns (min for h, witness, min for -h, witness); witnesses are the
     lexicographically least minimizers.  The -h minimum is an independent
-    run, not a symmetry image.
+    run, not a symmetry image.  The shift formula needs (h|alpha) >= -1;
+    callers check `shift_ok` once, report it, and call this only when it
+    holds.
     """
-    if not shift_ok(c):
-        raise ValueError("(h|alpha) >= -1 fails; the shift formula does not apply")
     (m1, w1), (m2, w2) = (
         _CaseTables(case).minimize() for case in (c, c.negated())
     )

@@ -14,25 +14,37 @@ against, and helpers that only the tests need.
 * Directional minima: the least pairing over the Freudenthal weight
   system (`brute_force_min`) against the closed form (h+|w0.lam) in
   `rootdata.min_pairing` and `affinerep.n_min_column`.
+* Shift bound: the loop over every root (`root_loop_shift_ok`) against
+  the closed form (h+|theta) <= 1 in `twistbound.shift_ok`.
+* Lattice side, each against its integer counterpart in `latticevoa`: the
+  glue-automorphism search with the permutation in the outer loop
+  (`permutation_first_glue_order`), the isometry certificate as `Fraction`
+  matrix products (`fraction_slot_maps_to_isometry`), and the generic
+  centraliser in `Fraction`s (`fraction_centralizer`).
 * `rough_lift`: some algebra automorphism covering a lattice isometry.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, List, Sequence, Set, Tuple
+from math import factorial
+from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from orbifold24.affinerep import typed_components_of_subsystem
-from orbifold24.exactmath import inverse
+from orbifold24.exactmath import inverse, kernel
 from orbifold24.latticevoa import (
+    EvenLattice,
+    GlueCode,
     LatticeIsometry,
     LatticeLieAlgebra,
     LiftedAutomorphism,
+    _disc_automorphisms,
     _phase_bit_expr,
 )
 from orbifold24.qmodular import PuiseuxSeries
@@ -78,6 +90,28 @@ def simple_root_coords(rs: RootSystem, x: Sequence) -> List[Q]:
     return [
         sum((xi * inv[i][j] for i, xi in enumerate(x)), Q(0)) for j in range(rs.rank)
     ]
+
+
+# every family up to rank 6, plus E7 and E8
+ORACLE_TYPES = (
+    [f"A{r}" for r in range(1, 7)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 7)]
+    + [f"D{r}" for r in range(3, 7)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def rational_direction(rs: RootSystem, rng) -> Weight:
+    return rs.weight(
+        [Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank)]
+    )
+
+
+def nondominant_direction(rs: RootSystem, rng) -> Weight:
+    while True:
+        h = rational_direction(rs, rng)
+        if not h.is_dominant():
+            return h
 
 
 # --- directional minima ---------------------------------------------------
@@ -183,6 +217,17 @@ def twisted_weight_lower_bound(t: TupleBound, c: CaseSpec) -> Q:
     for a, hi, w in zip(c.ambient, c.h.components, t.weights):
         total += brute_force_min(hi, Weight(w, a.root_system()))
     return total
+
+
+def root_loop_shift_ok(c: CaseSpec) -> bool:
+    """True iff (h|alpha) >= -1 for every root alpha, root by root."""
+    for a, hi in zip(c.ambient, c.h.components):
+        rs = a.root_system()
+        for root in rs.roots:
+            # the integer root carries the covector, h the rational side
+            if rs.ip(root, hi.coords) < -1:
+                return False
+    return True
 
 
 # --- order-3 options ------------------------------------------------------
@@ -331,3 +376,115 @@ def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism
         _, const = _phase_bit_expr(alg, h_bits, rc)
         phase.append(-1 if const else 1)
     return LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"rough({g.name})")
+
+
+def permutation_first_glue_order(code: GlueCode) -> int:
+    """Glue automorphism group order with the component permutation in the
+    outer loop and every generator image rebuilt per (perm, digit maps)."""
+    k = len(code.components)
+    words = code.words()
+    if not all(t == code.components[0] for t in code.components):
+        raise ValueError("mixed-component codes are not supported")
+    t = code.components[0]
+    autos = _disc_automorphisms(t)
+    gens = list(code.generators)
+
+    def image(w, perm, digit_maps):
+        permuted = tuple(w[perm[i]] for i in range(k))
+        return tuple(digit_maps[i][permuted[i]] for i in range(k))
+
+    total_brute = len(autos) ** k * factorial(k) if k <= 6 else None
+    if total_brute is not None and total_brute <= 10**6:
+        count = 0
+        for perm in itertools.permutations(range(k)):
+            for maps in itertools.product(autos, repeat=k):
+                if all(image(g, perm, maps) in words for g in gens):
+                    count += 1
+        return count
+    all1 = tuple([1] * k)
+    all2 = tuple([2] * k)
+    if all1 not in words or all2 not in words:
+        raise ValueError("anchored search needs the constant words in the code")
+    full_support = [w for w in words if all(w)]
+    count = 0
+    for perm in itertools.permutations(range(k)):
+        for w2img in full_support:
+            for w1img in full_support:
+                if any(a == b for a, b in zip(w1img, w2img)):
+                    continue
+                digit_maps = []
+                for i in range(k):
+                    third = ({1, 2, 3} - {w1img[i], w2img[i]}).pop()
+                    digit_maps.append({0: 0, 1: w1img[i], 2: w2img[i], 3: third})
+                if all(image(g, perm, digit_maps) in words for g in gens):
+                    count += 1
+    return count
+
+
+def fraction_mat_mul(a, b) -> List[List[Q]]:
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[Q(0)] * m for _ in range(n)]
+    for i in range(n):
+        for t in range(k):
+            v = a[i][t]
+            if v:
+                for j in range(m):
+                    if b[t][j]:
+                        out[i][j] += v * b[t][j]
+    return out
+
+
+def fraction_slot_maps_to_isometry(
+    lat: EvenLattice,
+    slot_maps: Sequence[Tuple[int, List[List[int]]]],
+    name: str,
+) -> LatticeIsometry:
+    """basis * (block-permuted local maps) * basis^-1 in Fractions, with the
+    inverse recomputed from the rational basis; ValueError unless the whole
+    product is integral."""
+    basis = [[Q(x, lat.scale) for x in row] for row in lat.basis]
+    slices = lat.component_slices()
+    dim = lat.rank
+    amb = [[Q(0)] * dim for _ in range(dim)]
+    for c, (tgt, local) in enumerate(slot_maps):
+        (a0, a1), (b0, b1) = slices[c], slices[tgt]
+        for i in range(a1 - a0):
+            for j in range(b1 - b0):
+                amb[a0 + i][b0 + j] = Q(local[i][j])
+    m = fraction_mat_mul(fraction_mat_mul(basis, amb), inverse(basis))
+    out = []
+    for row in m:
+        if any(x.denominator != 1 for x in row):
+            raise ValueError("candidate isometry does not preserve the lattice")
+        out.append(tuple(int(x) for x in row))
+    return LatticeIsometry(lat, tuple(out), name)
+
+
+def fraction_centralizer(
+    brackets: List[List[Dict[int, int]]],
+    x: Sequence[int],
+    ortho: List[List[int]],
+) -> Tuple[List[List[Q]], bool]:
+    """ker(ad x) inside the derived part as the reduced Fraction basis, and
+    whether it is abelian, with every ad matrix and product in Fractions."""
+    dim = len(brackets)
+
+    def ad(vec: Sequence[Q]) -> List[List[Q]]:
+        out: List[List[Q]] = [[0] * dim for _ in range(dim)]
+        for i, ci in enumerate(vec):
+            if ci:
+                for j, row in enumerate(brackets[i]):
+                    for k, c in row.items():
+                        out[j][k] += ci * c
+        return out
+
+    stack = ad([Q(v) for v in x])
+    if ortho:
+        stack = [row + [Q(v) for v in o] for row, o in zip(stack, ortho)]
+    ker = kernel(stack)
+    ad_ker = [ad(k) for k in ker]
+    abelian = bool(ker) and all(
+        not any(any(row) for row in fraction_mat_mul(ker[:b], ad_ker[b]))
+        for b in range(1, len(ker))
+    )
+    return ker, abelian

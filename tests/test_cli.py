@@ -99,6 +99,40 @@ def test_lattice_command(capsys):
     assert data["verdict"] == "pass"
 
 
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
+    # main builds its parser once per process; calls of every outcome, made
+    # back to back, must give what a freshly built parser gives
+    mismatch = tmp_path / "mismatch.json"
+    mismatch.write_text(json.dumps({"ambient": "G2,1", "h": [["0", "3"]]}))
+    calls = [
+        ["twist-bound", "--case", "e6g2", "--json"],
+        ["no-such-command"],
+        ["twist-bound", "--case", str(mismatch), "--json"],
+        ["candidates", "--dim", "-12", "--ratio", "1"],
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"],
+        ["twist-bound", "--case", "/nonexistent/case.json"],
+        ["twist-bound", "--help"],
+    ]
+    cached = [run_main(capsys, argv) for argv in calls * 2]
+    fresh = []
+    for argv in calls * 2:
+        cli.build_parser.cache_clear()
+        fresh.append(run_main(capsys, argv))
+    assert cached == fresh
+    assert [code for code, _, _ in cached[:len(calls)]] == [0, 2, 1, 2, 0, 2, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])

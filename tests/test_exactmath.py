@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 import pytest
 
@@ -9,6 +10,7 @@ from orbifold24.exactmath import (
     ResidualExceeded,
     det,
     float_eigen,
+    integer_kernel,
     inverse,
     kernel,
     rank,
@@ -152,6 +154,12 @@ def test_oracle_kernel_basis_entry_for_entry():
         got = kernel(m)
         assert got == reference_kernel(m)
         assert all(isinstance(x, Q) for v in got for x in v)
+        # the same basis as primitive integer rows over their denominators
+        scaled = integer_kernel(m)
+        assert [[Q(x, den) for x in row] for row, den in scaled] == got
+        for (row, den), v in zip(scaled, got):
+            assert all(type(x) is int for x in row) and gcd(*row) == 1
+            assert den == lcm(*(x.denominator for x in v)) == row[v.index(1)]
 
 
 def test_oracle_rank():

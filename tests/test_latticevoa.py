@@ -1,14 +1,17 @@
+import fractions
 import random
 from fractions import Fraction as Q
 
 import pytest
 
+from orbifold24 import cases, latticevoa
 from orbifold24.exactmath import InvariantError
 from orbifold24.latticevoa import (
     NI_D4_6,
     NI_E6_4,
     GlueCode,
     LatticeIsometry,
+    _slot_maps_to_isometry,
     assemble_niemeier,
     build_isometry,
     count_orthogonal_subsystems,
@@ -19,8 +22,11 @@ from orbifold24.latticevoa import (
     fpf_e6_matrix,
     glue_automorphism_group_order,
     identify_type,
+    lattice_from_basis,
     lattice_roots,
+    mat_mul,
     root_lattice,
+    sigma4_candidates,
     standard_lift,
     twisted_ground_energy,
     weight_one_algebra,
@@ -28,7 +34,12 @@ from orbifold24.latticevoa import (
 )
 from orbifold24.rootdata import SimpleType
 
-from helpers import rough_lift
+from helpers import (
+    fraction_centralizer,
+    fraction_slot_maps_to_isometry,
+    permutation_first_glue_order,
+    rough_lift,
+)
 
 
 @pytest.fixture(scope="module")
@@ -245,25 +256,13 @@ def test_identify_single_component():
 
 def a2_cubed_cycle_lift():
     """Standard lift of the plain 3-cycle on the block lattice A2+A2+A2."""
+    # the block lattice of three A2 components, on the unit basis
     code = GlueCode((SimpleType("A", 2),) * 3, ())
-    # assemble by hand: block lattice of three A2 components
-    from orbifold24.latticevoa import EvenLattice
-
-    rs_gram = [[Q(2), Q(-1)], [Q(-1), Q(2)]]
-    blocks = [[Q(0)] * 6 for _ in range(6)]
-    for c in range(3):
-        for i in range(2):
-            for j in range(2):
-                blocks[2 * c + i][2 * c + j] = rs_gram[i][j]
-    basis = tuple(
-        tuple(Q(1) if j == i else Q(0) for j in range(6)) for i in range(6)
-    )
-    lat = EvenLattice(
-        code,
-        basis,
-        tuple(tuple(r) for r in blocks),
-        basis,
-        tuple(tuple(int(x) for x in row) for row in blocks),
+    unit = [[1 if j == i else 0 for j in range(6)] for i in range(6)]
+    lat = lattice_from_basis(code, unit, 1)
+    assert lat.gram == tuple(
+        tuple(2 if i == j else -1 if i // 2 == j // 2 else 0 for j in range(6))
+        for i in range(6)
     )
     alg = weight_one_algebra(lat)
     assert alg.dim == 24
@@ -344,11 +343,25 @@ def test_fixed_table_checks_fire(monkeypatch, rows, message):
     ],
     ids=["sigma2", "sigma4", "sigma6"],
 )
-def test_identify_type_seed_sweep(which, seeds, expected, fixed_algebras):
+def test_identify_type_seed_sweep(which, seeds, expected, fixed_algebras, monkeypatch):
     # the float pass is seeded; every seed must give the seed-7 type that
-    # test_fixed_types pins
+    # test_fixed_types pins.  Every generic element drawn on the way is also
+    # run through the Fraction centraliser oracle.
     _, fx = fixed_algebras[which]
+    integer_centralizer = latticevoa._generic_centralizer
+    verdicts = []
+
+    def checked(brackets, x, ortho):
+        ker, ad_rows, abelian = integer_centralizer(brackets, x, ortho)
+        want, want_abelian = fraction_centralizer(brackets, x, ortho)
+        assert [[Q(v, den) for v in row] for row, den in ker] == want
+        assert abelian == want_abelian
+        verdicts.append(abelian)
+        return ker, ad_rows, abelian
+
+    monkeypatch.setattr(latticevoa, "_generic_centralizer", checked)
     assert [str(identify_type(fx, seed=s)) for s in seeds] == [expected] * len(seeds)
+    assert verdicts.count(True) == len(seeds)
 
 
 def test_twisted_ground_energies(ne6, nd4):
@@ -413,3 +426,86 @@ def test_glue_automorphism_orders():
     assert glue_automorphism_group_order(NI_D4_6) == 2160
     assert glue_automorphism_group_order(GlueCode((SimpleType("E", 6),), ())) == 2
     assert glue_automorphism_group_order(GlueCode((SimpleType("D", 4),), ())) == 6
+
+
+def test_glue_orders_match_permutation_first_oracle():
+    reordered = GlueCode(
+        NI_D4_6.components, tuple(random.Random(6).sample(NI_D4_6.generators, 6))
+    )
+    assert reordered.generators != NI_D4_6.generators
+    for code in (
+        NI_E6_4,
+        NI_D4_6,
+        GlueCode((SimpleType("E", 6),), ()),
+        GlueCode((SimpleType("D", 4),), ()),
+        reordered,
+    ):
+        assert glue_automorphism_group_order(code) == permutation_first_glue_order(code)
+
+
+def slot_map_decision(certify, lat, slot_maps):
+    try:
+        return certify(lat, slot_maps, "cand").matrix
+    except ValueError:
+        return None
+
+
+def test_slot_maps_match_fraction_oracle(ne6, nd4):
+    # the search prefix up to the sigma4 that build_isometry accepts and a
+    # seeded sample of the accepted and of the rejected rest (the Fraction
+    # products take 5 ms a candidate), plus the sigma6 and sigma2 slot maps
+    candidates = list(sigma4_candidates())
+    s4 = build_isometry(nd4, "sigma4")
+    decisions = [
+        slot_map_decision(_slot_maps_to_isometry, nd4, sm) for sm in candidates
+    ]
+    first = decisions.index(s4.matrix)
+    rest = range(first + 1, len(candidates))
+    accepted = [i for i in rest if decisions[i] is not None]
+    rejected = [i for i in rest if decisions[i] is None]
+    assert len(accepted) > 100
+    rng = random.Random(4)
+    picks = list(range(first + 1)) + rng.sample(accepted, 40) + rng.sample(rejected, 40)
+    for i in picks:
+        want = slot_map_decision(fraction_slot_maps_to_isometry, nd4, candidates[i])
+        assert decisions[i] == want
+    phi6, ident = fpf_e6_matrix(), [[int(i == j) for j in range(6)] for i in range(6)]
+    phi4 = fpf_d4_matrix()
+    for lat, slot_maps in (
+        (ne6, [(0, phi6), (2, ident), (3, ident), (1, ident)]),
+        (nd4, [(c, phi4) for c in range(6)]),
+        (nd4, [(c, mat_mul(phi4, phi4)) for c in range(6)]),
+    ):
+        assert slot_map_decision(_slot_maps_to_isometry, lat, slot_maps) == (
+            slot_map_decision(fraction_slot_maps_to_isometry, lat, slot_maps)
+        )
+
+
+# 165 on Python 3.11: fpf_d4_matrix, weyl_d4_matrix and the digit action
+FRACTION_CEILING = 300
+
+
+def test_lattice_setup_builds_few_fractions(monkeypatch):
+    # the isometry search and the root coordinates run in integers; only the
+    # small component matrices (4x4 inverses, digit representatives) are
+    # rational, so a Fraction loop coming back shows as thousands here
+    lat, _ = cases.lattice_data("d4_6")
+    roots = lattice_roots(lat)
+    cases.lattice_isometry.cache_clear()
+    built = [0]
+    new = fractions.Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    iso = cases.lattice_isometry("d4_6", "sigma4")
+    during_isometry = built[0]
+    coords = [lat.coords_of(r) for r in roots]
+    during_coords = built[0] - during_isometry
+    monkeypatch.undo()
+    assert iso.order() == 3 and None not in coords
+    assert during_isometry <= FRACTION_CEILING
+    assert during_coords == 0
+

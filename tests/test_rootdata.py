@@ -5,7 +5,15 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import brute_force_min, fraction_fw_gram, fraction_ip, simple_root_coords
+from helpers import (
+    ORACLE_TYPES,
+    brute_force_min,
+    fraction_fw_gram,
+    fraction_ip,
+    nondominant_direction,
+    rational_direction,
+    simple_root_coords,
+)
 from orbifold24.exactmath import InvariantError
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
@@ -242,28 +250,6 @@ def test_lin_min_examples():
     a5 = build_root_system(SimpleType("A", 5))
     big = a5.fundamental_weight(2).scale(Q(2, 3))
     assert min_pairing(big, a5.weight([0, 0, 2, 0, 0])) == Q(-2)
-
-
-# every family up to rank 6, plus E7 and E8
-ORACLE_TYPES = (
-    [f"A{r}" for r in range(1, 7)]
-    + [f"{f}{r}" for f in "BC" for r in range(2, 7)]
-    + [f"D{r}" for r in range(3, 7)]
-    + ["E6", "E7", "E8", "F4", "G2"]
-)
-
-
-def rational_direction(rs, rng):
-    return rs.weight(
-        [Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank)]
-    )
-
-
-def nondominant_direction(rs, rng):
-    while True:
-        h = rational_direction(rs, rng)
-        if not h.is_dominant():
-            return h
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)

@@ -22,7 +22,11 @@ from orbifold24.twistbound import (
 )
 
 from helpers import (
+    ORACLE_TYPES,
     brute_force_min,
+    nondominant_direction,
+    rational_direction,
+    root_loop_shift_ok,
     feasible_tuples,
     scan_minimum,
     twisted_weight_lower_bound,
@@ -59,6 +63,48 @@ def test_shift_fails_for_large_twist():
     assert not shift_ok(c)
     low = min(g2.ip(h.components[0].coords, r) for r in g2.roots)
     assert low <= -3
+
+
+def weyl_image(rs, h, rng, steps=6):
+    """h moved by a few seeded simple reflections."""
+    cur = list(h.coords)
+    for _ in range(steps):
+        j = rng.randrange(rs.rank)
+        m = cur[j]
+        cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
+    return rs.weight(cur)
+
+
+def single_ideal_case(name, h):
+    t = SimpleType.parse(name)
+    return CaseSpec(name, (AffineAlgebra(t, 1),), TwistVector((h,)))
+
+
+@pytest.mark.parametrize("name", ORACLE_TYPES)
+def test_shift_ok_matches_root_loop(name):
+    rs = build_root_system(SimpleType.parse(name))
+    rng = random.Random(name)
+    hs = []
+    for scale in (4, 1, Q(1, 8), Q(1, 64)):
+        for _ in range(2):
+            h = rational_direction(rs, rng).scale(scale)
+            hs += [h, h.scale(-1), nondominant_direction(rs, rng).scale(scale)]
+    # the boundary: a dominant direction scaled to (h|theta) = 1, moved off
+    # the dominant chamber, and the same pushed past by 1/1000
+    for _ in range(4):
+        d = rs.weight([Q(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in range(rs.rank)])
+        if not any(d.coords):
+            continue
+        edge = d.scale(1 / rs.ip(d.coords, rs.theta))
+        for h in (edge, weyl_image(rs, edge, rng)):
+            for x in (h, h.scale(-1)):
+                c = single_ideal_case(name, x)
+                assert shift_ok(c) and root_loop_shift_ok(c)
+                over = single_ideal_case(name, x.scale(Q(1001, 1000)))
+                assert not shift_ok(over) and not root_loop_shift_ok(over)
+    verdicts = [root_loop_shift_ok(single_ideal_case(name, h)) for h in hs]
+    assert [shift_ok(single_ideal_case(name, h)) for h in hs] == verdicts
+    assert True in verdicts and False in verdicts
 
 
 def test_tuple_space_sizes():
