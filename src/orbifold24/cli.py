@@ -155,7 +155,7 @@ def cmd_lattice(args: argparse.Namespace) -> int:
 def cmd_verify_all(args: argparse.Namespace) -> int:
     rep = Report("verify all")
     for case_id in BUILTIN_CASES:
-        rep.extend(run_case(BUILTIN_CASES[case_id]))
+        rep.extend(run_case(BUILTIN_CASES[case_id], trunc=args.trunc))
     rep.extend(verify_tables("all", trunc=args.trunc, seed=args.seed))
     return _emit(rep, args.json)
 

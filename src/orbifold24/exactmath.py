@@ -1,113 +1,21 @@
-"""Exact numeric substrate: Q(w) scalars, one exact elimination core, and
-the float eigen fallback.
+"""Exact numeric substrate: one exact elimination core and the float eigen
+fallback.
 
-Exact scalars are either `fractions.Fraction` or `Cyclo3` elements a + b*w,
-where w is a fixed primitive cube root of unity (w**2 = -1 - w).  Matrices
-are dense lists of rational rows.  Every rank, kernel, inverse and
-determinant in the package comes from `_echelon`, a fraction-free
-Gauss-Jordan elimination on integer rows.  The only floating-point entry
+Exact scalars are `int` or `fractions.Fraction`, and matrices are dense
+lists of rational rows.  Every rank, kernel, inverse and determinant in
+the package comes from `_echelon`, a fraction-free Gauss-Jordan
+elimination on integer rows.  The only floating-point entry
 point is `float_eigen`, whose output is always re-verified exactly
 downstream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-Scalar = Union[int, Q, "Cyclo3"]
-
-
-def _as_q(x: Union[int, Q]) -> Q:
-    return x if isinstance(x, Q) else Q(x)
-
-
-@dataclass(frozen=True)
-class Cyclo3:
-    """Element a + b*w of Q(w), w a primitive cube root of unity."""
-
-    a: Q
-    b: Q
-
-    @staticmethod
-    def of(x: Scalar) -> "Cyclo3":
-        if isinstance(x, Cyclo3):
-            return x
-        return Cyclo3(_as_q(x), Q(0))
-
-    @staticmethod
-    def omega() -> "Cyclo3":
-        return Cyclo3(Q(0), Q(1))
-
-    def __add__(self, other: Scalar) -> "Cyclo3":
-        o = Cyclo3.of(other)
-        return Cyclo3(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Cyclo3":
-        return Cyclo3(-self.a, -self.b)
-
-    def __sub__(self, other: Scalar) -> "Cyclo3":
-        return self + (-Cyclo3.of(other))
-
-    def __rsub__(self, other: Scalar) -> "Cyclo3":
-        return Cyclo3.of(other) + (-self)
-
-    def __mul__(self, other: Scalar) -> "Cyclo3":
-        o = Cyclo3.of(other)
-        # (a + bw)(c + dw) with w^2 = -1 - w
-        return Cyclo3(
-            self.a * o.a - self.b * o.b,
-            self.a * o.b + self.b * o.a - self.b * o.b,
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self) -> "Cyclo3":
-        """Galois conjugate w -> w^2 = -1 - w."""
-        return Cyclo3(self.a - self.b, -self.b)
-
-    def norm(self) -> Q:
-        """Field norm a^2 - a*b + b^2; zero only at zero."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
-    def inverse(self) -> "Cyclo3":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero in Q(w)")
-        c = self.conj()
-        return Cyclo3(c.a / n, c.b / n)
-
-    def __truediv__(self, other: Scalar) -> "Cyclo3":
-        return self * Cyclo3.of(other).inverse()
-
-    def __rtruediv__(self, other: Scalar) -> "Cyclo3":
-        return Cyclo3.of(other) * self.inverse()
-
-    def __bool__(self) -> bool:
-        return bool(self.a) or bool(self.b)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Q, Cyclo3)):
-            o = Cyclo3.of(other)
-            return self.a == o.a and self.b == o.b
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
-    def __repr__(self) -> str:
-        if self.b == 0:
-            return f"{self.a}"
-        return f"{self.a}+{self.b}w"
-
-
-OMEGA = Cyclo3.omega()
 
 Matrix = Sequence[Sequence[Union[int, Q]]]
 

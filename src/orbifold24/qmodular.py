@@ -1,11 +1,10 @@
 """Exact Puiseux q-series and the order-3 orbifold dimension formula.
 
 Everything here is a truncated formal series in q^(1/D) with exact
-coefficients (rationals, or Q(w) values under coefficient twists).  The
-genus-zero generator f = eta(t)^12 / eta(3t)^12 of the level-3 function
-field, its powers expanded at the other cusp, and a Laurent fit of a
-fixed-point character in f feed a fully symbolic re-derivation of the
-weight-one dimension formula
+rational coefficients.  The genus-zero generator f = eta(t)^12 / eta(3t)^12
+of the level-3 function field, its powers expanded at the other cusp, and
+a Laurent fit of a fixed-point character in f feed a fully symbolic
+re-derivation of the weight-one dimension formula
 
     dim V_1 + dim V~_1 = 4 d0 - 36 d13 - 12 d23 + 24,
 
@@ -19,11 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import ceil, gcd, lcm
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Tuple
 
-from .exactmath import Cyclo3, InvariantError, OMEGA
-
-Coefficient = Union[Q, Cyclo3]
+from .exactmath import InvariantError
 
 
 @dataclass(frozen=True)
@@ -31,11 +28,11 @@ class PuiseuxSeries:
     """Truncated series sum_n c_n q^(n/denom), exact below exponent trunc."""
 
     denom: int
-    coeffs: Dict[int, Coefficient]
+    coeffs: Dict[int, Q]
     trunc: Q
 
     @staticmethod
-    def make(denom: int, coeffs: Dict[int, Coefficient], trunc: Q) -> "PuiseuxSeries":
+    def make(denom: int, coeffs: Dict[int, Q], trunc: Q) -> "PuiseuxSeries":
         kept = {
             n: c for n, c in coeffs.items() if c and Q(n, denom) < trunc
         }
@@ -67,7 +64,7 @@ class PuiseuxSeries:
             return self.trunc
         return Q(min(self.coeffs), self.denom)
 
-    def coeff(self, exp: Q | int) -> Coefficient:
+    def coeff(self, exp: Q | int) -> Q:
         e = Q(exp)
         if e >= self.trunc:
             raise ValueError(f"exponent {e} is beyond truncation {self.trunc}")
@@ -76,7 +73,7 @@ class PuiseuxSeries:
             return Q(0)
         return self.coeffs.get(int(n), Q(0))
 
-    def terms(self) -> List[Tuple[Q, Coefficient]]:
+    def terms(self) -> List[Tuple[Q, Q]]:
         return [(Q(n, self.denom), c) for n, c in sorted(self.coeffs.items())]
 
     def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
@@ -94,7 +91,7 @@ class PuiseuxSeries:
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
 
-    def scale(self, c: Coefficient) -> "PuiseuxSeries":
+    def scale(self, c: Q) -> "PuiseuxSeries":
         return PuiseuxSeries.make(
             self.denom, {n: v * c for n, v in self.coeffs.items()}, self.trunc
         )
@@ -105,7 +102,7 @@ class PuiseuxSeries:
         # product exact below min(t_a + v_b, t_b + v_a)
         trunc = min(a.trunc + b.valuation(), b.trunc + a.valuation())
         bound = trunc * d
-        out: Dict[int, Coefficient] = {}
+        out: Dict[int, Q] = {}
         for n1, c1 in a.coeffs.items():
             for n2, c2 in b.coeffs.items():
                 n = n1 + n2
@@ -115,39 +112,6 @@ class PuiseuxSeries:
                 prod = c1 * c2
                 out[n] = prod if cur is None else cur + prod
         return PuiseuxSeries.make(d, out, trunc)
-
-    def omega_twist(self, power: int = 1) -> "PuiseuxSeries":
-        """Coefficient twist q^(n/3) -> w^(n*power) q^(n/3).
-
-        Exponents must lie in (1/3)Z; rational coefficients are promoted
-        to Q(w) where the twist is nontrivial.
-        """
-        if 3 % self.denom and self.denom % 3:
-            raise ValueError("series exponents must lie in thirds")
-        out: Dict[int, Coefficient] = {}
-        for n, c in self.coeffs.items():
-            e3 = Q(3 * n, self.denom)
-            if e3.denominator != 1:
-                raise InvariantError(f"exponent {Q(n, self.denom)} is not in thirds")
-            k = (int(e3) * power) % 3
-            if k == 0:
-                out[n] = c
-            else:
-                w = OMEGA if k == 1 else OMEGA * OMEGA
-                out[n] = Cyclo3.of(c) * w
-        return PuiseuxSeries(self.denom, out, self.trunc)
-
-    def integral_part_traced(self) -> "PuiseuxSeries":
-        """(1/3)(F + F_twist + F_twist^2): kills non-integral exponents."""
-        total = self + self.omega_twist(1) + self.omega_twist(2)
-        out: Dict[int, Coefficient] = {}
-        for n, c in total.coeffs.items():
-            cc = Cyclo3.of(c)
-            if cc.b != 0:
-                raise InvariantError("trace left a non-rational coefficient")
-            if cc.a:
-                out[n] = cc.a / 3
-        return PuiseuxSeries.make(self.denom, out, self.trunc).normalized()
 
     def __repr__(self) -> str:
         parts = [f"{c}*q^({Q(n, self.denom)})" for n, c in sorted(self.coeffs.items())[:6]]
@@ -193,24 +157,6 @@ def eta_expansion(scale: Q, power: int, trunc: int) -> PuiseuxSeries:
     return PuiseuxSeries.make(d, coeffs, Q(trunc)).normalized()
 
 
-def euler_pentagonal(terms: int) -> PuiseuxSeries:
-    """Independent oracle: prod(1 - x^n) = sum_k (-1)^k x^(k(3k-1)/2)."""
-    trunc = Q(terms + 1)
-    out: Dict[int, Q] = {}
-    k = 0
-    while True:
-        done = True
-        for kk in (k, -k) if k else (0,):
-            e = kk * (3 * kk - 1) // 2
-            if e <= terms:
-                out[e] = Q(-1) ** abs(kk)
-                done = False
-        if done:
-            break
-        k += 1
-    return PuiseuxSeries.make(1, out, trunc)
-
-
 @lru_cache(maxsize=None)
 def hauptmodul_f(trunc: int = 12) -> PuiseuxSeries:
     """f = eta(t)^12 / eta(3t)^12 = q^-1 - 12 + 54q - 76q^2 - ..."""
@@ -232,7 +178,7 @@ def f_power_at_S(n: int, trunc: int = 12) -> PuiseuxSeries:
     terms = max(0, 3 * trunc - n)  # x^(n+e) with e < terms lies below q^trunc
     outer = _euler_power(12 * n, (terms + 2) // 3)
     inner = _euler_power(-12 * n, terms)
-    coeffs: Dict[int, Coefficient] = {}
+    coeffs: Dict[int, Q] = {}
     lead = Q(3) ** (6 * n)
     for m, a in enumerate(outer):
         if a:
@@ -240,44 +186,6 @@ def f_power_at_S(n: int, trunc: int = 12) -> PuiseuxSeries:
                 key = n + 3 * m + e
                 coeffs[key] = coeffs.get(key, 0) + lead * a * inner[e]
     return PuiseuxSeries.make(3, coeffs, Q(trunc)).normalized()
-
-
-@dataclass(frozen=True)
-class LaurentFit:
-    """Coefficients of Z = f + c0 + c_-1/f + c_-2/f^2 + c_-3/f^3."""
-
-    c1: Q
-    c0: Q
-    cm1: Q
-    cm2: Q
-    cm3: Q
-
-    def __post_init__(self) -> None:
-        if self.c1 != 1:
-            raise ValueError("leading Laurent coefficient must be 1")
-
-
-def fit_character(d0: int, d13: int, d23: int) -> LaurentFit:
-    """Solve the Laurent coefficients from the cusp-expansion constraints.
-
-    d0 is the fixed-point weight-one dimension; d13 and d23 are the summed
-    twisted dimensions at weights 1/3 and 2/3.  The pole coefficient at the
-    other cusp pins c_-3 = 3^17 whenever twisted weights are >= 1.
-    """
-    c0 = Q(d0 + 12)
-    cm2 = Q(3**12) * (Q(d13, 3) + 12)
-    cm1 = Q(3**6) * (Q(d23, 3) + 8 * cm2 / 3**11 - 6 * 33)
-    return LaurentFit(Q(1), c0, cm1, cm2, Q(3**17))
-
-
-def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:
-    """dim V~_1 = 4 d0 - 36 d13 - 12 d23 + 24 - dim V_1."""
-    if min(dim_v1, d0, d13, d23) < 0:
-        raise ValueError("dimensions must be non-negative")
-    val = 4 * d0 - 36 * d13 - 12 * d23 + 24 - dim_v1
-    if val < 0:
-        raise ValueError(f"inconsistent inputs: negative dimension {val}")
-    return val
 
 
 # Symbolic affine expressions a*d0 + b*d13 + c*d23 + d with exact entries.
@@ -296,40 +204,75 @@ def _lin_scale(x: LinExpr, c: Q) -> LinExpr:
     return tuple(c * p for p in x)  # type: ignore[return-value]
 
 
-def derive_dimension_formula(trunc: int = 12) -> Tuple[Q, Q, Q, Q]:
+# The Laurent coefficient c_n of f^n in Z = f + c0 + c_-1/f + c_-2/f^2 +
+# c_-3/f^3, as an affine function of (d0, d13, d23).  The cusp-expansion
+# constraints give c0 = d0 + 12, c_-2 = 3^12 (d13/3 + 12) and
+# c_-1 = 3^6 (d23/3 + 8 c_-2 / 3^11 - 198); the pole coefficient at the
+# other cusp pins c_-3 = 3^17 whenever twisted weights are >= 1.
+_CM2 = _lin(b=Q(3**12, 3), d=Q(12 * 3**12))
+LAURENT_TABLE: Dict[int, LinExpr] = {
+    1: _lin(d=Q(1)),
+    0: _lin(a=Q(1), d=Q(12)),
+    -1: _lin_add(
+        _lin(c=Q(3**6, 3), d=Q(-198 * 3**6)), _lin_scale(_CM2, Q(8 * 3**6, 3**11))
+    ),
+    -2: _CM2,
+    -3: _lin(d=Q(3**17)),
+}
+
+
+@dataclass(frozen=True)
+class LaurentFit:
+    """Coefficients of Z = f + c0 + c_-1/f + c_-2/f^2 + c_-3/f^3."""
+
+    c1: Q
+    c0: Q
+    cm1: Q
+    cm2: Q
+    cm3: Q
+
+    def __post_init__(self) -> None:
+        if self.c1 != 1:
+            raise ValueError("leading Laurent coefficient must be 1")
+
+
+def fit_character(d0: int, d13: int, d23: int) -> LaurentFit:
+    """The Laurent coefficients of `LAURENT_TABLE` at one (d0, d13, d23).
+
+    d0 is the fixed-point weight-one dimension; d13 and d23 are the summed
+    twisted dimensions at weights 1/3 and 2/3.
+    """
+    point = (Q(d0), Q(d13), Q(d23), Q(1))
+    c = {
+        n: sum((x * p for x, p in zip(expr, point)), Q(0))
+        for n, expr in LAURENT_TABLE.items()
+    }
+    return LaurentFit(c[1], c[0], c[-1], c[-2], c[-3])
+
+
+def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:
+    """dim V~_1 = 4 d0 - 36 d13 - 12 d23 + 24 - dim V_1."""
+    if min(dim_v1, d0, d13, d23) < 0:
+        raise ValueError("dimensions must be non-negative")
+    val = 4 * d0 - 36 * d13 - 12 * d23 + 24 - dim_v1
+    if val < 0:
+        raise ValueError(f"inconsistent inputs: negative dimension {val}")
+    return val
+
+
+def derive_dimension_formula(trunc: int = 12) -> LinExpr:
     """Re-derive the dimension formula coefficients (4, -36, -12, 24).
 
-    The Laurent coefficients are kept symbolic as affine functions of
-    (d0, d13, d23); the fit is composed with the exact cusp expansions of
-    f^n, the coefficient twist q^(1/3) -> w q^(1/3) is traced over the three
-    shifts, and the constant term of the summed expansions is collected.
+    `LAURENT_TABLE` is composed with the exact cusp expansions of f^n, and
+    the constant term of Z(t) + sum_i Z(S T^i t) is collected as an affine
+    function of (d0, d13, d23).
     """
-    # symbolic Laurent coefficients, mirroring fit_character
-    c0 = _lin(a=Q(1), d=Q(12))
-    cm2 = _lin(b=Q(3**12) / 3, d=Q(12 * 3**12))
-    cm1 = _lin_add(
-        _lin(c=Q(3**6) / 3, d=Q(-198 * 3**6)),
-        _lin_scale(cm2, Q(8 * 3**6, 3**11)),
-    )
-    coeffs: Dict[int, LinExpr] = {
-        1: _lin(d=Q(1)),
-        0: c0,
-        -1: cm1,
-        -2: cm2,
-        -3: _lin(d=Q(3**17)),
-    }
-    # constant term of sum_i Z(S T^i t) = 3 * (integral part of Z(S t))
-    total = _lin()
-    for n, cn in coeffs.items():
-        series = (
-            PuiseuxSeries.one(Q(trunc))
-            if n == 0
-            else f_power_at_S(n, trunc)
-        )
-        gamma = series.integral_part_traced().coeff(0)
-        if not isinstance(gamma, Q):
-            raise InvariantError(f"constant term of f^{n} at the cusp is not rational")
+    # the constant term of Z(t) itself is c0 - 12
+    total = _lin_add(LAURENT_TABLE[0], _lin(d=Q(-12)))
+    for n, cn in LAURENT_TABLE.items():
+        # T sends q^(k/3) to w^k q^(k/3), so the trace over the three shifts
+        # is a roots-of-unity filter that leaves exponent 0 unchanged: the
+        # constant term of sum_i Z(S T^i t) is 3 times that of Z(S t)
+        gamma = Q(1) if n == 0 else f_power_at_S(n, trunc).coeff(0)
         total = _lin_add(total, _lin_scale(cn, 3 * gamma))
-    # plus the constant term of Z(t) itself, which is c0 - 12
-    total = _lin_add(total, _lin_add(c0, _lin(d=Q(-12))))
     return total

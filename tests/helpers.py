@@ -5,9 +5,14 @@ against, and helpers that only the tests need.
   `scan_minimum`) against the min-plus DP in `twistbound`.
 * Order-3 options: the root-filter loop (`root_filter_options`) against
   Kac's theorem in `schellekens`.
-* Eta powers: series inversion, powers by repeated products and the
-  product expansion of prod (1 - x^n)^m (`product_f_power_at_S`) against
-  Euler's recurrence in `qmodular`.
+* Eta powers: series inversion, powers by repeated products, the
+  product expansion of prod (1 - x^n)^m (`product_f_power_at_S`) and
+  Euler's pentagonal series (`euler_pentagonal`) against Euler's recurrence
+  in `qmodular`.
+* Dimension formula: the trace (F + F_w + F_w^2)/3 of the coefficient twist
+  q^(1/3) -> w q^(1/3) in an exact Q(w) (`Cyclo3`, `omega_trace`,
+  `traced_dimension_formula`) against the constant-term read in
+  `qmodular.derive_dimension_formula`.
 * Invariant form: the `Fraction` fundamental-weight Gram matrix
   (`fraction_fw_gram`, `fraction_ip`) against the integer-scaled
   `RootSystem.form`.
@@ -47,7 +52,7 @@ from orbifold24.latticevoa import (
     _disc_automorphisms,
     _phase_bit_expr,
 )
-from orbifold24.qmodular import PuiseuxSeries
+from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, f_power_at_S
 from orbifold24.rootdata import (
     Coords,
     RootSystem,
@@ -267,7 +272,7 @@ def series_inverse(f: PuiseuxSeries) -> PuiseuxSeries:
     v_num = min(f.coeffs)
     lead = f.coeffs[v_num]
     v = Q(v_num, f.denom)
-    lead_inv = 1 / lead if isinstance(lead, Q) else lead.inverse()
+    lead_inv = 1 / lead
     s = PuiseuxSeries.make(
         f.denom,
         {n - v_num: c * lead_inv for n, c in f.coeffs.items() if n != v_num},
@@ -285,6 +290,24 @@ def series_inverse(f: PuiseuxSeries) -> PuiseuxSeries:
         acc = acc + (-term if k % 2 == 0 else term)
         k += 1
     return (acc * monomial(-v, lead_inv, trunc_u - v)).normalized()
+
+
+def euler_pentagonal(terms: int) -> PuiseuxSeries:
+    """prod(1 - x^n) = sum_k (-1)^k x^(k(3k-1)/2), exact below x^(terms+1)."""
+    trunc = Q(terms + 1)
+    out: Dict[int, Q] = {}
+    k = 0
+    while True:
+        done = True
+        for kk in (k, -k) if k else (0,):
+            e = kk * (3 * kk - 1) // 2
+            if e <= terms:
+                out[e] = Q(-1) ** abs(kk)
+                done = False
+        if done:
+            break
+        k += 1
+    return PuiseuxSeries.make(1, out, trunc)
 
 
 def series_pow(f: PuiseuxSeries, n: int) -> PuiseuxSeries:
@@ -348,6 +371,73 @@ def product_f_power_at_S(n: int, trunc: int) -> PuiseuxSeries:
     return PuiseuxSeries.make(
         out.denom, dict(out.coeffs), min(out.trunc, Q(trunc))
     ).normalized()
+
+
+# --- dimension formula ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Cyclo3:
+    """a + b*w in Q(w), w a primitive cube root of unity (w^2 = -1 - w)."""
+
+    a: Q
+    b: Q = Q(0)
+
+    @staticmethod
+    def of(x) -> "Cyclo3":
+        return x if isinstance(x, Cyclo3) else Cyclo3(Q(x))
+
+    def __add__(self, other) -> "Cyclo3":
+        o = Cyclo3.of(other)
+        return Cyclo3(self.a + o.a, self.b + o.b)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "Cyclo3":
+        o = Cyclo3.of(other)
+        return Cyclo3(
+            self.a * o.a - self.b * o.b,
+            self.a * o.b + self.b * o.a - self.b * o.b,
+        )
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other) -> bool:
+        o = Cyclo3.of(other)
+        return self.a == o.a and self.b == o.b
+
+
+OMEGA = Cyclo3(Q(0), Q(1))
+
+
+def omega_trace(f: PuiseuxSeries) -> PuiseuxSeries:
+    """(F + F_w + F_w^2)/3, where F_w^k multiplies q^(j/3) by w^(jk).
+
+    Summed in Q(w) term by term; the exponents of f must lie in (1/3)Z.
+    """
+    powers = [Cyclo3(Q(1)), OMEGA, OMEGA * OMEGA]
+    out: Dict[int, Q] = {}
+    for n, c in f.coeffs.items():
+        j = Q(3 * n, f.denom)
+        if j.denominator != 1:
+            raise ValueError(f"exponent {Q(n, f.denom)} is not in thirds")
+        total = sum((c * powers[int(j) * k % 3] for k in range(3)), Cyclo3(Q(0)))
+        if total.b:
+            raise AssertionError("the trace left a non-rational coefficient")
+        if total.a:
+            out[n] = total.a / 3
+    return PuiseuxSeries.make(f.denom, out, f.trunc).normalized()
+
+
+def traced_dimension_formula(trunc: int) -> Tuple[Q, Q, Q, Q]:
+    """The dimension formula coefficients with the constant term of
+    sum_i Z(S T^i t) read as 3 times that of the traced Z(S t)."""
+    total = [a + b for a, b in zip(LAURENT_TABLE[0], (0, 0, 0, -12))]
+    for n, cn in LAURENT_TABLE.items():
+        series = PuiseuxSeries.one(trunc) if n == 0 else f_power_at_S(n, trunc)
+        gamma = omega_trace(series).coeff(0)
+        total = [t + 3 * gamma * c for t, c in zip(total, cn)]
+    return tuple(total)
 
 
 # --- lattice side ---------------------------------------------------------

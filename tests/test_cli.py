@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifold24 import cases, cli, latticevoa
+from orbifold24 import cases, cli, latticevoa, qmodular
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
@@ -216,20 +217,24 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
     assert dict(outputs[0][1])["twist norm <h|h>"] == 2
 
 
+# digest: the first 16 hex digits of the output's sha256, pinned for the
+# behavioural contract; a change that alters a format on purpose updates it
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "digest"),
     [
-        ["twist-bound", "--case", "a2x6", "--json"],
-        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
-         "--json"],
-        ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
-         "E6,3 A2,1 A2,1 A2,1", "--json"],
-        ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
-        ["verify-all", "--json"],
+        (["twist-bound", "--case", "a2x6", "--json"], None),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
+          "--json"], "a49d16515181d955"),
+        (["candidates", "--dim", "312", "--ratio", "12", "--fixed",
+          "E6,3 A2,1 A2,1 A2,1", "--json"], None),
+        (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"], None),
+        (["verify-all", "--json"], "2dea7a85296cb80d"),
+        (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
     ],
-    ids=["twist-bound", "dimension", "candidates", "lattice", "verify-all"],
+    ids=["twist-bound", "dimension", "candidates", "lattice", "verify-all",
+         "tables-modular"],
 )
-def test_optimized_interpreter_gives_same_bytes(argv):
+def test_optimized_interpreter_gives_same_bytes(argv, digest):
     # python -O strips assert statements; the invariant checks must not be
     # among them, and the output must not change.  The two interpreters run
     # side by side.
@@ -246,6 +251,22 @@ def test_optimized_interpreter_gives_same_bytes(argv):
     outputs = [p.communicate(timeout=300)[0] for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
     assert outputs[0] == outputs[1]
+    if digest is not None:
+        assert hashlib.sha256(outputs[0]).hexdigest()[:16] == digest
+
+
+def test_verify_all_trunc_reaches_every_section(capsys, monkeypatch):
+    seen = []
+    derive = qmodular.derive_dimension_formula
+
+    def recording(trunc=12):
+        seen.append(trunc)
+        return derive(trunc)
+
+    monkeypatch.setattr(qmodular, "derive_dimension_formula", recording)
+    assert main(["verify-all", "--json", "--trunc", "14"]) == 0
+    capsys.readouterr()
+    assert seen and all(t == 14 for t in seen)
 
 
 @pytest.mark.parametrize(

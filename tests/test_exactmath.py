@@ -5,8 +5,6 @@ from math import gcd, lcm
 import pytest
 
 from orbifold24.exactmath import (
-    Cyclo3,
-    OMEGA,
     ResidualExceeded,
     det,
     float_eigen,
@@ -15,6 +13,8 @@ from orbifold24.exactmath import (
     kernel,
     rank,
 )
+
+from helpers import OMEGA, Cyclo3
 
 
 def rand_q(rng):
@@ -25,10 +25,12 @@ def rand_c(rng):
     return Cyclo3(rand_q(rng), rand_q(rng))
 
 
+# sanity of the exact Q(w) behind the dimension-formula trace oracle
+
+
 def test_omega_relations():
-    assert OMEGA * OMEGA == -1 - OMEGA
+    assert OMEGA * OMEGA + OMEGA + 1 == 0
     assert OMEGA * OMEGA * OMEGA == 1
-    assert OMEGA.conj() == OMEGA * OMEGA
 
 
 def test_field_axioms_randomized():
@@ -38,16 +40,7 @@ def test_field_axioms_randomized():
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        if a:
-            assert a * a.inverse() == 1
-
-
-def test_conjugation_is_field_automorphism():
-    rng = random.Random(5)
-    for _ in range(100):
-        a, b = rand_c(rng), rand_c(rng)
-        assert (a * b).conj() == a.conj() * b.conj()
-        assert (a + b).conj() == a.conj() + b.conj()
+        assert a * b == b * a
 
 
 def rand_matrix(rng, rows, cols, rank_cap=None):

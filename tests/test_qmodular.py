@@ -8,13 +8,19 @@ from orbifold24.qmodular import (
     derive_dimension_formula,
     dim_tilde_v1,
     eta_expansion,
-    euler_pentagonal,
     f_power_at_S,
     fit_character,
     hauptmodul_f,
 )
 
-from helpers import product_f_power_at_S, series_inverse, series_pow
+from helpers import (
+    euler_pentagonal,
+    omega_trace,
+    product_f_power_at_S,
+    series_inverse,
+    series_pow,
+    traced_dimension_formula,
+)
 
 
 def test_eta_against_pentagonal_oracle():
@@ -128,11 +134,17 @@ def test_f_power_at_S_matches_product_oracle(n, trunc):
 
 
 def test_omega_trace_kills_fractional_exponents():
-    s = f_power_at_S(1, 4)
-    traced = s.integral_part_traced()
-    for exp, c in traced.terms():
-        assert exp.denominator == 1
-        assert c == s.coeff(exp)
+    for n in (1, -1, -2, -3):
+        for trunc in (4, 12, 16):
+            s = f_power_at_S(n, trunc)
+            traced = omega_trace(s)
+            integral = PuiseuxSeries.make(
+                s.denom, {k: c for k, c in s.coeffs.items() if k % s.denom == 0}, s.trunc
+            ).normalized()
+            assert (traced.denom, traced.coeffs, traced.trunc) == (
+                integral.denom, integral.coeffs, integral.trunc
+            )
+            assert traced.coeff(0) == s.coeff(0)
 
 
 def test_fit_character_values():
@@ -155,8 +167,11 @@ def test_dim_tilde_v1_rejects_negative():
         dim_tilde_v1(1000, 0, 0, 0)
 
 
-def test_derived_formula_coefficients():
-    assert derive_dimension_formula() == (4, -36, -12, 24)
+@pytest.mark.parametrize("trunc", [12, 14, 16])
+def test_derived_formula_coefficients(trunc):
+    derived = derive_dimension_formula(trunc)
+    assert derived == (4, -36, -12, 24)
+    assert derived == traced_dimension_formula(trunc)
 
 
 def test_formula_degenerates_without_twisted_dims():
