@@ -43,13 +43,24 @@ def _rational(text: str) -> Q:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
 
 
-def _dimension(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+def _dimension(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"dimension must not be negative: {value}")
+    return value
+
+
+def _truncation(text: str) -> int:
+    value = _integer(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"truncation must be positive: {value}")
     return value
 
 
@@ -180,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--which", default="all", choices=TABLE_FAMILIES + ("all",)
     )
-    p.add_argument("--trunc", type=int, default=12, help="series truncation")
+    p.add_argument("--trunc", type=_truncation, default=12, help="series truncation")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.set_defaults(func=cmd_tables)
 
@@ -195,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0", type=int, required=True)
     p.add_argument("--d13", type=int, required=True)
     p.add_argument("--d23", type=int, required=True)
-    p.add_argument("--trunc", type=int, default=12)
+    p.add_argument("--trunc", type=_truncation, default=12)
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("candidates", help="enumerate and filter candidates")
@@ -220,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all", help="replay every case and table")
     common(p)
-    p.add_argument("--trunc", type=int, default=12)
+    p.add_argument("--trunc", type=_truncation, default=12)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify_all)
     return parser

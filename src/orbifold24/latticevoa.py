@@ -16,10 +16,12 @@ lattice basis.  Standard lifts of order-3 isometries are solved exactly over
 F2 (phase 1 on the fixed sublattice, composite of order 3), fixed-point
 subalgebras are extracted orbit by orbit, and their types and levels are
 identified by a float root-space discovery pass whose every rounded integer
-is re-verified by exact rank computations.  The generic centraliser behind
-that pass is spanned by primitive integer rows, so every ad matrix and
-commutator stays integral; the float pass divides by each row's
-denominator.
+is re-verified by exact rank computations.  The fixed Cartan t grades each
+fixed subalgebra by t-weight, so its structure table, its Killing form and
+the generic centraliser are computed one weight block at a time.  That
+centraliser is spanned by primitive integer rows, so every ad matrix and
+commutator stays integral; the float pass divides each row by its largest
+entry.
 """
 
 from __future__ import annotations
@@ -1068,18 +1070,26 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
 # fixed subalgebras and type identification
 
 
+Weight = Tuple[int, ...]
+
+
 @dataclass
 class FixedSubalgebra:
     """Fixed points of an order-3 lifted automorphism as a structure table.
 
     `basis` lists the fixed basis vectors in the big algebra: the
-    fixed-sublattice basis, then one orbit sum per root orbit.
-    `brackets[i][j]` maps k to the nonzero coefficient of basis[k] in
-    [basis[i], basis[j]]; `gram` is the invariant form on the basis.  Both
-    are integral.
+    fixed-sublattice basis (the fixed Cartan t), then one orbit sum per root
+    orbit.  `weights[i]` is the t-weight of basis[i]: ((row|a) for each
+    fixed-sublattice row) for the orbit sum of a root a, and 0 on t, so
+    basis[:nc] is t with nc = len(weights[0]).  `brackets[i][j]` maps k to
+    the nonzero coefficient of basis[k] in [basis[i], basis[j]]; `gram` is
+    the invariant form on the basis.  Both are integral and graded:
+    [basis[i], basis[j]] has weight weights[i] + weights[j], and the form
+    pairs weight w only with -w.
     """
 
     basis: List[Dict[int, int]]
+    weights: List[Weight]
     brackets: List[List[Dict[int, int]]]
     gram: List[List[int]]
 
@@ -1088,13 +1098,41 @@ class FixedSubalgebra:
         return len(self.basis)
 
 
+def _weight_blocks(weights: Sequence[Weight]) -> Dict[Weight, List[int]]:
+    """Basis indices of each weight, in ascending order."""
+    blocks: Dict[Weight, List[int]] = {}
+    for i, w in enumerate(weights):
+        blocks.setdefault(w, []).append(i)
+    return blocks
+
+
+def _add(w: Weight, v: Weight) -> Weight:
+    return tuple(a + b for a, b in zip(w, v))
+
+
+def _neg(w: Weight) -> Weight:
+    return tuple(-a for a in w)
+
+
 def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
-    """Exact fixed-point subalgebra of an order-3 lifted automorphism."""
+    """Exact fixed-point subalgebra of an order-3 lifted automorphism.
+
+    Only brackets whose weight w_i + w_j is a weight of the basis, and only
+    form entries with w_i + w_j = 0, are computed; the others vanish by
+    the grading.  Two orbit sums whose roots pair nowhere negatively
+    commute, and their bracket is not computed either.
+    """
     alg = lift.algebra
     r = alg.rank
     cartan_rows = lift.isometry.fixed_coords_basis()
     basis = [alg.cartan_element(row) for row in cartan_rows]
     nc = len(basis)
+    # (row|a) for every fixed-sublattice row and root a: the t-weight of e^a
+    root_weights = [
+        tuple(w) for w in
+        (np.array(cartan_rows, dtype=np.int64).reshape(nc, r) @ alg._ip_cr).T.tolist()
+    ]
+    weights: List[Weight] = [(0,) * nc] * nc
     position: Dict[int, int] = {}      # orbit representative -> basis index
     seen: Set[int] = set()
     for k in range(alg.n_roots):
@@ -1107,6 +1145,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             if lift.root_phase[k] == 1:
                 position[r + k] = len(basis)
                 basis.append(alg.root_element(k))
+                weights.append(root_weights[k])
             continue
         k2 = lift.root_perm[k1]
         if lift.root_perm[k2] != k:
@@ -1119,6 +1158,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             raise InvariantError("orbit phase product must be 1")
         position[r + k] = len(basis)
         basis.append({r + k: 1, r + k1: s0, r + k2: s1})
+        weights.append(root_weights[k])
     # least-squares solver F^T (F F^T)^-1 for the Cartan part, as integer
     # rows over the denominator sden
     solver: List[List[int]] = []
@@ -1147,21 +1187,38 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         return out
 
     dim = len(basis)
+    # two orbit sums commute unless a root of one has negative inner product
+    # with a root of the other; (g^p a|g^q b) = (a|g^(q-p) b), so one
+    # representative against the members of the other orbit suffices
+    orbits = [[k - r for k in b] for b in basis[nc:]]
+    members = np.array(
+        [o + o[:1] * (3 - len(o)) for o in orbits], dtype=np.int64
+    ).reshape(-1, 3)
+    touch = (
+        (alg._ip_rr[members[:, :1, None], members[None, :, :]] < 0).any(axis=2).tolist()
+    )
+    blocks = _weight_blocks(weights)
     brackets: List[List[Dict[int, int]]] = [[{} for _ in basis] for _ in basis]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            b = coords(alg.bracket(basis[i], basis[j]))
-            brackets[i][j] = b
-            brackets[j][i] = {k: -c for k, c in b.items()}
     gram = [[0] * dim for _ in basis]
     for i in range(dim):
-        for j in range(i, dim):
-            gram[i][j] = gram[j][i] = alg.form(basis[i], basis[j])
-    return FixedSubalgebra(basis, brackets, gram)
+        wi = weights[i]
+        for w, block in blocks.items():
+            if _add(wi, w) not in blocks:
+                continue
+            for j in block:
+                if j > i and (i < nc or touch[i - nc][j - nc]):
+                    b = coords(alg.bracket(basis[i], basis[j]))
+                    brackets[i][j] = b
+                    brackets[j][i] = {k: -c for k, c in b.items()}
+        for j in blocks.get(_neg(wi), ()):
+            if j >= i:
+                gram[i][j] = gram[j][i] = alg.form(basis[i], basis[j])
+    return FixedSubalgebra(basis, weights, brackets, gram)
 
 
 class IdentificationError(Exception):
-    """Float root-space discovery could not be verified exactly."""
+    """No generic element was found, or float root-space discovery could not
+    be verified exactly."""
 
 
 def _ad(brackets: List[List[Dict[int, int]]], vec: Sequence[int]) -> List[List[int]]:
@@ -1177,23 +1234,113 @@ def _ad(brackets: List[List[Dict[int, int]]], vec: Sequence[int]) -> List[List[i
     return out
 
 
+def _check_grading(sub: FixedSubalgebra) -> None:
+    """InvariantError unless the table is graded by sub.weights: ad of each
+    Cartan vector t_i is diagonal with entry w_j[i] at basis[j], and every
+    bracket [basis[i], basis[j]] lies in the block of w_i + w_j."""
+    weights, brackets = sub.weights, sub.brackets
+    nc = len(weights[0]) if weights else 0
+    for i in range(nc):
+        for j, entry in enumerate(brackets[i]):
+            w = weights[j][i]
+            if entry != ({j: w} if w else {}):
+                raise InvariantError(
+                    f"ad of Cartan vector {i} does not act by weight {w} on {j}"
+                )
+    for i, row in enumerate(brackets):
+        for j, entry in enumerate(row):
+            if entry:
+                w = _add(weights[i], weights[j])
+                if any(weights[k] != w for k in entry):
+                    raise InvariantError(f"bracket [{i}, {j}] leaves its weight block")
+
+
+def _killing(
+    brackets: List[List[Dict[int, int]]], weights: Sequence[Weight]
+) -> List[List[int]]:
+    """Killing form tr(ad b_i ad b_j) of a graded table.  ad b_i ad b_j
+    shifts weights by w_i + w_j, so only (w, -w) pairs are computed."""
+    dim = len(brackets)
+    blocks = _weight_blocks(weights)
+    kill = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        entries = [
+            (a, b, c) for a, row in enumerate(brackets[i]) for b, c in row.items()
+        ]
+        for j in blocks.get(_neg(weights[i]), ()):
+            if j >= i:
+                bj = brackets[j]
+                kill[i][j] = kill[j][i] = sum(
+                    c * bj[b].get(a, 0) for a, b, c in entries
+                )
+    return kill
+
+
+def _draw_generic(rng: random.Random, weights: Sequence[Weight]) -> List[int]:
+    """An element x of the zero-weight block Z = c(t), coordinates in
+    [-9, 9]; the t-part is redrawn while some nonzero weight vanishes on it,
+    so that ad(x) is invertible on every 1-dimensional nonzero block."""
+    nc = len(weights[0]) if weights else 0
+    nonzero = {w for w in weights if any(w)}
+    for _ in range(100):
+        x = [rng.randint(-9, 9) for _ in range(nc)]
+        if all(sum(a * b for a, b in zip(w, x)) for w in nonzero):
+            break
+    else:
+        raise IdentificationError("every drawn Cartan part kills a weight")
+    zero = (0,) * nc
+    return x + [rng.randint(-9, 9) if w == zero else 0 for w in weights[nc:]]
+
+
 def _generic_centralizer(
     brackets: List[List[Dict[int, int]]],
+    weights: Sequence[Weight],
     x: Sequence[int],
     ortho: List[List[int]],
 ) -> Tuple[List[Tuple[List[int], int]], List[List[List[int]]], bool]:
-    """ker(ad x) inside the derived part (the columns of ortho cut it out).
+    """ker(ad x) inside the derived part (the columns of ortho cut it out),
+    for x of weight 0, solved one weight block at a time.
 
-    Returns the reduced kernel basis as primitive integer rows with their
-    denominators, the integer ad matrix of each row, and whether the kernel
-    is abelian: [k_a, k_b] = -k_a ad(k_b), so it is iff every
-    rows[:b] ad(k_b) vanishes.
+    ad(x) preserves every weight block and the centre has weight 0, so the
+    stack [ad(x) | ortho] is block diagonal, with the ortho columns only on
+    the zero block; InvariantError when it is not.  The reduced kernel basis
+    of a direct sum is the union of the blocks' reduced bases, ordered by
+    free coordinate (the last nonzero entry of each vector), which is the
+    basis `integer_kernel` gives for the whole stack.
+
+    Returns that basis as primitive integer rows with their denominators,
+    the integer ad matrix of each row, and whether the kernel is abelian:
+    [k_a, k_b] = -k_a ad(k_b), so it is iff every rows[:b] ad(k_b)
+    vanishes.
     """
-    stack = _ad(brackets, x)
-    if ortho:
-        stack = [row + o for row, o in zip(stack, ortho)]
-    ker = integer_kernel(stack)
-    rows = [row for row, _ in ker]
+    dim = len(brackets)
+    ad_x = _ad(brackets, x)
+    zero = (0,) * (len(weights[0]) if weights else 0)
+    keyed = []
+    for w, block in _weight_blocks(weights).items():
+        stack = []
+        for j in block:
+            row = ad_x[j]
+            sub = [row[k] for k in block]
+            if sum(map(bool, row)) != sum(map(bool, sub)):
+                raise InvariantError(f"ad(x) moves basis vector {j} out of its block")
+            if ortho:
+                if w == zero:
+                    sub += ortho[j]
+                elif any(ortho[j]):
+                    raise InvariantError(
+                        f"basis vector {j} of nonzero weight pairs with the centre"
+                    )
+            stack.append(sub)
+        for local, den in integer_kernel(stack):
+            v = [0] * dim
+            for k, c in zip(block, local):
+                v[k] = c
+            free = max(k for k, c in zip(block, local) if c)
+            keyed.append((free, v, den))
+    keyed.sort(key=lambda item: item[0])
+    ker = [(v, den) for _, v, den in keyed]
+    rows = [v for v, _ in ker]
     ad_rows = [_ad(brackets, row) for row in rows]
     abelian = bool(rows) and all(
         not any(any(r) for r in mat_mul(rows[:b], ad_rows[b]))
@@ -1211,59 +1358,54 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     operator gram^-1 * Killing: an ideal of type X at level k contributes
     the eigenvalue 2 h-dual(X)/k with multiplicity dim X.  The multiplicity
     of p/q is the nullity of q * Killing - p * gram, for a nonsingular gram.
+    The generic element is drawn in the zero-weight block of the t-grading,
+    whose blocks split the centraliser solve.
     """
     dim = sub.dim
-    brackets = sub.brackets
-
-    # Killing gram tr(ad b_i ad b_j), exactly
-    kill = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        entries = [
-            (a, b, c) for a, row in enumerate(brackets[i]) for b, c in row.items()
-        ]
-        for j in range(i, dim):
-            bj = brackets[j]
-            kill[i][j] = kill[j][i] = sum(c * bj[b].get(a, 0) for a, b, c in entries)
-    gram = sub.gram
+    brackets, weights, gram = sub.brackets, sub.weights, sub.gram
+    _check_grading(sub)
+    kill = _killing(brackets, weights)
 
     center = [row for row, _ in integer_kernel(kill)]
     abelian = len(center)
-    # derived part: orthogonal complement of the center under the form, as
-    # rows over one denominator (ker(ad x) does not see the scale of x)
-    ortho: List[List[int]] = []
-    derived: List[List[int]] = []
-    if center:
-        ortho = mat_mul(gram, transpose(center))
-        kern = integer_kernel(ortho)
-        den = lcm(*(d for _, d in kern))
-        derived = [[v * (den // d) for v in row] for row, d in kern]
-    sdim = len(derived) if center else dim
+    # the centraliser is cut to the orthogonal complement of the center
+    ortho = mat_mul(gram, transpose(center)) if center else []
+    if rank(gram) != dim:
+        raise IdentificationError("the invariant form on the fixed algebra is singular")
+    sdim = dim - abelian
     if sdim == 0:
         return SemisimpleTypeWithLevels.of([], abelian)
 
     rng = random.Random(seed)
-    cartan: Optional[List[Tuple[List[int], int]]] = None
     for _ in range(12):
-        # with no center the derived part is all of it, and x = c
-        c = [rng.randint(-9, 9) for _ in range(sdim)]
-        x = mat_mul([c], derived)[0] if center else c
-        ker, ad_ker, is_abelian = _generic_centralizer(brackets, x, ortho)
-        if is_abelian:
-            cartan, ad_cartan = ker, ad_ker
+        x = _draw_generic(rng, weights)
+        cartan, ad_cartan, is_abelian = _generic_centralizer(
+            brackets, weights, x, ortho
+        )
+        if not is_abelian:
+            continue
+        rows = [row for row, _ in cartan]
+        g_c = mat_mul(mat_mul(rows, gram), transpose(rows))
+        # a Cartan subalgebra is abelian and the form is nondegenerate on
+        # it; the centraliser of a non-semisimple x can be abelian alone
+        if rank(g_c) == len(rows):
             break
-    if cartan is None:
-        raise IdentificationError("no abelian generic centralizer found")
+    else:
+        raise IdentificationError("no generic centralizer found in 12 draws")
     rank_ss = len(cartan)
 
-    # the float pass sees each Cartan vector row / den, each entry rounded
-    # once by int true division (den may pass 2^53); cast to complex here,
-    # exactly, instead of in every product with a complex eigenvector
+    # the float pass sees each Cartan vector as row / (its largest entry),
+    # not row / den: a reduced row can be small at its free coordinate, and
+    # row / den then has entries in the thousands, which the absolute
+    # residual test of float_eigen cannot absorb.  Each entry is rounded
+    # once by int true division (the scale may pass 2^53); cast to complex
+    # here, exactly, instead of in every product with a complex eigenvector
+    cartan = [(row, max(map(abs, row))) for row in rows]
     ad_c_np = [
         np.array([[x / d for x in row] for row in a], dtype=complex)
         for a, (_, d) in zip(ad_cartan, cartan)
     ]
-    rows = [row for row, _ in cartan]
-    g_c_inv_s = inverse(mat_mul(mat_mul(rows, gram), transpose(rows)))
+    g_c_inv_s = inverse(g_c)
     g_c_inv = np.array([
         [float(x * cartan[i][1] * cartan[j][1]) for j, x in enumerate(row)]
         for i, row in enumerate(g_c_inv_s)
@@ -1282,8 +1424,6 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
         raise IdentificationError(f"float discovery failed: {last_error}")
 
     # exact re-verification via the spectrum of gram^-1 * killing
-    if rank(gram) != dim:
-        raise IdentificationError("the invariant form on the fixed algebra is singular")
     if abelian:
         spectrum[Q(0)] = spectrum.get(Q(0), 0) + abelian
     total = 0

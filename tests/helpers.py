@@ -24,8 +24,10 @@ against, and helpers that only the tests need.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
   glue-automorphism search with the permutation in the outer loop
   (`permutation_first_glue_order`), the isometry certificate as `Fraction`
-  matrix products (`fraction_slot_maps_to_isometry`), and the generic
-  centraliser in `Fraction`s (`fraction_centralizer`).
+  matrix products (`fraction_slot_maps_to_isometry`), the generic
+  centraliser in `Fraction`s (`fraction_centralizer`), and the Killing
+  form over every pair of basis vectors (`full_killing`) against the one
+  over (w, -w) weight pairs.
 * `rough_lift`: some algebra automorphism covering a lattice isometry.
 """
 
@@ -578,3 +580,18 @@ def fraction_centralizer(
         for b in range(1, len(ker))
     )
     return ker, abelian
+
+
+def full_killing(brackets: List[List[Dict[int, int]]]) -> List[List[int]]:
+    """Killing form tr(ad b_i ad b_j) of a structure table over every pair
+    of basis vectors, blind to any grading."""
+    dim = len(brackets)
+    kill = [[0] * dim for _ in range(dim)]
+    for i in range(dim):
+        entries = [
+            (a, b, c) for a, row in enumerate(brackets[i]) for b, c in row.items()
+        ]
+        for j in range(i, dim):
+            bj = brackets[j]
+            kill[i][j] = kill[j][i] = sum(c * bj[b].get(a, 0) for a, b, c in entries)
+    return kill

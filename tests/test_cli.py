@@ -166,6 +166,32 @@ def test_bad_numeric_argument_exits_2(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--which", "modular"],
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"],
+        ["verify-all"],
+    ],
+    ids=["tables", "dimension", "verify-all"],
+)
+def test_trunc_is_checked_at_parse_time(capsys, monkeypatch, argv, value):
+    # argparse refuses the flag before any section runs
+    def no_section(*args, **kwargs):
+        raise AssertionError("a section ran")
+
+    monkeypatch.setattr(cli, "run_case", no_section)
+    monkeypatch.setattr(cli, "verify_tables", no_section)
+    monkeypatch.setattr(qmodular, "derive_dimension_formula", no_section)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--trunc", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument --trunc: truncation must be positive: {value}" in err
+    assert "Traceback" not in err
+
+
 def test_missing_case_file_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["twist-bound", "--case", "/nonexistent/case.json"])

@@ -5,12 +5,18 @@ from fractions import Fraction as Q
 import pytest
 
 from orbifold24 import cases, latticevoa
-from orbifold24.exactmath import InvariantError
+from orbifold24.exactmath import InvariantError, integer_kernel, rank
 from orbifold24.latticevoa import (
     NI_D4_6,
     NI_E6_4,
+    FixedSubalgebra,
     GlueCode,
+    IdentificationError,
     LatticeIsometry,
+    _ad,
+    _draw_generic,
+    _generic_centralizer,
+    _killing,
     _slot_maps_to_isometry,
     assemble_niemeier,
     build_isometry,
@@ -28,6 +34,7 @@ from orbifold24.latticevoa import (
     root_lattice,
     sigma4_candidates,
     standard_lift,
+    transpose,
     twisted_ground_energy,
     weight_one_algebra,
     weyl_d4_matrix,
@@ -37,6 +44,7 @@ from orbifold24.rootdata import SimpleType
 from helpers import (
     fraction_centralizer,
     fraction_slot_maps_to_isometry,
+    full_killing,
     permutation_first_glue_order,
     rough_lift,
 )
@@ -295,13 +303,20 @@ def fixed_algebras(lift6, lift2, lift4):
 @pytest.mark.parametrize("which", ["sigma6", "sigma2", "sigma4", "a2_cycle"])
 def test_fixed_table_matches_big_algebra(which, fixed_algebras):
     # oracle: re-expand every table entry in the big algebra's basis and
-    # compare it with the big algebra's own bracket and form
+    # compare it with the big algebra's own bracket and form, entry for
+    # entry; a pair whose weight sum is no weight of the basis is skipped by
+    # fixed_subalgebra and must bracket to 0 in the big algebra
     lift, fx = fixed_algebras[which]
     alg, basis, table = lift.algebra, fx.basis, fx.brackets
+    weights = set(fx.weights)
+    skipped = 0
     for i in range(fx.dim):
         assert table[i][i] == {}
         for j in range(i + 1, fx.dim):
             entry = table[i][j]
+            if tuple(a + b for a, b in zip(fx.weights[i], fx.weights[j])) not in weights:
+                assert entry == {} and alg.bracket(basis[i], basis[j]) == {}
+                skipped += 1
             assert all(type(c) is int and c != 0 for c in entry.values())
             assert table[j][i] == {k: -c for k, c in entry.items()}
             expanded = {}
@@ -314,6 +329,8 @@ def test_fixed_table_matches_big_algebra(which, fixed_algebras):
         for j in range(fx.dim):
             assert type(fx.gram[i][j]) is int
             assert fx.gram[i][j] == alg.form(basis[i], basis[j])
+    # sigma2 has no fixed Cartan, so one weight and nothing to skip
+    assert (skipped > 0) == (which != "sigma2")
 
 
 @pytest.mark.parametrize(
@@ -351,8 +368,8 @@ def test_identify_type_seed_sweep(which, seeds, expected, fixed_algebras, monkey
     integer_centralizer = latticevoa._generic_centralizer
     verdicts = []
 
-    def checked(brackets, x, ortho):
-        ker, ad_rows, abelian = integer_centralizer(brackets, x, ortho)
+    def checked(brackets, weights, x, ortho):
+        ker, ad_rows, abelian = integer_centralizer(brackets, weights, x, ortho)
         want, want_abelian = fraction_centralizer(brackets, x, ortho)
         assert [[Q(v, den) for v in row] for row, den in ker] == want
         assert abelian == want_abelian
@@ -362,6 +379,158 @@ def test_identify_type_seed_sweep(which, seeds, expected, fixed_algebras, monkey
     monkeypatch.setattr(latticevoa, "_generic_centralizer", checked)
     assert [str(identify_type(fx, seed=s)) for s in seeds] == [expected] * len(seeds)
     assert verdicts.count(True) == len(seeds)
+
+
+def test_identify_type_redraws_a_degenerate_abelian_centralizer(
+    fixed_algebras, monkeypatch
+):
+    # at seed 69 the first draw on sigma2 is not semisimple: its centraliser
+    # is abelian, but the form on it is singular, so it is no Cartan
+    # subalgebra and identify_type must draw again
+    _, fx = fixed_algebras["sigma2"]
+    integer_centralizer = latticevoa._generic_centralizer
+    kernels = []
+
+    def recording(brackets, weights, x, ortho):
+        out = integer_centralizer(brackets, weights, x, ortho)
+        kernels.append(out)
+        return out
+
+    monkeypatch.setattr(latticevoa, "_generic_centralizer", recording)
+    assert str(identify_type(fx, seed=69)) == "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"
+    assert len(kernels) >= 2
+    ker, _, abelian = kernels[0]
+    rows = [row for row, _ in ker]
+    assert abelian
+    assert rank(mat_mul(mat_mul(rows, fx.gram), transpose(rows))) < len(rows)
+
+
+ALL_FIXED = ["sigma6", "sigma2", "sigma4", "a2_cycle"]
+
+
+@pytest.mark.parametrize("which", ALL_FIXED)
+def test_weights_are_the_diagonal_of_ad_t(which, fixed_algebras):
+    # basis[:nc] is the fixed Cartan t; ad(t_i) read from the table is
+    # diagonal with entry w_j[i] at basis[j], and each orbit sum's weight is
+    # the pairing of the fixed-sublattice rows with any root of its orbit
+    lift, fx = fixed_algebras[which]
+    alg = lift.algebra
+    rows = lift.isometry.fixed_coords_basis()
+    nc = len(rows)
+    assert all(len(w) == nc for w in fx.weights)
+    for i in range(nc):
+        assert all(set(fx.brackets[i][j]) <= {j} for j in range(fx.dim))
+        diagonal = [fx.brackets[i][j].get(j, 0) for j in range(fx.dim)]
+        assert diagonal == [w[i] for w in fx.weights]
+    for j, b in enumerate(fx.basis):
+        if j < nc:
+            assert fx.weights[j] == (0,) * nc
+        else:
+            for idx in b:
+                root = alg.root_coords[idx - alg.rank]
+                assert fx.weights[j] == tuple(alg.ip_coords(row, root) for row in rows)
+
+
+@pytest.mark.parametrize("which", ALL_FIXED)
+def test_block_killing_matches_full_killing(which, fixed_algebras):
+    _, fx = fixed_algebras[which]
+    assert _killing(fx.brackets, fx.weights) == full_killing(fx.brackets)
+
+
+def center_ortho(fx):
+    """The centre's ortho columns, as identify_type builds them."""
+    center = [row for row, _ in integer_kernel(full_killing(fx.brackets))]
+    return mat_mul(fx.gram, transpose(center)) if center else []
+
+
+@pytest.mark.parametrize("which", ALL_FIXED)
+def test_blocked_centralizer_matches_full_stack(which, fixed_algebras):
+    # oracle: one elimination of the whole [ad(x) | ortho] stack.  The last
+    # draw's t-part kills a weight, so its centraliser is not abelian and
+    # spans nonzero blocks, and must still be exact
+    _, fx = fixed_algebras[which]
+    brackets, weights = fx.brackets, fx.weights
+    ortho = center_ortho(fx)
+    nc = len(weights[0])
+    draws = [_draw_generic(random.Random(seed), weights) for seed in range(3)]
+    if nc:
+        x = list(draws[0])
+        w = next(w for w in weights if any(w))
+        wt = sum(a * b for a, b in zip(w, x))
+        ww = sum(a * a for a in w)
+        x[:nc] = [ww * a - wt * b for a, b in zip(x[:nc], w)]
+        assert sum(a * b for a, b in zip(w, x)) == 0
+        draws.append(x)
+    verdicts = []
+    for x in draws:
+        stack = _ad(brackets, x)
+        if ortho:
+            stack = [row + o for row, o in zip(stack, ortho)]
+        ker, ad_rows, abelian = _generic_centralizer(brackets, weights, x, ortho)
+        assert ker == integer_kernel(stack)
+        assert ad_rows == [_ad(brackets, row) for row, _ in ker]
+        verdicts.append(abelian)
+    assert verdicts == [True] * 3 + [False] * (nc > 0)
+
+
+def test_draw_generic_gives_up_when_every_cartan_part_kills_a_weight():
+    # every t-part in [-9, 9]^2 is orthogonal to one of these weights
+    weights = [(0, 0)] * 2 + [
+        (a, b) for a in range(-9, 10) for b in range(-9, 10) if (a, b) != (0, 0)
+    ]
+    with pytest.raises(IdentificationError, match="kills a weight"):
+        _draw_generic(random.Random(0), weights)
+
+
+def tampered(fx, i, j, k):
+    """A copy of fx whose bracket [basis[i], basis[j]] gains basis[k]."""
+    brackets = [[dict(entry) for entry in row] for row in fx.brackets]
+    assert k not in brackets[i][j]
+    brackets[i][j][k] = 1
+    brackets[j][i][k] = -1
+    return FixedSubalgebra(fx.basis, fx.weights, brackets, fx.gram)
+
+
+def crossing_pair(fx, cartan):
+    """(i, j, k): i in the zero block (a Cartan vector or not), j of nonzero
+    weight, and k in neither the block of j nor the zero block."""
+    nc = len(fx.weights[0])
+    zero = (0,) * nc
+    i = 0 if cartan else next(
+        i for i in range(nc, fx.dim) if fx.weights[i] == zero
+    )
+    j = next(j for j in range(fx.dim) if any(fx.weights[j]))
+    k = next(k for k in range(fx.dim) if fx.weights[k] not in (zero, fx.weights[j]))
+    return i, j, k
+
+
+@pytest.mark.parametrize(
+    "cartan, message",
+    [(True, "does not act by weight"), (False, "leaves its weight block")],
+    ids=["cartan-row", "zero-block-row"],
+)
+def test_identify_type_rejects_a_block_crossing_bracket(cartan, message, fixed_algebras):
+    _, fx = fixed_algebras["sigma4"]
+    with pytest.raises(InvariantError, match=message):
+        identify_type(tampered(fx, *crossing_pair(fx, cartan)))
+
+
+def test_generic_centralizer_checks_its_blocks(fixed_algebras):
+    # a zero-block element whose bracket leaves a block, and a centre that
+    # pairs with a vector of nonzero weight, are both refused
+    _, fx = fixed_algebras["sigma4"]
+    ortho = center_ortho(fx)
+    assert ortho
+    i, j, k = crossing_pair(fx, cartan=False)
+    x = _draw_generic(random.Random(0), fx.weights)
+    x[i] = 1
+    bad = tampered(fx, i, j, k)
+    with pytest.raises(InvariantError, match="out of its block"):
+        _generic_centralizer(bad.brackets, bad.weights, x, ortho)
+    bad_ortho = [list(row) for row in ortho]
+    bad_ortho[j][0] += 1
+    with pytest.raises(InvariantError, match="pairs with the centre"):
+        _generic_centralizer(fx.brackets, fx.weights, x, bad_ortho)
 
 
 def test_twisted_ground_energies(ne6, nd4):
