@@ -6,16 +6,18 @@ lists of rational rows.  Every rank, kernel, inverse and determinant in
 the package comes from `_echelon`, a fraction-free Gauss-Jordan
 elimination on integer rows.  The only floating-point entry
 point is `float_eigen`, whose output is always re-verified exactly
-downstream.
+downstream; it imports numpy when called, so importing this module does
+not load numpy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Matrix = Sequence[Sequence[Union[int, Q]]]
 
@@ -142,6 +144,8 @@ def float_eigen(
     residual-checked against the exact matrix (evaluated in floats); callers
     must re-verify any integer or rational they round from the output.
     """
+    import numpy as np
+
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("eigen-decomposition of non-square matrix")

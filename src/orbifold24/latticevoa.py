@@ -21,7 +21,9 @@ fixed subalgebra by t-weight, so its structure table, its Killing form and
 the generic centraliser are computed one weight block at a time.  That
 centraliser is spanned by primitive integer rows, so every ad matrix and
 commutator stays integral; the float pass divides each row by its largest
-entry.
+entry.  numpy, for the int64 inner-product tables and the float pass, is
+imported inside the functions that use it, so importing this module does
+not load it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,6 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
 
 from .exactmath import (
     InvariantError,
@@ -174,6 +174,7 @@ class GlueCode:
     components: Tuple[SimpleType, ...]
     generators: Tuple[IntVec, ...]
 
+    @lru_cache(maxsize=None)
     def words(self) -> FrozenSet[IntVec]:
         zero = tuple([0] * len(self.components))
         seen: Set[IntVec] = {zero}
@@ -732,16 +733,20 @@ class LatticeLieAlgebra:
         self.n_roots = len(self.root_coords)
         self.dim = self.rank + self.n_roots
 
+        import numpy as np
+
         g = np.array(lat.gram, dtype=np.int64)
         r = np.array(self.root_coords, dtype=np.int64)
         self._ip_rr = r @ g @ r.T                      # (a|b) for root pairs
         self._ip_cr = g @ r.T                          # (b_i|a) Cartan x root
         low = np.tril(np.array(lat.gram, dtype=np.int64) & 1, k=-1)
         self._eps_rr = 1 - 2 * ((r @ low @ r.T) % 2)   # sign table
+        # row by row, so no array of every pair's sum is held at once
         sums: Dict[Tuple[int, int], int] = {}
-        for i, j in np.argwhere(self._ip_rr == -1).tolist():
-            s = tuple(a + b for a, b in zip(self.root_coords[i], self.root_coords[j]))
-            sums[(i, j)] = self.root_index[s]
+        for i, ri in enumerate(r):
+            js = np.flatnonzero(self._ip_rr[i] == -1)
+            for j, s in zip(js.tolist(), (ri + r[js]).tolist()):
+                sums[(i, j)] = self.root_index[tuple(s)]
         self._sum_idx = sums
 
     # -- sign bicharacter ---------------------------------------------------
@@ -1122,6 +1127,8 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     the grading.  Two orbit sums whose roots pair nowhere negatively
     commute, and their bracket is not computed either.
     """
+    import numpy as np
+
     alg = lift.algebra
     r = alg.rank
     cartan_rows = lift.isometry.fixed_coords_basis()
@@ -1394,28 +1401,11 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
         raise IdentificationError("no generic centralizer found in 12 draws")
     rank_ss = len(cartan)
 
-    # the float pass sees each Cartan vector as row / (its largest entry),
-    # not row / den: a reduced row can be small at its free coordinate, and
-    # row / den then has entries in the thousands, which the absolute
-    # residual test of float_eigen cannot absorb.  Each entry is rounded
-    # once by int true division (the scale may pass 2^53); cast to complex
-    # here, exactly, instead of in every product with a complex eigenvector
-    cartan = [(row, max(map(abs, row))) for row in rows]
-    ad_c_np = [
-        np.array([[x / d for x in row] for row in a], dtype=complex)
-        for a, (_, d) in zip(ad_cartan, cartan)
-    ]
-    g_c_inv_s = inverse(g_c)
-    g_c_inv = np.array([
-        [float(x * cartan[i][1] * cartan[j][1]) for j, x in enumerate(row)]
-        for i, row in enumerate(g_c_inv_s)
-    ])
-
     last_error: Optional[Exception] = None
     for _attempt in range(8):
         try:
             ideals, spectrum = _float_root_pass(
-                rng, sdim, rank_ss, brackets, cartan, ad_c_np, g_c_inv
+                rng, sdim, brackets, rows, ad_cartan, g_c
             )
             break
         except IdentificationError as err:
@@ -1451,13 +1441,35 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
 def _float_root_pass(
     rng: random.Random,
     sdim: int,
-    rank_ss: int,
     brackets: List[List[Dict[int, int]]],
-    cartan: List[Tuple[List[int], int]],
-    ad_c_np: List[np.ndarray],
-    g_c_inv: np.ndarray,
+    rows: List[List[int]],
+    ad_rows: List[List[List[int]]],
+    g_c: List[List[int]],
 ) -> Tuple[List[Tuple[SimpleType, Q]], Dict[Q, int]]:
-    """One float root-space discovery attempt; raises on any inconsistency."""
+    """One float root-space discovery attempt; raises on any inconsistency.
+
+    rows span the Cartan subalgebra, ad_rows are their ad matrices and g_c
+    is the invariant form on them.
+    """
+    import numpy as np
+
+    rank_ss = len(rows)
+    # the float pass sees each Cartan vector as row / (its largest entry),
+    # not row / den: a reduced row can be small at its free coordinate, and
+    # row / den then has entries in the thousands, which the absolute
+    # residual test of float_eigen cannot absorb.  Each entry is rounded
+    # once by int true division (the scale may pass 2^53); cast to complex
+    # here, exactly, instead of in every product with a complex eigenvector
+    cartan = [(row, max(map(abs, row))) for row in rows]
+    ad_c_np = [
+        np.array([[x / d for x in row] for row in a], dtype=complex)
+        for a, (_, d) in zip(ad_rows, cartan)
+    ]
+    g_c_inv = np.array([
+        [float(x * cartan[i][1] * cartan[j][1]) for j, x in enumerate(row)]
+        for i, row in enumerate(inverse(g_c))
+    ])
+
     weights = [rng.randint(1, 997) for _ in cartan]
     # ad is linear: sum_k w_k ad(c_k) = ad(sum_k w_k c_k), taken over the
     # common denominator of the Cartan rows
@@ -1632,64 +1644,56 @@ def count_orthogonal_subsystems(
     """Number of sublattices of the ambient root lattice of shape part^copies.
 
     Subsystems are enumerated as root subsets (pairs for A1, hexagons for
-    A2), and sets of pairwise orthogonal copies are counted; distinct sets
-    span distinct sublattices because the root system of the span recovers
-    the copies.
+    A2), and sets of pairwise orthogonal copies are counted as cliques;
+    distinct sets span distinct sublattices because the root system of the
+    span recovers the copies.  A copy is orthogonal to another iff its
+    spanning roots lie in the intersection of the other's perpendicular
+    root sets.
     """
     rs = build_root_system(ambient)
     roots = rs.roots
+    index = {r: i for i, r in enumerate(roots)}
+    neg = [index[tuple(-c for c in r)] for r in roots]
     # scale * (x|y) in integers, through each root's covector
-    duals = {r: rs.covector(r) for r in roots}
-
-    def ip_s(x: IntVec, y: IntVec) -> int:
-        return sum(a * b for a, b in zip(duals[x], y))
-
+    ips = [
+        [sum(a * b for a, b in zip(cov, y)) for y in roots]
+        for cov in map(rs.covector, roots)
+    ]
+    perp = [{j for j, v in enumerate(row) if v == 0} for row in ips]
     long_s = 2 * rs.scale
-    # each root subset maps to roots spanning it
-    subs: Dict[FrozenSet[IntVec], Tuple[IntVec, ...]] = {}
+    # each root subset maps to the indices of roots spanning it
+    subs: Dict[FrozenSet[int], Tuple[int, ...]] = {}
     if part == SimpleType("A", 1):
-        for r in roots:
-            subs.setdefault(frozenset({r, tuple(-c for c in r)}), (r,))
+        for a in range(len(roots)):
+            subs.setdefault(frozenset({a, neg[a]}), (a,))
     elif part == SimpleType("A", 2):
-        for a, b in itertools.combinations(roots, 2):
-            if ip_s(a, b) == -rs.scale and ip_s(a, a) == ip_s(b, b) == long_s:
-                ab = tuple(x + y for x, y in zip(a, b))
-                hexagon = frozenset(
-                    {
-                        a,
-                        b,
-                        ab,
-                        tuple(-x for x in a),
-                        tuple(-x for x in b),
-                        tuple(-x for x in ab),
-                    }
-                )
-                subs.setdefault(hexagon, (a, b))
+        for a, row in enumerate(ips):
+            if row[a] != long_s:
+                continue
+            for b in range(a + 1, len(roots)):
+                if row[b] == -rs.scale and ips[b][b] == long_s:
+                    ab = index[tuple(x + y for x, y in zip(roots[a], roots[b]))]
+                    hexagon = frozenset({a, b, ab, neg[a], neg[b], neg[ab]})
+                    subs.setdefault(hexagon, (a, b))
     else:
         raise ValueError("only A1 and A2 patterns are supported")
-    # two copies are orthogonal iff their spanning roots are
     spans = list(subs.values())
-    k = len(spans)
-    ortho = [
-        [
-            all(ip_s(x, y) == 0 for x in spans[i] for y in spans[j])
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    count = 0
+    # the later copies orthogonal to each copy
+    later: List[Set[int]] = []
+    for c, span in enumerate(spans):
+        ortho = set.intersection(*(perp[x] for x in span))
+        later.append(
+            {d for d in range(c + 1, len(spans)) if ortho.issuperset(spans[d])}
+        )
 
-    def extend(start: int, chosen: List[int]) -> None:
-        nonlocal count
-        if len(chosen) == copies:
-            count += 1
-            return
-        for nxt in range(start, k):
-            if all(ortho[c][nxt] for c in chosen):
-                extend(nxt + 1, chosen + [nxt])
+    def cliques(cands: List[int], need: int) -> int:
+        if need == 0:
+            return 1
+        return sum(
+            cliques([d for d in cands if d in later[c]], need - 1) for c in cands
+        )
 
-    extend(0, [])
-    return count
+    return cliques(list(range(len(spans))), copies)
 
 
 def _disc_automorphisms(t: SimpleType) -> List[Dict[int, int]]:
@@ -1749,7 +1753,5 @@ def glue_automorphism_group_order(code: GlueCode) -> int:
                 for a, b in zip(w1img, w2img)
             ]
             preimage = {tuple(m[d] for m, d in zip(inverse_maps, w)) for w in words}
-            count += sum(
-                all(w in preimage for w in pg) for pg in permuted_gens
-            )
+            count += sum(map(preimage.issuperset, permuted_gens))
     return count

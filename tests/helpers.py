@@ -27,7 +27,9 @@ against, and helpers that only the tests need.
   matrix products (`fraction_slot_maps_to_isometry`), the generic
   centraliser in `Fraction`s (`fraction_centralizer`), and the Killing
   form over every pair of basis vectors (`full_killing`) against the one
-  over (w, -w) weight pairs.
+  over (w, -w) weight pairs, and the subsystem count over an all-pairs
+  orthogonality matrix (`all_pairs_subsystem_count`) against the clique
+  count over perpendicular root sets.
 * `rough_lift`: some algebra automorphism covering a lattice isometry.
 """
 
@@ -39,7 +41,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 from math import factorial
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -595,3 +597,50 @@ def full_killing(brackets: List[List[Dict[int, int]]]) -> List[List[int]]:
             bj = brackets[j]
             kill[i][j] = kill[j][i] = sum(c * bj[b].get(a, 0) for a, b, c in entries)
     return kill
+
+
+def all_pairs_subsystem_count(ambient: SimpleType, part: SimpleType, copies: int) -> int:
+    """Sets of `copies` pairwise orthogonal A1 or A2 subsystems of the
+    ambient root system, through the orthogonality matrix of every pair of
+    copies, each entry tested root by root."""
+    rs = build_root_system(ambient)
+    roots = rs.roots
+    duals = {r: rs.covector(r) for r in roots}
+
+    def ip_s(x: Tuple[int, ...], y: Tuple[int, ...]) -> int:
+        return sum(a * b for a, b in zip(duals[x], y))
+
+    long_s = 2 * rs.scale
+    subs: Dict[FrozenSet[Tuple[int, ...]], Tuple[Tuple[int, ...], ...]] = {}
+    if part == SimpleType("A", 1):
+        for r in roots:
+            subs.setdefault(frozenset({r, tuple(-c for c in r)}), (r,))
+    elif part == SimpleType("A", 2):
+        for a, b in itertools.combinations(roots, 2):
+            if ip_s(a, b) == -rs.scale and ip_s(a, a) == ip_s(b, b) == long_s:
+                ab = tuple(x + y for x, y in zip(a, b))
+                hexagon = frozenset(
+                    {a, b, ab} | {tuple(-x for x in v) for v in (a, b, ab)}
+                )
+                subs.setdefault(hexagon, (a, b))
+    else:
+        raise ValueError("only A1 and A2 patterns are supported")
+    spans = list(subs.values())
+    k = len(spans)
+    ortho = [
+        [all(ip_s(x, y) == 0 for x in spans[i] for y in spans[j]) for j in range(k)]
+        for i in range(k)
+    ]
+    count = 0
+
+    def extend(start: int, chosen: List[int]) -> None:
+        nonlocal count
+        if len(chosen) == copies:
+            count += 1
+            return
+        for nxt in range(start, k):
+            if all(ortho[c][nxt] for c in chosen):
+                extend(nxt + 1, chosen + [nxt])
+
+    extend(0, [])
+    return count

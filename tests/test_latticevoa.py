@@ -42,6 +42,7 @@ from orbifold24.latticevoa import (
 from orbifold24.rootdata import SimpleType
 
 from helpers import (
+    all_pairs_subsystem_count,
     fraction_centralizer,
     fraction_slot_maps_to_isometry,
     full_killing,
@@ -588,6 +589,31 @@ def test_subsystem_counts():
     assert count_orthogonal_subsystems(SimpleType("E", 6), SimpleType("A", 1), 3) == 540
     assert count_orthogonal_subsystems(SimpleType("D", 4), SimpleType("A", 1), 4) == 3
     assert count_orthogonal_subsystems(SimpleType("A", 5), SimpleType("A", 2), 2) == 10
+
+
+@pytest.mark.parametrize(
+    "ambient, part, copies",
+    [
+        (("E", 6), ("A", 2), 3),
+        (("E", 6), ("A", 1), 3),
+        (("D", 4), ("A", 1), 4),
+        (("A", 5), ("A", 2), 2),
+        (("E", 6), ("A", 1), 2),
+        (("D", 4), ("A", 1), 2),
+        (("A", 5), ("A", 1), 3),
+        (("E", 6), ("A", 2), 2),
+        (("D", 5), ("A", 1), 4),
+        (("A", 2), ("A", 2), 0),
+    ],
+)
+def test_subsystem_counts_match_all_pairs_oracle(ambient, part, copies):
+    args = (SimpleType(*ambient), SimpleType(*part), copies)
+    assert count_orthogonal_subsystems(*args) == all_pairs_subsystem_count(*args)
+
+
+def test_subsystem_count_rejects_other_patterns():
+    with pytest.raises(ValueError):
+        count_orthogonal_subsystems(SimpleType("E", 6), SimpleType("A", 3), 1)
 
 
 def test_glue_automorphism_orders():
