@@ -14,11 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .exactmath import rank
+from .exactmath import InvariantError, rank
 from .rootdata import (
     Coords,
     IntCoords,
@@ -32,7 +32,6 @@ from .rootdata import (
     dual_coxeter,
     lowest_weight,
     min_pairing,
-    weyl_dim,
 )
 
 
@@ -64,6 +63,8 @@ class TableRow:
 class AffineModuleTable:
     algebra: AffineAlgebra
     rows: Tuple[TableRow, ...]
+    # the conformal weights as (den, numerators), den the lcm of theirs
+    cw_column: Tuple[int, Tuple[int, ...]]
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -72,39 +73,48 @@ class AffineModuleTable:
         return [r.weight for r in self.rows]
 
 
-def conformal_weight(lam: Weight, a: AffineAlgebra) -> Q:
-    """Lowest L(0)-weight (lam, lam + 2 rho) / 2(k + h-dual) of the module."""
-    rs = a.root_system()
-    if not (lam.is_dominant() and lam.is_integral()):
-        raise ValueError("weight must be dominant integral")
-    if rs.ip(lam.coords, rs.theta) > a.level:
-        raise ValueError(f"{lam} is not admissible at level {a.level}")
-    shifted = tuple(c + 2 for c in lam.coords)  # lam + 2 rho
-    return rs.ip(lam.coords, shifted) / (2 * (a.level + dual_coxeter(a.type)))
-
-
 @lru_cache(maxsize=None)
 def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
-    """All dominant integral weights admissible at the algebra's level."""
+    """All dominant integral weights admissible at the algebra's level.
+
+    Everything runs in integer fundamental-weight coordinates against the
+    covectors form . x, which pair to scale * (x|y): lam is admissible when
+    covector(theta) . lam <= k * scale; the Weyl dimension is the product of
+    covector(alpha) . (lam + rho) over the positive roots over the same
+    product for rho; the conformal weight is lam . form . (lam + 2 rho) over
+    2 scale (k + h-dual).  The walk yields the weights in sorted order.
+    """
     rs = a.root_system()
-    theta_ip = [rs.ip(rs.fundamental_weight(i).coords, rs.theta) for i in range(rs.rank)]
+    theta = rs.covector(rs.theta)
+    positive = [rs.covector(alpha) for alpha in rs.positive_roots]
+    rho_product = prod(sum(dual) for dual in positive)  # rho = (1, ..., 1)
+    cw_den = 2 * rs.scale * (a.level + dual_coxeter(a.type))
     rows: List[TableRow] = []
 
-    def rec(i: int, partial: List[int], budget: Q) -> None:
-        if i == rs.rank:
-            lam = rs.weight(partial)
-            low = tuple(map(int, lowest_weight(lam).coords))
-            rows.append(
-                TableRow(lam.coords, conformal_weight(lam, a), weyl_dim(lam), low)
-            )
+    def rec(partial: List[int], budget: int) -> None:
+        i = len(partial)
+        if i < rs.rank:
+            for c in range(budget // theta[i] + 1):
+                rec(partial + [c], budget - c * theta[i])
             return
-        top = int(budget / theta_ip[i])
-        for c in range(top + 1):
-            rec(i + 1, partial + [c], budget - c * theta_ip[i])
+        lam_rho = [c + 1 for c in partial]
+        dim, rem = divmod(
+            prod(sum(map(mul, dual, lam_rho)) for dual in positive), rho_product
+        )
+        if rem:
+            raise InvariantError(f"{a}: Weyl dimension of {partial} is not an integer")
+        norm = sum(map(mul, rs.covector(partial), [c + 2 for c in partial]))
+        rows.append(TableRow(
+            tuple(map(Q, partial)), Q(norm, cw_den), dim, lowest_weight(rs, partial)
+        ))
 
-    rec(0, [], Q(a.level))
-    rows.sort(key=lambda r: r.weight)
-    return AffineModuleTable(a, tuple(rows))
+    rec([], a.level * rs.scale)
+    den = lcm(*(r.conformal_weight.denominator for r in rows))
+    cws = tuple(
+        r.conformal_weight.numerator * (den // r.conformal_weight.denominator)
+        for r in rows
+    )
+    return AffineModuleTable(a, tuple(rows), (den, cws))
 
 
 def n_min(h_component: Weight, lam: Weight) -> Q:
@@ -112,17 +122,16 @@ def n_min(h_component: Weight, lam: Weight) -> Q:
     return min_pairing(h_component, lam)
 
 
-def n_min_column(a: AffineAlgebra, h: Weight) -> List[Q]:
-    """n_min(h, lam) for every row lam of the algebra's table, in table order.
+def n_min_column(a: AffineAlgebra, h: IntCoords, den: int) -> Tuple[int, List[int]]:
+    """n_min(h / den, lam) for every row lam of the table, in table order.
 
-    h+ is found once; each row pairs den * h+ with its w0.lam in integers.
+    h is an integer weight over den; the result is (den * scale, numerators):
+    h+ is found once and each row pairs its covector with w0.lam.
     """
     rs = a.root_system()
-    top = dominant_conjugate(h).coords
-    den = lcm(*(c.denominator for c in top))
-    dual = rs.covector([int(c * den) for c in top])
+    dual = rs.covector(dominant_conjugate(rs, h))
     rows = enumerate_level_weights(a).rows
-    return [Q(sum(map(mul, dual, r.lowest)), den * rs.scale) for r in rows]
+    return den * rs.scale, [sum(map(mul, dual, r.lowest)) for r in rows]
 
 
 @dataclass(frozen=True)

@@ -334,13 +334,6 @@ def assemble_niemeier(code: GlueCode) -> EvenLattice:
     return lat
 
 
-def root_lattice(t: SimpleType) -> EvenLattice:
-    """The plain root lattice of a simple type (no glue, any determinant)."""
-    n = t.rank
-    unit = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    return lattice_from_basis(GlueCode((t,), ()), unit, 1)
-
-
 @lru_cache(maxsize=None)
 def _coset_norm_floor(t: SimpleType, d: int) -> Q:
     """Least positive value congruent mod 2Z to the norm of digit d's coset."""
@@ -761,14 +754,6 @@ class LatticeLieAlgebra:
                     if n[j]:
                         acc += mi * n[j] * gram[i][j]
         return -1 if acc % 2 else 1
-
-    def ip_coords(self, m: Sequence[int], n: Sequence[int]) -> int:
-        gram = self.lattice.gram
-        return sum(
-            m[i] * sum(gram[i][j] * n[j] for j in range(self.rank) if n[j])
-            for i in range(self.rank)
-            if m[i]
-        )
 
     # -- structure ------------------------------------------------------------
 

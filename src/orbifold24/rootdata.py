@@ -354,45 +354,33 @@ def weight_system(lam: Weight) -> WeightSystem:
     return ws
 
 
-def weyl_dim(lam: Weight) -> int:
-    """Weyl dimension formula."""
-    if not (lam.is_dominant() and lam.is_integral()):
-        raise ValueError("highest weight must be dominant integral")
-    rs = lam.system
-    lam_rho = tuple(int(c) + 1 for c in lam.coords)
-    num = Q(1)
-    den = Q(1)
-    for alpha in rs.positive_roots:
-        num *= rs.ip(lam_rho, alpha)
-        den *= rs.ip(rs.rho, alpha)
-    val = num / den
-    if val.denominator != 1:
-        raise InvariantError(f"Weyl dimension {val} of {lam} is not an integer")
-    return int(val)
+def scaled_coords(x: Coords) -> Tuple[int, IntCoords]:
+    """(den, den * x) for the least den that makes the rational weight x integral."""
+    den = lcm(*(c.denominator for c in x))
+    return den, tuple(c.numerator * (den // c.denominator) for c in x)
 
 
-def dominant_conjugate(x: Weight) -> Weight:
-    """The dominant weight in the Weyl orbit of the rational weight x.
+def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> IntCoords:
+    """The dominant weight in the Weyl orbit of the integer weight x.
 
-    Each s_j with x_j < 0 lowers by one the number of positive roots that
-    pair negatively with x, so |positive roots| reflections always suffice.
+    A rational weight enters as den * x (`scaled_coords`): reflections are
+    linear, so the result is den times its dominant conjugate.  Each s_j
+    with x_j < 0 lowers by one the number of positive roots that pair
+    negatively with x, so |positive roots| reflections always suffice.
     """
-    rs = x.system
-    cur = list(x.coords)
+    cur = list(x)
     for _ in range(len(rs.positive_roots) + 1):
         j = next((k for k, c in enumerate(cur) if c < 0), None)
         if j is None:
-            return Weight(tuple(cur), rs)
+            return tuple(cur)
         m = cur[j]
         cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
     raise InvariantError(f"{x} is not dominant after {len(rs.positive_roots)} steps")
 
 
-def lowest_weight(lam: Weight) -> Weight:
+def lowest_weight(rs: RootSystem, lam: Sequence[int]) -> IntCoords:
     """Lowest weight w0.lam of the module: minus the dominant conjugate of -lam."""
-    if not (lam.is_dominant() and lam.is_integral()):
-        raise ValueError("highest weight must be dominant integral")
-    return dominant_conjugate(lam.scale(-1)).scale(-1)
+    return tuple(-c for c in dominant_conjugate(rs, [-c for c in lam]))
 
 
 def min_pairing(x: Weight, lam: Weight) -> Q:
@@ -400,7 +388,13 @@ def min_pairing(x: Weight, lam: Weight) -> Q:
     weights lie in the hull of W.lam, where x+ pairs least with w0.lam."""
     if x.system is not lam.system:
         raise ValueError("weights live in different root systems")
-    return x.system.ip(dominant_conjugate(x).coords, lowest_weight(lam).coords)
+    if not (lam.is_dominant() and lam.is_integral()):
+        raise ValueError("highest weight must be dominant integral")
+    rs = x.system
+    den, v = scaled_coords(x.coords)
+    top = rs.covector(dominant_conjugate(rs, v))
+    low = lowest_weight(rs, [int(c) for c in lam.coords])
+    return Q(sum(a * b for a, b in zip(top, low)), den * rs.scale)
 
 
 @dataclass(frozen=True)
@@ -429,9 +423,6 @@ class SemisimpleTypeWithLevels:
 
     def semisimple_rank(self) -> int:
         return sum(t.rank for t, _ in self.ideals)
-
-    def total_rank(self) -> int:
-        return self.semisimple_rank() + self.abelian_rank
 
     def dim(self) -> int:
         return sum(t.dim() for t, _ in self.ideals) + self.abelian_rank
@@ -552,7 +543,6 @@ def _affine_diagram(t: SimpleType) -> Tuple[Tuple[int, ...], ...]:
 
 # Twisted triple-cover diagram used for the branch-rotation case: three nodes
 # with marks (1, 2, 1); retained-node subsets classify as below.
-_TWISTED_D4_MARKS = [1, 2, 1]
 _TWISTED_D4_SUBTYPES: Dict[frozenset, List[SimpleType]] = {
     frozenset({0}): [SimpleType("A", 1)],
     frozenset({1}): [SimpleType("A", 1)],
@@ -610,8 +600,3 @@ def kac_fixed_subalgebra(
         ideals.append((ty, Q(2 * scale, max(gram[i][i] for i in comp))))
     return SemisimpleTypeWithLevels.of(ideals, abelian)
 
-
-def automorphism_order(t: SimpleType, s: Sequence[int], twist_order: int = 1) -> int:
-    """Order twist * sum(marks * s) of the automorphism labelled by s."""
-    marks = _TWISTED_D4_MARKS if twist_order == 3 else build_root_system(t).marks
-    return twist_order * sum(m * x for m, x in zip(marks, s))

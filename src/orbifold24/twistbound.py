@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from operator import mul
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affinerep import (
     AffineAlgebra,
@@ -28,7 +30,7 @@ from .affinerep import (
     n_min_column,
 )
 from .exactmath import InvariantError
-from .rootdata import Coords, dominant_conjugate
+from .rootdata import Coords, IntCoords, dominant_conjugate, scaled_coords
 
 
 @dataclass(frozen=True)
@@ -46,13 +48,21 @@ class CaseSpec:
     def negated(self) -> "CaseSpec":
         return CaseSpec(self.name + "-neg", self.ambient, self.h.negate())
 
+    @cached_property
+    def scaled_h(self) -> Tuple[Tuple[int, IntCoords], ...]:
+        """Each h_i once as (den, den * h_i), integral."""
+        return tuple(scaled_coords(hi.coords) for hi in self.h.components)
+
 
 def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
     """<h|h> = sum_i k_i (h_i|h_i), with the 2Z and (2/3)Z membership flags."""
-    total = Q(0)
-    for a, hi in zip(c.ambient, c.h.components):
-        total += a.level * a.root_system().norm_of(hi.coords)
-    return total, (total / 2).denominator == 1, (total * 3 / 2).denominator == 1
+    terms = []
+    for a, (den, v) in zip(c.ambient, c.scaled_h):
+        rs = a.root_system()
+        terms.append((a.level * sum(map(mul, rs.covector(v), v)), den * den * rs.scale))
+    d = lcm(*(t for _, t in terms))
+    num = sum(n * (d // t) for n, t in terms)
+    return Q(num, d), num % (2 * d) == 0, 3 * num % (2 * d) == 0
 
 
 def shift_ok(c: CaseSpec) -> bool:
@@ -62,92 +72,99 @@ def shift_ok(c: CaseSpec) -> bool:
     where the dominant conjugate h+ pairs most with theta itself, and they
     are closed under negation; so their least pairing with h is -(h+|theta).
     """
-    for a, hi in zip(c.ambient, c.h.components):
+    for a, (den, v) in zip(c.ambient, c.scaled_h):
         rs = a.root_system()
-        if rs.ip(dominant_conjugate(hi).coords, rs.theta) > 1:
+        top = dominant_conjugate(rs, v)
+        if sum(map(mul, rs.covector(rs.theta), top)) > den * rs.scale:
             return False
     return True
 
 
 class _CaseTables:
-    """Per-ideal admissible weights with scaled-integer cw and n_min columns.
+    """Per-ideal admissible weights with the cw column and the n_min columns
+    of h and -h, all scaled to integers over one common denominator.
 
     Row 0 of every ideal is the vacuum (the zero weight sorts first).
     """
 
     def __init__(self, c: CaseSpec):
-        self.case = c
         self.weights: List[List[Coords]] = []
-        cw: List[List[Q]] = []
-        nm: List[List[Q]] = []
-        for a, hi in zip(c.ambient, c.h.components):
+        # (den, integer column) per ideal: cw, n_min for h, n_min for -h
+        cw, pos, neg = [], [], []
+        for a, (den, v) in zip(c.ambient, c.scaled_h):
             table = enumerate_level_weights(a)
-            self.weights.append([r.weight for r in table.rows])
-            cw.append([r.conformal_weight for r in table.rows])
-            nm.append(n_min_column(a, hi))
+            self.weights.append(table.weights())
+            cw.append(table.cw_column)
+            pos.append(n_min_column(a, v, den))
+            neg.append(n_min_column(a, tuple(-x for x in v), den))
         norm, _, _ = invariant_norm(c)
-        self.half_norm = norm / 2
-        denoms = [self.half_norm.denominator]
-        for col in cw + nm:
-            denoms.extend(v.denominator for v in col)
-        self.scale = lcm(*denoms)
-        d = self.scale
-        self.cw_s = [[int(v * d) for v in col] for col in cw]
-        self.nm_s = [[int(v * d) for v in col] for col in nm]
-        self.half_norm_s = int(self.half_norm * d)
+        half_norm = norm / 2
+        # the -h columns share the denominators of the h columns
+        self.scale = d = lcm(half_norm.denominator, *(den for den, _ in cw + pos))
+        self.half_norm_s = half_norm.numerator * (d // half_norm.denominator)
 
-    def bound_s(self, s_cw: int, nonvacuum: bool, s_nm: int) -> Optional[int]:
-        """Scaled bound of a tuple with these sums; None if cw is not integral."""
-        d = self.scale
-        if s_cw % d:
-            return None
-        return max(2 * d if nonvacuum else 0, s_cw) + s_nm + self.half_norm_s
+        def scaled(cols: List[Tuple[int, Sequence[int]]]) -> List[List[int]]:
+            return [[x * (d // den) for x in col] for den, col in cols]
 
-    def minimize(self) -> Tuple[Q, Tuple[Coords, ...]]:
-        """Min-plus DP for the least bound and its witness.
+        self.cw_s = scaled(cw)
+        self.nm_s = (scaled(pos), scaled(neg))  # for h, for -h
 
-        The state of a suffix of ideals is (scaled cw sum, non-vacuum flag);
-        a suffix reaching a state with the least n_min sum is the best
-        completion of every prefix, so completions[i] maps each state of the
-        ideals i.. to that least sum.  Every tuple reaches some state, so
-        the DP covers the whole tuple space.  The forward walk then takes at
-        each ideal the smallest row that still reaches the optimum, which
-        gives the lexicographically least minimizer.
+    def minimize(self, nm_s: List[List[int]]) -> Tuple[Q, Tuple[Coords, ...]]:
+        """Min-plus DP for the least bound and its witness, n_min columns nm_s.
+
+        The state of a suffix of ideals is its scaled cw sum s and its
+        non-vacuum flag f, keyed as the one int 2 s + f; a suffix reaching a
+        state with the least n_min sum is the best completion of every
+        prefix, so completions[i] maps each state of the ideals i.. to that
+        least sum.  Every tuple reaches some state, so the DP covers the
+        whole tuple space.  The forward walk then takes at each ideal the
+        smallest row that still reaches the optimum, which gives the
+        lexicographically least minimizer.
         """
+        d, half = self.scale, self.half_norm_s
         n = len(self.weights)
-        completions: List[Dict[Tuple[int, bool], int]] = [{}] * n + [{(0, False): 0}]
+        completions: List[Dict[int, int]] = [{}] * n + [{0: 0}]
         for i in range(n - 1, -1, -1):
-            table: Dict[Tuple[int, bool], int] = {}
-            for j, (cw, nm) in enumerate(zip(self.cw_s[i], self.nm_s[i])):
-                for (s_cw, flag), s_nm in completions[i + 1].items():
-                    key = (s_cw + cw, flag or j > 0)
-                    cur = table.get(key)
+            table: Dict[int, int] = {}
+            after = list(completions[i + 1].items())
+            for j, (cw, nm) in enumerate(zip(self.cw_s[i], nm_s[i])):
+                step, flag = 2 * cw, 1 if j else 0
+                for key, s_nm in after:
+                    k = (key + step) | flag
+                    cur = table.get(k)
                     if cur is None or s_nm + nm < cur:
-                        table[key] = s_nm + nm
+                        table[k] = s_nm + nm
             completions[i] = table
 
-        def best_from(i: int, s_cw: int, flag: bool, s_nm: int) -> Optional[int]:
+        def best_from(i: int, key: int, s_nm: int) -> Optional[int]:
+            """Least scaled bound over the completions of a prefix; None if
+            no completion makes the cw sum integral."""
             found = None
-            for (c_cw, c_flag), c_nm in completions[i].items():
-                b = self.bound_s(s_cw + c_cw, flag or c_flag, s_nm + c_nm)
-                if b is not None and (found is None or b < found):
+            for c_key, c_nm in completions[i].items():
+                total = key + c_key - (key & c_key & 1)  # sums s, ors f
+                s_cw = total >> 1
+                if s_cw % d:
+                    continue
+                b = max(2 * d * (total & 1), s_cw) + s_nm + c_nm + half
+                if found is None or b < found:
                     found = b
             return found
 
-        best = best_from(0, 0, False, 0)
+        best = best_from(0, 0, 0)
         if best is None:
             raise InvariantError("no weight tuple has an integral cw sum")
         witness: List[Coords] = []
-        s_cw, flag, s_nm = 0, False, 0
+        key, s_nm = 0, 0
         for i in range(n):
-            for j, (cw, nm) in enumerate(zip(self.cw_s[i], self.nm_s[i])):
-                if best_from(i + 1, s_cw + cw, flag or j > 0, s_nm + nm) == best:
+            for j, (cw, nm) in enumerate(zip(self.cw_s[i], nm_s[i])):
+                nxt = (key + 2 * cw) | (1 if j else 0)
+                if best_from(i + 1, nxt, s_nm + nm) == best:
                     break
             else:
                 raise InvariantError("no row of the forward walk reaches the optimum")
             witness.append(self.weights[i][j])
-            s_cw, flag, s_nm = s_cw + cw, flag or j > 0, s_nm + nm
-        return Q(best, self.scale), tuple(witness)
+            key, s_nm = nxt, s_nm + nm
+        return Q(best, d), tuple(witness)
 
 
 def min_twisted_weight(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...], Q, Tuple[Coords, ...]]:
@@ -155,13 +172,13 @@ def min_twisted_weight(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...], Q, Tuple[Coo
 
     Returns (min for h, witness, min for -h, witness); witnesses are the
     lexicographically least minimizers.  The -h minimum is an independent
-    run, not a symmetry image.  The shift formula needs (h|alpha) >= -1;
+    run on its own n_min columns, not a symmetry image; the two runs share
+    the cw columns and <h|h>.  The shift formula needs (h|alpha) >= -1;
     callers check `shift_ok` once, report it, and call this only when it
     holds.
     """
-    (m1, w1), (m2, w2) = (
-        _CaseTables(case).minimize() for case in (c, c.negated())
-    )
+    tables = _CaseTables(c)
+    (m1, w1), (m2, w2) = (tables.minimize(nm) for nm in tables.nm_s)
     return m1, w1, m2, w2
 
 

@@ -14,8 +14,13 @@ against, and helpers that only the tests need.
   `traced_dimension_formula`) against the constant-term read in
   `qmodular.derive_dimension_formula`.
 * Invariant form: the `Fraction` fundamental-weight Gram matrix
-  (`fraction_fw_gram`, `fraction_ip`) against the integer-scaled
-  `RootSystem.form`.
+  (`fraction_fw_gram`, `fraction_ip`, `fraction_invariant_norm`) against
+  the integer-scaled `RootSystem.form` and `twistbound.invariant_norm`.
+* Module tables: the `Fraction` formulas for the Weyl dimension
+  (`weyl_dim`), the conformal weight (`conformal_weight`) and the lowest
+  weight by rational reflections (`fraction_dominant_conjugate`,
+  `fraction_lowest_weight`) against the integer rows of
+  `affinerep.enumerate_level_weights`.
 * Directional minima: the least pairing over the Freudenthal weight
   system (`brute_force_min`) against the closed form (h+|w0.lam) in
   `rootdata.min_pairing` and `affinerep.n_min_column`.
@@ -30,7 +35,8 @@ against, and helpers that only the tests need.
   over (w, -w) weight pairs, and the subsystem count over an all-pairs
   orthogonality matrix (`all_pairs_subsystem_count`) against the clique
   count over perpendicular root sets.
-* `rough_lift`: some algebra automorphism covering a lattice isometry.
+* `rough_lift`: some algebra automorphism covering a lattice isometry;
+  `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from orbifold24.affinerep import typed_components_of_subsystem
+from orbifold24.affinerep import AffineAlgebra, typed_components_of_subsystem
 from orbifold24.exactmath import inverse, kernel
 from orbifold24.latticevoa import (
     EvenLattice,
@@ -55,6 +61,7 @@ from orbifold24.latticevoa import (
     LiftedAutomorphism,
     _disc_automorphisms,
     _phase_bit_expr,
+    lattice_from_basis,
 )
 from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, f_power_at_S
 from orbifold24.rootdata import (
@@ -64,6 +71,7 @@ from orbifold24.rootdata import (
     SimpleType,
     Weight,
     build_root_system,
+    dual_coxeter,
     weight_system,
 )
 from orbifold24.schellekens import _order3_label_vectors
@@ -99,6 +107,17 @@ def simple_root_coords(rs: RootSystem, x: Sequence) -> List[Q]:
     return [
         sum((xi * inv[i][j] for i, xi in enumerate(x)), Q(0)) for j in range(rs.rank)
     ]
+
+
+def fraction_invariant_norm(c: CaseSpec) -> Q:
+    """<h|h> = sum_i k_i (h_i|h_i) through each ideal's Fraction Gram matrix."""
+    return sum(
+        (
+            a.level * fraction_ip(fraction_fw_gram(a.root_system()), h.coords, h.coords)
+            for a, h in zip(c.ambient, c.h.components)
+        ),
+        Q(0),
+    )
 
 
 # every family up to rank 6, plus E7 and E8
@@ -142,6 +161,69 @@ def brute_force_min(x: Weight, lam: Weight) -> Q:
     return Q(least, rs.scale)
 
 
+# --- module tables --------------------------------------------------------
+
+
+def weyl_dim(lam: Weight) -> int:
+    """Weyl dimension formula, (lam + rho|alpha) / (rho|alpha) in Fractions."""
+    if not (lam.is_dominant() and lam.is_integral()):
+        raise ValueError("highest weight must be dominant integral")
+    rs = lam.system
+    lam_rho = tuple(int(c) + 1 for c in lam.coords)
+    num = Q(1)
+    den = Q(1)
+    for alpha in rs.positive_roots:
+        num *= rs.ip(lam_rho, alpha)
+        den *= rs.ip(rs.rho, alpha)
+    val = num / den
+    if val.denominator != 1:
+        raise ValueError(f"Weyl dimension {val} of {lam} is not an integer")
+    return int(val)
+
+
+def conformal_weight(lam: Weight, a: AffineAlgebra) -> Q:
+    """Lowest L(0)-weight (lam, lam + 2 rho) / 2(k + h-dual) of the module."""
+    rs = a.root_system()
+    if not (lam.is_dominant() and lam.is_integral()):
+        raise ValueError("weight must be dominant integral")
+    if rs.ip(lam.coords, rs.theta) > a.level:
+        raise ValueError(f"{lam} is not admissible at level {a.level}")
+    shifted = tuple(c + 2 for c in lam.coords)  # lam + 2 rho
+    return rs.ip(lam.coords, shifted) / (2 * (a.level + dual_coxeter(a.type)))
+
+
+def fraction_dominant_conjugate(x: Weight) -> Weight:
+    """Dominant conjugate of a rational weight by simple reflections on its
+    Fraction coordinates."""
+    rs = x.system
+    cur = list(x.coords)
+    for _ in range(len(rs.positive_roots) + 1):
+        j = next((k for k, c in enumerate(cur) if c < 0), None)
+        if j is None:
+            return Weight(tuple(cur), rs)
+        m = cur[j]
+        cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
+    raise ValueError(f"{x} is not dominant after {len(rs.positive_roots)} steps")
+
+
+def fraction_lowest_weight(lam: Weight) -> Coords:
+    """w0.lam as minus the dominant conjugate of -lam, in Fractions."""
+    return fraction_dominant_conjugate(lam.scale(-1)).scale(-1).coords
+
+
+def fraction_level_weights(a: AffineAlgebra) -> List[Coords]:
+    """Dominant lam with (lam|theta) <= k by Fraction pairings, in sorted order."""
+    rs = a.root_system()
+    gram = fraction_fw_gram(rs)
+    marks = [fraction_ip(gram, rs.fundamental_weight(i).coords, rs.theta)
+             for i in range(rs.rank)]
+    return [
+        tuple(map(Q, lam))
+        for lam in product(*(range(int(a.level / m) + 1) for m in marks))
+        if fraction_ip(gram, lam, rs.theta) <= a.level
+    ]
+
+
 # --- twisted minima -------------------------------------------------------
 
 
@@ -158,10 +240,11 @@ class TupleBound:
 
 
 def scan(t: _CaseTables) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-    """Yield (index tuple, scaled cw sum, scaled n_min sum) for all tuples."""
+    """Yield (index tuple, scaled cw sum, scaled n_min sum for h) for all tuples."""
+    nm_s = t.nm_s[0]
     for idx in product(*(range(len(col)) for col in t.weights)):
         s_cw = sum(t.cw_s[i][j] for i, j in enumerate(idx))
-        s_nm = sum(t.nm_s[i][j] for i, j in enumerate(idx))
+        s_nm = sum(nm_s[i][j] for i, j in enumerate(idx))
         yield idx, s_cw, s_nm
 
 
@@ -189,13 +272,20 @@ def feasible_tuples(c: CaseSpec) -> List[TupleBound]:
     return out
 
 
-def scan_minimum(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...]]:
-    """Least bound over every tuple and its lexicographically least witness.
+@dataclass
+class TupleGrid:
+    """Per-tuple scaled sums of every weight tuple, one array axis per ideal."""
 
-    The same exhaustive scan as `scan`, with the per-tuple sums broadcast in
-    numpy so that the 10^6 tuples of a2x6 take well under a second.  A
-    C-order argmin returns the first minimum in the scan's order.
-    """
+    tables: _CaseTables
+    s_cw: np.ndarray
+    nonvacuum: np.ndarray  # some weight of the tuple is nonzero
+    ell_s: np.ndarray  # scaled ell_min
+    bound_s: np.ndarray  # scaled bound, int64 max where cw is not integral
+
+
+def tuple_grid(c: CaseSpec) -> TupleGrid:
+    """The exhaustive scan of `scan` for h, broadcast in numpy so that the
+    10^6 tuples of a2x6 take well under a second."""
     t = _CaseTables(c)
     d = t.scale
     n = len(t.weights)
@@ -206,11 +296,23 @@ def scan_minimum(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...]]:
         )
 
     s_cw = sum(axis(i, col) for i, col in enumerate(t.cw_s))
-    s_nm = sum(axis(i, col) for i, col in enumerate(t.nm_s))
-    nonvacuum = sum(axis(i, [int(j > 0) for j in range(len(col))])
+    s_nm = sum(axis(i, col) for i, col in enumerate(t.nm_s[0]))
+    nonvacuum = sum(axis(i, [int(any(w)) for w in col])
                     for i, col in enumerate(t.weights)) > 0
-    bound = np.maximum(2 * d * nonvacuum, s_cw) + s_nm + t.half_norm_s
-    bound = np.where(s_cw % d == 0, bound, np.iinfo(np.int64).max)
+    ell_s = np.maximum(2 * d * nonvacuum, s_cw)
+    bound = np.where(s_cw % d == 0, ell_s + s_nm + t.half_norm_s,
+                     np.iinfo(np.int64).max)
+    return TupleGrid(t, s_cw, nonvacuum, ell_s, bound)
+
+
+def scan_minimum(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...]]:
+    """Least bound over every tuple and its lexicographically least witness.
+
+    A C-order argmin over `tuple_grid` returns the first minimum in the
+    scan's order.
+    """
+    g = tuple_grid(c)
+    t, d, bound = g.tables, g.tables.scale, g.bound_s
     flat = int(np.argmin(bound))
     idx = np.unravel_index(flat, bound.shape)
     witness = tuple(t.weights[i][int(j)] for i, j in enumerate(idx))
@@ -644,3 +746,20 @@ def all_pairs_subsystem_count(ambient: SimpleType, part: SimpleType, copies: int
 
     extend(0, [])
     return count
+
+
+def root_lattice(t: SimpleType) -> EvenLattice:
+    """The plain root lattice of a simple type (no glue, any determinant)."""
+    n = t.rank
+    unit = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    return lattice_from_basis(GlueCode((t,), ()), unit, 1)
+
+
+def ip_coords(alg: LatticeLieAlgebra, m: Sequence[int], n: Sequence[int]) -> int:
+    """(m|n) for lattice coordinate rows, through the lattice's Gram matrix."""
+    gram = alg.lattice.gram
+    return sum(
+        m[i] * sum(gram[i][j] * n[j] for j in range(alg.rank) if n[j])
+        for i in range(alg.rank)
+        if m[i]
+    )

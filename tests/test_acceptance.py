@@ -23,7 +23,7 @@ from orbifold24.rootdata import (
 )
 from orbifold24.twistbound import invariant_norm, min_twisted_weight, shift_ok
 
-from helpers import brute_force_min, rough_lift, series_inverse, series_pow
+from helpers import brute_force_min, ip_coords, rough_lift, series_inverse, series_pow
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -183,7 +183,7 @@ def test_criterion_8_property_suites():
             rows = []
             for i in range(n):
                 e = [1 if j == i else 0 for j in range(n)]
-                ip = alg_d4.ip_coords(e, beta)
+                ip = ip_coords(alg_d4, e, beta)
                 rows.append(tuple(e[j] - ip * beta[j] for j in range(n)))
             refl.append(
                 rough_lift(

@@ -1,11 +1,17 @@
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
+from helpers import (
+    conformal_weight,
+    fraction_level_weights,
+    fraction_lowest_weight,
+    weyl_dim,
+)
 from orbifold24.affinerep import (
     AffineAlgebra,
     TwistVector,
-    conformal_weight,
     enumerate_level_weights,
     inner_fixed_subalgebra,
     n_min,
@@ -45,6 +51,40 @@ def test_tables_sorted_and_admissible():
     for row in table.rows:
         assert r.ip(row.weight, r.theta) <= 3
         assert row.conformal_weight >= 0
+
+
+# (type, level) pairs of the twist-probe pool, the chains' algebras, and
+# non-simply-laced and exceptional algebras whose form has scale > 1
+ORACLE_ALGEBRAS = sorted(
+    {
+        ("A", 1, 1), ("A", 1, 2), ("A", 1, 3), ("A", 1, 4),
+        ("A", 2, 1), ("A", 2, 2), ("A", 2, 3), ("A", 3, 1), ("A", 3, 2),
+        ("B", 2, 1), ("B", 2, 2), ("G", 2, 1), ("G", 2, 2),
+        ("E", 6, 3), ("A", 5, 3), ("D", 4, 3),
+        ("B", 3, 2), ("C", 3, 2), ("F", 4, 1), ("E", 7, 1), ("E", 8, 2),
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [AffineAlgebra(SimpleType(f, r), k) for f, r, k in ORACLE_ALGEBRAS],
+    ids=str,
+)
+def test_table_rows_match_fraction_formulas(alg):
+    r = rs(alg)
+    table = enumerate_level_weights(alg)
+    assert table.weights() == fraction_level_weights(alg)
+    den, cws = table.cw_column
+    for row, cw in zip(table.rows, cws):
+        lam = Weight(row.weight, r)
+        assert row.conformal_weight == conformal_weight(lam, alg) == Q(cw, den)
+        assert type(row.conformal_weight) is Q
+        assert row.dim_of_top == weyl_dim(lam)
+        assert type(row.dim_of_top) is int
+        assert row.lowest == fraction_lowest_weight(lam)
+        assert all(type(c) is int for c in row.lowest)
+    assert den == lcm(*(row.conformal_weight.denominator for row in table.rows))
 
 
 def test_conformal_weights():
@@ -143,7 +183,7 @@ def test_fixed_subalgebra_preserves_rank():
         algebras, h = mk()
         res, _ = inner_fixed_subalgebra(algebras, h)
         ambient_rank = sum(a.type.rank for a in algebras)
-        assert res.total_rank() == ambient_rank
+        assert res.semisimple_rank() + res.abelian_rank == ambient_rank
 
 
 def test_simply_laced_fixed_levels_match_ambient():

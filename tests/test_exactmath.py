@@ -287,7 +287,8 @@ def test_float_eigen_order3_rotation():
 def test_float_eigen_ad_on_sl3():
     # ad(h) on the 8-dim algebra of the A2 root lattice: six nonzero
     # eigenvalues come in pairs +-(alpha|h) read off from root pairings
-    from orbifold24.latticevoa import root_lattice, weight_one_algebra
+    from helpers import ip_coords, root_lattice
+    from orbifold24.latticevoa import weight_one_algebra
     from orbifold24.rootdata import SimpleType
 
     lat = root_lattice(SimpleType("A", 2))
@@ -299,7 +300,7 @@ def test_float_eigen_ad_on_sl3():
         for i, c in img.items():
             mat[j][i] = c
     expected = sorted(
-        float(alg.ip_coords(h, rc)) for rc in alg.root_coords
+        float(ip_coords(alg, h, rc)) for rc in alg.root_coords
     ) + [0.0, 0.0]
     got = sorted(lam.real for lam, _ in float_eigen(mat))
     assert all(abs(a - b) < 1e-8 for a, b in zip(got, sorted(expected)))

@@ -31,7 +31,6 @@ from orbifold24.latticevoa import (
     lattice_from_basis,
     lattice_roots,
     mat_mul,
-    root_lattice,
     sigma4_candidates,
     standard_lift,
     transpose,
@@ -46,7 +45,9 @@ from helpers import (
     fraction_centralizer,
     fraction_slot_maps_to_isometry,
     full_killing,
+    ip_coords,
     permutation_first_glue_order,
+    root_lattice,
     rough_lift,
 )
 
@@ -229,7 +230,7 @@ def reflection(lat, alg, root_idx, name):
     rows = []
     for i in range(n):
         e = [1 if j == i else 0 for j in range(n)]
-        ip = alg.ip_coords(e, beta)
+        ip = ip_coords(alg, e, beta)
         rows.append(tuple(e[j] - ip * beta[j] for j in range(n)))
     return LatticeIsometry(lat, tuple(rows), name)
 
@@ -429,7 +430,7 @@ def test_weights_are_the_diagonal_of_ad_t(which, fixed_algebras):
         else:
             for idx in b:
                 root = alg.root_coords[idx - alg.rank]
-                assert fx.weights[j] == tuple(alg.ip_coords(row, root) for row in rows)
+                assert fx.weights[j] == tuple(ip_coords(alg, row, root) for row in rows)
 
 
 @pytest.mark.parametrize("which", ALL_FIXED)

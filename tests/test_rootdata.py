@@ -8,18 +8,18 @@ import pytest
 from helpers import (
     ORACLE_TYPES,
     brute_force_min,
+    fraction_dominant_conjugate,
     fraction_fw_gram,
     fraction_ip,
     nondominant_direction,
     rational_direction,
     simple_root_coords,
+    weyl_dim,
 )
 from orbifold24.exactmath import InvariantError
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
-    Weight,
-    automorphism_order,
     build_root_system,
     classify_simple_system,
     dominant_conjugate,
@@ -28,8 +28,8 @@ from orbifold24.rootdata import (
     kac_fixed_subalgebra,
     lowest_weight,
     min_pairing,
+    scaled_coords,
     weight_system,
-    weyl_dim,
 )
 
 ROOT_COUNTS = {
@@ -221,11 +221,10 @@ def test_total_multiplicity_matches_weyl_dim():
 
 def test_lowest_weights():
     a2 = build_root_system(SimpleType("A", 2))
-    assert lowest_weight(a2.fundamental_weight(0)).coords == (Q(0), Q(-1))
+    assert lowest_weight(a2, (1, 0)) == (0, -1)
     a5 = build_root_system(SimpleType("A", 5))
-    l3 = a5.fundamental_weight(2)
-    assert lowest_weight(l3).coords == tuple(-c for c in l3.coords)
-    assert lowest_weight(a2.zero()).coords == (Q(0), Q(0))
+    assert lowest_weight(a5, (0, 0, 1, 0, 0)) == (0, 0, -1, 0, 0)
+    assert lowest_weight(a2, (0, 0)) == (0, 0)
 
 
 def test_lowest_weight_in_system_and_below():
@@ -234,10 +233,10 @@ def test_lowest_weight_in_system_and_below():
         rs = build_root_system(t)
         for _ in range(3):
             lam = rs.weight([rng.randint(0, 2) for _ in range(t.rank)])
-            low = lowest_weight(lam)
-            assert low.coords in weight_system(lam).weights()
+            low = lowest_weight(rs, [int(c) for c in lam.coords])
+            assert low in weight_system(lam).weights()
             # lam - low is a non-negative integer root combination
-            diff = [a - b for a, b in zip(lam.coords, low.coords)]
+            diff = [a - b for a, b in zip(lam.coords, low)]
             sol = simple_root_coords(rs, diff)
             assert all(s.denominator == 1 and s >= 0 for s in sol)
 
@@ -279,16 +278,20 @@ def test_dominant_conjugate_properties(name):
             h = rational_direction(rs, rng)
         else:
             h = rs.weight([rng.randint(-4, 4) for _ in range(rs.rank)])
-        top = dominant_conjugate(h)
+        den, v = scaled_coords(h.coords)
+        assert den == lcm(*(c.denominator for c in h.coords))
+        assert [Q(x, den) for x in v] == list(h.coords)
+        scaled_top = dominant_conjugate(rs, v)
+        top = rs.weight([Q(x, den) for x in scaled_top])
         assert top.is_dominant()
+        assert top.coords == fraction_dominant_conjugate(h).coords
         assert rs.norm_of(top.coords) == rs.norm_of(h.coords)
         # den * (h+ - h) is a non-negative integer combination of simple
         # roots, den * h being integral; den = 1 for a weight-lattice h
-        den = lcm(*(c.denominator for c in h.coords))
         diff = [a - b for a, b in zip(top.coords, h.coords)]
         coeffs = simple_root_coords(rs, diff)
         assert all((den * c).denominator == 1 and c >= 0 for c in coeffs)
-        assert dominant_conjugate(top).coords == top.coords
+        assert dominant_conjugate(rs, scaled_top) == scaled_top
 
 
 def test_dominant_conjugate_stops_at_the_reflection_bound():
@@ -298,8 +301,8 @@ def test_dominant_conjugate_stops_at_the_reflection_bound():
         rank=2, simple_roots=a2.simple_roots, positive_roots=a2.positive_roots[:1]
     )
     with pytest.raises(InvariantError):
-        dominant_conjugate(Weight((Q(-1), Q(0)), stub))
-    assert dominant_conjugate(a2.weight([-1, 0])).coords == (Q(0), Q(1))
+        dominant_conjugate(stub, (-1, 0))
+    assert dominant_conjugate(a2, (-1, 0)) == (0, 1)
 
 
 def test_kac_e6_trivalent_node():
@@ -307,7 +310,6 @@ def test_kac_e6_trivalent_node():
     s[4] = 1  # the node with mark 3
     res = kac_fixed_subalgebra(SimpleType("E", 6), s)
     assert str(res) == "A2,1 A2,1 A2,1"
-    assert automorphism_order(SimpleType("E", 6), s) == 3
 
 
 def test_kac_d4_center_node():
@@ -318,7 +320,6 @@ def test_kac_d4_center_node():
 def test_kac_twisted_d4():
     assert str(kac_fixed_subalgebra(SimpleType("D", 4), [1, 0, 0], 3)) == "G2"
     assert str(kac_fixed_subalgebra(SimpleType("D", 4), [0, 0, 1], 3)) == "A2"
-    assert automorphism_order(SimpleType("D", 4), [1, 0, 0], 3) == 3
 
 
 def test_kac_levels_from_long_root_norms():
@@ -358,7 +359,7 @@ def test_classify_from_gram():
 def test_type_string_roundtrip():
     s = SemisimpleTypeWithLevels.parse("A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1")
     assert s.dim() == 54
-    assert s.total_rank() == 12
+    assert s.semisimple_rank() + s.abelian_rank == 12
     assert SemisimpleTypeWithLevels.parse(str(s)) == s
 
 

@@ -12,7 +12,7 @@ from orbifold24.affinerep import (
     n_min_column,
 )
 from orbifold24.cases import BUILTIN_CASES
-from orbifold24.rootdata import SimpleType, Weight, build_root_system
+from orbifold24.rootdata import SimpleType, Weight, build_root_system, scaled_coords
 from orbifold24.twistbound import (
     CaseSpec,
     invariant_norm,
@@ -24,11 +24,13 @@ from orbifold24.twistbound import (
 from helpers import (
     ORACLE_TYPES,
     brute_force_min,
+    feasible_tuples,
+    fraction_invariant_norm,
     nondominant_direction,
     rational_direction,
     root_loop_shift_ok,
-    feasible_tuples,
     scan_minimum,
+    tuple_grid,
     twisted_weight_lower_bound,
 )
 
@@ -132,11 +134,12 @@ def test_feasibility_excludes_a5_special_weight():
 
 def test_vacuum_tuple_feasible_with_zero_floor():
     for case in (CASE1, CASE2, CASE3):
-        fts = feasible_tuples(case)
-        vac = [tb for tb in fts if all(all(c == 0 for c in w) for w in tb.weights)]
-        assert len(vac) == 1
-        assert vac[0].ell_min == 0
-        assert vac[0].bound == 1
+        g = tuple_grid(case)
+        d = g.tables.scale
+        vac = (g.s_cw % d == 0) & ~g.nonvacuum
+        assert int(vac.sum()) == 1
+        assert set(g.ell_s[vac].tolist()) == {0}
+        assert set(g.bound_s[vac].tolist()) == {d}
 
 
 def test_known_a5_bound_one_tuple():
@@ -193,13 +196,19 @@ def test_feasible_tuples_have_integral_sums():
         assert tb.ell_min >= (2 if nonzero else 0)
 
 
-# Small (type, level) pairs for random cases: tables of 2 to 10 weights.
+# Small (type, level) pairs for random cases: tables of 2 to 10 weights;
+# B2 and C3 have a form with scale 2, G2 scale 3.
 SMALL_IDEALS = [("A", 1, 1), ("A", 1, 3), ("A", 2, 1), ("A", 2, 2), ("A", 3, 1),
-                ("B", 2, 1), ("C", 3, 1), ("G", 2, 1), ("G", 2, 2)]
+                ("B", 2, 1), ("B", 2, 2), ("C", 2, 2), ("C", 3, 1), ("G", 2, 1),
+                ("G", 2, 2)]
 
 
 def random_case(rng: random.Random, k: int) -> CaseSpec:
-    """Up to four small ideals, each with a random dominant h, (h|theta) <= 1."""
+    """Up to four small ideals, each with a random h, (h+|theta) <= 1.
+
+    Half of the h are moved off the dominant chamber by a few simple
+    reflections, so they carry negative coordinates.
+    """
     ambient, hs = [], []
     for _ in range(rng.randint(1, 4)):
         fam, rank, level = rng.choice(SMALL_IDEALS)
@@ -210,6 +219,8 @@ def random_case(rng: random.Random, k: int) -> CaseSpec:
                            for _ in range(rank)])
             if rs.ip(h.coords, rs.theta) <= 1:
                 break
+        if rng.random() < 0.5:
+            h = weyl_image(rs, h, rng, steps=rng.randint(1, 6))
         ambient.append(a)
         hs.append(h)
     return CaseSpec(f"random-{k}", tuple(ambient), TwistVector(tuple(hs)))
@@ -228,10 +239,33 @@ def test_dp_matches_scan_on_builtin_cases(case):
 
 def test_dp_matches_scan_on_random_cases():
     rng = random.Random(3)
+    off_chamber = scaled = 0
     for k in range(100):
         case = random_case(rng, k)
-        assert shift_ok(case)
+        assert shift_ok(case) and root_loop_shift_ok(case)
+        for c in (case, case.negated()):
+            norm, in_2z, in_23z = invariant_norm(c)
+            assert norm == fraction_invariant_norm(c)
+            assert in_2z == ((norm / 2).denominator == 1)
+            assert in_23z == ((norm * 3 / 2).denominator == 1)
         assert_dp_matches_scan(case)
+        off_chamber += any(not h.is_dominant() for h in case.h.components)
+        scaled += any(a.root_system().scale > 1 and a.level > 1 for a in case.ambient)
+    assert off_chamber > 20 and scaled > 10
+
+
+def test_shift_ok_matches_root_loop_on_random_cases():
+    # the same draws pushed past the shift bound by a random factor
+    rng = random.Random(5)
+    verdicts = []
+    for k in range(100):
+        case = random_case(rng, k)
+        factor = rng.choice((1, Q(5, 4), 2, 3))
+        h = TwistVector(tuple(hi.scale(factor) for hi in case.h.components))
+        pushed = CaseSpec(case.name, case.ambient, h)
+        assert shift_ok(pushed) == root_loop_shift_ok(pushed)
+        verdicts.append(shift_ok(pushed))
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE3], ids=lambda c: c.name)
@@ -249,7 +283,11 @@ def test_n_min_column_matches_oracle_on_case_rows(case):
                 brute_force_min(h, Weight(w, rs))
                 for w in enumerate_level_weights(a).weights()
             ]
-            assert n_min_column(a, h) == want
+            den, v = scaled_coords(h.coords)
+            col_den, col = n_min_column(a, v, den)
+            assert col_den == den * rs.scale
+            assert all(type(x) is int for x in col)
+            assert [Q(x, col_den) for x in col] == want
 
 
 def test_min_twisted_weight_builds_no_weight_system(monkeypatch):
