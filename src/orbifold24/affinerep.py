@@ -4,9 +4,9 @@ A level-k table lists the dominant integral weights lam with (lam|theta) <= k
 together with the lowest conformal weight (lam, lam + 2 rho) / 2(k + h-dual),
 the dimension of the top space and its lowest weight w0.lam.  The least
 pairing of h with the weights of a module is the closed form (h+|w0.lam),
-h+ the dominant conjugate of h.  Twist vectors pair one Cartan element
-per simple ideal; their category order and fixed subalgebras drive the
-order-3 orbifold cases.
+h+ the dominant conjugate of h.  A twist direction is one rational Cartan
+element h_i per simple ideal, each as (den, den * h_i) (`ScaledCoords`);
+its category order and fixed subalgebras drive the order-3 orbifold cases.
 """
 
 from __future__ import annotations
@@ -14,24 +14,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import List, Sequence, Tuple
 
 from .exactmath import InvariantError, rank
 from .rootdata import (
-    Coords,
     IntCoords,
     RootSystem,
+    ScaledCoords,
     SemisimpleTypeWithLevels,
     SimpleType,
-    Weight,
     build_root_system,
     classify_simple_system,
     dominant_conjugate,
     dual_coxeter,
     lowest_weight,
-    min_pairing,
 )
 
 
@@ -53,7 +51,7 @@ class AffineAlgebra:
 
 @dataclass(frozen=True)
 class TableRow:
-    weight: Coords
+    weight: IntCoords
     conformal_weight: Q
     dim_of_top: int
     lowest: IntCoords  # w0.lam
@@ -69,7 +67,7 @@ class AffineModuleTable:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def weights(self) -> List[Coords]:
+    def weights(self) -> List[IntCoords]:
         return [r.weight for r in self.rows]
 
 
@@ -105,7 +103,7 @@ def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
             raise InvariantError(f"{a}: Weyl dimension of {partial} is not an integer")
         norm = sum(map(mul, rs.covector(partial), [c + 2 for c in partial]))
         rows.append(TableRow(
-            tuple(map(Q, partial)), Q(norm, cw_den), dim, lowest_weight(rs, partial)
+            tuple(partial), Q(norm, cw_den), dim, lowest_weight(rs, partial)
         ))
 
     rec([], a.level * rs.scale)
@@ -117,35 +115,29 @@ def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
     return AffineModuleTable(a, tuple(rows), (den, cws))
 
 
-def n_min(h_component: Weight, lam: Weight) -> Q:
-    """Minimum of (h|mu) over the weight system of lam, as (h+|w0.lam)."""
-    return min_pairing(h_component, lam)
+def n_min(rs: RootSystem, h: ScaledCoords, lam: Sequence[int]) -> Q:
+    """Minimum of (h|mu) over the weight system of lam, as (h+|w0.lam): the
+    weights lie in the hull of W.lam, where h+ pairs least with w0.lam."""
+    den, v = h
+    dual = rs.covector(dominant_conjugate(rs, v))
+    return Q(sum(map(mul, dual, lowest_weight(rs, lam))), den * rs.scale)
 
 
-def n_min_column(a: AffineAlgebra, h: IntCoords, den: int) -> Tuple[int, List[int]]:
-    """n_min(h / den, lam) for every row lam of the table, in table order.
+def n_min_column(a: AffineAlgebra, h: ScaledCoords) -> Tuple[int, List[int]]:
+    """n_min(h, lam) for every row lam of the table, in table order.
 
-    h is an integer weight over den; the result is (den * scale, numerators):
-    h+ is found once and each row pairs its covector with w0.lam.
+    The result is (den * scale, numerators): h+ is found once and each row
+    pairs its covector with w0.lam.
     """
     rs = a.root_system()
-    dual = rs.covector(dominant_conjugate(rs, h))
+    den, v = h
+    dual = rs.covector(dominant_conjugate(rs, v))
     rows = enumerate_level_weights(a).rows
     return den * rs.scale, [sum(map(mul, dual, r.lowest)) for r in rows]
 
 
-@dataclass(frozen=True)
-class TwistVector:
-    """One Cartan element per simple ideal, in fundamental-weight coordinates."""
-
-    components: Tuple[Weight, ...]
-
-    def negate(self) -> "TwistVector":
-        return TwistVector(tuple(h.scale(-1) for h in self.components))
-
-
 def sigma_order_on_category(
-    h: TwistVector, algebras: Sequence[AffineAlgebra]
+    h: Sequence[ScaledCoords], algebras: Sequence[AffineAlgebra]
 ) -> int:
     """Exponent of the pairing values (h|lam) mod 1 over all admissible tuples.
 
@@ -153,13 +145,14 @@ def sigma_order_on_category(
     weights; it bounds the order of the inner automorphism attached to h and
     equals it exactly when all category weights occur in the module.
     """
-    if len(h.components) != len(algebras):
+    if len(h) != len(algebras):
         raise ValueError("twist vector length does not match ideal count")
     order = 1
-    for hi, a in zip(h.components, algebras):
+    for (den, v), a in zip(h, algebras):
         rs = a.root_system()
+        dual, d = rs.covector(v), den * rs.scale
         for row in enumerate_level_weights(a).rows:
-            order = lcm(order, rs.ip(hi.coords, row.weight).denominator)
+            order = lcm(order, d // gcd(sum(map(mul, dual, row.weight)), d))
     return order
 
 
@@ -222,31 +215,33 @@ def typed_components_of_subsystem(
 
 
 def fixed_subalgebra_of_ideal(
-    a: AffineAlgebra, h: Weight
+    a: AffineAlgebra, h: ScaledCoords
 ) -> Tuple[List[Tuple[SimpleType, Q]], int, int]:
     """Root-filtered fixed subalgebra of one ideal under exp(-2 pi i h).
 
     Roots kept are exactly those alpha with (h|alpha) integral.
     """
     rs = a.root_system()
+    den, v = h
+    dual, d = rs.covector(v), den * rs.scale
     retained = [
         (fw, ac)
         for fw, ac in zip(rs.roots, rs.root_alpha_coords)
-        if rs.ip(h.coords, fw).denominator == 1
+        if sum(map(mul, dual, fw)) % d == 0
     ]
     return typed_components_of_subsystem(rs, retained, a.level)
 
 
 def inner_fixed_subalgebra(
-    ambient: Sequence[AffineAlgebra], h: TwistVector
+    ambient: Sequence[AffineAlgebra], h: Sequence[ScaledCoords]
 ) -> Tuple[SemisimpleTypeWithLevels, int]:
     """Fixed subalgebra of the inner automorphism exp(-2 pi i h) with dimension."""
-    if len(h.components) != len(ambient):
+    if len(h) != len(ambient):
         raise ValueError("twist vector length does not match ideal count")
     ideals: List[Tuple[SimpleType, Q]] = []
     abelian = 0
     dim = 0
-    for a, hi in zip(ambient, h.components):
+    for a, hi in zip(ambient, h):
         typed, ab, d = fixed_subalgebra_of_ideal(a, hi)
         ideals.extend(typed)
         abelian += ab

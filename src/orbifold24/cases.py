@@ -1,8 +1,8 @@
 """Case drivers: the three order-3 uniqueness chains and the table verifier.
 
-A case file names the ambient semisimple algebra with levels, the twist
-direction in fundamental-weight coordinates per ideal, and (for the built-in
-cases) the expected fixed subalgebra, orbifold target, and associated
+A case file names the ambient semisimple algebra with levels and the twist
+direction in fundamental-weight coordinates per ideal; the built-in cases
+also carry the expected fixed subalgebra, orbifold target, and associated
 lattice.  run_case replays the whole chain: invariant norm, shift bound,
 category order, fixed subalgebra, exhaustive twisted minima for both twist
 signs, the dimension formula, candidate enumeration and the order-3
@@ -11,17 +11,16 @@ admissibility filter, and the lattice-side cross-check.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, Optional, Tuple
 
 from . import golden, latticevoa, qmodular, schellekens
 from .affinerep import (
     AffineAlgebra,
-    TwistVector,
     enumerate_level_weights,
     inner_fixed_subalgebra,
     n_min,
@@ -29,11 +28,10 @@ from .affinerep import (
 )
 from .report import Report
 from .rootdata import (
+    ScaledCoords,
     SemisimpleTypeWithLevels,
     SimpleType,
-    Weight,
-    build_root_system,
-    inner_product,
+    scaled_coords,
 )
 from .twistbound import (
     CaseSpec,
@@ -53,52 +51,41 @@ ASSUMPTIONS = [
 ]
 
 
+CASE_KEYS = ("id", "ambient", "h")
+
+
 @dataclass(frozen=True)
 class CaseFile:
     case_id: str
-    ambient: Tuple[Tuple[str, int], ...]       # ("E6", 3), ...
-    h_coords: Tuple[Tuple[str, ...], ...]      # rationals as strings, per ideal
+    ambient: Tuple[AffineAlgebra, ...]
+    h: Tuple[ScaledCoords, ...]  # per ideal, in the written order of ambient
     expected_fixed: Optional[str] = None
     expected_fixed_dim: Optional[int] = None
     expected_target: Optional[str] = None
     lattice_name: Optional[str] = None
     isometry_name: Optional[str] = None
 
-    def algebras(self) -> Tuple[AffineAlgebra, ...]:
-        return tuple(
-            AffineAlgebra(SimpleType.parse(t), k) for t, k in self.ambient
-        )
-
-    def twist_vector(self) -> TwistVector:
-        comps = []
-        for (t, _), coords in zip(self.ambient, self.h_coords):
-            rs = build_root_system(SimpleType.parse(t))
-            comps.append(Weight(tuple(Q(c) for c in coords), rs))
-        return TwistVector(tuple(comps))
-
     def case_spec(self) -> CaseSpec:
-        return CaseSpec(self.case_id, self.algebras(), self.twist_vector())
+        return CaseSpec(self.case_id, self.ambient, self.h)
 
     def dim_v1(self) -> int:
-        return sum(SimpleType.parse(t).dim() for t, _ in self.ambient)
+        return sum(a.type.dim() for a in self.ambient)
 
     @staticmethod
-    def from_json(path: str) -> "CaseFile":
-        """Load a case file; a malformed one raises ValueError."""
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    def from_data(data: object) -> "CaseFile":
+        """Parse a case object with the keys CASE_KEYS; a malformed one
+        raises ValueError.  Each h_i is parsed and scaled here, once."""
         if not isinstance(data, dict):
             raise ValueError("case file must be a JSON object")
+        unknown = [key for key in data if key not in CASE_KEYS]
+        if unknown:
+            raise ValueError(f"unknown case field {unknown[0]!r}")
         for key in ("ambient", "h"):
             if key not in data:
                 raise ValueError(f"case file has no {key!r}")
-        for key in ("id", "ambient", "expected_fixed", "expected_target",
-                    "lattice", "isometry"):
+        for key in ("id", "ambient"):
             if key in data and not isinstance(data[key], str):
                 raise ValueError(f"case field {key!r} must be a string")
-        fixed_dim = data.get("expected_fixed_dim")
-        if fixed_dim is not None and type(fixed_dim) is not int:
-            raise ValueError("case field 'expected_fixed_dim' must be an integer")
         h = data["h"]
         if not (isinstance(h, list) and all(isinstance(c, list) for c in h)):
             raise ValueError("'h' must be a list of coordinate lists")
@@ -107,8 +94,7 @@ class CaseFile:
             ambient = [
                 SemisimpleTypeWithLevels.parse(tok) for tok in data["ambient"].split()
             ]
-            for c in itertools.chain.from_iterable(h):
-                Q(str(c))
+            coords = [[Q(str(c)) for c in comp] for comp in h]
         except (ValueError, ZeroDivisionError, IndexError) as err:
             raise ValueError(f"malformed case file: {err}") from None
         if not ambient or any(a.abelian_rank for a in ambient):
@@ -117,59 +103,55 @@ class CaseFile:
         if any(k is None or k.denominator != 1 for _, k in typed):
             raise ValueError("every ambient ideal needs an integer level")
         ranks = [t.rank for t, _ in typed]
-        if [len(c) for c in h] != ranks:
+        if [len(c) for c in coords] != ranks:
             raise ValueError(
                 f"'h' must give one coordinate list per ideal, of lengths {ranks}"
             )
-        ideals = [(str(t), int(k)) for t, k in typed]
         return CaseFile(
             case_id=data.get("id", "custom"),
-            ambient=tuple(ideals),
-            h_coords=tuple(tuple(str(c) for c in comp) for comp in h),
-            expected_fixed=data.get("expected_fixed"),
-            expected_fixed_dim=fixed_dim,
-            expected_target=data.get("expected_target"),
-            lattice_name=data.get("lattice"),
-            isometry_name=data.get("isometry"),
+            ambient=tuple(AffineAlgebra(t, int(k)) for t, k in typed),
+            h=tuple(scaled_coords(c) for c in coords),
         )
 
+    @staticmethod
+    def from_json(path: str) -> "CaseFile":
+        """Load a case file; a malformed one raises ValueError."""
+        with open(path, "r", encoding="utf-8") as fh:
+            return CaseFile.from_data(json.load(fh))
 
+
+# the built-in cases parse through from_data, then carry their expectations
 BUILTIN_CASES: Dict[str, CaseFile] = {
-    "e6g2": CaseFile(
-        case_id="e6g2",
-        ambient=(("E6", 3), ("G2", 1), ("G2", 1), ("G2", 1)),
-        h_coords=(
-            ("0",) * 6,
-            ("1", "0"),
-            ("1", "0"),
-            ("1", "0"),
-        ),
+    "e6g2": replace(
+        CaseFile.from_data({
+            "id": "e6g2",
+            "ambient": "E6,3 G2,1 G2,1 G2,1",
+            "h": [["0"] * 6, ["1", "0"], ["1", "0"], ["1", "0"]],
+        }),
         expected_fixed="E6,3 A2,1 A2,1 A2,1",
         expected_fixed_dim=102,
         expected_target="E6,1 E6,1 E6,1 E6,1",
         lattice_name="e6_4",
         isometry_name="sigma6",
     ),
-    "a2x6": CaseFile(
-        case_id="a2x6",
-        ambient=(("A2", 3),) * 6,
-        h_coords=(("1", "0"),) + (("0", "0"),) * 5,
+    "a2x6": replace(
+        CaseFile.from_data({
+            "id": "a2x6",
+            "ambient": " ".join(["A2,3"] * 6),
+            "h": [["1", "0"]] + [["0", "0"]] * 5,
+        }),
         expected_fixed="A2,3 A2,3 A2,3 A2,3 A2,3 A2,3",
         expected_fixed_dim=48,
         expected_target="D4,1 D4,1 D4,1 D4,1 D4,1 D4,1",
         lattice_name="d4_6",
         isometry_name="sigma2",
     ),
-    "a5d4": CaseFile(
-        case_id="a5d4",
-        ambient=(("A5", 3), ("D4", 3), ("A1", 1), ("A1", 1), ("A1", 1)),
-        h_coords=(
-            ("0", "0", "2/3", "0", "0"),
-            ("0",) * 4,
-            ("0",),
-            ("0",),
-            ("0",),
-        ),
+    "a5d4": replace(
+        CaseFile.from_data({
+            "id": "a5d4",
+            "ambient": "A5,3 D4,3 A1,1 A1,1 A1,1",
+            "h": [["0", "0", "2/3", "0", "0"], ["0"] * 4, ["0"], ["0"], ["0"]],
+        }),
         expected_fixed="A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1",
         expected_fixed_dim=54,
         expected_target="D4,1 D4,1 D4,1 D4,1 D4,1 D4,1",
@@ -293,7 +275,7 @@ def _table_report(
     which: str,
     algebra: AffineAlgebra,
     table_rows,
-    twist_coords: Optional[Sequence[Q]],
+    twist: Optional[ScaledCoords],
 ) -> Report:
     rep = Report(f"module table {which}")
     table = enumerate_level_weights(algebra)
@@ -301,13 +283,10 @@ def _table_report(
         "row count", len(table), golden.TABLE_COUNTS[which], source="reference"
     )
     rs = algebra.root_system()
-    computed = {tuple(int(c) for c in r.weight): r for r in table.rows}
+    computed = {r.weight: r for r in table.rows}
     golden_weights = {coords for coords, _, _, _ in table_rows}
     rep.check(
         "weight sets agree", sorted(computed) == sorted(golden_weights), True
-    )
-    twist = (
-        Weight(tuple(twist_coords), rs) if twist_coords is not None else None
     )
     for coords, cw, pair, nmin in table_rows:
         row = computed.get(coords)
@@ -316,15 +295,15 @@ def _table_report(
             continue
         rep.check(f"conformal weight {coords}", row.conformal_weight, cw, source="reference")
         if twist is not None and pair is not None:
-            lam = Weight(tuple(Q(c) for c in coords), rs)
+            den, v = twist
             rep.check(
                 f"pairing {coords}",
-                inner_product(twist, lam),
+                Q(sum(map(mul, rs.covector(v), coords)), den * rs.scale),
                 pair,
                 source="reference",
             )
             rep.check(
-                f"min pairing {coords}", n_min(twist, lam), nmin, source="reference"
+                f"min pairing {coords}", n_min(rs, twist, coords), nmin, source="reference"
             )
     return rep
 
@@ -479,15 +458,15 @@ def verify_lattice(seed: int = 0) -> Report:
     return rep
 
 
-# module family -> (algebra, golden table, twist coordinates or None)
+# module family -> (algebra, golden table, twist as (den, den * h) or None)
 MODULE_TABLES = {
-    "g2.1": (AffineAlgebra(SimpleType("G", 2), 1), golden.G2_1_TABLE, (Q(1), Q(0))),
-    "a2.3": (AffineAlgebra(SimpleType("A", 2), 3), golden.A2_3_TABLE, (Q(1), Q(0))),
+    "g2.1": (AffineAlgebra(SimpleType("G", 2), 1), golden.G2_1_TABLE, (1, (1, 0))),
+    "a2.3": (AffineAlgebra(SimpleType("A", 2), 3), golden.A2_3_TABLE, (1, (1, 0))),
     "a1.1": (AffineAlgebra(SimpleType("A", 1), 1), golden.A1_1_TABLE, None),
     "a5.3": (
         AffineAlgebra(SimpleType("A", 5), 3),
         golden.A5_3_TABLE,
-        (Q(0), Q(0), Q(2, 3), Q(0), Q(0)),
+        (3, (0, 0, 2, 0, 0)),
     ),
     "d4.3": (AffineAlgebra(SimpleType("D", 4), 3), golden.D4_3_TABLE, None),
 }

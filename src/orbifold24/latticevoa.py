@@ -400,12 +400,6 @@ class LatticeIsometry:
         m = mat_mul(mat_mul(lat.basis_inv, self.matrix), lat.basis)
         return [[Q(x, lat.inv_scale * lat.scale) for x in row] for row in m]
 
-    def power(self, k: int) -> Tuple[IntVec, ...]:
-        out = _identity_local(self.lattice.rank)
-        for _ in range(k):
-            out = mat_mul(out, self.matrix)
-        return tuple(tuple(row) for row in out)
-
     def order(self) -> int:
         n = self.lattice.rank
         ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

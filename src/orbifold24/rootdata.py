@@ -2,16 +2,20 @@
 classification of finite-order automorphisms by affine-node labels.
 
 Conventions.  The invariant form is normalized so long roots have norm 2.
-Weights are stored in fundamental-weight coordinates; roots additionally
-carry simple-root coordinates.  Simple-root gram matrices for G2, A-series,
-D4 and E6 follow the module tables they feed: G2 has (a1|a1) = 2/3 with the
-first node short, D4 has the branch node second, E6 has the branch node
-second attached to the fourth node of the chain.
+Weights are stored in fundamental-weight coordinates, as integers
+(`IntCoords`); roots additionally carry simple-root coordinates.  A rational
+weight x, such as a twist direction, has one form too: (den, den * x) with
+den * x integral (`ScaledCoords`, made once by `scaled_coords`), so every
+pairing is an integer sum against `RootSystem.covector` over den * scale.
+Simple-root gram matrices for G2, A-series, D4 and E6 follow the module
+tables they feed: G2 has (a1|a1) = 2/3 with the first node short, D4 has
+the branch node second, E6 has the branch node second attached to the
+fourth node of the chain.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
@@ -19,8 +23,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import InvariantError, inverse
 
-Coords = Tuple[Q, ...]
 IntCoords = Tuple[int, ...]
+# a rational weight x as (den, den * x), den > 0 and den * x integral
+ScaledCoords = Tuple[int, IntCoords]
 
 _FAMILIES = "ABCDEFG"
 
@@ -207,19 +212,8 @@ class RootSystem:
         """Exact (x|y); the sum stays in integers unless a coordinate is a Fraction."""
         return Q(sum(a * b for a, b in zip(self.covector(x), y) if b), self.scale)
 
-    def norm_of(self, x: Coords) -> Q:
+    def norm_of(self, x: Sequence[Q | int]) -> Q:
         return self.ip(x, x)
-
-    def fundamental_weight(self, i: int) -> "Weight":
-        return Weight(
-            tuple(Q(1) if j == i else Q(0) for j in range(self.rank)), self
-        )
-
-    def weight(self, coords: Sequence[Q | int]) -> "Weight":
-        return Weight(tuple(Q(c) for c in coords), self)
-
-    def zero(self) -> "Weight":
-        return Weight(tuple([Q(0)] * self.rank), self)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.type})"
@@ -229,40 +223,6 @@ class RootSystem:
 def build_root_system(t: SimpleType) -> RootSystem:
     """Root system of a simple type; roots generated and counted."""
     return RootSystem(t)
-
-
-@dataclass(frozen=True)
-class Weight:
-    coords: Coords
-    system: RootSystem = field(compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.coords) != self.system.rank:
-            raise ValueError("coordinate length does not match rank")
-
-    def is_dominant(self) -> bool:
-        return all(c >= 0 for c in self.coords)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(
-            tuple(a + b for a, b in zip(self.coords, other.coords)), self.system
-        )
-
-    def scale(self, c: Q | int) -> "Weight":
-        return Weight(tuple(Q(c) * x for x in self.coords), self.system)
-
-    def __repr__(self) -> str:
-        return f"Weight{self.coords}"
-
-
-def inner_product(x: Weight, y: Weight) -> Q:
-    """Exact (x|y) through the system's quadratic form."""
-    if x.system is not y.system:
-        raise ValueError("weights live in different root systems")
-    return x.system.ip(x.coords, y.coords)
 
 
 def dual_coxeter(t: SimpleType) -> int:
@@ -279,7 +239,7 @@ def dual_coxeter(t: SimpleType) -> int:
 class WeightSystem:
     """Weights of an irreducible module with Freudenthal multiplicities."""
 
-    highest: Weight
+    highest: IntCoords
     entries: Tuple[Tuple[IntCoords, int], ...]
 
     def total_multiplicity(self) -> int:
@@ -292,12 +252,12 @@ class WeightSystem:
 _WS_CACHE: Dict[Tuple[SimpleType, IntCoords], WeightSystem] = {}
 
 
-def weight_system(lam: Weight) -> WeightSystem:
-    """All weights of lam's module; the tests' oracle for `min_pairing`."""
-    if not (lam.is_dominant() and lam.is_integral()):
+def weight_system(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
+    """All weights of the module of the dominant integral weight lam; the
+    tests' oracle for the closed-form least pairing `affinerep.n_min`."""
+    top = tuple(lam)
+    if len(top) != rs.rank or not all(type(c) is int and c >= 0 for c in top):
         raise ValueError("highest weight must be dominant integral")
-    rs = lam.system
-    top = tuple(int(c) for c in lam.coords)
     key = (rs.type, top)
     cached = _WS_CACHE.get(key)
     if cached is not None:
@@ -349,12 +309,12 @@ def weight_system(lam: Weight) -> WeightSystem:
         if val.denominator != 1 or val <= 0:
             raise InvariantError(f"Freudenthal multiplicity {val} of {mu}")
         mult[mu] = int(val)
-    ws = WeightSystem(lam, tuple(sorted(mult.items())))
+    ws = WeightSystem(top, tuple(sorted(mult.items())))
     _WS_CACHE[key] = ws
     return ws
 
 
-def scaled_coords(x: Coords) -> Tuple[int, IntCoords]:
+def scaled_coords(x: Sequence[Q | int]) -> ScaledCoords:
     """(den, den * x) for the least den that makes the rational weight x integral."""
     den = lcm(*(c.denominator for c in x))
     return den, tuple(c.numerator * (den // c.denominator) for c in x)
@@ -381,20 +341,6 @@ def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> IntCoords:
 def lowest_weight(rs: RootSystem, lam: Sequence[int]) -> IntCoords:
     """Lowest weight w0.lam of the module: minus the dominant conjugate of -lam."""
     return tuple(-c for c in dominant_conjugate(rs, [-c for c in lam]))
-
-
-def min_pairing(x: Weight, lam: Weight) -> Q:
-    """min of (x|mu) over the weights of lam's module: (x+|w0.lam), since the
-    weights lie in the hull of W.lam, where x+ pairs least with w0.lam."""
-    if x.system is not lam.system:
-        raise ValueError("weights live in different root systems")
-    if not (lam.is_dominant() and lam.is_integral()):
-        raise ValueError("highest weight must be dominant integral")
-    rs = x.system
-    den, v = scaled_coords(x.coords)
-    top = rs.covector(dominant_conjugate(rs, v))
-    low = lowest_weight(rs, [int(c) for c in lam.coords])
-    return Q(sum(a * b for a, b in zip(top, low)), den * rs.scale)
 
 
 @dataclass(frozen=True)

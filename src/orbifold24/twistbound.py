@@ -18,46 +18,39 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .affinerep import (
-    AffineAlgebra,
-    TwistVector,
-    enumerate_level_weights,
-    n_min_column,
-)
+from .affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
 from .exactmath import InvariantError
-from .rootdata import Coords, IntCoords, dominant_conjugate, scaled_coords
+from .rootdata import IntCoords, ScaledCoords, dominant_conjugate
 
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """Ambient semisimple algebra with levels, twist vector, and a name."""
+    """Ambient semisimple algebra with levels, twist vector, and a name.
+
+    h holds one twist component per ideal as (den, den * h_i), integral.
+    """
 
     name: str
     ambient: Tuple[AffineAlgebra, ...]
-    h: TwistVector
+    h: Tuple[ScaledCoords, ...]
 
     def __post_init__(self) -> None:
-        if len(self.h.components) != len(self.ambient):
+        if len(self.h) != len(self.ambient):
             raise ValueError("twist vector length does not match ideal count")
 
     def negated(self) -> "CaseSpec":
-        return CaseSpec(self.name + "-neg", self.ambient, self.h.negate())
-
-    @cached_property
-    def scaled_h(self) -> Tuple[Tuple[int, IntCoords], ...]:
-        """Each h_i once as (den, den * h_i), integral."""
-        return tuple(scaled_coords(hi.coords) for hi in self.h.components)
+        h = tuple((den, tuple(-x for x in v)) for den, v in self.h)
+        return CaseSpec(self.name + "-neg", self.ambient, h)
 
 
 def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
     """<h|h> = sum_i k_i (h_i|h_i), with the 2Z and (2/3)Z membership flags."""
     terms = []
-    for a, (den, v) in zip(c.ambient, c.scaled_h):
+    for a, (den, v) in zip(c.ambient, c.h):
         rs = a.root_system()
         terms.append((a.level * sum(map(mul, rs.covector(v), v)), den * den * rs.scale))
     d = lcm(*(t for _, t in terms))
@@ -72,7 +65,7 @@ def shift_ok(c: CaseSpec) -> bool:
     where the dominant conjugate h+ pairs most with theta itself, and they
     are closed under negation; so their least pairing with h is -(h+|theta).
     """
-    for a, (den, v) in zip(c.ambient, c.scaled_h):
+    for a, (den, v) in zip(c.ambient, c.h):
         rs = a.root_system()
         top = dominant_conjugate(rs, v)
         if sum(map(mul, rs.covector(rs.theta), top)) > den * rs.scale:
@@ -88,15 +81,15 @@ class _CaseTables:
     """
 
     def __init__(self, c: CaseSpec):
-        self.weights: List[List[Coords]] = []
+        self.weights: List[List[IntCoords]] = []
         # (den, integer column) per ideal: cw, n_min for h, n_min for -h
         cw, pos, neg = [], [], []
-        for a, (den, v) in zip(c.ambient, c.scaled_h):
+        for a, (den, v) in zip(c.ambient, c.h):
             table = enumerate_level_weights(a)
             self.weights.append(table.weights())
             cw.append(table.cw_column)
-            pos.append(n_min_column(a, v, den))
-            neg.append(n_min_column(a, tuple(-x for x in v), den))
+            pos.append(n_min_column(a, (den, v)))
+            neg.append(n_min_column(a, (den, tuple(-x for x in v))))
         norm, _, _ = invariant_norm(c)
         half_norm = norm / 2
         # the -h columns share the denominators of the h columns
@@ -109,7 +102,7 @@ class _CaseTables:
         self.cw_s = scaled(cw)
         self.nm_s = (scaled(pos), scaled(neg))  # for h, for -h
 
-    def minimize(self, nm_s: List[List[int]]) -> Tuple[Q, Tuple[Coords, ...]]:
+    def minimize(self, nm_s: List[List[int]]) -> Tuple[Q, Tuple[IntCoords, ...]]:
         """Min-plus DP for the least bound and its witness, n_min columns nm_s.
 
         The state of a suffix of ideals is its scaled cw sum s and its
@@ -153,7 +146,7 @@ class _CaseTables:
         best = best_from(0, 0, 0)
         if best is None:
             raise InvariantError("no weight tuple has an integral cw sum")
-        witness: List[Coords] = []
+        witness: List[IntCoords] = []
         key, s_nm = 0, 0
         for i in range(n):
             for j, (cw, nm) in enumerate(zip(self.cw_s[i], nm_s[i])):
@@ -167,7 +160,9 @@ class _CaseTables:
         return Q(best, d), tuple(witness)
 
 
-def min_twisted_weight(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...], Q, Tuple[Coords, ...]]:
+def min_twisted_weight(
+    c: CaseSpec,
+) -> Tuple[Q, Tuple[IntCoords, ...], Q, Tuple[IntCoords, ...]]:
     """Minimum of the bound over all feasible tuples, for h and -h.
 
     Returns (min for h, witness, min for -h, witness); witnesses are the

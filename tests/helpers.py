@@ -16,6 +16,10 @@ against, and helpers that only the tests need.
 * Invariant form: the `Fraction` fundamental-weight Gram matrix
   (`fraction_fw_gram`, `fraction_ip`, `fraction_invariant_norm`) against
   the integer-scaled `RootSystem.form` and `twistbound.invariant_norm`.
+  The oracles take a root system and plain coordinate tuples: integers
+  for a dominant weight, `Fraction`s for a rational direction;
+  `fraction_coords` turns the (den, den * x) form of `src/` back into the
+  latter.
 * Module tables: the `Fraction` formulas for the Weyl dimension
   (`weyl_dim`), the conformal weight (`conformal_weight`) and the lowest
   weight by rational reflections (`fraction_dominant_conjugate`,
@@ -23,7 +27,7 @@ against, and helpers that only the tests need.
   `affinerep.enumerate_level_weights`.
 * Directional minima: the least pairing over the Freudenthal weight
   system (`brute_force_min`) against the closed form (h+|w0.lam) in
-  `rootdata.min_pairing` and `affinerep.n_min_column`.
+  `affinerep.n_min` and `affinerep.n_min_column`.
 * Shift bound: the loop over every root (`root_loop_shift_ok`) against
   the closed form (h+|theta) <= 1 in `twistbound.shift_ok`.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
@@ -65,17 +69,19 @@ from orbifold24.latticevoa import (
 )
 from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, f_power_at_S
 from orbifold24.rootdata import (
-    Coords,
+    IntCoords,
     RootSystem,
+    ScaledCoords,
     SemisimpleTypeWithLevels,
     SimpleType,
-    Weight,
     build_root_system,
     dual_coxeter,
     weight_system,
 )
 from orbifold24.schellekens import _order3_label_vectors
 from orbifold24.twistbound import CaseSpec, _CaseTables, invariant_norm, shift_ok
+
+Coords = Tuple[Q, ...]  # a rational weight in Fraction coordinates
 
 # --- invariant form -------------------------------------------------------
 
@@ -109,15 +115,19 @@ def simple_root_coords(rs: RootSystem, x: Sequence) -> List[Q]:
     ]
 
 
+def fraction_coords(h: ScaledCoords) -> Coords:
+    """The Fraction coordinates of the rational weight x given as (den, den * x)."""
+    den, v = h
+    return tuple(Q(x, den) for x in v)
+
+
 def fraction_invariant_norm(c: CaseSpec) -> Q:
     """<h|h> = sum_i k_i (h_i|h_i) through each ideal's Fraction Gram matrix."""
-    return sum(
-        (
-            a.level * fraction_ip(fraction_fw_gram(a.root_system()), h.coords, h.coords)
-            for a, h in zip(c.ambient, c.h.components)
-        ),
-        Q(0),
-    )
+    total = Q(0)
+    for a, h in zip(c.ambient, c.h):
+        x = fraction_coords(h)
+        total += a.level * fraction_ip(fraction_fw_gram(a.root_system()), x, x)
+    return total
 
 
 # every family up to rank 6, plus E7 and E8
@@ -129,34 +139,34 @@ ORACLE_TYPES = (
 )
 
 
-def rational_direction(rs: RootSystem, rng) -> Weight:
-    return rs.weight(
-        [Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank)]
+def rational_direction(rs: RootSystem, rng) -> Coords:
+    return tuple(
+        Q(rng.randint(-4, 4), rng.choice((1, 2, 3, 4, 6))) for _ in range(rs.rank)
     )
 
 
-def nondominant_direction(rs: RootSystem, rng) -> Weight:
+def nondominant_direction(rs: RootSystem, rng) -> Coords:
     while True:
         h = rational_direction(rs, rng)
-        if not h.is_dominant():
+        if min(h) < 0:
             return h
 
 
 # --- directional minima ---------------------------------------------------
 
 
-def brute_force_min(x: Weight, lam: Weight) -> Q:
-    """min of (x|mu) over every weight mu of the Freudenthal weight system.
+def brute_force_min(rs: RootSystem, x: Sequence, lam: IntCoords) -> Q:
+    """min of (x|mu) over every weight mu of the Freudenthal weight system
+    of the dominant integral weight lam, x a rational direction.
 
     A zero direction pairs to 0 with every weight, so its weight system (up
     to 4 s for the E6,3 table) is not built.
     """
-    if not any(x.coords):
+    if not any(x):
         return Q(0)
-    rs = lam.system
-    dual = rs.covector(x.coords)
+    dual = rs.covector(x)
     least = min(
-        sum(d * c for d, c in zip(dual, mu)) for mu in weight_system(lam).weights()
+        sum(d * c for d, c in zip(dual, mu)) for mu in weight_system(rs, lam).weights()
     )
     return Q(least, rs.scale)
 
@@ -164,12 +174,11 @@ def brute_force_min(x: Weight, lam: Weight) -> Q:
 # --- module tables --------------------------------------------------------
 
 
-def weyl_dim(lam: Weight) -> int:
+def weyl_dim(rs: RootSystem, lam: IntCoords) -> int:
     """Weyl dimension formula, (lam + rho|alpha) / (rho|alpha) in Fractions."""
-    if not (lam.is_dominant() and lam.is_integral()):
+    if not all(type(c) is int and c >= 0 for c in lam):
         raise ValueError("highest weight must be dominant integral")
-    rs = lam.system
-    lam_rho = tuple(int(c) + 1 for c in lam.coords)
+    lam_rho = tuple(c + 1 for c in lam)
     num = Q(1)
     den = Q(1)
     for alpha in rs.positive_roots:
@@ -181,41 +190,40 @@ def weyl_dim(lam: Weight) -> int:
     return int(val)
 
 
-def conformal_weight(lam: Weight, a: AffineAlgebra) -> Q:
+def conformal_weight(a: AffineAlgebra, lam: IntCoords) -> Q:
     """Lowest L(0)-weight (lam, lam + 2 rho) / 2(k + h-dual) of the module."""
     rs = a.root_system()
-    if not (lam.is_dominant() and lam.is_integral()):
+    if not all(type(c) is int and c >= 0 for c in lam):
         raise ValueError("weight must be dominant integral")
-    if rs.ip(lam.coords, rs.theta) > a.level:
+    if rs.ip(lam, rs.theta) > a.level:
         raise ValueError(f"{lam} is not admissible at level {a.level}")
-    shifted = tuple(c + 2 for c in lam.coords)  # lam + 2 rho
-    return rs.ip(lam.coords, shifted) / (2 * (a.level + dual_coxeter(a.type)))
+    shifted = tuple(c + 2 for c in lam)  # lam + 2 rho
+    return rs.ip(lam, shifted) / (2 * (a.level + dual_coxeter(a.type)))
 
 
-def fraction_dominant_conjugate(x: Weight) -> Weight:
+def fraction_dominant_conjugate(rs: RootSystem, x: Sequence) -> Coords:
     """Dominant conjugate of a rational weight by simple reflections on its
     Fraction coordinates."""
-    rs = x.system
-    cur = list(x.coords)
+    cur = [Q(c) for c in x]
     for _ in range(len(rs.positive_roots) + 1):
         j = next((k for k, c in enumerate(cur) if c < 0), None)
         if j is None:
-            return Weight(tuple(cur), rs)
+            return tuple(cur)
         m = cur[j]
         cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
     raise ValueError(f"{x} is not dominant after {len(rs.positive_roots)} steps")
 
 
-def fraction_lowest_weight(lam: Weight) -> Coords:
+def fraction_lowest_weight(rs: RootSystem, lam: IntCoords) -> Coords:
     """w0.lam as minus the dominant conjugate of -lam, in Fractions."""
-    return fraction_dominant_conjugate(lam.scale(-1)).scale(-1).coords
+    return tuple(-c for c in fraction_dominant_conjugate(rs, [-c for c in lam]))
 
 
 def fraction_level_weights(a: AffineAlgebra) -> List[Coords]:
     """Dominant lam with (lam|theta) <= k by Fraction pairings, in sorted order."""
     rs = a.root_system()
     gram = fraction_fw_gram(rs)
-    marks = [fraction_ip(gram, rs.fundamental_weight(i).coords, rs.theta)
+    marks = [fraction_ip(gram, [int(j == i) for j in range(rs.rank)], rs.theta)
              for i in range(rs.rank)]
     return [
         tuple(map(Q, lam))
@@ -231,7 +239,7 @@ def fraction_level_weights(a: AffineAlgebra) -> List[Coords]:
 class TupleBound:
     """One admissible weight per ideal with its minimal-weight bound."""
 
-    weights: Tuple[Coords, ...]
+    weights: Tuple[IntCoords, ...]
     cw_sum: Q
     ell_min: int
     nmin_sum: Q
@@ -305,7 +313,7 @@ def tuple_grid(c: CaseSpec) -> TupleGrid:
     return TupleGrid(t, s_cw, nonvacuum, ell_s, bound)
 
 
-def scan_minimum(c: CaseSpec) -> Tuple[Q, Tuple[Coords, ...]]:
+def scan_minimum(c: CaseSpec) -> Tuple[Q, Tuple[IntCoords, ...]]:
     """Least bound over every tuple and its lexicographically least witness.
 
     A C-order argmin over `tuple_grid` returns the first minimum in the
@@ -325,18 +333,19 @@ def twisted_weight_lower_bound(t: TupleBound, c: CaseSpec) -> Q:
         raise ValueError("(h|alpha) >= -1 fails; the shift formula does not apply")
     norm, _, _ = invariant_norm(c)
     total = Q(t.ell_min) + norm / 2
-    for a, hi, w in zip(c.ambient, c.h.components, t.weights):
-        total += brute_force_min(hi, Weight(w, a.root_system()))
+    for a, hi, w in zip(c.ambient, c.h, t.weights):
+        total += brute_force_min(a.root_system(), fraction_coords(hi), w)
     return total
 
 
 def root_loop_shift_ok(c: CaseSpec) -> bool:
     """True iff (h|alpha) >= -1 for every root alpha, root by root."""
-    for a, hi in zip(c.ambient, c.h.components):
+    for a, hi in zip(c.ambient, c.h):
         rs = a.root_system()
+        x = fraction_coords(hi)
         for root in rs.roots:
             # the integer root carries the covector, h the rational side
-            if rs.ip(root, hi.coords) < -1:
+            if rs.ip(root, x) < -1:
                 return False
     return True
 

@@ -16,14 +16,17 @@ from orbifold24.affinerep import (
     n_min,
 )
 from orbifold24.cases import BUILTIN_CASES, lattice_data, verify_tables
-from orbifold24.rootdata import (
-    SemisimpleTypeWithLevels,
-    SimpleType,
-    Weight,
-)
+from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 from orbifold24.twistbound import invariant_norm, min_twisted_weight, shift_ok
 
-from helpers import brute_force_min, ip_coords, rough_lift, series_inverse, series_pow
+from helpers import (
+    brute_force_min,
+    fraction_coords,
+    ip_coords,
+    rough_lift,
+    series_inverse,
+    series_pow,
+)
 
 
 def report(criterion: str, ok: bool) -> None:
@@ -78,7 +81,7 @@ def test_criterion_4_fixed_subalgebras():
     ok = True
     for case_id, (ty, dim) in expected.items():
         cf = BUILTIN_CASES[case_id]
-        fixed, fdim = inner_fixed_subalgebra(cf.algebras(), cf.twist_vector())
+        fixed, fdim = inner_fixed_subalgebra(cf.ambient, cf.h)
         ok = (
             ok
             and str(fixed) == str(SemisimpleTypeWithLevels.parse(ty))
@@ -156,11 +159,13 @@ def test_criterion_8_property_suites():
     for name in ("e6g2", "a2x6", "a5d4"):
         case = BUILTIN_CASES[name].case_spec()
         for c in (case, case.negated()):
-            for alg, h in zip(c.ambient, c.h.components):
+            for alg, h in zip(c.ambient, c.h):
                 rs = alg.root_system()
                 for row in enumerate_level_weights(alg).rows:
-                    lam = Weight(row.weight, rs)
-                    ok = ok and n_min(h, lam) == brute_force_min(h, lam)
+                    lam = row.weight
+                    ok = ok and n_min(rs, h, lam) == brute_force_min(
+                        rs, fraction_coords(h), lam
+                    )
     report(
         "8b (closed-form minima match the Freudenthal oracle on every case row,"
         " both signs)",

@@ -215,6 +215,8 @@ def test_missing_case_file_exits_2():
         pytest.param({"ambient": ",", "h": [["0"]]}, id="empty-type-token"),
         pytest.param({"ambient": ["A1,1"], "h": [["0"]]}, id="ambient-not-string"),
         pytest.param({"id": ["x"], "ambient": "A1,1", "h": [["0"]]}, id="id-not-string"),
+        pytest.param({"ambient": "A1,1", "h": [["0"]], "expected_fixed": "A1,1"},
+                     id="unknown-key"),
     ],
 )
 def test_malformed_case_file_exits_2(tmp_path, capsys, case):
@@ -225,6 +227,49 @@ def test_malformed_case_file_exits_2(tmp_path, capsys, case):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key", ["expected_fixed", "expected_fixed_dim", "expected_target", "lattice",
+            "isometry", "H"],
+)
+def test_unknown_case_key_is_named(tmp_path, capsys, key):
+    path = tmp_path / "case.json"
+    case = {"id": "x", "ambient": "A1,1", "h": [["0"]], key: "A1,1"}
+    path.write_text(json.dumps(case), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["twist-bound", "--case", str(path), "--json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: unknown case field {key!r}\n"
+
+
+def test_builtin_case_round_trips_through_a_case_file(tmp_path):
+    builtin = cases.BUILTIN_CASES["e6g2"]
+    path = tmp_path / "e6g2.json"
+    path.write_text(json.dumps({
+        "id": "e6g2",
+        "ambient": "E6,3 G2,1 G2,1 G2,1",
+        "h": [[0] * 6, ["1", "0"], ["1", "0"], ["2/2", "0/3"]],
+    }), encoding="utf-8")
+    loaded = cases.CaseFile.from_json(str(path))
+    assert loaded.case_spec() == builtin.case_spec()
+    assert loaded.h == ((1, (0,) * 6),) + ((1, (1, 0)),) * 3
+    assert all(type(x) is int for _, v in loaded.h for x in v)
+
+
+def test_case_file_with_a_builtin_id_gets_no_reference_values(tmp_path, capsys):
+    path = tmp_path / "case.json"
+    case = {"id": "e6g2", "ambient": "A1,1", "h": [["1/2"]]}
+    path.write_text(json.dumps(case), encoding="utf-8")
+    code, out = run_cli(capsys, ["twist-bound", "--case", str(path), "--json"])
+    steps = {s["name"]: s for s in json.loads(out)["steps"]}
+    assert code == 0
+    assert steps["twist norm <h|h>"]["computed"] == "1/8"
+    for name in ("twist norm <h|h>", "min twisted weight (+h)"):
+        assert steps[name]["expected"] is None and steps[name]["verdict"] == "info"
+    code, out = run_cli(capsys, ["twist-bound", "--case", "e6g2", "--json"])
+    steps = {s["name"]: s for s in json.loads(out)["steps"]}
+    assert code == 0 and steps["twist norm <h|h>"]["verdict"] == "pass"
 
 
 def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
@@ -248,17 +293,19 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("argv", "digest"),
     [
-        (["twist-bound", "--case", "a2x6", "--json"], None),
+        (["twist-bound", "--case", "a2x6", "--json"], "4bf771d8417338fc"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
           "--json"], "a49d16515181d955"),
         (["candidates", "--dim", "312", "--ratio", "12", "--fixed",
-          "E6,3 A2,1 A2,1 A2,1", "--json"], None),
-        (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"], None),
+          "E6,3 A2,1 A2,1 A2,1", "--json"], "437f1fc57ee9d9ac"),
+        (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
+         "2f3a48bedda74bba"),
         (["verify-all", "--json"], "2dea7a85296cb80d"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
+        (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
     ],
     ids=["twist-bound", "dimension", "candidates", "lattice", "verify-all",
-         "tables-modular"],
+         "tables-modular", "tables-a5.3"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):
     # python -O strips assert statements; the invariant checks must not be

@@ -561,7 +561,8 @@ def test_twisted_ground_energies(ne6, nd4):
 
 def test_ground_energy_symmetric_under_inversion(ne6):
     s6 = build_isometry(ne6, "sigma6")
-    inv = LatticeIsometry(ne6, s6.power(2), "sigma6^2")
+    square = tuple(map(tuple, mat_mul(s6.matrix, s6.matrix)))
+    inv = LatticeIsometry(ne6, square, "sigma6^2")
     assert twisted_ground_energy(s6)[0] == twisted_ground_energy(inv)[0]
 
 

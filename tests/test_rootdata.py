@@ -16,6 +16,7 @@ from helpers import (
     simple_root_coords,
     weyl_dim,
 )
+from orbifold24.affinerep import n_min
 from orbifold24.exactmath import InvariantError
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
@@ -24,10 +25,8 @@ from orbifold24.rootdata import (
     classify_simple_system,
     dominant_conjugate,
     dual_coxeter,
-    inner_product,
     kac_fixed_subalgebra,
     lowest_weight,
-    min_pairing,
     scaled_coords,
     weight_system,
 )
@@ -67,11 +66,16 @@ def test_g2_norms():
     assert norms[:6] == [Q(2, 3)] * 6 and norms[6:] == [Q(2)] * 6
 
 
+def unit(rs, i):
+    """The fundamental weight L_i in fundamental-weight coordinates."""
+    return tuple(int(j == i) for j in range(rs.rank))
+
+
 def test_inner_products():
     g2 = build_root_system(SimpleType("G", 2))
-    assert inner_product(g2.fundamental_weight(0), g2.fundamental_weight(0)) == Q(2, 3)
+    assert g2.ip(unit(g2, 0), unit(g2, 0)) == Q(2, 3)
     a5 = build_root_system(SimpleType("A", 5))
-    assert inner_product(a5.fundamental_weight(2), a5.fundamental_weight(2)) == Q(3, 2)
+    assert a5.ip(unit(a5, 2), unit(a5, 2)) == Q(3, 2)
 
 
 @pytest.mark.parametrize("fam,rank", sorted(ROOT_COUNTS))
@@ -79,7 +83,7 @@ def test_weight_root_duality(fam, rank):
     rs = build_root_system(SimpleType(fam, rank))
     for i in range(rs.rank):
         for j in range(rs.rank):
-            lhs = rs.ip(rs.fundamental_weight(i).coords, rs.simple_roots[j])
+            lhs = rs.ip(unit(rs, i), rs.simple_roots[j])
             want = rs.gram[j][j] / 2 if i == j else Q(0)
             assert lhs == want
 
@@ -141,21 +145,19 @@ def test_min_pairing_matches_fraction_oracle(name):
     gram = fraction_fw_gram(rs)
     rng = random.Random(name)
     for _ in range(6):
-        lam = rs.weight([rng.randint(0, 1) for _ in range(rs.rank)])
-        x = rs.weight(
-            [Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(rs.rank)]
-        )
-        ws = weight_system(lam)
-        want = min(fraction_ip(gram, x.coords, mu) for mu in ws.weights())
-        assert min_pairing(x, lam) == want
+        lam = tuple(rng.randint(0, 1) for _ in range(rs.rank))
+        x = [Q(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(rs.rank)]
+        ws = weight_system(rs, lam)
+        want = min(fraction_ip(gram, x, mu) for mu in ws.weights())
+        assert n_min(rs, scaled_coords(x), lam) == want
 
 
 @pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
 def test_weyl_dim_matches_freudenthal_on_fundamental_weights(name):
     rs = build_root_system(SimpleType.parse(name))
     for i in range(rs.rank):
-        lam = rs.fundamental_weight(i)
-        assert weyl_dim(lam) == weight_system(lam).total_multiplicity()
+        lam = unit(rs, i)
+        assert weyl_dim(rs, lam) == weight_system(rs, lam).total_multiplicity()
 
 
 def test_dual_coxeter_values():
@@ -181,31 +183,38 @@ def test_dual_coxeter_matches_closed_form():
 
 def test_weight_system_defining_a2():
     a2 = build_root_system(SimpleType("A", 2))
-    ws = weight_system(a2.fundamental_weight(0))
+    ws = weight_system(a2, unit(a2, 0))
     assert len(ws.entries) == 3
     assert all(m == 1 for _, m in ws.entries)
 
 
 def test_weight_system_g2_seven():
     g2 = build_root_system(SimpleType("G", 2))
-    ws = weight_system(g2.fundamental_weight(0))
-    assert ws.total_multiplicity() == 7 == weyl_dim(g2.fundamental_weight(0))
+    ws = weight_system(g2, unit(g2, 0))
+    assert ws.total_multiplicity() == 7 == weyl_dim(g2, unit(g2, 0))
     zero = tuple([Q(0)] * 2)
     assert dict(ws.entries)[zero] == 1
 
 
 def test_weight_system_a5_twenty():
     a5 = build_root_system(SimpleType("A", 5))
-    ws = weight_system(a5.fundamental_weight(2))
+    ws = weight_system(a5, unit(a5, 2))
     assert len(ws.entries) == 20
     assert all(m == 1 for _, m in ws.entries)
+
+
+def test_weight_system_rejects_non_dominant_or_rational_weights():
+    a2 = build_root_system(SimpleType("A", 2))
+    for lam in ((1, -1), (Q(1, 2), 0), (1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            weight_system(a2, lam)
 
 
 def test_weyl_dim_adjoints():
     for fam, rank in sorted(ROOT_COUNTS):
         rs = build_root_system(SimpleType(fam, rank))
-        assert weyl_dim(rs.weight(rs.theta)) == rs.type.dim()
-    assert weyl_dim(build_root_system(SimpleType("A", 2)).zero()) == 1
+        assert weyl_dim(rs, rs.theta) == rs.type.dim()
+    assert weyl_dim(build_root_system(SimpleType("A", 2)), (0, 0)) == 1
 
 
 def test_total_multiplicity_matches_weyl_dim():
@@ -213,10 +222,10 @@ def test_total_multiplicity_matches_weyl_dim():
     for t in [SimpleType("A", 2), SimpleType("G", 2), SimpleType("D", 4), SimpleType("A", 5)]:
         rs = build_root_system(t)
         for _ in range(4):
-            lam = rs.weight([rng.randint(0, 2) for _ in range(t.rank)])
-            if weyl_dim(lam) > 10**4:
+            lam = tuple(rng.randint(0, 2) for _ in range(t.rank))
+            if weyl_dim(rs, lam) > 10**4:
                 continue
-            assert weight_system(lam).total_multiplicity() == weyl_dim(lam)
+            assert weight_system(rs, lam).total_multiplicity() == weyl_dim(rs, lam)
 
 
 def test_lowest_weights():
@@ -232,23 +241,23 @@ def test_lowest_weight_in_system_and_below():
     for t in [SimpleType("A", 2), SimpleType("G", 2), SimpleType("D", 4)]:
         rs = build_root_system(t)
         for _ in range(3):
-            lam = rs.weight([rng.randint(0, 2) for _ in range(t.rank)])
-            low = lowest_weight(rs, [int(c) for c in lam.coords])
-            assert low in weight_system(lam).weights()
+            lam = tuple(rng.randint(0, 2) for _ in range(t.rank))
+            low = lowest_weight(rs, lam)
+            assert low in weight_system(rs, lam).weights()
             # lam - low is a non-negative integer root combination
-            diff = [a - b for a, b in zip(lam.coords, low)]
+            diff = [a - b for a, b in zip(lam, low)]
             sol = simple_root_coords(rs, diff)
             assert all(s.denominator == 1 and s >= 0 for s in sol)
 
 
 def test_lin_min_examples():
     g2 = build_root_system(SimpleType("G", 2))
-    assert min_pairing(g2.fundamental_weight(0), g2.fundamental_weight(0)) == Q(-2, 3)
+    assert n_min(g2, (1, unit(g2, 0)), unit(g2, 0)) == Q(-2, 3)
     a2 = build_root_system(SimpleType("A", 2))
-    assert min_pairing(a2.fundamental_weight(0), a2.weight([1, 2])) == Q(-5, 3)
+    assert n_min(a2, (1, unit(a2, 0)), (1, 2)) == Q(-5, 3)
     a5 = build_root_system(SimpleType("A", 5))
-    big = a5.fundamental_weight(2).scale(Q(2, 3))
-    assert min_pairing(big, a5.weight([0, 0, 2, 0, 0])) == Q(-2)
+    big = (3, (0, 0, 2, 0, 0))  # (2/3) L_3
+    assert n_min(a5, big, (0, 0, 2, 0, 0)) == Q(-2)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -256,17 +265,17 @@ def test_min_pairing_matches_freudenthal_both_signs(name):
     rs = build_root_system(SimpleType.parse(name))
     rng = random.Random(name)
     n = rs.rank
-    small = [rs.zero()] + [
-        rs.weight([int(k == i) + int(k == j) for k in range(n)])
+    small = [(0,) * n] + [
+        tuple(int(k == i) + int(k == j) for k in range(n))
         for i in range(n)
         for j in range(i, n + 1)  # j = n: the fundamental weight alone
     ]
-    small = [lam for lam in small if weyl_dim(lam) <= 10**3]
+    small = [lam for lam in small if weyl_dim(rs, lam) <= 10**3]
     for lam in rng.sample(small, min(4, len(small))):
         for _ in range(2):
             h = nondominant_direction(rs, rng)
-            for x in (h, h.scale(-1)):
-                assert min_pairing(x, lam) == brute_force_min(x, lam)
+            for x in (h, tuple(-c for c in h)):
+                assert n_min(rs, scaled_coords(x), lam) == brute_force_min(rs, x, lam)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -277,18 +286,18 @@ def test_dominant_conjugate_properties(name):
         if k % 2:
             h = rational_direction(rs, rng)
         else:
-            h = rs.weight([rng.randint(-4, 4) for _ in range(rs.rank)])
-        den, v = scaled_coords(h.coords)
-        assert den == lcm(*(c.denominator for c in h.coords))
-        assert [Q(x, den) for x in v] == list(h.coords)
+            h = tuple(Q(rng.randint(-4, 4)) for _ in range(rs.rank))
+        den, v = scaled_coords(h)
+        assert den == lcm(*(c.denominator for c in h))
+        assert tuple(Q(x, den) for x in v) == h
         scaled_top = dominant_conjugate(rs, v)
-        top = rs.weight([Q(x, den) for x in scaled_top])
-        assert top.is_dominant()
-        assert top.coords == fraction_dominant_conjugate(h).coords
-        assert rs.norm_of(top.coords) == rs.norm_of(h.coords)
+        top = tuple(Q(x, den) for x in scaled_top)
+        assert min(top) >= 0
+        assert top == fraction_dominant_conjugate(rs, h)
+        assert rs.norm_of(top) == rs.norm_of(h)
         # den * (h+ - h) is a non-negative integer combination of simple
         # roots, den * h being integral; den = 1 for a weight-lattice h
-        diff = [a - b for a, b in zip(top.coords, h.coords)]
+        diff = [a - b for a, b in zip(top, h)]
         coeffs = simple_root_coords(rs, diff)
         assert all((den * c).denominator == 1 and c >= 0 for c in coeffs)
         assert dominant_conjugate(rs, scaled_top) == scaled_top

@@ -2,17 +2,20 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
 from orbifold24.affinerep import (
     AffineAlgebra,
-    TwistVector,
     enumerate_level_weights,
+    fixed_subalgebra_of_ideal,
     n_min_column,
+    sigma_order_on_category,
+    typed_components_of_subsystem,
 )
 from orbifold24.cases import BUILTIN_CASES
-from orbifold24.rootdata import SimpleType, Weight, build_root_system, scaled_coords
+from orbifold24.rootdata import SimpleType, build_root_system, scaled_coords
 from orbifold24.twistbound import (
     CaseSpec,
     invariant_norm,
@@ -25,7 +28,10 @@ from helpers import (
     ORACLE_TYPES,
     brute_force_min,
     feasible_tuples,
+    fraction_coords,
+    fraction_fw_gram,
     fraction_invariant_norm,
+    fraction_ip,
     nondominant_direction,
     rational_direction,
     root_loop_shift_ok,
@@ -53,33 +59,38 @@ def test_shift_ok(case):
 def test_shift_ok_zero_twist():
     g2 = build_root_system(SimpleType("G", 2))
     c = CaseSpec(
-        "zero", (AffineAlgebra(SimpleType("G", 2), 1),), TwistVector((g2.zero(),))
+        "zero", (AffineAlgebra(SimpleType("G", 2), 1),), (scaled_coords((0,) * g2.rank),)
     )
     assert shift_ok(c)
 
 
 def test_shift_fails_for_large_twist():
     g2 = build_root_system(SimpleType("G", 2))
-    h = TwistVector((g2.fundamental_weight(1).scale(3),))
+    h = (scaled_coords((0, 3)),)  # 3 L_2
     c = CaseSpec("big", (AffineAlgebra(SimpleType("G", 2), 1),), h)
     assert not shift_ok(c)
-    low = min(g2.ip(h.components[0].coords, r) for r in g2.roots)
+    low = min(g2.ip(fraction_coords(h[0]), r) for r in g2.roots)
     assert low <= -3
+
+
+def scale(x, c):
+    """The rational weight x times c, in Fraction coordinates."""
+    return tuple(c * q for q in x)
 
 
 def weyl_image(rs, h, rng, steps=6):
     """h moved by a few seeded simple reflections."""
-    cur = list(h.coords)
+    cur = list(h)
     for _ in range(steps):
         j = rng.randrange(rs.rank)
         m = cur[j]
         cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
-    return rs.weight(cur)
+    return tuple(cur)
 
 
 def single_ideal_case(name, h):
     t = SimpleType.parse(name)
-    return CaseSpec(name, (AffineAlgebra(t, 1),), TwistVector((h,)))
+    return CaseSpec(name, (AffineAlgebra(t, 1),), (scaled_coords(h),))
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -87,22 +98,22 @@ def test_shift_ok_matches_root_loop(name):
     rs = build_root_system(SimpleType.parse(name))
     rng = random.Random(name)
     hs = []
-    for scale in (4, 1, Q(1, 8), Q(1, 64)):
+    for factor in (4, 1, Q(1, 8), Q(1, 64)):
         for _ in range(2):
-            h = rational_direction(rs, rng).scale(scale)
-            hs += [h, h.scale(-1), nondominant_direction(rs, rng).scale(scale)]
+            h = scale(rational_direction(rs, rng), factor)
+            hs += [h, scale(h, -1), scale(nondominant_direction(rs, rng), factor)]
     # the boundary: a dominant direction scaled to (h|theta) = 1, moved off
     # the dominant chamber, and the same pushed past by 1/1000
     for _ in range(4):
-        d = rs.weight([Q(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in range(rs.rank)])
-        if not any(d.coords):
+        d = [Q(rng.randint(0, 3), rng.choice((1, 2, 3))) for _ in range(rs.rank)]
+        if not any(d):
             continue
-        edge = d.scale(1 / rs.ip(d.coords, rs.theta))
+        edge = scale(d, 1 / rs.ip(d, rs.theta))
         for h in (edge, weyl_image(rs, edge, rng)):
-            for x in (h, h.scale(-1)):
+            for x in (h, scale(h, -1)):
                 c = single_ideal_case(name, x)
                 assert shift_ok(c) and root_loop_shift_ok(c)
-                over = single_ideal_case(name, x.scale(Q(1001, 1000)))
+                over = single_ideal_case(name, scale(x, Q(1001, 1000)))
                 assert not shift_ok(over) and not root_loop_shift_ok(over)
     verdicts = [root_loop_shift_ok(single_ideal_case(name, h)) for h in hs]
     assert [shift_ok(single_ideal_case(name, h)) for h in hs] == verdicts
@@ -215,15 +226,15 @@ def random_case(rng: random.Random, k: int) -> CaseSpec:
         a = AffineAlgebra(SimpleType(fam, rank), level)
         rs = a.root_system()
         while True:
-            h = rs.weight([rng.choice((0, 0, Q(1, 4), Q(1, 3), Q(1, 2), Q(2, 3), 1))
-                           for _ in range(rank)])
-            if rs.ip(h.coords, rs.theta) <= 1:
+            h = [rng.choice((0, 0, Q(1, 4), Q(1, 3), Q(1, 2), Q(2, 3), 1))
+                 for _ in range(rank)]
+            if rs.ip(h, rs.theta) <= 1:
                 break
         if rng.random() < 0.5:
             h = weyl_image(rs, h, rng, steps=rng.randint(1, 6))
         ambient.append(a)
-        hs.append(h)
-    return CaseSpec(f"random-{k}", tuple(ambient), TwistVector(tuple(hs)))
+        hs.append(scaled_coords(h))
+    return CaseSpec(f"random-{k}", tuple(ambient), tuple(hs))
 
 
 def assert_dp_matches_scan(case):
@@ -249,7 +260,7 @@ def test_dp_matches_scan_on_random_cases():
             assert in_2z == ((norm / 2).denominator == 1)
             assert in_23z == ((norm * 3 / 2).denominator == 1)
         assert_dp_matches_scan(case)
-        off_chamber += any(not h.is_dominant() for h in case.h.components)
+        off_chamber += any(min(v) < 0 for _, v in case.h)
         scaled += any(a.root_system().scale > 1 and a.level > 1 for a in case.ambient)
     assert off_chamber > 20 and scaled > 10
 
@@ -261,11 +272,36 @@ def test_shift_ok_matches_root_loop_on_random_cases():
     for k in range(100):
         case = random_case(rng, k)
         factor = rng.choice((1, Q(5, 4), 2, 3))
-        h = TwistVector(tuple(hi.scale(factor) for hi in case.h.components))
+        h = tuple(scaled_coords(scale(fraction_coords(hi), factor)) for hi in case.h)
         pushed = CaseSpec(case.name, case.ambient, h)
         assert shift_ok(pushed) == root_loop_shift_ok(pushed)
         verdicts.append(shift_ok(pushed))
     assert True in verdicts and False in verdicts
+
+
+def test_category_order_and_fixed_roots_match_fraction_pairings():
+    # the integer pairings over den * scale against Fraction Gram pairings
+    rng = random.Random(7)
+    orders, dropped = Counter(), 0
+    for k in range(60):
+        case = random_case(rng, k)
+        order = 1
+        for a, h in zip(case.ambient, case.h):
+            rs = a.root_system()
+            gram, x = fraction_fw_gram(rs), fraction_coords(h)
+            for w in enumerate_level_weights(a).weights():
+                order = lcm(order, fraction_ip(gram, x, w).denominator)
+            retained = [
+                (fw, ac)
+                for fw, ac in zip(rs.roots, rs.root_alpha_coords)
+                if fraction_ip(gram, x, fw).denominator == 1
+            ]
+            dropped += len(retained) < len(rs.roots)
+            want = typed_components_of_subsystem(rs, retained, a.level)
+            assert fixed_subalgebra_of_ideal(a, h) == want
+        assert sigma_order_on_category(case.h, case.ambient) == order
+        orders[order] += 1
+    assert len(orders) > 2 and dropped > 20
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE3], ids=lambda c: c.name)
@@ -277,21 +313,20 @@ def test_scan_minimum_agrees_with_feasible_tuples(case):
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=lambda c: c.name)
 def test_n_min_column_matches_oracle_on_case_rows(case):
     for c in (case, case.negated()):
-        for a, h in zip(c.ambient, c.h.components):
+        for a, h in zip(c.ambient, c.h):
             rs = a.root_system()
             want = [
-                brute_force_min(h, Weight(w, rs))
+                brute_force_min(rs, fraction_coords(h), w)
                 for w in enumerate_level_weights(a).weights()
             ]
-            den, v = scaled_coords(h.coords)
-            col_den, col = n_min_column(a, v, den)
-            assert col_den == den * rs.scale
+            col_den, col = n_min_column(a, h)
+            assert col_den == h[0] * rs.scale
             assert all(type(x) is int for x in col)
             assert [Q(x, col_den) for x in col] == want
 
 
 def test_min_twisted_weight_builds_no_weight_system(monkeypatch):
-    def forbidden(lam):
+    def forbidden(rs, lam):
         raise AssertionError("a Freudenthal weight system on the hot path")
 
     for name, mod in list(sys.modules.items()):
