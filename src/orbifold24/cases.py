@@ -31,6 +31,7 @@ from .rootdata import (
     ScaledCoords,
     SemisimpleTypeWithLevels,
     SimpleType,
+    parse_ideal,
     scaled_coords,
 )
 from .twistbound import (
@@ -90,16 +91,14 @@ class CaseFile:
         if not (isinstance(h, list) and all(isinstance(c, list) for c in h)):
             raise ValueError("'h' must be a list of coordinate lists")
         try:
-            # one token per ideal, kept in the written order that h follows
-            ambient = [
-                SemisimpleTypeWithLevels.parse(tok) for tok in data["ambient"].split()
-            ]
+            # one token per ideal, kept in the written order that h follows,
+            # each type as written: h's coordinates follow its Dynkin labels
+            typed = [parse_ideal(tok) for tok in data["ambient"].split()]
             coords = [[Q(str(c)) for c in comp] for comp in h]
-        except (ValueError, ZeroDivisionError, IndexError) as err:
+        except (ValueError, ZeroDivisionError) as err:
             raise ValueError(f"malformed case file: {err}") from None
-        if not ambient or any(a.abelian_rank for a in ambient):
+        if not typed:
             raise ValueError("case ambient must be semisimple")
-        typed = [a.ideals[0] for a in ambient]
         if any(k is None or k.denominator != 1 for _, k in typed):
             raise ValueError("every ambient ideal needs an integer level")
         ranks = [t.rank for t, _ in typed]
@@ -254,7 +253,7 @@ def run_case(cf: CaseFile, trunc: int = 12) -> Report:
     )
     rep.check(
         "order-3 admissibility survivors",
-        [str(c.value) for c in survivors],
+        [str(c.value) for c, _ in survivors],
         expected_surv,
         source="reference",
     )
@@ -375,7 +374,7 @@ def verify_candidates() -> Report:
         )
         rep.check(
             f"unique survivor for {case_id}",
-            [str(c.value) for c in survivors],
+            [str(c.value) for c, _ in survivors],
             [cf.expected_target],
             source="reference",
         )

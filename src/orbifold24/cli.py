@@ -120,11 +120,8 @@ def cmd_candidates(args: argparse.Namespace) -> int:
     if args.fixed:
         target = SemisimpleTypeWithLevels.parse(args.fixed)
         survivors = schellekens.filter_candidates(cands, target)
-        rep.note("survivors of the order-3 filter", [str(c.value) for c in survivors])
-        for c in survivors:
-            ok, witness = schellekens.admits_order3_with_fixed(c, target)
-            if not ok or witness is None:
-                raise InvariantError(f"survivor {c.value} has no witness")
+        rep.note("survivors of the order-3 filter", [str(c.value) for c, _ in survivors])
+        for c, witness in survivors:
             rep.note(
                 f"witness for {c.value}",
                 [

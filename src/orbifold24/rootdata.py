@@ -15,6 +15,7 @@ fourth node of the chain.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -56,7 +57,7 @@ class SimpleType:
 
     @staticmethod
     def parse(s: str) -> "SimpleType":
-        return SimpleType(s[0], int(s[1:]))
+        return SimpleType(s[:1], int(s[1:]))
 
     def dim(self) -> int:
         """Dimension of the simple Lie algebra of this type."""
@@ -357,9 +358,11 @@ class SemisimpleTypeWithLevels:
     def of(
         ideals: Sequence[Tuple[SimpleType, Optional[Q | int]]], abelian_rank: int = 0
     ) -> "SemisimpleTypeWithLevels":
+        # a type-only ideal sorts before the same type with a level
         norm = tuple(
             sorted(
-                (t, None if k is None else Q(k)) for t, k in ideals
+                ((t, None if k is None else Q(k)) for t, k in ideals),
+                key=lambda tk: (tk[0], tk[1] is not None, tk[1] or 0),
             )
         )
         for _, k in norm:
@@ -389,18 +392,33 @@ class SemisimpleTypeWithLevels:
 
     @staticmethod
     def parse(s: str) -> "SemisimpleTypeWithLevels":
+        """Space-separated `type`, `type,level`, `U(1)` and `U(1)^n` tokens; B2
+        and D3 are read as C2 and A3, as the ratio pools and Kac's tables name them."""
         ideals: List[Tuple[SimpleType, Optional[Q]]] = []
         abelian = 0
         for tok in s.split():
-            if tok.startswith("U(1)"):
-                abelian += int(tok[5:]) if "^" in tok else 1
+            if tok.startswith("U("):
+                m = _ABELIAN_TOKEN.fullmatch(tok)
+                if m is None:
+                    raise ValueError(f"{tok!r} is not U(1) or U(1)^n with n >= 1")
+                abelian += int(m.group(1) or 1)
                 continue
-            if "," in tok:
-                ty, lev = tok.split(",")
-                ideals.append((SimpleType.parse(ty), Q(lev)))
-            else:
-                ideals.append((SimpleType.parse(tok), None))
+            t, k = parse_ideal(tok)
+            ideals.append((_ALIASES.get(t, t), k))
         return SemisimpleTypeWithLevels.of(ideals, abelian)
+
+
+_ABELIAN_TOKEN = re.compile(r"U\(1\)(?:\^([1-9][0-9]*))?")
+_ALIASES = {SimpleType("B", 2): SimpleType("C", 2), SimpleType("D", 3): SimpleType("A", 3)}
+
+
+def parse_ideal(tok: str) -> Tuple[SimpleType, Optional[Q]]:
+    """One `type` or `type,level` token, the type as written; ValueError if malformed."""
+    ty, comma, lev = tok.partition(",")
+    try:
+        return SimpleType.parse(ty), Q(lev) if comma else None
+    except ZeroDivisionError:
+        raise ValueError(f"level {lev!r} has a zero denominator") from None
 
 
 def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
@@ -473,18 +491,35 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
 
 
 @lru_cache(maxsize=None)
-def _affine_diagram(t: SimpleType) -> Tuple[Tuple[int, ...], ...]:
-    """Untwisted affine diagram as scale * (its node gram), in integers.
+def _affine_diagram(t: SimpleType) -> Tuple[Tuple[IntCoords, ...], IntCoords, int]:
+    """Untwisted affine diagram: (scale * node gram, marks, scale), in integers.
 
-    Node 0 is -theta, nodes 1..r the simple roots; scale is the root
-    system's.
-    """
-    rs = build_root_system(t)
-    nodes = [tuple(-c for c in rs.theta)] + rs.simple_roots
-    return tuple(
-        tuple(sum(a * b for a, b in zip(rs.covector(x), y)) for y in nodes)
+    Node 0 is -theta, nodes 1..r the simple roots; scale clears the
+    denominators of `_gram_matrix`.  No root is generated: theta, the one
+    dominant long root, is reached from a long simple root beta by the
+    height-raising reflections s_i with <beta, a_i-dual> < 0.  The marks are
+    1 and theta's simple-root coordinates."""
+    rational = _gram_matrix(t)
+    scale = lcm(*(x.denominator for row in rational for x in row))
+    g = [[int(x * scale) for x in row] for row in rational]
+    n = t.rank
+    beta = [0] * n
+    beta[max(range(n), key=lambda k: g[k][k])] = 1
+    for _ in range(t.root_count()):
+        pair = [sum(b * g[j][i] for j, b in enumerate(beta) if b) for i in range(n)]
+        i = next((i for i in range(n) if pair[i] < 0), None)
+        if i is None:
+            break
+        beta[i] -= 2 * pair[i] // g[i][i]
+    marks = (1,) + tuple(beta)
+    if sum(marks) != t.root_count() // n:
+        raise InvariantError(f"{t}: marks {marks} do not sum to the Coxeter number")
+    nodes = [[-b for b in beta]] + [[int(i == j) for j in range(n)] for i in range(n)]
+    gram = tuple(
+        tuple(sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n)) for y in nodes)
         for x in nodes
     )
+    return gram, marks, scale
 
 
 # Twisted triple-cover diagram used for the branch-rotation case: three nodes
@@ -530,8 +565,7 @@ def kac_fixed_subalgebra(
         return SemisimpleTypeWithLevels.of([(ty, None) for ty in types], abelian)
     if twist_order != 1:
         raise ValueError("twist order must be 1 or 3")
-    gram = _affine_diagram(t)
-    scale = build_root_system(t).scale
+    gram, _, scale = _affine_diagram(t)
     if len(s) != len(gram):
         raise ValueError(f"expected {len(gram)} labels for affine {t}")
     unseen = [i for i in range(len(s)) if s[i] == 0]

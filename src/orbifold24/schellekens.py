@@ -11,17 +11,17 @@ a fixed-subalgebra target filters the candidates mechanically.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from operator import add, le
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
-    build_root_system,
+    _affine_diagram,
     kac_fixed_subalgebra,
 )
 
@@ -67,7 +67,8 @@ def simple_ideals_with_ratio(r: Q, dim_cap: int) -> List[Ideal]:
     return sorted(out)
 
 
-def enumerate_candidates(total_dim: int, r: Q) -> List[CandidateAlgebra]:
+@lru_cache(maxsize=None)
+def enumerate_candidates(total_dim: int, r: Q) -> Tuple[CandidateAlgebra, ...]:
     """All multisets of ratio-r ideals with dimensions summing to total_dim."""
     pool = simple_ideals_with_ratio(Q(r), total_dim)
     dims = [t.dim() for t, _ in pool]
@@ -91,12 +92,12 @@ def enumerate_candidates(total_dim: int, r: Q) -> List[CandidateAlgebra]:
             chosen.pop()
 
     rec(0, total_dim, [])
-    return sorted(results, key=lambda c: str(c.value))
+    return tuple(sorted(results, key=lambda c: str(c.value)))
 
 
 def _order3_label_vectors(t: SimpleType) -> List[Tuple[int, ...]]:
     """Affine-node label vectors of inner order-3 automorphism classes."""
-    marks = build_root_system(t).marks
+    marks = _affine_diagram(t)[1]
     n = len(marks)
     out: List[Tuple[int, ...]] = []
 
@@ -128,13 +129,11 @@ def _inner_options_at_level_one(t: SimpleType) -> FrozenSet[SemisimpleTypeWithLe
     A component's level is k * 2/(long-root norm), linear in the ambient
     level k, so the options at level k scale these levels by k.
     """
-    return frozenset(
-        kac_fixed_subalgebra(t, s) for s in _order3_label_vectors(t)
-    )
+    return frozenset(kac_fixed_subalgebra(t, s) for s in _order3_label_vectors(t))
 
 
 @lru_cache(maxsize=None)
-def order3_fixed_options(t: SimpleType, level: int) -> FrozenSet[FixedOption]:
+def order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
     """Fixed-subalgebra types realizable by an order-3 automorphism of one ideal.
 
     Includes the trivial class (the ideal itself).  Inner options come from
@@ -142,37 +141,24 @@ def order3_fixed_options(t: SimpleType, level: int) -> FrozenSet[FixedOption]:
     the nodes labelled 0 plus a centre of rank (#nonzero labels - 1); ADE
     inner fixed ideals keep the ambient level.  Outer options exist only for
     D4: the branch rotation fixes A2 at triple level or G2 at the ambient
-    level.
+    level.  The options come sorted by (kind, str(result)), the order in
+    which the search tries them.
     """
-    options = {
-        FixedOption(
-            SemisimpleTypeWithLevels.of([(t, Q(level))]), "trivial"
-        )
-    }
+    of = SemisimpleTypeWithLevels.of
+    options = {FixedOption(of([(t, Q(level))]), "trivial")}
     for opt in _inner_options_at_level_one(t):
         scaled = [(ty, k * level) for ty, k in opt.ideals]
-        options.add(
-            FixedOption(
-                SemisimpleTypeWithLevels.of(scaled, opt.abelian_rank), "inner"
-            )
-        )
+        options.add(FixedOption(of(scaled, opt.abelian_rank), "inner"))
     if t == SimpleType("D", 4):
-        options.add(
-            FixedOption(
-                SemisimpleTypeWithLevels.of([(SimpleType("A", 2), Q(3 * level))]),
-                "outer",
-            )
-        )
-        options.add(
-            FixedOption(
-                SemisimpleTypeWithLevels.of([(SimpleType("G", 2), Q(level))]),
-                "outer",
-            )
-        )
-    return frozenset(options)
+        options.add(FixedOption(of([(SimpleType("A", 2), Q(3 * level))]), "outer"))
+        options.add(FixedOption(of([(SimpleType("G", 2), Q(level))]), "outer"))
+    return tuple(sorted(options, key=lambda o: (o.kind, str(o.result))))
 
 
 Assignment = List[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels]]
+# (count vector over the target's distinct ideals, abelian rank, ideals
+# consumed, nontrivial, witness entry)
+Move = Tuple[Tuple[int, ...], int, int, bool, tuple]
 
 
 def admits_order3_with_fixed(
@@ -184,69 +170,65 @@ def admits_order3_with_fixed(
     contributing the diagonal ideal at triple level) and singletons (each
     contributing one fixed option); the union, including abelian bookkeeping,
     must equal the target.  Returns a witness assignment when it exists.
-    """
-    target_ideals = Counter(target.ideals)
-    target_ab = target.abelian_rank
+
+    The search walks the sorted ideals of c.  A move at a position, the
+    3-cycle of the next three equal ideals or one option of the next ideal,
+    is a count vector over the target's distinct ideals plus an abelian
+    rank; moves naming an ideal the target lacks are dropped when the
+    position is first reached.  The cycle is tried first, then the options
+    by (kind, str(result)); only failed states are remembered, so the first
+    witness found is that of plain backtracking."""
+    keys = dict.fromkeys(target.ideals)  # ordered, with fast membership
+    cap = tuple(map(target.ideals.count, keys))
+    cap_ab = target.abelian_rank
     ideals = sorted(c.ideals())
+    n = len(ideals)
+    moves: List[Optional[List[Move]]] = [None] * n
+    dead: Set[Tuple[int, Tuple[int, ...], int, bool]] = set()
+    witness: Assignment = []
 
-    def fits(acc: Counter, ab: int) -> bool:
-        return ab <= target_ab and all(
-            acc[key] <= target_ideals[key] for key in acc
-        )
+    def moves_at(p: int) -> List[Move]:
+        first = ideals[p]
+        options = order3_fixed_options(first[0], int(first[1]))
+        entries = [(o.kind, (first,), o.result) for o in options]
+        if p + 2 < n and ideals[p + 2] == first:
+            diag = SemisimpleTypeWithLevels.of([(first[0], 3 * first[1])])
+            entries.insert(0, ("cycle", (first,) * 3, diag))
+        return [
+            (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
+             kind != "trivial", (kind, consumed, res))
+            for kind, consumed, res in entries
+            if all(key in keys for key in res.ideals)
+        ]
 
-    def rec(
-        remaining: Tuple[Ideal, ...],
-        acc: Counter,
-        ab: int,
-        nontrivial: bool,
-        witness: Assignment,
-    ) -> Optional[Assignment]:
-        if not remaining:
-            if acc == target_ideals and ab == target_ab and nontrivial:
-                return list(witness)
-            return None
-        first = remaining[0]
-        rest = remaining[1:]
-        # 3-cycle through the first ideal and two equal partners
-        if remaining.count(first) >= 3:
-            idx = [i for i, x in enumerate(rest) if x == first][:2]
-            reduced = tuple(x for i, x in enumerate(rest) if i not in idx)
-            diag = (first[0], 3 * first[1])
-            acc2 = acc.copy()
-            acc2[diag] += 1
-            if fits(acc2, ab):
-                contributed = SemisimpleTypeWithLevels.of([diag])
-                witness.append(("cycle", (first, first, first), contributed))
-                found = rec(reduced, acc2, ab, True, witness)
-                if found is not None:
-                    return found
-                witness.pop()
-        # singleton options
-        for opt in sorted(
-            order3_fixed_options(first[0], int(first[1])),
-            key=lambda o: (o.kind, str(o.result)),
-        ):
-            acc2 = acc.copy()
-            for key in opt.result.ideals:
-                acc2[key] += 1
-            ab2 = ab + opt.result.abelian_rank
-            if not fits(acc2, ab2):
+    def rec(p: int, counts: Tuple[int, ...], ab: int, nontrivial: bool) -> bool:
+        if p == n:
+            return counts == cap and ab == cap_ab and nontrivial
+        state = (p, counts, ab, nontrivial)
+        if state in dead:
+            return False
+        if moves[p] is None:
+            moves[p] = moves_at(p)
+        for vec, move_ab, width, move_nt, entry in moves[p]:
+            counts2 = tuple(map(add, counts, vec))
+            if ab + move_ab > cap_ab or not all(map(le, counts2, cap)):
                 continue
-            witness.append((opt.kind, (first,), opt.result))
-            found = rec(
-                rest, acc2, ab2, nontrivial or opt.kind != "trivial", witness
-            )
-            if found is not None:
-                return found
+            witness.append(entry)
+            if rec(p + width, counts2, ab + move_ab, nontrivial or move_nt):
+                return True
             witness.pop()
-        return None
+        dead.add(state)
+        return False
 
-    found = rec(tuple(ideals), Counter(), 0, False, [])
-    return (found is not None), found
+    if rec(0, (0,) * len(keys), 0, False):
+        return True, witness
+    return False, None
 
 
 def filter_candidates(
     candidates: Sequence[CandidateAlgebra], target: SemisimpleTypeWithLevels
-) -> List[CandidateAlgebra]:
-    """Candidates admitting an order-3 automorphism with the target fixed type."""
-    return [c for c in candidates if admits_order3_with_fixed(c, target)[0]]
+) -> List[Tuple[CandidateAlgebra, Assignment]]:
+    """Candidates admitting an order-3 automorphism with the target fixed
+    type, each with the witness that `admits_order3_with_fixed` found."""
+    found = [(c, admits_order3_with_fixed(c, target)) for c in candidates]
+    return [(c, witness) for c, (ok, witness) in found if ok]

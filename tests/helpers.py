@@ -4,7 +4,11 @@ against, and helpers that only the tests need.
 * Twisted minima: the exhaustive tuple scan (`scan`, `feasible_tuples`,
   `scan_minimum`) against the min-plus DP in `twistbound`.
 * Order-3 options: the root-filter loop (`root_filter_options`) against
-  Kac's theorem in `schellekens`.
+  Kac's theorem in `schellekens`; the affine diagram read off the generated
+  root system (`root_affine_diagram`) against `rootdata._affine_diagram`,
+  which reaches theta by reflections; the plain backtracking search over
+  `Counter`s (`backtracking_admits`) against the count-vector search with
+  its failure memo in `schellekens.admits_order3_with_fixed`.
 * Eta powers: series inversion, powers by repeated products, the
   product expansion of prod (1 - x^n)^m (`product_f_power_at_S`) and
   Euler's pentagonal series (`euler_pentagonal`) against Euler's recurrence
@@ -46,6 +50,7 @@ against, and helpers that only the tests need.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -78,7 +83,11 @@ from orbifold24.rootdata import (
     dual_coxeter,
     weight_system,
 )
-from orbifold24.schellekens import _order3_label_vectors
+from orbifold24.schellekens import (
+    CandidateAlgebra,
+    _order3_label_vectors,
+    order3_fixed_options,
+)
 from orbifold24.twistbound import CaseSpec, _CaseTables, invariant_norm, shift_ok
 
 Coords = Tuple[Q, ...]  # a rational weight in Fraction coordinates
@@ -370,6 +379,65 @@ def root_filter_options(t: SimpleType, level: int) -> Set[SemisimpleTypeWithLeve
         typed, abelian, _ = typed_components_of_subsystem(rs, retained, level)
         out.add(SemisimpleTypeWithLevels.of(typed, abelian))
     return out
+
+
+def root_affine_diagram(t: SimpleType) -> Tuple[List[List[int]], IntCoords, int]:
+    """(scale * node gram, marks, scale) read off the generated root system:
+    theta is the root of greatest height, the gram pairs [-theta] + simple
+    roots through `RootSystem.covector`, scale is the root system's."""
+    rs = build_root_system(t)
+    nodes = [tuple(-c for c in rs.theta)] + rs.simple_roots
+    gram = [[sum(a * b for a, b in zip(rs.covector(x), y)) for y in nodes] for x in nodes]
+    return gram, rs.marks, rs.scale
+
+
+def backtracking_admits(c: CandidateAlgebra, target: SemisimpleTypeWithLevels):
+    """(ok, witness) of the plain backtracking search over Counters: at each
+    step the first remaining ideal either opens a 3-cycle with two equal
+    partners or takes one of its options sorted by (kind, str(result))."""
+    target_ideals = Counter(target.ideals)
+    target_ab = target.abelian_rank
+
+    def fits(acc: Counter, ab: int) -> bool:
+        return ab <= target_ab and all(acc[key] <= target_ideals[key] for key in acc)
+
+    def rec(remaining, acc: Counter, ab: int, nontrivial: bool, witness):
+        if not remaining:
+            if acc == target_ideals and ab == target_ab and nontrivial:
+                return list(witness)
+            return None
+        first, rest = remaining[0], remaining[1:]
+        if remaining.count(first) >= 3:
+            idx = [i for i, x in enumerate(rest) if x == first][:2]
+            reduced = tuple(x for i, x in enumerate(rest) if i not in idx)
+            diag = (first[0], 3 * first[1])
+            acc2 = acc.copy()
+            acc2[diag] += 1
+            if fits(acc2, ab):
+                witness.append(("cycle", (first,) * 3, SemisimpleTypeWithLevels.of([diag])))
+                found = rec(reduced, acc2, ab, True, witness)
+                if found is not None:
+                    return found
+                witness.pop()
+        for opt in sorted(
+            order3_fixed_options(first[0], int(first[1])),
+            key=lambda o: (o.kind, str(o.result)),
+        ):
+            acc2 = acc.copy()
+            for key in opt.result.ideals:
+                acc2[key] += 1
+            ab2 = ab + opt.result.abelian_rank
+            if not fits(acc2, ab2):
+                continue
+            witness.append((opt.kind, (first,), opt.result))
+            found = rec(rest, acc2, ab2, nontrivial or opt.kind != "trivial", witness)
+            if found is not None:
+                return found
+            witness.pop()
+        return None
+
+    found = rec(tuple(sorted(c.ideals())), Counter(), 0, False, [])
+    return (found is not None), found
 
 
 # --- eta powers -----------------------------------------------------------

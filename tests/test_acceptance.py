@@ -124,7 +124,7 @@ def test_criterion_6_candidate_enumeration():
         ok = (
             ok
             and len(survivors) == 1
-            and str(survivors[0].value)
+            and str(survivors[0][0].value)
             == str(SemisimpleTypeWithLevels.parse(cf.expected_target))
         )
     report("6 (candidate enumeration and filter)", ok)

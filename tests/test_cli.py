@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifold24 import cases, cli, latticevoa, qmodular
+from orbifold24 import cases, cli, latticevoa, qmodular, rootdata, schellekens
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
@@ -157,6 +157,22 @@ def test_usage_error_exit_code():
              "--d23", "0", "--trunc", "-3"],
             id="trunc-negative",
         ),
+        pytest.param(
+            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1/0"],
+            id="fixed-level-1/0",
+        ),
+        pytest.param(
+            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1 U(1)^-1"],
+            id="fixed-U(1)^-1",
+        ),
+        pytest.param(
+            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1 U(1)^0"],
+            id="fixed-U(1)^0",
+        ),
+        pytest.param(
+            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "U(1)x"],
+            id="fixed-U(1)x",
+        ),
     ],
 )
 def test_bad_numeric_argument_exits_2(capsys, argv):
@@ -243,6 +259,26 @@ def test_unknown_case_key_is_named(tmp_path, capsys, key):
     assert capsys.readouterr().err == f"error: unknown case field {key!r}\n"
 
 
+def test_case_file_keeps_b2_as_written(tmp_path):
+    # h follows the written type's Dynkin labels, so B2 is not read as C2
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"ambient": "B2,1", "h": [["1/2", "0"]]}), encoding="utf-8")
+    loaded = cases.CaseFile.from_json(str(path))
+    assert str(loaded.ambient[0].type) == "B2" and loaded.h == ((2, (1, 0)),)
+
+
+def test_candidate_filter_generates_no_roots(capsys):
+    # the order-3 filter reads Kac's data off the affine diagram alone
+    for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
+               schellekens._inner_options_at_level_one, rootdata._affine_diagram,
+               rootdata.build_root_system):
+        fn.cache_clear()
+    code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
+                               "E6,3 A2,1 A2,1 A2,1"])
+    assert code == 0
+    assert rootdata.build_root_system.cache_info().misses == 0
+
+
 def test_builtin_case_round_trips_through_a_case_file(tmp_path):
     builtin = cases.BUILTIN_CASES["e6g2"]
     path = tmp_path / "e6g2.json"
@@ -298,13 +334,18 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
           "--json"], "a49d16515181d955"),
         (["candidates", "--dim", "312", "--ratio", "12", "--fixed",
           "E6,3 A2,1 A2,1 A2,1", "--json"], "437f1fc57ee9d9ac"),
+        (["candidates", "--dim", "72", "--ratio", "2", "--fixed",
+          "A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", "--json"], "92878a7153dd25df"),
+        (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
+          "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3", "--json"], "517c320baab5b818"),
         (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
          "2f3a48bedda74bba"),
         (["verify-all", "--json"], "2dea7a85296cb80d"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
     ],
-    ids=["twist-bound", "dimension", "candidates", "lattice", "verify-all",
+    ids=["twist-bound", "dimension", "candidates", "candidates-a5d4",
+         "candidates-a2x6", "lattice", "verify-all",
          "tables-modular", "tables-a5.3"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):

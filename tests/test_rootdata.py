@@ -13,14 +13,17 @@ from helpers import (
     fraction_ip,
     nondominant_direction,
     rational_direction,
+    root_affine_diagram,
     simple_root_coords,
     weyl_dim,
 )
 from orbifold24.affinerep import n_min
 from orbifold24.exactmath import InvariantError
+from orbifold24 import rootdata
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
+    _affine_diagram,
     build_root_system,
     classify_simple_system,
     dominant_conjugate,
@@ -29,6 +32,12 @@ from orbifold24.rootdata import (
     lowest_weight,
     scaled_coords,
     weight_system,
+)
+
+AFFINE_ORACLE_TYPES = (
+    [f"A{r}" for r in range(1, 21)] + [f"B{r}" for r in range(2, 11)]
+    + [f"C{r}" for r in range(2, 11)] + [f"D{r}" for r in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"]
 )
 
 ROOT_COUNTS = {
@@ -370,6 +379,41 @@ def test_type_string_roundtrip():
     assert s.dim() == 54
     assert s.semisimple_rank() + s.abelian_rank == 12
     assert SemisimpleTypeWithLevels.parse(str(s)) == s
+
+
+def test_parse_reads_b2_and_d3_under_the_pool_names():
+    parsed = SemisimpleTypeWithLevels.parse("B2,1 D3,2 D3 U(1)^2")
+    assert parsed == SemisimpleTypeWithLevels.parse("C2,1 A3,2 A3 U(1) U(1)")
+    # a type-only ideal sorts before the same type with a level
+    assert str(parsed) == "A3 A3,2 C2,1 U(1)^2"
+
+
+@pytest.mark.parametrize(
+    "text", ["A2,1/0", "U(1)^-1", "U(1)^0", "U(1)x", "U(1)^", "U(2)", "A2,", ",3", "A2,0"]
+)
+def test_parse_rejects_malformed_tokens(text):
+    with pytest.raises(ValueError):
+        SemisimpleTypeWithLevels.parse(text)
+
+
+@pytest.mark.parametrize("name", AFFINE_ORACLE_TYPES)
+def test_affine_diagram_matches_root_system(name):
+    t = SimpleType.parse(name)
+    gram, marks, scale = _affine_diagram(t)
+    ref_gram, ref_marks, ref_scale = root_affine_diagram(t)
+    assert marks == ref_marks
+    n = len(gram)
+    assert all(
+        gram[i][j] * ref_scale == ref_gram[i][j] * scale for i in range(n) for j in range(n)
+    )
+
+
+def test_affine_diagram_checks_the_coxeter_number(monkeypatch):
+    # A4's diagram passed off as D4's: marks sum to 5, the Coxeter number is 6
+    a4 = rootdata._gram_matrix(SimpleType("A", 4))
+    monkeypatch.setattr(rootdata, "_gram_matrix", lambda t: a4)
+    with pytest.raises(InvariantError):
+        _affine_diagram.__wrapped__(SimpleType("D", 4))
 
 
 def test_invalid_types_rejected():

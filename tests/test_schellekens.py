@@ -11,7 +11,8 @@ from orbifold24.schellekens import (
     simple_ideals_with_ratio,
 )
 
-from helpers import root_filter_options
+from helpers import backtracking_admits, root_filter_options
+from orbifold24.cases import BUILTIN_CASES
 
 
 def names(pool):
@@ -106,7 +107,7 @@ def test_filter_e6g2():
     cands = enumerate_candidates(312, Q(12))
     target = SemisimpleTypeWithLevels.parse("E6,3 A2,1 A2,1 A2,1")
     survivors = filter_candidates(cands, target)
-    assert [str(c.value) for c in survivors] == ["E6,1 E6,1 E6,1 E6,1"]
+    assert [str(c.value) for c, _ in survivors] == ["E6,1 E6,1 E6,1 E6,1"]
     loser = next(c for c in cands if "A11" in str(c.value))
     ok, _ = admits_order3_with_fixed(loser, target)
     assert not ok
@@ -118,7 +119,7 @@ def test_filter_a2x6_and_a5d4():
     t3 = SemisimpleTypeWithLevels.parse("A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1")
     for target in (t2, t3):
         survivors = filter_candidates(cands, target)
-        assert [str(c.value) for c in survivors] == [
+        assert [str(c.value) for c, _ in survivors] == [
             "D4,1 D4,1 D4,1 D4,1 D4,1 D4,1"
         ]
     a5s = next(c for c in cands if "A5,1 A5,1" in str(c.value))
@@ -159,3 +160,36 @@ def test_kac_options_match_root_filter(name):
     for level in (1, 3):
         kac = {o.result for o in order3_fixed_options(t, level) if o.kind == "inner"}
         assert kac == root_filter_options(t, level)
+
+
+def oracle_targets(c):
+    """The chain targets, and for each option of each ideal of c the
+    option's result alone and c with that one ideal replaced by it."""
+    targets = {
+        SemisimpleTypeWithLevels.parse(BUILTIN_CASES[case].expected_fixed)
+        for case in ("e6g2", "a2x6", "a5d4")
+    }
+    ideals = list(c.value.ideals)
+    for j, (t, k) in enumerate(ideals):
+        rest = ideals[:j] + ideals[j + 1:]
+        for o in order3_fixed_options(t, int(k)):
+            targets.add(o.result)
+            targets.add(SemisimpleTypeWithLevels.of(
+                rest + list(o.result.ideals), o.result.abelian_rank))
+    return sorted(targets, key=str)
+
+
+def test_count_vector_search_matches_backtracking():
+    checked = admitted = 0
+    for dim in range(36, 313, 12):
+        for c in enumerate_candidates(dim, Q(dim - 24, 24)):
+            for target in oracle_targets(c):
+                got = admits_order3_with_fixed(c, target)
+                assert got == backtracking_admits(c, target), (str(c.value), str(target))
+                checked += 1
+                admitted += got[0]
+    assert checked > 3000 and admitted > 1000
+
+
+def test_candidates_are_cached_per_dim_and_ratio():
+    assert enumerate_candidates(312, Q(12)) is enumerate_candidates(312, 12)
