@@ -18,17 +18,17 @@ from math import gcd, lcm, prod
 from operator import mul
 from typing import List, Sequence, Tuple
 
-from .exactmath import InvariantError, rank
+from .exactmath import InvariantError
 from .rootdata import (
     IntCoords,
     RootSystem,
     ScaledCoords,
     SemisimpleTypeWithLevels,
     SimpleType,
+    alcove_labels,
     build_root_system,
-    classify_simple_system,
     dominant_conjugate,
-    dual_coxeter,
+    kac_fixed_subalgebra,
     lowest_weight,
 )
 
@@ -86,7 +86,7 @@ def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
     theta = rs.covector(rs.theta)
     positive = [rs.covector(alpha) for alpha in rs.positive_roots]
     rho_product = prod(sum(dual) for dual in positive)  # rho = (1, ..., 1)
-    cw_den = 2 * rs.scale * (a.level + dual_coxeter(a.type))
+    cw_den = 2 * rs.scale * (a.level + a.type.dual_coxeter_number())
     rows: List[TableRow] = []
 
     def rec(partial: List[int], budget: int) -> None:
@@ -156,94 +156,22 @@ def sigma_order_on_category(
     return order
 
 
-def _indecomposable_positive(
-    retained_pos: List[Tuple[IntCoords, IntCoords]]
-) -> List[IntCoords]:
-    """Simple system of a closed subsystem: indecomposable positive roots."""
-    pos_set = {fw for fw, _ in retained_pos}
-    simple = []
-    for fw, _ in retained_pos:
-        decomposable = any(
-            tuple(f - g for f, g in zip(fw, other)) in pos_set
-            for other in pos_set
-            if other != fw
-        )
-        if not decomposable:
-            simple.append(fw)
-    return simple
-
-
-def typed_components_of_subsystem(
-    rs: RootSystem,
-    retained: List[Tuple[IntCoords, IntCoords]],
-    level: int,
-) -> Tuple[List[Tuple[SimpleType, Q]], int, int]:
-    """Type, level and rank bookkeeping for a closed root subsystem.
-
-    Returns (typed components with levels, abelian rank, dimension).  The
-    Cartan is kept whole; a component gets level = ambient level * 2/(b|b)
-    for b a long root of the component in the ambient normalization; the
-    abelian rank is the rank deficit of the retained root span.
-    """
-    retained_pos = [(fw, ac) for fw, ac in retained if sum(ac) > 0]
-    dim = len(retained) + rs.rank
-    if not retained:
-        return [], rs.rank, dim
-    simple = _indecomposable_positive(retained_pos)
-    comps: List[List[IntCoords]] = []
-    unused = list(simple)
-    while unused:
-        comp = [unused.pop()]
-        changed = True
-        while changed:
-            changed = False
-            for v in list(unused):
-                if any(rs.ip(v, w) != 0 for w in comp):
-                    comp.append(v)
-                    unused.remove(v)
-                    changed = True
-        comps.append(comp)
-    typed: List[Tuple[SimpleType, Q]] = []
-    for comp in comps:
-        gram = [[rs.ip(x, y) for y in comp] for x in comp]
-        ty = classify_simple_system(gram)
-        long_norm = max(gram[i][i] for i in range(len(comp)))
-        typed.append((ty, Q(level) * 2 / long_norm))
-    span_rank = rank([ac for _, ac in retained_pos])
-    abelian = rs.rank - span_rank
-    return typed, abelian, dim
-
-
-def fixed_subalgebra_of_ideal(
-    a: AffineAlgebra, h: ScaledCoords
-) -> Tuple[List[Tuple[SimpleType, Q]], int, int]:
-    """Root-filtered fixed subalgebra of one ideal under exp(-2 pi i h).
-
-    Roots kept are exactly those alpha with (h|alpha) integral.
-    """
-    rs = a.root_system()
-    den, v = h
-    dual, d = rs.covector(v), den * rs.scale
-    retained = [
-        (fw, ac)
-        for fw, ac in zip(rs.roots, rs.root_alpha_coords)
-        if sum(map(mul, dual, fw)) % d == 0
-    ]
-    return typed_components_of_subsystem(rs, retained, a.level)
-
-
 def inner_fixed_subalgebra(
     ambient: Sequence[AffineAlgebra], h: Sequence[ScaledCoords]
 ) -> Tuple[SemisimpleTypeWithLevels, int]:
-    """Fixed subalgebra of the inner automorphism exp(-2 pi i h) with dimension."""
+    """Fixed subalgebra of the inner automorphism exp(-2 pi i h) with dimension.
+
+    Each h_i is moved to the fundamental alcove (`alcove_labels`), where the
+    nodes it labels 0 span the fixed ideals (`kac_fixed_subalgebra`); their
+    levels scale by the ambient level.
+    """
     if len(h) != len(ambient):
         raise ValueError("twist vector length does not match ideal count")
     ideals: List[Tuple[SimpleType, Q]] = []
     abelian = 0
-    dim = 0
     for a, hi in zip(ambient, h):
-        typed, ab, d = fixed_subalgebra_of_ideal(a, hi)
-        ideals.extend(typed)
-        abelian += ab
-        dim += d
-    return SemisimpleTypeWithLevels.of(ideals, abelian), dim
+        fixed = kac_fixed_subalgebra(a.type, alcove_labels(a.root_system(), hi))
+        ideals.extend((t, k * a.level) for t, k in fixed.ideals)
+        abelian += fixed.abelian_rank
+    result = SemisimpleTypeWithLevels.of(ideals, abelian)
+    return result, result.dim()

@@ -12,6 +12,7 @@ admissibility filter, and the lattice-side cross-check.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -116,7 +117,11 @@ class CaseFile:
     def from_json(path: str) -> "CaseFile":
         """Load a case file; a malformed one raises ValueError."""
         with open(path, "r", encoding="utf-8") as fh:
-            return CaseFile.from_data(json.load(fh))
+            try:
+                data = json.load(fh)
+            except RecursionError:
+                raise ValueError("malformed case file: nested too deeply") from None
+        return CaseFile.from_data(data)
 
 
 # the built-in cases parse through from_data, then carry their expectations
@@ -381,50 +386,58 @@ def verify_candidates() -> Report:
     return rep
 
 
+def check_lattice(rep: Report, name: str, rng: random.Random) -> None:
+    """The per-lattice checks: glue, roots, dimension, glue group, Jacobi."""
+    exp = golden.LATTICE_EXPECTED[name]
+    lat, alg = lattice_data(name)
+    rep.check(f"{name}: glue index", lat.glue_index(), exp["glue_index"])
+    rep.check(f"{name}: root count", alg.n_roots, exp["root_count"])
+    rep.check(f"{name}: algebra dim", alg.dim, exp["algebra_dim"])
+    rep.check(
+        f"{name}: glue automorphism group order",
+        latticevoa.glue_automorphism_group_order(lat.code),
+        exp["glue_group_order"],
+        source="reference",
+    )
+    jacobi_ok = True
+    for _ in range(500):
+        i, j, k = (rng.randrange(alg.dim) for _ in range(3))
+        x, y, z = {i: 1}, {j: 1}, {k: 1}
+        lhs = alg.bracket(x, alg.bracket(y, z))
+        acc = alg.bracket(alg.bracket(x, y), z)
+        for idx, c in alg.bracket(y, alg.bracket(x, z)).items():
+            acc[idx] = acc.get(idx, 0) + c
+        jacobi_ok = jacobi_ok and lhs == {a: b for a, b in acc.items() if b}
+    rep.check(f"{name}: Jacobi identity on 500 sampled triples", jacobi_ok, True)
+
+
+def check_isometry(rep: Report, lattice_name: str, iso_name: str) -> None:
+    """The per-isometry checks: order, gram, fixed subalgebra and its dim."""
+    iso = lattice_isometry(lattice_name, iso_name)
+    rep.check(f"{iso_name}: order", iso.order(), 3, source="reference")
+    rep.check(f"{iso_name}: preserves gram", iso.preserves_gram(), True)
+    expected_type, expected_dim = golden.FIXED_EXPECTED[iso_name]
+    fixed_type, fixed_dim = lattice_fixed_type(lattice_name, iso_name)
+    rep.check(
+        f"{iso_name}: fixed subalgebra",
+        str(fixed_type),
+        str(SemisimpleTypeWithLevels.parse(expected_type)),
+        source="reference",
+    )
+    rep.check(f"{iso_name}: fixed dim", fixed_dim, expected_dim, source="reference")
+
+
 def verify_lattice(seed: int = 0) -> Report:
     rep = Report("lattice battery")
-    import random
-
     rng = random.Random(seed)
     for name in ("e6_4", "d4_6"):
-        exp = golden.LATTICE_EXPECTED[name]
-        lat, alg = lattice_data(name)
-        rep.check(f"{name}: glue index", lat.glue_index(), exp["glue_index"])
-        rep.check(f"{name}: root count", alg.n_roots, exp["root_count"])
-        rep.check(f"{name}: algebra dim", alg.dim, exp["algebra_dim"])
-        rep.check(
-            f"{name}: glue automorphism group order",
-            latticevoa.glue_automorphism_group_order(lat.code),
-            exp["glue_group_order"],
-            source="reference",
-        )
-        jacobi_ok = True
-        for _ in range(500):
-            i, j, k = (rng.randrange(alg.dim) for _ in range(3))
-            x, y, z = {i: 1}, {j: 1}, {k: 1}
-            lhs = alg.bracket(x, alg.bracket(y, z))
-            acc = alg.bracket(alg.bracket(x, y), z)
-            for idx, c in alg.bracket(y, alg.bracket(x, z)).items():
-                acc[idx] = acc.get(idx, 0) + c
-            jacobi_ok = jacobi_ok and lhs == {a: b for a, b in acc.items() if b}
-        rep.check(f"{name}: Jacobi identity on 500 sampled triples", jacobi_ok, True)
+        check_lattice(rep, name, rng)
     for iso_name, lattice_name in (
         ("sigma6", "e6_4"),
         ("sigma2", "d4_6"),
         ("sigma4", "d4_6"),
     ):
-        iso = lattice_isometry(lattice_name, iso_name)
-        rep.check(f"{iso_name}: order", iso.order(), 3, source="reference")
-        rep.check(f"{iso_name}: preserves gram", iso.preserves_gram(), True)
-        expected_type, expected_dim = golden.FIXED_EXPECTED[iso_name]
-        fixed_type, fixed_dim = lattice_fixed_type(lattice_name, iso_name)
-        rep.check(
-            f"{iso_name}: fixed subalgebra",
-            str(fixed_type),
-            str(SemisimpleTypeWithLevels.parse(expected_type)),
-            source="reference",
-        )
-        rep.check(f"{iso_name}: fixed dim", fixed_dim, expected_dim, source="reference")
+        check_isometry(rep, lattice_name, iso_name)
     lat, _ = lattice_data("e6_4")
     s6 = lattice_isometry("e6_4", "sigma6")
     rho, mults = latticevoa.twisted_ground_energy(s6)

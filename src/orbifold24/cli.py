@@ -9,6 +9,7 @@ exact invariant or identification check that fails), 2 a usage error.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -19,8 +20,8 @@ from .cases import (
     BUILTIN_CASES,
     CaseFile,
     TABLE_FAMILIES,
-    lattice_data,
-    lattice_fixed_type,
+    check_isometry,
+    check_lattice,
     lattice_isometry,
     run_case,
     verify_tables,
@@ -138,27 +139,13 @@ def cmd_candidates(args: argparse.Namespace) -> int:
 
 def cmd_lattice(args: argparse.Namespace) -> int:
     rep = Report(f"lattice {args.name} / {args.isometry}")
-    lat, alg = lattice_data(args.name)
-    exp = golden.LATTICE_EXPECTED[args.name]
-    rep.check("glue index", lat.glue_index(), exp["glue_index"])
-    rep.check("root count", alg.n_roots, exp["root_count"])
-    rep.check("algebra dim", alg.dim, exp["algebra_dim"])
+    check_lattice(rep, args.name, random.Random(0))
+    check_isometry(rep, args.name, args.isometry)
     iso = lattice_isometry(args.name, args.isometry)
-    rep.check("isometry order", iso.order(), 3)
-    rep.check("isometry preserves gram", iso.preserves_gram(), True)
-    rep.note("fixed sublattice rank", len(iso.fixed_coords_basis()))
+    rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_coords_basis()))
     rho, mults = latticevoa.twisted_ground_energy(iso)
-    rep.note("twisted ground energy", rho)
-    rep.note("eigenvalue multiplicities", mults)
-    expected_type, expected_dim = golden.FIXED_EXPECTED[args.isometry]
-    fixed_type, fixed_dim = lattice_fixed_type(args.name, args.isometry)
-    rep.check(
-        "fixed subalgebra",
-        str(fixed_type),
-        str(SemisimpleTypeWithLevels.parse(expected_type)),
-        source="reference",
-    )
-    rep.check("fixed dim", fixed_dim, expected_dim, source="reference")
+    rep.note(f"{args.isometry}: twisted ground energy", rho)
+    rep.note(f"{args.isometry}: eigenvalue multiplicities", mults)
     return _emit(rep, args.json)
 
 

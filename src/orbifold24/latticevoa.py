@@ -879,23 +879,6 @@ class LiftedAutomorphism:
             f"{self.name}*{other.name}",
         )
 
-    def inverse(self) -> "LiftedAutomorphism":
-        alg = self.algebra
-        n = alg.lattice.rank
-        minv = inverse(self.isometry.matrix)
-        mi = tuple(tuple(int(x) for x in row) for row in minv)
-        perm_inv = [0] * alg.n_roots
-        for k in range(alg.n_roots):
-            perm_inv[self.root_perm[k]] = k
-        phase = tuple(self.root_phase[perm_inv[k]] for k in range(alg.n_roots))
-        return LiftedAutomorphism(
-            alg,
-            LatticeIsometry(alg.lattice, mi, f"{self.name}^-1"),
-            phase,
-            tuple(perm_inv),
-            f"{self.name}^-1",
-        )
-
     def is_identity(self) -> bool:
         n = self.algebra.lattice.rank
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))

@@ -1,5 +1,6 @@
-"""Finite root systems, weights of irreducible modules, and fixed-subalgebra
-classification of finite-order automorphisms by affine-node labels.
+"""Finite root systems, weights of irreducible modules, the fundamental
+alcove, and fixed-subalgebra classification of inner finite-order
+automorphisms by affine-node labels.
 
 Conventions.  The invariant form is normalized so long roots have norm 2.
 Weights are stored in fundamental-weight coordinates, as integers
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactmath import InvariantError, inverse
@@ -226,25 +228,12 @@ def build_root_system(t: SimpleType) -> RootSystem:
     return RootSystem(t)
 
 
-def dual_coxeter(t: SimpleType) -> int:
-    """Dual Coxeter number 1 + (rho|theta-dual) from root data."""
-    rs = build_root_system(t)
-    theta = rs.theta
-    val = 1 + 2 * rs.ip(rs.rho, theta) / rs.norm_of(theta)
-    if val.denominator != 1:
-        raise InvariantError(f"{t}: dual Coxeter number {val} is not an integer")
-    return int(val)
-
-
 @dataclass(frozen=True)
 class WeightSystem:
     """Weights of an irreducible module with Freudenthal multiplicities."""
 
     highest: IntCoords
     entries: Tuple[Tuple[IntCoords, int], ...]
-
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.entries)
 
     def weights(self) -> List[IntCoords]:
         return [w for w, _ in self.entries]
@@ -344,6 +333,35 @@ def lowest_weight(rs: RootSystem, lam: Sequence[int]) -> IntCoords:
     return tuple(-c for c in dominant_conjugate(rs, [-c for c in lam]))
 
 
+def alcove_labels(rs: RootSystem, h: ScaledCoords) -> IntCoords:
+    """Kac labels of the point of the fundamental alcove conjugate to h.
+
+    h enters as (den, den * h) and moves under the affine Weyl group, which
+    keeps the roots with (h|alpha) integral up to conjugacy.  Each round
+    takes the dominant conjugate, and while (h|theta) > 1 the reflection
+    s_0 in the wall (x|theta) = 1 maps h to h - ((h|theta) - 1) theta
+    (theta is long, so theta-dual = theta).  That lowers |h|^2 by
+    2((h|theta) - 1) >= 2/den, so den |h|^2 / 2 reflections always suffice.
+    The labels are den * scale * (1 - (h|theta), (h|a_1), ..., (h|a_r)),
+    in integers.
+    """
+    den, v = h
+    wall = den * rs.scale
+    theta = rs.covector(rs.theta)
+    for _ in range(sum(map(mul, rs.covector(v), v)) // (2 * wall) + 1):
+        v = dominant_conjugate(rs, v)
+        p = sum(map(mul, theta, v))
+        if p <= wall:
+            return (wall - p,) + tuple(
+                sum(map(mul, rs.covector(a), v)) for a in rs.simple_roots
+            )
+        step, rem = divmod(p - wall, rs.scale)
+        if rem:
+            raise InvariantError(f"(h|theta) of {h} is not in (1/den)Z")
+        v = tuple(c - step * t for c, t in zip(v, rs.theta))
+    raise InvariantError(f"{h} is not in the fundamental alcove after s_0 steps")
+
+
 @dataclass(frozen=True)
 class SemisimpleTypeWithLevels:
     """Multiset of (simple type, level) ideals plus an abelian rank.
@@ -369,9 +387,6 @@ class SemisimpleTypeWithLevels:
             if k is not None and k <= 0:
                 raise ValueError("levels must be positive")
         return SemisimpleTypeWithLevels(norm, abelian_rank)
-
-    def semisimple_rank(self) -> int:
-        return sum(t.rank for t, _ in self.ideals)
 
     def dim(self) -> int:
         return sum(t.dim() for t, _ in self.ideals) + self.abelian_rank
@@ -522,49 +537,22 @@ def _affine_diagram(t: SimpleType) -> Tuple[Tuple[IntCoords, ...], IntCoords, in
     return gram, marks, scale
 
 
-# Twisted triple-cover diagram used for the branch-rotation case: three nodes
-# with marks (1, 2, 1); retained-node subsets classify as below.
-_TWISTED_D4_SUBTYPES: Dict[frozenset, List[SimpleType]] = {
-    frozenset({0}): [SimpleType("A", 1)],
-    frozenset({1}): [SimpleType("A", 1)],
-    frozenset({2}): [SimpleType("A", 1)],
-    frozenset({0, 1}): [SimpleType("A", 2)],
-    frozenset({1, 2}): [SimpleType("G", 2)],
-    frozenset({0, 2}): [SimpleType("A", 1), SimpleType("A", 1)],
-    frozenset(): [],
-}
+def kac_fixed_subalgebra(t: SimpleType, s: Sequence[int]) -> SemisimpleTypeWithLevels:
+    """Fixed-subalgebra type of the inner automorphism labelled by s.
 
-
-def kac_fixed_subalgebra(
-    t: SimpleType,
-    s: Sequence[int],
-    twist_order: int = 1,
-) -> SemisimpleTypeWithLevels:
-    """Fixed-subalgebra type of the finite-order automorphism labelled by s.
-
-    s lists non-negative integers on the (twisted) affine diagram nodes; the
-    automorphism order is twist_order * sum(marks * s).  The semisimple part
-    is the sub-diagram on nodes with s_i = 0; the abelian rank is one less
-    than the number of nonzero labels.  For an inner automorphism each
-    component carries its level inside a level-1 ideal, 2/(b|b), with (b|b)
-    its long-root norm in the ambient normalization; at level k it scales
-    by k.  Levels are left undetermined for the D4 triple twist.
+    s lists non-negative integers on the untwisted affine diagram nodes; with
+    coprime labels the automorphism order is sum(marks * s).  Only which
+    labels vanish matters here: the semisimple part is the sub-diagram on
+    nodes with s_i = 0; the abelian rank is one less than the number of
+    nonzero labels.  Each component carries its level inside a
+    level-1 ideal, 2/(b|b), with (b|b) its long-root norm in the ambient
+    normalization; at level k it scales by k.
     """
     if all(x == 0 for x in s):
         raise ValueError("labels must not all vanish")
     if any(x < 0 for x in s):
         raise ValueError("labels must be non-negative")
     abelian = sum(1 for x in s if x) - 1
-    if twist_order == 3:
-        if t != SimpleType("D", 4):
-            raise ValueError("triple twist supported for D4 only")
-        if len(s) != 3:
-            raise ValueError("twisted diagram has 3 nodes")
-        kept = frozenset(i for i in range(3) if s[i] == 0)
-        types = _TWISTED_D4_SUBTYPES[kept]
-        return SemisimpleTypeWithLevels.of([(ty, None) for ty in types], abelian)
-    if twist_order != 1:
-        raise ValueError("twist order must be 1 or 3")
     gram, _, scale = _affine_diagram(t)
     if len(s) != len(gram):
         raise ValueError(f"expected {len(gram)} labels for affine {t}")

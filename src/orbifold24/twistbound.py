@@ -42,10 +42,6 @@ class CaseSpec:
         if len(self.h) != len(self.ambient):
             raise ValueError("twist vector length does not match ideal count")
 
-    def negated(self) -> "CaseSpec":
-        h = tuple((den, tuple(-x for x in v)) for den, v in self.h)
-        return CaseSpec(self.name + "-neg", self.ambient, h)
-
 
 def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
     """<h|h> = sum_i k_i (h_i|h_i), with the 2Z and (2/3)Z membership flags."""

@@ -3,6 +3,11 @@ against, and helpers that only the tests need.
 
 * Twisted minima: the exhaustive tuple scan (`scan`, `feasible_tuples`,
   `scan_minimum`) against the min-plus DP in `twistbound`.
+* Fixed subalgebras: the roots with (h|alpha) integral, split into
+  components through their indecomposable positive roots and typed from
+  root data (`typed_components_of_subsystem`,
+  `root_filter_fixed_subalgebra`), against Kac's labels read off the
+  fundamental alcove in `affinerep.inner_fixed_subalgebra`.
 * Order-3 options: the root-filter loop (`root_filter_options`) against
   Kac's theorem in `schellekens`; the affine diagram read off the generated
   root system (`root_affine_diagram`) against `rootdata._affine_diagram`,
@@ -28,7 +33,8 @@ against, and helpers that only the tests need.
   (`weyl_dim`), the conformal weight (`conformal_weight`) and the lowest
   weight by rational reflections (`fraction_dominant_conjugate`,
   `fraction_lowest_weight`) against the integer rows of
-  `affinerep.enumerate_level_weights`.
+  `affinerep.enumerate_level_weights`; the dual Coxeter number from root
+  data (`dual_coxeter`) against `SimpleType.dual_coxeter_number`.
 * Directional minima: the least pairing over the Freudenthal weight
   system (`brute_force_min`) against the closed form (h+|w0.lam) in
   `affinerep.n_min` and `affinerep.n_min_column`.
@@ -43,8 +49,11 @@ against, and helpers that only the tests need.
   over (w, -w) weight pairs, and the subsystem count over an all-pairs
   orthogonality matrix (`all_pairs_subsystem_count`) against the clique
   count over perpendicular root sets.
-* `rough_lift`: some algebra automorphism covering a lattice isometry;
+* `rough_lift`: some algebra automorphism covering a lattice isometry, and
+  `inverse_lift` its inverse;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
+* Small conveniences only the tests use: `negated` (the case with twist
+  -h), `semisimple_rank` and `total_multiplicity`.
 """
 
 from __future__ import annotations
@@ -60,8 +69,8 @@ from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from orbifold24.affinerep import AffineAlgebra, typed_components_of_subsystem
-from orbifold24.exactmath import inverse, kernel
+from orbifold24.affinerep import AffineAlgebra
+from orbifold24.exactmath import InvariantError, inverse, kernel, rank
 from orbifold24.latticevoa import (
     EvenLattice,
     GlueCode,
@@ -79,8 +88,9 @@ from orbifold24.rootdata import (
     ScaledCoords,
     SemisimpleTypeWithLevels,
     SimpleType,
+    WeightSystem,
     build_root_system,
-    dual_coxeter,
+    classify_simple_system,
     weight_system,
 )
 from orbifold24.schellekens import (
@@ -197,6 +207,25 @@ def weyl_dim(rs: RootSystem, lam: IntCoords) -> int:
     if val.denominator != 1:
         raise ValueError(f"Weyl dimension {val} of {lam} is not an integer")
     return int(val)
+
+
+def dual_coxeter(t: SimpleType) -> int:
+    """Dual Coxeter number 1 + (rho|theta-dual) from root data."""
+    rs = build_root_system(t)
+    theta = rs.theta
+    val = 1 + 2 * rs.ip(rs.rho, theta) / rs.norm_of(theta)
+    if val.denominator != 1:
+        raise InvariantError(f"{t}: dual Coxeter number {val} is not an integer")
+    return int(val)
+
+
+def total_multiplicity(ws: WeightSystem) -> int:
+    """Dimension of the module: the sum of its weight multiplicities."""
+    return sum(m for _, m in ws.entries)
+
+
+def semisimple_rank(x: SemisimpleTypeWithLevels) -> int:
+    return sum(t.rank for t, _ in x.ideals)
 
 
 def conformal_weight(a: AffineAlgebra, lam: IntCoords) -> Q:
@@ -357,6 +386,90 @@ def root_loop_shift_ok(c: CaseSpec) -> bool:
             if rs.ip(root, x) < -1:
                 return False
     return True
+
+
+def negated(c: CaseSpec) -> CaseSpec:
+    """The case with twist -h."""
+    h = tuple((den, tuple(-x for x in v)) for den, v in c.h)
+    return CaseSpec(c.name + "-neg", c.ambient, h)
+
+
+# --- fixed subalgebras -----------------------------------------------------
+
+
+def _indecomposable_positive(
+    retained_pos: List[Tuple[IntCoords, IntCoords]]
+) -> List[IntCoords]:
+    """Simple system of a closed subsystem: indecomposable positive roots."""
+    pos_set = {fw for fw, _ in retained_pos}
+    simple = []
+    for fw, _ in retained_pos:
+        decomposable = any(
+            tuple(f - g for f, g in zip(fw, other)) in pos_set
+            for other in pos_set
+            if other != fw
+        )
+        if not decomposable:
+            simple.append(fw)
+    return simple
+
+
+def typed_components_of_subsystem(
+    rs: RootSystem,
+    retained: List[Tuple[IntCoords, IntCoords]],
+    level: int,
+) -> Tuple[List[Tuple[SimpleType, Q]], int, int]:
+    """Type, level and rank bookkeeping for a closed root subsystem.
+
+    Returns (typed components with levels, abelian rank, dimension).  The
+    Cartan is kept whole; a component gets level = ambient level * 2/(b|b)
+    for b a long root of the component in the ambient normalization; the
+    abelian rank is the rank deficit of the retained root span.
+    """
+    retained_pos = [(fw, ac) for fw, ac in retained if sum(ac) > 0]
+    dim = len(retained) + rs.rank
+    if not retained:
+        return [], rs.rank, dim
+    simple = _indecomposable_positive(retained_pos)
+    comps: List[List[IntCoords]] = []
+    unused = list(simple)
+    while unused:
+        comp = [unused.pop()]
+        changed = True
+        while changed:
+            changed = False
+            for v in list(unused):
+                if any(rs.ip(v, w) != 0 for w in comp):
+                    comp.append(v)
+                    unused.remove(v)
+                    changed = True
+        comps.append(comp)
+    typed: List[Tuple[SimpleType, Q]] = []
+    for comp in comps:
+        gram = [[rs.ip(x, y) for y in comp] for x in comp]
+        ty = classify_simple_system(gram)
+        long_norm = max(gram[i][i] for i in range(len(comp)))
+        typed.append((ty, Q(level) * 2 / long_norm))
+    span_rank = rank([ac for _, ac in retained_pos])
+    abelian = rs.rank - span_rank
+    return typed, abelian, dim
+
+
+def root_filter_fixed_subalgebra(
+    a: AffineAlgebra, h: ScaledCoords
+) -> Tuple[SemisimpleTypeWithLevels, int]:
+    """Fixed subalgebra of one ideal under exp(-2 pi i h), with dimension,
+    from the generated roots: alpha is kept iff (h|alpha) is integral."""
+    rs = a.root_system()
+    den, v = h
+    dual, d = rs.covector(v), den * rs.scale
+    retained = [
+        (fw, ac)
+        for fw, ac in zip(rs.roots, rs.root_alpha_coords)
+        if sum(x * y for x, y in zip(dual, fw)) % d == 0
+    ]
+    typed, abelian, dim = typed_components_of_subsystem(rs, retained, a.level)
+    return SemisimpleTypeWithLevels.of(typed, abelian), dim
 
 
 # --- order-3 options ------------------------------------------------------
@@ -649,6 +762,23 @@ def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism
         _, const = _phase_bit_expr(alg, h_bits, rc)
         phase.append(-1 if const else 1)
     return LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"rough({g.name})")
+
+
+def inverse_lift(w: LiftedAutomorphism) -> LiftedAutomorphism:
+    """The inverse automorphism: inverse isometry, inverse root permutation."""
+    alg = w.algebra
+    mi = tuple(tuple(int(x) for x in row) for row in inverse(w.isometry.matrix))
+    perm_inv = [0] * alg.n_roots
+    for k in range(alg.n_roots):
+        perm_inv[w.root_perm[k]] = k
+    phase = tuple(w.root_phase[perm_inv[k]] for k in range(alg.n_roots))
+    return LiftedAutomorphism(
+        alg,
+        LatticeIsometry(alg.lattice, mi, f"{w.name}^-1"),
+        phase,
+        tuple(perm_inv),
+        f"{w.name}^-1",
+    )
 
 
 def permutation_first_glue_order(code: GlueCode) -> int:

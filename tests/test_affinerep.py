@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction as Q
 from math import lcm
+from operator import mul
 
 import pytest
 
@@ -7,6 +9,8 @@ from helpers import (
     conformal_weight,
     fraction_level_weights,
     fraction_lowest_weight,
+    root_filter_fixed_subalgebra,
+    semisimple_rank,
     weyl_dim,
 )
 from orbifold24.affinerep import (
@@ -16,7 +20,8 @@ from orbifold24.affinerep import (
     n_min,
     sigma_order_on_category,
 )
-from orbifold24.rootdata import SimpleType
+from orbifold24.cases import BUILTIN_CASES
+from orbifold24.rootdata import SimpleType, dominant_conjugate, scaled_coords
 
 E6_3 = AffineAlgebra(SimpleType("E", 6), 3)
 G2_1 = AffineAlgebra(SimpleType("G", 2), 1)
@@ -173,7 +178,7 @@ def test_fixed_subalgebra_preserves_rank():
         algebras, h = mk()
         res, _ = inner_fixed_subalgebra(algebras, h)
         ambient_rank = sum(a.type.rank for a in algebras)
-        assert res.semisimple_rank() + res.abelian_rank == ambient_rank
+        assert semisimple_rank(res) + res.abelian_rank == ambient_rank
 
 
 def test_simply_laced_fixed_levels_match_ambient():
@@ -183,17 +188,42 @@ def test_simply_laced_fixed_levels_match_ambient():
         for a, hi in zip(algebras, h):
             if a.type.family == "G":
                 continue
-            from orbifold24.affinerep import fixed_subalgebra_of_ideal
-
-            typed, _, _ = fixed_subalgebra_of_ideal(a, hi)
-            for _, level in typed:
+            res, _ = inner_fixed_subalgebra((a,), (hi,))
+            for _, level in res.ideals:
                 assert level == a.level
 
 
 def test_level_rule_inside_g2():
     # the long-root subalgebra of G2 at level 1 is A2 at level 1
-    from orbifold24.affinerep import fixed_subalgebra_of_ideal
+    res, dim = inner_fixed_subalgebra((G2_1,), ((1, fw(G2_1, 0)),))
+    assert [(str(t), k) for t, k in res.ideals] == [("A2", Q(1))]
+    assert res.abelian_rank == 0 and dim == 8
 
-    typed, abelian, dim = fixed_subalgebra_of_ideal(G2_1, (1, fw(G2_1, 0)))
-    assert [(str(t), k) for t, k in typed] == [("A2", Q(1))]
-    assert abelian == 0 and dim == 8
+
+ALCOVE_TYPES = (
+    [f"A{r}" for r in range(1, 9)]
+    + [f"{f}{r}" for f in "BC" for r in range(2, 7)]
+    + [f"D{r}" for r in range(4, 8)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
+
+
+def test_alcove_path_matches_root_filter():
+    # Kac labels read off the fundamental alcove against the roots with
+    # (h|alpha) integral, typed from root data
+    for cf in BUILTIN_CASES.values():
+        for a, h in zip(cf.ambient, cf.h):
+            assert inner_fixed_subalgebra((a,), (h,)) == root_filter_fixed_subalgebra(a, h)
+    rng = random.Random(14)
+    draws, beyond_wall = 1000, 0
+    for _ in range(draws):
+        a = AffineAlgebra(SimpleType.parse(rng.choice(ALCOVE_TYPES)), rng.randint(1, 4))
+        den = rng.randint(1, 12)
+        h = scaled_coords(
+            [Q(rng.randint(-3 * den, 3 * den), den) for _ in range(a.type.rank)]
+        )
+        r = rs(a)
+        top = dominant_conjugate(r, h[1])
+        beyond_wall += sum(map(mul, r.covector(r.theta), top)) > h[0] * r.scale
+        assert inner_fixed_subalgebra((a,), (h,)) == root_filter_fixed_subalgebra(a, h)
+    assert beyond_wall >= 0.8 * draws

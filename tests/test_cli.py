@@ -96,7 +96,11 @@ def test_lattice_command(capsys):
     assert code == 0
     data = json.loads(out)
     names = {s["name"]: s for s in data["steps"]}
-    assert names["fixed dim"]["computed"] == 102
+    assert names["sigma6: fixed dim"]["computed"] == 102
+    # the same per-lattice and per-isometry checks as the verify-all battery
+    battery = {s.name for s in cases.verify_tables("lattice").steps}
+    checks = [s["name"] for s in data["steps"] if s["verdict"] != "info"]
+    assert len(checks) == 9 and set(checks) <= battery
     assert data["verdict"] == "pass"
 
 
@@ -245,6 +249,17 @@ def test_malformed_case_file_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_deeply_nested_case_file_exits_2(tmp_path, capsys):
+    # json.dumps cannot build this nesting, so the raw text is written
+    path = tmp_path / "case.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["twist-bound", "--case", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed case file") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "key", ["expected_fixed", "expected_fixed_dim", "expected_target", "lattice",
             "isometry", "H"],
@@ -339,7 +354,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
           "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3", "--json"], "517c320baab5b818"),
         (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
-         "2f3a48bedda74bba"),
+         "96fe4294d2da5897"),
         (["verify-all", "--json"], "2dea7a85296cb80d"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
@@ -397,7 +412,7 @@ def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
 
     monkeypatch.setattr(latticevoa, "identify_type", failing_identify_type)
     # bypass the per-process cache so that the patched identification runs
-    monkeypatch.setattr(cli, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
+    monkeypatch.setattr(cases, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
     assert exc.value.code == 1

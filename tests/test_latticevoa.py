@@ -45,6 +45,7 @@ from helpers import (
     fraction_centralizer,
     fraction_slot_maps_to_isometry,
     full_killing,
+    inverse_lift,
     ip_coords,
     permutation_first_glue_order,
     root_lattice,
@@ -244,8 +245,8 @@ def test_identify_type_conjugation_invariant(nd4, alg_d4, lift2):
         conj = (
             w1.compose(w2)
             .compose(lift2)
-            .compose(w2.inverse())
-            .compose(w1.inverse())
+            .compose(inverse_lift(w2))
+            .compose(inverse_lift(w1))
         )
         assert str(identify_type(fixed_subalgebra(conj))) == base
 

@@ -11,7 +11,7 @@ from orbifold24.schellekens import (
     simple_ideals_with_ratio,
 )
 
-from helpers import backtracking_admits, root_filter_options
+from helpers import backtracking_admits, root_filter_options, semisimple_rank
 from orbifold24.cases import BUILTIN_CASES
 
 
@@ -132,7 +132,7 @@ def test_witness_rank_bookkeeping():
     winner = next(c for c in cands if str(c.value) == "E6,1 E6,1 E6,1 E6,1")
     ok, witness = admits_order3_with_fixed(winner, target)
     assert ok and witness is not None
-    total_rank = target.semisimple_rank() + target.abelian_rank
+    total_rank = semisimple_rank(target) + target.abelian_rank
     assert total_rank <= sum(t.rank for t, _ in winner.ideals())
     # witness contributions reassemble the target exactly
     acc = []

@@ -9,13 +9,17 @@ import pytest
 from orbifold24.affinerep import (
     AffineAlgebra,
     enumerate_level_weights,
-    fixed_subalgebra_of_ideal,
+    inner_fixed_subalgebra,
     n_min_column,
     sigma_order_on_category,
-    typed_components_of_subsystem,
 )
 from orbifold24.cases import BUILTIN_CASES
-from orbifold24.rootdata import SimpleType, build_root_system, scaled_coords
+from orbifold24.rootdata import (
+    SemisimpleTypeWithLevels,
+    SimpleType,
+    build_root_system,
+    scaled_coords,
+)
 from orbifold24.twistbound import (
     CaseSpec,
     invariant_norm,
@@ -32,12 +36,14 @@ from helpers import (
     fraction_fw_gram,
     fraction_invariant_norm,
     fraction_ip,
+    negated,
     nondominant_direction,
     rational_direction,
     root_loop_shift_ok,
     scan_minimum,
     tuple_grid,
     twisted_weight_lower_bound,
+    typed_components_of_subsystem,
 )
 
 CASE1 = BUILTIN_CASES["e6g2"].case_spec()
@@ -186,13 +192,13 @@ def test_min_twisted_weight_is_one(case):
 @pytest.mark.parametrize("case", [CASE1, CASE3], ids=lambda c: c.name)
 def test_negation_symmetry_of_bound_multisets(case):
     pos = Counter(tb.bound for tb in feasible_tuples(case))
-    neg = Counter(tb.bound for tb in feasible_tuples(case.negated()))
+    neg = Counter(tb.bound for tb in feasible_tuples(negated(case)))
     assert pos == neg
 
 
 def test_all_bounds_at_least_one_and_in_thirds():
     for case in (CASE1, CASE3):
-        for signed in (case, case.negated()):
+        for signed in (case, negated(case)):
             for tb in feasible_tuples(signed):
                 assert tb.bound >= 1
                 assert (3 * tb.bound).denominator == 1
@@ -240,7 +246,7 @@ def random_case(rng: random.Random, k: int) -> CaseSpec:
 def assert_dp_matches_scan(case):
     m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(case)
     assert (m_pos, wit_pos) == scan_minimum(case)
-    assert (m_neg, wit_neg) == scan_minimum(case.negated())
+    assert (m_neg, wit_neg) == scan_minimum(negated(case))
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=lambda c: c.name)
@@ -254,7 +260,7 @@ def test_dp_matches_scan_on_random_cases():
     for k in range(100):
         case = random_case(rng, k)
         assert shift_ok(case) and root_loop_shift_ok(case)
-        for c in (case, case.negated()):
+        for c in (case, negated(case)):
             norm, in_2z, in_23z = invariant_norm(c)
             assert norm == fraction_invariant_norm(c)
             assert in_2z == ((norm / 2).denominator == 1)
@@ -297,8 +303,9 @@ def test_category_order_and_fixed_roots_match_fraction_pairings():
                 if fraction_ip(gram, x, fw).denominator == 1
             ]
             dropped += len(retained) < len(rs.roots)
-            want = typed_components_of_subsystem(rs, retained, a.level)
-            assert fixed_subalgebra_of_ideal(a, h) == want
+            typed, abelian, dim = typed_components_of_subsystem(rs, retained, a.level)
+            want = SemisimpleTypeWithLevels.of(typed, abelian), dim
+            assert inner_fixed_subalgebra((a,), (h,)) == want
         assert sigma_order_on_category(case.h, case.ambient) == order
         orders[order] += 1
     assert len(orders) > 2 and dropped > 20
@@ -312,7 +319,7 @@ def test_scan_minimum_agrees_with_feasible_tuples(case):
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=lambda c: c.name)
 def test_n_min_column_matches_oracle_on_case_rows(case):
-    for c in (case, case.negated()):
+    for c in (case, negated(case)):
         for a, h in zip(c.ambient, c.h):
             rs = a.root_system()
             want = [
