@@ -80,7 +80,8 @@ def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
     covector(theta) . lam <= k * scale; the Weyl dimension is the product of
     covector(alpha) . (lam + rho) over the positive roots over the same
     product for rho; the conformal weight is lam . form . (lam + 2 rho) over
-    2 scale (k + h-dual).  The walk yields the weights in sorted order.
+    2 scale (k + h-dual), positive for every lam but the vacuum.  The walk
+    yields the weights in sorted order, so row 0 is the vacuum.
     """
     rs = a.root_system()
     theta = rs.covector(rs.theta)
@@ -102,6 +103,9 @@ def enumerate_level_weights(a: AffineAlgebra) -> AffineModuleTable:
         if rem:
             raise InvariantError(f"{a}: Weyl dimension of {partial} is not an integer")
         norm = sum(map(mul, rs.covector(partial), [c + 2 for c in partial]))
+        if norm <= 0 and any(partial):
+            # the twist DP reads a positive cw sum as "some ideal is not vacuum"
+            raise InvariantError(f"{a}: non-vacuum weight {partial} has cw <= 0")
         rows.append(TableRow(
             tuple(partial), Q(norm, cw_den), dim, lowest_weight(rs, partial)
         ))
@@ -123,17 +127,22 @@ def n_min(rs: RootSystem, h: ScaledCoords, lam: Sequence[int]) -> Q:
     return Q(sum(map(mul, dual, lowest_weight(rs, lam))), den * rs.scale)
 
 
-def n_min_column(a: AffineAlgebra, h: ScaledCoords) -> Tuple[int, List[int]]:
-    """n_min(h, lam) for every row lam of the table, in table order.
+def n_min_column(
+    a: AffineAlgebra, h: ScaledCoords
+) -> Tuple[int, List[int], List[int]]:
+    """n_min(h, lam) and n_min(-h, lam) for every row lam, in table order.
 
-    The result is (den * scale, numerators): h+ is found once and each row
-    pairs its covector with w0.lam.
+    The result is (den * scale, numerators for h, numerators for -h): h+ is
+    found once; h pairs least with w0.lam at (h+|w0.lam), and -h pairs least
+    with the top weight, -(h+|lam), since h+ pairs most with lam itself.
     """
     rs = a.root_system()
     den, v = h
     dual = rs.covector(dominant_conjugate(rs, v))
     rows = enumerate_level_weights(a).rows
-    return den * rs.scale, [sum(map(mul, dual, r.lowest)) for r in rows]
+    pos = [sum(map(mul, dual, r.lowest)) for r in rows]
+    neg = [-sum(map(mul, dual, r.weight)) for r in rows]
+    return den * rs.scale, pos, neg
 
 
 def sigma_order_on_category(

@@ -22,10 +22,11 @@ DISCREPANCY = "discrepancy-documented"
 
 def render_value(v: Any) -> Any:
     """Canonical JSON form: non-integral rationals as 'p/q' strings."""
+    # the plain values first: Fraction's isinstance check goes through ABCMeta
+    if v is None or isinstance(v, (int, str)):
+        return v
     if isinstance(v, Q):
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, bool) or v is None or isinstance(v, (int, str)):
-        return v
     if isinstance(v, float):
         raise TypeError("floating-point values do not belong in reports")
     if isinstance(v, (list, tuple)):
@@ -33,6 +34,37 @@ def render_value(v: Any) -> Any:
     if isinstance(v, dict):
         return {str(k): render_value(x) for k, x in v.items()}
     return str(v)
+
+
+_string = json.encoder.encode_basestring_ascii
+
+
+def _encode(v: Any, pad: str) -> str:
+    """Sorted, indent-2 JSON of a rendered value in one recursive pass.
+
+    json.dumps takes its C encoder only without indent; this writes the same
+    bytes, with pad the newline and indent that precede a closing bracket.
+    """
+    if isinstance(v, str):
+        return _string(v)
+    if isinstance(v, int):
+        return "true" if v is True else "false" if v is False else int.__repr__(v)
+    if v is None:
+        return "null"
+    inner = pad + "  "
+    if isinstance(v, list):
+        if not v:
+            return "[]"
+        items = ("," + inner).join([_encode(x, inner) for x in v])
+        return f"[{inner}{items}{pad}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = ("," + inner).join(
+            [f"{_string(k)}: {_encode(x, inner)}" for k, x in sorted(v.items())]
+        )
+        return f"{{{inner}{items}{pad}}}"
+    raise TypeError(f"{type(v).__name__} does not belong in a rendered report")
 
 
 @dataclass
@@ -108,7 +140,8 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        """The bytes of json.dumps(self.to_dict(), sort_keys=True, indent=2)."""
+        return _encode(self.to_dict(), "\n")
 
     def to_text(self) -> str:
         lines = [f"== {self.title} =="]

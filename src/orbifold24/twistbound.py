@@ -11,7 +11,10 @@ whose weight-one space is exhausted by the ambient algebra, a non-vacuum
 module has ell >= 2 and ell integral, so only tuples with integral
 conformal-weight sum can occur; the minimum of the shifted bound over all
 such tuples is computed for h and -h by a min-plus dynamic program over
-(conformal-weight sum, non-vacuum) states, which accounts for every tuple.
+conformal-weight-sum states, which accounts for every tuple.  The states do
+not depend on the sign of h, so one backward sweep serves both, and each
+suffix table is grouped by the residue of its cw sum: a prefix reads only
+the completions that make its own sum integral.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
 from .exactmath import InvariantError
@@ -78,82 +81,113 @@ class _CaseTables:
 
     def __init__(self, c: CaseSpec):
         self.weights: List[List[IntCoords]] = []
-        # (den, integer column) per ideal: cw, n_min for h, n_min for -h
-        cw, pos, neg = [], [], []
-        for a, (den, v) in zip(c.ambient, c.h):
+        # (den, integer column) per ideal; n_min_column gives h and -h
+        # over one denominator
+        cw, nm = [], []
+        for a, h in zip(c.ambient, c.h):
             table = enumerate_level_weights(a)
             self.weights.append(table.weights())
             cw.append(table.cw_column)
-            pos.append(n_min_column(a, (den, v)))
-            neg.append(n_min_column(a, (den, tuple(-x for x in v))))
+            nm.append(n_min_column(a, h))
         norm, _, _ = invariant_norm(c)
         half_norm = norm / 2
-        # the -h columns share the denominators of the h columns
-        self.scale = d = lcm(half_norm.denominator, *(den for den, _ in cw + pos))
+        dens = [den for den, _ in cw] + [den for den, _, _ in nm]
+        self.scale = d = lcm(half_norm.denominator, *dens)
         self.half_norm_s = half_norm.numerator * (d // half_norm.denominator)
+        self.cw_s = [[x * (d // den) for x in col] for den, col in cw]
+        self.nm_s = tuple(  # for h, for -h
+            [[x * (d // den) for x in cols[k]] for den, *cols in nm] for k in (0, 1)
+        )
 
-        def scaled(cols: List[Tuple[int, Sequence[int]]]) -> List[List[int]]:
-            return [[x * (d // den) for x in col] for den, col in cols]
+    def minimize(self) -> List[Tuple[Q, Tuple[IntCoords, ...]]]:
+        """Min-plus DP for the least bound and its witness, for h and -h.
 
-        self.cw_s = scaled(cw)
-        self.nm_s = (scaled(pos), scaled(neg))  # for h, for -h
-
-    def minimize(self, nm_s: List[List[int]]) -> Tuple[Q, Tuple[IntCoords, ...]]:
-        """Min-plus DP for the least bound and its witness, n_min columns nm_s.
-
-        The state of a suffix of ideals is its scaled cw sum s and its
-        non-vacuum flag f, keyed as the one int 2 s + f; a suffix reaching a
-        state with the least n_min sum is the best completion of every
-        prefix, so completions[i] maps each state of the ideals i.. to that
-        least sum.  Every tuple reaches some state, so the DP covers the
-        whole tuple space.  The forward walk then takes at each ideal the
-        smallest row that still reaches the optimum, which gives the
-        lexicographically least minimizer.
+        The state of a suffix of ideals is its scaled cw sum s: every
+        non-vacuum weight has cw > 0, so s > 0 exactly when some ideal of
+        the suffix is not vacuum.  A suffix reaching a state with the least
+        n_min sum is the best completion of every prefix.  The states do not
+        depend on the sign of h, so one backward sweep over the ideals
+        n-1..1 keeps, per state, the least sums for h and for -h.  Every
+        tuple reaches some state, so the DP covers the whole tuple space.
+        A tuple is feasible only when its cw sum is integral, i.e. s = 0 mod
+        the scale d, so each suffix table is grouped by s mod d and a prefix
+        with cw sum s0 reads only the group of residue -s0: the rows of
+        ideal 0 are such prefixes, and its own table is never built.  The
+        forward walk then takes at each ideal the smallest row that still
+        reaches the optimum, which gives the lexicographically least
+        minimizer.
         """
-        d, half = self.scale, self.half_norm_s
-        n = len(self.weights)
-        completions: List[Dict[int, int]] = [{}] * n + [{0: 0}]
-        for i in range(n - 1, -1, -1):
-            table: Dict[int, int] = {}
-            after = list(completions[i + 1].items())
-            for j, (cw, nm) in enumerate(zip(self.cw_s[i], nm_s[i])):
-                step, flag = 2 * cw, 1 if j else 0
-                for key, s_nm in after:
-                    k = (key + step) | flag
-                    cur = table.get(k)
-                    if cur is None or s_nm + nm < cur:
-                        table[k] = s_nm + nm
-            completions[i] = table
+        d, two_d, half = self.scale, 2 * self.scale, self.half_norm_s
+        n, cw_s = len(self.weights), self.cw_s
+        # tables[i]: the least n_min sums (h, -h) per state s of ideals i..;
+        # groups[i]: those states by residue s mod d.  The empty suffix ends
+        # the walk.
+        tables: List[Tuple[Dict[int, int], Dict[int, int]]] = (
+            [({}, {})] * n + [({0: 0}, {0: 0})]
+        )
+        groups: List[Dict[int, List[int]]] = [{}] * n + [{0: [0]}]
+        pos, neg = tables[n]
+        nm_pos, nm_neg = self.nm_s
+        for i in range(n - 1, 0, -1):
+            after = [(s, p, neg[s]) for s, p in pos.items()]
+            # row 0, the vacuum (cw 0, n_min 0), keeps every state as it is
+            pos, neg = dict(pos), dict(neg)
+            for cw, a, b in zip(cw_s[i][1:], nm_pos[i][1:], nm_neg[i][1:]):
+                for s, p, q in after:
+                    k = s + cw
+                    cur = pos.get(k)
+                    if cur is None:
+                        pos[k], neg[k] = p + a, q + b
+                    else:
+                        if p + a < cur:
+                            pos[k] = p + a
+                        if q + b < neg[k]:
+                            neg[k] = q + b
+            by_residue: Dict[int, List[int]] = {}
+            for s in pos:
+                r = s % d
+                if r in by_residue:
+                    by_residue[r].append(s)
+                else:
+                    by_residue[r] = [s]
+            tables[i], groups[i] = (pos, neg), by_residue
 
-        def best_from(i: int, key: int, s_nm: int) -> Optional[int]:
-            """Least scaled bound over the completions of a prefix; None if
-            no completion makes the cw sum integral."""
-            found = None
-            for c_key, c_nm in completions[i].items():
-                total = key + c_key - (key & c_key & 1)  # sums s, ors f
-                s_cw = total >> 1
-                if s_cw % d:
-                    continue
-                b = max(2 * d * (total & 1), s_cw) + s_nm + c_nm + half
-                if found is None or b < found:
-                    found = b
-            return found
+        def best_from(sign: int, i: int, s0: int, s_nm: int) -> Optional[int]:
+            """Least scaled bound over the completions by ideals i.. of a
+            prefix with cw sum s0 and n_min sum s_nm; None if no completion
+            makes the cw sum integral.  ell_min is max(2, cw sum) off the
+            vacuum, whose floor is 0."""
+            group = groups[i].get(-s0 % d)
+            if group is None:
+                return None
+            least = tables[i][sign]
+            if s0:
+                low = min(max(two_d, s0 + s) + least[s] for s in group)
+            else:  # the vacuum completion keeps the floor at 0
+                low = min((max(two_d, s) if s else 0) + least[s] for s in group)
+            return low + s_nm + half
 
-        best = best_from(0, 0, 0)
-        if best is None:
-            raise InvariantError("no weight tuple has an integral cw sum")
-        witness: List[IntCoords] = []
-        key, s_nm = 0, 0
-        for i in range(n):
-            for j, (cw, nm) in enumerate(zip(self.cw_s[i], nm_s[i])):
-                nxt = (key + 2 * cw) | (1 if j else 0)
-                if best_from(i + 1, nxt, s_nm + nm) == best:
-                    break
-            else:
-                raise InvariantError("no row of the forward walk reaches the optimum")
-            witness.append(self.weights[i][j])
-            key, s_nm = nxt, s_nm + nm
-        return Q(best, d), tuple(witness)
+        results = []
+        for sign, nm_s in enumerate(self.nm_s):
+            reach = [best_from(sign, 1, cw, nm) for cw, nm in zip(cw_s[0], nm_s[0])]
+            best = min((b for b in reach if b is not None), default=None)
+            if best is None:
+                raise InvariantError("no weight tuple has an integral cw sum")
+            j = reach.index(best)
+            witness = [self.weights[0][j]]
+            s0, s_nm = cw_s[0][j], nm_s[0][j]
+            for i in range(1, n):
+                j = next(
+                    (j for j, (cw, nm) in enumerate(zip(cw_s[i], nm_s[i]))
+                     if best_from(sign, i + 1, s0 + cw, s_nm + nm) == best),
+                    None,
+                )
+                if j is None:
+                    raise InvariantError("no row of the forward walk reaches the optimum")
+                witness.append(self.weights[i][j])
+                s0, s_nm = s0 + cw_s[i][j], s_nm + nm_s[i][j]
+            results.append((Q(best, d), tuple(witness)))
+        return results
 
 
 def min_twisted_weight(
@@ -162,14 +196,13 @@ def min_twisted_weight(
     """Minimum of the bound over all feasible tuples, for h and -h.
 
     Returns (min for h, witness, min for -h, witness); witnesses are the
-    lexicographically least minimizers.  The -h minimum is an independent
-    run on its own n_min columns, not a symmetry image; the two runs share
-    the cw columns and <h|h>.  The shift formula needs (h|alpha) >= -1;
-    callers check `shift_ok` once, report it, and call this only when it
-    holds.
+    lexicographically least minimizers.  The -h minimum is computed on its
+    own n_min column, not as a symmetry image; the two signs share one
+    backward sweep, the cw columns and <h|h>.  The shift formula needs
+    (h|alpha) >= -1; callers check `shift_ok` once, report it, and call this
+    only when it holds.
     """
-    tables = _CaseTables(c)
-    (m1, w1), (m2, w2) = (tables.minimize(nm) for nm in tables.nm_s)
+    (m1, w1), (m2, w2) = _CaseTables(c).minimize()
     return m1, w1, m2, w2
 
 

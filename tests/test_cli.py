@@ -12,6 +12,11 @@ from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
 
+# several ideals, twist denominators up to 11, an h off the dominant chamber,
+# and non-vacuum witnesses that differ between h and -h
+OFFCHAMBER_CASE = str(Path(__file__).parent / "data" / "twist-offchamber.json")
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
@@ -345,6 +350,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
     ("argv", "digest"),
     [
         (["twist-bound", "--case", "a2x6", "--json"], "4bf771d8417338fc"),
+        (["twist-bound", "--case", OFFCHAMBER_CASE, "--json"], "a02f4b72c48535e2"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
           "--json"], "a49d16515181d955"),
         (["candidates", "--dim", "312", "--ratio", "12", "--fixed",
@@ -359,8 +365,8 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
     ],
-    ids=["twist-bound", "dimension", "candidates", "candidates-a5d4",
-         "candidates-a2x6", "lattice", "verify-all",
+    ids=["twist-bound", "twist-bound-file", "dimension", "candidates",
+         "candidates-a5d4", "candidates-a2x6", "lattice", "verify-all",
          "tables-modular", "tables-a5.3"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):
@@ -382,6 +388,28 @@ def test_optimized_interpreter_gives_same_bytes(argv, digest):
     assert outputs[0] == outputs[1]
     if digest is not None:
         assert hashlib.sha256(outputs[0]).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--which", "modular", "--json"],
+        ["twist-bound", "--case", "a2x6", "--json"],
+        ["twist-bound", "--case", OFFCHAMBER_CASE, "--json"],
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
+         "--json"],
+        ["candidates", "--dim", "72", "--ratio", "2", "--fixed",
+         "A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", "--json"],
+        ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
+        ["verify-all", "--json"],
+    ],
+    ids=["tables", "twist-bound", "twist-bound-file", "dimension", "candidates",
+         "lattice", "verify-all"],
+)
+def test_json_output_is_the_bytes_of_json_dumps(capsys, argv):
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_verify_all_trunc_reaches_every_section(capsys, monkeypatch):

@@ -56,3 +56,19 @@ def test_extend_merges_assumptions():
     b = Report("b", assumptions=["one", "two"])
     a.extend(b)
     assert a.assumptions == ["one", "two"]
+
+
+def test_to_json_is_the_bytes_of_json_dumps_on_edge_values():
+    rep = Report("t\u00e9 \u2028 \x00\x1f \"q\" \\", assumptions=[])
+    rep.note("empty list", [])
+    rep.note("empty dict", {})
+    rep.note("witness", [[0, -1, 2], [], [[Q(-7, 3)]], [True, False, None]])
+    rep.note("ints", [-5, 0, 2**63, -(2**63) - 1, 10**40])
+    rep.note("flags", {"z": True, "a": False, "m": None, "\u00fc\n": "\ud83d\ude00"})
+    rep.check("nested", {"b": {"y": [], "x": {}}, "a": [{"k": 1}]}, {"b": 1})
+    rep.check("rational", Q(1, 3), Q(1, 3), source="tab\there")
+    want = json.dumps(rep.to_dict(), sort_keys=True, indent=2)
+    assert rep.to_json() == want
+    assert Report("empty").to_json() == json.dumps(
+        Report("empty").to_dict(), sort_keys=True, indent=2
+    )

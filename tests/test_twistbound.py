@@ -271,6 +271,52 @@ def test_dp_matches_scan_on_random_cases():
     assert off_chamber > 20 and scaled > 10
 
 
+def wide_case(rng: random.Random, k: int) -> CaseSpec:
+    """Three to five small ideals, h coordinates with denominators up to 12
+    and (h+|theta) <= 1, half of them moved off the dominant chamber; the
+    scale d of the DP then has many residue classes."""
+    ambient, hs = [], []
+    for _ in range(rng.randint(3, 5)):
+        fam, rank, level = rng.choice(SMALL_IDEALS)
+        a = AffineAlgebra(SimpleType(fam, rank), level)
+        rs = a.root_system()
+        while True:
+            m = rng.randint(1, 12)
+            h = [Q(rng.randint(0, m), m) * rng.choice((0, 1)) for _ in range(rank)]
+            if rs.ip(h, rs.theta) <= 1:
+                break
+        if rng.random() < 0.5:
+            h = weyl_image(rs, h, rng, steps=rng.randint(1, 6))
+        ambient.append(a)
+        hs.append(scaled_coords(h))
+    return CaseSpec(f"wide-{k}", tuple(ambient), tuple(hs))
+
+
+def top_row_without_completion(case: CaseSpec) -> bool:
+    """Some row of ideal 0 has no completion by the other ideals with an
+    integral cw sum: its residue group in the DP is empty."""
+    sums = {Q(0)}
+    for a in case.ambient[1:]:
+        cws = [r.conformal_weight for r in enumerate_level_weights(a).rows]
+        sums = {(x + y) % 1 for x in sums for y in cws}
+    rows = enumerate_level_weights(case.ambient[0]).rows
+    return any(-r.conformal_weight % 1 not in sums for r in rows)
+
+
+def test_dp_matches_scan_on_wide_denominator_draws():
+    rng = random.Random(11)
+    empty_group = non_vacuum = 0
+    for k in range(120):
+        case = wide_case(rng, k)
+        assert shift_ok(case) and root_loop_shift_ok(case)
+        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(case)
+        assert (m_pos, wit_pos) == scan_minimum(case)
+        assert (m_neg, wit_neg) == scan_minimum(negated(case))
+        empty_group += top_row_without_completion(case)
+        non_vacuum += any(any(w) for w in wit_pos + wit_neg)
+    assert empty_group >= 0.3 * 120 and non_vacuum >= 0.1 * 120
+
+
 def test_shift_ok_matches_root_loop_on_random_cases():
     # the same draws pushed past the shift bound by a random factor
     rng = random.Random(5)
@@ -319,17 +365,18 @@ def test_scan_minimum_agrees_with_feasible_tuples(case):
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=lambda c: c.name)
 def test_n_min_column_matches_oracle_on_case_rows(case):
+    # both columns of one h+ against the oracle on h and on -h
     for c in (case, negated(case)):
         for a, h in zip(c.ambient, c.h):
             rs = a.root_system()
-            want = [
-                brute_force_min(rs, fraction_coords(h), w)
-                for w in enumerate_level_weights(a).weights()
-            ]
-            col_den, col = n_min_column(a, h)
+            x = fraction_coords(h)
+            weights = enumerate_level_weights(a).weights()
+            col_den, pos, neg = n_min_column(a, h)
             assert col_den == h[0] * rs.scale
-            assert all(type(x) is int for x in col)
-            assert [Q(x, col_den) for x in col] == want
+            for col, sign in ((pos, 1), (neg, -1)):
+                assert all(type(v) is int for v in col)
+                want = [brute_force_min(rs, scale(x, sign), w) for w in weights]
+                assert [Q(v, col_den) for v in col] == want
 
 
 def test_min_twisted_weight_builds_no_weight_system(monkeypatch):
