@@ -135,11 +135,14 @@ def n_min_column(
     The result is (den * scale, numerators for h, numerators for -h): h+ is
     found once; h pairs least with w0.lam at (h+|w0.lam), and -h pairs least
     with the top weight, -(h+|lam), since h+ pairs most with lam itself.
+    An untwisted ideal, h = 0, gets zero columns.
     """
     rs = a.root_system()
     den, v = h
-    dual = rs.covector(dominant_conjugate(rs, v))
     rows = enumerate_level_weights(a).rows
+    if not any(v):
+        return den * rs.scale, [0] * len(rows), [0] * len(rows)
+    dual = rs.covector(dominant_conjugate(rs, v))
     pos = [sum(map(mul, dual, r.lowest)) for r in rows]
     neg = [-sum(map(mul, dual, r.weight)) for r in rows]
     return den * rs.scale, pos, neg

@@ -220,7 +220,7 @@ def run_case(cf: CaseFile, trunc: int = 12) -> Report:
 
     rep.note("tuple space size", tuple_space_size(spec))
     if shift:
-        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(spec)
+        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(spec, norm)
         rep.check("min twisted weight (+h)", m_pos, Q(1), source="reference")
         rep.check("min twisted weight (-h)", m_neg, Q(1), source="reference")
         rep.check(

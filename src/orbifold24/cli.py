@@ -91,7 +91,7 @@ def cmd_twist_bound(args: argparse.Namespace) -> int:
     rep.check("shift bound (h|alpha) >= -1", ok, True)
     if ok:
         rep.note("tuple space size", tuple_space_size(spec))
-        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(spec)
+        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(spec, norm)
         expected_min = Q(1) if builtin else None
         rep.check("min twisted weight (+h)", m_pos, expected_min)
         rep.check("min twisted weight (-h)", m_neg, expected_min)

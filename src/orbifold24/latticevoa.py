@@ -21,9 +21,14 @@ fixed subalgebra by t-weight, so its structure table, its Killing form and
 the generic centraliser are computed one weight block at a time.  That
 centraliser is spanned by primitive integer rows, so every ad matrix and
 commutator stays integral; the float pass divides each row by its largest
-entry.  numpy, for the int64 inner-product tables and the float pass, is
-imported inside the functions that use it, so importing this module does
-not load it.
+entry.
+
+numpy is used in two places only, and imported inside them, so importing
+this module does not load it: `LatticeLieAlgebra` builds its root-indexed
+tables with int64 products once per lattice and keeps them as plain Python
+lists and dicts, and the float pass of `identify_type` runs the eigenvalue
+search.  The exact work (structure constants, lifts, fixed subalgebras,
+kernels and ranks) reads only Python integers.
 """
 
 from __future__ import annotations
@@ -388,13 +393,6 @@ class LatticeIsometry:
     matrix: Tuple[IntVec, ...]
     name: str
 
-    def apply_coords(self, c: Sequence[int]) -> IntVec:
-        n = len(c)
-        return tuple(
-            sum(c[i] * self.matrix[i][j] for i in range(n) if c[i])
-            for j in range(n)
-        )
-
     def ambient_matrix(self) -> List[List[Q]]:
         lat = self.lattice
         m = mat_mul(mat_mul(lat.basis_inv, self.matrix), lat.basis)
@@ -667,7 +665,7 @@ def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
             except ValueError:
                 continue
         if iso is None:
-            raise ValueError("no orientation of the rotation preserves the glue")
+            raise InvariantError("no orientation of the rotation preserves the glue")
     elif name == "sigma4":
         if comps != (SimpleType("D", 4),) * 6:
             raise ValueError("sigma4 lives on the six-D4 lattice")
@@ -681,7 +679,7 @@ def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
                 iso = cand
                 break
         if iso is None:
-            raise ValueError("no sigma4-shaped isometry preserves the glue")
+            raise InvariantError("no sigma4-shaped isometry preserves the glue")
     else:
         raise ValueError(f"unknown isometry name {name!r}")
     if iso.order() != 3:
@@ -704,50 +702,50 @@ class LatticeLieAlgebra:
     product.  eps is bimultiplicative with
     eps(b_i, b_j) = (-1)^(b_i|b_j) for i > j and 1 otherwise, which gives the
     commutation rule e^b e^a = (-1)^(a|b) e^a e^b.
+
+    Two plain tables, built once, hold every structure constant: cr[k][i] is
+    (b_i|a_k), and pairs[k] maps each root l with (a_k|a_l) < 0 to (the index
+    of a_k + a_l, or -1 when a_l = -a_k; eps(a_k, a_l)).  Roots have norm 2,
+    so (a_k|a_l) is -1 or -2 there, and nonnegative pairings bracket to 0.
     """
 
     def __init__(self, lat: EvenLattice):
+        import numpy as np
+
         self.lattice = lat
         self.rank = lat.rank
-        roots_ambient = lattice_roots(lat)
-        coords = [lat.coords_of(r) for r in roots_ambient]
-        if any(c is None for c in coords):
+        # lattice coordinates of the roots: ambient rows times basis_inv,
+        # exactly divisible by inv_scale
+        scaled = np.array(lattice_roots(lat), dtype=np.int64) @ np.array(
+            lat.basis_inv, dtype=np.int64
+        )
+        if (scaled % lat.inv_scale).any():
             raise InvariantError("a root is outside the lattice")
-        self.root_coords: List[IntVec] = sorted(coords)  # type: ignore[arg-type]
+        self.root_coords: List[IntVec] = sorted(
+            map(tuple, (scaled // lat.inv_scale).tolist())
+        )
         self.root_index: Dict[IntVec, int] = {
             c: i for i, c in enumerate(self.root_coords)
         }
         self.n_roots = len(self.root_coords)
         self.dim = self.rank + self.n_roots
 
-        import numpy as np
-
         g = np.array(lat.gram, dtype=np.int64)
         r = np.array(self.root_coords, dtype=np.int64)
-        self._ip_rr = r @ g @ r.T                      # (a|b) for root pairs
-        self._ip_cr = g @ r.T                          # (b_i|a) Cartan x root
-        low = np.tril(np.array(lat.gram, dtype=np.int64) & 1, k=-1)
-        self._eps_rr = 1 - 2 * ((r @ low @ r.T) % 2)   # sign table
-        # row by row, so no array of every pair's sum is held at once
-        sums: Dict[Tuple[int, int], int] = {}
-        for i, ri in enumerate(r):
-            js = np.flatnonzero(self._ip_rr[i] == -1)
-            for j, s in zip(js.tolist(), (ri + r[js]).tolist()):
-                sums[(i, j)] = self.root_index[tuple(s)]
-        self._sum_idx = sums
-
-    # -- sign bicharacter ---------------------------------------------------
-
-    def eps_coords(self, m: Sequence[int], n: Sequence[int]) -> int:
-        """eps(m, n) in {1, -1} for arbitrary integral coordinate rows."""
-        gram = self.lattice.gram
-        acc = 0
-        for i, mi in enumerate(m):
-            if mi:
-                for j in range(i):
-                    if n[j]:
-                        acc += mi * n[j] * gram[i][j]
-        return -1 if acc % 2 else 1
+        cr = r @ g
+        ip = cr @ r.T                                   # (a_k|a_l)
+        ks, ls = np.nonzero(ip < 0)
+        # eps(x, y) = (-1)^(x L y), L the strict lower triangle of the gram
+        odd = ((r @ np.tril(g & 1, k=-1))[ks] * r[ls]).sum(axis=1) & 1
+        self.cr: List[List[int]] = cr.tolist()
+        self.pairs: List[Dict[int, Tuple[int, int]]] = [{} for _ in r]
+        for k, l, v, odd_kl, s in zip(
+            ks.tolist(), ls.tolist(), ip[ks, ls].tolist(), odd.tolist(),
+            (r[ks] + r[ls]).tolist(),
+        ):
+            self.pairs[k][l] = (
+                self.root_index[tuple(s)] if v == -1 else -1, -1 if odd_kl else 1
+            )
 
     # -- structure ------------------------------------------------------------
 
@@ -759,37 +757,28 @@ class LatticeLieAlgebra:
 
     def bracket_basis(self, x: int, y: int) -> Dict[int, int]:
         r = self.rank
-        if x < r and y < r:
-            return {}
         if x < r:
-            k = y - r
-            v = int(self._ip_cr[x][k])
+            v = self.cr[y - r][x] if y >= r else 0
             return {y: v} if v else {}
         if y < r:
-            out = self.bracket_basis(y, x)
-            return {i: -c for i, c in out.items()}
-        k, l = x - r, y - r
-        ip = int(self._ip_rr[k][l])
-        if ip >= 0:
+            v = self.cr[x - r][y]
+            return {x: -v} if v else {}
+        hit = self.pairs[x - r].get(y - r)
+        if hit is None:
             return {}
-        if ip == -1:
-            sgn = int(self._eps_rr[k][l])
-            return {r + self._sum_idx[(k, l)]: sgn}
-        # ip == -2: opposite roots; bracket is the coroot direction
-        sgn = int(self._eps_rr[k][l])
-        return {i: sgn * c for i, c in enumerate(self.root_coords[k]) if c}
+        s, sgn = hit
+        if s >= 0:
+            return {r + s: sgn}
+        # opposite roots: the bracket is the coroot direction
+        return {i: sgn * c for i, c in enumerate(self.root_coords[x - r]) if c}
 
     def bracket(self, x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
         out: Dict[int, int] = {}
         for i, ci in x.items():
             for j, cj in y.items():
                 for k, ck in self.bracket_basis(i, j).items():
-                    v = out.get(k, 0) + ci * cj * ck
-                    if v:
-                        out[k] = v
-                    elif k in out:
-                        del out[k]
-        return out
+                    out[k] = out.get(k, 0) + ci * cj * ck
+        return {k: v for k, v in out.items() if v}
 
     def form(self, x: Dict[int, int], y: Dict[int, int]) -> int:
         """Invariant form: <t_a|t_b> = (a|b), <e^a|e^-a> = eps(a,-a)."""
@@ -798,12 +787,13 @@ class LatticeLieAlgebra:
         r = self.rank
         for i, ci in x.items():
             for j, cj in y.items():
-                if i < r and j < r:
-                    total += ci * cj * gram[i][j]
-                elif i >= r and j >= r:
-                    k, l = i - r, j - r
-                    if self._ip_rr[k][l] == -2:
-                        total += ci * cj * int(self._eps_rr[k][l])
+                if i < r:
+                    if j < r:
+                        total += ci * cj * gram[i][j]
+                elif j >= r:
+                    hit = self.pairs[i - r].get(j - r)
+                    if hit is not None and hit[0] < 0:
+                        total += ci * cj * hit[1]
         return total
 
     def negate_root_index(self, k: int) -> int:
@@ -854,49 +844,10 @@ class LiftedAutomorphism:
                     del out[tgt]
         return out
 
-    def compose(self, other: "LiftedAutomorphism") -> "LiftedAutomorphism":
-        """self after other (apply other first)."""
-        alg = self.algebra
-        n = alg.lattice.rank
-        m = tuple(
-            tuple(
-                sum(other.isometry.matrix[i][t] * self.isometry.matrix[t][j]
-                    for t in range(n))
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        perm = tuple(self.root_perm[other.root_perm[k]] for k in range(alg.n_roots))
-        phase = tuple(
-            other.root_phase[k] * self.root_phase[other.root_perm[k]]
-            for k in range(alg.n_roots)
-        )
-        return LiftedAutomorphism(
-            alg,
-            LatticeIsometry(alg.lattice, m, f"{self.name}*{other.name}"),
-            phase,
-            perm,
-            f"{self.name}*{other.name}",
-        )
-
-    def is_identity(self) -> bool:
-        n = self.algebra.lattice.rank
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        return (
-            self.isometry.matrix == ident
-            and all(p == k for k, p in enumerate(self.root_perm))
-            and all(s == 1 for s in self.root_phase)
-        )
-
     def verify_automorphism(self, pair_limit: Optional[int] = None, seed: int = 0) -> bool:
         """Exact bracket-preservation check on root pairs (all, or sampled)."""
         alg = self.algebra
-        pairs = [
-            (k, l)
-            for k in range(alg.n_roots)
-            for l in range(alg.n_roots)
-            if alg._ip_rr[k][l] in (-1, -2)
-        ]
+        pairs = [(k, l) for k in range(alg.n_roots) for l in alg.pairs[k]]
         if pair_limit is not None and pair_limit < len(pairs):
             rng = random.Random(seed)
             pairs = rng.sample(pairs, pair_limit)
@@ -964,6 +915,21 @@ def _solve_f2(rows: List[List[int]], rhs: List[int], n: int) -> Optional[List[in
     return x
 
 
+def _twist_bits(alg: LatticeLieAlgebra, gm: List[List[int]]) -> List[List[int]]:
+    """Bits of the symmetric bicharacter eps(gx, gy) / eps(x, y) on the
+    lattice basis.  eps(x, y) = (-1)^(x L y), L the strict lower triangle of
+    the gram mod 2, so the bits are G L G^T + L mod 2."""
+    low = [[x & 1 if j < i else 0 for j, x in enumerate(row)]
+           for i, row in enumerate(alg.lattice.gram)]
+    h_bits = [
+        [(a + b) % 2 for a, b in zip(twisted, plain)]
+        for twisted, plain in zip(mat_mul(mat_mul(gm, low), transpose(gm)), low)
+    ]
+    if h_bits != transpose(h_bits):
+        raise InvariantError("twist bicharacter not symmetric")
+    return h_bits
+
+
 def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
     """Order-3 standard lift: phase 1 on the fixed sublattice.
 
@@ -974,35 +940,24 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     raised, never patched.
     """
     n = alg.rank
-    basis_imgs = [g.apply_coords(tuple(1 if j == i else 0 for j in range(n)))
-                  for i in range(n)]
+    gm = [list(row) for row in g.matrix]
+    g2 = mat_mul(gm, gm)
+    h_bits = _twist_bits(alg, gm)
 
-    def eps_bit(a: Sequence[int], b: Sequence[int]) -> int:
-        return 0 if alg.eps_coords(a, b) == 1 else 1
-
-    unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    h_bits = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            h_bits[i][j] = eps_bit(basis_imgs[i], basis_imgs[j]) ^ eps_bit(unit[i], unit[j])
-    if any(h_bits[i][j] != h_bits[j][i] for i in range(n) for j in range(n)):
-        raise InvariantError("twist bicharacter not symmetric")
-
+    fixed = g.fixed_coords_basis()
     rows: List[List[int]] = []
     rhs: List[int] = []
     # standardness: phase 1 on a basis of the fixed sublattice
-    for f in g.fixed_coords_basis():
+    for f in fixed:
         lin, const = _phase_bit_expr(alg, h_bits, f)
         rows.append(lin)
         rhs.append(const)
     # order 3: c(b_i) c(g b_i) c(g^2 b_i) = 1 for all i
     for i in range(n):
-        gb = basis_imgs[i]
-        g2b = g.apply_coords(gb)
         lin = [0] * n
-        lin[i] ^= 1
+        lin[i] = 1
         const = 0
-        for v in (gb, g2b):
+        for v in (gm[i], g2[i]):
             lv, cv = _phase_bit_expr(alg, h_bits, v)
             lin = [(a ^ b) for a, b in zip(lin, lv)]
             const ^= cv
@@ -1010,27 +965,27 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
         rhs.append(const)
     x = _solve_f2(rows, rhs, n)
     if x is None:
-        raise ValueError("no order-3 standard phase function exists")
+        raise InvariantError("no order-3 standard phase function exists")
 
     def phase_of(coords: Sequence[int]) -> int:
         lin, const = _phase_bit_expr(alg, h_bits, coords)
         bit = const ^ (sum(a & b for a, b in zip(lin, x)) % 2)
         return -1 if bit else 1
 
-    perm = []
-    phase = []
-    for k, rc in enumerate(alg.root_coords):
-        img = g.apply_coords(rc)
-        perm.append(alg.root_index[img])
-        phase.append(phase_of(rc))
-    lift = LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"lift({g.name})")
-    # order 3 on the whole algebra
-    cube = lift.compose(lift).compose(lift)
-    if not cube.is_identity():
+    images = mat_mul([list(c) for c in alg.root_coords], gm)
+    perm = tuple(alg.root_index[tuple(img)] for img in images)
+    phase = tuple(phase_of(rc) for rc in alg.root_coords)
+    # order 3 on the whole algebra: g^3 = 1, perm^3 = id, and the phases
+    # multiply to 1 around every root orbit
+    if (
+        mat_mul(g2, gm) != _identity_local(n)
+        or any(perm[perm[p]] != k for k, p in enumerate(perm))
+        or any(s * phase[p] * phase[perm[p]] != 1 for s, p in zip(phase, perm))
+    ):
         raise InvariantError("standard lift does not cube to the identity")
-    if any(phase_of(f) != 1 for f in g.fixed_coords_basis()):
+    if any(phase_of(f) != 1 for f in fixed):
         raise InvariantError("standard lift has a phase on the fixed sublattice")
-    return lift
+    return LiftedAutomorphism(alg, g, phase, perm, f"lift({g.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -1084,25 +1039,25 @@ def _neg(w: Weight) -> Weight:
 def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     """Exact fixed-point subalgebra of an order-3 lifted automorphism.
 
-    Only brackets whose weight w_i + w_j is a weight of the basis, and only
-    form entries with w_i + w_j = 0, are computed; the others vanish by
-    the grading.  Two orbit sums whose roots pair nowhere negatively
-    commute, and their bracket is not computed either.
+    Only the Cartan rows and the pairs of orbit sums that touch are
+    bracketed: two orbit sums commute unless a root of one has negative
+    inner product with a root of the other, and (g^p a|g^q b) =
+    (a|g^(q-p) b), so the pair table of one representative names every
+    orbit that touches it.  Form entries are computed only where
+    w_i + w_j = 0; the others vanish by the grading.
     """
-    import numpy as np
-
     alg = lift.algebra
     r = alg.rank
     cartan_rows = lift.isometry.fixed_coords_basis()
     basis = [alg.cartan_element(row) for row in cartan_rows]
     nc = len(basis)
     # (row|a) for every fixed-sublattice row and root a: the t-weight of e^a
-    root_weights = [
-        tuple(w) for w in
-        (np.array(cartan_rows, dtype=np.int64).reshape(nc, r) @ alg._ip_cr).T.tolist()
-    ]
+    root_weights = (
+        [tuple(w) for w in mat_mul(alg.cr, transpose(cartan_rows))]
+        if nc else [()] * alg.n_roots
+    )
     weights: List[Weight] = [(0,) * nc] * nc
-    position: Dict[int, int] = {}      # orbit representative -> basis index
+    member: Dict[int, int] = {}        # root basis index -> its orbit sum's
     seen: Set[int] = set()
     for k in range(alg.n_roots):
         if k in seen:
@@ -1112,7 +1067,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             seen.add(k)
             # a g-fixed root line survives only with trivial phase
             if lift.root_phase[k] == 1:
-                position[r + k] = len(basis)
+                member[r + k] = len(basis)
                 basis.append(alg.root_element(k))
                 weights.append(root_weights[k])
             continue
@@ -1125,12 +1080,12 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         s1 = s0 * lift.root_phase[k1]
         if s1 * lift.root_phase[k2] != 1:
             raise InvariantError("orbit phase product must be 1")
-        position[r + k] = len(basis)
+        member[r + k] = member[r + k1] = member[r + k2] = len(basis)
         basis.append({r + k: 1, r + k1: s0, r + k2: s1})
         weights.append(root_weights[k])
     # least-squares solver F^T (F F^T)^-1 for the Cartan part, as integer
-    # rows over the denominator sden
-    solver: List[List[int]] = []
+    # rows over the denominator sden; with no fixed Cartan, every row is empty
+    solver: List[List[int]] = [[]] * r
     sden = 1
     if nc:
         ft = transpose(cartan_rows)                                  # r x nc
@@ -1139,16 +1094,32 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         solver = mat_mul(ft, [[int(x * sden) for x in row] for row in inv])
 
     def coords(x: Dict[int, int]) -> Dict[int, int]:
-        """Coordinates of a fixed vector in the fixed basis."""
-        out = {position[k]: c for k, c in x.items() if k in position}
-        cart = [x.get(i, 0) for i in range(r)]
-        if any(cart):
-            nz = [(c, solver[i]) for i, c in enumerate(cart) if c]
-            sol = [sum(c * row[j] for c, row in nz) for j in range(nc)]
+        """Coordinates of a fixed vector in the fixed basis; InvariantError
+        unless its root part is a sum of multiples of orbit sums."""
+        out: Dict[int, int] = {}
+        cart = []
+        for k, c in x.items():
+            if k < r:
+                cart.append((k, c))
+                continue
+            p = member.get(k)
+            if p is None:
+                raise InvariantError("a bracket leaves the fixed subalgebra")
+            if p not in out:
+                b = basis[p]
+                lead = x.get(next(iter(b)), 0)
+                if any(x.get(m, 0) != lead * s for m, s in b.items()):
+                    raise InvariantError("a bracket is no multiple of an orbit sum")
+                out[p] = lead
+        if cart:
+            sol = [sum(c * solver[i][j] for i, c in cart) for j in range(nc)]
             recon = [
                 sum(s * row[i] for s, row in zip(sol, cartan_rows)) for i in range(r)
             ]
-            if recon != [sden * c for c in cart]:
+            want = [0] * r
+            for i, c in cart:
+                want[i] = sden * c
+            if recon != want:
                 raise InvariantError("Cartan part is outside the fixed sublattice")
             if any(s % sden for s in sol):
                 raise InvariantError("a fixed structure constant is not integral")
@@ -1156,30 +1127,25 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         return out
 
     dim = len(basis)
-    # two orbit sums commute unless a root of one has negative inner product
-    # with a root of the other; (g^p a|g^q b) = (a|g^(q-p) b), so one
-    # representative against the members of the other orbit suffices
-    orbits = [[k - r for k in b] for b in basis[nc:]]
-    members = np.array(
-        [o + o[:1] * (3 - len(o)) for o in orbits], dtype=np.int64
-    ).reshape(-1, 3)
-    touch = (
-        (alg._ip_rr[members[:, :1, None], members[None, :, :]] < 0).any(axis=2).tolist()
-    )
-    blocks = _weight_blocks(weights)
     brackets: List[List[Dict[int, int]]] = [[{} for _ in basis] for _ in basis]
+
+    def put(i: int, j: int) -> None:
+        b = coords(alg.bracket(basis[i], basis[j]))
+        brackets[i][j] = b
+        brackets[j][i] = {k: -c for k, c in b.items()}
+
+    for i in range(nc):
+        for j in range(nc, dim):
+            put(i, j)
+    for i in range(nc, dim):
+        rep = next(iter(basis[i])) - r
+        for j in {member.get(r + l, -1) for l in alg.pairs[rep]}:
+            if j > i:
+                put(i, j)
+    blocks = _weight_blocks(weights)
     gram = [[0] * dim for _ in basis]
     for i in range(dim):
-        wi = weights[i]
-        for w, block in blocks.items():
-            if _add(wi, w) not in blocks:
-                continue
-            for j in block:
-                if j > i and (i < nc or touch[i - nc][j - nc]):
-                    b = coords(alg.bracket(basis[i], basis[j]))
-                    brackets[i][j] = b
-                    brackets[j][i] = {k: -c for k, c in b.items()}
-        for j in blocks.get(_neg(wi), ()):
+        for j in blocks.get(_neg(weights[i]), ()):
             if j >= i:
                 gram[i][j] = gram[j][i] = alg.form(basis[i], basis[j])
     return FixedSubalgebra(basis, weights, brackets, gram)
@@ -1190,16 +1156,28 @@ class IdentificationError(Exception):
     be verified exactly."""
 
 
-def _ad(brackets: List[List[Dict[int, int]]], vec: Sequence[int]) -> List[List[int]]:
-    """ad(vec) on row vectors: row j holds the coordinates of [vec, basis[j]]."""
-    dim = len(brackets)
-    out = [[0] * dim for _ in range(dim)]
+def _ad_rows(
+    brackets: List[List[Dict[int, int]]], vec: Sequence[int]
+) -> List[Dict[int, int]]:
+    """ad(vec) on row vectors, sparse: row j maps k to the coefficient of
+    basis[k] in [vec, basis[j]]."""
+    out: List[Dict[int, int]] = [{} for _ in brackets]
     for i, ci in enumerate(vec):
         if ci:
-            for j, row in enumerate(brackets[i]):
-                oj = out[j]
-                for k, c in row.items():
-                    oj[k] += ci * c
+            for oj, entry in zip(out, brackets[i]):
+                for k, c in entry.items():
+                    oj[k] = oj.get(k, 0) + ci * c
+    return out
+
+
+def _ad(brackets: List[List[Dict[int, int]]], vec: Sequence[int]) -> List[List[int]]:
+    """ad(vec) on row vectors: row j holds the coordinates of [vec, basis[j]]."""
+    out = []
+    for entries in _ad_rows(brackets, vec):
+        row = [0] * len(brackets)
+        for k, c in entries.items():
+            row[k] = c
+        out.append(row)
     return out
 
 
@@ -1266,7 +1244,7 @@ def _generic_centralizer(
     weights: Sequence[Weight],
     x: Sequence[int],
     ortho: List[List[int]],
-) -> Tuple[List[Tuple[List[int], int]], List[List[List[int]]], bool]:
+) -> Tuple[List[Tuple[List[int], int]], bool]:
     """ker(ad x) inside the derived part (the columns of ortho cut it out),
     for x of weight 0, solved one weight block at a time.
 
@@ -1278,8 +1256,8 @@ def _generic_centralizer(
     basis `integer_kernel` gives for the whole stack.
 
     Returns that basis as primitive integer rows with their denominators,
-    the integer ad matrix of each row, and whether the kernel is abelian:
-    [k_a, k_b] = -k_a ad(k_b), so it is iff every rows[:b] ad(k_b)
+    and whether the kernel is abelian: every bracket [k_a, k_b], summed
+    over the sparse table entries of the rows' nonzero coordinates,
     vanishes.
     """
     dim = len(brackets)
@@ -1309,13 +1287,22 @@ def _generic_centralizer(
             keyed.append((free, v, den))
     keyed.sort(key=lambda item: item[0])
     ker = [(v, den) for _, v, den in keyed]
-    rows = [v for v, _ in ker]
-    ad_rows = [_ad(brackets, row) for row in rows]
-    abelian = bool(rows) and all(
-        not any(any(r) for r in mat_mul(rows[:b], ad_rows[b]))
-        for b in range(1, len(rows))
+    support = [[(i, c) for i, c in enumerate(v) if c] for v, _ in ker]
+
+    def commute(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> bool:
+        acc: Dict[int, int] = {}
+        for i, ci in a:
+            row = brackets[i]
+            for j, cj in b:
+                for k, c in row[j].items():
+                    acc[k] = acc.get(k, 0) + ci * cj * c
+        return not any(acc.values())
+
+    abelian = bool(ker) and all(
+        commute(support[a], support[b])
+        for b in range(1, len(ker)) for a in range(b)
     )
-    return ker, ad_rows, abelian
+    return ker, abelian
 
 
 def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLevels:
@@ -1348,9 +1335,7 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     rng = random.Random(seed)
     for _ in range(12):
         x = _draw_generic(rng, weights)
-        cartan, ad_cartan, is_abelian = _generic_centralizer(
-            brackets, weights, x, ortho
-        )
+        cartan, is_abelian = _generic_centralizer(brackets, weights, x, ortho)
         if not is_abelian:
             continue
         rows = [row for row, _ in cartan]
@@ -1366,9 +1351,7 @@ def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLeve
     last_error: Optional[Exception] = None
     for _attempt in range(8):
         try:
-            ideals, spectrum = _float_root_pass(
-                rng, sdim, brackets, rows, ad_cartan, g_c
-            )
+            ideals, spectrum = _float_root_pass(rng, sdim, brackets, rows, g_c)
             break
         except IdentificationError as err:
             last_error = err
@@ -1405,13 +1388,11 @@ def _float_root_pass(
     sdim: int,
     brackets: List[List[Dict[int, int]]],
     rows: List[List[int]],
-    ad_rows: List[List[List[int]]],
     g_c: List[List[int]],
 ) -> Tuple[List[Tuple[SimpleType, Q]], Dict[Q, int]]:
     """One float root-space discovery attempt; raises on any inconsistency.
 
-    rows span the Cartan subalgebra, ad_rows are their ad matrices and g_c
-    is the invariant form on them.
+    rows span the Cartan subalgebra and g_c is the invariant form on them.
     """
     import numpy as np
 
@@ -1420,39 +1401,45 @@ def _float_root_pass(
     # not row / den: a reduced row can be small at its free coordinate, and
     # row / den then has entries in the thousands, which the absolute
     # residual test of float_eigen cannot absorb.  Each entry is rounded
-    # once by int true division (the scale may pass 2^53); cast to complex
-    # here, exactly, instead of in every product with a complex eigenvector
+    # once by int true division (the scale may pass 2^53)
     cartan = [(row, max(map(abs, row))) for row in rows]
-    ad_c_np = [
-        np.array([[x / d for x in row] for row in a], dtype=complex)
-        for a, (_, d) in zip(ad_rows, cartan)
-    ]
     g_c_inv = np.array([
         [float(x * cartan[i][1] * cartan[j][1]) for j, x in enumerate(row)]
         for i, row in enumerate(inverse(g_c))
     ])
 
+    ads = [_ad_rows(brackets, row) for row in rows]
     weights = [rng.randint(1, 997) for _ in cartan]
-    # ad is linear: sum_k w_k ad(c_k) = ad(sum_k w_k c_k), taken over the
+    # ad is linear: ad(sum_k w_k c_k) = sum_k w_k ad(c_k), taken over the
     # common denominator of the Cartan rows
     den = lcm(*(d for _, d in cartan))
-    h = [
-        sum(w * (den // d) * row[j] for w, (row, d) in zip(weights, cartan))
-        for j in range(len(brackets))
-    ]
+    ad_h = [[0] * len(brackets) for _ in brackets]
+    for w, (_, d), ad in zip(weights, cartan, ads):
+        f = w * (den // d)
+        for out, entries in zip(ad_h, ad):
+            for col, x in entries.items():
+                out[col] += f * x
     try:
-        pairs = float_eigen([[x / den for x in row] for row in _ad(brackets, h)])
+        pairs = float_eigen([[x / den for x in row] for row in ad_h])
     except ResidualExceeded as err:
         raise IdentificationError(f"eigen discovery failed: {err}")
-    nonzero = [(lam, v) for lam, v in pairs if abs(lam) > 1e-7]
+    nonzero = [v for lam, v in pairs if abs(lam) > 1e-7]
     if len(nonzero) != sdim - rank_ss:
         raise IdentificationError("root-space count mismatch in float pass")
-    functionals = []
-    for _, v in nonzero:
-        denom = np.vdot(v, v)
-        functionals.append(
-            np.array([complex(np.vdot(v, a @ v) / denom) for a in ad_c_np])
-        )
+    # the root functional of eigenvector v is (v* ad(c_k) v / v* v)_k: one
+    # product of ad(c_k) with all eigenvectors per Cartan vector, each ad
+    # matrix written into the same array
+    vecs = np.array(nonzero).T
+    conj = vecs.conj()
+    norms = (conj * vecs).sum(axis=0)
+    ad_k = np.empty((len(brackets),) * 2, dtype=complex)
+    functionals = np.empty((len(nonzero), rank_ss), dtype=complex)
+    for k, ((_, d), ad) in enumerate(zip(cartan, ads)):
+        ad_k.fill(0)
+        for j, entries in enumerate(ad):
+            for col, x in entries.items():
+                ad_k[j, col] = x / d
+        functionals[:, k] = (conj * (ad_k @ vecs)).sum(axis=0) / norms
 
     def pairing(u: np.ndarray, w: np.ndarray) -> complex:
         return complex(u @ g_c_inv @ w)
@@ -1471,8 +1458,9 @@ def _float_root_pass(
 
     # a positive root is simple when it is no sum of two positive roots
     pos = np.array(positives).reshape(len(positives), rank_ss)
-    sums = pos[:, None, :] + pos[None, :, :]
-    simple = [f for f in positives if not (np.abs(f - sums).max(axis=-1) < 1e-6).any()]
+    left, right = np.triu_indices(len(pos))
+    sums = pos[left] + pos[right]
+    simple = [f for f in positives if not (np.abs(sums - f).max(axis=1) < 1e-6).any()]
     if len(simple) != rank_ss:
         raise IdentificationError("simple-root count does not match the rank")
 

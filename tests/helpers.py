@@ -49,8 +49,13 @@ against, and helpers that only the tests need.
   over (w, -w) weight pairs, and the subsystem count over an all-pairs
   orthogonality matrix (`all_pairs_subsystem_count`) against the clique
   count over perpendicular root sets.
-* `rough_lift`: some algebra automorphism covering a lattice isometry, and
-  `inverse_lift` its inverse;
+* Lattice algebra tables: the dense numpy tables over every root pair
+  (`DenseLieTables`) against the sparse pair table of
+  `LatticeLieAlgebra`, and the standard lift through `eps_coords`,
+  `apply_coords` and `compose` (`eps_route_lift`, `eps_twist_bits`)
+  against the whole-matrix products of `standard_lift`.
+* `rough_lift`: some algebra automorphism covering a lattice isometry,
+  `inverse_lift` its inverse, `compose` and `is_identity`;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
 * Small conveniences only the tests use: `negated` (the case with twist
   -h), `semisimple_rank` and `total_multiplicity`.
@@ -79,6 +84,7 @@ from orbifold24.latticevoa import (
     LiftedAutomorphism,
     _disc_automorphisms,
     _phase_bit_expr,
+    _solve_f2,
     lattice_from_basis,
 )
 from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, f_power_at_S
@@ -739,29 +745,160 @@ def traced_dimension_formula(trunc: int) -> Tuple[Q, Q, Q, Q]:
 # --- lattice side ---------------------------------------------------------
 
 
-def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
-    """Some algebra automorphism covering g (no phase normalization)."""
+def apply_coords(g: LatticeIsometry, c: Sequence[int]) -> Tuple[int, ...]:
+    """The image of one coordinate row, summed entry by entry."""
+    n = len(c)
+    return tuple(
+        sum(c[i] * g.matrix[i][j] for i in range(n) if c[i]) for j in range(n)
+    )
+
+
+def eps_coords(alg: LatticeLieAlgebra, m: Sequence[int], n: Sequence[int]) -> int:
+    """eps(m, n) in {1, -1} for integral coordinate rows, from its definition
+    eps(b_i, b_j) = (-1)^(b_i|b_j) for i > j and 1 otherwise."""
+    gram = alg.lattice.gram
+    acc = 0
+    for i, mi in enumerate(m):
+        if mi:
+            for j in range(i):
+                if n[j]:
+                    acc += mi * n[j] * gram[i][j]
+    return -1 if acc % 2 else 1
+
+
+def eps_twist_bits(alg: LatticeLieAlgebra, g: LatticeIsometry) -> List[List[int]]:
+    """Bits of eps(gx, gy) / eps(x, y) on the lattice basis, one `eps_coords`
+    pair of calls per entry."""
     n = alg.rank
-    basis_imgs = [g.apply_coords(tuple(1 if j == i else 0 for j in range(n)))
-                  for i in range(n)]
-
-    def eps_bit(a: Sequence[int], b: Sequence[int]) -> int:
-        return 0 if alg.eps_coords(a, b) == 1 else 1
-
     unit = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    h_bits = [
-        [eps_bit(basis_imgs[i], basis_imgs[j]) ^ eps_bit(unit[i], unit[j])
+    imgs = [apply_coords(g, u) for u in unit]
+    return [
+        [int(eps_coords(alg, imgs[i], imgs[j]) != eps_coords(alg, unit[i], unit[j]))
          for j in range(n)]
         for i in range(n)
     ]
+
+
+def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
+    """Some algebra automorphism covering g (no phase normalization)."""
+    h_bits = eps_twist_bits(alg, g)
     perm = []
     phase = []
     for rc in alg.root_coords:
-        img = g.apply_coords(rc)
-        perm.append(alg.root_index[img])
+        perm.append(alg.root_index[apply_coords(g, rc)])
         _, const = _phase_bit_expr(alg, h_bits, rc)
         phase.append(-1 if const else 1)
     return LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"rough({g.name})")
+
+
+def compose(a: LiftedAutomorphism, b: LiftedAutomorphism) -> LiftedAutomorphism:
+    """a after b (apply b first)."""
+    alg = a.algebra
+    n = alg.lattice.rank
+    m = tuple(
+        tuple(
+            sum(b.isometry.matrix[i][t] * a.isometry.matrix[t][j] for t in range(n))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    perm = tuple(a.root_perm[b.root_perm[k]] for k in range(alg.n_roots))
+    phase = tuple(
+        b.root_phase[k] * a.root_phase[b.root_perm[k]] for k in range(alg.n_roots)
+    )
+    name = f"{a.name}*{b.name}"
+    return LiftedAutomorphism(alg, LatticeIsometry(alg.lattice, m, name), phase, perm, name)
+
+
+def is_identity(w: LiftedAutomorphism) -> bool:
+    n = w.algebra.lattice.rank
+    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return (
+        w.isometry.matrix == ident
+        and all(p == k for k, p in enumerate(w.root_perm))
+        and all(s == 1 for s in w.root_phase)
+    )
+
+
+def eps_route_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
+    """The standard lift with the twist bits from `eps_twist_bits`, every
+    image from `apply_coords` and the cube checked by `compose`."""
+    n = alg.rank
+    h_bits = eps_twist_bits(alg, g)
+    fixed = g.fixed_coords_basis()
+    rows = [_phase_bit_expr(alg, h_bits, f) for f in fixed]
+    for i in range(n):
+        gb = apply_coords(g, tuple(1 if j == i else 0 for j in range(n)))
+        lin = [int(j == i) for j in range(n)]
+        const = 0
+        for v in (gb, apply_coords(g, gb)):
+            lv, cv = _phase_bit_expr(alg, h_bits, v)
+            lin = [a ^ b for a, b in zip(lin, lv)]
+            const ^= cv
+        rows.append((lin, const))
+    x = _solve_f2([lin for lin, _ in rows], [c for _, c in rows], n)
+    assert x is not None
+
+    def phase_of(coords: Sequence[int]) -> int:
+        lin, const = _phase_bit_expr(alg, h_bits, coords)
+        return -1 if (const + sum(a & b for a, b in zip(lin, x))) % 2 else 1
+
+    lift = LiftedAutomorphism(
+        alg,
+        g,
+        tuple(phase_of(rc) for rc in alg.root_coords),
+        tuple(alg.root_index[apply_coords(g, rc)] for rc in alg.root_coords),
+        f"lift({g.name})",
+    )
+    assert is_identity(compose(compose(lift, lift), lift))
+    assert all(phase_of(f) == 1 for f in fixed)
+    return lift
+
+
+class DenseLieTables:
+    """The weight-one algebra's structure constants as dense numpy tables
+    over every root pair: (a|b), (b_i|a), eps(a, b), and the index of a + b
+    where (a|b) = -1.  `bracket_basis` and `form` read them entry by entry."""
+
+    def __init__(self, alg: LatticeLieAlgebra):
+        self.alg = alg
+        g = np.array(alg.lattice.gram, dtype=np.int64)
+        r = np.array(alg.root_coords, dtype=np.int64)
+        self.ip_rr = r @ g @ r.T
+        self.ip_cr = g @ r.T
+        low = np.tril(g & 1, k=-1)
+        self.eps_rr = 1 - 2 * ((r @ low @ r.T) % 2)
+        self.sum_idx: Dict[Tuple[int, int], int] = {}
+        for i, ri in enumerate(r):
+            js = np.flatnonzero(self.ip_rr[i] == -1)
+            for j, s in zip(js.tolist(), (ri + r[js]).tolist()):
+                self.sum_idx[(i, j)] = alg.root_index[tuple(s)]
+
+    def bracket_basis(self, x: int, y: int) -> Dict[int, int]:
+        r = self.alg.rank
+        if x < r and y < r:
+            return {}
+        if x < r:
+            v = int(self.ip_cr[x][y - r])
+            return {y: v} if v else {}
+        if y < r:
+            return {i: -c for i, c in self.bracket_basis(y, x).items()}
+        k, l = x - r, y - r
+        ip = int(self.ip_rr[k][l])
+        if ip >= 0:
+            return {}
+        sgn = int(self.eps_rr[k][l])
+        if ip == -1:
+            return {r + self.sum_idx[(k, l)]: sgn}
+        return {i: sgn * c for i, c in enumerate(self.alg.root_coords[k]) if c}
+
+    def form(self, x: int, y: int) -> int:
+        r = self.alg.rank
+        if x < r and y < r:
+            return self.alg.lattice.gram[x][y]
+        if x >= r and y >= r and self.ip_rr[x - r][y - r] == -2:
+            return int(self.eps_rr[x - r][y - r])
+        return 0
 
 
 def inverse_lift(w: LiftedAutomorphism) -> LiftedAutomorphism:

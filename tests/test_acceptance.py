@@ -21,6 +21,7 @@ from orbifold24.twistbound import invariant_norm, min_twisted_weight, shift_ok
 
 from helpers import (
     brute_force_min,
+    compose,
     fraction_coords,
     inverse_lift,
     ip_coords,
@@ -197,8 +198,8 @@ def test_criterion_8_property_suites():
                     alg_d4, latticevoa.LatticeIsometry(nd4, tuple(rows), "w")
                 )
             )
-        w = refl[0].compose(refl[1])
-        conj = w.compose(lift).compose(inverse_lift(w))
+        w = compose(refl[0], refl[1])
+        conj = compose(compose(w, lift), inverse_lift(w))
         got = str(latticevoa.identify_type(latticevoa.fixed_subalgebra(conj)))
         ok = ok and got == base
     report("8c (type identification invariant under 20 conjugations)", ok)

@@ -447,3 +447,16 @@ def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert err == f"error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in err
+
+
+def test_unsolvable_phase_system_exits_1(capsys, monkeypatch):
+    # an F2 system without a solution is a cocycle bookkeeping fault inside
+    # the program, not a usage error
+    for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
+        fn.cache_clear()
+    monkeypatch.setattr(latticevoa, "_solve_f2", lambda rows, rhs, n: None)
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--name", "e6_4", "--isometry", "sigma6"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == "error: InvariantError: no order-3 standard phase function exists\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import fractions
 import random
 from fractions import Fraction as Q
@@ -18,6 +19,7 @@ from orbifold24.latticevoa import (
     _generic_centralizer,
     _killing,
     _slot_maps_to_isometry,
+    _twist_bits,
     assemble_niemeier,
     build_isometry,
     count_orthogonal_subsystems,
@@ -41,12 +43,18 @@ from orbifold24.latticevoa import (
 from orbifold24.rootdata import SimpleType
 
 from helpers import (
+    DenseLieTables,
     all_pairs_subsystem_count,
+    compose,
+    eps_coords,
+    eps_route_lift,
+    eps_twist_bits,
     fraction_centralizer,
     fraction_slot_maps_to_isometry,
     full_killing,
     inverse_lift,
     ip_coords,
+    is_identity,
     permutation_first_glue_order,
     root_lattice,
     rough_lift,
@@ -157,6 +165,25 @@ def test_form_invariance_sampled(alg_d4):
         assert lhs == rhs
 
 
+@pytest.mark.parametrize("which", ["e6", "d4"])
+def test_pair_table_matches_dense_tables(which, alg_e6, alg_d4):
+    # oracle: the dense numpy tables over every root pair, read entry by
+    # entry, on every ordered pair of basis indices; the signs of the pair
+    # table are also checked against eps from its definition
+    alg = alg_e6 if which == "e6" else alg_d4
+    dense = DenseLieTables(alg)
+    for x in range(alg.dim):
+        for y in range(alg.dim):
+            assert alg.bracket_basis(x, y) == dense.bracket_basis(x, y)
+            assert alg.form({x: 1}, {y: 1}) == dense.form(x, y)
+    negative = 0
+    for k, row in enumerate(alg.pairs):
+        for l, (_, sgn) in row.items():
+            assert sgn == eps_coords(alg, alg.root_coords[k], alg.root_coords[l])
+            negative += 1
+    assert negative == int((dense.ip_rr < 0).sum())
+
+
 @pytest.fixture(scope="module")
 def lift6(ne6, alg_e6):
     return standard_lift(alg_e6, build_isometry(ne6, "sigma6"))
@@ -186,7 +213,7 @@ def test_glue_index_squared_is_discriminant_product():
 
 def test_lift_cubes_to_identity(lift6, lift2, lift4):
     for lift in (lift6, lift2, lift4):
-        assert lift.compose(lift).compose(lift).is_identity()
+        assert is_identity(compose(compose(lift, lift), lift))
 
 
 def test_identity_lift(alg_d4, nd4):
@@ -197,7 +224,41 @@ def test_identity_lift(alg_d4, nd4):
         "id",
     )
     lift = standard_lift(alg_d4, ident)
-    assert lift.is_identity()
+    assert is_identity(lift)
+
+
+def test_standard_lift_matches_eps_route(nd4, alg_d4, lift6, lift2, lift4):
+    # oracle: the twist bits through eps_coords, every image through
+    # apply_coords and the cube through compose; rough_lift shares the bits
+    # and the images, so its permutation must agree as well
+    n = nd4.rank
+    ident = LatticeIsometry(
+        nd4, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+    )
+    lifts = [lift6, lift2, lift4, a2_cubed_cycle_lift(), standard_lift(alg_d4, ident)]
+    for lift in lifts:
+        alg, g = lift.algebra, lift.isometry
+        assert _twist_bits(alg, [list(row) for row in g.matrix]) == eps_twist_bits(alg, g)
+        want = eps_route_lift(alg, g)
+        assert lift.root_perm == want.root_perm == rough_lift(alg, g).root_perm
+        assert lift.root_phase == want.root_phase
+    assert any(-1 in lift.root_phase for lift in lifts)
+
+
+def test_lift_with_a_wrong_phase_solution_is_refused(ne6, alg_e6, monkeypatch):
+    # flipping bit 6 of the F2 solution keeps phase 1 on the fixed
+    # sublattice but breaks c(b) c(gb) c(g^2 b) = 1, so the phases no longer
+    # multiply to 1 around every root orbit
+    solve = latticevoa._solve_f2
+
+    def flipped(rows, rhs, n):
+        x = solve(rows, rhs, n)
+        x[6] ^= 1
+        return x
+
+    monkeypatch.setattr(latticevoa, "_solve_f2", flipped)
+    with pytest.raises(InvariantError, match="does not cube to the identity"):
+        standard_lift(alg_e6, build_isometry(ne6, "sigma6"))
 
 
 def test_standard_phase_on_fixed_roots(lift6):
@@ -242,11 +303,9 @@ def test_identify_type_conjugation_invariant(nd4, alg_d4, lift2):
     for _ in range(3):
         w1 = rough_lift(alg_d4, reflection(nd4, alg_d4, rng.randrange(144), "w1"))
         w2 = rough_lift(alg_d4, reflection(nd4, alg_d4, rng.randrange(144), "w2"))
-        conj = (
-            w1.compose(w2)
-            .compose(lift2)
-            .compose(inverse_lift(w2))
-            .compose(inverse_lift(w1))
+        conj = compose(
+            compose(compose(compose(w1, w2), lift2), inverse_lift(w2)),
+            inverse_lift(w1),
         )
         assert str(identify_type(fixed_subalgebra(conj))) == base
 
@@ -355,6 +414,30 @@ def test_fixed_table_checks_fire(monkeypatch, rows, message):
 
 
 @pytest.mark.parametrize(
+    "which, message",
+    [
+        ("sigma6", "outside the fixed sublattice"),
+        ("sigma2", "no multiple of an orbit sum"),
+        ("sigma4", "no multiple of an orbit sum"),
+    ],
+)
+def test_flipped_orbit_phases_raise(which, message, fixed_algebras):
+    # flipping the phases of two roots in one 3-cycle keeps the orbit's
+    # phase product at 1, but the lift is no automorphism any more: the
+    # first bracket that shows it has a Cartan part off the fixed sublattice
+    # (sigma6) or a root part that is no multiple of an orbit sum
+    lift, _ = fixed_algebras[which]
+    k = next(k for k, p in enumerate(lift.root_perm) if p != k)
+    k1 = lift.root_perm[k]
+    phase = list(lift.root_phase)
+    phase[k] *= -1
+    phase[k1] *= -1
+    bad = dataclasses.replace(lift, root_phase=tuple(phase))
+    with pytest.raises(InvariantError, match=message):
+        fixed_subalgebra(bad)
+
+
+@pytest.mark.parametrize(
     "which, seeds, expected",
     [
         ("sigma2", range(20), "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"),
@@ -372,12 +455,12 @@ def test_identify_type_seed_sweep(which, seeds, expected, fixed_algebras, monkey
     verdicts = []
 
     def checked(brackets, weights, x, ortho):
-        ker, ad_rows, abelian = integer_centralizer(brackets, weights, x, ortho)
+        ker, abelian = integer_centralizer(brackets, weights, x, ortho)
         want, want_abelian = fraction_centralizer(brackets, x, ortho)
         assert [[Q(v, den) for v in row] for row, den in ker] == want
         assert abelian == want_abelian
         verdicts.append(abelian)
-        return ker, ad_rows, abelian
+        return ker, abelian
 
     monkeypatch.setattr(latticevoa, "_generic_centralizer", checked)
     assert [str(identify_type(fx, seed=s)) for s in seeds] == [expected] * len(seeds)
@@ -402,7 +485,7 @@ def test_identify_type_redraws_a_degenerate_abelian_centralizer(
     monkeypatch.setattr(latticevoa, "_generic_centralizer", recording)
     assert str(identify_type(fx, seed=69)) == "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"
     assert len(kernels) >= 2
-    ker, _, abelian = kernels[0]
+    ker, abelian = kernels[0]
     rows = [row for row, _ in ker]
     assert abelian
     assert rank(mat_mul(mat_mul(rows, fx.gram), transpose(rows))) < len(rows)
@@ -469,9 +552,15 @@ def test_blocked_centralizer_matches_full_stack(which, fixed_algebras):
         stack = _ad(brackets, x)
         if ortho:
             stack = [row + o for row, o in zip(stack, ortho)]
-        ker, ad_rows, abelian = _generic_centralizer(brackets, weights, x, ortho)
+        ker, abelian = _generic_centralizer(brackets, weights, x, ortho)
         assert ker == integer_kernel(stack)
-        assert ad_rows == [_ad(brackets, row) for row, _ in ker]
+        # oracle for the sparse commutator test: rows[:b] ad(k_b) = 0 for
+        # every b, with every ad matrix dense
+        rows = [row for row, _ in ker]
+        assert abelian == (bool(rows) and all(
+            not any(map(any, mat_mul(rows[:b], _ad(brackets, rows[b]))))
+            for b in range(1, len(rows))
+        ))
         verdicts.append(abelian)
     assert verdicts == [True] * 3 + [False] * (nc > 0)
 

@@ -389,3 +389,43 @@ def test_min_twisted_weight_builds_no_weight_system(monkeypatch):
     enumerate_level_weights.cache_clear()
     for case in (CASE1, CASE2, CASE3):
         min_twisted_weight(case)
+
+
+def test_untwisted_ideal_gets_zero_columns_without_a_covector(monkeypatch):
+    # h_i = 0 pairs to 0 with every weight; no dominant conjugate is needed
+    import orbifold24.affinerep as affinerep
+
+    a = AffineAlgebra(SimpleType("E", 6), 2)
+    rows = len(enumerate_level_weights(a))
+    want = brute_force_min(a.root_system(), (Q(0),) * 6, (0,) * 6)
+    assert want == 0
+
+    def forbidden(rs, v):
+        raise AssertionError("dominant conjugate of the zero twist")
+
+    monkeypatch.setattr(affinerep, "dominant_conjugate", forbidden)
+    for den in (1, 3):
+        assert n_min_column(a, (den, (0,) * 6)) == (
+            den * a.root_system().scale, [0] * rows, [0] * rows
+        )
+
+
+def test_twist_bound_computes_the_norm_once(capsys, monkeypatch):
+    # the norm that the query reports is the one the DP adds to every bound
+    import orbifold24.cli as cli
+    import orbifold24.twistbound as twistbound
+
+    calls = []
+
+    def counting(c):
+        calls.append(c.name)
+        return invariant_norm(c)
+
+    monkeypatch.setattr(cli, "invariant_norm", counting)
+    monkeypatch.setattr(twistbound, "invariant_norm", counting)
+    assert cli.main(["twist-bound", "--case", "a5d4", "--json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+    for case in (CASE1, CASE2, CASE3):
+        norm, _, _ = invariant_norm(case)
+        assert min_twisted_weight(case, norm) == min_twisted_weight(case)
