@@ -50,6 +50,10 @@ ASSUMPTIONS = [
     "when every admissible module occurs",
     "conjugacy-class uniqueness of the named lattice automorphisms is consumed "
     "as input, not recomputed",
+    "integer levels: every simple ideal of a lattice-side fixed-point Lie "
+    "algebra has a positive integer level, as in every strongly regular vertex "
+    "operator algebra (Dong-Mason, Integrability of C2-cofinite vertex operator "
+    "algebras, IMRN 2006); the exact type certificate consumes it",
 ]
 
 

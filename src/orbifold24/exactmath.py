@@ -1,23 +1,18 @@
-"""Exact numeric substrate: one exact elimination core and the float eigen
-fallback.
+"""Exact numeric substrate: one exact elimination core.
 
 Exact scalars are `int` or `fractions.Fraction`, and matrices are dense
 lists of rational rows.  Every rank, kernel, inverse and determinant in
 the package comes from `_echelon`, a fraction-free Gauss-Jordan
-elimination on integer rows.  The only floating-point entry
-point is `float_eigen`, whose output is always re-verified exactly
-downstream; it imports numpy when called, so importing this module does
-not load numpy.
+elimination on integer rows.  The package has no floating-point step:
+numpy only builds the int64 tables of a lattice algebra, in
+`latticevoa.LatticeLieAlgebra`, and this module never loads it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import gcd, lcm
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import List, Optional, Sequence, Tuple, Union
 
 Matrix = Sequence[Sequence[Union[int, Q]]]
 
@@ -129,48 +124,3 @@ def det(m: Matrix) -> Q:
     for t in range(n):
         factor *= red[t][t]
     return factor
-
-
-class ResidualExceeded(Exception):
-    """float_eigen verification failed: input ill-conditioned or defective."""
-
-
-def float_eigen(
-    a: Matrix, tol: Q = Q(1, 10**9)
-) -> List[Tuple[complex, np.ndarray]]:
-    """Approximate eigenpairs of a square rational matrix given as rows.
-
-    Eigenvalues are clustered with gap threshold tol and every eigenvector is
-    residual-checked against the exact matrix (evaluated in floats); callers
-    must re-verify any integer or rational they round from the output.
-    """
-    import numpy as np
-
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("eigen-decomposition of non-square matrix")
-    mat = np.array([[complex(x) for x in row] for row in a], dtype=complex)
-    tol_f = float(tol)
-    vals, vecs = np.linalg.eig(mat)
-    # a defective matrix yields a (nearly) singular eigenvector basis
-    if np.linalg.cond(vecs) > 1.0 / tol_f:
-        raise ResidualExceeded("eigenvector basis is numerically singular")
-    pairs = []
-    for k in range(n):
-        v = vecs[:, k]
-        lam = vals[k]
-        resid = np.linalg.norm(mat @ v - lam * v)
-        if resid >= tol_f * max(np.linalg.norm(v), 1e-300):
-            raise ResidualExceeded(f"residual exceeded: {resid}")
-        pairs.append((lam, v))
-    # cluster eigenvalues closer than tol to a common representative
-    reps: List[complex] = []
-    clustered = []
-    for lam, v in pairs:
-        rep = next((r for r in reps if abs(r - lam) < tol_f), None)
-        if rep is None:
-            reps.append(lam)
-            rep = lam
-        clustered.append((rep, v))
-    return clustered
-

@@ -15,20 +15,15 @@ with structure constants through the sign bicharacter fixed on an ordered
 lattice basis.  Standard lifts of order-3 isometries are solved exactly over
 F2 (phase 1 on the fixed sublattice, composite of order 3), fixed-point
 subalgebras are extracted orbit by orbit, and their types and levels are
-identified by a float root-space discovery pass whose every rounded integer
-is re-verified by exact rank computations.  The fixed Cartan t grades each
-fixed subalgebra by t-weight, so its structure table, its Killing form and
-the generic centraliser are computed one weight block at a time.  That
-centraliser is spanned by primitive integer rows, so every ad matrix and
-commutator stays integral; the float pass divides each row by its largest
-entry.
+certified exactly, one sigma-orbit of components at a time.  The fixed
+Cartan t grades each fixed subalgebra by t-weight, so its structure table
+and its Killing form are computed one weight block at a time.
 
-numpy is used in two places only, and imported inside them, so importing
-this module does not load it: `LatticeLieAlgebra` builds its root-indexed
-tables with int64 products once per lattice and keeps them as plain Python
-lists and dicts, and the float pass of `identify_type` runs the eigenvalue
-search.  The exact work (structure constants, lifts, fixed subalgebras,
-kernels and ranks) reads only Python integers.
+numpy is used in one place only, and imported there, so importing this
+module does not load it: `LatticeLieAlgebra` builds its root-indexed tables
+with int64 products once per lattice and keeps them as plain Python lists
+and dicts.  Everything else (structure constants, lifts, fixed subalgebras,
+kernels, ranks and type certificates) reads only Python integers.
 """
 
 from __future__ import annotations
@@ -39,23 +34,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial, gcd, lcm
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
-from .exactmath import (
-    InvariantError,
-    ResidualExceeded,
-    det,
-    float_eigen,
-    integer_kernel,
-    inverse,
-    rank,
-)
-from .rootdata import (
-    SemisimpleTypeWithLevels,
-    SimpleType,
-    build_root_system,
-    classify_simple_system,
-)
+from .exactmath import InvariantError, det, inverse, rank
+from .rootdata import SemisimpleTypeWithLevels, SimpleType, build_root_system
 
 Vec = Tuple[Q, ...]
 IntVec = Tuple[int, ...]
@@ -399,22 +383,10 @@ class LatticeIsometry:
         return [[Q(x, lat.inv_scale * lat.scale) for x in row] for row in m]
 
     def order(self) -> int:
-        n = self.lattice.rank
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        cur = [list(row) for row in self.matrix]
-        for k in range(1, 13):
-            if cur == ident:
-                return k
-            cur = mat_mul(cur, self.matrix)
-        raise ValueError("order exceeds 12")
+        return _matrix_order(self.matrix)
 
-    def fixed_coords_basis(self) -> List[IntVec]:
-        n = self.lattice.rank
-        m = [
-            [self.matrix[i][j] - (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        return [tuple(r) for r in integer_row_kernel(m)]
+    def fixed_coords_basis(self) -> Tuple[IntVec, ...]:
+        return _fixed_coords(self.matrix)
 
     def preserves_gram(self) -> bool:
         n = self.lattice.rank
@@ -427,6 +399,26 @@ class LatticeIsometry:
                 if sum(ag[i][t] * a[j][t] for t in range(n) if a[j][t]) != g[i][j]:
                     return False
         return True
+
+
+# the order and the fixed sublattice depend on the matrix alone; each is
+# computed once per isometry and process, however many checks ask for it
+@lru_cache(maxsize=None)
+def _matrix_order(matrix: Tuple[IntVec, ...]) -> int:
+    ident = _identity_local(len(matrix))
+    cur = [list(row) for row in matrix]
+    for k in range(1, 13):
+        if cur == ident:
+            return k
+        cur = mat_mul(cur, matrix)
+    raise ValueError("order exceeds 12")
+
+
+@lru_cache(maxsize=None)
+def _fixed_coords(matrix: Tuple[IntVec, ...]) -> Tuple[IntVec, ...]:
+    """Basis of the fixed sublattice: the integer kernel of matrix - 1."""
+    m = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+    return tuple(tuple(r) for r in integer_row_kernel(m))
 
 
 def _slot_maps_to_isometry(
@@ -707,6 +699,7 @@ class LatticeLieAlgebra:
     (b_i|a_k), and pairs[k] maps each root l with (a_k|a_l) < 0 to (the index
     of a_k + a_l, or -1 when a_l = -a_k; eps(a_k, a_l)).  Roots have norm 2,
     so (a_k|a_l) is -1 or -2 there, and nonnegative pairings bracket to 0.
+    root_component[k] is the index of the component that holds root k.
     """
 
     def __init__(self, lat: EvenLattice):
@@ -716,14 +709,20 @@ class LatticeLieAlgebra:
         self.rank = lat.rank
         # lattice coordinates of the roots: ambient rows times basis_inv,
         # exactly divisible by inv_scale
-        scaled = np.array(lattice_roots(lat), dtype=np.int64) @ np.array(
+        ambient = lattice_roots(lat)
+        scaled = np.array(ambient, dtype=np.int64) @ np.array(
             lat.basis_inv, dtype=np.int64
         )
         if (scaled % lat.inv_scale).any():
             raise InvariantError("a root is outside the lattice")
-        self.root_coords: List[IntVec] = sorted(
-            map(tuple, (scaled // lat.inv_scale).tolist())
-        )
+        # a root lies in one component: the one whose slice holds its support
+        owner = [c for c, t in enumerate(lat.code.components) for _ in range(t.rank)]
+        by_coords = sorted(zip(
+            map(tuple, (scaled // lat.inv_scale).tolist()),
+            (owner[next(i for i, x in enumerate(a) if x)] for a in ambient),
+        ))
+        self.root_coords: List[IntVec] = [c for c, _ in by_coords]
+        self.root_component: List[int] = [o for _, o in by_coords]
         self.root_index: Dict[IntVec, int] = {
             c: i for i, c in enumerate(self.root_coords)
         }
@@ -995,25 +994,38 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
 Weight = Tuple[int, ...]
 
 
+class ComponentOrbit(NamedTuple):
+    """The fixed basis vectors that come from one sigma-orbit of lattice
+    components: `length` components (1 or 3) of one simple `type`."""
+
+    type: SimpleType
+    length: int
+    indices: Tuple[int, ...]
+
+
 @dataclass
 class FixedSubalgebra:
     """Fixed points of an order-3 lifted automorphism as a structure table.
 
-    `basis` lists the fixed basis vectors in the big algebra: the
-    fixed-sublattice basis (the fixed Cartan t), then one orbit sum per root
-    orbit.  `weights[i]` is the t-weight of basis[i]: ((row|a) for each
-    fixed-sublattice row) for the orbit sum of a root a, and 0 on t, so
-    basis[:nc] is t with nc = len(weights[0]).  `brackets[i][j]` maps k to
-    the nonzero coefficient of basis[k] in [basis[i], basis[j]]; `gram` is
-    the invariant form on the basis.  Both are integral and graded:
+    `basis` lists the fixed basis vectors in the big algebra: the fixed
+    Cartan t, then one orbit sum per root orbit.  The basis of t is taken
+    orbit by orbit: for each sigma-orbit O of components, a Z-basis of the
+    fixed lattice vectors in V_O, the span of the components in O.
+    `weights[i]` is the t-weight of basis[i]: ((row|a) for each Cartan row)
+    for the orbit sum of a root a, and 0 on t, so basis[:nc] is t with
+    nc = len(weights[0]).  `brackets[i][j]` maps k to the nonzero
+    coefficient of basis[k] in [basis[i], basis[j]]; `gram` is the
+    invariant form on the basis.  Both are integral and graded:
     [basis[i], basis[j]] has weight weights[i] + weights[j], and the form
-    pairs weight w only with -w.
+    pairs weight w only with -w.  `orbits` holds the basis indices of each
+    sigma-orbit of components; the algebra is the direct sum of their spans.
     """
 
     basis: List[Dict[int, int]]
     weights: List[Weight]
     brackets: List[List[Dict[int, int]]]
     gram: List[List[int]]
+    orbits: List[ComponentOrbit]
 
     @property
     def dim(self) -> int:
@@ -1036,25 +1048,72 @@ def _neg(w: Weight) -> Weight:
     return tuple(-a for a in w)
 
 
+def _component_orbits(
+    lift: LiftedAutomorphism,
+) -> Tuple[List[int], List[Tuple[SimpleType, int]]]:
+    """The orbit index of each lattice component under the lift, and the
+    (type, length) of each orbit, read from where root_perm sends the roots
+    of each component; InvariantError unless the components are permuted in
+    cycles of length 1 or 3."""
+    comp = lift.algebra.root_component
+    image: Dict[int, int] = {}
+    for k, p in enumerate(lift.root_perm):
+        if image.setdefault(comp[k], comp[p]) != comp[p]:
+            raise InvariantError(f"the lift splits the roots of component {comp[k]}")
+    orbit_of = [-1] * len(image)
+    shapes: List[Tuple[SimpleType, int]] = []
+    for c in range(len(image)):
+        if orbit_of[c] >= 0:
+            continue
+        cycle = [c, image[c], image[image[c]]]
+        if image[cycle[2]] != c or len(set(cycle)) == 2:
+            raise InvariantError("components are not permuted in cycles of length 1 or 3")
+        for x in cycle:
+            orbit_of[x] = len(shapes)
+        shapes.append((lift.algebra.lattice.code.components[c], len(set(cycle))))
+    return orbit_of, shapes
+
+
 def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     """Exact fixed-point subalgebra of an order-3 lifted automorphism.
 
-    Only the Cartan rows and the pairs of orbit sums that touch are
-    bracketed: two orbit sums commute unless a root of one has negative
-    inner product with a root of the other, and (g^p a|g^q b) =
-    (a|g^(q-p) b), so the pair table of one representative names every
-    orbit that touches it.  Form entries are computed only where
-    w_i + w_j = 0; the others vanish by the grading.
+    The Cartan rows of each orbit O of components are the fixed-sublattice
+    vectors orthogonal to every root outside O.  Only the Cartan rows and
+    the pairs of orbit sums that touch are bracketed: two orbit sums commute
+    unless a root of one has negative inner product with a root of the
+    other, and (g^p a|g^q b) = (a|g^(q-p) b), so the pair table of one
+    representative names every orbit that touches it.  Form entries are
+    computed only where w_i + w_j = 0; the others vanish by the grading.
     """
     alg = lift.algebra
     r = alg.rank
-    cartan_rows = lift.isometry.fixed_coords_basis()
-    basis = [alg.cartan_element(row) for row in cartan_rows]
-    nc = len(basis)
-    # (row|a) for every fixed-sublattice row and root a: the t-weight of e^a
-    root_weights = (
-        [tuple(w) for w in mat_mul(alg.cr, transpose(cartan_rows))]
+    orbit_of, shapes = _component_orbits(lift)
+    root_orbit = [orbit_of[c] for c in alg.root_component]
+    fixed = lift.isometry.fixed_coords_basis()
+    nc = len(fixed)
+    # (row|a) for every fixed-sublattice row and root a
+    fixed_weights = (
+        [tuple(w) for w in mat_mul(alg.cr, transpose(fixed))]
         if nc else [()] * alg.n_roots
+    )
+    # per orbit, the integer combinations of the fixed rows that pair to 0
+    # with every root outside it, saturated: a Z-basis of the fixed lattice
+    # vectors in the orbit's span
+    combos: List[List[int]] = []
+    indices: List[List[int]] = [[] for _ in shapes]
+    for o in range(len(shapes)):
+        outside = sorted({w for w, ro in zip(fixed_weights, root_orbit) if ro != o})
+        for y in integer_row_kernel([[w[i] for w in outside] for i in range(nc)]):
+            indices[o].append(len(combos))
+            combos.append(y)
+    if len(combos) != nc:
+        raise InvariantError("the fixed Cartan does not split over the component orbits")
+    cartan_rows = mat_mul(combos, fixed) if nc else []
+    basis = [alg.cartan_element(row) for row in cartan_rows]
+    # (row|a) for every Cartan row and root a: the t-weight of e^a
+    root_weights = (
+        [tuple(w) for w in mat_mul(fixed_weights, transpose(combos))]
+        if nc else fixed_weights
     )
     weights: List[Weight] = [(0,) * nc] * nc
     member: Dict[int, int] = {}        # root basis index -> its orbit sum's
@@ -1067,6 +1126,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             seen.add(k)
             # a g-fixed root line survives only with trivial phase
             if lift.root_phase[k] == 1:
+                indices[root_orbit[k]].append(len(basis))
                 member[r + k] = len(basis)
                 basis.append(alg.root_element(k))
                 weights.append(root_weights[k])
@@ -1080,6 +1140,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         s1 = s0 * lift.root_phase[k1]
         if s1 * lift.root_phase[k2] != 1:
             raise InvariantError("orbit phase product must be 1")
+        indices[root_orbit[k]].append(len(basis))
         member[r + k] = member[r + k1] = member[r + k2] = len(basis)
         basis.append({r + k: 1, r + k1: s0, r + k2: s1})
         weights.append(root_weights[k])
@@ -1148,37 +1209,17 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         for j in blocks.get(_neg(weights[i]), ()):
             if j >= i:
                 gram[i][j] = gram[j][i] = alg.form(basis[i], basis[j])
-    return FixedSubalgebra(basis, weights, brackets, gram)
+    orbits = [
+        ComponentOrbit(t, length, tuple(idx))
+        for (t, length), idx in zip(shapes, indices)
+    ]
+    return FixedSubalgebra(basis, weights, brackets, gram, orbits)
 
 
 class IdentificationError(Exception):
-    """No generic element was found, or float root-space discovery could not
-    be verified exactly."""
-
-
-def _ad_rows(
-    brackets: List[List[Dict[int, int]]], vec: Sequence[int]
-) -> List[Dict[int, int]]:
-    """ad(vec) on row vectors, sparse: row j maps k to the coefficient of
-    basis[k] in [vec, basis[j]]."""
-    out: List[Dict[int, int]] = [{} for _ in brackets]
-    for i, ci in enumerate(vec):
-        if ci:
-            for oj, entry in zip(out, brackets[i]):
-                for k, c in entry.items():
-                    oj[k] = oj.get(k, 0) + ci * c
-    return out
-
-
-def _ad(brackets: List[List[Dict[int, int]]], vec: Sequence[int]) -> List[List[int]]:
-    """ad(vec) on row vectors: row j holds the coordinates of [vec, basis[j]]."""
-    out = []
-    for entries in _ad_rows(brackets, vec):
-        row = [0] * len(brackets)
-        for k, c in entries.items():
-            row[k] = c
-        out.append(row)
-    return out
+    """The exact type certificate of a fixed subalgebra fails: a block form
+    is singular, a block has more than one eigenvalue of gram^-1 Killing, or
+    not exactly one type fits a block's exact data."""
 
 
 def _check_grading(sub: FixedSubalgebra) -> None:
@@ -1223,296 +1264,122 @@ def _killing(
     return kill
 
 
-def _draw_generic(rng: random.Random, weights: Sequence[Weight]) -> List[int]:
-    """An element x of the zero-weight block Z = c(t), coordinates in
-    [-9, 9]; the t-part is redrawn while some nonzero weight vanishes on it,
-    so that ad(x) is invertible on every 1-dimensional nonzero block."""
-    nc = len(weights[0]) if weights else 0
-    nonzero = {w for w in weights if any(w)}
-    for _ in range(100):
-        x = [rng.randint(-9, 9) for _ in range(nc)]
-        if all(sum(a * b for a, b in zip(w, x)) for w in nonzero):
-            break
-    else:
-        raise IdentificationError("every drawn Cartan part kills a weight")
-    zero = (0,) * nc
-    return x + [rng.randint(-9, 9) if w == zero else 0 for w in weights[nc:]]
+def _simple_types(max_dim: int) -> List[SimpleType]:
+    """Every simple Lie algebra of dimension at most max_dim, named once:
+    B from rank 3 and D from rank 4, since B2 = C2 and D3 = A3."""
+    types = [SimpleType("G", 2), SimpleType("F", 4)]
+    types += [SimpleType("E", n) for n in (6, 7, 8)]
+    for family, first in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
+        n = first
+        while SimpleType(family, n).dim() <= max_dim:
+            types.append(SimpleType(family, n))
+            n += 1
+    return sorted(t for t in types if t.dim() <= max_dim)
 
 
-def _generic_centralizer(
-    brackets: List[List[Dict[int, int]]],
-    weights: Sequence[Weight],
-    x: Sequence[int],
-    ortho: List[List[int]],
-) -> Tuple[List[Tuple[List[int], int]], bool]:
-    """ker(ad x) inside the derived part (the columns of ortho cut it out),
-    for x of weight 0, solved one weight block at a time.
+def types_with_ratio(r: Q, dim: int) -> List[Tuple[Tuple[SimpleType, int], ...]]:
+    """Every multiset of simple ideals (type X, positive integer level k)
+    with 2 h-dual(X) / k = r and total dimension dim, each as a sorted
+    tuple, in lexicographic order."""
+    if r <= 0:
+        return []
+    levels = [(t, Q(2 * t.dual_coxeter_number()) / r) for t in _simple_types(dim)]
+    parts = [(t, int(k)) for t, k in levels if k.denominator == 1]
+    out: List[Tuple[Tuple[SimpleType, int], ...]] = []
 
-    ad(x) preserves every weight block and the centre has weight 0, so the
-    stack [ad(x) | ortho] is block diagonal, with the ortho columns only on
-    the zero block; InvariantError when it is not.  The reduced kernel basis
-    of a direct sum is the union of the blocks' reduced bases, ordered by
-    free coordinate (the last nonzero entry of each vector), which is the
-    basis `integer_kernel` gives for the whole stack.
+    def extend(start: int, left: int, chosen: Tuple[Tuple[SimpleType, int], ...]) -> None:
+        if left == 0:
+            out.append(chosen)
+        for i in range(start, len(parts)):
+            if parts[i][0].dim() <= left:
+                extend(i, left - parts[i][0].dim(), chosen + (parts[i],))
 
-    Returns that basis as primitive integer rows with their denominators,
-    and whether the kernel is abelian: every bracket [k_a, k_b], summed
-    over the sparse table entries of the rows' nonzero coordinates,
-    vanishes.
+    extend(0, dim, ())
+    return out
+
+
+def _check_orbit_blocks(sub: FixedSubalgebra) -> None:
+    """InvariantError unless sub.orbits partition the basis and every
+    bracket and form entry stays inside one orbit's block."""
+    block_of = [-1] * sub.dim
+    for b, orbit in enumerate(sub.orbits):
+        for i in orbit.indices:
+            if block_of[i] >= 0:
+                raise InvariantError(f"basis vector {i} lies in two orbit blocks")
+            block_of[i] = b
+    if -1 in block_of:
+        raise InvariantError(f"basis vector {block_of.index(-1)} lies in no orbit block")
+    for i, (row, form_row) in enumerate(zip(sub.brackets, sub.gram)):
+        b = block_of[i]
+        for j, (entry, f) in enumerate(zip(row, form_row)):
+            if block_of[j] != b and (entry or f):
+                raise InvariantError(
+                    f"basis vectors {i} and {j} of two orbit blocks interact"
+                )
+            if any(block_of[k] != b for k in entry):
+                raise InvariantError(f"bracket [{i}, {j}] leaves its orbit block")
+
+
+def identify_type(sub: FixedSubalgebra) -> SemisimpleTypeWithLevels:
+    """Type and level of a reductive fixed subalgebra, certified exactly,
+    orbit block by orbit block.
+
+    An ideal of type X at level k is a 2 h-dual(X)/k eigenspace of
+    gram^-1 Killing of dimension dim X; the multiplicity of p/q is the
+    nullity of q Killing - p gram.  Levels are positive integers (the
+    assumption ledger's integer-level entry).  A 3-cycle of components of
+    type X gives the diagonal X at level 3, since the lift cubes to 1: the
+    block must have dimension dim X and Killing = (2 h-dual / 3) gram.  A
+    sigma-stable block has centre the nullity of its Killing form; on the
+    rest, of dimension D, r = tr(gram^-1 Killing) / D must be the only
+    eigenvalue, and the block's type is the one multiset of simple ideals
+    with 2 h-dual / k = r and dimension D (`types_with_ratio`).
     """
-    dim = len(brackets)
-    ad_x = _ad(brackets, x)
-    zero = (0,) * (len(weights[0]) if weights else 0)
-    keyed = []
-    for w, block in _weight_blocks(weights).items():
-        stack = []
-        for j in block:
-            row = ad_x[j]
-            sub = [row[k] for k in block]
-            if sum(map(bool, row)) != sum(map(bool, sub)):
-                raise InvariantError(f"ad(x) moves basis vector {j} out of its block")
-            if ortho:
-                if w == zero:
-                    sub += ortho[j]
-                elif any(ortho[j]):
-                    raise InvariantError(
-                        f"basis vector {j} of nonzero weight pairs with the centre"
-                    )
-            stack.append(sub)
-        for local, den in integer_kernel(stack):
-            v = [0] * dim
-            for k, c in zip(block, local):
-                v[k] = c
-            free = max(k for k, c in zip(block, local) if c)
-            keyed.append((free, v, den))
-    keyed.sort(key=lambda item: item[0])
-    ker = [(v, den) for _, v, den in keyed]
-    support = [[(i, c) for i, c in enumerate(v) if c] for v, _ in ker]
-
-    def commute(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> bool:
-        acc: Dict[int, int] = {}
-        for i, ci in a:
-            row = brackets[i]
-            for j, cj in b:
-                for k, c in row[j].items():
-                    acc[k] = acc.get(k, 0) + ci * cj * c
-        return not any(acc.values())
-
-    abelian = bool(ker) and all(
-        commute(support[a], support[b])
-        for b in range(1, len(ker)) for a in range(b)
-    )
-    return ker, abelian
-
-
-def identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLevels:
-    """Type and level of a reductive fixed subalgebra.
-
-    The center, Killing form and all dimensions are exact; root-space
-    discovery runs in floats and every rounded Cartan integer and level is
-    re-verified by the exact spectrum of the Killing-to-invariant-form ratio
-    operator gram^-1 * Killing: an ideal of type X at level k contributes
-    the eigenvalue 2 h-dual(X)/k with multiplicity dim X.  The multiplicity
-    of p/q is the nullity of q * Killing - p * gram, for a nonsingular gram.
-    The generic element is drawn in the zero-weight block of the t-grading,
-    whose blocks split the centraliser solve.
-    """
-    dim = sub.dim
-    brackets, weights, gram = sub.brackets, sub.weights, sub.gram
     _check_grading(sub)
-    kill = _killing(brackets, weights)
-
-    center = [row for row, _ in integer_kernel(kill)]
-    abelian = len(center)
-    # the centraliser is cut to the orthogonal complement of the center
-    ortho = mat_mul(gram, transpose(center)) if center else []
-    if rank(gram) != dim:
-        raise IdentificationError("the invariant form on the fixed algebra is singular")
-    sdim = dim - abelian
-    if sdim == 0:
-        return SemisimpleTypeWithLevels.of([], abelian)
-
-    rng = random.Random(seed)
-    for _ in range(12):
-        x = _draw_generic(rng, weights)
-        cartan, is_abelian = _generic_centralizer(brackets, weights, x, ortho)
-        if not is_abelian:
+    _check_orbit_blocks(sub)
+    kill = _killing(sub.brackets, sub.weights)
+    ideals: List[Tuple[SimpleType, int]] = []
+    abelian = 0
+    for orbit in sub.orbits:
+        idx = orbit.indices
+        n = len(idx)
+        gram = [[sub.gram[i][j] for j in idx] for i in idx]
+        k_o = [[kill[i][j] for j in idx] for i in idx]
+        where = f"the {orbit.type} orbit block"
+        if orbit.length == 3:
+            h2 = 2 * orbit.type.dual_coxeter_number()
+            if n != orbit.type.dim() or any(
+                3 * k != h2 * g for kr, gr in zip(k_o, gram) for k, g in zip(kr, gr)
+            ):
+                raise IdentificationError(f"{where} is not the diagonal {orbit.type},3")
+            ideals.append((orbit.type, 3))
             continue
-        rows = [row for row, _ in cartan]
-        g_c = mat_mul(mat_mul(rows, gram), transpose(rows))
-        # a Cartan subalgebra is abelian and the form is nondegenerate on
-        # it; the centraliser of a non-semisimple x can be abelian alone
-        if rank(g_c) == len(rows):
-            break
-    else:
-        raise IdentificationError("no generic centralizer found in 12 draws")
-    rank_ss = len(cartan)
-
-    last_error: Optional[Exception] = None
-    for _attempt in range(8):
         try:
-            ideals, spectrum = _float_root_pass(rng, sdim, brackets, rows, g_c)
-            break
-        except IdentificationError as err:
-            last_error = err
-    else:
-        raise IdentificationError(f"float discovery failed: {last_error}")
-
-    # exact re-verification via the spectrum of gram^-1 * killing
-    if abelian:
-        spectrum[Q(0)] = spectrum.get(Q(0), 0) + abelian
-    total = 0
-    for ev, mult in spectrum.items():
-        p, q = ev.numerator, ev.denominator
-        shifted = [
-            [q * kill[i][j] - p * gram[i][j] for j in range(dim)]
-            for i in range(dim)
-        ]
-        null = dim - rank(shifted)
-        if null != mult:
+            inv = inverse(gram)
+        except ValueError:
             raise IdentificationError(
-                f"eigenvalue {ev}: exact multiplicity {null} != claimed {mult}"
-            )
-        total += mult
-    if total != dim:
-        raise IdentificationError("claimed spectrum does not fill the algebra")
-    if sum(t.dim() for t, _ in ideals) + abelian != dim:
-        raise IdentificationError("dimension bookkeeping failed")
-    if sum(t.rank for t, _ in ideals) + abelian != rank_ss + abelian:
-        raise IdentificationError("rank bookkeeping failed")
-    return SemisimpleTypeWithLevels.of(ideals, abelian)
-
-
-def _float_root_pass(
-    rng: random.Random,
-    sdim: int,
-    brackets: List[List[Dict[int, int]]],
-    rows: List[List[int]],
-    g_c: List[List[int]],
-) -> Tuple[List[Tuple[SimpleType, Q]], Dict[Q, int]]:
-    """One float root-space discovery attempt; raises on any inconsistency.
-
-    rows span the Cartan subalgebra and g_c is the invariant form on them.
-    """
-    import numpy as np
-
-    rank_ss = len(rows)
-    # the float pass sees each Cartan vector as row / (its largest entry),
-    # not row / den: a reduced row can be small at its free coordinate, and
-    # row / den then has entries in the thousands, which the absolute
-    # residual test of float_eigen cannot absorb.  Each entry is rounded
-    # once by int true division (the scale may pass 2^53)
-    cartan = [(row, max(map(abs, row))) for row in rows]
-    g_c_inv = np.array([
-        [float(x * cartan[i][1] * cartan[j][1]) for j, x in enumerate(row)]
-        for i, row in enumerate(inverse(g_c))
-    ])
-
-    ads = [_ad_rows(brackets, row) for row in rows]
-    weights = [rng.randint(1, 997) for _ in cartan]
-    # ad is linear: ad(sum_k w_k c_k) = sum_k w_k ad(c_k), taken over the
-    # common denominator of the Cartan rows
-    den = lcm(*(d for _, d in cartan))
-    ad_h = [[0] * len(brackets) for _ in brackets]
-    for w, (_, d), ad in zip(weights, cartan, ads):
-        f = w * (den // d)
-        for out, entries in zip(ad_h, ad):
-            for col, x in entries.items():
-                out[col] += f * x
-    try:
-        pairs = float_eigen([[x / den for x in row] for row in ad_h])
-    except ResidualExceeded as err:
-        raise IdentificationError(f"eigen discovery failed: {err}")
-    nonzero = [v for lam, v in pairs if abs(lam) > 1e-7]
-    if len(nonzero) != sdim - rank_ss:
-        raise IdentificationError("root-space count mismatch in float pass")
-    # the root functional of eigenvector v is (v* ad(c_k) v / v* v)_k: one
-    # product of ad(c_k) with all eigenvectors per Cartan vector, each ad
-    # matrix written into the same array
-    vecs = np.array(nonzero).T
-    conj = vecs.conj()
-    norms = (conj * vecs).sum(axis=0)
-    ad_k = np.empty((len(brackets),) * 2, dtype=complex)
-    functionals = np.empty((len(nonzero), rank_ss), dtype=complex)
-    for k, ((_, d), ad) in enumerate(zip(cartan, ads)):
-        ad_k.fill(0)
-        for j, entries in enumerate(ad):
-            for col, x in entries.items():
-                ad_k[j, col] = x / d
-        functionals[:, k] = (conj * (ad_k @ vecs)).sum(axis=0) / norms
-
-    def pairing(u: np.ndarray, w: np.ndarray) -> complex:
-        return complex(u @ g_c_inv @ w)
-
-    # generic complex functional splits every +- root pair
-    xi = np.array(
-        [complex(rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0))
-         for _ in range(rank_ss)]
-    )
-    scores = [(xi @ f).real for f in functionals]
-    if any(abs(s) < 1e-6 for s in scores):
-        raise IdentificationError("splitting functional degenerate")
-    positives = [f for f, s in zip(functionals, scores) if s > 0]
-    if 2 * len(positives) != len(functionals):
-        raise IdentificationError("positive system is unbalanced")
-
-    # a positive root is simple when it is no sum of two positive roots
-    pos = np.array(positives).reshape(len(positives), rank_ss)
-    left, right = np.triu_indices(len(pos))
-    sums = pos[left] + pos[right]
-    simple = [f for f in positives if not (np.abs(sums - f).max(axis=1) < 1e-6).any()]
-    if len(simple) != rank_ss:
-        raise IdentificationError("simple-root count does not match the rank")
-
-    adj = [
-        [abs(pairing(simple[i], simple[j])) > 1e-6 for j in range(rank_ss)]
-        for i in range(rank_ss)
-    ]
-    comp_of = [-1] * rank_ss
-    ncomp = 0
-    for i in range(rank_ss):
-        if comp_of[i] >= 0:
+                f"the invariant form on {where} is singular"
+            ) from None
+        centre = n - rank(k_o)
+        d = n - centre
+        abelian += centre
+        if d == 0:
             continue
-        stack = [i]
-        comp_of[i] = ncomp
-        while stack:
-            a = stack.pop()
-            for b in range(rank_ss):
-                if adj[a][b] and comp_of[b] < 0:
-                    comp_of[b] = ncomp
-                    stack.append(b)
-        ncomp += 1
-
-    ideals: List[Tuple[SimpleType, Q]] = []
-    spectrum: Dict[Q, int] = {}
-    for comp in range(ncomp):
-        idxs = [i for i in range(rank_ss) if comp_of[i] == comp]
-        pair = [[pairing(simple[a], simple[b]) for b in idxs] for a in idxs]
-        for row in pair:
-            for v in row:
-                if abs(v.imag) > 1e-6:
-                    raise IdentificationError("complex pairing in a component")
-        maxnorm = max(pair[i][i].real for i in range(len(idxs)))
-        # relative gram, normalized so long roots have norm 2
-        gram_comp: List[List[Q]] = []
-        for a in range(len(idxs)):
-            row = []
-            for b in range(len(idxs)):
-                v = 2 * pair[a][b].real / maxnorm
-                q = Q(round(v * 6), 6)
-                if abs(float(q) - v) > 1e-6:
-                    raise IdentificationError("component gram does not round")
-                row.append(q)
-            gram_comp.append(row)
-        ty = classify_simple_system(gram_comp)
-        level_f = 2 / maxnorm
-        level = Q(round(level_f * 6), 6)
-        if abs(float(level) - level_f) > 1e-6:
-            raise IdentificationError("level does not round")
-        ideals.append((ty, level))
-        ev = Q(2 * ty.dual_coxeter_number()) / level
-        spectrum[ev] = spectrum.get(ev, 0) + ty.dim()
-    return ideals, spectrum
+        r = Q(sum(inv[i][j] * k_o[j][i] for i in range(n) for j in range(n))) / d
+        p, q = r.numerator, r.denominator
+        shifted = [[q * k - p * g for k, g in zip(kr, gr)] for kr, gr in zip(k_o, gram)]
+        if n - rank(shifted) != d:
+            raise IdentificationError(
+                f"gram^-1 Killing on {where} has more than one eigenvalue"
+            )
+        fits = types_with_ratio(r, d)
+        if len(fits) != 1:
+            names = "; ".join(str(SemisimpleTypeWithLevels.of(f)) for f in fits) or "none"
+            raise IdentificationError(
+                f"{where} (r = {r}, D = {d}) fits {len(fits)} types: {names}"
+            )
+        ideals.extend(fits[0])
+    return SemisimpleTypeWithLevels.of(ideals, abelian)
 
 
 # ---------------------------------------------------------------------------

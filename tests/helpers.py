@@ -54,6 +54,14 @@ against, and helpers that only the tests need.
   `LatticeLieAlgebra`, and the standard lift through `eps_coords`,
   `apply_coords` and `compose` (`eps_route_lift`, `eps_twist_bits`)
   against the whole-matrix products of `standard_lift`.
+* Type identification: the seeded float root pass (`float_identify_type`:
+  a generic element and its centraliser, `draw_generic` and
+  `generic_centralizer`, eigenvectors by `float_eigen`, root functionals
+  by `root_functionals`, Cartan integers rounded and re-verified exactly)
+  against the exact per-orbit certificate of `latticevoa.identify_type`;
+  and the multisets of simple ideals with a given ratio 2 h-dual / k and
+  dimension by `combinations_with_replacement`
+  (`brute_force_types_with_ratio`) against `latticevoa.types_with_ratio`.
 * `rough_lift`: some algebra automorphism covering a lattice isometry,
   `inverse_lift` its inverse, `compose` and `is_identity`;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
@@ -64,28 +72,39 @@ against, and helpers that only the tests need.
 from __future__ import annotations
 
 import itertools
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
-from math import factorial
-from typing import Dict, FrozenSet, Iterator, List, Sequence, Set, Tuple
+from math import factorial, lcm
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from orbifold24.affinerep import AffineAlgebra
-from orbifold24.exactmath import InvariantError, inverse, kernel, rank
+from orbifold24.exactmath import (
+    InvariantError, Matrix, integer_kernel, inverse, kernel, rank,
+)
 from orbifold24.latticevoa import (
     EvenLattice,
+    FixedSubalgebra,
     GlueCode,
+    IdentificationError,
     LatticeIsometry,
     LatticeLieAlgebra,
     LiftedAutomorphism,
+    Weight,
+    _check_grading,
     _disc_automorphisms,
+    _killing,
     _phase_bit_expr,
     _solve_f2,
+    _weight_blocks,
     lattice_from_basis,
+    mat_mul,
+    transpose,
 )
 from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, f_power_at_S
 from orbifold24.rootdata import (
@@ -1107,3 +1126,416 @@ def ip_coords(alg: LatticeLieAlgebra, m: Sequence[int], n: Sequence[int]) -> int
         for i in range(alg.rank)
         if m[i]
     )
+
+
+def brute_force_types_with_ratio(
+    r: Q, max_dim: int
+) -> Dict[int, Set[Tuple[Tuple[SimpleType, int], ...]]]:
+    """For each total dimension up to max_dim, the multisets of simple
+    ideals (type, integer level k) with 2 h-dual / k = r, by
+    `combinations_with_replacement` over every simple type of dimension at
+    most max_dim that has an integer level at r.  B2 = C2 and D3 = A3 are
+    named C2 and A3.  The A1 ideals are counted apart: every other type has
+    dimension at least 8, which keeps the number of parts drawn small."""
+    types = [
+        SimpleType(f, n)
+        for f, first in (("A", 1), ("B", 3), ("C", 2), ("D", 4))
+        for n in range(first, max_dim)
+        if SimpleType(f, n).dim() <= max_dim
+    ] + [t for t in map(SimpleType.parse, ("E6", "E7", "E8", "F4", "G2"))
+         if t.dim() <= max_dim]
+    level = {t: Q(2 * dual_coxeter(t)) / r for t in types}
+    pool = [(t, int(k)) for t, k in level.items() if k.denominator == 1 and k > 0]
+    a1 = [p for p in pool if p[0] == SimpleType("A", 1)]
+    rest = sorted(p for p in pool if p[0] != SimpleType("A", 1))
+    out: Dict[int, Set[Tuple[Tuple[SimpleType, int], ...]]] = {
+        d: set() for d in range(max_dim + 1)
+    }
+    for m in range(max_dim // 8 + 1):
+        # m parts of dimension at least 8 leave at most max_dim - 8 (m - 1)
+        small = [p for p in rest if p[0].dim() <= max_dim - 8 * (m - 1)]
+        for combo in itertools.combinations_with_replacement(small, m):
+            dim = sum(t.dim() for t, _ in combo)
+            if dim > max_dim:
+                continue
+            for copies in range((max_dim - dim) // 3 + 1 if a1 else 1):
+                out[dim + 3 * copies].add(tuple(sorted(combo + tuple(a1) * copies)))
+    return out
+
+
+# --- float type identification (oracle for the exact certificate) ---------
+#
+# A generic element x of the zero-weight block, its centraliser (a Cartan
+# subalgebra, solved one weight block at a time), the root functionals of
+# the eigenvectors of a random Cartan element in floats, a positive system
+# and its simple roots, and the Cartan matrix of each component rounded and
+# classified; the claimed spectrum of gram^-1 Killing is then re-verified
+# exactly.  Seeded: every seed must give the type the certificate gives.
+
+
+class ResidualExceeded(Exception):
+    """float_eigen verification failed: input ill-conditioned or defective."""
+
+
+def float_eigen(
+    a: Matrix, tol: Q = Q(1, 10**9)
+) -> List[Tuple[complex, np.ndarray]]:
+    """Approximate eigenpairs of a square rational matrix given as rows.
+
+    Eigenvalues are clustered with gap threshold tol and every eigenvector is
+    residual-checked against the exact matrix (evaluated in floats); callers
+    must re-verify any integer or rational they round from the output.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("eigen-decomposition of non-square matrix")
+    mat = np.array([[complex(x) for x in row] for row in a], dtype=complex)
+    tol_f = float(tol)
+    vals, vecs = np.linalg.eig(mat)
+    # a defective matrix yields a (nearly) singular eigenvector basis
+    if np.linalg.cond(vecs) > 1.0 / tol_f:
+        raise ResidualExceeded("eigenvector basis is numerically singular")
+    pairs = []
+    for k in range(n):
+        v = vecs[:, k]
+        lam = vals[k]
+        resid = np.linalg.norm(mat @ v - lam * v)
+        if resid >= tol_f * max(np.linalg.norm(v), 1e-300):
+            raise ResidualExceeded(f"residual exceeded: {resid}")
+        pairs.append((lam, v))
+    # cluster eigenvalues closer than tol to a common representative
+    reps: List[complex] = []
+    clustered = []
+    for lam, v in pairs:
+        rep = next((r for r in reps if abs(r - lam) < tol_f), None)
+        if rep is None:
+            reps.append(lam)
+            rep = lam
+        clustered.append((rep, v))
+    return clustered
+
+
+def ad_rows(
+    brackets: List[List[Dict[int, int]]], vec: Sequence[int]
+) -> List[Dict[int, int]]:
+    """ad(vec) on row vectors, sparse: row j maps k to the coefficient of
+    basis[k] in [vec, basis[j]]."""
+    out: List[Dict[int, int]] = [{} for _ in brackets]
+    for i, ci in enumerate(vec):
+        if ci:
+            for oj, entry in zip(out, brackets[i]):
+                for k, c in entry.items():
+                    oj[k] = oj.get(k, 0) + ci * c
+    return out
+
+
+def dense_ad(brackets: List[List[Dict[int, int]]], vec: Sequence[int]) -> List[List[int]]:
+    """ad(vec) on row vectors: row j holds the coordinates of [vec, basis[j]]."""
+    out = []
+    for entries in ad_rows(brackets, vec):
+        row = [0] * len(brackets)
+        for k, c in entries.items():
+            row[k] = c
+        out.append(row)
+    return out
+
+
+def draw_generic(rng: random.Random, weights: Sequence[Weight]) -> List[int]:
+    """An element x of the zero-weight block Z = c(t), coordinates in
+    [-9, 9]; the t-part is redrawn while some nonzero weight vanishes on it,
+    so that ad(x) is invertible on every 1-dimensional nonzero block."""
+    nc = len(weights[0]) if weights else 0
+    nonzero = {w for w in weights if any(w)}
+    for _ in range(100):
+        x = [rng.randint(-9, 9) for _ in range(nc)]
+        if all(sum(a * b for a, b in zip(w, x)) for w in nonzero):
+            break
+    else:
+        raise IdentificationError("every drawn Cartan part kills a weight")
+    zero = (0,) * nc
+    return x + [rng.randint(-9, 9) if w == zero else 0 for w in weights[nc:]]
+
+
+def generic_centralizer(
+    brackets: List[List[Dict[int, int]]],
+    weights: Sequence[Weight],
+    x: Sequence[int],
+    ortho: List[List[int]],
+) -> Tuple[List[Tuple[List[int], int]], bool]:
+    """ker(ad x) inside the derived part (the columns of ortho cut it out),
+    for x of weight 0, solved one weight block at a time.
+
+    ad(x) preserves every weight block and the centre has weight 0, so the
+    stack [ad(x) | ortho] is block diagonal, with the ortho columns only on
+    the zero block; InvariantError when it is not.  The reduced kernel basis
+    of a direct sum is the union of the blocks' reduced bases, ordered by
+    free coordinate (the last nonzero entry of each vector), which is the
+    basis `integer_kernel` gives for the whole stack.
+
+    Returns that basis as primitive integer rows with their denominators,
+    and whether the kernel is abelian: every bracket [k_a, k_b], summed
+    over the sparse table entries of the rows' nonzero coordinates,
+    vanishes.
+    """
+    dim = len(brackets)
+    ad_x = dense_ad(brackets, x)
+    zero = (0,) * (len(weights[0]) if weights else 0)
+    keyed = []
+    for w, block in _weight_blocks(weights).items():
+        stack = []
+        for j in block:
+            row = ad_x[j]
+            sub = [row[k] for k in block]
+            if sum(map(bool, row)) != sum(map(bool, sub)):
+                raise InvariantError(f"ad(x) moves basis vector {j} out of its block")
+            if ortho:
+                if w == zero:
+                    sub += ortho[j]
+                elif any(ortho[j]):
+                    raise InvariantError(
+                        f"basis vector {j} of nonzero weight pairs with the centre"
+                    )
+            stack.append(sub)
+        for local, den in integer_kernel(stack):
+            v = [0] * dim
+            for k, c in zip(block, local):
+                v[k] = c
+            free = max(k for k, c in zip(block, local) if c)
+            keyed.append((free, v, den))
+    keyed.sort(key=lambda item: item[0])
+    ker = [(v, den) for _, v, den in keyed]
+    support = [[(i, c) for i, c in enumerate(v) if c] for v, _ in ker]
+
+    def commute(a: List[Tuple[int, int]], b: List[Tuple[int, int]]) -> bool:
+        acc: Dict[int, int] = {}
+        for i, ci in a:
+            row = brackets[i]
+            for j, cj in b:
+                for k, c in row[j].items():
+                    acc[k] = acc.get(k, 0) + ci * cj * c
+        return not any(acc.values())
+
+    abelian = bool(ker) and all(
+        commute(support[a], support[b])
+        for b in range(1, len(ker)) for a in range(b)
+    )
+    return ker, abelian
+
+
+def float_identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWithLevels:
+    """Type and level of a reductive fixed subalgebra by float root-space
+    discovery, the oracle for `latticevoa.identify_type`.
+
+    The center, Killing form and all dimensions are exact; root-space
+    discovery runs in floats and every rounded Cartan integer and level is
+    re-verified by the exact spectrum of the Killing-to-invariant-form ratio
+    operator gram^-1 * Killing: an ideal of type X at level k contributes
+    the eigenvalue 2 h-dual(X)/k with multiplicity dim X.  The multiplicity
+    of p/q is the nullity of q * Killing - p * gram, for a nonsingular gram.
+    The generic element is drawn in the zero-weight block of the t-grading,
+    whose blocks split the centraliser solve.
+    """
+    dim = sub.dim
+    brackets, weights, gram = sub.brackets, sub.weights, sub.gram
+    _check_grading(sub)
+    kill = _killing(brackets, weights)
+
+    center = [row for row, _ in integer_kernel(kill)]
+    abelian = len(center)
+    # the centraliser is cut to the orthogonal complement of the center
+    ortho = mat_mul(gram, transpose(center)) if center else []
+    if rank(gram) != dim:
+        raise IdentificationError("the invariant form on the fixed algebra is singular")
+    sdim = dim - abelian
+    if sdim == 0:
+        return SemisimpleTypeWithLevels.of([], abelian)
+
+    rng = random.Random(seed)
+    for _ in range(12):
+        x = draw_generic(rng, weights)
+        cartan, is_abelian = generic_centralizer(brackets, weights, x, ortho)
+        if not is_abelian:
+            continue
+        rows = [row for row, _ in cartan]
+        g_c = mat_mul(mat_mul(rows, gram), transpose(rows))
+        # a Cartan subalgebra is abelian and the form is nondegenerate on
+        # it; the centraliser of a non-semisimple x can be abelian alone
+        if rank(g_c) == len(rows):
+            break
+    else:
+        raise IdentificationError("no generic centralizer found in 12 draws")
+    rank_ss = len(cartan)
+
+    last_error: Optional[Exception] = None
+    for _attempt in range(8):
+        try:
+            ideals, spectrum = float_root_pass(rng, sdim, brackets, rows, g_c)
+            break
+        except IdentificationError as err:
+            last_error = err
+    else:
+        raise IdentificationError(f"float discovery failed: {last_error}")
+
+    # exact re-verification via the spectrum of gram^-1 * killing
+    if abelian:
+        spectrum[Q(0)] = spectrum.get(Q(0), 0) + abelian
+    total = 0
+    for ev, mult in spectrum.items():
+        p, q = ev.numerator, ev.denominator
+        shifted = [
+            [q * kill[i][j] - p * gram[i][j] for j in range(dim)]
+            for i in range(dim)
+        ]
+        null = dim - rank(shifted)
+        if null != mult:
+            raise IdentificationError(
+                f"eigenvalue {ev}: exact multiplicity {null} != claimed {mult}"
+            )
+        total += mult
+    if total != dim:
+        raise IdentificationError("claimed spectrum does not fill the algebra")
+    if sum(t.dim() for t, _ in ideals) + abelian != dim:
+        raise IdentificationError("dimension bookkeeping failed")
+    if sum(t.rank for t, _ in ideals) + abelian != rank_ss + abelian:
+        raise IdentificationError("rank bookkeeping failed")
+    return SemisimpleTypeWithLevels.of(ideals, abelian)
+
+
+def root_functionals(
+    cartan: List[Tuple[List[int], int]],
+    ads: List[List[Dict[int, int]]],
+    vecs: np.ndarray,
+) -> np.ndarray:
+    """Row i holds the root functional of eigenvector vecs[:, i]: entry k is
+    v* ad(c_k) v / v* v, c_k = row / scale for the k-th (row, scale) of
+    cartan, with ad(c_k) given sparse by ads[k].  One product of ad(c_k)
+    with all eigenvectors per Cartan vector, each ad matrix written into
+    the same array."""
+    conj = vecs.conj()
+    norms = (conj * vecs).sum(axis=0)
+    ad_k = np.empty((len(ads[0]),) * 2, dtype=complex)
+    functionals = np.empty((vecs.shape[1], len(cartan)), dtype=complex)
+    for k, ((_, d), ad) in enumerate(zip(cartan, ads)):
+        ad_k.fill(0)
+        for j, entries in enumerate(ad):
+            for col, x in entries.items():
+                ad_k[j, col] = x / d
+        functionals[:, k] = (conj * (ad_k @ vecs)).sum(axis=0) / norms
+    return functionals
+
+
+def float_root_pass(
+    rng: random.Random,
+    sdim: int,
+    brackets: List[List[Dict[int, int]]],
+    rows: List[List[int]],
+    g_c: List[List[int]],
+) -> Tuple[List[Tuple[SimpleType, Q]], Dict[Q, int]]:
+    """One float root-space discovery attempt; raises on any inconsistency.
+
+    rows span the Cartan subalgebra and g_c is the invariant form on them.
+    """
+    rank_ss = len(rows)
+    # the float pass sees each Cartan vector as row / (its largest entry),
+    # not row / den: a reduced row can be small at its free coordinate, and
+    # row / den then has entries in the thousands, which the absolute
+    # residual test of float_eigen cannot absorb.  Each entry is rounded
+    # once by int true division (the scale may pass 2^53)
+    cartan = [(row, max(map(abs, row))) for row in rows]
+    g_c_inv = np.array([
+        [float(x * cartan[i][1] * cartan[j][1]) for j, x in enumerate(row)]
+        for i, row in enumerate(inverse(g_c))
+    ])
+
+    ads = [ad_rows(brackets, row) for row in rows]
+    weights = [rng.randint(1, 997) for _ in cartan]
+    # ad is linear: ad(sum_k w_k c_k) = sum_k w_k ad(c_k), taken over the
+    # common denominator of the Cartan rows
+    den = lcm(*(d for _, d in cartan))
+    ad_h = [[0] * len(brackets) for _ in brackets]
+    for w, (_, d), ad in zip(weights, cartan, ads):
+        f = w * (den // d)
+        for out, entries in zip(ad_h, ad):
+            for col, x in entries.items():
+                out[col] += f * x
+    try:
+        pairs = float_eigen([[x / den for x in row] for row in ad_h])
+    except ResidualExceeded as err:
+        raise IdentificationError(f"eigen discovery failed: {err}")
+    nonzero = [v for lam, v in pairs if abs(lam) > 1e-7]
+    if len(nonzero) != sdim - rank_ss:
+        raise IdentificationError("root-space count mismatch in float pass")
+    functionals = root_functionals(cartan, ads, np.array(nonzero).T)
+
+    def pairing(u: np.ndarray, w: np.ndarray) -> complex:
+        return complex(u @ g_c_inv @ w)
+
+    # generic complex functional splits every +- root pair
+    xi = np.array(
+        [complex(rng.uniform(0.5, 1.5), rng.uniform(-1.0, 1.0))
+         for _ in range(rank_ss)]
+    )
+    scores = [(xi @ f).real for f in functionals]
+    if any(abs(s) < 1e-6 for s in scores):
+        raise IdentificationError("splitting functional degenerate")
+    positives = [f for f, s in zip(functionals, scores) if s > 0]
+    if 2 * len(positives) != len(functionals):
+        raise IdentificationError("positive system is unbalanced")
+
+    # a positive root is simple when it is no sum of two positive roots
+    pos = np.array(positives).reshape(len(positives), rank_ss)
+    left, right = np.triu_indices(len(pos))
+    sums = pos[left] + pos[right]
+    simple = [f for f in positives if not (np.abs(sums - f).max(axis=1) < 1e-6).any()]
+    if len(simple) != rank_ss:
+        raise IdentificationError("simple-root count does not match the rank")
+
+    adj = [
+        [abs(pairing(simple[i], simple[j])) > 1e-6 for j in range(rank_ss)]
+        for i in range(rank_ss)
+    ]
+    comp_of = [-1] * rank_ss
+    ncomp = 0
+    for i in range(rank_ss):
+        if comp_of[i] >= 0:
+            continue
+        stack = [i]
+        comp_of[i] = ncomp
+        while stack:
+            a = stack.pop()
+            for b in range(rank_ss):
+                if adj[a][b] and comp_of[b] < 0:
+                    comp_of[b] = ncomp
+                    stack.append(b)
+        ncomp += 1
+
+    ideals: List[Tuple[SimpleType, Q]] = []
+    spectrum: Dict[Q, int] = {}
+    for comp in range(ncomp):
+        idxs = [i for i in range(rank_ss) if comp_of[i] == comp]
+        pair = [[pairing(simple[a], simple[b]) for b in idxs] for a in idxs]
+        for row in pair:
+            for v in row:
+                if abs(v.imag) > 1e-6:
+                    raise IdentificationError("complex pairing in a component")
+        maxnorm = max(pair[i][i].real for i in range(len(idxs)))
+        # relative gram, normalized so long roots have norm 2
+        gram_comp: List[List[Q]] = []
+        for a in range(len(idxs)):
+            row = []
+            for b in range(len(idxs)):
+                v = 2 * pair[a][b].real / maxnorm
+                q = Q(round(v * 6), 6)
+                if abs(float(q) - v) > 1e-6:
+                    raise IdentificationError("component gram does not round")
+                row.append(q)
+            gram_comp.append(row)
+        ty = classify_simple_system(gram_comp)
+        level_f = 2 / maxnorm
+        level = Q(round(level_f * 6), 6)
+        if abs(float(level) - level_f) > 1e-6:
+            raise IdentificationError("level does not round")
+        ideals.append((ty, level))
+        ev = Q(2 * ty.dual_coxeter_number()) / level
+        spectrum[ev] = spectrum.get(ev, 0) + ty.dim()
+    return ideals, spectrum

@@ -361,7 +361,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
           "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3", "--json"], "517c320baab5b818"),
         (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
          "96fe4294d2da5897"),
-        (["verify-all", "--json"], "2dea7a85296cb80d"),
+        (["verify-all", "--json"], "561a5f08b2e0941c"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
     ],
@@ -429,13 +429,13 @@ def test_verify_all_trunc_reaches_every_section(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "error",
     [
-        latticevoa.IdentificationError("float discovery failed: injected"),
+        latticevoa.IdentificationError("the D4 orbit block is singular: injected"),
         InvariantError("Cartan part is outside the fixed sublattice"),
     ],
     ids=lambda e: type(e).__name__,
 )
 def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
-    def failing_identify_type(sub, seed=7):
+    def failing_identify_type(sub):
         raise error
 
     monkeypatch.setattr(latticevoa, "identify_type", failing_identify_type)
@@ -447,6 +447,28 @@ def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
     err = capsys.readouterr().err
     assert err == f"error: {type(error).__name__}: {error}\n"
     assert "Traceback" not in err
+
+
+def test_singular_block_form_exits_1(capsys, monkeypatch):
+    # the block form is inverted exactly; its singularity is a failed exact
+    # check (exit 1), not the ValueError of inverse, which means bad input
+    build = latticevoa.fixed_subalgebra
+
+    def singular(lift):
+        fx = build(lift)
+        i = fx.orbits[0].indices[0]
+        fx.gram = [[0 if i in (a, b) else g for b, g in enumerate(row)]
+                   for a, row in enumerate(fx.gram)]
+        return fx
+
+    monkeypatch.setattr(latticevoa, "fixed_subalgebra", singular)
+    monkeypatch.setattr(cases, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err == ("error: IdentificationError: the invariant form on the D4 orbit"
+                   " block is singular\n")
 
 
 def test_unsolvable_phase_system_exits_1(capsys, monkeypatch):

@@ -4,17 +4,9 @@ from math import gcd, lcm
 
 import pytest
 
-from orbifold24.exactmath import (
-    ResidualExceeded,
-    det,
-    float_eigen,
-    integer_kernel,
-    inverse,
-    kernel,
-    rank,
-)
+from orbifold24.exactmath import det, integer_kernel, inverse, kernel, rank
 
-from helpers import OMEGA, Cyclo3
+from helpers import OMEGA, Cyclo3, ResidualExceeded, float_eigen
 
 
 def rand_q(rng):

@@ -10,13 +10,9 @@ from orbifold24.exactmath import InvariantError, integer_kernel, rank
 from orbifold24.latticevoa import (
     NI_D4_6,
     NI_E6_4,
-    FixedSubalgebra,
     GlueCode,
     IdentificationError,
     LatticeIsometry,
-    _ad,
-    _draw_generic,
-    _generic_centralizer,
     _killing,
     _slot_maps_to_isometry,
     _twist_bits,
@@ -37,21 +33,29 @@ from orbifold24.latticevoa import (
     standard_lift,
     transpose,
     twisted_ground_energy,
+    types_with_ratio,
     weight_one_algebra,
     weyl_d4_matrix,
 )
-from orbifold24.rootdata import SimpleType
+from orbifold24.report import Report
+from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 
+import helpers
 from helpers import (
     DenseLieTables,
     all_pairs_subsystem_count,
+    brute_force_types_with_ratio,
     compose,
+    dense_ad,
+    draw_generic,
     eps_coords,
     eps_route_lift,
     eps_twist_bits,
+    float_identify_type,
     fraction_centralizer,
     fraction_slot_maps_to_isometry,
     full_killing,
+    generic_centralizer,
     inverse_lift,
     ip_coords,
     is_identity,
@@ -447,11 +451,12 @@ def test_flipped_orbit_phases_raise(which, message, fixed_algebras):
     ids=["sigma2", "sigma4", "sigma6"],
 )
 def test_identify_type_seed_sweep(which, seeds, expected, fixed_algebras, monkeypatch):
-    # the float pass is seeded; every seed must give the seed-7 type that
-    # test_fixed_types pins.  Every generic element drawn on the way is also
-    # run through the Fraction centraliser oracle.
+    # oracle: the seeded float root pass; every seed must give the type the
+    # exact certificate gives, and test_fixed_types pins.  Every generic
+    # element drawn on the way is also run through the Fraction centraliser
+    # oracle.
     _, fx = fixed_algebras[which]
-    integer_centralizer = latticevoa._generic_centralizer
+    integer_centralizer = helpers.generic_centralizer
     verdicts = []
 
     def checked(brackets, weights, x, ortho):
@@ -462,8 +467,10 @@ def test_identify_type_seed_sweep(which, seeds, expected, fixed_algebras, monkey
         verdicts.append(abelian)
         return ker, abelian
 
-    monkeypatch.setattr(latticevoa, "_generic_centralizer", checked)
-    assert [str(identify_type(fx, seed=s)) for s in seeds] == [expected] * len(seeds)
+    monkeypatch.setattr(helpers, "generic_centralizer", checked)
+    certified = str(identify_type(fx))
+    assert certified == expected
+    assert [str(float_identify_type(fx, seed=s)) for s in seeds] == [certified] * len(seeds)
     assert verdicts.count(True) == len(seeds)
 
 
@@ -472,9 +479,9 @@ def test_identify_type_redraws_a_degenerate_abelian_centralizer(
 ):
     # at seed 69 the first draw on sigma2 is not semisimple: its centraliser
     # is abelian, but the form on it is singular, so it is no Cartan
-    # subalgebra and identify_type must draw again
+    # subalgebra and the float oracle must draw again
     _, fx = fixed_algebras["sigma2"]
-    integer_centralizer = latticevoa._generic_centralizer
+    integer_centralizer = helpers.generic_centralizer
     kernels = []
 
     def recording(brackets, weights, x, ortho):
@@ -482,8 +489,8 @@ def test_identify_type_redraws_a_degenerate_abelian_centralizer(
         kernels.append(out)
         return out
 
-    monkeypatch.setattr(latticevoa, "_generic_centralizer", recording)
-    assert str(identify_type(fx, seed=69)) == "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"
+    monkeypatch.setattr(helpers, "generic_centralizer", recording)
+    assert str(float_identify_type(fx, seed=69)) == "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"
     assert len(kernels) >= 2
     ker, abelian = kernels[0]
     rows = [row for row, _ in ker]
@@ -498,11 +505,11 @@ ALL_FIXED = ["sigma6", "sigma2", "sigma4", "a2_cycle"]
 def test_weights_are_the_diagonal_of_ad_t(which, fixed_algebras):
     # basis[:nc] is the fixed Cartan t; ad(t_i) read from the table is
     # diagonal with entry w_j[i] at basis[j], and each orbit sum's weight is
-    # the pairing of the fixed-sublattice rows with any root of its orbit
+    # the pairing of the Cartan rows with any root of its orbit
     lift, fx = fixed_algebras[which]
     alg = lift.algebra
-    rows = lift.isometry.fixed_coords_basis()
-    nc = len(rows)
+    nc = len(lift.isometry.fixed_coords_basis())
+    rows = [[b.get(i, 0) for i in range(alg.rank)] for b in fx.basis[:nc]]
     assert all(len(w) == nc for w in fx.weights)
     for i in range(nc):
         assert all(set(fx.brackets[i][j]) <= {j} for j in range(fx.dim))
@@ -515,6 +522,37 @@ def test_weights_are_the_diagonal_of_ad_t(which, fixed_algebras):
             for idx in b:
                 root = alg.root_coords[idx - alg.rank]
                 assert fx.weights[j] == tuple(ip_coords(alg, row, root) for row in rows)
+
+
+ORBIT_SHAPES = {
+    "sigma6": [("E6", 1, 24), ("E6", 3, 78)],
+    "sigma2": [("D4", 1, 8)] * 6,
+    "sigma4": [("D4", 3, 28), ("D4", 1, 10), ("D4", 1, 8), ("D4", 1, 8)],
+    "a2_cycle": [("A2", 3, 8)],
+}
+
+
+@pytest.mark.parametrize("which", ALL_FIXED)
+def test_orbit_blocks(which, fixed_algebras):
+    # the blocks are the sigma-orbits of components; a block's Cartan rows
+    # are fixed lattice vectors that pair to 0 with every root of the other
+    # components, and its orbit sums are made of its own components' roots
+    lift, fx = fixed_algebras[which]
+    alg = lift.algebra
+    shapes = [(str(o.type), o.length, len(o.indices)) for o in fx.orbits]
+    assert sorted(shapes) == sorted(ORBIT_SHAPES[which])
+    assert sorted(i for o in fx.orbits for i in o.indices) == list(range(fx.dim))
+    nc = len(fx.weights[0])
+    for o in fx.orbits:
+        comps = {alg.root_component[i - alg.rank]
+                 for j in o.indices if j >= nc for i in fx.basis[j]}
+        assert len(comps) == o.length
+        for j in (j for j in o.indices if j < nc):
+            row = [fx.basis[j].get(i, 0) for i in range(alg.rank)]
+            assert mat_mul([row], lift.isometry.matrix) == [row]
+            for k, c in enumerate(alg.root_component):
+                if c not in comps:
+                    assert ip_coords(alg, row, alg.root_coords[k]) == 0
 
 
 @pytest.mark.parametrize("which", ALL_FIXED)
@@ -538,7 +576,7 @@ def test_blocked_centralizer_matches_full_stack(which, fixed_algebras):
     brackets, weights = fx.brackets, fx.weights
     ortho = center_ortho(fx)
     nc = len(weights[0])
-    draws = [_draw_generic(random.Random(seed), weights) for seed in range(3)]
+    draws = [draw_generic(random.Random(seed), weights) for seed in range(3)]
     if nc:
         x = list(draws[0])
         w = next(w for w in weights if any(w))
@@ -549,16 +587,16 @@ def test_blocked_centralizer_matches_full_stack(which, fixed_algebras):
         draws.append(x)
     verdicts = []
     for x in draws:
-        stack = _ad(brackets, x)
+        stack = dense_ad(brackets, x)
         if ortho:
             stack = [row + o for row, o in zip(stack, ortho)]
-        ker, abelian = _generic_centralizer(brackets, weights, x, ortho)
+        ker, abelian = generic_centralizer(brackets, weights, x, ortho)
         assert ker == integer_kernel(stack)
         # oracle for the sparse commutator test: rows[:b] ad(k_b) = 0 for
         # every b, with every ad matrix dense
         rows = [row for row, _ in ker]
         assert abelian == (bool(rows) and all(
-            not any(map(any, mat_mul(rows[:b], _ad(brackets, rows[b]))))
+            not any(map(any, mat_mul(rows[:b], dense_ad(brackets, rows[b]))))
             for b in range(1, len(rows))
         ))
         verdicts.append(abelian)
@@ -571,7 +609,7 @@ def test_draw_generic_gives_up_when_every_cartan_part_kills_a_weight():
         (a, b) for a in range(-9, 10) for b in range(-9, 10) if (a, b) != (0, 0)
     ]
     with pytest.raises(IdentificationError, match="kills a weight"):
-        _draw_generic(random.Random(0), weights)
+        draw_generic(random.Random(0), weights)
 
 
 def tampered(fx, i, j, k):
@@ -580,7 +618,7 @@ def tampered(fx, i, j, k):
     assert k not in brackets[i][j]
     brackets[i][j][k] = 1
     brackets[j][i][k] = -1
-    return FixedSubalgebra(fx.basis, fx.weights, brackets, fx.gram)
+    return dataclasses.replace(fx, brackets=brackets)
 
 
 def crossing_pair(fx, cartan):
@@ -614,15 +652,149 @@ def test_generic_centralizer_checks_its_blocks(fixed_algebras):
     ortho = center_ortho(fx)
     assert ortho
     i, j, k = crossing_pair(fx, cartan=False)
-    x = _draw_generic(random.Random(0), fx.weights)
+    x = draw_generic(random.Random(0), fx.weights)
     x[i] = 1
     bad = tampered(fx, i, j, k)
     with pytest.raises(InvariantError, match="out of its block"):
-        _generic_centralizer(bad.brackets, bad.weights, x, ortho)
+        generic_centralizer(bad.brackets, bad.weights, x, ortho)
     bad_ortho = [list(row) for row in ortho]
     bad_ortho[j][0] += 1
     with pytest.raises(InvariantError, match="pairs with the centre"):
-        _generic_centralizer(fx.brackets, fx.weights, x, bad_ortho)
+        generic_centralizer(fx.brackets, fx.weights, x, bad_ortho)
+
+
+def test_float_root_functionals_match_the_per_eigenvector_form(fixed_algebras, monkeypatch):
+    # oracle for the oracle: the batched functionals of the float pass
+    # against v* ad(c_k) v / v* v taken one eigenvector at a time
+    import numpy as np
+
+    _, fx = fixed_algebras["sigma4"]
+    batched = helpers.root_functionals
+    seen = []
+
+    def recording(cartan, ads, vecs):
+        out = batched(cartan, ads, vecs)
+        seen.append((cartan, ads, vecs, out))
+        return out
+
+    monkeypatch.setattr(helpers, "root_functionals", recording)
+    float_identify_type(fx)
+    assert seen
+    for cartan, ads, vecs, out in seen:
+        for k, ((_, d), ad) in enumerate(zip(cartan, ads)):
+            ad_k = np.zeros((fx.dim, fx.dim), dtype=complex)
+            for j, entries in enumerate(ad):
+                for col, x in entries.items():
+                    ad_k[j, col] = x / d
+            for i, v in enumerate(vecs.T):
+                want = np.vdot(v, ad_k @ v) / np.vdot(v, v)
+                assert abs(out[i, k] - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_types_with_ratio_matches_brute_force():
+    # every ratio r = 2 h-dual / k of a simple type of dimension <= 80 at a
+    # level k <= 6 (the numerator of r decides which types have an integer
+    # level, and k <= 4 already reaches every numerator), every D <= 80
+    ratios = {
+        Q(2 * t.dual_coxeter_number(), k)
+        for t in latticevoa._simple_types(80) for k in range(1, 7)
+    }
+    for r in ratios:
+        want = brute_force_types_with_ratio(r, 80)
+        for d in range(81):
+            assert set(types_with_ratio(r, d)) == want[d], (r, d)
+    named = {
+        (r, d): sorted(str(SemisimpleTypeWithLevels.of(f)) for f in types_with_ratio(r, d))
+        for r, d in ((6, 24), (2, 8), (4, 9), (12, 28), (4, 28))
+    }
+    assert named == {
+        (6, 24): ["A2,1 A2,1 A2,1"],
+        (2, 8): ["A2,3"],
+        (4, 9): ["A1,1 A1,1 A1,1"],
+        (12, 28): ["D4,1"],
+        (4, 28): ["D4,3", "G2,2 G2,2"],
+    }
+
+
+def d4_identity_fixed():
+    """The fixed algebra of the identity on the D4 root lattice: all of D4,1."""
+    lat = root_lattice(SimpleType("D", 4))
+    n = lat.rank
+    ident = LatticeIsometry(
+        lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+    )
+    return fixed_subalgebra(standard_lift(weight_one_algebra(lat), ident))
+
+
+def scaled_gram(fx, indices, factor):
+    """fx with the invariant form multiplied by factor on the given indices."""
+    on = set(indices)
+    gram = [
+        [g * factor if i in on and j in on else g for j, g in enumerate(row)]
+        for i, row in enumerate(fx.gram)
+    ]
+    return dataclasses.replace(fx, gram=gram)
+
+
+def test_an_ambiguous_block_names_both_answers():
+    # tripled form on D4,1: (r, D) = (4, 28) fits D4,3 and G2,2 G2,2
+    fx = d4_identity_fixed()
+    assert str(identify_type(fx)) == "D4,1"
+    bad = scaled_gram(fx, range(fx.dim), 3)
+    with pytest.raises(IdentificationError, match=r"fits 2 types: D4,3; G2,2 G2,2"):
+        identify_type(bad)
+
+
+def test_a_block_with_two_eigenvalues_raises(fixed_algebras):
+    # two sigma2 blocks read as one sigma-stable block, the form doubled on
+    # one of the two A2,3 ideals: eigenvalues 2 and 1.  Undoubled, the
+    # joined block shows why the certificate works per orbit: (2, 16) fits
+    # A2,3 A2,3 and A1,2 A1,2 C2,3
+    _, fx = fixed_algebras["sigma2"]
+    a, b = fx.orbits[:2]
+    merged = latticevoa.ComponentOrbit(a.type, 1, a.indices + b.indices)
+    joined = dataclasses.replace(fx, orbits=[merged] + fx.orbits[2:])
+    ambiguous = r"fits 2 types: A1,2 A1,2 C2,3; A2,3 A2,3"
+    with pytest.raises(IdentificationError, match=ambiguous):
+        identify_type(joined)
+    with pytest.raises(IdentificationError, match="more than one eigenvalue"):
+        identify_type(scaled_gram(joined, b.indices, 2))
+
+
+def test_a_wrong_diagonal_block_raises(fixed_algebras):
+    # the form of a 3-cycle block doubled: Killing is no longer
+    # (2 h-dual / 3) gram
+    _, fx = fixed_algebras["a2_cycle"]
+    with pytest.raises(IdentificationError, match="is not the diagonal A2,3"):
+        identify_type(scaled_gram(fx, range(fx.dim), 2))
+
+
+def test_a_singular_block_form_is_an_identification_error(fixed_algebras):
+    _, fx = fixed_algebras["sigma2"]
+    i = fx.orbits[0].indices[0]
+    gram = [[0 if i in (a, b) else g for b, g in enumerate(row)]
+            for a, row in enumerate(fx.gram)]
+    with pytest.raises(IdentificationError, match="singular"):
+        identify_type(dataclasses.replace(fx, gram=gram))
+
+
+@pytest.mark.parametrize("what", ["bracket", "form", "leaving bracket"])
+def test_a_cross_block_entry_raises(what, fixed_algebras):
+    # sigma2 has no fixed Cartan, so the grading check sees no weights and
+    # only the orbit-block check can refuse these
+    _, fx = fixed_algebras["sigma2"]
+    a, b = fx.orbits[0].indices, fx.orbits[1].indices
+    if what == "bracket":
+        bad, message = tampered(fx, a[0], b[0], b[1]), "two orbit blocks interact"
+    elif what == "form":
+        gram = [list(row) for row in fx.gram]
+        gram[a[0]][b[0]] = gram[b[0]][a[0]] = 1
+        bad, message = dataclasses.replace(fx, gram=gram), "two orbit blocks interact"
+    else:
+        j = next(j for j in a if fx.brackets[a[0]][j])
+        bad, message = tampered(fx, a[0], j, b[0]), "leaves its orbit block"
+    with pytest.raises(InvariantError, match=message):
+        identify_type(bad)
 
 
 def test_twisted_ground_energies(ne6, nd4):
@@ -766,6 +938,20 @@ def test_slot_maps_match_fraction_oracle(ne6, nd4):
         assert slot_map_decision(_slot_maps_to_isometry, lat, slot_maps) == (
             slot_map_decision(fraction_slot_maps_to_isometry, lat, slot_maps)
         )
+
+
+def test_isometry_order_and_fixed_basis_are_computed_once():
+    # the three lattice_fixed_type builds and every later check ask for the
+    # order and the fixed sublattice again; each is computed once per isometry
+    for fn in (cases.lattice_fixed_type, cases.lattice_isometry,
+               latticevoa._matrix_order, latticevoa._fixed_coords):
+        fn.cache_clear()
+    for name, iso in (("e6_4", "sigma6"), ("d4_6", "sigma2"), ("d4_6", "sigma4")):
+        cases.lattice_fixed_type(name, iso)
+        cases.check_isometry(Report("isometry"), name, iso)
+        twisted_ground_energy(cases.lattice_isometry(name, iso))
+    assert latticevoa._matrix_order.cache_info().misses == 3
+    assert latticevoa._fixed_coords.cache_info().misses == 3
 
 
 # 165 on Python 3.11: fpf_d4_matrix, weyl_d4_matrix and the digit action
