@@ -3,9 +3,7 @@
 Exact scalars are `int` or `fractions.Fraction`, and matrices are dense
 lists of rational rows.  Every rank, kernel, inverse and determinant in
 the package comes from `_echelon`, a fraction-free Gauss-Jordan
-elimination on integer rows.  The package has no floating-point step:
-numpy only builds the int64 tables of a lattice algebra, in
-`latticevoa.LatticeLieAlgebra`, and this module never loads it.
+elimination on integer rows.  The package has no floating-point step.
 """
 
 from __future__ import annotations

@@ -17,19 +17,13 @@ F2 (phase 1 on the fixed sublattice, composite of order 3), fixed-point
 subalgebras are extracted orbit by orbit, and their types and levels are
 certified exactly, one sigma-orbit of components at a time.  The fixed
 Cartan t grades each fixed subalgebra by t-weight, so its structure table
-and its Killing form are computed one weight block at a time.
-
-numpy is used in one place only, and imported there, so importing this
-module does not load it: `LatticeLieAlgebra` builds its root-indexed tables
-with int64 products once per lattice and keeps them as plain Python lists
-and dicts.  Everything else (structure constants, lifts, fixed subalgebras,
-kernels, ranks and type certificates) reads only Python integers.
+and its Killing form are computed one weight block at a time.  All of it
+is exact, in Python integers and `Fraction`s.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -269,7 +263,7 @@ def lattice_from_basis(
 ) -> EvenLattice:
     """The lattice spanned by rows / scale inside the ambient space of the
     code's components, whose form is block-diagonal in the components' root
-    grams; ValueError unless it is integral and even."""
+    grams; InvariantError unless it is integral and even."""
     n = len(rows)
     blocks = [[0] * n for _ in range(n)]
     pos = 0
@@ -278,17 +272,17 @@ def lattice_from_basis(
         for i in range(t.rank):
             for j in range(t.rank):
                 if rs.gram[i][j].denominator != 1:
-                    raise ValueError(f"the {t} root lattice is not integral")
+                    raise InvariantError(f"the {t} root lattice is not integral")
                 blocks[pos + i][pos + j] = int(rs.gram[i][j])
         pos += t.rank
     rows = [list(r) for r in rows]
     gram_s = mat_mul(mat_mul(rows, blocks), transpose(rows))
     s2 = scale * scale
     if any(x % s2 for row in gram_s for x in row):
-        raise ValueError("lattice is not integral")
+        raise InvariantError("lattice is not integral")
     gram = tuple(tuple(x // s2 for x in row) for row in gram_s)
     if any(gram[i][i] % 2 for i in range(n)):
-        raise ValueError("lattice is not even")
+        raise InvariantError("lattice is not even")
     # (rows / scale)^-1 = scale * rows^-1, cleared to one denominator
     inv = [[scale * x for x in row] for row in inverse(rows)]
     inv_scale = lcm(*(x.denominator for row in inv for x in row))
@@ -315,11 +309,11 @@ def assemble_niemeier(code: GlueCode) -> EvenLattice:
     h, _ = hnf_with_transform(int_rows)
     basis_rows = [r for r in h if any(r)]
     if len(basis_rows) != rank:
-        raise ValueError("generators do not span a full-rank lattice")
+        raise InvariantError("generators do not span a full-rank lattice")
     lat = lattice_from_basis(code, basis_rows, den)
     d = det(lat.gram)
     if d != 1:
-        raise ValueError(f"assembled lattice has determinant {d}, not 1")
+        raise InvariantError(f"assembled lattice has determinant {d}, not 1")
     return lat
 
 
@@ -347,22 +341,23 @@ def coset_norm_lower_bound(code: GlueCode, word: IntVec) -> Q:
     )
 
 
-def lattice_roots(lat: EvenLattice) -> List[IntVec]:
-    """All norm-2 vectors; nonzero glue cosets are excluded by norm bounds."""
-    for w in lat.code.words():
-        if any(w) and coset_norm_lower_bound(lat.code, w) <= 2:
-            raise InvariantError("a glue coset might contain norm-2 vectors")
-    roots: List[IntVec] = []
-    offset = 0
-    dim = lat.rank
-    for t in lat.code.components:
-        rs = build_root_system(t)
-        for ac in rs.root_alpha_coords:
-            vec = [0] * dim
-            vec[offset:offset + t.rank] = ac
-            roots.append(tuple(vec))
-        offset += t.rank
-    return sorted(roots)
+@lru_cache(maxsize=None)
+def _negative_pairs(t: SimpleType) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per root p of a simply-laced type, in `root_alpha_coords` order: each
+    root q with (a_p|a_q) < 0, and the index of a_p + a_q (-1 when
+    a_q = -a_p).  (a_p|a_q) is a_p's fundamental-weight coordinates paired
+    with a_q's simple-root coordinates."""
+    rs = build_root_system(t)
+    acs = rs.root_alpha_coords
+    index = {a: p for p, a in enumerate(acs)}
+    return tuple(
+        tuple(
+            (q, index.get(tuple(x + y for x, y in zip(a, b)), -1))
+            for q, b in enumerate(acs)
+            if sum(x * y for x, y in zip(fw, b)) < 0
+        )
+        for fw, a in zip(rs.roots, acs)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -700,51 +695,63 @@ class LatticeLieAlgebra:
     of a_k + a_l, or -1 when a_l = -a_k; eps(a_k, a_l)).  Roots have norm 2,
     so (a_k|a_l) is -1 or -2 there, and nonnegative pairings bracket to 0.
     root_component[k] is the index of the component that holds root k.
+
+    The tables are built one component at a time, in Python integers, as
+    roots of different components are orthogonal.  On a component whose
+    simple roots have lattice coordinates E, eps's parity is E L E^T mod 2
+    on simple-root coordinates, and `_negative_pairs` gives (a|b).
     """
 
     def __init__(self, lat: EvenLattice):
-        import numpy as np
-
         self.lattice = lat
         self.rank = lat.rank
-        # lattice coordinates of the roots: ambient rows times basis_inv,
-        # exactly divisible by inv_scale
-        ambient = lattice_roots(lat)
-        scaled = np.array(ambient, dtype=np.int64) @ np.array(
-            lat.basis_inv, dtype=np.int64
-        )
-        if (scaled % lat.inv_scale).any():
+        # the lattice coordinates of the ambient simple roots are the rows of
+        # basis_inv / inv_scale; every root is an integer combination of them
+        if any(x % lat.inv_scale for row in lat.basis_inv for x in row):
             raise InvariantError("a root is outside the lattice")
-        # a root lies in one component: the one whose slice holds its support
-        owner = [c for c, t in enumerate(lat.code.components) for _ in range(t.rank)]
-        by_coords = sorted(zip(
-            map(tuple, (scaled // lat.inv_scale).tolist()),
-            (owner[next(i for i, x in enumerate(a) if x)] for a in ambient),
-        ))
-        self.root_coords: List[IntVec] = [c for c, _ in by_coords]
-        self.root_component: List[int] = [o for _, o in by_coords]
+        simple = [[[x // lat.inv_scale for x in row] for row in lat.basis_inv[lo:hi]]
+                  for lo, hi in lat.component_slices()]
+        # the roots are the components' roots: norm bounds keep every
+        # nonzero glue coset clear of norm-2 vectors
+        for w in lat.code.words():
+            if any(w) and coset_norm_lower_bound(lat.code, w) <= 2:
+                raise InvariantError("a glue coset might contain norm-2 vectors")
+        types = lat.code.components
+        roots = []                      # (lattice coordinates, component, local index)
+        for c, t in enumerate(types):
+            coords = mat_mul(build_root_system(t).root_alpha_coords, simple[c])
+            roots.extend((tuple(x), c, p) for p, x in enumerate(coords))
+        roots.sort()
+        self.root_coords: List[IntVec] = [x for x, _, _ in roots]
+        self.root_component: List[int] = [c for _, c, _ in roots]
         self.root_index: Dict[IntVec, int] = {
-            c: i for i, c in enumerate(self.root_coords)
+            x: k for k, x in enumerate(self.root_coords)
         }
-        self.n_roots = len(self.root_coords)
+        self.n_roots = len(roots)
         self.dim = self.rank + self.n_roots
 
-        g = np.array(lat.gram, dtype=np.int64)
-        r = np.array(self.root_coords, dtype=np.int64)
-        cr = r @ g
-        ip = cr @ r.T                                   # (a_k|a_l)
-        ks, ls = np.nonzero(ip < 0)
+        at = {(c, p): k for k, (_, c, p) in enumerate(roots)}
         # eps(x, y) = (-1)^(x L y), L the strict lower triangle of the gram
-        odd = ((r @ np.tril(g & 1, k=-1))[ks] * r[ls]).sum(axis=1) & 1
-        self.cr: List[List[int]] = cr.tolist()
-        self.pairs: List[Dict[int, Tuple[int, int]]] = [{} for _ in r]
-        for k, l, v, odd_kl, s in zip(
-            ks.tolist(), ls.tolist(), ip[ks, ls].tolist(), odd.tolist(),
-            (r[ks] + r[ls]).tolist(),
-        ):
-            self.pairs[k][l] = (
-                self.root_index[tuple(s)] if v == -1 else -1, -1 if odd_kl else 1
-            )
+        low = [[x & 1 if j < i else 0 for j, x in enumerate(row)]
+               for i, row in enumerate(lat.gram)]
+        cr, pairs = [], []                      # per component, by local index
+        for c, t in enumerate(types):
+            e = simple[c]
+            acs = build_root_system(t).root_alpha_coords
+            cr.append(mat_mul(acs, mat_mul(e, lat.gram)))
+            odd = mat_mul(acs, mat_mul(mat_mul(e, low), transpose(e)))
+            pairs.append([
+                {
+                    at[c, q]: (
+                        at[c, s] if s >= 0 else -1,
+                        -1 if sum(x * y for x, y in zip(odd[p], acs[q])) & 1 else 1,
+                    )
+                    for q, s in neg
+                }
+                for p, neg in enumerate(_negative_pairs(t))
+            ])
+        self.cr: List[List[int]] = [cr[c][p] for _, c, p in roots]
+        self.pairs: List[Dict[int, Tuple[int, int]]] = [pairs[c][p] for _, c, p in roots]
 
     # -- structure ------------------------------------------------------------
 
@@ -843,24 +850,17 @@ class LiftedAutomorphism:
                     del out[tgt]
         return out
 
-    def verify_automorphism(self, pair_limit: Optional[int] = None, seed: int = 0) -> bool:
-        """Exact bracket-preservation check on root pairs (all, or sampled)."""
+    def verify_automorphism(self) -> bool:
+        """Exact check that the lift preserves every root-pair bracket with a
+        nonzero result, and the invariant form on every opposite root pair."""
         alg = self.algebra
-        pairs = [(k, l) for k in range(alg.n_roots) for l in alg.pairs[k]]
-        if pair_limit is not None and pair_limit < len(pairs):
-            rng = random.Random(seed)
-            pairs = rng.sample(pairs, pair_limit)
-        for k, l in pairs:
-            x = alg.root_element(k)
-            y = alg.root_element(l)
-            lhs = self.apply(alg.bracket(x, y))
-            rhs = alg.bracket(self.apply(x), self.apply(y))
-            if lhs != rhs:
-                return False
-        # the invariant form must be preserved on opposite root pairs
         for k in range(alg.n_roots):
-            l = alg.negate_root_index(k)
-            x, y = alg.root_element(k), alg.root_element(l)
+            x = alg.root_element(k)
+            for l in alg.pairs[k]:
+                y = alg.root_element(l)
+                if self.apply(alg.bracket(x, y)) != alg.bracket(self.apply(x), self.apply(y)):
+                    return False
+            y = alg.root_element(alg.negate_root_index(k))
             if alg.form(self.apply(x), self.apply(y)) != alg.form(x, y):
                 return False
         return True

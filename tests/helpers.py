@@ -102,6 +102,7 @@ from orbifold24.latticevoa import (
     _phase_bit_expr,
     _solve_f2,
     _weight_blocks,
+    coset_norm_lower_bound,
     lattice_from_basis,
     mat_mul,
     transpose,
@@ -872,6 +873,49 @@ def eps_route_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorp
     assert is_identity(compose(compose(lift, lift), lift))
     assert all(phase_of(f) == 1 for f in fixed)
     return lift
+
+
+def lattice_roots(lat: EvenLattice) -> List[Tuple[int, ...]]:
+    """All norm-2 vectors in ambient coordinates: the components' roots, each
+    in its own slice, once norm bounds clear every nonzero glue coset."""
+    for w in lat.code.words():
+        if any(w) and coset_norm_lower_bound(lat.code, w) <= 2:
+            raise InvariantError("a glue coset might contain norm-2 vectors")
+    return sorted(
+        (0,) * lo + ac + (0,) * (lat.rank - hi)
+        for (lo, hi), t in zip(lat.component_slices(), lat.code.components)
+        for ac in build_root_system(t).root_alpha_coords
+    )
+
+
+def numpy_lie_tables(lat: EvenLattice):
+    """Oracle for `LatticeLieAlgebra`'s tables, built over every root pair at
+    once with int64 products: (root_coords, root_component, cr, pairs)."""
+    ambient = lattice_roots(lat)
+    scaled = np.array(ambient, dtype=np.int64) @ np.array(lat.basis_inv, dtype=np.int64)
+    if (scaled % lat.inv_scale).any():
+        raise InvariantError("a root is outside the lattice")
+    owner = [c for c, t in enumerate(lat.code.components) for _ in range(t.rank)]
+    by_coords = sorted(zip(
+        map(tuple, (scaled // lat.inv_scale).tolist()),
+        (owner[next(i for i, x in enumerate(a) if x)] for a in ambient),
+    ))
+    root_coords = [c for c, _ in by_coords]
+    index = {c: i for i, c in enumerate(root_coords)}
+    g = np.array(lat.gram, dtype=np.int64)
+    r = np.array(root_coords, dtype=np.int64)
+    cr = r @ g
+    ip = cr @ r.T                                   # (a_k|a_l)
+    ks, ls = np.nonzero(ip < 0)
+    # eps(x, y) = (-1)^(x L y), L the strict lower triangle of the gram
+    odd = ((r @ np.tril(g & 1, k=-1))[ks] * r[ls]).sum(axis=1) & 1
+    pairs: List[Dict[int, Tuple[int, int]]] = [{} for _ in r]
+    for k, l, v, odd_kl, s in zip(
+        ks.tolist(), ls.tolist(), ip[ks, ls].tolist(), odd.tolist(),
+        (r[ks] + r[ls]).tolist(),
+    ):
+        pairs[k][l] = (index[tuple(s)] if v == -1 else -1, -1 if odd_kl else 1)
+    return root_coords, [o for _, o in by_coords], cr.tolist(), pairs
 
 
 class DenseLieTables:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -482,3 +483,27 @@ def test_unsolvable_phase_system_exits_1(capsys, monkeypatch):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err == "error: InvariantError: no order-3 standard phase function exists\n"
+
+
+@pytest.mark.parametrize(
+    "name, isometry, old, new",
+    [
+        ("e6_4", "sigma6", (1, 2, 0, 1), (1, 2, 0, 2)),
+        ("d4_6", "sigma2", (1, 1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 2)),
+    ],
+    ids=["e6_4", "d4_6"],
+)
+def test_broken_glue_code_exits_1(capsys, monkeypatch, name, isometry, old, new):
+    # one changed glue digit makes a built-in lattice non-integral: a fault
+    # in the program's own data, not a usage error
+    for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
+        fn.cache_clear()
+    attr = {"e6_4": "NI_E6_4", "d4_6": "NI_D4_6"}[name]
+    code = getattr(latticevoa, attr)
+    gens = tuple(new if g == old else g for g in code.generators)
+    assert gens != code.generators
+    monkeypatch.setattr(latticevoa, attr, dataclasses.replace(code, generators=gens))
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--name", name, "--isometry", isometry])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "error: InvariantError: lattice is not integral\n"

@@ -27,7 +27,6 @@ from orbifold24.latticevoa import (
     glue_automorphism_group_order,
     identify_type,
     lattice_from_basis,
-    lattice_roots,
     mat_mul,
     sigma4_candidates,
     standard_lift,
@@ -59,6 +58,8 @@ from helpers import (
     inverse_lift,
     ip_coords,
     is_identity,
+    lattice_roots,
+    numpy_lie_tables,
     permutation_first_glue_order,
     root_lattice,
     rough_lift,
@@ -102,9 +103,43 @@ def test_assembly_even_unimodular(ne6, nd4):
             assert lat.gram[i][i] % 2 == 0
 
 
-def test_root_counts(ne6, nd4):
-    assert len(lattice_roots(ne6)) == 288
-    assert len(lattice_roots(nd4)) == 144
+def test_root_counts(ne6, nd4, alg_e6, alg_d4):
+    assert alg_e6.n_roots == len(lattice_roots(ne6)) == 288
+    assert alg_d4.n_roots == len(lattice_roots(nd4)) == 144
+
+
+@pytest.mark.parametrize("which", ["e6_4", "d4_6", "a2_cubed"])
+def test_lie_tables_match_numpy_oracle(which, alg_e6, alg_d4):
+    # the per-component integer build against one int64 pass over every
+    # pair of roots of the whole lattice
+    alg = {"e6_4": alg_e6, "d4_6": alg_d4}.get(which) or a2_cubed_cycle_lift().algebra
+    coords, component, cr, pairs = numpy_lie_tables(alg.lattice)
+    assert alg.root_coords == coords
+    assert alg.root_component == component
+    assert alg.root_index == {c: k for k, c in enumerate(coords)}
+    assert alg.cr == cr
+    assert alg.pairs == pairs
+
+
+def _inverse_entry_changed():
+    # basis_inv over denominator 2, with one entry off by 1/2
+    lat = root_lattice(SimpleType("A", 2))
+    inv = [[2 * x for x in row] for row in lat.basis_inv]
+    inv[0][0] += 1
+    return dataclasses.replace(lat, basis_inv=tuple(map(tuple, inv)), inv_scale=2)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        _inverse_entry_changed,
+        lambda: lattice_from_basis(GlueCode((SimpleType("A", 2),), ()), [[2, 0], [0, 2]], 1),
+    ],
+    ids=["basis-inv-entry", "doubled-root-lattice"],
+)
+def test_root_outside_the_lattice_is_caught(lattice):
+    with pytest.raises(InvariantError, match="a root is outside the lattice"):
+        weight_one_algebra(lattice())
 
 
 def test_component_isometries_certified():

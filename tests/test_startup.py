@@ -1,9 +1,10 @@
-"""Start-up cost: numpy is imported only by the lattice type identification.
+"""Start-up: the package never imports numpy.
 
 These checks run in a fresh interpreter, because this test process has
-numpy loaded already.  One child process imports the CLI, runs the
-subcommands that never build a lattice algebra, then runs `lattice`, and
-reports `sys.modules` after each stage.
+numpy loaded already.  The child sets `sys.modules["numpy"] = None` before
+it imports the CLI, so any attempt to import numpy fails.  It then runs
+every subcommand, `lattice` and `verify-all` included, and reports
+`sys.modules` after the import and after the last subcommand.
 """
 
 import json
@@ -18,20 +19,23 @@ import pytest
 import orbifold24
 from orbifold24.cli import main
 
-NO_LATTICE = [
+COMMANDS = [
     ["twist-bound", "--case", "e6g2", "--json"],
     ["candidates", "--dim", "312", "--ratio", "12", "--json"],
     ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0", "--json"],
     ["tables", "--which", "g2.1", "--json"],
+    ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
+    ["verify-all", "--json"],
 ]
-LATTICE = ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"]
 
 CHILD = """
 import contextlib, io, json, sys
 
+sys.modules["numpy"] = None
+
 def loaded():
     return {
-        "numpy": "numpy" in sys.modules,
+        "numpy": sys.modules["numpy"] is not None,
         "package": sorted(m for m in sys.modules if m.startswith("orbifold24.")),
     }
 
@@ -44,10 +48,8 @@ def run(argv):
         code = cli.main(argv)
     return {"code": code, "out": buf.getvalue()}
 
-stages["no_lattice"] = [run(argv) for argv in json.loads(sys.argv[1])]
-stages["after_no_lattice"] = loaded()
-stages["lattice"] = run(json.loads(sys.argv[2]))
-stages["after_lattice"] = loaded()
+stages["commands"] = [run(argv) for argv in json.loads(sys.argv[1])]
+stages["after_commands"] = loaded()
 print(json.dumps(stages))
 """
 
@@ -58,7 +60,7 @@ def stages():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(NO_LATTICE), json.dumps(LATTICE)],
+        [sys.executable, "-c", CHILD, json.dumps(COMMANDS)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -74,14 +76,13 @@ def test_cli_import_loads_every_module_but_not_numpy(stages):
     assert stages["import"] == {"numpy": False, "package": package}
 
 
-def test_subcommands_without_a_lattice_never_load_numpy(stages):
-    assert [r["code"] for r in stages["no_lattice"]] == [0] * len(NO_LATTICE)
-    assert all(r["out"] for r in stages["no_lattice"])
-    assert stages["after_no_lattice"]["numpy"] is False
+def test_every_subcommand_runs_without_numpy(stages):
+    assert [r["code"] for r in stages["commands"]] == [0] * len(COMMANDS)
+    assert all(r["out"] for r in stages["commands"])
 
 
-def test_lattice_loads_numpy_and_gives_the_same_output(stages, capsys):
-    assert stages["after_lattice"]["numpy"] is True
-    code = main(LATTICE)
-    assert stages["lattice"] == {"code": code, "out": capsys.readouterr().out}
-    assert code == 0
+def test_nothing_loads_numpy_and_gives_the_same_output(stages, capsys):
+    assert stages["after_commands"]["numpy"] is False
+    for argv, child in zip(COMMANDS, stages["commands"]):
+        code = main(argv)
+        assert child == {"code": code, "out": capsys.readouterr().out}, argv
