@@ -178,13 +178,13 @@ def f_power_at_S(n: int, trunc: int = 12) -> PuiseuxSeries:
     terms = max(0, 3 * trunc - n)  # x^(n+e) with e < terms lies below q^trunc
     outer = _euler_power(12 * n, (terms + 2) // 3)
     inner = _euler_power(-12 * n, terms)
-    coeffs: Dict[int, Q] = {}
-    lead = Q(3) ** (6 * n)
+    # sums[e]: the integer coefficient of x^(n+e) in P(x^3)^(12n) P(x)^(-12n)
+    sums = [0] * terms
     for m, a in enumerate(outer):
         if a:
-            for e in range(terms - 3 * m):
-                key = n + 3 * m + e
-                coeffs[key] = coeffs.get(key, 0) + lead * a * inner[e]
+            sums[3 * m:] = [s + a * b for s, b in zip(sums[3 * m:], inner)]
+    lead = Q(3) ** (6 * n)
+    coeffs = {n + e: lead * s for e, s in enumerate(sums) if s}
     return PuiseuxSeries.make(3, coeffs, Q(trunc)).normalized()
 
 

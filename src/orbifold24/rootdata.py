@@ -366,20 +366,22 @@ def alcove_labels(rs: RootSystem, h: ScaledCoords) -> IntCoords:
 class SemisimpleTypeWithLevels:
     """Multiset of (simple type, level) ideals plus an abelian rank.
 
-    Level None marks a type-only answer (level not determined).
+    Level None marks a type-only answer (level not determined).  `of`
+    stores an integral level as an int; only `parse` can give a level that
+    stays a Fraction.  An int equals and hashes like the equal Fraction.
     """
 
-    ideals: Tuple[Tuple[SimpleType, Optional[Q]], ...]
+    ideals: Tuple[Tuple[SimpleType, Optional[int | Q]], ...]
     abelian_rank: int = 0
 
     @staticmethod
     def of(
-        ideals: Sequence[Tuple[SimpleType, Optional[Q | int]]], abelian_rank: int = 0
+        ideals: Sequence[Tuple[SimpleType, Optional[int | Q]]], abelian_rank: int = 0
     ) -> "SemisimpleTypeWithLevels":
         # a type-only ideal sorts before the same type with a level
         norm = tuple(
             sorted(
-                ((t, None if k is None else Q(k)) for t, k in ideals),
+                ((t, k if k is None or k.denominator != 1 else int(k)) for t, k in ideals),
                 key=lambda tk: (tk[0], tk[1] is not None, tk[1] or 0),
             )
         )
@@ -394,11 +396,7 @@ class SemisimpleTypeWithLevels:
     def __str__(self) -> str:
         parts = []
         for t, k in self.ideals:
-            if k is None:
-                parts.append(str(t))
-            else:
-                lev = str(k.numerator) if k.denominator == 1 else f"{k}"
-                parts.append(f"{t},{lev}")
+            parts.append(str(t) if k is None else f"{t},{k}")
         if self.abelian_rank == 1:
             parts.append("U(1)")
         elif self.abelian_rank > 1:
@@ -439,7 +437,8 @@ def parse_ideal(tok: str) -> Tuple[SimpleType, Optional[Q]]:
 def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
     """Dynkin type of an irreducible simple system given its exact gram matrix.
 
-    The gram may be rational or any positive multiple of it in integers.
+    The gram may be rational or any positive multiple of it in integers.  The
+    package derives every diagram itself, so a non-Dynkin one is an InvariantError.
     """
     n = len(gram)
     if n == 1:
@@ -461,11 +460,11 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
     multi = [b for b in bonds.values() if b > 1]
     if 3 in multi:
         if n != 2:
-            raise ValueError("triple bond outside rank 2")
+            raise InvariantError("triple bond outside rank 2")
         return SimpleType("G", 2)
     if 2 in multi:
         if len(multi) != 1:
-            raise ValueError("more than one double bond")
+            raise InvariantError("more than one double bond")
         if n == 2:
             return SimpleType("C", 2)
         (i, j) = next(k for k, b in bonds.items() if b == 2)
@@ -473,7 +472,7 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
         interior = {k for k in range(n) if len(adj[k]) > 1}
         if ends <= interior:
             if n != 4:
-                raise ValueError("interior double bond outside F4")
+                raise InvariantError("interior double bond outside F4")
             return SimpleType("F", 4)
         maxnorm = max(gram[k][k] for k in range(n))
         n_short = sum(1 for k in range(n) if gram[k][k] < maxnorm)
@@ -481,10 +480,10 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
     degrees = [len(a) for a in adj]
     if max(degrees) <= 2:
         if degrees.count(1) != 2 or min(degrees) == 0:
-            raise ValueError("disconnected or cyclic simple system")
+            raise InvariantError("disconnected or cyclic simple system")
         return SimpleType("A", n)
     if max(degrees) > 3 or degrees.count(3) != 1:
-        raise ValueError("not a Dynkin diagram")
+        raise InvariantError("not a Dynkin diagram")
     hub = degrees.index(3)
     legs = []
     for start in adj[hub]:
@@ -502,7 +501,7 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
         return SimpleType("D", legs[2] + 3)
     if legs[:2] == [1, 2] and legs[2] in (2, 3, 4):
         return SimpleType("E", legs[2] + 4)
-    raise ValueError(f"unrecognized branched diagram with legs {legs}")
+    raise InvariantError(f"unrecognized branched diagram with legs {legs}")
 
 
 @lru_cache(maxsize=None)
@@ -529,11 +528,10 @@ def _affine_diagram(t: SimpleType) -> Tuple[Tuple[IntCoords, ...], IntCoords, in
     marks = (1,) + tuple(beta)
     if sum(marks) != t.root_count() // n:
         raise InvariantError(f"{t}: marks {marks} do not sum to the Coxeter number")
-    nodes = [[-b for b in beta]] + [[int(i == j) for j in range(n)] for i in range(n)]
-    gram = tuple(
-        tuple(sum(x[i] * g[i][j] * y[j] for i in range(n) for j in range(n)) for y in nodes)
-        for x in nodes
-    )
+    # node 0 pairs with the simple roots as -theta.g, and with itself as theta.g.theta
+    tg = [sum(b * g[j][i] for j, b in enumerate(beta) if b) for i in range(n)]
+    row0 = (sum(map(mul, tg, beta)),) + tuple(-x for x in tg)
+    gram = (row0,) + tuple((row0[1 + i],) + tuple(g[i]) for i in range(n))
     return gram, marks, scale
 
 
@@ -542,22 +540,25 @@ def kac_fixed_subalgebra(t: SimpleType, s: Sequence[int]) -> SemisimpleTypeWithL
 
     s lists non-negative integers on the untwisted affine diagram nodes; with
     coprime labels the automorphism order is sum(marks * s).  Only which
-    labels vanish matters here: the semisimple part is the sub-diagram on
-    nodes with s_i = 0; the abelian rank is one less than the number of
-    nonzero labels.  Each component carries its level inside a
-    level-1 ideal, 2/(b|b), with (b|b) its long-root norm in the ambient
-    normalization; at level k it scales by k.
+    labels vanish matters here, so each pattern of vanishing labels is
+    classified once (`_kac_pattern`).  The package derives every label
+    vector itself, so a bad one raises InvariantError.
     """
-    if all(x == 0 for x in s):
-        raise ValueError("labels must not all vanish")
-    if any(x < 0 for x in s):
-        raise ValueError("labels must be non-negative")
-    abelian = sum(1 for x in s if x) - 1
+    if len(s) != len(_affine_diagram(t)[1]) or min(s) < 0 or not any(s):
+        raise InvariantError(f"{tuple(s)} is not a label vector of affine {t}")
+    return _kac_pattern(t, tuple(x == 0 for x in s))
+
+
+@lru_cache(maxsize=None)
+def _kac_pattern(t: SimpleType, vanishing: Tuple[bool, ...]) -> SemisimpleTypeWithLevels:
+    """The semisimple part is the sub-diagram on the vanishing nodes; the
+    abelian rank is one less than the number of nonzero labels.  Each
+    component carries its level inside a level-1 ideal, the integer
+    2/(b|b) = 2 scale // (scale (b|b)), (b|b) its long-root norm in the
+    ambient normalization; at level k it scales by k."""
     gram, _, scale = _affine_diagram(t)
-    if len(s) != len(gram):
-        raise ValueError(f"expected {len(gram)} labels for affine {t}")
-    unseen = [i for i in range(len(s)) if s[i] == 0]
-    ideals: List[Tuple[SimpleType, Q]] = []
+    unseen = [i for i, z in enumerate(vanishing) if z]
+    ideals: List[Tuple[SimpleType, int]] = []
     while unseen:
         comp = [unseen.pop()]
         for i in comp:  # grows while it is walked: a breadth-first search
@@ -565,6 +566,8 @@ def kac_fixed_subalgebra(t: SimpleType, s: Sequence[int]) -> SemisimpleTypeWithL
             comp.extend(linked)
             unseen = [j for j in unseen if not gram[i][j]]
         ty = classify_simple_system([[gram[i][j] for j in comp] for i in comp])
-        ideals.append((ty, Q(2 * scale, max(gram[i][i] for i in comp))))
-    return SemisimpleTypeWithLevels.of(ideals, abelian)
-
+        level, rem = divmod(2 * scale, max(gram[i][i] for i in comp))
+        if rem:
+            raise InvariantError(f"{ty} in affine {t}: level 2/(b|b) is not an integer")
+        ideals.append((ty, level))
+    return SemisimpleTypeWithLevels.of(ideals, vanishing.count(False) - 1)

@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from operator import add, le
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .rootdata import (
     SemisimpleTypeWithLevels,
@@ -25,7 +25,7 @@ from .rootdata import (
     kac_fixed_subalgebra,
 )
 
-Ideal = Tuple[SimpleType, Q]
+Ideal = Tuple[SimpleType, int]
 
 
 @dataclass(frozen=True)
@@ -37,19 +37,21 @@ class CandidateAlgebra:
         return [(t, k) for t, k in self.value.ideals]
 
 
-def simple_ideals_with_ratio(r: Q, dim_cap: int) -> List[Ideal]:
+def simple_ideals_with_ratio(r: Q | int, dim_cap: int) -> List[Ideal]:
     """All (type, level) with h-dual = r * level, level >= 1, dim <= cap.
 
-    B2 and D3 are reported under their A/C aliases to avoid duplicates.
+    Levels are ints.  B2 and D3 are reported under their A/C aliases to
+    avoid duplicates.
     """
     if r <= 0:
         raise ValueError("ratio must be positive")
+    num, den = Q(r).as_integer_ratio()
     out: List[Ideal] = []
 
     def consider(t: SimpleType) -> None:
-        k = t.dual_coxeter_number() / Q(r)
-        if k.denominator == 1 and k >= 1 and t.dim() <= dim_cap:
-            out.append((t, Q(k)))
+        k, rem = divmod(t.dual_coxeter_number() * den, num)
+        if not rem and k >= 1 and t.dim() <= dim_cap:
+            out.append((t, k))
 
     for family, start in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
         rank = start
@@ -70,17 +72,15 @@ def simple_ideals_with_ratio(r: Q, dim_cap: int) -> List[Ideal]:
 @lru_cache(maxsize=None)
 def enumerate_candidates(total_dim: int, r: Q) -> Tuple[CandidateAlgebra, ...]:
     """All multisets of ratio-r ideals with dimensions summing to total_dim."""
-    pool = simple_ideals_with_ratio(Q(r), total_dim)
+    pool = simple_ideals_with_ratio(r, total_dim)
     dims = [t.dim() for t, _ in pool]
     results: List[CandidateAlgebra] = []
 
     def rec(i: int, remaining: int, chosen: List[Ideal]) -> None:
         if remaining == 0:
-            results.append(
-                CandidateAlgebra(
-                    SemisimpleTypeWithLevels.of(list(chosen)), total_dim
-                )
-            )
+            # chosen follows the sorted pool, the order `of` would sort into
+            value = SemisimpleTypeWithLevels(tuple(chosen))
+            results.append(CandidateAlgebra(value, total_dim))
             return
         if i == len(pool) or remaining < 0:
             return
@@ -96,22 +96,12 @@ def enumerate_candidates(total_dim: int, r: Q) -> Tuple[CandidateAlgebra, ...]:
 
 
 def _order3_label_vectors(t: SimpleType) -> List[Tuple[int, ...]]:
-    """Affine-node label vectors of inner order-3 automorphism classes."""
-    marks = _affine_diagram(t)[1]
-    n = len(marks)
-    out: List[Tuple[int, ...]] = []
-
-    def rec(i: int, budget: int, partial: List[int]) -> None:
-        if i == n:
-            if budget == 0 and gcd(*partial) == 1:
-                out.append(tuple(partial))
-            return
-        top = budget // marks[i]
-        for s in range(top + 1):
-            rec(i + 1, budget - s * marks[i], partial + [s])
-
-    rec(0, 3, [])
-    return out
+    """Affine-node label vectors of inner order-3 automorphism classes: the
+    coprime s >= 0 with sum(marks * s) = 3, in lexicographic order."""
+    partial: List[Tuple[int, Tuple[int, ...]]] = [(3, ())]  # (budget left, labels)
+    for m in _affine_diagram(t)[1]:
+        partial = [(b - s * m, v + (s,)) for b, v in partial for s in range(b // m + 1)]
+    return [v for b, v in partial if b == 0 and gcd(*v) == 1]
 
 
 @dataclass(frozen=True)
@@ -123,13 +113,15 @@ class FixedOption:
 
 
 @lru_cache(maxsize=None)
-def _inner_options_at_level_one(t: SimpleType) -> FrozenSet[SemisimpleTypeWithLevels]:
-    """Kac fixed subalgebras of the inner order-3 classes of t at level 1.
+def _inner_options_at_level_one(t: SimpleType) -> Tuple[SemisimpleTypeWithLevels, ...]:
+    """Kac fixed subalgebras of the inner order-3 classes of t at level 1,
+    each once, with int levels.
 
     A component's level is k * 2/(long-root norm), linear in the ambient
-    level k, so the options at level k scale these levels by k.
+    level k, so the options at level k scale these levels by k; a positive
+    factor keeps each option's ideals in sorted order.
     """
-    return frozenset(kac_fixed_subalgebra(t, s) for s in _order3_label_vectors(t))
+    return tuple(dict.fromkeys(kac_fixed_subalgebra(t, s) for s in _order3_label_vectors(t)))
 
 
 @lru_cache(maxsize=None)
@@ -142,16 +134,17 @@ def order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
     inner fixed ideals keep the ambient level.  Outer options exist only for
     D4: the branch rotation fixes A2 at triple level or G2 at the ambient
     level.  The options come sorted by (kind, str(result)), the order in
-    which the search tries them.
+    which the search tries them.  Levels are ints, and each result's ideals
+    are built in sorted order, so no result goes through `of`.
     """
-    of = SemisimpleTypeWithLevels.of
-    options = {FixedOption(of([(t, Q(level))]), "trivial")}
+    new = SemisimpleTypeWithLevels
+    options = [FixedOption(new(((t, level),)), "trivial")]
     for opt in _inner_options_at_level_one(t):
-        scaled = [(ty, k * level) for ty, k in opt.ideals]
-        options.add(FixedOption(of(scaled, opt.abelian_rank), "inner"))
+        scaled = tuple((ty, k * level) for ty, k in opt.ideals)
+        options.append(FixedOption(new(scaled, opt.abelian_rank), "inner"))
     if t == SimpleType("D", 4):
-        options.add(FixedOption(of([(SimpleType("A", 2), Q(3 * level))]), "outer"))
-        options.add(FixedOption(of([(SimpleType("G", 2), Q(level))]), "outer"))
+        options.append(FixedOption(new(((SimpleType("A", 2), 3 * level),)), "outer"))
+        options.append(FixedOption(new(((SimpleType("G", 2), level),)), "outer"))
     return tuple(sorted(options, key=lambda o: (o.kind, str(o.result))))
 
 
@@ -174,25 +167,26 @@ def admits_order3_with_fixed(
     The search walks the sorted ideals of c.  A move at a position, the
     3-cycle of the next three equal ideals or one option of the next ideal,
     is a count vector over the target's distinct ideals plus an abelian
-    rank; moves naming an ideal the target lacks are dropped when the
-    position is first reached.  The cycle is tried first, then the options
-    by (kind, str(result)); only failed states are remembered, so the first
-    witness found is that of plain backtracking."""
+    rank, and depends only on the ideal and on whether the cycle is open, so
+    positions that agree on both share one move list, built when first
+    reached; moves naming an ideal the target lacks are dropped from it.
+    The cycle is tried first, then the options by (kind, str(result)); only
+    failed states are remembered, so the first witness found is that of
+    plain backtracking."""
     keys = dict.fromkeys(target.ideals)  # ordered, with fast membership
     cap = tuple(map(target.ideals.count, keys))
     cap_ab = target.abelian_rank
     ideals = sorted(c.ideals())
     n = len(ideals)
-    moves: List[Optional[List[Move]]] = [None] * n
+    at = [(x, p + 2 < n and ideals[p + 2] == x) for p, x in enumerate(ideals)]
     dead: Set[Tuple[int, Tuple[int, ...], int, bool]] = set()
     witness: Assignment = []
 
-    def moves_at(p: int) -> List[Move]:
-        first = ideals[p]
-        options = order3_fixed_options(first[0], int(first[1]))
-        entries = [(o.kind, (first,), o.result) for o in options]
-        if p + 2 < n and ideals[p + 2] == first:
-            diag = SemisimpleTypeWithLevels.of([(first[0], 3 * first[1])])
+    @lru_cache(maxsize=None)
+    def moves(first: Ideal, cycle: bool) -> List[Move]:
+        entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
+        if cycle:
+            diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
             entries.insert(0, ("cycle", (first,) * 3, diag))
         return [
             (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
@@ -207,9 +201,7 @@ def admits_order3_with_fixed(
         state = (p, counts, ab, nontrivial)
         if state in dead:
             return False
-        if moves[p] is None:
-            moves[p] = moves_at(p)
-        for vec, move_ab, width, move_nt, entry in moves[p]:
+        for vec, move_ab, width, move_nt, entry in moves(*at[p]):
             counts2 = tuple(map(add, counts, vec))
             if ab + move_ab > cap_ab or not all(map(le, counts2, cap)):
                 continue

@@ -9,7 +9,10 @@ against, and helpers that only the tests need.
   `root_filter_fixed_subalgebra`), against Kac's labels read off the
   fundamental alcove in `affinerep.inner_fixed_subalgebra`.
 * Order-3 options: the root-filter loop (`root_filter_options`) against
-  Kac's theorem in `schellekens`; the affine diagram read off the generated
+  Kac's theorem in `schellekens`; the `Fraction` option build, one Kac
+  classification per label vector with levels 2/(b|b) rescaled per ambient
+  level (`fraction_kac_ideals`, `fraction_order3_fixed_options`), against
+  the integer level-1 tables; the affine diagram read off the generated
   root system (`root_affine_diagram`) against `rootdata._affine_diagram`,
   which reaches theta by reflections; the plain backtracking search over
   `Counter`s (`backtracking_admits`) against the count-vector search with
@@ -17,7 +20,8 @@ against, and helpers that only the tests need.
 * Eta powers: series inversion, powers by repeated products, the
   product expansion of prod (1 - x^n)^m (`product_f_power_at_S`) and
   Euler's pentagonal series (`euler_pentagonal`) against Euler's recurrence
-  in `qmodular`.
+  in `qmodular`; the `Fraction` factor 3^(6n) multiplied into every term
+  (`fraction_f_power_at_S`) against the integer sums of `f_power_at_S`.
 * Dimension formula: the trace (F + F_w + F_w^2)/3 of the coefficient twist
   q^(1/3) -> w q^(1/3) in an exact Q(w) (`Cyclo3`, `omega_trace`,
   `traced_dimension_formula`) against the constant-term read in
@@ -107,7 +111,7 @@ from orbifold24.latticevoa import (
     mat_mul,
     transpose,
 )
-from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, f_power_at_S
+from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, _euler_power, f_power_at_S
 from orbifold24.rootdata import (
     IntCoords,
     RootSystem,
@@ -115,12 +119,14 @@ from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
     WeightSystem,
+    _affine_diagram,
     build_root_system,
     classify_simple_system,
     weight_system,
 )
 from orbifold24.schellekens import (
     CandidateAlgebra,
+    FixedOption,
     _order3_label_vectors,
     order3_fixed_options,
 )
@@ -520,6 +526,39 @@ def root_filter_options(t: SimpleType, level: int) -> Set[SemisimpleTypeWithLeve
     return out
 
 
+def fraction_kac_ideals(
+    t: SimpleType, s: Sequence[int]
+) -> Tuple[List[Tuple[SimpleType, Q]], int]:
+    """(ideals with Fraction levels 2/(b|b) inside a level-1 ideal, abelian
+    rank) of the inner automorphism labelled s, classified afresh."""
+    gram, _, scale = _affine_diagram(t)
+    unseen = [i for i in range(len(s)) if s[i] == 0]
+    ideals = []
+    while unseen:
+        comp = [unseen.pop()]
+        for i in comp:
+            comp.extend(j for j in unseen if gram[i][j])
+            unseen = [j for j in unseen if not gram[i][j]]
+        ty = classify_simple_system([[gram[i][j] for j in comp] for i in comp])
+        ideals.append((ty, Q(2 * scale, max(gram[i][i] for i in comp))))
+    return ideals, sum(1 for x in s if x) - 1
+
+
+def fraction_order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
+    """The order-3 options built with Fraction levels: every label vector
+    classified, its levels rescaled by the ambient level, each result sorted
+    by `of`; the options sorted by (kind, str(result))."""
+    of = SemisimpleTypeWithLevels.of
+    options = {FixedOption(of([(t, Q(level))]), "trivial")}
+    for s in _order3_label_vectors(t):
+        ideals, abelian = fraction_kac_ideals(t, s)
+        options.add(FixedOption(of([(ty, k * level) for ty, k in ideals], abelian), "inner"))
+    if t == SimpleType("D", 4):
+        options.add(FixedOption(of([(SimpleType("A", 2), Q(3 * level))]), "outer"))
+        options.add(FixedOption(of([(SimpleType("G", 2), Q(level))]), "outer"))
+    return tuple(sorted(options, key=lambda o: (o.kind, str(o.result))))
+
+
 def root_affine_diagram(t: SimpleType) -> Tuple[List[List[int]], IntCoords, int]:
     """(scale * node gram, marks, scale) read off the generated root system:
     theta is the root of greatest height, the gram pairs [-theta] + simple
@@ -693,6 +732,22 @@ def product_f_power_at_S(n: int, trunc: int) -> PuiseuxSeries:
     return PuiseuxSeries.make(
         out.denom, dict(out.coeffs), min(out.trunc, Q(trunc))
     ).normalized()
+
+
+def fraction_f_power_at_S(n: int, trunc: int) -> PuiseuxSeries:
+    """f^n at the other cusp from the same two Euler powers as `f_power_at_S`,
+    with the Fraction 3^(6n) multiplied into every term of the sum."""
+    terms = max(0, 3 * trunc - n)
+    outer = _euler_power(12 * n, (terms + 2) // 3)
+    inner = _euler_power(-12 * n, terms)
+    coeffs: Dict[int, Q] = {}
+    lead = Q(3) ** (6 * n)
+    for m, a in enumerate(outer):
+        if a:
+            for e in range(terms - 3 * m):
+                key = n + 3 * m + e
+                coeffs[key] = coeffs.get(key, 0) + lead * a * inner[e]
+    return PuiseuxSeries.make(3, coeffs, Q(trunc)).normalized()
 
 
 # --- dimension formula ----------------------------------------------------

@@ -291,13 +291,35 @@ def test_case_file_keeps_b2_as_written(tmp_path):
 def test_candidate_filter_generates_no_roots(capsys):
     # the order-3 filter reads Kac's data off the affine diagram alone
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one, rootdata._affine_diagram,
-               rootdata.build_root_system):
+               schellekens._inner_options_at_level_one, rootdata._kac_pattern,
+               rootdata._affine_diagram, rootdata.build_root_system):
         fn.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
                                "E6,3 A2,1 A2,1 A2,1"])
     assert code == 0
     assert rootdata.build_root_system.cache_info().misses == 0
+
+
+def test_all_zero_kac_labels_exit_1(capsys, monkeypatch):
+    # the option tables come from the package's own label enumeration; a
+    # vector with every label 0 is a fault there, not a usage error
+    enumerate_labels = schellekens._order3_label_vectors
+    monkeypatch.setattr(schellekens, "_order3_label_vectors",
+                        lambda t: enumerate_labels(t) + [(0,) * (t.rank + 1)])
+    caches = (schellekens.order3_fixed_options, schellekens._inner_options_at_level_one)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["candidates", "--dim", "312", "--ratio", "12", "--fixed",
+                  "E6,3 A2,1 A2,1 A2,1"])
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: InvariantError: (0, 0, 0, ")
+    assert err[0].endswith(" is not a label vector of affine A11")
 
 
 def test_builtin_case_round_trips_through_a_case_file(tmp_path):
@@ -360,6 +382,14 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
           "A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", "--json"], "92878a7153dd25df"),
         (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
           "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3", "--json"], "517c320baab5b818"),
+        # the witness takes the D4 outer option G2,1 six times
+        (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
+          "G2,1 G2,1 G2,1 G2,1 G2,1 G2,1", "--json"], "e308db0e34b3be7d"),
+        # a fractional-level target: no survivors, exit 0
+        (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
+          "A2,3/2 A2,3", "--json"], "ffd4f59ecae6b932"),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
+          "--trunc", "16", "--json"], "a49d16515181d955"),
         (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
          "96fe4294d2da5897"),
         (["verify-all", "--json"], "561a5f08b2e0941c"),
@@ -367,7 +397,8 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
     ],
     ids=["twist-bound", "twist-bound-file", "dimension", "candidates",
-         "candidates-a5d4", "candidates-a2x6", "lattice", "verify-all",
+         "candidates-a5d4", "candidates-a2x6", "candidates-d4-outer",
+         "candidates-fractional-level", "dimension-trunc16", "lattice", "verify-all",
          "tables-modular", "tables-a5.3"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):

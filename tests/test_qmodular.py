@@ -15,6 +15,7 @@ from orbifold24.qmodular import (
 
 from helpers import (
     euler_pentagonal,
+    fraction_f_power_at_S,
     omega_trace,
     product_f_power_at_S,
     series_inverse,
@@ -130,6 +131,14 @@ def test_cusp_cube_identity():
 def test_f_power_at_S_matches_product_oracle(n, trunc):
     fast = f_power_at_S(n, trunc)
     slow = product_f_power_at_S(n, trunc)
+    assert (fast.denom, fast.coeffs, fast.trunc) == (slow.denom, slow.coeffs, slow.trunc)
+
+
+@pytest.mark.parametrize("trunc", [12, 14, 16])
+@pytest.mark.parametrize("n", [1, -1, -2, -3])
+def test_f_power_at_S_matches_fraction_accumulation(n, trunc):
+    fast = f_power_at_S(n, trunc)
+    slow = fraction_f_power_at_S(n, trunc)
     assert (fast.denom, fast.coeffs, fast.trunc) == (slow.denom, slow.coeffs, slow.trunc)
 
 

@@ -364,8 +364,23 @@ def test_kac_levels_from_long_root_norms():
 
 
 def test_kac_rejects_zero_labels():
-    with pytest.raises(ValueError):
+    # the package derives every label vector itself: bad labels are a fault
+    with pytest.raises(InvariantError):
         kac_fixed_subalgebra(SimpleType("A", 2), [0, 0, 0])
+
+
+@pytest.mark.parametrize("labels", [[1, -1, 3], [1, 1], [1, 1, 1, 0]])
+def test_kac_rejects_negative_or_miscounted_labels(labels):
+    with pytest.raises(InvariantError):
+        kac_fixed_subalgebra(SimpleType("A", 2), labels)
+
+
+@pytest.mark.parametrize("name", ["A2", "D4"])
+def test_classify_rejects_non_dynkin_diagrams(name):
+    # affine A2 is a cycle, affine D4 a node of degree 4
+    gram = _affine_diagram(SimpleType.parse(name))[0]
+    with pytest.raises(InvariantError):
+        classify_simple_system([list(row) for row in gram])
 
 
 def test_kac_rank_bookkeeping():

@@ -1,9 +1,14 @@
 from fractions import Fraction as Q
+from itertools import product
+from math import gcd
+from operator import mul
 
 import pytest
 
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
+from orbifold24.rootdata import _affine_diagram
 from orbifold24.schellekens import (
+    _order3_label_vectors,
     admits_order3_with_fixed,
     enumerate_candidates,
     filter_candidates,
@@ -11,7 +16,12 @@ from orbifold24.schellekens import (
     simple_ideals_with_ratio,
 )
 
-from helpers import backtracking_admits, root_filter_options, semisimple_rank
+from helpers import (
+    backtracking_admits,
+    fraction_order3_fixed_options,
+    root_filter_options,
+    semisimple_rank,
+)
 from orbifold24.cases import BUILTIN_CASES
 
 
@@ -160,6 +170,36 @@ def test_kac_options_match_root_filter(name):
     for level in (1, 3):
         kac = {o.result for o in order3_fixed_options(t, level) if o.kind == "inner"}
         assert kac == root_filter_options(t, level)
+
+
+@pytest.mark.parametrize("name", ["A1", "A5", "C4", "D4", "E6", "E7", "F4", "G2"])
+def test_label_vectors_are_the_coprime_solutions_in_order(name):
+    t = SimpleType.parse(name)
+    marks = _affine_diagram(t)[1]
+    brute = [s for s in product(range(4), repeat=len(marks))
+             if sum(map(mul, marks, s)) == 3 and gcd(*s) == 1]
+    assert _order3_label_vectors(t) == brute
+
+
+def test_option_tables_match_fraction_oracle():
+    # every (type, level) of the ratio pools at D = 36, 48, ..., 312
+    pools = {
+        ideal
+        for dim in range(36, 313, 12)
+        for ideal in simple_ideals_with_ratio(Q(dim - 24, 24), dim)
+    }
+    assert len(pools) > 40 and all(type(k) is int for _, k in pools)
+    for t, k in sorted(pools):
+        options = order3_fixed_options(t, k)
+        assert options == fraction_order3_fixed_options(t, k), (t, k)
+        assert all(type(lev) is int for o in options for _, lev in o.result.ideals)
+
+
+def test_candidates_carry_int_levels_in_sorted_order():
+    for dim in range(36, 313, 12):
+        for c in enumerate_candidates(dim, Q(dim - 24, 24)):
+            assert all(type(k) is int for _, k in c.value.ideals)
+            assert c.value == SemisimpleTypeWithLevels.of(c.ideals())
 
 
 def oracle_targets(c):
