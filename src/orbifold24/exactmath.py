@@ -1,16 +1,18 @@
-"""Exact numeric substrate: one exact elimination core.
+"""Exact numeric substrate: one integer elimination core.
 
 Exact scalars are `int` or `fractions.Fraction`, and matrices are dense
-lists of rational rows.  Every rank, kernel, inverse and determinant in
-the package comes from `_echelon`, a fraction-free Gauss-Jordan
-elimination on integer rows.  The package has no floating-point step.
+lists of rows acting on row vectors.  Every rank, inverse, unimodularity
+test and integer kernel in the package comes from `hnf_with_transform`,
+the row Hermite normal form of an integer matrix with its unimodular
+transform; a rational matrix enters it with each row cleared of its
+denominators.  The package has no floating-point step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple, Union
+from math import lcm, prod
+from typing import List, Sequence, Tuple, Union
 
 Matrix = Sequence[Sequence[Union[int, Q]]]
 
@@ -19,106 +21,121 @@ class InvariantError(Exception):
     """An exact invariant of a computed result does not hold."""
 
 
-def _echelon(
-    m: Matrix, with_det: bool = False
-) -> Tuple[List[List[int]], List[int], Optional[Q]]:
-    """Fraction-free reduced row echelon form of a rational matrix.
+def identity(n: int) -> List[List[int]]:
+    return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
 
-    Each row is cleared of denominators, then every pivot column is
-    eliminated above and below the pivot with integer row operations, and
-    each rewritten row is divided by the gcd of its entries.  Row t of the
-    result is a nonzero multiple of row t of the reduced row echelon form,
-    whose entries are therefore red[t][j] / red[t][pivots[t]].  With
-    with_det, the third value is the factor f with det(m) = f * prod of the
-    pivots (a square matrix of full rank); otherwise it is None.
+
+def transpose(m: Sequence[Sequence]) -> List[List]:
+    return [list(col) for col in zip(*m)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> List[List[Q]]:
+    """Matrix product; integer inputs give an integer product."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = [[0] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        row = out[i]
+        for t in range(k):
+            v = ai[t]
+            if v:
+                bt = b[t]
+                for j in range(m):
+                    if bt[j]:
+                        row[j] += v * bt[j]
+    return out
+
+
+def hnf_with_transform(
+    m: Sequence[Sequence[int]],
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """Row Hermite normal form H = U m with U unimodular.
+
+    H is in row echelon form with its zero rows last; each pivot is
+    positive, and every entry above a pivot lies in [0, pivot).  Each row
+    of m is reduced together with its row of U, appended to its right.
     """
-    red: List[List[int]] = []
-    num, den = 1, 1
+    rows = len(m)
+    cols = len(m[0]) if m else 0
+    a = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        while True:
+            nz = [i for i in range(r, rows) if a[i][c]]
+            if not nz:
+                break
+            piv = min(nz, key=lambda i: abs(a[i][c]))
+            a[r], a[piv] = a[piv], a[r]
+            pr = a[r]
+            p = pr[c]
+            reduced = True
+            for i in range(r + 1, rows):
+                x = a[i][c]
+                if x:
+                    q = x // p
+                    a[i] = [s - q * t for s, t in zip(a[i], pr)]
+                    if x - q * p:
+                        reduced = False
+            if reduced:
+                break
+        pr = a[r]
+        if pr[c]:
+            if pr[c] < 0:
+                a[r] = pr = [-x for x in pr]
+            for i in range(r):
+                q = a[i][c] // pr[c]
+                if q:
+                    a[i] = [s - q * t for s, t in zip(a[i], pr)]
+            r += 1
+    return [row[:cols] for row in a], [row[cols:] for row in a]
+
+
+def integer_row_kernel(m: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Basis of {x integral : x m = 0}; saturated by construction."""
+    h, u = hnf_with_transform(m)
+    return [u[i] for i in range(len(m)) if not any(h[i])]
+
+
+def _cleared_rows(m: Matrix) -> Tuple[List[List[int]], List[int]]:
+    """Integer rows D m and the diagonal of D: row i times the least common
+    denominator of its entries."""
+    rows, dens = [], []
     for row in m:
         d = lcm(*[x.denominator for x in row])
-        red.append([x.numerator * (d // x.denominator) for x in row])
-        den *= d
-    rows, cols = len(red), len(red[0]) if red else 0
-    pivots: List[int] = []
-    for c in range(cols):
-        r = len(pivots)
-        p = next((i for i in range(r, rows) if red[i][c]), None)
-        if p is None:
-            continue
-        if p != r:
-            red[r], red[p] = red[p], red[r]
-            num = -num
-        pr = red[r]
-        pv = pr[c]
-        for i in range(rows):
-            f = red[i][c]
-            if f and i != r:
-                new = [pv * x - f * y for x, y in zip(red[i], pr)]
-                g = gcd(*new)
-                red[i] = [x // g for x in new] if g > 1 else new
-                if with_det:
-                    # det(new rows) = det(old rows) * pv / g
-                    num, den = num * g, den * pv
-        pivots.append(c)
-        if len(pivots) == rows:
-            break
-    return red, pivots, (Q(num, den) if with_det else None)
+        rows.append([int(x * d) for x in row] if d > 1 else list(map(int, row)))
+        dens.append(d)
+    return rows, dens
 
 
 def rank(m: Matrix) -> int:
-    """Rank over Q; the nullity of an n-row matrix is n - rank."""
-    return len(_echelon(m)[1])
-
-
-def kernel(m: Matrix) -> List[List[Q]]:
-    """Basis of {x : x m = 0} for a matrix acting on row vectors.
-
-    The basis is the reduced one: x is 1 at its free coordinate, 0 at the
-    other free coordinates, and -rref[t][free] at pivot coordinate t.
-    """
-    return [[Q(x, den) for x in row] for row, den in integer_kernel(m)]
-
-
-def integer_kernel(m: Matrix) -> List[Tuple[List[int], int]]:
-    """The reduced kernel basis of `kernel` as (row, den) pairs.
-
-    Each basis vector is row / den, with row a primitive integer vector:
-    den is the least common denominator of the vector, and also the entry of
-    row at its free coordinate.
-    """
-    n = len(m)
-    red, pivots, _ = _echelon([list(col) for col in zip(*m)])
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        den = lcm(
-            *(red[t][c] // gcd(red[t][c], red[t][f]) for t, c in enumerate(pivots))
-        )
-        v = [0] * n
-        v[f] = den
-        for t, c in enumerate(pivots):
-            v[c] = -red[t][f] * den // red[t][c]
-        basis.append((v, den))
-    return basis
+    """Rank over Q: the number of nonzero rows of the Hermite normal form."""
+    h, _ = hnf_with_transform(_cleared_rows(m)[0])
+    return sum(1 for row in h if any(row))
 
 
 def inverse(m: Matrix) -> List[List[Q]]:
-    """Exact inverse of a square matrix; ValueError when it is singular."""
-    n = len(m)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots, _ = _echelon(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[Q(x, red[t][t]) for x in red[t][n:]] for t in range(n)]
+    """Exact inverse of a square matrix; ValueError when it is singular.
 
-
-def det(m: Matrix) -> Q:
-    """Exact determinant of a square matrix."""
+    With m = D^-1 M for the integer rows M = D m and U M = H the Hermite
+    normal form, M^-1 = H^-1 U.  For d = det H, the product of H's
+    diagonal, Y = d H^-1 U is integral, so back-substitution up the
+    triangular H divides exactly; then m^-1 = M^-1 D = Y D / d.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
-        raise ValueError("determinant of non-square matrix")
-    red, pivots, factor = _echelon(m, with_det=True)
-    if len(pivots) < n:
-        return Q(0)
-    for t in range(n):
-        factor *= red[t][t]
-    return factor
+        raise ValueError("inverse of a non-square matrix")
+    big, dens = _cleared_rows(m)
+    h, u = hnf_with_transform(big)
+    if any(h[i][i] == 0 for i in range(n)):
+        raise ValueError("matrix is singular")
+    d = prod(h[i][i] for i in range(n))
+    y: List[List[int]] = [[]] * n
+    for i in reversed(range(n)):
+        acc = [d * x for x in u[i]]
+        for j in range(i + 1, n):
+            if h[i][j]:
+                acc = [a - h[i][j] * b for a, b in zip(acc, y[j])]
+        y[i] = [a // h[i][i] for a in acc]
+    return [[Q(x * dj, d) for x, dj in zip(row, dens)] for row in y]

@@ -8,7 +8,10 @@ ternary code, and six D4 components glued by a binary code whose digits
 label the three nontrivial cosets of each D4 discriminant group.  A lattice
 keeps its basis and the inverse basis as integer rows over one denominator
 each, so lattice coordinates, isometry candidates and their certificates
-are integer products and divisibility tests.
+are integer products and divisibility tests.  Matrix products, ranks,
+inverses and integer kernels all come from `exactmath`, whose one
+elimination is the row Hermite normal form: an assembled lattice is
+unimodular when the HNF of its Gram matrix is the identity.
 
 The weight-one algebra has basis {Cartan directions} + {e^a : a a root},
 with structure constants through the sign bicharacter fixed on an ordered
@@ -17,8 +20,9 @@ F2 (phase 1 on the fixed sublattice, composite of order 3), fixed-point
 subalgebras are extracted orbit by orbit, and their types and levels are
 certified exactly, one sigma-orbit of components at a time.  The fixed
 Cartan t grades each fixed subalgebra by t-weight, so its structure table
-and its Killing form are computed one weight block at a time.  All of it
-is exact, in Python integers and `Fraction`s.
+and its Killing form are computed one weight block at a time.  Twisted
+ground energies are read off the eigenvalue multiplicities of an order-3
+isometry.  All of it is exact, in Python integers and `Fraction`s.
 """
 
 from __future__ import annotations
@@ -27,87 +31,19 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, lcm, prod
 from typing import (
     Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
-from .exactmath import InvariantError, det, inverse, rank
+from .exactmath import (
+    InvariantError, hnf_with_transform, identity, integer_row_kernel, inverse,
+    mat_mul, rank, transpose,
+)
 from .rootdata import SemisimpleTypeWithLevels, SimpleType, build_root_system
 
 Vec = Tuple[Q, ...]
 IntVec = Tuple[int, ...]
-
-
-# ---------------------------------------------------------------------------
-# exact matrix helpers (row-vector convention throughout)
-
-
-def mat_mul(a: List[List[Q]], b: List[List[Q]]) -> List[List[Q]]:
-    """Matrix product; integer inputs give an integer product."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        row = out[i]
-        for t in range(k):
-            v = ai[t]
-            if v:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        row[j] += v * bt[j]
-    return out
-
-
-def hnf_with_transform(m: List[List[int]]) -> Tuple[List[List[int]], List[List[int]]]:
-    """Row Hermite normal form H = U m with U unimodular."""
-    rows = len(m)
-    cols = len(m[0]) if m else 0
-    h = [list(r) for r in m]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    r = 0
-    for c in range(cols):
-        while True:
-            nz = [i for i in range(r, rows) if h[i][c]]
-            if not nz:
-                break
-            piv = min(nz, key=lambda i: abs(h[i][c]))
-            h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
-            reduced = True
-            for i in range(r + 1, rows):
-                if h[i][c]:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if h[i][c]:
-                        reduced = False
-            if reduced:
-                break
-        if r < rows and h[r][c]:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            r += 1
-            if r == rows:
-                break
-    return h, u
-
-
-def integer_row_kernel(m: List[List[int]]) -> List[List[int]]:
-    """Basis of {x integral : x m = 0}; saturated by construction."""
-    h, u = hnf_with_transform(m)
-    return [u[i] for i in range(len(m)) if not any(h[i])]
-
-
-def transpose(m: Sequence[Sequence]) -> List[List]:
-    return [list(col) for col in zip(*m)]
 
 
 # ---------------------------------------------------------------------------
@@ -134,19 +70,12 @@ def _digit_reps(t: SimpleType) -> Tuple[Vec, ...]:
     raise ValueError(f"no glue digits defined for {t}")
 
 
-_D4_KLEIN_ADD = {
-    (0, 0): 0, (0, 1): 1, (0, 2): 2, (0, 3): 3,
-    (1, 0): 1, (1, 1): 0, (1, 2): 3, (1, 3): 2,
-    (2, 0): 2, (2, 1): 3, (2, 2): 0, (2, 3): 1,
-    (3, 0): 3, (3, 1): 2, (3, 2): 1, (3, 3): 0,
-}
-
-
 def digit_add(t: SimpleType, a: int, b: int) -> int:
     if t == SimpleType("E", 6):
         return (a + b) % 3
     if t == SimpleType("D", 4):
-        return _D4_KLEIN_ADD[(a, b)]
+        # the Klein group: digits 1, 2, 3 are the labels 01, 10, 11 of Z2^2
+        return a ^ b
     raise ValueError(f"no glue digits defined for {t}")
 
 
@@ -311,8 +240,12 @@ def assemble_niemeier(code: GlueCode) -> EvenLattice:
     if len(basis_rows) != rank:
         raise InvariantError("generators do not span a full-rank lattice")
     lat = lattice_from_basis(code, basis_rows, den)
-    d = det(lat.gram)
-    if d != 1:
+    # unimodular iff the Hermite normal form of the Gram matrix is the
+    # identity; the gram is positive definite, so its determinant is the
+    # product of the HNF diagonal
+    h, _ = hnf_with_transform(lat.gram)
+    if h != identity(rank):
+        d = prod(h[i][i] for i in range(rank))
         raise InvariantError(f"assembled lattice has determinant {d}, not 1")
     return lat
 
@@ -384,23 +317,15 @@ class LatticeIsometry:
         return _fixed_coords(self.matrix)
 
     def preserves_gram(self) -> bool:
-        n = self.lattice.rank
-        g = self.lattice.gram
-        a = self.matrix
-        ag = [[sum(a[i][s] * g[s][t] for s in range(n) if a[i][s]) for t in range(n)]
-              for i in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                if sum(ag[i][t] * a[j][t] for t in range(n) if a[j][t]) != g[i][j]:
-                    return False
-        return True
+        a, g = self.matrix, self.lattice.gram
+        return mat_mul(mat_mul(a, g), transpose(a)) == [list(row) for row in g]
 
 
 # the order and the fixed sublattice depend on the matrix alone; each is
 # computed once per isometry and process, however many checks ask for it
 @lru_cache(maxsize=None)
 def _matrix_order(matrix: Tuple[IntVec, ...]) -> int:
-    ident = _identity_local(len(matrix))
+    ident = identity(len(matrix))
     cur = [list(row) for row in matrix]
     for k in range(1, 13):
         if cur == ident:
@@ -448,10 +373,6 @@ def _slot_maps_to_isometry(
     return LatticeIsometry(lat, tuple(out), name)
 
 
-def _identity_local(rank: int) -> List[List[int]]:
-    return [[1 if j == i else 0 for j in range(rank)] for i in range(rank)]
-
-
 def _integral(m: List[List[Q]], what: str) -> List[List[int]]:
     if any(x.denominator != 1 for row in m for x in row):
         raise InvariantError(f"{what} is not integral")
@@ -460,7 +381,7 @@ def _integral(m: List[List[Q]], what: str) -> List[List[int]]:
 
 def _check_order3(m: List[List[int]], fixed_free: bool) -> None:
     n = len(m)
-    ident = _identity_local(n)
+    ident = identity(n)
     m2 = mat_mul(m, m)
     if mat_mul(m2, m) != ident:
         raise InvariantError("matrix does not have order 3")
@@ -478,7 +399,7 @@ def fpf_e6_matrix() -> List[List[int]]:
     m^2 + m + 1 = 0 certifies the fixed-point-free order-3 action.
     """
     theta_ac = build_root_system(SimpleType("E", 6)).marks[1:]
-    e = _identity_local(6)
+    e = identity(6)
     pairs = [
         (e[0], e[2]),
         (e[4], e[5]),
@@ -598,7 +519,7 @@ def sigma4_candidates() -> Iterator[List[Tuple[int, List[List[int]]]]]:
     phi2 = mat_mul(phi, phi)
     psi = weyl_d4_matrix()
     psi2 = mat_mul(psi, psi)
-    ident = _identity_local(4)
+    ident = identity(4)
     rot = {0: ident, 1: phi, 2: phi2}
     for cycle in itertools.combinations(range(6), 3):
         singles = [c for c in range(6) if c not in cycle]
@@ -634,7 +555,7 @@ def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
         if comps != (SimpleType("E", 6),) * 4:
             raise ValueError("sigma6 lives on the four-E6 lattice")
         phi = fpf_e6_matrix()
-        ident = _identity_local(6)
+        ident = identity(6)
         # (g1,g2,g3,g4) -> (phi g1, g4, g2, g3): component 2 lands in slot 3,
         # 3 in slot 4, 4 in slot 2.
         iso = _slot_maps_to_isometry(
@@ -977,7 +898,7 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     # order 3 on the whole algebra: g^3 = 1, perm^3 = id, and the phases
     # multiply to 1 around every root orbit
     if (
-        mat_mul(g2, gm) != _identity_local(n)
+        mat_mul(g2, gm) != identity(n)
         or any(perm[perm[p]] != k for k, p in enumerate(perm))
         or any(s * phase[p] * phase[perm[p]] != 1 for s, p in zip(phase, perm))
     ):
@@ -1386,49 +1307,27 @@ def identify_type(sub: FixedSubalgebra) -> SemisimpleTypeWithLevels:
 # twisted ground energies, projections, counting, glue automorphisms
 
 
-_CYCLOTOMIC = {
-    1: [-1, 1],            # x - 1
-    2: [1, 1],             # x + 1
-    3: [1, 1, 1],          # x^2 + x + 1
-    4: [1, 0, 1],
-    6: [1, -1, 1],
-}
-
-
-def _euler_phi(d: int) -> int:
-    return sum(1 for k in range(1, d + 1) if gcd(k, d) == 1)
-
-
 def twisted_ground_energy(g: LatticeIsometry) -> Tuple[Q, List[int]]:
-    """Ground energy (1/4) sum_j (j/n)(1-j/n) m_j and the multiplicities m_j.
+    """Ground energy (1/4) sum_j (j/3)(1-j/3) m_j and the multiplicities m_j
+    of an order-3 isometry.
 
-    m_j is the multiplicity of the eigenvalue e^(2 pi i j / n) of g on the
-    ambient space, computed from exact kernels of cyclotomic evaluations.
+    m_j is the multiplicity of the eigenvalue e^(2 pi i j / 3) of g on the
+    ambient space: m_0 is the rank of the fixed sublattice, and the two
+    primitive cube roots of 1 are complex conjugates, so m_1 = m_2 is half
+    the nullity of 1 + g + g^2.  Every built isometry has order 3; any
+    other order is an InvariantError.
     """
     n = g.order()
+    if n != 3:
+        raise InvariantError(f"twisted ground energy of an isometry of order {n}")
     dim = g.lattice.rank
-
-    def poly_apply(coeffs: List[int]) -> List[List[int]]:
-        out = [[0] * dim for _ in range(dim)]
-        power = _identity_local(dim)
-        for c in coeffs:
-            if c:
-                for i in range(dim):
-                    for j in range(dim):
-                        out[i][j] += c * power[i][j]
-            power = mat_mul(power, g.matrix)
-        return out
-
-    orders = {n // gcd(j, n) if j else 1 for j in range(n)}
-    if any(d not in _CYCLOTOMIC for d in orders):
-        raise ValueError("unsupported eigenvalue order")
-    mults = [0] * n
-    for d in sorted(orders):
-        null = dim - rank(poly_apply(_CYCLOTOMIC[d]))
-        share = null // _euler_phi(d)
-        for j in range(n):
-            if (n // gcd(j, n) if j else 1) == d:
-                mults[j] = share
+    g2 = mat_mul(g.matrix, g.matrix)
+    cyclo = [
+        [int(i == j) + x + y for j, (x, y) in enumerate(zip(r1, r2))]
+        for i, (r1, r2) in enumerate(zip(g.matrix, g2))
+    ]
+    m1 = (dim - rank(cyclo)) // 2
+    mults = [len(g.fixed_coords_basis()), m1, m1]
     if sum(mults) != dim:
         raise InvariantError("eigenvalue multiplicities do not fill the space")
     rho = sum(

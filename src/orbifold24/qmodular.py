@@ -38,10 +38,6 @@ class PuiseuxSeries:
         }
         return PuiseuxSeries(denom, kept, Q(trunc))
 
-    @staticmethod
-    def one(trunc: Q | int) -> "PuiseuxSeries":
-        return PuiseuxSeries.make(1, {0: Q(1)}, Q(trunc))
-
     def rescaled(self, new_denom: int) -> "PuiseuxSeries":
         if new_denom % self.denom:
             raise ValueError("new denominator must refine the old one")

@@ -1,4 +1,4 @@
-"""Finite root systems, weights of irreducible modules, the fundamental
+"""Finite root systems, integer and rational weights, the fundamental
 alcove, and fixed-subalgebra classification of inner finite-order
 automorphisms by affine-node labels.
 
@@ -211,13 +211,6 @@ class RootSystem:
         """form . x, so that pairing it with y gives scale * (x|y)."""
         return [sum(f * c for f, c in zip(row, x) if c) for row in self.form]
 
-    def ip(self, x: Sequence[Q | int], y: Sequence[Q | int]) -> Q:
-        """Exact (x|y); the sum stays in integers unless a coordinate is a Fraction."""
-        return Q(sum(a * b for a, b in zip(self.covector(x), y) if b), self.scale)
-
-    def norm_of(self, x: Sequence[Q | int]) -> Q:
-        return self.ip(x, x)
-
     def __repr__(self) -> str:
         return f"RootSystem({self.type})"
 
@@ -226,82 +219,6 @@ class RootSystem:
 def build_root_system(t: SimpleType) -> RootSystem:
     """Root system of a simple type; roots generated and counted."""
     return RootSystem(t)
-
-
-@dataclass(frozen=True)
-class WeightSystem:
-    """Weights of an irreducible module with Freudenthal multiplicities."""
-
-    highest: IntCoords
-    entries: Tuple[Tuple[IntCoords, int], ...]
-
-    def weights(self) -> List[IntCoords]:
-        return [w for w, _ in self.entries]
-
-
-_WS_CACHE: Dict[Tuple[SimpleType, IntCoords], WeightSystem] = {}
-
-
-def weight_system(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
-    """All weights of the module of the dominant integral weight lam; the
-    tests' oracle for the closed-form least pairing `affinerep.n_min`."""
-    top = tuple(lam)
-    if len(top) != rs.rank or not all(type(c) is int and c >= 0 for c in top):
-        raise ValueError("highest weight must be dominant integral")
-    key = (rs.type, top)
-    cached = _WS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = rs.rank
-    simple = rs.simple_roots
-
-    # BFS down from the highest weight, level = height of lam - mu.
-    levels: Dict[int, List[IntCoords]] = {0: [top]}
-    seen: Dict[IntCoords, int] = {top: 0}
-    level = 0
-    while level in levels:
-        for mu in levels[level]:
-            for j in range(n):
-                # length of the a_j-string above mu inside the found set
-                p = 0
-                up = mu
-                while True:
-                    up = tuple(up[k] + simple[j][k] for k in range(n))
-                    if up not in seen:
-                        break
-                    p += 1
-                if p + mu[j] >= 1:
-                    down = tuple(mu[k] - simple[j][k] for k in range(n))
-                    if down not in seen:
-                        seen[down] = level + 1
-                        levels.setdefault(level + 1, []).append(down)
-        level += 1
-
-    # Freudenthal multiplicities; acc sums scale * m(mu + k a) (mu + k a|a).
-    steps = [(a, rs.covector(a)) for a in rs.positive_roots]
-    lam_rho = tuple(c + 1 for c in top)
-    n_lam = rs.norm_of(lam_rho)
-    mult: Dict[IntCoords, int] = {top: 1}
-    for mu, lev in sorted(seen.items(), key=lambda kv: kv[1]):
-        if lev == 0:
-            continue
-        acc = 0
-        for step, dual in steps:
-            shifted = tuple(a + b for a, b in zip(mu, step))
-            while True:
-                m = mult.get(shifted)
-                if m is None:
-                    break
-                acc += m * sum(d * c for d, c in zip(dual, shifted) if c)
-                shifted = tuple(a + b for a, b in zip(shifted, step))
-        mu_rho = tuple(c + 1 for c in mu)
-        val = Q(2 * acc, rs.scale) / (n_lam - rs.norm_of(mu_rho))
-        if val.denominator != 1 or val <= 0:
-            raise InvariantError(f"Freudenthal multiplicity {val} of {mu}")
-        mult[mu] = int(val)
-    ws = WeightSystem(top, tuple(sorted(mult.items())))
-    _WS_CACHE[key] = ws
-    return ws
 
 
 def scaled_coords(x: Sequence[Q | int]) -> ScaledCoords:

@@ -79,7 +79,7 @@ class _CaseTables:
     Row 0 of every ideal is the vacuum (the zero weight sorts first).
     """
 
-    def __init__(self, c: CaseSpec, norm: Optional[Q] = None):
+    def __init__(self, c: CaseSpec, norm: Q):
         self.weights: List[List[IntCoords]] = []
         # (den, integer column) per ideal; n_min_column gives h and -h
         # over one denominator
@@ -89,8 +89,6 @@ class _CaseTables:
             self.weights.append(table.weights())
             cw.append(table.cw_column)
             nm.append(n_min_column(a, h))
-        if norm is None:
-            norm, _, _ = invariant_norm(c)
         half_norm = norm / 2
         dens = [den for den, _ in cw] + [den for den, _, _ in nm]
         self.scale = d = lcm(half_norm.denominator, *dens)
@@ -192,7 +190,7 @@ class _CaseTables:
 
 
 def min_twisted_weight(
-    c: CaseSpec, norm: Optional[Q] = None
+    c: CaseSpec, norm: Q
 ) -> Tuple[Q, Tuple[IntCoords, ...], Q, Tuple[IntCoords, ...]]:
     """Minimum of the bound over all feasible tuples, for h and -h.
 
@@ -201,8 +199,7 @@ def min_twisted_weight(
     own n_min column, not as a symmetry image; the two signs share one
     backward sweep, the cw columns and <h|h>.  The shift formula needs
     (h|alpha) >= -1; callers check `shift_ok` once, report it, and call this
-    only when it holds.  A caller that has <h|h> from `invariant_norm`
-    passes it as norm.
+    only when it holds.  norm is <h|h>, from `invariant_norm`.
     """
     (m1, w1), (m2, w2) = _CaseTables(c, norm).minimize()
     return m1, w1, m2, w2

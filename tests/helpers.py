@@ -1,6 +1,11 @@
 """Test-only code: the brute-force oracles the closed forms are checked
 against, and helpers that only the tests need.
 
+* Exact elimination: the fraction-free Gauss-Jordan `_echelon` with the
+  reduced rational `kernel`, its primitive integer rows (`integer_kernel`)
+  and the signed determinant `det`, against the row Hermite normal form
+  behind `exactmath.rank`, `exactmath.inverse` and
+  `exactmath.integer_row_kernel`.
 * Twisted minima: the exhaustive tuple scan (`scan`, `feasible_tuples`,
   `scan_minimum`) against the min-plus DP in `twistbound`.
 * Fixed subalgebras: the roots with (h|alpha) integral, split into
@@ -40,8 +45,8 @@ against, and helpers that only the tests need.
   `affinerep.enumerate_level_weights`; the dual Coxeter number from root
   data (`dual_coxeter`) against `SimpleType.dual_coxeter_number`.
 * Directional minima: the least pairing over the Freudenthal weight
-  system (`brute_force_min`) against the closed form (h+|w0.lam) in
-  `affinerep.n_min` and `affinerep.n_min_column`.
+  system (`weight_system`, `brute_force_min`) against the closed form
+  (h+|w0.lam) in `affinerep.n_min` and `affinerep.n_min_column`.
 * Shift bound: the loop over every root (`root_loop_shift_ok`) against
   the closed form (h+|theta) <= 1 in `twistbound.shift_ok`.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
@@ -70,7 +75,8 @@ against, and helpers that only the tests need.
   `inverse_lift` its inverse, `compose` and `is_identity`;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
 * Small conveniences only the tests use: `negated` (the case with twist
-  -h), `semisimple_rank` and `total_multiplicity`.
+  -h), `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
+  (x|y) through `RootSystem.covector`) and `series_one`.
 """
 
 from __future__ import annotations
@@ -82,14 +88,14 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from orbifold24.affinerep import AffineAlgebra
 from orbifold24.exactmath import (
-    InvariantError, Matrix, integer_kernel, inverse, kernel, rank,
+    InvariantError, Matrix, inverse, mat_mul, rank, transpose,
 )
 from orbifold24.latticevoa import (
     EvenLattice,
@@ -108,8 +114,6 @@ from orbifold24.latticevoa import (
     _weight_blocks,
     coset_norm_lower_bound,
     lattice_from_basis,
-    mat_mul,
-    transpose,
 )
 from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, _euler_power, f_power_at_S
 from orbifold24.rootdata import (
@@ -118,11 +122,9 @@ from orbifold24.rootdata import (
     ScaledCoords,
     SemisimpleTypeWithLevels,
     SimpleType,
-    WeightSystem,
     _affine_diagram,
     build_root_system,
     classify_simple_system,
-    weight_system,
 )
 from orbifold24.schellekens import (
     CandidateAlgebra,
@@ -134,6 +136,99 @@ from orbifold24.twistbound import CaseSpec, _CaseTables, invariant_norm, shift_o
 
 Coords = Tuple[Q, ...]  # a rational weight in Fraction coordinates
 
+
+# --- exact elimination ----------------------------------------------------
+
+
+def _echelon(
+    m: Matrix, with_det: bool = False
+) -> Tuple[List[List[int]], List[int], Optional[Q]]:
+    """Fraction-free reduced row echelon form of a rational matrix.
+
+    Each row is cleared of denominators, then every pivot column is
+    eliminated above and below the pivot with integer row operations, and
+    each rewritten row is divided by the gcd of its entries.  Row t of the
+    result is a nonzero multiple of row t of the reduced row echelon form,
+    whose entries are therefore red[t][j] / red[t][pivots[t]].  With
+    with_det, the third value is the factor f with det(m) = f * prod of the
+    pivots (a square matrix of full rank); otherwise it is None.
+    """
+    red: List[List[int]] = []
+    num, den = 1, 1
+    for row in m:
+        d = lcm(*[x.denominator for x in row])
+        red.append([x.numerator * (d // x.denominator) for x in row])
+        den *= d
+    rows, cols = len(red), len(red[0]) if red else 0
+    pivots: List[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, rows) if red[i][c]), None)
+        if p is None:
+            continue
+        if p != r:
+            red[r], red[p] = red[p], red[r]
+            num = -num
+        pr = red[r]
+        pv = pr[c]
+        for i in range(rows):
+            f = red[i][c]
+            if f and i != r:
+                new = [pv * x - f * y for x, y in zip(red[i], pr)]
+                g = gcd(*new)
+                red[i] = [x // g for x in new] if g > 1 else new
+                if with_det:
+                    # det(new rows) = det(old rows) * pv / g
+                    num, den = num * g, den * pv
+        pivots.append(c)
+        if len(pivots) == rows:
+            break
+    return red, pivots, (Q(num, den) if with_det else None)
+
+
+def kernel(m: Matrix) -> List[List[Q]]:
+    """Basis of {x : x m = 0} for a matrix acting on row vectors.
+
+    The basis is the reduced one: x is 1 at its free coordinate, 0 at the
+    other free coordinates, and -rref[t][free] at pivot coordinate t.
+    """
+    return [[Q(x, den) for x in row] for row, den in integer_kernel(m)]
+
+
+def integer_kernel(m: Matrix) -> List[Tuple[List[int], int]]:
+    """The reduced kernel basis of `kernel` as (row, den) pairs.
+
+    Each basis vector is row / den, with row a primitive integer vector:
+    den is the least common denominator of the vector, and also the entry of
+    row at its free coordinate.
+    """
+    n = len(m)
+    red, pivots, _ = _echelon([list(col) for col in zip(*m)])
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        den = lcm(
+            *(red[t][c] // gcd(red[t][c], red[t][f]) for t, c in enumerate(pivots))
+        )
+        v = [0] * n
+        v[f] = den
+        for t, c in enumerate(pivots):
+            v[c] = -red[t][f] * den // red[t][c]
+        basis.append((v, den))
+    return basis
+
+
+def det(m: Matrix) -> Q:
+    """Exact determinant of a square matrix, signed."""
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of non-square matrix")
+    red, pivots, factor = _echelon(m, with_det=True)
+    if len(pivots) < n:
+        return Q(0)
+    for t in range(n):
+        factor *= red[t][t]
+    return factor
+
 # --- invariant form -------------------------------------------------------
 
 
@@ -142,6 +237,12 @@ def fraction_fw_gram(rs: RootSystem) -> List[List[Q]]:
     n = rs.rank
     inv = inverse(rs.simple_roots)
     return [[inv[j][i] * rs.gram[i][i] / 2 for j in range(n)] for i in range(n)]
+
+
+def root_ip(rs: RootSystem, x: Sequence, y: Sequence) -> Q:
+    """Exact (x|y) through the covector of x; the sum stays in integers
+    unless a coordinate is a Fraction."""
+    return Q(sum(a * b for a, b in zip(rs.covector(x), y) if b), rs.scale)
 
 
 def fraction_ip(gram: Sequence[Sequence[Q]], x: Sequence, y: Sequence) -> Q:
@@ -233,8 +334,8 @@ def weyl_dim(rs: RootSystem, lam: IntCoords) -> int:
     num = Q(1)
     den = Q(1)
     for alpha in rs.positive_roots:
-        num *= rs.ip(lam_rho, alpha)
-        den *= rs.ip(rs.rho, alpha)
+        num *= root_ip(rs, lam_rho, alpha)
+        den *= root_ip(rs, rs.rho, alpha)
     val = num / den
     if val.denominator != 1:
         raise ValueError(f"Weyl dimension {val} of {lam} is not an integer")
@@ -245,10 +346,86 @@ def dual_coxeter(t: SimpleType) -> int:
     """Dual Coxeter number 1 + (rho|theta-dual) from root data."""
     rs = build_root_system(t)
     theta = rs.theta
-    val = 1 + 2 * rs.ip(rs.rho, theta) / rs.norm_of(theta)
+    val = 1 + 2 * root_ip(rs, rs.rho, theta) / root_ip(rs, theta, theta)
     if val.denominator != 1:
         raise InvariantError(f"{t}: dual Coxeter number {val} is not an integer")
     return int(val)
+
+
+@dataclass(frozen=True)
+class WeightSystem:
+    """Weights of an irreducible module with Freudenthal multiplicities."""
+
+    highest: IntCoords
+    entries: Tuple[Tuple[IntCoords, int], ...]
+
+    def weights(self) -> List[IntCoords]:
+        return [w for w, _ in self.entries]
+
+
+_WS_CACHE: Dict[Tuple[SimpleType, IntCoords], WeightSystem] = {}
+
+
+def weight_system(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
+    """All weights of the module of the dominant integral weight lam; the
+    oracle for the closed-form least pairing `affinerep.n_min`."""
+    top = tuple(lam)
+    if len(top) != rs.rank or not all(type(c) is int and c >= 0 for c in top):
+        raise ValueError("highest weight must be dominant integral")
+    key = (rs.type, top)
+    cached = _WS_CACHE.get(key)
+    if cached is not None:
+        return cached
+    n = rs.rank
+    simple = rs.simple_roots
+
+    # BFS down from the highest weight, level = height of lam - mu.
+    levels: Dict[int, List[IntCoords]] = {0: [top]}
+    seen: Dict[IntCoords, int] = {top: 0}
+    level = 0
+    while level in levels:
+        for mu in levels[level]:
+            for j in range(n):
+                # length of the a_j-string above mu inside the found set
+                p = 0
+                up = mu
+                while True:
+                    up = tuple(up[k] + simple[j][k] for k in range(n))
+                    if up not in seen:
+                        break
+                    p += 1
+                if p + mu[j] >= 1:
+                    down = tuple(mu[k] - simple[j][k] for k in range(n))
+                    if down not in seen:
+                        seen[down] = level + 1
+                        levels.setdefault(level + 1, []).append(down)
+        level += 1
+
+    # Freudenthal multiplicities; acc sums scale * m(mu + k a) (mu + k a|a).
+    steps = [(a, rs.covector(a)) for a in rs.positive_roots]
+    lam_rho = tuple(c + 1 for c in top)
+    n_lam = root_ip(rs, lam_rho, lam_rho)
+    mult: Dict[IntCoords, int] = {top: 1}
+    for mu, lev in sorted(seen.items(), key=lambda kv: kv[1]):
+        if lev == 0:
+            continue
+        acc = 0
+        for step, dual in steps:
+            shifted = tuple(a + b for a, b in zip(mu, step))
+            while True:
+                m = mult.get(shifted)
+                if m is None:
+                    break
+                acc += m * sum(d * c for d, c in zip(dual, shifted) if c)
+                shifted = tuple(a + b for a, b in zip(shifted, step))
+        mu_rho = tuple(c + 1 for c in mu)
+        val = Q(2 * acc, rs.scale) / (n_lam - root_ip(rs, mu_rho, mu_rho))
+        if val.denominator != 1 or val <= 0:
+            raise InvariantError(f"Freudenthal multiplicity {val} of {mu}")
+        mult[mu] = int(val)
+    ws = WeightSystem(top, tuple(sorted(mult.items())))
+    _WS_CACHE[key] = ws
+    return ws
 
 
 def total_multiplicity(ws: WeightSystem) -> int:
@@ -265,10 +442,10 @@ def conformal_weight(a: AffineAlgebra, lam: IntCoords) -> Q:
     rs = a.root_system()
     if not all(type(c) is int and c >= 0 for c in lam):
         raise ValueError("weight must be dominant integral")
-    if rs.ip(lam, rs.theta) > a.level:
+    if root_ip(rs, lam, rs.theta) > a.level:
         raise ValueError(f"{lam} is not admissible at level {a.level}")
     shifted = tuple(c + 2 for c in lam)  # lam + 2 rho
-    return rs.ip(lam, shifted) / (2 * (a.level + dual_coxeter(a.type)))
+    return root_ip(rs, lam, shifted) / (2 * (a.level + dual_coxeter(a.type)))
 
 
 def fraction_dominant_conjugate(rs: RootSystem, x: Sequence) -> Coords:
@@ -328,7 +505,7 @@ def scan(t: _CaseTables) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
 
 def feasible_tuples(c: CaseSpec) -> List[TupleBound]:
     """All weight tuples with integral conformal-weight sum, with bounds."""
-    t = _CaseTables(c)
+    t = _CaseTables(c, invariant_norm(c)[0])
     d = t.scale
     out: List[TupleBound] = []
     for idx, s_cw, s_nm in scan(t):
@@ -364,7 +541,7 @@ class TupleGrid:
 def tuple_grid(c: CaseSpec) -> TupleGrid:
     """The exhaustive scan of `scan` for h, broadcast in numpy so that the
     10^6 tuples of a2x6 take well under a second."""
-    t = _CaseTables(c)
+    t = _CaseTables(c, invariant_norm(c)[0])
     d = t.scale
     n = len(t.weights)
 
@@ -415,7 +592,7 @@ def root_loop_shift_ok(c: CaseSpec) -> bool:
         x = fraction_coords(hi)
         for root in rs.roots:
             # the integer root carries the covector, h the rational side
-            if rs.ip(root, x) < -1:
+            if root_ip(rs, root, x) < -1:
                 return False
     return True
 
@@ -471,14 +648,14 @@ def typed_components_of_subsystem(
         while changed:
             changed = False
             for v in list(unused):
-                if any(rs.ip(v, w) != 0 for w in comp):
+                if any(root_ip(rs, v, w) != 0 for w in comp):
                     comp.append(v)
                     unused.remove(v)
                     changed = True
         comps.append(comp)
     typed: List[Tuple[SimpleType, Q]] = []
     for comp in comps:
-        gram = [[rs.ip(x, y) for y in comp] for x in comp]
+        gram = [[root_ip(rs, x, y) for y in comp] for x in comp]
         ty = classify_simple_system(gram)
         long_norm = max(gram[i][i] for i in range(len(comp)))
         typed.append((ty, Q(level) * 2 / long_norm))
@@ -621,6 +798,10 @@ def backtracking_admits(c: CandidateAlgebra, target: SemisimpleTypeWithLevels):
 # --- eta powers -----------------------------------------------------------
 
 
+def series_one(trunc: Q | int) -> PuiseuxSeries:
+    return PuiseuxSeries.make(1, {0: Q(1)}, Q(trunc))
+
+
 def monomial(exp: Q, coeff: Q, trunc: Q | int) -> PuiseuxSeries:
     e = Q(exp)
     return PuiseuxSeries.make(e.denominator, {e.numerator: coeff}, Q(trunc))
@@ -640,8 +821,8 @@ def series_inverse(f: PuiseuxSeries) -> PuiseuxSeries:
         f.trunc - v,
     )
     trunc_u = f.trunc - v
-    acc = PuiseuxSeries.one(trunc_u)
-    term = PuiseuxSeries.one(trunc_u)
+    acc = series_one(trunc_u)
+    term = series_one(trunc_u)
     sv = s.valuation()
     if sv <= 0:
         raise AssertionError("expected positive valuation remainder")
@@ -674,7 +855,7 @@ def euler_pentagonal(terms: int) -> PuiseuxSeries:
 def series_pow(f: PuiseuxSeries, n: int) -> PuiseuxSeries:
     """f^n by repeated products (of the inverse for n < 0)."""
     if n == 0:
-        return PuiseuxSeries.one(f.trunc - f.valuation())
+        return series_one(f.trunc - f.valuation())
     base = f if n > 0 else series_inverse(f)
     out = base
     for _ in range(abs(n) - 1):
@@ -696,7 +877,7 @@ def substitute_scaled(f: PuiseuxSeries, s: Q) -> PuiseuxSeries:
 def product_one_minus_qn_power(m: int, terms: int) -> PuiseuxSeries:
     """prod_{n>=1} (1 - x^n)^m up to (and excluding) x^(terms+1)."""
     trunc = Q(terms + 1)
-    acc = PuiseuxSeries.one(trunc)
+    acc = series_one(trunc)
     if m == 0:
         return acc
     if m < 0:
@@ -706,7 +887,7 @@ def product_one_minus_qn_power(m: int, terms: int) -> PuiseuxSeries:
         piece = product_one_minus_qn_power(half, terms)
         acc = piece * piece
     if m % 2:
-        base = PuiseuxSeries.one(trunc)
+        base = series_one(trunc)
         for n in range(1, terms + 1):
             base = base * PuiseuxSeries.make(1, {0: Q(1), n: Q(-1)}, trunc)
         acc = acc * base
@@ -811,7 +992,7 @@ def traced_dimension_formula(trunc: int) -> Tuple[Q, Q, Q, Q]:
     sum_i Z(S T^i t) read as 3 times that of the traced Z(S t)."""
     total = [a + b for a, b in zip(LAURENT_TABLE[0], (0, 0, 0, -12))]
     for n, cn in LAURENT_TABLE.items():
-        series = PuiseuxSeries.one(trunc) if n == 0 else f_power_at_S(n, trunc)
+        series = series_one(trunc) if n == 0 else f_power_at_S(n, trunc)
         gamma = omega_trace(series).coeff(0)
         total = [t + 3 * gamma * c for t, c in zip(total, cn)]
     return tuple(total)

@@ -65,7 +65,9 @@ def test_criterion_3_twisted_minima():
     ok = True
     for case_id in ("e6g2", "a2x6", "a5d4"):
         spec = BUILTIN_CASES[case_id].case_spec()
-        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(spec)
+        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(
+            spec, invariant_norm(spec)[0]
+        )
         vacuum = all(all(c == 0 for c in w) for w in wit_pos) and all(
             all(c == 0 for c in w) for w in wit_neg
         )

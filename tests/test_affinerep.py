@@ -10,6 +10,7 @@ from helpers import (
     fraction_level_weights,
     fraction_lowest_weight,
     root_filter_fixed_subalgebra,
+    root_ip,
     semisimple_rank,
     weyl_dim,
 )
@@ -59,7 +60,7 @@ def test_tables_sorted_and_admissible():
     assert weights == sorted(weights)
     r = rs(A2_3)
     for row in table.rows:
-        assert r.ip(row.weight, r.theta) <= 3
+        assert root_ip(r, row.weight, r.theta) <= 3
         assert row.conformal_weight >= 0
 
 

@@ -538,3 +538,24 @@ def test_broken_glue_code_exits_1(capsys, monkeypatch, name, isometry, old, new)
         main(["lattice", "--name", name, "--isometry", isometry])
     assert exc.value.code == 1
     assert capsys.readouterr().err == "error: InvariantError: lattice is not integral\n"
+
+
+def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):
+    # each D4^6 glue generator doubles the code, so the lattice without one
+    # has index 2 in a unimodular lattice: Gram determinant 4, exit 1
+    code = latticevoa.NI_D4_6
+    for k in range(len(code.generators)):
+        short = dataclasses.replace(
+            code, generators=code.generators[:k] + code.generators[k + 1:]
+        )
+        with pytest.raises(InvariantError, match="determinant 4, not 1$"):
+            latticevoa.assemble_niemeier(short)
+        for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
+            fn.cache_clear()
+        monkeypatch.setattr(latticevoa, "NI_D4_6", short)
+        with pytest.raises(SystemExit) as exc:
+            main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == (
+            "error: InvariantError: assembled lattice has determinant 4, not 1\n"
+        )

@@ -1,12 +1,17 @@
+import itertools
 import random
 from fractions import Fraction as Q
 from math import gcd, lcm
 
 import pytest
 
-from orbifold24.exactmath import det, integer_kernel, inverse, kernel, rank
+from orbifold24.exactmath import (
+    hnf_with_transform, integer_row_kernel, inverse, mat_mul, rank, transpose,
+)
 
-from helpers import OMEGA, Cyclo3, ResidualExceeded, float_eigen
+from helpers import (
+    OMEGA, Cyclo3, ResidualExceeded, det, float_eigen, integer_kernel, kernel,
+)
 
 
 def rand_q(rng):
@@ -312,3 +317,79 @@ def test_matrix_inverse_roundtrip():
             continue
         assert matmul(a, inverse(a)) == identity(n)
         assert matmul(inverse(a), a) == identity(n)
+
+
+# the row Hermite normal form, the one elimination behind rank and inverse
+
+
+def hnf_cases():
+    """Seeded integer matrices: square, wide, tall (30 x 24, the shape of
+    assemble_niemeier's generators), rank-deficient and zero."""
+    rng = random.Random(41)
+    cases = [[[0] * 3 for _ in range(2)], [[0, 1], [1, 0]], [[2], [4], [6]]]
+    for _ in range(40):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append([[rng.randint(-9, 9) if rng.random() < 0.6 else 0
+                       for _ in range(cols)] for _ in range(rows)])
+    for _ in range(10):
+        rows, cols, cap = rng.randint(2, 7), rng.randint(2, 7), rng.randint(1, 2)
+        left = [[rng.randint(-3, 3) for _ in range(cap)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(cap)]
+        cases.append(mat_mul(left, right))
+    # den times the unit rows, then glue rows, as in assemble_niemeier
+    tall = [[3 * int(i == j) for j in range(24)] for i in range(24)]
+    tall += [[rng.choice((0, 0, 1, 2, -1)) for _ in range(24)] for _ in range(6)]
+    cases.append(tall)
+    return cases
+
+
+def test_hnf_is_unimodular_transform():
+    for m in hnf_cases():
+        h, u = hnf_with_transform(m)
+        assert h == mat_mul(u, m)
+        assert abs(det(u)) == 1
+        assert all(type(x) is int for row in h + u for x in row)
+
+
+def test_hnf_is_echelon_with_reduced_pivots():
+    deficient = 0
+    for m in hnf_cases():
+        h, _ = hnf_with_transform(m)
+        pivots = [next((c for c, x in enumerate(row) if x), None) for row in h]
+        nonzero = [p for p in pivots if p is not None]
+        # zero rows last, pivot columns strictly increasing
+        assert pivots[: len(nonzero)] == nonzero
+        assert nonzero == sorted(set(nonzero))
+        assert len(nonzero) == rank(m) == len(reference_rref(m)[1])
+        deficient += len(nonzero) < min(len(m), len(m[0]))
+        for t, c in enumerate(nonzero):
+            assert h[t][c] > 0
+            assert all(0 <= h[i][c] < h[t][c] for i in range(t))
+    assert deficient >= 10
+
+
+def in_integer_span(basis, x):
+    """Whether x is an integer combination of the rows of a full-rank basis."""
+    if not basis:
+        return not any(x)
+    g = mat_mul(basis, transpose(basis))
+    c = mat_mul(mat_mul([x], transpose(basis)), inverse(g))[0]
+    return all(v.denominator == 1 for v in c) and mat_mul([c], basis)[0] == list(x)
+
+
+def test_integer_row_kernel_spans_and_is_saturated():
+    rng = random.Random(5)
+    cases = [[[2], [4]], [[3, 0], [0, 3], [3, 3]], [[0, 0], [0, 0]]]
+    for _ in range(30):
+        rows, cols = rng.randint(2, 4), rng.randint(1, 3)
+        cases.append([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)])
+    for m in cases:
+        basis = integer_row_kernel(m)
+        cols = len(m[0])
+        # a basis of the rational kernel: independent, in it, and as many
+        assert len(basis) == len(kernel(m)) == rank(basis)
+        assert mat_mul(basis, m) == [[0] * cols for _ in basis]
+        # saturated: every small integer kernel vector is a Z-combination
+        for x in itertools.product(range(-3, 4), repeat=len(m)):
+            if all(sum(x[i] * m[i][j] for i in range(len(m))) == 0 for j in range(cols)):
+                assert in_integer_span(basis, x), (m, x)

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from orbifold24 import cases, latticevoa
-from orbifold24.exactmath import InvariantError, integer_kernel, rank
+from orbifold24.exactmath import InvariantError, mat_mul, rank, transpose
 from orbifold24.latticevoa import (
     NI_D4_6,
     NI_E6_4,
@@ -19,6 +19,7 @@ from orbifold24.latticevoa import (
     assemble_niemeier,
     build_isometry,
     count_orthogonal_subsystems,
+    digit_add,
     disc_digit_action,
     fixed_projection_norm,
     fixed_subalgebra,
@@ -27,10 +28,8 @@ from orbifold24.latticevoa import (
     glue_automorphism_group_order,
     identify_type,
     lattice_from_basis,
-    mat_mul,
     sigma4_candidates,
     standard_lift,
-    transpose,
     twisted_ground_energy,
     types_with_ratio,
     weight_one_algebra,
@@ -55,6 +54,7 @@ from helpers import (
     fraction_slot_maps_to_isometry,
     full_killing,
     generic_centralizer,
+    integer_kernel,
     inverse_lift,
     ip_coords,
     is_identity,
@@ -92,6 +92,17 @@ def test_glue_code_words():
     # minimum weights justify the root-count argument
     assert min(sum(1 for d in w if d) for w in NI_E6_4.words() if any(w)) == 3
     assert min(sum(1 for d in w if d) for w in NI_D4_6.words() if any(w)) == 4
+
+
+@pytest.mark.parametrize("t", [SimpleType("E", 6), SimpleType("D", 4)], ids=str)
+def test_digit_addition_matches_coset_representatives(t):
+    # digit_add is the group law of the discriminant group: the sum of two
+    # coset representatives lies in the coset of the added digit
+    reps = latticevoa._digit_reps(t)
+    for a in range(len(reps)):
+        for b in range(len(reps)):
+            diff = [x + y - z for x, y, z in zip(reps[a], reps[b], reps[digit_add(t, a, b)])]
+            assert all(x.denominator == 1 for x in diff), (a, b)
 
 
 def test_assembly_even_unimodular(ne6, nd4):
@@ -839,21 +850,16 @@ def test_twisted_ground_energies(ne6, nd4):
     s2 = build_isometry(nd4, "sigma2")
     rho2, mults2 = twisted_ground_energy(s2)
     assert rho2 == Q(4, 3) and mults2 == [0, 12, 12]
-    # identity
+    # only order 3 is supported: the identity and the negation are refused
     n = ne6.rank
-    ident = LatticeIsometry(
-        ne6,
-        tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        "id",
-    )
-    assert twisted_ground_energy(ident)[0] == 0
-    # negation: rho = rank / 16
-    neg = LatticeIsometry(
-        ne6,
-        tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n)),
-        "neg",
-    )
-    assert twisted_ground_energy(neg)[0] == Q(24, 16)
+    for sign, order in ((1, 1), (-1, 2)):
+        g = LatticeIsometry(
+            ne6,
+            tuple(tuple(sign if i == j else 0 for j in range(n)) for i in range(n)),
+            f"{sign}",
+        )
+        with pytest.raises(InvariantError, match=f"of order {order}$"):
+            twisted_ground_energy(g)
 
 
 def test_ground_energy_symmetric_under_inversion(ne6):

@@ -16,9 +16,11 @@ from helpers import (
     nondominant_direction,
     rational_direction,
     root_affine_diagram,
+    root_ip,
     semisimple_rank,
     simple_root_coords,
     total_multiplicity,
+    weight_system,
     weyl_dim,
 )
 from orbifold24.affinerep import n_min
@@ -35,7 +37,6 @@ from orbifold24.rootdata import (
     kac_fixed_subalgebra,
     lowest_weight,
     scaled_coords,
-    weight_system,
 )
 
 AFFINE_ORACLE_TYPES = (
@@ -75,7 +76,7 @@ def test_roots_closed_under_negation_and_reflection(fam, rank):
 
 def test_g2_norms():
     rs = build_root_system(SimpleType("G", 2))
-    norms = sorted(rs.norm_of(r) for r in rs.roots)
+    norms = sorted(root_ip(rs, r, r) for r in rs.roots)
     assert norms[:6] == [Q(2, 3)] * 6 and norms[6:] == [Q(2)] * 6
 
 
@@ -86,9 +87,9 @@ def unit(rs, i):
 
 def test_inner_products():
     g2 = build_root_system(SimpleType("G", 2))
-    assert g2.ip(unit(g2, 0), unit(g2, 0)) == Q(2, 3)
+    assert root_ip(g2, unit(g2, 0), unit(g2, 0)) == Q(2, 3)
     a5 = build_root_system(SimpleType("A", 5))
-    assert a5.ip(unit(a5, 2), unit(a5, 2)) == Q(3, 2)
+    assert root_ip(a5, unit(a5, 2), unit(a5, 2)) == Q(3, 2)
 
 
 @pytest.mark.parametrize("fam,rank", sorted(ROOT_COUNTS))
@@ -96,7 +97,7 @@ def test_weight_root_duality(fam, rank):
     rs = build_root_system(SimpleType(fam, rank))
     for i in range(rs.rank):
         for j in range(rs.rank):
-            lhs = rs.ip(unit(rs, i), rs.simple_roots[j])
+            lhs = root_ip(rs, unit(rs, i), rs.simple_roots[j])
             want = rs.gram[j][j] / 2 if i == j else Q(0)
             assert lhs == want
 
@@ -117,7 +118,7 @@ def test_integer_form_matches_fraction_gram(name):
     assert rs.form == [[x * rs.scale for x in row] for row in gram]
     for v in rs.roots + rs.simple_roots + [rs.theta, rs.rho]:
         assert all(type(c) is int for c in v)
-    assert rs.marks[0] == 1 and rs.norm_of(rs.theta) == 2
+    assert rs.marks[0] == 1 and root_ip(rs, rs.theta, rs.theta) == 2
     assert rs.theta == tuple(
         sum(m * a[k] for m, a in zip(rs.marks[1:], rs.simple_roots))
         for k in range(rs.rank)
@@ -134,7 +135,7 @@ def test_ip_matches_fraction_oracle_on_roots(name):
         rng = random.Random(name)
         pairs = [(rng.choice(rs.roots), rng.choice(rs.roots)) for _ in range(2000)]
     for a, b in pairs:
-        got = rs.ip(a, b)
+        got = root_ip(rs, a, b)
         assert isinstance(got, Q) and got == fraction_ip(gram, a, b)
 
 
@@ -149,7 +150,7 @@ def test_ip_matches_fraction_oracle_on_rational_weights(name):
 
     for _ in range(50):
         x, y = rational_weight(), rational_weight()
-        assert rs.ip(x, y) == fraction_ip(gram, x, y)
+        assert root_ip(rs, x, y) == fraction_ip(gram, x, y)
 
 
 @pytest.mark.parametrize("name", ["A2", "B3", "C3", "D4", "G2"])
@@ -307,7 +308,7 @@ def test_dominant_conjugate_properties(name):
         top = tuple(Q(x, den) for x in scaled_top)
         assert min(top) >= 0
         assert top == fraction_dominant_conjugate(rs, h)
-        assert rs.norm_of(top) == rs.norm_of(h)
+        assert root_ip(rs, top, top) == root_ip(rs, h, h)
         # den * (h+ - h) is a non-negative integer combination of simple
         # roots, den * h being integral; den = 1 for a weight-lattice h
         diff = [a - b for a, b in zip(top, h)]

@@ -1,0 +1,58 @@
+"""Every definition in the package has a caller in the package.
+
+Code that only the tests use lives in `tests/helpers.py`.  This scan finds
+each class, function and non-dunder method defined in `src/orbifold24` and
+requires its name to appear elsewhere in the package, as a name, an
+attribute or an import; a use inside its own definition does not count.
+"""
+
+import ast
+from pathlib import Path
+
+import orbifold24
+
+SRC = Path(orbifold24.__file__).parent
+
+# planned to become a report step; until then only the tests call it
+EXEMPT = {"latticevoa.LiftedAutomorphism.verify_automorphism"}
+
+
+def definitions(tree):
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def uses(tree):
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            yield n.id, n.lineno
+        elif isinstance(n, ast.Attribute):
+            yield n.attr, n.lineno
+        elif isinstance(n, ast.ImportFrom):
+            for alias in n.names:
+                yield alias.name, n.lineno
+
+
+def test_every_src_definition_is_used_in_src():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    used = {mod: list(uses(tree)) for mod, tree in trees.items()}
+    unused = []
+    for mod, tree in trees.items():
+        for qual, node in definitions(tree):
+            name = qual.rsplit(".", 1)[-1]
+            inside = range(node.lineno, node.end_lineno + 1)
+            if not any(
+                n == name and not (m == mod and line in inside)
+                for m, refs in used.items()
+                for n, line in refs
+            ):
+                unused.append(f"{mod}.{qual}")
+    assert sorted(unused) == sorted(EXEMPT)
