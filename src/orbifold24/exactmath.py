@@ -2,10 +2,11 @@
 
 Exact scalars are `int` or `fractions.Fraction`, and matrices are dense
 lists of rows acting on row vectors.  Every rank, inverse, unimodularity
-test and integer kernel in the package comes from `hnf_with_transform`,
-the row Hermite normal form of an integer matrix with its unimodular
-transform; a rational matrix enters it with each row cleared of its
-denominators.  The package has no floating-point step.
+test and integer kernel in the package comes from one reduction, the row
+Hermite normal form of an integer matrix: `hnf_with_transform` carries
+the unimodular transform along, and `rank` reduces without it.  A
+rational matrix enters with each row cleared of its denominators.  The
+package has no floating-point step.
 """
 
 from __future__ import annotations
@@ -55,9 +56,15 @@ def hnf_with_transform(
     positive, and every entry above a pivot lies in [0, pivot).  Each row
     of m is reduced together with its row of U, appended to its right.
     """
-    rows = len(m)
     cols = len(m[0]) if m else 0
-    a = [list(row) + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+    a = _hnf([list(row) + e for row, e in zip(m, identity(len(m)))], cols)
+    return [row[:cols] for row in a], [row[cols:] for row in a]
+
+
+def _hnf(a: List[List[int]], cols: int) -> List[List[int]]:
+    """The rows a, reduced in place to Hermite normal form on their first
+    cols entries; any entries past those ride along in each row operation."""
+    rows = len(a)
     r = 0
     for c in range(cols):
         if r == rows:
@@ -89,7 +96,7 @@ def hnf_with_transform(
                 if q:
                     a[i] = [s - q * t for s, t in zip(a[i], pr)]
             r += 1
-    return [row[:cols] for row in a], [row[cols:] for row in a]
+    return a
 
 
 def integer_row_kernel(m: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -110,9 +117,9 @@ def _cleared_rows(m: Matrix) -> Tuple[List[List[int]], List[int]]:
 
 
 def rank(m: Matrix) -> int:
-    """Rank over Q: the number of nonzero rows of the Hermite normal form."""
-    h, _ = hnf_with_transform(_cleared_rows(m)[0])
-    return sum(1 for row in h if any(row))
+    """Rank over Q: the nonzero rows of the Hermite normal form, without U."""
+    rows = _cleared_rows(m)[0]
+    return sum(1 for row in _hnf(rows, len(rows[0]) if rows else 0) if any(row))
 
 
 def inverse(m: Matrix) -> List[List[Q]]:

@@ -41,6 +41,7 @@ from .exactmath import (
     mat_mul, rank, transpose,
 )
 from .rootdata import SemisimpleTypeWithLevels, SimpleType, build_root_system
+from .schellekens import enumerate_candidates
 
 Vec = Tuple[Q, ...]
 IntVec = Tuple[int, ...]
@@ -331,7 +332,7 @@ def _matrix_order(matrix: Tuple[IntVec, ...]) -> int:
         if cur == ident:
             return k
         cur = mat_mul(cur, matrix)
-    raise ValueError("order exceeds 12")
+    raise InvariantError("order exceeds 12")
 
 
 @lru_cache(maxsize=None)
@@ -339,6 +340,11 @@ def _fixed_coords(matrix: Tuple[IntVec, ...]) -> Tuple[IntVec, ...]:
     """Basis of the fixed sublattice: the integer kernel of matrix - 1."""
     m = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
     return tuple(tuple(r) for r in integer_row_kernel(m))
+
+
+class _LatticeNotPreserved(InvariantError):
+    """Per-component maps that do not send the lattice to itself; the
+    isometry search catches it and tries its next candidate."""
 
 
 def _slot_maps_to_isometry(
@@ -368,7 +374,7 @@ def _slot_maps_to_isometry(
                             img[b0 + j] += x * v
         coords = lat.coords_of(img, lat.scale)
         if coords is None:
-            raise ValueError("candidate isometry does not preserve the lattice")
+            raise _LatticeNotPreserved("candidate isometry does not preserve the lattice")
         out.append(coords)
     return LatticeIsometry(lat, tuple(out), name)
 
@@ -570,7 +576,7 @@ def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
             try:
                 iso = _slot_maps_to_isometry(lat, [(c, cand) for c in range(6)], name)
                 break
-            except ValueError:
+            except _LatticeNotPreserved:
                 continue
         if iso is None:
             raise InvariantError("no orientation of the rotation preserves the glue")
@@ -581,7 +587,7 @@ def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
         for slot_maps in sigma4_candidates():
             try:
                 cand = _slot_maps_to_isometry(lat, slot_maps, name)
-            except ValueError:
+            except _LatticeNotPreserved:
                 continue
             if cand.order() == 3:
                 iso = cand
@@ -1185,38 +1191,13 @@ def _killing(
     return kill
 
 
-def _simple_types(max_dim: int) -> List[SimpleType]:
-    """Every simple Lie algebra of dimension at most max_dim, named once:
-    B from rank 3 and D from rank 4, since B2 = C2 and D3 = A3."""
-    types = [SimpleType("G", 2), SimpleType("F", 4)]
-    types += [SimpleType("E", n) for n in (6, 7, 8)]
-    for family, first in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
-        n = first
-        while SimpleType(family, n).dim() <= max_dim:
-            types.append(SimpleType(family, n))
-            n += 1
-    return sorted(t for t in types if t.dim() <= max_dim)
-
-
 def types_with_ratio(r: Q, dim: int) -> List[Tuple[Tuple[SimpleType, int], ...]]:
     """Every multiset of simple ideals (type X, positive integer level k)
     with 2 h-dual(X) / k = r and total dimension dim, each as a sorted
-    tuple, in lexicographic order."""
+    tuple: the candidates of `enumerate_candidates` at ratio r / 2."""
     if r <= 0:
         return []
-    levels = [(t, Q(2 * t.dual_coxeter_number()) / r) for t in _simple_types(dim)]
-    parts = [(t, int(k)) for t, k in levels if k.denominator == 1]
-    out: List[Tuple[Tuple[SimpleType, int], ...]] = []
-
-    def extend(start: int, left: int, chosen: Tuple[Tuple[SimpleType, int], ...]) -> None:
-        if left == 0:
-            out.append(chosen)
-        for i in range(start, len(parts)):
-            if parts[i][0].dim() <= left:
-                extend(i, left - parts[i][0].dim(), chosen + (parts[i],))
-
-    extend(0, dim, ())
-    return out
+    return [c.value.ideals for c in enumerate_candidates(dim, Q(r, 2))]
 
 
 def _check_orbit_blocks(sub: FixedSubalgebra) -> None:

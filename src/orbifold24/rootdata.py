@@ -91,6 +91,19 @@ class SimpleType:
         return self.dim() - self.rank
 
 
+def simple_types(max_dim: int) -> List[SimpleType]:
+    """Every simple Lie algebra of dimension at most max_dim, named once:
+    B from rank 3 and D from rank 4, since B2 = C2 and D3 = A3."""
+    types = [SimpleType("G", 2), SimpleType("F", 4)]
+    types += [SimpleType("E", n) for n in (6, 7, 8)]
+    for family, first in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
+        n = first
+        while SimpleType(family, n).dim() <= max_dim:
+            types.append(SimpleType(family, n))
+            n += 1
+    return sorted(t for t in types if t.dim() <= max_dim)
+
+
 def _simply_laced_gram(rank: int, edges: Sequence[Tuple[int, int]]) -> List[List[Q]]:
     g = [[Q(0)] * rank for _ in range(rank)]
     for i in range(rank):

@@ -16,13 +16,14 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from operator import add, le
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from .rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
     _affine_diagram,
     kac_fixed_subalgebra,
+    simple_types,
 )
 
 Ideal = Tuple[SimpleType, int]
@@ -47,26 +48,11 @@ def simple_ideals_with_ratio(r: Q | int, dim_cap: int) -> List[Ideal]:
         raise ValueError("ratio must be positive")
     num, den = Q(r).as_integer_ratio()
     out: List[Ideal] = []
-
-    def consider(t: SimpleType) -> None:
+    for t in simple_types(dim_cap):
         k, rem = divmod(t.dual_coxeter_number() * den, num)
-        if not rem and k >= 1 and t.dim() <= dim_cap:
+        if not rem and k >= 1:
             out.append((t, k))
-
-    for family, start in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
-        rank = start
-        while SimpleType(family, rank).dim() <= dim_cap:
-            consider(SimpleType(family, rank))
-            rank += 1
-    for t in (
-        SimpleType("E", 6),
-        SimpleType("E", 7),
-        SimpleType("E", 8),
-        SimpleType("F", 4),
-        SimpleType("G", 2),
-    ):
-        consider(t)
-    return sorted(out)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -113,15 +99,55 @@ class FixedOption:
 
 
 @lru_cache(maxsize=None)
-def _inner_options_at_level_one(t: SimpleType) -> Tuple[SemisimpleTypeWithLevels, ...]:
-    """Kac fixed subalgebras of the inner order-3 classes of t at level 1,
-    each once, with int levels.
+def _diagram_automorphisms(t: SimpleType) -> Tuple[Tuple[int, ...], ...]:
+    """The node permutations p with gram[p[i]][p[j]] == gram[i][j] for the
+    scaled Gram matrix of t's affine diagram.
 
+    Every partial map grows by one node at a time, in breadth-first order
+    from node 0: a later node goes to a neighbour of a placed neighbour's
+    image and is compared with its placed neighbours only.  An injective map
+    sending edges to equal edges is a bijection on the edges, whose counts
+    agree, so non-edges go to non-edges unchecked."""
+    gram = _affine_diagram(t)[0]
+    n = len(gram)
+    nbrs = [[j for j in range(n) if j != i and gram[i][j]] for i in range(n)]
+    order = [0]
+    for i in order:  # grows while it is walked: a breadth-first search
+        order.extend(j for j in nbrs[i] if j not in order)
+    maps: List[Tuple[int, ...]] = [()]  # images of order[:d]
+    for d, v in enumerate(order):
+        back = [(e, gram[u][v]) for e, u in enumerate(order[:d]) if u in nbrs[v]]
+        maps = [
+            m + (w,)
+            for m in maps
+            for w in (nbrs[m[back[0][0]]] if back else range(n))
+            if w not in m and gram[w][w] == gram[v][v]
+            and all(gram[m[e]][w] == g for e, g in back)
+        ]
+    return tuple(tuple(m[order.index(i)] for i in range(n)) for m in maps)
+
+
+@lru_cache(maxsize=None)
+def _inner_options_at_level_one(t: SimpleType) -> Tuple[SemisimpleTypeWithLevels, ...]:
+    """Kac fixed subalgebras at level 1 with int levels, one per inner
+    order-3 class of t up to Aut(t): the class table, where `.count(option)`
+    counts the classes with that fixed type.
+
+    The classes are the label vectors modulo the affine diagram's
+    automorphisms (Kac, Infinite-Dimensional Lie Algebras, ch. 8), which
+    keep the fixed type, so the first vector of each orbit is classified.
     A component's level is k * 2/(long-root norm), linear in the ambient
     level k, so the options at level k scale these levels by k; a positive
     factor keeps each option's ideals in sorted order.
     """
-    return tuple(dict.fromkeys(kac_fixed_subalgebra(t, s) for s in _order3_label_vectors(t)))
+    auts = _diagram_automorphisms(t)
+    seen: Set[Tuple[int, ...]] = set()
+    table = []
+    for s in _order3_label_vectors(t):
+        if s not in seen:
+            seen.update(tuple(s[i] for i in p) for p in auts)
+            table.append(kac_fixed_subalgebra(t, s))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -129,17 +155,18 @@ def order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
     """Fixed-subalgebra types realizable by an order-3 automorphism of one ideal.
 
     Includes the trivial class (the ideal itself).  Inner options come from
-    Kac's theorem over the full affine-label enumeration: the sub-diagram on
-    the nodes labelled 0 plus a centre of rank (#nonzero labels - 1); ADE
-    inner fixed ideals keep the ambient level.  Outer options exist only for
-    D4: the branch rotation fixes A2 at triple level or G2 at the ambient
-    level.  The options come sorted by (kind, str(result)), the order in
-    which the search tries them.  Levels are ints, and each result's ideals
-    are built in sorted order, so no result goes through `of`.
+    Kac's theorem, one label vector per orbit of the affine diagram's
+    automorphisms: the sub-diagram on the nodes labelled 0 plus a centre of
+    rank (#nonzero labels - 1), each fixed type once; ADE inner fixed ideals
+    keep the ambient level.  Outer options exist only for D4: the branch
+    rotation fixes A2 at triple level or G2 at the ambient level.  The
+    options come sorted by (kind, str(result)), the order in which the
+    search tries them.  Levels are ints, and each result's ideals are built
+    in sorted order, so no result goes through `of`.
     """
     new = SemisimpleTypeWithLevels
     options = [FixedOption(new(((t, level),)), "trivial")]
-    for opt in _inner_options_at_level_one(t):
+    for opt in dict.fromkeys(_inner_options_at_level_one(t)):
         scaled = tuple((ty, k * level) for ty, k in opt.ideals)
         options.append(FixedOption(new(scaled, opt.abelian_rank), "inner"))
     if t == SimpleType("D", 4):
@@ -152,10 +179,31 @@ Assignment = List[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels]]
 # (count vector over the target's distinct ideals, abelian rank, ideals
 # consumed, nontrivial, witness entry)
 Move = Tuple[Tuple[int, ...], int, int, bool, tuple]
+MoveLists = Callable[[Ideal, bool], List[Move]]
+
+
+def _move_lists(target: SemisimpleTypeWithLevels) -> MoveLists:
+    """The memoised move lists of one target, keyed by (ideal, cycle open)."""
+    keys = dict.fromkeys(target.ideals)  # ordered, with fast membership
+
+    @lru_cache(maxsize=None)
+    def moves(first: Ideal, cycle: bool) -> List[Move]:
+        entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
+        if cycle:
+            diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
+            entries.insert(0, ("cycle", (first,) * 3, diag))
+        return [
+            (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
+             kind != "trivial", (kind, consumed, res))
+            for kind, consumed, res in entries
+            if all(key in keys for key in res.ideals)
+        ]
+
+    return moves
 
 
 def admits_order3_with_fixed(
-    c: CandidateAlgebra, target: SemisimpleTypeWithLevels
+    c: CandidateAlgebra, target: SemisimpleTypeWithLevels, *, _moves: MoveLists | None = None
 ) -> Tuple[bool, Optional[Assignment]]:
     """Whether some order-3 automorphism of c has fixed subalgebra target.
 
@@ -170,10 +218,12 @@ def admits_order3_with_fixed(
     rank, and depends only on the ideal and on whether the cycle is open, so
     positions that agree on both share one move list, built when first
     reached; moves naming an ideal the target lacks are dropped from it.
-    The cycle is tried first, then the options by (kind, str(result)); only
-    failed states are remembered, so the first witness found is that of
-    plain backtracking."""
-    keys = dict.fromkeys(target.ideals)  # ordered, with fast membership
+    `filter_candidates` passes one `_move_lists(target)` to every candidate
+    of its query as `_moves`.  The cycle is tried first, then the options
+    by (kind, str(result)); only failed states are remembered, so the first
+    witness found is that of plain backtracking."""
+    moves = _moves or _move_lists(target)
+    keys = dict.fromkeys(target.ideals)
     cap = tuple(map(target.ideals.count, keys))
     cap_ab = target.abelian_rank
     ideals = sorted(c.ideals())
@@ -181,19 +231,6 @@ def admits_order3_with_fixed(
     at = [(x, p + 2 < n and ideals[p + 2] == x) for p, x in enumerate(ideals)]
     dead: Set[Tuple[int, Tuple[int, ...], int, bool]] = set()
     witness: Assignment = []
-
-    @lru_cache(maxsize=None)
-    def moves(first: Ideal, cycle: bool) -> List[Move]:
-        entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
-        if cycle:
-            diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
-            entries.insert(0, ("cycle", (first,) * 3, diag))
-        return [
-            (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
-             kind != "trivial", (kind, consumed, res))
-            for kind, consumed, res in entries
-            if all(key in keys for key in res.ideals)
-        ]
 
     def rec(p: int, counts: Tuple[int, ...], ab: int, nontrivial: bool) -> bool:
         if p == n:
@@ -221,6 +258,8 @@ def filter_candidates(
     candidates: Sequence[CandidateAlgebra], target: SemisimpleTypeWithLevels
 ) -> List[Tuple[CandidateAlgebra, Assignment]]:
     """Candidates admitting an order-3 automorphism with the target fixed
-    type, each with the witness that `admits_order3_with_fixed` found."""
-    found = [(c, admits_order3_with_fixed(c, target)) for c in candidates]
+    type, each with the witness that `admits_order3_with_fixed` found; the
+    candidates share the target's move lists."""
+    moves = _move_lists(target)
+    found = [(c, admits_order3_with_fixed(c, target, _moves=moves)) for c in candidates]
     return [(c, witness) for c, (ok, witness) in found if ok]

@@ -17,11 +17,16 @@ against, and helpers that only the tests need.
   Kac's theorem in `schellekens`; the `Fraction` option build, one Kac
   classification per label vector with levels 2/(b|b) rescaled per ambient
   level (`fraction_kac_ideals`, `fraction_order3_fixed_options`), against
-  the integer level-1 tables; the affine diagram read off the generated
-  root system (`root_affine_diagram`) against `rootdata._affine_diagram`,
-  which reaches theta by reflections; the plain backtracking search over
-  `Counter`s (`backtracking_admits`) against the count-vector search with
-  its failure memo in `schellekens.admits_order3_with_fixed`.
+  the integer level-1 tables, which classify one vector per orbit of the
+  affine diagram's automorphisms; those automorphisms as the
+  Gram-preserving permutations out of all of them
+  (`brute_force_diagram_automorphisms`) against the breadth-first search
+  in `schellekens._diagram_automorphisms`; the affine diagram read off the
+  generated root system (`root_affine_diagram`) against
+  `rootdata._affine_diagram`, which reaches theta by reflections; the
+  plain backtracking search over `Counter`s (`backtracking_admits`)
+  against the count-vector search with its failure memo in
+  `schellekens.admits_order3_with_fixed`.
 * Eta powers: series inversion, powers by repeated products, the
   product expansion of prod (1 - x^n)^m (`product_f_power_at_S`) and
   Euler's pentagonal series (`euler_pentagonal`) against Euler's recurrence
@@ -106,6 +111,7 @@ from orbifold24.latticevoa import (
     LatticeLieAlgebra,
     LiftedAutomorphism,
     Weight,
+    _LatticeNotPreserved,
     _check_grading,
     _disc_automorphisms,
     _killing,
@@ -746,6 +752,17 @@ def root_affine_diagram(t: SimpleType) -> Tuple[List[List[int]], IntCoords, int]
     return gram, rs.marks, rs.scale
 
 
+def brute_force_diagram_automorphisms(t: SimpleType) -> Set[Tuple[int, ...]]:
+    """Every permutation p of the affine nodes, out of all (rank + 1)!, with
+    gram[p[i]][p[j]] == gram[i][j] for the scaled node Gram matrix."""
+    gram = _affine_diagram(t)[0]
+    n = len(gram)
+    return {
+        p for p in itertools.permutations(range(n))
+        if all(gram[p[i]][p[j]] == gram[i][j] for i in range(n) for j in range(n))
+    }
+
+
 def backtracking_admits(c: CandidateAlgebra, target: SemisimpleTypeWithLevels):
     """(ok, witness) of the plain backtracking search over Counters: at each
     step the first remaining ideal either opens a 3-cycle with two equal
@@ -1279,8 +1296,8 @@ def fraction_slot_maps_to_isometry(
     name: str,
 ) -> LatticeIsometry:
     """basis * (block-permuted local maps) * basis^-1 in Fractions, with the
-    inverse recomputed from the rational basis; ValueError unless the whole
-    product is integral."""
+    inverse recomputed from the rational basis; _LatticeNotPreserved unless
+    the whole product is integral."""
     basis = [[Q(x, lat.scale) for x in row] for row in lat.basis]
     slices = lat.component_slices()
     dim = lat.rank
@@ -1294,7 +1311,7 @@ def fraction_slot_maps_to_isometry(
     out = []
     for row in m:
         if any(x.denominator != 1 for x in row):
-            raise ValueError("candidate isometry does not preserve the lattice")
+            raise _LatticeNotPreserved("candidate isometry does not preserve the lattice")
         out.append(tuple(int(x) for x in row))
     return LatticeIsometry(lat, tuple(out), name)
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -291,13 +292,61 @@ def test_case_file_keeps_b2_as_written(tmp_path):
 def test_candidate_filter_generates_no_roots(capsys):
     # the order-3 filter reads Kac's data off the affine diagram alone
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one, rootdata._kac_pattern,
-               rootdata._affine_diagram, rootdata.build_root_system):
+               schellekens._inner_options_at_level_one, schellekens._diagram_automorphisms,
+               rootdata._kac_pattern, rootdata._affine_diagram, rootdata.build_root_system):
         fn.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
                                "E6,3 A2,1 A2,1 A2,1"])
     assert code == 0
     assert rootdata.build_root_system.cache_info().misses == 0
+
+
+def test_candidate_filter_work_counts(capsys, monkeypatch):
+    # one Kac classification per orbit of label vectors under the affine
+    # diagram's automorphisms, and one move list per (ideal, cycle open) for
+    # the whole query, shared by its candidates
+    for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
+               schellekens._inner_options_at_level_one, schellekens._diagram_automorphisms,
+               rootdata._kac_pattern):
+        fn.cache_clear()
+    classify = schellekens.kac_fixed_subalgebra
+    options = schellekens.order3_fixed_options
+    admits = schellekens.admits_order3_with_fixed
+    classified, built, tables = Counter(), Counter(), []
+
+    def count_classify(t, s):
+        classified[str(t)] += 1
+        return classify(t, s)
+
+    def count_builds(t, level):
+        # a move list consults its ideal's option table once, when built
+        built[f"{t},{level}"] += 1
+        return options(t, level)
+
+    def record_table(c, target, **internal):
+        tables.append(internal["_moves"])
+        return admits(c, target, **internal)
+
+    monkeypatch.setattr(schellekens, "kac_fixed_subalgebra", count_classify)
+    monkeypatch.setattr(schellekens, "order3_fixed_options", count_builds)
+    monkeypatch.setattr(schellekens, "admits_order3_with_fixed", record_table)
+    code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
+                               "E6,3 A2,1 A2,1 A2,1"])
+    assert code == 0
+    # no move of A11 fits the target, so the first candidate, A11,1 D7,1 E6,1,
+    # fails at its first ideal and D7 is never reached
+    assert classified == {"A11": 18, "E6": 5}
+    # A11 without a cycle; E6 with the cycle open and closed
+    assert built == {"A11,1": 1, "E6,1": 2}
+    assert len(tables) == 2 and all(m is tables[0] for m in tables)
+    # at D = 168 the candidates share A5,1 without a cycle; it is built once
+    built.clear()
+    tables.clear()
+    code, _ = run_cli(capsys, ["candidates", "--dim", "168", "--ratio", "6", "--fixed",
+                               "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"])
+    assert code == 0
+    assert built == {"A5,1": 2, "D4,1": 2}
+    assert len(tables) == 4 and all(m is tables[0] for m in tables)
 
 
 def test_all_zero_kac_labels_exit_1(capsys, monkeypatch):
@@ -306,7 +355,8 @@ def test_all_zero_kac_labels_exit_1(capsys, monkeypatch):
     enumerate_labels = schellekens._order3_label_vectors
     monkeypatch.setattr(schellekens, "_order3_label_vectors",
                         lambda t: enumerate_labels(t) + [(0,) * (t.rank + 1)])
-    caches = (schellekens.order3_fixed_options, schellekens._inner_options_at_level_one)
+    caches = (schellekens.order3_fixed_options, schellekens._inner_options_at_level_one,
+              schellekens._diagram_automorphisms)
     for fn in caches:
         fn.cache_clear()
     try:
@@ -538,6 +588,19 @@ def test_broken_glue_code_exits_1(capsys, monkeypatch, name, isometry, old, new)
         main(["lattice", "--name", name, "--isometry", isometry])
     assert exc.value.code == 1
     assert capsys.readouterr().err == "error: InvariantError: lattice is not integral\n"
+
+
+def test_infinite_order_isometry_exits_1(capsys, monkeypatch):
+    # a shear preserves the D4^6 lattice but has infinite order; the order
+    # check is an internal invariant, so it exits 1, not with the usage code
+    for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
+        fn.cache_clear()
+    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    monkeypatch.setattr(latticevoa, "fpf_d4_matrix", lambda: shear)
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err == "error: InvariantError: order exceeds 12\n"
 
 
 def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):

@@ -5,12 +5,13 @@ from math import gcd, lcm
 
 import pytest
 
+from orbifold24 import exactmath
 from orbifold24.exactmath import (
     hnf_with_transform, integer_row_kernel, inverse, mat_mul, rank, transpose,
 )
 
 from helpers import (
-    OMEGA, Cyclo3, ResidualExceeded, det, float_eigen, integer_kernel, kernel,
+    OMEGA, Cyclo3, ResidualExceeded, _echelon, det, float_eigen, integer_kernel, kernel,
 )
 
 
@@ -155,6 +156,18 @@ def test_oracle_kernel_basis_entry_for_entry():
 def test_oracle_rank():
     for m in oracle_cases():
         assert rank(m) == len(reference_rref(m)[1])
+
+
+def test_rank_matches_fraction_free_oracle_without_the_transform(monkeypatch):
+    # rank reduces the cleared rows alone, never the rows that carry U
+    cases = oracle_cases() + hnf_cases()
+    want = [len(_echelon(m)[1]) for m in cases]
+
+    def no_transform(m):
+        raise AssertionError("rank built the unimodular transform")
+
+    monkeypatch.setattr(exactmath, "hnf_with_transform", no_transform)
+    assert [rank(m) for m in cases] == want
 
 
 def test_oracle_inverse_and_det():

@@ -36,7 +36,7 @@ from orbifold24.latticevoa import (
     weyl_d4_matrix,
 )
 from orbifold24.report import Report
-from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
+from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType, simple_types
 
 import helpers
 from helpers import (
@@ -743,7 +743,7 @@ def test_types_with_ratio_matches_brute_force():
     # level, and k <= 4 already reaches every numerator), every D <= 80
     ratios = {
         Q(2 * t.dual_coxeter_number(), k)
-        for t in latticevoa._simple_types(80) for k in range(1, 7)
+        for t in simple_types(80) for k in range(1, 7)
     }
     for r in ratios:
         want = brute_force_types_with_ratio(r, 80)
@@ -946,7 +946,7 @@ def test_glue_orders_match_permutation_first_oracle():
 def slot_map_decision(certify, lat, slot_maps):
     try:
         return certify(lat, slot_maps, "cand").matrix
-    except ValueError:
+    except latticevoa._LatticeNotPreserved:
         return None
 
 
@@ -993,6 +993,13 @@ def test_isometry_order_and_fixed_basis_are_computed_once():
         twisted_ground_energy(cases.lattice_isometry(name, iso))
     assert latticevoa._matrix_order.cache_info().misses == 3
     assert latticevoa._fixed_coords.cache_info().misses == 3
+
+
+def test_infinite_order_is_an_invariant_error():
+    # a shear never returns to the identity; that is a fault of the program's
+    # own isometry, not a usage error (ValueError)
+    with pytest.raises(InvariantError, match="^order exceeds 12$"):
+        latticevoa._matrix_order(((1, 1), (0, 1)))
 
 
 # 165 on Python 3.11: fpf_d4_matrix, weyl_d4_matrix and the digit action

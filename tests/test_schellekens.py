@@ -5,9 +5,12 @@ from operator import mul
 
 import pytest
 
+from orbifold24 import schellekens
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
-from orbifold24.rootdata import _affine_diagram
+from orbifold24.rootdata import _affine_diagram, simple_types
 from orbifold24.schellekens import (
+    _diagram_automorphisms,
+    _inner_options_at_level_one,
     _order3_label_vectors,
     admits_order3_with_fixed,
     enumerate_candidates,
@@ -18,6 +21,7 @@ from orbifold24.schellekens import (
 
 from helpers import (
     backtracking_admits,
+    brute_force_diagram_automorphisms,
     fraction_order3_fixed_options,
     root_filter_options,
     semisimple_rank,
@@ -233,3 +237,61 @@ def test_count_vector_search_matches_backtracking():
 
 def test_candidates_are_cached_per_dim_and_ratio():
     assert enumerate_candidates(312, Q(12)) is enumerate_candidates(312, 12)
+
+
+# every type of the ratio pools at D = 36, 48, ..., 312, and A23
+POOL_TYPES = sorted({SimpleType("A", 23)} | {
+    t for dim in range(36, 313, 12)
+    for t, _ in simple_ideals_with_ratio(Q(dim - 24, 24), dim)
+})
+
+
+@pytest.mark.parametrize("t", [t for t in simple_types(100) if t.rank <= 6], ids=str)
+def test_diagram_automorphisms_match_brute_force(t):
+    # every type with at most 7 affine nodes, against all (rank + 1)! permutations
+    auts = _diagram_automorphisms(t)
+    assert len(set(auts)) == len(auts)
+    assert set(auts) == brute_force_diagram_automorphisms(t)
+
+
+def test_diagram_automorphisms_compare_bond_values(monkeypatch):
+    # on the real affine diagrams equal norms and adjacency already fix each
+    # bond; on a path whose two bonds differ, only the Gram check rejects
+    # the reversal
+    gram = ((2, -1, 0), (-1, 2, -2), (0, -2, 2))
+    monkeypatch.setattr(schellekens, "_affine_diagram", lambda t: (gram, (1, 1, 1), 1))
+    assert _diagram_automorphisms.__wrapped__(SimpleType("A", 2)) == ((0, 1, 2),)
+
+
+def test_diagram_automorphism_orbit_table():
+    # type: (|Aut|, label vectors, orbits), the class table per type
+    table = {
+        "A5": (12, 50, 6), "A11": (24, 352, 18), "A23": (48, 2576, 60),
+        "D4": (24, 20, 3), "D5": (8, 24, 5), "D7": (8, 32, 7),
+        "E6": (6, 17, 5), "E7": (2, 10, 5), "E8": (1, 4, 4),
+        "B4": (2, 8, 4), "C4": (2, 8, 4), "F4": (1, 3, 3), "G2": (1, 2, 2),
+    }
+    for name, row in table.items():
+        t = SimpleType.parse(name)
+        got = (len(_diagram_automorphisms(t)), len(_order3_label_vectors(t)),
+               len(_inner_options_at_level_one(t)))
+        assert got == row, name
+
+
+def test_orbits_partition_the_label_vectors():
+    # every label vector lies in exactly one orbit, and the class table has
+    # one entry per orbit
+    assert len(POOL_TYPES) > 40
+    for t in POOL_TYPES:
+        vectors = _order3_label_vectors(t)
+        orbits = {frozenset(tuple(s[i] for i in p) for p in _diagram_automorphisms(t))
+                  for s in vectors}
+        assert sum(map(len, orbits)) == len(vectors), t
+        assert set().union(*orbits) == set(vectors), t
+        assert len(_inner_options_at_level_one(t)) == len(orbits), t
+
+
+def test_every_option_has_class_count_one():
+    for t in POOL_TYPES:
+        table = _inner_options_at_level_one(t)
+        assert all(table.count(opt) == 1 for opt in table), t
