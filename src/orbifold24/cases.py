@@ -27,6 +27,7 @@ from .affinerep import (
     n_min,
     sigma_order_on_category,
 )
+from .exactmath import InvariantError
 from .report import Report
 from .rootdata import (
     ScaledCoords,
@@ -35,6 +36,7 @@ from .rootdata import (
     parse_ideal,
     scaled_coords,
 )
+from .schellekens import CandidateAlgebra, Witness
 from .twistbound import (
     CaseSpec,
     invariant_norm,
@@ -176,17 +178,39 @@ def lattice_data(name: str) -> Tuple[latticevoa.EvenLattice, latticevoa.LatticeL
     return lat, latticevoa.weight_one_algebra(lat)
 
 
+# the built-in case whose lattice side each isometry name stands for
+ISOMETRY_CASES = {cf.isometry_name: cf for cf in BUILTIN_CASES.values()}
+
+
 @lru_cache(maxsize=None)
-def lattice_isometry(name: str, isometry: str) -> latticevoa.LatticeIsometry:
-    return latticevoa.build_isometry(lattice_data(name)[0], isometry)
+def builtin_survivors(case_id: str) -> Tuple[Tuple[CandidateAlgebra, Witness], ...]:
+    """A built-in case's survivors of the order-3 filter, with witnesses."""
+    cf = BUILTIN_CASES[case_id]
+    dim = SemisimpleTypeWithLevels.parse(cf.expected_target).dim()
+    cands = schellekens.enumerate_candidates(dim, Q(dim - 24, 24))
+    fixed = SemisimpleTypeWithLevels.parse(cf.expected_fixed)
+    return tuple((c, tuple(w)) for c, w in schellekens.filter_candidates(cands, fixed))
+
+
+def named_witness(isometry: str) -> Witness:
+    """The witness of the one survivor of the isometry name's built-in case."""
+    survivors = builtin_survivors(ISOMETRY_CASES[isometry].case_id)
+    if len(survivors) != 1:
+        raise InvariantError(f"{isometry}'s case has {len(survivors)} survivors, not 1")
+    return survivors[0][1]
+
+
+@lru_cache(maxsize=None)
+def lattice_isometry(name: str, witness: Witness, label: str) -> latticevoa.LatticeIsometry:
+    return latticevoa.build_isometry(lattice_data(name)[0], witness, label)
 
 
 @lru_cache(maxsize=None)
 def lattice_fixed_type(
-    name: str, isometry: str
+    name: str, witness: Witness, label: str
 ) -> Tuple[SemisimpleTypeWithLevels, int]:
     _, alg = lattice_data(name)
-    lift = latticevoa.standard_lift(alg, lattice_isometry(name, isometry))
+    lift = latticevoa.standard_lift(alg, lattice_isometry(name, witness, label))
     fixed = latticevoa.fixed_subalgebra(lift)
     return latticevoa.identify_type(fixed), fixed.dim
 
@@ -267,8 +291,9 @@ def run_case(cf: CaseFile, trunc: int = 12) -> Report:
         source="reference",
     )
 
-    if cf.lattice_name and cf.isometry_name:
-        lat_type, lat_dim = lattice_fixed_type(cf.lattice_name, cf.isometry_name)
+    if cf.lattice_name and len(survivors) == 1:  # built from the chain's own witness
+        witness = tuple(survivors[0][1])
+        lat_type, lat_dim = lattice_fixed_type(cf.lattice_name, witness, cf.isometry_name)
         rep.check(
             "lattice-side fixed subalgebra",
             str(lat_type),
@@ -375,16 +400,10 @@ def verify_candidates() -> Report:
         documented=True,
     )
     for case_id in ("e6g2", "a2x6", "a5d4"):
-        cf = BUILTIN_CASES[case_id]
-        fixed = SemisimpleTypeWithLevels.parse(cf.expected_fixed)
-        dim = SemisimpleTypeWithLevels.parse(cf.expected_target).dim()
-        survivors = schellekens.filter_candidates(
-            schellekens.enumerate_candidates(dim, Q(dim - 24, 24)), fixed
-        )
         rep.check(
             f"unique survivor for {case_id}",
-            [str(c.value) for c, _ in survivors],
-            [cf.expected_target],
+            [str(c.value) for c, _ in builtin_survivors(case_id)],
+            [BUILTIN_CASES[case_id].expected_target],
             source="reference",
         )
     return rep
@@ -415,20 +434,23 @@ def check_lattice(rep: Report, name: str, rng: random.Random) -> None:
     rep.check(f"{name}: Jacobi identity on 500 sampled triples", jacobi_ok, True)
 
 
-def check_isometry(rep: Report, lattice_name: str, iso_name: str) -> None:
-    """The per-isometry checks: order, gram, fixed subalgebra and its dim."""
-    iso = lattice_isometry(lattice_name, iso_name)
+def check_isometry(rep: Report, lattice_name: str, iso_name: str) -> latticevoa.LatticeIsometry:
+    """The per-isometry checks on the isometry built from the named witness,
+    returned: order, gram, and the fixed subalgebra and its dim against its
+    built-in case's."""
+    witness, cf = named_witness(iso_name), ISOMETRY_CASES[iso_name]
+    iso = lattice_isometry(lattice_name, witness, iso_name)
     rep.check(f"{iso_name}: order", iso.order(), 3, source="reference")
     rep.check(f"{iso_name}: preserves gram", iso.preserves_gram(), True)
-    expected_type, expected_dim = golden.FIXED_EXPECTED[iso_name]
-    fixed_type, fixed_dim = lattice_fixed_type(lattice_name, iso_name)
+    fixed_type, fixed_dim = lattice_fixed_type(lattice_name, witness, iso_name)
     rep.check(
         f"{iso_name}: fixed subalgebra",
         str(fixed_type),
-        str(SemisimpleTypeWithLevels.parse(expected_type)),
+        str(SemisimpleTypeWithLevels.parse(cf.expected_fixed)),
         source="reference",
     )
-    rep.check(f"{iso_name}: fixed dim", fixed_dim, expected_dim, source="reference")
+    rep.check(f"{iso_name}: fixed dim", fixed_dim, cf.expected_fixed_dim, source="reference")
+    return iso
 
 
 def verify_lattice(seed: int = 0) -> Report:
@@ -436,14 +458,9 @@ def verify_lattice(seed: int = 0) -> Report:
     rng = random.Random(seed)
     for name in ("e6_4", "d4_6"):
         check_lattice(rep, name, rng)
-    for iso_name, lattice_name in (
-        ("sigma6", "e6_4"),
-        ("sigma2", "d4_6"),
-        ("sigma4", "d4_6"),
-    ):
-        check_isometry(rep, lattice_name, iso_name)
-    lat, _ = lattice_data("e6_4")
-    s6 = lattice_isometry("e6_4", "sigma6")
+    s6 = check_isometry(rep, "e6_4", "sigma6")
+    check_isometry(rep, "d4_6", "sigma2")
+    check_isometry(rep, "d4_6", "sigma4")
     rho, mults = latticevoa.twisted_ground_energy(s6)
     rep.check(
         "sigma6: twisted ground energy",
@@ -453,7 +470,7 @@ def verify_lattice(seed: int = 0) -> Report:
     )
     rep.note("sigma6: eigenvalue multiplicities", mults)
     u = latticevoa.NI_E6_4.word_vector((0, 1, 0, 0))
-    _, nrm = latticevoa.fixed_projection_norm(lat, s6, u)
+    _, nrm = latticevoa.fixed_projection_norm(s6.lattice, s6, u)
     rep.check(
         "sigma6: projected glue-vector norm",
         nrm,
@@ -461,7 +478,7 @@ def verify_lattice(seed: int = 0) -> Report:
         source="reference",
     )
     u0 = latticevoa.NI_E6_4.word_vector((1, 0, 0, 0))
-    proj0, _ = latticevoa.fixed_projection_norm(lat, s6, u0)
+    proj0, _ = latticevoa.fixed_projection_norm(s6.lattice, s6, u0)
     rep.check("sigma6: first glue digit projects to zero", all(x == 0 for x in proj0), True)
     rep.check(
         "orthogonal A2^3 sublattices of E6",

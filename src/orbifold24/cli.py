@@ -19,10 +19,10 @@ from . import golden, latticevoa, qmodular, schellekens
 from .cases import (
     BUILTIN_CASES,
     CaseFile,
+    ISOMETRY_CASES,
     TABLE_FAMILIES,
     check_isometry,
     check_lattice,
-    lattice_isometry,
     run_case,
     verify_tables,
 )
@@ -140,8 +140,7 @@ def cmd_candidates(args: argparse.Namespace) -> int:
 def cmd_lattice(args: argparse.Namespace) -> int:
     rep = Report(f"lattice {args.name} / {args.isometry}")
     check_lattice(rep, args.name, random.Random(0))
-    check_isometry(rep, args.name, args.isometry)
-    iso = lattice_isometry(args.name, args.isometry)
+    iso = check_isometry(rep, args.name, args.isometry)
     rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_coords_basis()))
     rho, mults = latticevoa.twisted_ground_energy(iso)
     rep.note(f"{args.isometry}: twisted ground energy", rho)
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--name", required=True, choices=("e6_4", "d4_6"))
     p.add_argument(
-        "--isometry", required=True, choices=("sigma6", "sigma2", "sigma4")
+        "--isometry", required=True, choices=tuple(ISOMETRY_CASES)
     )
     p.set_defaults(func=cmd_lattice)
 

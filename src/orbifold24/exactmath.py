@@ -12,7 +12,7 @@ package has no floating-point step.
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import List, Sequence, Tuple, Union
 
 Matrix = Sequence[Sequence[Union[int, Q]]]
@@ -122,19 +122,16 @@ def rank(m: Matrix) -> int:
     return sum(1 for row in _hnf(rows, len(rows[0]) if rows else 0) if any(row))
 
 
-def inverse(m: Matrix) -> List[List[Q]]:
-    """Exact inverse of a square matrix; ValueError when it is singular.
-
-    With m = D^-1 M for the integer rows M = D m and U M = H the Hermite
-    normal form, M^-1 = H^-1 U.  For d = det H, the product of H's
-    diagonal, Y = d H^-1 U is integral, so back-substitution up the
-    triangular H divides exactly; then m^-1 = M^-1 D = Y D / d.
-    """
+def integer_inverse(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
+    """m^-1 = Y / d for a square integer matrix m, with Y integral and d > 0
+    the least common denominator; ValueError when m is singular.  With
+    U m = H the Hermite normal form, m^-1 = H^-1 U; D H^-1 U is integral for
+    D the product of H's diagonal, so back-substitution up H divides
+    exactly, and Y / d is that over D, reduced by their gcd."""
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    big, dens = _cleared_rows(m)
-    h, u = hnf_with_transform(big)
+    h, u = hnf_with_transform(m)
     if any(h[i][i] == 0 for i in range(n)):
         raise ValueError("matrix is singular")
     d = prod(h[i][i] for i in range(n))
@@ -145,4 +142,13 @@ def inverse(m: Matrix) -> List[List[Q]]:
             if h[i][j]:
                 acc = [a - h[i][j] * b for a, b in zip(acc, y[j])]
         y[i] = [a // h[i][i] for a in acc]
+    g = gcd(d, *(x for row in y for x in row))
+    return [[x // g for x in row] for row in y], d // g
+
+
+def inverse(m: Matrix) -> List[List[Q]]:
+    """Exact inverse in `Fraction`s; ValueError when it is singular.  For
+    the integer rows M = D m and M^-1 = Y / d, m^-1 = M^-1 D = Y D / d."""
+    big, dens = _cleared_rows(m)
+    y, d = integer_inverse(big)
     return [[Q(x * dj, d) for x, dj in zip(row, dens)] for row in y]

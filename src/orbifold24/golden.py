@@ -163,12 +163,6 @@ LATTICE_EXPECTED = {
     },
 }
 
-FIXED_EXPECTED = {
-    "sigma6": ("E6,3 A2,1 A2,1 A2,1", 102),
-    "sigma2": ("A2,3 A2,3 A2,3 A2,3 A2,3 A2,3", 48),
-    "sigma4": ("A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", 54),
-}
-
 PROJECTION_NORM = Q(4, 9)
 GROUND_ENERGY_SIGMA6 = Q(1)
 A2_CUBED_IN_E6 = 40

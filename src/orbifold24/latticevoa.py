@@ -2,27 +2,27 @@
 and the weight-one Lie algebra of the associated lattice vertex algebra.
 
 Lattice vectors are rows of coordinates over the concatenated simple-root
-bases of the components.  The two lattices used by the order-3 uniqueness
-chains are assembled from their glue codes: four E6 components glued by a
-ternary code, and six D4 components glued by a binary code whose digits
-label the three nontrivial cosets of each D4 discriminant group.  A lattice
-keeps its basis and the inverse basis as integer rows over one denominator
-each, so lattice coordinates, isometry candidates and their certificates
-are integer products and divisibility tests.  Matrix products, ranks,
-inverses and integer kernels all come from `exactmath`, whose one
-elimination is the row Hermite normal form: an assembled lattice is
-unimodular when the HNF of its Gram matrix is the identity.
+bases of the components: four E6 components glued by a ternary code, or six
+D4 components glued by a binary code whose digits label the three nontrivial
+cosets of each D4 discriminant group.  A lattice keeps its basis and the
+inverse basis as integer rows over one denominator each, so coordinates and
+isometry certificates are integer products and divisibility tests; ranks,
+inverses and kernels come from `exactmath`'s row Hermite normal form, and a
+lattice is unimodular when the HNF of its Gram matrix is the identity.
 
-The weight-one algebra has basis {Cartan directions} + {e^a : a a root},
-with structure constants through the sign bicharacter fixed on an ordered
-lattice basis.  Standard lifts of order-3 isometries are solved exactly over
-F2 (phase 1 on the fixed sublattice, composite of order 3), fixed-point
-subalgebras are extracted orbit by orbit, and their types and levels are
-certified exactly, one sigma-orbit of components at a time.  The fixed
-Cartan t grades each fixed subalgebra by t-weight, so its structure table
-and its Killing form are computed one weight block at a time.  Twisted
-ground energies are read off the eigenvalue multiplicities of an order-3
-isometry.  All of it is exact, in Python integers and `Fraction`s.
+An isometry is built from a witness of the order-3 filter: a catalogue gives
+each witness entry's local isometry, and a search places the entries on the
+components until the map preserves the glue, so the lattice side follows
+the forward chain.  The weight-one algebra has basis {Cartan directions} +
+{e^a : a a root}, with structure constants through the sign bicharacter
+fixed on an ordered lattice basis.  Standard lifts are solved exactly over
+F2 (phase 1 on the fixed sublattice, composite of order 3), and fixed-point
+subalgebras are extracted and their types and levels certified exactly, one
+sigma-orbit of components at a time.  The fixed Cartan t grades each fixed
+subalgebra, so its table and Killing form are computed one weight block at
+a time.  Twisted ground energies are read off the eigenvalue multiplicities
+of an order-3 isometry.  All of it is exact, in Python integers and
+`Fraction`s.
 """
 
 from __future__ import annotations
@@ -31,17 +31,18 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import factorial, gcd, lcm, prod
 from typing import (
     Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from .exactmath import (
-    InvariantError, hnf_with_transform, identity, integer_row_kernel, inverse,
-    mat_mul, rank, transpose,
+    InvariantError, hnf_with_transform, identity, integer_inverse,
+    integer_row_kernel, inverse, mat_mul, rank, transpose,
 )
 from .rootdata import SemisimpleTypeWithLevels, SimpleType, build_root_system
-from .schellekens import enumerate_candidates
+from . import schellekens
+from .schellekens import Witness, enumerate_candidates
 
 Vec = Tuple[Q, ...]
 IntVec = Tuple[int, ...]
@@ -157,12 +158,7 @@ class EvenLattice:
         return len(self.basis)
 
     def ip_ambient(self, x: Vec, y: Vec) -> Q:
-        total = Q(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.ambient_gram[i]
-                total += xi * sum(row[j] * y[j] for j in range(len(y)) if y[j])
-        return total
+        return mat_mul(mat_mul([x], self.ambient_gram), transpose([y]))[0][0]
 
     def coords_of(self, x: Sequence, den: int = 1) -> Optional[IntVec]:
         """Lattice-basis coordinates of the ambient vector x / den, or None."""
@@ -213,15 +209,15 @@ def lattice_from_basis(
     gram = tuple(tuple(x // s2 for x in row) for row in gram_s)
     if any(gram[i][i] % 2 for i in range(n)):
         raise InvariantError("lattice is not even")
-    # (rows / scale)^-1 = scale * rows^-1, cleared to one denominator
-    inv = [[scale * x for x in row] for row in inverse(rows)]
-    inv_scale = lcm(*(x.denominator for row in inv for x in row))
+    # (rows / scale)^-1 = scale * y / d over its least denominator
+    y, d = integer_inverse(rows)
+    g = gcd(scale, d)
     return EvenLattice(
         code,
         tuple(tuple(r) for r in rows),
         scale,
-        tuple(tuple(int(x * inv_scale) for x in row) for row in inv),
-        inv_scale,
+        tuple(tuple(x * (scale // g) for x in row) for row in y),
+        d // g,
         tuple(tuple(r) for r in blocks),
         gram,
     )
@@ -256,10 +252,7 @@ def _coset_norm_floor(t: SimpleType, d: int) -> Q:
     """Least positive value congruent mod 2Z to the norm of digit d's coset."""
     rs = build_root_system(t)
     rep = _digit_reps(t)[d]
-    n = sum(
-        rep[i] * sum(rs.gram[i][j] * rep[j] for j in range(t.rank))
-        for i in range(t.rank)
-    )
+    n = mat_mul(mat_mul([rep], rs.gram), transpose([rep]))[0][0]
     return n % 2 or Q(2)
 
 
@@ -459,15 +452,13 @@ def fpf_d4_matrix() -> List[List[int]]:
     ]
     if len(qroots) != 24:
         raise InvariantError(f"Hurwitz model has {len(qroots)} roots, not 24")
-    found = None
-    for r2 in qroots:
-        others = [r for r in qroots if qip(r, r2) == -1]
-        for trio in itertools.combinations(others, 3):
-            if all(qip(a, b) == 0 for a, b in itertools.combinations(trio, 2)):
-                found = [trio[0], r2, trio[1], trio[2]]
-                break
-        if found:
-            break
+    # the first root with three mutually orthogonal neighbours at (a|b) = -1
+    found = next((
+        [trio[0], r2, trio[1], trio[2]]
+        for r2 in qroots
+        for trio in itertools.combinations([r for r in qroots if qip(r, r2) == -1], 3)
+        if all(qip(a, b) == 0 for a, b in itertools.combinations(trio, 2))
+    ), None)
     if found is None:
         raise InvariantError("no D4 simple system among the Hurwitz roots")
     s_rows = [list(r) for r in found]
@@ -500,10 +491,7 @@ def disc_digit_action(t: SimpleType, local: List[List[int]]) -> Dict[int, int]:
     for d, rep in enumerate(reps):
         if d == 0:
             continue
-        img = tuple(
-            sum(rep[i] * local[i][j] for i in range(t.rank))
-            for j in range(t.rank)
-        )
+        img = mat_mul([rep], local)[0]
         matches = [
             d2
             for d2, rep2 in enumerate(reps)
@@ -515,92 +503,90 @@ def disc_digit_action(t: SimpleType, local: List[List[int]]) -> Dict[int, int]:
     return out
 
 
-def sigma4_candidates() -> Iterator[List[Tuple[int, List[List[int]]]]]:
-    """Slot maps of the sigma4 shape on six D4 components, in search order.
-
-    One Weyl-rotation slot, two fixed-point-free slots, and a 3-cycle of
-    intact components whose edge maps compose to the identity.
-    """
-    phi = fpf_d4_matrix()
-    phi2 = mat_mul(phi, phi)
-    psi = weyl_d4_matrix()
-    psi2 = mat_mul(psi, psi)
-    ident = identity(4)
-    rot = {0: ident, 1: phi, 2: phi2}
-    for cycle in itertools.combinations(range(6), 3):
-        singles = [c for c in range(6) if c not in cycle]
-        a, b, c3 = cycle
-        for cyc_perm in ({a: b, b: c3, c3: a}, {a: c3, c3: b, b: a}):
-            for e1, e2 in itertools.product(range(3), repeat=2):
-                e3 = (-e1 - e2) % 3
-                edges = [rot[e1], rot[e2], rot[e3]]
-                for psi_slot in singles:
-                    fps = [s for s in singles if s != psi_slot]
-                    for w in (psi, psi2):
-                        for m1, m2 in itertools.product((phi, phi2), repeat=2):
-                            slot_maps = [(i, ident) for i in range(6)]
-                            for k, (src, tgt) in enumerate(cyc_perm.items()):
-                                slot_maps[src] = (tgt, edges[k])
-                            slot_maps[psi_slot] = (psi_slot, w)
-                            slot_maps[fps[0]] = (fps[0], m1)
-                            slot_maps[fps[1]] = (fps[1], m2)
-                            yield slot_maps
+# One local order-3 isometry per (component type, witness kind, fixed option
+# at level one); a cycle's is the rotation whose powers are its edge maps.
+_CATALOGUE = {
+    ("E6", "inner", "A2,1 A2,1 A2,1"): fpf_e6_matrix,
+    ("D4", "inner", "A1,1 A1,1 A1,1 U(1)"): weyl_d4_matrix,
+    ("D4", "outer", "A2,3"): fpf_d4_matrix,
+    ("E6", "cycle", "E6,3"): fpf_e6_matrix,
+    ("D4", "cycle", "D4,3"): fpf_d4_matrix,
+}
 
 
-def build_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
-    """The three named order-3 isometries, certified on construction.
-
-    sigma6 rotates one E6 component fixed-point-freely and 3-cycles the rest;
-    sigma2 rotates every D4 component fixed-point-freely; sigma4 combines a
-    Weyl rotation, two fixed-point-free rotations, and a 3-cycle of intact
-    components.  All preserve the glue (checked by integrality), the gram,
-    and have order 3.
+def isometry_placements(lat: EvenLattice, witness: Witness) -> Iterator[list]:
+    """Slot maps placing a witness of `admits_order3_with_fixed` on the
+    lattice's components, in search order: each single-ideal entry, in
+    witness order, on the lowest free component of its type as its
+    catalogued m, then m^2; each 3-cycle on a combination of the free
+    components of its type, in both orientations, with edge maps r^e1, r^e2,
+    r^(-e1-e2) of its rotation r, identity first.  The cycles vary slowest.
+    ValueError for a witness that does not fit or is not catalogued;
+    InvariantError for an inner option of other than one class.
     """
     comps = lat.code.components
-    if name == "sigma6":
-        if comps != (SimpleType("E", 6),) * 4:
-            raise ValueError("sigma6 lives on the four-E6 lattice")
-        phi = fpf_e6_matrix()
-        ident = identity(6)
-        # (g1,g2,g3,g4) -> (phi g1, g4, g2, g3): component 2 lands in slot 3,
-        # 3 in slot 4, 4 in slot 2.
-        iso = _slot_maps_to_isometry(
-            lat, [(0, phi), (2, ident), (3, ident), (1, ident)], name
-        )
-    elif name == "sigma2":
-        if comps != (SimpleType("D", 4),) * 6:
-            raise ValueError("sigma2 lives on the six-D4 lattice")
-        phi = fpf_d4_matrix()
-        iso = None
-        for cand in (phi, mat_mul(phi, phi)):
-            try:
-                iso = _slot_maps_to_isometry(lat, [(c, cand) for c in range(6)], name)
-                break
-            except _LatticeNotPreserved:
-                continue
-        if iso is None:
-            raise InvariantError("no orientation of the rotation preserves the glue")
-    elif name == "sigma4":
-        if comps != (SimpleType("D", 4),) * 6:
-            raise ValueError("sigma4 lives on the six-D4 lattice")
-        iso = None
-        for slot_maps in sigma4_candidates():
-            try:
-                cand = _slot_maps_to_isometry(lat, slot_maps, name)
-            except _LatticeNotPreserved:
-                continue
-            if cand.order() == 3:
-                iso = cand
-                break
-        if iso is None:
-            raise InvariantError("no sigma4-shaped isometry preserves the glue")
-    else:
-        raise ValueError(f"unknown isometry name {name!r}")
-    if iso.order() != 3:
-        raise InvariantError(f"{name} does not have order 3")
-    if not iso.preserves_gram():
-        raise InvariantError(f"{name} does not preserve the gram")
-    return iso
+    need = sorted(x for _, ideals, _ in witness for x in ideals)
+    if need != sorted((t, 1) for t in comps):
+        have = " ".join(f"{t},1" for t in comps)
+        raise ValueError(f"the witness's ideals are not the lattice's {have}")
+    free, singles, cycles, built = list(range(len(comps))), [], [], {}
+    for kind, ideals, option in witness:
+        t = ideals[0][0]
+        pw = [identity(t.rank)]  # then m and m^2, each built once per call
+        if kind != "trivial":
+            fn = _CATALOGUE.get((str(t), kind, str(option)))
+            if fn is None:
+                raise ValueError(f"no catalogued isometry of {t} ({kind}) fixes {option}")
+            count = schellekens._inner_options_at_level_one(t).count(option)
+            if kind == "inner" and count != 1:
+                raise InvariantError(
+                    f"{option} is the fixed type of {count} order-3 classes of {t}, not 1"
+                )
+            if fn.__name__ not in built:  # by name, so a patched attribute is used
+                m = globals()[fn.__name__]()
+                built[fn.__name__] = [pw[0], m, mat_mul(m, m)]
+            pw = built[fn.__name__]
+        if kind == "cycle":
+            cycles.append((t, pw))
+        else:
+            c = next(c for c in free if comps[c] == t)
+            free.remove(c)
+            singles.append([[(c, (c, m))] for m in pw[1:] or pw])
+
+    def cycle_maps(k: int, free: List[int]) -> List[list]:
+        if k == len(cycles):
+            return [[]]
+        t, pw = cycles[k]
+        return [
+            list(zip(ring, zip(ring[1:] + ring[:1], (pw[e1], pw[e2], pw[(-e1 - e2) % 3]))))
+            + tail
+            for a, b, c in itertools.combinations([x for x in free if comps[x] == t], 3)
+            for ring in ((a, b, c), (a, c, b))
+            for e1, e2 in itertools.product(range(3), repeat=2)
+            for tail in cycle_maps(k + 1, [x for x in free if x not in (a, b, c)])
+        ]
+
+    for parts in itertools.product(cycle_maps(0, free), *singles):
+        placed = dict(itertools.chain.from_iterable(parts))
+        yield [placed[c] for c in range(len(comps))]
+
+
+def build_isometry(lat: EvenLattice, witness: Witness, name: str) -> LatticeIsometry:
+    """The lattice isometry of a forward witness: the first of
+    `isometry_placements` that preserves the lattice, has order 3 and
+    preserves the gram; InvariantError when none does.  The catalogue: on
+    E6, Carter's class 3A2 of W(E6) (Carter, Conjugacy classes in the Weyl
+    group, Compositio Math. 1972); on D4, a unit of the Hurwitz-unit model,
+    outside the Weyl group, and a Weyl 3-cycle.
+    """
+    for slot_maps in isometry_placements(lat, witness):
+        try:
+            iso = _slot_maps_to_isometry(lat, slot_maps, name)
+        except _LatticeNotPreserved:
+            continue
+        if iso.order() == 3 and iso.preserves_gram():
+            return iso
+    raise InvariantError(f"no placement of the {name} witness preserves the glue")
 
 
 # ---------------------------------------------------------------------------
@@ -1077,9 +1063,8 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     sden = 1
     if nc:
         ft = transpose(cartan_rows)                                  # r x nc
-        inv = inverse(mat_mul(cartan_rows, ft))
-        sden = lcm(*(x.denominator for row in inv for x in row))
-        solver = mat_mul(ft, [[int(x * sden) for x in row] for row in inv])
+        inv, sden = integer_inverse(mat_mul(cartan_rows, ft))
+        solver = mat_mul(ft, inv)
 
     def coords(x: Dict[int, int]) -> Dict[int, int]:
         """Coordinates of a fixed vector in the fixed basis; InvariantError
@@ -1326,10 +1311,7 @@ def fixed_projection_norm(
     cur = list(u)
     acc = list(u)
     for _ in range(n - 1):
-        cur = [
-            sum(cur[i] * amb[i][j] for i in range(len(cur)) if cur[i])
-            for j in range(len(cur))
-        ]
+        cur = mat_mul([cur], amb)[0]
         acc = [a + b for a, b in zip(acc, cur)]
     proj = tuple(a / n for a in acc)
     return proj, lat.ip_ambient(proj, proj)

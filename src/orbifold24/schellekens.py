@@ -176,6 +176,7 @@ def order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
 
 
 Assignment = List[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels]]
+Witness = Sequence[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels]]  # or its tuple
 # (count vector over the target's distinct ideals, abelian rank, ideals
 # consumed, nontrivial, witness entry)
 Move = Tuple[Tuple[int, ...], int, int, bool, tuple]

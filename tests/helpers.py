@@ -57,7 +57,10 @@ against, and helpers that only the tests need.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
   glue-automorphism search with the permutation in the outer loop
   (`permutation_first_glue_order`), the isometry certificate as `Fraction`
-  matrix products (`fraction_slot_maps_to_isometry`), the generic
+  matrix products (`fraction_slot_maps_to_isometry`), the hand-written
+  slot-map shapes of sigma6, sigma2 and sigma4 (`named_shape_isometry`,
+  with the sigma4 search `sigma4_candidates`) against the catalogue
+  placements of `latticevoa.build_isometry`, the generic
   centraliser in `Fraction`s (`fraction_centralizer`), and the Killing
   form over every pair of basis vectors (`full_killing`) against the one
   over (w, -w) weight pairs, and the subsystem count over an all-pairs
@@ -116,10 +119,14 @@ from orbifold24.latticevoa import (
     _disc_automorphisms,
     _killing,
     _phase_bit_expr,
+    _slot_maps_to_isometry,
     _solve_f2,
     _weight_blocks,
     coset_norm_lower_bound,
+    fpf_d4_matrix,
+    fpf_e6_matrix,
     lattice_from_basis,
+    weyl_d4_matrix,
 )
 from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, _euler_power, f_power_at_S
 from orbifold24.rootdata import (
@@ -1314,6 +1321,66 @@ def fraction_slot_maps_to_isometry(
             raise _LatticeNotPreserved("candidate isometry does not preserve the lattice")
         out.append(tuple(int(x) for x in row))
     return LatticeIsometry(lat, tuple(out), name)
+
+
+def sigma4_candidates() -> Iterator[List[Tuple[int, List[List[int]]]]]:
+    """Slot maps of the hand-written sigma4 shape on six D4 components, in
+    search order: one Weyl-rotation slot, two fixed-point-free slots, and a
+    3-cycle of intact components whose edge maps compose to the identity."""
+    phi = fpf_d4_matrix()
+    phi2 = mat_mul(phi, phi)
+    psi = weyl_d4_matrix()
+    psi2 = mat_mul(psi, psi)
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
+    rot = {0: ident, 1: phi, 2: phi2}
+    for cycle in itertools.combinations(range(6), 3):
+        singles = [c for c in range(6) if c not in cycle]
+        a, b, c3 = cycle
+        for cyc_perm in ({a: b, b: c3, c3: a}, {a: c3, c3: b, b: a}):
+            for e1, e2 in itertools.product(range(3), repeat=2):
+                e3 = (-e1 - e2) % 3
+                edges = [rot[e1], rot[e2], rot[e3]]
+                for psi_slot in singles:
+                    fps = [s for s in singles if s != psi_slot]
+                    for w in (psi, psi2):
+                        for m1, m2 in itertools.product((phi, phi2), repeat=2):
+                            slot_maps = [(i, ident) for i in range(6)]
+                            for k, (src, tgt) in enumerate(cyc_perm.items()):
+                                slot_maps[src] = (tgt, edges[k])
+                            slot_maps[psi_slot] = (psi_slot, w)
+                            slot_maps[fps[0]] = (fps[0], m1)
+                            slot_maps[fps[1]] = (fps[1], m2)
+                            yield slot_maps
+
+
+def named_shape_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
+    """The three isometries by their hand-written shapes: sigma6 rotates one
+    E6 component fixed-point-freely and 3-cycles the rest; sigma2 rotates
+    every D4 component fixed-point-freely, in the first orientation that
+    preserves the glue; sigma4 is the first of `sigma4_candidates` that
+    preserves the glue and has order 3."""
+    comps = lat.code.components
+    if name == "sigma6":
+        assert comps == (SimpleType("E", 6),) * 4
+        ident = [[int(i == j) for j in range(6)] for i in range(6)]
+        # (g1,g2,g3,g4) -> (phi g1, g4, g2, g3)
+        return _slot_maps_to_isometry(
+            lat, [(0, fpf_e6_matrix()), (2, ident), (3, ident), (1, ident)], name
+        )
+    assert comps == (SimpleType("D", 4),) * 6
+    if name == "sigma2":
+        phi = fpf_d4_matrix()
+        shapes = [[(c, cand) for c in range(6)] for cand in (phi, mat_mul(phi, phi))]
+    else:
+        shapes = sigma4_candidates()
+    for slot_maps in shapes:
+        try:
+            iso = _slot_maps_to_isometry(lat, slot_maps, name)
+        except _LatticeNotPreserved:
+            continue
+        if iso.order() == 3:
+            return iso
+    raise InvariantError(f"no {name}-shaped isometry preserves the glue")
 
 
 def fraction_centralizer(

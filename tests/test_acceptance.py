@@ -15,7 +15,7 @@ from orbifold24.affinerep import (
     inner_fixed_subalgebra,
     n_min,
 )
-from orbifold24.cases import BUILTIN_CASES, lattice_data, verify_tables
+from orbifold24.cases import BUILTIN_CASES, lattice_data, named_witness, verify_tables
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 from orbifold24.twistbound import invariant_norm, min_twisted_weight, shift_ok
 
@@ -179,7 +179,7 @@ def test_criterion_8_property_suites():
 
     # identify_type invariance under 20 random lift conjugations
     nd4, alg_d4 = lattice_data("d4_6")
-    iso = latticevoa.build_isometry(nd4, "sigma2")
+    iso = latticevoa.build_isometry(nd4, named_witness("sigma2"), "sigma2")
     lift = latticevoa.standard_lift(alg_d4, iso)
     base = str(latticevoa.identify_type(latticevoa.fixed_subalgebra(lift)))
     ok = True

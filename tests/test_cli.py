@@ -442,14 +442,18 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
           "--trunc", "16", "--json"], "a49d16515181d955"),
         (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
          "96fe4294d2da5897"),
+        (["lattice", "--name", "e6_4", "--isometry", "sigma6", "--json"],
+         "994a5533f0cc0f22"),
+        (["lattice", "--name", "d4_6", "--isometry", "sigma2", "--json"],
+         "39d37b078bb3906d"),
         (["verify-all", "--json"], "561a5f08b2e0941c"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
     ],
     ids=["twist-bound", "twist-bound-file", "dimension", "candidates",
          "candidates-a5d4", "candidates-a2x6", "candidates-d4-outer",
-         "candidates-fractional-level", "dimension-trunc16", "lattice", "verify-all",
-         "tables-modular", "tables-a5.3"],
+         "candidates-fractional-level", "dimension-trunc16", "lattice", "lattice-sigma6",
+         "lattice-sigma2", "verify-all", "tables-modular", "tables-a5.3"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):
     # python -O strips assert statements; the invariant checks must not be
@@ -601,6 +605,49 @@ def test_infinite_order_isometry_exits_1(capsys, monkeypatch):
         main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
     assert exc.value.code == 1
     assert capsys.readouterr().err == "error: InvariantError: order exceeds 12\n"
+
+
+def test_mismatched_lattice_and_isometry_exit_2(capsys):
+    # sigma2's witness needs six D4 components: a usage error, not a mismatch
+    code, out, err = run_main(capsys, ["lattice", "--name", "e6_4", "--isometry", "sigma2"])
+    assert code == 2 and out == ""
+    assert err == "error: the witness's ideals are not the lattice's E6,1 E6,1 E6,1 E6,1\n"
+
+
+def test_option_of_two_classes_exits_1(capsys, monkeypatch):
+    # a catalogued matrix names one class only when its option comes from
+    # one class; a class table listing E6's A2,1^3 twice must stop the build
+    table = schellekens._inner_options_at_level_one
+    option = rootdata.SemisimpleTypeWithLevels.parse("A2,1 A2,1 A2,1")
+    e6 = rootdata.SimpleType("E", 6)
+    assert table(e6).count(option) == 1
+    monkeypatch.setattr(
+        schellekens, "_inner_options_at_level_one",
+        lambda t: table(t) + ((option,) if t == e6 else ()),
+    )
+    cases.lattice_isometry.cache_clear()
+    cases.lattice_fixed_type.cache_clear()
+    code, out, err = run_main(capsys, ["lattice", "--name", "e6_4", "--isometry", "sigma6"])
+    assert code == 1
+    assert err == ("error: InvariantError: A2,1 A2,1 A2,1 is the fixed type of 2"
+                   " order-3 classes of E6, not 1\n")
+    cases.lattice_isometry.cache_clear()
+    cases.lattice_fixed_type.cache_clear()
+
+
+def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch):
+    for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
+        fn.cache_clear()
+
+    def reject(lat, slot_maps, name):
+        raise latticevoa._LatticeNotPreserved("candidate isometry does not preserve the lattice")
+
+    monkeypatch.setattr(latticevoa, "_slot_maps_to_isometry", reject)
+    code, _, err = run_main(capsys, ["lattice", "--name", "d4_6", "--isometry", "sigma4"])
+    assert code == 1
+    assert err == "error: InvariantError: no placement of the sigma4 witness preserves the glue\n"
+    for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
+        fn.cache_clear()
 
 
 def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):

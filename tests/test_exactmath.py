@@ -7,7 +7,8 @@ import pytest
 
 from orbifold24 import exactmath
 from orbifold24.exactmath import (
-    hnf_with_transform, integer_row_kernel, inverse, mat_mul, rank, transpose,
+    hnf_with_transform, integer_inverse, integer_row_kernel, inverse, mat_mul, rank,
+    transpose,
 )
 
 from helpers import (
@@ -184,6 +185,30 @@ def test_oracle_inverse_and_det():
         else:
             assert inverse(m) == want
     assert singular >= 6
+
+
+def test_integer_inverse_is_the_oracle_over_its_least_denominator():
+    # Y / d is the rational inverse, Y integral and d the least common
+    # denominator of its entries, as the lattice callers once cleared it
+    singular = 0
+    for m in oracle_cases() + hnf_cases():
+        if len(m) != len(m[0]) or any(isinstance(x, Q) and x.denominator > 1
+                                      for row in m for x in row):
+            continue
+        m = [[int(x) for x in row] for row in m]
+        want = reference_inverse(m)
+        if want is None:
+            singular += 1
+            with pytest.raises(ValueError):
+                integer_inverse(m)
+            continue
+        y, d = integer_inverse(m)
+        assert all(type(x) is int for row in y for x in row)
+        assert d == lcm(*(Q(x).denominator for row in want for x in row))
+        assert [[Q(x, d) for x in row] for row in y] == want
+    assert singular >= 3
+    with pytest.raises(ValueError, match="non-square"):
+        integer_inverse([[1, 2, 3], [4, 5, 6]])
 
 
 def test_det_rejects_non_square():

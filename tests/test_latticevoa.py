@@ -27,8 +27,8 @@ from orbifold24.latticevoa import (
     fpf_e6_matrix,
     glue_automorphism_group_order,
     identify_type,
+    isometry_placements,
     lattice_from_basis,
-    sigma4_candidates,
     standard_lift,
     twisted_ground_energy,
     types_with_ratio,
@@ -64,6 +64,11 @@ from helpers import (
     root_lattice,
     rough_lift,
 )
+
+
+def built_isometry(lat, name):
+    """The builder's isometry for the named built-in case's forward witness."""
+    return build_isometry(lat, cases.named_witness(name), name)
 
 
 @pytest.fixture(scope="module")
@@ -173,15 +178,59 @@ def test_disc_actions():
 
 
 def test_isometries(ne6, nd4):
-    s6 = build_isometry(ne6, "sigma6")
-    s2 = build_isometry(nd4, "sigma2")
-    s4 = build_isometry(nd4, "sigma4")
+    s6 = built_isometry(ne6, "sigma6")
+    s2 = built_isometry(nd4, "sigma2")
+    s4 = built_isometry(nd4, "sigma4")
     for iso in (s6, s2, s4):
         assert iso.order() == 3
         assert iso.preserves_gram()
     assert len(s6.fixed_coords_basis()) == 6
     assert len(s2.fixed_coords_basis()) == 0
     assert len(s4.fixed_coords_basis()) == 6
+
+
+@pytest.mark.parametrize("name", ["sigma6", "sigma2", "sigma4"])
+def test_builder_matches_the_hand_written_shapes(name, ne6, nd4, alg_e6, alg_d4):
+    # sigma6 and sigma2 come out as the oracle's very matrices; the sigma4
+    # search meets another glue-compatible isometry first, with the same
+    # order, fixed type and dim, fixed-sublattice rank and ground energy
+    lat, alg = (ne6, alg_e6) if name == "sigma6" else (nd4, alg_d4)
+    new, old = built_isometry(lat, name), helpers.named_shape_isometry(lat, name)
+    if name != "sigma4":
+        assert new.matrix == old.matrix
+
+    def invariants(iso):
+        fx = fixed_subalgebra(standard_lift(alg, iso))
+        return (iso.order(), str(identify_type(fx)), fx.dim,
+                len(iso.fixed_coords_basis()), twisted_ground_energy(iso))
+
+    assert invariants(new) == invariants(old)
+
+
+def test_sigma4_search_certifies_43_candidates(nd4, monkeypatch):
+    # the hand-written sigma4 search certified 66 slot maps before its first
+    # order-3 isometry; the placements of the witness need 43
+    calls = []
+    certify = latticevoa._slot_maps_to_isometry
+
+    def counting(*args):
+        calls.append(args[1])
+        return certify(*args)
+
+    monkeypatch.setattr(latticevoa, "_slot_maps_to_isometry", counting)
+    built_isometry(nd4, "sigma4")
+    assert len(calls) == 43
+    assert calls == list(isometry_placements(nd4, cases.named_witness("sigma4")))[:43]
+
+
+def test_witness_that_does_not_fit_is_a_value_error(ne6, nd4):
+    with pytest.raises(ValueError, match="^the witness's ideals are not the lattice's E6,1"):
+        built_isometry(ne6, "sigma2")
+    # a fitting witness whose option has no catalogue entry: D4 -> G2 (outer)
+    g2 = SemisimpleTypeWithLevels.parse("G2,1")
+    witness = [("outer", ((SimpleType("D", 4), 1),), g2)] * 6
+    with pytest.raises(ValueError, match="no catalogued isometry of D4"):
+        build_isometry(nd4, witness, "g2")
 
 
 def test_algebra_dims(alg_e6, alg_d4):
@@ -236,17 +285,17 @@ def test_pair_table_matches_dense_tables(which, alg_e6, alg_d4):
 
 @pytest.fixture(scope="module")
 def lift6(ne6, alg_e6):
-    return standard_lift(alg_e6, build_isometry(ne6, "sigma6"))
+    return standard_lift(alg_e6, built_isometry(ne6, "sigma6"))
 
 
 @pytest.fixture(scope="module")
 def lift2(nd4, alg_d4):
-    return standard_lift(alg_d4, build_isometry(nd4, "sigma2"))
+    return standard_lift(alg_d4, built_isometry(nd4, "sigma2"))
 
 
 @pytest.fixture(scope="module")
 def lift4(nd4, alg_d4):
-    return standard_lift(alg_d4, build_isometry(nd4, "sigma4"))
+    return standard_lift(alg_d4, built_isometry(nd4, "sigma4"))
 
 
 def test_lifts_are_automorphisms_everywhere(lift6, lift2, lift4):
@@ -308,7 +357,7 @@ def test_lift_with_a_wrong_phase_solution_is_refused(ne6, alg_e6, monkeypatch):
 
     monkeypatch.setattr(latticevoa, "_solve_f2", flipped)
     with pytest.raises(InvariantError, match="does not cube to the identity"):
-        standard_lift(alg_e6, build_isometry(ne6, "sigma6"))
+        standard_lift(alg_e6, built_isometry(ne6, "sigma6"))
 
 
 def test_standard_phase_on_fixed_roots(lift6):
@@ -616,8 +665,10 @@ def center_ortho(fx):
 @pytest.mark.parametrize("which", ALL_FIXED)
 def test_blocked_centralizer_matches_full_stack(which, fixed_algebras):
     # oracle: one elimination of the whole [ad(x) | ortho] stack.  The last
-    # draw's t-part kills a weight, so its centraliser is not abelian and
-    # spans nonzero blocks, and must still be exact
+    # draw's t-part kills a weight of a 3-cycle block, whose Cartan lies in
+    # t, so that the zero-weight part of x does not act on that weight; its
+    # centraliser is not abelian and spans nonzero blocks, and must still be
+    # exact
     _, fx = fixed_algebras[which]
     brackets, weights = fx.brackets, fx.weights
     ortho = center_ortho(fx)
@@ -625,7 +676,8 @@ def test_blocked_centralizer_matches_full_stack(which, fixed_algebras):
     draws = [draw_generic(random.Random(seed), weights) for seed in range(3)]
     if nc:
         x = list(draws[0])
-        w = next(w for w in weights if any(w))
+        cycled = [i for o in fx.orbits if o.length == 3 for i in o.indices]
+        w = next(weights[i] for i in cycled if any(weights[i]))
         wt = sum(a * b for a, b in zip(w, x))
         ww = sum(a * a for a in w)
         x[:nc] = [ww * a - wt * b for a, b in zip(x[:nc], w)]
@@ -844,10 +896,10 @@ def test_a_cross_block_entry_raises(what, fixed_algebras):
 
 
 def test_twisted_ground_energies(ne6, nd4):
-    s6 = build_isometry(ne6, "sigma6")
+    s6 = built_isometry(ne6, "sigma6")
     rho, mults = twisted_ground_energy(s6)
     assert rho == 1 and mults == [6, 9, 9]
-    s2 = build_isometry(nd4, "sigma2")
+    s2 = built_isometry(nd4, "sigma2")
     rho2, mults2 = twisted_ground_energy(s2)
     assert rho2 == Q(4, 3) and mults2 == [0, 12, 12]
     # only order 3 is supported: the identity and the negation are refused
@@ -863,14 +915,14 @@ def test_twisted_ground_energies(ne6, nd4):
 
 
 def test_ground_energy_symmetric_under_inversion(ne6):
-    s6 = build_isometry(ne6, "sigma6")
+    s6 = built_isometry(ne6, "sigma6")
     square = tuple(map(tuple, mat_mul(s6.matrix, s6.matrix)))
     inv = LatticeIsometry(ne6, square, "sigma6^2")
     assert twisted_ground_energy(s6)[0] == twisted_ground_energy(inv)[0]
 
 
 def test_fixed_projection_norms(ne6):
-    s6 = build_isometry(ne6, "sigma6")
+    s6 = built_isometry(ne6, "sigma6")
     u = NI_E6_4.word_vector((0, 1, 0, 0))
     proj, norm = fixed_projection_norm(ne6, s6, u)
     assert norm == Q(4, 9)
@@ -951,34 +1003,26 @@ def slot_map_decision(certify, lat, slot_maps):
 
 
 def test_slot_maps_match_fraction_oracle(ne6, nd4):
-    # the search prefix up to the sigma4 that build_isometry accepts and a
-    # seeded sample of the accepted and of the rejected rest (the Fraction
-    # products take 5 ms a candidate), plus the sigma6 and sigma2 slot maps
-    candidates = list(sigma4_candidates())
-    s4 = build_isometry(nd4, "sigma4")
-    decisions = [
-        slot_map_decision(_slot_maps_to_isometry, nd4, sm) for sm in candidates
-    ]
-    first = decisions.index(s4.matrix)
-    rest = range(first + 1, len(candidates))
-    accepted = [i for i in rest if decisions[i] is not None]
-    rejected = [i for i in rest if decisions[i] is None]
-    assert len(accepted) > 100
+    # per built-in witness, the builder's candidate stream up to the isometry
+    # that build_isometry accepts and a seeded sample of the accepted and of
+    # the rejected rest (the Fraction products take 5 ms a candidate)
     rng = random.Random(4)
-    picks = list(range(first + 1)) + rng.sample(accepted, 40) + rng.sample(rejected, 40)
-    for i in picks:
-        want = slot_map_decision(fraction_slot_maps_to_isometry, nd4, candidates[i])
-        assert decisions[i] == want
-    phi6, ident = fpf_e6_matrix(), [[int(i == j) for j in range(6)] for i in range(6)]
-    phi4 = fpf_d4_matrix()
-    for lat, slot_maps in (
-        (ne6, [(0, phi6), (2, ident), (3, ident), (1, ident)]),
-        (nd4, [(c, phi4) for c in range(6)]),
-        (nd4, [(c, mat_mul(phi4, phi4)) for c in range(6)]),
-    ):
-        assert slot_map_decision(_slot_maps_to_isometry, lat, slot_maps) == (
-            slot_map_decision(fraction_slot_maps_to_isometry, lat, slot_maps)
-        )
+    for lat, name in ((ne6, "sigma6"), (nd4, "sigma2"), (nd4, "sigma4")):
+        candidates = list(isometry_placements(lat, cases.named_witness(name)))
+        decisions = [
+            slot_map_decision(_slot_maps_to_isometry, lat, sm) for sm in candidates
+        ]
+        first = decisions.index(built_isometry(lat, name).matrix)
+        rest = range(first + 1, len(candidates))
+        accepted = [i for i in rest if decisions[i] is not None]
+        rejected = [i for i in rest if decisions[i] is None]
+        # every placement of sigma6's witness preserves the E6^4 lattice
+        assert accepted and (rejected or name == "sigma6")
+        picks = (list(range(first + 1)) + rng.sample(accepted, min(20, len(accepted)))
+                 + rng.sample(rejected, min(20, len(rejected))))
+        for i in picks:
+            want = slot_map_decision(fraction_slot_maps_to_isometry, lat, candidates[i])
+            assert decisions[i] == want
 
 
 def test_isometry_order_and_fixed_basis_are_computed_once():
@@ -988,9 +1032,10 @@ def test_isometry_order_and_fixed_basis_are_computed_once():
                latticevoa._matrix_order, latticevoa._fixed_coords):
         fn.cache_clear()
     for name, iso in (("e6_4", "sigma6"), ("d4_6", "sigma2"), ("d4_6", "sigma4")):
-        cases.lattice_fixed_type(name, iso)
+        witness = cases.named_witness(iso)
+        cases.lattice_fixed_type(name, witness, iso)
         cases.check_isometry(Report("isometry"), name, iso)
-        twisted_ground_energy(cases.lattice_isometry(name, iso))
+        twisted_ground_energy(cases.lattice_isometry(name, witness, iso))
     assert latticevoa._matrix_order.cache_info().misses == 3
     assert latticevoa._fixed_coords.cache_info().misses == 3
 
@@ -1012,6 +1057,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
     # rational, so a Fraction loop coming back shows as thousands here
     lat, _ = cases.lattice_data("d4_6")
     roots = lattice_roots(lat)
+    witness = cases.named_witness("sigma4")
     cases.lattice_isometry.cache_clear()
     built = [0]
     new = fractions.Fraction.__new__
@@ -1021,7 +1067,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
-    iso = cases.lattice_isometry("d4_6", "sigma4")
+    iso = cases.lattice_isometry("d4_6", witness, "sigma4")
     during_isometry = built[0]
     coords = [lat.coords_of(r) for r in roots]
     during_coords = built[0] - during_isometry
