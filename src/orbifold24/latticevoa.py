@@ -33,11 +33,11 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from typing import (
-    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from .exactmath import (
-    InvariantError, hnf_with_transform, identity, integer_inverse,
+    InvariantError, Matrix, hnf_with_transform, identity, integer_inverse,
     integer_row_kernel, inverse, mat_mul, rank, transpose,
 )
 from .rootdata import SemisimpleTypeWithLevels, SimpleType, build_root_system
@@ -514,6 +514,13 @@ _CATALOGUE = {
 }
 
 
+@lru_cache(maxsize=None)
+def _catalogue_powers(fn: Callable[[], List[List[int]]]) -> Tuple[Matrix, ...]:
+    """(1, m, m^2) for the catalogued m = fn(), built once per function."""
+    m = fn()
+    return tuple(tuple(map(tuple, x)) for x in (identity(len(m)), m, mat_mul(m, m)))
+
+
 def isometry_placements(lat: EvenLattice, witness: Witness) -> Iterator[list]:
     """Slot maps placing a witness of `admits_order3_with_fixed` on the
     lattice's components, in search order: each single-ideal entry, in
@@ -529,10 +536,10 @@ def isometry_placements(lat: EvenLattice, witness: Witness) -> Iterator[list]:
     if need != sorted((t, 1) for t in comps):
         have = " ".join(f"{t},1" for t in comps)
         raise ValueError(f"the witness's ideals are not the lattice's {have}")
-    free, singles, cycles, built = list(range(len(comps))), [], [], {}
+    free, singles, cycles = list(range(len(comps))), [], []
     for kind, ideals, option in witness:
         t = ideals[0][0]
-        pw = [identity(t.rank)]  # then m and m^2, each built once per call
+        pw = [identity(t.rank)]
         if kind != "trivial":
             fn = _CATALOGUE.get((str(t), kind, str(option)))
             if fn is None:
@@ -542,10 +549,8 @@ def isometry_placements(lat: EvenLattice, witness: Witness) -> Iterator[list]:
                 raise InvariantError(
                     f"{option} is the fixed type of {count} order-3 classes of {t}, not 1"
                 )
-            if fn.__name__ not in built:  # by name, so a patched attribute is used
-                m = globals()[fn.__name__]()
-                built[fn.__name__] = [pw[0], m, mat_mul(m, m)]
-            pw = built[fn.__name__]
+            # by name, so a patched module attribute is the one built
+            pw = _catalogue_powers(globals()[fn.__name__])
         if kind == "cycle":
             cycles.append((t, pw))
         else:
@@ -1302,9 +1307,7 @@ def twisted_ground_energy(g: LatticeIsometry) -> Tuple[Q, List[int]]:
     return rho, mults
 
 
-def fixed_projection_norm(
-    lat: EvenLattice, g: LatticeIsometry, u: Vec
-) -> Tuple[Vec, Q]:
+def fixed_projection_norm(g: LatticeIsometry, u: Vec) -> Tuple[Vec, Q]:
     """Orthogonal projection of a dual vector onto the fixed subspace of g."""
     n = g.order()
     amb = g.ambient_matrix()
@@ -1314,7 +1317,7 @@ def fixed_projection_norm(
         cur = mat_mul([cur], amb)[0]
         acc = [a + b for a, b in zip(acc, cur)]
     proj = tuple(a / n for a in acc)
-    return proj, lat.ip_ambient(proj, proj)
+    return proj, g.lattice.ip_ambient(proj, proj)
 
 
 def count_orthogonal_subsystems(

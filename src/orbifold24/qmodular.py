@@ -1,9 +1,11 @@
-"""Exact Puiseux q-series and the order-3 orbifold dimension formula.
+"""Exact q-series of one eta quotient and the order-3 dimension formula.
 
-Everything here is a truncated formal series in q^(1/D) with exact
-rational coefficients.  The genus-zero generator f = eta(t)^12 / eta(3t)^12
-of the level-3 function field, its powers expanded at the other cusp, and
-a Laurent fit of a fixed-point character in f feed a fully symbolic
+The genus-zero generator f = eta(t)^12 / eta(3t)^12 of the level-3
+function field, at i-infinity, and its powers at the other cusp are all
+one eta quotient P(x^3)^k P(x)^(-k), P(x) = prod (1 - x^m), whose integer
+coefficients come from Euler's recurrence; each is returned as a truncated
+series in q^(1/D) with exact rational coefficients.  The cusp expansions
+and a Laurent fit of a fixed-point character in f feed a fully symbolic
 re-derivation of the weight-one dimension formula
 
     dim V_1 + dim V~_1 = 4 d0 - 36 d13 - 12 d23 + 24,
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import ceil, gcd, lcm
+from math import gcd
 from typing import Dict, List, Tuple
 
 from .exactmath import InvariantError
@@ -38,12 +40,6 @@ class PuiseuxSeries:
         }
         return PuiseuxSeries(denom, kept, Q(trunc))
 
-    def rescaled(self, new_denom: int) -> "PuiseuxSeries":
-        if new_denom % self.denom:
-            raise ValueError("new denominator must refine the old one")
-        f = new_denom // self.denom
-        return PuiseuxSeries(new_denom, {n * f: c for n, c in self.coeffs.items()}, self.trunc)
-
     def normalized(self) -> "PuiseuxSeries":
         """Shrink the exponent denominator to the gcd actually used."""
         g = self.denom
@@ -55,11 +51,6 @@ class PuiseuxSeries:
             self.denom // g, {n // g: c for n, c in self.coeffs.items()}, self.trunc
         )
 
-    def valuation(self) -> Q:
-        if not self.coeffs:
-            return self.trunc
-        return Q(min(self.coeffs), self.denom)
-
     def coeff(self, exp: Q | int) -> Q:
         e = Q(exp)
         if e >= self.trunc:
@@ -68,50 +59,6 @@ class PuiseuxSeries:
         if n.denominator != 1:
             return Q(0)
         return self.coeffs.get(int(n), Q(0))
-
-    def terms(self) -> List[Tuple[Q, Q]]:
-        return [(Q(n, self.denom), c) for n, c in sorted(self.coeffs.items())]
-
-    def __add__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        d = lcm(self.denom, other.denom)
-        a, b = self.rescaled(d), other.rescaled(d)
-        out = dict(a.coeffs)
-        for n, c in b.coeffs.items():
-            cur = out.get(n)
-            out[n] = c if cur is None else cur + c
-        return PuiseuxSeries.make(d, out, min(a.trunc, b.trunc))
-
-    def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.denom, {n: -c for n, c in self.coeffs.items()}, self.trunc)
-
-    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self + (-other)
-
-    def scale(self, c: Q) -> "PuiseuxSeries":
-        return PuiseuxSeries.make(
-            self.denom, {n: v * c for n, v in self.coeffs.items()}, self.trunc
-        )
-
-    def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        d = lcm(self.denom, other.denom)
-        a, b = self.rescaled(d), other.rescaled(d)
-        # product exact below min(t_a + v_b, t_b + v_a)
-        trunc = min(a.trunc + b.valuation(), b.trunc + a.valuation())
-        bound = trunc * d
-        out: Dict[int, Q] = {}
-        for n1, c1 in a.coeffs.items():
-            for n2, c2 in b.coeffs.items():
-                n = n1 + n2
-                if n >= bound:
-                    continue
-                cur = out.get(n)
-                prod = c1 * c2
-                out[n] = prod if cur is None else cur + prod
-        return PuiseuxSeries.make(d, out, trunc)
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*q^({Q(n, self.denom)})" for n, c in sorted(self.coeffs.items())[:6]]
-        return " + ".join(parts) + f" + O(q^{self.trunc})"
 
 
 def _euler_power(k: int, terms: int) -> List[int]:
@@ -132,33 +79,31 @@ def _euler_power(k: int, terms: int) -> List[int]:
     return a
 
 
-@lru_cache(maxsize=None)
-def eta_expansion(scale: Q, power: int, trunc: int) -> PuiseuxSeries:
-    """eta(scale*t)^power = q^(scale*power/24) prod (1 - q^(scale*m))^power.
-
-    Exact below q^trunc.
+def eta_quotient(k: int, terms: int) -> List[int]:
+    """Coefficients of x^0 .. x^(terms-1) in P(x^3)^k P(x)^(-k), where
+    P(x) = prod_{m>=1} (1 - x^m): the eta quotient (eta(3t)/eta(t))^k
+    without its leading power of q, as integer sums per exponent.
     """
-    if trunc <= 0:
-        raise ValueError("truncation must be positive")
-    s = Q(scale)
-    if s <= 0:
-        raise ValueError("scale must be positive")
-    prefix = s * power / 24
-    terms = max(0, ceil((trunc - prefix) / s))
-    d = lcm(prefix.denominator, s.denominator)
-    coeffs = {
-        int((prefix + s * m) * d): Q(c)
-        for m, c in enumerate(_euler_power(power, terms))
-    }
-    return PuiseuxSeries.make(d, coeffs, Q(trunc)).normalized()
+    outer = _euler_power(k, (terms + 2) // 3)
+    inner = _euler_power(-k, terms)
+    sums = [0] * terms
+    for m, a in enumerate(outer):
+        if a:
+            sums[3 * m:] = [s + a * b for s, b in zip(sums[3 * m:], inner)]
+    return sums
 
 
 @lru_cache(maxsize=None)
 def hauptmodul_f(trunc: int = 12) -> PuiseuxSeries:
-    """f = eta(t)^12 / eta(3t)^12 = q^-1 - 12 + 54q - 76q^2 - ..."""
-    return (
-        eta_expansion(Q(1), 12, trunc + 2) * eta_expansion(Q(3), -12, trunc + 2)
-    ).normalized()
+    """f = eta(t)^12 / eta(3t)^12 = q^-1 - 12 + 54q - 76q^2 - ...
+
+    In q this is q^-1 P(q^3)^(-12) P(q)^12: the coefficients of q^-1 ..
+    q^trunc, reported exact below q^(trunc + 1/2).
+    """
+    if trunc <= 0:
+        raise ValueError("truncation must be positive")
+    coeffs = {e - 1: Q(c) for e, c in enumerate(eta_quotient(-12, trunc + 2))}
+    return PuiseuxSeries.make(1, coeffs, Q(2 * trunc + 1, 2))
 
 
 @lru_cache(maxsize=None)
@@ -166,19 +111,13 @@ def f_power_at_S(n: int, trunc: int = 12) -> PuiseuxSeries:
     """Expansion of f^n at the other cusp: (3^6 eta(t)^12 / eta(t/3)^12)^n.
 
     In x = q^(1/3) this is the single product
-    3^(6n) x^n P(x^3)^(12n) P(x)^(-12n) with P(x) = prod (1 - x^m), so
-    exponents lie in (1/3)Z.  Exact below q^trunc.
+    3^(6n) x^n P(x^3)^(12n) P(x)^(-12n), so exponents lie in (1/3)Z.
+    Exact below q^trunc.
     """
     if trunc <= 0:
         raise ValueError("truncation must be positive")
-    terms = max(0, 3 * trunc - n)  # x^(n+e) with e < terms lies below q^trunc
-    outer = _euler_power(12 * n, (terms + 2) // 3)
-    inner = _euler_power(-12 * n, terms)
-    # sums[e]: the integer coefficient of x^(n+e) in P(x^3)^(12n) P(x)^(-12n)
-    sums = [0] * terms
-    for m, a in enumerate(outer):
-        if a:
-            sums[3 * m:] = [s + a * b for s, b in zip(sums[3 * m:], inner)]
+    # x^(n+e) with e < 3 trunc - n lies below q^trunc
+    sums = eta_quotient(12 * n, max(0, 3 * trunc - n))
     lead = Q(3) ** (6 * n)
     coeffs = {n + e: lead * s for e, s in enumerate(sums) if s}
     return PuiseuxSeries.make(3, coeffs, Q(trunc)).normalized()
@@ -217,23 +156,9 @@ LAURENT_TABLE: Dict[int, LinExpr] = {
 }
 
 
-@dataclass(frozen=True)
-class LaurentFit:
-    """Coefficients of Z = f + c0 + c_-1/f + c_-2/f^2 + c_-3/f^3."""
-
-    c1: Q
-    c0: Q
-    cm1: Q
-    cm2: Q
-    cm3: Q
-
-    def __post_init__(self) -> None:
-        if self.c1 != 1:
-            raise ValueError("leading Laurent coefficient must be 1")
-
-
-def fit_character(d0: int, d13: int, d23: int) -> LaurentFit:
-    """The Laurent coefficients of `LAURENT_TABLE` at one (d0, d13, d23).
+def fit_character(d0: int, d13: int, d23: int) -> Dict[int, Q]:
+    """The Laurent coefficients {n: c_n} of `LAURENT_TABLE` at one
+    (d0, d13, d23).
 
     d0 is the fixed-point weight-one dimension; d13 and d23 are the summed
     twisted dimensions at weights 1/3 and 2/3.
@@ -243,7 +168,9 @@ def fit_character(d0: int, d13: int, d23: int) -> LaurentFit:
         n: sum((x * p for x, p in zip(expr, point)), Q(0))
         for n, expr in LAURENT_TABLE.items()
     }
-    return LaurentFit(c[1], c[0], c[-1], c[-2], c[-3])
+    if c[1] != 1:
+        raise InvariantError(f"leading Laurent coefficient is {c[1]}, not 1")
+    return c
 
 
 def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:

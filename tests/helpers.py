@@ -27,10 +27,14 @@ against, and helpers that only the tests need.
   plain backtracking search over `Counter`s (`backtracking_admits`)
   against the count-vector search with its failure memo in
   `schellekens.admits_order3_with_fixed`.
-* Eta powers: series inversion, powers by repeated products, the
-  product expansion of prod (1 - x^n)^m (`product_f_power_at_S`) and
-  Euler's pentagonal series (`euler_pentagonal`) against Euler's recurrence
-  in `qmodular`; the `Fraction` factor 3^(6n) multiplied into every term
+* Eta powers: the `PuiseuxSeries` ring operations (`series_add`,
+  `series_neg`, `series_scale`, `series_mul`, with `series_rescaled`,
+  `series_valuation` and `series_terms`), series inversion, powers by
+  repeated products, the product expansion of prod (1 - x^n)^m
+  (`product_eta`, `product_f_power_at_S`) and Euler's pentagonal series
+  (`euler_pentagonal`) against the integer routine
+  `qmodular.eta_quotient` behind `hauptmodul_f` and `f_power_at_S`; the
+  `Fraction` factor 3^(6n) multiplied into every term
   (`fraction_f_power_at_S`) against the integer sums of `f_power_at_S`.
 * Dimension formula: the trace (F + F_w + F_w^2)/3 of the coefficient twist
   q^(1/3) -> w q^(1/3) in an exact Q(w) (`Cyclo3`, `omega_trace`,
@@ -822,6 +826,55 @@ def backtracking_admits(c: CandidateAlgebra, target: SemisimpleTypeWithLevels):
 # --- eta powers -----------------------------------------------------------
 
 
+def series_rescaled(f: PuiseuxSeries, new_denom: int) -> PuiseuxSeries:
+    if new_denom % f.denom:
+        raise ValueError("new denominator must refine the old one")
+    k = new_denom // f.denom
+    return PuiseuxSeries(new_denom, {n * k: c for n, c in f.coeffs.items()}, f.trunc)
+
+
+def series_valuation(f: PuiseuxSeries) -> Q:
+    if not f.coeffs:
+        return f.trunc
+    return Q(min(f.coeffs), f.denom)
+
+
+def series_terms(f: PuiseuxSeries) -> List[Tuple[Q, Q]]:
+    """(exponent, coefficient) pairs in increasing exponent."""
+    return [(Q(n, f.denom), c) for n, c in sorted(f.coeffs.items())]
+
+
+def series_add(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    d = lcm(a.denom, b.denom)
+    a, b = series_rescaled(a, d), series_rescaled(b, d)
+    out = dict(a.coeffs)
+    for n, c in b.coeffs.items():
+        out[n] = out.get(n, 0) + c
+    return PuiseuxSeries.make(d, out, min(a.trunc, b.trunc))
+
+
+def series_neg(f: PuiseuxSeries) -> PuiseuxSeries:
+    return PuiseuxSeries(f.denom, {n: -c for n, c in f.coeffs.items()}, f.trunc)
+
+
+def series_scale(f: PuiseuxSeries, c: Q) -> PuiseuxSeries:
+    return PuiseuxSeries.make(f.denom, {n: v * c for n, v in f.coeffs.items()}, f.trunc)
+
+
+def series_mul(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    """The product, exact below min(t_a + v_b, t_b + v_a)."""
+    d = lcm(a.denom, b.denom)
+    a, b = series_rescaled(a, d), series_rescaled(b, d)
+    trunc = min(a.trunc + series_valuation(b), b.trunc + series_valuation(a))
+    bound = trunc * d
+    out: Dict[int, Q] = {}
+    for n1, c1 in a.coeffs.items():
+        for n2, c2 in b.coeffs.items():
+            if n1 + n2 < bound:
+                out[n1 + n2] = out.get(n1 + n2, 0) + c1 * c2
+    return PuiseuxSeries.make(d, out, trunc)
+
+
 def series_one(trunc: Q | int) -> PuiseuxSeries:
     return PuiseuxSeries.make(1, {0: Q(1)}, Q(trunc))
 
@@ -847,15 +900,15 @@ def series_inverse(f: PuiseuxSeries) -> PuiseuxSeries:
     trunc_u = f.trunc - v
     acc = series_one(trunc_u)
     term = series_one(trunc_u)
-    sv = s.valuation()
+    sv = series_valuation(s)
     if sv <= 0:
         raise AssertionError("expected positive valuation remainder")
     k = 0
     while k * sv < trunc_u:
-        term = term * s
-        acc = acc + (-term if k % 2 == 0 else term)
+        term = series_mul(term, s)
+        acc = series_add(acc, series_neg(term) if k % 2 == 0 else term)
         k += 1
-    return (acc * monomial(-v, lead_inv, trunc_u - v)).normalized()
+    return series_mul(acc, monomial(-v, lead_inv, trunc_u - v)).normalized()
 
 
 def euler_pentagonal(terms: int) -> PuiseuxSeries:
@@ -879,11 +932,11 @@ def euler_pentagonal(terms: int) -> PuiseuxSeries:
 def series_pow(f: PuiseuxSeries, n: int) -> PuiseuxSeries:
     """f^n by repeated products (of the inverse for n < 0)."""
     if n == 0:
-        return series_one(f.trunc - f.valuation())
+        return series_one(f.trunc - series_valuation(f))
     base = f if n > 0 else series_inverse(f)
     out = base
     for _ in range(abs(n) - 1):
-        out = out * base
+        out = series_mul(out, base)
     return out
 
 
@@ -909,12 +962,12 @@ def product_one_minus_qn_power(m: int, terms: int) -> PuiseuxSeries:
     half = m // 2
     if half:
         piece = product_one_minus_qn_power(half, terms)
-        acc = piece * piece
+        acc = series_mul(piece, piece)
     if m % 2:
         base = series_one(trunc)
         for n in range(1, terms + 1):
-            base = base * PuiseuxSeries.make(1, {0: Q(1), n: Q(-1)}, trunc)
-        acc = acc * base
+            base = series_mul(base, PuiseuxSeries.make(1, {0: Q(1), n: Q(-1)}, trunc))
+        acc = series_mul(acc, base)
     return acc
 
 
@@ -924,15 +977,16 @@ def product_eta(scale: Q, power: int, trunc: int) -> PuiseuxSeries:
     terms = max(0, int((Q(trunc) - prefix_exp) / scale) + 1)
     shifted = substitute_scaled(product_one_minus_qn_power(power, terms), scale)
     pre = monomial(prefix_exp, Q(1), Q(trunc) - prefix_exp + shifted.trunc)
-    return (shifted * pre).normalized()
+    return series_mul(shifted, pre).normalized()
 
 
 def product_f_power_at_S(n: int, trunc: int) -> PuiseuxSeries:
     """(3^6 eta(t)^12 / eta(t/3)^12)^n by a series power of the product."""
     margin = trunc + 2 + 2 * max(abs(n), 3)
-    base = (
-        product_eta(Q(1), 12, margin) * product_eta(Q(1, 3), -12, margin)
-    ).scale(Q(3**6))
+    base = series_scale(
+        series_mul(product_eta(Q(1), 12, margin), product_eta(Q(1, 3), -12, margin)),
+        Q(3**6),
+    )
     out = series_pow(base, n)
     return PuiseuxSeries.make(
         out.denom, dict(out.coeffs), min(out.trunc, Q(trunc))

@@ -27,8 +27,11 @@ from helpers import (
     ip_coords,
     negated,
     rough_lift,
+    series_add,
     series_inverse,
+    series_mul,
     series_pow,
+    series_terms,
 )
 
 
@@ -104,7 +107,7 @@ def test_criterion_5_dimension_formula():
     for n, exp, scaled in golden.CUSP_COEFFS:
         series = qmodular.f_power_at_S(n, 12)
         ok = ok and series.coeff(exp) * Q(3) ** (-6 * n) == scaled
-    ok = ok and qmodular.fit_character(102, 0, 0).cm3 == 3**17
+    ok = ok and qmodular.fit_character(102, 0, 0)[-3] == 3**17
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     report(f"5 (dimension formula, {elapsed:.2f}s)", ok)
@@ -218,24 +221,25 @@ def test_criterion_8_property_suites():
             return qmodular.PuiseuxSeries.make(3, coeffs, Q(4))
 
         a, b, c = rand_series(), rand_series(), rand_series()
-        lhs, rhs = (a * b) * c, a * (b * c)
-        for exp, coeff in lhs.terms():
+        lhs, rhs = series_mul(series_mul(a, b), c), series_mul(a, series_mul(b, c))
+        for exp, coeff in series_terms(lhs):
             if exp < min(lhs.trunc, rhs.trunc):
                 ok = ok and coeff == rhs.coeff(exp)
-        s1, s2 = a * (b + c), a * b + a * c
-        for exp, coeff in s1.terms():
+        s1 = series_mul(a, series_add(b, c))
+        s2 = series_add(series_mul(a, b), series_mul(a, c))
+        for exp, coeff in series_terms(s1):
             if exp < min(s1.trunc, s2.trunc):
                 ok = ok and coeff == s2.coeff(exp)
     report("8d (series ring laws)", ok)
 
     # f f^-1 = 1 and the cusp cube identity
     f = qmodular.hauptmodul_f(10)
-    prod = f * series_inverse(f)
-    ok = prod.coeff(0) == 1 and all(c == 0 for e, c in prod.terms() if e != 0)
+    prod = series_mul(f, series_inverse(f))
+    ok = prod.coeff(0) == 1 and all(c == 0 for e, c in series_terms(prod) if e != 0)
     cube = series_pow(qmodular.f_power_at_S(-1, 6), 3)
     direct = qmodular.f_power_at_S(-3, 6)
     bound = min(cube.trunc, direct.trunc)
-    for exp, c in cube.terms():
+    for exp, c in series_terms(cube):
         if exp < bound:
             ok = ok and c == direct.coeff(exp)
     report("8e (inverse and cube identities)", ok)

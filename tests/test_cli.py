@@ -449,11 +449,16 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["verify-all", "--json"], "561a5f08b2e0941c"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
+        # the smallest truncation: f exact below q^(3/2), f^n at the cusp below q
+        (["tables", "--which", "modular", "--trunc", "1", "--json"], "797cae7e343120b7"),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
+          "--trunc", "1", "--json"], "a49d16515181d955"),
     ],
     ids=["twist-bound", "twist-bound-file", "dimension", "candidates",
          "candidates-a5d4", "candidates-a2x6", "candidates-d4-outer",
          "candidates-fractional-level", "dimension-trunc16", "lattice", "lattice-sigma6",
-         "lattice-sigma2", "verify-all", "tables-modular", "tables-a5.3"],
+         "lattice-sigma2", "verify-all", "tables-modular", "tables-a5.3",
+         "tables-modular-trunc1", "dimension-trunc1"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):
     # python -O strips assert statements; the invariant checks must not be

@@ -223,6 +223,22 @@ def test_sigma4_search_certifies_43_candidates(nd4, monkeypatch):
     assert calls == list(isometry_placements(nd4, cases.named_witness("sigma4")))[:43]
 
 
+def test_catalogue_matrix_is_built_once(nd4, monkeypatch):
+    # the catalogue's matrices are constants: the sigma2 and sigma4 builds
+    # share one call of fpf_d4_matrix, whose Hurwitz root search dominates
+    calls = []
+    original = latticevoa.fpf_d4_matrix
+
+    def counting():
+        calls.append(1)
+        return original()
+
+    monkeypatch.setattr(latticevoa, "fpf_d4_matrix", counting)
+    for name in ("sigma2", "sigma4"):
+        assert built_isometry(nd4, name).order() == 3
+    assert len(calls) == 1
+
+
 def test_witness_that_does_not_fit_is_a_value_error(ne6, nd4):
     with pytest.raises(ValueError, match="^the witness's ideals are not the lattice's E6,1"):
         built_isometry(ne6, "sigma2")
@@ -924,10 +940,10 @@ def test_ground_energy_symmetric_under_inversion(ne6):
 def test_fixed_projection_norms(ne6):
     s6 = built_isometry(ne6, "sigma6")
     u = NI_E6_4.word_vector((0, 1, 0, 0))
-    proj, norm = fixed_projection_norm(ne6, s6, u)
+    proj, norm = fixed_projection_norm(s6, u)
     assert norm == Q(4, 9)
     u0 = NI_E6_4.word_vector((1, 0, 0, 0))
-    proj0, norm0 = fixed_projection_norm(ne6, s6, u0)
+    proj0, norm0 = fixed_projection_norm(s6, u0)
     assert norm0 == 0 and all(x == 0 for x in proj0)
     n = ne6.rank
     ident = LatticeIsometry(
@@ -935,7 +951,7 @@ def test_fixed_projection_norms(ne6):
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
         "id",
     )
-    proj_u, _ = fixed_projection_norm(ne6, ident, u)
+    proj_u, _ = fixed_projection_norm(ident, u)
     assert proj_u == u
 
 

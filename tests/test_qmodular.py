@@ -4,49 +4,73 @@ from fractions import Fraction as Q
 import pytest
 
 from orbifold24.qmodular import (
+    LAURENT_TABLE,
     PuiseuxSeries,
     derive_dimension_formula,
     dim_tilde_v1,
-    eta_expansion,
+    eta_quotient,
     f_power_at_S,
     fit_character,
     hauptmodul_f,
 )
+from orbifold24.exactmath import InvariantError
 
 from helpers import (
     euler_pentagonal,
     fraction_f_power_at_S,
     omega_trace,
+    product_eta,
     product_f_power_at_S,
+    series_add,
     series_inverse,
+    series_mul,
     series_pow,
+    series_terms,
+    substitute_scaled,
     traced_dimension_formula,
 )
 
 
 def test_eta_against_pentagonal_oracle():
-    e = eta_expansion(Q(1), 1, 9)
-    oracle = euler_pentagonal(8)
+    # P(x) / P(x^3) from Euler's pentagonal series P(x) = sum (-1)^k x^(k(3k-1)/2)
+    e = eta_quotient(-1, 9)
+    pent = euler_pentagonal(8)
+    oracle = series_mul(pent, series_inverse(substitute_scaled(pent, Q(3))))
     for k in range(9):
-        assert e.coeff(Q(1, 24) + k) == oracle.coeff(Q(k))
+        assert e[k] == oracle.coeff(Q(k))
 
 
 def test_eta_power_24():
-    e = eta_expansion(Q(1), 24, 6)
-    assert e.coeff(1) == 1
-    assert e.coeff(2) == -24
-    assert e.coeff(3) == 252
+    # P(x)^24 = 1 - 24x + 252x^2 - ...; P(x^3)^-24 starts at x^3
+    e = eta_quotient(-24, 6)
+    assert e[0] == 1
+    assert e[1] == -24
+    assert e[2] == 252
 
 
 def test_eta_trivial_power():
-    e = eta_expansion(Q(3), 0, 5)
-    assert e.coeff(0) == 1
-    assert all(c == 0 for exp, c in e.terms() if exp != 0)
+    e = eta_quotient(0, 15)
+    assert e[0] == 1
+    assert all(c == 0 for c in e[1:])
 
 
 def test_eta_rejects_bad_truncation():
     with pytest.raises(ValueError):
-        eta_expansion(Q(1), 1, 0)
+        hauptmodul_f(0)
+    with pytest.raises(ValueError):
+        f_power_at_S(1, 0)
+
+
+@pytest.mark.parametrize("trunc", range(1, 17))
+def test_hauptmodul_matches_product_oracle(trunc):
+    # f is reported exact below q^(trunc + 1/2); the product of the two eta
+    # products is exact at least that far and must agree there
+    fast = hauptmodul_f(trunc)
+    assert fast.trunc == trunc + Q(1, 2)
+    prod = series_mul(product_eta(Q(1), 12, trunc + 2), product_eta(Q(3), -12, trunc + 2))
+    assert prod.trunc >= fast.trunc
+    slow = PuiseuxSeries.make(prod.denom, prod.coeffs, fast.trunc).normalized()
+    assert (fast.denom, fast.coeffs, fast.trunc) == (slow.denom, slow.coeffs, slow.trunc)
 
 
 def test_hauptmodul_leading_terms():
@@ -60,9 +84,9 @@ def test_hauptmodul_leading_terms():
 
 def test_hauptmodul_inverse():
     f = hauptmodul_f(8)
-    prod = f * series_inverse(f)
+    prod = series_mul(f, series_inverse(f))
     assert prod.coeff(0) == 1
-    assert all(c == 0 for exp, c in prod.terms() if exp != 0)
+    assert all(c == 0 for exp, c in series_terms(prod) if exp != 0)
 
 
 def test_ring_laws_randomized():
@@ -77,14 +101,14 @@ def test_ring_laws_randomized():
 
     for _ in range(40):
         a, b, c = rand_series(), rand_series(), rand_series()
-        lhs = (a * b) * c
-        rhs = a * (b * c)
-        for exp, coeff in lhs.terms():
+        lhs = series_mul(series_mul(a, b), c)
+        rhs = series_mul(a, series_mul(b, c))
+        for exp, coeff in series_terms(lhs):
             if exp < min(lhs.trunc, rhs.trunc):
                 assert coeff == rhs.coeff(exp)
-        s1 = a * (b + c)
-        s2 = a * b + a * c
-        for exp, coeff in s1.terms():
+        s1 = series_mul(a, series_add(b, c))
+        s2 = series_add(series_mul(a, b), series_mul(a, c))
+        for exp, coeff in series_terms(s1):
             if exp < min(s1.trunc, s2.trunc):
                 assert coeff == s2.coeff(exp)
 
@@ -109,19 +133,19 @@ def test_cusp_expansion_displayed_coefficients():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cusp_expansion_inverses(n):
-    prod = f_power_at_S(n, 5) * f_power_at_S(-n, 5)
+    prod = series_mul(f_power_at_S(n, 5), f_power_at_S(-n, 5))
     assert prod.coeff(0) == 1
-    assert all(c == 0 for exp, c in prod.terms() if exp != 0)
+    assert all(c == 0 for exp, c in series_terms(prod) if exp != 0)
 
 
 def test_cusp_cube_identity():
     cube = series_pow(f_power_at_S(-1, 5), 3)
     direct = f_power_at_S(-3, 5)
     bound = min(cube.trunc, direct.trunc)
-    for exp, c in cube.terms():
+    for exp, c in series_terms(cube):
         if exp < bound:
             assert c == direct.coeff(exp)
-    for exp, c in direct.terms():
+    for exp, c in series_terms(direct):
         if exp < bound:
             assert c == cube.coeff(exp)
 
@@ -158,11 +182,20 @@ def test_omega_trace_kills_fractional_exponents():
 
 def test_fit_character_values():
     fit = fit_character(102, 0, 0)
-    assert fit.c0 == 114
-    assert fit.cm2 == 12 * 3**12
-    assert fit.cm1 == 90 * 3**6
-    assert fit.cm3 == 3**17
-    assert fit_character(0, 0, 0).c0 == 12
+    assert fit[1] == 1
+    assert fit[0] == 114
+    assert fit[-2] == 12 * 3**12
+    assert fit[-1] == 90 * 3**6
+    assert fit[-3] == 3**17
+    assert fit_character(0, 0, 0)[0] == 12
+
+
+def test_fit_character_checks_leading_coefficient(monkeypatch):
+    # an explicit check, not an assert: it must also hold under python -O
+    monkeypatch.setitem(LAURENT_TABLE, 1, (Q(1), Q(0), Q(0), Q(1)))
+    with pytest.raises(InvariantError, match="^leading Laurent coefficient is 2, not 1$"):
+        fit_character(1, 0, 0)
+    assert fit_character(0, 0, 0)[1] == 1
 
 
 def test_dim_tilde_v1_cases():

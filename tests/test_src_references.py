@@ -2,8 +2,10 @@
 
 Code that only the tests use lives in `tests/helpers.py`.  This scan finds
 each class, function and non-dunder method defined in `src/orbifold24` and
-requires its name to appear elsewhere in the package, as a name, an
-attribute or an import; a use inside its own definition does not count.
+requires its name to appear elsewhere in the package: a class or function
+as a name, an attribute or an import, a method only as an attribute
+(`x.name`), so a local variable of the same name does not count.  A use
+inside its own definition does not count either.
 """
 
 import ast
@@ -31,14 +33,15 @@ def definitions(tree):
 
 
 def uses(tree):
+    """(name, line, is_attribute) for every name, attribute and import."""
     for n in ast.walk(tree):
         if isinstance(n, ast.Name):
-            yield n.id, n.lineno
+            yield n.id, n.lineno, False
         elif isinstance(n, ast.Attribute):
-            yield n.attr, n.lineno
+            yield n.attr, n.lineno, True
         elif isinstance(n, ast.ImportFrom):
             for alias in n.names:
-                yield alias.name, n.lineno
+                yield alias.name, n.lineno, False
 
 
 def test_every_src_definition_is_used_in_src():
@@ -48,11 +51,12 @@ def test_every_src_definition_is_used_in_src():
     for mod, tree in trees.items():
         for qual, node in definitions(tree):
             name = qual.rsplit(".", 1)[-1]
+            method = "." in qual
             inside = range(node.lineno, node.end_lineno + 1)
             if not any(
-                n == name and not (m == mod and line in inside)
+                n == name and (attr or not method) and not (m == mod and line in inside)
                 for m, refs in used.items()
-                for n, line in refs
+                for n, line, attr in refs
             ):
                 unused.append(f"{mod}.{qual}")
     assert sorted(unused) == sorted(EXEMPT)
