@@ -16,13 +16,15 @@ components until the map preserves the glue, so the lattice side follows
 the forward chain.  The weight-one algebra has basis {Cartan directions} +
 {e^a : a a root}, with structure constants through the sign bicharacter
 fixed on an ordered lattice basis.  Standard lifts are solved exactly over
-F2 (phase 1 on the fixed sublattice, composite of order 3), and fixed-point
+F2 (phase 1 on the fixed sublattice, composite of order 3); every sign
+parity there and in the bicharacter is a popcount of bit masks.  Fixed-point
 subalgebras are extracted and their types and levels certified exactly, one
-sigma-orbit of components at a time.  The fixed Cartan t grades each fixed
-subalgebra, so its table and Killing form are computed one weight block at
-a time.  Twisted ground energies are read off the eigenvalue multiplicities
-of an order-3 isometry.  All of it is exact, in Python integers and
-`Fraction`s.
+sigma-orbit of components at a time.  A fixed subalgebra keeps its bracket
+table and form as rows of nonzero entries, graded by the fixed Cartan t:
+the grading and orbit-block checks walk the stored entries, and the Killing
+form sums them one weight block at a time.  Twisted ground energies are
+read off the eigenvalue multiplicities of an order-3 isometry.  All of it is
+exact, in Python integers and `Fraction`s.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
+from operator import add
 from typing import (
     Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -269,21 +272,27 @@ def coset_norm_lower_bound(code: GlueCode, word: IntVec) -> Q:
 
 
 @lru_cache(maxsize=None)
+def _root_pairings(t: SimpleType) -> Tuple[IntVec, ...]:
+    """scale * (a_p|a_q) for every pair of roots of t, in `roots` order, from
+    their fundamental-weight coordinates and the form, computed once."""
+    rs = build_root_system(t)
+    return tuple(map(tuple, mat_mul(mat_mul(rs.roots, rs.form), transpose(rs.roots))))
+
+
+@lru_cache(maxsize=None)
 def _negative_pairs(t: SimpleType) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Per root p of a simply-laced type, in `root_alpha_coords` order: each
     root q with (a_p|a_q) < 0, and the index of a_p + a_q (-1 when
-    a_q = -a_p).  (a_p|a_q) is a_p's fundamental-weight coordinates paired
-    with a_q's simple-root coordinates."""
-    rs = build_root_system(t)
-    acs = rs.root_alpha_coords
+    a_q = -a_p), read off `_root_pairings`."""
+    acs = build_root_system(t).root_alpha_coords
     index = {a: p for p, a in enumerate(acs)}
     return tuple(
         tuple(
-            (q, index.get(tuple(x + y for x, y in zip(a, b)), -1))
-            for q, b in enumerate(acs)
-            if sum(x * y for x, y in zip(fw, b)) < 0
+            (q, index.get(tuple(x + y for x, y in zip(a, acs[q])), -1))
+            for q, v in enumerate(row)
+            if v < 0
         )
-        for fw, a in zip(rs.roots, acs)
+        for a, row in zip(acs, _root_pairings(t))
     )
 
 
@@ -598,6 +607,11 @@ def build_isometry(lat: EvenLattice, witness: Witness, name: str) -> LatticeIsom
 # the weight-one Lie algebra of the lattice vertex algebra
 
 
+def _odd_mask(xs: Sequence[int]) -> int:
+    """The integer with bit i set where xs[i] is odd: a vector mod 2."""
+    return sum(1 << i for i, x in enumerate(xs) if x & 1)
+
+
 class LatticeLieAlgebra:
     """Cartan + root vectors with the ordered-basis sign bicharacter.
 
@@ -617,7 +631,9 @@ class LatticeLieAlgebra:
     The tables are built one component at a time, in Python integers, as
     roots of different components are orthogonal.  On a component whose
     simple roots have lattice coordinates E, eps's parity is E L E^T mod 2
-    on simple-root coordinates, and `_negative_pairs` gives (a|b).
+    on simple-root coordinates, and `_negative_pairs` gives (a|b).  Each
+    parity is the popcount of two bit masks (`_odd_mask`): a's row of
+    that form mod 2 and b's simple-root coordinates mod 2.
     """
 
     def __init__(self, lat: EvenLattice):
@@ -656,17 +672,18 @@ class LatticeLieAlgebra:
         for c, t in enumerate(types):
             e = simple[c]
             acs = build_root_system(t).root_alpha_coords
+            # global root indices; the sum index -1 of opposite roots stays -1
+            glob = [at[c, p] for p in range(len(acs))] + [-1]
             cr.append(mat_mul(acs, mat_mul(e, lat.gram)))
-            odd = mat_mul(acs, mat_mul(mat_mul(e, low), transpose(e)))
+            # the parity of x L y is that of the bits odd in both x L and y
+            odd = map(_odd_mask, mat_mul(acs, mat_mul(mat_mul(e, low), transpose(e))))
+            ac_bits = [_odd_mask(a) for a in acs]
             pairs.append([
                 {
-                    at[c, q]: (
-                        at[c, s] if s >= 0 else -1,
-                        -1 if sum(x * y for x, y in zip(odd[p], acs[q])) & 1 else 1,
-                    )
+                    glob[q]: (glob[s], -1 if (bits & ac_bits[q]).bit_count() & 1 else 1)
                     for q, s in neg
                 }
-                for p, neg in enumerate(_negative_pairs(t))
+                for bits, neg in zip(odd, _negative_pairs(t))
             ])
         self.cr: List[List[int]] = [cr[c][p] for _, c, p in roots]
         self.pairs: List[Dict[int, Tuple[int, int]]] = [pairs[c][p] for _, c, p in roots]
@@ -785,51 +802,51 @@ class LiftedAutomorphism:
 
 
 def _phase_bit_expr(
-    alg: LatticeLieAlgebra,
-    h_bits: List[List[int]],
-    coords: Sequence[int],
-) -> Tuple[List[int], int]:
-    """Exponent of c(x) as affine F2 expression: (basis-bit coefficients, const).
+    upper: Sequence[int], diag: int, coords: Sequence[int]
+) -> Tuple[int, int]:
+    """Exponent of c(x) as affine F2 expression: (basis-bit mask, const).
 
     c(sum m_i b_i) has sign exponent
     sum m_i x_i + sum_{i<j} m_i m_j h_ij + sum_i C(m_i,2) h_ii  (mod 2).
+    upper[i] masks the j > i with h_ij = 1 and diag the i with h_ii = 1.
+    Mod 2 only odd m_i count in the first two sums, and C(m, 2) is odd
+    exactly when m = 2, 3 mod 4, that is when m >> 1 is odd.
     """
-    n = alg.rank
-    lin = [(abs(m) % 2) for m in coords]
-    const = 0
-    for i in range(n):
-        mi = coords[i]
-        if not mi:
-            continue
-        const += (mi * (mi - 1) // 2) * h_bits[i][i]
-        for j in range(i + 1, n):
-            if coords[j]:
-                const += mi * coords[j] * h_bits[i][j]
-    return lin, const % 2
+    odd = twos = 0
+    for i, m in enumerate(coords):
+        if m:
+            odd |= (m & 1) << i
+            twos |= (m >> 1 & 1) << i
+    const = (diag & twos).bit_count()
+    rest = odd
+    while rest:                                 # each odd m_i, lowest i first
+        low = rest & -rest
+        const += (upper[low.bit_length() - 1] & odd).bit_count()
+        rest ^= low
+    return odd, const & 1
 
 
-def _solve_f2(rows: List[List[int]], rhs: List[int], n: int) -> Optional[List[int]]:
-    """Solve an F2 linear system; least solution (free variables zero)."""
-    m = [row[:] + [b] for row, b in zip(rows, rhs)]
+def _solve_f2(rows: List[int], rhs: List[int], n: int) -> Optional[int]:
+    """Solve an F2 linear system whose rows are bit masks over n unknowns
+    (bit j the coefficient of x_j); least solution (free variables zero),
+    as a bit mask."""
+    m = [row | b << n for row, b in zip(rows, rhs)]
     pivots: List[int] = []
     r = 0
     for c in range(n):
-        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        bit = 1 << c
+        p = next((i for i in range(r, len(m)) if m[i] & bit), None)
         if p is None:
             continue
         m[r], m[p] = m[p], m[r]
         for i in range(len(m)):
-            if i != r and m[i][c]:
-                m[i] = [(a ^ b) for a, b in zip(m[i], m[r])]
+            if i != r and m[i] & bit:
+                m[i] ^= m[r]
         pivots.append(c)
         r += 1
-    for i in range(r, len(m)):
-        if m[i][n]:
-            return None
-    x = [0] * n
-    for idx, c in enumerate(pivots):
-        x[c] = m[idx][n]
-    return x
+    if any(row >> n for row in m[r:]):
+        return None
+    return sum((m[idx] >> n) << c for idx, c in enumerate(pivots))
 
 
 def _twist_bits(alg: LatticeLieAlgebra, gm: List[List[int]]) -> List[List[int]]:
@@ -847,6 +864,13 @@ def _twist_bits(alg: LatticeLieAlgebra, gm: List[List[int]]) -> List[List[int]]:
     return h_bits
 
 
+def _packed_twist(h_bits: List[List[int]]) -> Tuple[List[int], int]:
+    """The twist bits as `_phase_bit_expr` reads them: per row i the mask of
+    the j > i with h_ij = 1, and the mask of the diagonal."""
+    upper = [_odd_mask(row[i + 1:]) << (i + 1) for i, row in enumerate(h_bits)]
+    return upper, _odd_mask([row[i] for i, row in enumerate(h_bits)])
+
+
 def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
     """Order-3 standard lift: phase 1 on the fixed sublattice.
 
@@ -859,24 +883,22 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     n = alg.rank
     gm = [list(row) for row in g.matrix]
     g2 = mat_mul(gm, gm)
-    h_bits = _twist_bits(alg, gm)
+    upper, diag = _packed_twist(_twist_bits(alg, gm))
 
     fixed = g.fixed_coords_basis()
-    rows: List[List[int]] = []
+    rows: List[int] = []
     rhs: List[int] = []
     # standardness: phase 1 on a basis of the fixed sublattice
     for f in fixed:
-        lin, const = _phase_bit_expr(alg, h_bits, f)
+        lin, const = _phase_bit_expr(upper, diag, f)
         rows.append(lin)
         rhs.append(const)
     # order 3: c(b_i) c(g b_i) c(g^2 b_i) = 1 for all i
     for i in range(n):
-        lin = [0] * n
-        lin[i] = 1
-        const = 0
+        lin, const = 1 << i, 0
         for v in (gm[i], g2[i]):
-            lv, cv = _phase_bit_expr(alg, h_bits, v)
-            lin = [(a ^ b) for a, b in zip(lin, lv)]
+            lv, cv = _phase_bit_expr(upper, diag, v)
+            lin ^= lv
             const ^= cv
         rows.append(lin)
         rhs.append(const)
@@ -885,9 +907,8 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
         raise InvariantError("no order-3 standard phase function exists")
 
     def phase_of(coords: Sequence[int]) -> int:
-        lin, const = _phase_bit_expr(alg, h_bits, coords)
-        bit = const ^ (sum(a & b for a, b in zip(lin, x)) % 2)
-        return -1 if bit else 1
+        lin, const = _phase_bit_expr(upper, diag, coords)
+        return -1 if const ^ (lin & x).bit_count() & 1 else 1
 
     images = mat_mul([list(c) for c in alg.root_coords], gm)
     perm = tuple(alg.root_index[tuple(img)] for img in images)
@@ -931,18 +952,21 @@ class FixedSubalgebra:
     fixed lattice vectors in V_O, the span of the components in O.
     `weights[i]` is the t-weight of basis[i]: ((row|a) for each Cartan row)
     for the orbit sum of a root a, and 0 on t, so basis[:nc] is t with
-    nc = len(weights[0]).  `brackets[i][j]` maps k to the nonzero
-    coefficient of basis[k] in [basis[i], basis[j]]; `gram` is the
-    invariant form on the basis.  Both are integral and graded:
-    [basis[i], basis[j]] has weight weights[i] + weights[j], and the form
-    pairs weight w only with -w.  `orbits` holds the basis indices of each
-    sigma-orbit of components; the algebra is the direct sum of their spans.
+    nc = len(weights[0]).  Both tables hold rows of nonzero entries only:
+    `brackets[i]` maps each j with [basis[i], basis[j]] != 0 to {k: the
+    nonzero coefficient of basis[k]}, and `gram[i]` maps each j with
+    <basis[i], basis[j]> != 0 to that value of the invariant form.  Both
+    are integral and graded: [basis[i], basis[j]] has weight
+    weights[i] + weights[j], and the form pairs weight w only with -w.
+    `orbits` holds the basis indices of each sigma-orbit of components; the
+    algebra is the direct sum of their spans.  The grading and orbit-block
+    checks and the Killing form walk the stored entries alone.
     """
 
     basis: List[Dict[int, int]]
     weights: List[Weight]
-    brackets: List[List[Dict[int, int]]]
-    gram: List[List[int]]
+    brackets: List[Dict[int, Dict[int, int]]]
+    gram: List[Dict[int, int]]
     orbits: List[ComponentOrbit]
 
     @property
@@ -956,14 +980,6 @@ def _weight_blocks(weights: Sequence[Weight]) -> Dict[Weight, List[int]]:
     for i, w in enumerate(weights):
         blocks.setdefault(w, []).append(i)
     return blocks
-
-
-def _add(w: Weight, v: Weight) -> Weight:
-    return tuple(a + b for a, b in zip(w, v))
-
-
-def _neg(w: Weight) -> Weight:
-    return tuple(-a for a in w)
 
 
 def _component_orbits(
@@ -996,12 +1012,14 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     """Exact fixed-point subalgebra of an order-3 lifted automorphism.
 
     The Cartan rows of each orbit O of components are the fixed-sublattice
-    vectors orthogonal to every root outside O.  Only the Cartan rows and
-    the pairs of orbit sums that touch are bracketed: two orbit sums commute
-    unless a root of one has negative inner product with a root of the
-    other, and (g^p a|g^q b) = (a|g^(q-p) b), so the pair table of one
-    representative names every orbit that touches it.  Form entries are
-    computed only where w_i + w_j = 0; the others vanish by the grading.
+    vectors orthogonal to every root outside O.  t acts on each orbit sum
+    by its weight.  Only the pairs of orbit sums that touch are bracketed,
+    root by root through the pair table: two orbit sums commute unless a
+    root of one has negative inner product with a root of the other, and
+    (g^p a|g^q b) = (a|g^(q-p) b), so the pair table of one representative
+    names every orbit that touches it.  The form pairs t with t through
+    the lattice gram, and an orbit sum only with the orbit sum of the
+    opposite roots.
     """
     alg = lift.algebra
     r = alg.rank
@@ -1034,7 +1052,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         if nc else fixed_weights
     )
     weights: List[Weight] = [(0,) * nc] * nc
-    member: Dict[int, int] = {}        # root basis index -> its orbit sum's
+    member: Dict[int, int] = {}        # root index -> its orbit sum's
     seen: Set[int] = set()
     for k in range(alg.n_roots):
         if k in seen:
@@ -1045,7 +1063,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             # a g-fixed root line survives only with trivial phase
             if lift.root_phase[k] == 1:
                 indices[root_orbit[k]].append(len(basis))
-                member[r + k] = len(basis)
+                member[k] = len(basis)
                 basis.append(alg.root_element(k))
                 weights.append(root_weights[k])
             continue
@@ -1058,10 +1076,19 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         s1 = s0 * lift.root_phase[k1]
         if s1 * lift.root_phase[k2] != 1:
             raise InvariantError("orbit phase product must be 1")
+        # t acts on the line by one weight only if its roots pair alike
+        # with every Cartan row
+        if not root_weights[k] == root_weights[k1] == root_weights[k2]:
+            raise InvariantError("a bracket is no multiple of an orbit sum")
         indices[root_orbit[k]].append(len(basis))
-        member[r + k] = member[r + k1] = member[r + k2] = len(basis)
+        member[k] = member[k1] = member[k2] = len(basis)
         basis.append({r + k: 1, r + k1: s0, r + k2: s1})
         weights.append(root_weights[k])
+    dim = len(basis)
+    # (root, coefficient) for each root of each orbit sum
+    terms = [[]] * nc + [[(k - r, c) for k, c in b.items()] for b in basis[nc:]]
+    brackets: List[Dict[int, Dict[int, int]]] = [{} for _ in basis]
+    gram: List[Dict[int, int]] = [{} for _ in basis]
     # least-squares solver F^T (F F^T)^-1 for the Cartan part, as integer
     # rows over the denominator sden; with no fixed Cartan, every row is empty
     solver: List[List[int]] = [[]] * r
@@ -1070,62 +1097,59 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         ft = transpose(cartan_rows)                                  # r x nc
         inv, sden = integer_inverse(mat_mul(cartan_rows, ft))
         solver = mat_mul(ft, inv)
-
-    def coords(x: Dict[int, int]) -> Dict[int, int]:
-        """Coordinates of a fixed vector in the fixed basis; InvariantError
-        unless its root part is a sum of multiples of orbit sums."""
-        out: Dict[int, int] = {}
-        cart = []
-        for k, c in x.items():
-            if k < r:
-                cart.append((k, c))
-                continue
-            p = member.get(k)
-            if p is None:
-                raise InvariantError("a bracket leaves the fixed subalgebra")
-            if p not in out:
-                b = basis[p]
-                lead = x.get(next(iter(b)), 0)
-                if any(x.get(m, 0) != lead * s for m, s in b.items()):
-                    raise InvariantError("a bracket is no multiple of an orbit sum")
-                out[p] = lead
-        if cart:
-            sol = [sum(c * solver[i][j] for i, c in cart) for j in range(nc)]
-            recon = [
-                sum(s * row[i] for s, row in zip(sol, cartan_rows)) for i in range(r)
-            ]
-            want = [0] * r
-            for i, c in cart:
-                want[i] = sden * c
-            if recon != want:
-                raise InvariantError("Cartan part is outside the fixed sublattice")
-            if any(s % sden for s in sol):
-                raise InvariantError("a fixed structure constant is not integral")
-            out.update((j, s // sden) for j, s in enumerate(sol) if s)
-        return out
-
-    dim = len(basis)
-    brackets: List[List[Dict[int, int]]] = [[{} for _ in basis] for _ in basis]
+        for i, row in enumerate(mat_mul(mat_mul(cartan_rows, alg.lattice.gram), ft)):
+            gram[i] = {j: v for j, v in enumerate(row) if v}
+    for j in range(nc, dim):
+        for i, w in enumerate(weights[j]):
+            if w:
+                brackets[i][j], brackets[j][i] = {j: w}, {j: -w}
 
     def put(i: int, j: int) -> None:
-        b = coords(alg.bracket(basis[i], basis[j]))
-        brackets[i][j] = b
-        brackets[j][i] = {k: -c for k, c in b.items()}
+        """[basis[i], basis[j]] and <basis[i], basis[j]> for two orbit sums,
+        root by root from the pair table: [e^a, e^b] is eps(a, b) e^(a+b)
+        when (a|b) = -1, and eps(a, -a) times the coroot of a when b = -a,
+        the one case where <e^a, e^b> = eps(a, -a) is nonzero."""
+        roots: Dict[int, int] = {}
+        opposite = []
+        for a, ca in terms[i]:
+            row = alg.pairs[a]
+            for b, cb in terms[j]:
+                if b in row:
+                    s, sgn = row[b]
+                    if s >= 0:
+                        roots[s] = roots.get(s, 0) + ca * cb * sgn
+                    else:
+                        opposite.append((alg.root_coords[a], ca * cb * sgn))
+        out: Dict[int, int] = {}
+        for s, c in roots.items():
+            p = member.get(s)
+            if c and p is None:
+                raise InvariantError("a bracket leaves the fixed subalgebra")
+            if c and p not in out:
+                lead = roots.get(terms[p][0][0], 0)
+                for m, e in terms[p]:
+                    if roots.get(m, 0) != lead * e:
+                        raise InvariantError("a bracket is no multiple of an orbit sum")
+                out[p] = lead
+        cart = [sum(c * x[m] for x, c in opposite) for m in range(r)] if opposite else []
+        if any(cart):
+            sol = [sum(c * row[k] for c, row in zip(cart, solver)) for k in range(nc)]
+            recon = [sum(x * row[m] for x, row in zip(sol, cartan_rows)) for m in range(r)]
+            if recon != [sden * c for c in cart]:
+                raise InvariantError("Cartan part is outside the fixed sublattice")
+            if any(x % sden for x in sol):
+                raise InvariantError("a fixed structure constant is not integral")
+            out.update((k, x // sden) for k, x in enumerate(sol) if x)
+        if out:
+            brackets[i][j], brackets[j][i] = out, {k: -c for k, c in out.items()}
+        form = sum(c for _, c in opposite)
+        if form:
+            gram[i][j] = gram[j][i] = form
 
-    for i in range(nc):
-        for j in range(nc, dim):
-            put(i, j)
     for i in range(nc, dim):
-        rep = next(iter(basis[i])) - r
-        for j in {member.get(r + l, -1) for l in alg.pairs[rep]}:
+        for j in {member.get(l, -1) for l in alg.pairs[terms[i][0][0]]}:
             if j > i:
                 put(i, j)
-    blocks = _weight_blocks(weights)
-    gram = [[0] * dim for _ in basis]
-    for i in range(dim):
-        for j in blocks.get(_neg(weights[i]), ()):
-            if j >= i:
-                gram[i][j] = gram[j][i] = alg.form(basis[i], basis[j])
     orbits = [
         ComponentOrbit(t, length, tuple(idx))
         for (t, length), idx in zip(shapes, indices)
@@ -1142,42 +1166,44 @@ class IdentificationError(Exception):
 def _check_grading(sub: FixedSubalgebra) -> None:
     """InvariantError unless the table is graded by sub.weights: ad of each
     Cartan vector t_i is diagonal with entry w_j[i] at basis[j], and every
-    bracket [basis[i], basis[j]] lies in the block of w_i + w_j."""
+    stored bracket [basis[i], basis[j]] lies in the block of w_i + w_j."""
     weights, brackets = sub.weights, sub.brackets
     nc = len(weights[0]) if weights else 0
     for i in range(nc):
-        for j, entry in enumerate(brackets[i]):
-            w = weights[j][i]
-            if entry != ({j: w} if w else {}):
+        row = brackets[i]
+        for j, w in enumerate(weights):
+            if row.get(j) != ({j: w[i]} if w[i] else None):
                 raise InvariantError(
-                    f"ad of Cartan vector {i} does not act by weight {w} on {j}"
+                    f"ad of Cartan vector {i} does not act by weight {w[i]} on {j}"
                 )
     for i, row in enumerate(brackets):
-        for j, entry in enumerate(row):
-            if entry:
-                w = _add(weights[i], weights[j])
-                if any(weights[k] != w for k in entry):
-                    raise InvariantError(f"bracket [{i}, {j}] leaves its weight block")
+        for j, entry in row.items():
+            w = tuple(map(add, weights[i], weights[j]))
+            if any(weights[k] != w for k in entry):
+                raise InvariantError(f"bracket [{i}, {j}] leaves its weight block")
 
 
 def _killing(
-    brackets: List[List[Dict[int, int]]], weights: Sequence[Weight]
-) -> List[List[int]]:
-    """Killing form tr(ad b_i ad b_j) of a graded table.  ad b_i ad b_j
-    shifts weights by w_i + w_j, so only (w, -w) pairs are computed."""
+    brackets: List[Dict[int, Dict[int, int]]], weights: Sequence[Weight]
+) -> List[Dict[int, int]]:
+    """Killing form tr(ad b_i ad b_j) of a graded table, as rows of nonzero
+    entries.  ad b_i ad b_j shifts weights by w_i + w_j, so only (w, -w)
+    pairs are computed, each a sum over the stored entries of row j, each
+    looked up in row i."""
     dim = len(brackets)
     blocks = _weight_blocks(weights)
-    kill = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        entries = [
-            (a, b, c) for a, row in enumerate(brackets[i]) for b, c in row.items()
-        ]
-        for j in blocks.get(_neg(weights[i]), ()):
+    # the coefficient of basis[b] in [basis[i], basis[a]] under the key
+    # a * dim + b, and the same entries with a and b swapped in the key
+    flat = [{a * dim + b: c for a, e in row.items() for b, c in e.items()} for row in brackets]
+    swapped = [[(b * dim + a, c) for a, e in row.items() for b, c in e.items()]
+               for row in brackets]
+    kill: List[Dict[int, int]] = [{} for _ in brackets]
+    for i, fi in enumerate(flat):
+        for j in blocks.get(tuple(-x for x in weights[i]), ()):
             if j >= i:
-                bj = brackets[j]
-                kill[i][j] = kill[j][i] = sum(
-                    c * bj[b].get(a, 0) for a, b, c in entries
-                )
+                v = sum(c * fi.get(key, 0) for key, c in swapped[j])
+                if v:
+                    kill[i][j] = kill[j][i] = v
     return kill
 
 
@@ -1192,7 +1218,7 @@ def types_with_ratio(r: Q, dim: int) -> List[Tuple[Tuple[SimpleType, int], ...]]
 
 def _check_orbit_blocks(sub: FixedSubalgebra) -> None:
     """InvariantError unless sub.orbits partition the basis and every
-    bracket and form entry stays inside one orbit's block."""
+    stored bracket and form entry stays inside one orbit's block."""
     block_of = [-1] * sub.dim
     for b, orbit in enumerate(sub.orbits):
         for i in orbit.indices:
@@ -1203,11 +1229,12 @@ def _check_orbit_blocks(sub: FixedSubalgebra) -> None:
         raise InvariantError(f"basis vector {block_of.index(-1)} lies in no orbit block")
     for i, (row, form_row) in enumerate(zip(sub.brackets, sub.gram)):
         b = block_of[i]
-        for j, (entry, f) in enumerate(zip(row, form_row)):
-            if block_of[j] != b and (entry or f):
+        for j in itertools.chain(row, form_row):
+            if block_of[j] != b:
                 raise InvariantError(
                     f"basis vectors {i} and {j} of two orbit blocks interact"
                 )
+        for j, entry in row.items():
             if any(block_of[k] != b for k in entry):
                 raise InvariantError(f"bracket [{i}, {j}] leaves its orbit block")
 
@@ -1235,19 +1262,22 @@ def identify_type(sub: FixedSubalgebra) -> SemisimpleTypeWithLevels:
     for orbit in sub.orbits:
         idx = orbit.indices
         n = len(idx)
-        gram = [[sub.gram[i][j] for j in idx] for i in idx]
-        k_o = [[kill[i][j] for j in idx] for i in idx]
         where = f"the {orbit.type} orbit block"
         if orbit.length == 3:
+            # the rows stay inside the block, so they compare whole
             h2 = 2 * orbit.type.dual_coxeter_number()
             if n != orbit.type.dim() or any(
-                3 * k != h2 * g for kr, gr in zip(k_o, gram) for k, g in zip(kr, gr)
+                {j: 3 * k for j, k in kill[i].items()}
+                != {j: h2 * g for j, g in sub.gram[i].items()}
+                for i in idx
             ):
                 raise IdentificationError(f"{where} is not the diagonal {orbit.type},3")
             ideals.append((orbit.type, 3))
             continue
+        gram = [[sub.gram[i].get(j, 0) for j in idx] for i in idx]
+        k_o = [[kill[i].get(j, 0) for j in idx] for i in idx]
         try:
-            inv = inverse(gram)
+            inv, den = integer_inverse(gram)
         except ValueError:
             raise IdentificationError(
                 f"the invariant form on {where} is singular"
@@ -1257,7 +1287,9 @@ def identify_type(sub: FixedSubalgebra) -> SemisimpleTypeWithLevels:
         abelian += centre
         if d == 0:
             continue
-        r = Q(sum(inv[i][j] * k_o[j][i] for i in range(n) for j in range(n))) / d
+        # gram^-1 = inv / den, so with Killing symmetric, tr(gram^-1 Killing)
+        # / d is the entrywise sum of inv * Killing over den * d
+        r = Q(sum(y * k for yr, kr in zip(inv, k_o) for y, k in zip(yr, kr)), den * d)
         p, q = r.numerator, r.denominator
         shifted = [[q * k - p * g for k, g in zip(kr, gr)] for kr, gr in zip(k_o, gram)]
         if n - rank(shifted) != d:
@@ -1336,11 +1368,7 @@ def count_orthogonal_subsystems(
     roots = rs.roots
     index = {r: i for i, r in enumerate(roots)}
     neg = [index[tuple(-c for c in r)] for r in roots]
-    # scale * (x|y) in integers, through each root's covector
-    ips = [
-        [sum(a * b for a, b in zip(cov, y)) for y in roots]
-        for cov in map(rs.covector, roots)
-    ]
+    ips = _root_pairings(ambient)                      # scale * (x|y)
     perp = [{j for j, v in enumerate(row) if v == 0} for row in ips]
     long_s = 2 * rs.scale
     # each root subset maps to the indices of roots spanning it

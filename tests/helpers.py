@@ -69,12 +69,19 @@ against, and helpers that only the tests need.
   form over every pair of basis vectors (`full_killing`) against the one
   over (w, -w) weight pairs, and the subsystem count over an all-pairs
   orthogonality matrix (`all_pairs_subsystem_count`) against the clique
-  count over perpendicular root sets.
+  count over perpendicular root sets.  A fixed subalgebra's rows of
+  nonzero entries read as dense dim x dim tables (`dense_table`, with
+  `dense_rows`), and back (`from_dense_table`), for the oracles and the
+  tampered copies that index every pair (i, j).
 * Lattice algebra tables: the dense numpy tables over every root pair
   (`DenseLieTables`) against the sparse pair table of
-  `LatticeLieAlgebra`, and the standard lift through `eps_coords`,
-  `apply_coords` and `compose` (`eps_route_lift`, `eps_twist_bits`)
-  against the whole-matrix products of `standard_lift`.
+  `LatticeLieAlgebra`; the eps parities summed term by term
+  (`sum_parity_pairs`) and the phase expression summed term by term
+  (`sum_phase_bit_expr`) against the popcounts of bit masks in
+  `LatticeLieAlgebra` and `latticevoa._phase_bit_expr`; and the standard
+  lift through `eps_coords`, `apply_coords` and `compose`
+  (`eps_route_lift`, `eps_twist_bits`) against the whole-matrix products
+  of `standard_lift`.
 * Type identification: the seeded float root pass (`float_identify_type`:
   a generic element and its centraliser, `draw_generic` and
   `generic_centralizer`, eigenvectors by `float_eigen`, root functionals
@@ -96,6 +103,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -122,7 +130,8 @@ from orbifold24.latticevoa import (
     _check_grading,
     _disc_automorphisms,
     _killing,
-    _phase_bit_expr,
+    _negative_pairs,
+    _odd_mask,
     _slot_maps_to_isometry,
     _solve_f2,
     _weight_blocks,
@@ -1113,6 +1122,65 @@ def eps_twist_bits(alg: LatticeLieAlgebra, g: LatticeIsometry) -> List[List[int]
     ]
 
 
+def sum_phase_bit_expr(
+    alg: LatticeLieAlgebra,
+    h_bits: List[List[int]],
+    coords: Sequence[int],
+) -> Tuple[List[int], int]:
+    """Exponent of c(x) as affine F2 expression: (basis-bit coefficients, const),
+    summed term by term, the oracle for the bit masks of
+    `latticevoa._phase_bit_expr`.
+
+    c(sum m_i b_i) has sign exponent
+    sum m_i x_i + sum_{i<j} m_i m_j h_ij + sum_i C(m_i,2) h_ii  (mod 2).
+    """
+    n = alg.rank
+    lin = [(abs(m) % 2) for m in coords]
+    const = 0
+    for i in range(n):
+        mi = coords[i]
+        if not mi:
+            continue
+        const += (mi * (mi - 1) // 2) * h_bits[i][i]
+        for j in range(i + 1, n):
+            if coords[j]:
+                const += mi * coords[j] * h_bits[i][j]
+    return lin, const % 2
+
+
+def sum_parity_pairs(lat: EvenLattice) -> List[Dict[int, Tuple[int, int]]]:
+    """`LatticeLieAlgebra.pairs` with each eps parity summed term by term:
+    per component, a's row of E L E^T times b's simple-root coordinates,
+    mod 2, the oracle for the popcounts of bit masks."""
+    simple = [[[x // lat.inv_scale for x in row] for row in lat.basis_inv[lo:hi]]
+              for lo, hi in lat.component_slices()]
+    types = lat.code.components
+    roots = sorted(
+        (tuple(x), c, p)
+        for c, t in enumerate(types)
+        for p, x in enumerate(mat_mul(build_root_system(t).root_alpha_coords, simple[c]))
+    )
+    at = {(c, p): k for k, (_, c, p) in enumerate(roots)}
+    low = [[x & 1 if j < i else 0 for j, x in enumerate(row)]
+           for i, row in enumerate(lat.gram)]
+    pairs = []
+    for c, t in enumerate(types):
+        e = simple[c]
+        acs = build_root_system(t).root_alpha_coords
+        odd = mat_mul(acs, mat_mul(mat_mul(e, low), transpose(e)))
+        pairs.append([
+            {
+                at[c, q]: (
+                    at[c, s] if s >= 0 else -1,
+                    -1 if sum(x * y for x, y in zip(odd[p], acs[q])) & 1 else 1,
+                )
+                for q, s in neg
+            }
+            for p, neg in enumerate(_negative_pairs(t))
+        ])
+    return [pairs[c][p] for _, c, p in roots]
+
+
 def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
     """Some algebra automorphism covering g (no phase normalization)."""
     h_bits = eps_twist_bits(alg, g)
@@ -1120,7 +1188,7 @@ def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism
     phase = []
     for rc in alg.root_coords:
         perm.append(alg.root_index[apply_coords(g, rc)])
-        _, const = _phase_bit_expr(alg, h_bits, rc)
+        _, const = sum_phase_bit_expr(alg, h_bits, rc)
         phase.append(-1 if const else 1)
     return LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"rough({g.name})")
 
@@ -1160,22 +1228,22 @@ def eps_route_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorp
     n = alg.rank
     h_bits = eps_twist_bits(alg, g)
     fixed = g.fixed_coords_basis()
-    rows = [_phase_bit_expr(alg, h_bits, f) for f in fixed]
+    rows = [sum_phase_bit_expr(alg, h_bits, f) for f in fixed]
     for i in range(n):
         gb = apply_coords(g, tuple(1 if j == i else 0 for j in range(n)))
         lin = [int(j == i) for j in range(n)]
         const = 0
         for v in (gb, apply_coords(g, gb)):
-            lv, cv = _phase_bit_expr(alg, h_bits, v)
+            lv, cv = sum_phase_bit_expr(alg, h_bits, v)
             lin = [a ^ b for a, b in zip(lin, lv)]
             const ^= cv
         rows.append((lin, const))
-    x = _solve_f2([lin for lin, _ in rows], [c for _, c in rows], n)
+    x = _solve_f2([_odd_mask(lin) for lin, _ in rows], [c for _, c in rows], n)
     assert x is not None
 
     def phase_of(coords: Sequence[int]) -> int:
-        lin, const = _phase_bit_expr(alg, h_bits, coords)
-        return -1 if (const + sum(a & b for a, b in zip(lin, x))) % 2 else 1
+        lin, const = sum_phase_bit_expr(alg, h_bits, coords)
+        return -1 if (const + sum(a & (x >> j) for j, a in enumerate(lin))) % 2 else 1
 
     lift = LiftedAutomorphism(
         alg,
@@ -1467,6 +1535,37 @@ def fraction_centralizer(
     return ker, abelian
 
 
+def dense_rows(rows: Sequence[Dict[int, int]], dim: int) -> List[List[int]]:
+    """Rows of nonzero entries {j: v} as a dense dim x dim list, 0 elsewhere."""
+    return [[row.get(j, 0) for j in range(dim)] for row in rows]
+
+
+def dense_table(
+    fx: FixedSubalgebra,
+) -> Tuple[List[List[Dict[int, int]]], List[List[int]]]:
+    """fx's bracket and form tables as fresh dense dim x dim lists: entry
+    (i, j) of the first is the (possibly empty) {k: c} of [basis[i],
+    basis[j]], of the second the form, 0 where nothing is stored."""
+    brackets = [
+        [dict(row.get(j, {})) for j in range(fx.dim)] for row in fx.brackets
+    ]
+    return brackets, dense_rows(fx.gram, fx.dim)
+
+
+def from_dense_table(
+    fx: FixedSubalgebra,
+    brackets: List[List[Dict[int, int]]],
+    gram: List[List[int]],
+) -> FixedSubalgebra:
+    """A copy of fx whose rows are read off dense tables, keeping the
+    nonzero entries alone, as `fixed_subalgebra` stores them."""
+    return dataclasses.replace(
+        fx,
+        brackets=[{j: dict(e) for j, e in enumerate(row) if e} for row in brackets],
+        gram=[{j: v for j, v in enumerate(row) if v} for row in gram],
+    )
+
+
 def full_killing(brackets: List[List[Dict[int, int]]]) -> List[List[int]]:
     """Killing form tr(ad b_i ad b_j) of a structure table over every pair
     of basis vectors, blind to any grading."""
@@ -1754,9 +1853,10 @@ def float_identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWi
     whose blocks split the centraliser solve.
     """
     dim = sub.dim
-    brackets, weights, gram = sub.brackets, sub.weights, sub.gram
+    weights = sub.weights
+    brackets, gram = dense_table(sub)
     _check_grading(sub)
-    kill = _killing(brackets, weights)
+    kill = dense_rows(_killing(sub.brackets, weights), dim)
 
     center = [row for row, _ in integer_kernel(kill)]
     abelian = len(center)

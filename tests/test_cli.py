@@ -13,6 +13,8 @@ from orbifold24 import cases, cli, latticevoa, qmodular, rootdata, schellekens
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
+from helpers import dense_table, from_dense_table
+
 
 # several ideals, twist denominators up to 11, an h off the dominant chamber,
 # and non-vacuum witnesses that differ between h and -h
@@ -548,9 +550,10 @@ def test_singular_block_form_exits_1(capsys, monkeypatch):
     def singular(lift):
         fx = build(lift)
         i = fx.orbits[0].indices[0]
-        fx.gram = [[0 if i in (a, b) else g for b, g in enumerate(row)]
-                   for a, row in enumerate(fx.gram)]
-        return fx
+        brackets, gram = dense_table(fx)
+        gram = [[0 if i in (a, b) else g for b, g in enumerate(row)]
+                for a, row in enumerate(gram)]
+        return from_dense_table(fx, brackets, gram)
 
     monkeypatch.setattr(latticevoa, "fixed_subalgebra", singular)
     monkeypatch.setattr(cases, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)

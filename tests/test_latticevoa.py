@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from orbifold24 import cases, latticevoa
-from orbifold24.exactmath import InvariantError, mat_mul, rank, transpose
+from orbifold24.exactmath import InvariantError, inverse, mat_mul, rank, transpose
 from orbifold24.latticevoa import (
     NI_D4_6,
     NI_E6_4,
@@ -14,6 +14,9 @@ from orbifold24.latticevoa import (
     IdentificationError,
     LatticeIsometry,
     _killing,
+    _packed_twist,
+    _phase_bit_expr,
+    _root_pairings,
     _slot_maps_to_isometry,
     _twist_bits,
     assemble_niemeier,
@@ -36,7 +39,9 @@ from orbifold24.latticevoa import (
     weyl_d4_matrix,
 )
 from orbifold24.report import Report
-from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType, simple_types
+from orbifold24.rootdata import (
+    SemisimpleTypeWithLevels, SimpleType, build_root_system, simple_types,
+)
 
 import helpers
 from helpers import (
@@ -45,6 +50,8 @@ from helpers import (
     brute_force_types_with_ratio,
     compose,
     dense_ad,
+    dense_rows,
+    dense_table,
     draw_generic,
     eps_coords,
     eps_route_lift,
@@ -52,6 +59,7 @@ from helpers import (
     float_identify_type,
     fraction_centralizer,
     fraction_slot_maps_to_isometry,
+    from_dense_table,
     full_killing,
     generic_centralizer,
     integer_kernel,
@@ -63,6 +71,8 @@ from helpers import (
     permutation_first_glue_order,
     root_lattice,
     rough_lift,
+    sum_parity_pairs,
+    sum_phase_bit_expr,
 )
 
 
@@ -135,6 +145,29 @@ def test_lie_tables_match_numpy_oracle(which, alg_e6, alg_d4):
     assert alg.root_index == {c: k for k, c in enumerate(coords)}
     assert alg.cr == cr
     assert alg.pairs == pairs
+
+
+@pytest.mark.parametrize(
+    "t",
+    [("A", n) for n in range(1, 6)] + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8)],
+    ids=lambda t: f"{t[0]}{t[1]}",
+)
+def test_root_pairings_match_covector_sums(t):
+    # oracle: scale * (a|b) summed term by term through each root's covector
+    rs = build_root_system(SimpleType(*t))
+    want = [
+        [sum(a * b for a, b in zip(cov, y)) for y in rs.roots]
+        for cov in map(rs.covector, rs.roots)
+    ]
+    assert [list(row) for row in _root_pairings(SimpleType(*t))] == want
+
+
+@pytest.mark.parametrize("which", ["e6_4", "d4_6", "a2_cycle"])
+def test_pairs_match_sum_parity_oracle(which, alg_e6, alg_d4):
+    # the popcount of two bit masks against the parity summed term by term
+    alg = {"e6_4": alg_e6, "d4_6": alg_d4}.get(which) or a2_cubed_cycle_lift().algebra
+    assert alg.pairs == sum_parity_pairs(alg.lattice)
+    assert any(sgn == -1 for row in alg.pairs for _, sgn in row.values())
 
 
 def _inverse_entry_changed():
@@ -360,6 +393,26 @@ def test_standard_lift_matches_eps_route(nd4, alg_d4, lift6, lift2, lift4):
     assert any(-1 in lift.root_phase for lift in lifts)
 
 
+@pytest.mark.parametrize("which", ["sigma6", "sigma2", "sigma4", "a2_cycle"])
+def test_phase_bits_match_sum_parity_oracle(which, lift6, lift2, lift4):
+    # the bit-packed phase expression against the one summed term by term,
+    # on every root and on every row of the lift's F2 system, and the
+    # lift's phases against those of the oracle's route
+    lift = {"sigma6": lift6, "sigma2": lift2, "sigma4": lift4}.get(which) or a2_cubed_cycle_lift()
+    alg, g = lift.algebra, lift.isometry
+    gm = [list(row) for row in g.matrix]
+    h_bits = _twist_bits(alg, gm)
+    upper, diag = _packed_twist(h_bits)
+    rows = (list(alg.root_coords) + list(g.fixed_coords_basis()) + gm
+            + mat_mul(gm, gm))
+    for v in rows:
+        lin, const = _phase_bit_expr(upper, diag, v)
+        want_lin, want_const = sum_phase_bit_expr(alg, h_bits, v)
+        assert [(lin >> j) & 1 for j in range(alg.rank)] == want_lin
+        assert const == want_const
+    assert lift.root_phase == eps_route_lift(alg, g).root_phase
+
+
 def test_lift_with_a_wrong_phase_solution_is_refused(ne6, alg_e6, monkeypatch):
     # flipping bit 6 of the F2 solution keeps phase 1 on the fixed
     # sublattice but breaks c(b) c(gb) c(g^2 b) = 1, so the phases no longer
@@ -367,9 +420,7 @@ def test_lift_with_a_wrong_phase_solution_is_refused(ne6, alg_e6, monkeypatch):
     solve = latticevoa._solve_f2
 
     def flipped(rows, rhs, n):
-        x = solve(rows, rhs, n)
-        x[6] ^= 1
-        return x
+        return solve(rows, rhs, n) ^ 1 << 6
 
     monkeypatch.setattr(latticevoa, "_solve_f2", flipped)
     with pytest.raises(InvariantError, match="does not cube to the identity"):
@@ -484,7 +535,8 @@ def test_fixed_table_matches_big_algebra(which, fixed_algebras):
     # entry; a pair whose weight sum is no weight of the basis is skipped by
     # fixed_subalgebra and must bracket to 0 in the big algebra
     lift, fx = fixed_algebras[which]
-    alg, basis, table = lift.algebra, fx.basis, fx.brackets
+    table, gram = dense_table(fx)
+    alg, basis = lift.algebra, fx.basis
     weights = set(fx.weights)
     skipped = 0
     for i in range(fx.dim):
@@ -504,10 +556,27 @@ def test_fixed_table_matches_big_algebra(which, fixed_algebras):
                 basis[i], basis[j]
             )
         for j in range(fx.dim):
-            assert type(fx.gram[i][j]) is int
-            assert fx.gram[i][j] == alg.form(basis[i], basis[j])
+            assert type(gram[i][j]) is int
+            assert gram[i][j] == alg.form(basis[i], basis[j])
     # sigma2 has no fixed Cartan, so one weight and nothing to skip
     assert (skipped > 0) == (which != "sigma2")
+
+
+@pytest.mark.parametrize("which", ["sigma6", "sigma2", "sigma4", "a2_cycle"])
+def test_sparse_rows_hold_nonzero_entries(which, fixed_algebras):
+    # every stored entry is a nonzero int, the bracket rows are
+    # antisymmetric, the form rows symmetric, and t is abelian
+    _, fx = fixed_algebras[which]
+    nc = len(fx.weights[0])
+    for i, row in enumerate(fx.brackets):
+        for j, entry in row.items():
+            assert entry and all(type(c) is int and c != 0 for c in entry.values())
+            assert fx.brackets[j][i] == {k: -c for k, c in entry.items()}
+            assert not (i < nc and j < nc)
+    for i, row in enumerate(fx.gram):
+        for j, v in row.items():
+            assert type(v) is int and v != 0
+            assert fx.gram[j][i] == v
 
 
 @pytest.mark.parametrize(
@@ -606,7 +675,8 @@ def test_identify_type_redraws_a_degenerate_abelian_centralizer(
     ker, abelian = kernels[0]
     rows = [row for row, _ in ker]
     assert abelian
-    assert rank(mat_mul(mat_mul(rows, fx.gram), transpose(rows))) < len(rows)
+    gram = dense_table(fx)[1]
+    assert rank(mat_mul(mat_mul(rows, gram), transpose(rows))) < len(rows)
 
 
 ALL_FIXED = ["sigma6", "sigma2", "sigma4", "a2_cycle"]
@@ -621,10 +691,11 @@ def test_weights_are_the_diagonal_of_ad_t(which, fixed_algebras):
     alg = lift.algebra
     nc = len(lift.isometry.fixed_coords_basis())
     rows = [[b.get(i, 0) for i in range(alg.rank)] for b in fx.basis[:nc]]
+    brackets = dense_table(fx)[0]
     assert all(len(w) == nc for w in fx.weights)
     for i in range(nc):
-        assert all(set(fx.brackets[i][j]) <= {j} for j in range(fx.dim))
-        diagonal = [fx.brackets[i][j].get(j, 0) for j in range(fx.dim)]
+        assert all(set(brackets[i][j]) <= {j} for j in range(fx.dim))
+        diagonal = [brackets[i][j].get(j, 0) for j in range(fx.dim)]
         assert diagonal == [w[i] for w in fx.weights]
     for j, b in enumerate(fx.basis):
         if j < nc:
@@ -669,13 +740,15 @@ def test_orbit_blocks(which, fixed_algebras):
 @pytest.mark.parametrize("which", ALL_FIXED)
 def test_block_killing_matches_full_killing(which, fixed_algebras):
     _, fx = fixed_algebras[which]
-    assert _killing(fx.brackets, fx.weights) == full_killing(fx.brackets)
+    kill = _killing(fx.brackets, fx.weights)
+    assert dense_rows(kill, fx.dim) == full_killing(dense_table(fx)[0])
 
 
 def center_ortho(fx):
     """The centre's ortho columns, as identify_type builds them."""
-    center = [row for row, _ in integer_kernel(full_killing(fx.brackets))]
-    return mat_mul(fx.gram, transpose(center)) if center else []
+    brackets, gram = dense_table(fx)
+    center = [row for row, _ in integer_kernel(full_killing(brackets))]
+    return mat_mul(gram, transpose(center)) if center else []
 
 
 @pytest.mark.parametrize("which", ALL_FIXED)
@@ -686,7 +759,7 @@ def test_blocked_centralizer_matches_full_stack(which, fixed_algebras):
     # centraliser is not abelian and spans nonzero blocks, and must still be
     # exact
     _, fx = fixed_algebras[which]
-    brackets, weights = fx.brackets, fx.weights
+    brackets, weights = dense_table(fx)[0], fx.weights
     ortho = center_ortho(fx)
     nc = len(weights[0])
     draws = [draw_generic(random.Random(seed), weights) for seed in range(3)]
@@ -728,11 +801,11 @@ def test_draw_generic_gives_up_when_every_cartan_part_kills_a_weight():
 
 def tampered(fx, i, j, k):
     """A copy of fx whose bracket [basis[i], basis[j]] gains basis[k]."""
-    brackets = [[dict(entry) for entry in row] for row in fx.brackets]
+    brackets, gram = dense_table(fx)
     assert k not in brackets[i][j]
     brackets[i][j][k] = 1
     brackets[j][i][k] = -1
-    return dataclasses.replace(fx, brackets=brackets)
+    return from_dense_table(fx, brackets, gram)
 
 
 def crossing_pair(fx, cartan):
@@ -770,11 +843,11 @@ def test_generic_centralizer_checks_its_blocks(fixed_algebras):
     x[i] = 1
     bad = tampered(fx, i, j, k)
     with pytest.raises(InvariantError, match="out of its block"):
-        generic_centralizer(bad.brackets, bad.weights, x, ortho)
+        generic_centralizer(dense_table(bad)[0], bad.weights, x, ortho)
     bad_ortho = [list(row) for row in ortho]
     bad_ortho[j][0] += 1
     with pytest.raises(InvariantError, match="pairs with the centre"):
-        generic_centralizer(fx.brackets, fx.weights, x, bad_ortho)
+        generic_centralizer(dense_table(fx)[0], fx.weights, x, bad_ortho)
 
 
 def test_float_root_functionals_match_the_per_eigenvector_form(fixed_algebras, monkeypatch):
@@ -843,11 +916,12 @@ def d4_identity_fixed():
 def scaled_gram(fx, indices, factor):
     """fx with the invariant form multiplied by factor on the given indices."""
     on = set(indices)
+    brackets, gram = dense_table(fx)
     gram = [
         [g * factor if i in on and j in on else g for j, g in enumerate(row)]
-        for i, row in enumerate(fx.gram)
+        for i, row in enumerate(gram)
     ]
-    return dataclasses.replace(fx, gram=gram)
+    return from_dense_table(fx, brackets, gram)
 
 
 def test_an_ambiguous_block_names_both_answers():
@@ -886,10 +960,11 @@ def test_a_wrong_diagonal_block_raises(fixed_algebras):
 def test_a_singular_block_form_is_an_identification_error(fixed_algebras):
     _, fx = fixed_algebras["sigma2"]
     i = fx.orbits[0].indices[0]
+    brackets, gram = dense_table(fx)
     gram = [[0 if i in (a, b) else g for b, g in enumerate(row)]
-            for a, row in enumerate(fx.gram)]
+            for a, row in enumerate(gram)]
     with pytest.raises(IdentificationError, match="singular"):
-        identify_type(dataclasses.replace(fx, gram=gram))
+        identify_type(from_dense_table(fx, brackets, gram))
 
 
 @pytest.mark.parametrize("what", ["bracket", "form", "leaving bracket"])
@@ -901,14 +976,44 @@ def test_a_cross_block_entry_raises(what, fixed_algebras):
     if what == "bracket":
         bad, message = tampered(fx, a[0], b[0], b[1]), "two orbit blocks interact"
     elif what == "form":
-        gram = [list(row) for row in fx.gram]
+        brackets, gram = dense_table(fx)
         gram[a[0]][b[0]] = gram[b[0]][a[0]] = 1
-        bad, message = dataclasses.replace(fx, gram=gram), "two orbit blocks interact"
+        bad, message = from_dense_table(fx, brackets, gram), "two orbit blocks interact"
     else:
-        j = next(j for j in a if fx.brackets[a[0]][j])
+        j = next(j for j in a if dense_table(fx)[0][a[0]][j])
         bad, message = tampered(fx, a[0], j, b[0]), "leaves its orbit block"
     with pytest.raises(InvariantError, match=message):
         identify_type(bad)
+
+
+@pytest.mark.parametrize("which, blocks", [("sigma6", 1), ("sigma2", 6), ("sigma4", 3)])
+def test_integer_trace_matches_fraction_oracle(which, blocks, fixed_algebras, monkeypatch):
+    # oracle: r = tr(gram^-1 Killing) / D in Fractions on every
+    # sigma-stable block, against the integer trace identify_type hands to
+    # types_with_ratio
+    _, fx = fixed_algebras[which]
+    seen = []
+    ratio = latticevoa.types_with_ratio
+    monkeypatch.setattr(
+        latticevoa, "types_with_ratio", lambda r, d: seen.append((r, d)) or ratio(r, d)
+    )
+    identify_type(fx)
+    brackets, gram = dense_table(fx)
+    kill = full_killing(brackets)
+    want = []
+    for orbit in fx.orbits:
+        if orbit.length == 3:
+            continue
+        idx = orbit.indices
+        g = [[gram[i][j] for j in idx] for i in idx]
+        k = [[kill[i][j] for j in idx] for i in idx]
+        d = rank(k)
+        inv = inverse(g)
+        trace = sum(inv[i][j] * k[j][i] for i in range(len(idx)) for j in range(len(idx)))
+        want.append((Q(trace) / d, d))
+    assert len(want) == blocks
+    assert seen == want
+    assert all(type(r) is Q for r, _ in seen)
 
 
 def test_twisted_ground_energies(ne6, nd4):
