@@ -54,6 +54,9 @@ IntVec = Tuple[int, ...]
 # ---------------------------------------------------------------------------
 # glue codes
 
+# the component types of the two glue codes, built once for the comparisons
+E6, D4 = SimpleType("E", 6), SimpleType("D", 4)
+
 
 @lru_cache(maxsize=None)
 def _digit_reps(t: SimpleType) -> Tuple[Vec, ...]:
@@ -62,23 +65,23 @@ def _digit_reps(t: SimpleType) -> Tuple[Vec, ...]:
     rs = build_root_system(t)
     inv = inverse(rs.simple_roots)
     weights = [tuple(inv[i]) for i in range(rs.rank)]  # row i = fund weight i
-    if t == SimpleType("E", 6):
+    if t == E6:
         # Z3 cosets: [1] and [2] are the two minuscule classes
         reps = (tuple([Q(0)] * 6), weights[0], weights[5])
         diff = tuple(2 * a - b for a, b in zip(reps[1], reps[2]))
         if any(x.denominator != 1 for x in diff):
             raise InvariantError("[2] must be 2*[1]")
         return reps
-    if t == SimpleType("D", 4):
+    if t == D4:
         # Klein cosets: the three minuscule weights on the outer nodes
         return (tuple([Q(0)] * 4), weights[3], weights[0], weights[2])
     raise ValueError(f"no glue digits defined for {t}")
 
 
 def digit_add(t: SimpleType, a: int, b: int) -> int:
-    if t == SimpleType("E", 6):
+    if t == E6:
         return (a + b) % 3
-    if t == SimpleType("D", 4):
+    if t == D4:
         # the Klein group: digits 1, 2, 3 are the labels 01, 10, 11 of Z2^2
         return a ^ b
     raise ValueError(f"no glue digits defined for {t}")
@@ -118,12 +121,12 @@ class GlueCode:
 
 
 NI_E6_4 = GlueCode(
-    (SimpleType("E", 6),) * 4,
+    (E6,) * 4,
     ((1, 0, 1, 2), (1, 1, 2, 0), (1, 2, 0, 1)),
 )
 
 NI_D4_6 = GlueCode(
-    (SimpleType("D", 4),) * 6,
+    (D4,) * 6,
     (
         (1, 1, 1, 1, 1, 1),
         (2, 2, 2, 2, 2, 2),
@@ -406,7 +409,7 @@ def fpf_e6_matrix() -> List[List[int]]:
     (a1,a3), (a5,a6), (a2,-theta); integrality certifies it preserves E6 and
     m^2 + m + 1 = 0 certifies the fixed-point-free order-3 action.
     """
-    theta_ac = build_root_system(SimpleType("E", 6)).marks[1:]
+    theta_ac = build_root_system(E6).marks[1:]
     e = identity(6)
     pairs = [
         (e[0], e[2]),
@@ -488,7 +491,7 @@ def weyl_d4_matrix() -> List[List[int]]:
         [1, 1, 0, 1],
     ]
     _check_order3(m, fixed_free=False)
-    if disc_digit_action(SimpleType("D", 4), m) != {0: 0, 1: 1, 2: 2, 3: 3}:
+    if disc_digit_action(D4, m) != {0: 0, 1: 1, 2: 2, 3: 3}:
         raise InvariantError("Weyl candidate moves the discriminant group")
     return m
 
@@ -1407,9 +1410,9 @@ def count_orthogonal_subsystems(
 
 
 def _disc_automorphisms(t: SimpleType) -> List[Dict[int, int]]:
-    if t == SimpleType("E", 6):
+    if t == E6:
         return [{0: 0, 1: 1, 2: 2}, {0: 0, 1: 2, 2: 1}]
-    if t == SimpleType("D", 4):
+    if t == D4:
         return [
             {0: 0, 1: p[0], 2: p[1], 3: p[2]}
             for p in itertools.permutations((1, 2, 3))

@@ -190,8 +190,10 @@ def derive_dimension_formula(trunc: int = 12) -> LinExpr:
     the constant term of Z(t) + sum_i Z(S T^i t) is collected as an affine
     function of (d0, d13, d23).
     """
-    # the constant term of Z(t) itself is c0 - 12
-    total = _lin_add(LAURENT_TABLE[0], _lin(d=Q(-12)))
+    # the constant term of Z(t) itself is c0 + c1 [q^0]f: each 1/f^n starts
+    # at q^n
+    f0 = hauptmodul_f(trunc).coeff(0)
+    total = _lin_add(LAURENT_TABLE[0], _lin_scale(LAURENT_TABLE[1], f0))
     for n, cn in LAURENT_TABLE.items():
         # T sends q^(k/3) to w^k q^(k/3), so the trace over the three shifts
         # is a roots-of-unity filter that leaves exponent 0 unchanged: the

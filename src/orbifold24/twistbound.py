@@ -80,13 +80,13 @@ class _CaseTables:
     """
 
     def __init__(self, c: CaseSpec, norm: Q):
-        self.weights: List[List[IntCoords]] = []
+        self.weights: List[Tuple[IntCoords, ...]] = []
         # (den, integer column) per ideal; n_min_column gives h and -h
         # over one denominator
         cw, nm = [], []
         for a, h in zip(c.ambient, c.h):
             table = enumerate_level_weights(a)
-            self.weights.append(table.weights())
+            self.weights.append(table.weights)
             cw.append(table.cw_column)
             nm.append(n_min_column(a, h))
         half_norm = norm / 2

@@ -47,15 +47,16 @@ against, and helpers that only the tests need.
   for a dominant weight, `Fraction`s for a rational direction;
   `fraction_coords` turns the (den, den * x) form of `src/` back into the
   latter.
-* Module tables: the `Fraction` formulas for the Weyl dimension
-  (`weyl_dim`), the conformal weight (`conformal_weight`) and the lowest
-  weight by rational reflections (`fraction_dominant_conjugate`,
-  `fraction_lowest_weight`) against the integer rows of
-  `affinerep.enumerate_level_weights`; the dual Coxeter number from root
+* Module tables: the `Fraction` formulas for the conformal weight
+  (`conformal_weight`) and the lowest weight by rational reflections
+  (`fraction_dominant_conjugate`, `fraction_lowest_weight`) against the
+  integer columns of `affinerep.enumerate_level_weights`; the Weyl
+  dimension (`weyl_dim`) against the Freudenthal multiplicities; the dual Coxeter number from root
   data (`dual_coxeter`) against `SimpleType.dual_coxeter_number`.
 * Directional minima: the least pairing over the Freudenthal weight
   system (`weight_system`, `brute_force_min`) against the closed form
-  (h+|w0.lam) in `affinerep.n_min` and `affinerep.n_min_column`.
+  (h+|w0.lam) in `affinerep.n_min_column`, one weight at a time through
+  `column_n_min`.
 * Shift bound: the loop over every root (`root_loop_shift_ok`) against
   the closed form (h+|theta) <= 1 in `twistbound.shift_ok`.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
@@ -113,7 +114,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from orbifold24.affinerep import AffineAlgebra
+from orbifold24.affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
 from orbifold24.exactmath import (
     InvariantError, Matrix, inverse, mat_mul, rank, transpose,
 )
@@ -349,6 +350,18 @@ def brute_force_min(rs: RootSystem, x: Sequence, lam: IntCoords) -> Q:
     return Q(least, rs.scale)
 
 
+def column_n_min(rs: RootSystem, h: ScaledCoords, lam: IntCoords) -> Q:
+    """The least pairing of h with the weights of lam's module, read as lam's
+    entry of the h column of `affinerep.n_min_column`, in the table of the
+    least level that admits lam."""
+    level, rem = divmod(sum(d * c for d, c in zip(rs.covector(rs.theta), lam)), rs.scale)
+    if rem:
+        raise ValueError(f"(lam|theta) of {lam} is not an integer")
+    a = AffineAlgebra(rs.type, max(1, level))
+    den, pos, _ = n_min_column(a, h)
+    return Q(pos[enumerate_level_weights(a).weights.index(tuple(lam))], den)
+
+
 # --- module tables --------------------------------------------------------
 
 
@@ -394,7 +407,7 @@ _WS_CACHE: Dict[Tuple[SimpleType, IntCoords], WeightSystem] = {}
 
 def weight_system(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
     """All weights of the module of the dominant integral weight lam; the
-    oracle for the closed-form least pairing `affinerep.n_min`."""
+    oracle for the closed-form least pairings of `affinerep.n_min_column`."""
     top = tuple(lam)
     if len(top) != rs.rank or not all(type(c) is int and c >= 0 for c in top):
         raise ValueError("highest weight must be dominant integral")

@@ -13,7 +13,7 @@ from orbifold24.affinerep import (
     AffineAlgebra,
     enumerate_level_weights,
     inner_fixed_subalgebra,
-    n_min,
+    n_min_column,
 )
 from orbifold24.cases import BUILTIN_CASES, lattice_data, named_witness, verify_tables
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
@@ -169,9 +169,9 @@ def test_criterion_8_property_suites():
         for c in (case, negated(case)):
             for alg, h in zip(c.ambient, c.h):
                 rs = alg.root_system()
-                for row in enumerate_level_weights(alg).rows:
-                    lam = row.weight
-                    ok = ok and n_min(rs, h, lam) == brute_force_min(
+                den, pos, _ = n_min_column(alg, h)
+                for lam, x in zip(enumerate_level_weights(alg).weights, pos):
+                    ok = ok and Q(x, den) == brute_force_min(
                         rs, fraction_coords(h), lam
                     )
     report(

@@ -6,19 +6,19 @@ from operator import mul
 import pytest
 
 from helpers import (
+    column_n_min,
     conformal_weight,
     fraction_level_weights,
     fraction_lowest_weight,
     root_filter_fixed_subalgebra,
     root_ip,
     semisimple_rank,
-    weyl_dim,
 )
 from orbifold24.affinerep import (
     AffineAlgebra,
     enumerate_level_weights,
     inner_fixed_subalgebra,
-    n_min,
+    n_min_column,
     sigma_order_on_category,
 )
 from orbifold24.cases import BUILTIN_CASES
@@ -56,12 +56,13 @@ def test_table_counts(alg, count):
 
 def test_tables_sorted_and_admissible():
     table = enumerate_level_weights(A2_3)
-    weights = table.weights()
+    weights = list(table.weights)
     assert weights == sorted(weights)
     r = rs(A2_3)
-    for row in table.rows:
-        assert root_ip(r, row.weight, r.theta) <= 3
-        assert row.conformal_weight >= 0
+    den, cws = table.cw_column
+    for lam, cw in zip(table.weights, cws):
+        assert root_ip(r, lam, r.theta) <= 3
+        assert Q(cw, den) >= 0
 
 
 # (type, level) pairs of the twist-probe pool, the chains' algebras, and
@@ -85,18 +86,16 @@ ORACLE_ALGEBRAS = sorted(
 def test_table_rows_match_fraction_formulas(alg):
     r = rs(alg)
     table = enumerate_level_weights(alg)
-    assert table.weights() == fraction_level_weights(alg)
+    assert list(table.weights) == fraction_level_weights(alg)
     den, cws = table.cw_column
-    for row, cw in zip(table.rows, cws):
-        lam = row.weight
+    assert len(cws) == len(table.lowest) == len(table)
+    for lam, low, cw in zip(table.weights, table.lowest, cws):
         assert all(type(c) is int for c in lam)
-        assert row.conformal_weight == conformal_weight(alg, lam) == Q(cw, den)
-        assert type(row.conformal_weight) is Q
-        assert row.dim_of_top == weyl_dim(r, lam)
-        assert type(row.dim_of_top) is int
-        assert row.lowest == fraction_lowest_weight(r, lam)
-        assert all(type(c) is int for c in row.lowest)
-    assert den == lcm(*(row.conformal_weight.denominator for row in table.rows))
+        assert conformal_weight(alg, lam) == Q(cw, den)
+        assert type(cw) is int
+        assert low == fraction_lowest_weight(r, lam)
+        assert all(type(c) is int for c in low)
+    assert den == lcm(*(conformal_weight(alg, lam).denominator for lam in table.weights))
 
 
 def test_conformal_weights():
@@ -113,18 +112,16 @@ def test_conformal_weight_rejects_inadmissible():
 
 def test_n_min_values():
     a2 = rs(A2_3)
-    assert n_min(a2, (1, fw(A2_3, 0)), (0, 2)) == Q(-4, 3)
+    assert column_n_min(a2, (1, fw(A2_3, 0)), (0, 2)) == Q(-4, 3)
     a5 = rs(A5_3)
     big = (3, (0, 0, 2, 0, 0))  # (2/3) L_3
-    assert n_min(a5, big, (0, 0, 3, 0, 0)) == Q(-3)
-    assert n_min(a5, big, (0,) * 5) == Q(0)
+    assert column_n_min(a5, big, (0, 0, 3, 0, 0)) == Q(-3)
+    assert column_n_min(a5, big, (0,) * 5) == Q(0)
 
 
 def test_n_min_nonpositive_property():
-    a2 = rs(A2_3)
-    h = (1, fw(A2_3, 0))
-    for row in enumerate_level_weights(A2_3).rows:
-        val = n_min(a2, h, row.weight)
+    _, pos, _ = n_min_column(A2_3, (1, fw(A2_3, 0)))
+    for val in pos:
         assert val <= 0
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from orbifold24 import cases, cli, latticevoa, qmodular, rootdata, schellekens
+from orbifold24 import affinerep, cases, cli, latticevoa, qmodular, rootdata, schellekens
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
@@ -40,6 +40,35 @@ def test_tables_json_deterministic(capsys):
     assert out1 == out2
     data = json.loads(out1)
     assert data["verdict"] == "pass"
+
+
+def _shift_n_min(a, h):
+    den, pos, neg = affinerep.n_min_column(a, h)
+    return den, [pos[0], pos[1] - 1, *pos[2:]], neg
+
+
+def _shift_cw(a):
+    table = affinerep.enumerate_level_weights(a)
+    den, cws = table.cw_column
+    return dataclasses.replace(table, cw_column=(den, (cws[0], cws[1] + 1, *cws[2:])))
+
+
+@pytest.mark.parametrize(
+    ("target", "perturbed", "step"),
+    [
+        ("n_min_column", _shift_n_min, "min pairing (0, 1)"),
+        ("enumerate_level_weights", _shift_cw, "conformal weight (0, 1)"),
+    ],
+    ids=["n_min", "cw"],
+)
+def test_golden_table_steps_read_the_dp_columns(capsys, monkeypatch, target, perturbed, step):
+    # the golden steps diff the very columns the twist DP adds: one entry of
+    # the +h n_min column or of the cw column, moved, fails its own step only
+    monkeypatch.setattr(cases, target, perturbed)
+    code, out = run_cli(capsys, ["tables", "--which", "a2.3", "--json"])
+    assert code == 1
+    failed = [s["name"] for s in json.loads(out)["steps"] if s["verdict"] == "fail"]
+    assert failed == [step]
 
 
 def test_twist_bound_builtin(capsys):
@@ -451,6 +480,10 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["verify-all", "--json"], "561a5f08b2e0941c"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
+        (["tables", "--which", "g2.1", "--json"], "75941706ce0140d9"),
+        (["tables", "--which", "a2.3", "--json"], "a2bbde601259edf0"),
+        (["tables", "--which", "a1.1", "--json"], "e363c8f29699ea1d"),
+        (["tables", "--which", "d4.3", "--json"], "63ea36e3b6cfbcab"),
         # the smallest truncation: f exact below q^(3/2), f^n at the cusp below q
         (["tables", "--which", "modular", "--trunc", "1", "--json"], "797cae7e343120b7"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
@@ -460,6 +493,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
          "candidates-a5d4", "candidates-a2x6", "candidates-d4-outer",
          "candidates-fractional-level", "dimension-trunc16", "lattice", "lattice-sigma6",
          "lattice-sigma2", "verify-all", "tables-modular", "tables-a5.3",
+         "tables-g2.1", "tables-a2.3", "tables-a1.1", "tables-d4.3",
          "tables-modular-trunc1", "dimension-trunc1"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from orbifold24 import qmodular
 from orbifold24.qmodular import (
     LAURENT_TABLE,
     PuiseuxSeries,
@@ -214,6 +215,15 @@ def test_derived_formula_coefficients(trunc):
     derived = derive_dimension_formula(trunc)
     assert derived == (4, -36, -12, 24)
     assert derived == traced_dimension_formula(trunc)
+
+
+def test_derived_constant_reads_the_constant_term_of_f(monkeypatch):
+    # the constant term of Z(t) is c0 + c1 [q^0]f, with c1 = 1: another
+    # constant term of f moves the derived constant by the difference
+    f = hauptmodul_f(12)
+    shifted = PuiseuxSeries(f.denom, {**f.coeffs, 0: f.coeff(0) + 5}, f.trunc)
+    monkeypatch.setattr(qmodular, "hauptmodul_f", lambda trunc=12: shifted)
+    assert derive_dimension_formula(12) == (4, -36, -12, 29)
 
 
 def test_formula_degenerates_without_twisted_dims():

@@ -296,12 +296,14 @@ def wide_case(rng: random.Random, k: int) -> CaseSpec:
 def top_row_without_completion(case: CaseSpec) -> bool:
     """Some row of ideal 0 has no completion by the other ideals with an
     integral cw sum: its residue group in the DP is empty."""
+    def cws(a):
+        den, col = enumerate_level_weights(a).cw_column
+        return [Q(x, den) for x in col]
+
     sums = {Q(0)}
     for a in case.ambient[1:]:
-        cws = [r.conformal_weight for r in enumerate_level_weights(a).rows]
-        sums = {(x + y) % 1 for x in sums for y in cws}
-    rows = enumerate_level_weights(case.ambient[0]).rows
-    return any(-r.conformal_weight % 1 not in sums for r in rows)
+        sums = {(x + y) % 1 for x in sums for y in cws(a)}
+    return any(-cw % 1 not in sums for cw in cws(case.ambient[0]))
 
 
 def test_dp_matches_scan_on_wide_denominator_draws():
@@ -342,7 +344,7 @@ def test_category_order_and_fixed_roots_match_fraction_pairings():
         for a, h in zip(case.ambient, case.h):
             rs = a.root_system()
             gram, x = fraction_fw_gram(rs), fraction_coords(h)
-            for w in enumerate_level_weights(a).weights():
+            for w in enumerate_level_weights(a).weights:
                 order = lcm(order, fraction_ip(gram, x, w).denominator)
             retained = [
                 (fw, ac)
@@ -371,7 +373,7 @@ def test_n_min_column_matches_oracle_on_case_rows(case):
         for a, h in zip(c.ambient, c.h):
             rs = a.root_system()
             x = fraction_coords(h)
-            weights = enumerate_level_weights(a).weights()
+            weights = enumerate_level_weights(a).weights
             col_den, pos, neg = n_min_column(a, h)
             assert col_den == h[0] * rs.scale
             for col, sign in ((pos, 1), (neg, -1)):
