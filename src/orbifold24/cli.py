@@ -117,14 +117,14 @@ def cmd_dimension(args: argparse.Namespace) -> int:
 def cmd_candidates(args: argparse.Namespace) -> int:
     rep = Report("candidate enumeration")
     cands = schellekens.enumerate_candidates(args.dim, args.ratio)
-    rep.note("candidates", [str(c.value) for c in cands])
+    rep.note("candidates", [str(c) for c in cands])
     if args.fixed:
         target = SemisimpleTypeWithLevels.parse(args.fixed)
         survivors = schellekens.filter_candidates(cands, target)
-        rep.note("survivors of the order-3 filter", [str(c.value) for c, _ in survivors])
+        rep.note("survivors of the order-3 filter", [str(c) for c, _ in survivors])
         for c, witness in survivors:
             rep.note(
-                f"witness for {c.value}",
+                f"witness for {c}",
                 [
                     {
                         "kind": kind,

@@ -114,10 +114,7 @@ class GlueCode:
         return frozenset(seen)
 
     def word_vector(self, w: IntVec) -> Vec:
-        parts: List[Q] = []
-        for t, d in zip(self.components, w):
-            parts.extend(_digit_reps(t)[d])
-        return tuple(parts)
+        return tuple(x for t, d in zip(self.components, w) for x in _digit_reps(t)[d])
 
 
 NI_E6_4 = GlueCode(
@@ -416,10 +413,7 @@ def fpf_e6_matrix() -> List[List[int]]:
         (e[4], e[5]),
         (e[1], [-c for c in theta_ac]),
     ]
-    t_rows: List[List[int]] = []
-    for a, b in pairs:
-        t_rows.append(list(a))
-        t_rows.append(list(b))
+    t_rows = [list(v) for pair in pairs for v in pair]
     rot = [[0] * 6 for _ in range(6)]
     for k in range(3):
         rot[2 * k][2 * k + 1] = 1      # a -> b
@@ -1216,7 +1210,7 @@ def types_with_ratio(r: Q, dim: int) -> List[Tuple[Tuple[SimpleType, int], ...]]
     tuple: the candidates of `enumerate_candidates` at ratio r / 2."""
     if r <= 0:
         return []
-    return [c.value.ideals for c in enumerate_candidates(dim, Q(r, 2))]
+    return [c.ideals for c in enumerate_candidates(dim, Q(r, 2))]
 
 
 def _check_orbit_blocks(sub: FixedSubalgebra) -> None:

@@ -4,9 +4,11 @@ The genus-zero generator f = eta(t)^12 / eta(3t)^12 of the level-3
 function field, at i-infinity, and its powers at the other cusp are all
 one eta quotient P(x^3)^k P(x)^(-k), P(x) = prod (1 - x^m), whose integer
 coefficients come from Euler's recurrence; each is returned as a truncated
-series in q^(1/D) with exact rational coefficients.  The cusp expansions
-and a Laurent fit of a fixed-point character in f feed a fully symbolic
-re-derivation of the weight-one dimension formula
+series in q^(1/D) with exact rational coefficients.  The Laurent table of a
+fixed-point character in f is solved from its principal parts, q^-1 + d0 at
+i-infinity and (1/3)(x^-3 + d13 x^-2 + d23 x^-1) at the other cusp; with the
+cusp expansions it feeds a fully symbolic re-derivation of the weight-one
+dimension formula
 
     dim V_1 + dim V~_1 = 4 d0 - 36 d13 - 12 d23 + 24,
 
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
+from operator import mul
 from typing import Dict, List, Tuple
 
 from .exactmath import InvariantError
@@ -127,47 +130,56 @@ def f_power_at_S(n: int, trunc: int = 12) -> PuiseuxSeries:
 LinExpr = Tuple[Q, Q, Q, Q]
 
 
-def _lin(a: Q = Q(0), b: Q = Q(0), c: Q = Q(0), d: Q = Q(0)) -> LinExpr:
-    return (Q(a), Q(b), Q(c), Q(d))
+def _solve(trunc: int, pivots: Dict[int, Q], d0: Q, d13: Q, d23: Q, vacuum: Q) -> Dict[int, Q]:
+    """The c_n of `laurent_table` at one choice of the principal parts."""
+    f = hauptmodul_f(trunc)
+    c = {1: vacuum / pivots[1]}
+    c[0] = d0 - c[1] * f.coeff(0)
+    for n, part in ((-3, vacuum), (-2, d13), (-1, d23)):
+        x_n = Q(n, 3)
+        rest = part / 3 - sum(c[m] * f_power_at_S(m, trunc).coeff(x_n) for m in range(-3, n))
+        c[n] = rest / pivots[n]
+    return c
 
 
-def _lin_add(x: LinExpr, y: LinExpr) -> LinExpr:
-    return tuple(p + q for p, q in zip(x, y))  # type: ignore[return-value]
+@lru_cache(maxsize=None)
+def laurent_table(trunc: int = 12) -> Dict[int, LinExpr]:
+    """The c_n of Z = sum_{n=-3..1} c_n f^n as affine functions of
+    (d0, d13, d23), solved from the principal parts of the fixed-point
+    character Z.  At i-infinity Z = q^-1 + d0 + O(q): the vacuum term and the
+    fixed weight-one dimension.  At the other cusp, with x = q^(1/3),
+    Z(S t) = (1/3)(x^-3 + d13 x^-2 + d23 x^-1) + O(1): 1/3 averages over the
+    three sectors, d13 and d23 are the summed twisted dimensions at weights
+    1/3 and 2/3, and x^-3 is the untwisted vacuum alone, as the positive
+    conformal weight of the twisted modules leaves them no x^-3 term.
+
+    f^n starts at q^-n at i-infinity for n < 0, so c_1 = 1 / [q^-1]f, then
+    c_0 = d0 - c_1 [q^0]f.  f^n at S starts at x^n, so c_-3, c_-2 and c_-1
+    follow from the top down, each minus what the c_m (m < n) solved before
+    it put at x^n, over the pivot [x^n] f^n.  A zero pivot raises
+    InvariantError.  Only exponents <= 0 are read, so the table is exact at
+    every trunc >= 1.  The solve is linear: the four columns solve d0 = 1,
+    d13 = 1, d23 = 1 and the vacuum alone.
+    """
+    pivots = {n: f_power_at_S(n, trunc).coeff(Q(n, 3)) for n in (-3, -2, -1)}
+    pivots[1] = hauptmodul_f(trunc).coeff(-1)
+    for n, p in pivots.items():
+        if not p:
+            raise InvariantError(f"zero pivot: the leading coefficient of f^{n} is 0")
+    units = [tuple(Q(int(i == j)) for j in range(4)) for i in range(4)]
+    columns = [_solve(trunc, pivots, *unit) for unit in units]
+    return {n: tuple(col[n] for col in columns) for n in columns[0]}  # type: ignore[misc]
 
 
-def _lin_scale(x: LinExpr, c: Q) -> LinExpr:
-    return tuple(c * p for p in x)  # type: ignore[return-value]
-
-
-# The Laurent coefficient c_n of f^n in Z = f + c0 + c_-1/f + c_-2/f^2 +
-# c_-3/f^3, as an affine function of (d0, d13, d23).  The cusp-expansion
-# constraints give c0 = d0 + 12, c_-2 = 3^12 (d13/3 + 12) and
-# c_-1 = 3^6 (d23/3 + 8 c_-2 / 3^11 - 198); the pole coefficient at the
-# other cusp pins c_-3 = 3^17 whenever twisted weights are >= 1.
-_CM2 = _lin(b=Q(3**12, 3), d=Q(12 * 3**12))
-LAURENT_TABLE: Dict[int, LinExpr] = {
-    1: _lin(d=Q(1)),
-    0: _lin(a=Q(1), d=Q(12)),
-    -1: _lin_add(
-        _lin(c=Q(3**6, 3), d=Q(-198 * 3**6)), _lin_scale(_CM2, Q(8 * 3**6, 3**11))
-    ),
-    -2: _CM2,
-    -3: _lin(d=Q(3**17)),
-}
-
-
-def fit_character(d0: int, d13: int, d23: int) -> Dict[int, Q]:
-    """The Laurent coefficients {n: c_n} of `LAURENT_TABLE` at one
+def fit_character(d0: int, d13: int, d23: int, trunc: int = 12) -> Dict[int, Q]:
+    """The Laurent coefficients {n: c_n} of `laurent_table(trunc)` at one
     (d0, d13, d23).
 
     d0 is the fixed-point weight-one dimension; d13 and d23 are the summed
     twisted dimensions at weights 1/3 and 2/3.
     """
-    point = (Q(d0), Q(d13), Q(d23), Q(1))
-    c = {
-        n: sum((x * p for x, p in zip(expr, point)), Q(0))
-        for n, expr in LAURENT_TABLE.items()
-    }
+    point = (d0, d13, d23, 1)
+    c = {n: sum(map(mul, expr, point)) for n, expr in laurent_table(trunc).items()}
     if c[1] != 1:
         raise InvariantError(f"leading Laurent coefficient is {c[1]}, not 1")
     return c
@@ -186,18 +198,19 @@ def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:
 def derive_dimension_formula(trunc: int = 12) -> LinExpr:
     """Re-derive the dimension formula coefficients (4, -36, -12, 24).
 
-    `LAURENT_TABLE` is composed with the exact cusp expansions of f^n, and
-    the constant term of Z(t) + sum_i Z(S T^i t) is collected as an affine
-    function of (d0, d13, d23).
+    `laurent_table(trunc)` is composed with the exact cusp expansions of
+    f^n, and the constant term of Z(t) + sum_i Z(S T^i t) is collected as
+    an affine function of (d0, d13, d23).
     """
+    table = laurent_table(trunc)
+    f0 = hauptmodul_f(trunc).coeff(0)
+    # T sends q^(k/3) to w^k q^(k/3), so the trace over the three shifts is a
+    # roots-of-unity filter that leaves exponent 0 unchanged: the constant
+    # term of sum_i Z(S T^i t) is 3 times that of Z(S t)
+    gammas = {n: Q(1) if n == 0 else f_power_at_S(n, trunc).coeff(0) for n in table}
     # the constant term of Z(t) itself is c0 + c1 [q^0]f: each 1/f^n starts
     # at q^n
-    f0 = hauptmodul_f(trunc).coeff(0)
-    total = _lin_add(LAURENT_TABLE[0], _lin_scale(LAURENT_TABLE[1], f0))
-    for n, cn in LAURENT_TABLE.items():
-        # T sends q^(k/3) to w^k q^(k/3), so the trace over the three shifts
-        # is a roots-of-unity filter that leaves exponent 0 unchanged: the
-        # constant term of sum_i Z(S T^i t) is 3 times that of Z(S t)
-        gamma = Q(1) if n == 0 else f_power_at_S(n, trunc).coeff(0)
-        total = _lin_add(total, _lin_scale(cn, 3 * gamma))
-    return total
+    return tuple(  # type: ignore[return-value]
+        table[0][j] + f0 * table[1][j] + sum(3 * g * table[n][j] for n, g in gammas.items())
+        for j in range(4)
+    )

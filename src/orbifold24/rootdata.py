@@ -59,6 +59,9 @@ class SimpleType:
 
     @staticmethod
     def parse(s: str) -> "SimpleType":
+        """`X<rank>` with the rank in ASCII digits; ValueError otherwise."""
+        if not re.fullmatch(r"[A-G][0-9]+", s):
+            raise ValueError(f"{s!r} is not a simple type X<rank> in ASCII digits")
         return SimpleType(s[:1], int(s[1:]))
 
     def dim(self) -> int:
@@ -324,9 +327,7 @@ class SemisimpleTypeWithLevels:
         return sum(t.dim() for t, _ in self.ideals) + self.abelian_rank
 
     def __str__(self) -> str:
-        parts = []
-        for t, k in self.ideals:
-            parts.append(str(t) if k is None else f"{t},{k}")
+        parts = [str(t) if k is None else f"{t},{k}" for t, k in self.ideals]
         if self.abelian_rank == 1:
             parts.append("U(1)")
         elif self.abelian_rank > 1:
@@ -355,13 +356,18 @@ _ABELIAN_TOKEN = re.compile(r"U\(1\)(?:\^([1-9][0-9]*))?")
 _ALIASES = {SimpleType("B", 2): SimpleType("C", 2), SimpleType("D", 3): SimpleType("A", 3)}
 
 
+def parse_rational(text: str) -> Q:
+    """`[-]p` or `[-]p/q`, q > 0, in ASCII digits; ValueError otherwise.
+    Fraction() alone would also read other scripts' digits, `+` and `_`."""
+    if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", text):
+        raise ValueError(f"{text!r} is not a rational [-]p[/q] in ASCII digits, q > 0")
+    return Q(text)
+
+
 def parse_ideal(tok: str) -> Tuple[SimpleType, Optional[Q]]:
     """One `type` or `type,level` token, the type as written; ValueError if malformed."""
     ty, comma, lev = tok.partition(",")
-    try:
-        return SimpleType.parse(ty), Q(lev) if comma else None
-    except ZeroDivisionError:
-        raise ValueError(f"level {lev!r} has a zero denominator") from None
+    return SimpleType.parse(ty), parse_rational(lev) if comma else None
 
 
 def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:

@@ -29,15 +29,6 @@ from .rootdata import (
 Ideal = Tuple[SimpleType, int]
 
 
-@dataclass(frozen=True)
-class CandidateAlgebra:
-    value: SemisimpleTypeWithLevels
-    total_dim: int
-
-    def ideals(self) -> List[Ideal]:
-        return [(t, k) for t, k in self.value.ideals]
-
-
 def simple_ideals_with_ratio(r: Q | int, dim_cap: int) -> List[Ideal]:
     """All (type, level) with h-dual = r * level, level >= 1, dim <= cap.
 
@@ -56,17 +47,16 @@ def simple_ideals_with_ratio(r: Q | int, dim_cap: int) -> List[Ideal]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_candidates(total_dim: int, r: Q) -> Tuple[CandidateAlgebra, ...]:
+def enumerate_candidates(total_dim: int, r: Q) -> Tuple[SemisimpleTypeWithLevels, ...]:
     """All multisets of ratio-r ideals with dimensions summing to total_dim."""
     pool = simple_ideals_with_ratio(r, total_dim)
     dims = [t.dim() for t, _ in pool]
-    results: List[CandidateAlgebra] = []
+    results: List[SemisimpleTypeWithLevels] = []
 
     def rec(i: int, remaining: int, chosen: List[Ideal]) -> None:
         if remaining == 0:
             # chosen follows the sorted pool, the order `of` would sort into
-            value = SemisimpleTypeWithLevels(tuple(chosen))
-            results.append(CandidateAlgebra(value, total_dim))
+            results.append(SemisimpleTypeWithLevels(tuple(chosen)))
             return
         if i == len(pool) or remaining < 0:
             return
@@ -78,7 +68,7 @@ def enumerate_candidates(total_dim: int, r: Q) -> Tuple[CandidateAlgebra, ...]:
             chosen.pop()
 
     rec(0, total_dim, [])
-    return tuple(sorted(results, key=lambda c: str(c.value)))
+    return tuple(sorted(results, key=str))
 
 
 def _order3_label_vectors(t: SimpleType) -> List[Tuple[int, ...]]:
@@ -204,7 +194,8 @@ def _move_lists(target: SemisimpleTypeWithLevels) -> MoveLists:
 
 
 def admits_order3_with_fixed(
-    c: CandidateAlgebra, target: SemisimpleTypeWithLevels, *, _moves: MoveLists | None = None
+    c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithLevels, *,
+    _moves: MoveLists | None = None,
 ) -> Tuple[bool, Optional[Assignment]]:
     """Whether some order-3 automorphism of c has fixed subalgebra target.
 
@@ -227,7 +218,7 @@ def admits_order3_with_fixed(
     keys = dict.fromkeys(target.ideals)
     cap = tuple(map(target.ideals.count, keys))
     cap_ab = target.abelian_rank
-    ideals = sorted(c.ideals())
+    ideals = sorted(c.ideals)
     n = len(ideals)
     at = [(x, p + 2 < n and ideals[p + 2] == x) for p, x in enumerate(ideals)]
     dead: Set[Tuple[int, Tuple[int, ...], int, bool]] = set()
@@ -256,8 +247,8 @@ def admits_order3_with_fixed(
 
 
 def filter_candidates(
-    candidates: Sequence[CandidateAlgebra], target: SemisimpleTypeWithLevels
-) -> List[Tuple[CandidateAlgebra, Assignment]]:
+    candidates: Sequence[SemisimpleTypeWithLevels], target: SemisimpleTypeWithLevels
+) -> List[Tuple[SemisimpleTypeWithLevels, Assignment]]:
     """Candidates admitting an order-3 automorphism with the target fixed
     type, each with the witness that `admits_order3_with_fixed` found; the
     candidates share the target's move lists."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from typing import Dict, List, Optional, Tuple
 
@@ -32,12 +32,11 @@ from .rootdata import IntCoords, ScaledCoords, dominant_conjugate
 
 @dataclass(frozen=True)
 class CaseSpec:
-    """Ambient semisimple algebra with levels, twist vector, and a name.
+    """Ambient semisimple algebra with levels and twist vector.
 
     h holds one twist component per ideal as (den, den * h_i), integral.
     """
 
-    name: str
     ambient: Tuple[AffineAlgebra, ...]
     h: Tuple[ScaledCoords, ...]
 
@@ -144,11 +143,7 @@ class _CaseTables:
                             neg[k] = q + b
             by_residue: Dict[int, List[int]] = {}
             for s in pos:
-                r = s % d
-                if r in by_residue:
-                    by_residue[r].append(s)
-                else:
-                    by_residue[r] = [s]
+                by_residue.setdefault(s % d, []).append(s)
             tables[i], groups[i] = (pos, neg), by_residue
 
         def best_from(sign: int, i: int, s0: int, s_nm: int) -> Optional[int]:
@@ -207,7 +202,4 @@ def min_twisted_weight(
 
 def tuple_space_size(c: CaseSpec) -> int:
     """Number of weight tuples: the product of the ideals' table sizes."""
-    n = 1
-    for a in c.ambient:
-        n *= len(enumerate_level_weights(a))
-    return n
+    return prod(len(enumerate_level_weights(a)) for a in c.ambient)

@@ -36,9 +36,12 @@ against, and helpers that only the tests need.
   `qmodular.eta_quotient` behind `hauptmodul_f` and `f_power_at_S`; the
   `Fraction` factor 3^(6n) multiplied into every term
   (`fraction_f_power_at_S`) against the integer sums of `f_power_at_S`.
-* Dimension formula: the trace (F + F_w + F_w^2)/3 of the coefficient twist
-  q^(1/3) -> w q^(1/3) in an exact Q(w) (`Cyclo3`, `omega_trace`,
-  `traced_dimension_formula`) against the constant-term read in
+* Dimension formula: the Laurent table derived by hand, with its
+  constants typed in (`TYPED_LAURENT_TABLE`), against the triangular solve
+  from the two cusps' principal parts in `qmodular.laurent_table`; the
+  trace (F + F_w + F_w^2)/3 of the coefficient twist q^(1/3) -> w q^(1/3)
+  in an exact Q(w) (`Cyclo3`, `omega_trace`, `traced_dimension_formula`,
+  which reads the typed table) against the constant-term read in
   `qmodular.derive_dimension_formula`.
 * Invariant form: the `Fraction` fundamental-weight Gram matrix
   (`fraction_fw_gram`, `fraction_ip`, `fraction_invariant_norm`) against
@@ -95,7 +98,9 @@ against, and helpers that only the tests need.
   `inverse_lift` its inverse, `compose` and `is_identity`;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
 * Small conveniences only the tests use: `negated` (the case with twist
-  -h), `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
+  -h), `patch_series_coefficient` (one coefficient of a q-series scaled)
+  with `solve_afresh` (a Laurent table cache of the test's own),
+  `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
   (x|y) through `RootSystem.covector`) and `series_one`.
 """
 
@@ -114,6 +119,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
+from orbifold24 import qmodular
 from orbifold24.affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
 from orbifold24.exactmath import (
     InvariantError, Matrix, inverse, mat_mul, rank, transpose,
@@ -142,7 +148,7 @@ from orbifold24.latticevoa import (
     lattice_from_basis,
     weyl_d4_matrix,
 )
-from orbifold24.qmodular import LAURENT_TABLE, PuiseuxSeries, _euler_power, f_power_at_S
+from orbifold24.qmodular import PuiseuxSeries, _euler_power, f_power_at_S
 from orbifold24.rootdata import (
     IntCoords,
     RootSystem,
@@ -154,7 +160,6 @@ from orbifold24.rootdata import (
     classify_simple_system,
 )
 from orbifold24.schellekens import (
-    CandidateAlgebra,
     FixedOption,
     _order3_label_vectors,
     order3_fixed_options,
@@ -639,7 +644,7 @@ def root_loop_shift_ok(c: CaseSpec) -> bool:
 def negated(c: CaseSpec) -> CaseSpec:
     """The case with twist -h."""
     h = tuple((den, tuple(-x for x in v)) for den, v in c.h)
-    return CaseSpec(c.name + "-neg", c.ambient, h)
+    return CaseSpec(c.ambient, h)
 
 
 # --- fixed subalgebras -----------------------------------------------------
@@ -796,7 +801,7 @@ def brute_force_diagram_automorphisms(t: SimpleType) -> Set[Tuple[int, ...]]:
     }
 
 
-def backtracking_admits(c: CandidateAlgebra, target: SemisimpleTypeWithLevels):
+def backtracking_admits(c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithLevels):
     """(ok, witness) of the plain backtracking search over Counters: at each
     step the first remaining ideal either opens a 3-cycle with two equal
     partners or takes one of its options sorted by (kind, str(result))."""
@@ -841,7 +846,7 @@ def backtracking_admits(c: CandidateAlgebra, target: SemisimpleTypeWithLevels):
             witness.pop()
         return None
 
-    found = rec(tuple(sorted(c.ideals())), Counter(), 0, False, [])
+    found = rec(tuple(sorted(c.ideals)), Counter(), 0, False, [])
     return (found is not None), found
 
 
@@ -1087,15 +1092,61 @@ def omega_trace(f: PuiseuxSeries) -> PuiseuxSeries:
     return PuiseuxSeries.make(f.denom, out, f.trunc).normalized()
 
 
+# The Laurent coefficient c_n of f^n in Z = f + c0 + c_-1/f + c_-2/f^2 +
+# c_-3/f^3, as (a, b, c, d) for a*d0 + b*d13 + c*d23 + d, derived by hand.
+# The cusp-expansion constraints give c0 = d0 + 12, c_-2 = 3^12 (d13/3 + 12)
+# and c_-1 = 3^6 (d23/3 + 8 c_-2 / 3^11 - 198); the pole coefficient at the
+# other cusp pins c_-3 = 3^17 whenever twisted weights are >= 1.
+_CM2 = (Q(0), Q(3**12, 3), Q(0), Q(12 * 3**12))
+TYPED_LAURENT_TABLE: Dict[int, Tuple[Q, Q, Q, Q]] = {
+    1: (Q(0), Q(0), Q(0), Q(1)),
+    0: (Q(1), Q(0), Q(0), Q(12)),
+    -1: tuple(
+        x + Q(8 * 3**6, 3**11) * y
+        for x, y in zip((Q(0), Q(0), Q(3**6, 3), Q(-198 * 3**6)), _CM2)
+    ),
+    -2: _CM2,
+    -3: (Q(0), Q(0), Q(0), Q(3**17)),
+}
+
+
 def traced_dimension_formula(trunc: int) -> Tuple[Q, Q, Q, Q]:
-    """The dimension formula coefficients with the constant term of
-    sum_i Z(S T^i t) read as 3 times that of the traced Z(S t)."""
-    total = [a + b for a, b in zip(LAURENT_TABLE[0], (0, 0, 0, -12))]
-    for n, cn in LAURENT_TABLE.items():
+    """The dimension formula coefficients from `TYPED_LAURENT_TABLE`, with
+    the constant term of sum_i Z(S T^i t) read as 3 times that of the
+    traced Z(S t)."""
+    total = [a + b for a, b in zip(TYPED_LAURENT_TABLE[0], (0, 0, 0, -12))]
+    for n, cn in TYPED_LAURENT_TABLE.items():
         series = series_one(trunc) if n == 0 else f_power_at_S(n, trunc)
         gamma = omega_trace(series).coeff(0)
         total = [t + 3 * gamma * c for t, c in zip(total, cn)]
     return tuple(total)
+
+
+def solve_afresh(monkeypatch) -> None:
+    """Give qmodular a `laurent_table` with an empty cache of its own until
+    monkeypatch undoes it: a test that patches a series the solve reads
+    then sees a table solved from it, and leaves none in the process-wide
+    cache."""
+    fresh = lru_cache(maxsize=None)(qmodular.laurent_table.__wrapped__)
+    monkeypatch.setattr(qmodular, "laurent_table", fresh)
+
+
+def patch_series_coefficient(monkeypatch, name: str, key: tuple, exp: Q, factor: Q) -> None:
+    """Patch qmodular.<name> so that the series it returns for the leading
+    arguments `key` (the truncation, passed last, dropped) has its q^exp
+    coefficient multiplied by factor; other calls pass through.  The
+    Laurent table is solved afresh."""
+    solve_afresh(monkeypatch)
+    original = getattr(qmodular, name)
+
+    def patched(*args):
+        s = original(*args)
+        if args[:-1] != key:
+            return s
+        n = Q(exp) * s.denom
+        return PuiseuxSeries(s.denom, {**s.coeffs, n: s.coeffs[n] * factor}, s.trunc)
+
+    monkeypatch.setattr(qmodular, name, patched)
 
 
 # --- lattice side ---------------------------------------------------------

@@ -115,7 +115,7 @@ def test_criterion_5_dimension_formula():
 
 def test_criterion_6_candidate_enumeration():
     c312 = schellekens.enumerate_candidates(312, Q(12))
-    ok = [str(c.value) for c in c312] == [
+    ok = [str(c) for c in c312] == [
         "A11,1 D7,1 E6,1",
         "E6,1 E6,1 E6,1 E6,1",
     ]
@@ -132,7 +132,7 @@ def test_criterion_6_candidate_enumeration():
         ok = (
             ok
             and len(survivors) == 1
-            and str(survivors[0][0].value)
+            and str(survivors[0][0])
             == str(SemisimpleTypeWithLevels.parse(cf.expected_target))
         )
     report("6 (candidate enumeration and filter)", ok)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from orbifold24 import affinerep, cases, cli, latticevoa, qmodular, rootdata, sc
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
-from helpers import dense_table, from_dense_table
+from helpers import dense_table, from_dense_table, patch_series_coefficient
 
 
 # several ideals, twist denominators up to 11, an h off the dominant chamber,
@@ -268,6 +269,15 @@ def test_missing_case_file_exits_2():
         pytest.param({"ambient": "A2,1", "h": ["10"]}, id="string-h-component"),
         pytest.param({"ambient": "A1,1", "h": [["1/0"]]}, id="zero-denominator"),
         pytest.param({"ambient": "A1,1", "h": [["half"]]}, id="bad-rational"),
+        pytest.param({"ambient": "A1,1", "h": [["1_0"]]}, id="underscore-rational"),
+        pytest.param({"ambient": "A1,1", "h": [["\uff11"]]}, id="fullwidth-rational"),
+        pytest.param({"ambient": "A1,1", "h": [["+1/2"]]}, id="signed-rational"),
+        pytest.param({"ambient": "A\uff11,1", "h": [["0"]]}, id="fullwidth-rank"),
+        pytest.param({"ambient": "A1,\uff11", "h": [["0"]]}, id="fullwidth-level"),
+        pytest.param({"ambient": "A+1,1", "h": [["0"]]}, id="signed-rank"),
+        pytest.param({"ambient": "A1,+1", "h": [["0"]]}, id="signed-level"),
+        pytest.param({"ambient": "A1_0,1", "h": [["0"] * 10]}, id="underscore-rank"),
+        pytest.param({"ambient": "A1,1_0", "h": [["0"]]}, id="underscore-level"),
         pytest.param({"ambient": "A1", "h": [["0"]]}, id="ambient-without-level"),
         pytest.param({"ambient": "A1,3/2", "h": [["0"]]}, id="fractional-level"),
         pytest.param({"ambient": ",", "h": [["0"]]}, id="empty-type-token"),
@@ -284,7 +294,18 @@ def test_malformed_case_file_exits_2(tmp_path, capsys, case):
         main(["twist-bound", "--case", str(path), "--json"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "fixed", ["A\uff11,1", "A1,\uff11", "A+1,1", "A1,+1", "A1_0,1", "A1,1_0", "A2,3 A2,\u0663"]
+)
+def test_fixed_type_in_other_digits_exits_2(capsys, fixed):
+    with pytest.raises(SystemExit) as exc:
+        main(["candidates", "--dim", "48", "--ratio", "1", "--fixed", fixed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_deeply_nested_case_file_exits_2(tmp_path, capsys):
@@ -711,3 +732,15 @@ def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):
         assert capsys.readouterr().err == (
             "error: InvariantError: assembled lattice has determinant 4, not 1\n"
         )
+
+
+def test_pole_and_formula_steps_read_the_solved_table(capsys, monkeypatch):
+    # twice the x^-3 coefficient of f^-3 at the other cusp halves the solved
+    # c_-3 and moves c_-2, c_-1 and the formula with it; a typed table would
+    # pass both steps, since the formula reads only constant terms
+    patch_series_coefficient(monkeypatch, "f_power_at_S", (-3,), Q(-1), Q(2))
+    code, out = run_cli(capsys, ["tables", "--which", "modular", "--json"])
+    assert code == 1
+    verdicts = {s["name"]: s["verdict"] for s in json.loads(out)["steps"]}
+    assert verdicts["pole coefficient c_-3"] == "fail"
+    assert verdicts["dimension formula coefficients"] == "fail"

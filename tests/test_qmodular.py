@@ -5,7 +5,6 @@ import pytest
 
 from orbifold24 import qmodular
 from orbifold24.qmodular import (
-    LAURENT_TABLE,
     PuiseuxSeries,
     derive_dimension_formula,
     dim_tilde_v1,
@@ -13,13 +12,16 @@ from orbifold24.qmodular import (
     f_power_at_S,
     fit_character,
     hauptmodul_f,
+    laurent_table,
 )
 from orbifold24.exactmath import InvariantError
 
 from helpers import (
+    TYPED_LAURENT_TABLE,
     euler_pentagonal,
     fraction_f_power_at_S,
     omega_trace,
+    patch_series_coefficient,
     product_eta,
     product_f_power_at_S,
     series_add,
@@ -27,6 +29,7 @@ from helpers import (
     series_mul,
     series_pow,
     series_terms,
+    solve_afresh,
     substitute_scaled,
     traced_dimension_formula,
 )
@@ -191,12 +194,24 @@ def test_fit_character_values():
     assert fit_character(0, 0, 0)[0] == 12
 
 
+@pytest.mark.parametrize("trunc", range(1, 25))
+def test_solved_table_matches_the_typed_table(trunc):
+    assert laurent_table(trunc) == TYPED_LAURENT_TABLE
+    assert derive_dimension_formula(trunc) == (4, -36, -12, 24)
+
+
 def test_fit_character_checks_leading_coefficient(monkeypatch):
-    # an explicit check, not an assert: it must also hold under python -O
-    monkeypatch.setitem(LAURENT_TABLE, 1, (Q(1), Q(0), Q(0), Q(1)))
+    # an explicit check, not an assert: it must also hold under python -O.
+    # Halving the q^-1 coefficient of f makes the solved c_1 = 1 / [q^-1]f 2
+    patch_series_coefficient(monkeypatch, "hauptmodul_f", (), -1, Q(1, 2))
     with pytest.raises(InvariantError, match="^leading Laurent coefficient is 2, not 1$"):
-        fit_character(1, 0, 0)
-    assert fit_character(0, 0, 0)[1] == 1
+        fit_character(1, 0, 0, 12)
+
+
+def test_solve_rejects_a_zero_pivot(monkeypatch):
+    patch_series_coefficient(monkeypatch, "f_power_at_S", (-2,), Q(-2, 3), 0)
+    with pytest.raises(InvariantError, match="^zero pivot: the leading coefficient of f\\^-2 is 0$"):
+        qmodular.laurent_table(12)
 
 
 def test_dim_tilde_v1_cases():
@@ -218,12 +233,14 @@ def test_derived_formula_coefficients(trunc):
 
 
 def test_derived_constant_reads_the_constant_term_of_f(monkeypatch):
-    # the constant term of Z(t) is c0 + c1 [q^0]f, with c1 = 1: another
-    # constant term of f moves the derived constant by the difference
+    # the solve makes the constant term c0 + c1 [q^0]f of Z(t) equal d0
+    # whatever [q^0]f is, so 5 more there moves c0, and the constant term of
+    # the three shifted Z(S T^i t), by -5 each: the derived constant by -15
     f = hauptmodul_f(12)
     shifted = PuiseuxSeries(f.denom, {**f.coeffs, 0: f.coeff(0) + 5}, f.trunc)
+    solve_afresh(monkeypatch)
     monkeypatch.setattr(qmodular, "hauptmodul_f", lambda trunc=12: shifted)
-    assert derive_dimension_formula(12) == (4, -36, -12, 29)
+    assert derive_dimension_formula(12) == (4, -36, -12, 9)
 
 
 def test_formula_degenerates_without_twisted_dims():

@@ -420,7 +420,10 @@ def test_parse_reads_b2_and_d3_under_the_pool_names():
 
 
 @pytest.mark.parametrize(
-    "text", ["A2,1/0", "U(1)^-1", "U(1)^0", "U(1)x", "U(1)^", "U(2)", "A2,", ",3", "A2,0"]
+    "text",
+    ["A2,1/0", "U(1)^-1", "U(1)^0", "U(1)x", "U(1)^", "U(2)", "A2,", ",3", "A2,0",
+     # int() and Fraction() would read these as A1,1 and A10 or level 10
+     "A\uff11,1", "A1,\uff11", "A+1,1", "A1,+1", "A1_0,1", "A1,1_0", "A1, 1", "A1,-1"],
 )
 def test_parse_rejects_malformed_tokens(text):
     with pytest.raises(ValueError):

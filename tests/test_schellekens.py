@@ -66,19 +66,19 @@ def test_every_pool_entry_satisfies_ratio():
 
 def test_candidates_312():
     cands = enumerate_candidates(312, Q(12))
-    assert [str(c.value) for c in cands] == [
+    assert [str(c) for c in cands] == [
         "A11,1 D7,1 E6,1",
         "E6,1 E6,1 E6,1 E6,1",
     ]
     for c in cands:
-        assert c.value.dim() == 312
-        assert c.value.abelian_rank == 0
+        assert c.dim() == 312
+        assert c.abelian_rank == 0
 
 
 def test_candidates_168():
     cands = enumerate_candidates(168, Q(6))
     assert len(cands) == 4
-    got = {str(c.value) for c in cands}
+    got = {str(c) for c in cands}
     assert got == {
         "A5,1 A5,1 A5,1 A5,1 D4,1",
         "D4,1 D4,1 D4,1 D4,1 D4,1 D4,1",
@@ -89,7 +89,7 @@ def test_candidates_168():
 
 def test_candidates_zero_dim():
     cands = enumerate_candidates(0, Q(6))
-    assert len(cands) == 1 and cands[0].value.dim() == 0
+    assert len(cands) == 1 and cands[0].dim() == 0
 
 
 def test_d4_options():
@@ -121,8 +121,8 @@ def test_filter_e6g2():
     cands = enumerate_candidates(312, Q(12))
     target = SemisimpleTypeWithLevels.parse("E6,3 A2,1 A2,1 A2,1")
     survivors = filter_candidates(cands, target)
-    assert [str(c.value) for c, _ in survivors] == ["E6,1 E6,1 E6,1 E6,1"]
-    loser = next(c for c in cands if "A11" in str(c.value))
+    assert [str(c) for c, _ in survivors] == ["E6,1 E6,1 E6,1 E6,1"]
+    loser = next(c for c in cands if "A11" in str(c))
     ok, _ = admits_order3_with_fixed(loser, target)
     assert not ok
 
@@ -133,21 +133,21 @@ def test_filter_a2x6_and_a5d4():
     t3 = SemisimpleTypeWithLevels.parse("A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1")
     for target in (t2, t3):
         survivors = filter_candidates(cands, target)
-        assert [str(c.value) for c, _ in survivors] == [
+        assert [str(c) for c, _ in survivors] == [
             "D4,1 D4,1 D4,1 D4,1 D4,1 D4,1"
         ]
-    a5s = next(c for c in cands if "A5,1 A5,1" in str(c.value))
+    a5s = next(c for c in cands if "A5,1 A5,1" in str(c))
     assert not admits_order3_with_fixed(a5s, t2)[0]
 
 
 def test_witness_rank_bookkeeping():
     cands = enumerate_candidates(312, Q(12))
     target = SemisimpleTypeWithLevels.parse("E6,3 A2,1 A2,1 A2,1")
-    winner = next(c for c in cands if str(c.value) == "E6,1 E6,1 E6,1 E6,1")
+    winner = next(c for c in cands if str(c) == "E6,1 E6,1 E6,1 E6,1")
     ok, witness = admits_order3_with_fixed(winner, target)
     assert ok and witness is not None
     total_rank = semisimple_rank(target) + target.abelian_rank
-    assert total_rank <= sum(t.rank for t, _ in winner.ideals())
+    assert total_rank <= sum(t.rank for t, _ in winner.ideals)
     # witness contributions reassemble the target exactly
     acc = []
     ab = 0
@@ -160,7 +160,7 @@ def test_witness_rank_bookkeeping():
 def test_trivial_only_assignment_rejected():
     # identity on every ideal fixes everything but is not order 3
     cand = enumerate_candidates(312, Q(12))[1]
-    assert str(cand.value) == "E6,1 E6,1 E6,1 E6,1"
+    assert str(cand) == "E6,1 E6,1 E6,1 E6,1"
     target = SemisimpleTypeWithLevels.parse("E6,1 E6,1 E6,1 E6,1")
     ok, _ = admits_order3_with_fixed(cand, target)
     assert not ok
@@ -202,8 +202,8 @@ def test_option_tables_match_fraction_oracle():
 def test_candidates_carry_int_levels_in_sorted_order():
     for dim in range(36, 313, 12):
         for c in enumerate_candidates(dim, Q(dim - 24, 24)):
-            assert all(type(k) is int for _, k in c.value.ideals)
-            assert c.value == SemisimpleTypeWithLevels.of(c.ideals())
+            assert all(type(k) is int for _, k in c.ideals)
+            assert c == SemisimpleTypeWithLevels.of(c.ideals)
 
 
 def oracle_targets(c):
@@ -213,7 +213,7 @@ def oracle_targets(c):
         SemisimpleTypeWithLevels.parse(BUILTIN_CASES[case].expected_fixed)
         for case in ("e6g2", "a2x6", "a5d4")
     }
-    ideals = list(c.value.ideals)
+    ideals = list(c.ideals)
     for j, (t, k) in enumerate(ideals):
         rest = ideals[:j] + ideals[j + 1:]
         for o in order3_fixed_options(t, int(k)):
@@ -229,7 +229,7 @@ def test_count_vector_search_matches_backtracking():
         for c in enumerate_candidates(dim, Q(dim - 24, 24)):
             for target in oracle_targets(c):
                 got = admits_order3_with_fixed(c, target)
-                assert got == backtracking_admits(c, target), (str(c.value), str(target))
+                assert got == backtracking_admits(c, target), (str(c), str(target))
                 checked += 1
                 admitted += got[0]
     assert checked > 3000 and admitted > 1000
