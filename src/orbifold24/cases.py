@@ -95,6 +95,8 @@ class CaseFile:
         for key in ("id", "ambient"):
             if key in data and not isinstance(data[key], str):
                 raise ValueError(f"case field {key!r} must be a string")
+        if not data["ambient"].isascii():
+            raise ValueError("case field 'ambient' must be ASCII")
         h = data["h"]
         if not (isinstance(h, list) and all(isinstance(c, list) for c in h)):
             raise ValueError("'h' must be a list of coordinate lists")

@@ -3,13 +3,16 @@
 Subcommands: tables, twist-bound, dimension, candidates, lattice, verify-all.
 Reports print as human-readable tables, or as byte-stable JSON with --json.
 Exit code 0 means every expectation passed, 1 flags a mismatch (including an
-exact invariant or identification check that fails), 2 a usage error.
+exact invariant or identification check that fails), 2 a usage error.  A
+reader that closes stdout early leaves the exit code as the report's.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
+import re
 import sys
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -28,27 +31,16 @@ from .cases import (
 )
 from .exactmath import InvariantError
 from .report import Report
-from .rootdata import SemisimpleTypeWithLevels
+from .rootdata import SemisimpleTypeWithLevels, parse_rational
 from .twistbound import invariant_norm, min_twisted_weight, shift_ok, tuple_space_size
 
 
-def _emit(rep: Report, as_json: bool) -> int:
-    print(rep.to_json() if as_json else rep.to_text())
-    return rep.exit_code
-
-
-def _rational(text: str) -> Q:
-    try:
-        return Q(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
-
-
 def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    """`[-]n` in ASCII digits; int() alone would also read other scripts'
+    digits, `+` and `_`."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"not an integer [-]n in ASCII digits: {text!r}")
+    return int(text)
 
 
 def _dimension(text: str) -> int:
@@ -71,12 +63,11 @@ def _load_case(token: str) -> CaseFile:
     return CaseFile.from_json(token)
 
 
-def cmd_tables(args: argparse.Namespace) -> int:
-    rep = verify_tables(args.which, trunc=args.trunc, seed=args.seed)
-    return _emit(rep, args.json)
+def cmd_tables(args: argparse.Namespace) -> Report:
+    return verify_tables(args.which, trunc=args.trunc, seed=args.seed)
 
 
-def cmd_twist_bound(args: argparse.Namespace) -> int:
+def cmd_twist_bound(args: argparse.Namespace) -> Report:
     cf = _load_case(args.case)
     # the reference values hold for the built-in h, not for a file reusing an id
     builtin = args.case in BUILTIN_CASES
@@ -97,10 +88,10 @@ def cmd_twist_bound(args: argparse.Namespace) -> int:
         rep.check("min twisted weight (-h)", m_neg, expected_min)
         rep.note("witness (+h)", [list(w) for w in wit_pos])
         rep.note("witness (-h)", [list(w) for w in wit_neg])
-    return _emit(rep, args.json)
+    return rep
 
 
-def cmd_dimension(args: argparse.Namespace) -> int:
+def cmd_dimension(args: argparse.Namespace) -> Report:
     rep = Report("dimension formula")
     val = qmodular.dim_tilde_v1(args.dimv1, args.d0, args.d13, args.d23)
     rep.note("orbifold weight-one dim", val)
@@ -111,10 +102,10 @@ def cmd_dimension(args: argparse.Namespace) -> int:
         golden.DIMENSION_COEFFS,
         source="reference",
     )
-    return _emit(rep, args.json)
+    return rep
 
 
-def cmd_candidates(args: argparse.Namespace) -> int:
+def cmd_candidates(args: argparse.Namespace) -> Report:
     rep = Report("candidate enumeration")
     cands = schellekens.enumerate_candidates(args.dim, args.ratio)
     rep.note("candidates", [str(c) for c in cands])
@@ -134,10 +125,10 @@ def cmd_candidates(args: argparse.Namespace) -> int:
                     for kind, ideals, res in witness
                 ],
             )
-    return _emit(rep, args.json)
+    return rep
 
 
-def cmd_lattice(args: argparse.Namespace) -> int:
+def cmd_lattice(args: argparse.Namespace) -> Report:
     rep = Report(f"lattice {args.name} / {args.isometry}")
     check_lattice(rep, args.name, random.Random(0))
     iso = check_isometry(rep, args.name, args.isometry)
@@ -145,15 +136,15 @@ def cmd_lattice(args: argparse.Namespace) -> int:
     rho, mults = latticevoa.twisted_ground_energy(iso)
     rep.note(f"{args.isometry}: twisted ground energy", rho)
     rep.note(f"{args.isometry}: eigenvalue multiplicities", mults)
-    return _emit(rep, args.json)
+    return rep
 
 
-def cmd_verify_all(args: argparse.Namespace) -> int:
+def cmd_verify_all(args: argparse.Namespace) -> Report:
     rep = Report("verify all")
     for case_id in BUILTIN_CASES:
         rep.extend(run_case(BUILTIN_CASES[case_id], trunc=args.trunc))
     rep.extend(verify_tables("all", trunc=args.trunc, seed=args.seed))
-    return _emit(rep, args.json)
+    return rep
 
 
 @lru_cache(maxsize=None)
@@ -177,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--which", default="all", choices=TABLE_FAMILIES + ("all",)
     )
     p.add_argument("--trunc", type=_truncation, default=12, help="series truncation")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=_integer, default=0, help="sampling seed")
     p.set_defaults(func=cmd_tables)
 
     p = sub.add_parser("twist-bound", help="twisted-weight minima for a case")
@@ -187,10 +178,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dimension", help="orbifold weight-one dimension")
     common(p)
-    p.add_argument("--dimv1", type=int, required=True)
-    p.add_argument("--d0", type=int, required=True)
-    p.add_argument("--d13", type=int, required=True)
-    p.add_argument("--d23", type=int, required=True)
+    p.add_argument("--dimv1", type=_integer, required=True)
+    p.add_argument("--d0", type=_integer, required=True)
+    p.add_argument("--d13", type=_integer, required=True)
+    p.add_argument("--d23", type=_integer, required=True)
     p.add_argument("--trunc", type=_truncation, default=12)
     p.set_defaults(func=cmd_dimension)
 
@@ -200,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ratio",
         required=True,
-        type=_rational,
+        type=parse_rational,
         help="h-dual/level ratio, e.g. 12 or 7/2",
     )
     p.add_argument("--fixed", help="target fixed type, e.g. 'E6,3 A2,1 A2,1 A2,1'")
@@ -217,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="replay every case and table")
     common(p)
     p.add_argument("--trunc", type=_truncation, default=12)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=cmd_verify_all)
     return parser
 
@@ -226,7 +217,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        rep = args.func(args)
+        print(rep.to_json() if args.json else rep.to_text(), flush=True)
+    except BrokenPipeError:
+        # the reader left early, which is no input error: the verdict stands,
+        # and the flush at shutdown goes to the null device, not the pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError) as err:
         parser.exit(2, f"error: {err}\n")
         return 2
@@ -234,6 +230,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # an exact check failed on this input: a mismatch, not a usage error
         parser.exit(1, f"error: {type(err).__name__}: {err}\n")
         return 1
+    return rep.exit_code
 
 
 if __name__ == "__main__":

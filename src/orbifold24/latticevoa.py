@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm, prod
 from operator import add
 from typing import (
     Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
@@ -493,10 +493,8 @@ def weyl_d4_matrix() -> List[List[int]]:
 def disc_digit_action(t: SimpleType, local: List[List[int]]) -> Dict[int, int]:
     """Induced permutation of the glue digits (trivial exactly on Weyl part)."""
     reps = _digit_reps(t)
-    out = {0: 0}
+    out: Dict[int, int] = {}
     for d, rep in enumerate(reps):
-        if d == 0:
-            continue
         img = mat_mul([rep], local)[0]
         matches = [
             d2
@@ -1403,62 +1401,60 @@ def count_orthogonal_subsystems(
     return cliques(list(range(len(spans))), copies)
 
 
-def _disc_automorphisms(t: SimpleType) -> List[Dict[int, int]]:
-    if t == E6:
-        return [{0: 0, 1: 1, 2: 2}, {0: 0, 1: 2, 2: 1}]
-    if t == D4:
-        return [
-            {0: 0, 1: p[0], 2: p[1], 3: p[2]}
-            for p in itertools.permutations((1, 2, 3))
-        ]
-    raise ValueError(f"no discriminant data for {t}")
+@lru_cache(maxsize=None)
+def _disc_automorphisms(t: SimpleType) -> Tuple[Dict[int, int], ...]:
+    """The digit maps of the Dynkin diagram symmetries (SPLAG Table 16.1):
+    `disc_digit_action` of the affine diagram automorphisms fixing node 0,
+    as permutation matrices on the simple roots (nodes 1..r)."""
+    r = t.rank
+    return tuple(
+        disc_digit_action(t, [[int(p[i + 1] == j + 1) for j in range(r)] for i in range(r)])
+        for p in schellekens._diagram_automorphisms(t)
+        if p[0] == 0
+    )
 
 
 def glue_automorphism_group_order(code: GlueCode) -> int:
     """Order of the group of (component permutation, digit map) pairs
-    preserving the code."""
+    preserving the code, by orbit-stabilizer along the positions.
+
+    An element sends word w to the word with maps[i][w[perm[i]]] at position
+    i.  The order is the product over i of the number of (perm[i], maps[i])
+    choices made by the elements that fix every position < i with the
+    identity map.  A depth-first search over the later positions tests each
+    choice: it stops at the first completion and prunes as soon as some
+    generator's partial image is not a prefix of a code word (the digit maps
+    are group automorphisms, so the generators' images decide the code's).
+    """
     k = len(code.components)
-    words = code.words()
     if not all(t == code.components[0] for t in code.components):
         raise ValueError("mixed-component codes are not supported")
     t = code.components[0]
     autos = _disc_automorphisms(t)
-    gens = list(code.generators)
-
-    def image(w: IntVec, perm: Sequence[int], digit_maps: Sequence[Dict[int, int]]) -> IntVec:
-        permuted = tuple(w[perm[i]] for i in range(k))
-        return tuple(digit_maps[i][permuted[i]] for i in range(k))
-
-    total_brute = len(autos) ** k * factorial(k) if k <= 6 else None
-    if total_brute is not None and total_brute <= 10**6:
-        count = 0
-        for perm in itertools.permutations(range(k)):
-            for maps in itertools.product(autos, repeat=k):
-                if all(image(g, perm, maps) in words for g in gens):
-                    count += 1
-        return count
-
-    # anchored search: requires the two constant full-support words, whose
-    # images (w1, w2) fix every digit map; a pair (perm, maps) preserves the
-    # code iff every permuted generator lies in maps^-1(code)
-    all1 = tuple([1] * k)
-    all2 = tuple([2] * k)
-    if all1 not in words or all2 not in words:
-        raise ValueError("anchored search needs the constant words in the code")
-    full_support = [w for w in words if all(w)]
-    permuted_gens = [
-        [tuple(g[p] for p in perm) for g in gens]
-        for perm in itertools.permutations(range(k))
+    gens = code.generators
+    b = len(_digit_reps(t))
+    # the digits that may follow each proper prefix of a code word, as bits
+    nexts: Dict[IntVec, int] = {}
+    for w in code.words():
+        for j in range(k):
+            nexts[w[:j]] = nexts.get(w[:j], 0) | 1 << w[j]
+    # generator n's digit from source s under map m, at bit b*n + digit
+    marks = [
+        [sum(1 << (b * n + m[g[s]]) for n, g in enumerate(gens)) for m in autos]
+        for s in range(k)
     ]
-    count = 0
-    for w2img in full_support:
-        for w1img in full_support:
-            if any(a == b for a, b in zip(w1img, w2img)):
-                continue
-            inverse_maps = [
-                {0: 0, a: 1, b: 2, ({1, 2, 3} - {a, b}).pop(): 3}
-                for a, b in zip(w1img, w2img)
-            ]
-            preimage = {tuple(m[d] for m, d in zip(inverse_maps, w)) for w in words}
-            count += sum(map(preimage.issuperset, permuted_gens))
-    return count
+
+    def choices(free: FrozenSet[int], images: Tuple[IntVec, ...]) -> Iterator[tuple]:
+        allowed = sum(nexts[p] << (b * n) for n, p in enumerate(images))
+        for s in free:
+            for m, mark in zip(autos, marks[s]):
+                if mark & allowed == mark:
+                    yield free - {s}, tuple(p + (m[g[s]],) for p, g in zip(images, gens))
+
+    def extends(free: FrozenSet[int], images: Tuple[IntVec, ...]) -> bool:
+        return not free or any(extends(*c) for c in choices(free, images))
+
+    return prod(
+        sum(extends(*c) for c in choices(frozenset(range(i, k)), tuple(g[:i] for g in gens)))
+        for i in range(k)
+    )

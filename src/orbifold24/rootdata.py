@@ -337,7 +337,10 @@ class SemisimpleTypeWithLevels:
     @staticmethod
     def parse(s: str) -> "SemisimpleTypeWithLevels":
         """Space-separated `type`, `type,level`, `U(1)` and `U(1)^n` tokens; B2
-        and D3 are read as C2 and A3, as the ratio pools and Kac's tables name them."""
+        and D3 are read as C2 and A3, as the ratio pools and Kac's tables name them.
+        ASCII only: str.split() would also split on Unicode spaces."""
+        if not s.isascii():
+            raise ValueError(f"{s!r} is not a type string in ASCII")
         ideals: List[Tuple[SimpleType, Optional[Q]]] = []
         abelian = 0
         for tok in s.split():

@@ -63,8 +63,10 @@ against, and helpers that only the tests need.
 * Shift bound: the loop over every root (`root_loop_shift_ok`) against
   the closed form (h+|theta) <= 1 in `twistbound.shift_ok`.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
-  glue-automorphism search with the permutation in the outer loop
-  (`permutation_first_glue_order`), the isometry certificate as `Fraction`
+  glue-automorphism brute force and anchored search with the permutation in
+  the outer loop (`permutation_first_glue_order`), over the typed digit maps
+  (`TYPED_DIGIT_MAPS`) against the orbit-stabilizer count and the diagram
+  symmetries' maps, the isometry certificate as `Fraction`
   matrix products (`fraction_slot_maps_to_isometry`), the hand-written
   slot-map shapes of sigma6, sigma2 and sigma4 (`named_shape_isometry`,
   with the sigma4 search `sigma4_candidates`) against the catalogue
@@ -135,7 +137,6 @@ from orbifold24.latticevoa import (
     Weight,
     _LatticeNotPreserved,
     _check_grading,
-    _disc_automorphisms,
     _killing,
     _negative_pairs,
     _odd_mask,
@@ -1427,15 +1428,27 @@ def inverse_lift(w: LiftedAutomorphism) -> LiftedAutomorphism:
     )
 
 
+# the digit maps of the discriminant groups, typed in: the swap of the two
+# nontrivial Z3 cosets of E6, and every permutation of the three of D4
+TYPED_DIGIT_MAPS: Dict[SimpleType, List[Dict[int, int]]] = {
+    SimpleType("E", 6): [{0: 0, 1: 1, 2: 2}, {0: 0, 1: 2, 2: 1}],
+    SimpleType("D", 4): [
+        {0: 0, 1: p[0], 2: p[1], 3: p[2]} for p in itertools.permutations((1, 2, 3))
+    ],
+}
+
+
 def permutation_first_glue_order(code: GlueCode) -> int:
     """Glue automorphism group order with the component permutation in the
-    outer loop and every generator image rebuilt per (perm, digit maps)."""
+    outer loop and every generator image rebuilt per (perm, digit maps),
+    over the typed digit maps: a brute force when k!*|maps|^k <= 10^6, and
+    otherwise a search anchored on the all-1 and all-2 words."""
     k = len(code.components)
     words = code.words()
     if not all(t == code.components[0] for t in code.components):
         raise ValueError("mixed-component codes are not supported")
     t = code.components[0]
-    autos = _disc_automorphisms(t)
+    autos = TYPED_DIGIT_MAPS[t]
     gens = list(code.generators)
 
     def image(w, perm, digit_maps):

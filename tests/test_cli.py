@@ -225,6 +225,41 @@ def test_bad_numeric_argument_exits_2(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["\uff14\uff18", "\uff11", "0.5", "+1", "1_0"])
+@pytest.mark.parametrize(
+    ("argv", "option"),
+    [
+        (["candidates", "--dim", "48", "--ratio", "1"], "--dim"),
+        (["candidates", "--dim", "48", "--ratio", "1"], "--ratio"),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--dimv1"),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d0"),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d13"),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d23"),
+        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--trunc"),
+        (["tables", "--which", "modular"], "--seed"),
+        (["verify-all"], "--seed"),
+    ],
+    ids=["dim", "ratio", "dimv1", "d0", "d13", "d23", "trunc", "tables-seed", "verify-all-seed"],
+)
+def test_numeric_option_outside_the_ascii_grammar_exits_2(capsys, argv, option, value):
+    # other scripts' digits, decimals, signs and underscores: argparse
+    # refuses the option before any section runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}: " in err and "Traceback" not in err
+
+
+def test_numeric_options_read_the_ascii_forms():
+    parse = cli.build_parser().parse_args
+    args = parse(["candidates", "--dim=48", "--ratio=7/2"])
+    assert (args.dim, args.ratio) == (48, Q(7, 2))
+    assert parse(["verify-all", "--seed=41"]).seed == 41
+    args = parse(["dimension", "--dimv1", "0", "--d0", "-1", "--d13", "-0", "--d23", "007"])
+    assert (args.dimv1, args.d0, args.d13, args.d23) == (0, -1, 0, 7)
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
@@ -257,6 +292,25 @@ def test_missing_case_file_exits_2():
     assert exc.value.code == 2
 
 
+def test_closed_stdout_keeps_the_exit_code():
+    # the read end closes before the child writes: the write fails with
+    # EPIPE, which is not an input error, and nothing reaches stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "orbifold24.cli", "candidates", "--dim", "48",
+             "--ratio", "1", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -278,6 +332,7 @@ def test_missing_case_file_exits_2():
         pytest.param({"ambient": "A1,+1", "h": [["0"]]}, id="signed-level"),
         pytest.param({"ambient": "A1_0,1", "h": [["0"] * 10]}, id="underscore-rank"),
         pytest.param({"ambient": "A1,1_0", "h": [["0"]]}, id="underscore-level"),
+        pytest.param({"ambient": "A1,1\u00a0A1,1", "h": [["0"], ["0"]]}, id="no-break-space"),
         pytest.param({"ambient": "A1", "h": [["0"]]}, id="ambient-without-level"),
         pytest.param({"ambient": "A1,3/2", "h": [["0"]]}, id="fractional-level"),
         pytest.param({"ambient": ",", "h": [["0"]]}, id="empty-type-token"),
@@ -298,7 +353,9 @@ def test_malformed_case_file_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize(
-    "fixed", ["A\uff11,1", "A1,\uff11", "A+1,1", "A1,+1", "A1_0,1", "A1,1_0", "A2,3 A2,\u0663"]
+    "fixed",
+    ["A\uff11,1", "A1,\uff11", "A+1,1", "A1,+1", "A1_0,1", "A1,1_0", "A2,3 A2,\u0663",
+     "A1,1\u3000A1,1"],
 )
 def test_fixed_type_in_other_digits_exits_2(capsys, fixed):
     with pytest.raises(SystemExit) as exc:

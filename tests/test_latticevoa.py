@@ -2,6 +2,7 @@ import dataclasses
 import fractions
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
@@ -68,6 +69,7 @@ from helpers import (
     is_identity,
     lattice_roots,
     numpy_lie_tables,
+    TYPED_DIGIT_MAPS,
     permutation_first_glue_order,
     root_lattice,
     rough_lift,
@@ -1099,6 +1101,23 @@ def test_glue_automorphism_orders():
     assert glue_automorphism_group_order(NI_D4_6) == 2160
     assert glue_automorphism_group_order(GlueCode((SimpleType("E", 6),), ())) == 2
     assert glue_automorphism_group_order(GlueCode((SimpleType("D", 4),), ())) == 6
+
+
+@pytest.mark.parametrize("t", [SimpleType("E", 6), SimpleType("D", 4)], ids=str)
+def test_diagram_symmetries_give_the_typed_digit_maps(t):
+    derived = latticevoa._disc_automorphisms(t)
+    assert len(derived) == len(TYPED_DIGIT_MAPS[t])
+    assert {tuple(sorted(m.items())) for m in derived} == {
+        tuple(sorted(m.items())) for m in TYPED_DIGIT_MAPS[t]
+    }
+
+
+@pytest.mark.parametrize(("t", "k"), [(SimpleType("D", 4), 6), (SimpleType("E", 6), 7)], ids=str)
+def test_trivial_code_order_is_every_permutation_and_digit_map(t, k):
+    # k! * |maps|^k: 6! * 6^6 and 7! * 2^7, past the oracle's brute-force size,
+    # and without the constant words its anchored search needs
+    maps = len(TYPED_DIGIT_MAPS[t])
+    assert glue_automorphism_group_order(GlueCode((t,) * k, ())) == factorial(k) * maps**k
 
 
 def test_glue_orders_match_permutation_first_oracle():
