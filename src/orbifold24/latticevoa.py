@@ -11,7 +11,8 @@ inverses and kernels come from `exactmath`'s row Hermite normal form, and a
 lattice is unimodular when the HNF of its Gram matrix is the identity.
 
 An isometry is built from a witness of the order-3 filter: a catalogue gives
-each witness entry's local isometry, and a search places the entries on the
+each witness entry's local isometry, as a Dynkin diagram symmetry and a word
+in the affine diagram's reflections, and a search places the entries on the
 components until the map preserves the glue, so the lattice side follows
 the forward chain.  The weight-one algebra has basis {Cartan directions} +
 {e^a : a a root}, with structure constants through the sign bicharacter
@@ -36,14 +37,14 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from operator import add
 from typing import (
-    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from .exactmath import (
     InvariantError, Matrix, hnf_with_transform, identity, integer_inverse,
     integer_row_kernel, inverse, mat_mul, rank, transpose,
 )
-from .rootdata import SemisimpleTypeWithLevels, SimpleType, build_root_system
+from .rootdata import SemisimpleTypeWithLevels, SimpleType, _affine_diagram, build_root_system
 from . import schellekens
 from .schellekens import Witness, enumerate_candidates
 
@@ -381,12 +382,6 @@ def _slot_maps_to_isometry(
     return LatticeIsometry(lat, tuple(out), name)
 
 
-def _integral(m: List[List[Q]], what: str) -> List[List[int]]:
-    if any(x.denominator != 1 for row in m for x in row):
-        raise InvariantError(f"{what} is not integral")
-    return [[int(x) for x in row] for row in m]
-
-
 def _check_order3(m: List[List[int]], fixed_free: bool) -> None:
     n = len(m)
     ident = identity(n)
@@ -399,94 +394,26 @@ def _check_order3(m: List[List[int]], fixed_free: bool) -> None:
         raise InvariantError("not fixed-point-free")
 
 
-def fpf_e6_matrix() -> List[List[int]]:
-    """Fixed-point-free order-3 isometry of the E6 root lattice.
+def local_isometry(
+    t: SimpleType, symmetry: Sequence[int], word: Sequence[int]
+) -> List[List[int]]:
+    """Isometry of t's root lattice in simple-root coordinates (row-vector
+    action): the diagram symmetry a_i -> a_symmetry[i] first, then the
+    reflections in the word's affine nodes, left to right.
 
-    Simultaneous rotation of the orthogonal pair decomposition
-    (a1,a3), (a5,a6), (a2,-theta); integrality certifies it preserves E6 and
-    m^2 + m + 1 = 0 certifies the fixed-point-free order-3 action.
+    Node 0 is -theta and node i is a_i, with the gram and marks of
+    `rootdata._affine_diagram`; the reflection in node v sends x to
+    x - 2 (x|v)/(v|v) v, and (x|v) is x's pairing with v's gram column.
     """
-    theta_ac = build_root_system(E6).marks[1:]
-    e = identity(6)
-    pairs = [
-        (e[0], e[2]),
-        (e[4], e[5]),
-        (e[1], [-c for c in theta_ac]),
-    ]
-    t_rows = [list(v) for pair in pairs for v in pair]
-    rot = [[0] * 6 for _ in range(6)]
-    for k in range(3):
-        rot[2 * k][2 * k + 1] = 1      # a -> b
-        rot[2 * k + 1][2 * k] = -1     # b -> -a-b
-        rot[2 * k + 1][2 * k + 1] = -1
-    phi = _integral(
-        mat_mul(mat_mul(inverse(t_rows), rot), t_rows), "conjugated E6 rotation"
-    )
-    _check_order3(phi, fixed_free=True)
-    return phi
-
-
-# Hurwitz-unit model of D4: basis (1, i, j, w) with w = (-1+i+j+k)/2 and
-# form 2 Re(x conj(y)); left multiplication by w is an order-3 isometry.
-_QUAT_LEFT_W = [
-    [0, 0, 0, 1],
-    [-1, 0, 1, -1],
-    [0, -1, -1, 1],
-    [-1, 0, 0, -1],
-]
-_QUAT_GRAM = [
-    [2, 0, 0, -1],
-    [0, 2, 0, 1],
-    [0, 0, 2, 1],
-    [-1, 1, 1, 2],
-]
-
-
-def fpf_d4_matrix() -> List[List[int]]:
-    """Fixed-point-free order-3 isometry of D4, outside the Weyl group."""
-
-    def qip(x: Sequence[int], y: Sequence[int]) -> int:
-        return sum(
-            x[i] * sum(_QUAT_GRAM[i][j] * y[j] for j in range(4))
-            for i in range(4)
-        )
-
-    qroots = [
-        c
-        for c in itertools.product(range(-2, 3), repeat=4)
-        if qip(c, c) == 2
-    ]
-    if len(qroots) != 24:
-        raise InvariantError(f"Hurwitz model has {len(qroots)} roots, not 24")
-    # the first root with three mutually orthogonal neighbours at (a|b) = -1
-    found = next((
-        [trio[0], r2, trio[1], trio[2]]
-        for r2 in qroots
-        for trio in itertools.combinations([r for r in qroots if qip(r, r2) == -1], 3)
-        if all(qip(a, b) == 0 for a, b in itertools.combinations(trio, 2))
-    ), None)
-    if found is None:
-        raise InvariantError("no D4 simple system among the Hurwitz roots")
-    s_rows = [list(r) for r in found]
-    phi = _integral(
-        mat_mul(mat_mul(s_rows, _QUAT_LEFT_W), inverse(s_rows)),
-        "conjugated D4 rotation",
-    )
-    _check_order3(phi, fixed_free=True)
-    return phi
-
-
-def weyl_d4_matrix() -> List[List[int]]:
-    """Order-3 isometry of D4 inside the Weyl group (a coordinate 3-cycle)."""
-    m = [
-        [0, 1, 0, 0],
-        [-1, -1, 0, 0],
-        [1, 1, 1, 0],
-        [1, 1, 0, 1],
-    ]
-    _check_order3(m, fixed_free=False)
-    if disc_digit_action(D4, m) != {0: 0, 1: 1, 2: 2, 3: 3}:
-        raise InvariantError("Weyl candidate moves the discriminant group")
+    gram, marks, _ = _affine_diagram(t)
+    r = t.rank
+    nodes = [[-c for c in marks[1:]]] + identity(r)
+    m = [[int(symmetry[i] == j) for j in range(r)] for i in range(r)]
+    for k in word:
+        col = [gram[i + 1][k] for i in range(r)]
+        for row in m:
+            c = 2 * sum(x * g for x, g in zip(row, col)) // gram[k][k]
+            row[:] = [x - c * y for x, y in zip(row, nodes[k])]
     return m
 
 
@@ -508,20 +435,35 @@ def disc_digit_action(t: SimpleType, local: List[List[int]]) -> Dict[int, int]:
 
 
 # One local order-3 isometry per (component type, witness kind, fixed option
-# at level one); a cycle's is the rotation whose powers are its edge maps.
+# at level one), as the (symmetry, word) of `local_isometry` and whether it is
+# fixed-point-free; a cycle's is the rotation whose powers are its edge maps.
+# On E6 the word is Carter's class 3A2 of W(E6) (Carter, Conjugacy classes in
+# the Weyl group, Compositio Math. 1972), the product of the Coxeter elements
+# of the orthogonal A2s (a1,a3), (a5,a6), (-theta,a2).  On D4 the outer entry
+# is a fixed-point-free isometry outside the Weyl group, and the inner one a
+# Weyl 3-cycle.
 _CATALOGUE = {
-    ("E6", "inner", "A2,1 A2,1 A2,1"): fpf_e6_matrix,
-    ("D4", "inner", "A1,1 A1,1 A1,1 U(1)"): weyl_d4_matrix,
-    ("D4", "outer", "A2,3"): fpf_d4_matrix,
-    ("E6", "cycle", "E6,3"): fpf_e6_matrix,
-    ("D4", "cycle", "D4,3"): fpf_d4_matrix,
+    (E6, "inner", "A2,1 A2,1 A2,1"): ((0, 1, 2, 3, 4, 5), (3, 1, 6, 5, 0, 2), True),
+    (D4, "inner", "A1,1 A1,1 A1,1 U(1)"): ((0, 1, 2, 3), (2, 1), False),
+    (D4, "outer", "A2,3"): ((3, 1, 0, 2), (0, 3, 2, 4), True),
+    (E6, "cycle", "E6,3"): ((0, 1, 2, 3, 4, 5), (3, 1, 6, 5, 0, 2), True),
+    (D4, "cycle", "D4,3"): ((3, 1, 0, 2), (0, 3, 2, 4), True),
 }
 
 
 @lru_cache(maxsize=None)
-def _catalogue_powers(fn: Callable[[], List[List[int]]]) -> Tuple[Matrix, ...]:
-    """(1, m, m^2) for the catalogued m = fn(), built once per function."""
-    m = fn()
+def _catalogue_powers(key: Tuple[SimpleType, str, str]) -> Tuple[Matrix, ...]:
+    """(1, m, m^2) for the catalogued m of key, built and certified once:
+    order 3, fixed-point-free where the entry says so, and, for a word of
+    reflections alone, the trivial action on the glue digits."""
+    t = key[0]
+    symmetry, word, fixed_free = _CATALOGUE[key]
+    m = local_isometry(t, symmetry, word)
+    _check_order3(m, fixed_free)
+    if symmetry == tuple(range(t.rank)) and any(
+        d != e for d, e in disc_digit_action(t, m).items()
+    ):
+        raise InvariantError(f"{t} {key[1]}: the reflection word moves the discriminant group")
     return tuple(tuple(map(tuple, x)) for x in (identity(len(m)), m, mat_mul(m, m)))
 
 
@@ -545,16 +487,15 @@ def isometry_placements(lat: EvenLattice, witness: Witness) -> Iterator[list]:
         t = ideals[0][0]
         pw = [identity(t.rank)]
         if kind != "trivial":
-            fn = _CATALOGUE.get((str(t), kind, str(option)))
-            if fn is None:
+            key = (t, kind, str(option))
+            if key not in _CATALOGUE:
                 raise ValueError(f"no catalogued isometry of {t} ({kind}) fixes {option}")
             count = schellekens._inner_options_at_level_one(t).count(option)
             if kind == "inner" and count != 1:
                 raise InvariantError(
                     f"{option} is the fixed type of {count} order-3 classes of {t}, not 1"
                 )
-            # by name, so a patched module attribute is the one built
-            pw = _catalogue_powers(globals()[fn.__name__])
+            pw = _catalogue_powers(key)
         if kind == "cycle":
             cycles.append((t, pw))
         else:
@@ -583,10 +524,7 @@ def isometry_placements(lat: EvenLattice, witness: Witness) -> Iterator[list]:
 def build_isometry(lat: EvenLattice, witness: Witness, name: str) -> LatticeIsometry:
     """The lattice isometry of a forward witness: the first of
     `isometry_placements` that preserves the lattice, has order 3 and
-    preserves the gram; InvariantError when none does.  The catalogue: on
-    E6, Carter's class 3A2 of W(E6) (Carter, Conjugacy classes in the Weyl
-    group, Compositio Math. 1972); on D4, a unit of the Hurwitz-unit model,
-    outside the Weyl group, and a Weyl 3-cycle.
+    preserves the gram; InvariantError when none does.
     """
     for slot_maps in isometry_placements(lat, witness):
         try:
@@ -1405,10 +1343,9 @@ def count_orthogonal_subsystems(
 def _disc_automorphisms(t: SimpleType) -> Tuple[Dict[int, int], ...]:
     """The digit maps of the Dynkin diagram symmetries (SPLAG Table 16.1):
     `disc_digit_action` of the affine diagram automorphisms fixing node 0,
-    as permutation matrices on the simple roots (nodes 1..r)."""
-    r = t.rank
+    each as the `local_isometry` of its symmetry with an empty word."""
     return tuple(
-        disc_digit_action(t, [[int(p[i + 1] == j + 1) for j in range(r)] for i in range(r)])
+        disc_digit_action(t, local_isometry(t, [i - 1 for i in p[1:]], ()))
         for p in schellekens._diagram_automorphisms(t)
         if p[0] == 0
     )

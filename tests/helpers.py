@@ -67,10 +67,14 @@ against, and helpers that only the tests need.
   the outer loop (`permutation_first_glue_order`), over the typed digit maps
   (`TYPED_DIGIT_MAPS`) against the orbit-stabilizer count and the diagram
   symmetries' maps, the isometry certificate as `Fraction`
-  matrix products (`fraction_slot_maps_to_isometry`), the hand-written
-  slot-map shapes of sigma6, sigma2 and sigma4 (`named_shape_isometry`,
-  with the sigma4 search `sigma4_candidates`) against the catalogue
-  placements of `latticevoa.build_isometry`, the generic
+  matrix products (`fraction_slot_maps_to_isometry`), the hand-made local
+  isometries (`CATALOGUE_ORACLES`: the conjugated Carter rotation
+  `carter_e6_rotation`, the Hurwitz unit `hurwitz_d4_unit` and the typed
+  Weyl 3-cycle `weyl_d4_cycle`) against the reflection words of
+  `latticevoa._CATALOGUE`, the hand-written slot-map shapes of sigma6,
+  sigma2 and sigma4 over those oracles (`named_shape_isometry`, with the
+  sigma4 search `sigma4_candidates`) against the catalogue placements of
+  `latticevoa.build_isometry`, the generic
   centraliser in `Fraction`s (`fraction_centralizer`), and the Killing
   form over every pair of basis vectors (`full_killing`) against the one
   over (w, -w) weight pairs, and the subsystem count over an all-pairs
@@ -144,10 +148,7 @@ from orbifold24.latticevoa import (
     _solve_f2,
     _weight_blocks,
     coset_norm_lower_bound,
-    fpf_d4_matrix,
-    fpf_e6_matrix,
     lattice_from_basis,
-    weyl_d4_matrix,
 )
 from orbifold24.qmodular import PuiseuxSeries, _euler_power, f_power_at_S
 from orbifold24.rootdata import (
@@ -1522,13 +1523,80 @@ def fraction_slot_maps_to_isometry(
     return LatticeIsometry(lat, tuple(out), name)
 
 
+def _integral(m: Matrix, what: str) -> List[List[int]]:
+    if any(Q(x).denominator != 1 for row in m for x in row):
+        raise InvariantError(f"{what} is not integral")
+    return [[int(x) for x in row] for row in m]
+
+
+def carter_e6_rotation() -> List[List[int]]:
+    """Carter's class 3A2 of W(E6) by hand: the simultaneous rotation of the
+    orthogonal pairs (a1,a3), (a5,a6), (a2,-theta), conjugated in Fractions
+    into simple-root coordinates."""
+    theta_ac = build_root_system(SimpleType("E", 6)).marks[1:]
+    e = [[int(i == j) for j in range(6)] for i in range(6)]
+    t_rows = [e[0], e[2], e[4], e[5], e[1], [-c for c in theta_ac]]
+    rot = [[0] * 6 for _ in range(6)]
+    for k in range(3):
+        rot[2 * k][2 * k + 1] = 1      # a -> b
+        rot[2 * k + 1][2 * k] = -1     # b -> -a-b
+        rot[2 * k + 1][2 * k + 1] = -1
+    return _integral(
+        mat_mul(mat_mul(inverse(t_rows), rot), t_rows), "conjugated E6 rotation"
+    )
+
+
+# Hurwitz-unit model of D4: basis (1, i, j, w) with w = (-1+i+j+k)/2 and
+# form 2 Re(x conj(y)); left multiplication by w is an order-3 isometry.
+_QUAT_LEFT_W = [[0, 0, 0, 1], [-1, 0, 1, -1], [0, -1, -1, 1], [-1, 0, 0, -1]]
+_QUAT_GRAM = [[2, 0, 0, -1], [0, 2, 0, 1], [0, 0, 2, 1], [-1, 1, 1, 2]]
+
+
+def hurwitz_d4_unit() -> List[List[int]]:
+    """Left multiplication by the Hurwitz unit w, a fixed-point-free order-3
+    isometry of D4 outside the Weyl group, in the simple-root coordinates of
+    the first simple system found among the 24 Hurwitz roots."""
+
+    def qip(x: Sequence[int], y: Sequence[int]) -> int:
+        return sum(x[i] * _QUAT_GRAM[i][j] * y[j] for i in range(4) for j in range(4))
+
+    qroots = [c for c in itertools.product(range(-2, 3), repeat=4) if qip(c, c) == 2]
+    assert len(qroots) == 24
+    # the first root with three mutually orthogonal neighbours at (a|b) = -1
+    a1, a2, a3, a4 = next(
+        [trio[0], r2, trio[1], trio[2]]
+        for r2 in qroots
+        for trio in itertools.combinations([r for r in qroots if qip(r, r2) == -1], 3)
+        if all(qip(a, b) == 0 for a, b in itertools.combinations(trio, 2))
+    )
+    s_rows = [list(a1), list(a2), list(a3), list(a4)]
+    return _integral(
+        mat_mul(mat_mul(s_rows, _QUAT_LEFT_W), inverse(s_rows)), "conjugated D4 rotation"
+    )
+
+
+def weyl_d4_cycle() -> List[List[int]]:
+    """An order-3 element of W(D4) typed out: a 3-cycle of the coordinates."""
+    return [[0, 1, 0, 0], [-1, -1, 0, 0], [1, 1, 1, 0], [1, 1, 0, 1]]
+
+
+# the hand-made construction of each `latticevoa._CATALOGUE` entry
+CATALOGUE_ORACLES = {
+    (SimpleType("E", 6), "inner", "A2,1 A2,1 A2,1"): carter_e6_rotation,
+    (SimpleType("D", 4), "inner", "A1,1 A1,1 A1,1 U(1)"): weyl_d4_cycle,
+    (SimpleType("D", 4), "outer", "A2,3"): hurwitz_d4_unit,
+    (SimpleType("E", 6), "cycle", "E6,3"): carter_e6_rotation,
+    (SimpleType("D", 4), "cycle", "D4,3"): hurwitz_d4_unit,
+}
+
+
 def sigma4_candidates() -> Iterator[List[Tuple[int, List[List[int]]]]]:
     """Slot maps of the hand-written sigma4 shape on six D4 components, in
     search order: one Weyl-rotation slot, two fixed-point-free slots, and a
     3-cycle of intact components whose edge maps compose to the identity."""
-    phi = fpf_d4_matrix()
+    phi = hurwitz_d4_unit()
     phi2 = mat_mul(phi, phi)
-    psi = weyl_d4_matrix()
+    psi = weyl_d4_cycle()
     psi2 = mat_mul(psi, psi)
     ident = [[int(i == j) for j in range(4)] for i in range(4)]
     rot = {0: ident, 1: phi, 2: phi2}
@@ -1564,11 +1632,11 @@ def named_shape_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
         ident = [[int(i == j) for j in range(6)] for i in range(6)]
         # (g1,g2,g3,g4) -> (phi g1, g4, g2, g3)
         return _slot_maps_to_isometry(
-            lat, [(0, fpf_e6_matrix()), (2, ident), (3, ident), (1, ident)], name
+            lat, [(0, carter_e6_rotation()), (2, ident), (3, ident), (1, ident)], name
         )
     assert comps == (SimpleType("D", 4),) * 6
     if name == "sigma2":
-        phi = fpf_d4_matrix()
+        phi = hurwitz_d4_unit()
         shapes = [[(c, cand) for c in range(6)] for cand in (phi, mat_mul(phi, phi))]
     else:
         shapes = sigma4_candidates()

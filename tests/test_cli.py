@@ -714,17 +714,64 @@ def test_broken_glue_code_exits_1(capsys, monkeypatch, name, isometry, old, new)
     assert capsys.readouterr().err == "error: InvariantError: lattice is not integral\n"
 
 
+E6, D4 = rootdata.SimpleType("E", 6), rootdata.SimpleType("D", 4)
+D4_OUTER = (D4, "outer", "A2,3")
+# the built-in lattice and isometry whose witness uses each catalogue entry
+CATALOGUE_USERS = {
+    (E6, "inner", "A2,1 A2,1 A2,1"): ("e6_4", "sigma6"),
+    (E6, "cycle", "E6,3"): ("e6_4", "sigma6"),
+    D4_OUTER: ("d4_6", "sigma2"),
+    (D4, "inner", "A1,1 A1,1 A1,1 U(1)"): ("d4_6", "sigma4"),
+    (D4, "cycle", "D4,3"): ("d4_6", "sigma4"),
+}
+CATALOGUE_MUTATIONS = [
+    pytest.param(key, (sym, word[:-1], fpf), "matrix does not have order 3",
+                 id=f"{key[0]}-{key[1]}-last-reflection-dropped")
+    for key, (sym, word, fpf) in latticevoa._CATALOGUE.items()
+] + [
+    pytest.param(D4_OUTER, ((0, 1, 2, 3),) + latticevoa._CATALOGUE[D4_OUTER][1:],
+                 "matrix does not have order 3", id="D4-outer-identity-symmetry"),
+    pytest.param((E6, "inner", "A2,1 A2,1 A2,1"), ((0, 1, 2, 3, 4, 5), (3, 1), True),
+                 "not fixed-point-free", id="E6-inner-single-A2-word"),
+    pytest.param((D4, "inner", "A1,1 A1,1 A1,1 U(1)"), latticevoa._CATALOGUE[D4_OUTER],
+                 "no placement of the sigma4 witness preserves the glue",
+                 id="D4-inner-given-the-outer-entry"),
+]
+
+
 def test_infinite_order_isometry_exits_1(capsys, monkeypatch):
     # a shear preserves the D4^6 lattice but has infinite order; the order
     # check is an internal invariant, so it exits 1, not with the usage code
     for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
         fn.cache_clear()
-    shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-    monkeypatch.setattr(latticevoa, "fpf_d4_matrix", lambda: shear)
+    # the powers 0, 1, 2 of the shear a1 -> a1 + a2
+    ident, shear, shear2 = (
+        ((1, k, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)) for k in range(3)
+    )
+    powers = latticevoa._catalogue_powers
+    monkeypatch.setattr(
+        latticevoa, "_catalogue_powers",
+        lambda key: (ident, shear, shear2) if key == D4_OUTER else powers(key),
+    )
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
     assert exc.value.code == 1
     assert capsys.readouterr().err == "error: InvariantError: order exceeds 12\n"
+
+
+@pytest.mark.parametrize("key, entry, message", CATALOGUE_MUTATIONS)
+def test_mutated_catalogue_entry_exits_1(capsys, monkeypatch, key, entry, message):
+    # a wrong symmetry or word in the program's own catalogue is an internal
+    # fault: exit 1 with the failed certificate, never 0, 2 or a traceback
+    caches = (cases.lattice_fixed_type, cases.lattice_isometry, latticevoa._catalogue_powers)
+    for fn in caches:
+        fn.cache_clear()
+    monkeypatch.setitem(latticevoa._CATALOGUE, key, entry)
+    name, isometry = CATALOGUE_USERS[key]
+    code, _, err = run_main(capsys, ["lattice", "--name", name, "--isometry", isometry])
+    for fn in caches:
+        fn.cache_clear()
+    assert (code, err) == (1, f"error: InvariantError: {message}\n")
 
 
 def test_mismatched_lattice_and_isometry_exit_2(capsys):

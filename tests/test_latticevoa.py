@@ -27,8 +27,6 @@ from orbifold24.latticevoa import (
     disc_digit_action,
     fixed_projection_norm,
     fixed_subalgebra,
-    fpf_d4_matrix,
-    fpf_e6_matrix,
     glue_automorphism_group_order,
     identify_type,
     isometry_placements,
@@ -37,7 +35,6 @@ from orbifold24.latticevoa import (
     twisted_ground_energy,
     types_with_ratio,
     weight_one_algebra,
-    weyl_d4_matrix,
 )
 from orbifold24.report import Report
 from orbifold24.rootdata import (
@@ -193,15 +190,36 @@ def test_root_outside_the_lattice_is_caught(lattice):
         weight_one_algebra(lattice())
 
 
+CATALOGUE_KEYS = list(latticevoa._CATALOGUE)
+D4_OUTER = (SimpleType("D", 4), "outer", "A2,3")
+
+
 def test_component_isometries_certified():
-    # construction already asserts order 3, integrality, fixed-point-freeness
-    fpf_e6_matrix()
-    fpf_d4_matrix()
-    weyl_d4_matrix()
+    # building each entry certifies order 3, fixed-point-freeness where the
+    # entry asks for it, and the trivial digit action of a reflection word
+    latticevoa._catalogue_powers.cache_clear()
+    for key in CATALOGUE_KEYS:
+        one, m, m2 = latticevoa._catalogue_powers(key)
+        assert mat_mul(m2, m) == [list(row) for row in one]
+
+
+@pytest.mark.parametrize("key", CATALOGUE_KEYS, ids=lambda k: f"{k[0]}-{k[1]}")
+def test_catalogue_entry_matches_hand_made_oracle(key):
+    m = latticevoa._catalogue_powers(key)[1]
+    assert [list(row) for row in m] == helpers.CATALOGUE_ORACLES[key]()
+
+
+def test_every_catalogue_entry_is_used_by_a_builtin_witness():
+    used = {
+        (ideals[0][0], kind, str(option))
+        for name in ("sigma6", "sigma2", "sigma4")
+        for kind, ideals, option in cases.named_witness(name)
+    }
+    assert used == set(CATALOGUE_KEYS)
 
 
 def test_disc_actions():
-    phi = fpf_d4_matrix()
+    phi = latticevoa._catalogue_powers(D4_OUTER)[1]
     act = disc_digit_action(SimpleType("D", 4), phi)
     # fixed-point-free rotations must 3-cycle the nontrivial cosets
     orbit = {1}
@@ -260,18 +278,20 @@ def test_sigma4_search_certifies_43_candidates(nd4, monkeypatch):
 
 def test_catalogue_matrix_is_built_once(nd4, monkeypatch):
     # the catalogue's matrices are constants: the sigma2 and sigma4 builds
-    # share one call of fpf_d4_matrix, whose Hurwitz root search dominates
+    # call the builder once per entry they use (D4 outer, inner and cycle)
     calls = []
-    original = latticevoa.fpf_d4_matrix
+    original = latticevoa.local_isometry
 
-    def counting():
-        calls.append(1)
-        return original()
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(latticevoa, "fpf_d4_matrix", counting)
+    monkeypatch.setattr(latticevoa, "local_isometry", counting)
+    latticevoa._catalogue_powers.cache_clear()
     for name in ("sigma2", "sigma4"):
         assert built_isometry(nd4, name).order() == 3
-    assert len(calls) == 1
+    d4_words = [w for (t, _, _), (_, w, _) in latticevoa._CATALOGUE.items() if t.rank == 4]
+    assert sorted(word for _, _, word in calls) == sorted(d4_words)
 
 
 def test_witness_that_does_not_fit_is_a_value_error(ne6, nd4):
@@ -1187,18 +1207,20 @@ def test_infinite_order_is_an_invariant_error():
         latticevoa._matrix_order(((1, 1), (0, 1)))
 
 
-# 165 on Python 3.11: fpf_d4_matrix, weyl_d4_matrix and the digit action
-FRACTION_CEILING = 300
+# 90 on Python 3.11, the digit actions of the identity-symmetry entries
+FRACTION_CEILING = 100
 
 
 def test_lattice_setup_builds_few_fractions(monkeypatch):
-    # the isometry search and the root coordinates run in integers; only the
-    # small component matrices (4x4 inverses, digit representatives) are
-    # rational, so a Fraction loop coming back shows as thousands here
+    # the catalogue, the isometry search and the root coordinates run in
+    # integers; only the digit actions of the reflection words pair with the
+    # rational digit representatives, so a Fraction loop coming back shows
+    # as thousands here.  The catalogue is built afresh, so it is counted
     lat, _ = cases.lattice_data("d4_6")
     roots = lattice_roots(lat)
     witness = cases.named_witness("sigma4")
     cases.lattice_isometry.cache_clear()
+    latticevoa._catalogue_powers.cache_clear()
     built = [0]
     new = fractions.Fraction.__new__
 
