@@ -17,7 +17,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .exactmath import InvariantError
 from .rootdata import (
@@ -34,14 +34,22 @@ from .rootdata import (
 )
 
 
-@dataclass(frozen=True)
-class AffineAlgebra:
+class _AffineAlgebraKey(NamedTuple):
     type: SimpleType
     level: int
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
+
+class AffineAlgebra(_AffineAlgebraKey):
+    """Simple type at a positive level, a validated tuple: equality, hash
+    and order are tuple's and run in C, so `AffineAlgebra(t, k)` equals the
+    `(t, k)` pair that `schellekens.Ideal` names."""
+
+    __slots__ = ()
+
+    def __new__(cls, type: SimpleType, level: int) -> "AffineAlgebra":
+        if level < 1:
             raise ValueError("level must be a positive integer")
+        return super().__new__(cls, type, level)
 
     def root_system(self) -> RootSystem:
         return build_root_system(self.type)

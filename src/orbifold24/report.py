@@ -14,6 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Any, List
 
+from .affinerep import AffineAlgebra
+from .rootdata import SemisimpleTypeWithLevels, SimpleType
+
 PASS = "pass"
 FAIL = "fail"
 INFO = "info"
@@ -29,6 +32,9 @@ def render_value(v: Any) -> Any:
         return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     if isinstance(v, float):
         raise TypeError("floating-point values do not belong in reports")
+    # the type keys are tuples, but render by name
+    if isinstance(v, (SimpleType, AffineAlgebra, SemisimpleTypeWithLevels)):
+        return str(v)
     if isinstance(v, (list, tuple)):
         return [render_value(x) for x in v]
     if isinstance(v, dict):

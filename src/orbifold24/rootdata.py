@@ -17,12 +17,11 @@ fourth node of the chain.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactmath import InvariantError, inverse
 
@@ -30,29 +29,36 @@ IntCoords = Tuple[int, ...]
 # a rational weight x as (den, den * x), den > 0 and den * x integral
 ScaledCoords = Tuple[int, IntCoords]
 
-_FAMILIES = "ABCDEFG"
+_FAMILIES = tuple("ABCDEFG")  # a string would also contain "" and "AB"
+_SIMPLE_TYPE = re.compile(r"[A-G][0-9]+")
 
 
-@dataclass(frozen=True, order=True)
-class SimpleType:
+class _SimpleTypeKey(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        r = self.rank
+
+class SimpleType(_SimpleTypeKey):
+    """Family letter and rank, a validated tuple: equality, hash and order
+    are tuple's, (family, rank), and run in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> "SimpleType":
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
         ok = {
-            "A": r >= 1,
-            "B": r >= 2,
-            "C": r >= 2,
-            "D": r >= 3,
-            "E": r in (6, 7, 8),
-            "F": r == 4,
-            "G": r == 2,
-        }[self.family]
+            "A": rank >= 1,
+            "B": rank >= 2,
+            "C": rank >= 2,
+            "D": rank >= 3,
+            "E": rank in (6, 7, 8),
+            "F": rank == 4,
+            "G": rank == 2,
+        }[family]
         if not ok:
-            raise ValueError(f"invalid simple type {self.family}{self.rank}")
+            raise ValueError(f"invalid simple type {family}{rank}")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -60,7 +66,7 @@ class SimpleType:
     @staticmethod
     def parse(s: str) -> "SimpleType":
         """`X<rank>` with the rank in ASCII digits; ValueError otherwise."""
-        if not re.fullmatch(r"[A-G][0-9]+", s):
+        if not _SIMPLE_TYPE.fullmatch(s):
             raise ValueError(f"{s!r} is not a simple type X<rank> in ASCII digits")
         return SimpleType(s[:1], int(s[1:]))
 
@@ -295,13 +301,13 @@ def alcove_labels(rs: RootSystem, h: ScaledCoords) -> IntCoords:
     raise InvariantError(f"{h} is not in the fundamental alcove after s_0 steps")
 
 
-@dataclass(frozen=True)
-class SemisimpleTypeWithLevels:
+class SemisimpleTypeWithLevels(NamedTuple):
     """Multiset of (simple type, level) ideals plus an abelian rank.
 
     Level None marks a type-only answer (level not determined).  `of`
     stores an integral level as an int; only `parse` can give a level that
-    stays a Fraction.  An int equals and hashes like the equal Fraction.
+    stays a Fraction.  A tuple: equality, hash and order are tuple's and
+    run in C, so an int level equals and hashes like the equal Fraction.
     """
 
     ideals: Tuple[Tuple[SimpleType, Optional[int | Q]], ...]
@@ -359,12 +365,17 @@ _ABELIAN_TOKEN = re.compile(r"U\(1\)(?:\^([1-9][0-9]*))?")
 _ALIASES = {SimpleType("B", 2): SimpleType("C", 2), SimpleType("D", 3): SimpleType("A", 3)}
 
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
+
 def parse_rational(text: str) -> Q:
     """`[-]p` or `[-]p/q`, q > 0, in ASCII digits; ValueError otherwise.
     Fraction() alone would also read other scripts' digits, `+` and `_`."""
-    if not re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", text):
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
         raise ValueError(f"{text!r} is not a rational [-]p[/q] in ASCII digits, q > 0")
-    return Q(text)
+    p, q = m.groups()
+    return Q(int(p), int(q or 1))
 
 
 def parse_ideal(tok: str) -> Tuple[SimpleType, Optional[Q]]:

@@ -3,7 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from orbifold24.affinerep import AffineAlgebra
 from orbifold24.report import DISCREPANCY, FAIL, INFO, PASS, Report, render_value
+from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 
 
 def test_render_values():
@@ -13,6 +15,21 @@ def test_render_values():
     assert render_value({"a": Q(7, 12)}) == {"a": "7/12"}
     with pytest.raises(TypeError):
         render_value(0.5)
+
+
+@pytest.mark.parametrize(
+    "key, name",
+    [
+        (SimpleType("A", 2), "A2"),
+        (AffineAlgebra(SimpleType("E", 6), 3), "E6,3"),
+        (SemisimpleTypeWithLevels.parse("A2,3/2 D4 U(1)"), "A2,3/2 D4 U(1)"),
+    ],
+)
+def test_type_keys_render_by_name(key, name):
+    # the type keys are tuples, yet never render as JSON arrays
+    assert render_value(key) == name
+    assert render_value([key, Q(1, 2)]) == [name, "1/2"]
+    assert render_value({"x": key, key: 1}) == {"x": name, name: 1}
 
 
 def test_verdicts_and_exit_codes():

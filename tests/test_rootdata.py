@@ -24,6 +24,7 @@ from helpers import (
     weight_system,
     weyl_dim,
 )
+from orbifold24.affinerep import AffineAlgebra
 from orbifold24.exactmath import InvariantError
 from orbifold24 import rootdata
 from orbifold24.rootdata import (
@@ -36,8 +37,11 @@ from orbifold24.rootdata import (
     dominant_conjugate,
     kac_fixed_subalgebra,
     lowest_weight,
+    parse_rational,
     scaled_coords,
+    simple_types,
 )
+from orbifold24.schellekens import enumerate_candidates
 
 AFFINE_ORACLE_TYPES = (
     [f"A{r}" for r in range(1, 21)] + [f"B{r}" for r in range(2, 11)]
@@ -428,6 +432,54 @@ def test_parse_reads_b2_and_d3_under_the_pool_names():
 def test_parse_rejects_malformed_tokens(text):
     with pytest.raises(ValueError):
         SemisimpleTypeWithLevels.parse(text)
+
+
+@pytest.mark.parametrize("cls", [SimpleType, AffineAlgebra, SemisimpleTypeWithLevels])
+def test_type_keys_compare_and_hash_as_tuples(cls):
+    # the type keys key every cache and sort; Python-level methods here
+    # would cost a frame per comparison
+    for name in ("__eq__", "__hash__", "__lt__"):
+        assert getattr(cls, name) is getattr(tuple, name), name
+
+
+def test_type_key_value_semantics():
+    for family, rank in (("E", 5), ("H", 2), ("", 2), ("AB", 2)):
+        with pytest.raises(ValueError):
+            SimpleType(family, rank)
+    with pytest.raises(ValueError):
+        AffineAlgebra(SimpleType("A", 2), 0)
+    types = simple_types(300)
+    assert sorted(types) == sorted(types, key=lambda t: (t.family, t.rank))
+    a2 = SimpleType("A", 2)
+    assert AffineAlgebra(a2, 3) == (a2, 3) and AffineAlgebra(a2, 3) == AffineAlgebra(a2, Q(3))
+    with_int = SemisimpleTypeWithLevels(((a2, 3),))
+    with_fraction = SemisimpleTypeWithLevels(((a2, Q(3)),))
+    assert with_int == with_fraction and hash(with_int) == hash(with_fraction)
+
+
+def test_candidate_type_strings_parse_back():
+    candidates = [
+        c for d in range(36, 289, 12) for c in enumerate_candidates(d, Q(d - 24, 24))
+    ]
+    assert len(candidates) == 156
+    for c in candidates:
+        assert SemisimpleTypeWithLevels.parse(str(c)) == c
+
+
+@pytest.mark.parametrize("text", ["0", "-0", "007", "3/6", "-12/0004", "5/1", "-7/21"])
+def test_parse_rational_matches_fraction(text):
+    value = parse_rational(text)
+    assert type(value) is Q and value == Q(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "-", "1/0", "1/00", "1/", "/2", "+1", "--1", "1/-2", "1/2/3", "1_0", " 1",
+     "1\n", "1.5", "1e3", "\uff11"],
+)
+def test_parse_rational_rejects_other_forms(text):
+    with pytest.raises(ValueError, match="is not a rational"):
+        parse_rational(text)
 
 
 @pytest.mark.parametrize("name", AFFINE_ORACLE_TYPES)
