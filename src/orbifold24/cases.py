@@ -68,9 +68,9 @@ class CaseFile:
     case_id: str
     ambient: Tuple[AffineAlgebra, ...]
     h: Tuple[ScaledCoords, ...]  # per ideal, in the written order of ambient
-    expected_fixed: Optional[str] = None
+    expected_fixed: Optional[SemisimpleTypeWithLevels] = None
     expected_fixed_dim: Optional[int] = None
-    expected_target: Optional[str] = None
+    expected_target: Optional[SemisimpleTypeWithLevels] = None
     lattice_name: Optional[str] = None
     isometry_name: Optional[str] = None
 
@@ -109,8 +109,6 @@ class CaseFile:
             raise ValueError(f"malformed case file: {err}") from None
         if not typed:
             raise ValueError("case ambient must be semisimple")
-        if any(k is None or k.denominator != 1 for _, k in typed):
-            raise ValueError("every ambient ideal needs an integer level")
         ranks = [t.rank for t, _ in typed]
         if [len(c) for c in coords] != ranks:
             raise ValueError(
@@ -118,7 +116,7 @@ class CaseFile:
             )
         return CaseFile(
             case_id=data.get("id", "custom"),
-            ambient=tuple(AffineAlgebra(t, int(k)) for t, k in typed),
+            ambient=tuple(AffineAlgebra(t, k) for t, k in typed),
             h=tuple(scaled_coords(c) for c in coords),
         )
 
@@ -133,7 +131,8 @@ class CaseFile:
         return CaseFile.from_data(data)
 
 
-# the built-in cases parse through from_data, then carry their expectations
+# the built-in cases parse through from_data, then carry their expectations,
+# each type parsed here once
 BUILTIN_CASES: Dict[str, CaseFile] = {
     "e6g2": replace(
         CaseFile.from_data({
@@ -141,9 +140,9 @@ BUILTIN_CASES: Dict[str, CaseFile] = {
             "ambient": "E6,3 G2,1 G2,1 G2,1",
             "h": [["0"] * 6, ["1", "0"], ["1", "0"], ["1", "0"]],
         }),
-        expected_fixed="E6,3 A2,1 A2,1 A2,1",
+        expected_fixed=SemisimpleTypeWithLevels.parse("E6,3 A2,1 A2,1 A2,1"),
         expected_fixed_dim=102,
-        expected_target="E6,1 E6,1 E6,1 E6,1",
+        expected_target=SemisimpleTypeWithLevels.parse("E6,1 E6,1 E6,1 E6,1"),
         lattice_name="e6_4",
         isometry_name="sigma6",
     ),
@@ -153,9 +152,9 @@ BUILTIN_CASES: Dict[str, CaseFile] = {
             "ambient": " ".join(["A2,3"] * 6),
             "h": [["1", "0"]] + [["0", "0"]] * 5,
         }),
-        expected_fixed="A2,3 A2,3 A2,3 A2,3 A2,3 A2,3",
+        expected_fixed=SemisimpleTypeWithLevels.parse("A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"),
         expected_fixed_dim=48,
-        expected_target="D4,1 D4,1 D4,1 D4,1 D4,1 D4,1",
+        expected_target=SemisimpleTypeWithLevels.parse("D4,1 D4,1 D4,1 D4,1 D4,1 D4,1"),
         lattice_name="d4_6",
         isometry_name="sigma2",
     ),
@@ -165,9 +164,9 @@ BUILTIN_CASES: Dict[str, CaseFile] = {
             "ambient": "A5,3 D4,3 A1,1 A1,1 A1,1",
             "h": [["0", "0", "2/3", "0", "0"], ["0"] * 4, ["0"], ["0"], ["0"]],
         }),
-        expected_fixed="A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1",
+        expected_fixed=SemisimpleTypeWithLevels.parse("A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1"),
         expected_fixed_dim=54,
-        expected_target="D4,1 D4,1 D4,1 D4,1 D4,1 D4,1",
+        expected_target=SemisimpleTypeWithLevels.parse("D4,1 D4,1 D4,1 D4,1 D4,1 D4,1"),
         lattice_name="d4_6",
         isometry_name="sigma4",
     ),
@@ -189,10 +188,10 @@ ISOMETRY_CASES = {cf.isometry_name: cf for cf in BUILTIN_CASES.values()}
 def builtin_survivors(case_id: str) -> Tuple[Tuple[SemisimpleTypeWithLevels, Witness], ...]:
     """A built-in case's survivors of the order-3 filter, with witnesses."""
     cf = BUILTIN_CASES[case_id]
-    dim = SemisimpleTypeWithLevels.parse(cf.expected_target).dim()
+    dim = cf.expected_target.dim()
     cands = schellekens.enumerate_candidates(dim, Q(dim - 24, 24))
-    fixed = SemisimpleTypeWithLevels.parse(cf.expected_fixed)
-    return tuple((c, tuple(w)) for c, w in schellekens.filter_candidates(cands, fixed))
+    survivors = schellekens.filter_candidates(cands, cf.expected_fixed)
+    return tuple((c, tuple(w)) for c, w in survivors)
 
 
 def named_witness(isometry: str) -> Witness:
@@ -204,16 +203,16 @@ def named_witness(isometry: str) -> Witness:
 
 
 @lru_cache(maxsize=None)
-def lattice_isometry(name: str, witness: Witness, label: str) -> latticevoa.LatticeIsometry:
-    return latticevoa.build_isometry(lattice_data(name)[0], witness, label)
+def lattice_isometry(cf: CaseFile, witness: Witness) -> latticevoa.LatticeIsometry:
+    """The isometry of a built-in case's lattice that the witness builds."""
+    lat, _ = lattice_data(cf.lattice_name)
+    return latticevoa.build_isometry(lat, witness, cf.isometry_name)
 
 
 @lru_cache(maxsize=None)
-def lattice_fixed_type(
-    name: str, witness: Witness, label: str
-) -> Tuple[SemisimpleTypeWithLevels, int]:
-    _, alg = lattice_data(name)
-    lift = latticevoa.standard_lift(alg, lattice_isometry(name, witness, label))
+def lattice_fixed_type(cf: CaseFile, witness: Witness) -> Tuple[SemisimpleTypeWithLevels, int]:
+    _, alg = lattice_data(cf.lattice_name)
+    lift = latticevoa.standard_lift(alg, lattice_isometry(cf, witness))
     fixed = latticevoa.fixed_subalgebra(lift)
     return latticevoa.identify_type(fixed), fixed.dim
 
@@ -241,11 +240,7 @@ def run_case(cf: CaseFile, trunc: int = 12) -> Report:
     )
 
     fixed, fdim = inner_fixed_subalgebra(algebras, spec.h)
-    expected_fixed = (
-        str(SemisimpleTypeWithLevels.parse(cf.expected_fixed))
-        if cf.expected_fixed
-        else None
-    )
+    expected_fixed = None if cf.expected_fixed is None else str(cf.expected_fixed)
     rep.check("fixed subalgebra", str(fixed), expected_fixed, source="reference")
     rep.check("fixed subalgebra dim", fdim, cf.expected_fixed_dim, source="reference")
 
@@ -270,33 +265,24 @@ def run_case(cf: CaseFile, trunc: int = 12) -> Report:
         source="reference",
     )
     target_dim = qmodular.dim_tilde_v1(dim_v1, fdim, 0, 0)
-    expected_target_dim = (
-        SemisimpleTypeWithLevels.parse(cf.expected_target).dim()
-        if cf.expected_target
-        else None
-    )
-    rep.check("orbifold weight-one dim", target_dim, expected_target_dim)
+    target = cf.expected_target
+    rep.check("orbifold weight-one dim", target_dim, None if target is None else target.dim())
 
     ratio = Q(target_dim - 24, 24)
     rep.note("forced ratio h-dual/level", ratio)
     candidates = schellekens.enumerate_candidates(target_dim, ratio)
     rep.note("candidates", [str(c) for c in candidates])
     survivors = schellekens.filter_candidates(candidates, fixed)
-    expected_surv = (
-        [str(SemisimpleTypeWithLevels.parse(cf.expected_target))]
-        if cf.expected_target
-        else None
-    )
     rep.check(
         "order-3 admissibility survivors",
         [str(c) for c, _ in survivors],
-        expected_surv,
+        None if target is None else [str(target)],
         source="reference",
     )
 
     if cf.lattice_name and len(survivors) == 1:  # built from the chain's own witness
         witness = tuple(survivors[0][1])
-        lat_type, lat_dim = lattice_fixed_type(cf.lattice_name, witness, cf.isometry_name)
+        lat_type, lat_dim = lattice_fixed_type(cf, witness)
         rep.check(
             "lattice-side fixed subalgebra",
             str(lat_type),
@@ -403,7 +389,7 @@ def verify_candidates() -> Report:
         rep.check(
             f"unique survivor for {case_id}",
             [str(c) for c, _ in builtin_survivors(case_id)],
-            [BUILTIN_CASES[case_id].expected_target],
+            [str(BUILTIN_CASES[case_id].expected_target)],
             source="reference",
         )
     return rep
@@ -434,19 +420,19 @@ def check_lattice(rep: Report, name: str, rng: random.Random) -> None:
     rep.check(f"{name}: Jacobi identity on 500 sampled triples", jacobi_ok, True)
 
 
-def check_isometry(rep: Report, lattice_name: str, iso_name: str) -> latticevoa.LatticeIsometry:
-    """The per-isometry checks on the isometry built from the named witness,
-    returned: order, gram, and the fixed subalgebra and its dim against its
-    built-in case's."""
+def check_isometry(rep: Report, iso_name: str) -> latticevoa.LatticeIsometry:
+    """The per-isometry checks on the isometry built from the named witness
+    on its built-in case's lattice, returned: order, gram, and the fixed
+    subalgebra and its dim against the case's."""
     witness, cf = named_witness(iso_name), ISOMETRY_CASES[iso_name]
-    iso = lattice_isometry(lattice_name, witness, iso_name)
+    iso = lattice_isometry(cf, witness)
     rep.check(f"{iso_name}: order", iso.order(), 3, source="reference")
     rep.check(f"{iso_name}: preserves gram", iso.preserves_gram(), True)
-    fixed_type, fixed_dim = lattice_fixed_type(lattice_name, witness, iso_name)
+    fixed_type, fixed_dim = lattice_fixed_type(cf, witness)
     rep.check(
         f"{iso_name}: fixed subalgebra",
         str(fixed_type),
-        str(SemisimpleTypeWithLevels.parse(cf.expected_fixed)),
+        str(cf.expected_fixed),
         source="reference",
     )
     rep.check(f"{iso_name}: fixed dim", fixed_dim, cf.expected_fixed_dim, source="reference")
@@ -456,11 +442,10 @@ def check_isometry(rep: Report, lattice_name: str, iso_name: str) -> latticevoa.
 def verify_lattice(seed: int = 0) -> Report:
     rep = Report("lattice battery")
     rng = random.Random(seed)
-    for name in ("e6_4", "d4_6"):
+    for name in dict.fromkeys(cf.lattice_name for cf in ISOMETRY_CASES.values()):
         check_lattice(rep, name, rng)
-    s6 = check_isometry(rep, "e6_4", "sigma6")
-    check_isometry(rep, "d4_6", "sigma2")
-    check_isometry(rep, "d4_6", "sigma4")
+    isometries = {iso_name: check_isometry(rep, iso_name) for iso_name in ISOMETRY_CASES}
+    s6 = isometries["sigma6"]
     rho, mults = latticevoa.twisted_ground_energy(s6)
     rep.check(
         "sigma6: twisted ground energy",

@@ -129,9 +129,10 @@ def cmd_candidates(args: argparse.Namespace) -> Report:
 
 
 def cmd_lattice(args: argparse.Namespace) -> Report:
-    rep = Report(f"lattice {args.name} / {args.isometry}")
-    check_lattice(rep, args.name, random.Random(0))
-    iso = check_isometry(rep, args.name, args.isometry)
+    name = ISOMETRY_CASES[args.isometry].lattice_name
+    rep = Report(f"lattice {name} / {args.isometry}")
+    check_lattice(rep, name, random.Random(0))
+    iso = check_isometry(rep, args.isometry)
     rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_coords_basis()))
     rho, mults = latticevoa.twisted_ground_energy(iso)
     rep.note(f"{args.isometry}: twisted ground energy", rho)
@@ -199,10 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lattice", help="lattice-side battery for one isometry")
     common(p)
-    p.add_argument("--name", required=True, choices=("e6_4", "d4_6"))
-    p.add_argument(
-        "--isometry", required=True, choices=tuple(ISOMETRY_CASES)
-    )
+    p.add_argument("--isometry", required=True, choices=tuple(ISOMETRY_CASES))
     p.set_defaults(func=cmd_lattice)
 
     p = sub.add_parser("verify-all", help="replay every case and table")

@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .exactmath import InvariantError, inverse
 
@@ -302,38 +302,27 @@ def alcove_labels(rs: RootSystem, h: ScaledCoords) -> IntCoords:
 
 
 class SemisimpleTypeWithLevels(NamedTuple):
-    """Multiset of (simple type, level) ideals plus an abelian rank.
-
-    Level None marks a type-only answer (level not determined).  `of`
-    stores an integral level as an int; only `parse` can give a level that
-    stays a Fraction.  A tuple: equality, hash and order are tuple's and
-    run in C, so an int level equals and hashes like the equal Fraction.
+    """Multiset of (simple type, positive integer level) ideals plus an
+    abelian rank.  A tuple: equality, hash and order are tuple's and run in C.
     """
 
-    ideals: Tuple[Tuple[SimpleType, Optional[int | Q]], ...]
+    ideals: Tuple[Tuple[SimpleType, int], ...]
     abelian_rank: int = 0
 
     @staticmethod
     def of(
-        ideals: Sequence[Tuple[SimpleType, Optional[int | Q]]], abelian_rank: int = 0
+        ideals: Sequence[Tuple[SimpleType, int]], abelian_rank: int = 0
     ) -> "SemisimpleTypeWithLevels":
-        # a type-only ideal sorts before the same type with a level
-        norm = tuple(
-            sorted(
-                ((t, k if k is None or k.denominator != 1 else int(k)) for t, k in ideals),
-                key=lambda tk: (tk[0], tk[1] is not None, tk[1] or 0),
-            )
-        )
-        for _, k in norm:
-            if k is not None and k <= 0:
-                raise ValueError("levels must be positive")
+        norm = tuple(sorted(ideals))
+        if any(k <= 0 for _, k in norm):
+            raise ValueError("levels must be positive")
         return SemisimpleTypeWithLevels(norm, abelian_rank)
 
     def dim(self) -> int:
         return sum(t.dim() for t, _ in self.ideals) + self.abelian_rank
 
     def __str__(self) -> str:
-        parts = [str(t) if k is None else f"{t},{k}" for t, k in self.ideals]
+        parts = [f"{t},{k}" for t, k in self.ideals]
         if self.abelian_rank == 1:
             parts.append("U(1)")
         elif self.abelian_rank > 1:
@@ -342,12 +331,12 @@ class SemisimpleTypeWithLevels(NamedTuple):
 
     @staticmethod
     def parse(s: str) -> "SemisimpleTypeWithLevels":
-        """Space-separated `type`, `type,level`, `U(1)` and `U(1)^n` tokens; B2
+        """Space-separated `X<rank>,<k>`, `U(1)` and `U(1)^n` tokens; B2
         and D3 are read as C2 and A3, as the ratio pools and Kac's tables name them.
         ASCII only: str.split() would also split on Unicode spaces."""
         if not s.isascii():
             raise ValueError(f"{s!r} is not a type string in ASCII")
-        ideals: List[Tuple[SimpleType, Optional[Q]]] = []
+        ideals: List[Tuple[SimpleType, int]] = []
         abelian = 0
         for tok in s.split():
             if tok.startswith("U("):
@@ -366,6 +355,7 @@ _ALIASES = {SimpleType("B", 2): SimpleType("C", 2), SimpleType("D", 3): SimpleTy
 
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+_LEVEL = re.compile(r"[0-9]+")
 
 
 def parse_rational(text: str) -> Q:
@@ -378,23 +368,26 @@ def parse_rational(text: str) -> Q:
     return Q(int(p), int(q or 1))
 
 
-def parse_ideal(tok: str) -> Tuple[SimpleType, Optional[Q]]:
-    """One `type` or `type,level` token, the type as written; ValueError if malformed."""
-    ty, comma, lev = tok.partition(",")
-    return SimpleType.parse(ty), parse_rational(lev) if comma else None
+def parse_ideal(tok: str) -> Tuple[SimpleType, int]:
+    """One `X<rank>,<k>` token, the type as written and k in ASCII digits;
+    ValueError if malformed.  A level of 0 is left to the type's own check."""
+    ty, _, lev = tok.partition(",")
+    if not _LEVEL.fullmatch(lev):
+        raise ValueError(f"{tok!r} is not an ideal X<rank>,<k> with k in ASCII digits")
+    return SimpleType.parse(ty), int(lev)
 
 
 def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
     """Dynkin type of an irreducible simple system given its exact gram matrix.
 
     The gram may be rational or any positive multiple of it in integers.  The
-    package derives every diagram itself, so a non-Dynkin one is an InvariantError.
+    diagram must be a connected tree, n - 1 bonds reaching every node, and
+    a multiple bond may only lie on a path, once.  The package derives every
+    diagram itself, so a non-Dynkin one is an InvariantError.
     """
     n = len(gram)
-    if n == 1:
-        return SimpleType("A", 1)
-    bonds = {}
     adj: List[List[int]] = [[] for _ in range(n)]
+    multi = []
     for i in range(n):
         for j in range(i + 1, n):
             if gram[i][j]:
@@ -404,33 +397,32 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
                 b = num // den
                 if b * den != num or not 1 <= b <= 3:
                     raise InvariantError(f"bond {num}/{den} is not 1, 2 or 3")
-                bonds[(i, j)] = int(b)
                 adj[i].append(j)
                 adj[j].append(i)
-    multi = [b for b in bonds.values() if b > 1]
-    if 3 in multi:
-        if n != 2:
-            raise InvariantError("triple bond outside rank 2")
-        return SimpleType("G", 2)
-    if 2 in multi:
-        if len(multi) != 1:
-            raise InvariantError("more than one double bond")
+                if b > 1:
+                    multi.append((b, i, j))
+    reached = [0]
+    for i in reached:  # grows while it is walked: a breadth-first search
+        reached.extend(j for j in adj[i] if j not in reached)
+    degrees = [len(a) for a in adj]
+    if sum(degrees) != 2 * (n - 1) or len(reached) != n:
+        raise InvariantError("disconnected or cyclic simple system")
+    if multi:
+        if len(multi) > 1 or max(degrees) > 2:
+            raise InvariantError("multiple bond off a path, or more than one")
+        ((b, i, j),) = multi
         if n == 2:
-            return SimpleType("C", 2)
-        (i, j) = next(k for k, b in bonds.items() if b == 2)
-        ends = {i, j}
-        interior = {k for k in range(n) if len(adj[k]) > 1}
-        if ends <= interior:
+            return SimpleType("G" if b == 3 else "C", 2)
+        if b == 3:
+            raise InvariantError("triple bond outside rank 2")
+        if degrees[i] == degrees[j] == 2:
             if n != 4:
                 raise InvariantError("interior double bond outside F4")
             return SimpleType("F", 4)
         maxnorm = max(gram[k][k] for k in range(n))
         n_short = sum(1 for k in range(n) if gram[k][k] < maxnorm)
         return SimpleType("B" if n_short == 1 else "C", n)
-    degrees = [len(a) for a in adj]
     if max(degrees) <= 2:
-        if degrees.count(1) != 2 or min(degrees) == 0:
-            raise InvariantError("disconnected or cyclic simple system")
         return SimpleType("A", n)
     if max(degrees) > 3 or degrees.count(3) != 1:
         raise InvariantError("not a Dynkin diagram")
@@ -439,11 +431,8 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
     for start in adj[hub]:
         length = 1
         prev, cur = hub, start
-        while True:
-            nxt = [k for k in adj[cur] if k != prev]
-            if not nxt:
-                break
-            prev, cur = cur, nxt[0]
+        while degrees[cur] == 2:  # a tree: each leg ends at a leaf
+            prev, cur = cur, next(k for k in adj[cur] if k != prev)
             length += 1
         legs.append(length)
     legs.sort()

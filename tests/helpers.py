@@ -8,6 +8,10 @@ against, and helpers that only the tests need.
   `exactmath.integer_row_kernel`.
 * Twisted minima: the exhaustive tuple scan (`scan`, `feasible_tuples`,
   `scan_minimum`) against the min-plus DP in `twistbound`.
+* Diagram classification: the multiple-bond count and leg walk
+  (`leg_walk_classify_simple_system`) against the tree walk of
+  `rootdata.classify_simple_system`, on connected proper sub-diagrams of
+  the affine diagrams.
 * Fixed subalgebras: the roots with (h|alpha) integral, split into
   components through their indecomposable positive roots and typed from
   root data (`typed_components_of_subsystem`,
@@ -650,6 +654,75 @@ def negated(c: CaseSpec) -> CaseSpec:
 
 
 # --- fixed subalgebras -----------------------------------------------------
+
+
+def leg_walk_classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
+    """Dynkin type of a connected simple system by counting its multiple
+    bonds and walking the legs of a branch node, with no tree check: it
+    misnames the affine Bn diagram and loops on a cycle with a pendant, so
+    it is an oracle only on connected proper sub-diagrams of affine diagrams."""
+    n = len(gram)
+    if n == 1:
+        return SimpleType("A", 1)
+    bonds = {}
+    adj: List[List[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gram[i][j]:
+                # bond multiplicity = product of the two Cartan entries
+                num = 4 * gram[i][j] * gram[j][i]
+                den = gram[i][i] * gram[j][j]
+                b = num // den
+                if b * den != num or not 1 <= b <= 3:
+                    raise InvariantError(f"bond {num}/{den} is not 1, 2 or 3")
+                bonds[(i, j)] = int(b)
+                adj[i].append(j)
+                adj[j].append(i)
+    multi = [b for b in bonds.values() if b > 1]
+    if 3 in multi:
+        if n != 2:
+            raise InvariantError("triple bond outside rank 2")
+        return SimpleType("G", 2)
+    if 2 in multi:
+        if len(multi) != 1:
+            raise InvariantError("more than one double bond")
+        if n == 2:
+            return SimpleType("C", 2)
+        (i, j) = next(k for k, b in bonds.items() if b == 2)
+        ends = {i, j}
+        interior = {k for k in range(n) if len(adj[k]) > 1}
+        if ends <= interior:
+            if n != 4:
+                raise InvariantError("interior double bond outside F4")
+            return SimpleType("F", 4)
+        maxnorm = max(gram[k][k] for k in range(n))
+        n_short = sum(1 for k in range(n) if gram[k][k] < maxnorm)
+        return SimpleType("B" if n_short == 1 else "C", n)
+    degrees = [len(a) for a in adj]
+    if max(degrees) <= 2:
+        if degrees.count(1) != 2 or min(degrees) == 0:
+            raise InvariantError("disconnected or cyclic simple system")
+        return SimpleType("A", n)
+    if max(degrees) > 3 or degrees.count(3) != 1:
+        raise InvariantError("not a Dynkin diagram")
+    hub = degrees.index(3)
+    legs = []
+    for start in adj[hub]:
+        length = 1
+        prev, cur = hub, start
+        while True:
+            nxt = [k for k in adj[cur] if k != prev]
+            if not nxt:
+                break
+            prev, cur = cur, nxt[0]
+            length += 1
+        legs.append(length)
+    legs.sort()
+    if legs[0] == 1 and legs[1] == 1:
+        return SimpleType("D", legs[2] + 3)
+    if legs[:2] == [1, 2] and legs[2] in (2, 3, 4):
+        return SimpleType("E", legs[2] + 4)
+    raise InvariantError(f"unrecognized branched diagram with legs {legs}")
 
 
 def _indecomposable_positive(

@@ -130,7 +130,7 @@ def test_candidates_command(capsys):
 
 def test_lattice_command(capsys):
     code, out = run_cli(
-        capsys, ["lattice", "--name", "e6_4", "--isometry", "sigma6", "--json"]
+        capsys, ["lattice", "--isometry", "sigma6", "--json"]
     )
     assert code == 0
     data = json.loads(out)
@@ -365,6 +365,27 @@ def test_fixed_type_in_other_digits_exits_2(capsys, fixed):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+# one ideal grammar, X<rank>,<k> with k positive in ASCII digits, for both
+# --fixed and a case file's ambient
+@pytest.mark.parametrize(
+    "token, accepted",
+    [pytest.param(tok, True, id=tok) for tok in ("A2,3", "A2,03")]
+    + [pytest.param(tok, False, id=tok) for tok in (
+        "A2", "A2,3/2", "A2,0", "A2,-1", "A2,+1", "A2,1_0", "A2,\uff11", "A2,", "A2,1.0")],
+)
+def test_fixed_and_ambient_share_one_grammar(tmp_path, capsys, token, accepted):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps({"ambient": token, "h": [["0", "0"]]}), encoding="utf-8")
+    for argv in (["candidates", "--dim", "168", "--ratio", "6", "--fixed", token],
+                 ["twist-bound", "--case", str(path)]):
+        code, _, err = run_main(capsys, argv)
+        if accepted:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+            assert "Traceback" not in err
+
+
 def test_deeply_nested_case_file_exits_2(tmp_path, capsys):
     # json.dumps cannot build this nesting, so the raw text is written
     path = tmp_path / "case.json"
@@ -544,16 +565,13 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         # the witness takes the D4 outer option G2,1 six times
         (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
           "G2,1 G2,1 G2,1 G2,1 G2,1 G2,1", "--json"], "e308db0e34b3be7d"),
-        # a fractional-level target: no survivors, exit 0
-        (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
-          "A2,3/2 A2,3", "--json"], "ffd4f59ecae6b932"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
           "--trunc", "16", "--json"], "a49d16515181d955"),
-        (["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
+        (["lattice", "--isometry", "sigma4", "--json"],
          "96fe4294d2da5897"),
-        (["lattice", "--name", "e6_4", "--isometry", "sigma6", "--json"],
+        (["lattice", "--isometry", "sigma6", "--json"],
          "994a5533f0cc0f22"),
-        (["lattice", "--name", "d4_6", "--isometry", "sigma2", "--json"],
+        (["lattice", "--isometry", "sigma2", "--json"],
          "39d37b078bb3906d"),
         (["verify-all", "--json"], "561a5f08b2e0941c"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
@@ -569,7 +587,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
     ],
     ids=["twist-bound", "twist-bound-file", "dimension", "candidates",
          "candidates-a5d4", "candidates-a2x6", "candidates-d4-outer",
-         "candidates-fractional-level", "dimension-trunc16", "lattice", "lattice-sigma6",
+         "dimension-trunc16", "lattice", "lattice-sigma6",
          "lattice-sigma2", "verify-all", "tables-modular", "tables-a5.3",
          "tables-g2.1", "tables-a2.3", "tables-a1.1", "tables-d4.3",
          "tables-modular-trunc1", "dimension-trunc1"],
@@ -605,7 +623,7 @@ def test_optimized_interpreter_gives_same_bytes(argv, digest):
          "--json"],
         ["candidates", "--dim", "72", "--ratio", "2", "--fixed",
          "A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", "--json"],
-        ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
+        ["lattice", "--isometry", "sigma4", "--json"],
         ["verify-all", "--json"],
     ],
     ids=["tables", "twist-bound", "twist-bound-file", "dimension", "candidates",
@@ -647,7 +665,7 @@ def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
     # bypass the per-process cache so that the patched identification runs
     monkeypatch.setattr(cases, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
     with pytest.raises(SystemExit) as exc:
-        main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+        main(["lattice", "--isometry", "sigma2"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err == f"error: {type(error).__name__}: {error}\n"
@@ -670,7 +688,7 @@ def test_singular_block_form_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(latticevoa, "fixed_subalgebra", singular)
     monkeypatch.setattr(cases, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
     with pytest.raises(SystemExit) as exc:
-        main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+        main(["lattice", "--isometry", "sigma2"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err == ("error: IdentificationError: the invariant form on the D4 orbit"
@@ -684,7 +702,7 @@ def test_unsolvable_phase_system_exits_1(capsys, monkeypatch):
         fn.cache_clear()
     monkeypatch.setattr(latticevoa, "_solve_f2", lambda rows, rhs, n: None)
     with pytest.raises(SystemExit) as exc:
-        main(["lattice", "--name", "e6_4", "--isometry", "sigma6"])
+        main(["lattice", "--isometry", "sigma6"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err == "error: InvariantError: no order-3 standard phase function exists\n"
@@ -709,20 +727,20 @@ def test_broken_glue_code_exits_1(capsys, monkeypatch, name, isometry, old, new)
     assert gens != code.generators
     monkeypatch.setattr(latticevoa, attr, dataclasses.replace(code, generators=gens))
     with pytest.raises(SystemExit) as exc:
-        main(["lattice", "--name", name, "--isometry", isometry])
+        main(["lattice", "--isometry", isometry])
     assert exc.value.code == 1
     assert capsys.readouterr().err == "error: InvariantError: lattice is not integral\n"
 
 
 E6, D4 = rootdata.SimpleType("E", 6), rootdata.SimpleType("D", 4)
 D4_OUTER = (D4, "outer", "A2,3")
-# the built-in lattice and isometry whose witness uses each catalogue entry
+# the built-in isometry whose witness uses each catalogue entry
 CATALOGUE_USERS = {
-    (E6, "inner", "A2,1 A2,1 A2,1"): ("e6_4", "sigma6"),
-    (E6, "cycle", "E6,3"): ("e6_4", "sigma6"),
-    D4_OUTER: ("d4_6", "sigma2"),
-    (D4, "inner", "A1,1 A1,1 A1,1 U(1)"): ("d4_6", "sigma4"),
-    (D4, "cycle", "D4,3"): ("d4_6", "sigma4"),
+    (E6, "inner", "A2,1 A2,1 A2,1"): "sigma6",
+    (E6, "cycle", "E6,3"): "sigma6",
+    D4_OUTER: "sigma2",
+    (D4, "inner", "A1,1 A1,1 A1,1 U(1)"): "sigma4",
+    (D4, "cycle", "D4,3"): "sigma4",
 }
 CATALOGUE_MUTATIONS = [
     pytest.param(key, (sym, word[:-1], fpf), "matrix does not have order 3",
@@ -754,7 +772,7 @@ def test_infinite_order_isometry_exits_1(capsys, monkeypatch):
         lambda key: (ident, shear, shear2) if key == D4_OUTER else powers(key),
     )
     with pytest.raises(SystemExit) as exc:
-        main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+        main(["lattice", "--isometry", "sigma2"])
     assert exc.value.code == 1
     assert capsys.readouterr().err == "error: InvariantError: order exceeds 12\n"
 
@@ -767,18 +785,26 @@ def test_mutated_catalogue_entry_exits_1(capsys, monkeypatch, key, entry, messag
     for fn in caches:
         fn.cache_clear()
     monkeypatch.setitem(latticevoa._CATALOGUE, key, entry)
-    name, isometry = CATALOGUE_USERS[key]
-    code, _, err = run_main(capsys, ["lattice", "--name", name, "--isometry", isometry])
+    code, _, err = run_main(capsys, ["lattice", "--isometry", CATALOGUE_USERS[key]])
     for fn in caches:
         fn.cache_clear()
     assert (code, err) == (1, f"error: InvariantError: {message}\n")
 
 
-def test_mismatched_lattice_and_isometry_exit_2(capsys):
-    # sigma2's witness needs six D4 components: a usage error, not a mismatch
-    code, out, err = run_main(capsys, ["lattice", "--name", "e6_4", "--isometry", "sigma2"])
+def test_mismatched_lattice_and_isometry_exit_2():
+    # the CLI takes the lattice from the isometry's case, so only a library
+    # call can pair them wrongly: sigma2's witness needs six D4 components
+    lat, _ = cases.lattice_data("e6_4")
+    with pytest.raises(ValueError) as exc:
+        latticevoa.build_isometry(lat, cases.named_witness("sigma2"), "sigma2")
+    assert str(exc.value) == "the witness's ideals are not the lattice's E6,1 E6,1 E6,1 E6,1"
+
+
+def test_lattice_takes_no_name(capsys):
+    # the isometry fixes the lattice, so naming one is a usage error
+    code, out, err = run_main(capsys, ["lattice", "--name", "e6_4", "--isometry", "sigma6"])
     assert code == 2 and out == ""
-    assert err == "error: the witness's ideals are not the lattice's E6,1 E6,1 E6,1 E6,1\n"
+    assert "unrecognized arguments: --name e6_4" in err and "Traceback" not in err
 
 
 def test_option_of_two_classes_exits_1(capsys, monkeypatch):
@@ -794,7 +820,7 @@ def test_option_of_two_classes_exits_1(capsys, monkeypatch):
     )
     cases.lattice_isometry.cache_clear()
     cases.lattice_fixed_type.cache_clear()
-    code, out, err = run_main(capsys, ["lattice", "--name", "e6_4", "--isometry", "sigma6"])
+    code, out, err = run_main(capsys, ["lattice", "--isometry", "sigma6"])
     assert code == 1
     assert err == ("error: InvariantError: A2,1 A2,1 A2,1 is the fixed type of 2"
                    " order-3 classes of E6, not 1\n")
@@ -810,7 +836,7 @@ def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch):
         raise latticevoa._LatticeNotPreserved("candidate isometry does not preserve the lattice")
 
     monkeypatch.setattr(latticevoa, "_slot_maps_to_isometry", reject)
-    code, _, err = run_main(capsys, ["lattice", "--name", "d4_6", "--isometry", "sigma4"])
+    code, _, err = run_main(capsys, ["lattice", "--isometry", "sigma4"])
     assert code == 1
     assert err == "error: InvariantError: no placement of the sigma4 witness preserves the glue\n"
     for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
@@ -831,7 +857,7 @@ def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):
             fn.cache_clear()
         monkeypatch.setattr(latticevoa, "NI_D4_6", short)
         with pytest.raises(SystemExit) as exc:
-            main(["lattice", "--name", "d4_6", "--isometry", "sigma2"])
+            main(["lattice", "--isometry", "sigma2"])
         assert exc.value.code == 1
         assert capsys.readouterr().err == (
             "error: InvariantError: assembled lattice has determinant 4, not 1\n"

@@ -1191,11 +1191,11 @@ def test_isometry_order_and_fixed_basis_are_computed_once():
     for fn in (cases.lattice_fixed_type, cases.lattice_isometry,
                latticevoa._matrix_order, latticevoa._fixed_coords):
         fn.cache_clear()
-    for name, iso in (("e6_4", "sigma6"), ("d4_6", "sigma2"), ("d4_6", "sigma4")):
+    for iso, cf in cases.ISOMETRY_CASES.items():
         witness = cases.named_witness(iso)
-        cases.lattice_fixed_type(name, witness, iso)
-        cases.check_isometry(Report("isometry"), name, iso)
-        twisted_ground_energy(cases.lattice_isometry(name, witness, iso))
+        cases.lattice_fixed_type(cf, witness)
+        cases.check_isometry(Report("isometry"), iso)
+        twisted_ground_energy(cases.lattice_isometry(cf, witness))
     assert latticevoa._matrix_order.cache_info().misses == 3
     assert latticevoa._fixed_coords.cache_info().misses == 3
 
@@ -1229,7 +1229,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
-    iso = cases.lattice_isometry("d4_6", witness, "sigma4")
+    iso = cases.lattice_isometry(cases.ISOMETRY_CASES["sigma4"], witness)
     during_isometry = built[0]
     coords = [lat.coords_of(r) for r in roots]
     during_coords = built[0] - during_isometry

@@ -22,7 +22,7 @@ def test_render_values():
     [
         (SimpleType("A", 2), "A2"),
         (AffineAlgebra(SimpleType("E", 6), 3), "E6,3"),
-        (SemisimpleTypeWithLevels.parse("A2,3/2 D4 U(1)"), "A2,3/2 D4 U(1)"),
+        (SemisimpleTypeWithLevels.parse("A2,3 D4,1 U(1)"), "A2,3 D4,1 U(1)"),
     ],
 )
 def test_type_keys_render_by_name(key, name):

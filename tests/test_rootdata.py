@@ -1,7 +1,12 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 from math import lcm
 from operator import mul
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +19,7 @@ from helpers import (
     fraction_dominant_conjugate,
     fraction_fw_gram,
     fraction_ip,
+    leg_walk_classify_simple_system,
     nondominant_direction,
     rational_direction,
     root_affine_diagram,
@@ -380,12 +386,64 @@ def test_kac_rejects_negative_or_miscounted_labels(labels):
         kac_fixed_subalgebra(SimpleType("A", 2), labels)
 
 
-@pytest.mark.parametrize("name", ["A2", "D4"])
+@pytest.mark.parametrize("name", [str(t) for t in simple_types(200)])
 def test_classify_rejects_non_dynkin_diagrams(name):
-    # affine A2 is a cycle, affine D4 a node of degree 4
+    # affine An is a cycle, affine D4 a node of degree 4, affine Bn a double
+    # bond beside a branch node, affine Cn two double bonds
     gram = _affine_diagram(SimpleType.parse(name))[0]
     with pytest.raises(InvariantError):
         classify_simple_system([list(row) for row in gram])
+
+
+@pytest.mark.parametrize(
+    "gram",
+    [
+        [[2, -1, -1, 0], [-1, 2, -1, 0], [-1, -1, 2, -1], [0, 0, -1, 2]],
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+        [[2, 0], [0, 2]],
+    ],
+    ids=["triangle-with-pendant", "3-cycle", "disconnected-pair"],
+)
+def test_classify_rejects_cycles_and_disconnected_diagrams(gram):
+    # a leg walk on a cycle never ends, so the call runs in a child process
+    # with a deadline: a hang fails the test instead of stalling the suite
+    code = (
+        "from orbifold24.exactmath import InvariantError\n"
+        "from orbifold24.rootdata import classify_simple_system\n"
+        "try:\n"
+        f"    print(classify_simple_system({gram}))\n"
+        "except InvariantError as err:\n"
+        "    print('rejected:', err)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=30, check=True).stdout
+    assert out == "rejected: disconnected or cyclic simple system\n"
+
+
+def test_classify_matches_the_leg_walk_on_proper_subdiagrams():
+    # every connected proper sub-diagram of the affine diagrams up to rank 10,
+    # in shuffled node order, against the multiple-bond count and leg walk
+    rng = random.Random(7)
+    seen = 0
+    for t in simple_types(300):
+        if t.rank > 10:
+            continue
+        gram = _affine_diagram(t)[0]
+        for size in range(1, t.rank + 1):
+            for nodes in itertools.combinations(range(t.rank + 1), size):
+                comp = [nodes[0]]
+                for i in comp:
+                    comp.extend(j for j in nodes if j not in comp and gram[i][j])
+                if len(comp) < size:
+                    continue
+                rng.shuffle(comp)
+                sub = [[gram[i][j] for j in comp] for i in comp]
+                assert classify_simple_system(sub) == leg_walk_classify_simple_system(sub)
+                seen += 1
+    assert seen > 1500, seen
 
 
 def test_kac_rank_bookkeeping():
@@ -417,10 +475,9 @@ def test_type_string_roundtrip():
 
 
 def test_parse_reads_b2_and_d3_under_the_pool_names():
-    parsed = SemisimpleTypeWithLevels.parse("B2,1 D3,2 D3 U(1)^2")
-    assert parsed == SemisimpleTypeWithLevels.parse("C2,1 A3,2 A3 U(1) U(1)")
-    # a type-only ideal sorts before the same type with a level
-    assert str(parsed) == "A3 A3,2 C2,1 U(1)^2"
+    parsed = SemisimpleTypeWithLevels.parse("B2,1 D3,2 D3,1 U(1)^2")
+    assert parsed == SemisimpleTypeWithLevels.parse("C2,1 A3,2 A3,1 U(1) U(1)")
+    assert str(parsed) == "A3,1 A3,2 C2,1 U(1)^2"
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,8 @@ from helpers import (
     root_filter_options,
     semisimple_rank,
 )
-from orbifold24.cases import BUILTIN_CASES
+from orbifold24.affinerep import inner_fixed_subalgebra
+from orbifold24.cases import BUILTIN_CASES, lattice_fixed_type
 
 
 def names(pool):
@@ -206,11 +207,26 @@ def test_candidates_carry_int_levels_in_sorted_order():
             assert c == SemisimpleTypeWithLevels.of(c.ideals)
 
 
+def test_chain_types_carry_int_levels():
+    # one level kind: every type value the three built-in chains build, on
+    # the forward side, in the filter's witnesses and on the lattice side
+    for cf in BUILTIN_CASES.values():
+        fixed, _ = inner_fixed_subalgebra(cf.ambient, cf.h)
+        dim = cf.expected_target.dim()
+        candidates = enumerate_candidates(dim, Q(dim - 24, 24))
+        types = [fixed, *candidates]
+        for survivor, witness in filter_candidates(candidates, fixed):
+            types += [survivor, lattice_fixed_type(cf, tuple(witness))[0]]
+            types += [contribution for _, _, contribution in witness]
+        assert len(types) > len(candidates) + 3
+        assert all(type(k) is int for ty in types for _, k in ty.ideals)
+
+
 def oracle_targets(c):
     """The chain targets, and for each option of each ideal of c the
     option's result alone and c with that one ideal replaced by it."""
     targets = {
-        SemisimpleTypeWithLevels.parse(BUILTIN_CASES[case].expected_fixed)
+        BUILTIN_CASES[case].expected_fixed
         for case in ("e6g2", "a2x6", "a5d4")
     }
     ideals = list(c.ideals)

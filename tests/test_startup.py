@@ -24,7 +24,7 @@ COMMANDS = [
     ["candidates", "--dim", "312", "--ratio", "12", "--json"],
     ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0", "--json"],
     ["tables", "--which", "g2.1", "--json"],
-    ["lattice", "--name", "d4_6", "--isometry", "sigma4", "--json"],
+    ["lattice", "--isometry", "sigma4", "--json"],
     ["verify-all", "--json"],
 ]
 
