@@ -2,11 +2,12 @@
 
 A case file names the ambient semisimple algebra with levels and the twist
 direction in fundamental-weight coordinates per ideal; the built-in cases
-also carry the expected fixed subalgebra, orbifold target, and associated
-lattice.  run_case replays the whole chain: invariant norm, shift bound,
-category order, fixed subalgebra, exhaustive twisted minima for both twist
-signs, the dimension formula, candidate enumeration and the order-3
-admissibility filter, and the lattice-side cross-check.
+also carry the expected fixed subalgebra and orbifold target, and an isometry
+of the lattice whose root system is their unique survivor.  run_case replays
+the whole chain: invariant norm, shift bound, category order, fixed
+subalgebra, exhaustive twisted minima for both twist signs, the dimension
+formula, candidate enumeration and the order-3 admissibility filter, and
+the lattice-side cross-check.
 """
 
 from __future__ import annotations
@@ -57,6 +58,8 @@ ASSUMPTIONS = [
     "algebra has a positive integer level, as in every strongly regular vertex "
     "operator algebra (Dong-Mason, Integrability of C2-cofinite vertex operator "
     "algebras, IMRN 2006); the exact type certificate consumes it",
+    "a Niemeier lattice is determined by its root system (Niemeier 1973; Conway-Sloane, "
+    "SPLAG, Table 16.1): the forward chain's unique survivor names the lattice side",
 ]
 
 
@@ -69,9 +72,7 @@ class CaseFile:
     ambient: Tuple[AffineAlgebra, ...]
     h: Tuple[ScaledCoords, ...]  # per ideal, in the written order of ambient
     expected_fixed: Optional[SemisimpleTypeWithLevels] = None
-    expected_fixed_dim: Optional[int] = None
     expected_target: Optional[SemisimpleTypeWithLevels] = None
-    lattice_name: Optional[str] = None
     isometry_name: Optional[str] = None
 
     def case_spec(self) -> CaseSpec:
@@ -141,9 +142,7 @@ BUILTIN_CASES: Dict[str, CaseFile] = {
             "h": [["0"] * 6, ["1", "0"], ["1", "0"], ["1", "0"]],
         }),
         expected_fixed=SemisimpleTypeWithLevels.parse("E6,3 A2,1 A2,1 A2,1"),
-        expected_fixed_dim=102,
         expected_target=SemisimpleTypeWithLevels.parse("E6,1 E6,1 E6,1 E6,1"),
-        lattice_name="e6_4",
         isometry_name="sigma6",
     ),
     "a2x6": replace(
@@ -153,9 +152,7 @@ BUILTIN_CASES: Dict[str, CaseFile] = {
             "h": [["1", "0"]] + [["0", "0"]] * 5,
         }),
         expected_fixed=SemisimpleTypeWithLevels.parse("A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"),
-        expected_fixed_dim=48,
         expected_target=SemisimpleTypeWithLevels.parse("D4,1 D4,1 D4,1 D4,1 D4,1 D4,1"),
-        lattice_name="d4_6",
         isometry_name="sigma2",
     ),
     "a5d4": replace(
@@ -165,18 +162,18 @@ BUILTIN_CASES: Dict[str, CaseFile] = {
             "h": [["0", "0", "2/3", "0", "0"], ["0"] * 4, ["0"], ["0"], ["0"]],
         }),
         expected_fixed=SemisimpleTypeWithLevels.parse("A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1"),
-        expected_fixed_dim=54,
         expected_target=SemisimpleTypeWithLevels.parse("D4,1 D4,1 D4,1 D4,1 D4,1 D4,1"),
-        lattice_name="d4_6",
         isometry_name="sigma4",
     ),
 }
 
 
 @lru_cache(maxsize=None)
-def lattice_data(name: str) -> Tuple[latticevoa.EvenLattice, latticevoa.LatticeLieAlgebra]:
-    code = {"e6_4": latticevoa.NI_E6_4, "d4_6": latticevoa.NI_D4_6}[name]
-    lat = latticevoa.assemble_niemeier(code)
+def lattice_data(
+    root_system: SemisimpleTypeWithLevels,
+) -> Tuple[latticevoa.EvenLattice, latticevoa.LatticeLieAlgebra]:
+    """The Niemeier lattice with this root system and its weight-one algebra."""
+    lat = latticevoa.assemble_niemeier(latticevoa.niemeier_code(root_system))
     return lat, latticevoa.weight_one_algebra(lat)
 
 
@@ -185,46 +182,47 @@ ISOMETRY_CASES = {cf.isometry_name: cf for cf in BUILTIN_CASES.values()}
 
 
 @lru_cache(maxsize=None)
-def builtin_survivors(case_id: str) -> Tuple[Tuple[SemisimpleTypeWithLevels, Witness], ...]:
-    """A built-in case's survivors of the order-3 filter, with witnesses."""
-    cf = BUILTIN_CASES[case_id]
-    dim = cf.expected_target.dim()
-    cands = schellekens.enumerate_candidates(dim, Q(dim - 24, 24))
-    survivors = schellekens.filter_candidates(cands, cf.expected_fixed)
-    return tuple((c, tuple(w)) for c, w in survivors)
+def forward_chain(cf: CaseFile) -> tuple:
+    """A case's forward orbifold, computed once: the fixed subalgebra, its dim,
+    the orbifold weight-one dim, the ratio, the candidates and the survivors."""
+    fixed, fdim = inner_fixed_subalgebra(cf.ambient, cf.h)
+    target_dim = qmodular.dim_tilde_v1(cf.dim_v1(), fdim, 0, 0)
+    ratio = Q(target_dim - 24, 24)
+    candidates = schellekens.enumerate_candidates(target_dim, ratio)
+    survivors = schellekens.filter_candidates(candidates, fixed)
+    return fixed, fdim, target_dim, ratio, candidates, tuple((c, tuple(w)) for c, w in survivors)
 
 
-def named_witness(isometry: str) -> Witness:
-    """The witness of the one survivor of the isometry name's built-in case."""
-    survivors = builtin_survivors(ISOMETRY_CASES[isometry].case_id)
+def unique_survivor(cf: CaseFile) -> Tuple[SemisimpleTypeWithLevels, Witness]:
+    """The one survivor of a case's forward chain, with its witness."""
+    survivors = forward_chain(cf)[-1]
     if len(survivors) != 1:
-        raise InvariantError(f"{isometry}'s case has {len(survivors)} survivors, not 1")
-    return survivors[0][1]
+        raise InvariantError(f"case {cf.case_id} has {len(survivors)} survivors, not 1")
+    return survivors[0]
 
 
 @lru_cache(maxsize=None)
-def lattice_isometry(cf: CaseFile, witness: Witness) -> latticevoa.LatticeIsometry:
-    """The isometry of a built-in case's lattice that the witness builds."""
-    lat, _ = lattice_data(cf.lattice_name)
-    return latticevoa.build_isometry(lat, witness, cf.isometry_name)
+def lattice_isometry(cf: CaseFile) -> latticevoa.LatticeIsometry:
+    """The isometry that a case's survivor's witness builds on its lattice."""
+    survivor, witness = unique_survivor(cf)
+    return latticevoa.build_isometry(lattice_data(survivor)[0], witness, cf.isometry_name)
 
 
 @lru_cache(maxsize=None)
-def lattice_fixed_type(cf: CaseFile, witness: Witness) -> Tuple[SemisimpleTypeWithLevels, int]:
-    _, alg = lattice_data(cf.lattice_name)
-    lift = latticevoa.standard_lift(alg, lattice_isometry(cf, witness))
+def lattice_fixed_type(cf: CaseFile) -> Tuple[SemisimpleTypeWithLevels, int]:
+    _, alg = lattice_data(unique_survivor(cf)[0])
+    lift = latticevoa.standard_lift(alg, lattice_isometry(cf))
     fixed = latticevoa.fixed_subalgebra(lift)
     return latticevoa.identify_type(fixed), fixed.dim
 
 
 def run_case(cf: CaseFile, trunc: int = 12) -> Report:
-    """Replay the full chain for one case, checking expectations where given.
+    """Replay the full chain for one built-in case, checking its expectations.
 
     trunc is the q-series truncation of the dimension formula derivation.
     """
     rep = Report(f"case {cf.case_id}", assumptions=list(ASSUMPTIONS))
     spec = cf.case_spec()
-    algebras = spec.ambient
 
     norm, in_2z, in_23z = invariant_norm(spec)
     rep.check("twist norm <h|h>", norm, Q(2), source="reference")
@@ -234,15 +232,14 @@ def run_case(cf: CaseFile, trunc: int = 12) -> Report:
     rep.check("shift bound (h|alpha) >= -1", shift, True)
     rep.check(
         "category twist order",
-        sigma_order_on_category(spec.h, algebras),
+        sigma_order_on_category(spec.h, spec.ambient),
         3,
         source="reference",
     )
 
-    fixed, fdim = inner_fixed_subalgebra(algebras, spec.h)
-    expected_fixed = None if cf.expected_fixed is None else str(cf.expected_fixed)
-    rep.check("fixed subalgebra", str(fixed), expected_fixed, source="reference")
-    rep.check("fixed subalgebra dim", fdim, cf.expected_fixed_dim, source="reference")
+    fixed, fdim, target_dim, ratio, candidates, survivors = forward_chain(cf)
+    rep.check("fixed subalgebra", str(fixed), str(cf.expected_fixed), source="reference")
+    rep.check("fixed subalgebra dim", fdim, cf.expected_fixed.dim(), source="reference")
 
     rep.note("tuple space size", tuple_space_size(spec))
     if shift:
@@ -256,33 +253,26 @@ def run_case(cf: CaseFile, trunc: int = 12) -> Report:
             True,
         )
 
-    dim_v1 = cf.dim_v1()
-    rep.note("dim of the ambient weight-one algebra", dim_v1)
+    rep.note("dim of the ambient weight-one algebra", cf.dim_v1())
     rep.check(
         "dimension formula coefficients",
         qmodular.derive_dimension_formula(trunc),
         golden.DIMENSION_COEFFS,
         source="reference",
     )
-    target_dim = qmodular.dim_tilde_v1(dim_v1, fdim, 0, 0)
-    target = cf.expected_target
-    rep.check("orbifold weight-one dim", target_dim, None if target is None else target.dim())
+    rep.check("orbifold weight-one dim", target_dim, cf.expected_target.dim())
 
-    ratio = Q(target_dim - 24, 24)
     rep.note("forced ratio h-dual/level", ratio)
-    candidates = schellekens.enumerate_candidates(target_dim, ratio)
     rep.note("candidates", [str(c) for c in candidates])
-    survivors = schellekens.filter_candidates(candidates, fixed)
     rep.check(
         "order-3 admissibility survivors",
         [str(c) for c, _ in survivors],
-        None if target is None else [str(target)],
+        [str(cf.expected_target)],
         source="reference",
     )
 
-    if cf.lattice_name and len(survivors) == 1:  # built from the chain's own witness
-        witness = tuple(survivors[0][1])
-        lat_type, lat_dim = lattice_fixed_type(cf, witness)
+    if len(survivors) == 1:  # built from the chain's own witness
+        lat_type, lat_dim = lattice_fixed_type(cf)
         rep.check(
             "lattice-side fixed subalgebra",
             str(lat_type),
@@ -347,7 +337,7 @@ def verify_modular(trunc: int = 12) -> Report:
             scaled,
             source="reference",
         )
-    fit = qmodular.fit_character(102, 0, 0, trunc)
+    fit = qmodular.fit_character(BUILTIN_CASES["e6g2"].expected_fixed.dim(), 0, 0, trunc)
     rep.check("pole coefficient c_-3", fit[-3], golden.POLE_COEFF, source="reference")
     rep.check(
         "dimension formula coefficients",
@@ -355,11 +345,12 @@ def verify_modular(trunc: int = 12) -> Report:
         golden.DIMENSION_COEFFS,
         source="reference",
     )
-    for dims, expect in (((120, 102), 312), ((48, 48), 168), ((72, 54), 168)):
+    for cf in BUILTIN_CASES.values():
+        dims = (cf.dim_v1(), cf.expected_fixed.dim())
         rep.check(
             f"orbifold dim from (dim V1, d0) = {dims}",
-            qmodular.dim_tilde_v1(dims[0], dims[1], 0, 0),
-            expect,
+            qmodular.dim_tilde_v1(*dims, 0, 0),
+            cf.expected_target.dim(),
             source="reference",
         )
     return rep
@@ -385,23 +376,24 @@ def verify_candidates() -> Report:
         source="reference",
         documented=True,
     )
-    for case_id in ("e6g2", "a2x6", "a5d4"):
+    for cf in BUILTIN_CASES.values():
         rep.check(
-            f"unique survivor for {case_id}",
-            [str(c) for c, _ in builtin_survivors(case_id)],
-            [str(BUILTIN_CASES[case_id].expected_target)],
+            f"unique survivor for {cf.case_id}",
+            [str(c) for c, _ in forward_chain(cf)[-1]],
+            [str(cf.expected_target)],
             source="reference",
         )
     return rep
 
 
-def check_lattice(rep: Report, name: str, rng: random.Random) -> None:
+def check_lattice(rep: Report, root_system: SemisimpleTypeWithLevels, rng: random.Random) -> None:
     """The per-lattice checks: glue, roots, dimension, glue group, Jacobi."""
-    exp = golden.LATTICE_EXPECTED[name]
-    lat, alg = lattice_data(name)
+    exp = golden.LATTICE_EXPECTED[str(root_system)]
+    lat, alg = lattice_data(root_system)
+    name = lat.code.label()
     rep.check(f"{name}: glue index", lat.glue_index(), exp["glue_index"])
-    rep.check(f"{name}: root count", alg.n_roots, exp["root_count"])
-    rep.check(f"{name}: algebra dim", alg.dim, exp["algebra_dim"])
+    rep.check(f"{name}: root count", alg.n_roots, sum(t.n_roots() for t, _ in root_system.ideals))
+    rep.check(f"{name}: algebra dim", alg.dim, root_system.dim())
     rep.check(
         f"{name}: glue automorphism group order",
         latticevoa.glue_automorphism_group_order(lat.code),
@@ -421,29 +413,29 @@ def check_lattice(rep: Report, name: str, rng: random.Random) -> None:
 
 
 def check_isometry(rep: Report, iso_name: str) -> latticevoa.LatticeIsometry:
-    """The per-isometry checks on the isometry built from the named witness
-    on its built-in case's lattice, returned: order, gram, and the fixed
-    subalgebra and its dim against the case's."""
-    witness, cf = named_witness(iso_name), ISOMETRY_CASES[iso_name]
-    iso = lattice_isometry(cf, witness)
+    """The per-isometry checks on the isometry built from the witness of the
+    named built-in case's survivor on its lattice, returned: order, gram, and
+    the fixed subalgebra and its dim against the case's."""
+    cf = ISOMETRY_CASES[iso_name]
+    iso = lattice_isometry(cf)
     rep.check(f"{iso_name}: order", iso.order(), 3, source="reference")
     rep.check(f"{iso_name}: preserves gram", iso.preserves_gram(), True)
-    fixed_type, fixed_dim = lattice_fixed_type(cf, witness)
+    fixed_type, fixed_dim = lattice_fixed_type(cf)
     rep.check(
         f"{iso_name}: fixed subalgebra",
         str(fixed_type),
         str(cf.expected_fixed),
         source="reference",
     )
-    rep.check(f"{iso_name}: fixed dim", fixed_dim, cf.expected_fixed_dim, source="reference")
+    rep.check(f"{iso_name}: fixed dim", fixed_dim, cf.expected_fixed.dim(), source="reference")
     return iso
 
 
 def verify_lattice(seed: int = 0) -> Report:
     rep = Report("lattice battery")
     rng = random.Random(seed)
-    for name in dict.fromkeys(cf.lattice_name for cf in ISOMETRY_CASES.values()):
-        check_lattice(rep, name, rng)
+    for survivor in dict.fromkeys(unique_survivor(cf)[0] for cf in ISOMETRY_CASES.values()):
+        check_lattice(rep, survivor, rng)
     isometries = {iso_name: check_isometry(rep, iso_name) for iso_name in ISOMETRY_CASES}
     s6 = isometries["sigma6"]
     rho, mults = latticevoa.twisted_ground_energy(s6)
@@ -454,7 +446,7 @@ def verify_lattice(seed: int = 0) -> Report:
         source="reference",
     )
     rep.note("sigma6: eigenvalue multiplicities", mults)
-    u = latticevoa.NI_E6_4.word_vector((0, 1, 0, 0))
+    u = s6.lattice.code.word_vector((0, 1, 0, 0))
     _, nrm = latticevoa.fixed_projection_norm(s6, u)
     rep.check(
         "sigma6: projected glue-vector norm",
@@ -462,7 +454,7 @@ def verify_lattice(seed: int = 0) -> Report:
         golden.PROJECTION_NORM,
         source="reference",
     )
-    u0 = latticevoa.NI_E6_4.word_vector((1, 0, 0, 0))
+    u0 = s6.lattice.code.word_vector((1, 0, 0, 0))
     proj0, _ = latticevoa.fixed_projection_norm(s6, u0)
     rep.check("sigma6: first glue digit projects to zero", all(x == 0 for x in proj0), True)
     rep.check(

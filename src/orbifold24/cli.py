@@ -27,6 +27,7 @@ from .cases import (
     check_isometry,
     check_lattice,
     run_case,
+    unique_survivor,
     verify_tables,
 )
 from .exactmath import InvariantError
@@ -129,9 +130,9 @@ def cmd_candidates(args: argparse.Namespace) -> Report:
 
 
 def cmd_lattice(args: argparse.Namespace) -> Report:
-    name = ISOMETRY_CASES[args.isometry].lattice_name
-    rep = Report(f"lattice {name} / {args.isometry}")
-    check_lattice(rep, name, random.Random(0))
+    survivor, _ = unique_survivor(ISOMETRY_CASES[args.isometry])
+    rep = Report(f"lattice {latticevoa.niemeier_code(survivor).label()} / {args.isometry}")
+    check_lattice(rep, survivor, random.Random(0))
     iso = check_isometry(rep, args.isometry)
     rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_coords_basis()))
     rho, mults = latticevoa.twisted_ground_energy(iso)

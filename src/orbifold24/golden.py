@@ -147,20 +147,10 @@ DIMENSION_COEFFS = (Q(4), Q(-36), Q(-12), Q(24))
 F_Q_COEFF_DISPLAYED = Q(66)      # stated as binom(12,2); recomputation differs
 C5_LEVEL_DISPLAYED = Q(2)        # stated level of the C5 ideal; ratio forces 1
 
-# lattice battery expectations
+# lattice battery expectations, by the lattice's root system
 LATTICE_EXPECTED = {
-    "e6_4": {
-        "glue_index": 9,
-        "root_count": 288,
-        "glue_group_order": 48,
-        "algebra_dim": 312,
-    },
-    "d4_6": {
-        "glue_index": 64,
-        "root_count": 144,
-        "glue_group_order": 2160,
-        "algebra_dim": 168,
-    },
+    "E6,1 E6,1 E6,1 E6,1": {"glue_index": 9, "glue_group_order": 48},
+    "D4,1 D4,1 D4,1 D4,1 D4,1 D4,1": {"glue_index": 64, "glue_group_order": 2160},
 }
 
 PROJECTION_NORM = Q(4, 9)

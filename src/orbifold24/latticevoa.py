@@ -117,6 +117,13 @@ class GlueCode:
     def word_vector(self, w: IntVec) -> Vec:
         return tuple(x for t, d in zip(self.components, w) for x in _digit_reps(t)[d])
 
+    def root_system(self) -> SemisimpleTypeWithLevels:
+        """The components at level 1, the weight-one type of the lattice VOA."""
+        return SemisimpleTypeWithLevels.of([(t, 1) for t in self.components])
+
+    def label(self) -> str:
+        return f"{str(self.components[0]).lower()}_{len(self.components)}"
+
 
 NI_E6_4 = GlueCode(
     (E6,) * 4,
@@ -134,6 +141,16 @@ NI_D4_6 = GlueCode(
         (0, 2, 0, 2, 3, 3),
     ),
 )
+
+
+def niemeier_code(root_system: SemisimpleTypeWithLevels) -> GlueCode:
+    """The glue code in the table with this root system, which determines a
+    Niemeier lattice (Conway-Sloane, SPLAG, Table 16.1); read at each call.
+    InvariantError for a root system that the table lacks."""
+    for code in (NI_E6_4, NI_D4_6):
+        if code.root_system() == root_system:
+            return code
+    raise InvariantError(f"no Niemeier glue code in the table has the root system {root_system}")
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +494,9 @@ def isometry_placements(lat: EvenLattice, witness: Witness) -> Iterator[list]:
     ValueError for a witness that does not fit or is not catalogued;
     InvariantError for an inner option of other than one class.
     """
-    comps = lat.code.components
+    comps, have = lat.code.components, lat.code.root_system()
     need = sorted(x for _, ideals, _ in witness for x in ideals)
-    if need != sorted((t, 1) for t in comps):
-        have = " ".join(f"{t},1" for t in comps)
+    if need != list(have.ideals):
         raise ValueError(f"the witness's ideals are not the lattice's {have}")
     free, singles, cycles = list(range(len(comps))), [], []
     for kind, ideals, option in witness:

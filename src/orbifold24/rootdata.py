@@ -96,7 +96,7 @@ class SimpleType(_SimpleTypeKey):
             return {6: 12, 7: 18, 8: 30}[r]
         return 9 if self.family == "F" else 4
 
-    def root_count(self) -> int:
+    def n_roots(self) -> int:
         return self.dim() - self.rank
 
 
@@ -191,9 +191,9 @@ class RootSystem:
         self.scale = lcm(*(x.denominator for row in rational for x in row))
         self.form = [[int(x * self.scale) for x in row] for row in rational]
         self.roots, self.root_alpha_coords = self._generate_roots()
-        if len(self.roots) != t.root_count():
+        if len(self.roots) != t.n_roots():
             raise InvariantError(
-                f"{t}: generated {len(self.roots)} roots, expected {t.root_count()}"
+                f"{t}: generated {len(self.roots)} roots, expected {t.n_roots()}"
             )
         self.positive_roots = [
             rt
@@ -458,14 +458,14 @@ def _affine_diagram(t: SimpleType) -> Tuple[Tuple[IntCoords, ...], IntCoords, in
     n = t.rank
     beta = [0] * n
     beta[max(range(n), key=lambda k: g[k][k])] = 1
-    for _ in range(t.root_count()):
+    for _ in range(t.n_roots()):
         pair = [sum(b * g[j][i] for j, b in enumerate(beta) if b) for i in range(n)]
         i = next((i for i in range(n) if pair[i] < 0), None)
         if i is None:
             break
         beta[i] -= 2 * pair[i] // g[i][i]
     marks = (1,) + tuple(beta)
-    if sum(marks) != t.root_count() // n:
+    if sum(marks) != t.n_roots() // n:
         raise InvariantError(f"{t}: marks {marks} do not sum to the Coxeter number")
     # node 0 pairs with the simple roots as -theta.g, and with itself as theta.g.theta
     tg = [sum(b * g[j][i] for j, b in enumerate(beta) if b) for i in range(n)]

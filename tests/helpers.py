@@ -108,7 +108,8 @@ against, and helpers that only the tests need.
   `inverse_lift` its inverse, `compose` and `is_identity`;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
 * Small conveniences only the tests use: `negated` (the case with twist
-  -h), `patch_series_coefficient` (one coefficient of a q-series scaled)
+  -h), `named_witness` (the forward witness of an isometry name's case),
+  `patch_series_coefficient` (one coefficient of a q-series scaled)
   with `solve_afresh` (a Laurent table cache of the test's own),
   `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
   (x|y) through `RootSystem.covector`) and `series_one`.
@@ -129,7 +130,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
-from orbifold24 import qmodular
+from orbifold24 import cases, qmodular
 from orbifold24.affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
 from orbifold24.exactmath import (
     InvariantError, Matrix, inverse, mat_mul, rank, transpose,
@@ -167,6 +168,7 @@ from orbifold24.rootdata import (
 )
 from orbifold24.schellekens import (
     FixedOption,
+    Witness,
     _order3_label_vectors,
     order3_fixed_options,
 )
@@ -1225,6 +1227,11 @@ def patch_series_coefficient(monkeypatch, name: str, key: tuple, exp: Q, factor:
 
 
 # --- lattice side ---------------------------------------------------------
+
+
+def named_witness(isometry: str) -> Witness:
+    """The witness of the one survivor of the isometry name's built-in case."""
+    return cases.unique_survivor(cases.ISOMETRY_CASES[isometry])[1]
 
 
 def apply_coords(g: LatticeIsometry, c: Sequence[int]) -> Tuple[int, ...]:

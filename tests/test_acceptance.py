@@ -15,7 +15,7 @@ from orbifold24.affinerep import (
     inner_fixed_subalgebra,
     n_min_column,
 )
-from orbifold24.cases import BUILTIN_CASES, lattice_data, named_witness, verify_tables
+from orbifold24.cases import BUILTIN_CASES, lattice_data, verify_tables
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 from orbifold24.twistbound import invariant_norm, min_twisted_weight, shift_ok
 
@@ -25,6 +25,7 @@ from helpers import (
     fraction_coords,
     inverse_lift,
     ip_coords,
+    named_witness,
     negated,
     rough_lift,
     series_add,
@@ -144,8 +145,8 @@ def test_criterion_8_property_suites():
     ok = True
     # Jacobi identity on >= 10^4 sampled triples of each lattice algebra
     rng = random.Random(2024)
-    for name in ("e6_4", "d4_6"):
-        _, alg = lattice_data(name)
+    for case_id in ("e6g2", "a2x6"):
+        _, alg = lattice_data(BUILTIN_CASES[case_id].expected_target)
         for _ in range(10_000):
             i, j, k = (rng.randrange(alg.dim) for _ in range(3))
             x, y, z = {i: Q(1)}, {j: Q(1)}, {k: Q(1)}
@@ -175,7 +176,7 @@ def test_criterion_8_property_suites():
     )
 
     # identify_type invariance under 20 random lift conjugations
-    nd4, alg_d4 = lattice_data("d4_6")
+    nd4, alg_d4 = lattice_data(BUILTIN_CASES["a2x6"].expected_target)
     iso = latticevoa.build_isometry(nd4, named_witness("sigma2"), "sigma2")
     lift = latticevoa.standard_lift(alg_d4, iso)
     base = str(latticevoa.identify_type(latticevoa.fixed_subalgebra(lift)))

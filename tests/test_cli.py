@@ -14,7 +14,7 @@ from orbifold24 import affinerep, cases, cli, latticevoa, qmodular, rootdata, sc
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
-from helpers import dense_table, from_dense_table, patch_series_coefficient
+from helpers import dense_table, from_dense_table, named_witness, patch_series_coefficient
 
 
 # several ideals, twist denominators up to 11, an h off the dominant chamber,
@@ -573,7 +573,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
          "994a5533f0cc0f22"),
         (["lattice", "--isometry", "sigma2", "--json"],
          "39d37b078bb3906d"),
-        (["verify-all", "--json"], "561a5f08b2e0941c"),
+        (["verify-all", "--json"], "570cc1f97fd88590"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
         (["tables", "--which", "g2.1", "--json"], "75941706ce0140d9"),
@@ -792,11 +792,12 @@ def test_mutated_catalogue_entry_exits_1(capsys, monkeypatch, key, entry, messag
 
 
 def test_mismatched_lattice_and_isometry_exit_2():
-    # the CLI takes the lattice from the isometry's case, so only a library
-    # call can pair them wrongly: sigma2's witness needs six D4 components
-    lat, _ = cases.lattice_data("e6_4")
+    # the CLI takes the lattice from the survivor of the isometry's case, so
+    # only a library call can pair them wrongly: sigma2's witness needs six
+    # D4 components
+    lat, _ = cases.lattice_data(cases.BUILTIN_CASES["e6g2"].expected_target)
     with pytest.raises(ValueError) as exc:
-        latticevoa.build_isometry(lat, cases.named_witness("sigma2"), "sigma2")
+        latticevoa.build_isometry(lat, named_witness("sigma2"), "sigma2")
     assert str(exc.value) == "the witness's ideals are not the lattice's E6,1 E6,1 E6,1 E6,1"
 
 
@@ -841,6 +842,31 @@ def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch):
     assert err == "error: InvariantError: no placement of the sigma4 witness preserves the glue\n"
     for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
         fn.cache_clear()
+
+
+def test_root_system_outside_the_table_is_named():
+    # A2,1^12 is a Niemeier root system that the glue-code table lacks
+    a2_12 = rootdata.SemisimpleTypeWithLevels.parse(" ".join(["A2,1"] * 12))
+    with pytest.raises(InvariantError) as exc:
+        latticevoa.niemeier_code(a2_12)
+    assert str(exc.value) == f"no Niemeier glue code in the table has the root system {a2_12}"
+
+
+@pytest.mark.parametrize(
+    "argv", [["lattice", "--isometry", "sigma2"], ["verify-all"]], ids=["lattice", "verify-all"]
+)
+def test_survivor_without_a_glue_code_exits_1(capsys, monkeypatch, argv):
+    # with D4^6 gone from the table, the a2x6 survivor names no lattice: a
+    # fault in the program's own data, reported on one line
+    caches = (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data)
+    for fn in caches:
+        fn.cache_clear()
+    monkeypatch.setattr(latticevoa, "NI_D4_6", latticevoa.NI_E6_4)
+    code, _, err = run_main(capsys, argv)
+    for fn in caches:
+        fn.cache_clear()
+    assert (code, err) == (1, "error: InvariantError: no Niemeier glue code in the table has"
+                              " the root system D4,1 D4,1 D4,1 D4,1 D4,1 D4,1\n")
 
 
 def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):

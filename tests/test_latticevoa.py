@@ -31,6 +31,7 @@ from orbifold24.latticevoa import (
     identify_type,
     isometry_placements,
     lattice_from_basis,
+    niemeier_code,
     standard_lift,
     twisted_ground_energy,
     types_with_ratio,
@@ -65,6 +66,7 @@ from helpers import (
     ip_coords,
     is_identity,
     lattice_roots,
+    named_witness,
     numpy_lie_tables,
     TYPED_DIGIT_MAPS,
     permutation_first_glue_order,
@@ -77,7 +79,7 @@ from helpers import (
 
 def built_isometry(lat, name):
     """The builder's isometry for the named built-in case's forward witness."""
-    return build_isometry(lat, cases.named_witness(name), name)
+    return build_isometry(lat, named_witness(name), name)
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +215,7 @@ def test_every_catalogue_entry_is_used_by_a_builtin_witness():
     used = {
         (ideals[0][0], kind, str(option))
         for name in ("sigma6", "sigma2", "sigma4")
-        for kind, ideals, option in cases.named_witness(name)
+        for kind, ideals, option in named_witness(name)
     }
     assert used == set(CATALOGUE_KEYS)
 
@@ -273,7 +275,7 @@ def test_sigma4_search_certifies_43_candidates(nd4, monkeypatch):
     monkeypatch.setattr(latticevoa, "_slot_maps_to_isometry", counting)
     built_isometry(nd4, "sigma4")
     assert len(calls) == 43
-    assert calls == list(isometry_placements(nd4, cases.named_witness("sigma4")))[:43]
+    assert calls == list(isometry_placements(nd4, named_witness("sigma4")))[:43]
 
 
 def test_catalogue_matrix_is_built_once(nd4, monkeypatch):
@@ -307,6 +309,20 @@ def test_witness_that_does_not_fit_is_a_value_error(ne6, nd4):
 def test_algebra_dims(alg_e6, alg_d4):
     assert alg_e6.dim == 312
     assert alg_d4.dim == 168
+
+
+def test_identity_isometry_gives_the_root_system_each_code_is_keyed_by(ne6, nd4, alg_e6, alg_d4):
+    # oracle for the lookup by root system: the identity's fixed subalgebra
+    # is the whole weight-one algebra, identified with the exact certificate
+    for code, lat, alg in ((NI_E6_4, ne6, alg_e6), (NI_D4_6, nd4, alg_d4)):
+        n = lat.rank
+        ident = LatticeIsometry(
+            lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+        )
+        fixed = fixed_subalgebra(standard_lift(alg, ident))
+        found = identify_type(fixed)
+        assert found == code.root_system() and niemeier_code(found) is code
+        assert fixed.dim == 24 + alg.n_roots
 
 
 @pytest.mark.parametrize("which", ["e6", "d4"])
@@ -1168,7 +1184,7 @@ def test_slot_maps_match_fraction_oracle(ne6, nd4):
     # the rejected rest (the Fraction products take 5 ms a candidate)
     rng = random.Random(4)
     for lat, name in ((ne6, "sigma6"), (nd4, "sigma2"), (nd4, "sigma4")):
-        candidates = list(isometry_placements(lat, cases.named_witness(name)))
+        candidates = list(isometry_placements(lat, named_witness(name)))
         decisions = [
             slot_map_decision(_slot_maps_to_isometry, lat, sm) for sm in candidates
         ]
@@ -1192,10 +1208,9 @@ def test_isometry_order_and_fixed_basis_are_computed_once():
                latticevoa._matrix_order, latticevoa._fixed_coords):
         fn.cache_clear()
     for iso, cf in cases.ISOMETRY_CASES.items():
-        witness = cases.named_witness(iso)
-        cases.lattice_fixed_type(cf, witness)
+        cases.lattice_fixed_type(cf)
         cases.check_isometry(Report("isometry"), iso)
-        twisted_ground_energy(cases.lattice_isometry(cf, witness))
+        twisted_ground_energy(cases.lattice_isometry(cf))
     assert latticevoa._matrix_order.cache_info().misses == 3
     assert latticevoa._fixed_coords.cache_info().misses == 3
 
@@ -1216,9 +1231,10 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
     # integers; only the digit actions of the reflection words pair with the
     # rational digit representatives, so a Fraction loop coming back shows
     # as thousands here.  The catalogue is built afresh, so it is counted
-    lat, _ = cases.lattice_data("d4_6")
+    lat, _ = cases.lattice_data(NI_D4_6.root_system())
     roots = lattice_roots(lat)
-    witness = cases.named_witness("sigma4")
+    cf = cases.ISOMETRY_CASES["sigma4"]
+    cases.unique_survivor(cf)  # the forward chain is built before the count
     cases.lattice_isometry.cache_clear()
     latticevoa._catalogue_powers.cache_clear()
     built = [0]
@@ -1229,7 +1245,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
-    iso = cases.lattice_isometry(cases.ISOMETRY_CASES["sigma4"], witness)
+    iso = cases.lattice_isometry(cf)
     during_isometry = built[0]
     coords = [lat.coords_of(r) for r in roots]
     during_coords = built[0] - during_isometry

@@ -216,7 +216,7 @@ def test_chain_types_carry_int_levels():
         candidates = enumerate_candidates(dim, Q(dim - 24, 24))
         types = [fixed, *candidates]
         for survivor, witness in filter_candidates(candidates, fixed):
-            types += [survivor, lattice_fixed_type(cf, tuple(witness))[0]]
+            types += [survivor, lattice_fixed_type(cf)[0]]
             types += [contribution for _, _, contribution in witness]
         assert len(types) > len(candidates) + 3
         assert all(type(k) is int for ty in types for _, k in ty.ideals)
