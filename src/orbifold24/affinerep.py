@@ -12,7 +12,6 @@ order-3 orbifold cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
@@ -58,8 +57,7 @@ class AffineAlgebra(_AffineAlgebraKey):
         return f"{self.type},{self.level}"
 
 
-@dataclass(frozen=True)
-class AffineModuleTable:
+class AffineModuleTable(NamedTuple):
     """One column per quantity, in table order: the admissible weights, their
     lowest weights w0.lam, and the conformal weights as (den, numerators) in
     lowest terms."""
@@ -67,9 +65,6 @@ class AffineModuleTable:
     weights: Tuple[IntCoords, ...]
     lowest: Tuple[IntCoords, ...]
     cw_column: Tuple[int, Tuple[int, ...]]
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @lru_cache(maxsize=None)
@@ -136,7 +131,7 @@ def n_min_column(
     den, v = h
     table = enumerate_level_weights(a)
     if not any(v):
-        return den * rs.scale, [0] * len(table), [0] * len(table)
+        return den * rs.scale, [0] * len(table.weights), [0] * len(table.weights)
     dual = rs.covector(dominant_conjugate(rs, v))
     pos = [sum(map(mul, dual, low)) for low in table.lowest]
     neg = [-sum(map(mul, dual, lam)) for lam in table.weights]

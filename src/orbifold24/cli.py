@@ -110,7 +110,7 @@ def cmd_candidates(args: argparse.Namespace) -> Report:
     rep = Report("candidate enumeration")
     cands = schellekens.enumerate_candidates(args.dim, args.ratio)
     rep.note("candidates", [str(c) for c in cands])
-    if args.fixed:
+    if args.fixed is not None:
         target = SemisimpleTypeWithLevels.parse(args.fixed)
         survivors = schellekens.filter_candidates(cands, target)
         rep.note("survivors of the order-3 filter", [str(c) for c, _ in survivors])

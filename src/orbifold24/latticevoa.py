@@ -31,7 +31,6 @@ exact, in Python integers and `Fraction`s.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm, prod
@@ -88,8 +87,7 @@ def digit_add(t: SimpleType, a: int, b: int) -> int:
     raise ValueError(f"no glue digits defined for {t}")
 
 
-@dataclass(frozen=True)
-class GlueCode:
+class GlueCode(NamedTuple):
     """Component root-lattice types with generator digit words."""
 
     components: Tuple[SimpleType, ...]
@@ -157,8 +155,7 @@ def niemeier_code(root_system: SemisimpleTypeWithLevels) -> GlueCode:
 # lattice assembly
 
 
-@dataclass(frozen=True)
-class EvenLattice:
+class EvenLattice(NamedTuple):
     """Even positive-definite lattice with an integer-scaled basis.
 
     Basis row i is basis[i] / scale in ambient coordinates, and the inverse
@@ -169,10 +166,10 @@ class EvenLattice:
     code: GlueCode
     basis: Tuple[IntVec, ...]                   # rows, ambient coordinates
     scale: int
-    basis_inv: Tuple[IntVec, ...] = field(repr=False)
-    inv_scale: int = field(repr=False)
-    ambient_gram: Tuple[IntVec, ...] = field(repr=False)
-    gram: Tuple[IntVec, ...] = field(repr=False)
+    basis_inv: Tuple[IntVec, ...]
+    inv_scale: int
+    ambient_gram: Tuple[IntVec, ...]
+    gram: Tuple[IntVec, ...]
 
     @property
     def rank(self) -> int:
@@ -318,8 +315,7 @@ def _negative_pairs(t: SimpleType) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
 # component isometries and the three named lattice isometries
 
 
-@dataclass(frozen=True)
-class LatticeIsometry:
+class LatticeIsometry(NamedTuple):
     """Integer matrix in lattice-basis coordinates (row-vector action)."""
 
     lattice: EvenLattice
@@ -700,8 +696,7 @@ def weight_one_algebra(lat: EvenLattice) -> LatticeLieAlgebra:
 # standard lifts
 
 
-@dataclass(frozen=True)
-class LiftedAutomorphism:
+class LiftedAutomorphism(NamedTuple):
     """Algebra automorphism covering an isometry: e^a -> phase(a) e^(ga)."""
 
     algebra: LatticeLieAlgebra
@@ -891,8 +886,7 @@ class ComponentOrbit(NamedTuple):
     indices: Tuple[int, ...]
 
 
-@dataclass
-class FixedSubalgebra:
+class FixedSubalgebra(NamedTuple):
     """Fixed points of an order-3 lifted automorphism as a structure table.
 
     `basis` lists the fixed basis vectors in the big algebra: the fixed

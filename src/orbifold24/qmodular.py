@@ -18,18 +18,16 @@ twisted dimensions at weights 1/3 and 2/3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .exactmath import InvariantError
 
 
-@dataclass(frozen=True)
-class PuiseuxSeries:
+class PuiseuxSeries(NamedTuple):
     """Truncated series sum_n c_n q^(n/denom), exact below exponent trunc."""
 
     denom: int

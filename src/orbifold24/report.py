@@ -10,9 +10,8 @@ JSON output is byte-stable: keys sorted, rationals rendered as "p/q".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from typing import Any, List
+from typing import Any, List, Sequence
 
 from .affinerep import AffineAlgebra
 from .rootdata import SemisimpleTypeWithLevels, SimpleType
@@ -73,13 +72,22 @@ def _encode(v: Any, pad: str) -> str:
     raise TypeError(f"{type(v).__name__} does not belong in a rendered report")
 
 
-@dataclass
 class Step:
-    name: str
-    computed: Any
-    expected: Any = None
-    verdict: str = INFO
-    source: str = ""
+    __slots__ = ("name", "computed", "expected", "verdict", "source")
+
+    def __init__(
+        self,
+        name: str,
+        computed: Any,
+        expected: Any = None,
+        verdict: str = INFO,
+        source: str = "",
+    ) -> None:
+        self.name = name
+        self.computed = computed
+        self.expected = expected
+        self.verdict = verdict
+        self.source = source
 
     def to_dict(self) -> dict:
         return {
@@ -91,11 +99,11 @@ class Step:
         }
 
 
-@dataclass
 class Report:
-    title: str
-    steps: List[Step] = field(default_factory=list)
-    assumptions: List[str] = field(default_factory=list)
+    def __init__(self, title: str, assumptions: Sequence[str] = ()) -> None:
+        self.title = title
+        self.steps: List[Step] = []
+        self.assumptions: List[str] = list(assumptions)
 
     def check(
         self,

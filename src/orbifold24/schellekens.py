@@ -11,12 +11,11 @@ a fixed-subalgebra target filters the candidates mechanically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from operator import add, le
-from typing import Callable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rootdata import (
     SemisimpleTypeWithLevels,
@@ -80,8 +79,7 @@ def _order3_label_vectors(t: SimpleType) -> List[Tuple[int, ...]]:
     return [v for b, v in partial if b == 0 and gcd(*v) == 1]
 
 
-@dataclass(frozen=True)
-class FixedOption:
+class FixedOption(NamedTuple):
     """One realizable fixed subalgebra of an order-3 action on a simple ideal."""
 
     result: SemisimpleTypeWithLevels

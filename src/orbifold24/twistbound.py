@@ -19,30 +19,35 @@ the completions that make its own sum integral.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from math import lcm, prod
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
 from .exactmath import InvariantError
 from .rootdata import IntCoords, ScaledCoords, dominant_conjugate
 
 
-@dataclass(frozen=True)
-class CaseSpec:
+class _CaseSpecFields(NamedTuple):
+    ambient: Tuple[AffineAlgebra, ...]
+    h: Tuple[ScaledCoords, ...]
+
+
+class CaseSpec(_CaseSpecFields):
     """Ambient semisimple algebra with levels and twist vector.
 
     h holds one twist component per ideal as (den, den * h_i), integral.
     """
 
-    ambient: Tuple[AffineAlgebra, ...]
-    h: Tuple[ScaledCoords, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.h) != len(self.ambient):
+    def __new__(
+        cls, ambient: Tuple[AffineAlgebra, ...], h: Tuple[ScaledCoords, ...]
+    ) -> "CaseSpec":
+        if len(h) != len(ambient):
             raise ValueError("twist vector length does not match ideal count")
+        return super().__new__(cls, ambient, h)
 
 
 def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
@@ -202,4 +207,4 @@ def min_twisted_weight(
 
 def tuple_space_size(c: CaseSpec) -> int:
     """Number of weight tuples: the product of the ideals' table sizes."""
-    return prod(len(enumerate_level_weights(a)) for a in c.ambient)
+    return prod(len(enumerate_level_weights(a).weights) for a in c.ambient)

@@ -120,7 +120,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -1784,8 +1783,7 @@ def from_dense_table(
 ) -> FixedSubalgebra:
     """A copy of fx whose rows are read off dense tables, keeping the
     nonzero entries alone, as `fixed_subalgebra` stores them."""
-    return dataclasses.replace(
-        fx,
+    return fx._replace(
         brackets=[{j: dict(e) for j, e in enumerate(row) if e} for row in brackets],
         gram=[{j: v for j, v in enumerate(row) if v} for row in gram],
     )

@@ -48,7 +48,7 @@ def test_criterion_1_module_tables():
         rep.extend(verify_tables(fam))
     elapsed = time.monotonic() - t0
     counts = [
-        len(enumerate_level_weights(AffineAlgebra(SimpleType(f, r), k)))
+        len(enumerate_level_weights(AffineAlgebra(SimpleType(f, r), k)).weights)
         for f, r, k in (("G", 2, 1), ("A", 2, 3), ("A", 1, 1), ("A", 5, 3), ("D", 4, 3))
     ]
     ok = rep.verdict == "pass" and counts == [2, 10, 2, 56, 24] and elapsed < 5.0

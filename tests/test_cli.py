@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -51,7 +50,7 @@ def _shift_n_min(a, h):
 def _shift_cw(a):
     table = affinerep.enumerate_level_weights(a)
     den, cws = table.cw_column
-    return dataclasses.replace(table, cw_column=(den, (cws[0], cws[1] + 1, *cws[2:])))
+    return table._replace(cw_column=(den, (cws[0], cws[1] + 1, *cws[2:])))
 
 
 @pytest.mark.parametrize(
@@ -350,6 +349,14 @@ def test_malformed_case_file_exits_2(tmp_path, capsys, case):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_empty_fixed_type_runs_the_filter(capsys):
+    # '' and ' ' both name the zero algebra, so both run the order-3 filter
+    argv = ["candidates", "--dim", "312", "--ratio", "12", "--json", "--fixed"]
+    empty, blank = (run_main(capsys, argv + [fixed]) for fixed in ("", " "))
+    assert empty == blank
+    assert empty[0] == 0 and "survivors of the order-3 filter" in empty[1]
 
 
 @pytest.mark.parametrize(
@@ -725,7 +732,7 @@ def test_broken_glue_code_exits_1(capsys, monkeypatch, name, isometry, old, new)
     code = getattr(latticevoa, attr)
     gens = tuple(new if g == old else g for g in code.generators)
     assert gens != code.generators
-    monkeypatch.setattr(latticevoa, attr, dataclasses.replace(code, generators=gens))
+    monkeypatch.setattr(latticevoa, attr, code._replace(generators=gens))
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--isometry", isometry])
     assert exc.value.code == 1
@@ -874,9 +881,7 @@ def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):
     # has index 2 in a unimodular lattice: Gram determinant 4, exit 1
     code = latticevoa.NI_D4_6
     for k in range(len(code.generators)):
-        short = dataclasses.replace(
-            code, generators=code.generators[:k] + code.generators[k + 1:]
-        )
+        short = code._replace(generators=code.generators[:k] + code.generators[k + 1:])
         with pytest.raises(InvariantError, match="determinant 4, not 1$"):
             latticevoa.assemble_niemeier(short)
         for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):

@@ -1,4 +1,3 @@
-import dataclasses
 import fractions
 import random
 from fractions import Fraction as Q
@@ -176,7 +175,7 @@ def _inverse_entry_changed():
     lat = root_lattice(SimpleType("A", 2))
     inv = [[2 * x for x in row] for row in lat.basis_inv]
     inv[0][0] += 1
-    return dataclasses.replace(lat, basis_inv=tuple(map(tuple, inv)), inv_scale=2)
+    return lat._replace(basis_inv=tuple(map(tuple, inv)), inv_scale=2)
 
 
 @pytest.mark.parametrize(
@@ -654,7 +653,7 @@ def test_flipped_orbit_phases_raise(which, message, fixed_algebras):
     phase = list(lift.root_phase)
     phase[k] *= -1
     phase[k1] *= -1
-    bad = dataclasses.replace(lift, root_phase=tuple(phase))
+    bad = lift._replace(root_phase=tuple(phase))
     with pytest.raises(InvariantError, match=message):
         fixed_subalgebra(bad)
 
@@ -979,7 +978,7 @@ def test_a_block_with_two_eigenvalues_raises(fixed_algebras):
     _, fx = fixed_algebras["sigma2"]
     a, b = fx.orbits[:2]
     merged = latticevoa.ComponentOrbit(a.type, 1, a.indices + b.indices)
-    joined = dataclasses.replace(fx, orbits=[merged] + fx.orbits[2:])
+    joined = fx._replace(orbits=[merged] + fx.orbits[2:])
     ambiguous = r"fits 2 types: A1,2 A1,2 C2,3; A2,3 A2,3"
     with pytest.raises(IdentificationError, match=ambiguous):
         identify_type(joined)

@@ -1,10 +1,12 @@
-"""Start-up: the package never imports numpy.
+"""Start-up: the package never imports numpy, dataclasses or inspect.
 
 These checks run in a fresh interpreter, because this test process has
 numpy loaded already.  The child sets `sys.modules["numpy"] = None` before
 it imports the CLI, so any attempt to import numpy fails.  It then runs
 every subcommand, `lattice` and `verify-all` included, and reports
-`sys.modules` after the import and after the last subcommand.
+`sys.modules` after the import and after the last subcommand.  Importing
+dataclasses costs every process ~7 ms, as it pulls in inspect, ast, dis and
+tokenize, so the package's record types are NamedTuples and plain classes.
 """
 
 import json
@@ -36,6 +38,8 @@ sys.modules["numpy"] = None
 def loaded():
     return {
         "numpy": sys.modules["numpy"] is not None,
+        "dataclasses": "dataclasses" in sys.modules,
+        "inspect": "inspect" in sys.modules,
         "package": sorted(m for m in sys.modules if m.startswith("orbifold24.")),
     }
 
@@ -73,7 +77,9 @@ def test_cli_import_loads_every_module_but_not_numpy(stages):
     package = sorted(
         f"orbifold24.{m.name}" for m in pkgutil.iter_modules(orbifold24.__path__)
     )
-    assert stages["import"] == {"numpy": False, "package": package}
+    assert stages["import"] == {
+        "numpy": False, "dataclasses": False, "inspect": False, "package": package
+    }
 
 
 def test_every_subcommand_runs_without_numpy(stages):
@@ -83,6 +89,8 @@ def test_every_subcommand_runs_without_numpy(stages):
 
 def test_nothing_loads_numpy_and_gives_the_same_output(stages, capsys):
     assert stages["after_commands"]["numpy"] is False
+    assert stages["after_commands"]["dataclasses"] is False
+    assert stages["after_commands"]["inspect"] is False
     for argv, child in zip(COMMANDS, stages["commands"]):
         code = main(argv)
         assert child == {"code": code, "out": capsys.readouterr().out}, argv

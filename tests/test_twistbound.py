@@ -63,6 +63,11 @@ def test_shift_ok(case):
     assert shift_ok(case)
 
 
+def test_case_spec_rejects_a_twist_vector_one_entry_short():
+    with pytest.raises(ValueError, match="^twist vector length does not match ideal count$"):
+        CaseSpec(CASE1.ambient, CASE1.h[:-1])
+
+
 def test_shift_ok_zero_twist():
     g2 = build_root_system(SimpleType("G", 2))
     c = CaseSpec(
@@ -397,7 +402,7 @@ def test_untwisted_ideal_gets_zero_columns_without_a_covector(monkeypatch):
     import orbifold24.affinerep as affinerep
 
     a = AffineAlgebra(SimpleType("E", 6), 2)
-    rows = len(enumerate_level_weights(a))
+    rows = len(enumerate_level_weights(a).weights)
     want = brute_force_min(a.root_system(), (Q(0),) * 6, (0,) * 6)
     assert want == 0
 
