@@ -450,7 +450,7 @@ def verify_lattice(seed: int = 0) -> Report:
         source="reference",
     )
     u0 = s6.lattice.code.word_vector((1, 0, 0, 0))
-    proj0, _ = latticevoa.fixed_projection_norm(s6, u0)
+    (_, proj0), _ = latticevoa.fixed_projection_norm(s6, u0)
     rep.check("sigma6: first glue digit projects to zero", all(x == 0 for x in proj0), True)
     rep.check(
         "orthogonal A2^3 sublattices of E6",

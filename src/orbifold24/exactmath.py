@@ -1,21 +1,20 @@
 """Exact numeric substrate: one integer elimination core.
 
-Exact scalars are `int` or `fractions.Fraction`, and matrices are dense
-lists of rows acting on row vectors.  Every rank, inverse, unimodularity
-test and integer kernel in the package comes from one reduction, the row
-Hermite normal form of an integer matrix: `hnf_with_transform` carries
-the unimodular transform along, and `rank` reduces without it.  A
-rational matrix enters with each row cleared of its denominators.  The
+Matrices are dense lists of integer rows acting on row vectors.  Every
+rank, inverse, unimodularity test and integer kernel in the package comes
+from one reduction, the row Hermite normal form of an integer matrix:
+`hnf_with_transform` carries the unimodular transform along, and `rank`
+reduces without it.  A rational matrix has one form, integer rows over a
+common denominator, so an inverse is `integer_inverse`'s Y / d.  The
 package has no floating-point step.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
-from math import gcd, lcm, prod
-from typing import List, Sequence, Tuple, Union
+from math import gcd, prod
+from typing import List, Sequence, Tuple
 
-Matrix = Sequence[Sequence[Union[int, Q]]]
+Matrix = Sequence[Sequence[int]]
 
 
 class InvariantError(Exception):
@@ -30,8 +29,8 @@ def transpose(m: Sequence[Sequence]) -> List[List]:
     return [list(col) for col in zip(*m)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> List[List[Q]]:
-    """Matrix product; integer inputs give an integer product."""
+def mat_mul(a: Matrix, b: Matrix) -> List[List[int]]:
+    """Matrix product."""
     n, k, m = len(a), len(b), len(b[0])
     out = [[0] * m for _ in range(n)]
     for i in range(n):
@@ -105,20 +104,10 @@ def integer_row_kernel(m: Sequence[Sequence[int]]) -> List[List[int]]:
     return [u[i] for i in range(len(m)) if not any(h[i])]
 
 
-def _cleared_rows(m: Matrix) -> Tuple[List[List[int]], List[int]]:
-    """Integer rows D m and the diagonal of D: row i times the least common
-    denominator of its entries."""
-    rows, dens = [], []
-    for row in m:
-        d = lcm(*[x.denominator for x in row])
-        rows.append([int(x * d) for x in row] if d > 1 else list(map(int, row)))
-        dens.append(d)
-    return rows, dens
-
-
 def rank(m: Matrix) -> int:
-    """Rank over Q: the nonzero rows of the Hermite normal form, without U."""
-    rows = _cleared_rows(m)[0]
+    """Rank over Q of integer rows: the nonzero rows of the Hermite normal
+    form, without U."""
+    rows = [list(row) for row in m]
     return sum(1 for row in _hnf(rows, len(rows[0]) if rows else 0) if any(row))
 
 
@@ -144,11 +133,3 @@ def integer_inverse(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:
         y[i] = [a // h[i][i] for a in acc]
     g = gcd(d, *(x for row in y for x in row))
     return [[x // g for x in row] for row in y], d // g
-
-
-def inverse(m: Matrix) -> List[List[Q]]:
-    """Exact inverse in `Fraction`s; ValueError when it is singular.  For
-    the integer rows M = D m and M^-1 = Y / d, m^-1 = M^-1 D = Y D / d."""
-    big, dens = _cleared_rows(m)
-    y, d = integer_inverse(big)
-    return [[Q(x * dj, d) for x, dj in zip(row, dens)] for row in y]

@@ -25,7 +25,9 @@ table and form as rows of nonzero entries, graded by the fixed Cartan t:
 the grading and orbit-block checks walk the stored entries, and the Killing
 form sums them one weight block at a time.  Twisted ground energies are
 read off the eigenvalue multiplicities of an order-3 isometry.  All of it is
-exact, in Python integers and `Fraction`s.
+exact, in Python integers: root data and glue vectors are integer rows over
+one denominator each, and a rational result, such as a norm, a ground
+energy or an eigenvalue ratio, is one `Fraction` made at the end.
 """
 
 from __future__ import annotations
@@ -41,13 +43,15 @@ from typing import (
 
 from .exactmath import (
     InvariantError, Matrix, hnf_with_transform, identity, integer_inverse,
-    integer_row_kernel, inverse, mat_mul, rank, transpose,
+    integer_row_kernel, mat_mul, rank, transpose,
 )
-from .rootdata import SemisimpleTypeWithLevels, SimpleType, _affine_diagram, build_root_system
+from .rootdata import (
+    ScaledCoords, SemisimpleTypeWithLevels, SimpleType, _affine_diagram, _gram_matrix,
+    build_root_system,
+)
 from . import schellekens
 from .schellekens import Witness, enumerate_candidates
 
-Vec = Tuple[Q, ...]
 IntVec = Tuple[int, ...]
 
 
@@ -59,22 +63,22 @@ E6, D4 = SimpleType("E", 6), SimpleType("D", 4)
 
 
 @lru_cache(maxsize=None)
-def _digit_reps(t: SimpleType) -> Tuple[Vec, ...]:
+def _digit_reps(t: SimpleType) -> Tuple[int, Tuple[IntVec, ...]]:
     """Coset representatives of the discriminant group, in simple-root coords,
-    indexed by glue digit."""
-    rs = build_root_system(t)
-    inv = inverse(rs.simple_roots)
-    weights = [tuple(inv[i]) for i in range(rs.rank)]  # row i = fund weight i
+    indexed by glue digit, as (den, den * representatives): den is the least
+    common denominator of the inverse Cartan matrix Y / den, whose row i is
+    fundamental weight i."""
+    y, den = integer_inverse(build_root_system(t).simple_roots)
+    zero = (0,) * t.rank
     if t == E6:
         # Z3 cosets: [1] and [2] are the two minuscule classes
-        reps = (tuple([Q(0)] * 6), weights[0], weights[5])
-        diff = tuple(2 * a - b for a, b in zip(reps[1], reps[2]))
-        if any(x.denominator != 1 for x in diff):
+        reps = (zero, tuple(y[0]), tuple(y[5]))
+        if any((2 * a - b) % den for a, b in zip(reps[1], reps[2])):
             raise InvariantError("[2] must be 2*[1]")
-        return reps
+        return den, reps
     if t == D4:
         # Klein cosets: the three minuscule weights on the outer nodes
-        return (tuple([Q(0)] * 4), weights[3], weights[0], weights[2])
+        return den, (zero, tuple(y[3]), tuple(y[0]), tuple(y[2]))
     raise ValueError(f"no glue digits defined for {t}")
 
 
@@ -112,8 +116,13 @@ class GlueCode(NamedTuple):
             frontier = nxt
         return frozenset(seen)
 
-    def word_vector(self, w: IntVec) -> Vec:
-        return tuple(x for t, d in zip(self.components, w) for x in _digit_reps(t)[d])
+    def word_vector(self, w: IntVec) -> ScaledCoords:
+        """The glue vector of w in ambient coordinates as (den, den * vector),
+        den the least common multiple of the components' digit denominators:
+        the same for every word of the code."""
+        reps = [_digit_reps(t) for t in self.components]
+        den = lcm(*(d for d, _ in reps))
+        return den, tuple(x * (den // d) for (d, r), c in zip(reps, w) for x in r[c])
 
     def root_system(self) -> SemisimpleTypeWithLevels:
         """The components at level 1, the weight-one type of the lattice VOA."""
@@ -168,15 +177,11 @@ class EvenLattice(NamedTuple):
     scale: int
     basis_inv: Tuple[IntVec, ...]
     inv_scale: int
-    ambient_gram: Tuple[IntVec, ...]
     gram: Tuple[IntVec, ...]
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def ip_ambient(self, x: Vec, y: Vec) -> Q:
-        return mat_mul(mat_mul([x], self.ambient_gram), transpose([y]))[0][0]
 
     def coords_of(self, x: Sequence, den: int = 1) -> Optional[IntVec]:
         """Lattice-basis coordinates of the ambient vector x / den, or None."""
@@ -212,12 +217,11 @@ def lattice_from_basis(
     blocks = [[0] * n for _ in range(n)]
     pos = 0
     for t in code.components:
-        rs = build_root_system(t)
-        for i in range(t.rank):
-            for j in range(t.rank):
-                if rs.gram[i][j].denominator != 1:
-                    raise InvariantError(f"the {t} root lattice is not integral")
-                blocks[pos + i][pos + j] = int(rs.gram[i][j])
+        g, s = _gram_matrix(t)
+        if s != 1:
+            raise InvariantError(f"the {t} root lattice is not integral")
+        for i, row in enumerate(g):
+            blocks[pos + i][pos:pos + t.rank] = row
         pos += t.rank
     rows = [list(r) for r in rows]
     gram_s = mat_mul(mat_mul(rows, blocks), transpose(rows))
@@ -236,7 +240,6 @@ def lattice_from_basis(
         scale,
         tuple(tuple(x * (scale // g) for x in row) for row in y),
         d // g,
-        tuple(tuple(r) for r in blocks),
         gram,
     )
 
@@ -244,12 +247,10 @@ def lattice_from_basis(
 def assemble_niemeier(code: GlueCode) -> EvenLattice:
     """Lattice from component roots plus glue; verified even and unimodular."""
     rank = sum(t.rank for t in code.components)
-    gens: List[Vec] = [
-        tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
-    ]
-    gens.extend(code.word_vector(g) for g in code.generators)
-    den = lcm(*[x.denominator for row in gens for x in row])
-    int_rows = [[int(x * den) for x in row] for row in gens]
+    glue = [code.word_vector(g) for g in code.generators]
+    den = glue[0][0]
+    int_rows = [[den * (j == i) for j in range(rank)] for i in range(rank)]
+    int_rows.extend(list(v) for _, v in glue)
     h, _ = hnf_with_transform(int_rows)
     basis_rows = [r for r in h if any(r)]
     if len(basis_rows) != rank:
@@ -266,24 +267,27 @@ def assemble_niemeier(code: GlueCode) -> EvenLattice:
 
 
 @lru_cache(maxsize=None)
-def _coset_norm_floor(t: SimpleType, d: int) -> Q:
-    """Least positive value congruent mod 2Z to the norm of digit d's coset."""
-    rs = build_root_system(t)
-    rep = _digit_reps(t)[d]
-    n = mat_mul(mat_mul([rep], rs.gram), transpose([rep]))[0][0]
-    return n % 2 or Q(2)
+def _coset_norm_floor(t: SimpleType, d: int) -> Tuple[int, int]:
+    """Least positive value congruent mod 2Z to the norm of digit d's coset,
+    as (unit * value, unit).  The representative is rep / den and the gram
+    g / scale, so the norm is rep g rep^T over unit = den^2 scale."""
+    den, reps = _digit_reps(t)
+    g, scale = _gram_matrix(t)
+    unit = den * den * scale
+    n = mat_mul(mat_mul([reps[d]], g), transpose([reps[d]]))[0][0]
+    return n % (2 * unit) or 2 * unit, unit
 
 
 def coset_norm_lower_bound(code: GlueCode, word: IntVec) -> Q:
     """Smallest norm possibly occurring in the glue coset of a word.
 
     Coset norms are fixed mod 2Z, so the bound sums, over nonzero digits,
-    the least positive value congruent to the digit representative's norm.
+    the least positive value congruent to the digit representative's norm,
+    over the common unit of the digits' floors.
     """
-    return sum(
-        (_coset_norm_floor(t, d) for t, d in zip(code.components, word) if d),
-        Q(0),
-    )
+    floors = [_coset_norm_floor(t, d) for t, d in zip(code.components, word) if d]
+    unit = lcm(*(u for _, u in floors))
+    return Q(sum(n * (unit // u) for n, u in floors), unit)
 
 
 @lru_cache(maxsize=None)
@@ -321,11 +325,6 @@ class LatticeIsometry(NamedTuple):
     lattice: EvenLattice
     matrix: Tuple[IntVec, ...]
     name: str
-
-    def ambient_matrix(self) -> List[List[Q]]:
-        lat = self.lattice
-        m = mat_mul(mat_mul(lat.basis_inv, self.matrix), lat.basis)
-        return [[Q(x, lat.inv_scale * lat.scale) for x in row] for row in m]
 
     def order(self) -> int:
         return _matrix_order(self.matrix)
@@ -431,15 +430,17 @@ def local_isometry(
 
 
 def disc_digit_action(t: SimpleType, local: List[List[int]]) -> Dict[int, int]:
-    """Induced permutation of the glue digits (trivial exactly on Weyl part)."""
-    reps = _digit_reps(t)
+    """Induced permutation of the glue digits (trivial exactly on Weyl part):
+    the image of each representative lies in the coset of the one it is
+    congruent to mod den."""
+    den, reps = _digit_reps(t)
     out: Dict[int, int] = {}
     for d, rep in enumerate(reps):
         img = mat_mul([rep], local)[0]
         matches = [
             d2
             for d2, rep2 in enumerate(reps)
-            if all((a - b).denominator == 1 for a, b in zip(img, rep2))
+            if not any((a - b) % den for a, b in zip(img, rep2))
         ]
         if len(matches) != 1:
             raise InvariantError(f"digit {d} maps to {len(matches)} cosets")
@@ -565,7 +566,8 @@ class LatticeLieAlgebra:
     {index: int} maps: every structure constant is +-1 or a lattice inner
     product.  eps is bimultiplicative with
     eps(b_i, b_j) = (-1)^(b_i|b_j) for i > j and 1 otherwise, which gives the
-    commutation rule e^b e^a = (-1)^(a|b) e^a e^b.
+    commutation rule e^b e^a = (-1)^(a|b) e^a e^b: eps(x, y) = (-1)^(x L y)
+    for L = `eps_low`, the strict lower triangle of the gram mod 2.
 
     Two plain tables, built once, hold every structure constant: cr[k][i] is
     (b_i|a_k), and pairs[k] maps each root l with (a_k|a_l) < 0 to (the index
@@ -611,8 +613,8 @@ class LatticeLieAlgebra:
 
         at = {(c, p): k for k, (_, c, p) in enumerate(roots)}
         # eps(x, y) = (-1)^(x L y), L the strict lower triangle of the gram
-        low = [[x & 1 if j < i else 0 for j, x in enumerate(row)]
-               for i, row in enumerate(lat.gram)]
+        low = self.eps_low = [[x & 1 if j < i else 0 for j, x in enumerate(row)]
+                              for i, row in enumerate(lat.gram)]
         cr, pairs = [], []                      # per component, by local index
         for c, t in enumerate(types):
             e = simple[c]
@@ -796,9 +798,8 @@ def _solve_f2(rows: List[int], rhs: List[int], n: int) -> Optional[int]:
 def _twist_bits(alg: LatticeLieAlgebra, gm: List[List[int]]) -> List[List[int]]:
     """Bits of the symmetric bicharacter eps(gx, gy) / eps(x, y) on the
     lattice basis.  eps(x, y) = (-1)^(x L y), L the strict lower triangle of
-    the gram mod 2, so the bits are G L G^T + L mod 2."""
-    low = [[x & 1 if j < i else 0 for j, x in enumerate(row)]
-           for i, row in enumerate(alg.lattice.gram)]
+    the gram mod 2 (`alg.eps_low`), so the bits are G L G^T + L mod 2."""
+    low = alg.eps_low
     h_bits = [
         [(a + b) % 2 for a, b in zip(twisted, plain)]
         for twisted, plain in zip(mat_mul(mat_mul(gm, low), transpose(gm)), low)
@@ -1282,17 +1283,27 @@ def twisted_ground_energy(g: LatticeIsometry) -> Tuple[Q, List[int]]:
     return rho, mults
 
 
-def fixed_projection_norm(g: LatticeIsometry, u: Vec) -> Tuple[Vec, Q]:
-    """Orthogonal projection of a dual vector onto the fixed subspace of g."""
+def fixed_projection_norm(
+    g: LatticeIsometry, u: ScaledCoords
+) -> Tuple[ScaledCoords, Q]:
+    """Orthogonal projection of an ambient vector u = (den, den * u) onto the
+    fixed subspace of g, and its norm.
+
+    The projection is (c + cM + ... + cM^(n-1)) / n in lattice coordinates,
+    M the matrix of g of order n and c = u basis^-1 = (den u) basis_inv over
+    den inv_scale; it is returned as (D, D * projection) with
+    D = n den inv_scale, and its norm is one Fraction over D^2 through the
+    integer gram."""
     n = g.order()
-    amb = g.ambient_matrix()
-    cur = list(u)
-    acc = list(u)
+    lat = g.lattice
+    den, v = u
+    cur = acc = mat_mul([v], lat.basis_inv)[0]
     for _ in range(n - 1):
-        cur = mat_mul([cur], amb)[0]
+        cur = mat_mul([cur], g.matrix)[0]
         acc = [a + b for a, b in zip(acc, cur)]
-    proj = tuple(a / n for a in acc)
-    return proj, g.lattice.ip_ambient(proj, proj)
+    d = n * den * lat.inv_scale
+    norm = mat_mul(mat_mul([acc], lat.gram), transpose([acc]))[0][0]
+    return (d, tuple(acc)), Q(norm, d * d)
 
 
 def count_orthogonal_subsystems(
@@ -1379,7 +1390,7 @@ def glue_automorphism_group_order(code: GlueCode) -> int:
     t = code.components[0]
     autos = _disc_automorphisms(t)
     gens = code.generators
-    b = len(_digit_reps(t))
+    b = len(_digit_reps(t)[1])
     # the digits that may follow each proper prefix of a code word, as bits
     nexts: Dict[IntVec, int] = {}
     for w in code.words():

@@ -8,10 +8,14 @@ Weights are stored in fundamental-weight coordinates, as integers
 weight x, such as a twist direction, has one form too: (den, den * x) with
 den * x integral (`ScaledCoords`, made once by `scaled_coords`), so every
 pairing is an integer sum against `RootSystem.covector` over den * scale.
-Simple-root gram matrices for G2, A-series, D4 and E6 follow the module
-tables they feed: G2 has (a1|a1) = 2/3 with the first node short, D4 has
-the branch node second, E6 has the branch node second attached to the
-fourth node of the chain.
+Root data has one form as well: the simple-root gram is an integer matrix
+over the least scale that clears it (`_gram_matrix`), and the Cartan rows,
+the form and the affine diagram are read from that pair, the inverse
+Cartan matrix through `exactmath.integer_inverse`.  Simple-root gram
+matrices for G2, A-series, D4 and E6 follow the module tables they feed:
+G2 has (a1|a1) = 2/3 with the first node short, D4 has the branch node
+second, E6 has the branch node second attached to the fourth node of the
+chain.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .exactmath import InvariantError, inverse
+from .exactmath import InvariantError, integer_inverse
 
 IntCoords = Tuple[int, ...]
 # a rational weight x as (den, den * x), den > 0 and den * x integral
@@ -113,97 +117,83 @@ def simple_types(max_dim: int) -> List[SimpleType]:
     return sorted(t for t in types if t.dim() <= max_dim)
 
 
-def _simply_laced_gram(rank: int, edges: Sequence[Tuple[int, int]]) -> List[List[Q]]:
-    g = [[Q(0)] * rank for _ in range(rank)]
+def _simply_laced_gram(rank: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    g = [[0] * rank for _ in range(rank)]
     for i in range(rank):
-        g[i][i] = Q(2)
+        g[i][i] = 2
     for i, j in edges:
-        g[i][j] = g[j][i] = Q(-1)
+        g[i][j] = g[j][i] = -1
     return g
 
 
-def _gram_matrix(t: SimpleType) -> List[List[Q]]:
+def _gram_matrix(t: SimpleType) -> Tuple[List[List[int]], int]:
+    """(scale * simple-root gram, scale) in integers, scale the least
+    positive integer that clears the gram's denominators."""
     r = t.rank
-    if t.family == "A":
-        return _simply_laced_gram(r, [(i, i + 1) for i in range(r - 1)])
-    if t.family == "D":
+    chain = [(i, i + 1) for i in range(r - 1)]
+    scale = 1
+    if t.family in ("A", "B"):
+        g = _simply_laced_gram(r, chain)
+        if t.family == "B":
+            # long chain, short last root of norm 1
+            g[r - 1][r - 1] = 1
+    elif t.family == "D":
         # chain a1..a_{r-1} with a_r attached to a_{r-2}; for D4 the branch
         # node is a2, matching the module tables.
-        edges = [(i, i + 1) for i in range(r - 2)] + [(r - 3, r - 1)]
-        return _simply_laced_gram(r, edges)
-    if t.family == "E":
+        g = _simply_laced_gram(r, chain[: r - 2] + [(r - 3, r - 1)])
+    elif t.family == "E":
         # a2 attached to a4; chain a1-a3-a4-a5-a6(-a7-a8)
-        chain = [0, 2, 3, 4, 5, 6, 7][: r - 1]
-        edges = [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)] + [(1, 3)]
-        return _simply_laced_gram(r, edges)
-    if t.family == "B":
-        # long chain, short last root of norm 1
-        g = _simply_laced_gram(r, [(i, i + 1) for i in range(r - 1)])
-        g[r - 1][r - 1] = Q(1)
-        return g
-    if t.family == "C":
-        # short chain of norm 1, long last root
-        g = [[Q(0)] * r for _ in range(r)]
-        for i in range(r - 1):
-            g[i][i] = Q(1)
-        g[r - 1][r - 1] = Q(2)
-        for i in range(r - 2):
-            g[i][i + 1] = g[i + 1][i] = Q(-1, 2)
-        g[r - 2][r - 1] = g[r - 1][r - 2] = Q(-1)
-        return g
-    if t.family == "F":
-        return [
-            [Q(2), Q(-1), Q(0), Q(0)],
-            [Q(-1), Q(2), Q(-1), Q(0)],
-            [Q(0), Q(-1), Q(1), Q(-1, 2)],
-            [Q(0), Q(0), Q(-1, 2), Q(1)],
-        ]
-    if t.family == "G":
-        return [[Q(2, 3), Q(-1)], [Q(-1), Q(2)]]
-    raise ValueError(f"no gram matrix for {t}")
+        order = [0, 2, 3, 4, 5, 6, 7][: r - 1]
+        g = _simply_laced_gram(r, list(zip(order, order[1:])) + [(1, 3)])
+    elif t.family == "C":
+        # short chain of norm 1, long last root, at scale 2
+        g = _simply_laced_gram(r, chain)
+        g[r - 1][r - 1] = 4
+        g[r - 2][r - 1] = g[r - 1][r - 2] = -2
+        scale = 2
+    elif t.family == "F":
+        g = [[4, -2, 0, 0], [-2, 4, -2, 0], [0, -2, 2, -1], [0, 0, -1, 2]]
+        scale = 2
+    else:
+        # G2: (a1|a1) = 2/3 with the first node short, at scale 3
+        g = [[2, -3], [-3, 6]]
+        scale = 3
+    # C2's gram is integral: a common factor of the entries and scale goes
+    k = gcd(scale, *(x for row in g for x in row))
+    return [[x // k for x in row] for row in g], scale // k
 
 
 class RootSystem:
     """Root system with one integer-scaled invariant form.
 
-    Roots, simple roots, theta and rho have integer fundamental-weight
+    Roots, simple roots and theta have integer fundamental-weight
     coordinates.  The form on fundamental-weight coordinates is the integer
     matrix `form` over the least positive integer `scale` that clears its
     denominators: (x|y) = x . form . y / scale, long roots of norm 2.
-    `marks` are the affine marks: 1 on the node -theta, then the
-    simple-root coordinates of theta.
     """
 
     def __init__(self, t: SimpleType):
         self.type = t
         self.rank = n = t.rank
-        self.gram = _gram_matrix(t)
+        g, s = _gram_matrix(t)
         # fw coords of a_i = row i of the Cartan matrix, 2(ai|aj)/(aj|aj)
         self.simple_roots: List[IntCoords] = [
-            tuple(int(2 * self.gram[i][j] / self.gram[j][j]) for j in range(n))
-            for i in range(n)
+            tuple(2 * g[i][j] // g[j][j] for j in range(n)) for i in range(n)
         ]
-        # (L_i|L_j) = (C^-1)_ji * d_i with d_i = (a_i|a_i)/2
-        inv = inverse(self.simple_roots)
-        rational = [
-            [inv[j][i] * self.gram[i][i] / 2 for j in range(n)] for i in range(n)
-        ]
-        self.scale = lcm(*(x.denominator for row in rational for x in row))
-        self.form = [[int(x * self.scale) for x in row] for row in rational]
+        # (L_i|L_j) = (C^-1)_ji * d_i with d_i = (a_i|a_i)/2 = g_ii / 2s and
+        # C^-1 = Y / d, so (L_i|L_j) = Y_ji g_ii / 2sd, reduced by the gcd
+        y, d = integer_inverse(self.simple_roots)
+        num = [[y[j][i] * g[i][i] for j in range(n)] for i in range(n)]
+        common = gcd(2 * s * d, *(x for row in num for x in row))
+        self.scale = 2 * s * d // common
+        self.form = [[x // common for x in row] for row in num]
         self.roots, self.root_alpha_coords = self._generate_roots()
         if len(self.roots) != t.n_roots():
             raise InvariantError(
                 f"{t}: generated {len(self.roots)} roots, expected {t.n_roots()}"
             )
-        self.positive_roots = [
-            rt
-            for rt, ac in zip(self.roots, self.root_alpha_coords)
-            if sum(ac) > 0
-        ]
-        self.rho: IntCoords = (1,) * n
         top = max(range(len(self.roots)), key=lambda k: sum(self.root_alpha_coords[k]))
         self.theta: IntCoords = self.roots[top]
-        self.marks: IntCoords = (1,) + self.root_alpha_coords[top]
 
     def _generate_roots(self) -> Tuple[List[IntCoords], List[IntCoords]]:
         # Weyl-orbit closure of the simple roots under simple reflections.
@@ -219,6 +209,8 @@ class RootSystem:
             for fw, ac in frontier.items():
                 for j in range(n):
                     m = fw[j]
+                    if not m:
+                        continue  # s_j fixes fw, which is found already
                     img = tuple(a - m * b for a, b in zip(fw, self.simple_roots[j]))
                     if img not in found:
                         new[img] = tuple(
@@ -257,14 +249,15 @@ def dominant_conjugate(rs: RootSystem, x: Sequence[int]) -> IntCoords:
     with x_j < 0 lowers by one the number of positive roots that pair
     negatively with x, so |positive roots| reflections always suffice.
     """
+    bound = rs.type.n_roots() // 2
     cur = list(x)
-    for _ in range(len(rs.positive_roots) + 1):
+    for _ in range(bound + 1):
         j = next((k for k, c in enumerate(cur) if c < 0), None)
         if j is None:
             return tuple(cur)
         m = cur[j]
         cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
-    raise InvariantError(f"{x} is not dominant after {len(rs.positive_roots)} steps")
+    raise InvariantError(f"{x} is not dominant after {bound} steps")
 
 
 def lowest_weight(rs: RootSystem, lam: Sequence[int]) -> IntCoords:
@@ -447,14 +440,12 @@ def classify_simple_system(gram: Sequence[Sequence[Q | int]]) -> SimpleType:
 def _affine_diagram(t: SimpleType) -> Tuple[Tuple[IntCoords, ...], IntCoords, int]:
     """Untwisted affine diagram: (scale * node gram, marks, scale), in integers.
 
-    Node 0 is -theta, nodes 1..r the simple roots; scale clears the
-    denominators of `_gram_matrix`.  No root is generated: theta, the one
+    Node 0 is -theta, nodes 1..r the simple roots; the gram and its scale
+    are `_gram_matrix`'s.  No root is generated: theta, the one
     dominant long root, is reached from a long simple root beta by the
     height-raising reflections s_i with <beta, a_i-dual> < 0.  The marks are
     1 and theta's simple-root coordinates."""
-    rational = _gram_matrix(t)
-    scale = lcm(*(x.denominator for row in rational for x in row))
-    g = [[int(x * scale) for x in row] for row in rational]
+    g, scale = _gram_matrix(t)
     n = t.rank
     beta = [0] * n
     beta[max(range(n), key=lambda k: g[k][k])] = 1

@@ -4,8 +4,17 @@ against, and helpers that only the tests need.
 * Exact elimination: the fraction-free Gauss-Jordan `_echelon` with the
   reduced rational `kernel`, its primitive integer rows (`integer_kernel`)
   and the signed determinant `det`, against the row Hermite normal form
-  behind `exactmath.rank`, `exactmath.inverse` and
-  `exactmath.integer_row_kernel`.
+  behind `exactmath.rank`, `exactmath.integer_inverse` and
+  `exactmath.integer_row_kernel`; the `Fraction` inverse (`inverse`, of
+  the rows cleared by `cleared_rows`) for the oracles that invert a
+  rational matrix.
+* Root data: the `Fraction` simple-root gram (`fraction_gram_matrix`) and
+  the root system derived from it through the `Fraction` inverse
+  (`FractionRootSystem`, with its affine diagram
+  `fraction_affine_diagram`) against the integer gram over its scale in
+  `rootdata._gram_matrix`, `RootSystem` and `rootdata._affine_diagram`;
+  `positive_roots` and `theta_alpha_coords` read the roots a
+  `RootSystem` keeps.
 * Twisted minima: the exhaustive tuple scan (`scan`, `feasible_tuples`,
   `scan_minimum`) against the min-plus DP in `twistbound`.
 * Diagram classification: the multiple-bond count and leg walk
@@ -71,7 +80,10 @@ against, and helpers that only the tests need.
   the outer loop (`permutation_first_glue_order`), over the typed digit maps
   (`TYPED_DIGIT_MAPS`) against the orbit-stabilizer count and the diagram
   symmetries' maps, the isometry certificate as `Fraction`
-  matrix products (`fraction_slot_maps_to_isometry`), the hand-made local
+  matrix products (`fraction_slot_maps_to_isometry`), the fixed projection
+  of an ambient vector through the ambient `Fraction` matrix and gram
+  (`fraction_fixed_projection_norm`, with `lattice_to_ambient`) against
+  the lattice-coordinate sum over the integer gram, the hand-made local
   isometries (`CATALOGUE_ORACLES`: the conjugated Carter rotation
   `carter_e6_rotation`, the Hurwitz unit `hurwitz_d4_unit` and the typed
   Weyl 3-cycle `weyl_d4_cycle`) against the reflection words of
@@ -125,14 +137,14 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from orbifold24 import cases, qmodular
 from orbifold24.affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
 from orbifold24.exactmath import (
-    InvariantError, Matrix, inverse, mat_mul, rank, transpose,
+    InvariantError, identity, integer_inverse, mat_mul, rank, transpose,
 )
 from orbifold24.latticevoa import (
     EvenLattice,
@@ -174,6 +186,7 @@ from orbifold24.schellekens import (
 from orbifold24.twistbound import CaseSpec, _CaseTables, invariant_norm, shift_ok
 
 Coords = Tuple[Q, ...]  # a rational weight in Fraction coordinates
+Matrix = Sequence[Sequence[Union[int, Q]]]  # a rational matrix
 
 
 # --- exact elimination ----------------------------------------------------
@@ -268,6 +281,126 @@ def det(m: Matrix) -> Q:
         factor *= red[t][t]
     return factor
 
+
+def cleared_rows(m: Matrix) -> Tuple[List[List[int]], List[int]]:
+    """Integer rows D m and the diagonal of D: row i times the least common
+    denominator of its entries."""
+    rows, dens = [], []
+    for row in m:
+        d = lcm(*[x.denominator for x in row])
+        rows.append([int(x * d) for x in row])
+        dens.append(d)
+    return rows, dens
+
+
+def inverse(m: Matrix) -> List[List[Q]]:
+    """Exact inverse in `Fraction`s; ValueError when it is singular.  For
+    the integer rows M = D m and M^-1 = Y / d, m^-1 = M^-1 D = Y D / d."""
+    big, dens = cleared_rows(m)
+    y, d = integer_inverse(big)
+    return [[Q(x * dj, d) for x, dj in zip(row, dens)] for row in y]
+
+
+# --- root data in Fractions -----------------------------------------------
+
+
+def _fraction_simply_laced_gram(rank: int, edges: Sequence[Tuple[int, int]]) -> List[List[Q]]:
+    g = [[Q(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        g[i][i] = Q(2)
+    for i, j in edges:
+        g[i][j] = g[j][i] = Q(-1)
+    return g
+
+
+def fraction_gram_matrix(t: SimpleType) -> List[List[Q]]:
+    """The simple-root gram (a_i|a_j) in Fractions, family by family."""
+    r = t.rank
+    if t.family == "A":
+        return _fraction_simply_laced_gram(r, [(i, i + 1) for i in range(r - 1)])
+    if t.family == "D":
+        # chain a1..a_{r-1} with a_r attached to a_{r-2}
+        edges = [(i, i + 1) for i in range(r - 2)] + [(r - 3, r - 1)]
+        return _fraction_simply_laced_gram(r, edges)
+    if t.family == "E":
+        # a2 attached to a4; chain a1-a3-a4-a5-a6(-a7-a8)
+        chain = [0, 2, 3, 4, 5, 6, 7][: r - 1]
+        edges = [(chain[k], chain[k + 1]) for k in range(len(chain) - 1)] + [(1, 3)]
+        return _fraction_simply_laced_gram(r, edges)
+    if t.family == "B":
+        # long chain, short last root of norm 1
+        g = _fraction_simply_laced_gram(r, [(i, i + 1) for i in range(r - 1)])
+        g[r - 1][r - 1] = Q(1)
+        return g
+    if t.family == "C":
+        # short chain of norm 1, long last root
+        g = [[Q(0)] * r for _ in range(r)]
+        for i in range(r - 1):
+            g[i][i] = Q(1)
+        g[r - 1][r - 1] = Q(2)
+        for i in range(r - 2):
+            g[i][i + 1] = g[i + 1][i] = Q(-1, 2)
+        g[r - 2][r - 1] = g[r - 1][r - 2] = Q(-1)
+        return g
+    if t.family == "F":
+        return [
+            [Q(2), Q(-1), Q(0), Q(0)],
+            [Q(-1), Q(2), Q(-1), Q(0)],
+            [Q(0), Q(-1), Q(1), Q(-1, 2)],
+            [Q(0), Q(0), Q(-1, 2), Q(1)],
+        ]
+    return [[Q(2, 3), Q(-1)], [Q(-1), Q(2)]]
+
+
+class FractionRootSystem(RootSystem):
+    """A root system derived in Fractions: the Cartan rows
+    2(a_i|a_j)/(a_j|a_j) of the Fraction gram, and the form
+    (L_i|L_j) = (C^-1)_ji (a_i|a_i)/2 through the Fraction inverse, cleared
+    by the least common denominator of its entries.  The roots come from
+    the same Weyl-orbit closure; theta (the root of greatest height) and the
+    affine marks (1, theta's simple-root coordinates) are read off them."""
+
+    def __init__(self, t: SimpleType):
+        self.type = t
+        self.rank = n = t.rank
+        self.gram = fraction_gram_matrix(t)
+        self.simple_roots = [
+            tuple(int(2 * self.gram[i][j] / self.gram[j][j]) for j in range(n))
+            for i in range(n)
+        ]
+        inv = inverse(self.simple_roots)
+        rational = [
+            [inv[j][i] * self.gram[i][i] / 2 for j in range(n)] for i in range(n)
+        ]
+        self.scale = lcm(*(x.denominator for row in rational for x in row))
+        self.form = [[int(x * self.scale) for x in row] for row in rational]
+        self.roots, self.root_alpha_coords = self._generate_roots()
+        top = max(range(len(self.roots)), key=lambda k: sum(self.root_alpha_coords[k]))
+        self.theta: IntCoords = self.roots[top]
+        self.marks: IntCoords = (1,) + self.root_alpha_coords[top]
+
+
+def fraction_affine_diagram(rs: FractionRootSystem) -> Tuple[List[List[int]], IntCoords, int]:
+    """(scale * node gram, marks, scale) of the Fraction root system: the
+    nodes -theta and a_1..a_r in simple-root coordinates, paired through the
+    Fraction gram, and scale the least common denominator of that gram."""
+    scale = lcm(*(x.denominator for row in rs.gram for x in row))
+    nodes = [[-c for c in rs.marks[1:]]] + identity(rs.rank)
+    gram = fraction_mat_mul(fraction_mat_mul(nodes, rs.gram), transpose(nodes))
+    return [[int(x * scale) for x in row] for row in gram], rs.marks, scale
+
+
+def positive_roots(rs: RootSystem) -> List[IntCoords]:
+    """The roots of positive height, in `roots` order."""
+    return [rt for rt, ac in zip(rs.roots, rs.root_alpha_coords) if sum(ac) > 0]
+
+
+def theta_alpha_coords(rs: RootSystem) -> IntCoords:
+    """The simple-root coordinates of the highest root theta: the affine
+    marks after the 1 on node 0."""
+    return rs.root_alpha_coords[rs.roots.index(rs.theta)]
+
+
 # --- invariant form -------------------------------------------------------
 
 
@@ -275,7 +408,8 @@ def fraction_fw_gram(rs: RootSystem) -> List[List[Q]]:
     """(L_i|L_j) = (C^-1)_ji * (a_i|a_i)/2, in Fractions."""
     n = rs.rank
     inv = inverse(rs.simple_roots)
-    return [[inv[j][i] * rs.gram[i][i] / 2 for j in range(n)] for i in range(n)]
+    gram = fraction_gram_matrix(rs.type)
+    return [[inv[j][i] * gram[i][i] / 2 for j in range(n)] for i in range(n)]
 
 
 def root_ip(rs: RootSystem, x: Sequence, y: Sequence) -> Q:
@@ -382,11 +516,12 @@ def weyl_dim(rs: RootSystem, lam: IntCoords) -> int:
     if not all(type(c) is int and c >= 0 for c in lam):
         raise ValueError("highest weight must be dominant integral")
     lam_rho = tuple(c + 1 for c in lam)
+    rho = (1,) * rs.rank
     num = Q(1)
     den = Q(1)
-    for alpha in rs.positive_roots:
+    for alpha in positive_roots(rs):
         num *= root_ip(rs, lam_rho, alpha)
-        den *= root_ip(rs, rs.rho, alpha)
+        den *= root_ip(rs, rho, alpha)
     val = num / den
     if val.denominator != 1:
         raise ValueError(f"Weyl dimension {val} of {lam} is not an integer")
@@ -397,7 +532,7 @@ def dual_coxeter(t: SimpleType) -> int:
     """Dual Coxeter number 1 + (rho|theta-dual) from root data."""
     rs = build_root_system(t)
     theta = rs.theta
-    val = 1 + 2 * root_ip(rs, rs.rho, theta) / root_ip(rs, theta, theta)
+    val = 1 + 2 * root_ip(rs, (1,) * rs.rank, theta) / root_ip(rs, theta, theta)
     if val.denominator != 1:
         raise InvariantError(f"{t}: dual Coxeter number {val} is not an integer")
     return int(val)
@@ -453,7 +588,7 @@ def weight_system(rs: RootSystem, lam: Sequence[int]) -> WeightSystem:
         level += 1
 
     # Freudenthal multiplicities; acc sums scale * m(mu + k a) (mu + k a|a).
-    steps = [(a, rs.covector(a)) for a in rs.positive_roots]
+    steps = [(a, rs.covector(a)) for a in positive_roots(rs)]
     lam_rho = tuple(c + 1 for c in top)
     n_lam = root_ip(rs, lam_rho, lam_rho)
     mult: Dict[IntCoords, int] = {top: 1}
@@ -503,13 +638,14 @@ def fraction_dominant_conjugate(rs: RootSystem, x: Sequence) -> Coords:
     """Dominant conjugate of a rational weight by simple reflections on its
     Fraction coordinates."""
     cur = [Q(c) for c in x]
-    for _ in range(len(rs.positive_roots) + 1):
+    bound = len(positive_roots(rs))
+    for _ in range(bound + 1):
         j = next((k for k, c in enumerate(cur) if c < 0), None)
         if j is None:
             return tuple(cur)
         m = cur[j]
         cur = [c - m * a for c, a in zip(cur, rs.simple_roots[j])]
-    raise ValueError(f"{x} is not dominant after {len(rs.positive_roots)} steps")
+    raise ValueError(f"{x} is not dominant after {bound} steps")
 
 
 def fraction_lowest_weight(rs: RootSystem, lam: IntCoords) -> Coords:
@@ -863,7 +999,7 @@ def root_affine_diagram(t: SimpleType) -> Tuple[List[List[int]], IntCoords, int]
     rs = build_root_system(t)
     nodes = [tuple(-c for c in rs.theta)] + rs.simple_roots
     gram = [[sum(a * b for a, b in zip(rs.covector(x), y)) for y in nodes] for x in nodes]
-    return gram, rs.marks, rs.scale
+    return gram, (1,) + theta_alpha_coords(rs), rs.scale
 
 
 def brute_force_diagram_automorphisms(t: SimpleType) -> Set[Tuple[int, ...]]:
@@ -1602,6 +1738,37 @@ def fraction_slot_maps_to_isometry(
     return LatticeIsometry(lat, tuple(out), name)
 
 
+def fraction_fixed_projection_norm(
+    g: LatticeIsometry, u: Sequence[Q]
+) -> Tuple[Coords, Q]:
+    """The projection (u + uA + ... + uA^(n-1)) / n of an ambient vector u
+    onto the fixed subspace of g, and its norm, in Fractions: A is g's
+    ambient matrix basis^-1 M basis, with the inverse recomputed from the
+    rational basis, and the norm pairs through the block-diagonal Fraction
+    gram of the components."""
+    lat = g.lattice
+    n = g.order()
+    basis = [[Q(x, lat.scale) for x in row] for row in lat.basis]
+    amb = fraction_mat_mul(fraction_mat_mul(inverse(basis), g.matrix), basis)
+    gram = [[Q(0)] * lat.rank for _ in range(lat.rank)]
+    for t, (lo, hi) in zip(lat.code.components, lat.component_slices()):
+        for i, row in enumerate(fraction_gram_matrix(t)):
+            gram[lo + i][lo:hi] = row
+    cur = acc = list(u)
+    for _ in range(n - 1):
+        cur = fraction_mat_mul([cur], amb)[0]
+        acc = [a + b for a, b in zip(acc, cur)]
+    proj = tuple(a / n for a in acc)
+    return proj, fraction_ip(gram, proj, proj)
+
+
+def lattice_to_ambient(lat: EvenLattice, x: ScaledCoords) -> Coords:
+    """The ambient Fraction vector of lattice coordinates given as
+    (den, den * x): x basis / scale."""
+    den, v = x
+    return tuple(Q(a, den * lat.scale) for a in mat_mul([v], lat.basis)[0])
+
+
 def _integral(m: Matrix, what: str) -> List[List[int]]:
     if any(Q(x).denominator != 1 for row in m for x in row):
         raise InvariantError(f"{what} is not integral")
@@ -1612,7 +1779,7 @@ def carter_e6_rotation() -> List[List[int]]:
     """Carter's class 3A2 of W(E6) by hand: the simultaneous rotation of the
     orthogonal pairs (a1,a3), (a5,a6), (a2,-theta), conjugated in Fractions
     into simple-root coordinates."""
-    theta_ac = build_root_system(SimpleType("E", 6)).marks[1:]
+    theta_ac = theta_alpha_coords(build_root_system(SimpleType("E", 6)))
     e = [[int(i == j) for j in range(6)] for i in range(6)]
     t_rows = [e[0], e[2], e[4], e[5], e[1], [-c for c in theta_ac]]
     rot = [[0] * 6 for _ in range(6)]

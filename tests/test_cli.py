@@ -681,7 +681,7 @@ def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
 
 def test_singular_block_form_exits_1(capsys, monkeypatch):
     # the block form is inverted exactly; its singularity is a failed exact
-    # check (exit 1), not the ValueError of inverse, which means bad input
+    # check (exit 1), not the ValueError of integer_inverse, which means bad input
     build = latticevoa.fixed_subalgebra
 
     def singular(lift):

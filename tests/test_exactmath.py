@@ -7,12 +7,12 @@ import pytest
 
 from orbifold24 import exactmath
 from orbifold24.exactmath import (
-    hnf_with_transform, integer_inverse, integer_row_kernel, inverse, mat_mul, rank,
-    transpose,
+    hnf_with_transform, integer_inverse, integer_row_kernel, mat_mul, rank, transpose,
 )
 
 from helpers import (
-    OMEGA, Cyclo3, ResidualExceeded, _echelon, det, float_eigen, integer_kernel, kernel,
+    OMEGA, Cyclo3, ResidualExceeded, _echelon, cleared_rows, det, float_eigen,
+    integer_kernel, inverse, kernel,
 )
 
 
@@ -155,13 +155,14 @@ def test_oracle_kernel_basis_entry_for_entry():
 
 
 def test_oracle_rank():
+    # rank takes integer rows: a rational matrix enters with its rows cleared
     for m in oracle_cases():
-        assert rank(m) == len(reference_rref(m)[1])
+        assert rank(cleared_rows(m)[0]) == len(reference_rref(m)[1])
 
 
 def test_rank_matches_fraction_free_oracle_without_the_transform(monkeypatch):
-    # rank reduces the cleared rows alone, never the rows that carry U
-    cases = oracle_cases() + hnf_cases()
+    # rank reduces the rows alone, never the rows that carry U
+    cases = [cleared_rows(m)[0] for m in oracle_cases()] + hnf_cases()
     want = [len(_echelon(m)[1]) for m in cases]
 
     def no_transform(m):
@@ -296,7 +297,7 @@ def test_rank_nullity():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         a = rand_matrix(rng, rows, cols, rng.choice([None, 1]))
         # kernel() acts on row vectors: its vectors have one entry per row
-        assert rank(a) + len(kernel(a)) == rows
+        assert rank(cleared_rows(a)[0]) + len(kernel(a)) == rows
         assert matmul(kernel(a), a) == [[0] * cols for _ in kernel(a)]
 
 

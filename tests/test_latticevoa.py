@@ -1,12 +1,12 @@
 import fractions
 import random
 from fractions import Fraction as Q
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from orbifold24 import cases, latticevoa
-from orbifold24.exactmath import InvariantError, inverse, mat_mul, rank, transpose
+from orbifold24.exactmath import InvariantError, mat_mul, rank, transpose
 from orbifold24.latticevoa import (
     NI_D4_6,
     NI_E6_4,
@@ -56,15 +56,21 @@ from helpers import (
     eps_twist_bits,
     float_identify_type,
     fraction_centralizer,
+    fraction_coords,
+    fraction_fixed_projection_norm,
+    fraction_gram_matrix,
+    fraction_ip,
     fraction_slot_maps_to_isometry,
     from_dense_table,
     full_killing,
     generic_centralizer,
     integer_kernel,
+    inverse,
     inverse_lift,
     ip_coords,
     is_identity,
     lattice_roots,
+    lattice_to_ambient,
     named_witness,
     numpy_lie_tables,
     TYPED_DIGIT_MAPS,
@@ -112,12 +118,35 @@ def test_glue_code_words():
 @pytest.mark.parametrize("t", [SimpleType("E", 6), SimpleType("D", 4)], ids=str)
 def test_digit_addition_matches_coset_representatives(t):
     # digit_add is the group law of the discriminant group: the sum of two
-    # coset representatives lies in the coset of the added digit
-    reps = latticevoa._digit_reps(t)
+    # coset representatives lies in the coset of the added digit, that is
+    # den * (the difference) is 0 mod den
+    den, reps = latticevoa._digit_reps(t)
     for a in range(len(reps)):
         for b in range(len(reps)):
             diff = [x + y - z for x, y, z in zip(reps[a], reps[b], reps[digit_add(t, a, b)])]
-            assert all(x.denominator == 1 for x in diff), (a, b)
+            assert all(x % den == 0 for x in diff), (a, b)
+
+
+# the fundamental weights behind each nonzero glue digit, in digit order
+DIGIT_WEIGHTS = {SimpleType("E", 6): (0, 5), SimpleType("D", 4): (3, 0, 2)}
+
+
+@pytest.mark.parametrize("t", sorted(DIGIT_WEIGHTS), ids=str)
+def test_digit_reps_are_the_fraction_inverse_over_its_denominator(t):
+    # den * (row i of the Fraction inverse Cartan matrix), den its least
+    # common denominator: 3 for E6, 2 for D4
+    den, reps = latticevoa._digit_reps(t)
+    inv = inverse(build_root_system(t).simple_roots)
+    assert den == lcm(*(x.denominator for row in inv for x in row)) == {6: 3, 4: 2}[t.rank]
+    assert reps[0] == (0,) * t.rank
+    assert [list(r) for r in reps[1:]] == [[den * x for x in inv[i]] for i in DIGIT_WEIGHTS[t]]
+    assert all(type(x) is int for r in reps for x in r)
+    # each coset's norm floor is the Fraction norm of its representative mod 2
+    gram = fraction_gram_matrix(t)
+    for d in range(1, len(reps)):
+        x = [Q(c, den) for c in reps[d]]
+        n, unit = latticevoa._coset_norm_floor(t, d)
+        assert Q(n, unit) == (fraction_ip(gram, x, x) % 2 or 2)
 
 
 def test_assembly_even_unimodular(ne6, nd4):
@@ -189,6 +218,24 @@ def _inverse_entry_changed():
 def test_root_outside_the_lattice_is_caught(lattice):
     with pytest.raises(InvariantError, match="a root is outside the lattice"):
         weight_one_algebra(lattice())
+
+
+@pytest.mark.parametrize(
+    "name,error",
+    [
+        ("G2", "the G2 root lattice is not integral"),
+        ("C3", "the C3 root lattice is not integral"),
+        ("F4", "the F4 root lattice is not integral"),
+        ("B3", "lattice is not even"),
+    ],
+)
+def test_lattice_from_basis_rejects_a_non_even_root_lattice(name, error):
+    # a component whose gram needs a scale above 1 is not integral; B3's is
+    # integral, but its short simple root has norm 1
+    t = SimpleType.parse(name)
+    unit = [[int(i == j) for j in range(t.rank)] for i in range(t.rank)]
+    with pytest.raises(InvariantError, match=f"^{error}$"):
+        lattice_from_basis(GlueCode((t,), ()), unit, 1)
 
 
 CATALOGUE_KEYS = list(latticevoa._CATALOGUE)
@@ -1085,7 +1132,7 @@ def test_fixed_projection_norms(ne6):
     proj, norm = fixed_projection_norm(s6, u)
     assert norm == Q(4, 9)
     u0 = NI_E6_4.word_vector((1, 0, 0, 0))
-    proj0, norm0 = fixed_projection_norm(s6, u0)
+    (_, proj0), norm0 = fixed_projection_norm(s6, u0)
     assert norm0 == 0 and all(x == 0 for x in proj0)
     n = ne6.rank
     ident = LatticeIsometry(
@@ -1094,7 +1141,15 @@ def test_fixed_projection_norms(ne6):
         "id",
     )
     proj_u, _ = fixed_projection_norm(ident, u)
-    assert proj_u == u
+    assert lattice_to_ambient(ne6, proj_u) == fraction_coords(u)
+    # the ambient Fraction projection is the oracle for both glue words,
+    # under sigma6 and under the identity
+    for g in (s6, ident):
+        for w in ((0, 1, 0, 0), (1, 0, 0, 0)):
+            x = NI_E6_4.word_vector(w)
+            got, got_norm = fixed_projection_norm(g, x)
+            want, want_norm = fraction_fixed_projection_norm(g, fraction_coords(x))
+            assert lattice_to_ambient(ne6, got) == want and got_norm == want_norm
 
 
 def test_subsystem_counts():

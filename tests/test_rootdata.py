@@ -13,11 +13,14 @@ import pytest
 
 from helpers import (
     ORACLE_TYPES,
+    FractionRootSystem,
     brute_force_min,
     column_n_min,
     dual_coxeter,
+    fraction_affine_diagram,
     fraction_dominant_conjugate,
     fraction_fw_gram,
+    fraction_gram_matrix,
     fraction_ip,
     leg_walk_classify_simple_system,
     nondominant_direction,
@@ -34,6 +37,7 @@ from orbifold24.affinerep import AffineAlgebra
 from orbifold24.exactmath import InvariantError
 from orbifold24 import rootdata
 from orbifold24.rootdata import (
+    RootSystem,
     SemisimpleTypeWithLevels,
     SimpleType,
     _affine_diagram,
@@ -105,10 +109,11 @@ def test_inner_products():
 @pytest.mark.parametrize("fam,rank", sorted(ROOT_COUNTS))
 def test_weight_root_duality(fam, rank):
     rs = build_root_system(SimpleType(fam, rank))
+    gram = fraction_gram_matrix(rs.type)
     for i in range(rs.rank):
         for j in range(rs.rank):
             lhs = root_ip(rs, unit(rs, i), rs.simple_roots[j])
-            want = rs.gram[j][j] / 2 if i == j else Q(0)
+            want = gram[j][j] / 2 if i == j else Q(0)
             assert lhs == want
 
 
@@ -126,11 +131,12 @@ def test_integer_form_matches_fraction_gram(name):
     gram = fraction_fw_gram(rs)
     assert rs.scale == lcm(*(x.denominator for row in gram for x in row))
     assert rs.form == [[x * rs.scale for x in row] for row in gram]
-    for v in rs.roots + rs.simple_roots + [rs.theta, rs.rho]:
+    for v in rs.roots + rs.simple_roots + [rs.theta]:
         assert all(type(c) is int for c in v)
-    assert rs.marks[0] == 1 and root_ip(rs, rs.theta, rs.theta) == 2
+    marks = _affine_diagram(rs.type)[1]
+    assert marks[0] == 1 and root_ip(rs, rs.theta, rs.theta) == 2
     assert rs.theta == tuple(
-        sum(m * a[k] for m, a in zip(rs.marks[1:], rs.simple_roots))
+        sum(m * a[k] for m, a in zip(marks[1:], rs.simple_roots))
         for k in range(rs.rank)
     )
 
@@ -331,7 +337,7 @@ def test_dominant_conjugate_stops_at_the_reflection_bound():
     a2 = build_root_system(SimpleType("A", 2))
     # -L1 needs two reflections; a system claiming one positive root allows one
     stub = SimpleNamespace(
-        rank=2, simple_roots=a2.simple_roots, positive_roots=a2.positive_roots[:1]
+        rank=2, simple_roots=a2.simple_roots, type=SimpleNamespace(n_roots=lambda: 2)
     )
     with pytest.raises(InvariantError):
         dominant_conjugate(stub, (-1, 0))
@@ -462,9 +468,9 @@ def test_classify_from_gram():
     for t in [SimpleType("A", 4), SimpleType("B", 3), SimpleType("C", 4),
               SimpleType("D", 5), SimpleType("E", 6), SimpleType("F", 4),
               SimpleType("G", 2)]:
-        rs = build_root_system(t)
-        got = classify_simple_system([list(row) for row in rs.gram])
-        assert got == t
+        # the integer gram over its scale, and the Fraction gram it replaced
+        assert classify_simple_system(rootdata._gram_matrix(t)[0]) == t
+        assert classify_simple_system(fraction_gram_matrix(t)) == t
 
 
 def test_type_string_roundtrip():
@@ -549,6 +555,16 @@ def test_affine_diagram_matches_root_system(name):
     assert all(
         gram[i][j] * ref_scale == ref_gram[i][j] * scale for i in range(n) for j in range(n)
     )
+
+
+@pytest.mark.parametrize("t", simple_types(2000), ids=str)
+def test_integer_root_data_matches_the_fraction_derivation(t):
+    # every simple type of dimension at most 2000, built uncached
+    rs, ref = RootSystem(t), FractionRootSystem(t)
+    for field in ("simple_roots", "form", "scale", "roots", "root_alpha_coords", "theta"):
+        assert getattr(rs, field) == getattr(ref, field), field
+    gram, marks, scale = _affine_diagram(t)
+    assert ([list(row) for row in gram], marks, scale) == fraction_affine_diagram(ref)
 
 
 def test_affine_diagram_checks_the_coxeter_number(monkeypatch):
