@@ -57,6 +57,12 @@ class AffineAlgebra(_AffineAlgebraKey):
         return f"{self.type},{self.level}"
 
 
+# the twist functions take (ambient, h): the ideals with their levels, and
+# one h_i per ideal in the same order; a wrong-length h raises ValueError
+Ambient = Sequence[AffineAlgebra]
+Twist = Sequence[ScaledCoords]
+
+
 class AffineModuleTable(NamedTuple):
     """One column per quantity, in table order: the admissible weights, their
     lowest weights w0.lam, and the conformal weights as (den, numerators) in
@@ -138,19 +144,15 @@ def n_min_column(
     return den * rs.scale, pos, neg
 
 
-def sigma_order_on_category(
-    h: Sequence[ScaledCoords], algebras: Sequence[AffineAlgebra]
-) -> int:
+def sigma_order_on_category(ambient: Ambient, h: Twist) -> int:
     """Exponent of the pairing values (h|lam) mod 1 over all admissible tuples.
 
     This is the least n with n*(h|lam) integral for every tuple of admissible
     weights; it bounds the order of the inner automorphism attached to h and
     equals it exactly when all category weights occur in the module.
     """
-    if len(h) != len(algebras):
-        raise ValueError("twist vector length does not match ideal count")
     order = 1
-    for hi, a in zip(h, algebras):
+    for a, hi in zip(ambient, h, strict=True):
         d, col = pairing_column(a, hi)
         for x in col:
             order = lcm(order, d // gcd(x, d))
@@ -158,7 +160,7 @@ def sigma_order_on_category(
 
 
 def inner_fixed_subalgebra(
-    ambient: Sequence[AffineAlgebra], h: Sequence[ScaledCoords]
+    ambient: Ambient, h: Twist
 ) -> Tuple[SemisimpleTypeWithLevels, int]:
     """Fixed subalgebra of the inner automorphism exp(-2 pi i h) with dimension.
 
@@ -166,11 +168,9 @@ def inner_fixed_subalgebra(
     nodes it labels 0 span the fixed ideals (`kac_fixed_subalgebra`); their
     levels scale by the ambient level.
     """
-    if len(h) != len(ambient):
-        raise ValueError("twist vector length does not match ideal count")
     ideals: List[Tuple[SimpleType, Q]] = []
     abelian = 0
-    for a, hi in zip(ambient, h):
+    for a, hi in zip(ambient, h, strict=True):
         fixed = kac_fixed_subalgebra(a.type, alcove_labels(a.root_system(), hi))
         ideals.extend((t, k * a.level) for t, k in fixed.ideals)
         abelian += fixed.abelian_rank

@@ -14,7 +14,6 @@ import os
 import random
 import re
 import sys
-from fractions import Fraction as Q
 from functools import lru_cache
 from typing import List, Optional
 
@@ -24,8 +23,10 @@ from .cases import (
     CaseFile,
     ISOMETRY_CASES,
     TABLE_FAMILIES,
+    check_ground_energy,
     check_isometry,
     check_lattice,
+    check_twist,
     run_case,
     unique_survivor,
     verify_tables,
@@ -33,7 +34,6 @@ from .cases import (
 from .exactmath import InvariantError
 from .report import Report
 from .rootdata import SemisimpleTypeWithLevels, parse_rational
-from .twistbound import invariant_norm, min_twisted_weight, shift_ok, tuple_space_size
 
 
 def _integer(text: str) -> int:
@@ -70,25 +70,11 @@ def cmd_tables(args: argparse.Namespace) -> Report:
 
 def cmd_twist_bound(args: argparse.Namespace) -> Report:
     cf = _load_case(args.case)
-    # the reference values hold for the built-in h, not for a file reusing an id
-    builtin = args.case in BUILTIN_CASES
     rep = Report(f"twist bound {cf.case_id}")
-    spec = cf.case_spec()
-    norm, in_2z, in_23z = invariant_norm(spec)
-    expected_norm = Q(2) if builtin else None
-    rep.check("twist norm <h|h>", norm, expected_norm)
-    rep.note("twist norm in 2Z", in_2z)
-    rep.note("twist norm in (2/3)Z", in_23z)
-    ok = shift_ok(spec)
-    rep.check("shift bound (h|alpha) >= -1", ok, True)
-    if ok:
-        rep.note("tuple space size", tuple_space_size(spec))
-        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(spec, norm)
-        expected_min = Q(1) if builtin else None
-        rep.check("min twisted weight (+h)", m_pos, expected_min)
-        rep.check("min twisted weight (-h)", m_neg, expected_min)
-        rep.note("witness (+h)", [list(w) for w in wit_pos])
-        rep.note("witness (-h)", [list(w) for w in wit_neg])
+    witnesses = check_twist(rep, cf)
+    if witnesses is not None:
+        for sign, wit in zip(("+h", "-h"), witnesses):
+            rep.note(f"witness ({sign})", [list(w) for w in wit])
     return rep
 
 
@@ -135,9 +121,7 @@ def cmd_lattice(args: argparse.Namespace) -> Report:
     check_lattice(rep, survivor, random.Random(0))
     iso = check_isometry(rep, args.isometry)
     rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_coords_basis()))
-    rho, mults = latticevoa.twisted_ground_energy(iso)
-    rep.note(f"{args.isometry}: twisted ground energy", rho)
-    rep.note(f"{args.isometry}: eigenvalue multiplicities", mults)
+    check_ground_energy(rep, args.isometry, iso)
     return rep
 
 

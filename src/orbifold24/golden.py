@@ -154,5 +154,6 @@ LATTICE_EXPECTED = {
 }
 
 PROJECTION_NORM = Q(4, 9)
-GROUND_ENERGY_SIGMA6 = Q(1)
+# the twisted ground energy by isometry name; the others are reported only
+GROUND_ENERGY = {"sigma6": Q(1)}
 A2_CUBED_IN_E6 = 40

@@ -113,9 +113,13 @@ class Report:
         source: str = "",
         documented: bool = False,
     ) -> Step:
-        """Append a step; the verdict compares computed against expected."""
+        """Append a step; the verdict compares computed against expected.
+
+        The source names where the expected value comes from, so a step
+        without one, an info step, has none.
+        """
         if expected is None:
-            verdict = INFO
+            verdict, source = INFO, ""
         elif render_value(computed) == render_value(expected):
             verdict = PASS
         elif documented:
@@ -126,8 +130,8 @@ class Report:
         self.steps.append(step)
         return step
 
-    def note(self, name: str, computed: Any, source: str = "") -> Step:
-        return self.check(name, computed, None, source)
+    def note(self, name: str, computed: Any) -> Step:
+        return self.check(name, computed)
 
     def extend(self, other: "Report") -> None:
         self.steps.extend(other.steps)

@@ -66,7 +66,12 @@ def enumerate_candidates(total_dim: int, r: Q) -> Tuple[SemisimpleTypeWithLevels
             rec(i, remaining - dims[i], chosen)
             chosen.pop()
 
-    rec(0, total_dim, [])
+    try:
+        rec(0, total_dim, [])
+    except RecursionError:  # the depth grows with total_dim / the least ideal dim
+        raise ValueError(
+            f"candidate search at dim {total_dim}, ratio {r} nests too deep to enumerate"
+        ) from None
     return tuple(sorted(results, key=str))
 
 

@@ -14,7 +14,8 @@ such tuples is computed for h and -h by a min-plus dynamic program over
 conformal-weight-sum states, which accounts for every tuple.  The states do
 not depend on the sign of h, so one backward sweep serves both, and each
 suffix table is grouped by the residue of its cw sum: a prefix reads only
-the completions that make its own sum integral.
+the completions that make its own sum integral.  A function of the twist
+takes (ambient, h) and walks the pairs with a strict zip.
 """
 
 from __future__ import annotations
@@ -22,38 +23,17 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from math import lcm, prod
 from operator import mul
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
+from .affinerep import Ambient, Twist, enumerate_level_weights, n_min_column
 from .exactmath import InvariantError
-from .rootdata import IntCoords, ScaledCoords, dominant_conjugate
+from .rootdata import IntCoords, dominant_conjugate
 
 
-class _CaseSpecFields(NamedTuple):
-    ambient: Tuple[AffineAlgebra, ...]
-    h: Tuple[ScaledCoords, ...]
-
-
-class CaseSpec(_CaseSpecFields):
-    """Ambient semisimple algebra with levels and twist vector.
-
-    h holds one twist component per ideal as (den, den * h_i), integral.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls, ambient: Tuple[AffineAlgebra, ...], h: Tuple[ScaledCoords, ...]
-    ) -> "CaseSpec":
-        if len(h) != len(ambient):
-            raise ValueError("twist vector length does not match ideal count")
-        return super().__new__(cls, ambient, h)
-
-
-def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
+def invariant_norm(ambient: Ambient, h: Twist) -> Tuple[Q, bool, bool]:
     """<h|h> = sum_i k_i (h_i|h_i), with the 2Z and (2/3)Z membership flags."""
     terms = []
-    for a, (den, v) in zip(c.ambient, c.h):
+    for a, (den, v) in zip(ambient, h, strict=True):
         rs = a.root_system()
         terms.append((a.level * sum(map(mul, rs.covector(v), v)), den * den * rs.scale))
     d = lcm(*(t for _, t in terms))
@@ -61,19 +41,20 @@ def invariant_norm(c: CaseSpec) -> Tuple[Q, bool, bool]:
     return Q(num, d), num % (2 * d) == 0, 3 * num % (2 * d) == 0
 
 
-def shift_ok(c: CaseSpec) -> bool:
+def shift_ok(ambient: Ambient, h: Twist) -> bool:
     """True iff (h|alpha) >= -1 for every root alpha of the ambient algebra.
 
     The roots of an ideal lie in the convex hull of the Weyl orbit of theta,
     where the dominant conjugate h+ pairs most with theta itself, and they
     are closed under negation; so their least pairing with h is -(h+|theta).
+    Every ideal is walked, so a wrong-length h raises ValueError.
     """
-    for a, (den, v) in zip(c.ambient, c.h):
+    within = []
+    for a, (den, v) in zip(ambient, h, strict=True):
         rs = a.root_system()
         top = dominant_conjugate(rs, v)
-        if sum(map(mul, rs.covector(rs.theta), top)) > den * rs.scale:
-            return False
-    return True
+        within.append(sum(map(mul, rs.covector(rs.theta), top)) <= den * rs.scale)
+    return all(within)
 
 
 class _CaseTables:
@@ -83,16 +64,16 @@ class _CaseTables:
     Row 0 of every ideal is the vacuum (the zero weight sorts first).
     """
 
-    def __init__(self, c: CaseSpec, norm: Q):
+    def __init__(self, ambient: Ambient, h: Twist, norm: Q):
         self.weights: List[Tuple[IntCoords, ...]] = []
         # (den, integer column) per ideal; n_min_column gives h and -h
         # over one denominator
         cw, nm = [], []
-        for a, h in zip(c.ambient, c.h):
+        for a, hi in zip(ambient, h, strict=True):
             table = enumerate_level_weights(a)
             self.weights.append(table.weights)
             cw.append(table.cw_column)
-            nm.append(n_min_column(a, h))
+            nm.append(n_min_column(a, hi))
         half_norm = norm / 2
         dens = [den for den, _ in cw] + [den for den, _, _ in nm]
         self.scale = d = lcm(half_norm.denominator, *dens)
@@ -190,7 +171,7 @@ class _CaseTables:
 
 
 def min_twisted_weight(
-    c: CaseSpec, norm: Q
+    ambient: Ambient, h: Twist, norm: Q
 ) -> Tuple[Q, Tuple[IntCoords, ...], Q, Tuple[IntCoords, ...]]:
     """Minimum of the bound over all feasible tuples, for h and -h.
 
@@ -201,10 +182,10 @@ def min_twisted_weight(
     (h|alpha) >= -1; callers check `shift_ok` once, report it, and call this
     only when it holds.  norm is <h|h>, from `invariant_norm`.
     """
-    (m1, w1), (m2, w2) = _CaseTables(c, norm).minimize()
+    (m1, w1), (m2, w2) = _CaseTables(ambient, h, norm).minimize()
     return m1, w1, m2, w2
 
 
-def tuple_space_size(c: CaseSpec) -> int:
+def tuple_space_size(ambient: Ambient) -> int:
     """Number of weight tuples: the product of the ideals' table sizes."""
-    return prod(len(enumerate_level_weights(a).weights) for a in c.ambient)
+    return prod(len(enumerate_level_weights(a).weights) for a in ambient)

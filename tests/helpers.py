@@ -119,10 +119,10 @@ against, and helpers that only the tests need.
 * `rough_lift`: some algebra automorphism covering a lattice isometry,
   `inverse_lift` its inverse, `compose` and `is_identity`;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
-* Small conveniences only the tests use: `negated` (the case with twist
-  -h), `named_witness` (the forward witness of an isometry name's case),
-  `patch_series_coefficient` (one coefficient of a q-series scaled)
-  with `solve_afresh` (a Laurent table cache of the test's own),
+* Small conveniences only the tests use: `negated` (the case
+  (ambient, -h)), `named_witness` (the forward witness of an isometry
+  name's case), `patch_series_coefficient` (one coefficient of a q-series
+  scaled) with `solve_afresh` (a Laurent table cache of the test's own),
   `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
   (x|y) through `RootSystem.covector`) and `series_one`.
 """
@@ -142,7 +142,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 from orbifold24 import cases, qmodular
-from orbifold24.affinerep import AffineAlgebra, enumerate_level_weights, n_min_column
+from orbifold24.affinerep import (
+    AffineAlgebra,
+    Ambient,
+    Twist,
+    enumerate_level_weights,
+    n_min_column,
+)
 from orbifold24.exactmath import (
     InvariantError, identity, integer_inverse, mat_mul, rank, transpose,
 )
@@ -183,7 +189,7 @@ from orbifold24.schellekens import (
     _order3_label_vectors,
     order3_fixed_options,
 )
-from orbifold24.twistbound import CaseSpec, _CaseTables, invariant_norm, shift_ok
+from orbifold24.twistbound import _CaseTables, invariant_norm, shift_ok
 
 Coords = Tuple[Q, ...]  # a rational weight in Fraction coordinates
 Matrix = Sequence[Sequence[Union[int, Q]]]  # a rational matrix
@@ -446,11 +452,11 @@ def fraction_coords(h: ScaledCoords) -> Coords:
     return tuple(Q(x, den) for x in v)
 
 
-def fraction_invariant_norm(c: CaseSpec) -> Q:
+def fraction_invariant_norm(ambient: Ambient, h: Twist) -> Q:
     """<h|h> = sum_i k_i (h_i|h_i) through each ideal's Fraction Gram matrix."""
     total = Q(0)
-    for a, h in zip(c.ambient, c.h):
-        x = fraction_coords(h)
+    for a, hi in zip(ambient, h, strict=True):
+        x = fraction_coords(hi)
         total += a.level * fraction_ip(fraction_fw_gram(a.root_system()), x, x)
     return total
 
@@ -690,9 +696,9 @@ def scan(t: _CaseTables) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
         yield idx, s_cw, s_nm
 
 
-def feasible_tuples(c: CaseSpec) -> List[TupleBound]:
+def feasible_tuples(ambient: Ambient, h: Twist) -> List[TupleBound]:
     """All weight tuples with integral conformal-weight sum, with bounds."""
-    t = _CaseTables(c, invariant_norm(c)[0])
+    t = _CaseTables(ambient, h, invariant_norm(ambient, h)[0])
     d = t.scale
     out: List[TupleBound] = []
     for idx, s_cw, s_nm in scan(t):
@@ -725,10 +731,10 @@ class TupleGrid:
     bound_s: np.ndarray  # scaled bound, int64 max where cw is not integral
 
 
-def tuple_grid(c: CaseSpec) -> TupleGrid:
+def tuple_grid(ambient: Ambient, h: Twist) -> TupleGrid:
     """The exhaustive scan of `scan` for h, broadcast in numpy so that the
     10^6 tuples of a2x6 take well under a second."""
-    t = _CaseTables(c, invariant_norm(c)[0])
+    t = _CaseTables(ambient, h, invariant_norm(ambient, h)[0])
     d = t.scale
     n = len(t.weights)
 
@@ -747,13 +753,13 @@ def tuple_grid(c: CaseSpec) -> TupleGrid:
     return TupleGrid(t, s_cw, nonvacuum, ell_s, bound)
 
 
-def scan_minimum(c: CaseSpec) -> Tuple[Q, Tuple[IntCoords, ...]]:
+def scan_minimum(ambient: Ambient, h: Twist) -> Tuple[Q, Tuple[IntCoords, ...]]:
     """Least bound over every tuple and its lexicographically least witness.
 
     A C-order argmin over `tuple_grid` returns the first minimum in the
     scan's order.
     """
-    g = tuple_grid(c)
+    g = tuple_grid(ambient, h)
     t, d, bound = g.tables, g.tables.scale, g.bound_s
     flat = int(np.argmin(bound))
     idx = np.unravel_index(flat, bound.shape)
@@ -761,20 +767,20 @@ def scan_minimum(c: CaseSpec) -> Tuple[Q, Tuple[IntCoords, ...]]:
     return Q(int(bound.flat[flat]), d), witness
 
 
-def twisted_weight_lower_bound(t: TupleBound, c: CaseSpec) -> Q:
+def twisted_weight_lower_bound(t: TupleBound, ambient: Ambient, h: Twist) -> Q:
     """ell_min + sum n_min + <h|h>/2, recomputed from the case data."""
-    if not shift_ok(c):
+    if not shift_ok(ambient, h):
         raise ValueError("(h|alpha) >= -1 fails; the shift formula does not apply")
-    norm, _, _ = invariant_norm(c)
+    norm, _, _ = invariant_norm(ambient, h)
     total = Q(t.ell_min) + norm / 2
-    for a, hi, w in zip(c.ambient, c.h, t.weights):
+    for a, hi, w in zip(ambient, h, t.weights):
         total += brute_force_min(a.root_system(), fraction_coords(hi), w)
     return total
 
 
-def root_loop_shift_ok(c: CaseSpec) -> bool:
+def root_loop_shift_ok(ambient: Ambient, h: Twist) -> bool:
     """True iff (h|alpha) >= -1 for every root alpha, root by root."""
-    for a, hi in zip(c.ambient, c.h):
+    for a, hi in zip(ambient, h, strict=True):
         rs = a.root_system()
         x = fraction_coords(hi)
         for root in rs.roots:
@@ -784,10 +790,9 @@ def root_loop_shift_ok(c: CaseSpec) -> bool:
     return True
 
 
-def negated(c: CaseSpec) -> CaseSpec:
-    """The case with twist -h."""
-    h = tuple((den, tuple(-x for x in v)) for den, v in c.h)
-    return CaseSpec(c.ambient, h)
+def negated(ambient: Ambient, h: Twist) -> Tuple[Ambient, Twist]:
+    """The case (ambient, -h)."""
+    return ambient, tuple((den, tuple(-x for x in v)) for den, v in h)
 
 
 # --- fixed subalgebras -----------------------------------------------------

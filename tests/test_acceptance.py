@@ -58,9 +58,9 @@ def test_criterion_1_module_tables():
 def test_criterion_2_norms_and_shifts():
     ok = True
     for case_id in ("e6g2", "a2x6", "a5d4"):
-        spec = BUILTIN_CASES[case_id].case_spec()
-        norm, in_2z, in_23z = invariant_norm(spec)
-        ok = ok and norm == 2 and in_2z and in_23z and shift_ok(spec)
+        cf = BUILTIN_CASES[case_id]
+        norm, in_2z, in_23z = invariant_norm(cf.ambient, cf.h)
+        ok = ok and norm == 2 and in_2z and in_23z and shift_ok(cf.ambient, cf.h)
     report("2 (twist norms and shifts)", ok)
 
 
@@ -68,9 +68,9 @@ def test_criterion_3_twisted_minima():
     t0 = time.monotonic()
     ok = True
     for case_id in ("e6g2", "a2x6", "a5d4"):
-        spec = BUILTIN_CASES[case_id].case_spec()
+        cf = BUILTIN_CASES[case_id]
         m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(
-            spec, invariant_norm(spec)[0]
+            cf.ambient, cf.h, invariant_norm(cf.ambient, cf.h)[0]
         )
         vacuum = all(all(c == 0 for c in w) for w in wit_pos) and all(
             all(c == 0 for c in w) for w in wit_neg
@@ -160,9 +160,9 @@ def test_criterion_8_property_suites():
     # closed-form directional minima equal the Freudenthal oracle
     ok = True
     for name in ("e6g2", "a2x6", "a5d4"):
-        case = BUILTIN_CASES[name].case_spec()
-        for c in (case, negated(case)):
-            for alg, h in zip(c.ambient, c.h):
+        cf = BUILTIN_CASES[name]
+        for ambient, hs in ((cf.ambient, cf.h), negated(cf.ambient, cf.h)):
+            for alg, h in zip(ambient, hs):
                 rs = alg.root_system()
                 den, pos, _ = n_min_column(alg, h)
                 for lam, x in zip(enumerate_level_weights(alg).weights, pos):

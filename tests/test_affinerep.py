@@ -143,11 +143,11 @@ def case_a5d4():
 def test_sigma_order_three_for_cases():
     for mk in (case_e6g2, case_a2x6, case_a5d4):
         algebras, h = mk()
-        assert sigma_order_on_category(h, algebras) == 3
+        assert sigma_order_on_category(algebras, h) == 3
 
 
 def test_sigma_order_trivial():
-    assert sigma_order_on_category((zero(E6_3),), [E6_3]) == 1
+    assert sigma_order_on_category([E6_3], (zero(E6_3),)) == 1
 
 
 def test_fixed_subalgebra_e6g2():

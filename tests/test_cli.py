@@ -135,11 +135,35 @@ def test_lattice_command(capsys):
     data = json.loads(out)
     names = {s["name"]: s for s in data["steps"]}
     assert names["sigma6: fixed dim"]["computed"] == 102
-    # the same per-lattice and per-isometry checks as the verify-all battery
+    # the same per-lattice and per-isometry checks as the verify-all battery,
+    # the ground energy among them
     battery = {s.name for s in cases.verify_tables("lattice").steps}
     checks = [s["name"] for s in data["steps"] if s["verdict"] != "info"]
-    assert len(checks) == 9 and set(checks) <= battery
+    assert len(checks) == 10 and set(checks) <= battery
+    assert names["sigma6: twisted ground energy"]["verdict"] == "pass"
     assert data["verdict"] == "pass"
+
+
+def test_twist_steps_match_the_verify_all_case_sections(capsys):
+    # twist-bound and run_case write the twist steps through one function:
+    # each step of a built-in's twist-bound output that its verify-all
+    # section also has is the same step there
+    code, out = run_cli(capsys, ["verify-all", "--json"])
+    steps = json.loads(out)["steps"]
+    starts = [i for i, s in enumerate(steps) if s["name"] == "twist norm <h|h>"]
+    assert code == 0 and len(starts) == len(cases.BUILTIN_CASES)
+    for case_id, start, end in zip(cases.BUILTIN_CASES, starts, starts[1:] + [None]):
+        section = {s["name"]: s for s in steps[start:end]}
+        code, out = run_cli(capsys, ["twist-bound", "--case", case_id, "--json"])
+        twist = json.loads(out)["steps"]
+        shared = [s for s in twist if s["name"] in section]
+        assert code == 0
+        assert [s["name"] for s in shared] == [
+            "twist norm <h|h>", "twist norm in 2Z", "twist norm in (2/3)Z",
+            "shift bound (h|alpha) >= -1", "tuple space size",
+            "min twisted weight (+h)", "min twisted weight (-h)",
+        ]
+        assert shared == [section[s["name"]] for s in shared]
 
 
 def run_main(capsys, argv):
@@ -283,6 +307,18 @@ def test_trunc_is_checked_at_parse_time(capsys, monkeypatch, argv, value):
     err = capsys.readouterr().err
     assert f"error: argument --trunc: truncation must be positive: {value}" in err
     assert "Traceback" not in err
+
+
+def test_too_deep_candidate_search_exits_2(capsys):
+    # the search nests once per ideal taken or skipped; at this dim and
+    # ratio it would nest past the interpreter's recursion limit
+    code, out, err = run_main(
+        capsys, ["candidates", "--dim", "100000", "--ratio", "1/1000", "--json"]
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: candidate search at dim 100000, ratio 1/1000 nests too deep to enumerate"
+    ]
 
 
 def test_missing_case_file_exits_2():
@@ -518,7 +554,7 @@ def test_builtin_case_round_trips_through_a_case_file(tmp_path):
         "h": [[0] * 6, ["1", "0"], ["1", "0"], ["2/2", "0/3"]],
     }), encoding="utf-8")
     loaded = cases.CaseFile.from_json(str(path))
-    assert loaded.case_spec() == builtin.case_spec()
+    assert (loaded.ambient, loaded.h) == (builtin.ambient, builtin.h)
     assert loaded.h == ((1, (0,) * 6),) + ((1, (1, 0)),) * 3
     assert all(type(x) is int for _, v in loaded.h for x in v)
 
@@ -559,7 +595,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("argv", "digest"),
     [
-        (["twist-bound", "--case", "a2x6", "--json"], "4bf771d8417338fc"),
+        (["twist-bound", "--case", "a2x6", "--json"], "ab3cdeda34fff37d"),
         (["twist-bound", "--case", OFFCHAMBER_CASE, "--json"], "a02f4b72c48535e2"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
           "--json"], "a49d16515181d955"),
@@ -577,10 +613,10 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["lattice", "--isometry", "sigma4", "--json"],
          "96fe4294d2da5897"),
         (["lattice", "--isometry", "sigma6", "--json"],
-         "994a5533f0cc0f22"),
+         "cc11f2e0ed6b65ba"),
         (["lattice", "--isometry", "sigma2", "--json"],
          "39d37b078bb3906d"),
-        (["verify-all", "--json"], "570cc1f97fd88590"),
+        (["verify-all", "--json"], "ba8feb735f2f5e42"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
         (["tables", "--which", "g2.1", "--json"], "75941706ce0140d9"),

@@ -21,7 +21,6 @@ from orbifold24.rootdata import (
     scaled_coords,
 )
 from orbifold24.twistbound import (
-    CaseSpec,
     invariant_norm,
     min_twisted_weight,
     shift_ok,
@@ -47,40 +46,51 @@ from helpers import (
     typed_components_of_subsystem,
 )
 
-CASE1 = BUILTIN_CASES["e6g2"].case_spec()
-CASE2 = BUILTIN_CASES["a2x6"].case_spec()
-CASE3 = BUILTIN_CASES["a5d4"].case_spec()
+# each case as the pair (ambient, h) that the twist functions take
+CASE1, CASE2, CASE3 = (
+    (BUILTIN_CASES[c].ambient, BUILTIN_CASES[c].h) for c in ("e6g2", "a2x6", "a5d4")
+)
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=["e6g2", "a2x6", "a5d4"])
 def test_invariant_norm_is_two(case):
-    norm, in_2z, in_23z = invariant_norm(case)
+    norm, in_2z, in_23z = invariant_norm(*case)
     assert norm == 2 and in_2z and in_23z
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=["e6g2", "a2x6", "a5d4"])
 def test_shift_ok(case):
-    assert shift_ok(case)
+    assert shift_ok(*case)
 
 
-def test_case_spec_rejects_a_twist_vector_one_entry_short():
-    with pytest.raises(ValueError, match="^twist vector length does not match ideal count$"):
-        CaseSpec(CASE1.ambient, CASE1.h[:-1])
+def test_twist_functions_reject_a_twist_vector_one_entry_short():
+    # every function that walks the (ideal, h_i) pairs zips them strictly
+    ambient, h = CASE1
+    short = h[:-1]
+    message = "^zip\\(\\) argument 2 is shorter than argument 1$"
+    calls = [
+        lambda: invariant_norm(ambient, short),
+        lambda: shift_ok(ambient, short),
+        lambda: min_twisted_weight(ambient, short, Q(2)),
+        lambda: sigma_order_on_category(ambient, short),
+        lambda: inner_fixed_subalgebra(ambient, short),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_shift_ok_zero_twist():
     g2 = build_root_system(SimpleType("G", 2))
-    c = CaseSpec(
+    assert shift_ok(
         (AffineAlgebra(SimpleType("G", 2), 1),), (scaled_coords((0,) * g2.rank),)
     )
-    assert shift_ok(c)
 
 
 def test_shift_fails_for_large_twist():
     g2 = build_root_system(SimpleType("G", 2))
     h = (scaled_coords((0, 3)),)  # 3 L_2
-    c = CaseSpec((AffineAlgebra(SimpleType("G", 2), 1),), h)
-    assert not shift_ok(c)
+    assert not shift_ok((AffineAlgebra(SimpleType("G", 2), 1),), h)
     low = min(root_ip(g2, fraction_coords(h[0]), r) for r in g2.roots)
     assert low <= -3
 
@@ -102,7 +112,7 @@ def weyl_image(rs, h, rng, steps=6):
 
 def single_ideal_case(name, h):
     t = SimpleType.parse(name)
-    return CaseSpec((AffineAlgebra(t, 1),), (scaled_coords(h),))
+    return (AffineAlgebra(t, 1),), (scaled_coords(h),)
 
 
 @pytest.mark.parametrize("name", ORACLE_TYPES)
@@ -124,23 +134,23 @@ def test_shift_ok_matches_root_loop(name):
         for h in (edge, weyl_image(rs, edge, rng)):
             for x in (h, scale(h, -1)):
                 c = single_ideal_case(name, x)
-                assert shift_ok(c) and root_loop_shift_ok(c)
+                assert shift_ok(*c) and root_loop_shift_ok(*c)
                 over = single_ideal_case(name, scale(x, Q(1001, 1000)))
-                assert not shift_ok(over) and not root_loop_shift_ok(over)
-    verdicts = [root_loop_shift_ok(single_ideal_case(name, h)) for h in hs]
-    assert [shift_ok(single_ideal_case(name, h)) for h in hs] == verdicts
+                assert not shift_ok(*over) and not root_loop_shift_ok(*over)
+    verdicts = [root_loop_shift_ok(*single_ideal_case(name, h)) for h in hs]
+    assert [shift_ok(*single_ideal_case(name, h)) for h in hs] == verdicts
     assert True in verdicts and False in verdicts
 
 
 def test_tuple_space_sizes():
-    assert tuple_space_size(CASE1) == 160
-    assert tuple_space_size(CASE2) == 10**6
-    assert tuple_space_size(CASE3) == 56 * 24 * 2**3 == 10752
+    assert tuple_space_size(CASE1[0]) == 160
+    assert tuple_space_size(CASE2[0]) == 10**6
+    assert tuple_space_size(CASE3[0]) == 56 * 24 * 2**3 == 10752
 
 
 def test_feasibility_excludes_g2_triple():
     # conformal-weight sum 3 * (2/5) is not integral
-    fts = feasible_tuples(CASE1)
+    fts = feasible_tuples(*CASE1)
     zero_e6 = tuple([Q(0)] * 6)
     l1_g2 = (Q(1), Q(0))
     assert not any(
@@ -150,14 +160,14 @@ def test_feasibility_excludes_g2_triple():
 
 def test_feasibility_excludes_a5_special_weight():
     # 191/108 mod 1 cannot be completed by eighteenths and quarters
-    fts = feasible_tuples(CASE3)
+    fts = feasible_tuples(*CASE3)
     bad = (Q(1), Q(0), Q(2), Q(0), Q(0))
     assert not any(tb.weights[0] == bad for tb in fts)
 
 
 def test_vacuum_tuple_feasible_with_zero_floor():
     for case in (CASE1, CASE2, CASE3):
-        g = tuple_grid(case)
+        g = tuple_grid(*case)
         d = g.tables.scale
         vac = (g.s_cw % d == 0) & ~g.nonvacuum
         assert int(vac.sum()) == 1
@@ -166,7 +176,7 @@ def test_vacuum_tuple_feasible_with_zero_floor():
 
 
 def test_known_a5_bound_one_tuple():
-    fts = feasible_tuples(CASE3)
+    fts = feasible_tuples(*CASE3)
     lam1 = (Q(0), Q(0), Q(3), Q(0), Q(0))
     d4_zero = tuple([Q(0)] * 4)
     a1_one = (Q(1),)
@@ -178,18 +188,18 @@ def test_known_a5_bound_one_tuple():
     assert len(hits) == 1
     tb = hits[0]
     assert tb.cw_sum == 3 and tb.ell_min == 3 and tb.bound == 1
-    assert twisted_weight_lower_bound(tb, CASE3) == 1
+    assert twisted_weight_lower_bound(tb, *CASE3) == 1
 
 
 def test_bound_recomputation_agrees():
-    fts = feasible_tuples(CASE1)
+    fts = feasible_tuples(*CASE1)
     for tb in fts:
-        assert twisted_weight_lower_bound(tb, CASE1) == tb.bound
+        assert twisted_weight_lower_bound(tb, *CASE1) == tb.bound
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=["e6g2", "a2x6", "a5d4"])
 def test_min_twisted_weight_is_one(case):
-    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(case, invariant_norm(case)[0])
+    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case, invariant_norm(*case)[0])
     assert m_pos == 1 and m_neg == 1
     for wit in (wit_pos, wit_neg):
         assert all(all(c == 0 for c in w) for w in wit)
@@ -197,21 +207,21 @@ def test_min_twisted_weight_is_one(case):
 
 @pytest.mark.parametrize("case", [CASE1, CASE3], ids=["e6g2", "a5d4"])
 def test_negation_symmetry_of_bound_multisets(case):
-    pos = Counter(tb.bound for tb in feasible_tuples(case))
-    neg = Counter(tb.bound for tb in feasible_tuples(negated(case)))
+    pos = Counter(tb.bound for tb in feasible_tuples(*case))
+    neg = Counter(tb.bound for tb in feasible_tuples(*negated(*case)))
     assert pos == neg
 
 
 def test_all_bounds_at_least_one_and_in_thirds():
     for case in (CASE1, CASE3):
-        for signed in (case, negated(case)):
-            for tb in feasible_tuples(signed):
+        for signed in (case, negated(*case)):
+            for tb in feasible_tuples(*signed):
                 assert tb.bound >= 1
                 assert (3 * tb.bound).denominator == 1
 
 
 def test_feasible_tuples_have_integral_sums():
-    for tb in feasible_tuples(CASE1):
+    for tb in feasible_tuples(*CASE1):
         assert tb.cw_sum.denominator == 1
         assert tb.feasible
         assert tb.ell_min >= tb.cw_sum
@@ -226,7 +236,7 @@ SMALL_IDEALS = [("A", 1, 1), ("A", 1, 3), ("A", 2, 1), ("A", 2, 2), ("A", 3, 1),
                 ("G", 2, 2)]
 
 
-def random_case(rng: random.Random, k: int) -> CaseSpec:
+def random_case(rng: random.Random, k: int) -> tuple:
     """Up to four small ideals, each with a random h, (h+|theta) <= 1.
 
     Half of the h are moved off the dominant chamber by a few simple
@@ -246,13 +256,13 @@ def random_case(rng: random.Random, k: int) -> CaseSpec:
             h = weyl_image(rs, h, rng, steps=rng.randint(1, 6))
         ambient.append(a)
         hs.append(scaled_coords(h))
-    return CaseSpec(tuple(ambient), tuple(hs))
+    return tuple(ambient), tuple(hs)
 
 
 def assert_dp_matches_scan(case):
-    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(case, invariant_norm(case)[0])
-    assert (m_pos, wit_pos) == scan_minimum(case)
-    assert (m_neg, wit_neg) == scan_minimum(negated(case))
+    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case, invariant_norm(*case)[0])
+    assert (m_pos, wit_pos) == scan_minimum(*case)
+    assert (m_neg, wit_neg) == scan_minimum(*negated(*case))
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=["e6g2", "a2x6", "a5d4"])
@@ -265,19 +275,20 @@ def test_dp_matches_scan_on_random_cases():
     off_chamber = scaled = 0
     for k in range(100):
         case = random_case(rng, k)
-        assert shift_ok(case) and root_loop_shift_ok(case)
-        for c in (case, negated(case)):
-            norm, in_2z, in_23z = invariant_norm(c)
-            assert norm == fraction_invariant_norm(c)
+        assert shift_ok(*case) and root_loop_shift_ok(*case)
+        for c in (case, negated(*case)):
+            norm, in_2z, in_23z = invariant_norm(*c)
+            assert norm == fraction_invariant_norm(*c)
             assert in_2z == ((norm / 2).denominator == 1)
             assert in_23z == ((norm * 3 / 2).denominator == 1)
         assert_dp_matches_scan(case)
-        off_chamber += any(min(v) < 0 for _, v in case.h)
-        scaled += any(a.root_system().scale > 1 and a.level > 1 for a in case.ambient)
+        ambient, h = case
+        off_chamber += any(min(v) < 0 for _, v in h)
+        scaled += any(a.root_system().scale > 1 and a.level > 1 for a in ambient)
     assert off_chamber > 20 and scaled > 10
 
 
-def wide_case(rng: random.Random, k: int) -> CaseSpec:
+def wide_case(rng: random.Random, k: int) -> tuple:
     """Three to five small ideals, h coordinates with denominators up to 12
     and (h+|theta) <= 1, half of them moved off the dominant chamber; the
     scale d of the DP then has many residue classes."""
@@ -295,10 +306,10 @@ def wide_case(rng: random.Random, k: int) -> CaseSpec:
             h = weyl_image(rs, h, rng, steps=rng.randint(1, 6))
         ambient.append(a)
         hs.append(scaled_coords(h))
-    return CaseSpec(tuple(ambient), tuple(hs))
+    return tuple(ambient), tuple(hs)
 
 
-def top_row_without_completion(case: CaseSpec) -> bool:
+def top_row_without_completion(ambient) -> bool:
     """Some row of ideal 0 has no completion by the other ideals with an
     integral cw sum: its residue group in the DP is empty."""
     def cws(a):
@@ -306,9 +317,9 @@ def top_row_without_completion(case: CaseSpec) -> bool:
         return [Q(x, den) for x in col]
 
     sums = {Q(0)}
-    for a in case.ambient[1:]:
+    for a in ambient[1:]:
         sums = {(x + y) % 1 for x in sums for y in cws(a)}
-    return any(-cw % 1 not in sums for cw in cws(case.ambient[0]))
+    return any(-cw % 1 not in sums for cw in cws(ambient[0]))
 
 
 def test_dp_matches_scan_on_wide_denominator_draws():
@@ -316,11 +327,11 @@ def test_dp_matches_scan_on_wide_denominator_draws():
     empty_group = non_vacuum = 0
     for k in range(120):
         case = wide_case(rng, k)
-        assert shift_ok(case) and root_loop_shift_ok(case)
-        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(case, invariant_norm(case)[0])
-        assert (m_pos, wit_pos) == scan_minimum(case)
-        assert (m_neg, wit_neg) == scan_minimum(negated(case))
-        empty_group += top_row_without_completion(case)
+        assert shift_ok(*case) and root_loop_shift_ok(*case)
+        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case, invariant_norm(*case)[0])
+        assert (m_pos, wit_pos) == scan_minimum(*case)
+        assert (m_neg, wit_neg) == scan_minimum(*negated(*case))
+        empty_group += top_row_without_completion(case[0])
         non_vacuum += any(any(w) for w in wit_pos + wit_neg)
     assert empty_group >= 0.3 * 120 and non_vacuum >= 0.1 * 120
 
@@ -332,10 +343,10 @@ def test_shift_ok_matches_root_loop_on_random_cases():
     for k in range(100):
         case = random_case(rng, k)
         factor = rng.choice((1, Q(5, 4), 2, 3))
-        h = tuple(scaled_coords(scale(fraction_coords(hi), factor)) for hi in case.h)
-        pushed = CaseSpec(case.ambient, h)
-        assert shift_ok(pushed) == root_loop_shift_ok(pushed)
-        verdicts.append(shift_ok(pushed))
+        ambient, h = case
+        pushed = tuple(scaled_coords(scale(fraction_coords(hi), factor)) for hi in h)
+        assert shift_ok(ambient, pushed) == root_loop_shift_ok(ambient, pushed)
+        verdicts.append(shift_ok(ambient, pushed))
     assert True in verdicts and False in verdicts
 
 
@@ -344,9 +355,9 @@ def test_category_order_and_fixed_roots_match_fraction_pairings():
     rng = random.Random(7)
     orders, dropped = Counter(), 0
     for k in range(60):
-        case = random_case(rng, k)
+        ambient, hs = random_case(rng, k)
         order = 1
-        for a, h in zip(case.ambient, case.h):
+        for a, h in zip(ambient, hs):
             rs = a.root_system()
             gram, x = fraction_fw_gram(rs), fraction_coords(h)
             for w in enumerate_level_weights(a).weights:
@@ -360,22 +371,22 @@ def test_category_order_and_fixed_roots_match_fraction_pairings():
             typed, abelian, dim = typed_components_of_subsystem(rs, retained, a.level)
             want = SemisimpleTypeWithLevels.of(typed, abelian), dim
             assert inner_fixed_subalgebra((a,), (h,)) == want
-        assert sigma_order_on_category(case.h, case.ambient) == order
+        assert sigma_order_on_category(ambient, hs) == order
         orders[order] += 1
     assert len(orders) > 2 and dropped > 20
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE3], ids=["e6g2", "a5d4"])
 def test_scan_minimum_agrees_with_feasible_tuples(case):
-    best = min(feasible_tuples(case), key=lambda tb: tb.bound)
-    assert scan_minimum(case) == (best.bound, best.weights)
+    best = min(feasible_tuples(*case), key=lambda tb: tb.bound)
+    assert scan_minimum(*case) == (best.bound, best.weights)
 
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=["e6g2", "a2x6", "a5d4"])
 def test_n_min_column_matches_oracle_on_case_rows(case):
     # both columns of one h+ against the oracle on h and on -h
-    for c in (case, negated(case)):
-        for a, h in zip(c.ambient, c.h):
+    for ambient, hs in (case, negated(*case)):
+        for a, h in zip(ambient, hs):
             rs = a.root_system()
             x = fraction_coords(h)
             weights = enumerate_level_weights(a).weights
@@ -394,7 +405,7 @@ def test_min_twisted_weight_builds_no_weight_system():
     assert mods and not any(hasattr(m, "weight_system") for m in mods)
     enumerate_level_weights.cache_clear()
     for case in (CASE1, CASE2, CASE3):
-        min_twisted_weight(case, invariant_norm(case)[0])
+        min_twisted_weight(*case, invariant_norm(*case)[0])
 
 
 def test_untwisted_ideal_gets_zero_columns_without_a_covector(monkeypatch):
@@ -418,16 +429,17 @@ def test_untwisted_ideal_gets_zero_columns_without_a_covector(monkeypatch):
 
 def test_twist_bound_computes_the_norm_once(capsys, monkeypatch):
     # the norm that the query reports is the one the DP adds to every bound
+    import orbifold24.cases as cases
     import orbifold24.cli as cli
     import orbifold24.twistbound as twistbound
 
     calls = []
 
-    def counting(c):
-        calls.append(c)
-        return invariant_norm(c)
+    def counting(ambient, h):
+        calls.append(h)
+        return invariant_norm(ambient, h)
 
-    monkeypatch.setattr(cli, "invariant_norm", counting)
+    monkeypatch.setattr(cases, "invariant_norm", counting)
     monkeypatch.setattr(twistbound, "invariant_norm", counting)
     assert cli.main(["twist-bound", "--case", "a5d4", "--json"]) == 0
     capsys.readouterr()
