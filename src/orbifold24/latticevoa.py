@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from operator import add
+from operator import add, mul, xor
 from typing import (
     Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -99,21 +99,14 @@ class GlueCode(NamedTuple):
 
     @lru_cache(maxsize=None)
     def words(self) -> FrozenSet[IntVec]:
-        zero = tuple([0] * len(self.components))
-        seen: Set[IntVec] = {zero}
-        frontier = [zero]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for g in self.generators:
-                    s = tuple(
-                        digit_add(t, a, b)
-                        for t, a, b in zip(self.components, w, g)
-                    )
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
-            frontier = nxt
+        words = [tuple([0] * len(self.components))]
+        seen = set(words)
+        for w in words:  # grows while it is walked: a breadth-first search
+            for g in self.generators:
+                s = tuple(digit_add(t, a, b) for t, a, b in zip(self.components, w, g))
+                if s not in seen:
+                    seen.add(s)
+                    words.append(s)
         return frozenset(seen)
 
     def word_vector(self, w: IntVec) -> ScaledCoords:
@@ -651,10 +644,9 @@ class LatticeLieAlgebra:
         if y < r:
             v = self.cr[x - r][y]
             return {x: -v} if v else {}
-        hit = self.pairs[x - r].get(y - r)
-        if hit is None:
+        s, sgn = self.pairs[x - r].get(y - r, (0, 0))
+        if not sgn:
             return {}
-        s, sgn = hit
         if s >= 0:
             return {r + s: sgn}
         # opposite roots: the bracket is the coroot direction
@@ -675,23 +667,68 @@ class LatticeLieAlgebra:
         r = self.rank
         for i, ci in x.items():
             for j, cj in y.items():
-                if i < r:
-                    if j < r:
-                        total += ci * cj * gram[i][j]
-                elif j >= r:
-                    hit = self.pairs[i - r].get(j - r)
-                    if hit is not None and hit[0] < 0:
-                        total += ci * cj * hit[1]
+                if i < r and j < r:
+                    total += ci * cj * gram[i][j]
+                elif i >= r and j >= r:
+                    s, sgn = self.pairs[i - r].get(j - r, (0, 0))
+                    if s < 0:
+                        total += ci * cj * sgn
         return total
-
-    def negate_root_index(self, k: int) -> int:
-        neg = tuple(-c for c in self.root_coords[k])
-        return self.root_index[neg]
 
 
 def weight_one_algebra(lat: EvenLattice) -> LatticeLieAlgebra:
     """Weight-one Lie algebra of the lattice vertex algebra of an even lattice."""
     return LatticeLieAlgebra(lat)
+
+
+def certify_frenkel_kac(alg: LatticeLieAlgebra) -> bool:
+    """Whether alg's tables are the Frenkel-Kac bracket of its lattice, by
+    explicit checks that also run under `python -O`:
+    (a) eps from its definition on lattice coordinates: x L mod 2, L the
+        gram's strict lower triangle, sums the rows of L at the odd x_i
+        (neither `eps_low` nor the builder's E L E^T is used);
+    (b) pairs[k][l] = (index of a_k + a_l, or -1 if a_l = -a_k; eps(a_k, a_l));
+    (c) pairs[k] has 2h - 3 keys, h = h-dual of the simply-laced component
+        of a_k.  Its Killing form is 2h times the form, so its roots b have
+        sum (a|b)^2 = 4h: b = +-a give 8, and by Cauchy-Schwarz 4h - 8 others
+        pair to +-1, half of them to -1; with -a, these are the 2h - 3 b with
+        a + b a root or 0.  Other components are orthogonal to a, and by (b)
+        every key is such a b, so none is missing;
+    (d) cr[k] = ((b_i|a_k))_i through the gram, and every root has norm 2.
+    So [t_i, e^a] = (b_i|a) e^a, [e^a, e^b] = eps(a, b) e^(a+b) if a + b is
+    a root, eps(a, -a) a if b = -a, and 0 otherwise, on the norm-2 vectors
+    of L; eps is bimultiplicative, with eps(a, b) eps(b, a) = (-1)^(a|b) as
+    the gram diagonal is even.  That is the weight-one Lie algebra of the
+    lattice vertex algebra V_L, so the Jacobi identity holds on every triple
+    (Frenkel-Lepowsky-Meurman, Vertex Operator Algebras and the Monster,
+    ch. 6; Kac, Infinite-Dimensional Lie Algebras, 7.8).
+    """
+    lat, roots, n = alg.lattice, alg.root_coords, alg.n_roots
+    if mat_mul(roots, lat.gram) != alg.cr or any(
+        sum(map(mul, x, row)) != 2 for x, row in zip(roots, alg.cr)
+    ):
+        return False
+    low = [_odd_mask(row[:i]) for i, row in enumerate(lat.gram)]
+    odd = [_odd_mask(x) for x in roots]
+    odd_low = [reduce(xor, itertools.compress(low, (c & 1 for c in x)), 0) for x in roots]
+    # a root packed into one integer, a signed field of `width` bits per
+    # coordinate: wide enough for a sum of two roots, so sums pack distinctly
+    width = 2 + max(map(abs, itertools.chain.from_iterable(roots)), default=0).bit_length()
+    keys = [sum(c << width * i for i, c in enumerate(x) if c) for x in roots]
+    index = dict(zip(keys, range(n)))
+    if len(index) != n or len(alg.pairs) != n:
+        return False
+    index[0] = -1                       # the sum of two opposite roots
+    valid = set(range(n))
+    for k, row in enumerate(alg.pairs):
+        h = lat.code.components[alg.root_component[k]].dual_coxeter_number()
+        if len(row) != 2 * h - 3 or not row.keys() <= valid:
+            return False
+        for l, (s, sgn) in row.items():
+            parity = (odd_low[k] & odd[l]).bit_count() & 1
+            if s != index.get(keys[k] + keys[l]) or sgn != (-1 if parity else 1):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -708,42 +745,31 @@ class LiftedAutomorphism(NamedTuple):
     name: str
 
     def apply(self, x: Dict[int, int]) -> Dict[int, int]:
-        alg = self.algebra
-        r = alg.rank
+        r = self.algebra.rank
         out: Dict[int, int] = {}
-        mat = self.isometry.matrix
         for i, c in x.items():
             if i < r:
-                for j in range(r):
-                    if mat[i][j]:
-                        v = out.get(j, 0) + c * mat[i][j]
-                        if v:
-                            out[j] = v
-                        elif j in out:
-                            del out[j]
+                for j, m in enumerate(self.isometry.matrix[i]):
+                    if m:
+                        out[j] = out.get(j, 0) + c * m
             else:
-                k = i - r
-                tgt = r + self.root_perm[k]
-                v = out.get(tgt, 0) + c * self.root_phase[k]
-                if v:
-                    out[tgt] = v
-                elif tgt in out:
-                    del out[tgt]
-        return out
+                tgt = r + self.root_perm[i - r]
+                out[tgt] = out.get(tgt, 0) + c * self.root_phase[i - r]
+        return {k: v for k, v in out.items() if v}
 
     def verify_automorphism(self) -> bool:
         """Exact check that the lift preserves every root-pair bracket with a
-        nonzero result, and the invariant form on every opposite root pair."""
+        nonzero result, and the invariant form on every opposite root pair:
+        the pair table holds both kinds of pair (`certify_frenkel_kac`)."""
         alg = self.algebra
         for k in range(alg.n_roots):
             x = alg.root_element(k)
-            for l in alg.pairs[k]:
+            for l, (s, _) in alg.pairs[k].items():
                 y = alg.root_element(l)
                 if self.apply(alg.bracket(x, y)) != alg.bracket(self.apply(x), self.apply(y)):
                     return False
-            y = alg.root_element(alg.negate_root_index(k))
-            if alg.form(self.apply(x), self.apply(y)) != alg.form(x, y):
-                return False
+                if s < 0 and alg.form(self.apply(x), self.apply(y)) != alg.form(x, y):
+                    return False
         return True
 
 

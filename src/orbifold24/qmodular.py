@@ -43,9 +43,7 @@ class PuiseuxSeries(NamedTuple):
 
     def normalized(self) -> "PuiseuxSeries":
         """Shrink the exponent denominator to the gcd actually used."""
-        g = self.denom
-        for n in self.coeffs:
-            g = gcd(g, n)
+        g = gcd(self.denom, *self.coeffs)
         if g <= 1:
             return self
         return PuiseuxSeries(

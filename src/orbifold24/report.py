@@ -168,17 +168,14 @@ class Report:
             comp = json.dumps(render_value(s.computed), sort_keys=True)
             if s.verdict == INFO:
                 lines.append(f"  {s.name:<{width}}  {comp}")
+            elif s.verdict == PASS:
+                lines.append(f"  {s.name:<{width}}  {comp}  [ok]")
             else:
                 exp = json.dumps(render_value(s.expected), sort_keys=True)
-                mark = {PASS: "ok", FAIL: "FAIL", DISCREPANCY: "documented-discrepancy"}[
-                    s.verdict
-                ]
-                if s.verdict == PASS:
-                    lines.append(f"  {s.name:<{width}}  {comp}  [{mark}]")
-                else:
-                    lines.append(
-                        f"  {s.name:<{width}}  computed {comp} vs reference {exp}  [{mark}]"
-                    )
+                mark = "FAIL" if s.verdict == FAIL else "documented-discrepancy"
+                lines.append(
+                    f"  {s.name:<{width}}  computed {comp} vs reference {exp}  [{mark}]"
+                )
         if self.assumptions:
             lines.append("  assumptions:")
             lines.extend(f"    - {a}" for a in self.assumptions)

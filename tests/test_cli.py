@@ -259,10 +259,9 @@ def test_bad_numeric_argument_exits_2(capsys, argv):
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d13"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d23"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--trunc"),
-        (["tables", "--which", "modular"], "--seed"),
         (["verify-all"], "--seed"),
     ],
-    ids=["dim", "ratio", "dimv1", "d0", "d13", "d23", "trunc", "tables-seed", "verify-all-seed"],
+    ids=["dim", "ratio", "dimv1", "d0", "d13", "d23", "trunc", "verify-all-seed"],
 )
 def test_numeric_option_outside_the_ascii_grammar_exits_2(capsys, argv, option, value):
     # other scripts' digits, decimals, signs and underscores: argparse
@@ -286,20 +285,14 @@ def test_numeric_options_read_the_ascii_forms():
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["tables", "--which", "modular"],
-        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"],
-        ["verify-all"],
-    ],
-    ids=["tables", "dimension", "verify-all"],
+    [["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"]],
+    ids=["dimension"],
 )
 def test_trunc_is_checked_at_parse_time(capsys, monkeypatch, argv, value):
     # argparse refuses the flag before any section runs
     def no_section(*args, **kwargs):
         raise AssertionError("a section ran")
 
-    monkeypatch.setattr(cli, "run_case", no_section)
-    monkeypatch.setattr(cli, "verify_tables", no_section)
     monkeypatch.setattr(qmodular, "derive_dimension_formula", no_section)
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--trunc", value])
@@ -307,6 +300,37 @@ def test_trunc_is_checked_at_parse_time(capsys, monkeypatch, argv, value):
     err = capsys.readouterr().err
     assert f"error: argument --trunc: truncation must be positive: {value}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tables", "--which", "modular", "--seed", "1"],
+        ["tables", "--which", "modular", "--trunc", "12"],
+        ["verify-all", "--trunc", "12"],
+    ],
+    ids=["tables-seed", "tables-trunc", "verify-all-trunc"],
+)
+def test_removed_options_are_usage_errors(capsys, monkeypatch, argv):
+    # no step draws at random and every section expands to q^12, so these
+    # options are gone: argparse refuses them before any section runs
+    def no_section(*args, **kwargs):
+        raise AssertionError("a section ran")
+
+    monkeypatch.setattr(cli, "run_case", no_section)
+    monkeypatch.setattr(cli, "verify_tables", no_section)
+    code, out, err = run_main(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}" in err
+    assert err.startswith("usage: ") and "Traceback" not in err
+
+
+def test_verify_all_seed_is_ignored(capsys):
+    # the option stays accepted for existing command lines; nothing reads it
+    code, plain = run_cli(capsys, ["verify-all", "--json"])
+    code_seeded, seeded = run_cli(capsys, ["verify-all", "--json", "--seed=41"])
+    assert code == code_seeded == 0
+    assert seeded == plain
 
 
 def test_too_deep_candidate_search_exits_2(capsys):
@@ -611,12 +635,12 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
           "--trunc", "16", "--json"], "a49d16515181d955"),
         (["lattice", "--isometry", "sigma4", "--json"],
-         "96fe4294d2da5897"),
+         "59f6fca7afca23d2"),
         (["lattice", "--isometry", "sigma6", "--json"],
-         "cc11f2e0ed6b65ba"),
+         "7b847c7f33dfb73f"),
         (["lattice", "--isometry", "sigma2", "--json"],
-         "39d37b078bb3906d"),
-        (["verify-all", "--json"], "ba8feb735f2f5e42"),
+         "371068a62061c345"),
+        (["verify-all", "--json"], "925c2e24531a2143"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
         (["tables", "--which", "g2.1", "--json"], "75941706ce0140d9"),
@@ -624,7 +648,6 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["tables", "--which", "a1.1", "--json"], "e363c8f29699ea1d"),
         (["tables", "--which", "d4.3", "--json"], "63ea36e3b6cfbcab"),
         # the smallest truncation: f exact below q^(3/2), f^n at the cusp below q
-        (["tables", "--which", "modular", "--trunc", "1", "--json"], "797cae7e343120b7"),
         (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
           "--trunc", "1", "--json"], "a49d16515181d955"),
     ],
@@ -633,7 +656,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
          "dimension-trunc16", "lattice", "lattice-sigma6",
          "lattice-sigma2", "verify-all", "tables-modular", "tables-a5.3",
          "tables-g2.1", "tables-a2.3", "tables-a1.1", "tables-d4.3",
-         "tables-modular-trunc1", "dimension-trunc1"],
+         "dimension-trunc1"],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest):
     # python -O strips assert statements; the invariant checks must not be
@@ -676,20 +699,6 @@ def test_json_output_is_the_bytes_of_json_dumps(capsys, argv):
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
-
-
-def test_verify_all_trunc_reaches_every_section(capsys, monkeypatch):
-    seen = []
-    derive = qmodular.derive_dimension_formula
-
-    def recording(trunc=12):
-        seen.append(trunc)
-        return derive(trunc)
-
-    monkeypatch.setattr(qmodular, "derive_dimension_formula", recording)
-    assert main(["verify-all", "--json", "--trunc", "14"]) == 0
-    capsys.readouterr()
-    assert seen and all(t == 14 for t in seen)
 
 
 @pytest.mark.parametrize(
@@ -832,6 +841,54 @@ def test_mutated_catalogue_entry_exits_1(capsys, monkeypatch, key, entry, messag
     for fn in caches:
         fn.cache_clear()
     assert (code, err) == (1, f"error: InvariantError: {message}\n")
+
+
+def _flip_sign(alg, k):
+    # one bracket [e^a, e^b] = +-e^(a+b) with a the k-th root, and its
+    # antisymmetric partner [e^b, e^a]
+    l, (s, sgn) = next((l, e) for l, e in alg.pairs[k].items() if e[0] >= 0)
+    alg.pairs[k][l] = (s, -sgn)
+    alg.pairs[l][k] = (s, -alg.pairs[l][k][1])
+
+
+def _wrong_sum(alg, k):
+    l, (s, sgn) = next((l, e) for l, e in alg.pairs[k].items() if e[0] >= 0)
+    alg.pairs[k][l] = ((s + 1) % alg.n_roots, sgn)
+
+
+def _drop_entry(alg, k):
+    del alg.pairs[k][next(iter(alg.pairs[k]))]
+
+
+def _shift_cr(alg, k):
+    alg.cr[k][3] += 1
+
+
+BRACKET_TABLE_MUTATIONS = [
+    pytest.param("sigma2", _flip_sign, 70, id="eps-sign-d4_6"),
+    pytest.param("sigma6", _flip_sign, 150, id="eps-sign-e6_4"),
+    pytest.param("sigma4", _wrong_sum, 20, id="sum-index-d4_6"),
+    pytest.param("sigma6", _drop_entry, 200, id="dropped-entry-e6_4"),
+    pytest.param("sigma2", _shift_cr, 100, id="cr-entry-d4_6"),
+]
+
+
+@pytest.mark.parametrize("iso_name, mutate, root", BRACKET_TABLE_MUTATIONS)
+def test_mutated_bracket_table_fails_the_certificate(capsys, monkeypatch, iso_name, mutate, root):
+    # one wrong entry in a fresh copy of the weight-one algebra's tables:
+    # the lattice's certificate step fails, with exit 1.  The isometry steps
+    # read the fixed type cached from the true tables, so the report runs to
+    # its end; the cached algebra itself is never touched.
+    cf = cases.ISOMETRY_CASES[iso_name]
+    cases.lattice_fixed_type(cf)
+    lat, _ = cases.lattice_data(cases.unique_survivor(cf)[0])
+    bad = latticevoa.weight_one_algebra(lat)
+    mutate(bad, root)
+    monkeypatch.setattr(cases, "lattice_data", lambda root_system: (lat, bad))
+    code, out, err = run_main(capsys, ["lattice", "--isometry", iso_name, "--json"])
+    failed = [s["name"] for s in json.loads(out)["steps"] if s["verdict"] == "fail"]
+    assert (code, err) == (1, "")
+    assert failed == [f"{lat.code.label()}: bracket table is the Frenkel-Kac cocycle bracket"]
 
 
 def test_mismatched_lattice_and_isometry_exit_2():

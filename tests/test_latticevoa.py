@@ -21,6 +21,7 @@ from orbifold24.latticevoa import (
     _twist_bits,
     assemble_niemeier,
     build_isometry,
+    certify_frenkel_kac,
     count_orthogonal_subsystems,
     digit_add,
     disc_digit_action,
@@ -414,6 +415,34 @@ def test_pair_table_matches_dense_tables(which, alg_e6, alg_d4):
             assert sgn == eps_coords(alg, alg.root_coords[k], alg.root_coords[l])
             negative += 1
     assert negative == int((dense.ip_rr < 0).sum())
+
+
+def test_frenkel_kac_certificate_accepts_both_built_tables(alg_e6, alg_d4):
+    # its oracles are the sampled Jacobi identity and the dense tables above
+    assert certify_frenkel_kac(alg_e6) is True
+    assert certify_frenkel_kac(alg_d4) is True
+
+
+def test_certificate_rejects_a_sign_flip_that_breaks_jacobi(nd4):
+    # oracle: the flip of one sign and its antisymmetric partner, which the
+    # certificate rejects, breaks the Jacobi identity on some triple of root
+    # vectors from the flipped root's component
+    alg = weight_one_algebra(nd4)
+    k = 70
+    l, (s, sgn) = next((l, e) for l, e in alg.pairs[k].items() if e[0] >= 0)
+    alg.pairs[k][l], alg.pairs[l][k] = (s, -sgn), (s, -alg.pairs[l][k][1])
+    assert certify_frenkel_kac(alg) is False
+    r = alg.rank
+    comp = [r + m for m, c in enumerate(alg.root_component) if c == alg.root_component[k]]
+
+    def jacobi(i, j, m):
+        x, y, z = {i: 1}, {j: 1}, {m: 1}
+        acc = alg.bracket(alg.bracket(x, y), z)
+        for idx, c in alg.bracket(y, alg.bracket(x, z)).items():
+            acc[idx] = acc.get(idx, 0) + c
+        return alg.bracket(x, alg.bracket(y, z)) == {a: b for a, b in acc.items() if b}
+
+    assert not all(jacobi(r + k, j, m) for j in comp for m in comp)
 
 
 @pytest.fixture(scope="module")

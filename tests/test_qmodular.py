@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbifold24 import qmodular
+from orbifold24 import cases, qmodular
 from orbifold24.qmodular import (
     PuiseuxSeries,
     derive_dimension_formula,
@@ -249,3 +249,14 @@ def test_formula_degenerates_without_twisted_dims():
     for d0, dim_v1, expect in ((102, 120, 312), (48, 48, 168), (54, 72, 168)):
         assert a * d0 + d - dim_v1 == expect
         assert b * 0 + c * 0 == 0
+
+
+def test_modular_section_shares_the_derivation_series():
+    # the modular section reads f and the cusp series with the arguments the
+    # derivation passes, so each series is one cache entry, built once
+    for fn in (hauptmodul_f, f_power_at_S, laurent_table):
+        fn.cache_clear()
+    cases.verify_modular()
+    assert hauptmodul_f.cache_info().currsize == 1
+    assert f_power_at_S.cache_info().currsize == 4
+    assert laurent_table.cache_info().currsize == 1

@@ -60,3 +60,19 @@ def test_every_src_definition_is_used_in_src():
             ):
                 unused.append(f"{mod}.{qual}")
     assert sorted(unused) == sorted(EXEMPT)
+
+
+def test_no_module_draws_at_random():
+    # every step is deterministic: no module imports `random`
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Import):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [n.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.append(path.stem)
+    assert importers == []
