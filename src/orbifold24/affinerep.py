@@ -16,7 +16,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exactmath import InvariantError
 from .rootdata import (
@@ -49,6 +49,11 @@ class AffineAlgebra(_AffineAlgebraKey):
         if level < 1:
             raise ValueError("level must be a positive integer")
         return super().__new__(cls, type, level)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "AffineAlgebra":
+        """Through the validation, as `SimpleType._make`."""
+        return cls(*iterable)
 
     def root_system(self) -> RootSystem:
         return build_root_system(self.type)

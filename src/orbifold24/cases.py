@@ -225,6 +225,16 @@ def check_twist(rep: Report, cf: CaseFile) -> Optional[tuple]:
     return wit_pos, wit_neg
 
 
+def check_dimension_formula(rep: Report, trunc: int) -> None:
+    """The dimension formula coefficients, derived at truncation trunc."""
+    rep.check(
+        "dimension formula coefficients",
+        qmodular.derive_dimension_formula(trunc),
+        golden.DIMENSION_COEFFS,
+        source="reference",
+    )
+
+
 def run_case(cf: CaseFile) -> Report:
     """Replay the full chain for one built-in case, checking its expectations."""
     rep = Report(f"case {cf.case_id}", assumptions=list(ASSUMPTIONS))
@@ -247,12 +257,7 @@ def run_case(cf: CaseFile) -> Report:
     rep.check("fixed subalgebra dim", fdim, cf.expected_fixed.dim(), source="reference")
 
     rep.note("dim of the ambient weight-one algebra", cf.dim_v1())
-    rep.check(
-        "dimension formula coefficients",
-        qmodular.derive_dimension_formula(),
-        golden.DIMENSION_COEFFS,
-        source="reference",
-    )
+    check_dimension_formula(rep, qmodular.TRUNC)
     rep.check("orbifold weight-one dim", target_dim, cf.expected_target.dim())
 
     rep.note("forced ratio h-dual/level", ratio)
@@ -312,8 +317,8 @@ def _table_report(
 
 def verify_modular() -> Report:
     rep = Report("modular data")
-    # 12, the default, passed as the derivations pass it: one cached series each
-    f = qmodular.hauptmodul_f(12)
+    trunc = qmodular.TRUNC
+    f = qmodular.hauptmodul_f(trunc)
     rep.check("f: coefficient of q^-1", f.coeff(-1), Q(1), source="reference")
     rep.check("f: constant term", f.coeff(0), Q(-12), source="reference")
     rep.check(
@@ -324,21 +329,16 @@ def verify_modular() -> Report:
         documented=True,
     )
     for n, exp, scaled in golden.CUSP_COEFFS:
-        series = qmodular.f_power_at_S(n, 12)
+        series = qmodular.f_power_at_S(n, trunc)
         rep.check(
             f"cusp expansion f^{n}: q^({exp}) coefficient * 3^{-6 * n}",
             series.coeff(exp) * Q(3) ** (-6 * n),
             scaled,
             source="reference",
         )
-    fit = qmodular.fit_character(BUILTIN_CASES["e6g2"].expected_fixed.dim(), 0, 0)
+    fit = qmodular.fit_character(BUILTIN_CASES["e6g2"].expected_fixed.dim(), 0, 0, trunc)
     rep.check("pole coefficient c_-3", fit[-3], golden.POLE_COEFF, source="reference")
-    rep.check(
-        "dimension formula coefficients",
-        qmodular.derive_dimension_formula(),
-        golden.DIMENSION_COEFFS,
-        source="reference",
-    )
+    check_dimension_formula(rep, trunc)
     for cf in BUILTIN_CASES.values():
         dims = (cf.dim_v1(), cf.expected_fixed.dim())
         rep.check(
@@ -479,7 +479,7 @@ MODULE_TABLES = {
 TABLE_FAMILIES = tuple(MODULE_TABLES) + ("modular", "lattice")
 
 
-def verify_tables(which: str = "all") -> Report:
+def verify_tables(which: str) -> Report:
     """Diff recomputed values against the embedded reference tables."""
     if which not in TABLE_FAMILIES + ("all",):
         raise ValueError(f"unknown table family {which!r}")

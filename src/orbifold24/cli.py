@@ -16,12 +16,13 @@ import sys
 from functools import lru_cache
 from typing import List, Optional
 
-from . import golden, latticevoa, qmodular, schellekens
+from . import latticevoa, qmodular, schellekens
 from .cases import (
     BUILTIN_CASES,
     CaseFile,
     ISOMETRY_CASES,
     TABLE_FAMILIES,
+    check_dimension_formula,
     check_ground_energy,
     check_isometry,
     check_lattice,
@@ -75,13 +76,7 @@ def cmd_dimension(args: argparse.Namespace) -> Report:
     rep = Report("dimension formula")
     val = qmodular.dim_tilde_v1(args.dimv1, args.d0, args.d13, args.d23)
     rep.note("orbifold weight-one dim", val)
-    coeffs = qmodular.derive_dimension_formula(args.trunc)
-    rep.check(
-        "dimension formula coefficients",
-        coeffs,
-        golden.DIMENSION_COEFFS,
-        source="reference",
-    )
+    check_dimension_formula(rep, args.trunc)
     return rep
 
 
@@ -159,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d0", type=_integer, required=True)
     p.add_argument("--d13", type=_integer, required=True)
     p.add_argument("--d23", type=_integer, required=True)
-    p.add_argument("--trunc", type=_truncation, default=12)
+    p.add_argument("--trunc", type=_truncation, default=qmodular.TRUNC)
     p.set_defaults(func=cmd_dimension)
 
     p = sub.add_parser("candidates", help="enumerate and filter candidates")

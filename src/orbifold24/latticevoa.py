@@ -350,20 +350,15 @@ def _fixed_coords(matrix: Tuple[IntVec, ...]) -> Tuple[IntVec, ...]:
     return tuple(tuple(r) for r in integer_row_kernel(m))
 
 
-class _LatticeNotPreserved(InvariantError):
-    """Per-component maps that do not send the lattice to itself; the
-    isometry search catches it and tries its next candidate."""
-
-
 def _slot_maps_to_isometry(
     lat: EvenLattice,
     slot_maps: Sequence[Tuple[int, List[List[int]]]],
     name: str,
-) -> LatticeIsometry:
+) -> Optional[LatticeIsometry]:
     """Isometry from per-component maps: component c lands in slot_maps[c][0].
 
     Each integer basis row is mapped block by block and must land in the
-    lattice again; the first row that does not rejects the candidate.
+    lattice again; the first row that does not rejects the candidate: None.
     """
     slices = lat.component_slices()
     blocks = [
@@ -382,7 +377,7 @@ def _slot_maps_to_isometry(
                             img[b0 + j] += x * v
         coords = lat.coords_of(img, lat.scale)
         if coords is None:
-            raise _LatticeNotPreserved("candidate isometry does not preserve the lattice")
+            return None
         out.append(coords)
     return LatticeIsometry(lat, tuple(out), name)
 
@@ -533,11 +528,8 @@ def build_isometry(lat: EvenLattice, witness: Witness, name: str) -> LatticeIsom
     preserves the gram; InvariantError when none does.
     """
     for slot_maps in isometry_placements(lat, witness):
-        try:
-            iso = _slot_maps_to_isometry(lat, slot_maps, name)
-        except _LatticeNotPreserved:
-            continue
-        if iso.order() == 3 and iso.preserves_gram():
+        iso = _slot_maps_to_isometry(lat, slot_maps, name)
+        if iso is not None and iso.order() == 3 and iso.preserves_gram():
             return iso
     raise InvariantError(f"no placement of the {name} witness preserves the glue")
 
@@ -1177,15 +1169,6 @@ def _killing(
     return kill
 
 
-def types_with_ratio(r: Q, dim: int) -> List[Tuple[Tuple[SimpleType, int], ...]]:
-    """Every multiset of simple ideals (type X, positive integer level k)
-    with 2 h-dual(X) / k = r and total dimension dim, each as a sorted
-    tuple: the candidates of `enumerate_candidates` at ratio r / 2."""
-    if r <= 0:
-        return []
-    return [c.ideals for c in enumerate_candidates(dim, Q(r, 2))]
-
-
 def _check_orbit_blocks(sub: FixedSubalgebra) -> None:
     """InvariantError unless sub.orbits partition the basis and every
     stored bracket and form entry stays inside one orbit's block."""
@@ -1222,7 +1205,7 @@ def identify_type(sub: FixedSubalgebra) -> SemisimpleTypeWithLevels:
     sigma-stable block has centre the nullity of its Killing form; on the
     rest, of dimension D, r = tr(gram^-1 Killing) / D must be the only
     eigenvalue, and the block's type is the one multiset of simple ideals
-    with 2 h-dual / k = r and dimension D (`types_with_ratio`).
+    with 2 h-dual / k = r and dimension D (`enumerate_candidates` at r / 2).
     """
     _check_grading(sub)
     _check_orbit_blocks(sub)
@@ -1266,13 +1249,13 @@ def identify_type(sub: FixedSubalgebra) -> SemisimpleTypeWithLevels:
             raise IdentificationError(
                 f"gram^-1 Killing on {where} has more than one eigenvalue"
             )
-        fits = types_with_ratio(r, d)
+        fits = enumerate_candidates(d, r / 2) if r > 0 else ()
         if len(fits) != 1:
-            names = "; ".join(str(SemisimpleTypeWithLevels.of(f)) for f in fits) or "none"
+            names = "; ".join(map(str, fits)) or "none"
             raise IdentificationError(
                 f"{where} (r = {r}, D = {d}) fits {len(fits)} types: {names}"
             )
-        ideals.extend(fits[0])
+        ideals.extend(fits[0].ideals)
     return SemisimpleTypeWithLevels.of(ideals, abelian)
 
 

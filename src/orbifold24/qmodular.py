@@ -26,6 +26,8 @@ from typing import Dict, List, NamedTuple, Tuple
 
 from .exactmath import InvariantError
 
+TRUNC = 12  # the one truncation default: an lru_cache keys f() apart from f(12)
+
 
 class PuiseuxSeries(NamedTuple):
     """Truncated series sum_n c_n q^(n/denom), exact below exponent trunc."""
@@ -93,7 +95,7 @@ def eta_quotient(k: int, terms: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def hauptmodul_f(trunc: int = 12) -> PuiseuxSeries:
+def hauptmodul_f(trunc: int) -> PuiseuxSeries:
     """f = eta(t)^12 / eta(3t)^12 = q^-1 - 12 + 54q - 76q^2 - ...
 
     In q this is q^-1 P(q^3)^(-12) P(q)^12: the coefficients of q^-1 ..
@@ -106,7 +108,7 @@ def hauptmodul_f(trunc: int = 12) -> PuiseuxSeries:
 
 
 @lru_cache(maxsize=None)
-def f_power_at_S(n: int, trunc: int = 12) -> PuiseuxSeries:
+def f_power_at_S(n: int, trunc: int) -> PuiseuxSeries:
     """Expansion of f^n at the other cusp: (3^6 eta(t)^12 / eta(t/3)^12)^n.
 
     In x = q^(1/3) this is the single product
@@ -139,7 +141,7 @@ def _solve(trunc: int, pivots: Dict[int, Q], d0: Q, d13: Q, d23: Q, vacuum: Q) -
 
 
 @lru_cache(maxsize=None)
-def laurent_table(trunc: int = 12) -> Dict[int, LinExpr]:
+def laurent_table(trunc: int) -> Dict[int, LinExpr]:
     """The c_n of Z = sum_{n=-3..1} c_n f^n as affine functions of
     (d0, d13, d23), solved from the principal parts of the fixed-point
     character Z.  At i-infinity Z = q^-1 + d0 + O(q): the vacuum term and the
@@ -167,7 +169,7 @@ def laurent_table(trunc: int = 12) -> Dict[int, LinExpr]:
     return {n: tuple(col[n] for col in columns) for n in columns[0]}  # type: ignore[misc]
 
 
-def fit_character(d0: int, d13: int, d23: int, trunc: int = 12) -> Dict[int, Q]:
+def fit_character(d0: int, d13: int, d23: int, trunc: int) -> Dict[int, Q]:
     """The Laurent coefficients {n: c_n} of `laurent_table(trunc)` at one
     (d0, d13, d23).
 
@@ -191,7 +193,7 @@ def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:
     return val
 
 
-def derive_dimension_formula(trunc: int = 12) -> LinExpr:
+def derive_dimension_formula(trunc: int) -> LinExpr:
     """Re-derive the dimension formula coefficients (4, -36, -12, 24).
 
     `laurent_table(trunc)` is composed with the exact cusp expansions of

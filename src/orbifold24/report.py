@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction as Q
-from typing import Any, List, Sequence
+from typing import Any, List, NamedTuple, Sequence
 
 from .affinerep import AffineAlgebra
 from .rootdata import SemisimpleTypeWithLevels, SimpleType
@@ -72,31 +72,16 @@ def _encode(v: Any, pad: str) -> str:
     raise TypeError(f"{type(v).__name__} does not belong in a rendered report")
 
 
-class Step:
-    __slots__ = ("name", "computed", "expected", "verdict", "source")
+class Step(NamedTuple):
+    """One step, its values rendered once, when it is checked: the verdict
+    compares the values that print, and a later change to the object
+    handed in changes neither."""
 
-    def __init__(
-        self,
-        name: str,
-        computed: Any,
-        expected: Any = None,
-        verdict: str = INFO,
-        source: str = "",
-    ) -> None:
-        self.name = name
-        self.computed = computed
-        self.expected = expected
-        self.verdict = verdict
-        self.source = source
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": render_value(self.computed),
-            "expected": render_value(self.expected),
-            "verdict": self.verdict,
-            "source": self.source,
-        }
+    name: str
+    computed: Any
+    expected: Any
+    verdict: str
+    source: str
 
 
 class Report:
@@ -118,9 +103,10 @@ class Report:
         The source names where the expected value comes from, so a step
         without one, an info step, has none.
         """
+        computed, expected = render_value(computed), render_value(expected)
         if expected is None:
             verdict, source = INFO, ""
-        elif render_value(computed) == render_value(expected):
+        elif computed == expected:
             verdict = PASS
         elif documented:
             verdict = DISCREPANCY
@@ -154,7 +140,7 @@ class Report:
             "title": self.title,
             "verdict": self.verdict,
             "assumptions": list(self.assumptions),
-            "steps": [s.to_dict() for s in self.steps],
+            "steps": [s._asdict() for s in self.steps],
         }
 
     def to_json(self) -> str:
@@ -165,13 +151,13 @@ class Report:
         lines = [f"== {self.title} =="]
         width = max((len(s.name) for s in self.steps), default=0)
         for s in self.steps:
-            comp = json.dumps(render_value(s.computed), sort_keys=True)
+            comp = json.dumps(s.computed, sort_keys=True)
             if s.verdict == INFO:
                 lines.append(f"  {s.name:<{width}}  {comp}")
             elif s.verdict == PASS:
                 lines.append(f"  {s.name:<{width}}  {comp}  [ok]")
             else:
-                exp = json.dumps(render_value(s.expected), sort_keys=True)
+                exp = json.dumps(s.expected, sort_keys=True)
                 mark = "FAIL" if s.verdict == FAIL else "documented-discrepancy"
                 lines.append(
                     f"  {s.name:<{width}}  computed {comp} vs reference {exp}  [{mark}]"

@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .exactmath import InvariantError, integer_inverse
 
@@ -63,6 +63,12 @@ class SimpleType(_SimpleTypeKey):
         if not ok:
             raise ValueError(f"invalid simple type {family}{rank}")
         return super().__new__(cls, family, rank)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "SimpleType":
+        """Through the validation: NamedTuple's own _make, which _replace
+        calls, builds the tuple unchecked."""
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

@@ -115,7 +115,8 @@ against, and helpers that only the tests need.
   against the exact per-orbit certificate of `latticevoa.identify_type`;
   and the multisets of simple ideals with a given ratio 2 h-dual / k and
   dimension by `combinations_with_replacement`
-  (`brute_force_types_with_ratio`) against `latticevoa.types_with_ratio`.
+  (`brute_force_types_with_ratio`) against the `enumerate_candidates`
+  lookup of `latticevoa.identify_type` at r / 2.
 * `rough_lift`: some algebra automorphism covering a lattice isometry,
   `inverse_lift` its inverse, `compose` and `is_identity`;
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
@@ -161,7 +162,6 @@ from orbifold24.latticevoa import (
     LatticeLieAlgebra,
     LiftedAutomorphism,
     Weight,
-    _LatticeNotPreserved,
     _check_grading,
     _killing,
     _negative_pairs,
@@ -1721,10 +1721,10 @@ def fraction_slot_maps_to_isometry(
     lat: EvenLattice,
     slot_maps: Sequence[Tuple[int, List[List[int]]]],
     name: str,
-) -> LatticeIsometry:
+) -> Optional[LatticeIsometry]:
     """basis * (block-permuted local maps) * basis^-1 in Fractions, with the
-    inverse recomputed from the rational basis; _LatticeNotPreserved unless
-    the whole product is integral."""
+    inverse recomputed from the rational basis; None unless the whole
+    product is integral."""
     basis = [[Q(x, lat.scale) for x in row] for row in lat.basis]
     slices = lat.component_slices()
     dim = lat.rank
@@ -1738,7 +1738,7 @@ def fraction_slot_maps_to_isometry(
     out = []
     for row in m:
         if any(x.denominator != 1 for x in row):
-            raise _LatticeNotPreserved("candidate isometry does not preserve the lattice")
+            return None
         out.append(tuple(int(x) for x in row))
     return LatticeIsometry(lat, tuple(out), name)
 
@@ -1882,9 +1882,12 @@ def named_shape_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
         assert comps == (SimpleType("E", 6),) * 4
         ident = [[int(i == j) for j in range(6)] for i in range(6)]
         # (g1,g2,g3,g4) -> (phi g1, g4, g2, g3)
-        return _slot_maps_to_isometry(
+        iso = _slot_maps_to_isometry(
             lat, [(0, carter_e6_rotation()), (2, ident), (3, ident), (1, ident)], name
         )
+        if iso is None:
+            raise InvariantError("the sigma6-shaped isometry does not preserve the lattice")
+        return iso
     assert comps == (SimpleType("D", 4),) * 6
     if name == "sigma2":
         phi = hurwitz_d4_unit()
@@ -1892,11 +1895,8 @@ def named_shape_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
     else:
         shapes = sigma4_candidates()
     for slot_maps in shapes:
-        try:
-            iso = _slot_maps_to_isometry(lat, slot_maps, name)
-        except _LatticeNotPreserved:
-            continue
-        if iso.order() == 3:
+        iso = _slot_maps_to_isometry(lat, slot_maps, name)
+        if iso is not None and iso.order() == 3:
             return iso
     raise InvariantError(f"no {name}-shaped isometry preserves the glue")
 

@@ -105,6 +105,15 @@ def test_conformal_weights():
     assert conformal_weight(A1_1, fw(A1_1, 0)) == Q(1, 4)
 
 
+def test_make_and_replace_validate():
+    # NamedTuple's own _make, which _replace calls, skips __new__
+    with pytest.raises(ValueError):
+        A1_1._replace(level=0)
+    with pytest.raises(ValueError):
+        AffineAlgebra._make((SimpleType("A", 1), 0))
+    assert A1_1._replace(level=2) == AffineAlgebra(SimpleType("A", 1), 2)
+
+
 def test_conformal_weight_rejects_inadmissible():
     with pytest.raises(ValueError):
         conformal_weight(G2_1, (0, 1))  # (lam|theta) = 2 > 1

@@ -641,6 +641,8 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
         (["lattice", "--isometry", "sigma2", "--json"],
          "371068a62061c345"),
         (["verify-all", "--json"], "925c2e24531a2143"),
+        # the text report: to_text prints the values the steps were checked with
+        (["verify-all"], "e8c5071c9c8c4295"),
         (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
         (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
         (["tables", "--which", "g2.1", "--json"], "75941706ce0140d9"),
@@ -654,7 +656,7 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
     ids=["twist-bound", "twist-bound-file", "dimension", "candidates",
          "candidates-a5d4", "candidates-a2x6", "candidates-d4-outer",
          "dimension-trunc16", "lattice", "lattice-sigma6",
-         "lattice-sigma2", "verify-all", "tables-modular", "tables-a5.3",
+         "lattice-sigma2", "verify-all", "verify-all-text", "tables-modular", "tables-a5.3",
          "tables-g2.1", "tables-a2.3", "tables-a1.1", "tables-d4.3",
          "dimension-trunc1"],
 )
@@ -934,7 +936,7 @@ def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch):
         fn.cache_clear()
 
     def reject(lat, slot_maps, name):
-        raise latticevoa._LatticeNotPreserved("candidate isometry does not preserve the lattice")
+        return None
 
     monkeypatch.setattr(latticevoa, "_slot_maps_to_isometry", reject)
     code, _, err = run_main(capsys, ["lattice", "--isometry", "sigma4"])

@@ -34,7 +34,6 @@ from orbifold24.latticevoa import (
     niemeier_code,
     standard_lift,
     twisted_ground_energy,
-    types_with_ratio,
     weight_one_algebra,
 )
 from orbifold24.report import Report
@@ -991,6 +990,11 @@ def test_float_root_functionals_match_the_per_eigenvector_form(fixed_algebras, m
                 assert abs(out[i, k] - want) <= 1e-9 * max(1.0, abs(want))
 
 
+def types_with_ratio(r, d):
+    """identify_type's lookup: the candidates at ratio h-dual / k = r / 2."""
+    return [c.ideals for c in latticevoa.enumerate_candidates(d, Q(r) / 2)]
+
+
 def test_types_with_ratio_matches_brute_force():
     # every ratio r = 2 h-dual / k of a simple type of dimension <= 80 at a
     # level k <= 6 (the numerator of r decides which types have an integer
@@ -1103,12 +1107,14 @@ def test_a_cross_block_entry_raises(what, fixed_algebras):
 def test_integer_trace_matches_fraction_oracle(which, blocks, fixed_algebras, monkeypatch):
     # oracle: r = tr(gram^-1 Killing) / D in Fractions on every
     # sigma-stable block, against the integer trace identify_type hands to
-    # types_with_ratio
+    # enumerate_candidates at r / 2
     _, fx = fixed_algebras[which]
     seen = []
-    ratio = latticevoa.types_with_ratio
+    lookup = latticevoa.enumerate_candidates
     monkeypatch.setattr(
-        latticevoa, "types_with_ratio", lambda r, d: seen.append((r, d)) or ratio(r, d)
+        latticevoa,
+        "enumerate_candidates",
+        lambda d, half: seen.append((2 * half, d)) or lookup(d, half),
     )
     identify_type(fx)
     brackets, gram = dense_table(fx)
@@ -1255,10 +1261,8 @@ def test_glue_orders_match_permutation_first_oracle():
 
 
 def slot_map_decision(certify, lat, slot_maps):
-    try:
-        return certify(lat, slot_maps, "cand").matrix
-    except latticevoa._LatticeNotPreserved:
-        return None
+    iso = certify(lat, slot_maps, "cand")
+    return None if iso is None else iso.matrix
 
 
 def test_slot_maps_match_fraction_oracle(ne6, nd4):

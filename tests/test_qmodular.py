@@ -185,13 +185,13 @@ def test_omega_trace_kills_fractional_exponents():
 
 
 def test_fit_character_values():
-    fit = fit_character(102, 0, 0)
+    fit = fit_character(102, 0, 0, 12)
     assert fit[1] == 1
     assert fit[0] == 114
     assert fit[-2] == 12 * 3**12
     assert fit[-1] == 90 * 3**6
     assert fit[-3] == 3**17
-    assert fit_character(0, 0, 0)[0] == 12
+    assert fit_character(0, 0, 0, 12)[0] == 12
 
 
 @pytest.mark.parametrize("trunc", range(1, 25))
@@ -244,7 +244,7 @@ def test_derived_constant_reads_the_constant_term_of_f(monkeypatch):
 
 
 def test_formula_degenerates_without_twisted_dims():
-    a, b, c, d = derive_dimension_formula()
+    a, b, c, d = derive_dimension_formula(12)
     # with twisted dimensions zero the formula is 4 d0 + 24
     for d0, dim_v1, expect in ((102, 120, 312), (48, 48, 168), (54, 72, 168)):
         assert a * d0 + d - dim_v1 == expect

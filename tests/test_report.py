@@ -68,6 +68,24 @@ def test_json_round_trip_stable():
     assert rep.to_json() == first
 
 
+def test_step_keeps_the_value_it_was_checked_with():
+    # the verdict and both outputs read the value as it was at check time
+    rep = Report("t")
+    vals = [1]
+    rep.check("c", vals, [1])
+    vals.append(2)
+    assert json.loads(rep.to_json())["steps"][0]["computed"] == [1]
+    assert rep.to_text().splitlines()[1] == "  c  [1]  [ok]"
+    # a failing step prints both values as checked
+    got, want = [1], [2]
+    rep.check("d", got, want)
+    got.append(3)
+    want.append(4)
+    step = json.loads(rep.to_json())["steps"][1]
+    assert (step["computed"], step["expected"], step["verdict"]) == ([1], [2], FAIL)
+    assert rep.to_text().splitlines()[2] == "  d  computed [1] vs reference [2]  [FAIL]"
+
+
 def test_extend_merges_assumptions():
     a = Report("a", assumptions=["one"])
     b = Report("b", assumptions=["one", "two"])

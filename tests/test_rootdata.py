@@ -575,6 +575,15 @@ def test_affine_diagram_checks_the_coxeter_number(monkeypatch):
         _affine_diagram.__wrapped__(SimpleType("D", 4))
 
 
+def test_make_and_replace_validate():
+    # NamedTuple's own _make, which _replace calls, skips __new__
+    with pytest.raises(ValueError):
+        SimpleType._make(("E", 9))
+    with pytest.raises(ValueError):
+        SimpleType("E", 6)._replace(rank=9)
+    assert SimpleType("E", 6)._replace(rank=7) == SimpleType("E", 7)
+
+
 def test_invalid_types_rejected():
     with pytest.raises(ValueError):
         SimpleType("E", 9)

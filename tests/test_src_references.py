@@ -17,6 +17,8 @@ SRC = Path(orbifold24.__file__).parent
 
 # planned to become a report step; until then only the tests call it
 EXEMPT = {"latticevoa.LiftedAutomorphism.verify_automorphism"}
+# NamedTuple hooks: _replace calls _make, which must validate as __new__ does
+EXEMPT |= {"rootdata.SimpleType._make", "affinerep.AffineAlgebra._make"}
 
 
 def definitions(tree):
@@ -76,3 +78,20 @@ def test_no_module_draws_at_random():
             if any(name.split(".")[0] == "random" for name in names):
                 importers.append(path.stem)
     assert importers == []
+
+
+def test_no_cached_function_has_a_default():
+    # an lru_cache keys f() apart from f(12), so a cached function takes
+    # each argument from its caller: one value, one cache entry
+    knobs = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in n.decorator_list]
+            names = [getattr(d, "id", getattr(d, "attr", "")) for d in decorators]
+            if "lru_cache" not in names and "cache" not in names:
+                continue
+            if n.args.defaults or any(d is not None for d in n.args.kw_defaults):
+                knobs.append(f"{path.stem}.{n.name}")
+    assert knobs == []
