@@ -1,12 +1,16 @@
 """Exact numeric substrate: one integer elimination core.
 
-Matrices are dense lists of integer rows acting on row vectors.  Every
-rank, inverse, unimodularity test and integer kernel in the package comes
-from one reduction, the row Hermite normal form of an integer matrix:
-`hnf_with_transform` carries the unimodular transform along, and `rank`
-reduces without it.  A rational matrix has one form, integer rows over a
-common denominator, so an inverse is `integer_inverse`'s Y / d.  The
-package has no floating-point step.
+Matrices are lists of integer rows acting on row vectors.  `mat_mul` walks
+only the nonzero entries of both factors: the rows of b become (column,
+entry) lists once per product, and each row of a pairs its nonzero entries
+with them, so the lattice matrices, mostly zeros, cost their nonzero
+products.  Every rank, inverse, unimodularity test and integer kernel in
+the package comes from one reduction, the row Hermite normal form of an
+integer matrix: `hnf_with_transform` carries the unimodular transform
+along, for the inverse and the kernel, and `hnf` reduces the rows alone,
+for the rank, a lattice basis and a unimodularity test.  A rational matrix
+has one form, integer rows over a common denominator, so an inverse is
+`integer_inverse`'s Y / d.  The package has no floating-point step.
 """
 
 from __future__ import annotations
@@ -30,19 +34,20 @@ def transpose(m: Sequence[Sequence]) -> List[List]:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> List[List[int]]:
-    """Matrix product."""
-    n, k, m = len(a), len(b), len(b[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        row = out[i]
-        for t in range(k):
-            v = ai[t]
+    """Matrix product over the nonzero entries of both factors; ValueError
+    when the shapes do not match."""
+    m = len(b[0])
+    if any(len(row) != m for row in b):
+        raise ValueError("ragged right factor")
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for ai in a:
+        row = [0] * m
+        for v, bt in zip(ai, nonzero, strict=True):
             if v:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        row[j] += v * bt[j]
+                for j, x in bt:
+                    row[j] += v * x
+        out.append(row)
     return out
 
 
@@ -104,11 +109,16 @@ def integer_row_kernel(m: Sequence[Sequence[int]]) -> List[List[int]]:
     return [u[i] for i in range(len(m)) if not any(h[i])]
 
 
+def hnf(m: Matrix) -> List[List[int]]:
+    """The row Hermite normal form H of `hnf_with_transform`, without U."""
+    rows = [list(row) for row in m]
+    return _hnf(rows, len(rows[0]) if rows else 0)
+
+
 def rank(m: Matrix) -> int:
     """Rank over Q of integer rows: the nonzero rows of the Hermite normal
-    form, without U."""
-    rows = [list(row) for row in m]
-    return sum(1 for row in _hnf(rows, len(rows[0]) if rows else 0) if any(row))
+    form."""
+    return sum(1 for row in hnf(m) if any(row))
 
 
 def integer_inverse(m: Sequence[Sequence[int]]) -> Tuple[List[List[int]], int]:

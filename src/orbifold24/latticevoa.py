@@ -42,8 +42,8 @@ from typing import (
 )
 
 from .exactmath import (
-    InvariantError, Matrix, hnf_with_transform, identity, integer_inverse,
-    integer_row_kernel, mat_mul, rank, transpose,
+    InvariantError, Matrix, hnf, identity, integer_inverse, integer_row_kernel,
+    mat_mul, rank, transpose,
 )
 from .rootdata import (
     ScaledCoords, SemisimpleTypeWithLevels, SimpleType, _affine_diagram, _gram_matrix,
@@ -244,15 +244,14 @@ def assemble_niemeier(code: GlueCode) -> EvenLattice:
     den = glue[0][0]
     int_rows = [[den * (j == i) for j in range(rank)] for i in range(rank)]
     int_rows.extend(list(v) for _, v in glue)
-    h, _ = hnf_with_transform(int_rows)
-    basis_rows = [r for r in h if any(r)]
+    basis_rows = [r for r in hnf(int_rows) if any(r)]
     if len(basis_rows) != rank:
         raise InvariantError("generators do not span a full-rank lattice")
     lat = lattice_from_basis(code, basis_rows, den)
     # unimodular iff the Hermite normal form of the Gram matrix is the
     # identity; the gram is positive definite, so its determinant is the
     # product of the HNF diagonal
-    h, _ = hnf_with_transform(lat.gram)
+    h = hnf(lat.gram)
     if h != identity(rank):
         d = prod(h[i][i] for i in range(rank))
         raise InvariantError(f"assembled lattice has determinant {d}, not 1")
@@ -296,16 +295,20 @@ def _negative_pairs(t: SimpleType) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Per root p of a simply-laced type, in `root_alpha_coords` order: each
     root q with (a_p|a_q) < 0, and the index of a_p + a_q (-1 when
     a_q = -a_p), read off `_root_pairings`."""
-    acs = build_root_system(t).root_alpha_coords
-    index = {a: p for p, a in enumerate(acs)}
+    keys = _packed(build_root_system(t).root_alpha_coords)
+    index = dict(zip(keys, range(len(keys))))
     return tuple(
-        tuple(
-            (q, index.get(tuple(x + y for x, y in zip(a, acs[q])), -1))
-            for q, v in enumerate(row)
-            if v < 0
-        )
-        for a, row in zip(acs, _root_pairings(t))
+        tuple((q, index.get(key + keys[q], -1)) for q, v in enumerate(row) if v < 0)
+        for key, row in zip(keys, _root_pairings(t))
     )
+
+
+def _packed(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Each row packed into one integer, a signed field of `width` bits per
+    coordinate: wide enough for a sum of two rows, so the keys add as the
+    rows do and sums of two rows pack distinctly."""
+    width = 2 + max(map(abs, itertools.chain.from_iterable(rows)), default=0).bit_length()
+    return [sum(c << width * i for i, c in enumerate(x) if c) for x in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -326,12 +329,17 @@ class LatticeIsometry(NamedTuple):
         return _fixed_coords(self.matrix)
 
     def preserves_gram(self) -> bool:
-        a, g = self.matrix, self.lattice.gram
-        return mat_mul(mat_mul(a, g), transpose(a)) == [list(row) for row in g]
+        return _preserves_gram(self.matrix, self.lattice.gram)
 
 
-# the order and the fixed sublattice depend on the matrix alone; each is
-# computed once per isometry and process, however many checks ask for it
+# the order, the fixed sublattice and the gram test depend on the matrix
+# (and the gram) alone; each is computed once per isometry and process,
+# however many checks ask for it
+@lru_cache(maxsize=None)
+def _preserves_gram(a: Tuple[IntVec, ...], g: Tuple[IntVec, ...]) -> bool:
+    return mat_mul(mat_mul(a, g), transpose(a)) == [list(row) for row in g]
+
+
 @lru_cache(maxsize=None)
 def _matrix_order(matrix: Tuple[IntVec, ...]) -> int:
     ident = identity(len(matrix))
@@ -703,10 +711,7 @@ def certify_frenkel_kac(alg: LatticeLieAlgebra) -> bool:
     low = [_odd_mask(row[:i]) for i, row in enumerate(lat.gram)]
     odd = [_odd_mask(x) for x in roots]
     odd_low = [reduce(xor, itertools.compress(low, (c & 1 for c in x)), 0) for x in roots]
-    # a root packed into one integer, a signed field of `width` bits per
-    # coordinate: wide enough for a sum of two roots, so sums pack distinctly
-    width = 2 + max(map(abs, itertools.chain.from_iterable(roots)), default=0).bit_length()
-    keys = [sum(c << width * i for i, c in enumerate(x) if c) for x in roots]
+    keys = _packed(roots)
     index = dict(zip(keys, range(n)))
     if len(index) != n or len(alg.pairs) != n:
         return False
@@ -1095,9 +1100,9 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
                 out[p] = lead
         cart = [sum(c * x[m] for x, c in opposite) for m in range(r)] if opposite else []
         if any(cart):
-            sol = [sum(c * row[k] for c, row in zip(cart, solver)) for k in range(nc)]
-            recon = [sum(x * row[m] for x, row in zip(sol, cartan_rows)) for m in range(r)]
-            if recon != [sden * c for c in cart]:
+            # with no fixed Cartan the solution is empty, and nothing is inside
+            sol = mat_mul([cart], solver)[0]
+            if not sol or mat_mul([sol], cartan_rows)[0] != [sden * c for c in cart]:
                 raise InvariantError("Cartan part is outside the fixed sublattice")
             if any(x % sden for x in sol):
                 raise InvariantError("a fixed structure constant is not integral")
@@ -1381,25 +1386,46 @@ def _disc_automorphisms(t: SimpleType) -> Tuple[Dict[int, int], ...]:
     )
 
 
-def glue_automorphism_group_order(code: GlueCode) -> int:
-    """Order of the group of (component permutation, digit map) pairs
-    preserving the code, by orbit-stabilizer along the positions.
+GlueElement = Tuple[IntVec, Tuple[IntVec, ...]]      # (perm, digit maps)
 
-    An element sends word w to the word with maps[i][w[perm[i]]] at position
-    i.  The order is the product over i of the number of (perm[i], maps[i])
-    choices made by the elements that fix every position < i with the
-    identity map.  A depth-first search over the later positions tests each
-    choice: it stops at the first completion and prunes as soon as some
-    generator's partial image is not a prefix of a code word (the digit maps
-    are group automorphisms, so the generators' images decide the code's).
+
+def glue_automorphism_group_order(code: GlueCode) -> int:
+    """Order of the group G of (component permutation, digit map) pairs
+    preserving the code, by a stabilizer chain (Seress, Permutation Group
+    Algorithms, 2003, ch. 4): |G| is the product over the positions i of the
+    orbit sizes [G_i : G_(i+1)] in `_glue_chain`.
+
+    An element g sends word w to the word with g.maps[i][w[g.perm[i]]] at
+    position i; its choice at i is (g.perm[i], g.maps[i]).  G_i, the
+    elements that fix every position < i with the identity map, acts on
+    choices by (s, m).h = (h.perm[s], m o h.maps[s]), and the choice at i
+    of g o h (h applied first) is the choice of g moved by h, so the choices
+    of G_i at i are the orbit of (i, identity), whose stabilizer is
+    G_(i+1): its size is [G_i : G_(i+1)] (orbit-stabilizer).
+    The chain is walked from the last position to the first; at position i
+    the generators kept so far generate G_(i+1), and only a choice outside
+    the orbit under them is searched.  The search is depth-first over the
+    later positions: it stops at the first completion and prunes as soon
+    as some code generator's partial image is not a prefix of a code word
+    (the digit maps are group automorphisms, so the generators' images
+    decide the code's).  A completion is an element of G_i and is kept as a
+    generator; a failure marks its whole orbit under the generators as dead,
+    since G_i moves a choice that no element makes only to such choices.
     """
+    return _glue_chain(code)[0]
+
+
+def _glue_chain(code: GlueCode) -> Tuple[int, List[GlueElement]]:
+    """The order of `glue_automorphism_group_order` and the generators its
+    chain keeps."""
     k = len(code.components)
     if not all(t == code.components[0] for t in code.components):
         raise ValueError("mixed-component codes are not supported")
     t = code.components[0]
-    autos = _disc_automorphisms(t)
-    gens = code.generators
     b = len(_digit_reps(t)[1])
+    ident = tuple(range(b))
+    autos = [tuple(m[d] for d in ident) for m in _disc_automorphisms(t)]
+    gens = code.generators
     # the digits that may follow each proper prefix of a code word, as bits
     nexts: Dict[IntVec, int] = {}
     for w in code.words():
@@ -1416,12 +1442,44 @@ def glue_automorphism_group_order(code: GlueCode) -> int:
         for s in free:
             for m, mark in zip(autos, marks[s]):
                 if mark & allowed == mark:
-                    yield free - {s}, tuple(p + (m[g[s]],) for p, g in zip(images, gens))
+                    yield s, m, tuple(p + (m[g[s]],) for p, g in zip(images, gens))
 
-    def extends(free: FrozenSet[int], images: Tuple[IntVec, ...]) -> bool:
-        return not free or any(extends(*c) for c in choices(free, images))
+    def complete(free: FrozenSet[int], images: Tuple[IntVec, ...]) -> Optional[list]:
+        """The choices of the positions past the images, or None."""
+        if not free:
+            return []
+        for s, m, longer in choices(free, images):
+            rest = complete(free - {s}, longer)
+            if rest is not None:
+                return [(s, m)] + rest
+        return None
 
-    return prod(
-        sum(extends(*c) for c in choices(frozenset(range(i, k)), tuple(g[:i] for g in gens)))
-        for i in range(k)
-    )
+    found: List[GlueElement] = []
+
+    def orbit(x: Tuple[int, IntVec]) -> Set[Tuple[int, IntVec]]:
+        seen, todo = {x}, [x]
+        while todo:
+            s, m = todo.pop()
+            for perm, maps in found:
+                y = (perm[s], tuple(m[d] for d in maps[s]))
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        return seen
+
+    order = 1
+    for i in reversed(range(k)):
+        reached, dead = orbit((i, ident)), set()
+        free = frozenset(range(i, k))
+        for s, m, images in choices(free, tuple(g[:i] for g in gens)):
+            if (s, m) in reached or (s, m) in dead:
+                continue
+            rest = complete(free - {s}, images)
+            if rest is None:
+                dead |= orbit((s, m))
+                continue
+            path = [(j, ident) for j in range(i)] + [(s, m)] + rest
+            found.append((tuple(x for x, _ in path), tuple(y for _, y in path)))
+            reached = orbit((i, ident))
+        order *= len(reached)
+    return order, found

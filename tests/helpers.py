@@ -7,7 +7,8 @@ against, and helpers that only the tests need.
   behind `exactmath.rank`, `exactmath.integer_inverse` and
   `exactmath.integer_row_kernel`; the `Fraction` inverse (`inverse`, of
   the rows cleared by `cleared_rows`) for the oracles that invert a
-  rational matrix.
+  rational matrix; the dense triple-loop product (`dense_mat_mul`)
+  against the sparse `exactmath.mat_mul`.
 * Root data: the `Fraction` simple-root gram (`fraction_gram_matrix`) and
   the root system derived from it through the `Fraction` inverse
   (`FractionRootSystem`, with its affine diagram
@@ -78,8 +79,11 @@ against, and helpers that only the tests need.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
   glue-automorphism brute force and anchored search with the permutation in
   the outer loop (`permutation_first_glue_order`), over the typed digit maps
-  (`TYPED_DIGIT_MAPS`) against the orbit-stabilizer count and the diagram
-  symmetries' maps, the isometry certificate as `Fraction`
+  (`TYPED_DIGIT_MAPS`) against the stabilizer chain and the diagram
+  symmetries' maps, and the depth-first search of every (source, map)
+  choice of each position afresh (`per_choice_glue_order`) against the
+  chain, which searches only the choices its generators do not reach; the
+  isometry certificate as `Fraction`
   matrix products (`fraction_slot_maps_to_isometry`), the fixed projection
   of an ambient vector through the ambient `Fraction` matrix and gram
   (`fraction_fixed_projection_norm`, with `lattice_to_ambient`) against
@@ -1702,6 +1706,40 @@ def permutation_first_glue_order(code: GlueCode) -> int:
                 if all(image(g, perm, digit_maps) in words for g in gens):
                     count += 1
     return count
+
+
+def per_choice_glue_order(code: GlueCode) -> int:
+    """Glue automorphism group order as the product over positions i of the
+    (source, digit map) choices at i that some element fixing every
+    position < i completes, each choice tested by its own depth-first search
+    over the later positions, pruned by code-word prefixes, over the typed
+    digit maps."""
+    k = len(code.components)
+    autos = TYPED_DIGIT_MAPS[code.components[0]]
+    gens = code.generators
+    prefixes = {w[:j] for w in code.words() for j in range(k + 1)}
+
+    def extends(free: FrozenSet[int], images: Tuple[tuple, ...]) -> bool:
+        return not free or any(extends(*c) for c in choices(free, images))
+
+    def choices(free, images):
+        for s in free:
+            for m in autos:
+                longer = tuple(p + (m[g[s]],) for p, g in zip(images, gens))
+                if all(p in prefixes for p in longer):
+                    yield free - {s}, longer
+
+    count = 1
+    for i in range(k):
+        start = (frozenset(range(i, k)), tuple(g[:i] for g in gens))
+        count *= sum(extends(*c) for c in choices(*start))
+    return count
+
+
+def dense_mat_mul(a, b) -> list:
+    """The product as a plain triple loop over every entry."""
+    return [[sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
 
 
 def fraction_mat_mul(a, b) -> List[List[Q]]:

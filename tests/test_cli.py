@@ -614,6 +614,20 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
     assert dict(outputs[0][1])["twist norm <h|h>"] == 2
 
 
+@pytest.fixture(scope="session")
+def bytecode_env(tmp_path_factory):
+    """The environment of the CLI child processes: src/ on the path, and
+    bytecode written to one cache under the session's temporary directory,
+    so that each interpreter compiles the package once for all of them
+    rather than once per process.  The tests' own environment is unchanged."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]),
+        PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
 # digest: the first 16 hex digits of the output's sha256, pinned for the
 # behavioural contract; a change that alters a format on purpose updates it
 @pytest.mark.parametrize(
@@ -660,13 +674,11 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
          "tables-g2.1", "tables-a2.3", "tables-a1.1", "tables-d4.3",
          "dimension-trunc1"],
 )
-def test_optimized_interpreter_gives_same_bytes(argv, digest):
+def test_optimized_interpreter_gives_same_bytes(argv, digest, bytecode_env):
     # python -O strips assert statements; the invariant checks must not be
     # among them, and the output must not change.  The two interpreters run
-    # side by side.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    # side by side, each command in fresh processes.
+    env = bytecode_env
     procs = [
         subprocess.Popen(
             [sys.executable, *flags, "-m", "orbifold24.cli", *argv],

@@ -7,12 +7,13 @@ import pytest
 
 from orbifold24 import exactmath
 from orbifold24.exactmath import (
-    hnf_with_transform, integer_inverse, integer_row_kernel, mat_mul, rank, transpose,
+    hnf, hnf_with_transform, integer_inverse, integer_row_kernel, mat_mul, rank,
+    transpose,
 )
 
 from helpers import (
-    OMEGA, Cyclo3, ResidualExceeded, _echelon, cleared_rows, det, float_eigen,
-    integer_kernel, inverse, kernel,
+    OMEGA, Cyclo3, ResidualExceeded, _echelon, cleared_rows, dense_mat_mul, det,
+    float_eigen, integer_kernel, inverse, kernel,
 )
 
 
@@ -388,6 +389,61 @@ def test_hnf_is_unimodular_transform():
         assert h == mat_mul(u, m)
         assert abs(det(u)) == 1
         assert all(type(x) is int for row in h + u for x in row)
+
+
+def test_hnf_without_transform_is_the_transform_route():
+    for m in hnf_cases():
+        assert hnf(m) == hnf_with_transform(m)[0]
+
+
+def product_cases():
+    """Seeded (a, b) pairs: sparse integer factors with zero rows and zero
+    columns, 1 x n and n x 1 shapes, and Fraction entries."""
+    rng = random.Random(37)
+
+    def sparse(rows, cols, entry):
+        return [[entry() if rng.random() < 0.4 else 0 for _ in range(cols)]
+                for _ in range(rows)]
+
+    def ints():
+        return rng.randint(-9, 9)
+
+    def fractions():
+        return Q(rng.randint(-9, 9), rng.randint(1, 5))
+
+    cases = []
+    for _ in range(60):
+        n, k, m = (rng.choice((1, rng.randint(2, 8))) for _ in range(3))
+        a, b = sparse(n, k, ints), sparse(k, m, rng.choice((ints, fractions)))
+        a[rng.randrange(n)] = [0] * k                  # a zero row of a
+        for row in b:                                  # a zero column of b
+            row[rng.randrange(m)] = 0
+        cases.append((a, b))
+    cases.append(([[1, 2, 3]], [[4], [5], [6]]))
+    cases.append(([[4], [5], [6]], [[1, 2, 3]]))
+    cases.append(([], [[1, 2]]))
+    return cases
+
+
+def test_sparse_product_matches_dense_triple_loop():
+    for a, b in product_cases():
+        got = mat_mul(a, b)
+        assert got == dense_mat_mul(a, b)
+        assert [len(row) for row in got] == [len(b[0])] * len(a)
+
+
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [
+        ([[1, 2, 3]], [[1], [2]]),              # a row longer than b is tall
+        ([[1, 2]], [[1], [2], [3]]),            # a row shorter than b is tall
+        ([[1, 0, 0]], [[1, 2], [3], [4, 5]]),   # a ragged right factor
+    ],
+    ids=["long-row", "short-row", "ragged"],
+)
+def test_product_shape_mismatch_raises(a, b):
+    with pytest.raises(ValueError):
+        mat_mul(a, b)
 
 
 def test_hnf_is_echelon_with_reduced_pivots():

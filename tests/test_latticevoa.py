@@ -1,4 +1,5 @@
 import fractions
+import itertools
 import random
 from fractions import Fraction as Q
 from math import factorial, lcm
@@ -13,6 +14,7 @@ from orbifold24.latticevoa import (
     GlueCode,
     IdentificationError,
     LatticeIsometry,
+    _glue_chain,
     _killing,
     _packed_twist,
     _phase_bit_expr,
@@ -74,6 +76,7 @@ from helpers import (
     named_witness,
     numpy_lie_tables,
     TYPED_DIGIT_MAPS,
+    per_choice_glue_order,
     permutation_first_glue_order,
     root_lattice,
     rough_lift,
@@ -696,12 +699,14 @@ def test_sparse_rows_hold_nonzero_entries(which, fixed_algebras):
     [
         (lambda b: [tuple(2 * x for x in r) for r in b], "not integral"),
         (lambda b: b[:1], "outside the fixed sublattice"),
+        (lambda b: (), "outside the fixed sublattice"),
     ],
-    ids=["index-2-sublattice", "too-few-rows"],
+    ids=["index-2-sublattice", "too-few-rows", "no-rows"],
 )
 def test_fixed_table_checks_fire(monkeypatch, rows, message):
     # a Cartan basis of index 2 gives half-integral structure constants, and
-    # one that does not span the fixed space cannot reconstruct the brackets
+    # one that does not span the fixed space cannot reconstruct the brackets,
+    # nor can an empty one, whose solve has no unknowns
     lift = a2_cubed_cycle_lift()
     basis = lift.isometry.fixed_coords_basis()
     monkeypatch.setattr(LatticeIsometry, "fixed_coords_basis", lambda self: rows(basis))
@@ -1258,6 +1263,26 @@ def test_glue_orders_match_permutation_first_oracle():
         reordered,
     ):
         assert glue_automorphism_group_order(code) == permutation_first_glue_order(code)
+    # the codes of the proper subsets of the generators: most orders differ
+    # from 48 and 2160, so choices without a completion occur and their
+    # orbits die.  The anchored search needs the constant words that most
+    # D4 subcodes lack, so every subcode meets the per-choice search, and
+    # the E6 ones the brute force as well.  Every element the chain keeps
+    # maps each code word to a code word.
+    for full in (NI_E6_4, NI_D4_6):
+        gens = full.generators
+        for sub in itertools.chain.from_iterable(
+            itertools.combinations(gens, size) for size in range(len(gens))
+        ):
+            code = GlueCode(full.components, sub)
+            order = glue_automorphism_group_order(code)
+            assert order == per_choice_glue_order(code)
+            if full is NI_E6_4:
+                assert order == permutation_first_glue_order(code)
+            words = code.words()
+            for perm, maps in _glue_chain(code)[1]:
+                for w in words:
+                    assert tuple(m[w[s]] for s, m in zip(perm, maps)) in words
 
 
 def slot_map_decision(certify, lat, slot_maps):
