@@ -176,7 +176,7 @@ class EvenLattice(NamedTuple):
     def rank(self) -> int:
         return len(self.basis)
 
-    def coords_of(self, x: Sequence, den: int = 1) -> Optional[IntVec]:
+    def coords_of(self, x: Sequence, den: int) -> Optional[IntVec]:
         """Lattice-basis coordinates of the ambient vector x / den, or None."""
         d = den * self.inv_scale
         nz = [(xi, self.basis_inv[i]) for i, xi in enumerate(x) if xi]
@@ -1325,32 +1325,28 @@ def count_orthogonal_subsystems(
 ) -> int:
     """Number of sublattices of the ambient root lattice of shape part^copies.
 
-    Subsystems are enumerated as root subsets (pairs for A1, hexagons for
-    A2), and sets of pairwise orthogonal copies are counted as cliques;
-    distinct sets span distinct sublattices because the root system of the
-    span recovers the copies.  A copy is orthogonal to another iff its
-    spanning roots lie in the intersection of the other's perpendicular
-    root sets.
+    Subsystems are enumerated as root subsets (pairs {a, -a} for A1,
+    hexagons ±a, ±b, ±(a+b) with (a|b) = -1 for A2), read off the
+    simply-laced ambient's `_negative_pairs`, and sets of pairwise
+    orthogonal copies are counted as cliques; distinct sets span distinct
+    sublattices because the root system of the span recovers the copies.  A
+    copy is orthogonal to another iff its spanning roots lie in the
+    intersection of the other's perpendicular root sets.
     """
-    rs = build_root_system(ambient)
-    roots = rs.roots
-    index = {r: i for i, r in enumerate(roots)}
-    neg = [index[tuple(-c for c in r)] for r in roots]
-    ips = _root_pairings(ambient)                      # scale * (x|y)
-    perp = [{j for j, v in enumerate(row) if v == 0} for row in ips]
-    long_s = 2 * rs.scale
+    if ambient.family not in "ADE":
+        raise ValueError("only simply-laced ambients are supported")
+    pairs = _negative_pairs(ambient)                   # (b, index of a + b)
+    neg = [next(b for b, ab in row if ab < 0) for row in pairs]
+    perp = [{j for j, v in enumerate(row) if v == 0} for row in _root_pairings(ambient)]
     # each root subset maps to the indices of roots spanning it
     subs: Dict[FrozenSet[int], Tuple[int, ...]] = {}
     if part == SimpleType("A", 1):
-        for a in range(len(roots)):
+        for a in range(len(pairs)):
             subs.setdefault(frozenset({a, neg[a]}), (a,))
     elif part == SimpleType("A", 2):
-        for a, row in enumerate(ips):
-            if row[a] != long_s:
-                continue
-            for b in range(a + 1, len(roots)):
-                if row[b] == -rs.scale and ips[b][b] == long_s:
-                    ab = index[tuple(x + y for x, y in zip(roots[a], roots[b]))]
+        for a, row in enumerate(pairs):
+            for b, ab in row:
+                if b > a and ab >= 0:
                     hexagon = frozenset({a, b, ab, neg[a], neg[b], neg[ab]})
                     subs.setdefault(hexagon, (a, b))
     else:
@@ -1374,7 +1370,6 @@ def count_orthogonal_subsystems(
     return cliques(list(range(len(spans))), copies)
 
 
-@lru_cache(maxsize=None)
 def _disc_automorphisms(t: SimpleType) -> Tuple[Dict[int, int], ...]:
     """The digit maps of the Dynkin diagram symmetries (SPLAG Table 16.1):
     `disc_digit_action` of the affine diagram automorphisms fixing node 0,

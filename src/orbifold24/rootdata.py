@@ -476,24 +476,18 @@ def kac_fixed_subalgebra(t: SimpleType, s: Sequence[int]) -> SemisimpleTypeWithL
 
     s lists non-negative integers on the untwisted affine diagram nodes; with
     coprime labels the automorphism order is sum(marks * s).  Only which
-    labels vanish matters here, so each pattern of vanishing labels is
-    classified once (`_kac_pattern`).  The package derives every label
-    vector itself, so a bad one raises InvariantError.
+    labels vanish matters here: the semisimple part is the sub-diagram on the
+    vanishing nodes, and the abelian rank is one less than the number of
+    nonzero labels.  Each component carries its level inside a level-1
+    ideal, the integer 2/(b|b) = 2 scale // (scale (b|b)), (b|b) its
+    long-root norm in the ambient normalization; at level k it scales by k.
+    The package derives every label vector itself, so a bad one raises
+    InvariantError.
     """
-    if len(s) != len(_affine_diagram(t)[1]) or min(s) < 0 or not any(s):
+    gram, marks, scale = _affine_diagram(t)
+    if len(s) != len(marks) or min(s) < 0 or not any(s):
         raise InvariantError(f"{tuple(s)} is not a label vector of affine {t}")
-    return _kac_pattern(t, tuple(x == 0 for x in s))
-
-
-@lru_cache(maxsize=None)
-def _kac_pattern(t: SimpleType, vanishing: Tuple[bool, ...]) -> SemisimpleTypeWithLevels:
-    """The semisimple part is the sub-diagram on the vanishing nodes; the
-    abelian rank is one less than the number of nonzero labels.  Each
-    component carries its level inside a level-1 ideal, the integer
-    2/(b|b) = 2 scale // (scale (b|b)), (b|b) its long-root norm in the
-    ambient normalization; at level k it scales by k."""
-    gram, _, scale = _affine_diagram(t)
-    unseen = [i for i, z in enumerate(vanishing) if z]
+    unseen = [i for i, x in enumerate(s) if x == 0]
     ideals: List[Tuple[SimpleType, int]] = []
     while unseen:
         comp = [unseen.pop()]
@@ -506,4 +500,4 @@ def _kac_pattern(t: SimpleType, vanishing: Tuple[bool, ...]) -> SemisimpleTypeWi
         if rem:
             raise InvariantError(f"{ty} in affine {t}: level 2/(b|b) is not an integer")
         ideals.append((ty, level))
-    return SemisimpleTypeWithLevels.of(ideals, vanishing.count(False) - 1)
+    return SemisimpleTypeWithLevels.of(ideals, len(s) - s.count(0) - 1)

@@ -15,7 +15,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from operator import add, le
-from typing import Callable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rootdata import (
     SemisimpleTypeWithLevels,
@@ -173,32 +173,27 @@ Witness = Sequence[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels]]  # o
 # (count vector over the target's distinct ideals, abelian rank, ideals
 # consumed, nontrivial, witness entry)
 Move = Tuple[Tuple[int, ...], int, int, bool, tuple]
-MoveLists = Callable[[Ideal, bool], List[Move]]
 
 
-def _move_lists(target: SemisimpleTypeWithLevels) -> MoveLists:
-    """The memoised move lists of one target, keyed by (ideal, cycle open)."""
+@lru_cache(maxsize=None)
+def _moves(target: SemisimpleTypeWithLevels, first: Ideal, cycle: bool) -> Tuple[Move, ...]:
+    """The moves toward target at a position holding the ideal first, with
+    the 3-cycle of the next three equal ideals when cycle is set."""
     keys = dict.fromkeys(target.ideals)  # ordered, with fast membership
-
-    @lru_cache(maxsize=None)
-    def moves(first: Ideal, cycle: bool) -> List[Move]:
-        entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
-        if cycle:
-            diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
-            entries.insert(0, ("cycle", (first,) * 3, diag))
-        return [
-            (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
-             kind != "trivial", (kind, consumed, res))
-            for kind, consumed, res in entries
-            if all(key in keys for key in res.ideals)
-        ]
-
-    return moves
+    entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
+    if cycle:
+        diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
+        entries.insert(0, ("cycle", (first,) * 3, diag))
+    return tuple(
+        (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
+         kind != "trivial", (kind, consumed, res))
+        for kind, consumed, res in entries
+        if all(key in keys for key in res.ideals)
+    )
 
 
 def admits_order3_with_fixed(
-    c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithLevels, *,
-    _moves: MoveLists | None = None,
+    c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithLevels
 ) -> Tuple[bool, Optional[Assignment]]:
     """Whether some order-3 automorphism of c has fixed subalgebra target.
 
@@ -211,13 +206,11 @@ def admits_order3_with_fixed(
     3-cycle of the next three equal ideals or one option of the next ideal,
     is a count vector over the target's distinct ideals plus an abelian
     rank, and depends only on the ideal and on whether the cycle is open, so
-    positions that agree on both share one move list, built when first
-    reached; moves naming an ideal the target lacks are dropped from it.
-    `filter_candidates` passes one `_move_lists(target)` to every candidate
-    of its query as `_moves`.  The cycle is tried first, then the options
+    positions that agree on both share one move list, `_moves`, cached per
+    target and built when first reached; moves naming an ideal the target
+    lacks are dropped from it.  The cycle is tried first, then the options
     by (kind, str(result)); only failed states are remembered, so the first
     witness found is that of plain backtracking."""
-    moves = _moves or _move_lists(target)
     keys = dict.fromkeys(target.ideals)
     cap = tuple(map(target.ideals.count, keys))
     cap_ab = target.abelian_rank
@@ -233,7 +226,7 @@ def admits_order3_with_fixed(
         state = (p, counts, ab, nontrivial)
         if state in dead:
             return False
-        for vec, move_ab, width, move_nt, entry in moves(*at[p]):
+        for vec, move_ab, width, move_nt, entry in _moves(target, *at[p]):
             counts2 = tuple(map(add, counts, vec))
             if ab + move_ab > cap_ab or not all(map(le, counts2, cap)):
                 continue
@@ -255,6 +248,5 @@ def filter_candidates(
     """Candidates admitting an order-3 automorphism with the target fixed
     type, each with the witness that `admits_order3_with_fixed` found; the
     candidates share the target's move lists."""
-    moves = _move_lists(target)
-    found = [(c, admits_order3_with_fixed(c, target, _moves=moves)) for c in candidates]
-    return [(c, witness) for c, (ok, witness) in found if ok]
+    return [(c, witness) for c in candidates
+            for ok, witness in [admits_order3_with_fixed(c, target)] if ok]

@@ -490,7 +490,7 @@ def test_candidate_filter_generates_no_roots(capsys):
     # the order-3 filter reads Kac's data off the affine diagram alone
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
                schellekens._inner_options_at_level_one, schellekens._diagram_automorphisms,
-               rootdata._kac_pattern, rootdata._affine_diagram, rootdata.build_root_system):
+               schellekens._moves, rootdata._affine_diagram, rootdata.build_root_system):
         fn.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
                                "E6,3 A2,1 A2,1 A2,1"])
@@ -500,16 +500,15 @@ def test_candidate_filter_generates_no_roots(capsys):
 
 def test_candidate_filter_work_counts(capsys, monkeypatch):
     # one Kac classification per orbit of label vectors under the affine
-    # diagram's automorphisms, and one move list per (ideal, cycle open) for
-    # the whole query, shared by its candidates
+    # diagram's automorphisms, and one move list per (target, ideal, cycle
+    # open), shared by the candidates of a query
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
                schellekens._inner_options_at_level_one, schellekens._diagram_automorphisms,
-               rootdata._kac_pattern):
+               schellekens._moves):
         fn.cache_clear()
     classify = schellekens.kac_fixed_subalgebra
     options = schellekens.order3_fixed_options
-    admits = schellekens.admits_order3_with_fixed
-    classified, built, tables = Counter(), Counter(), []
+    classified, built = Counter(), Counter()
 
     def count_classify(t, s):
         classified[str(t)] += 1
@@ -520,30 +519,26 @@ def test_candidate_filter_work_counts(capsys, monkeypatch):
         built[f"{t},{level}"] += 1
         return options(t, level)
 
-    def record_table(c, target, **internal):
-        tables.append(internal["_moves"])
-        return admits(c, target, **internal)
-
     monkeypatch.setattr(schellekens, "kac_fixed_subalgebra", count_classify)
     monkeypatch.setattr(schellekens, "order3_fixed_options", count_builds)
-    monkeypatch.setattr(schellekens, "admits_order3_with_fixed", record_table)
     code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
                                "E6,3 A2,1 A2,1 A2,1"])
     assert code == 0
     # no move of A11 fits the target, so the first candidate, A11,1 D7,1 E6,1,
     # fails at its first ideal and D7 is never reached
     assert classified == {"A11": 18, "E6": 5}
-    # A11 without a cycle; E6 with the cycle open and closed
+    # A11 without a cycle; E6 with the cycle open and closed: no list is
+    # built twice
     assert built == {"A11,1": 1, "E6,1": 2}
-    assert len(tables) == 2 and all(m is tables[0] for m in tables)
+    assert schellekens._moves.cache_info().misses == 3
     # at D = 168 the candidates share A5,1 without a cycle; it is built once
     built.clear()
-    tables.clear()
+    schellekens._moves.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "168", "--ratio", "6", "--fixed",
                                "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"])
     assert code == 0
     assert built == {"A5,1": 2, "D4,1": 2}
-    assert len(tables) == 4 and all(m is tables[0] for m in tables)
+    assert schellekens._moves.cache_info().misses == 4
 
 
 def test_all_zero_kac_labels_exit_1(capsys, monkeypatch):
@@ -553,7 +548,7 @@ def test_all_zero_kac_labels_exit_1(capsys, monkeypatch):
     monkeypatch.setattr(schellekens, "_order3_label_vectors",
                         lambda t: enumerate_labels(t) + [(0,) * (t.rank + 1)])
     caches = (schellekens.order3_fixed_options, schellekens._inner_options_at_level_one,
-              schellekens._diagram_automorphisms)
+              schellekens._diagram_automorphisms, schellekens._moves)
     for fn in caches:
         fn.cache_clear()
     try:

@@ -1214,6 +1214,9 @@ def test_subsystem_counts():
         (("E", 6), ("A", 2), 2),
         (("D", 5), ("A", 1), 4),
         (("A", 2), ("A", 2), 0),
+        (("E", 6), ("A", 2), 1),
+        (("D", 4), ("A", 2), 1),
+        (("A", 5), ("A", 2), 1),
     ],
 )
 def test_subsystem_counts_match_all_pairs_oracle(ambient, part, copies):
@@ -1224,6 +1227,8 @@ def test_subsystem_counts_match_all_pairs_oracle(ambient, part, copies):
 def test_subsystem_count_rejects_other_patterns():
     with pytest.raises(ValueError):
         count_orthogonal_subsystems(SimpleType("E", 6), SimpleType("A", 3), 1)
+    with pytest.raises(ValueError):
+        count_orthogonal_subsystems(SimpleType("B", 3), SimpleType("A", 2), 1)
 
 
 def test_glue_automorphism_orders():
@@ -1359,7 +1364,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
     iso = cases.lattice_isometry(cf)
     during_isometry = built[0]
-    coords = [lat.coords_of(r) for r in roots]
+    coords = [lat.coords_of(r, den=1) for r in roots]
     during_coords = built[0] - during_isometry
     monkeypatch.undo()
     assert iso.order() == 3 and None not in coords

@@ -95,3 +95,18 @@ def test_no_cached_function_has_a_default():
             if n.args.defaults or any(d is not None for d in n.args.kw_defaults):
                 knobs.append(f"{path.stem}.{n.name}")
     assert knobs == []
+
+
+def test_no_function_takes_a_private_parameter():
+    # a parameter named with a leading underscore is a knob for some callers
+    # only, a second path through the function; every parameter a function
+    # takes is one that any caller may pass
+    knobs = []
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = n.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            knobs += [f"{path.stem}.{n.name}({p.arg})" for p in params if p.arg.startswith("_")]
+    assert knobs == []
