@@ -36,7 +36,7 @@ import itertools
 from fractions import Fraction as Q
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from operator import add, mul, xor
+from operator import mul, xor
 from typing import (
     Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
 )
@@ -941,14 +941,6 @@ class FixedSubalgebra(NamedTuple):
         return len(self.basis)
 
 
-def _weight_blocks(weights: Sequence[Weight]) -> Dict[Weight, List[int]]:
-    """Basis indices of each weight, in ascending order."""
-    blocks: Dict[Weight, List[int]] = {}
-    for i, w in enumerate(weights):
-        blocks.setdefault(w, []).append(i)
-    return blocks
-
-
 def _component_orbits(
     lift: LiftedAutomorphism,
 ) -> Tuple[List[int], List[Tuple[SimpleType, int]]]:
@@ -980,13 +972,17 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
 
     The Cartan rows of each orbit O of components are the fixed-sublattice
     vectors orthogonal to every root outside O.  t acts on each orbit sum
-    by its weight.  Only the pairs of orbit sums that touch are bracketed,
-    root by root through the pair table: two orbit sums commute unless a
-    root of one has negative inner product with a root of the other, and
-    (g^p a|g^q b) = (a|g^(q-p) b), so the pair table of one representative
-    names every orbit that touches it.  The form pairs t with t through
-    the lattice gram, and an orbit sum only with the orbit sum of the
-    opposite roots.
+    by its weight.  Two orbit sums commute unless a root of one has
+    negative inner product with a root of the other, so the brackets of
+    orbit sum i come from one walk over the pair-table rows of its roots:
+    each entry (a, b) is bucketed by the orbit sum j of b, and the buckets
+    with j > i give [basis[i], basis[j]], partner by partner in ascending
+    order.  Every nonzero pair-table entry between two orbit sums is thus
+    read once from each side and used from the lower one.  The Cartan part
+    of a bracket is solved through the sparse rows of the least-squares
+    solver, built once per call.  The form pairs t with t through the
+    lattice gram, and an orbit sum only with the orbit sum of the opposite
+    roots.
     """
     alg = lift.algebra
     r = alg.rank
@@ -1019,7 +1015,9 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
         if nc else fixed_weights
     )
     weights: List[Weight] = [(0,) * nc] * nc
-    member: Dict[int, int] = {}        # root index -> its orbit sum's
+    # each root's orbit sum (-1 for none) and its coefficient there
+    member = [-1] * alg.n_roots
+    coef = [0] * alg.n_roots
     seen: Set[int] = set()
     for k in range(alg.n_roots):
         if k in seen:
@@ -1030,7 +1028,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             # a g-fixed root line survives only with trivial phase
             if lift.root_phase[k] == 1:
                 indices[root_orbit[k]].append(len(basis))
-                member[k] = len(basis)
+                member[k], coef[k] = len(basis), 1
                 basis.append(alg.root_element(k))
                 weights.append(root_weights[k])
             continue
@@ -1049,6 +1047,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             raise InvariantError("a bracket is no multiple of an orbit sum")
         indices[root_orbit[k]].append(len(basis))
         member[k] = member[k1] = member[k2] = len(basis)
+        coef[k], coef[k1], coef[k2] = 1, s0, s1
         basis.append({r + k: 1, r + k1: s0, r + k2: s1})
         weights.append(root_weights[k])
     dim = len(basis)
@@ -1057,66 +1056,81 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     brackets: List[Dict[int, Dict[int, int]]] = [{} for _ in basis]
     gram: List[Dict[int, int]] = [{} for _ in basis]
     # least-squares solver F^T (F F^T)^-1 for the Cartan part, as integer
-    # rows over the denominator sden; with no fixed Cartan, every row is empty
-    solver: List[List[int]] = [[]] * r
+    # rows over the denominator sden, and the Cartan rows F, both as the
+    # (column, entry) pairs of their nonzero entries; with no fixed Cartan,
+    # every solver row is empty
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in cartan_rows]
+    solver: List[List[Tuple[int, int]]] = [[]] * r
     sden = 1
+
+    def times(v: List[int], rows: List[List[Tuple[int, int]]], m: int) -> List[int]:
+        """The row vector v times the m-column matrix of the sparse rows."""
+        out = [0] * m
+        for x, row in zip(v, rows):
+            for k, y in row if x else ():
+                out[k] += x * y
+        return out
+
     if nc:
         ft = transpose(cartan_rows)                                  # r x nc
         inv, sden = integer_inverse(mat_mul(cartan_rows, ft))
-        solver = mat_mul(ft, inv)
+        solver = [[(k, x) for k, x in enumerate(row) if x] for row in mat_mul(ft, inv)]
         for i, row in enumerate(mat_mul(mat_mul(cartan_rows, alg.lattice.gram), ft)):
             gram[i] = {j: v for j, v in enumerate(row) if v}
     for j in range(nc, dim):
         for i, w in enumerate(weights[j]):
             if w:
                 brackets[i][j], brackets[j][i] = {j: w}, {j: -w}
-
-    def put(i: int, j: int) -> None:
-        """[basis[i], basis[j]] and <basis[i], basis[j]> for two orbit sums,
-        root by root from the pair table: [e^a, e^b] is eps(a, b) e^(a+b)
-        when (a|b) = -1, and eps(a, -a) times the coroot of a when b = -a,
-        the one case where <e^a, e^b> = eps(a, -a) is nonzero."""
-        roots: Dict[int, int] = {}
-        opposite = []
-        for a, ca in terms[i]:
-            row = alg.pairs[a]
-            for b, cb in terms[j]:
-                if b in row:
-                    s, sgn = row[b]
-                    if s >= 0:
-                        roots[s] = roots.get(s, 0) + ca * cb * sgn
-                    else:
-                        opposite.append((alg.root_coords[a], ca * cb * sgn))
-        out: Dict[int, int] = {}
-        for s, c in roots.items():
-            p = member.get(s)
-            if c and p is None:
-                raise InvariantError("a bracket leaves the fixed subalgebra")
-            if c and p not in out:
-                lead = roots.get(terms[p][0][0], 0)
-                for m, e in terms[p]:
-                    if roots.get(m, 0) != lead * e:
-                        raise InvariantError("a bracket is no multiple of an orbit sum")
-                out[p] = lead
-        cart = [sum(c * x[m] for x, c in opposite) for m in range(r)] if opposite else []
-        if any(cart):
-            # with no fixed Cartan the solution is empty, and nothing is inside
-            sol = mat_mul([cart], solver)[0]
-            if not sol or mat_mul([sol], cartan_rows)[0] != [sden * c for c in cart]:
-                raise InvariantError("Cartan part is outside the fixed sublattice")
-            if any(x % sden for x in sol):
-                raise InvariantError("a fixed structure constant is not integral")
-            out.update((k, x // sden) for k, x in enumerate(sol) if x)
-        if out:
-            brackets[i][j], brackets[j][i] = out, {k: -c for k, c in out.items()}
-        form = sum(c for _, c in opposite)
-        if form:
-            gram[i][j] = gram[j][i] = form
-
     for i in range(nc, dim):
-        for j in {member.get(l, -1) for l in alg.pairs[terms[i][0][0]]}:
-            if j > i:
-                put(i, j)
+        # per partner j > i: the roots of [basis[i], basis[j]] with their
+        # coefficients, and the opposite-root terms.  [e^a, e^b] is
+        # eps(a, b) e^(a+b) when (a|b) = -1, and eps(a, -a) times the coroot
+        # of a when b = -a, the one case where <e^a, e^b> = eps(a, -a) is
+        # nonzero
+        touched: Dict[int, Tuple[Dict[int, int], List[Tuple[int, int]]]] = {}
+        for a, ca in terms[i]:
+            for b, (s, sgn) in alg.pairs[a].items():
+                j = member[b]
+                if j > i:
+                    if j not in touched:
+                        touched[j] = {}, []
+                    roots, opposite = touched[j]
+                    if s >= 0:
+                        roots[s] = roots.get(s, 0) + ca * coef[b] * sgn
+                    else:
+                        opposite.append((a, ca * coef[b] * sgn))
+        for j in sorted(touched):
+            roots, opposite = touched[j]
+            out: Dict[int, int] = {}
+            for s, c in roots.items():
+                p = member[s]
+                if c and p not in out:
+                    if p < 0:
+                        raise InvariantError("a bracket leaves the fixed subalgebra")
+                    lead = roots.get(terms[p][0][0], 0)
+                    for m, e in terms[p]:
+                        if roots.get(m, 0) != lead * e:
+                            raise InvariantError("a bracket is no multiple of an orbit sum")
+                    out[p] = lead
+            if opposite:
+                cart = [0] * r
+                for a, c in opposite:
+                    for m, x in enumerate(alg.root_coords[a]):
+                        cart[m] += c * x
+                if any(cart):
+                    sol = times(cart, solver, nc)
+                    # with no fixed Cartan the solution is empty, and
+                    # nothing is inside
+                    if not sol or times(sol, sparse, r) != [sden * c for c in cart]:
+                        raise InvariantError("Cartan part is outside the fixed sublattice")
+                    if any(x % sden for x in sol):
+                        raise InvariantError("a fixed structure constant is not integral")
+                    out.update((k, x // sden) for k, x in enumerate(sol) if x)
+                form = sum(c for _, c in opposite)
+                if form:
+                    gram[i][j] = gram[j][i] = form
+            if out:
+                brackets[i][j], brackets[j][i] = out, {k: -c for k, c in out.items()}
     orbits = [
         ComponentOrbit(t, length, tuple(idx))
         for (t, length), idx in zip(shapes, indices)
@@ -1133,7 +1147,17 @@ class IdentificationError(Exception):
 def _check_grading(sub: FixedSubalgebra) -> None:
     """InvariantError unless the table is graded by sub.weights: ad of each
     Cartan vector t_i is diagonal with entry w_j[i] at basis[j], and every
-    stored bracket [basis[i], basis[j]] lies in the block of w_i + w_j."""
+    stored bracket [basis[i], basis[j]] lies in the block of w_i + w_j.
+
+    Weights compare as `_packed` keys.  The packing is linear, key(x) =
+    sum x_m 2^(width m), so key(w_i) + key(w_j) = key(w_i + w_j).  Its
+    signed fields are `width` = 2 + bit_length(M) bits wide, M the largest
+    weight coordinate in absolute value, so each field holds every integer
+    of absolute value up to 2^(width - 1) - 1 >= 2M + 1, a coordinate of a
+    sum of two weights included, and vectors with coordinates in that range
+    pack distinctly.  Hence key(w_i) + key(w_j) = key(w_k) exactly when
+    w_i + w_j = w_k.
+    """
     weights, brackets = sub.weights, sub.brackets
     nc = len(weights[0]) if weights else 0
     for i in range(nc):
@@ -1143,40 +1167,51 @@ def _check_grading(sub: FixedSubalgebra) -> None:
                 raise InvariantError(
                     f"ad of Cartan vector {i} does not act by weight {w[i]} on {j}"
                 )
+    keys = _packed(weights)
     for i, row in enumerate(brackets):
+        key = keys[i]
         for j, entry in row.items():
-            w = tuple(map(add, weights[i], weights[j]))
-            if any(weights[k] != w for k in entry):
-                raise InvariantError(f"bracket [{i}, {j}] leaves its weight block")
+            total = key + keys[j]
+            for k in entry:
+                if keys[k] != total:
+                    raise InvariantError(f"bracket [{i}, {j}] leaves its weight block")
 
 
-def _killing(
-    brackets: List[Dict[int, Dict[int, int]]], weights: Sequence[Weight]
-) -> List[Dict[int, int]]:
-    """Killing form tr(ad b_i ad b_j) of a graded table, as rows of nonzero
-    entries.  ad b_i ad b_j shifts weights by w_i + w_j, so only (w, -w)
-    pairs are computed, each a sum over the stored entries of row j, each
-    looked up in row i."""
+def _killing(brackets: List[Dict[int, Dict[int, int]]]) -> List[Dict[int, int]]:
+    """Killing form tr(ad b_i ad b_j) = sum over (a, b) of the coefficient
+    of basis[a] in [b_i, basis[b]] times that of basis[b] in [b_j, basis[a]],
+    as rows of nonzero entries.  The stored entries are indexed by (b, a),
+    each to the rows i with a nonzero coefficient there, so every nonzero
+    product is summed once: for a < b, the rows at (b, a) against the rows
+    at (a, b) give both K(i, j) and K(j, i); for a = b, the rows at (a, a)
+    against themselves."""
     dim = len(brackets)
-    blocks = _weight_blocks(weights)
-    # the coefficient of basis[b] in [basis[i], basis[a]] under the key
-    # a * dim + b, and the same entries with a and b swapped in the key
-    flat = [{a * dim + b: c for a, e in row.items() for b, c in e.items()} for row in brackets]
-    swapped = [[(b * dim + a, c) for a, e in row.items() for b, c in e.items()]
-               for row in brackets]
+    # under the key a * dim + b: (i, the coefficient of basis[b] in
+    # [basis[i], basis[a]]) for every row i where it is nonzero
+    index: Dict[int, List[Tuple[int, int]]] = {}
+    for i, row in enumerate(brackets):
+        for a, entry in row.items():
+            for b, c in entry.items():
+                index.setdefault(a * dim + b, []).append((i, c))
     kill: List[Dict[int, int]] = [{} for _ in brackets]
-    for i, fi in enumerate(flat):
-        for j in blocks.get(tuple(-x for x in weights[i]), ()):
-            if j >= i:
-                v = sum(c * fi.get(key, 0) for key, c in swapped[j])
-                if v:
-                    kill[i][j] = kill[j][i] = v
-    return kill
+    for key, right in index.items():
+        a, b = divmod(key, dim)
+        if a > b:
+            continue
+        for i, ci in index.get(b * dim + a, ()):
+            row = kill[i]
+            for j, cj in right:
+                row[j] = row.get(j, 0) + ci * cj
+                if a < b:
+                    kill[j][i] = kill[j].get(i, 0) + ci * cj
+    return [{j: v for j, v in row.items() if v} for row in kill]
 
 
 def _check_orbit_blocks(sub: FixedSubalgebra) -> None:
     """InvariantError unless sub.orbits partition the basis and every
-    stored bracket and form entry stays inside one orbit's block."""
+    stored bracket and form entry stays inside one orbit's block: the keys
+    of each row and of each bracket entry are a subset of the members of
+    the row's block."""
     block_of = [-1] * sub.dim
     for b, orbit in enumerate(sub.orbits):
         for i in orbit.indices:
@@ -1185,15 +1220,14 @@ def _check_orbit_blocks(sub: FixedSubalgebra) -> None:
             block_of[i] = b
     if -1 in block_of:
         raise InvariantError(f"basis vector {block_of.index(-1)} lies in no orbit block")
+    members = [frozenset(orbit.indices) for orbit in sub.orbits]
     for i, (row, form_row) in enumerate(zip(sub.brackets, sub.gram)):
-        b = block_of[i]
-        for j in itertools.chain(row, form_row):
-            if block_of[j] != b:
-                raise InvariantError(
-                    f"basis vectors {i} and {j} of two orbit blocks interact"
-                )
+        inside = members[block_of[i]]
+        if not (row.keys() <= inside and form_row.keys() <= inside):
+            j = next(j for j in itertools.chain(row, form_row) if j not in inside)
+            raise InvariantError(f"basis vectors {i} and {j} of two orbit blocks interact")
         for j, entry in row.items():
-            if any(block_of[k] != b for k in entry):
+            if not entry.keys() <= inside:
                 raise InvariantError(f"bracket [{i}, {j}] leaves its orbit block")
 
 
@@ -1214,7 +1248,7 @@ def identify_type(sub: FixedSubalgebra) -> SemisimpleTypeWithLevels:
     """
     _check_grading(sub)
     _check_orbit_blocks(sub)
-    kill = _killing(sub.brackets, sub.weights)
+    kill = _killing(sub.brackets)
     ideals: List[Tuple[SimpleType, int]] = []
     abelian = 0
     for orbit in sub.orbits:

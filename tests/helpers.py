@@ -95,9 +95,16 @@ against, and helpers that only the tests need.
   sigma2 and sigma4 over those oracles (`named_shape_isometry`, with the
   sigma4 search `sigma4_candidates`) against the catalogue placements of
   `latticevoa.build_isometry`, the generic
-  centraliser in `Fraction`s (`fraction_centralizer`), and the Killing
+  centraliser in `Fraction`s (`fraction_centralizer`), the Killing
   form over every pair of basis vectors (`full_killing`) against the one
-  over (w, -w) weight pairs, and the subsystem count over an all-pairs
+  indexed by stored coefficient, the fixed-subalgebra steps pair by pair
+  (`pair_probe_fixed_subalgebra`, which probes every root of one orbit
+  sum against every root of each partner the first root names,
+  `tuple_check_grading` on weight tuples, `per_entry_check_orbit_blocks`
+  through each index's block, and `block_probe_killing` over the (w, -w)
+  pairs of the weight blocks `weight_blocks`) against the bucketed walk,
+  the packed weight keys, the set-inclusion block check and the indexed
+  Killing form of `latticevoa`, and the subsystem count over an all-pairs
   orthogonality matrix (`all_pairs_subsystem_count`) against the clique
   count over perpendicular root sets.  A fixed subalgebra's rows of
   nonzero entries read as dense dim x dim tables (`dense_table`, with
@@ -129,12 +136,16 @@ against, and helpers that only the tests need.
   name's case), `patch_series_coefficient` (one coefficient of a q-series
   scaled) with `solve_afresh` (a Laurent table cache of the test's own),
   `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
-  (x|y) through `RootSystem.covector`) and `series_one`.
+  (x|y) through `RootSystem.covector`), `series_one`, and
+  `package_caches` (every `lru_cache` of the package, which the
+  `fresh_caches` fixture of `conftest.py` clears around a test).
 """
 
 from __future__ import annotations
 
+import importlib
 import itertools
+import pkgutil
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -146,6 +157,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 
 import numpy as np
 
+import orbifold24
 from orbifold24 import cases, qmodular
 from orbifold24.affinerep import (
     AffineAlgebra,
@@ -155,9 +167,11 @@ from orbifold24.affinerep import (
     n_min_column,
 )
 from orbifold24.exactmath import (
-    InvariantError, identity, integer_inverse, mat_mul, rank, transpose,
+    InvariantError, identity, integer_inverse, integer_row_kernel, mat_mul, rank,
+    transpose,
 )
 from orbifold24.latticevoa import (
+    ComponentOrbit,
     EvenLattice,
     FixedSubalgebra,
     GlueCode,
@@ -167,12 +181,12 @@ from orbifold24.latticevoa import (
     LiftedAutomorphism,
     Weight,
     _check_grading,
+    _component_orbits,
     _killing,
     _negative_pairs,
     _odd_mask,
     _slot_maps_to_isometry,
     _solve_f2,
-    _weight_blocks,
     coset_norm_lower_bound,
     lattice_from_basis,
 )
@@ -1343,6 +1357,23 @@ def traced_dimension_formula(trunc: int) -> Tuple[Q, Q, Q, Q]:
     return tuple(total)
 
 
+def package_caches() -> Dict[str, object]:
+    """Every `lru_cache` of the package, module-level functions and the
+    methods of its classes, by qualified name (`module.function`,
+    `module.Class.method`), each once although other modules import it."""
+    found: Dict[str, object] = {}
+    for info in pkgutil.iter_modules(orbifold24.__path__):
+        module = importlib.import_module(f"orbifold24.{info.name}")
+        for value in vars(module).values():
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            members = vars(value).values() if isinstance(value, type) else ()
+            for fn in (value, *members):
+                if callable(getattr(fn, "cache_clear", None)):
+                    found[f"{info.name}.{fn.__qualname__}"] = fn
+    return found
+
+
 def solve_afresh(monkeypatch) -> None:
     """Give qmodular a `laurent_table` with an empty cache of its own until
     monkeypatch undoes it: a test that patches a series the solve reads
@@ -2014,6 +2045,206 @@ def full_killing(brackets: List[List[Dict[int, int]]]) -> List[List[int]]:
     return kill
 
 
+# --- the fixed-subalgebra certificate, pair by pair (oracles) --------------
+
+
+def weight_blocks(weights: Sequence[Weight]) -> Dict[Weight, List[int]]:
+    """Basis indices of each weight, in ascending order."""
+    blocks: Dict[Weight, List[int]] = {}
+    for i, w in enumerate(weights):
+        blocks.setdefault(w, []).append(i)
+    return blocks
+
+
+def pair_probe_fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
+    """The fixed subalgebra table built pair by pair: the partners of each
+    orbit sum are read off the pair-table row of its first root, and each
+    pair (i, j) probes every root of orbit sum i against every root of
+    orbit sum j; the Cartan part is solved by one dense product per pair.
+    The oracle for the bucketed walk of `latticevoa.fixed_subalgebra`,
+    with the same checks in the same order."""
+    alg = lift.algebra
+    r = alg.rank
+    orbit_of, shapes = _component_orbits(lift)
+    root_orbit = [orbit_of[c] for c in alg.root_component]
+    fixed = lift.isometry.fixed_coords_basis()
+    nc = len(fixed)
+    fixed_weights = (
+        [tuple(w) for w in mat_mul(alg.cr, transpose(fixed))]
+        if nc else [()] * alg.n_roots
+    )
+    combos: List[List[int]] = []
+    indices: List[List[int]] = [[] for _ in shapes]
+    for o in range(len(shapes)):
+        outside = sorted({w for w, ro in zip(fixed_weights, root_orbit) if ro != o})
+        for y in integer_row_kernel([[w[i] for w in outside] for i in range(nc)]):
+            indices[o].append(len(combos))
+            combos.append(y)
+    if len(combos) != nc:
+        raise InvariantError("the fixed Cartan does not split over the component orbits")
+    cartan_rows = mat_mul(combos, fixed) if nc else []
+    basis = [alg.cartan_element(row) for row in cartan_rows]
+    root_weights = (
+        [tuple(w) for w in mat_mul(fixed_weights, transpose(combos))]
+        if nc else fixed_weights
+    )
+    weights: List[Weight] = [(0,) * nc] * nc
+    member: Dict[int, int] = {}
+    seen: Set[int] = set()
+    for k in range(alg.n_roots):
+        if k in seen:
+            continue
+        k1 = lift.root_perm[k]
+        if k1 == k:
+            seen.add(k)
+            if lift.root_phase[k] == 1:
+                indices[root_orbit[k]].append(len(basis))
+                member[k] = len(basis)
+                basis.append(alg.root_element(k))
+                weights.append(root_weights[k])
+            continue
+        k2 = lift.root_perm[k1]
+        if lift.root_perm[k2] != k:
+            raise InvariantError(f"root orbit of {k} is not a 3-cycle")
+        seen.update({k, k1, k2})
+        s0 = lift.root_phase[k]
+        s1 = s0 * lift.root_phase[k1]
+        if s1 * lift.root_phase[k2] != 1:
+            raise InvariantError("orbit phase product must be 1")
+        if not root_weights[k] == root_weights[k1] == root_weights[k2]:
+            raise InvariantError("a bracket is no multiple of an orbit sum")
+        indices[root_orbit[k]].append(len(basis))
+        member[k] = member[k1] = member[k2] = len(basis)
+        basis.append({r + k: 1, r + k1: s0, r + k2: s1})
+        weights.append(root_weights[k])
+    dim = len(basis)
+    terms = [[]] * nc + [[(k - r, c) for k, c in b.items()] for b in basis[nc:]]
+    brackets: List[Dict[int, Dict[int, int]]] = [{} for _ in basis]
+    gram: List[Dict[int, int]] = [{} for _ in basis]
+    solver: List[List[int]] = [[]] * r
+    sden = 1
+    if nc:
+        ft = transpose(cartan_rows)
+        inv, sden = integer_inverse(mat_mul(cartan_rows, ft))
+        solver = mat_mul(ft, inv)
+        for i, row in enumerate(mat_mul(mat_mul(cartan_rows, alg.lattice.gram), ft)):
+            gram[i] = {j: v for j, v in enumerate(row) if v}
+    for j in range(nc, dim):
+        for i, w in enumerate(weights[j]):
+            if w:
+                brackets[i][j], brackets[j][i] = {j: w}, {j: -w}
+
+    def put(i: int, j: int) -> None:
+        roots: Dict[int, int] = {}
+        opposite = []
+        for a, ca in terms[i]:
+            row = alg.pairs[a]
+            for b, cb in terms[j]:
+                if b in row:
+                    s, sgn = row[b]
+                    if s >= 0:
+                        roots[s] = roots.get(s, 0) + ca * cb * sgn
+                    else:
+                        opposite.append((alg.root_coords[a], ca * cb * sgn))
+        out: Dict[int, int] = {}
+        for s, c in roots.items():
+            p = member.get(s)
+            if c and p is None:
+                raise InvariantError("a bracket leaves the fixed subalgebra")
+            if c and p not in out:
+                lead = roots.get(terms[p][0][0], 0)
+                for m, e in terms[p]:
+                    if roots.get(m, 0) != lead * e:
+                        raise InvariantError("a bracket is no multiple of an orbit sum")
+                out[p] = lead
+        cart = [sum(c * x[m] for x, c in opposite) for m in range(r)] if opposite else []
+        if any(cart):
+            sol = mat_mul([cart], solver)[0]
+            if not sol or mat_mul([sol], cartan_rows)[0] != [sden * c for c in cart]:
+                raise InvariantError("Cartan part is outside the fixed sublattice")
+            if any(x % sden for x in sol):
+                raise InvariantError("a fixed structure constant is not integral")
+            out.update((k, x // sden) for k, x in enumerate(sol) if x)
+        if out:
+            brackets[i][j], brackets[j][i] = out, {k: -c for k, c in out.items()}
+        form = sum(c for _, c in opposite)
+        if form:
+            gram[i][j] = gram[j][i] = form
+
+    for i in range(nc, dim):
+        for j in {member.get(l, -1) for l in alg.pairs[terms[i][0][0]]}:
+            if j > i:
+                put(i, j)
+    orbits = [
+        ComponentOrbit(t, length, tuple(idx))
+        for (t, length), idx in zip(shapes, indices)
+    ]
+    return FixedSubalgebra(basis, weights, brackets, gram, orbits)
+
+
+def tuple_check_grading(sub: FixedSubalgebra) -> None:
+    """The grading check on weight tuples: each stored bracket entry's
+    weight is compared with the sum w_i + w_j, built as a tuple."""
+    weights, brackets = sub.weights, sub.brackets
+    nc = len(weights[0]) if weights else 0
+    for i in range(nc):
+        row = brackets[i]
+        for j, w in enumerate(weights):
+            if row.get(j) != ({j: w[i]} if w[i] else None):
+                raise InvariantError(
+                    f"ad of Cartan vector {i} does not act by weight {w[i]} on {j}"
+                )
+    for i, row in enumerate(brackets):
+        for j, entry in row.items():
+            w = tuple(a + b for a, b in zip(weights[i], weights[j]))
+            if any(weights[k] != w for k in entry):
+                raise InvariantError(f"bracket [{i}, {j}] leaves its weight block")
+
+
+def per_entry_check_orbit_blocks(sub: FixedSubalgebra) -> None:
+    """The orbit-block check entry by entry, through each basis vector's
+    block number."""
+    block_of = [-1] * sub.dim
+    for b, orbit in enumerate(sub.orbits):
+        for i in orbit.indices:
+            if block_of[i] >= 0:
+                raise InvariantError(f"basis vector {i} lies in two orbit blocks")
+            block_of[i] = b
+    if -1 in block_of:
+        raise InvariantError(f"basis vector {block_of.index(-1)} lies in no orbit block")
+    for i, (row, form_row) in enumerate(zip(sub.brackets, sub.gram)):
+        b = block_of[i]
+        for j in itertools.chain(row, form_row):
+            if block_of[j] != b:
+                raise InvariantError(
+                    f"basis vectors {i} and {j} of two orbit blocks interact"
+                )
+        for j, entry in row.items():
+            if any(block_of[k] != b for k in entry):
+                raise InvariantError(f"bracket [{i}, {j}] leaves its orbit block")
+
+
+def block_probe_killing(
+    brackets: List[Dict[int, Dict[int, int]]], weights: Sequence[Weight]
+) -> List[Dict[int, int]]:
+    """Killing form of a graded table over the (w, -w) weight pairs alone:
+    each pair (i, j) sums the stored entries of row j, each looked up in
+    row i."""
+    dim = len(brackets)
+    blocks = weight_blocks(weights)
+    flat = [{a * dim + b: c for a, e in row.items() for b, c in e.items()} for row in brackets]
+    swapped = [[(b * dim + a, c) for a, e in row.items() for b, c in e.items()]
+               for row in brackets]
+    kill: List[Dict[int, int]] = [{} for _ in brackets]
+    for i, fi in enumerate(flat):
+        for j in blocks.get(tuple(-x for x in weights[i]), ()):
+            if j >= i:
+                v = sum(c * fi.get(key, 0) for key, c in swapped[j])
+                if v:
+                    kill[i][j] = kill[j][i] = v
+    return kill
+
+
 def all_pairs_subsystem_count(ambient: SimpleType, part: SimpleType, copies: int) -> int:
     """Sets of `copies` pairwise orthogonal A1 or A2 subsystems of the
     ambient root system, through the orthogonality matrix of every pair of
@@ -2231,7 +2462,7 @@ def generic_centralizer(
     ad_x = dense_ad(brackets, x)
     zero = (0,) * (len(weights[0]) if weights else 0)
     keyed = []
-    for w, block in _weight_blocks(weights).items():
+    for w, block in weight_blocks(weights).items():
         stack = []
         for j in block:
             row = ad_x[j]
@@ -2289,7 +2520,7 @@ def float_identify_type(sub: FixedSubalgebra, seed: int = 7) -> SemisimpleTypeWi
     weights = sub.weights
     brackets, gram = dense_table(sub)
     _check_grading(sub)
-    kill = dense_rows(_killing(sub.brackets, weights), dim)
+    kill = dense_rows(_killing(sub.brackets), dim)
 
     center = [row for row, _ in integer_kernel(kill)]
     abelian = len(center)

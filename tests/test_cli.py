@@ -541,23 +541,15 @@ def test_candidate_filter_work_counts(capsys, monkeypatch):
     assert schellekens._moves.cache_info().misses == 4
 
 
-def test_all_zero_kac_labels_exit_1(capsys, monkeypatch):
+def test_all_zero_kac_labels_exit_1(capsys, monkeypatch, fresh_caches):
     # the option tables come from the package's own label enumeration; a
     # vector with every label 0 is a fault there, not a usage error
     enumerate_labels = schellekens._order3_label_vectors
     monkeypatch.setattr(schellekens, "_order3_label_vectors",
                         lambda t: enumerate_labels(t) + [(0,) * (t.rank + 1)])
-    caches = (schellekens.order3_fixed_options, schellekens._inner_options_at_level_one,
-              schellekens._diagram_automorphisms, schellekens._moves)
-    for fn in caches:
-        fn.cache_clear()
-    try:
-        with pytest.raises(SystemExit) as exc:
-            main(["candidates", "--dim", "312", "--ratio", "12", "--fixed",
-                  "E6,3 A2,1 A2,1 A2,1"])
-    finally:
-        for fn in caches:
-            fn.cache_clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["candidates", "--dim", "312", "--ratio", "12", "--fixed",
+              "E6,3 A2,1 A2,1 A2,1"])
     assert exc.value.code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: InvariantError: (0, 0, 0, ")
@@ -756,11 +748,9 @@ def test_singular_block_form_exits_1(capsys, monkeypatch):
                    " block is singular\n")
 
 
-def test_unsolvable_phase_system_exits_1(capsys, monkeypatch):
+def test_unsolvable_phase_system_exits_1(capsys, monkeypatch, fresh_caches):
     # an F2 system without a solution is a cocycle bookkeeping fault inside
     # the program, not a usage error
-    for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
-        fn.cache_clear()
     monkeypatch.setattr(latticevoa, "_solve_f2", lambda rows, rhs, n: None)
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--isometry", "sigma6"])
@@ -777,11 +767,9 @@ def test_unsolvable_phase_system_exits_1(capsys, monkeypatch):
     ],
     ids=["e6_4", "d4_6"],
 )
-def test_broken_glue_code_exits_1(capsys, monkeypatch, name, isometry, old, new):
+def test_broken_glue_code_exits_1(capsys, monkeypatch, fresh_caches, name, isometry, old, new):
     # one changed glue digit makes a built-in lattice non-integral: a fault
     # in the program's own data, not a usage error
-    for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
-        fn.cache_clear()
     attr = {"e6_4": "NI_E6_4", "d4_6": "NI_D4_6"}[name]
     code = getattr(latticevoa, attr)
     gens = tuple(new if g == old else g for g in code.generators)
@@ -818,11 +806,9 @@ CATALOGUE_MUTATIONS = [
 ]
 
 
-def test_infinite_order_isometry_exits_1(capsys, monkeypatch):
+def test_infinite_order_isometry_exits_1(capsys, monkeypatch, fresh_caches):
     # a shear preserves the D4^6 lattice but has infinite order; the order
     # check is an internal invariant, so it exits 1, not with the usage code
-    for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
-        fn.cache_clear()
     # the powers 0, 1, 2 of the shear a1 -> a1 + a2
     ident, shear, shear2 = (
         ((1, k, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)) for k in range(3)
@@ -839,16 +825,11 @@ def test_infinite_order_isometry_exits_1(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("key, entry, message", CATALOGUE_MUTATIONS)
-def test_mutated_catalogue_entry_exits_1(capsys, monkeypatch, key, entry, message):
+def test_mutated_catalogue_entry_exits_1(capsys, monkeypatch, fresh_caches, key, entry, message):
     # a wrong symmetry or word in the program's own catalogue is an internal
     # fault: exit 1 with the failed certificate, never 0, 2 or a traceback
-    caches = (cases.lattice_fixed_type, cases.lattice_isometry, latticevoa._catalogue_powers)
-    for fn in caches:
-        fn.cache_clear()
     monkeypatch.setitem(latticevoa._CATALOGUE, key, entry)
     code, _, err = run_main(capsys, ["lattice", "--isometry", CATALOGUE_USERS[key]])
-    for fn in caches:
-        fn.cache_clear()
     assert (code, err) == (1, f"error: InvariantError: {message}\n")
 
 
@@ -917,7 +898,7 @@ def test_lattice_takes_no_name(capsys):
     assert "unrecognized arguments: --name e6_4" in err and "Traceback" not in err
 
 
-def test_option_of_two_classes_exits_1(capsys, monkeypatch):
+def test_option_of_two_classes_exits_1(capsys, monkeypatch, fresh_caches):
     # a catalogued matrix names one class only when its option comes from
     # one class; a class table listing E6's A2,1^3 twice must stop the build
     table = schellekens._inner_options_at_level_one
@@ -928,20 +909,13 @@ def test_option_of_two_classes_exits_1(capsys, monkeypatch):
         schellekens, "_inner_options_at_level_one",
         lambda t: table(t) + ((option,) if t == e6 else ()),
     )
-    cases.lattice_isometry.cache_clear()
-    cases.lattice_fixed_type.cache_clear()
     code, out, err = run_main(capsys, ["lattice", "--isometry", "sigma6"])
     assert code == 1
     assert err == ("error: InvariantError: A2,1 A2,1 A2,1 is the fixed type of 2"
                    " order-3 classes of E6, not 1\n")
-    cases.lattice_isometry.cache_clear()
-    cases.lattice_fixed_type.cache_clear()
 
 
-def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch):
-    for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
-        fn.cache_clear()
-
+def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch, fresh_caches):
     def reject(lat, slot_maps, name):
         return None
 
@@ -949,8 +923,6 @@ def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch):
     code, _, err = run_main(capsys, ["lattice", "--isometry", "sigma4"])
     assert code == 1
     assert err == "error: InvariantError: no placement of the sigma4 witness preserves the glue\n"
-    for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
-        fn.cache_clear()
 
 
 def test_root_system_outside_the_table_is_named():
@@ -964,21 +936,16 @@ def test_root_system_outside_the_table_is_named():
 @pytest.mark.parametrize(
     "argv", [["lattice", "--isometry", "sigma2"], ["verify-all"]], ids=["lattice", "verify-all"]
 )
-def test_survivor_without_a_glue_code_exits_1(capsys, monkeypatch, argv):
+def test_survivor_without_a_glue_code_exits_1(capsys, monkeypatch, fresh_caches, argv):
     # with D4^6 gone from the table, the a2x6 survivor names no lattice: a
     # fault in the program's own data, reported on one line
-    caches = (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data)
-    for fn in caches:
-        fn.cache_clear()
     monkeypatch.setattr(latticevoa, "NI_D4_6", latticevoa.NI_E6_4)
     code, _, err = run_main(capsys, argv)
-    for fn in caches:
-        fn.cache_clear()
     assert (code, err) == (1, "error: InvariantError: no Niemeier glue code in the table has"
                               " the root system D4,1 D4,1 D4,1 D4,1 D4,1 D4,1\n")
 
 
-def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):
+def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch, fresh_caches):
     # each D4^6 glue generator doubles the code, so the lattice without one
     # has index 2 in a unimodular lattice: Gram determinant 4, exit 1
     code = latticevoa.NI_D4_6
@@ -986,8 +953,7 @@ def test_dropped_glue_generator_is_not_unimodular(capsys, monkeypatch):
         short = code._replace(generators=code.generators[:k] + code.generators[k + 1:])
         with pytest.raises(InvariantError, match="determinant 4, not 1$"):
             latticevoa.assemble_niemeier(short)
-        for fn in (cases.lattice_fixed_type, cases.lattice_isometry, cases.lattice_data):
-            fn.cache_clear()
+        fresh_caches()
         monkeypatch.setattr(latticevoa, "NI_D4_6", short)
         with pytest.raises(SystemExit) as exc:
             main(["lattice", "--isometry", "sigma2"])

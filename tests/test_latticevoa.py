@@ -11,11 +11,15 @@ from orbifold24.exactmath import InvariantError, mat_mul, rank, transpose
 from orbifold24.latticevoa import (
     NI_D4_6,
     NI_E6_4,
+    FixedSubalgebra,
     GlueCode,
     IdentificationError,
     LatticeIsometry,
+    _check_grading,
+    _check_orbit_blocks,
     _glue_chain,
     _killing,
+    _packed,
     _packed_twist,
     _phase_bit_expr,
     _root_pairings,
@@ -47,6 +51,7 @@ import helpers
 from helpers import (
     DenseLieTables,
     all_pairs_subsystem_count,
+    block_probe_killing,
     brute_force_types_with_ratio,
     compose,
     dense_ad,
@@ -76,12 +81,15 @@ from helpers import (
     named_witness,
     numpy_lie_tables,
     TYPED_DIGIT_MAPS,
+    pair_probe_fixed_subalgebra,
     per_choice_glue_order,
+    per_entry_check_orbit_blocks,
     permutation_first_glue_order,
     root_lattice,
     rough_lift,
     sum_parity_pairs,
     sum_phase_bit_expr,
+    tuple_check_grading,
 )
 
 
@@ -710,8 +718,11 @@ def test_fixed_table_checks_fire(monkeypatch, rows, message):
     lift = a2_cubed_cycle_lift()
     basis = lift.isometry.fixed_coords_basis()
     monkeypatch.setattr(LatticeIsometry, "fixed_coords_basis", lambda self: rows(basis))
-    with pytest.raises(InvariantError, match=message):
+    with pytest.raises(InvariantError, match=message) as got:
         fixed_subalgebra(lift)
+    with pytest.raises(InvariantError) as want:
+        pair_probe_fixed_subalgebra(lift)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -734,8 +745,11 @@ def test_flipped_orbit_phases_raise(which, message, fixed_algebras):
     phase[k] *= -1
     phase[k1] *= -1
     bad = lift._replace(root_phase=tuple(phase))
-    with pytest.raises(InvariantError, match=message):
+    with pytest.raises(InvariantError, match=message) as got:
         fixed_subalgebra(bad)
+    with pytest.raises(InvariantError) as want:
+        pair_probe_fixed_subalgebra(bad)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize(
@@ -857,8 +871,164 @@ def test_orbit_blocks(which, fixed_algebras):
 @pytest.mark.parametrize("which", ALL_FIXED)
 def test_block_killing_matches_full_killing(which, fixed_algebras):
     _, fx = fixed_algebras[which]
-    kill = _killing(fx.brackets, fx.weights)
+    kill = _killing(fx.brackets)
     assert dense_rows(kill, fx.dim) == full_killing(dense_table(fx)[0])
+
+
+def identity_lift(alg):
+    """The standard lift of the identity isometry: every root is fixed."""
+    n = alg.rank
+    ident = LatticeIsometry(
+        alg.lattice, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+    )
+    return standard_lift(alg, ident)
+
+
+ORACLE_LIFTS = ALL_FIXED + ["id_e6_4", "id_d4_6"]
+
+
+@pytest.fixture(scope="module")
+def oracle_lifts(fixed_algebras, alg_e6, alg_d4):
+    """The lifts of fixed_algebras and the identity lifts of both lattices."""
+    lifts = {name: lift for name, (lift, _) in fixed_algebras.items()}
+    lifts["id_e6_4"] = identity_lift(alg_e6)
+    lifts["id_d4_6"] = identity_lift(alg_d4)
+    return lifts
+
+
+@pytest.mark.parametrize("which", ORACLE_LIFTS)
+def test_certificate_steps_match_their_pair_probe_oracles(which, oracle_lifts):
+    # oracle: the four steps identify_type runs on a lift, pair by pair.
+    # The bucketed table equals the probed one entry for entry, both checks
+    # pass on it in either form, and the indexed Killing form equals the one
+    # summed over the (w, -w) pairs of weight blocks
+    fx = fixed_subalgebra(oracle_lifts[which])
+    assert fx == pair_probe_fixed_subalgebra(oracle_lifts[which])
+    for check in (_check_grading, tuple_check_grading,
+                  _check_orbit_blocks, per_entry_check_orbit_blocks):
+        check(fx)
+    assert _killing(fx.brackets) == block_probe_killing(fx.brackets, fx.weights)
+
+
+@pytest.mark.parametrize("which", ORACLE_LIFTS)
+def test_bucketed_walk_partners_are_the_first_root_partners(which, oracle_lifts):
+    # (g^p a|g^q b) = (a|g^(q-p) b), so the pair-table rows of all roots of
+    # an orbit sum reach the same orbit sums (or none, -1) as the row of its
+    # first root: walking every row finds the partners that probing from
+    # the first root finds, and every stored entry of the row is one of them
+    lift = oracle_lifts[which]
+    alg, r = lift.algebra, lift.algebra.rank
+    fx = fixed_subalgebra(lift)
+    nc = len(fx.weights[0])
+    member = {k - r: i for i, b in enumerate(fx.basis[nc:], nc) for k in b}
+    for i in range(nc, fx.dim):
+        roots = [k - r for k in fx.basis[i]]
+        walked = {member.get(b, -1) for a in roots for b in alg.pairs[a]}
+        assert walked == {member.get(b, -1) for b in alg.pairs[roots[0]]}
+        assert (fx.brackets[i].keys() | fx.gram[i].keys()) - set(range(nc)) <= walked
+
+
+def shifted_weight(fx, k, m, delta):
+    """A copy of fx in which basis vector k's weight is off by delta in
+    Cartan coordinate m, and the Cartan rows act on k by the new weight, so
+    that only the grading of the other bracket entries can show it."""
+    weights = list(fx.weights)
+    w = list(weights[k])
+    w[m] += delta
+    weights[k] = tuple(w)
+    brackets = [dict(row) for row in fx.brackets]
+    brackets[m].pop(k, None)
+    brackets[k].pop(m, None)
+    if w[m]:
+        brackets[m][k], brackets[k][m] = {k: w[m]}, {k: -w[m]}
+    return fx._replace(weights=weights, brackets=brackets)
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+@pytest.mark.parametrize("which", ["sigma6", "sigma4"])
+def test_a_weight_off_by_one_leaves_its_weight_block(which, delta, fixed_algebras):
+    # the first orbit sum's weight off by +-1 in each Cartan coordinate in
+    # turn: its brackets with the other orbit sums no longer add up, and
+    # the packed keys name the same entry as the weight tuples
+    _, fx = fixed_algebras[which]
+    nc = len(fx.weights[0])
+    assert nc == 6
+    for m in range(nc):
+        bad = shifted_weight(fx, nc, m, delta)
+        with pytest.raises(InvariantError, match="leaves its weight block$") as got:
+            _check_grading(bad)
+        with pytest.raises(InvariantError) as want:
+            tuple_check_grading(bad)
+        assert str(got.value) == str(want.value)
+
+
+def graded_table(weights, entries):
+    """A table with the given weights, graded by them on its Cartan rows
+    (the first len(weights[0]) basis vectors), with the bracket entries
+    {(i, j): {k: c}} stored antisymmetrically."""
+    nc = len(weights[0])
+    brackets = [{} for _ in weights]
+    for j, w in enumerate(weights):
+        for m in range(nc):
+            if w[m]:
+                brackets[m][j], brackets[j][m] = {j: w[m]}, {j: -w[m]}
+    for (i, j), entry in entries.items():
+        brackets[i][j], brackets[j][i] = entry, {k: -c for k, c in entry.items()}
+    return FixedSubalgebra([{}] * len(weights), weights, brackets, [{} for _ in weights], [])
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ({}, None),
+        ({(2, 3): {6: 1}}, "bracket [2, 3] leaves its weight block"),
+        ({(4, 5): {7: 1}}, "bracket [4, 5] leaves its weight block"),
+    ],
+    ids=["graded", "sum-2M", "sum-minus-2M"],
+)
+def test_packed_keys_at_the_packing_width(entries, message):
+    # the weights reach M = 3, so the keys pack 4 bits a coordinate, and a
+    # sum of two weights reaches 2M = 6.  With one bit fewer, (3,0) + (3,0)
+    # would read as (-2,1) and (-3,0) + (-3,0) as (2,-1)
+    weights = [(0, 0), (0, 0), (3, 0), (3, 0), (-3, 0), (-3, 0), (-2, 1), (2, -1)]
+    assert _packed(weights) == [w0 + (w1 << 4) for w0, w1 in weights]
+    narrow = [w0 + (w1 << 3) for w0, w1 in weights]
+    assert narrow[2] + narrow[3] == narrow[6] and narrow[4] + narrow[5] == narrow[7]
+    sub = graded_table(weights, {(2, 4): {0: 1}, (3, 5): {1: -1}, **entries})
+    if message is None:
+        _check_grading(sub)
+        tuple_check_grading(sub)
+        return
+    for check in (_check_grading, tuple_check_grading):
+        with pytest.raises(InvariantError) as exc:
+            check(sub)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("what", ["entry", "row", "form"])
+@pytest.mark.parametrize("which", ["sigma6", "sigma4"])
+def test_an_entry_across_two_orbit_blocks_raises(which, what, fixed_algebras):
+    # one stored bracket entry of the first block reaches a basis vector of
+    # the second (the entry leaves its block), or a bracket or form entry
+    # pairs the two blocks (they interact): the set-inclusion check names
+    # the same entry as the one that looks up each index's block
+    _, fx = fixed_algebras[which]
+    a, b = fx.orbits[0].indices, fx.orbits[1].indices
+    i, (j, entry) = a[-1], next(iter(fx.brackets[a[-1]].items()))
+    brackets, gram = [dict(row) for row in fx.brackets], [dict(row) for row in fx.gram]
+    if what == "entry":
+        brackets[i][j], message = {**entry, b[0]: 1}, f"bracket [{i}, {j}] leaves its orbit block"
+    elif what == "row":
+        brackets[i][b[0]] = {i: 1}
+        message = f"basis vectors {i} and {b[0]} of two orbit blocks interact"
+    else:
+        gram[i][b[0]] = 1
+        message = f"basis vectors {i} and {b[0]} of two orbit blocks interact"
+    bad = fx._replace(brackets=brackets, gram=gram)
+    for check in (_check_orbit_blocks, per_entry_check_orbit_blocks):
+        with pytest.raises(InvariantError) as exc:
+            check(bad)
+        assert str(exc.value) == message
 
 
 def center_ortho(fx):

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import orbifold24
 
+from helpers import package_caches
+
 SRC = Path(orbifold24.__file__).parent
 
 # planned to become a report step; until then only the tests call it
@@ -80,21 +82,53 @@ def test_no_module_draws_at_random():
     assert importers == []
 
 
+def cached_functions(nodes):
+    """The function definitions among nodes decorated with lru_cache."""
+    for n in nodes:
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in n.decorator_list]
+            names = [getattr(d, "id", getattr(d, "attr", "")) for d in decorators]
+            if "lru_cache" in names or "cache" in names:
+                yield n
+
+
 def test_no_cached_function_has_a_default():
     # an lru_cache keys f() apart from f(12), so a cached function takes
     # each argument from its caller: one value, one cache entry
     knobs = []
     for path in sorted(SRC.glob("*.py")):
-        for n in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            decorators = [d.func if isinstance(d, ast.Call) else d for d in n.decorator_list]
-            names = [getattr(d, "id", getattr(d, "attr", "")) for d in decorators]
-            if "lru_cache" not in names and "cache" not in names:
-                continue
+        for n in cached_functions(ast.walk(ast.parse(path.read_text()))):
             if n.args.defaults or any(d is not None for d in n.args.kw_defaults):
                 knobs.append(f"{path.stem}.{n.name}")
     assert knobs == []
+
+
+def test_fresh_caches_clears_every_cached_function():
+    # the fresh_caches fixture clears what package_caches finds; that must
+    # be every function and method decorated with lru_cache in the package,
+    # and each of them must sit at module or class level, where it can be
+    # reached to be cleared
+    decorated, anywhere = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        anywhere += len(list(cached_functions(ast.walk(tree))))
+        decorated += [f"{path.stem}.{n.name}" for n in cached_functions(tree.body)]
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            decorated += [f"{path.stem}.{cls.name}.{n.name}" for n in cached_functions(cls.body)]
+    assert decorated and len(decorated) == anywhere
+    assert sorted(package_caches()) == sorted(decorated)
+
+
+def test_no_assert_statement_in_src():
+    # an assert vanishes under python -O; every invariant of the package is
+    # an explicit check that raises
+    asserts = [
+        f"{path.stem}:{n.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Assert)
+    ]
+    assert asserts == []
 
 
 def test_no_function_takes_a_private_parameter():
