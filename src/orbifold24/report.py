@@ -72,6 +72,21 @@ def _encode(v: Any, pad: str) -> str:
     raise TypeError(f"{type(v).__name__} does not belong in a rendered report")
 
 
+# the fixed keys of a report and of a step, at the depths json.dumps indents
+# them; a step's value fields open at _VALUE_PAD
+_REPORT = '{\n  "assumptions": %s,\n  "steps": %s,\n  "title": %s,\n  "verdict": %s\n}'
+_STEP = (
+    '{\n      "computed": %s,\n      "expected": %s,\n      "name": %s,'
+    '\n      "source": %s,\n      "verdict": %s\n    }'
+)
+_VALUE_PAD = "\n      "
+
+
+def _members(items: List[str]) -> str:
+    """A rendered list at the report's first depth, as json.dumps indents it."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
 class Step(NamedTuple):
     """One step, its values rendered once, when it is checked: the verdict
     compares the values that print, and a later change to the object
@@ -135,17 +150,28 @@ class Report:
     def exit_code(self) -> int:
         return 0 if self.verdict == PASS else 1
 
-    def to_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "verdict": self.verdict,
-            "assumptions": list(self.assumptions),
-            "steps": [s._asdict() for s in self.steps],
-        }
-
     def to_json(self) -> str:
-        """The bytes of json.dumps(self.to_dict(), sort_keys=True, indent=2)."""
-        return _encode(self.to_dict(), "\n")
+        """The bytes of json.dumps of the report as a dict, sort_keys=True,
+        indent=2: the report's keys (assumptions, steps, title, verdict) and
+        each step's keys (computed, expected, name, source, verdict) are
+        fixed, so they are written through one template, in sorted order;
+        `_encode` renders the two value fields."""
+        steps = [
+            _STEP % (
+                _encode(s.computed, _VALUE_PAD),
+                _encode(s.expected, _VALUE_PAD),
+                _string(s.name),
+                _string(s.source),
+                _string(s.verdict),
+            )
+            for s in self.steps
+        ]
+        return _REPORT % (
+            _members([_string(a) for a in self.assumptions]),
+            _members(steps),
+            _string(self.title),
+            _string(self.verdict),
+        )
 
     def to_text(self) -> str:
         lines = [f"== {self.title} =="]

@@ -16,45 +16,78 @@ not depend on the sign of h, so one backward sweep serves both, and each
 suffix table is grouped by the residue of its cw sum: a prefix reads only
 the completions that make its own sum integral.  A function of the twist
 takes (ambient, h) and walks the pairs with a strict zip.
+
+Everything that depends on one ideal and its h_i alone, its term of <h|h>,
+its shift flag and its n_min columns, is one immutable record per process
+(`ideal_twist`): a scan over twist classes and a stream of case files meet
+the same (ideal, h_i) pairs again and again, and each is worked out once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction as Q
+from functools import lru_cache
 from math import lcm, prod
 from operator import mul
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .affinerep import Ambient, Twist, enumerate_level_weights, n_min_column
+from .affinerep import AffineAlgebra, Ambient, Twist, enumerate_level_weights, n_min_column
 from .exactmath import InvariantError
-from .rootdata import IntCoords, dominant_conjugate
+from .rootdata import IntCoords, ScaledCoords, dominant_conjugate
+
+
+class IdealTwist(NamedTuple):
+    """What one ideal at its level contributes for its h_i, in ints, bools
+    and tuples: the term k (h_i|h_i) of <h|h> as (numerator, denominator),
+    whether (h_i|alpha) >= -1 on every root, and the n_min columns of h_i
+    and -h_i as `n_min_column` gives them."""
+
+    norm: Tuple[int, int]
+    shift: bool
+    n_min: Tuple[int, Tuple[int, ...], Tuple[int, ...]]
+
+
+@lru_cache(maxsize=None)
+def ideal_twist(a: AffineAlgebra, hi: ScaledCoords) -> IdealTwist:
+    """The record of one ideal and its h_i, built once per process.
+
+    The roots of an ideal lie in the convex hull of the Weyl orbit of theta,
+    where the dominant conjugate h+ pairs most with theta itself, and they
+    are closed under negation; so their least pairing with h is -(h+|theta).
+    An h_i of the wrong length raises ValueError.
+    """
+    rs = a.root_system()
+    den, v = hi
+    if len(v) != rs.rank:
+        raise ValueError(f"h_i {v} for {a} must have {rs.rank} coordinates")
+    top = dominant_conjugate(rs, v)
+    d, pos, neg = n_min_column(a, hi)
+    return IdealTwist(
+        (a.level * sum(map(mul, rs.covector(v), v)), den * den * rs.scale),
+        sum(map(mul, rs.covector(rs.theta), top)) <= den * rs.scale,
+        (d, tuple(pos), tuple(neg)),
+    )
+
+
+def _records(ambient: Ambient, h: Twist) -> List[IdealTwist]:
+    """The record of every (ideal, h_i) pair, h_i made hashable as
+    (den, tuple); a wrong-length h raises ValueError."""
+    return [ideal_twist(a, (den, tuple(v))) for a, (den, v) in zip(ambient, h, strict=True)]
 
 
 def invariant_norm(ambient: Ambient, h: Twist) -> Tuple[Q, bool, bool]:
     """<h|h> = sum_i k_i (h_i|h_i), with the 2Z and (2/3)Z membership flags."""
-    terms = []
-    for a, (den, v) in zip(ambient, h, strict=True):
-        rs = a.root_system()
-        terms.append((a.level * sum(map(mul, rs.covector(v), v)), den * den * rs.scale))
+    terms = [r.norm for r in _records(ambient, h)]
     d = lcm(*(t for _, t in terms))
     num = sum(n * (d // t) for n, t in terms)
     return Q(num, d), num % (2 * d) == 0, 3 * num % (2 * d) == 0
 
 
 def shift_ok(ambient: Ambient, h: Twist) -> bool:
-    """True iff (h|alpha) >= -1 for every root alpha of the ambient algebra.
-
-    The roots of an ideal lie in the convex hull of the Weyl orbit of theta,
-    where the dominant conjugate h+ pairs most with theta itself, and they
-    are closed under negation; so their least pairing with h is -(h+|theta).
-    Every ideal is walked, so a wrong-length h raises ValueError.
-    """
-    within = []
-    for a, (den, v) in zip(ambient, h, strict=True):
-        rs = a.root_system()
-        top = dominant_conjugate(rs, v)
-        within.append(sum(map(mul, rs.covector(rs.theta), top)) <= den * rs.scale)
-    return all(within)
+    """True iff (h|alpha) >= -1 for every root alpha of the ambient algebra
+    (`ideal_twist`).  Every ideal is walked, so a wrong-length h raises
+    ValueError."""
+    return all(r.shift for r in _records(ambient, h))
 
 
 class _CaseTables:
@@ -66,14 +99,14 @@ class _CaseTables:
 
     def __init__(self, ambient: Ambient, h: Twist, norm: Q):
         self.weights: List[Tuple[IntCoords, ...]] = []
-        # (den, integer column) per ideal; n_min_column gives h and -h
-        # over one denominator
+        # (den, integer column) per ideal; the record's n_min gives h and
+        # -h over one denominator
         cw, nm = [], []
-        for a, hi in zip(ambient, h, strict=True):
+        for a, record in zip(ambient, _records(ambient, h), strict=True):
             table = enumerate_level_weights(a)
             self.weights.append(table.weights)
             cw.append(table.cw_column)
-            nm.append(n_min_column(a, hi))
+            nm.append(record.n_min)
         half_norm = norm / 2
         dens = [den for den, _ in cw] + [den for den, _, _ in nm]
         self.scale = d = lcm(half_norm.denominator, *dens)

@@ -76,6 +76,15 @@ against, and helpers that only the tests need.
   `column_n_min`.
 * Shift bound: the loop over every root (`root_loop_shift_ok`) against
   the closed form (h+|theta) <= 1 in `twistbound.shift_ok`.
+* Per-ideal twist records: the norm term, the (h+|theta) test and the
+  n_min columns worked out afresh per ideal and per call, as the loops of
+  `invariant_norm`, `shift_ok` and the DP tables did (`loop_ideal_twist`),
+  against the cached records of `twistbound.ideal_twist` that they read;
+  `plain_data` checks that a cached value holds only ints, bools and
+  tuples.
+* Report writer: the report as a dict (`report_dict`), whose
+  `json.dumps(..., sort_keys=True, indent=2)` `Report.to_json` must equal
+  byte for byte.
 * Lattice side, each against its integer counterpart in `latticevoa`: the
   glue-automorphism brute force and anchored search with the permutation in
   the outer loop (`permutation_first_glue_order`), over the typed digit maps
@@ -138,7 +147,10 @@ against, and helpers that only the tests need.
   `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
   (x|y) through `RootSystem.covector`), `series_one`, and
   `package_caches` (every `lru_cache` of the package, which the
-  `fresh_caches` fixture of `conftest.py` clears around a test).
+  `fresh_caches` fixture of `conftest.py` clears around a test), and
+  `PINNED_OUTPUTS` (the commands whose output digests are pinned, among
+  them `OFFCHAMBER_CASE`), which the digest test and the writer oracle
+  share.
 """
 
 from __future__ import annotations
@@ -153,6 +165,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm
+from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -191,6 +204,7 @@ from orbifold24.latticevoa import (
     lattice_from_basis,
 )
 from orbifold24.qmodular import PuiseuxSeries, _euler_power, f_power_at_S
+from orbifold24.report import Report
 from orbifold24.rootdata import (
     IntCoords,
     RootSystem,
@@ -200,6 +214,7 @@ from orbifold24.rootdata import (
     _affine_diagram,
     build_root_system,
     classify_simple_system,
+    dominant_conjugate,
 )
 from orbifold24.schellekens import (
     FixedOption,
@@ -207,7 +222,7 @@ from orbifold24.schellekens import (
     _order3_label_vectors,
     order3_fixed_options,
 )
-from orbifold24.twistbound import _CaseTables, invariant_norm, shift_ok
+from orbifold24.twistbound import IdealTwist, _CaseTables, invariant_norm, shift_ok
 
 Coords = Tuple[Q, ...]  # a rational weight in Fraction coordinates
 Matrix = Sequence[Sequence[Union[int, Q]]]  # a rational matrix
@@ -813,6 +828,28 @@ def negated(ambient: Ambient, h: Twist) -> Tuple[Ambient, Twist]:
     return ambient, tuple((den, tuple(-x for x in v)) for den, v in h)
 
 
+def loop_ideal_twist(a: AffineAlgebra, hi: ScaledCoords) -> IdealTwist:
+    """The per-ideal record of `twistbound.ideal_twist` from the per-ideal
+    loop bodies it replaced: the norm term, the (h+|theta) test and the
+    n_min columns of `affinerep.n_min_column`, as tuples."""
+    rs = a.root_system()
+    den, v = hi
+    top = dominant_conjugate(rs, v)
+    d, pos, neg = n_min_column(a, hi)
+    return IdealTwist(
+        (a.level * sum(x * y for x, y in zip(rs.covector(v), v)), den * den * rs.scale),
+        sum(x * y for x, y in zip(rs.covector(rs.theta), top)) <= den * rs.scale,
+        (d, tuple(pos), tuple(neg)),
+    )
+
+
+def plain_data(value) -> bool:
+    """True iff value holds only ints, bools and tuples, to any depth."""
+    if isinstance(value, tuple):
+        return all(plain_data(x) for x in value)
+    return type(value) in (int, bool)
+
+
 # --- fixed subalgebras -----------------------------------------------------
 
 
@@ -1372,6 +1409,58 @@ def package_caches() -> Dict[str, object]:
                 if callable(getattr(fn, "cache_clear", None)):
                     found[f"{info.name}.{fn.__qualname__}"] = fn
     return found
+
+
+# several ideals, twist denominators up to 11, an h off the dominant chamber,
+# and non-vacuum witnesses that differ between h and -h
+OFFCHAMBER_CASE = str(Path(__file__).parent / "data" / "twist-offchamber.json")
+
+_DIMENSION = ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"]
+
+# (id, argv, digest): the first 16 hex digits of each output's sha256,
+# pinned for the behavioural contract; a change that alters a format on
+# purpose updates it
+PINNED_OUTPUTS = (
+    ("twist-bound", ["twist-bound", "--case", "a2x6", "--json"], "ab3cdeda34fff37d"),
+    ("twist-bound-file", ["twist-bound", "--case", OFFCHAMBER_CASE, "--json"],
+     "a02f4b72c48535e2"),
+    ("dimension", _DIMENSION + ["--json"], "a49d16515181d955"),
+    ("candidates", ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
+                    "E6,3 A2,1 A2,1 A2,1", "--json"], "437f1fc57ee9d9ac"),
+    ("candidates-a5d4", ["candidates", "--dim", "72", "--ratio", "2", "--fixed",
+                         "A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", "--json"], "92878a7153dd25df"),
+    ("candidates-a2x6", ["candidates", "--dim", "168", "--ratio", "6", "--fixed",
+                         "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3", "--json"], "517c320baab5b818"),
+    # the witness takes the D4 outer option G2,1 six times
+    ("candidates-d4-outer", ["candidates", "--dim", "168", "--ratio", "6", "--fixed",
+                             "G2,1 G2,1 G2,1 G2,1 G2,1 G2,1", "--json"], "e308db0e34b3be7d"),
+    ("dimension-trunc16", _DIMENSION + ["--trunc", "16", "--json"], "a49d16515181d955"),
+    ("lattice", ["lattice", "--isometry", "sigma4", "--json"], "59f6fca7afca23d2"),
+    ("lattice-sigma6", ["lattice", "--isometry", "sigma6", "--json"], "7b847c7f33dfb73f"),
+    ("lattice-sigma2", ["lattice", "--isometry", "sigma2", "--json"], "371068a62061c345"),
+    ("verify-all", ["verify-all", "--json"], "925c2e24531a2143"),
+    # the text report: to_text prints the values the steps were checked with
+    ("verify-all-text", ["verify-all"], "e8c5071c9c8c4295"),
+    ("tables-modular", ["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
+    ("tables-a5.3", ["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
+    ("tables-g2.1", ["tables", "--which", "g2.1", "--json"], "75941706ce0140d9"),
+    ("tables-a2.3", ["tables", "--which", "a2.3", "--json"], "a2bbde601259edf0"),
+    ("tables-a1.1", ["tables", "--which", "a1.1", "--json"], "e363c8f29699ea1d"),
+    ("tables-d4.3", ["tables", "--which", "d4.3", "--json"], "63ea36e3b6cfbcab"),
+    # the smallest truncation: f exact below q^(3/2), f^n at the cusp below q
+    ("dimension-trunc1", _DIMENSION + ["--trunc", "1", "--json"], "a49d16515181d955"),
+)
+
+
+def report_dict(rep: Report) -> dict:
+    """A report as the dict whose `json.dumps(..., sort_keys=True,
+    indent=2)` `Report.to_json` writes through its template."""
+    return {
+        "title": rep.title,
+        "verdict": rep.verdict,
+        "assumptions": list(rep.assumptions),
+        "steps": [s._asdict() for s in rep.steps],
+    }
 
 
 def solve_afresh(monkeypatch) -> None:

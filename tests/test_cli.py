@@ -9,16 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from orbifold24 import affinerep, cases, cli, latticevoa, qmodular, rootdata, schellekens
+from orbifold24 import (
+    affinerep, cases, cli, latticevoa, qmodular, rootdata, schellekens, twistbound,
+)
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
 
-from helpers import dense_table, from_dense_table, named_witness, patch_series_coefficient
-
-
-# several ideals, twist denominators up to 11, an h off the dominant chamber,
-# and non-vacuum witnesses that differ between h and -h
-OFFCHAMBER_CASE = str(Path(__file__).parent / "data" / "twist-offchamber.json")
+from helpers import (
+    OFFCHAMBER_CASE,
+    PINNED_OUTPUTS,
+    dense_table,
+    from_dense_table,
+    named_witness,
+    patch_series_coefficient,
+)
 
 
 def run_cli(capsys, argv):
@@ -411,6 +415,82 @@ def test_malformed_case_file_exits_2(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+# each input is an argument vector, or a case object that twist-bound reads
+# from a file
+@pytest.mark.parametrize(
+    ("given", "message"),
+    [
+        pytest.param(
+            ["candidates", "--dim", "48", "--ratio", "1/0"],
+            "orbifold24 candidates: error: argument --ratio: invalid parse_rational value:"
+            " '1/0'\n",
+            id="ratio",
+        ),
+        pytest.param(
+            {"ambient": "A1,1 A2,1", "h": [["1/2"], ["1/3", "x"]]},
+            "error: malformed case file: 'x' is not a rational [-]p[/q] in ASCII digits,"
+            " q > 0\n",
+            id="case-coordinate",
+        ),
+        pytest.param(
+            {"ambient": "A1,1 A2,1", "h": [["1/2"], ["1/3"]]},
+            "error: 'h' must give one coordinate list per ideal, of lengths [1, 2]\n",
+            id="case-h_i-length",
+        ),
+    ],
+)
+def test_usage_error_is_the_same_on_its_second_use(tmp_path, capsys, given, message):
+    # the parsers are cached per string and the twist records per (ideal,
+    # h_i), but an error is not cached: within one process, a bad input
+    # exits 2 with the same message every time, after a good one has warmed
+    # the caches it shares tokens with
+    argv = given
+    if isinstance(given, dict):
+        path = tmp_path / "case.json"
+        path.write_text(json.dumps(given), encoding="utf-8")
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"ambient": "A1,1 A2,1", "h": [["1/2"], ["1/3", "0"]]}))
+        assert run_main(capsys, ["twist-bound", "--case", str(good)])[0] == 0
+        argv = ["twist-bound", "--case", str(path), "--json"]
+    first, second = (run_main(capsys, argv) for _ in range(2))
+    assert first == second
+    code, out, err = first
+    assert (code, out) == (2, "") and err.endswith(message) and "Traceback" not in err
+
+
+def test_twist_bound_bytes_cold_warm_and_after_clearing(capsys, probe_outputs, fresh_caches):
+    # the first 50 probe case files give the same bytes three ways: as the
+    # session's cold pass ran them, again after every cache is cleared, and
+    # again with every per-ideal record and parsed token a cache hit
+    cold = list(probe_outputs[:50])
+    cached = (twistbound.ideal_twist, rootdata.parse_rational, rootdata.parse_ideal)
+
+    def run_all():
+        return [
+            (path, *run_main(capsys, ["twist-bound", "--case", path, "--json"]))
+            for path, *_ in cold
+        ]
+
+    cleared = run_all()
+    misses = [fn.cache_info().misses for fn in cached]
+    warm = run_all()
+    assert [fn.cache_info().misses for fn in cached] == misses
+    assert warm == cleared == cold
+    assert {code for _, code, _, _ in cold} == {0}
+
+
+def test_probe_traffic_bytes_are_pinned(probe_outputs, probe_cases):
+    # every twist-bound output of the twist-probe workload at seed 1, in
+    # its order, joined: the sha256 is pinned for the behavioural contract
+    for (_, code, _, err), case in zip(probe_outputs, probe_cases, strict=True):
+        assert (code, err) == (0, ""), case["id"]
+    assert len(probe_outputs) == 364
+    joined = "".join(out for _, _, out, _ in probe_outputs)
+    assert hashlib.sha256(joined.encode()).hexdigest() == (
+        "8cdee1c09cd58c0dbd792b46bfc3e16ef485bb5a4903df184bb0f7a275053a1f"
+    )
+
+
 def test_empty_fixed_type_runs_the_filter(capsys):
     # '' and ' ' both name the zero algebra, so both run the order-3 filter
     argv = ["candidates", "--dim", "312", "--ratio", "12", "--json", "--fixed"]
@@ -615,51 +695,10 @@ def bytecode_env(tmp_path_factory):
     return env
 
 
-# digest: the first 16 hex digits of the output's sha256, pinned for the
-# behavioural contract; a change that alters a format on purpose updates it
 @pytest.mark.parametrize(
     ("argv", "digest"),
-    [
-        (["twist-bound", "--case", "a2x6", "--json"], "ab3cdeda34fff37d"),
-        (["twist-bound", "--case", OFFCHAMBER_CASE, "--json"], "a02f4b72c48535e2"),
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
-          "--json"], "a49d16515181d955"),
-        (["candidates", "--dim", "312", "--ratio", "12", "--fixed",
-          "E6,3 A2,1 A2,1 A2,1", "--json"], "437f1fc57ee9d9ac"),
-        (["candidates", "--dim", "72", "--ratio", "2", "--fixed",
-          "A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", "--json"], "92878a7153dd25df"),
-        (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
-          "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3", "--json"], "517c320baab5b818"),
-        # the witness takes the D4 outer option G2,1 six times
-        (["candidates", "--dim", "168", "--ratio", "6", "--fixed",
-          "G2,1 G2,1 G2,1 G2,1 G2,1 G2,1", "--json"], "e308db0e34b3be7d"),
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
-          "--trunc", "16", "--json"], "a49d16515181d955"),
-        (["lattice", "--isometry", "sigma4", "--json"],
-         "59f6fca7afca23d2"),
-        (["lattice", "--isometry", "sigma6", "--json"],
-         "7b847c7f33dfb73f"),
-        (["lattice", "--isometry", "sigma2", "--json"],
-         "371068a62061c345"),
-        (["verify-all", "--json"], "925c2e24531a2143"),
-        # the text report: to_text prints the values the steps were checked with
-        (["verify-all"], "e8c5071c9c8c4295"),
-        (["tables", "--which", "modular", "--json"], "797cae7e343120b7"),
-        (["tables", "--which", "a5.3", "--json"], "e7ee86d3e553972b"),
-        (["tables", "--which", "g2.1", "--json"], "75941706ce0140d9"),
-        (["tables", "--which", "a2.3", "--json"], "a2bbde601259edf0"),
-        (["tables", "--which", "a1.1", "--json"], "e363c8f29699ea1d"),
-        (["tables", "--which", "d4.3", "--json"], "63ea36e3b6cfbcab"),
-        # the smallest truncation: f exact below q^(3/2), f^n at the cusp below q
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0",
-          "--trunc", "1", "--json"], "a49d16515181d955"),
-    ],
-    ids=["twist-bound", "twist-bound-file", "dimension", "candidates",
-         "candidates-a5d4", "candidates-a2x6", "candidates-d4-outer",
-         "dimension-trunc16", "lattice", "lattice-sigma6",
-         "lattice-sigma2", "verify-all", "verify-all-text", "tables-modular", "tables-a5.3",
-         "tables-g2.1", "tables-a2.3", "tables-a1.1", "tables-d4.3",
-         "dimension-trunc1"],
+    [(argv, digest) for _, argv, digest in PINNED_OUTPUTS],
+    ids=[name for name, _, _ in PINNED_OUTPUTS],
 )
 def test_optimized_interpreter_gives_same_bytes(argv, digest, bytecode_env):
     # python -O strips assert statements; the invariant checks must not be

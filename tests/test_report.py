@@ -4,8 +4,11 @@ from fractions import Fraction as Q
 import pytest
 
 from orbifold24.affinerep import AffineAlgebra
+from orbifold24.cli import build_parser
 from orbifold24.report import DISCREPANCY, FAIL, INFO, PASS, Report, render_value
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
+
+from helpers import PINNED_OUTPUTS, report_dict
 
 
 def test_render_values():
@@ -93,6 +96,11 @@ def test_extend_merges_assumptions():
     assert a.assumptions == ["one", "two"]
 
 
+def dumps(rep):
+    """The bytes `Report.to_json` must write: json.dumps of the report as a dict."""
+    return json.dumps(report_dict(rep), sort_keys=True, indent=2)
+
+
 def test_to_json_is_the_bytes_of_json_dumps_on_edge_values():
     rep = Report("t\u00e9 \u2028 \x00\x1f \"q\" \\", assumptions=[])
     rep.note("empty list", [])
@@ -102,8 +110,23 @@ def test_to_json_is_the_bytes_of_json_dumps_on_edge_values():
     rep.note("flags", {"z": True, "a": False, "m": None, "\u00fc\n": "\ud83d\ude00"})
     rep.check("nested", {"b": {"y": [], "x": {}}, "a": [{"k": 1}]}, {"b": 1})
     rep.check("rational", Q(1, 3), Q(1, 3), source="tab\there")
-    want = json.dumps(rep.to_dict(), sort_keys=True, indent=2)
-    assert rep.to_json() == want
-    assert Report("empty").to_json() == json.dumps(
-        Report("empty").to_dict(), sort_keys=True, indent=2
-    )
+    # escapes and non-ASCII text in every fixed string field of a step
+    rep.check("na\u00efve \"step\"\t\\ \u03b8", True, True, source="Kac \u00a78.\r\n\x7f")
+    rep.check("\u00e9\u00e8 \ud83d\ude00", None, False, documented=True)
+    rep.note("deep", {"l": [{"m": [[], [None, {"n": [True]}]]}], "e": {"f": {}}})
+    rep.check("scalar flags", [True, False, None], [True, False, None])
+    assert rep.to_json() == dumps(rep)
+    assert Report("empty").to_json() == dumps(Report("empty"))
+    # assumptions but no steps; the assumptions need escapes too
+    bare = Report("\u00c5ngstr\u00f6m", assumptions=["one", "t\u00e9 \"two\"\n", ""])
+    assert bare.to_json() == dumps(bare)
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv, _ in PINNED_OUTPUTS], ids=[name for name, _, _ in PINNED_OUTPUTS]
+)
+def test_to_json_is_the_bytes_of_json_dumps_on_the_pinned_reports(argv):
+    # the report of every command whose output bytes are pinned
+    args = build_parser().parse_args(argv)
+    rep = args.func(args)
+    assert rep.steps and rep.to_json() == dumps(rep)

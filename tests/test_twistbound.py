@@ -13,7 +13,7 @@ from orbifold24.affinerep import (
     n_min_column,
     sigma_order_on_category,
 )
-from orbifold24.cases import BUILTIN_CASES
+from orbifold24.cases import BUILTIN_CASES, CaseFile
 from orbifold24.rootdata import (
     SemisimpleTypeWithLevels,
     SimpleType,
@@ -21,6 +21,7 @@ from orbifold24.rootdata import (
     scaled_coords,
 )
 from orbifold24.twistbound import (
+    ideal_twist,
     invariant_norm,
     min_twisted_weight,
     shift_ok,
@@ -35,8 +36,10 @@ from helpers import (
     fraction_fw_gram,
     fraction_invariant_norm,
     fraction_ip,
+    loop_ideal_twist,
     negated,
     nondominant_direction,
+    plain_data,
     rational_direction,
     root_ip,
     root_loop_shift_ok,
@@ -78,6 +81,64 @@ def test_twist_functions_reject_a_twist_vector_one_entry_short():
     for call in calls:
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_wrong_length_h_raises_the_same_value_error_each_time():
+    # an error is never cached: the second call, on warm records, raises as
+    # the first did, whether h or one h_i has the wrong length
+    ambient, h = CASE1
+    long_h2 = (h[0], (1, (1, 0, 0))) + h[2:]
+    calls = (invariant_norm, shift_ok, lambda a, x: min_twisted_weight(a, x, Q(2)))
+    for twist, message in (
+        (h[:-1], "zip() argument 2 is shorter than argument 1"),
+        (long_h2, "h_i (1, 0, 0) for G2,1 must have 2 coordinates"),
+    ):
+        for call in calls:
+            for _ in range(2):
+                with pytest.raises(ValueError) as exc:
+                    call(ambient, twist)
+                assert str(exc.value) == message
+
+
+def test_twist_functions_take_h_i_as_lists():
+    # the records are cached per (ideal, h_i), so each h_i is made hashable
+    # where it is looked up; a caller may still hand in lists
+    for cf in BUILTIN_CASES.values():
+        listed = [[den, list(v)] for den, v in cf.h]
+        norm = invariant_norm(cf.ambient, cf.h)
+        assert invariant_norm(cf.ambient, listed) == norm
+        assert shift_ok(cf.ambient, listed) == shift_ok(cf.ambient, cf.h)
+        assert min_twisted_weight(cf.ambient, listed, norm[0]) == min_twisted_weight(
+            cf.ambient, cf.h, norm[0]
+        )
+
+
+def test_ideal_twist_records_match_the_per_ideal_loops(probe_cases):
+    # every (ideal, h_i) of the built-ins and of the twist-probe traffic:
+    # the cached record is what the per-ideal loops compute afresh, and it
+    # holds only ints, bools and tuples, so no caller can change it; on the
+    # probe traffic its n_min columns are also the least pairings of h_i
+    # and -h_i over each row's Freudenthal weight system (the built-ins'
+    # A5,3 tables would take 2 s); the norm and the shift bound read from
+    # the records agree with the Fraction norm and the loop over every root
+    probe_files = [CaseFile.from_data(c) for c in probe_cases]
+    case_files = list(BUILTIN_CASES.values()) + probe_files
+    pairs = {(a, hi) for cf in case_files for a, hi in zip(cf.ambient, cf.h, strict=True)}
+    probe_pairs = {(a, hi) for cf in probe_files for a, hi in zip(cf.ambient, cf.h, strict=True)}
+    assert len(probe_pairs) > 100
+    for a, hi in sorted(pairs):
+        record = ideal_twist(a, hi)
+        assert record == loop_ideal_twist(a, hi), (a, hi)
+        assert plain_data(record), (a, hi)
+        if (a, hi) not in probe_pairs:
+            continue
+        rs, (den, v), (d, pos, neg) = a.root_system(), hi, record.n_min
+        for lam, p, n in zip(enumerate_level_weights(a).weights, pos, neg, strict=True):
+            assert Q(p, d) == brute_force_min(rs, v, lam) / den, (a, hi, lam)
+            assert Q(n, d) == brute_force_min(rs, tuple(-c for c in v), lam) / den, (a, hi, lam)
+    for cf in case_files:
+        assert invariant_norm(cf.ambient, cf.h)[0] == fraction_invariant_norm(cf.ambient, cf.h)
+        assert shift_ok(cf.ambient, cf.h) == root_loop_shift_ok(cf.ambient, cf.h)
 
 
 def test_shift_ok_zero_twist():
