@@ -407,8 +407,8 @@ def check_isometry(rep: Report, iso_name: str) -> latticevoa.LatticeIsometry:
     the fixed subalgebra and its dim against the case's."""
     cf = ISOMETRY_CASES[iso_name]
     iso = lattice_isometry(cf)
-    rep.check(f"{iso_name}: order", iso.order(), 3, source="reference")
-    rep.check(f"{iso_name}: preserves gram", iso.preserves_gram(), True)
+    rep.check(f"{iso_name}: order", iso.order, 3, source="reference")
+    rep.check(f"{iso_name}: preserves gram", iso.preserves_gram, True)
     fixed_type, fixed_dim = lattice_fixed_type(cf)
     rep.check(
         f"{iso_name}: fixed subalgebra",

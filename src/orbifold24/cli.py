@@ -108,7 +108,7 @@ def cmd_lattice(args: argparse.Namespace) -> Report:
     rep = Report(f"lattice {latticevoa.niemeier_code(survivor).label()} / {args.isometry}")
     check_lattice(rep, survivor)
     iso = check_isometry(rep, args.isometry)
-    rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_coords_basis()))
+    rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_basis))
     check_ground_energy(rep, args.isometry, iso)
     return rep
 

@@ -28,6 +28,10 @@ read off the eigenvalue multiplicities of an order-3 isometry.  All of it is
 exact, in Python integers: root data and glue vectors are integer rows over
 one denominator each, and a rational result, such as a norm, a ground
 energy or an eigenvalue ratio, is one `Fraction` made at the end.
+
+An isometry is a value: `LatticeIsometry.of` computes its order, a basis of
+its fixed sublattice and its gram test once, when it is built, and every
+later check reads them.
 """
 
 from __future__ import annotations
@@ -283,23 +287,18 @@ def coset_norm_lower_bound(code: GlueCode, word: IntVec) -> Q:
 
 
 @lru_cache(maxsize=None)
-def _root_pairings(t: SimpleType) -> Tuple[IntVec, ...]:
-    """scale * (a_p|a_q) for every pair of roots of t, in `roots` order, from
-    their fundamental-weight coordinates and the form, computed once."""
-    rs = build_root_system(t)
-    return tuple(map(tuple, mat_mul(mat_mul(rs.roots, rs.form), transpose(rs.roots))))
-
-
-@lru_cache(maxsize=None)
 def _negative_pairs(t: SimpleType) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """Per root p of a simply-laced type, in `root_alpha_coords` order: each
     root q with (a_p|a_q) < 0, and the index of a_p + a_q (-1 when
-    a_q = -a_p), read off `_root_pairings`."""
-    keys = _packed(build_root_system(t).root_alpha_coords)
+    a_q = -a_p).  The pairings scale * (a_p|a_q) are the rows of
+    roots form roots^T, from fundamental-weight coordinates and the form."""
+    rs = build_root_system(t)
+    pairings = mat_mul(mat_mul(rs.roots, rs.form), transpose(rs.roots))
+    keys = _packed(rs.root_alpha_coords)
     index = dict(zip(keys, range(len(keys))))
     return tuple(
         tuple((q, index.get(key + keys[q], -1)) for q, v in enumerate(row) if v < 0)
-        for key, row in zip(keys, _root_pairings(t))
+        for key, row in zip(keys, pairings)
     )
 
 
@@ -316,46 +315,33 @@ def _packed(rows: Sequence[Sequence[int]]) -> List[int]:
 
 
 class LatticeIsometry(NamedTuple):
-    """Integer matrix in lattice-basis coordinates (row-vector action)."""
+    """Integer matrix in lattice-basis coordinates (row-vector action), with
+    the facts every check reads, computed once by `of`: its order, a basis
+    of the fixed sublattice (the integer kernel of matrix - 1) and whether
+    it preserves the gram."""
 
     lattice: EvenLattice
     matrix: Tuple[IntVec, ...]
     name: str
+    order: int
+    fixed_basis: Tuple[IntVec, ...]
+    preserves_gram: bool
 
-    def order(self) -> int:
-        return _matrix_order(self.matrix)
-
-    def fixed_coords_basis(self) -> Tuple[IntVec, ...]:
-        return _fixed_coords(self.matrix)
-
-    def preserves_gram(self) -> bool:
-        return _preserves_gram(self.matrix, self.lattice.gram)
-
-
-# the order, the fixed sublattice and the gram test depend on the matrix
-# (and the gram) alone; each is computed once per isometry and process,
-# however many checks ask for it
-@lru_cache(maxsize=None)
-def _preserves_gram(a: Tuple[IntVec, ...], g: Tuple[IntVec, ...]) -> bool:
-    return mat_mul(mat_mul(a, g), transpose(a)) == [list(row) for row in g]
-
-
-@lru_cache(maxsize=None)
-def _matrix_order(matrix: Tuple[IntVec, ...]) -> int:
-    ident = identity(len(matrix))
-    cur = [list(row) for row in matrix]
-    for k in range(1, 13):
-        if cur == ident:
-            return k
-        cur = mat_mul(cur, matrix)
-    raise InvariantError("order exceeds 12")
-
-
-@lru_cache(maxsize=None)
-def _fixed_coords(matrix: Tuple[IntVec, ...]) -> Tuple[IntVec, ...]:
-    """Basis of the fixed sublattice: the integer kernel of matrix - 1."""
-    m = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
-    return tuple(tuple(r) for r in integer_row_kernel(m))
+    @staticmethod
+    def of(lattice: EvenLattice, matrix: Tuple[IntVec, ...], name: str) -> "LatticeIsometry":
+        ident = identity(len(matrix))
+        cur = [list(row) for row in matrix]
+        for order in range(1, 13):
+            if cur == ident:
+                break
+            cur = mat_mul(cur, matrix)
+        else:
+            raise InvariantError("order exceeds 12")
+        m = [[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(matrix)]
+        fixed = tuple(tuple(r) for r in integer_row_kernel(m))
+        g = lattice.gram
+        gram_kept = mat_mul(mat_mul(matrix, g), transpose(matrix)) == [list(row) for row in g]
+        return LatticeIsometry(lattice, matrix, name, order, fixed, gram_kept)
 
 
 def _slot_maps_to_isometry(
@@ -387,7 +373,7 @@ def _slot_maps_to_isometry(
         if coords is None:
             return None
         out.append(coords)
-    return LatticeIsometry(lat, tuple(out), name)
+    return LatticeIsometry.of(lat, tuple(out), name)
 
 
 def _check_order3(m: List[List[int]], fixed_free: bool) -> None:
@@ -537,7 +523,7 @@ def build_isometry(lat: EvenLattice, witness: Witness, name: str) -> LatticeIsom
     """
     for slot_maps in isometry_placements(lat, witness):
         iso = _slot_maps_to_isometry(lat, slot_maps, name)
-        if iso is not None and iso.order() == 3 and iso.preserves_gram():
+        if iso is not None and iso.order == 3 and iso.preserves_gram:
             return iso
     raise InvariantError(f"no placement of the {name} witness preserves the glue")
 
@@ -853,7 +839,7 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     g2 = mat_mul(gm, gm)
     upper, diag = _packed_twist(_twist_bits(alg, gm))
 
-    fixed = g.fixed_coords_basis()
+    fixed = g.fixed_basis
     rows: List[int] = []
     rhs: List[int] = []
     # standardness: phase 1 on a basis of the fixed sublattice
@@ -881,10 +867,10 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     images = mat_mul([list(c) for c in alg.root_coords], gm)
     perm = tuple(alg.root_index[tuple(img)] for img in images)
     phase = tuple(phase_of(rc) for rc in alg.root_coords)
-    # order 3 on the whole algebra: g^3 = 1, perm^3 = id, and the phases
-    # multiply to 1 around every root orbit
+    # order 3 on the whole algebra: g^3 = 1 (g's certified order divides
+    # 3), perm^3 = id, and the phases multiply to 1 around every root orbit
     if (
-        mat_mul(g2, gm) != identity(n)
+        3 % g.order
         or any(perm[perm[p]] != k for k, p in enumerate(perm))
         or any(s * phase[p] * phase[perm[p]] != 1 for s, p in zip(phase, perm))
     ):
@@ -988,7 +974,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     r = alg.rank
     orbit_of, shapes = _component_orbits(lift)
     root_orbit = [orbit_of[c] for c in alg.root_component]
-    fixed = lift.isometry.fixed_coords_basis()
+    fixed = lift.isometry.fixed_basis
     nc = len(fixed)
     # (row|a) for every fixed-sublattice row and root a
     fixed_weights = (
@@ -1312,7 +1298,7 @@ def twisted_ground_energy(g: LatticeIsometry) -> Tuple[Q, List[int]]:
     the nullity of 1 + g + g^2.  Every built isometry has order 3; any
     other order is an InvariantError.
     """
-    n = g.order()
+    n = g.order
     if n != 3:
         raise InvariantError(f"twisted ground energy of an isometry of order {n}")
     dim = g.lattice.rank
@@ -1322,7 +1308,7 @@ def twisted_ground_energy(g: LatticeIsometry) -> Tuple[Q, List[int]]:
         for i, (r1, r2) in enumerate(zip(g.matrix, g2))
     ]
     m1 = (dim - rank(cyclo)) // 2
-    mults = [len(g.fixed_coords_basis()), m1, m1]
+    mults = [len(g.fixed_basis), m1, m1]
     if sum(mults) != dim:
         raise InvariantError("eigenvalue multiplicities do not fill the space")
     rho = sum(
@@ -1342,7 +1328,7 @@ def fixed_projection_norm(
     den inv_scale; it is returned as (D, D * projection) with
     D = n den inv_scale, and its norm is one Fraction over D^2 through the
     integer gram."""
-    n = g.order()
+    n = g.order
     lat = g.lattice
     den, v = u
     cur = acc = mat_mul([v], lat.basis_inv)[0]
@@ -1371,7 +1357,9 @@ def count_orthogonal_subsystems(
         raise ValueError("only simply-laced ambients are supported")
     pairs = _negative_pairs(ambient)                   # (b, index of a + b)
     neg = [next(b for b, ab in row if ab < 0) for row in pairs]
-    perp = [{j for j, v in enumerate(row) if v == 0} for row in _root_pairings(ambient)]
+    # b is orthogonal to a unless b or -b pairs negatively with a
+    all_roots = set(range(len(pairs)))
+    perp = [all_roots.difference(*((b, neg[b]) for b, _ in row)) for row in pairs]
     # each root subset maps to the indices of roots spanning it
     subs: Dict[FrozenSet[int], Tuple[int, ...]] = {}
     if part == SimpleType("A", 1):

@@ -91,7 +91,6 @@ class FixedOption(NamedTuple):
     kind: str  # "trivial" | "inner" | "outer"
 
 
-@lru_cache(maxsize=None)
 def _diagram_automorphisms(t: SimpleType) -> Tuple[Tuple[int, ...], ...]:
     """The node permutations p with gram[p[i]][p[j]] == gram[i][j] for the
     scaled Gram matrix of t's affine diagram.

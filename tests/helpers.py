@@ -10,7 +10,8 @@ against, and helpers that only the tests need.
   rational matrix; the dense triple-loop product (`dense_mat_mul`)
   against the sparse `exactmath.mat_mul`.
 * Root data: the `Fraction` simple-root gram (`fraction_gram_matrix`) and
-  the root system derived from it through the `Fraction` inverse
+  the root system derived from it through the `Fraction` inverse, its
+  roots built from root strings height by height
   (`FractionRootSystem`, with its affine diagram
   `fraction_affine_diagram`) against the integer gram over its scale in
   `rootdata._gram_matrix`, `RootSystem` and `rootdata._affine_diagram`;
@@ -396,8 +397,9 @@ class FractionRootSystem(RootSystem):
     2(a_i|a_j)/(a_j|a_j) of the Fraction gram, and the form
     (L_i|L_j) = (C^-1)_ji (a_i|a_i)/2 through the Fraction inverse, cleared
     by the least common denominator of its entries.  The roots come from
-    the same Weyl-orbit closure; theta (the root of greatest height) and the
-    affine marks (1, theta's simple-root coordinates) are read off them."""
+    root strings, not from the product's Weyl-orbit closure; theta (the
+    root of greatest height) and the affine marks (1, theta's simple-root
+    coordinates) are read off them."""
 
     def __init__(self, t: SimpleType):
         self.type = t
@@ -417,6 +419,41 @@ class FractionRootSystem(RootSystem):
         top = max(range(len(self.roots)), key=lambda k: sum(self.root_alpha_coords[k]))
         self.theta: IntCoords = self.roots[top]
         self.marks: IntCoords = (1,) + self.root_alpha_coords[top]
+
+    def _generate_roots(self) -> Tuple[List[IntCoords], List[IntCoords]]:
+        """The positive roots height by height in simple-root coordinates:
+        a positive root b other than a_j extends to b + a_j iff q > 0 in
+        the a_j-string b - p a_j, ..., b + q a_j, where p - q = <b, a_j^v>
+        is b's j-th fundamental-weight coordinate, the sum of the Cartan
+        rows of its simple roots.  Then the negatives, all sorted by their
+        fundamental-weight coordinates."""
+        n = self.rank
+        cartan = self.simple_roots
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        fw = dict(zip(units, cartan))        # simple-root -> fw coordinates
+        layer = units
+        while layer:
+            above = []
+            for b in layer:
+                for j in range(n):
+                    if b == units[j]:
+                        continue          # 2 a_j is no root
+                    down = list(b)
+                    down[j] -= 1
+                    p = 0
+                    while tuple(down) in fw:
+                        p += 1
+                        down[j] -= 1
+                    if p - fw[b][j] > 0:
+                        up = tuple(c + (i == j) for i, c in enumerate(b))
+                        if up not in fw:
+                            fw[up] = tuple(x + y for x, y in zip(fw[b], cartan[j]))
+                            above.append(up)
+            layer = above
+        found = {w: a for a, w in fw.items()}
+        found.update({tuple(-x for x in w): tuple(-c for c in a) for a, w in fw.items()})
+        roots = sorted(found)
+        return roots, [found[rt] for rt in roots]
 
 
 def fraction_affine_diagram(rs: FractionRootSystem) -> Tuple[List[List[int]], IntCoords, int]:
@@ -1619,7 +1656,7 @@ def compose(a: LiftedAutomorphism, b: LiftedAutomorphism) -> LiftedAutomorphism:
         b.root_phase[k] * a.root_phase[b.root_perm[k]] for k in range(alg.n_roots)
     )
     name = f"{a.name}*{b.name}"
-    return LiftedAutomorphism(alg, LatticeIsometry(alg.lattice, m, name), phase, perm, name)
+    return LiftedAutomorphism(alg, LatticeIsometry.of(alg.lattice, m, name), phase, perm, name)
 
 
 def is_identity(w: LiftedAutomorphism) -> bool:
@@ -1637,7 +1674,7 @@ def eps_route_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorp
     image from `apply_coords` and the cube checked by `compose`."""
     n = alg.rank
     h_bits = eps_twist_bits(alg, g)
-    fixed = g.fixed_coords_basis()
+    fixed = g.fixed_basis
     rows = [sum_phase_bit_expr(alg, h_bits, f) for f in fixed]
     for i in range(n):
         gb = apply_coords(g, tuple(1 if j == i else 0 for j in range(n)))
@@ -1766,7 +1803,7 @@ def inverse_lift(w: LiftedAutomorphism) -> LiftedAutomorphism:
     phase = tuple(w.root_phase[perm_inv[k]] for k in range(alg.n_roots))
     return LiftedAutomorphism(
         alg,
-        LatticeIsometry(alg.lattice, mi, f"{w.name}^-1"),
+        LatticeIsometry.of(alg.lattice, mi, f"{w.name}^-1"),
         phase,
         tuple(perm_inv),
         f"{w.name}^-1",
@@ -1898,7 +1935,7 @@ def fraction_slot_maps_to_isometry(
         if any(x.denominator != 1 for x in row):
             return None
         out.append(tuple(int(x) for x in row))
-    return LatticeIsometry(lat, tuple(out), name)
+    return LatticeIsometry.of(lat, tuple(out), name)
 
 
 def fraction_fixed_projection_norm(
@@ -1910,7 +1947,7 @@ def fraction_fixed_projection_norm(
     rational basis, and the norm pairs through the block-diagonal Fraction
     gram of the components."""
     lat = g.lattice
-    n = g.order()
+    n = g.order
     basis = [[Q(x, lat.scale) for x in row] for row in lat.basis]
     amb = fraction_mat_mul(fraction_mat_mul(inverse(basis), g.matrix), basis)
     gram = [[Q(0)] * lat.rank for _ in range(lat.rank)]
@@ -2054,7 +2091,7 @@ def named_shape_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
         shapes = sigma4_candidates()
     for slot_maps in shapes:
         iso = _slot_maps_to_isometry(lat, slot_maps, name)
-        if iso is not None and iso.order() == 3:
+        if iso is not None and iso.order == 3:
             return iso
     raise InvariantError(f"no {name}-shaped isometry preserves the glue")
 
@@ -2156,7 +2193,7 @@ def pair_probe_fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     r = alg.rank
     orbit_of, shapes = _component_orbits(lift)
     root_orbit = [orbit_of[c] for c in alg.root_component]
-    fixed = lift.isometry.fixed_coords_basis()
+    fixed = lift.isometry.fixed_basis
     nc = len(fixed)
     fixed_weights = (
         [tuple(w) for w in mat_mul(alg.cr, transpose(fixed))]

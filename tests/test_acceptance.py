@@ -195,7 +195,7 @@ def test_criterion_8_property_suites():
                 rows.append(tuple(e[j] - ip * beta[j] for j in range(n)))
             refl.append(
                 rough_lift(
-                    alg_d4, latticevoa.LatticeIsometry(nd4, tuple(rows), "w")
+                    alg_d4, latticevoa.LatticeIsometry.of(nd4, tuple(rows), "w")
                 )
             )
         w = compose(refl[0], refl[1])

@@ -569,7 +569,7 @@ def test_case_file_keeps_b2_as_written(tmp_path):
 def test_candidate_filter_generates_no_roots(capsys):
     # the order-3 filter reads Kac's data off the affine diagram alone
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one, schellekens._diagram_automorphisms,
+               schellekens._inner_options_at_level_one,
                schellekens._moves, rootdata._affine_diagram, rootdata.build_root_system):
         fn.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
@@ -583,7 +583,7 @@ def test_candidate_filter_work_counts(capsys, monkeypatch):
     # diagram's automorphisms, and one move list per (target, ideal, cycle
     # open), shared by the candidates of a query
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one, schellekens._diagram_automorphisms,
+               schellekens._inner_options_at_level_one,
                schellekens._moves):
         fn.cache_clear()
     classify = schellekens.kac_fixed_subalgebra
@@ -681,42 +681,67 @@ def test_case_file_h_follows_written_ideal_order(tmp_path, capsys):
     assert dict(outputs[0][1])["twist norm <h|h>"] == 2
 
 
+# run in each child: every pinned command in process, from cold caches,
+# and the (exit code, stdout) pairs written out as one JSON list
+PINNED_CHILD = """
+import contextlib, io, json, sys
+from helpers import PINNED_OUTPUTS, package_caches
+from orbifold24 import cli
+runs = []
+for _, argv, _ in PINNED_OUTPUTS:
+    for fn in package_caches().values():
+        fn.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append((code, out.getvalue()))
+json.dump(runs, sys.stdout)
+"""
+
+
 @pytest.fixture(scope="session")
-def bytecode_env(tmp_path_factory):
-    """The environment of the CLI child processes: src/ on the path, and
-    bytecode written to one cache under the session's temporary directory,
-    so that each interpreter compiles the package once for all of them
-    rather than once per process.  The tests' own environment is unchanged."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]),
-        PYTHONPYCACHEPREFIX=str(tmp_path_factory.mktemp("pycache")))
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
-    return env
-
-
-@pytest.mark.parametrize(
-    ("argv", "digest"),
-    [(argv, digest) for _, argv, digest in PINNED_OUTPUTS],
-    ids=[name for name, _, _ in PINNED_OUTPUTS],
-)
-def test_optimized_interpreter_gives_same_bytes(argv, digest, bytecode_env):
-    # python -O strips assert statements; the invariant checks must not be
-    # among them, and the output must not change.  The two interpreters run
-    # side by side, each command in fresh processes.
-    env = bytecode_env
+def pinned_children():
+    """(exit code, stdout bytes) of every `PINNED_OUTPUTS` command, by id,
+    from two children run side by side: `python` with PYTHONHASHSEED=1 and
+    `python -O` with PYTHONHASHSEED=2.  Each child runs the commands in
+    process and clears every cache of the package before each one, so each
+    command starts as cold as in a fresh process."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)]
+                           + [p for p in [os.environ.get("PYTHONPATH")] if p])
     procs = [
         subprocess.Popen(
-            [sys.executable, *flags, "-m", "orbifold24.cli", *argv],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            [sys.executable, *flags, "-c", PINNED_CHILD],
+            stdout=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
         )
-        for flags in ([], ["-O"])
+        for flags, seed in (([], "1"), (["-O"], "2"))
     ]
     outputs = [p.communicate(timeout=300)[0] for p in procs]
     assert [p.returncode for p in procs] == [0, 0]
-    assert outputs[0] == outputs[1]
+    return [
+        {name: (code, out.encode()) for (name, _, _), (code, out) in
+         zip(PINNED_OUTPUTS, json.loads(raw), strict=True)}
+        for raw in outputs
+    ]
+
+
+@pytest.mark.parametrize(
+    ("name", "digest"),
+    [(name, digest) for name, _, digest in PINNED_OUTPUTS],
+    ids=[name for name, _, _ in PINNED_OUTPUTS],
+)
+def test_optimized_interpreter_gives_same_bytes(name, digest, pinned_children):
+    # python -O strips assert statements; the invariant checks must not be
+    # among them, and the output must not change.  Neither may it depend on
+    # the hash seed, which differs between the two children
+    plain, optimized = (runs[name] for runs in pinned_children)
+    assert plain[0] == optimized[0] == 0
+    assert plain[1] == optimized[1]
     if digest is not None:
-        assert hashlib.sha256(outputs[0]).hexdigest()[:16] == digest
+        assert hashlib.sha256(plain[1]).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize(

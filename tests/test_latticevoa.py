@@ -22,7 +22,7 @@ from orbifold24.latticevoa import (
     _packed,
     _packed_twist,
     _phase_bit_expr,
-    _root_pairings,
+    _negative_pairs,
     _slot_maps_to_isometry,
     _twist_bits,
     assemble_niemeier,
@@ -194,12 +194,18 @@ def test_lie_tables_match_numpy_oracle(which, alg_e6, alg_d4):
 )
 def test_root_pairings_match_covector_sums(t):
     # oracle: scale * (a|b) summed term by term through each root's covector
+    # picks the negative pairs, and a + b is looked up by simple-root coords
     rs = build_root_system(SimpleType(*t))
+    index = {ac: k for k, ac in enumerate(rs.root_alpha_coords)}
     want = [
-        [sum(a * b for a, b in zip(cov, y)) for y in rs.roots]
-        for cov in map(rs.covector, rs.roots)
+        [
+            (q, index.get(tuple(map(sum, zip(rs.root_alpha_coords[p], ac))), -1))
+            for q, (y, ac) in enumerate(zip(rs.roots, rs.root_alpha_coords))
+            if sum(a * b for a, b in zip(cov, y)) < 0
+        ]
+        for p, cov in enumerate(map(rs.covector, rs.roots))
     ]
-    assert [list(row) for row in _root_pairings(SimpleType(*t))] == want
+    assert [list(row) for row in _negative_pairs(SimpleType(*t))] == want
 
 
 @pytest.mark.parametrize("which", ["e6_4", "d4_6", "a2_cycle"])
@@ -294,11 +300,11 @@ def test_isometries(ne6, nd4):
     s2 = built_isometry(nd4, "sigma2")
     s4 = built_isometry(nd4, "sigma4")
     for iso in (s6, s2, s4):
-        assert iso.order() == 3
-        assert iso.preserves_gram()
-    assert len(s6.fixed_coords_basis()) == 6
-    assert len(s2.fixed_coords_basis()) == 0
-    assert len(s4.fixed_coords_basis()) == 6
+        assert iso.order == 3
+        assert iso.preserves_gram
+    assert len(s6.fixed_basis) == 6
+    assert len(s2.fixed_basis) == 0
+    assert len(s4.fixed_basis) == 6
 
 
 @pytest.mark.parametrize("name", ["sigma6", "sigma2", "sigma4"])
@@ -313,8 +319,8 @@ def test_builder_matches_the_hand_written_shapes(name, ne6, nd4, alg_e6, alg_d4)
 
     def invariants(iso):
         fx = fixed_subalgebra(standard_lift(alg, iso))
-        return (iso.order(), str(identify_type(fx)), fx.dim,
-                len(iso.fixed_coords_basis()), twisted_ground_energy(iso))
+        return (iso.order, str(identify_type(fx)), fx.dim,
+                len(iso.fixed_basis), twisted_ground_energy(iso))
 
     assert invariants(new) == invariants(old)
 
@@ -348,7 +354,7 @@ def test_catalogue_matrix_is_built_once(nd4, monkeypatch):
     monkeypatch.setattr(latticevoa, "local_isometry", counting)
     latticevoa._catalogue_powers.cache_clear()
     for name in ("sigma2", "sigma4"):
-        assert built_isometry(nd4, name).order() == 3
+        assert built_isometry(nd4, name).order == 3
     d4_words = [w for (t, _, _), (_, w, _) in latticevoa._CATALOGUE.items() if t.rank == 4]
     assert sorted(word for _, _, word in calls) == sorted(d4_words)
 
@@ -373,7 +379,7 @@ def test_identity_isometry_gives_the_root_system_each_code_is_keyed_by(ne6, nd4,
     # is the whole weight-one algebra, identified with the exact certificate
     for code, lat, alg in ((NI_E6_4, ne6, alg_e6), (NI_D4_6, nd4, alg_d4)):
         n = lat.rank
-        ident = LatticeIsometry(
+        ident = LatticeIsometry.of(
             lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
         )
         fixed = fixed_subalgebra(standard_lift(alg, ident))
@@ -489,7 +495,7 @@ def test_lift_cubes_to_identity(lift6, lift2, lift4):
 
 def test_identity_lift(alg_d4, nd4):
     n = nd4.rank
-    ident = LatticeIsometry(
+    ident = LatticeIsometry.of(
         nd4,
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
         "id",
@@ -503,7 +509,7 @@ def test_standard_lift_matches_eps_route(nd4, alg_d4, lift6, lift2, lift4):
     # apply_coords and the cube through compose; rough_lift shares the bits
     # and the images, so its permutation must agree as well
     n = nd4.rank
-    ident = LatticeIsometry(
+    ident = LatticeIsometry.of(
         nd4, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
     )
     lifts = [lift6, lift2, lift4, a2_cubed_cycle_lift(), standard_lift(alg_d4, ident)]
@@ -526,7 +532,7 @@ def test_phase_bits_match_sum_parity_oracle(which, lift6, lift2, lift4):
     gm = [list(row) for row in g.matrix]
     h_bits = _twist_bits(alg, gm)
     upper, diag = _packed_twist(h_bits)
-    rows = (list(alg.root_coords) + list(g.fixed_coords_basis()) + gm
+    rows = (list(alg.root_coords) + list(g.fixed_basis) + gm
             + mat_mul(gm, gm))
     for v in rows:
         lin, const = _phase_bit_expr(upper, diag, v)
@@ -583,7 +589,7 @@ def reflection(lat, alg, root_idx, name):
         e = [1 if j == i else 0 for j in range(n)]
         ip = ip_coords(alg, e, beta)
         rows.append(tuple(e[j] - ip * beta[j] for j in range(n)))
-    return LatticeIsometry(lat, tuple(rows), name)
+    return LatticeIsometry.of(lat, tuple(rows), name)
 
 
 def test_identify_type_conjugation_invariant(nd4, alg_d4, lift2):
@@ -604,7 +610,7 @@ def test_identify_single_component():
     lat = root_lattice(SimpleType("D", 4))
     alg = weight_one_algebra(lat)
     n = lat.rank
-    ident = LatticeIsometry(
+    ident = LatticeIsometry.of(
         lat,
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
         "id",
@@ -629,7 +635,7 @@ def a2_cubed_cycle_lift():
     for c in range(3):
         for i in range(2):
             perm[2 * c + i][2 * ((c + 1) % 3) + i] = 1
-    iso = LatticeIsometry(lat, tuple(tuple(r) for r in perm), "cycle")
+    iso = LatticeIsometry.of(lat, tuple(tuple(r) for r in perm), "cycle")
     return standard_lift(alg, iso)
 
 
@@ -711,13 +717,14 @@ def test_sparse_rows_hold_nonzero_entries(which, fixed_algebras):
     ],
     ids=["index-2-sublattice", "too-few-rows", "no-rows"],
 )
-def test_fixed_table_checks_fire(monkeypatch, rows, message):
+def test_fixed_table_checks_fire(rows, message):
     # a Cartan basis of index 2 gives half-integral structure constants, and
     # one that does not span the fixed space cannot reconstruct the brackets,
-    # nor can an empty one, whose solve has no unknowns
+    # nor can an empty one, whose solve has no unknowns; the changed basis
+    # is handed in as a changed isometry
     lift = a2_cubed_cycle_lift()
-    basis = lift.isometry.fixed_coords_basis()
-    monkeypatch.setattr(LatticeIsometry, "fixed_coords_basis", lambda self: rows(basis))
+    iso = lift.isometry
+    lift = lift._replace(isometry=iso._replace(fixed_basis=rows(iso.fixed_basis)))
     with pytest.raises(InvariantError, match=message) as got:
         fixed_subalgebra(lift)
     with pytest.raises(InvariantError) as want:
@@ -820,7 +827,7 @@ def test_weights_are_the_diagonal_of_ad_t(which, fixed_algebras):
     # the pairing of the Cartan rows with any root of its orbit
     lift, fx = fixed_algebras[which]
     alg = lift.algebra
-    nc = len(lift.isometry.fixed_coords_basis())
+    nc = len(lift.isometry.fixed_basis)
     rows = [[b.get(i, 0) for i in range(alg.rank)] for b in fx.basis[:nc]]
     brackets = dense_table(fx)[0]
     assert all(len(w) == nc for w in fx.weights)
@@ -878,7 +885,7 @@ def test_block_killing_matches_full_killing(which, fixed_algebras):
 def identity_lift(alg):
     """The standard lift of the identity isometry: every root is fixed."""
     n = alg.rank
-    ident = LatticeIsometry(
+    ident = LatticeIsometry.of(
         alg.lattice, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
     )
     return standard_lift(alg, ident)
@@ -1199,7 +1206,7 @@ def d4_identity_fixed():
     """The fixed algebra of the identity on the D4 root lattice: all of D4,1."""
     lat = root_lattice(SimpleType("D", 4))
     n = lat.rank
-    ident = LatticeIsometry(
+    ident = LatticeIsometry.of(
         lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
     )
     return fixed_subalgebra(standard_lift(weight_one_algebra(lat), ident))
@@ -1320,7 +1327,7 @@ def test_twisted_ground_energies(ne6, nd4):
     # only order 3 is supported: the identity and the negation are refused
     n = ne6.rank
     for sign, order in ((1, 1), (-1, 2)):
-        g = LatticeIsometry(
+        g = LatticeIsometry.of(
             ne6,
             tuple(tuple(sign if i == j else 0 for j in range(n)) for i in range(n)),
             f"{sign}",
@@ -1332,7 +1339,7 @@ def test_twisted_ground_energies(ne6, nd4):
 def test_ground_energy_symmetric_under_inversion(ne6):
     s6 = built_isometry(ne6, "sigma6")
     square = tuple(map(tuple, mat_mul(s6.matrix, s6.matrix)))
-    inv = LatticeIsometry(ne6, square, "sigma6^2")
+    inv = LatticeIsometry.of(ne6, square, "sigma6^2")
     assert twisted_ground_energy(s6)[0] == twisted_ground_energy(inv)[0]
 
 
@@ -1345,7 +1352,7 @@ def test_fixed_projection_norms(ne6):
     (_, proj0), norm0 = fixed_projection_norm(s6, u0)
     assert norm0 == 0 and all(x == 0 for x in proj0)
     n = ne6.rank
-    ident = LatticeIsometry(
+    ident = LatticeIsometry.of(
         ne6,
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
         "id",
@@ -1488,25 +1495,35 @@ def test_slot_maps_match_fraction_oracle(ne6, nd4):
             assert decisions[i] == want
 
 
-def test_isometry_order_and_fixed_basis_are_computed_once():
-    # the three lattice_fixed_type builds and every later check ask for the
-    # order and the fixed sublattice again; each is computed once per isometry
-    for fn in (cases.lattice_fixed_type, cases.lattice_isometry,
-               latticevoa._matrix_order, latticevoa._fixed_coords):
+def test_isometry_order_and_fixed_basis_are_computed_once(monkeypatch):
+    # the three lattice_fixed_type builds and every later check read the
+    # order and the fixed sublattice again; each isometry is built, and its
+    # facts computed, once per process
+    for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
         fn.cache_clear()
+    built = []
+    of = LatticeIsometry.of
+
+    def counting_of(*args):
+        built.append(args[2])
+        return of(*args)
+
+    monkeypatch.setattr(LatticeIsometry, "of", counting_of)
     for iso, cf in cases.ISOMETRY_CASES.items():
         cases.lattice_fixed_type(cf)
         cases.check_isometry(Report("isometry"), iso)
         twisted_ground_energy(cases.lattice_isometry(cf))
-    assert latticevoa._matrix_order.cache_info().misses == 3
-    assert latticevoa._fixed_coords.cache_info().misses == 3
+    monkeypatch.undo()
+    assert sorted(built) == sorted(cases.ISOMETRY_CASES)
 
 
-def test_infinite_order_is_an_invariant_error():
+def test_infinite_order_is_an_invariant_error(ne6):
     # a shear never returns to the identity; that is a fault of the program's
     # own isometry, not a usage error (ValueError)
+    n = ne6.rank
+    shear = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n))
     with pytest.raises(InvariantError, match="^order exceeds 12$"):
-        latticevoa._matrix_order(((1, 1), (0, 1)))
+        LatticeIsometry.of(ne6, shear, "shear")
 
 
 # 90 on Python 3.11, the digit actions of the identity-symmetry entries
@@ -1537,7 +1554,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
     coords = [lat.coords_of(r, den=1) for r in roots]
     during_coords = built[0] - during_isometry
     monkeypatch.undo()
-    assert iso.order() == 3 and None not in coords
+    assert iso.order == 3 and None not in coords
     assert during_isometry <= FRACTION_CEILING
     assert during_coords == 0
 

@@ -117,6 +117,9 @@ def test_fresh_caches_clears_every_cached_function():
             decorated += [f"{path.stem}.{cls.name}.{n.name}" for n in cached_functions(cls.body)]
     assert decorated and len(decorated) == anywhere
     assert sorted(package_caches()) == sorted(decorated)
+    # the count is pinned, so that a new per-process cache is a decision
+    # recorded here
+    assert len(decorated) == 23
 
 
 def test_no_assert_statement_in_src():
