@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: tables, twist-bound, dimension, candidates, lattice, verify-all.
+A known subcommand's arguments are parsed once, by its own parser; the
+top-level parser answers only --help and a missing or unknown subcommand.
 Reports print as human-readable tables, or as byte-stable JSON with --json.
 Exit code 0 means every expectation passed, 1 flags a mismatch (including an
 exact invariant or identification check that fails), 2 a usage error.  A
@@ -14,7 +16,7 @@ import os
 import re
 import sys
 from functools import lru_cache
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import latticevoa, qmodular, schellekens
 from .cases import (
@@ -122,8 +124,9 @@ def cmd_verify_all(args: argparse.Namespace) -> Report:
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing keeps no state."""
+def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's parser by name, built once
+    per process; parsing keeps no state."""
     parser = argparse.ArgumentParser(
         prog="orbifold24",
         description=(
@@ -178,12 +181,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--seed", type=_integer, default=0, help="ignored; no step draws at random")
     p.set_defaults(func=cmd_verify_all)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a known subcommand's arguments go straight to its own parser: one
+    # argparse pass, not the subparsers action's two.  Unknown trailing
+    # arguments then come under the subcommand's usage line
+    command = commands.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         rep = args.func(args)
         print(rep.to_json() if args.json else rep.to_text(), flush=True)

@@ -12,7 +12,7 @@ against, and helpers that only the tests need.
 * Root data: the `Fraction` simple-root gram (`fraction_gram_matrix`) and
   the root system derived from it through the `Fraction` inverse, its
   roots built from root strings height by height
-  (`FractionRootSystem`, with its affine diagram
+  (`string_positive_roots`; `FractionRootSystem`, with its affine diagram
   `fraction_affine_diagram`) against the integer gram over its scale in
   `rootdata._gram_matrix`, `RootSystem` and `rootdata._affine_diagram`;
   `positive_roots` and `theta_alpha_coords` read the roots a
@@ -28,16 +28,19 @@ against, and helpers that only the tests need.
   root data (`typed_components_of_subsystem`,
   `root_filter_fixed_subalgebra`), against Kac's labels read off the
   fundamental alcove in `affinerep.inner_fixed_subalgebra`.
-* Order-3 options: the root-filter loop (`root_filter_options`) against
-  Kac's theorem in `schellekens`; the `Fraction` option build, one Kac
-  classification per label vector with levels 2/(b|b) rescaled per ambient
-  level (`fraction_kac_ideals`, `fraction_order3_fixed_options`), against
-  the integer level-1 tables, which classify one vector per orbit of the
-  affine diagram's automorphisms; those automorphisms as the
-  Gram-preserving permutations out of all of them
-  (`brute_force_diagram_automorphisms`) against the breadth-first search
-  in `schellekens._diagram_automorphisms`; the affine diagram read off the
-  generated root system (`root_affine_diagram`) against
+* Order-3 options: the root filter (`RootFilter`: roots from root strings
+  over the `Fraction` gram, each label vector's kept roots split and typed,
+  sharing only `classify_simple_system` with `src/`) against the
+  sub-diagram rule of `rootdata.kac_fixed_subalgebra` per label vector and
+  against the inner options of `schellekens.order3_fixed_options`; the
+  `Fraction` option build, one Kac classification per label vector with
+  levels 2/(b|b) rescaled per ambient level (`fraction_kac_ideals`,
+  `fraction_order3_fixed_options`), against the integer level-1 tables,
+  which classify one vector per orbit of the affine diagram's
+  automorphisms; those automorphisms as the Gram-preserving permutations
+  out of all of them (`brute_force_diagram_automorphisms`) against the
+  breadth-first search in `schellekens._diagram_automorphisms`; the affine
+  diagram read off the generated root system (`root_affine_diagram`) against
   `rootdata._affine_diagram`, which reaches theta by reflections; the
   plain backtracking search over `Counter`s (`backtracking_admits`)
   against the count-vector search with its failure memo in
@@ -421,39 +424,46 @@ class FractionRootSystem(RootSystem):
         self.marks: IntCoords = (1,) + self.root_alpha_coords[top]
 
     def _generate_roots(self) -> Tuple[List[IntCoords], List[IntCoords]]:
-        """The positive roots height by height in simple-root coordinates:
-        a positive root b other than a_j extends to b + a_j iff q > 0 in
-        the a_j-string b - p a_j, ..., b + q a_j, where p - q = <b, a_j^v>
-        is b's j-th fundamental-weight coordinate, the sum of the Cartan
-        rows of its simple roots.  Then the negatives, all sorted by their
-        fundamental-weight coordinates."""
-        n = self.rank
-        cartan = self.simple_roots
-        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-        fw = dict(zip(units, cartan))        # simple-root -> fw coordinates
-        layer = units
-        while layer:
-            above = []
-            for b in layer:
-                for j in range(n):
-                    if b == units[j]:
-                        continue          # 2 a_j is no root
-                    down = list(b)
-                    down[j] -= 1
-                    p = 0
-                    while tuple(down) in fw:
-                        p += 1
-                        down[j] -= 1
-                    if p - fw[b][j] > 0:
-                        up = tuple(c + (i == j) for i, c in enumerate(b))
-                        if up not in fw:
-                            fw[up] = tuple(x + y for x, y in zip(fw[b], cartan[j]))
-                            above.append(up)
-            layer = above
+        """The positive roots from root strings (`string_positive_roots`),
+        then the negatives, all sorted by their fundamental-weight
+        coordinates."""
+        fw = string_positive_roots(self.simple_roots)
         found = {w: a for a, w in fw.items()}
         found.update({tuple(-x for x in w): tuple(-c for c in a) for a, w in fw.items()})
         roots = sorted(found)
         return roots, [found[rt] for rt in roots]
+
+
+def string_positive_roots(cartan: Sequence[IntCoords]) -> Dict[IntCoords, IntCoords]:
+    """The positive roots of the Cartan rows `cartan`, height by height, as
+    simple-root coordinates -> fundamental-weight coordinates: a positive
+    root b other than a_j extends to b + a_j iff q > 0 in the a_j-string
+    b - p a_j, ..., b + q a_j, where p - q = <b, a_j^v> is b's j-th
+    fundamental-weight coordinate, the sum of the Cartan rows of its simple
+    roots."""
+    n = len(cartan)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    fw = dict(zip(units, cartan))
+    layer = units
+    while layer:
+        above = []
+        for b in layer:
+            for j in range(n):
+                if b == units[j]:
+                    continue          # 2 a_j is no root
+                down = list(b)
+                down[j] -= 1
+                p = 0
+                while tuple(down) in fw:
+                    p += 1
+                    down[j] -= 1
+                if p - fw[b][j] > 0:
+                    up = tuple(c + (i == j) for i, c in enumerate(b))
+                    if up not in fw:
+                        fw[up] = tuple(x + y for x, y in zip(fw[b], cartan[j]))
+                        above.append(up)
+        layer = above
+    return fw
 
 
 def fraction_affine_diagram(rs: FractionRootSystem) -> Tuple[List[List[int]], IntCoords, int]:
@@ -1037,23 +1047,73 @@ def root_filter_fixed_subalgebra(
 # --- order-3 options ------------------------------------------------------
 
 
-def root_filter_options(t: SimpleType, level: int) -> Set[SemisimpleTypeWithLevels]:
-    """Inner order-3 fixed subalgebras by filtering roots per label vector.
+class RootFilter:
+    """Kac's inner order-3 automorphisms of a simple type read off its roots,
+    sharing nothing with `src/` but `classify_simple_system`.
 
-    A root is kept iff sum_j c_j s_j = 0 mod 3 over its simple-root
-    coordinates c; the kept subsystem is split and typed from root data.
-    """
-    rs = build_root_system(t)
-    out = set()
-    for s in _order3_label_vectors(t):
-        retained = [
-            (fw, ac)
-            for fw, ac in zip(rs.roots, rs.root_alpha_coords)
-            if sum(c * s[1 + j] for j, c in enumerate(ac)) % 3 == 0
-        ]
-        typed, abelian, _ = typed_components_of_subsystem(rs, retained, level)
-        out.add(SemisimpleTypeWithLevels.of(typed, abelian))
-    return out
+    The roots come from root strings over the `Fraction` gram of the simple
+    roots, cleared to integers by its least common denominator `scale`;
+    theta is the positive root of greatest height, and the affine marks are
+    1 and theta's simple-root coordinates.  The label vectors are the
+    coprime s >= 0 with sum(marks * s) = 3.  The automorphism labelled s
+    acts on the root space of alpha = sum c_j a_j by w^(sum_{j>=1} s_j c_j),
+    w a primitive cube root of unity, so its fixed subalgebra is the Cartan
+    plus the roots with that sum divisible by 3."""
+
+    def __init__(self, t: SimpleType):
+        gram = fraction_gram_matrix(t)
+        self.scale = lcm(*(x.denominator for row in gram for x in row))
+        self.gram = [[int(x * self.scale) for x in row] for row in gram]
+        n = t.rank
+        cartan = [tuple(2 * self.gram[i][j] // self.gram[j][j] for j in range(n))
+                  for i in range(n)]
+        self.positive = list(string_positive_roots(cartan))
+        self.marks = (1,) + max(self.positive, key=sum)
+
+    def label_vectors(self) -> List[Tuple[int, ...]]:
+        """The label vectors in lexicographic order."""
+        vectors: List[Tuple[int, ...]] = []
+
+        def extend(prefix: Tuple[int, ...], budget: int) -> None:
+            if len(prefix) == len(self.marks):
+                if budget == 0 and gcd(*prefix) == 1:
+                    vectors.append(prefix)
+                return
+            for x in range(budget // self.marks[len(prefix)] + 1):
+                extend(prefix + (x,), budget - x * self.marks[len(prefix)])
+
+        extend((), 3)
+        return vectors
+
+    def fixed_type(
+        self, s: Sequence[int], level: int = 1
+    ) -> Tuple[Tuple[Tuple[SimpleType, int], ...], int]:
+        """(sorted ideals with levels, U(1) rank) fixed by the automorphism
+        labelled s of a level-`level` ideal.  The simple system of the kept
+        roots is their indecomposable positive roots, split into components
+        by the gram; a component with long roots of norm (b|b) sits at level
+        level * 2/(b|b), and the U(1) rank is the rank left over."""
+        kept = {c for c in self.positive if sum(x * y for x, y in zip(s[1:], c)) % 3 == 0}
+        simple = [b for b in kept
+                  if not any(tuple(x - y for x, y in zip(b, c)) in kept for c in kept)]
+
+        def ip(x: IntCoords, y: IntCoords) -> int:
+            return sum(x[i] * g * y[j] for i, row in enumerate(self.gram)
+                       for j, g in enumerate(row) if x[i] and y[j])
+
+        semisimple_rank = len(simple)
+        ideals = []
+        while simple:
+            comp = [simple.pop()]
+            for x in comp:  # grows while it is walked: a breadth-first search
+                comp.extend(y for y in simple if ip(x, y))
+                simple = [y for y in simple if not ip(x, y)]
+            gram = [[ip(x, y) for y in comp] for x in comp]
+            k, rem = divmod(2 * self.scale * level, max(gram[i][i] for i in range(len(comp))))
+            if rem:
+                raise AssertionError(f"level of {comp} is not an integer")
+            ideals.append((classify_simple_system(gram), k))
+        return tuple(sorted(ideals)), len(self.gram) - semisimple_rank
 
 
 def fraction_kac_ideals(

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -210,41 +211,41 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["candidates", "--dim", "48", "--ratio", "1/0"], id="ratio-1/0"),
-        pytest.param(
-            ["candidates", "--dim", "-12", "--ratio", "1", "--json"], id="dim-negative"
-        ),
-        pytest.param(
-            ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0",
-             "--d23", "0", "--trunc", "0"],
-            id="trunc-0",
-        ),
-        pytest.param(
-            ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0",
-             "--d23", "0", "--trunc", "-3"],
-            id="trunc-negative",
-        ),
-        pytest.param(
-            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1/0"],
-            id="fixed-level-1/0",
-        ),
-        pytest.param(
-            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1 U(1)^-1"],
-            id="fixed-U(1)^-1",
-        ),
-        pytest.param(
-            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1 U(1)^0"],
-            id="fixed-U(1)^0",
-        ),
-        pytest.param(
-            ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "U(1)x"],
-            id="fixed-U(1)x",
-        ),
-    ],
-)
+BAD_NUMERIC_ARGVS = [
+    pytest.param(["candidates", "--dim", "48", "--ratio", "1/0"], id="ratio-1/0"),
+    pytest.param(
+        ["candidates", "--dim", "-12", "--ratio", "1", "--json"], id="dim-negative"
+    ),
+    pytest.param(
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0",
+         "--d23", "0", "--trunc", "0"],
+        id="trunc-0",
+    ),
+    pytest.param(
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0",
+         "--d23", "0", "--trunc", "-3"],
+        id="trunc-negative",
+    ),
+    pytest.param(
+        ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1/0"],
+        id="fixed-level-1/0",
+    ),
+    pytest.param(
+        ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1 U(1)^-1"],
+        id="fixed-U(1)^-1",
+    ),
+    pytest.param(
+        ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "A2,1 U(1)^0"],
+        id="fixed-U(1)^0",
+    ),
+    pytest.param(
+        ["candidates", "--dim", "48", "--ratio", "1", "--fixed", "U(1)x"],
+        id="fixed-U(1)x",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_ARGVS)
 def test_bad_numeric_argument_exits_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -252,19 +253,23 @@ def test_bad_numeric_argument_exits_2(capsys, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["\uff14\uff18", "\uff11", "0.5", "+1", "1_0"])
+NON_ASCII_VALUES = ["\uff14\uff18", "\uff11", "0.5", "+1", "1_0"]
+NUMERIC_OPTIONS = [
+    (["candidates", "--dim", "48", "--ratio", "1"], "--dim"),
+    (["candidates", "--dim", "48", "--ratio", "1"], "--ratio"),
+    (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--dimv1"),
+    (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d0"),
+    (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d13"),
+    (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d23"),
+    (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--trunc"),
+    (["verify-all"], "--seed"),
+]
+
+
+@pytest.mark.parametrize("value", NON_ASCII_VALUES)
 @pytest.mark.parametrize(
     ("argv", "option"),
-    [
-        (["candidates", "--dim", "48", "--ratio", "1"], "--dim"),
-        (["candidates", "--dim", "48", "--ratio", "1"], "--ratio"),
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--dimv1"),
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d0"),
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d13"),
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--d23"),
-        (["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"], "--trunc"),
-        (["verify-all"], "--seed"),
-    ],
+    NUMERIC_OPTIONS,
     ids=["dim", "ratio", "dimv1", "d0", "d13", "d23", "trunc", "verify-all-seed"],
 )
 def test_numeric_option_outside_the_ascii_grammar_exits_2(capsys, argv, option, value):
@@ -278,7 +283,7 @@ def test_numeric_option_outside_the_ascii_grammar_exits_2(capsys, argv, option, 
 
 
 def test_numeric_options_read_the_ascii_forms():
-    parse = cli.build_parser().parse_args
+    parse = cli.build_parser()[0].parse_args
     args = parse(["candidates", "--dim=48", "--ratio=7/2"])
     assert (args.dim, args.ratio) == (48, Q(7, 2))
     assert parse(["verify-all", "--seed=41"]).seed == 41
@@ -306,13 +311,16 @@ def test_trunc_is_checked_at_parse_time(capsys, monkeypatch, argv, value):
     assert "Traceback" not in err
 
 
+REMOVED_OPTION_ARGVS = [
+    ["tables", "--which", "modular", "--seed", "1"],
+    ["tables", "--which", "modular", "--trunc", "12"],
+    ["verify-all", "--trunc", "12"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["tables", "--which", "modular", "--seed", "1"],
-        ["tables", "--which", "modular", "--trunc", "12"],
-        ["verify-all", "--trunc", "12"],
-    ],
+    REMOVED_OPTION_ARGVS,
     ids=["tables-seed", "tables-trunc", "verify-all-trunc"],
 )
 def test_removed_options_are_usage_errors(capsys, monkeypatch, argv):
@@ -499,11 +507,13 @@ def test_empty_fixed_type_runs_the_filter(capsys):
     assert empty[0] == 0 and "survivors of the order-3 filter" in empty[1]
 
 
-@pytest.mark.parametrize(
-    "fixed",
-    ["A\uff11,1", "A1,\uff11", "A+1,1", "A1,+1", "A1_0,1", "A1,1_0", "A2,3 A2,\u0663",
-     "A1,1\u3000A1,1"],
-)
+OTHER_DIGIT_FIXED = [
+    "A\uff11,1", "A1,\uff11", "A+1,1", "A1,+1", "A1_0,1", "A1,1_0", "A2,3 A2,\u0663",
+    "A1,1\u3000A1,1",
+]
+
+
+@pytest.mark.parametrize("fixed", OTHER_DIGIT_FIXED)
 def test_fixed_type_in_other_digits_exits_2(capsys, fixed):
     with pytest.raises(SystemExit) as exc:
         main(["candidates", "--dim", "48", "--ratio", "1", "--fixed", fixed])
@@ -1037,3 +1047,125 @@ def test_pole_and_formula_steps_read_the_solved_table(capsys, monkeypatch):
     verdicts = {s["name"]: s["verdict"] for s in json.loads(out)["steps"]}
     assert verdicts["pole coefficient c_-3"] == "fail"
     assert verdicts["dimension formula coefficients"] == "fail"
+
+
+# --- one argparse pass per invocation -----------------------------------------
+
+# every argv of a usage-error test above that names a command
+USAGE_ERROR_ARGVS = (
+    [param.values[0] for param in BAD_NUMERIC_ARGVS]
+    + [argv + [option, value] for argv, option in NUMERIC_OPTIONS for value in NON_ASCII_VALUES]
+    + REMOVED_OPTION_ARGVS
+    + [["candidates", "--dim", "48", "--ratio", "1", "--fixed", f] for f in OTHER_DIGIT_FIXED]
+    + [
+        ["lattice", "--name", "e6_4", "--isometry", "sigma6"],
+        ["candidates", "--dim", "100000", "--ratio", "1/1000", "--json"],
+        ["twist-bound", "--case", "/nonexistent/case.json"],
+        ["twist-bound", "--help"],
+    ]
+)
+
+
+def parse_both_ways(capsys, argv):
+    """(exit code, namespace less `command` or stdout, stderr) of `argv`
+    parsed by the top-level parser, then of `argv[1:]` parsed by the
+    command's own parser."""
+    parser, commands = cli.build_parser()
+    outcomes = []
+    for parse, args in ((parser.parse_args, argv), (commands[argv[0]].parse_args, argv[1:])):
+        try:
+            parsed = vars(parse(args))
+        except SystemExit as exc:
+            out = capsys.readouterr()
+            outcomes.append((exc.code, out.out, out.err))
+        else:
+            parsed.pop("command", None)
+            outcomes.append((0, parsed, capsys.readouterr().err))
+    return outcomes
+
+
+def test_command_parser_alone_reads_the_pinned_argvs_alike(capsys):
+    for _, argv, _ in PINNED_OUTPUTS:
+        top, own = parse_both_ways(capsys, argv)
+        assert top == own and top[0] == 0
+
+
+@pytest.mark.parametrize("workload", ["explore", "twist-probe"])
+def test_command_parser_alone_reads_the_benchmark_traffic_alike(
+    capsys, monkeypatch, tmp_path, workload
+):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import gen
+
+    ops = gen.make_ops(workload, 1, str(tmp_path))
+    assert ops
+    for argv in ops:
+        top, own = parse_both_ways(capsys, argv)
+        assert top == own and top[0] == 0
+
+
+def test_command_parser_alone_refuses_the_usage_errors_alike(capsys):
+    # an error inside a command's options is the command parser's on both
+    # routes; only unknown trailing arguments move from the top-level usage
+    # line to the command's
+    for argv in USAGE_ERROR_ARGVS:
+        top, own = parse_both_ways(capsys, argv)
+        if "error: unrecognized arguments: " not in top[2]:
+            assert top == own and top[0] in (0, 2), argv
+            continue
+        prog = f"orbifold24 {argv[0]}"
+        error = own[2].splitlines()[-1]
+        assert top[:2] == own[:2] == (2, "")
+        assert own[2].startswith(f"usage: {prog} ") and error.startswith(f"{prog}: error: ")
+        assert top[2].splitlines()[-1] == error.replace(prog, "orbifold24", 1)
+
+
+def count_parses(monkeypatch):
+    """The prog of each parser whose parse_known_args runs, in order."""
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return progs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0", "--json"],
+        ["candidates", "--dim=48", "--ratio=1", "--fixed=A2,1", "--json"],
+        ["twist-bound", "--case", "e6g2"],
+        ["verify-all", "--trunc", "12"],
+        ["no-such-command"],
+        [],
+    ],
+    ids=["dimension", "candidates", "twist-bound", "trailing", "unknown", "empty"],
+)
+def test_one_argparse_pass_per_call(capsys, monkeypatch, argv):
+    progs = count_parses(monkeypatch)
+    run_main(capsys, argv)
+    known = argv and argv[0] in cli.build_parser()[1]
+    assert progs == [f"orbifold24 {argv[0]}" if known else "orbifold24"]
+
+
+def test_entry_point_reads_sys_argv_by_the_same_route(capsys, monkeypatch):
+    argv = ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"]
+    given = run_main(capsys, argv)
+    progs = count_parses(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["orbifold24", *argv])
+    assert run_main(capsys, None) == given and given[0] == 0
+    assert progs == ["orbifold24 dimension"]
+
+
+def test_unknown_trailing_arguments_come_under_the_command_usage(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_main(capsys, ["verify-all", "--trunc", "12"]) == (
+        2,
+        "",
+        "usage: orbifold24 verify-all [-h] [--json] [--seed SEED]\n"
+        "orbifold24 verify-all: error: unrecognized arguments: --trunc 12\n",
+    )

@@ -127,6 +127,7 @@ def test_to_json_is_the_bytes_of_json_dumps_on_edge_values():
 )
 def test_to_json_is_the_bytes_of_json_dumps_on_the_pinned_reports(argv):
     # the report of every command whose output bytes are pinned
-    args = build_parser().parse_args(argv)
+    parser, _ = build_parser()
+    args = parser.parse_args(argv)
     rep = args.func(args)
     assert rep.steps and rep.to_json() == dumps(rep)

@@ -7,7 +7,7 @@ import pytest
 
 from orbifold24 import schellekens
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
-from orbifold24.rootdata import _affine_diagram, simple_types
+from orbifold24.rootdata import _affine_diagram, kac_fixed_subalgebra, simple_types
 from orbifold24.schellekens import (
     _diagram_automorphisms,
     _inner_options_at_level_one,
@@ -23,7 +23,7 @@ from helpers import (
     backtracking_admits,
     brute_force_diagram_automorphisms,
     fraction_order3_fixed_options,
-    root_filter_options,
+    RootFilter,
     semisimple_rank,
 )
 from orbifold24.affinerep import inner_fixed_subalgebra
@@ -172,9 +172,45 @@ def test_trivial_only_assignment_rejected():
 )
 def test_kac_options_match_root_filter(name):
     t = SimpleType.parse(name)
+    oracle = RootFilter(t)
     for level in (1, 3):
         kac = {o.result for o in order3_fixed_options(t, level) if o.kind == "inner"}
-        assert kac == root_filter_options(t, level)
+        assert kac == {
+            SemisimpleTypeWithLevels(*oracle.fixed_type(s, level))
+            for s in oracle.label_vectors()
+        }
+
+
+def test_root_filter_types_each_label_vector_as_kac_does():
+    # every inner order-3 label vector of the chain types and their level-3
+    # neighbours, and one vector per class of A11: the roots kept by the
+    # labels give the sub-diagram rule's type, and per class the inner
+    # options of the filter
+    count = 0
+    for name in ("E6", "G2", "A2", "A5", "D4", "A1", "D7", "A11"):
+        t = SimpleType.parse(name)
+        oracle = RootFilter(t)
+        vectors = oracle.label_vectors()
+        assert vectors == _order3_label_vectors(t), name
+        if name == "A11":
+            # the affine A11 diagram is a 12-cycle: its automorphisms are
+            # the rotations and reflections of the labels
+            classes = {}
+            for s in vectors:
+                turns = [s[k:] + s[:k] for k in range(len(s))]
+                classes.setdefault(min(turns + [v[::-1] for v in turns]), s)
+            vectors = list(classes.values())
+            assert len(vectors) == 18
+        for s in vectors:
+            kac = kac_fixed_subalgebra(t, s)
+            assert (kac.ideals, kac.abelian_rank) == oracle.fixed_type(s), (name, s)
+        for level in (1, 3):
+            inner = {o.result for o in order3_fixed_options(t, level) if o.kind == "inner"}
+            assert inner == {
+                SemisimpleTypeWithLevels(*oracle.fixed_type(s, level)) for s in vectors
+            }, (name, level)
+        count += len(vectors)
+    assert count == 148
 
 
 @pytest.mark.parametrize("name", ["A1", "A5", "C4", "D4", "E6", "E7", "F4", "G2"])
