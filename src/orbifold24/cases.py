@@ -380,10 +380,12 @@ def verify_candidates() -> Report:
     return rep
 
 
-def check_lattice(rep: Report, root_system: SemisimpleTypeWithLevels) -> None:
-    """The per-lattice checks: glue, roots, dimension, glue group, brackets."""
+def check_lattice(
+    rep: Report, lat: latticevoa.EvenLattice, alg: latticevoa.LatticeLieAlgebra
+) -> None:
+    """The checks on a lattice and its algebra: glue, roots, dimension, glue group, brackets."""
+    root_system = lat.code.root_system()
     exp = golden.LATTICE_EXPECTED[str(root_system)]
-    lat, alg = lattice_data(root_system)
     name = lat.code.label()
     rep.check(f"{name}: glue index", lat.glue_index(), exp["glue_index"])
     rep.check(f"{name}: root count", alg.n_roots, sum(t.n_roots() for t, _ in root_system.ideals))
@@ -438,7 +440,7 @@ def check_ground_energy(
 def verify_lattice() -> Report:
     rep = Report("lattice battery")
     for survivor in dict.fromkeys(unique_survivor(cf)[0] for cf in ISOMETRY_CASES.values()):
-        check_lattice(rep, survivor)
+        check_lattice(rep, *lattice_data(survivor))
     isometries = {iso_name: check_isometry(rep, iso_name) for iso_name in ISOMETRY_CASES}
     s6 = isometries["sigma6"]
     check_ground_energy(rep, "sigma6", s6)

@@ -29,6 +29,7 @@ from .cases import (
     check_isometry,
     check_lattice,
     check_twist,
+    lattice_data,
     run_case,
     unique_survivor,
     verify_tables,
@@ -106,9 +107,9 @@ def cmd_candidates(args: argparse.Namespace) -> Report:
 
 
 def cmd_lattice(args: argparse.Namespace) -> Report:
-    survivor, _ = unique_survivor(ISOMETRY_CASES[args.isometry])
-    rep = Report(f"lattice {latticevoa.niemeier_code(survivor).label()} / {args.isometry}")
-    check_lattice(rep, survivor)
+    lat, alg = lattice_data(unique_survivor(ISOMETRY_CASES[args.isometry])[0])
+    rep = Report(f"lattice {lat.code.label()} / {args.isometry}")
+    check_lattice(rep, lat, alg)
     iso = check_isometry(rep, args.isometry)
     rep.note(f"{args.isometry}: fixed sublattice rank", len(iso.fixed_basis))
     check_ground_energy(rep, args.isometry, iso)

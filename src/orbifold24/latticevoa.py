@@ -29,9 +29,10 @@ exact, in Python integers: root data and glue vectors are integer rows over
 one denominator each, and a rational result, such as a norm, a ground
 energy or an eigenvalue ratio, is one `Fraction` made at the end.
 
-An isometry is a value: `LatticeIsometry.of` computes its order, a basis of
-its fixed sublattice and its gram test once, when it is built, and every
-later check reads them.
+An isometry and the weight-one algebra are values: `LatticeIsometry.of`
+computes its order, a basis of its fixed sublattice and its gram test once,
+when it is built, and `weight_one_algebra` builds the algebra's tables as
+tuples and read-only mappings; every later check reads them, none edits them.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ from fractions import Fraction as Q
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from operator import mul, xor
+from types import MappingProxyType
 from typing import (
-    Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+    Dict, FrozenSet, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
 )
 
 from .exactmath import (
@@ -537,8 +539,9 @@ def _odd_mask(xs: Sequence[int]) -> int:
     return sum(1 << i for i, x in enumerate(xs) if x & 1)
 
 
-class LatticeLieAlgebra:
-    """Cartan + root vectors with the ordered-basis sign bicharacter.
+class LatticeLieAlgebra(NamedTuple):
+    """Cartan + root vectors with the ordered-basis sign bicharacter: a
+    value, built once by `weight_one_algebra`.
 
     Basis indices: 0..rank-1 are the Cartan directions dual to the lattice
     basis; rank+k is the root vector of the k-th root.  Elements are sparse
@@ -548,73 +551,25 @@ class LatticeLieAlgebra:
     commutation rule e^b e^a = (-1)^(a|b) e^a e^b: eps(x, y) = (-1)^(x L y)
     for L = `eps_low`, the strict lower triangle of the gram mod 2.
 
-    Two plain tables, built once, hold every structure constant: cr[k][i] is
-    (b_i|a_k), and pairs[k] maps each root l with (a_k|a_l) < 0 to (the index
-    of a_k + a_l, or -1 when a_l = -a_k; eps(a_k, a_l)).  Roots have norm 2,
-    so (a_k|a_l) is -1 or -2 there, and nonnegative pairings bracket to 0.
-    root_component[k] is the index of the component that holds root k.
-
-    The tables are built one component at a time, in Python integers, as
-    roots of different components are orthogonal.  On a component whose
-    simple roots have lattice coordinates E, eps's parity is E L E^T mod 2
-    on simple-root coordinates, and `_negative_pairs` gives (a|b).  Each
-    parity is the popcount of two bit masks (`_odd_mask`): a's row of
-    that form mod 2 and b's simple-root coordinates mod 2.
+    Two read-only tables hold every structure constant: cr[k][i] is
+    (b_i|a_k), a tuple of tuples, and pairs[k], a read-only mapping, maps
+    each root l with (a_k|a_l) < 0 to (the index of a_k + a_l, or -1 when
+    a_l = -a_k; eps(a_k, a_l)).  Roots have norm 2, so (a_k|a_l) is -1 or
+    -2 there, and nonnegative pairings bracket to 0.  root_component[k] is
+    the index of the component that holds root k, and root_index maps a
+    root's lattice coordinates to its index.
     """
 
-    def __init__(self, lat: EvenLattice):
-        self.lattice = lat
-        self.rank = lat.rank
-        # the lattice coordinates of the ambient simple roots are the rows of
-        # basis_inv / inv_scale; every root is an integer combination of them
-        if any(x % lat.inv_scale for row in lat.basis_inv for x in row):
-            raise InvariantError("a root is outside the lattice")
-        simple = [[[x // lat.inv_scale for x in row] for row in lat.basis_inv[lo:hi]]
-                  for lo, hi in lat.component_slices()]
-        # the roots are the components' roots: norm bounds keep every
-        # nonzero glue coset clear of norm-2 vectors
-        for w in lat.code.words():
-            if any(w) and coset_norm_lower_bound(lat.code, w) <= 2:
-                raise InvariantError("a glue coset might contain norm-2 vectors")
-        types = lat.code.components
-        roots = []                      # (lattice coordinates, component, local index)
-        for c, t in enumerate(types):
-            coords = mat_mul(build_root_system(t).root_alpha_coords, simple[c])
-            roots.extend((tuple(x), c, p) for p, x in enumerate(coords))
-        roots.sort()
-        self.root_coords: List[IntVec] = [x for x, _, _ in roots]
-        self.root_component: List[int] = [c for _, c, _ in roots]
-        self.root_index: Dict[IntVec, int] = {
-            x: k for k, x in enumerate(self.root_coords)
-        }
-        self.n_roots = len(roots)
-        self.dim = self.rank + self.n_roots
-
-        at = {(c, p): k for k, (_, c, p) in enumerate(roots)}
-        # eps(x, y) = (-1)^(x L y), L the strict lower triangle of the gram
-        low = self.eps_low = [[x & 1 if j < i else 0 for j, x in enumerate(row)]
-                              for i, row in enumerate(lat.gram)]
-        cr, pairs = [], []                      # per component, by local index
-        for c, t in enumerate(types):
-            e = simple[c]
-            acs = build_root_system(t).root_alpha_coords
-            # global root indices; the sum index -1 of opposite roots stays -1
-            glob = [at[c, p] for p in range(len(acs))] + [-1]
-            cr.append(mat_mul(acs, mat_mul(e, lat.gram)))
-            # the parity of x L y is that of the bits odd in both x L and y
-            odd = map(_odd_mask, mat_mul(acs, mat_mul(mat_mul(e, low), transpose(e))))
-            ac_bits = [_odd_mask(a) for a in acs]
-            pairs.append([
-                {
-                    glob[q]: (glob[s], -1 if (bits & ac_bits[q]).bit_count() & 1 else 1)
-                    for q, s in neg
-                }
-                for bits, neg in zip(odd, _negative_pairs(t))
-            ])
-        self.cr: List[List[int]] = [cr[c][p] for _, c, p in roots]
-        self.pairs: List[Dict[int, Tuple[int, int]]] = [pairs[c][p] for _, c, p in roots]
-
-    # -- structure ------------------------------------------------------------
+    lattice: EvenLattice
+    rank: int
+    root_coords: Tuple[IntVec, ...]
+    root_component: Tuple[int, ...]
+    root_index: Mapping[IntVec, int]
+    n_roots: int
+    dim: int
+    eps_low: Tuple[IntVec, ...]
+    cr: Tuple[IntVec, ...]
+    pairs: Tuple[Mapping[int, Tuple[int, int]], ...]
 
     def cartan_element(self, coords: Sequence[int]) -> Dict[int, int]:
         return {i: c for i, c in enumerate(coords) if c}
@@ -663,8 +618,60 @@ class LatticeLieAlgebra:
 
 
 def weight_one_algebra(lat: EvenLattice) -> LatticeLieAlgebra:
-    """Weight-one Lie algebra of the lattice vertex algebra of an even lattice."""
-    return LatticeLieAlgebra(lat)
+    """Weight-one Lie algebra of the lattice vertex algebra of an even lattice.
+
+    The tables are built one component at a time, in Python integers, as
+    roots of different components are orthogonal.  On a component whose
+    simple roots have lattice coordinates E, eps's parity is E L E^T mod 2
+    on simple-root coordinates, and `_negative_pairs` gives (a|b).  Each
+    parity is the popcount of two bit masks (`_odd_mask`): a's row of
+    that form mod 2 and b's simple-root coordinates mod 2.
+    """
+    # the lattice coordinates of the ambient simple roots are the rows of
+    # basis_inv / inv_scale; every root is an integer combination of them
+    if any(x % lat.inv_scale for row in lat.basis_inv for x in row):
+        raise InvariantError("a root is outside the lattice")
+    simple = [[[x // lat.inv_scale for x in row] for row in lat.basis_inv[lo:hi]]
+              for lo, hi in lat.component_slices()]
+    # the roots are the components' roots: norm bounds keep every
+    # nonzero glue coset clear of norm-2 vectors
+    for w in lat.code.words():
+        if any(w) and coset_norm_lower_bound(lat.code, w) <= 2:
+            raise InvariantError("a glue coset might contain norm-2 vectors")
+    types = lat.code.components
+    roots = []                      # (lattice coordinates, component, local index)
+    for c, t in enumerate(types):
+        coords = mat_mul(build_root_system(t).root_alpha_coords, simple[c])
+        roots.extend((tuple(x), c, p) for p, x in enumerate(coords))
+    roots.sort()
+    root_coords = tuple(x for x, _, _ in roots)
+    at = {(c, p): k for k, (_, c, p) in enumerate(roots)}
+    # eps(x, y) = (-1)^(x L y), L the strict lower triangle of the gram
+    low = tuple(tuple(x & 1 if j < i else 0 for j, x in enumerate(row))
+                for i, row in enumerate(lat.gram))
+    cr, pairs = [], []                      # per component, by local index
+    for c, t in enumerate(types):
+        e = simple[c]
+        acs = build_root_system(t).root_alpha_coords
+        # global root indices; the sum index -1 of opposite roots stays -1
+        glob = [at[c, p] for p in range(len(acs))] + [-1]
+        cr.append(mat_mul(acs, mat_mul(e, lat.gram)))
+        # the parity of x L y is that of the bits odd in both x L and y
+        odd = map(_odd_mask, mat_mul(acs, mat_mul(mat_mul(e, low), transpose(e))))
+        ac_bits = [_odd_mask(a) for a in acs]
+        pairs.append([
+            MappingProxyType({
+                glob[q]: (glob[s], -1 if (bits & ac_bits[q]).bit_count() & 1 else 1)
+                for q, s in neg
+            })
+            for bits, neg in zip(odd, _negative_pairs(t))
+        ])
+    return LatticeLieAlgebra(
+        lat, lat.rank, root_coords, tuple(c for _, c, _ in roots),
+        MappingProxyType(dict(zip(root_coords, range(len(roots))))),
+        len(roots), lat.rank + len(roots), low,
+        tuple(tuple(cr[c][p]) for _, c, p in roots), tuple(pairs[c][p] for _, c, p in roots),
+    )
 
 
 def certify_frenkel_kac(alg: LatticeLieAlgebra) -> bool:
@@ -690,7 +697,7 @@ def certify_frenkel_kac(alg: LatticeLieAlgebra) -> bool:
     ch. 6; Kac, Infinite-Dimensional Lie Algebras, 7.8).
     """
     lat, roots, n = alg.lattice, alg.root_coords, alg.n_roots
-    if mat_mul(roots, lat.gram) != alg.cr or any(
+    if tuple(map(tuple, mat_mul(roots, lat.gram))) != alg.cr or any(
         sum(map(mul, x, row)) != 2 for x, row in zip(roots, alg.cr)
     ):
         return False
@@ -864,7 +871,7 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
         lin, const = _phase_bit_expr(upper, diag, coords)
         return -1 if const ^ (lin & x).bit_count() & 1 else 1
 
-    images = mat_mul([list(c) for c in alg.root_coords], gm)
+    images = mat_mul(alg.root_coords, gm)
     perm = tuple(alg.root_index[tuple(img)] for img in images)
     phase = tuple(phase_of(rc) for rc in alg.root_coords)
     # order 3 on the whole algebra: g^3 = 1 (g's certified order divides

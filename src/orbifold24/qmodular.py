@@ -22,7 +22,8 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
 from operator import mul
-from typing import Dict, List, NamedTuple, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .exactmath import InvariantError
 
@@ -30,27 +31,25 @@ TRUNC = 12  # the one truncation default: an lru_cache keys f() apart from f(12)
 
 
 class PuiseuxSeries(NamedTuple):
-    """Truncated series sum_n c_n q^(n/denom), exact below exponent trunc."""
+    """Truncated series sum_n c_n q^(n/denom), exact below exponent trunc:
+    a value, its coefficients a read-only mapping {n: c_n}."""
 
     denom: int
-    coeffs: Dict[int, Q]
+    coeffs: Mapping[int, Q]
     trunc: Q
 
     @staticmethod
     def make(denom: int, coeffs: Dict[int, Q], trunc: Q) -> "PuiseuxSeries":
-        kept = {
-            n: c for n, c in coeffs.items() if c and Q(n, denom) < trunc
-        }
-        return PuiseuxSeries(denom, kept, Q(trunc))
+        kept = {n: c for n, c in coeffs.items() if c and Q(n, denom) < trunc}
+        return PuiseuxSeries(denom, MappingProxyType(kept), Q(trunc))
 
     def normalized(self) -> "PuiseuxSeries":
         """Shrink the exponent denominator to the gcd actually used."""
         g = gcd(self.denom, *self.coeffs)
         if g <= 1:
             return self
-        return PuiseuxSeries(
-            self.denom // g, {n // g: c for n, c in self.coeffs.items()}, self.trunc
-        )
+        coeffs = MappingProxyType({n // g: c for n, c in self.coeffs.items()})
+        return PuiseuxSeries(self.denom // g, coeffs, self.trunc)
 
     def coeff(self, exp: Q | int) -> Q:
         e = Q(exp)
@@ -141,7 +140,7 @@ def _solve(trunc: int, pivots: Dict[int, Q], d0: Q, d13: Q, d23: Q, vacuum: Q) -
 
 
 @lru_cache(maxsize=None)
-def laurent_table(trunc: int) -> Dict[int, LinExpr]:
+def laurent_table(trunc: int) -> Mapping[int, LinExpr]:
     """The c_n of Z = sum_{n=-3..1} c_n f^n as affine functions of
     (d0, d13, d23), solved from the principal parts of the fixed-point
     character Z.  At i-infinity Z = q^-1 + d0 + O(q): the vacuum term and the
@@ -157,7 +156,7 @@ def laurent_table(trunc: int) -> Dict[int, LinExpr]:
     it put at x^n, over the pivot [x^n] f^n.  A zero pivot raises
     InvariantError.  Only exponents <= 0 are read, so the table is exact at
     every trunc >= 1.  The solve is linear: the four columns solve d0 = 1,
-    d13 = 1, d23 = 1 and the vacuum alone.
+    d13 = 1, d23 = 1 and the vacuum alone.  The table is a read-only mapping.
     """
     pivots = {n: f_power_at_S(n, trunc).coeff(Q(n, 3)) for n in (-3, -2, -1)}
     pivots[1] = hauptmodul_f(trunc).coeff(-1)
@@ -166,7 +165,7 @@ def laurent_table(trunc: int) -> Dict[int, LinExpr]:
             raise InvariantError(f"zero pivot: the leading coefficient of f^{n} is 0")
     units = [tuple(Q(int(i == j)) for j in range(4)) for i in range(4)]
     columns = [_solve(trunc, pivots, *unit) for unit in units]
-    return {n: tuple(col[n] for col in columns) for n in columns[0]}  # type: ignore[misc]
+    return MappingProxyType({n: tuple(col[n] for col in columns) for n in columns[0]})
 
 
 def fit_character(d0: int, d13: int, d23: int, trunc: int) -> Dict[int, Q]:

@@ -169,8 +169,9 @@ def _gram_matrix(t: SimpleType) -> Tuple[List[List[int]], int]:
     return [[x // k for x in row] for row in g], scale // k
 
 
-class RootSystem:
-    """Root system with one integer-scaled invariant form.
+class RootSystem(NamedTuple):
+    """Root system with one integer-scaled invariant form: a value, built
+    once by `build_root_system`, every table a tuple of tuples.
 
     Roots, simple roots and theta have integer fundamental-weight
     coordinates.  The form on fundamental-weight coordinates is the integer
@@ -178,67 +179,55 @@ class RootSystem:
     denominators: (x|y) = x . form . y / scale, long roots of norm 2.
     """
 
-    def __init__(self, t: SimpleType):
-        self.type = t
-        self.rank = n = t.rank
-        g, s = _gram_matrix(t)
-        # fw coords of a_i = row i of the Cartan matrix, 2(ai|aj)/(aj|aj)
-        self.simple_roots: List[IntCoords] = [
-            tuple(2 * g[i][j] // g[j][j] for j in range(n)) for i in range(n)
-        ]
-        # (L_i|L_j) = (C^-1)_ji * d_i with d_i = (a_i|a_i)/2 = g_ii / 2s and
-        # C^-1 = Y / d, so (L_i|L_j) = Y_ji g_ii / 2sd, reduced by the gcd
-        y, d = integer_inverse(self.simple_roots)
-        num = [[y[j][i] * g[i][i] for j in range(n)] for i in range(n)]
-        common = gcd(2 * s * d, *(x for row in num for x in row))
-        self.scale = 2 * s * d // common
-        self.form = [[x // common for x in row] for row in num]
-        self.roots, self.root_alpha_coords = self._generate_roots()
-        if len(self.roots) != t.n_roots():
-            raise InvariantError(
-                f"{t}: generated {len(self.roots)} roots, expected {t.n_roots()}"
-            )
-        top = max(range(len(self.roots)), key=lambda k: sum(self.root_alpha_coords[k]))
-        self.theta: IntCoords = self.roots[top]
-
-    def _generate_roots(self) -> Tuple[List[IntCoords], List[IntCoords]]:
-        # Weyl-orbit closure of the simple roots under simple reflections.
-        n = self.rank
-        start = {
-            self.simple_roots[i]: tuple(int(j == i) for j in range(n))
-            for i in range(n)
-        }
-        frontier = dict(start)
-        found = dict(start)
-        while frontier:
-            new: Dict[IntCoords, IntCoords] = {}
-            for fw, ac in frontier.items():
-                for j in range(n):
-                    m = fw[j]
-                    if not m:
-                        continue  # s_j fixes fw, which is found already
-                    img = tuple(a - m * b for a, b in zip(fw, self.simple_roots[j]))
-                    if img not in found:
-                        new[img] = tuple(
-                            c - (m if k == j else 0) for k, c in enumerate(ac)
-                        )
-            found.update(new)
-            frontier = new
-        roots = sorted(found)
-        return roots, [found[rt] for rt in roots]
+    type: SimpleType
+    rank: int
+    simple_roots: Tuple[IntCoords, ...]
+    scale: int
+    form: Tuple[IntCoords, ...]
+    roots: Tuple[IntCoords, ...]
+    root_alpha_coords: Tuple[IntCoords, ...]
+    theta: IntCoords
 
     def covector(self, x: Sequence[Q | int]) -> List[Q | int]:
         """form . x, so that pairing it with y gives scale * (x|y)."""
         return [sum(f * c for f, c in zip(row, x) if c) for row in self.form]
 
-    def __repr__(self) -> str:
-        return f"RootSystem({self.type})"
-
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
     """Root system of a simple type; roots generated and counted."""
-    return RootSystem(t)
+    n = t.rank
+    g, s = _gram_matrix(t)
+    # fw coords of a_i = row i of the Cartan matrix, 2(ai|aj)/(aj|aj)
+    simple = tuple(tuple(2 * g[i][j] // g[j][j] for j in range(n)) for i in range(n))
+    # (L_i|L_j) = (C^-1)_ji * d_i with d_i = (a_i|a_i)/2 = g_ii / 2s and
+    # C^-1 = Y / d, so (L_i|L_j) = Y_ji g_ii / 2sd, reduced by the gcd
+    y, d = integer_inverse(simple)
+    num = [[y[j][i] * g[i][i] for j in range(n)] for i in range(n)]
+    common = gcd(2 * s * d, *(x for row in num for x in row))
+    form = tuple(tuple(x // common for x in row) for row in num)
+    # the roots: the Weyl-orbit closure of the simple roots under simple
+    # reflections, with their simple-root coordinates
+    found = {simple[i]: tuple(int(j == i) for j in range(n)) for i in range(n)}
+    frontier = dict(found)
+    while frontier:
+        new: Dict[IntCoords, IntCoords] = {}
+        for fw, ac in frontier.items():
+            for j in range(n):
+                m = fw[j]
+                if not m:
+                    continue  # s_j fixes fw, which is found already
+                img = tuple(a - m * b for a, b in zip(fw, simple[j]))
+                if img not in found:
+                    new[img] = tuple(c - (m if k == j else 0) for k, c in enumerate(ac))
+        found.update(new)
+        frontier = new
+    roots = tuple(sorted(found))
+    acs = tuple(found[rt] for rt in roots)
+    if len(roots) != t.n_roots():
+        raise InvariantError(f"{t}: generated {len(roots)} roots, expected {t.n_roots()}")
+    top = max(range(len(roots)), key=lambda k: sum(acs[k]))
+    return RootSystem(t, n, simple, 2 * s * d // common, form, roots, acs, roots[top])
 
 
 def scaled_coords(x: Sequence[Q | int]) -> ScaledCoords:

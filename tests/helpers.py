@@ -146,8 +146,10 @@ against, and helpers that only the tests need.
   `root_lattice` and `ip_coords` build and pair the lattice-side fixtures.
 * Small conveniences only the tests use: `negated` (the case
   (ambient, -h)), `named_witness` (the forward witness of an isometry
-  name's case), `patch_series_coefficient` (one coefficient of a q-series
-  scaled) with `solve_afresh` (a Laurent table cache of the test's own),
+  name's case), `changed_algebra` (a weight-one algebra with some table
+  rows replaced, for the mutation tests), `patch_series_coefficient` (one
+  coefficient of a q-series scaled) with `solve_afresh` (a Laurent table
+  cache of the test's own),
   `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
   (x|y) through `RootSystem.covector`), `series_one`, and
   `package_caches` (every `lru_cache` of the package, which the
@@ -170,6 +172,7 @@ from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm
 from pathlib import Path
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -395,43 +398,44 @@ def fraction_gram_matrix(t: SimpleType) -> List[List[Q]]:
     return [[Q(2, 3), Q(-1)], [Q(-1), Q(2)]]
 
 
-class FractionRootSystem(RootSystem):
+class FractionRootSystem:
     """A root system derived in Fractions: the Cartan rows
     2(a_i|a_j)/(a_j|a_j) of the Fraction gram, and the form
     (L_i|L_j) = (C^-1)_ji (a_i|a_i)/2 through the Fraction inverse, cleared
     by the least common denominator of its entries.  The roots come from
     root strings, not from the product's Weyl-orbit closure; theta (the
     root of greatest height) and the affine marks (1, theta's simple-root
-    coordinates) are read off them."""
+    coordinates) are read off them.  The tables are tuples of tuples, as
+    in the product's `RootSystem`, so the two compare field by field."""
 
     def __init__(self, t: SimpleType):
         self.type = t
         self.rank = n = t.rank
         self.gram = fraction_gram_matrix(t)
-        self.simple_roots = [
+        self.simple_roots = tuple(
             tuple(int(2 * self.gram[i][j] / self.gram[j][j]) for j in range(n))
             for i in range(n)
-        ]
+        )
         inv = inverse(self.simple_roots)
         rational = [
             [inv[j][i] * self.gram[i][i] / 2 for j in range(n)] for i in range(n)
         ]
         self.scale = lcm(*(x.denominator for row in rational for x in row))
-        self.form = [[int(x * self.scale) for x in row] for row in rational]
+        self.form = tuple(tuple(int(x * self.scale) for x in row) for row in rational)
         self.roots, self.root_alpha_coords = self._generate_roots()
         top = max(range(len(self.roots)), key=lambda k: sum(self.root_alpha_coords[k]))
         self.theta: IntCoords = self.roots[top]
         self.marks: IntCoords = (1,) + self.root_alpha_coords[top]
 
-    def _generate_roots(self) -> Tuple[List[IntCoords], List[IntCoords]]:
+    def _generate_roots(self) -> Tuple[Tuple[IntCoords, ...], Tuple[IntCoords, ...]]:
         """The positive roots from root strings (`string_positive_roots`),
         then the negatives, all sorted by their fundamental-weight
         coordinates."""
         fw = string_positive_roots(self.simple_roots)
         found = {w: a for a, w in fw.items()}
         found.update({tuple(-x for x in w): tuple(-c for c in a) for a, w in fw.items()})
-        roots = sorted(found)
-        return roots, [found[rt] for rt in roots]
+        roots = tuple(sorted(found))
+        return roots, tuple(found[rt] for rt in roots)
 
 
 def string_positive_roots(cartan: Sequence[IntCoords]) -> Dict[IntCoords, IntCoords]:
@@ -1154,7 +1158,7 @@ def root_affine_diagram(t: SimpleType) -> Tuple[List[List[int]], IntCoords, int]
     theta is the root of greatest height, the gram pairs [-theta] + simple
     roots through `RootSystem.covector`, scale is the root system's."""
     rs = build_root_system(t)
-    nodes = [tuple(-c for c in rs.theta)] + rs.simple_roots
+    nodes = (tuple(-c for c in rs.theta),) + rs.simple_roots
     gram = [[sum(a * b for a, b in zip(rs.covector(x), y)) for y in nodes] for x in nodes]
     return gram, (1,) + theta_alpha_coords(rs), rs.scale
 
@@ -1582,7 +1586,7 @@ def patch_series_coefficient(monkeypatch, name: str, key: tuple, exp: Q, factor:
         if args[:-1] != key:
             return s
         n = Q(exp) * s.denom
-        return PuiseuxSeries(s.denom, {**s.coeffs, n: s.coeffs[n] * factor}, s.trunc)
+        return s._replace(coeffs=MappingProxyType({**s.coeffs, n: s.coeffs[n] * factor}))
 
     monkeypatch.setattr(qmodular, name, patched)
 
@@ -1593,6 +1597,21 @@ def patch_series_coefficient(monkeypatch, name: str, key: tuple, exp: Q, factor:
 def named_witness(isometry: str) -> Witness:
     """The witness of the one survivor of the isometry name's built-in case."""
     return cases.unique_survivor(cases.ISOMETRY_CASES[isometry])[1]
+
+
+def changed_algebra(
+    alg: LatticeLieAlgebra,
+    pairs: Optional[Dict[int, Dict[int, Tuple[int, int]]]] = None,
+    cr: Optional[Dict[int, Sequence[int]]] = None,
+) -> LatticeLieAlgebra:
+    """A new algebra value, alg with the `pairs` rows and `cr` rows given by
+    root index replaced, through `_replace`; alg itself stays as it is."""
+    pairs, cr = pairs or {}, cr or {}
+    return alg._replace(
+        pairs=tuple(MappingProxyType(pairs[k]) if k in pairs else row
+                    for k, row in enumerate(alg.pairs)),
+        cr=tuple(tuple(cr[k]) if k in cr else row for k, row in enumerate(alg.cr)),
+    )
 
 
 def apply_coords(g: LatticeIsometry, c: Sequence[int]) -> Tuple[int, ...]:
@@ -1655,7 +1674,7 @@ def sum_phase_bit_expr(
     return lin, const % 2
 
 
-def sum_parity_pairs(lat: EvenLattice) -> List[Dict[int, Tuple[int, int]]]:
+def sum_parity_pairs(lat: EvenLattice) -> Tuple[Dict[int, Tuple[int, int]], ...]:
     """`LatticeLieAlgebra.pairs` with each eps parity summed term by term:
     per component, a's row of E L E^T times b's simple-root coordinates,
     mod 2, the oracle for the popcounts of bit masks."""
@@ -1685,7 +1704,7 @@ def sum_parity_pairs(lat: EvenLattice) -> List[Dict[int, Tuple[int, int]]]:
             }
             for p, neg in enumerate(_negative_pairs(t))
         ])
-    return [pairs[c][p] for _, c, p in roots]
+    return tuple(pairs[c][p] for _, c, p in roots)
 
 
 def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism:
@@ -1804,7 +1823,8 @@ def numpy_lie_tables(lat: EvenLattice):
         (r[ks] + r[ls]).tolist(),
     ):
         pairs[k][l] = (index[tuple(s)] if v == -1 else -1, -1 if odd_kl else 1)
-    return root_coords, [o for _, o in by_coords], cr.tolist(), pairs
+    return (tuple(root_coords), tuple(o for _, o in by_coords),
+            tuple(map(tuple, cr.tolist())), tuple(pairs))
 
 
 class DenseLieTables:

@@ -15,10 +15,12 @@ from orbifold24 import (
 )
 from orbifold24.cli import main
 from orbifold24.exactmath import InvariantError
+from orbifold24.report import Report
 
 from helpers import (
     OFFCHAMBER_CASE,
     PINNED_OUTPUTS,
+    changed_algebra,
     dense_table,
     from_dense_table,
     named_witness,
@@ -784,13 +786,11 @@ def test_json_output_is_the_bytes_of_json_dumps(capsys, argv):
     ],
     ids=lambda e: type(e).__name__,
 )
-def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
+def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, fresh_caches, error):
     def failing_identify_type(sub):
         raise error
 
     monkeypatch.setattr(latticevoa, "identify_type", failing_identify_type)
-    # bypass the per-process cache so that the patched identification runs
-    monkeypatch.setattr(cases, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--isometry", "sigma2"])
     assert exc.value.code == 1
@@ -799,7 +799,7 @@ def test_failed_exact_check_exits_1_with_one_line(capsys, monkeypatch, error):
     assert "Traceback" not in err
 
 
-def test_singular_block_form_exits_1(capsys, monkeypatch):
+def test_singular_block_form_exits_1(capsys, monkeypatch, fresh_caches):
     # the block form is inverted exactly; its singularity is a failed exact
     # check (exit 1), not the ValueError of integer_inverse, which means bad input
     build = latticevoa.fixed_subalgebra
@@ -813,7 +813,6 @@ def test_singular_block_form_exits_1(capsys, monkeypatch):
         return from_dense_table(fx, brackets, gram)
 
     monkeypatch.setattr(latticevoa, "fixed_subalgebra", singular)
-    monkeypatch.setattr(cases, "lattice_fixed_type", cases.lattice_fixed_type.__wrapped__)
     with pytest.raises(SystemExit) as exc:
         main(["lattice", "--isometry", "sigma2"])
     assert exc.value.code == 1
@@ -911,21 +910,26 @@ def _flip_sign(alg, k):
     # one bracket [e^a, e^b] = +-e^(a+b) with a the k-th root, and its
     # antisymmetric partner [e^b, e^a]
     l, (s, sgn) = next((l, e) for l, e in alg.pairs[k].items() if e[0] >= 0)
-    alg.pairs[k][l] = (s, -sgn)
-    alg.pairs[l][k] = (s, -alg.pairs[l][k][1])
+    return changed_algebra(alg, pairs={
+        k: {**alg.pairs[k], l: (s, -sgn)},
+        l: {**alg.pairs[l], k: (s, -alg.pairs[l][k][1])},
+    })
 
 
 def _wrong_sum(alg, k):
     l, (s, sgn) = next((l, e) for l, e in alg.pairs[k].items() if e[0] >= 0)
-    alg.pairs[k][l] = ((s + 1) % alg.n_roots, sgn)
+    return changed_algebra(alg, pairs={k: {**alg.pairs[k], l: ((s + 1) % alg.n_roots, sgn)}})
 
 
 def _drop_entry(alg, k):
-    del alg.pairs[k][next(iter(alg.pairs[k]))]
+    first = next(iter(alg.pairs[k]))
+    return changed_algebra(alg, pairs={k: {l: e for l, e in alg.pairs[k].items() if l != first}})
 
 
 def _shift_cr(alg, k):
-    alg.cr[k][3] += 1
+    row = list(alg.cr[k])
+    row[3] += 1
+    return changed_algebra(alg, cr={k: row})
 
 
 BRACKET_TABLE_MUTATIONS = [
@@ -938,20 +942,15 @@ BRACKET_TABLE_MUTATIONS = [
 
 
 @pytest.mark.parametrize("iso_name, mutate, root", BRACKET_TABLE_MUTATIONS)
-def test_mutated_bracket_table_fails_the_certificate(capsys, monkeypatch, iso_name, mutate, root):
-    # one wrong entry in a fresh copy of the weight-one algebra's tables:
-    # the lattice's certificate step fails, with exit 1.  The isometry steps
-    # read the fixed type cached from the true tables, so the report runs to
-    # its end; the cached algebra itself is never touched.
-    cf = cases.ISOMETRY_CASES[iso_name]
-    cases.lattice_fixed_type(cf)
-    lat, _ = cases.lattice_data(cases.unique_survivor(cf)[0])
-    bad = latticevoa.weight_one_algebra(lat)
-    mutate(bad, root)
-    monkeypatch.setattr(cases, "lattice_data", lambda root_system: (lat, bad))
-    code, out, err = run_main(capsys, ["lattice", "--isometry", iso_name, "--json"])
-    failed = [s["name"] for s in json.loads(out)["steps"] if s["verdict"] == "fail"]
-    assert (code, err) == (1, "")
+def test_mutated_bracket_table_fails_the_certificate(iso_name, mutate, root):
+    # one wrong entry in a changed copy of the weight-one algebra's tables,
+    # passed to the lattice checks with the true lattice: the certificate
+    # step fails, and it alone
+    lat, alg = cases.lattice_data(cases.unique_survivor(cases.ISOMETRY_CASES[iso_name])[0])
+    rep = Report(f"lattice {lat.code.label()} / {iso_name}")
+    cases.check_lattice(rep, lat, mutate(alg, root))
+    failed = [s.name for s in rep.steps if s.verdict == "fail"]
+    assert rep.exit_code == 1
     assert failed == [f"{lat.code.label()}: bracket table is the Frenkel-Kac cocycle bracket"]
 
 

@@ -53,6 +53,7 @@ from helpers import (
     all_pairs_subsystem_count,
     block_probe_killing,
     brute_force_types_with_ratio,
+    changed_algebra,
     compose,
     dense_ad,
     dense_rows,
@@ -443,10 +444,13 @@ def test_certificate_rejects_a_sign_flip_that_breaks_jacobi(nd4):
     # oracle: the flip of one sign and its antisymmetric partner, which the
     # certificate rejects, breaks the Jacobi identity on some triple of root
     # vectors from the flipped root's component
-    alg = weight_one_algebra(nd4)
+    built = weight_one_algebra(nd4)
     k = 70
-    l, (s, sgn) = next((l, e) for l, e in alg.pairs[k].items() if e[0] >= 0)
-    alg.pairs[k][l], alg.pairs[l][k] = (s, -sgn), (s, -alg.pairs[l][k][1])
+    l, (s, sgn) = next((l, e) for l, e in built.pairs[k].items() if e[0] >= 0)
+    alg = changed_algebra(built, pairs={
+        k: {**built.pairs[k], l: (s, -sgn)},
+        l: {**built.pairs[l], k: (s, -built.pairs[l][k][1])},
+    })
     assert certify_frenkel_kac(alg) is False
     r = alg.rank
     comp = [r + m for m, c in enumerate(alg.root_component) if c == alg.root_component[k]]

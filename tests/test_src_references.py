@@ -9,9 +9,16 @@ inside its own definition does not count either.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
+
+import pytest
 
 import orbifold24
+from orbifold24 import (
+    affinerep, cases, latticevoa, qmodular, rootdata, schellekens, twistbound,
+)
 
 from helpers import package_caches
 
@@ -147,3 +154,84 @@ def test_no_function_takes_a_private_parameter():
             params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
             knobs += [f"{path.stem}.{n.name}({p.arg})" for p in params if p.arg.startswith("_")]
     assert knobs == []
+
+
+E6_CASE = cases.BUILTIN_CASES["e6g2"]
+E6 = rootdata.SimpleType("E", 6)
+TRUNC = qmodular.TRUNC
+
+# one probe per cached function, on arguments that the built-in cases pass
+CACHE_PROBES = {
+    "affinerep.enumerate_level_weights":
+        lambda: affinerep.enumerate_level_weights(E6_CASE.ambient[0]),
+    "cases.forward_chain": lambda: cases.forward_chain(E6_CASE),
+    "cases.lattice_data": lambda: cases.lattice_data(E6_CASE.expected_target),
+    "cases.lattice_fixed_type": lambda: cases.lattice_fixed_type(E6_CASE),
+    "cases.lattice_isometry": lambda: cases.lattice_isometry(E6_CASE),
+    "latticevoa.GlueCode.words": lambda: latticevoa.NI_E6_4.words(),
+    "latticevoa._catalogue_powers":
+        lambda: latticevoa._catalogue_powers((E6, "inner", "A2,1 A2,1 A2,1")),
+    "latticevoa._coset_norm_floor": lambda: latticevoa._coset_norm_floor(E6, 1),
+    "latticevoa._digit_reps": lambda: latticevoa._digit_reps(E6),
+    "latticevoa._negative_pairs": lambda: latticevoa._negative_pairs(E6),
+    "qmodular.f_power_at_S": lambda: qmodular.f_power_at_S(-3, TRUNC),
+    "qmodular.hauptmodul_f": lambda: qmodular.hauptmodul_f(TRUNC),
+    "qmodular.laurent_table": lambda: qmodular.laurent_table(TRUNC),
+    "rootdata._affine_diagram": lambda: rootdata._affine_diagram(E6),
+    "rootdata.build_root_system": lambda: rootdata.build_root_system(E6),
+    "rootdata.parse_ideal": lambda: rootdata.parse_ideal("E6,1"),
+    "rootdata.parse_rational": lambda: rootdata.parse_rational("1/3"),
+    "schellekens._inner_options_at_level_one":
+        lambda: schellekens._inner_options_at_level_one(E6),
+    "schellekens._moves": lambda: schellekens._moves(
+        E6_CASE.expected_fixed, cases.unique_survivor(E6_CASE)[0].ideals[0], True
+    ),
+    "schellekens.enumerate_candidates":
+        lambda: schellekens.enumerate_candidates(*cases.forward_chain(E6_CASE)[2:4]),
+    "schellekens.order3_fixed_options": lambda: schellekens.order3_fixed_options(E6, 1),
+    "twistbound.ideal_twist": lambda: twistbound.ideal_twist(E6_CASE.ambient[0], E6_CASE.h[0]),
+}
+# argparse objects, not values; test_cached_parser_matches_a_fresh_one
+# checks that the cached parser answers as a fresh one does
+NOT_VALUES = {"cli.build_parser"}
+
+
+def is_value(x) -> bool:
+    """Whether x is built of None, bools, ints, strings and Fractions inside
+    tuples (NamedTuples included), frozensets and read-only mappings."""
+    if x is None or isinstance(x, (bool, int, str, Fraction)):
+        return True
+    if isinstance(x, (tuple, frozenset)):
+        return all(map(is_value, x))
+    if isinstance(x, MappingProxyType):
+        return all(map(is_value, x.keys())) and all(map(is_value, x.values()))
+    return False
+
+
+def test_cached_functions_return_values():
+    # a per-process cache hands every caller the same object, so what it
+    # holds must be immutable: an edit by one caller would change every
+    # later step.  A new cache declares its probe here
+    assert sorted(CACHE_PROBES) == sorted(set(package_caches()) - NOT_VALUES)
+    mutable = [name for name, probe in CACHE_PROBES.items() if not is_value(probe())]
+    assert mutable == []
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        lambda: cases.lattice_data(E6_CASE.expected_target)[1].pairs[0],
+        lambda: cases.lattice_data(E6_CASE.expected_target)[1].cr[0],
+        lambda: cases.lattice_data(E6_CASE.expected_target)[1].root_index,
+        lambda: rootdata.build_root_system(E6).form,
+        lambda: qmodular.hauptmodul_f(TRUNC).coeffs,
+        lambda: qmodular.laurent_table(TRUNC),
+    ],
+    ids=["pairs-row", "cr-row", "root-index", "root-system-form", "series-coeffs",
+         "laurent-table"],
+)
+def test_cached_tables_refuse_writes(table):
+    # a write into a cached table raises, so no caller can change what
+    # every later caller reads
+    with pytest.raises(TypeError):
+        table()[0] = None
