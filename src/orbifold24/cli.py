@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: tables, twist-bound, dimension, candidates, lattice, verify-all.
-A known subcommand's arguments are parsed once, by its own parser; the
-top-level parser answers only --help and a missing or unknown subcommand.
+Their options are declared once, in COMMANDS, which reads a well-formed
+query; argparse parsers built from it read or refuse any other argv.
 Reports print as human-readable tables, or as byte-stable JSON with --json.
 Exit code 0 means every expectation passed, 1 flags a mismatch (including an
 exact invariant or identification check that fails), 2 a usage error.  A
@@ -15,8 +15,8 @@ import argparse
 import os
 import re
 import sys
-from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import latticevoa, qmodular, schellekens
 from .cases import (
@@ -124,10 +124,40 @@ def cmd_verify_all(args: argparse.Namespace) -> Report:
     return rep
 
 
-@lru_cache(maxsize=None)
+class Option(NamedTuple):
+    """One option of a subcommand; a reader of None makes a flag storing True."""
+
+    flag: str
+    reader: Optional[Callable[[str], object]] = str
+    required: bool = False
+    default: object = None
+    choices: Optional[Tuple[str, ...]] = None
+    help: Optional[str] = None
+
+
+JSON = Option("--json", None, default=False, help="machine-readable output")
+# each subcommand's (function, help, options), in the order --help lists them
+COMMANDS = MappingProxyType({
+    "tables": (cmd_tables, "diff recomputed tables against references", (
+        JSON, Option("--which", default="all", choices=TABLE_FAMILIES + ("all",)))),
+    "twist-bound": (cmd_twist_bound, "twisted-weight minima for a case", (
+        JSON, Option("--case", required=True, help="builtin id or JSON case file"))),
+    "dimension": (cmd_dimension, "orbifold weight-one dimension", (
+        JSON, *(Option(flag, _integer, True) for flag in ("--dimv1", "--d0", "--d13", "--d23")),
+        Option("--trunc", _truncation, default=qmodular.TRUNC))),
+    "candidates": (cmd_candidates, "enumerate and filter candidates", (
+        JSON, Option("--dim", _dimension, True),
+        Option("--ratio", parse_rational, True, help="h-dual/level ratio, e.g. 12 or 7/2"),
+        Option("--fixed", help="target fixed type, e.g. 'E6,3 A2,1 A2,1 A2,1'"))),
+    "lattice": (cmd_lattice, "lattice-side battery for one isometry", (
+        JSON, Option("--isometry", required=True, choices=tuple(ISOMETRY_CASES)))),
+    "verify-all": (cmd_verify_all, "replay every case and table", (
+        JSON, Option("--seed", _integer, default=0, help="ignored; no step draws at random"))),
+})
+
+
 def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by name, built once
-    per process; parsing keeps no state."""
+    """The top-level parser and each subcommand's parser by name, from COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="orbifold24",
         description=(
@@ -136,63 +166,56 @@ def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.Argument
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-
-    p = sub.add_parser("tables", help="diff recomputed tables against references")
-    common(p)
-    p.add_argument(
-        "--which", default="all", choices=TABLE_FAMILIES + ("all",)
-    )
-    p.set_defaults(func=cmd_tables)
-
-    p = sub.add_parser("twist-bound", help="twisted-weight minima for a case")
-    common(p)
-    p.add_argument("--case", required=True, help="builtin id or JSON case file")
-    p.set_defaults(func=cmd_twist_bound)
-
-    p = sub.add_parser("dimension", help="orbifold weight-one dimension")
-    common(p)
-    p.add_argument("--dimv1", type=_integer, required=True)
-    p.add_argument("--d0", type=_integer, required=True)
-    p.add_argument("--d13", type=_integer, required=True)
-    p.add_argument("--d23", type=_integer, required=True)
-    p.add_argument("--trunc", type=_truncation, default=qmodular.TRUNC)
-    p.set_defaults(func=cmd_dimension)
-
-    p = sub.add_parser("candidates", help="enumerate and filter candidates")
-    common(p)
-    p.add_argument("--dim", type=_dimension, required=True)
-    p.add_argument(
-        "--ratio",
-        required=True,
-        type=parse_rational,
-        help="h-dual/level ratio, e.g. 12 or 7/2",
-    )
-    p.add_argument("--fixed", help="target fixed type, e.g. 'E6,3 A2,1 A2,1 A2,1'")
-    p.set_defaults(func=cmd_candidates)
-
-    p = sub.add_parser("lattice", help="lattice-side battery for one isometry")
-    common(p)
-    p.add_argument("--isometry", required=True, choices=tuple(ISOMETRY_CASES))
-    p.set_defaults(func=cmd_lattice)
-
-    p = sub.add_parser("verify-all", help="replay every case and table")
-    common(p)
-    p.add_argument("--seed", type=_integer, default=0, help="ignored; no step draws at random")
-    p.set_defaults(func=cmd_verify_all)
+    for name, (func, about, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=about)
+        for o in options:
+            if o.reader is None:
+                p.add_argument(o.flag, action="store_true", help=o.help)
+            else:
+                p.add_argument(o.flag, type=o.reader, required=o.required,
+                               default=o.default, choices=o.choices, help=o.help)
+        p.set_defaults(func=func)
     return parser, sub.choices
 
 
+def read_options(command: str, args: List[str]) -> Optional[argparse.Namespace]:
+    """The namespace the command's parser makes of `args` when each is a distinct
+    declared option, `--flag`, `--opt=value` or `--opt value` (no leading `-`),
+    read and within its choices, and every required option is given; else None,
+    for argparse to read or refuse.  (argparse drops an explicit value `--`.)"""
+    func, _, options = COMMANDS[command]
+    declared = {o.flag: o for o in options}
+    values = {o.flag[2:]: o.default for o in options}
+    given = iter(args)
+    for arg in given:
+        flag, eq, value = arg.partition("=")
+        o = declared.pop(flag, None)
+        if o is None or o.reader is None and eq:
+            return None
+        if o.reader is not None and not eq:
+            value = next(given, "-")
+        if value[:1] == "-" and (not eq or value == "--"):
+            return None
+        try:
+            value = True if o.reader is None else o.reader(value)
+        except (ValueError, TypeError, argparse.ArgumentTypeError):
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[flag[2:]] = value
+    missing = any(o.required for o in declared.values())
+    return None if missing else argparse.Namespace(**values, func=func)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser, commands = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    # a known subcommand's arguments go straight to its own parser: one
-    # argparse pass, not the subparsers action's two.  Unknown trailing
-    # arguments then come under the subcommand's usage line
-    command = commands.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+    # a well-formed query of a known command is read from COMMANDS; argparse
+    # reads any other argv, a known command's by that command's parser alone
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = read_options(command, argv[1:]) if command else None
+    if args is None:
+        parser, commands = build_parser()
+        args = commands[command].parse_args(argv[1:]) if command else parser.parse_args(argv)
     try:
         rep = args.func(args)
         print(rep.to_json() if args.json else rep.to_text(), flush=True)
@@ -201,10 +224,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # and the flush at shutdown goes to the null device, not the pipe
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ValueError, OSError) as err:
-        parser.exit(2, f"error: {err}\n")
+        sys.stderr.write(f"error: {err}\n")
+        sys.exit(2)
     except (InvariantError, latticevoa.IdentificationError) as err:
         # an exact check failed on this input: a mismatch, not a usage error
-        parser.exit(1, f"error: {type(err).__name__}: {err}\n")
+        sys.stderr.write(f"error: {type(err).__name__}: {err}\n")
+        sys.exit(1)
     return rep.exit_code
 
 

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -183,9 +184,9 @@ def run_main(capsys, argv):
     return code, out.out, out.err
 
 
-def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
-    # main builds its parser once per process; calls of every outcome, made
-    # back to back, must give what a freshly built parser gives
+def test_calls_answer_alike_back_to_back_on_either_route(tmp_path, capsys, monkeypatch):
+    # calls of every outcome, made back to back, give the same answer each
+    # time, and the same as when argparse reads every argv
     mismatch = tmp_path / "mismatch.json"
     mismatch.write_text(json.dumps({"ambient": "G2,1", "h": [["0", "3"]]}))
     calls = [
@@ -197,14 +198,12 @@ def test_cached_parser_matches_a_fresh_one(tmp_path, capsys):
         ["twist-bound", "--case", "/nonexistent/case.json"],
         ["twist-bound", "--help"],
     ]
-    cached = [run_main(capsys, argv) for argv in calls * 2]
-    fresh = []
-    for argv in calls * 2:
-        cli.build_parser.cache_clear()
-        fresh.append(run_main(capsys, argv))
-    assert cached == fresh
-    assert [code for code, _, _ in cached[:len(calls)]] == [0, 2, 1, 2, 0, 2, 0]
-    assert cli.build_parser() is cli.build_parser()
+    table = [run_main(capsys, argv) for argv in calls * 2]
+    monkeypatch.setattr(cli, "read_options", lambda command, args: None)
+    parsed = [run_main(capsys, argv) for argv in calls * 2]
+    assert table == parsed
+    assert table[:len(calls)] == table[len(calls):]
+    assert [code for code, _, _ in table[:len(calls)]] == [0, 2, 1, 2, 0, 2, 0]
 
 
 def test_usage_error_exit_code():
@@ -1048,7 +1047,7 @@ def test_pole_and_formula_steps_read_the_solved_table(capsys, monkeypatch):
     assert verdicts["dimension formula coefficients"] == "fail"
 
 
-# --- one argparse pass per invocation -----------------------------------------
+# --- the table route and the argparse route -----------------------------------
 
 # every argv of a usage-error test above that names a command
 USAGE_ERROR_ARGVS = (
@@ -1065,11 +1064,12 @@ USAGE_ERROR_ARGVS = (
 )
 
 
-def parse_both_ways(capsys, argv):
+def parse_both_ways(capsys, argv, parsers=None):
     """(exit code, namespace less `command` or stdout, stderr) of `argv`
     parsed by the top-level parser, then of `argv[1:]` parsed by the
-    command's own parser."""
-    parser, commands = cli.build_parser()
+    command's own parser; `parsers` is what `build_parser` returns, built
+    once for many argvs, as parsing leaves a parser as it was."""
+    parser, commands = parsers or cli.build_parser()
     outcomes = []
     for parse, args in ((parser.parse_args, argv), (commands[argv[0]].parse_args, argv[1:])):
         try:
@@ -1083,9 +1083,18 @@ def parse_both_ways(capsys, argv):
     return outcomes
 
 
+def benchmark_ops(monkeypatch, tmp_path, workload):
+    """The argvs of one seed-1 pass of a benchmark workload."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+    import gen
+
+    return gen.make_ops(workload, 1, str(tmp_path))
+
+
 def test_command_parser_alone_reads_the_pinned_argvs_alike(capsys):
+    parsers = cli.build_parser()
     for _, argv, _ in PINNED_OUTPUTS:
-        top, own = parse_both_ways(capsys, argv)
+        top, own = parse_both_ways(capsys, argv, parsers)
         assert top == own and top[0] == 0
 
 
@@ -1093,13 +1102,10 @@ def test_command_parser_alone_reads_the_pinned_argvs_alike(capsys):
 def test_command_parser_alone_reads_the_benchmark_traffic_alike(
     capsys, monkeypatch, tmp_path, workload
 ):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
-    import gen
-
-    ops = gen.make_ops(workload, 1, str(tmp_path))
+    ops, parsers = benchmark_ops(monkeypatch, tmp_path, workload), cli.build_parser()
     assert ops
     for argv in ops:
-        top, own = parse_both_ways(capsys, argv)
+        top, own = parse_both_ways(capsys, argv, parsers)
         assert top == own and top[0] == 0
 
 
@@ -1107,8 +1113,9 @@ def test_command_parser_alone_refuses_the_usage_errors_alike(capsys):
     # an error inside a command's options is the command parser's on both
     # routes; only unknown trailing arguments move from the top-level usage
     # line to the command's
+    parsers = cli.build_parser()
     for argv in USAGE_ERROR_ARGVS:
-        top, own = parse_both_ways(capsys, argv)
+        top, own = parse_both_ways(capsys, argv, parsers)
         if "error: unrecognized arguments: " not in top[2]:
             assert top == own and top[0] in (0, 2), argv
             continue
@@ -1119,25 +1126,144 @@ def test_command_parser_alone_refuses_the_usage_errors_alike(capsys):
         assert top[2].splitlines()[-1] == error.replace(prog, "orbifold24", 1)
 
 
+# values each reader accepts, and words that a reader, choice list or the
+# option grammar refuses or that argparse reads by another rule
+GOOD_VALUES = {
+    cli._integer: ["0", "12", "007"],
+    cli._dimension: ["0", "48", "312"],
+    cli._truncation: ["1", "12", "16"],
+    rootdata.parse_rational: ["1", "7/2", "12"],
+    str: ["e6g2", "E6,3 A2,1 A2,1 A2,1", "", "a b=c", "/nonexistent/case.json"],
+}
+BAD_VALUES = [
+    "x", "\uff14\uff18", "1/0", "0.5", "+1", "1_0", "sigma9", "-1", "-0", "-", "--",
+    "-h", "--json", "=", "U(1)x",
+]
+DISTURBANCES = ["-h", "--help", "--nope", "--nope=1", "--", "x", "--json=1", "--json="]
+
+
+def option_words(rng, option):
+    """One option as an argv might give it: good or bad value, `=` or space."""
+    if option.reader is None:
+        return [option.flag]
+    good = option.choices or GOOD_VALUES[option.reader]
+    value = rng.choice(good if rng.random() < 0.7 else BAD_VALUES)
+    return [f"{option.flag}={value}"] if rng.random() < 0.5 else [option.flag, value]
+
+
+def random_argvs(count, seed="table route"):
+    """Argvs of known commands drawn from every declared option, each with a
+    good or bad value, with at times a repeat, an abbreviation, a dropped
+    word, help or an unknown flag put in."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(list(cli.COMMANDS))
+        options = cli.COMMANDS[name][2]
+        picked = [o for o in options if o.required or rng.random() < 0.5]
+        rng.shuffle(picked)
+        words = [w for o in picked for w in option_words(rng, o)]
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            kind = rng.randrange(4)
+            if kind == 0:
+                extra = option_words(rng, rng.choice(options))
+            elif kind == 1:
+                option = rng.choice(options)
+                extra = option_words(rng, option._replace(flag=option.flag[:-1]))
+            elif kind == 2 and words:
+                words.pop(rng.randrange(len(words)))
+                continue
+            else:
+                extra = [rng.choice(DISTURBANCES)]
+            at = rng.randrange(len(words) + 1)
+            words[at:at] = extra
+        argvs.append([name, *words])
+    return argvs
+
+
+def read_three_ways(capsys, argv, parsers):
+    """The table's namespace for `argv`, or None where it leaves the argv to
+    argparse; where it reads the argv, both parsers of `parse_both_ways`
+    read it to the same namespace."""
+    table = cli.read_options(argv[0], argv[1:])
+    top, own = parse_both_ways(capsys, argv, parsers)
+    if table is not None:
+        assert top == own == (0, vars(table), ""), argv
+    return table
+
+
+ARGV_SOURCES = {
+    "pinned": lambda monkeypatch, tmp_path: [argv for _, argv, _ in PINNED_OUTPUTS],
+    "explore": lambda monkeypatch, tmp_path: benchmark_ops(monkeypatch, tmp_path, "explore"),
+    "twist-probe":
+        lambda monkeypatch, tmp_path: benchmark_ops(monkeypatch, tmp_path, "twist-probe"),
+    "usage-errors": lambda monkeypatch, tmp_path: USAGE_ERROR_ARGVS,
+    "random": lambda monkeypatch, tmp_path: random_argvs(2000),
+}
+
+
+@pytest.mark.parametrize("source", ARGV_SOURCES)
+def test_table_reads_what_it_accepts_as_argparse_does(capsys, monkeypatch, tmp_path, source):
+    # every namespace the table gives is the one argparse gives; every
+    # pinned and benchmark argv takes the table route, so the benchmark
+    # times it, and the other sources take both routes
+    argvs, parsers = ARGV_SOURCES[source](monkeypatch, tmp_path), cli.build_parser()
+    read = [argv for argv in argvs if read_three_ways(capsys, argv, parsers) is not None]
+    if source in ("pinned", "explore", "twist-probe"):
+        assert read == argvs
+    else:
+        assert 0 < len(read) < len(argvs)
+
+
+def test_command_table_is_read_only():
+    with pytest.raises(TypeError):
+        cli.COMMANDS["tables"] = cli.COMMANDS["verify-all"]
+
+
 def count_parses(monkeypatch):
-    """The prog of each parser whose parse_known_args runs, in order."""
-    progs = []
+    """The progs of the parsers built and of those whose parse_known_args
+    runs, each in order."""
+    built, parsed = [], []
+    init = argparse.ArgumentParser.__init__
     parse_known_args = argparse.ArgumentParser.parse_known_args
 
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
     def counted(self, *args, **kwargs):
-        progs.append(self.prog)
+        parsed.append(self.prog)
         return parse_known_args(self, *args, **kwargs)
 
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
-    return progs
+    return built, parsed
+
+
+CANONICAL_DIMENSION = ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"]
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0", "--json"],
+        CANONICAL_DIMENSION + ["--json"],
         ["candidates", "--dim=48", "--ratio=1", "--fixed=A2,1", "--json"],
         ["twist-bound", "--case", "e6g2"],
+    ],
+    ids=["dimension", "candidates", "twist-bound"],
+)
+def test_canonical_argv_builds_no_parser(capsys, monkeypatch, argv):
+    built, parsed = count_parses(monkeypatch)
+    assert run_main(capsys, argv)[0] == 0
+    assert built == parsed == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "-0", "--d23", "0"],
+        ["candidates", "--di=48", "--ratio=1"],
+        ["twist-bound", "--help"],
         ["verify-all", "--trunc", "12"],
         ["no-such-command"],
         [],
@@ -1145,19 +1271,21 @@ def count_parses(monkeypatch):
     ids=["dimension", "candidates", "twist-bound", "trailing", "unknown", "empty"],
 )
 def test_one_argparse_pass_per_call(capsys, monkeypatch, argv):
-    progs = count_parses(monkeypatch)
+    # an argv off the table route is parsed once: by its command's parser,
+    # or by the top-level parser when it names no known command
+    built, parsed = count_parses(monkeypatch)
     run_main(capsys, argv)
-    known = argv and argv[0] in cli.build_parser()[1]
-    assert progs == [f"orbifold24 {argv[0]}" if known else "orbifold24"]
+    known = argv and argv[0] in cli.COMMANDS
+    assert parsed == [f"orbifold24 {argv[0]}" if known else "orbifold24"]
+    assert len(built) == 1 + len(cli.COMMANDS)
 
 
 def test_entry_point_reads_sys_argv_by_the_same_route(capsys, monkeypatch):
-    argv = ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"]
-    given = run_main(capsys, argv)
-    progs = count_parses(monkeypatch)
-    monkeypatch.setattr(sys, "argv", ["orbifold24", *argv])
+    given = run_main(capsys, CANONICAL_DIMENSION)
+    built, parsed = count_parses(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["orbifold24", *CANONICAL_DIMENSION])
     assert run_main(capsys, None) == given and given[0] == 0
-    assert progs == ["orbifold24 dimension"]
+    assert built == parsed == []
 
 
 def test_unknown_trailing_arguments_come_under_the_command_usage(capsys, monkeypatch):

@@ -126,7 +126,7 @@ def test_fresh_caches_clears_every_cached_function():
     assert sorted(package_caches()) == sorted(decorated)
     # the count is pinned, so that a new per-process cache is a decision
     # recorded here
-    assert len(decorated) == 23
+    assert len(decorated) == 22
 
 
 def test_no_assert_statement_in_src():
@@ -191,9 +191,6 @@ CACHE_PROBES = {
     "schellekens.order3_fixed_options": lambda: schellekens.order3_fixed_options(E6, 1),
     "twistbound.ideal_twist": lambda: twistbound.ideal_twist(E6_CASE.ambient[0], E6_CASE.h[0]),
 }
-# argparse objects, not values; test_cached_parser_matches_a_fresh_one
-# checks that the cached parser answers as a fresh one does
-NOT_VALUES = {"cli.build_parser"}
 
 
 def is_value(x) -> bool:
@@ -212,7 +209,7 @@ def test_cached_functions_return_values():
     # a per-process cache hands every caller the same object, so what it
     # holds must be immutable: an edit by one caller would change every
     # later step.  A new cache declares its probe here
-    assert sorted(CACHE_PROBES) == sorted(set(package_caches()) - NOT_VALUES)
+    assert sorted(CACHE_PROBES) == sorted(package_caches())
     mutable = [name for name, probe in CACHE_PROBES.items() if not is_value(probe())]
     assert mutable == []
 
