@@ -182,7 +182,7 @@ def read_options(command: str, args: List[str]) -> Optional[argparse.Namespace]:
     """The namespace the command's parser makes of `args` when each is a distinct
     declared option, `--flag`, `--opt=value` or `--opt value` (no leading `-`),
     read and within its choices, and every required option is given; else None,
-    for argparse to read or refuse.  (argparse drops an explicit value `--`.)"""
+    for argparse to read or refuse.  (An explicit value `--` goes to argparse.)"""
     func, _, options = COMMANDS[command]
     declared = {o.flag: o for o in options}
     values = {o.flag[2:]: o.default for o in options}
@@ -216,6 +216,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args is None:
         parser, commands = build_parser()
         args = commands[command].parse_args(argv[1:]) if command else parser.parse_args(argv)
+        # before 3.13 argparse reads an explicit value `--` as an empty list
+        for dropped in (k for k, v in vars(args).items() if v == []):
+            commands[command].error(f"argument --{dropped}: expected one argument")
     try:
         rep = args.func(args)
         print(rep.to_json() if args.json else rep.to_text(), flush=True)

@@ -29,10 +29,10 @@ exact, in Python integers: root data and glue vectors are integer rows over
 one denominator each, and a rational result, such as a norm, a ground
 energy or an eigenvalue ratio, is one `Fraction` made at the end.
 
-An isometry and the weight-one algebra are values: `LatticeIsometry.of`
-computes its order, a basis of its fixed sublattice and its gram test once,
-when it is built, and `weight_one_algebra` builds the algebra's tables as
-tuples and read-only mappings; every later check reads them, none edits them.
+An isometry, the weight-one algebra and a lift are values: `LatticeIsometry.of`
+computes its order, fixed-sublattice basis and gram test once, and
+`weight_one_algebra` and `standard_lift` build tables of tuples and read-only
+mappings, with no methods; every later check reads them, none edits them.
 """
 
 from __future__ import annotations
@@ -324,13 +324,12 @@ class LatticeIsometry(NamedTuple):
 
     lattice: EvenLattice
     matrix: Tuple[IntVec, ...]
-    name: str
     order: int
     fixed_basis: Tuple[IntVec, ...]
     preserves_gram: bool
 
     @staticmethod
-    def of(lattice: EvenLattice, matrix: Tuple[IntVec, ...], name: str) -> "LatticeIsometry":
+    def of(lattice: EvenLattice, matrix: Tuple[IntVec, ...]) -> "LatticeIsometry":
         ident = identity(len(matrix))
         cur = [list(row) for row in matrix]
         for order in range(1, 13):
@@ -343,13 +342,12 @@ class LatticeIsometry(NamedTuple):
         fixed = tuple(tuple(r) for r in integer_row_kernel(m))
         g = lattice.gram
         gram_kept = mat_mul(mat_mul(matrix, g), transpose(matrix)) == [list(row) for row in g]
-        return LatticeIsometry(lattice, matrix, name, order, fixed, gram_kept)
+        return LatticeIsometry(lattice, matrix, order, fixed, gram_kept)
 
 
 def _slot_maps_to_isometry(
     lat: EvenLattice,
     slot_maps: Sequence[Tuple[int, List[List[int]]]],
-    name: str,
 ) -> Optional[LatticeIsometry]:
     """Isometry from per-component maps: component c lands in slot_maps[c][0].
 
@@ -375,7 +373,7 @@ def _slot_maps_to_isometry(
         if coords is None:
             return None
         out.append(coords)
-    return LatticeIsometry.of(lat, tuple(out), name)
+    return LatticeIsometry.of(lat, tuple(out))
 
 
 def _check_order3(m: List[List[int]], fixed_free: bool) -> None:
@@ -524,7 +522,7 @@ def build_isometry(lat: EvenLattice, witness: Witness, name: str) -> LatticeIsom
     preserves the gram; InvariantError when none does.
     """
     for slot_maps in isometry_placements(lat, witness):
-        iso = _slot_maps_to_isometry(lat, slot_maps, name)
+        iso = _slot_maps_to_isometry(lat, slot_maps)
         if iso is not None and iso.order == 3 and iso.preserves_gram:
             return iso
     raise InvariantError(f"no placement of the {name} witness preserves the glue")
@@ -541,12 +539,11 @@ def _odd_mask(xs: Sequence[int]) -> int:
 
 class LatticeLieAlgebra(NamedTuple):
     """Cartan + root vectors with the ordered-basis sign bicharacter: a
-    value, built once by `weight_one_algebra`.
+    value of tables, built once by `weight_one_algebra`, with no methods.
 
     Basis indices: 0..rank-1 are the Cartan directions dual to the lattice
-    basis; rank+k is the root vector of the k-th root.  Elements are sparse
-    {index: int} maps: every structure constant is +-1 or a lattice inner
-    product.  eps is bimultiplicative with
+    basis; rank+k is the root vector of the k-th root.  Every structure
+    constant is +-1 or a lattice inner product.  eps is bimultiplicative with
     eps(b_i, b_j) = (-1)^(b_i|b_j) for i > j and 1 otherwise, which gives the
     commutation rule e^b e^a = (-1)^(a|b) e^a e^b: eps(x, y) = (-1)^(x L y)
     for L = `eps_low`, the strict lower triangle of the gram mod 2.
@@ -570,51 +567,6 @@ class LatticeLieAlgebra(NamedTuple):
     eps_low: Tuple[IntVec, ...]
     cr: Tuple[IntVec, ...]
     pairs: Tuple[Mapping[int, Tuple[int, int]], ...]
-
-    def cartan_element(self, coords: Sequence[int]) -> Dict[int, int]:
-        return {i: c for i, c in enumerate(coords) if c}
-
-    def root_element(self, k: int) -> Dict[int, int]:
-        return {self.rank + k: 1}
-
-    def bracket_basis(self, x: int, y: int) -> Dict[int, int]:
-        r = self.rank
-        if x < r:
-            v = self.cr[y - r][x] if y >= r else 0
-            return {y: v} if v else {}
-        if y < r:
-            v = self.cr[x - r][y]
-            return {x: -v} if v else {}
-        s, sgn = self.pairs[x - r].get(y - r, (0, 0))
-        if not sgn:
-            return {}
-        if s >= 0:
-            return {r + s: sgn}
-        # opposite roots: the bracket is the coroot direction
-        return {i: sgn * c for i, c in enumerate(self.root_coords[x - r]) if c}
-
-    def bracket(self, x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, ck in self.bracket_basis(i, j).items():
-                    out[k] = out.get(k, 0) + ci * cj * ck
-        return {k: v for k, v in out.items() if v}
-
-    def form(self, x: Dict[int, int], y: Dict[int, int]) -> int:
-        """Invariant form: <t_a|t_b> = (a|b), <e^a|e^-a> = eps(a,-a)."""
-        total = 0
-        gram = self.lattice.gram
-        r = self.rank
-        for i, ci in x.items():
-            for j, cj in y.items():
-                if i < r and j < r:
-                    total += ci * cj * gram[i][j]
-                elif i >= r and j >= r:
-                    s, sgn = self.pairs[i - r].get(j - r, (0, 0))
-                    if s < 0:
-                        total += ci * cj * sgn
-        return total
 
 
 def weight_one_algebra(lat: EvenLattice) -> LatticeLieAlgebra:
@@ -726,41 +678,28 @@ def certify_frenkel_kac(alg: LatticeLieAlgebra) -> bool:
 
 
 class LiftedAutomorphism(NamedTuple):
-    """Algebra automorphism covering an isometry: e^a -> phase(a) e^(ga)."""
+    """Algebra automorphism covering an isometry, a value of tables: e^(a_k)
+    -> root_phase[k] e^(a_(root_perm[k])), the Cartan by the isometry."""
 
     algebra: LatticeLieAlgebra
     isometry: LatticeIsometry
     root_phase: Tuple[int, ...]      # sign per root index
     root_perm: Tuple[int, ...]       # image root index per root index
-    name: str
 
-    def apply(self, x: Dict[int, int]) -> Dict[int, int]:
-        r = self.algebra.rank
-        out: Dict[int, int] = {}
-        for i, c in x.items():
-            if i < r:
-                for j, m in enumerate(self.isometry.matrix[i]):
-                    if m:
-                        out[j] = out.get(j, 0) + c * m
-            else:
-                tgt = r + self.root_perm[i - r]
-                out[tgt] = out.get(tgt, 0) + c * self.root_phase[i - r]
-        return {k: v for k, v in out.items() if v}
 
-    def verify_automorphism(self) -> bool:
-        """Exact check that the lift preserves every root-pair bracket with a
-        nonzero result, and the invariant form on every opposite root pair:
-        the pair table holds both kinds of pair (`certify_frenkel_kac`)."""
-        alg = self.algebra
-        for k in range(alg.n_roots):
-            x = alg.root_element(k)
-            for l, (s, _) in alg.pairs[k].items():
-                y = alg.root_element(l)
-                if self.apply(alg.bracket(x, y)) != alg.bracket(self.apply(x), self.apply(y)):
-                    return False
-                if s < 0 and alg.form(self.apply(x), self.apply(y)) != alg.form(x, y):
-                    return False
-        return True
+def certify_lift(lift: LiftedAutomorphism) -> bool:
+    """Whether the lift keeps the bracket, and the form eps(a, -a), on every
+    entry of the pair table (`certify_frenkel_kac`): with p = root_phase and
+    m = root_perm, pairs[k][l] = (s, sgn) must reappear as pairs[m k][m l] =
+    (m s, sgn') with sgn p(s) = p(k) p(l) sgn', where the sum index -1 of
+    opposite roots maps to -1 with p = 1.  m is a bijection, so pairs that
+    bracket to 0 go to pairs that do."""
+    pairs = lift.algebra.pairs
+    perm, phase = lift.root_perm + (-1,), lift.root_phase + (1,)
+    return all(
+        pairs[perm[k]].get(perm[l]) == (perm[s], sgn * phase[s] * phase[k] * phase[l])
+        for k, row in enumerate(pairs) for l, (s, sgn) in row.items()
+    )
 
 
 def _phase_bit_expr(
@@ -839,7 +778,7 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
     eps(ga, gb)/eps(a, b); its free basis signs are solved over F2 so that
     the phase is 1 on a fixed-sublattice basis and the composite cubes to the
     identity.  Failure of the system is a cocycle bookkeeping error and is
-    raised, never patched.
+    raised, never patched, and so is a lift that `certify_lift` refuses.
     """
     n = alg.rank
     gm = [list(row) for row in g.matrix]
@@ -884,7 +823,10 @@ def standard_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorph
         raise InvariantError("standard lift does not cube to the identity")
     if any(phase_of(f) != 1 for f in fixed):
         raise InvariantError("standard lift has a phase on the fixed sublattice")
-    return LiftedAutomorphism(alg, g, phase, perm, f"lift({g.name})")
+    lift = LiftedAutomorphism(alg, g, phase, perm)
+    if not certify_lift(lift):
+        raise InvariantError("standard lift does not preserve the bracket")
+    return lift
 
 
 # ---------------------------------------------------------------------------
@@ -1001,7 +943,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     if len(combos) != nc:
         raise InvariantError("the fixed Cartan does not split over the component orbits")
     cartan_rows = mat_mul(combos, fixed) if nc else []
-    basis = [alg.cartan_element(row) for row in cartan_rows]
+    basis = [{i: c for i, c in enumerate(row) if c} for row in cartan_rows]
     # (row|a) for every Cartan row and root a: the t-weight of e^a
     root_weights = (
         [tuple(w) for w in mat_mul(fixed_weights, transpose(combos))]
@@ -1022,7 +964,7 @@ def fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             if lift.root_phase[k] == 1:
                 indices[root_orbit[k]].append(len(basis))
                 member[k], coef[k] = len(basis), 1
-                basis.append(alg.root_element(k))
+                basis.append({r + k: 1})
                 weights.append(root_weights[k])
             continue
         k2 = lift.root_perm[k1]

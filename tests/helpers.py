@@ -132,6 +132,12 @@ against, and helpers that only the tests need.
   lift through `eps_coords`, `apply_coords` and `compose`
   (`eps_route_lift`, `eps_twist_bits`) against the whole-matrix products
   of `standard_lift`.
+* Lattice algebra elements: the bracket and form on sparse {basis index:
+  coefficient} maps (`bracket_basis`, `bracket`, `form`), which the Jacobi,
+  invariance and fixed-table tests read, and a lift's action on them
+  (`apply`), with the element-by-element automorphism check
+  (`verify_automorphism`) against the one walk over the pair table of
+  `latticevoa.certify_lift`.
 * Type identification: the seeded float root pass (`float_identify_type`:
   a generic element and its centraliser, `draw_generic` and
   `generic_centralizer`, eigenvectors by `float_eigen`, root functionals
@@ -1614,6 +1620,87 @@ def changed_algebra(
     )
 
 
+# the weight-one algebra on elements: sparse {basis index: coefficient} maps,
+# index i < rank the Cartan direction i and rank + k the root vector of root k
+
+
+def bracket_basis(alg: LatticeLieAlgebra, x: int, y: int) -> Dict[int, int]:
+    """[x, y] of two basis indices, read from alg's cr and pair tables."""
+    r = alg.rank
+    if x < r:
+        v = alg.cr[y - r][x] if y >= r else 0
+        return {y: v} if v else {}
+    if y < r:
+        v = alg.cr[x - r][y]
+        return {x: -v} if v else {}
+    s, sgn = alg.pairs[x - r].get(y - r, (0, 0))
+    if not sgn:
+        return {}
+    if s >= 0:
+        return {r + s: sgn}
+    # opposite roots: the bracket is the coroot direction
+    return {i: sgn * c for i, c in enumerate(alg.root_coords[x - r]) if c}
+
+
+def bracket(alg: LatticeLieAlgebra, x: Dict[int, int], y: Dict[int, int]) -> Dict[int, int]:
+    """[x, y], bilinear over `bracket_basis`."""
+    out: Dict[int, int] = {}
+    for i, ci in x.items():
+        for j, cj in y.items():
+            for k, ck in bracket_basis(alg, i, j).items():
+                out[k] = out.get(k, 0) + ci * cj * ck
+    return {k: v for k, v in out.items() if v}
+
+
+def form(alg: LatticeLieAlgebra, x: Dict[int, int], y: Dict[int, int]) -> int:
+    """Invariant form: <t_a|t_b> = (a|b), <e^a|e^-a> = eps(a,-a)."""
+    total = 0
+    gram = alg.lattice.gram
+    r = alg.rank
+    for i, ci in x.items():
+        for j, cj in y.items():
+            if i < r and j < r:
+                total += ci * cj * gram[i][j]
+            elif i >= r and j >= r:
+                s, sgn = alg.pairs[i - r].get(j - r, (0, 0))
+                if s < 0:
+                    total += ci * cj * sgn
+    return total
+
+
+def apply(lift: LiftedAutomorphism, x: Dict[int, int]) -> Dict[int, int]:
+    """The lift's image of x: the Cartan part by the isometry's matrix,
+    e^(a_k) to root_phase[k] e^(a_(root_perm[k]))."""
+    r = lift.algebra.rank
+    out: Dict[int, int] = {}
+    for i, c in x.items():
+        if i < r:
+            for j, m in enumerate(lift.isometry.matrix[i]):
+                if m:
+                    out[j] = out.get(j, 0) + c * m
+        else:
+            tgt = r + lift.root_perm[i - r]
+            out[tgt] = out.get(tgt, 0) + c * lift.root_phase[i - r]
+    return {k: v for k, v in out.items() if v}
+
+
+def verify_automorphism(lift: LiftedAutomorphism) -> bool:
+    """Whether the lift preserves every root-pair bracket with a nonzero
+    result, and the invariant form on every opposite root pair, element by
+    element through `apply`, `bracket` and `form`: the oracle of
+    `latticevoa.certify_lift`."""
+    alg = lift.algebra
+    for k in range(alg.n_roots):
+        x = {alg.rank + k: 1}
+        for l, (s, _) in alg.pairs[k].items():
+            y = {alg.rank + l: 1}
+            if apply(lift, bracket(alg, x, y)) != bracket(alg, apply(lift, x), apply(lift, y)):
+                return False
+            if s < 0 and form(alg, apply(lift, x), apply(lift, y)) != form(alg, x, y):
+                return False
+    return True
+
+
 def apply_coords(g: LatticeIsometry, c: Sequence[int]) -> Tuple[int, ...]:
     """The image of one coordinate row, summed entry by entry."""
     n = len(c)
@@ -1716,7 +1803,7 @@ def rough_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorphism
         perm.append(alg.root_index[apply_coords(g, rc)])
         _, const = sum_phase_bit_expr(alg, h_bits, rc)
         phase.append(-1 if const else 1)
-    return LiftedAutomorphism(alg, g, tuple(phase), tuple(perm), f"rough({g.name})")
+    return LiftedAutomorphism(alg, g, tuple(phase), tuple(perm))
 
 
 def compose(a: LiftedAutomorphism, b: LiftedAutomorphism) -> LiftedAutomorphism:
@@ -1734,8 +1821,7 @@ def compose(a: LiftedAutomorphism, b: LiftedAutomorphism) -> LiftedAutomorphism:
     phase = tuple(
         b.root_phase[k] * a.root_phase[b.root_perm[k]] for k in range(alg.n_roots)
     )
-    name = f"{a.name}*{b.name}"
-    return LiftedAutomorphism(alg, LatticeIsometry.of(alg.lattice, m, name), phase, perm, name)
+    return LiftedAutomorphism(alg, LatticeIsometry.of(alg.lattice, m), phase, perm)
 
 
 def is_identity(w: LiftedAutomorphism) -> bool:
@@ -1776,7 +1862,6 @@ def eps_route_lift(alg: LatticeLieAlgebra, g: LatticeIsometry) -> LiftedAutomorp
         g,
         tuple(phase_of(rc) for rc in alg.root_coords),
         tuple(alg.root_index[apply_coords(g, rc)] for rc in alg.root_coords),
-        f"lift({g.name})",
     )
     assert is_identity(compose(compose(lift, lift), lift))
     assert all(phase_of(f) == 1 for f in fixed)
@@ -1883,10 +1968,9 @@ def inverse_lift(w: LiftedAutomorphism) -> LiftedAutomorphism:
     phase = tuple(w.root_phase[perm_inv[k]] for k in range(alg.n_roots))
     return LiftedAutomorphism(
         alg,
-        LatticeIsometry.of(alg.lattice, mi, f"{w.name}^-1"),
+        LatticeIsometry.of(alg.lattice, mi),
         phase,
         tuple(perm_inv),
-        f"{w.name}^-1",
     )
 
 
@@ -1995,7 +2079,6 @@ def fraction_mat_mul(a, b) -> List[List[Q]]:
 def fraction_slot_maps_to_isometry(
     lat: EvenLattice,
     slot_maps: Sequence[Tuple[int, List[List[int]]]],
-    name: str,
 ) -> Optional[LatticeIsometry]:
     """basis * (block-permuted local maps) * basis^-1 in Fractions, with the
     inverse recomputed from the rational basis; None unless the whole
@@ -2015,7 +2098,7 @@ def fraction_slot_maps_to_isometry(
         if any(x.denominator != 1 for x in row):
             return None
         out.append(tuple(int(x) for x in row))
-    return LatticeIsometry.of(lat, tuple(out), name)
+    return LatticeIsometry.of(lat, tuple(out))
 
 
 def fraction_fixed_projection_norm(
@@ -2158,7 +2241,7 @@ def named_shape_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
         ident = [[int(i == j) for j in range(6)] for i in range(6)]
         # (g1,g2,g3,g4) -> (phi g1, g4, g2, g3)
         iso = _slot_maps_to_isometry(
-            lat, [(0, carter_e6_rotation()), (2, ident), (3, ident), (1, ident)], name
+            lat, [(0, carter_e6_rotation()), (2, ident), (3, ident), (1, ident)]
         )
         if iso is None:
             raise InvariantError("the sigma6-shaped isometry does not preserve the lattice")
@@ -2170,7 +2253,7 @@ def named_shape_isometry(lat: EvenLattice, name: str) -> LatticeIsometry:
     else:
         shapes = sigma4_candidates()
     for slot_maps in shapes:
-        iso = _slot_maps_to_isometry(lat, slot_maps, name)
+        iso = _slot_maps_to_isometry(lat, slot_maps)
         if iso is not None and iso.order == 3:
             return iso
     raise InvariantError(f"no {name}-shaped isometry preserves the glue")
@@ -2289,7 +2372,7 @@ def pair_probe_fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
     if len(combos) != nc:
         raise InvariantError("the fixed Cartan does not split over the component orbits")
     cartan_rows = mat_mul(combos, fixed) if nc else []
-    basis = [alg.cartan_element(row) for row in cartan_rows]
+    basis = [{i: c for i, c in enumerate(row) if c} for row in cartan_rows]
     root_weights = (
         [tuple(w) for w in mat_mul(fixed_weights, transpose(combos))]
         if nc else fixed_weights
@@ -2306,7 +2389,7 @@ def pair_probe_fixed_subalgebra(lift: LiftedAutomorphism) -> FixedSubalgebra:
             if lift.root_phase[k] == 1:
                 indices[root_orbit[k]].append(len(basis))
                 member[k] = len(basis)
-                basis.append(alg.root_element(k))
+                basis.append({r + k: 1})
                 weights.append(root_weights[k])
             continue
         k2 = lift.root_perm[k1]

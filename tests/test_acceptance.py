@@ -20,6 +20,7 @@ from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 from orbifold24.twistbound import invariant_norm, min_twisted_weight, shift_ok
 
 from helpers import (
+    bracket,
     brute_force_min,
     compose,
     fraction_coords,
@@ -150,9 +151,9 @@ def test_criterion_8_property_suites():
         for _ in range(10_000):
             i, j, k = (rng.randrange(alg.dim) for _ in range(3))
             x, y, z = {i: Q(1)}, {j: Q(1)}, {k: Q(1)}
-            lhs = alg.bracket(x, alg.bracket(y, z))
-            acc = alg.bracket(alg.bracket(x, y), z)
-            for idx, c in alg.bracket(y, alg.bracket(x, z)).items():
+            lhs = bracket(alg, x, bracket(alg, y, z))
+            acc = bracket(alg, bracket(alg, x, y), z)
+            for idx, c in bracket(alg, y, bracket(alg, x, z)).items():
                 acc[idx] = acc.get(idx, Q(0)) + c
             ok = ok and lhs == {a: b for a, b in acc.items() if b}
     report("8a (Jacobi identity on 2 x 10^4 triples)", ok)
@@ -195,7 +196,7 @@ def test_criterion_8_property_suites():
                 rows.append(tuple(e[j] - ip * beta[j] for j in range(n)))
             refl.append(
                 rough_lift(
-                    alg_d4, latticevoa.LatticeIsometry.of(nd4, tuple(rows), "w")
+                    alg_d4, latticevoa.LatticeIsometry.of(nd4, tuple(rows))
                 )
             )
         w = compose(refl[0], refl[1])

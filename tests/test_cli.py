@@ -988,13 +988,22 @@ def test_option_of_two_classes_exits_1(capsys, monkeypatch, fresh_caches):
 
 
 def test_no_glue_compatible_placement_exits_1(capsys, monkeypatch, fresh_caches):
-    def reject(lat, slot_maps, name):
+    def reject(lat, slot_maps):
         return None
 
     monkeypatch.setattr(latticevoa, "_slot_maps_to_isometry", reject)
     code, _, err = run_main(capsys, ["lattice", "--isometry", "sigma4"])
     assert code == 1
     assert err == "error: InvariantError: no placement of the sigma4 witness preserves the glue\n"
+
+
+def test_lift_that_breaks_the_bracket_exits_1(capsys, monkeypatch, fresh_caches):
+    # a lift that passes every other check of standard_lift but not the lift
+    # certificate stops the battery with one error line
+    monkeypatch.setattr(latticevoa, "certify_lift", lambda lift: False)
+    code, out, err = run_main(capsys, ["lattice", "--isometry", "sigma6"])
+    assert code == 1 and out == ""
+    assert err == "error: InvariantError: standard lift does not preserve the bracket\n"
 
 
 def test_root_system_outside_the_table_is_named():
@@ -1124,6 +1133,27 @@ def test_command_parser_alone_refuses_the_usage_errors_alike(capsys):
         assert top[:2] == own[:2] == (2, "")
         assert own[2].startswith(f"usage: {prog} ") and error.startswith(f"{prog}: error: ")
         assert top[2].splitlines()[-1] == error.replace(prog, "orbifold24", 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["twist-bound", "--case=--"],
+    ["dimension", "--dimv1=--", "--d0=1", "--d13=0", "--d23=0"],
+    ["candidates", "--dim=48", "--ratio=1", "--fixed=--"],
+    ["lattice", "--isometry=--"],
+    ["tables", "--which=--"],
+], ids=lambda argv: argv[0])
+def test_explicit_value_dashdash_is_a_usage_error(capsys, argv):
+    # argparse before Python 3.13 reads the value of `--opt=--` as an empty
+    # list, which the command's parser refuses; 3.13 reads it as `--`, which
+    # each command refuses as it is
+    code, out, err = run_main(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith(("usage:", "error:")) and "Traceback" not in err
+    if sys.version_info < (3, 13):
+        flag = next(word for word in argv if word.endswith("=--"))[:-3]
+        assert err.splitlines()[-1] == (
+            f"orbifold24 {argv[0]}: error: argument {flag}: expected one argument"
+        )
 
 
 # values each reader accepts, and words that a reader, choice list or the

@@ -324,7 +324,7 @@ def test_float_eigen_order3_rotation():
 def test_float_eigen_ad_on_sl3():
     # ad(h) on the 8-dim algebra of the A2 root lattice: six nonzero
     # eigenvalues come in pairs +-(alpha|h) read off from root pairings
-    from helpers import ip_coords, root_lattice
+    from helpers import bracket, ip_coords, root_lattice
     from orbifold24.latticevoa import weight_one_algebra
     from orbifold24.rootdata import SimpleType
 
@@ -333,7 +333,7 @@ def test_float_eigen_ad_on_sl3():
     h = (3, 1)
     mat = [[Q(0)] * alg.dim for _ in range(alg.dim)]
     for j in range(alg.dim):
-        img = alg.bracket(alg.cartan_element(h), {j: Q(1)})
+        img = bracket(alg, {i: c for i, c in enumerate(h) if c}, {j: Q(1)})
         for i, c in img.items():
             mat[j][i] = c
     expected = sorted(

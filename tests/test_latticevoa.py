@@ -28,6 +28,7 @@ from orbifold24.latticevoa import (
     assemble_niemeier,
     build_isometry,
     certify_frenkel_kac,
+    certify_lift,
     count_orthogonal_subsystems,
     digit_add,
     disc_digit_action,
@@ -52,6 +53,8 @@ from helpers import (
     DenseLieTables,
     all_pairs_subsystem_count,
     block_probe_killing,
+    bracket,
+    bracket_basis,
     brute_force_types_with_ratio,
     changed_algebra,
     compose,
@@ -63,6 +66,7 @@ from helpers import (
     eps_route_lift,
     eps_twist_bits,
     float_identify_type,
+    form,
     fraction_centralizer,
     fraction_coords,
     fraction_fixed_projection_norm,
@@ -91,6 +95,7 @@ from helpers import (
     sum_parity_pairs,
     sum_phase_bit_expr,
     tuple_check_grading,
+    verify_automorphism,
 )
 
 
@@ -381,7 +386,7 @@ def test_identity_isometry_gives_the_root_system_each_code_is_keyed_by(ne6, nd4,
     for code, lat, alg in ((NI_E6_4, ne6, alg_e6), (NI_D4_6, nd4, alg_d4)):
         n = lat.rank
         ident = LatticeIsometry.of(
-            lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+            lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
         )
         fixed = fixed_subalgebra(standard_lift(alg, ident))
         found = identify_type(fixed)
@@ -396,9 +401,9 @@ def test_jacobi_identity_sampled(which, alg_e6, alg_d4):
     for _ in range(2500):
         i, j, k = (rng.randrange(alg.dim) for _ in range(3))
         x, y, z = {i: Q(1)}, {j: Q(1)}, {k: Q(1)}
-        lhs = alg.bracket(x, alg.bracket(y, z))
-        r1 = alg.bracket(alg.bracket(x, y), z)
-        r2 = alg.bracket(y, alg.bracket(x, z))
+        lhs = bracket(alg, x, bracket(alg, y, z))
+        r1 = bracket(alg, bracket(alg, x, y), z)
+        r2 = bracket(alg, y, bracket(alg, x, z))
         for idx, c in r2.items():
             r1[idx] = r1.get(idx, Q(0)) + c
         assert lhs == {a: b for a, b in r1.items() if b}
@@ -410,8 +415,8 @@ def test_form_invariance_sampled(alg_d4):
     for _ in range(400):
         i, j, k = (rng.randrange(alg.dim) for _ in range(3))
         x, y, z = {i: Q(1)}, {j: Q(1)}, {k: Q(1)}
-        lhs = alg.form(alg.bracket(x, y), z)
-        rhs = alg.form(x, alg.bracket(y, z))
+        lhs = form(alg, bracket(alg, x, y), z)
+        rhs = form(alg, x, bracket(alg, y, z))
         assert lhs == rhs
 
 
@@ -424,8 +429,8 @@ def test_pair_table_matches_dense_tables(which, alg_e6, alg_d4):
     dense = DenseLieTables(alg)
     for x in range(alg.dim):
         for y in range(alg.dim):
-            assert alg.bracket_basis(x, y) == dense.bracket_basis(x, y)
-            assert alg.form({x: 1}, {y: 1}) == dense.form(x, y)
+            assert bracket_basis(alg, x, y) == dense.bracket_basis(x, y)
+            assert form(alg, {x: 1}, {y: 1}) == dense.form(x, y)
     negative = 0
     for k, row in enumerate(alg.pairs):
         for l, (_, sgn) in row.items():
@@ -457,10 +462,10 @@ def test_certificate_rejects_a_sign_flip_that_breaks_jacobi(nd4):
 
     def jacobi(i, j, m):
         x, y, z = {i: 1}, {j: 1}, {m: 1}
-        acc = alg.bracket(alg.bracket(x, y), z)
-        for idx, c in alg.bracket(y, alg.bracket(x, z)).items():
+        acc = bracket(alg, bracket(alg, x, y), z)
+        for idx, c in bracket(alg, y, bracket(alg, x, z)).items():
             acc[idx] = acc.get(idx, 0) + c
-        return alg.bracket(x, alg.bracket(y, z)) == {a: b for a, b in acc.items() if b}
+        return bracket(alg, x, bracket(alg, y, z)) == {a: b for a, b in acc.items() if b}
 
     assert not all(jacobi(r + k, j, m) for j in comp for m in comp)
 
@@ -482,9 +487,68 @@ def lift4(nd4, alg_d4):
 
 def test_lifts_are_automorphisms_everywhere(lift6, lift2, lift4):
     # complete check on every bracket-relevant root pair
-    assert lift6.verify_automorphism()
-    assert lift2.verify_automorphism()
-    assert lift4.verify_automorphism()
+    assert verify_automorphism(lift6)
+    assert verify_automorphism(lift2)
+    assert verify_automorphism(lift4)
+
+
+def passes_cube_check(lift):
+    """Whether the lift passes `standard_lift`'s cube check: the root
+    permutation cubes to 1 and the phases multiply to 1 around every root
+    orbit."""
+    perm, phase = lift.root_perm, lift.root_phase
+    return all(
+        perm[perm[p]] == k and s * phase[p] * phase[perm[p]] == 1
+        for k, (s, p) in enumerate(zip(phase, perm))
+    )
+
+
+def lift_mutations(lift, rng):
+    """(kind, changed lift) for the lift with two phases flipped inside each
+    3-cycle of roots, and with one phase flipped or two roots' images
+    swapped at eight seeded roots each."""
+    perm, phase = lift.root_perm, lift.root_phase
+    n = len(perm)
+    cycles = sorted({min(k, perm[k], perm[perm[k]]) for k in range(n) if perm[k] != k})
+
+    def flipped(*ks):
+        return lift._replace(root_phase=tuple(-s if k in ks else s for k, s in enumerate(phase)))
+
+    def swapped(k, l):
+        images = list(perm)
+        images[k], images[l] = perm[l], perm[k]
+        return lift._replace(root_perm=tuple(images))
+
+    return (
+        [("flip in a 3-cycle", flipped(k, perm[k])) for k in cycles]
+        + [("flip", flipped(k)) for k in rng.sample(range(n), 8)]
+        + [("swap", swapped(*rng.sample(range(n), 2))) for _ in range(8)]
+    )
+
+
+@pytest.mark.parametrize("which", ["sigma6", "sigma2", "sigma4"])
+def test_lift_certificate_matches_the_oracle_on_mutations(which, lift6, lift2, lift4):
+    # oracle: the element-by-element check.  The certificate accepts the
+    # built lift and refuses every mutation, as the oracle does.  Two flips
+    # inside one 3-cycle keep each orbit's phase product, so they pass the
+    # cube check of standard_lift, and only the certificate refuses them
+    lift = {"sigma6": lift6, "sigma2": lift2, "sigma4": lift4}[which]
+    assert certify_lift(lift) and verify_automorphism(lift)
+    kinds = set()
+    for kind, changed in lift_mutations(lift, random.Random(which)):
+        assert certify_lift(changed) is verify_automorphism(changed) is False, kind
+        if kind == "flip in a 3-cycle":
+            assert passes_cube_check(changed)
+        kinds.add(kind)
+    assert kinds == {"flip in a 3-cycle", "flip", "swap"}
+
+
+def test_lift_certificate_accepts_other_automorphisms(nd4, alg_d4, lift2):
+    # automorphisms that are no standard lift: a rough lift of a reflection,
+    # its inverse, and lift2 conjugated by it; the oracle agrees
+    w = rough_lift(alg_d4, reflection(nd4, alg_d4, 17))
+    for lift in (w, inverse_lift(w), compose(compose(w, lift2), inverse_lift(w))):
+        assert certify_lift(lift) and verify_automorphism(lift)
 
 
 def test_glue_index_squared_is_discriminant_product():
@@ -502,7 +566,6 @@ def test_identity_lift(alg_d4, nd4):
     ident = LatticeIsometry.of(
         nd4,
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        "id",
     )
     lift = standard_lift(alg_d4, ident)
     assert is_identity(lift)
@@ -514,7 +577,7 @@ def test_standard_lift_matches_eps_route(nd4, alg_d4, lift6, lift2, lift4):
     # and the images, so its permutation must agree as well
     n = nd4.rank
     ident = LatticeIsometry.of(
-        nd4, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+        nd4, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     )
     lifts = [lift6, lift2, lift4, a2_cubed_cycle_lift(), standard_lift(alg_d4, ident)]
     for lift in lifts:
@@ -585,7 +648,7 @@ def test_fixed_types(lift6, lift2, lift4):
     )
 
 
-def reflection(lat, alg, root_idx, name):
+def reflection(lat, alg, root_idx):
     beta = alg.root_coords[root_idx]
     n = lat.rank
     rows = []
@@ -593,15 +656,15 @@ def reflection(lat, alg, root_idx, name):
         e = [1 if j == i else 0 for j in range(n)]
         ip = ip_coords(alg, e, beta)
         rows.append(tuple(e[j] - ip * beta[j] for j in range(n)))
-    return LatticeIsometry.of(lat, tuple(rows), name)
+    return LatticeIsometry.of(lat, tuple(rows))
 
 
 def test_identify_type_conjugation_invariant(nd4, alg_d4, lift2):
     rng = random.Random(31)
     base = str(identify_type(fixed_subalgebra(lift2)))
     for _ in range(3):
-        w1 = rough_lift(alg_d4, reflection(nd4, alg_d4, rng.randrange(144), "w1"))
-        w2 = rough_lift(alg_d4, reflection(nd4, alg_d4, rng.randrange(144), "w2"))
+        w1 = rough_lift(alg_d4, reflection(nd4, alg_d4, rng.randrange(144)))
+        w2 = rough_lift(alg_d4, reflection(nd4, alg_d4, rng.randrange(144)))
         conj = compose(
             compose(compose(compose(w1, w2), lift2), inverse_lift(w2)),
             inverse_lift(w1),
@@ -617,7 +680,6 @@ def test_identify_single_component():
     ident = LatticeIsometry.of(
         lat,
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        "id",
     )
     lift = standard_lift(alg, ident)
     assert str(identify_type(fixed_subalgebra(lift))) == "D4,1"
@@ -639,7 +701,7 @@ def a2_cubed_cycle_lift():
     for c in range(3):
         for i in range(2):
             perm[2 * c + i][2 * ((c + 1) % 3) + i] = 1
-    iso = LatticeIsometry.of(lat, tuple(tuple(r) for r in perm), "cycle")
+    iso = LatticeIsometry.of(lat, tuple(tuple(r) for r in perm))
     return standard_lift(alg, iso)
 
 
@@ -677,7 +739,7 @@ def test_fixed_table_matches_big_algebra(which, fixed_algebras):
         for j in range(i + 1, fx.dim):
             entry = table[i][j]
             if tuple(a + b for a, b in zip(fx.weights[i], fx.weights[j])) not in weights:
-                assert entry == {} and alg.bracket(basis[i], basis[j]) == {}
+                assert entry == {} and bracket(alg, basis[i], basis[j]) == {}
                 skipped += 1
             assert all(type(c) is int and c != 0 for c in entry.values())
             assert table[j][i] == {k: -c for k, c in entry.items()}
@@ -685,12 +747,10 @@ def test_fixed_table_matches_big_algebra(which, fixed_algebras):
             for k, c in entry.items():
                 for idx, v in basis[k].items():
                     expanded[idx] = expanded.get(idx, 0) + c * v
-            assert {a: v for a, v in expanded.items() if v} == alg.bracket(
-                basis[i], basis[j]
-            )
+            assert {a: v for a, v in expanded.items() if v} == bracket(alg, basis[i], basis[j])
         for j in range(fx.dim):
             assert type(gram[i][j]) is int
-            assert gram[i][j] == alg.form(basis[i], basis[j])
+            assert gram[i][j] == form(alg, basis[i], basis[j])
     # sigma2 has no fixed Cartan, so one weight and nothing to skip
     assert (skipped > 0) == (which != "sigma2")
 
@@ -890,7 +950,7 @@ def identity_lift(alg):
     """The standard lift of the identity isometry: every root is fixed."""
     n = alg.rank
     ident = LatticeIsometry.of(
-        alg.lattice, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+        alg.lattice, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     )
     return standard_lift(alg, ident)
 
@@ -1211,7 +1271,7 @@ def d4_identity_fixed():
     lat = root_lattice(SimpleType("D", 4))
     n = lat.rank
     ident = LatticeIsometry.of(
-        lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), "id"
+        lat, tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     )
     return fixed_subalgebra(standard_lift(weight_one_algebra(lat), ident))
 
@@ -1334,7 +1394,6 @@ def test_twisted_ground_energies(ne6, nd4):
         g = LatticeIsometry.of(
             ne6,
             tuple(tuple(sign if i == j else 0 for j in range(n)) for i in range(n)),
-            f"{sign}",
         )
         with pytest.raises(InvariantError, match=f"of order {order}$"):
             twisted_ground_energy(g)
@@ -1343,7 +1402,7 @@ def test_twisted_ground_energies(ne6, nd4):
 def test_ground_energy_symmetric_under_inversion(ne6):
     s6 = built_isometry(ne6, "sigma6")
     square = tuple(map(tuple, mat_mul(s6.matrix, s6.matrix)))
-    inv = LatticeIsometry.of(ne6, square, "sigma6^2")
+    inv = LatticeIsometry.of(ne6, square)
     assert twisted_ground_energy(s6)[0] == twisted_ground_energy(inv)[0]
 
 
@@ -1359,7 +1418,6 @@ def test_fixed_projection_norms(ne6):
     ident = LatticeIsometry.of(
         ne6,
         tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        "id",
     )
     proj_u, _ = fixed_projection_norm(ident, u)
     assert lattice_to_ambient(ne6, proj_u) == fraction_coords(u)
@@ -1472,7 +1530,7 @@ def test_glue_orders_match_permutation_first_oracle():
 
 
 def slot_map_decision(certify, lat, slot_maps):
-    iso = certify(lat, slot_maps, "cand")
+    iso = certify(lat, slot_maps)
     return None if iso is None else iso.matrix
 
 
@@ -1509,7 +1567,7 @@ def test_isometry_order_and_fixed_basis_are_computed_once(monkeypatch):
     of = LatticeIsometry.of
 
     def counting_of(*args):
-        built.append(args[2])
+        built.append(args[1])
         return of(*args)
 
     monkeypatch.setattr(LatticeIsometry, "of", counting_of)
@@ -1518,7 +1576,8 @@ def test_isometry_order_and_fixed_basis_are_computed_once(monkeypatch):
         cases.check_isometry(Report("isometry"), iso)
         twisted_ground_energy(cases.lattice_isometry(cf))
     monkeypatch.undo()
-    assert sorted(built) == sorted(cases.ISOMETRY_CASES)
+    want = [cases.lattice_isometry(cf).matrix for cf in cases.ISOMETRY_CASES.values()]
+    assert sorted(built) == sorted(want)
 
 
 def test_infinite_order_is_an_invariant_error(ne6):
@@ -1527,7 +1586,7 @@ def test_infinite_order_is_an_invariant_error(ne6):
     n = ne6.rank
     shear = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(n)) for i in range(n))
     with pytest.raises(InvariantError, match="^order exceeds 12$"):
-        LatticeIsometry.of(ne6, shear, "shear")
+        LatticeIsometry.of(ne6, shear)
 
 
 # 90 on Python 3.11, the digit actions of the identity-symmetry entries

@@ -24,10 +24,8 @@ from helpers import package_caches
 
 SRC = Path(orbifold24.__file__).parent
 
-# planned to become a report step; until then only the tests call it
-EXEMPT = {"latticevoa.LiftedAutomorphism.verify_automorphism"}
 # NamedTuple hooks: _replace calls _make, which must validate as __new__ does
-EXEMPT |= {"rootdata.SimpleType._make", "affinerep.AffineAlgebra._make"}
+EXEMPT = {"rootdata.SimpleType._make", "affinerep.AffineAlgebra._make"}
 
 
 def definitions(tree):
