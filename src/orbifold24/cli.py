@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: tables, twist-bound, dimension, candidates, lattice, verify-all.
-Their options are declared once, in COMMANDS, which reads a well-formed
-query; argparse parsers built from it read or refuse any other argv.
+Their options are declared once, in COMMANDS, and `read_options` reads every
+argv from that table: a query, a request for help, or a usage error, which
+prints a `usage:` line and one `error:` line naming the option and the reason.
 Reports print as human-readable tables, or as byte-stable JSON with --json.
 Exit code 0 means every expectation passed, 1 flags a mismatch (including an
 exact invariant or identification check that fails), 2 a usage error.  A
@@ -11,12 +12,11 @@ reader that closes stdout early leaves the exit code as the report's.
 
 from __future__ import annotations
 
-import argparse
 import os
 import re
 import sys
-from types import MappingProxyType
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from types import MappingProxyType, SimpleNamespace
+from typing import Callable, List, NamedTuple, NoReturn, Optional, Tuple
 
 from . import latticevoa, qmodular, schellekens
 from .cases import (
@@ -43,29 +43,25 @@ def _integer(text: str) -> int:
     """`[-]n` in ASCII digits; int() alone would also read other scripts'
     digits, `+` and `_`."""
     if not re.fullmatch(r"-?[0-9]+", text):
-        raise argparse.ArgumentTypeError(f"not an integer [-]n in ASCII digits: {text!r}")
+        raise ValueError(f"not an integer [-]n in ASCII digits: {text!r}")
     return int(text)
 
 
-def _dimension(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"dimension must not be negative: {value}")
-    return value
+def _at_least(low: int, refusal: str) -> Callable[[str], int]:
+    """A reader of integers `[-]n` of at least `low`; `refusal` names the bound."""
+    def read(text: str) -> int:
+        value = _integer(text)
+        if value < low:
+            raise ValueError(f"{refusal}: {value}")
+        return value
+    return read
 
 
-def _truncation(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"truncation must be positive: {value}")
-    return value
-
-
-def cmd_tables(args: argparse.Namespace) -> Report:
+def cmd_tables(args: SimpleNamespace) -> Report:
     return verify_tables(args.which)
 
 
-def cmd_twist_bound(args: argparse.Namespace) -> Report:
+def cmd_twist_bound(args: SimpleNamespace) -> Report:
     cf = BUILTIN_CASES.get(args.case) or CaseFile.from_json(args.case)
     rep = Report(f"twist bound {cf.case_id}")
     witnesses = check_twist(rep, cf)
@@ -75,7 +71,7 @@ def cmd_twist_bound(args: argparse.Namespace) -> Report:
     return rep
 
 
-def cmd_dimension(args: argparse.Namespace) -> Report:
+def cmd_dimension(args: SimpleNamespace) -> Report:
     rep = Report("dimension formula")
     val = qmodular.dim_tilde_v1(args.dimv1, args.d0, args.d13, args.d23)
     rep.note("orbifold weight-one dim", val)
@@ -83,7 +79,7 @@ def cmd_dimension(args: argparse.Namespace) -> Report:
     return rep
 
 
-def cmd_candidates(args: argparse.Namespace) -> Report:
+def cmd_candidates(args: SimpleNamespace) -> Report:
     rep = Report("candidate enumeration")
     cands = schellekens.enumerate_candidates(args.dim, args.ratio)
     rep.note("candidates", [str(c) for c in cands])
@@ -106,7 +102,7 @@ def cmd_candidates(args: argparse.Namespace) -> Report:
     return rep
 
 
-def cmd_lattice(args: argparse.Namespace) -> Report:
+def cmd_lattice(args: SimpleNamespace) -> Report:
     lat, alg = lattice_data(unique_survivor(ISOMETRY_CASES[args.isometry])[0])
     rep = Report(f"lattice {lat.code.label()} / {args.isometry}")
     check_lattice(rep, lat, alg)
@@ -116,7 +112,7 @@ def cmd_lattice(args: argparse.Namespace) -> Report:
     return rep
 
 
-def cmd_verify_all(args: argparse.Namespace) -> Report:
+def cmd_verify_all(args: SimpleNamespace) -> Report:
     rep = Report("verify all")
     for case_id in BUILTIN_CASES:
         rep.extend(run_case(BUILTIN_CASES[case_id]))
@@ -144,9 +140,9 @@ COMMANDS = MappingProxyType({
         JSON, Option("--case", required=True, help="builtin id or JSON case file"))),
     "dimension": (cmd_dimension, "orbifold weight-one dimension", (
         JSON, *(Option(flag, _integer, True) for flag in ("--dimv1", "--d0", "--d13", "--d23")),
-        Option("--trunc", _truncation, default=qmodular.TRUNC))),
+        Option("--trunc", _at_least(1, "truncation must be positive"), default=qmodular.TRUNC))),
     "candidates": (cmd_candidates, "enumerate and filter candidates", (
-        JSON, Option("--dim", _dimension, True),
+        JSON, Option("--dim", _at_least(0, "dimension must not be negative"), True),
         Option("--ratio", parse_rational, True, help="h-dual/level ratio, e.g. 12 or 7/2"),
         Option("--fixed", help="target fixed type, e.g. 'E6,3 A2,1 A2,1 A2,1'"))),
     "lattice": (cmd_lattice, "lattice-side battery for one isometry", (
@@ -156,69 +152,73 @@ COMMANDS = MappingProxyType({
 })
 
 
-def build_parser() -> Tuple[argparse.ArgumentParser, Dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and each subcommand's parser by name, from COMMANDS."""
-    parser = argparse.ArgumentParser(
-        prog="orbifold24",
-        description=(
-            "Exact recomputation of the order-3 orbifold invariants of the "
-            "three central-charge-24 uniqueness chains"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, about, options) in COMMANDS.items():
-        p = sub.add_parser(name, help=about)
-        for o in options:
-            if o.reader is None:
-                p.add_argument(o.flag, action="store_true", help=o.help)
-            else:
-                p.add_argument(o.flag, type=o.reader, required=o.required,
-                               default=o.default, choices=o.choices, help=o.help)
-        p.set_defaults(func=func)
-    return parser, sub.choices
+def _leave(command: Optional[str], reason: Optional[str] = None) -> NoReturn:
+    """Exit 2 with the usage line of the program, or of one command, and an
+    error line giving the reason; given no reason, exit 0 with its help."""
+    prog = f"orbifold24 {command}" if command else "orbifold24"
+    if command is None:
+        usage, about = f"{prog} [-h] {{{','.join(COMMANDS)}}} ...", "commands"
+        rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    else:
+        _, about, options = COMMANDS[command]
+        forms = [o.flag if o.reader is None else f"{o.flag} {o.flag[2:].upper()}" for o in options]
+        words = [form if o.required else f"[{form}]" for o, form in zip(options, forms)]
+        usage = " ".join([f"{prog} [-h]", *words])
+        rows = [(f, o.help or " | ".join(o.choices or ())) for o, f in zip(options, forms)]
+    if reason is not None:
+        sys.stderr.write(f"usage: {usage}\n{prog}: error: {reason}\n")
+        sys.exit(2)
+    sys.stdout.write(f"usage: {usage}\n\n{about}:\n")
+    sys.stdout.writelines(f"  {form:<19}  {text}".rstrip() + "\n" for form, text in rows)
+    sys.exit(0)
 
 
-def read_options(command: str, args: List[str]) -> Optional[argparse.Namespace]:
-    """The namespace the command's parser makes of `args` when each is a distinct
-    declared option, `--flag`, `--opt=value` or `--opt value` (no leading `-`),
-    read and within its choices, and every required option is given; else None,
-    for argparse to read or refuse.  (An explicit value `--` goes to argparse.)"""
+def read_options(argv: List[str]) -> SimpleNamespace:
+    """The query `argv` makes: its command's function and option values.
+
+    Words are read left to right: `-h`/`--help`, `--flag`, `--opt=value` or
+    `--opt value`, where a value after a space starts with `-` only as `-` or
+    a negative integer; the last value given wins.  A missing or refused value
+    exits 2 at once; unknown words, every word after a bare `--` and missing
+    required options exit 2 once the last word is read."""
+    if not argv or argv[0] not in COMMANDS:
+        reason = f"{argv[0]!r} is not a command" if argv else "no command given"
+        _leave(None, None if argv[:1] in (["-h"], ["--help"]) else reason)
+    command, words = argv[0], iter(argv[1:])
     func, _, options = COMMANDS[command]
     declared = {o.flag: o for o in options}
-    values = {o.flag[2:]: o.default for o in options}
-    given = iter(args)
-    for arg in given:
-        flag, eq, value = arg.partition("=")
-        o = declared.pop(flag, None)
-        if o is None or o.reader is None and eq:
-            return None
-        if o.reader is not None and not eq:
-            value = next(given, "-")
-        if value[:1] == "-" and (not eq or value == "--"):
-            return None
-        try:
-            value = True if o.reader is None else o.reader(value)
-        except (ValueError, TypeError, argparse.ArgumentTypeError):
-            return None
-        if o.choices is not None and value not in o.choices:
-            return None
-        values[flag[2:]] = value
-    missing = any(o.required for o in declared.values())
-    return None if missing else argparse.Namespace(**values, func=func)
+    values = {o.flag[2:]: o.default for o in options if not o.required}
+    unknown = []
+    for word in words:
+        flag, eq, value = word.partition("=")
+        o = declared.get(flag)
+        if word in ("-h", "--help"):
+            _leave(command)
+        elif word == "--" or o is None:
+            unknown += [word, *words] if word == "--" else [word]
+        elif o.reader is None and not eq:
+            values[flag[2:]] = True
+        else:
+            value = value if eq else next(words, "--")
+            spaced_dash = not eq and value[:1] == "-" and not re.fullmatch(r"-[0-9]*", value)
+            if o.reader is None or value == "--" or spaced_dash:
+                _leave(command, f"argument {flag}: takes {'one' if o.reader else 'no'} value")
+            try:
+                value = o.reader(value)
+                if o.choices is not None and value not in o.choices:
+                    raise ValueError(f"{value!r} is not one of {', '.join(o.choices)}")
+            except ValueError as err:
+                _leave(command, f"argument {flag}: {err}")
+            values[flag[2:]] = value
+    missing = [o.flag for o in options if o.flag[2:] not in values]
+    if missing or unknown:
+        _leave(command, f"the following arguments are required: {', '.join(missing)}"
+               if missing else f"unrecognized arguments: {' '.join(unknown)}")
+    return SimpleNamespace(**values, func=func)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a well-formed query of a known command is read from COMMANDS; argparse
-    # reads any other argv, a known command's by that command's parser alone
-    command = argv[0] if argv and argv[0] in COMMANDS else None
-    args = read_options(command, argv[1:]) if command else None
-    if args is None:
-        parser, commands = build_parser()
-        args = commands[command].parse_args(argv[1:]) if command else parser.parse_args(argv)
-        # before 3.13 argparse reads an explicit value `--` as an empty list
-        for dropped in (k for k, v in vars(args).items() if v == []):
-            commands[command].error(f"argument --{dropped}: expected one argument")
+    args = read_options(sys.argv[1:] if argv is None else argv)
     try:
         rep = args.func(args)
         print(rep.to_json() if args.json else rep.to_text(), flush=True)

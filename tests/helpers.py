@@ -163,10 +163,14 @@ against, and helpers that only the tests need.
   `PINNED_OUTPUTS` (the commands whose output digests are pinned, among
   them `OFFCHAMBER_CASE`), which the digest test and the writer oracle
   share.
+* Argv reading: an argparse parser built from `cli.COMMANDS` without
+  abbreviations (`argparse_oracle`) against `cli.read_options`, on argvs
+  drawn at random from the same table (`random_argvs`).
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import itertools
 import pkgutil
@@ -184,7 +188,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tup
 import numpy as np
 
 import orbifold24
-from orbifold24 import cases, qmodular
+from orbifold24 import cases, cli, qmodular
 from orbifold24.affinerep import (
     AffineAlgebra,
     Ambient,
@@ -1557,6 +1561,77 @@ PINNED_OUTPUTS = (
     # the smallest truncation: f exact below q^(3/2), f^n at the cusp below q
     ("dimension-trunc1", _DIMENSION + ["--trunc", "1", "--json"], "a49d16515181d955"),
 )
+
+
+def argparse_oracle(command: str) -> argparse.ArgumentParser:
+    """An argparse parser of one command's options in `cli.COMMANDS`, taking
+    no abbreviations: the oracle for what `cli.read_options` reads."""
+    func, _, options = cli.COMMANDS[command]
+    parser = argparse.ArgumentParser(prog=f"orbifold24 {command}", allow_abbrev=False)
+    for o in options:
+        if o.reader is None:
+            parser.add_argument(o.flag, action="store_true")
+        else:
+            parser.add_argument(o.flag, type=o.reader, required=o.required,
+                                default=o.default, choices=o.choices)
+    parser.set_defaults(func=func)
+    return parser
+
+
+# values each option reads, and words that a reader, choice list or the
+# option grammar refuses or that argparse reads by another rule
+GOOD_VALUES = {
+    **dict.fromkeys(["--dimv1", "--d0", "--d13", "--d23", "--seed"], ["0", "12", "007"]),
+    "--dim": ["0", "48", "312"], "--trunc": ["1", "12", "16"], "--ratio": ["1", "7/2", "12"],
+    **dict.fromkeys(["--case", "--fixed"],
+                    ["e6g2", "E6,3 A2,1 A2,1 A2,1", "", "a b=c", "/nonexistent/case.json"]),
+}
+BAD_VALUES = [
+    "x", "\uff14\uff18", "1/0", "0.5", "+1", "1_0", "sigma9", "-1", "-0", "-", "--",
+    "-h", "--json", "=", "U(1)x",
+]
+DISTURBANCES = ["-h", "--help", "--nope", "--nope=1", "--", "x", "--json=1", "--json="]
+
+
+def option_words(rng, option, flag=None):
+    """One option as an argv might give it, under its own flag or `flag`:
+    good or bad value, `=` or space."""
+    flag = flag or option.flag
+    if option.reader is None:
+        return [flag]
+    good = option.choices or GOOD_VALUES[option.flag]
+    value = rng.choice(good if rng.random() < 0.7 else BAD_VALUES)
+    return [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+
+
+def random_argvs(count, seed="table route"):
+    """Argvs of known commands drawn from every declared option, each with a
+    good or bad value, with at times a repeat, an abbreviation, a dropped
+    word, help or an unknown flag put in."""
+    rng = random.Random(seed)
+    argvs = []
+    for _ in range(count):
+        name = rng.choice(list(cli.COMMANDS))
+        options = cli.COMMANDS[name][2]
+        picked = [o for o in options if o.required or rng.random() < 0.5]
+        rng.shuffle(picked)
+        words = [w for o in picked for w in option_words(rng, o)]
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            kind = rng.randrange(4)
+            if kind == 0:
+                extra = option_words(rng, rng.choice(options))
+            elif kind == 1:
+                option = rng.choice(options)
+                extra = option_words(rng, option, option.flag[:-1])
+            elif kind == 2 and words:
+                words.pop(rng.randrange(len(words)))
+                continue
+            else:
+                extra = [rng.choice(DISTURBANCES)]
+            at = rng.randrange(len(words) + 1)
+            words[at:at] = extra
+        argvs.append([name, *words])
+    return argvs
 
 
 def report_dict(rep: Report) -> dict:

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from orbifold24.affinerep import AffineAlgebra
-from orbifold24.cli import build_parser
+from orbifold24.cli import read_options
 from orbifold24.report import DISCREPANCY, FAIL, INFO, PASS, Report, render_value
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 
@@ -127,7 +127,6 @@ def test_to_json_is_the_bytes_of_json_dumps_on_edge_values():
 )
 def test_to_json_is_the_bytes_of_json_dumps_on_the_pinned_reports(argv):
     # the report of every command whose output bytes are pinned
-    parser, _ = build_parser()
-    args = parser.parse_args(argv)
+    args = read_options(argv)
     rep = args.func(args)
     assert rep.steps and rep.to_json() == dumps(rep)
