@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from fractions import Fraction as Q
 from pathlib import Path
@@ -1264,6 +1265,54 @@ def test_table_reads_what_it_accepts_as_argparse_does(capsys, monkeypatch, tmp_p
         assert read == len(argvs)
     else:
         assert 0 < read < len(argvs)
+
+
+def read_both_ways(capsys, monkeypatch, argv):
+    """(exit code, namespace as a dict or None, stdout, stderr) of `argv`
+    read with the whole command table, then with a table of its command
+    alone."""
+    outcomes = []
+    for table in (cli.COMMANDS, types.MappingProxyType({argv[0]: cli.COMMANDS[argv[0]]})):
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "COMMANDS", table)
+            try:
+                code, args = 0, vars(cli.read_options(argv))
+            except SystemExit as exc:
+                code, args = exc.code, None
+        outcomes.append((code, args, *capsys.readouterr()))
+    return outcomes
+
+
+def test_command_parser_alone_reads_the_pinned_argvs_alike(capsys, monkeypatch):
+    for _, argv, _ in PINNED_OUTPUTS:
+        whole, alone = read_both_ways(capsys, monkeypatch, argv)
+        assert whole == alone and whole[0] == 0, argv
+
+
+@pytest.mark.parametrize("workload", ["explore", "twist-probe"])
+def test_command_parser_alone_reads_the_benchmark_traffic_alike(
+    capsys, monkeypatch, tmp_path, workload
+):
+    ops = benchmark_ops(monkeypatch, tmp_path, workload)
+    assert ops
+    for argv in ops:
+        whole, alone = read_both_ways(capsys, monkeypatch, argv)
+        assert whole == alone and whole[0] == 0, argv
+
+
+def test_command_parser_alone_refuses_the_usage_errors_alike(capsys, monkeypatch):
+    # a refusal comes under the usage line of the command read, with one
+    # error line in the command's name, whatever other commands there are
+    refused = 0
+    for argv in USAGE_ERROR_ARGVS:
+        whole, alone = read_both_ways(capsys, monkeypatch, argv)
+        assert whole == alone and whole[0] in (0, 2), argv
+        if whole[0] == 2:
+            refused += 1
+            lines = whole[3].splitlines()
+            assert whole[2] == "" and lines[0] == USAGE[argv[0]], argv
+            assert lines[-1].startswith(f"orbifold24 {argv[0]}: error: "), argv
+    assert refused
 
 
 # every argv on which the reader and the oracle exit apart: (argv, the
