@@ -225,11 +225,11 @@ def check_twist(rep: Report, cf: CaseFile) -> Optional[tuple]:
     return wit_pos, wit_neg
 
 
-def check_dimension_formula(rep: Report, trunc: int) -> None:
-    """The dimension formula coefficients, derived at truncation trunc."""
+def check_dimension_formula(rep: Report) -> None:
+    """The dimension formula coefficients, derived once per process."""
     rep.check(
         "dimension formula coefficients",
-        qmodular.derive_dimension_formula(trunc),
+        qmodular.derive_dimension_formula(),
         golden.DIMENSION_COEFFS,
         source="reference",
     )
@@ -257,7 +257,7 @@ def run_case(cf: CaseFile) -> Report:
     rep.check("fixed subalgebra dim", fdim, cf.expected_fixed.dim(), source="reference")
 
     rep.note("dim of the ambient weight-one algebra", cf.dim_v1())
-    check_dimension_formula(rep, qmodular.TRUNC)
+    check_dimension_formula(rep)
     rep.check("orbifold weight-one dim", target_dim, cf.expected_target.dim())
 
     rep.note("forced ratio h-dual/level", ratio)
@@ -317,8 +317,7 @@ def _table_report(
 
 def verify_modular() -> Report:
     rep = Report("modular data")
-    trunc = qmodular.TRUNC
-    f = qmodular.hauptmodul_f(trunc)
+    f = qmodular.hauptmodul_f(qmodular.TRUNC)
     rep.check("f: coefficient of q^-1", f.coeff(-1), Q(1), source="reference")
     rep.check("f: constant term", f.coeff(0), Q(-12), source="reference")
     rep.check(
@@ -329,16 +328,15 @@ def verify_modular() -> Report:
         documented=True,
     )
     for n, exp, scaled in golden.CUSP_COEFFS:
-        series = qmodular.f_power_at_S(n, trunc)
         rep.check(
             f"cusp expansion f^{n}: q^({exp}) coefficient * 3^{-6 * n}",
-            series.coeff(exp) * Q(3) ** (-6 * n),
+            qmodular.f_power_at_S(n, qmodular.TRUNC).coeff(exp) * Q(3) ** (-6 * n),
             scaled,
             source="reference",
         )
-    fit = qmodular.fit_character(BUILTIN_CASES["e6g2"].expected_fixed.dim(), 0, 0, trunc)
+    fit = qmodular.fit_character(BUILTIN_CASES["e6g2"].expected_fixed.dim(), 0, 0)
     rep.check("pole coefficient c_-3", fit[-3], golden.POLE_COEFF, source="reference")
-    check_dimension_formula(rep, trunc)
+    check_dimension_formula(rep)
     for cf in BUILTIN_CASES.values():
         dims = (cf.dim_v1(), cf.expected_fixed.dim())
         rep.check(

@@ -75,7 +75,7 @@ def cmd_dimension(args: SimpleNamespace) -> Report:
     rep = Report("dimension formula")
     val = qmodular.dim_tilde_v1(args.dimv1, args.d0, args.d13, args.d23)
     rep.note("orbifold weight-one dim", val)
-    check_dimension_formula(rep, args.trunc)
+    check_dimension_formula(rep)
     return rep
 
 
@@ -140,7 +140,8 @@ COMMANDS = MappingProxyType({
         JSON, Option("--case", required=True, help="builtin id or JSON case file"))),
     "dimension": (cmd_dimension, "orbifold weight-one dimension", (
         JSON, *(Option(flag, _integer, True) for flag in ("--dimv1", "--d0", "--d13", "--d23")),
-        Option("--trunc", _at_least(1, "truncation must be positive"), default=qmodular.TRUNC))),
+        Option("--trunc", _at_least(1, "truncation must be positive"),
+               help="ignored; each series is expanded as far as a step reads it"))),
     "candidates": (cmd_candidates, "enumerate and filter candidates", (
         JSON, Option("--dim", _at_least(0, "dimension must not be negative"), True),
         Option("--ratio", parse_rational, True, help="h-dual/level ratio, e.g. 12 or 7/2"),

@@ -27,7 +27,7 @@ from typing import Dict, List, Mapping, NamedTuple, Tuple
 
 from .exactmath import InvariantError
 
-TRUNC = 12  # the one truncation default: an lru_cache keys f() apart from f(12)
+TRUNC = 1  # the least truncation that covers every read: f to q^1, the cusp series to q^(2/3)
 
 
 class PuiseuxSeries(NamedTuple):
@@ -127,20 +127,19 @@ def f_power_at_S(n: int, trunc: int) -> PuiseuxSeries:
 LinExpr = Tuple[Q, Q, Q, Q]
 
 
-def _solve(trunc: int, pivots: Dict[int, Q], d0: Q, d13: Q, d23: Q, vacuum: Q) -> Dict[int, Q]:
+def _solve(pivots: Dict[int, Q], d0: Q, d13: Q, d23: Q, vacuum: Q) -> Dict[int, Q]:
     """The c_n of `laurent_table` at one choice of the principal parts."""
-    f = hauptmodul_f(trunc)
     c = {1: vacuum / pivots[1]}
-    c[0] = d0 - c[1] * f.coeff(0)
+    c[0] = d0 - c[1] * hauptmodul_f(TRUNC).coeff(0)
     for n, part in ((-3, vacuum), (-2, d13), (-1, d23)):
         x_n = Q(n, 3)
-        rest = part / 3 - sum(c[m] * f_power_at_S(m, trunc).coeff(x_n) for m in range(-3, n))
+        rest = part / 3 - sum(c[m] * f_power_at_S(m, TRUNC).coeff(x_n) for m in range(-3, n))
         c[n] = rest / pivots[n]
     return c
 
 
 @lru_cache(maxsize=None)
-def laurent_table(trunc: int) -> Mapping[int, LinExpr]:
+def laurent_table() -> Mapping[int, LinExpr]:
     """The c_n of Z = sum_{n=-3..1} c_n f^n as affine functions of
     (d0, d13, d23), solved from the principal parts of the fixed-point
     character Z.  At i-infinity Z = q^-1 + d0 + O(q): the vacuum term and the
@@ -154,29 +153,28 @@ def laurent_table(trunc: int) -> Mapping[int, LinExpr]:
     c_0 = d0 - c_1 [q^0]f.  f^n at S starts at x^n, so c_-3, c_-2 and c_-1
     follow from the top down, each minus what the c_m (m < n) solved before
     it put at x^n, over the pivot [x^n] f^n.  A zero pivot raises
-    InvariantError.  Only exponents <= 0 are read, so the table is exact at
-    every trunc >= 1.  The solve is linear: the four columns solve d0 = 1,
+    InvariantError.  The solve is linear: the four columns solve d0 = 1,
     d13 = 1, d23 = 1 and the vacuum alone.  The table is a read-only mapping.
     """
-    pivots = {n: f_power_at_S(n, trunc).coeff(Q(n, 3)) for n in (-3, -2, -1)}
-    pivots[1] = hauptmodul_f(trunc).coeff(-1)
+    pivots = {n: f_power_at_S(n, TRUNC).coeff(Q(n, 3)) for n in (-3, -2, -1)}
+    pivots[1] = hauptmodul_f(TRUNC).coeff(-1)
     for n, p in pivots.items():
         if not p:
             raise InvariantError(f"zero pivot: the leading coefficient of f^{n} is 0")
     units = [tuple(Q(int(i == j)) for j in range(4)) for i in range(4)]
-    columns = [_solve(trunc, pivots, *unit) for unit in units]
+    columns = [_solve(pivots, *unit) for unit in units]
     return MappingProxyType({n: tuple(col[n] for col in columns) for n in columns[0]})
 
 
-def fit_character(d0: int, d13: int, d23: int, trunc: int) -> Dict[int, Q]:
-    """The Laurent coefficients {n: c_n} of `laurent_table(trunc)` at one
+def fit_character(d0: int, d13: int, d23: int) -> Dict[int, Q]:
+    """The Laurent coefficients {n: c_n} of `laurent_table()` at one
     (d0, d13, d23).
 
     d0 is the fixed-point weight-one dimension; d13 and d23 are the summed
     twisted dimensions at weights 1/3 and 2/3.
     """
     point = (d0, d13, d23, 1)
-    c = {n: sum(map(mul, expr, point)) for n, expr in laurent_table(trunc).items()}
+    c = {n: sum(map(mul, expr, point)) for n, expr in laurent_table().items()}
     if c[1] != 1:
         raise InvariantError(f"leading Laurent coefficient is {c[1]}, not 1")
     return c
@@ -192,19 +190,20 @@ def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:
     return val
 
 
-def derive_dimension_formula(trunc: int) -> LinExpr:
+@lru_cache(maxsize=None)
+def derive_dimension_formula() -> LinExpr:
     """Re-derive the dimension formula coefficients (4, -36, -12, 24).
 
-    `laurent_table(trunc)` is composed with the exact cusp expansions of
-    f^n, and the constant term of Z(t) + sum_i Z(S T^i t) is collected as
-    an affine function of (d0, d13, d23).
+    `laurent_table()` is composed with the exact cusp expansions of f^n,
+    and the constant term of Z(t) + sum_i Z(S T^i t) is collected as an
+    affine function of (d0, d13, d23), once per process.
     """
-    table = laurent_table(trunc)
-    f0 = hauptmodul_f(trunc).coeff(0)
+    table = laurent_table()
+    f0 = hauptmodul_f(TRUNC).coeff(0)
     # T sends q^(k/3) to w^k q^(k/3), so the trace over the three shifts is a
     # roots-of-unity filter that leaves exponent 0 unchanged: the constant
     # term of sum_i Z(S T^i t) is 3 times that of Z(S t)
-    gammas = {n: Q(1) if n == 0 else f_power_at_S(n, trunc).coeff(0) for n in table}
+    gammas = {n: Q(1) if n == 0 else f_power_at_S(n, TRUNC).coeff(0) for n in table}
     # the constant term of Z(t) itself is c0 + c1 [q^0]f: each 1/f^n starts
     # at q^n
     return tuple(  # type: ignore[return-value]

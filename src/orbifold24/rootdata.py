@@ -447,19 +447,20 @@ def _affine_diagram(t: SimpleType) -> Tuple[Tuple[IntCoords, ...], IntCoords, in
     1 and theta's simple-root coordinates."""
     g, scale = _gram_matrix(t)
     n = t.rank
-    beta = [0] * n
-    beta[max(range(n), key=lambda k: g[k][k])] = 1
+    top = max(range(n), key=lambda k: g[k][k])
+    beta = [int(k == top) for k in range(n)]
+    tg = list(g[top])  # the pairing row beta.g, kept as beta grows
     for _ in range(t.n_roots()):
-        pair = [sum(b * g[j][i] for j, b in enumerate(beta) if b) for i in range(n)]
-        i = next((i for i in range(n) if pair[i] < 0), None)
+        i = next((i for i in range(n) if tg[i] < 0), None)
         if i is None:
             break
-        beta[i] -= 2 * pair[i] // g[i][i]
+        c = -(2 * tg[i] // g[i][i])
+        beta[i] += c
+        tg = [x + c * y for x, y in zip(tg, g[i])]
     marks = (1,) + tuple(beta)
     if sum(marks) != t.n_roots() // n:
         raise InvariantError(f"{t}: marks {marks} do not sum to the Coxeter number")
     # node 0 pairs with the simple roots as -theta.g, and with itself as theta.g.theta
-    tg = [sum(b * g[j][i] for j, b in enumerate(beta) if b) for i in range(n)]
     row0 = (sum(map(mul, tg, beta)),) + tuple(-x for x in tg)
     gram = (row0,) + tuple((row0[1 + i],) + tuple(g[i]) for i in range(n))
     return gram, marks, scale

@@ -154,8 +154,8 @@ against, and helpers that only the tests need.
   (ambient, -h)), `named_witness` (the forward witness of an isometry
   name's case), `changed_algebra` (a weight-one algebra with some table
   rows replaced, for the mutation tests), `patch_series_coefficient` (one
-  coefficient of a q-series scaled) with `solve_afresh` (a Laurent table
-  cache of the test's own),
+  coefficient of a q-series scaled) with `solve_afresh` (Laurent table
+  and formula caches of the test's own),
   `semisimple_rank`, `total_multiplicity`, `root_ip` (the exact
   (x|y) through `RootSystem.covector`), `series_one`, and
   `package_caches` (every `lru_cache` of the package, which the
@@ -1646,19 +1646,20 @@ def report_dict(rep: Report) -> dict:
 
 
 def solve_afresh(monkeypatch) -> None:
-    """Give qmodular a `laurent_table` with an empty cache of its own until
-    monkeypatch undoes it: a test that patches a series the solve reads
-    then sees a table solved from it, and leaves none in the process-wide
-    cache."""
-    fresh = lru_cache(maxsize=None)(qmodular.laurent_table.__wrapped__)
-    monkeypatch.setattr(qmodular, "laurent_table", fresh)
+    """Give qmodular a `laurent_table` and a `derive_dimension_formula`
+    with empty caches of their own until monkeypatch undoes it: a test that
+    patches a series the solve reads then sees a table and a formula
+    derived from it, and leaves neither in the process-wide caches."""
+    for name in ("laurent_table", "derive_dimension_formula"):
+        fresh = lru_cache(maxsize=None)(getattr(qmodular, name).__wrapped__)
+        monkeypatch.setattr(qmodular, name, fresh)
 
 
 def patch_series_coefficient(monkeypatch, name: str, key: tuple, exp: Q, factor: Q) -> None:
     """Patch qmodular.<name> so that the series it returns for the leading
     arguments `key` (the truncation, passed last, dropped) has its q^exp
     coefficient multiplied by factor; other calls pass through.  The
-    Laurent table is solved afresh."""
+    Laurent table and the formula are derived afresh."""
     solve_afresh(monkeypatch)
     original = getattr(qmodular, name)
 

@@ -105,11 +105,11 @@ def test_criterion_5_dimension_formula():
     ok = qmodular.dim_tilde_v1(120, 102, 0, 0) == 312
     ok = ok and qmodular.dim_tilde_v1(48, 48, 0, 0) == 168
     ok = ok and qmodular.dim_tilde_v1(72, 54, 0, 0) == 168
-    ok = ok and qmodular.derive_dimension_formula(12) == (4, -36, -12, 24)
+    ok = ok and qmodular.derive_dimension_formula() == (4, -36, -12, 24)
     for n, exp, scaled in golden.CUSP_COEFFS:
         series = qmodular.f_power_at_S(n, 12)
         ok = ok and series.coeff(exp) * Q(3) ** (-6 * n) == scaled
-    ok = ok and qmodular.fit_character(102, 0, 0, 12)[-3] == 3**17
+    ok = ok and qmodular.fit_character(102, 0, 0)[-3] == 3**17
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 5.0
     report(f"5 (dimension formula, {elapsed:.2f}s)", ok)

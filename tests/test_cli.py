@@ -323,8 +323,9 @@ REMOVED_OPTION_ARGVS = [
     ids=["tables-seed", "tables-trunc", "verify-all-trunc"],
 )
 def test_removed_options_are_usage_errors(capsys, monkeypatch, argv):
-    # no step draws at random and every section expands to q^12, so these
-    # options are gone: the reader refuses them before any section runs
+    # no step draws at random and every section expands each series as far
+    # as a step reads it, so these options are gone: the reader refuses them
+    # before any section runs
     def no_section(*args, **kwargs):
         raise AssertionError("a section ran")
 
@@ -1054,6 +1055,46 @@ def test_pole_and_formula_steps_read_the_solved_table(capsys, monkeypatch):
     assert verdicts["dimension formula coefficients"] == "fail"
 
 
+def test_dimension_queries_and_verify_all_share_one_derivation(capsys, monkeypatch, tmp_path,
+                                                               fresh_caches):
+    # --trunc changes no work: the dimension queries of an explore pass, at
+    # three truncations, and verify-all build the Laurent table and the
+    # formula once, and each series is one cache entry
+    ops = [argv for argv in benchmark_ops(monkeypatch, tmp_path, "explore")
+           if argv[0] == "dimension"]
+    assert [argv[-2] for argv in ops] == [f"--trunc={t}" for t in (12, 12, 14, 14, 16, 16)]
+    for argv in ops + [["verify-all", "--json"]]:
+        assert run_cli(capsys, argv)[0] == 0
+    assert qmodular.laurent_table.cache_info().misses == 1
+    assert qmodular.derive_dimension_formula.cache_info().misses == 1
+    assert qmodular.hauptmodul_f.cache_info().currsize == 1
+    assert qmodular.f_power_at_S.cache_info().currsize == 4
+
+
+def test_steps_read_each_series_below_its_truncation(capsys, monkeypatch, fresh_caches):
+    # the largest exponent that verify-all and a dimension query read of each
+    # series: f to q^1 and the cusp series to q^(2/3), so the one truncation
+    # 1 covers every read, and each read lies below the series' truncation
+    reads = []
+    coeff = qmodular.PuiseuxSeries.coeff
+
+    def recorded(series, exp):
+        reads.append((series, Q(exp)))
+        return coeff(series, exp)
+
+    monkeypatch.setattr(qmodular.PuiseuxSeries, "coeff", recorded)
+    dimension = ["dimension", "--dimv1", "120", "--d0", "102", "--d13", "0", "--d23", "0"]
+    for argv in (["verify-all", "--json"], dimension):
+        assert run_cli(capsys, argv)[0] == 0
+    series = {"f": qmodular.hauptmodul_f(qmodular.TRUNC)}
+    series.update((f"f^{n}", qmodular.f_power_at_S(n, qmodular.TRUNC)) for n in (1, -1, -2, -3))
+    assert all(any(s is t for t in series.values()) for s, _ in reads)
+    top = {name: max(e for s, e in reads if s is t) for name, t in series.items()}
+    assert top == {"f": 1, "f^1": Q(2, 3), "f^-1": 0, "f^-2": 0, "f^-3": 0}
+    assert {name: t.trunc for name, t in series.items()} == {
+        "f": Q(3, 2), "f^1": 1, "f^-1": 1, "f^-2": 1, "f^-3": 1}
+
+
 # --- the argv reader ----------------------------------------------------------
 
 # every argv of a usage-error test above that names a command
@@ -1200,12 +1241,23 @@ enumerate and filter candidates:
   --ratio RATIO        h-dual/level ratio, e.g. 12 or 7/2
   --fixed FIXED        target fixed type, e.g. 'E6,3 A2,1 A2,1 A2,1'
 """,
+    "dimension": f"""{USAGE["dimension"]}
+
+orbifold weight-one dimension:
+  --json               machine-readable output
+  --dimv1 DIMV1
+  --d0 D0
+  --d13 D13
+  --d23 D23
+  --trunc TRUNC        ignored; each series is expanded as far as a step reads it
+""",
 }
 
 
 @pytest.mark.parametrize("argv", [
-    ["--help", "nope"], ["candidates", "-h"], ["candidates", "--nope", "--help", "--dim", "x"]
-], ids=["top", "command", "after-unknown"])
+    ["--help", "nope"], ["candidates", "-h"], ["candidates", "--nope", "--help", "--dim", "x"],
+    ["dimension", "--help"],
+], ids=["top", "command", "after-unknown", "dimension"])
 def test_help_comes_from_the_table(capsys, argv):
     # help is printed when it is read: unknown words and missing options
     # before it, and any word after it, do not matter

@@ -185,19 +185,24 @@ def test_omega_trace_kills_fractional_exponents():
 
 
 def test_fit_character_values():
-    fit = fit_character(102, 0, 0, 12)
+    fit = fit_character(102, 0, 0)
     assert fit[1] == 1
     assert fit[0] == 114
     assert fit[-2] == 12 * 3**12
     assert fit[-1] == 90 * 3**6
     assert fit[-3] == 3**17
-    assert fit_character(0, 0, 0, 12)[0] == 12
+    assert fit_character(0, 0, 0)[0] == 12
 
 
 @pytest.mark.parametrize("trunc", range(1, 25))
-def test_solved_table_matches_the_typed_table(trunc):
-    assert laurent_table(trunc) == TYPED_LAURENT_TABLE
-    assert derive_dimension_formula(trunc) == (4, -36, -12, 24)
+def test_solved_table_matches_the_typed_table(monkeypatch, trunc):
+    assert laurent_table() == TYPED_LAURENT_TABLE
+    # the solve reads no coefficient that a longer expansion changes: from
+    # series expanded to any truncation it gives the same table and formula
+    monkeypatch.setattr(qmodular, "TRUNC", trunc)
+    solve_afresh(monkeypatch)
+    assert qmodular.laurent_table() == TYPED_LAURENT_TABLE
+    assert qmodular.derive_dimension_formula() == (4, -36, -12, 24)
 
 
 def test_fit_character_checks_leading_coefficient(monkeypatch):
@@ -205,13 +210,13 @@ def test_fit_character_checks_leading_coefficient(monkeypatch):
     # Halving the q^-1 coefficient of f makes the solved c_1 = 1 / [q^-1]f 2
     patch_series_coefficient(monkeypatch, "hauptmodul_f", (), -1, Q(1, 2))
     with pytest.raises(InvariantError, match="^leading Laurent coefficient is 2, not 1$"):
-        fit_character(1, 0, 0, 12)
+        fit_character(1, 0, 0)
 
 
 def test_solve_rejects_a_zero_pivot(monkeypatch):
     patch_series_coefficient(monkeypatch, "f_power_at_S", (-2,), Q(-2, 3), 0)
     with pytest.raises(InvariantError, match="^zero pivot: the leading coefficient of f\\^-2 is 0$"):
-        qmodular.laurent_table(12)
+        qmodular.laurent_table()
 
 
 def test_dim_tilde_v1_cases():
@@ -225,9 +230,10 @@ def test_dim_tilde_v1_rejects_negative():
         dim_tilde_v1(1000, 0, 0, 0)
 
 
-@pytest.mark.parametrize("trunc", [12, 14, 16])
+@pytest.mark.parametrize("trunc", range(1, 25))
 def test_derived_formula_coefficients(trunc):
-    derived = derive_dimension_formula(trunc)
+    # the one derivation against the trace oracle at every truncation
+    derived = derive_dimension_formula()
     assert derived == (4, -36, -12, 24)
     assert derived == traced_dimension_formula(trunc)
 
@@ -236,15 +242,15 @@ def test_derived_constant_reads_the_constant_term_of_f(monkeypatch):
     # the solve makes the constant term c0 + c1 [q^0]f of Z(t) equal d0
     # whatever [q^0]f is, so 5 more there moves c0, and the constant term of
     # the three shifted Z(S T^i t), by -5 each: the derived constant by -15
-    f = hauptmodul_f(12)
+    f = hauptmodul_f(qmodular.TRUNC)
     shifted = PuiseuxSeries(f.denom, {**f.coeffs, 0: f.coeff(0) + 5}, f.trunc)
     solve_afresh(monkeypatch)
-    monkeypatch.setattr(qmodular, "hauptmodul_f", lambda trunc=12: shifted)
-    assert derive_dimension_formula(12) == (4, -36, -12, 9)
+    monkeypatch.setattr(qmodular, "hauptmodul_f", lambda trunc: shifted)
+    assert qmodular.derive_dimension_formula() == (4, -36, -12, 9)
 
 
 def test_formula_degenerates_without_twisted_dims():
-    a, b, c, d = derive_dimension_formula(12)
+    a, b, c, d = derive_dimension_formula()
     # with twisted dimensions zero the formula is 4 d0 + 24
     for d0, dim_v1, expect in ((102, 120, 312), (48, 48, 168), (54, 72, 168)):
         assert a * d0 + d - dim_v1 == expect
@@ -254,9 +260,10 @@ def test_formula_degenerates_without_twisted_dims():
 def test_modular_section_shares_the_derivation_series():
     # the modular section reads f and the cusp series with the arguments the
     # derivation passes, so each series is one cache entry, built once
-    for fn in (hauptmodul_f, f_power_at_S, laurent_table):
+    for fn in (hauptmodul_f, f_power_at_S, laurent_table, derive_dimension_formula):
         fn.cache_clear()
     cases.verify_modular()
     assert hauptmodul_f.cache_info().currsize == 1
     assert f_power_at_S.cache_info().currsize == 4
     assert laurent_table.cache_info().currsize == 1
+    assert derive_dimension_formula.cache_info().currsize == 1

@@ -123,8 +123,8 @@ def test_fresh_caches_clears_every_cached_function():
     assert decorated and len(decorated) == anywhere
     assert sorted(package_caches()) == sorted(decorated)
     # the count is pinned, so that a new per-process cache is a decision
-    # recorded here
-    assert len(decorated) == 22
+    # recorded here: the last is the one derivation of the dimension formula
+    assert len(decorated) == 23
 
 
 def test_no_assert_statement_in_src():
@@ -172,9 +172,10 @@ CACHE_PROBES = {
     "latticevoa._coset_norm_floor": lambda: latticevoa._coset_norm_floor(E6, 1),
     "latticevoa._digit_reps": lambda: latticevoa._digit_reps(E6),
     "latticevoa._negative_pairs": lambda: latticevoa._negative_pairs(E6),
+    "qmodular.derive_dimension_formula": lambda: qmodular.derive_dimension_formula(),
     "qmodular.f_power_at_S": lambda: qmodular.f_power_at_S(-3, TRUNC),
     "qmodular.hauptmodul_f": lambda: qmodular.hauptmodul_f(TRUNC),
-    "qmodular.laurent_table": lambda: qmodular.laurent_table(TRUNC),
+    "qmodular.laurent_table": lambda: qmodular.laurent_table(),
     "rootdata._affine_diagram": lambda: rootdata._affine_diagram(E6),
     "rootdata.build_root_system": lambda: rootdata.build_root_system(E6),
     "rootdata.parse_ideal": lambda: rootdata.parse_ideal("E6,1"),
@@ -220,7 +221,7 @@ def test_cached_functions_return_values():
         lambda: cases.lattice_data(E6_CASE.expected_target)[1].root_index,
         lambda: rootdata.build_root_system(E6).form,
         lambda: qmodular.hauptmodul_f(TRUNC).coeffs,
-        lambda: qmodular.laurent_table(TRUNC),
+        lambda: qmodular.laurent_table(),
     ],
     ids=["pairs-row", "cr-row", "root-index", "root-system-form", "series-coeffs",
          "laurent-table"],
