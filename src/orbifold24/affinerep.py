@@ -164,10 +164,8 @@ def sigma_order_on_category(ambient: Ambient, h: Twist) -> int:
     return order
 
 
-def inner_fixed_subalgebra(
-    ambient: Ambient, h: Twist
-) -> Tuple[SemisimpleTypeWithLevels, int]:
-    """Fixed subalgebra of the inner automorphism exp(-2 pi i h) with dimension.
+def inner_fixed_subalgebra(ambient: Ambient, h: Twist) -> SemisimpleTypeWithLevels:
+    """Fixed subalgebra of the inner automorphism exp(-2 pi i h).
 
     Each h_i is moved to the fundamental alcove (`alcove_labels`), where the
     nodes it labels 0 span the fixed ideals (`kac_fixed_subalgebra`); their
@@ -179,5 +177,4 @@ def inner_fixed_subalgebra(
         fixed = kac_fixed_subalgebra(a.type, alcove_labels(a.root_system(), hi))
         ideals.extend((t, k * a.level) for t, k in fixed.ideals)
         abelian += fixed.abelian_rank
-    result = SemisimpleTypeWithLevels.of(ideals, abelian)
-    return result, result.dim()
+    return SemisimpleTypeWithLevels.of(ideals, abelian)

@@ -64,37 +64,38 @@ IntVec = Tuple[int, ...]
 # ---------------------------------------------------------------------------
 # glue codes
 
-# the component types of the two glue codes, built once for the comparisons
+# the component types of the two glue codes and the catalogue's keys
 E6, D4 = SimpleType("E", 6), SimpleType("D", 4)
 
 
+def _coset(den: int, reps: Sequence[IntVec], x: Sequence[int]) -> int:
+    """The glue digit of x / den: the one representative reps[d] / den that
+    x / den is congruent to mod the root lattice; InvariantError unless x
+    lies in exactly one of the listed cosets."""
+    matches = [d for d, rep in enumerate(reps) if not any((a - b) % den for a, b in zip(x, rep))]
+    if len(matches) != 1:
+        raise InvariantError(f"{tuple(x)} / {den} lies in {len(matches)} listed cosets")
+    return matches[0]
+
+
 @lru_cache(maxsize=None)
-def _digit_reps(t: SimpleType) -> Tuple[int, Tuple[IntVec, ...]]:
-    """Coset representatives of the discriminant group, in simple-root coords,
-    indexed by glue digit, as (den, den * representatives): den is the least
+def _digit_reps(t: SimpleType) -> Tuple[int, Tuple[IntVec, ...], Tuple[IntVec, ...]]:
+    """The discriminant group P/Q of a simply-laced type, read off its root
+    data, as (den, den * representatives, addition table): den is the least
     common denominator of the inverse Cartan matrix Y / den, whose row i is
-    fundamental weight i."""
+    fundamental weight i in simple-root coordinates.  Digit 0 is the root
+    lattice and digits 1.. the minuscule weights, the rows of Y at the nodes
+    of affine mark 1 in node order, one in each nonzero coset (Conway-Sloane,
+    SPLAG, ch. 4); add[a][b] is the digit of the coset of the sum."""
+    if t.family not in "ADE":
+        raise ValueError(f"no glue digits defined for {t}")
     y, den = integer_inverse(build_root_system(t).simple_roots)
-    zero = (0,) * t.rank
-    if t == E6:
-        # Z3 cosets: [1] and [2] are the two minuscule classes
-        reps = (zero, tuple(y[0]), tuple(y[5]))
-        if any((2 * a - b) % den for a, b in zip(reps[1], reps[2])):
-            raise InvariantError("[2] must be 2*[1]")
-        return den, reps
-    if t == D4:
-        # Klein cosets: the three minuscule weights on the outer nodes
-        return den, (zero, tuple(y[3]), tuple(y[0]), tuple(y[2]))
-    raise ValueError(f"no glue digits defined for {t}")
-
-
-def digit_add(t: SimpleType, a: int, b: int) -> int:
-    if t == E6:
-        return (a + b) % 3
-    if t == D4:
-        # the Klein group: digits 1, 2, 3 are the labels 01, 10, 11 of Z2^2
-        return a ^ b
-    raise ValueError(f"no glue digits defined for {t}")
+    marks = _affine_diagram(t)[1]
+    reps = ((0,) * t.rank,) + tuple(tuple(y[i]) for i in range(t.rank) if marks[i + 1] == 1)
+    add = tuple(
+        tuple(_coset(den, reps, [p + q for p, q in zip(a, b)]) for b in reps) for a in reps
+    )
+    return den, reps, add
 
 
 class GlueCode(NamedTuple):
@@ -105,11 +106,12 @@ class GlueCode(NamedTuple):
 
     @lru_cache(maxsize=None)
     def words(self) -> FrozenSet[IntVec]:
+        tables = [_digit_reps(t)[2] for t in self.components]
         words = [tuple([0] * len(self.components))]
         seen = set(words)
         for w in words:  # grows while it is walked: a breadth-first search
             for g in self.generators:
-                s = tuple(digit_add(t, a, b) for t, a, b in zip(self.components, w, g))
+                s = tuple(add[a][b] for add, a, b in zip(tables, w, g))
                 if s not in seen:
                     seen.add(s)
                     words.append(s)
@@ -120,8 +122,8 @@ class GlueCode(NamedTuple):
         den the least common multiple of the components' digit denominators:
         the same for every word of the code."""
         reps = [_digit_reps(t) for t in self.components]
-        den = lcm(*(d for d, _ in reps))
-        return den, tuple(x * (den // d) for (d, r), c in zip(reps, w) for x in r[c])
+        den = lcm(*(d for d, _, _ in reps))
+        return den, tuple(x * (den // d) for (d, r, _), c in zip(reps, w) for x in r[c])
 
     def root_system(self) -> SemisimpleTypeWithLevels:
         """The components at level 1, the weight-one type of the lattice VOA."""
@@ -139,12 +141,12 @@ NI_E6_4 = GlueCode(
 NI_D4_6 = GlueCode(
     (D4,) * 6,
     (
+        (3, 3, 3, 3, 3, 3),
         (1, 1, 1, 1, 1, 1),
-        (2, 2, 2, 2, 2, 2),
-        (0, 0, 2, 3, 3, 2),
-        (0, 2, 3, 3, 2, 0),
-        (0, 3, 2, 0, 2, 3),
-        (0, 2, 0, 2, 3, 3),
+        (0, 0, 1, 2, 2, 1),
+        (0, 1, 2, 2, 1, 0),
+        (0, 2, 1, 0, 1, 2),
+        (0, 1, 0, 1, 2, 2),
     ),
 )
 
@@ -269,7 +271,7 @@ def _coset_norm_floor(t: SimpleType, d: int) -> Tuple[int, int]:
     """Least positive value congruent mod 2Z to the norm of digit d's coset,
     as (unit * value, unit).  The representative is rep / den and the gram
     g / scale, so the norm is rep g rep^T over unit = den^2 scale."""
-    den, reps = _digit_reps(t)
+    den, reps, _ = _digit_reps(t)
     g, scale = _gram_matrix(t)
     unit = den * den * scale
     n = mat_mul(mat_mul([reps[d]], g), transpose([reps[d]]))[0][0]
@@ -413,21 +415,9 @@ def local_isometry(
 
 def disc_digit_action(t: SimpleType, local: List[List[int]]) -> Dict[int, int]:
     """Induced permutation of the glue digits (trivial exactly on Weyl part):
-    the image of each representative lies in the coset of the one it is
-    congruent to mod den."""
-    den, reps = _digit_reps(t)
-    out: Dict[int, int] = {}
-    for d, rep in enumerate(reps):
-        img = mat_mul([rep], local)[0]
-        matches = [
-            d2
-            for d2, rep2 in enumerate(reps)
-            if not any((a - b) % den for a, b in zip(img, rep2))
-        ]
-        if len(matches) != 1:
-            raise InvariantError(f"digit {d} maps to {len(matches)} cosets")
-        out[d] = matches[0]
-    return out
+    each representative maps to the one coset (`_coset`) holding its image."""
+    den, reps, _ = _digit_reps(t)
+    return {d: _coset(den, reps, mat_mul([rep], local)[0]) for d, rep in enumerate(reps)}
 
 
 # One local order-3 isometry per (component type, witness kind, fixed option

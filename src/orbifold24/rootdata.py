@@ -195,7 +195,8 @@ class RootSystem(NamedTuple):
 
 @lru_cache(maxsize=None)
 def build_root_system(t: SimpleType) -> RootSystem:
-    """Root system of a simple type; roots generated and counted."""
+    """Root system of a simple type; roots generated and counted, theta read
+    off the affine marks (`_affine_diagram`)."""
     n = t.rank
     g, s = _gram_matrix(t)
     # fw coords of a_i = row i of the Cartan matrix, 2(ai|aj)/(aj|aj)
@@ -226,8 +227,12 @@ def build_root_system(t: SimpleType) -> RootSystem:
     acs = tuple(found[rt] for rt in roots)
     if len(roots) != t.n_roots():
         raise InvariantError(f"{t}: generated {len(roots)} roots, expected {t.n_roots()}")
-    top = max(range(len(roots)), key=lambda k: sum(acs[k]))
-    return RootSystem(t, n, simple, 2 * s * d // common, form, roots, acs, roots[top])
+    # theta = sum of mark_i a_i, the marks after node 0's 1
+    marks = _affine_diagram(t)[1]
+    theta = tuple(sum(m * a[k] for m, a in zip(marks[1:], simple)) for k in range(n))
+    if theta not in found:
+        raise InvariantError(f"{t}: theta {theta} from the affine marks is not a root")
+    return RootSystem(t, n, simple, 2 * s * d // common, form, roots, acs, theta)
 
 
 def scaled_coords(x: Sequence[Q | int]) -> ScaledCoords:

@@ -167,8 +167,7 @@ def order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
     return tuple(sorted(options, key=lambda o: (o.kind, str(o.result))))
 
 
-Assignment = List[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels]]
-Witness = Sequence[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels]]  # or its tuple
+Witness = Tuple[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels], ...]
 # (count vector over the target's distinct ideals, abelian rank, ideals
 # consumed, nontrivial, witness entry)
 Move = Tuple[Tuple[int, ...], int, int, bool, tuple]
@@ -193,13 +192,14 @@ def _moves(target: SemisimpleTypeWithLevels, first: Ideal, cycle: bool) -> Tuple
 
 def admits_order3_with_fixed(
     c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithLevels
-) -> Tuple[bool, Optional[Assignment]]:
-    """Whether some order-3 automorphism of c has fixed subalgebra target.
+) -> Optional[Witness]:
+    """A witness that some order-3 automorphism of c has fixed subalgebra
+    target, or None when none has.
 
     The ideals of c are partitioned into 3-cycles of equal ideals (each
     contributing the diagonal ideal at triple level) and singletons (each
     contributing one fixed option); the union, including abelian bookkeeping,
-    must equal the target.  Returns a witness assignment when it exists.
+    must equal the target.  The witness is that partition, one entry per part.
 
     The search walks the sorted ideals of c.  A move at a position, the
     3-cycle of the next three equal ideals or one option of the next ideal,
@@ -217,7 +217,7 @@ def admits_order3_with_fixed(
     n = len(ideals)
     at = [(x, p + 2 < n and ideals[p + 2] == x) for p, x in enumerate(ideals)]
     dead: Set[Tuple[int, Tuple[int, ...], int, bool]] = set()
-    witness: Assignment = []
+    witness: List[tuple] = []
 
     def rec(p: int, counts: Tuple[int, ...], ab: int, nontrivial: bool) -> bool:
         if p == n:
@@ -236,16 +236,14 @@ def admits_order3_with_fixed(
         dead.add(state)
         return False
 
-    if rec(0, (0,) * len(keys), 0, False):
-        return True, witness
-    return False, None
+    return tuple(witness) if rec(0, (0,) * len(keys), 0, False) else None
 
 
 def filter_candidates(
     candidates: Sequence[SemisimpleTypeWithLevels], target: SemisimpleTypeWithLevels
-) -> List[Tuple[SemisimpleTypeWithLevels, Assignment]]:
+) -> Tuple[Tuple[SemisimpleTypeWithLevels, Witness], ...]:
     """Candidates admitting an order-3 automorphism with the target fixed
     type, each with the witness that `admits_order3_with_fixed` found; the
     candidates share the target's move lists."""
-    return [(c, witness) for c in candidates
-            for ok, witness in [admits_order3_with_fixed(c, target)] if ok]
+    return tuple((c, witness) for c in candidates
+                 for witness in [admits_order3_with_fixed(c, target)] if witness is not None)

@@ -75,11 +75,16 @@ def _records(ambient: Ambient, h: Twist) -> List[IdealTwist]:
     return [ideal_twist(a, (den, tuple(v))) for a, (den, v) in zip(ambient, h, strict=True)]
 
 
+def _norm(records: List[IdealTwist]) -> Tuple[int, int]:
+    """<h|h> = sum_i k_i (h_i|h_i) as (numerator, denominator), from the records."""
+    terms = [r.norm for r in records]
+    d = lcm(*(t for _, t in terms))
+    return sum(n * (d // t) for n, t in terms), d
+
+
 def invariant_norm(ambient: Ambient, h: Twist) -> Tuple[Q, bool, bool]:
     """<h|h> = sum_i k_i (h_i|h_i), with the 2Z and (2/3)Z membership flags."""
-    terms = [r.norm for r in _records(ambient, h)]
-    d = lcm(*(t for _, t in terms))
-    num = sum(n * (d // t) for n, t in terms)
+    num, d = _norm(_records(ambient, h))
     return Q(num, d), num % (2 * d) == 0, 3 * num % (2 * d) == 0
 
 
@@ -97,17 +102,18 @@ class _CaseTables:
     Row 0 of every ideal is the vacuum (the zero weight sorts first).
     """
 
-    def __init__(self, ambient: Ambient, h: Twist, norm: Q):
+    def __init__(self, ambient: Ambient, h: Twist):
         self.weights: List[Tuple[IntCoords, ...]] = []
         # (den, integer column) per ideal; the record's n_min gives h and
-        # -h over one denominator
+        # -h over one denominator, and the records' norms <h|h>
+        records = _records(ambient, h)
         cw, nm = [], []
-        for a, record in zip(ambient, _records(ambient, h), strict=True):
+        for a, record in zip(ambient, records, strict=True):
             table = enumerate_level_weights(a)
             self.weights.append(table.weights)
             cw.append(table.cw_column)
             nm.append(record.n_min)
-        half_norm = norm / 2
+        half_norm = Q(*_norm(records)) / 2
         dens = [den for den, _ in cw] + [den for den, _, _ in nm]
         self.scale = d = lcm(half_norm.denominator, *dens)
         self.half_norm_s = half_norm.numerator * (d // half_norm.denominator)
@@ -204,18 +210,18 @@ class _CaseTables:
 
 
 def min_twisted_weight(
-    ambient: Ambient, h: Twist, norm: Q
+    ambient: Ambient, h: Twist
 ) -> Tuple[Q, Tuple[IntCoords, ...], Q, Tuple[IntCoords, ...]]:
     """Minimum of the bound over all feasible tuples, for h and -h.
 
     Returns (min for h, witness, min for -h, witness); witnesses are the
     lexicographically least minimizers.  The -h minimum is computed on its
     own n_min column, not as a symmetry image; the two signs share one
-    backward sweep, the cw columns and <h|h>.  The shift formula needs
-    (h|alpha) >= -1; callers check `shift_ok` once, report it, and call this
-    only when it holds.  norm is <h|h>, from `invariant_norm`.
+    backward sweep, the cw columns and <h|h>, read off the same records as
+    `invariant_norm`.  The shift formula needs (h|alpha) >= -1; callers
+    check `shift_ok` once, report it, and call this only when it holds.
     """
-    (m1, w1), (m2, w2) = _CaseTables(ambient, h, norm).minimize()
+    (m1, w1), (m2, w2) = _CaseTables(ambient, h).minimize()
     return m1, w1, m2, w2
 
 

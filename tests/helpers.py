@@ -40,8 +40,10 @@ against, and helpers that only the tests need.
   automorphisms; those automorphisms as the Gram-preserving permutations
   out of all of them (`brute_force_diagram_automorphisms`) against the
   breadth-first search in `schellekens._diagram_automorphisms`; the affine
-  diagram read off the generated root system (`root_affine_diagram`) against
-  `rootdata._affine_diagram`, which reaches theta by reflections; the
+  diagram read off the generated root system, theta the root of greatest
+  height (`root_affine_diagram`), against `rootdata._affine_diagram`,
+  which reaches theta by reflections and gives `build_root_system` its
+  theta; the
   plain backtracking search over `Counter`s (`backtracking_admits`)
   against the count-vector search with its failure memo in
   `schellekens.admits_order3_with_fixed`.
@@ -96,6 +98,11 @@ against, and helpers that only the tests need.
   symmetries' maps, and the depth-first search of every (source, map)
   choice of each position afresh (`per_choice_glue_order`) against the
   chain, which searches only the choices its generators do not reach; the
+  glue digits as `Fraction` fundamental weights at the nodes of affine
+  mark 1 read off the roots (`fraction_digit_weights`), added by the
+  fractional parts of their coordinates (`fraction_digit_law`), and the
+  typed laws Z3 and Z2^2 of E6 and D4 (`TYPED_DIGIT_LAWS`), against the
+  representatives and addition tables of `latticevoa._digit_reps`; the
   isometry certificate as `Fraction`
   matrix products (`fraction_slot_maps_to_isometry`), the fixed projection
   of an ambient vector through the ambient `Fraction` matrix and gram
@@ -183,7 +190,9 @@ from itertools import product
 from math import factorial, gcd, lcm
 from pathlib import Path
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 import numpy as np
 
@@ -792,7 +801,7 @@ def scan(t: _CaseTables) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
 
 def feasible_tuples(ambient: Ambient, h: Twist) -> List[TupleBound]:
     """All weight tuples with integral conformal-weight sum, with bounds."""
-    t = _CaseTables(ambient, h, invariant_norm(ambient, h)[0])
+    t = _CaseTables(ambient, h)
     d = t.scale
     out: List[TupleBound] = []
     for idx, s_cw, s_nm in scan(t):
@@ -828,7 +837,7 @@ class TupleGrid:
 def tuple_grid(ambient: Ambient, h: Twist) -> TupleGrid:
     """The exhaustive scan of `scan` for h, broadcast in numpy so that the
     10^6 tuples of a2x6 take well under a second."""
-    t = _CaseTables(ambient, h, invariant_norm(ambient, h)[0])
+    t = _CaseTables(ambient, h)
     d = t.scale
     n = len(t.weights)
 
@@ -1165,12 +1174,14 @@ def fraction_order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOptio
 
 def root_affine_diagram(t: SimpleType) -> Tuple[List[List[int]], IntCoords, int]:
     """(scale * node gram, marks, scale) read off the generated root system:
-    theta is the root of greatest height, the gram pairs [-theta] + simple
-    roots through `RootSystem.covector`, scale is the root system's."""
+    theta is the root of greatest height, found by a search over the roots,
+    the gram pairs [-theta] + simple roots through `RootSystem.covector`,
+    scale is the root system's."""
     rs = build_root_system(t)
-    nodes = (tuple(-c for c in rs.theta),) + rs.simple_roots
+    top = max(range(len(rs.roots)), key=lambda k: sum(rs.root_alpha_coords[k]))
+    nodes = (tuple(-c for c in rs.roots[top]),) + rs.simple_roots
     gram = [[sum(a * b for a, b in zip(rs.covector(x), y)) for y in nodes] for x in nodes]
-    return gram, (1,) + theta_alpha_coords(rs), rs.scale
+    return gram, (1,) + rs.root_alpha_coords[top], rs.scale
 
 
 def brute_force_diagram_automorphisms(t: SimpleType) -> Set[Tuple[int, ...]]:
@@ -1185,7 +1196,7 @@ def brute_force_diagram_automorphisms(t: SimpleType) -> Set[Tuple[int, ...]]:
 
 
 def backtracking_admits(c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithLevels):
-    """(ok, witness) of the plain backtracking search over Counters: at each
+    """The witness of the plain backtracking search over Counters, or None: at each
     step the first remaining ideal either opens a 3-cycle with two equal
     partners or takes one of its options sorted by (kind, str(result))."""
     target_ideals = Counter(target.ideals)
@@ -1197,7 +1208,7 @@ def backtracking_admits(c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithL
     def rec(remaining, acc: Counter, ab: int, nontrivial: bool, witness):
         if not remaining:
             if acc == target_ideals and ab == target_ab and nontrivial:
-                return list(witness)
+                return tuple(witness)
             return None
         first, rest = remaining[0], remaining[1:]
         if remaining.count(first) >= 3:
@@ -1229,8 +1240,7 @@ def backtracking_admits(c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithL
             witness.pop()
         return None
 
-    found = rec(tuple(sorted(c.ideals)), Counter(), 0, False, [])
-    return (found is not None), found
+    return rec(tuple(sorted(c.ideals)), Counter(), 0, False, [])
 
 
 # --- eta powers -----------------------------------------------------------
@@ -2058,6 +2068,36 @@ TYPED_DIGIT_MAPS: Dict[SimpleType, List[Dict[int, int]]] = {
         {0: 0, 1: p[0], 2: p[1], 3: p[2]} for p in itertools.permutations((1, 2, 3))
     ],
 }
+
+# the group laws of the discriminant groups, typed in: Z3 on the digits of
+# E6, and the Klein group on those of D4, digits 1, 2, 3 the labels 01,
+# 10, 11 of Z2^2
+TYPED_DIGIT_LAWS: Dict[SimpleType, Callable[[int, int], int]] = {
+    SimpleType("E", 6): lambda a, b: (a + b) % 3,
+    SimpleType("D", 4): lambda a, b: a ^ b,
+}
+
+
+def fraction_digit_weights(t: SimpleType) -> List[List[Q]]:
+    """The glue-digit representatives in Fractions: 0, then the rows of the
+    Fraction inverse Cartan matrix (fundamental weights in simple-root
+    coordinates) at the nodes of affine mark 1, in node order, the marks
+    read off the roots of `FractionRootSystem`."""
+    rs = FractionRootSystem(t)
+    inv = inverse(rs.simple_roots)
+    return [[Q(0)] * t.rank] + [inv[i] for i in range(t.rank) if rs.marks[i + 1] == 1]
+
+
+def fraction_digit_law(weights: Sequence[Sequence[Q]]) -> List[List[int]]:
+    """The addition table of the digit weights (`fraction_digit_weights`) by
+    congruence: a + b is the digit whose weight has the fractional parts of
+    the sum's, so that the two differ by integral simple-root coordinates, a
+    root lattice vector.  ValueError unless the weights' fractional parts
+    are distinct."""
+    index = {tuple(x % 1 for x in w): d for d, w in enumerate(weights)}
+    if len(index) != len(weights):
+        raise ValueError("two digit weights lie in one coset")
+    return [[index[tuple((x + y) % 1 for x, y in zip(u, v))] for v in weights] for u in weights]
 
 
 def permutation_first_glue_order(code: GlueCode) -> int:

@@ -30,7 +30,6 @@ from orbifold24.latticevoa import (
     certify_frenkel_kac,
     certify_lift,
     count_orthogonal_subsystems,
-    digit_add,
     disc_digit_action,
     fixed_projection_norm,
     fixed_subalgebra,
@@ -85,6 +84,7 @@ from helpers import (
     lattice_to_ambient,
     named_witness,
     numpy_lie_tables,
+    TYPED_DIGIT_LAWS,
     TYPED_DIGIT_MAPS,
     pair_probe_fixed_subalgebra,
     per_choice_glue_order,
@@ -132,27 +132,28 @@ def test_glue_code_words():
     assert min(sum(1 for d in w if d) for w in NI_D4_6.words() if any(w)) == 4
 
 
-@pytest.mark.parametrize("t", [SimpleType("E", 6), SimpleType("D", 4)], ids=str)
+@pytest.mark.parametrize("t", sorted(TYPED_DIGIT_LAWS), ids=str)
 def test_digit_addition_matches_coset_representatives(t):
-    # digit_add is the group law of the discriminant group: the sum of two
-    # coset representatives lies in the coset of the added digit, that is
-    # den * (the difference) is 0 mod den
-    den, reps = latticevoa._digit_reps(t)
+    # the addition table is the typed group law of the discriminant group,
+    # and the sum of two coset representatives lies in the coset of the
+    # added digit, that is den * (the difference) is 0 mod den
+    den, reps, add = latticevoa._digit_reps(t)
     for a in range(len(reps)):
         for b in range(len(reps)):
-            diff = [x + y - z for x, y, z in zip(reps[a], reps[b], reps[digit_add(t, a, b)])]
+            assert add[a][b] == TYPED_DIGIT_LAWS[t](a, b), (a, b)
+            diff = [x + y - z for x, y, z in zip(reps[a], reps[b], reps[add[a][b]])]
             assert all(x % den == 0 for x in diff), (a, b)
 
 
 # the fundamental weights behind each nonzero glue digit, in digit order
-DIGIT_WEIGHTS = {SimpleType("E", 6): (0, 5), SimpleType("D", 4): (3, 0, 2)}
+DIGIT_WEIGHTS = {SimpleType("E", 6): (0, 5), SimpleType("D", 4): (0, 2, 3)}
 
 
 @pytest.mark.parametrize("t", sorted(DIGIT_WEIGHTS), ids=str)
 def test_digit_reps_are_the_fraction_inverse_over_its_denominator(t):
     # den * (row i of the Fraction inverse Cartan matrix), den its least
     # common denominator: 3 for E6, 2 for D4
-    den, reps = latticevoa._digit_reps(t)
+    den, reps, _ = latticevoa._digit_reps(t)
     inv = inverse(build_root_system(t).simple_roots)
     assert den == lcm(*(x.denominator for row in inv for x in row)) == {6: 3, 4: 2}[t.rank]
     assert reps[0] == (0,) * t.rank
@@ -164,6 +165,64 @@ def test_digit_reps_are_the_fraction_inverse_over_its_denominator(t):
         x = [Q(c, den) for c in reps[d]]
         n, unit = latticevoa._coset_norm_floor(t, d)
         assert Q(n, unit) == (fraction_ip(gram, x, x) % 2 or 2)
+
+
+ADE_TYPES = [t for t in simple_types(700) if t.family in "ADE"]
+
+
+@pytest.mark.parametrize("t", ADE_TYPES, ids=str)
+def test_digit_reps_are_the_discriminant_group(t):
+    # one digit per coset of P/Q, det(Cartan) of them, the determinant also
+    # read off the Fraction inverse; each nonzero digit is den times a
+    # Fraction inverse row at a node of affine mark 1, den the inverse's
+    # least common denominator; the addition table is an abelian group law
+    # and equals the Fraction congruence oracle
+    den, reps, add = latticevoa._digit_reps(t)
+    cartan = build_root_system(t).simple_roots
+    inv = inverse(cartan)
+    assert len(reps) == helpers.det(cartan) == 1 / helpers.det(inv)
+    assert den == lcm(*(x.denominator for row in inv for x in row))
+    weights = helpers.fraction_digit_weights(t)
+    assert [list(r) for r in reps] == [[den * x for x in w] for w in weights]
+    digits = range(len(reps))
+    assert all(add[0][a] == add[a][0] == a for a in digits)
+    assert all(add[a][b] == add[b][a] for a in digits for b in digits)
+    assert all(0 in add[a] for a in digits)
+    assert all(
+        add[add[a][b]][c] == add[a][add[b][c]] for a in digits for b in digits for c in digits
+    )
+    assert [list(row) for row in add] == helpers.fraction_digit_law(weights)
+
+
+@pytest.mark.parametrize("t", [t for t in ADE_TYPES if t != SimpleType("E", 8)], ids=str)
+def test_coset_lookup_needs_each_coset_listed_once(t):
+    # a vector congruent to a representative mod den looks up its digit;
+    # with its coset dropped from the list, or listed twice, the lookup fails
+    den, reps, _ = latticevoa._digit_reps(t)
+    shifted = [(r[0] + den,) + r[1:] for r in reps]
+    assert [latticevoa._coset(den, reps, x) for x in shifted] == list(range(len(reps)))
+    for listed, x, n in ((reps[:-1], reps[-1], 0), (reps + reps[1:2], reps[1], 2)):
+        with pytest.raises(InvariantError) as exc:
+            latticevoa._coset(den, listed, x)
+        assert str(exc.value) == f"{x} / {den} lies in {n} listed cosets"
+
+
+@pytest.mark.parametrize("name", ["B3", "C2", "F4", "G2"])
+def test_glue_digits_need_a_simply_laced_type(name):
+    with pytest.raises(ValueError, match=f"^no glue digits defined for {name}$"):
+        latticevoa._digit_reps(SimpleType.parse(name))
+
+
+def test_disc_digit_action_rejects_a_map_off_the_weight_lattice():
+    # the projection onto the first coordinate sends E6's first minuscule
+    # weight outside P, into none of the cosets
+    t = SimpleType("E", 6)
+    den, reps, _ = latticevoa._digit_reps(t)
+    first = [[int(i == j == 0) for j in range(t.rank)] for i in range(t.rank)]
+    img = (reps[1][0],) + (0,) * (t.rank - 1)
+    with pytest.raises(InvariantError) as exc:
+        disc_digit_action(t, first)
+    assert str(exc.value) == f"{img} / {den} lies in 0 listed cosets"
 
 
 def test_assembly_even_unimodular(ne6, nd4):

@@ -574,6 +574,19 @@ def test_affine_diagram_checks_the_coxeter_number(monkeypatch):
         _affine_diagram.__wrapped__(SimpleType("D", 4))
 
 
+def test_theta_read_off_the_marks_must_be_a_root(monkeypatch):
+    # theta is the marks' sum of simple roots: doubled marks name 2 theta,
+    # which is no root
+    e6 = SimpleType("E", 6)
+    gram, marks, scale = _affine_diagram(e6)
+    doubled = (1,) + tuple(2 * m for m in marks[1:])
+    monkeypatch.setattr(rootdata, "_affine_diagram", lambda t: (gram, doubled, scale))
+    twice = tuple(2 * c for c in build_root_system(e6).theta)
+    with pytest.raises(InvariantError) as exc:
+        build_root_system.__wrapped__(e6)
+    assert str(exc.value) == f"E6: theta {twice} from the affine marks is not a root"
+
+
 def test_make_and_replace_validate():
     # NamedTuple's own _make, which _replace calls, skips __new__
     with pytest.raises(ValueError):

@@ -186,7 +186,7 @@ CACHE_PROBES = {
         E6_CASE.expected_fixed, cases.unique_survivor(E6_CASE)[0].ideals[0], True
     ),
     "schellekens.enumerate_candidates":
-        lambda: schellekens.enumerate_candidates(*cases.forward_chain(E6_CASE)[2:4]),
+        lambda: schellekens.enumerate_candidates(*cases.forward_chain(E6_CASE)[1:3]),
     "schellekens.order3_fixed_options": lambda: schellekens.order3_fixed_options(E6, 1),
     "twistbound.ideal_twist": lambda: twistbound.ideal_twist(E6_CASE.ambient[0], E6_CASE.h[0]),
 }

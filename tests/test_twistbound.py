@@ -21,6 +21,7 @@ from orbifold24.rootdata import (
     scaled_coords,
 )
 from orbifold24.twistbound import (
+    _CaseTables,
     ideal_twist,
     invariant_norm,
     min_twisted_weight,
@@ -74,7 +75,7 @@ def test_twist_functions_reject_a_twist_vector_one_entry_short():
     calls = [
         lambda: invariant_norm(ambient, short),
         lambda: shift_ok(ambient, short),
-        lambda: min_twisted_weight(ambient, short, Q(2)),
+        lambda: min_twisted_weight(ambient, short),
         lambda: sigma_order_on_category(ambient, short),
         lambda: inner_fixed_subalgebra(ambient, short),
     ]
@@ -88,7 +89,7 @@ def test_wrong_length_h_raises_the_same_value_error_each_time():
     # the first did, whether h or one h_i has the wrong length
     ambient, h = CASE1
     long_h2 = (h[0], (1, (1, 0, 0))) + h[2:]
-    calls = (invariant_norm, shift_ok, lambda a, x: min_twisted_weight(a, x, Q(2)))
+    calls = (invariant_norm, shift_ok, min_twisted_weight)
     for twist, message in (
         (h[:-1], "zip() argument 2 is shorter than argument 1"),
         (long_h2, "h_i (1, 0, 0) for G2,1 must have 2 coordinates"),
@@ -108,9 +109,7 @@ def test_twist_functions_take_h_i_as_lists():
         norm = invariant_norm(cf.ambient, cf.h)
         assert invariant_norm(cf.ambient, listed) == norm
         assert shift_ok(cf.ambient, listed) == shift_ok(cf.ambient, cf.h)
-        assert min_twisted_weight(cf.ambient, listed, norm[0]) == min_twisted_weight(
-            cf.ambient, cf.h, norm[0]
-        )
+        assert min_twisted_weight(cf.ambient, listed) == min_twisted_weight(cf.ambient, cf.h)
 
 
 def test_ideal_twist_records_match_the_per_ideal_loops(probe_cases):
@@ -260,7 +259,7 @@ def test_bound_recomputation_agrees():
 
 @pytest.mark.parametrize("case", [CASE1, CASE2, CASE3], ids=["e6g2", "a2x6", "a5d4"])
 def test_min_twisted_weight_is_one(case):
-    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case, invariant_norm(*case)[0])
+    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case)
     assert m_pos == 1 and m_neg == 1
     for wit in (wit_pos, wit_neg):
         assert all(all(c == 0 for c in w) for w in wit)
@@ -321,7 +320,7 @@ def random_case(rng: random.Random, k: int) -> tuple:
 
 
 def assert_dp_matches_scan(case):
-    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case, invariant_norm(*case)[0])
+    m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case)
     assert (m_pos, wit_pos) == scan_minimum(*case)
     assert (m_neg, wit_neg) == scan_minimum(*negated(*case))
 
@@ -389,7 +388,7 @@ def test_dp_matches_scan_on_wide_denominator_draws():
     for k in range(120):
         case = wide_case(rng, k)
         assert shift_ok(*case) and root_loop_shift_ok(*case)
-        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case, invariant_norm(*case)[0])
+        m_pos, wit_pos, m_neg, wit_neg = min_twisted_weight(*case)
         assert (m_pos, wit_pos) == scan_minimum(*case)
         assert (m_neg, wit_neg) == scan_minimum(*negated(*case))
         empty_group += top_row_without_completion(case[0])
@@ -430,8 +429,8 @@ def test_category_order_and_fixed_roots_match_fraction_pairings():
             ]
             dropped += len(retained) < len(rs.roots)
             typed, abelian, dim = typed_components_of_subsystem(rs, retained, a.level)
-            want = SemisimpleTypeWithLevels.of(typed, abelian), dim
-            assert inner_fixed_subalgebra((a,), (h,)) == want
+            fixed = inner_fixed_subalgebra((a,), (h,))
+            assert (fixed, fixed.dim()) == (SemisimpleTypeWithLevels.of(typed, abelian), dim)
         assert sigma_order_on_category(ambient, hs) == order
         orders[order] += 1
     assert len(orders) > 2 and dropped > 20
@@ -466,7 +465,7 @@ def test_min_twisted_weight_builds_no_weight_system():
     assert mods and not any(hasattr(m, "weight_system") for m in mods)
     enumerate_level_weights.cache_clear()
     for case in (CASE1, CASE2, CASE3):
-        min_twisted_weight(*case, invariant_norm(*case)[0])
+        min_twisted_weight(*case)
 
 
 def test_untwisted_ideal_gets_zero_columns_without_a_covector(monkeypatch):
@@ -505,3 +504,11 @@ def test_twist_bound_computes_the_norm_once(capsys, monkeypatch):
     assert cli.main(["twist-bound", "--case", "a5d4", "--json"]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_case_tables_read_the_norm_off_the_records(probe_cases):
+    # the DP derives <h|h> from the records it reads: its half-norm, over
+    # the tables' scale, is invariant_norm / 2 on every twist-probe case
+    for cf in (CaseFile.from_data(c) for c in probe_cases):
+        t = _CaseTables(cf.ambient, cf.h)
+        assert Q(t.half_norm_s, t.scale) == invariant_norm(cf.ambient, cf.h)[0] / 2
