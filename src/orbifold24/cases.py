@@ -166,21 +166,31 @@ def lattice_data(
 ISOMETRY_CASES = {cf.isometry_name: cf for cf in BUILTIN_CASES.values()}
 
 
+class ForwardChain(NamedTuple):
+    """A case's forward orbifold: the fixed subalgebra, the orbifold
+    weight-one dim, the ratio, the candidates and the survivors."""
+
+    fixed: SemisimpleTypeWithLevels
+    target_dim: int
+    ratio: Q
+    candidates: Tuple[SemisimpleTypeWithLevels, ...]
+    survivors: Tuple[Tuple[SemisimpleTypeWithLevels, Witness], ...]
+
+
 @lru_cache(maxsize=None)
-def forward_chain(cf: CaseFile) -> tuple:
-    """A case's forward orbifold, computed once: the fixed subalgebra, the
-    orbifold weight-one dim, the ratio, the candidates and the survivors."""
+def forward_chain(cf: CaseFile) -> ForwardChain:
+    """A case's forward orbifold, computed once."""
     fixed = inner_fixed_subalgebra(cf.ambient, cf.h)
     target_dim = qmodular.dim_tilde_v1(cf.dim_v1(), fixed.dim(), 0, 0)
     ratio = Q(target_dim - 24, 24)
     candidates = schellekens.enumerate_candidates(target_dim, ratio)
     survivors = schellekens.filter_candidates(candidates, fixed)
-    return fixed, target_dim, ratio, candidates, survivors
+    return ForwardChain(fixed, target_dim, ratio, candidates, survivors)
 
 
 def unique_survivor(cf: CaseFile) -> Tuple[SemisimpleTypeWithLevels, Witness]:
     """The one survivor of a case's forward chain, with its witness."""
-    survivors = forward_chain(cf)[-1]
+    survivors = forward_chain(cf).survivors
     if len(survivors) != 1:
         raise InvariantError(f"case {cf.case_id} has {len(survivors)} survivors, not 1")
     return survivors[0]
@@ -252,24 +262,25 @@ def run_case(cf: CaseFile) -> Report:
         source="reference",
     )
 
-    fixed, target_dim, ratio, candidates, survivors = forward_chain(cf)
+    chain = forward_chain(cf)
+    fixed = chain.fixed
     rep.check("fixed subalgebra", str(fixed), str(cf.expected_fixed), source="reference")
     rep.check("fixed subalgebra dim", fixed.dim(), cf.expected_fixed.dim(), source="reference")
 
     rep.note("dim of the ambient weight-one algebra", cf.dim_v1())
     check_dimension_formula(rep)
-    rep.check("orbifold weight-one dim", target_dim, cf.expected_target.dim())
+    rep.check("orbifold weight-one dim", chain.target_dim, cf.expected_target.dim())
 
-    rep.note("forced ratio h-dual/level", ratio)
-    rep.note("candidates", [str(c) for c in candidates])
+    rep.note("forced ratio h-dual/level", chain.ratio)
+    rep.note("candidates", [str(c) for c in chain.candidates])
     rep.check(
         "order-3 admissibility survivors",
-        [str(c) for c, _ in survivors],
+        [str(c) for c, _ in chain.survivors],
         [str(cf.expected_target)],
         source="reference",
     )
 
-    if len(survivors) == 1:  # built from the chain's own witness
+    if len(chain.survivors) == 1:  # built from the chain's own witness
         lat_type, lat_dim = lattice_fixed_type(cf)
         rep.check(
             "lattice-side fixed subalgebra",
@@ -371,7 +382,7 @@ def verify_candidates() -> Report:
     for cf in BUILTIN_CASES.values():
         rep.check(
             f"unique survivor for {cf.case_id}",
-            [str(c) for c, _ in forward_chain(cf)[-1]],
+            [str(c) for c, _ in forward_chain(cf).survivors],
             [str(cf.expected_target)],
             source="reference",
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
@@ -35,6 +36,26 @@ ScaledCoords = Tuple[int, IntCoords]
 
 _FAMILIES = tuple("ABCDEFG")  # a string would also contain "" and "AB"
 _SIMPLE_TYPE = re.compile(r"[A-G][0-9]+")
+# the ranks each family admits, and the dimension at each of them: read
+# per construction and per `simple_types` rank, so built once here
+_RANK_OK = {
+    "A": lambda r: r >= 1,
+    "B": lambda r: r >= 2,
+    "C": lambda r: r >= 2,
+    "D": lambda r: r >= 3,
+    "E": lambda r: r in (6, 7, 8),
+    "F": lambda r: r == 4,
+    "G": lambda r: r == 2,
+}
+_DIM = {
+    "A": lambda r: r * (r + 2),
+    "B": lambda r: r * (2 * r + 1),
+    "C": lambda r: r * (2 * r + 1),
+    "D": lambda r: r * (2 * r - 1),
+    "E": {6: 78, 7: 133, 8: 248}.__getitem__,
+    "F": lambda r: 52,
+    "G": lambda r: 14,
+}
 
 
 class _SimpleTypeKey(NamedTuple):
@@ -51,16 +72,7 @@ class SimpleType(_SimpleTypeKey):
     def __new__(cls, family: str, rank: int) -> "SimpleType":
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        ok = {
-            "A": rank >= 1,
-            "B": rank >= 2,
-            "C": rank >= 2,
-            "D": rank >= 3,
-            "E": rank in (6, 7, 8),
-            "F": rank == 4,
-            "G": rank == 2,
-        }[family]
-        if not ok:
+        if not _RANK_OK[family](rank):
             raise ValueError(f"invalid simple type {family}{rank}")
         return super().__new__(cls, family, rank)
 
@@ -82,16 +94,7 @@ class SimpleType(_SimpleTypeKey):
 
     def dim(self) -> int:
         """Dimension of the simple Lie algebra of this type."""
-        r = self.rank
-        if self.family == "A":
-            return r * (r + 2)
-        if self.family in ("B", "C"):
-            return r * (2 * r + 1)
-        if self.family == "D":
-            return r * (2 * r - 1)
-        if self.family == "E":
-            return {6: 78, 7: 133, 8: 248}[r]
-        return 52 if self.family == "F" else 14
+        return _DIM[self.family](self.rank)
 
     def dual_coxeter_number(self) -> int:
         """Closed-form dual Coxeter number (cross-checked against root data)."""
@@ -112,15 +115,18 @@ class SimpleType(_SimpleTypeKey):
 
 def simple_types(max_dim: int) -> List[SimpleType]:
     """Every simple Lie algebra of dimension at most max_dim, named once:
-    B from rank 3 and D from rank 4, since B2 = C2 and D3 = A3."""
-    types = [SimpleType("G", 2), SimpleType("F", 4)]
-    types += [SimpleType("E", n) for n in (6, 7, 8)]
-    for family, first in (("A", 1), ("B", 3), ("C", 2), ("D", 4)):
-        n = first
-        while SimpleType(family, n).dim() <= max_dim:
+    B from rank 3 and D from rank 4, since B2 = C2 and D3 = A3.  The
+    dimension grows with the rank in each family, and each type is built
+    once, after its dimension is found within the cap."""
+    ranks = {"A": count(1), "B": count(3), "C": count(2), "D": count(4),
+             "E": (6, 7, 8), "F": (4,), "G": (2,)}
+    types = []
+    for family, family_ranks in ranks.items():
+        for n in family_ranks:
+            if _DIM[family](n) > max_dim:
+                break
             types.append(SimpleType(family, n))
-            n += 1
-    return sorted(t for t in types if t.dim() <= max_dim)
+    return sorted(types)
 
 
 def _simply_laced_gram(rank: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
@@ -314,6 +320,9 @@ class SemisimpleTypeWithLevels(NamedTuple):
     def dim(self) -> int:
         return sum(t.dim() for t, _ in self.ideals) + self.abelian_rank
 
+    # one name per value and process: equal values print alike, as every
+    # level is an int or a Fraction, whose str agrees with an equal int's
+    @lru_cache(maxsize=None)
     def __str__(self) -> str:
         parts = [f"{t},{k}" for t, k in self.ideals]
         if self.abelian_rank == 1:

@@ -174,10 +174,18 @@ Move = Tuple[Tuple[int, ...], int, int, bool, tuple]
 
 
 @lru_cache(maxsize=None)
+def _tally(target: SemisimpleTypeWithLevels) -> Tuple[Tuple[Ideal, ...], Tuple[int, ...], int]:
+    """The target's distinct ideals in order, the count of each and its
+    abelian rank: the keys, caps and abelian cap of every count vector."""
+    keys = tuple(dict.fromkeys(target.ideals))
+    return keys, tuple(map(target.ideals.count, keys)), target.abelian_rank
+
+
+@lru_cache(maxsize=None)
 def _moves(target: SemisimpleTypeWithLevels, first: Ideal, cycle: bool) -> Tuple[Move, ...]:
     """The moves toward target at a position holding the ideal first, with
     the 3-cycle of the next three equal ideals when cycle is set."""
-    keys = dict.fromkeys(target.ideals)  # ordered, with fast membership
+    keys = _tally(target)[0]
     entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
     if cycle:
         diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
@@ -206,13 +214,12 @@ def admits_order3_with_fixed(
     is a count vector over the target's distinct ideals plus an abelian
     rank, and depends only on the ideal and on whether the cycle is open, so
     positions that agree on both share one move list, `_moves`, cached per
-    target and built when first reached; moves naming an ideal the target
-    lacks are dropped from it.  The cycle is tried first, then the options
-    by (kind, str(result)); only failed states are remembered, so the first
-    witness found is that of plain backtracking."""
-    keys = dict.fromkeys(target.ideals)
-    cap = tuple(map(target.ideals.count, keys))
-    cap_ab = target.abelian_rank
+    target and built when first reached, over the keys and caps of the
+    target's `_tally`; moves naming an ideal the target lacks are dropped.
+    The cycle is tried first, then the options by (kind, str(result)); only
+    failed states are remembered, so the first witness found is that of
+    plain backtracking."""
+    keys, cap, cap_ab = _tally(target)
     ideals = sorted(c.ideals)
     n = len(ideals)
     at = [(x, p + 2 < n and ideals[p + 2] == x) for p, x in enumerate(ideals)]

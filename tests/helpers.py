@@ -17,6 +17,11 @@ against, and helpers that only the tests need.
   `rootdata._gram_matrix`, `RootSystem` and `rootdata._affine_diagram`;
   `positive_roots` and `theta_alpha_coords` read the roots a
   `RootSystem` keeps.
+* Type bookkeeping: the name rendered afresh per call, one f-string per
+  ideal (`fstring_type_name`), against the per-value cached
+  `SemisimpleTypeWithLevels.__str__`; the rank tests written out per call
+  as a dict (`dict_rank_refusal`) against the module-level rule that
+  `SimpleType` reads.
 * Twisted minima: the exhaustive tuple scan (`scan`, `feasible_tuples`,
   `scan_minimum`) against the min-plus DP in `twistbound`.
 * Diagram classification: the multiple-bond count and leg walk
@@ -730,6 +735,35 @@ def total_multiplicity(ws: WeightSystem) -> int:
 
 def semisimple_rank(x: SemisimpleTypeWithLevels) -> int:
     return sum(t.rank for t, _ in x.ideals)
+
+
+def fstring_type_name(x: SemisimpleTypeWithLevels) -> str:
+    """The type's name built afresh: `X<rank>,<k>` per ideal, then `U(1)`
+    or `U(1)^n`, space-separated; "0" for the zero algebra."""
+    parts = [f"{t.family}{t.rank},{k}" for t, k in x.ideals]
+    if x.abelian_rank == 1:
+        parts.append("U(1)")
+    elif x.abelian_rank > 1:
+        parts.append(f"U(1)^{x.abelian_rank}")
+    return " ".join(parts) if parts else "0"
+
+
+def dict_rank_refusal(family: str, rank: int) -> Optional[str]:
+    """The ValueError text with which `SimpleType(family, rank)` refuses,
+    from a dict of every family's rank test built per call; None when the
+    type exists."""
+    if family not in tuple("ABCDEFG"):
+        return f"unknown family {family!r}"
+    ok = {
+        "A": rank >= 1,
+        "B": rank >= 2,
+        "C": rank >= 2,
+        "D": rank >= 3,
+        "E": rank in (6, 7, 8),
+        "F": rank == 4,
+        "G": rank == 2,
+    }[family]
+    return None if ok else f"invalid simple type {family}{rank}"
 
 
 def conformal_weight(a: AffineAlgebra, lam: IntCoords) -> Q:

@@ -631,6 +631,53 @@ def test_candidate_filter_work_counts(capsys, monkeypatch):
     assert schellekens._moves.cache_info().misses == 4
 
 
+def test_type_bookkeeping_work_counts(capsys, monkeypatch, fresh_caches):
+    # the five queries of one grid dimension, the three chains' fixed types
+    # and two small ones, from cold caches: each type is named once, the one
+    # type listing builds each type it returns once, and each target's
+    # tally is built once for all of the dimension's candidates
+    SimpleType = rootdata.SimpleType
+    new, names = SimpleType.__new__, rootdata.SemisimpleTypeWithLevels.__str__
+    listing, admits = schellekens.simple_types, schellekens.admits_order3_with_fixed
+    built, listed, named, admitted = [], [], [], []
+
+    def count_new(cls, family, rank):
+        built.append((family, rank))
+        return new(cls, family, rank)
+
+    def count_listing(cap):
+        before = len(built)
+        types = listing(cap)
+        listed.append((len(built) - before, len(types)))
+        return types
+
+    def count_names(self):
+        named.append(self)
+        return names(self)
+
+    def count_admits(c, target):
+        admitted.append(target)
+        return admits(c, target)
+
+    monkeypatch.setattr(SimpleType, "__new__", staticmethod(count_new))
+    monkeypatch.setattr(schellekens, "simple_types", count_listing)
+    monkeypatch.setattr(rootdata.SemisimpleTypeWithLevels, "__str__", count_names)
+    monkeypatch.setattr(schellekens, "admits_order3_with_fixed", count_admits)
+    targets = ["E6,3 A2,1 A2,1 A2,1", "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3",
+               "A2,3 A2,3 U(1) D4,3 A1,1 A1,1 A1,1", "A2,1 A2,2", "D4,3 U(1)"]
+    for fixed in targets:
+        code, _ = run_cli(capsys, ["candidates", "--dim=168", "--ratio=6",
+                                   f"--fixed={fixed}", "--json"])
+        assert code == 0
+    assert names.cache_info().misses == len(set(named)) < len(named)
+    assert len(listed) == 1 and listed[0][0] == listed[0][1] > 0
+    assert len(admitted) == 4 * len(targets)
+    # one tally per target, read by every filter call and every move list
+    tally = schellekens._tally.cache_info()
+    assert tally.misses == len(targets)
+    assert tally.hits + tally.misses == len(admitted) + schellekens._moves.cache_info().misses
+
+
 def test_all_zero_kac_labels_exit_1(capsys, monkeypatch, fresh_caches):
     # the option tables come from the package's own label enumeration; a
     # vector with every label 0 is a fault there, not a usage error

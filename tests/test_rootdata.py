@@ -16,6 +16,7 @@ from helpers import (
     FractionRootSystem,
     brute_force_min,
     column_n_min,
+    dict_rank_refusal,
     dual_coxeter,
     fraction_affine_diagram,
     fraction_dominant_conjugate,
@@ -594,6 +595,30 @@ def test_make_and_replace_validate():
     with pytest.raises(ValueError):
         SimpleType("E", 6)._replace(rank=9)
     assert SimpleType("E", 6)._replace(rank=7) == SimpleType("E", 7)
+
+
+@pytest.mark.parametrize("family", list("ABCDEFG") + ["H"])
+def test_simple_type_refuses_as_the_dict_of_rank_tests(family):
+    # the module-level rank rule accepts and refuses what the dict of rank
+    # tests built per call does, with the same ValueError text
+    for rank in range(-1, 31):
+        refusal = dict_rank_refusal(family, rank)
+        if refusal is None:
+            t = SimpleType(family, rank)
+            assert (t.family, t.rank) == (family, rank)
+            continue
+        with pytest.raises(ValueError) as exc:
+            SimpleType(family, rank)
+        assert str(exc.value) == refusal
+
+
+def test_simple_types_lists_the_grid_within_the_cap():
+    grid = [
+        SimpleType(f, r) for f in "ABCDEFG" for r in range(1, 31)
+        if dict_rank_refusal(f, r) is None and f + str(r) not in ("B2", "D3")
+    ]
+    for cap in (0, 3, 13, 14, 52, 78, 133, 248, 312, 600):
+        assert simple_types(cap) == sorted(t for t in grid if t.dim() <= cap), cap
 
 
 def test_invalid_types_rejected():

@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from orbifold24 import schellekens
+from orbifold24 import cli, schellekens
 from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
 from orbifold24.rootdata import _affine_diagram, kac_fixed_subalgebra, simple_types
 from orbifold24.schellekens import (
@@ -23,6 +23,7 @@ from helpers import (
     backtracking_admits,
     brute_force_diagram_automorphisms,
     fraction_order3_fixed_options,
+    fstring_type_name,
     RootFilter,
     semisimple_rank,
 )
@@ -345,3 +346,40 @@ def test_every_option_has_class_count_one():
     for t in POOL_TYPES:
         table = _inner_options_at_level_one(t)
         assert all(table.count(opt) == 1 for opt in table), t
+
+
+def test_cached_names_match_the_fstring_renderer(capsys, monkeypatch, fresh_caches):
+    # every type that a cold verify-all names, every candidate and every
+    # order-3 option over the ratio pools of D = 36..312: the cached name is
+    # the one rendered afresh
+    cached = SemisimpleTypeWithLevels.__str__
+    named = []
+
+    def record(self):
+        named.append(self)
+        return cached(self)
+
+    monkeypatch.setattr(SemisimpleTypeWithLevels, "__str__", record)
+    assert cli.main(["verify-all", "--json"]) == 0
+    capsys.readouterr()
+    monkeypatch.undo()
+    values = set(named)
+    assert len(values) > 20
+    for d in range(36, 313, 12):
+        r = Q(d - 24, 24)
+        values.update(enumerate_candidates(d, r))
+        for t, k in simple_ideals_with_ratio(r, d):
+            values.update(o.result for o in order3_fixed_options(t, k))
+    assert len(values) > 400
+    assert [x for x in values if str(x) != fstring_type_name(x)] == []
+
+
+def test_equal_types_built_apart_print_one_name(fresh_caches):
+    parsed = SemisimpleTypeWithLevels.parse("E6,1 A2,3 U(1)^2")
+    built = SemisimpleTypeWithLevels.of(
+        [(SimpleType("E", 6), Q(1)), (SimpleType("A", 2), 3)], 2
+    )
+    assert built == parsed and built.ideals[1][0] is not parsed.ideals[1][0]
+    # the Fraction level is named first, and the int level reads its name
+    assert str(built) == str(parsed) == fstring_type_name(parsed) == "A2,3 E6,1 U(1)^2"
+    assert SemisimpleTypeWithLevels.__str__.cache_info().misses == 1

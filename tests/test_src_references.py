@@ -123,8 +123,9 @@ def test_fresh_caches_clears_every_cached_function():
     assert decorated and len(decorated) == anywhere
     assert sorted(package_caches()) == sorted(decorated)
     # the count is pinned, so that a new per-process cache is a decision
-    # recorded here: the last is the one derivation of the dimension formula
-    assert len(decorated) == 23
+    # recorded here: the last are one name per type value and one tally of
+    # keys and caps per order-3 target
+    assert len(decorated) == 25
 
 
 def test_no_assert_statement_in_src():
@@ -177,16 +178,20 @@ CACHE_PROBES = {
     "qmodular.hauptmodul_f": lambda: qmodular.hauptmodul_f(TRUNC),
     "qmodular.laurent_table": lambda: qmodular.laurent_table(),
     "rootdata._affine_diagram": lambda: rootdata._affine_diagram(E6),
+    "rootdata.SemisimpleTypeWithLevels.__str__": lambda: str(E6_CASE.expected_target),
     "rootdata.build_root_system": lambda: rootdata.build_root_system(E6),
     "rootdata.parse_ideal": lambda: rootdata.parse_ideal("E6,1"),
     "rootdata.parse_rational": lambda: rootdata.parse_rational("1/3"),
     "schellekens._inner_options_at_level_one":
         lambda: schellekens._inner_options_at_level_one(E6),
+    "schellekens._tally": lambda: schellekens._tally(E6_CASE.expected_fixed),
     "schellekens._moves": lambda: schellekens._moves(
         E6_CASE.expected_fixed, cases.unique_survivor(E6_CASE)[0].ideals[0], True
     ),
     "schellekens.enumerate_candidates":
-        lambda: schellekens.enumerate_candidates(*cases.forward_chain(E6_CASE)[1:3]),
+        lambda: schellekens.enumerate_candidates(
+            cases.forward_chain(E6_CASE).target_dim, cases.forward_chain(E6_CASE).ratio
+        ),
     "schellekens.order3_fixed_options": lambda: schellekens.order3_fixed_options(E6, 1),
     "twistbound.ideal_twist": lambda: twistbound.ideal_twist(E6_CASE.ambient[0], E6_CASE.h[0]),
 }
