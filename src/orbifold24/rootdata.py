@@ -313,6 +313,8 @@ class SemisimpleTypeWithLevels(NamedTuple):
         ideals: Sequence[Tuple[SimpleType, int]], abelian_rank: int = 0
     ) -> "SemisimpleTypeWithLevels":
         norm = tuple(sorted(ideals))
+        if any(isinstance(k, bool) or not isinstance(k, (int, Q)) for _, k in norm):
+            raise ValueError("levels must be ints or Fractions")
         if any(k <= 0 for _, k in norm):
             raise ValueError("levels must be positive")
         return SemisimpleTypeWithLevels(norm, abelian_rank)

@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction as Q
 from functools import lru_cache
 from math import gcd
-from operator import add, le
-from typing import List, NamedTuple, Optional, Sequence, Set, Tuple
+from operator import add, itemgetter, le
+from types import MappingProxyType
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .rootdata import (
     SemisimpleTypeWithLevels,
@@ -26,6 +27,7 @@ from .rootdata import (
 )
 
 Ideal = Tuple[SimpleType, int]
+D4, A2, G2 = SimpleType("D", 4), SimpleType("A", 2), SimpleType("G", 2)
 
 
 def simple_ideals_with_ratio(r: Q | int, dim_cap: int) -> List[Ideal]:
@@ -132,12 +134,12 @@ def _inner_options_at_level_one(t: SimpleType) -> Tuple[SemisimpleTypeWithLevels
     level k, so the options at level k scale these levels by k; a positive
     factor keeps each option's ideals in sorted order.
     """
-    auts = _diagram_automorphisms(t)
+    images = [itemgetter(*p) for p in _diagram_automorphisms(t)]  # >= 2 nodes: tuples
     seen: Set[Tuple[int, ...]] = set()
     table = []
     for s in _order3_label_vectors(t):
         if s not in seen:
-            seen.update(tuple(s[i] for i in p) for p in auts)
+            seen.update([image(s) for image in images])
             table.append(kac_fixed_subalgebra(t, s))
     return tuple(table)
 
@@ -161,41 +163,57 @@ def order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
     for opt in dict.fromkeys(_inner_options_at_level_one(t)):
         scaled = tuple((ty, k * level) for ty, k in opt.ideals)
         options.append(FixedOption(new(scaled, opt.abelian_rank), "inner"))
-    if t == SimpleType("D", 4):
-        options.append(FixedOption(new(((SimpleType("A", 2), 3 * level),)), "outer"))
-        options.append(FixedOption(new(((SimpleType("G", 2), level),)), "outer"))
+    if t == D4:
+        options.append(FixedOption(new(((A2, 3 * level),)), "outer"))
+        options.append(FixedOption(new(((G2, level),)), "outer"))
     return tuple(sorted(options, key=lambda o: (o.kind, str(o.result))))
 
 
 Witness = Tuple[Tuple[str, Tuple[Ideal, ...], SemisimpleTypeWithLevels], ...]
 # (count vector over the target's distinct ideals, abelian rank, ideals
-# consumed, nontrivial, witness entry)
+# consumed, nontrivial, witness entry); an option row maps ideal -> count instead
 Move = Tuple[Tuple[int, ...], int, int, bool, tuple]
+Tally = Tuple[Tuple[Ideal, ...], Tuple[int, ...], int, frozenset]
 
 
 @lru_cache(maxsize=None)
-def _tally(target: SemisimpleTypeWithLevels) -> Tuple[Tuple[Ideal, ...], Tuple[int, ...], int]:
-    """The target's distinct ideals in order, the count of each and its
-    abelian rank: the keys, caps and abelian cap of every count vector."""
+def _tally(target: SemisimpleTypeWithLevels) -> Tally:
+    """The target's distinct ideals in order, the count of each, its abelian
+    rank and its set of ideals: the keys, caps, abelian cap and key set."""
     keys = tuple(dict.fromkeys(target.ideals))
-    return keys, tuple(map(target.ideals.count, keys)), target.abelian_rank
+    return keys, tuple(map(target.ideals.count, keys)), target.abelian_rank, frozenset(keys)
+
+
+@lru_cache(maxsize=None)
+def _option_rows(first: Ideal) -> Tuple[Tuple[Mapping[Ideal, int], int, int, bool, tuple], ...]:
+    """The moves of the ideal first: the 3-cycle of three copies, then its options."""
+    cycle = ("cycle", (first,) * 3, SemisimpleTypeWithLevels(((first[0], 3 * first[1]),)))
+    entries = [cycle] + [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
+    return tuple(
+        (MappingProxyType({i: res.ideals.count(i) for i in res.ideals}), res.abelian_rank,
+         len(consumed), kind != "trivial", (kind, consumed, res))
+        for kind, consumed, res in entries
+    )
 
 
 @lru_cache(maxsize=None)
 def _moves(target: SemisimpleTypeWithLevels, first: Ideal, cycle: bool) -> Tuple[Move, ...]:
     """The moves toward target at a position holding the ideal first, with
-    the 3-cycle of the next three equal ideals when cycle is set."""
-    keys = _tally(target)[0]
-    entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
-    if cycle:
-        diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
-        entries.insert(0, ("cycle", (first,) * 3, diag))
+    the 3-cycle of the next three equal ideals when cycle is set: its
+    `_option_rows`, in order, that name only ideals of the target's `_tally`."""
+    keys, _, _, keyset = _tally(target)
     return tuple(
-        (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
-         kind != "trivial", (kind, consumed, res))
-        for kind, consumed, res in entries
-        if all(key in keys for key in res.ideals)
+        (tuple(map(counts.get, keys, (0,) * len(keys))), ab, width, nontrivial, entry)
+        for counts, ab, width, nontrivial, entry in _option_rows(first)[0 if cycle else 1:]
+        if keyset.issuperset(counts)
     )
+
+
+@lru_cache(maxsize=None)
+def _positions(c: SemisimpleTypeWithLevels) -> Tuple[Tuple[Ideal, bool], ...]:
+    """c's sorted ideals, each with whether the ideal two places on equals it."""
+    ideals = sorted(c.ideals)
+    return tuple((x, ideals[p + 2:p + 3] == [x]) for p, x in enumerate(ideals))
 
 
 def admits_order3_with_fixed(
@@ -209,20 +227,17 @@ def admits_order3_with_fixed(
     contributing one fixed option); the union, including abelian bookkeeping,
     must equal the target.  The witness is that partition, one entry per part.
 
-    The search walks the sorted ideals of c.  A move at a position, the
-    3-cycle of the next three equal ideals or one option of the next ideal,
-    is a count vector over the target's distinct ideals plus an abelian
-    rank, and depends only on the ideal and on whether the cycle is open, so
-    positions that agree on both share one move list, `_moves`, cached per
-    target and built when first reached, over the keys and caps of the
-    target's `_tally`; moves naming an ideal the target lacks are dropped.
-    The cycle is tried first, then the options by (kind, str(result)); only
-    failed states are remembered, so the first witness found is that of
-    plain backtracking."""
-    keys, cap, cap_ab = _tally(target)
-    ideals = sorted(c.ideals)
-    n = len(ideals)
-    at = [(x, p + 2 < n and ideals[p + 2] == x) for p, x in enumerate(ideals)]
+    The search walks c's `_positions`, cached per candidate: its sorted
+    ideals, each with the 3-cycle open or closed.  A move there (the cycle
+    of the next three equal ideals, or one option of the next ideal) is a
+    count vector over the target's distinct ideals plus an abelian rank;
+    positions with the same ideal and cycle share one `_moves` list per
+    target.  The cycle is tried first, then the options by (kind,
+    str(result)); only failed states are remembered, so the first witness
+    found is that of plain backtracking."""
+    keys, cap, cap_ab, _ = _tally(target)
+    at = _positions(c)
+    n = len(at)
     dead: Set[Tuple[int, Tuple[int, ...], int, bool]] = set()
     witness: List[tuple] = []
 

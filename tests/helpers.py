@@ -51,7 +51,10 @@ against, and helpers that only the tests need.
   theta; the
   plain backtracking search over `Counter`s (`backtracking_admits`)
   against the count-vector search with its failure memo in
-  `schellekens.admits_order3_with_fixed`.
+  `schellekens.admits_order3_with_fixed`; the move list built per call,
+  one membership generator and one `.count` per key (`count_moves`),
+  against the lists that `schellekens._moves` reads off the cached
+  per-ideal option rows.
 * Eta powers: the `PuiseuxSeries` ring operations (`series_add`,
   `series_neg`, `series_scale`, `series_mul`, with `series_rescaled`,
   `series_valuation` and `series_terms`), series inversion, powers by
@@ -1275,6 +1278,24 @@ def backtracking_admits(c: SemisimpleTypeWithLevels, target: SemisimpleTypeWithL
         return None
 
     return rec(tuple(sorted(c.ideals)), Counter(), 0, False, [])
+
+
+def count_moves(target: SemisimpleTypeWithLevels, first, cycle: bool):
+    """The moves toward target at a position holding the ideal first, built
+    per call: the cycle (when open) and each option of first, kept when a
+    generator finds each of its ideals among the target's distinct ideals,
+    with one `.count` per distinct ideal for its count vector."""
+    keys = tuple(dict.fromkeys(target.ideals))
+    entries = [(o.kind, (first,), o.result) for o in order3_fixed_options(*first)]
+    if cycle:
+        diag = SemisimpleTypeWithLevels(((first[0], 3 * first[1]),))
+        entries.insert(0, ("cycle", (first,) * 3, diag))
+    return tuple(
+        (tuple(map(res.ideals.count, keys)), res.abelian_rank, len(consumed),
+         kind != "trivial", (kind, consumed, res))
+        for kind, consumed, res in entries
+        if all(key in keys for key in res.ideals)
+    )
 
 
 # --- eta powers -----------------------------------------------------------

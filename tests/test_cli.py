@@ -579,7 +579,7 @@ def test_case_file_keeps_b2_as_written(tmp_path):
 def test_candidate_filter_generates_no_roots(capsys):
     # the order-3 filter reads Kac's data off the affine diagram alone
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one,
+               schellekens._inner_options_at_level_one, schellekens._option_rows,
                schellekens._moves, rootdata._affine_diagram, rootdata.build_root_system):
         fn.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
@@ -590,11 +590,12 @@ def test_candidate_filter_generates_no_roots(capsys):
 
 def test_candidate_filter_work_counts(capsys, monkeypatch):
     # one Kac classification per orbit of label vectors under the affine
-    # diagram's automorphisms, and one move list per (target, ideal, cycle
-    # open), shared by the candidates of a query
+    # diagram's automorphisms, one move list per (target, ideal, cycle
+    # open), shared by the candidates of a query, and one row build per
+    # ideal, shared by its move lists
     for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one,
-               schellekens._moves):
+               schellekens._inner_options_at_level_one, schellekens._option_rows,
+               schellekens._moves, schellekens._positions):
         fn.cache_clear()
     classify = schellekens.kac_fixed_subalgebra
     options = schellekens.order3_fixed_options
@@ -605,7 +606,7 @@ def test_candidate_filter_work_counts(capsys, monkeypatch):
         return classify(t, s)
 
     def count_builds(t, level):
-        # a move list consults its ideal's option table once, when built
+        # an ideal's option rows consult its option table once, when built
         built[f"{t},{level}"] += 1
         return options(t, level)
 
@@ -617,17 +618,18 @@ def test_candidate_filter_work_counts(capsys, monkeypatch):
     # no move of A11 fits the target, so the first candidate, A11,1 D7,1 E6,1,
     # fails at its first ideal and D7 is never reached
     assert classified == {"A11": 18, "E6": 5}
-    # A11 without a cycle; E6 with the cycle open and closed: no list is
-    # built twice
-    assert built == {"A11,1": 1, "E6,1": 2}
+    # A11 without a cycle; E6 with the cycle open and closed, two move
+    # lists read off one row build: no list is built twice
+    assert built == {"A11,1": 1, "E6,1": 1}
     assert schellekens._moves.cache_info().misses == 3
-    # at D = 168 the candidates share A5,1 without a cycle; it is built once
+    # at D = 168 the candidates share A5,1 without a cycle; it is built
+    # once, and D4,1's two lists read one row build
     built.clear()
     schellekens._moves.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "168", "--ratio", "6", "--fixed",
                                "A2,3 A2,3 A2,3 A2,3 A2,3 A2,3"])
     assert code == 0
-    assert built == {"A5,1": 2, "D4,1": 2}
+    assert built == {"A5,1": 1, "D4,1": 1}
     assert schellekens._moves.cache_info().misses == 4
 
 
@@ -676,6 +678,29 @@ def test_type_bookkeeping_work_counts(capsys, monkeypatch, fresh_caches):
     tally = schellekens._tally.cache_info()
     assert tally.misses == len(targets)
     assert tally.hits + tally.misses == len(admitted) + schellekens._moves.cache_info().misses
+
+
+def test_explore_pass_reads_cached_positions_and_rows(capsys, monkeypatch, tmp_path,
+                                                     fresh_caches):
+    # one cold seed-41 explore pass: a grid dimension's candidates meet its
+    # five targets, so 780 filter calls read 156 position entries, one per
+    # distinct candidate; the option rows are built once per distinct ideal,
+    # each consulting its option table once, and the move lists once per
+    # (target, ideal, cycle open)
+    admits, searched = schellekens.admits_order3_with_fixed, []
+
+    def count_admits(c, target):
+        searched.append(c)
+        return admits(c, target)
+
+    monkeypatch.setattr(schellekens, "admits_order3_with_fixed", count_admits)
+    for argv in benchmark_ops(monkeypatch, tmp_path, "explore", 41):
+        assert run_cli(capsys, argv)[0] == 0
+    assert len(searched) == 780 and len(set(searched)) == 156
+    assert schellekens._positions.cache_info().misses == 156
+    assert schellekens._option_rows.cache_info().misses == 58
+    assert schellekens.order3_fixed_options.cache_info()[:2] == (0, 58)
+    assert schellekens._moves.cache_info().misses == 289
 
 
 def test_all_zero_kac_labels_exit_1(capsys, monkeypatch, fresh_caches):
@@ -1159,12 +1184,12 @@ USAGE_ERROR_ARGVS = (
 )
 
 
-def benchmark_ops(monkeypatch, tmp_path, workload):
-    """The argvs of one seed-1 pass of a benchmark workload."""
+def benchmark_ops(monkeypatch, tmp_path, workload, seed=1):
+    """The argvs of one pass of a benchmark workload at a seed, 1 unless given."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
     import gen
 
-    return gen.make_ops(workload, 1, str(tmp_path))
+    return gen.make_ops(workload, seed, str(tmp_path))
 
 
 @pytest.mark.parametrize("argv", [

@@ -22,6 +22,7 @@ from orbifold24.schellekens import (
 from helpers import (
     backtracking_admits,
     brute_force_diagram_automorphisms,
+    count_moves,
     fraction_order3_fixed_options,
     fstring_type_name,
     RootFilter,
@@ -286,6 +287,27 @@ def test_count_vector_search_matches_backtracking():
     assert checked > 3000 and admitted > 1000
 
 
+def test_move_lists_match_the_per_call_oracle():
+    # the backtracking grid's candidates and targets: each candidate's
+    # positions are its sorted ideals with the cycle open where the ideal
+    # two places on is equal, and at every ideal of it, with the cycle open
+    # and closed, the move list read off the option rows is the one built
+    # per call
+    moves = set()
+    for dim in range(36, 313, 12):
+        for c in enumerate_candidates(dim, Q(dim - 24, 24)):
+            ideals = sorted(c.ideals)
+            n = len(ideals)
+            at = tuple((x, p + 2 < n and ideals[p + 2] == x) for p, x in enumerate(ideals))
+            assert schellekens._positions(c) == at, str(c)
+            moves.update((target, first, cycle) for target in oracle_targets(c)
+                         for first in c.ideals for cycle in (False, True))
+    assert len(moves) > 5000
+    for target, first, cycle in moves:
+        got = schellekens._moves(target, first, cycle)
+        assert got == count_moves(target, first, cycle), (str(target), first, cycle)
+
+
 def test_candidates_are_cached_per_dim_and_ratio():
     assert enumerate_candidates(312, Q(12)) is enumerate_candidates(312, 12)
 
@@ -372,6 +394,17 @@ def test_cached_names_match_the_fstring_renderer(capsys, monkeypatch, fresh_cach
             values.update(o.result for o in order3_fixed_options(t, k))
     assert len(values) > 400
     assert [x for x in values if str(x) != fstring_type_name(x)] == []
+
+
+@pytest.mark.parametrize("level, value", [(3.0, 3), (True, 1)], ids=["float", "bool"])
+def test_levels_are_ints_or_fractions(level, value, fresh_caches):
+    # a float or bool level equals an int level, and names are cached per
+    # value, so a type built with one would name the int-level type too
+    a2 = SimpleType("A", 2)
+    with pytest.raises(ValueError, match="^levels must be ints or Fractions$"):
+        SemisimpleTypeWithLevels.of([(a2, level)])
+    assert str(SemisimpleTypeWithLevels.of([(a2, value)])) == f"A2,{value}"
+    assert str(SemisimpleTypeWithLevels.of([(a2, Q(value))])) == f"A2,{value}"
 
 
 def test_equal_types_built_apart_print_one_name(fresh_caches):

@@ -123,9 +123,9 @@ def test_fresh_caches_clears_every_cached_function():
     assert decorated and len(decorated) == anywhere
     assert sorted(package_caches()) == sorted(decorated)
     # the count is pinned, so that a new per-process cache is a decision
-    # recorded here: the last are one name per type value and one tally of
-    # keys and caps per order-3 target
-    assert len(decorated) == 25
+    # recorded here: the last are the order-3 filter's option rows per ideal
+    # and sorted positions per candidate
+    assert len(decorated) == 27
 
 
 def test_no_assert_statement_in_src():
@@ -184,6 +184,10 @@ CACHE_PROBES = {
     "rootdata.parse_rational": lambda: rootdata.parse_rational("1/3"),
     "schellekens._inner_options_at_level_one":
         lambda: schellekens._inner_options_at_level_one(E6),
+    "schellekens._option_rows": lambda: schellekens._option_rows(
+        cases.unique_survivor(E6_CASE)[0].ideals[0]
+    ),
+    "schellekens._positions": lambda: schellekens._positions(cases.unique_survivor(E6_CASE)[0]),
     "schellekens._tally": lambda: schellekens._tally(E6_CASE.expected_fixed),
     "schellekens._moves": lambda: schellekens._moves(
         E6_CASE.expected_fixed, cases.unique_survivor(E6_CASE)[0].ideals[0], True

@@ -12,7 +12,8 @@ tokenize, so the package's record types are NamedTuples and plain classes.
 and gettext, which argparse imports for its messages, stay unloaded; with
 cached bytecode they take about 3 ms of a 27 ms `import orbifold24.cli`
 (`python -X importtime`, CPython 3.11 on 2 cores).  The import names no
-type and tallies no order-3 target: those caches fill as queries read them.
+type, tallies no order-3 target and builds no option row or candidate
+position: those caches fill as queries read them.
 """
 
 import json
@@ -56,6 +57,8 @@ from orbifold24 import rootdata, schellekens
 stages = {"import": loaded(), "cached_at_import": {
     "names": rootdata.SemisimpleTypeWithLevels.__str__.cache_info().currsize,
     "tallies": schellekens._tally.cache_info().currsize,
+    "option_rows": schellekens._option_rows.cache_info().currsize,
+    "positions": schellekens._positions.cache_info().currsize,
 }}
 
 def run(argv):
@@ -96,9 +99,11 @@ def test_cli_import_loads_every_module_but_not_numpy(stages):
 
 
 def test_cli_import_names_and_tallies_no_type(stages):
-    # the type names and the order-3 targets' tallies are built by the
-    # queries that read them, not at start-up
-    assert stages["cached_at_import"] == {"names": 0, "tallies": 0}
+    # the type names, the order-3 targets' tallies, the ideals' option rows
+    # and the candidates' positions are built by the queries that read
+    # them, not at start-up
+    assert stages["cached_at_import"] == {"names": 0, "tallies": 0, "option_rows": 0,
+                                          "positions": 0}
 
 
 def test_every_subcommand_runs_without_numpy(stages):
