@@ -7,7 +7,9 @@ of the lattice whose root system is their unique survivor.  run_case replays
 the whole chain: the twist steps that twist-bound also prints (invariant
 norm, shift bound, exhaustive twisted minima for both twist signs), category
 order, fixed subalgebra, the dimension formula, candidate enumeration and
-the order-3 admissibility filter, and the lattice-side cross-check.
+the order-3 admissibility filter, and the lattice-side cross-check.  The
+table verifier diffs each reference module table against one ideal of a
+built-in case, at that case's twist of the ideal.
 """
 
 from __future__ import annotations
@@ -197,18 +199,16 @@ def unique_survivor(cf: CaseFile) -> Tuple[SemisimpleTypeWithLevels, Witness]:
 
 
 @lru_cache(maxsize=None)
-def lattice_isometry(cf: CaseFile) -> latticevoa.LatticeIsometry:
-    """The isometry that a case's survivor's witness builds on its lattice."""
+def lattice_fixed_type(
+    cf: CaseFile,
+) -> Tuple[latticevoa.LatticeIsometry, SemisimpleTypeWithLevels, int]:
+    """The isometry that a case's survivor's witness builds on its lattice,
+    and the type and dim of the fixed subalgebra of its standard lift."""
     survivor, witness = unique_survivor(cf)
-    return latticevoa.build_isometry(lattice_data(survivor)[0], witness, cf.isometry_name)
-
-
-@lru_cache(maxsize=None)
-def lattice_fixed_type(cf: CaseFile) -> Tuple[SemisimpleTypeWithLevels, int]:
-    _, alg = lattice_data(unique_survivor(cf)[0])
-    lift = latticevoa.standard_lift(alg, lattice_isometry(cf))
-    fixed = latticevoa.fixed_subalgebra(lift)
-    return latticevoa.identify_type(fixed), fixed.dim
+    lat, alg = lattice_data(survivor)
+    iso = latticevoa.build_isometry(lat, witness, cf.isometry_name)
+    fixed = latticevoa.fixed_subalgebra(latticevoa.standard_lift(alg, iso))
+    return iso, latticevoa.identify_type(fixed), fixed.dim
 
 
 def check_twist(rep: Report, cf: CaseFile) -> Optional[tuple]:
@@ -281,7 +281,7 @@ def run_case(cf: CaseFile) -> Report:
     )
 
     if len(chain.survivors) == 1:  # built from the chain's own witness
-        lat_type, lat_dim = lattice_fixed_type(cf)
+        _, lat_type, lat_dim = lattice_fixed_type(cf)
         rep.check(
             "lattice-side fixed subalgebra",
             str(lat_type),
@@ -293,13 +293,11 @@ def run_case(cf: CaseFile) -> Report:
 
 
 def _table_report(
-    which: str,
-    algebra: AffineAlgebra,
-    table_rows,
-    twist: Optional[ScaledCoords],
+    which: str, table_rows, algebra: AffineAlgebra, twist: ScaledCoords
 ) -> Report:
     """Diff the columns that the twist DP and the category order read: the
-    cw column, the pairings (h|lam) and the +h column of `n_min_column`."""
+    cw column, and the pairings (h|lam) and the +h column of `n_min_column`
+    where the reference rows carry them."""
     rep = Report(f"module table {which}")
     table = enumerate_level_weights(algebra)
     rep.check(
@@ -311,16 +309,15 @@ def _table_report(
         "weight sets agree", sorted(index) == sorted(golden_weights), True
     )
     cw_den, cws = table.cw_column
-    if twist is not None:
-        d, pairs = pairing_column(algebra, twist)
-        _, nmins, _ = n_min_column(algebra, twist)
+    d, pairs = pairing_column(algebra, twist)
+    _, nmins, _ = n_min_column(algebra, twist)
     for coords, cw, pair, nmin in table_rows:
         i = index.get(coords)
         if i is None:
             rep.check(f"weight {coords} present", False, True)
             continue
         rep.check(f"conformal weight {coords}", Q(cws[i], cw_den), cw, source="reference")
-        if twist is not None and pair is not None:
+        if pair is not None:
             rep.check(f"pairing {coords}", Q(pairs[i], d), pair, source="reference")
             rep.check(f"min pairing {coords}", Q(nmins[i], d), nmin, source="reference")
     return rep
@@ -417,10 +414,9 @@ def check_isometry(rep: Report, iso_name: str) -> latticevoa.LatticeIsometry:
     named built-in case's survivor on its lattice, returned: order, gram, and
     the fixed subalgebra and its dim against the case's."""
     cf = ISOMETRY_CASES[iso_name]
-    iso = lattice_isometry(cf)
+    iso, fixed_type, fixed_dim = lattice_fixed_type(cf)
     rep.check(f"{iso_name}: order", iso.order, 3, source="reference")
     rep.check(f"{iso_name}: preserves gram", iso.preserves_gram, True)
-    fixed_type, fixed_dim = lattice_fixed_type(cf)
     rep.check(
         f"{iso_name}: fixed subalgebra",
         str(fixed_type),
@@ -475,17 +471,14 @@ def verify_lattice() -> Report:
     return rep
 
 
-# module family -> (algebra, golden table, twist as (den, den * h) or None)
+# module family -> (golden table, built-in case id, ideal index): the table
+# is diffed against that case's ambient ideal and its twist there
 MODULE_TABLES = {
-    "g2.1": (AffineAlgebra(SimpleType("G", 2), 1), golden.G2_1_TABLE, (1, (1, 0))),
-    "a2.3": (AffineAlgebra(SimpleType("A", 2), 3), golden.A2_3_TABLE, (1, (1, 0))),
-    "a1.1": (AffineAlgebra(SimpleType("A", 1), 1), golden.A1_1_TABLE, None),
-    "a5.3": (
-        AffineAlgebra(SimpleType("A", 5), 3),
-        golden.A5_3_TABLE,
-        (3, (0, 0, 2, 0, 0)),
-    ),
-    "d4.3": (AffineAlgebra(SimpleType("D", 4), 3), golden.D4_3_TABLE, None),
+    "g2.1": (golden.G2_1_TABLE, "e6g2", 1),
+    "a2.3": (golden.A2_3_TABLE, "a2x6", 0),
+    "a1.1": (golden.A1_1_TABLE, "a5d4", 2),
+    "a5.3": (golden.A5_3_TABLE, "a5d4", 0),
+    "d4.3": (golden.D4_3_TABLE, "a5d4", 1),
 }
 TABLE_FAMILIES = tuple(MODULE_TABLES) + ("modular", "lattice")
 
@@ -498,7 +491,9 @@ def verify_tables(which: str) -> Report:
     selected = TABLE_FAMILIES if which == "all" else (which,)
     for fam in selected:
         if fam in MODULE_TABLES:
-            rep.extend(_table_report(fam, *MODULE_TABLES[fam]))
+            table_rows, case_id, i = MODULE_TABLES[fam]
+            cf = BUILTIN_CASES[case_id]
+            rep.extend(_table_report(fam, table_rows, cf.ambient[i], cf.h[i]))
         elif fam == "modular":
             rep.extend(verify_modular())
         else:

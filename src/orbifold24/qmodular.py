@@ -13,7 +13,8 @@ dimension formula
     dim V_1 + dim V~_1 = 4 d0 - 36 d13 - 12 d23 + 24,
 
 where d0 is the fixed weight-one dimension and d13, d23 are the summed
-twisted dimensions at weights 1/3 and 2/3.
+twisted dimensions at weights 1/3 and 2/3; `dim_tilde_v1` evaluates the
+derived formula, so the chain uses the derivation that its step checks.
 """
 
 from __future__ import annotations
@@ -180,16 +181,6 @@ def fit_character(d0: int, d13: int, d23: int) -> Dict[int, Q]:
     return c
 
 
-def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:
-    """dim V~_1 = 4 d0 - 36 d13 - 12 d23 + 24 - dim V_1."""
-    if min(dim_v1, d0, d13, d23) < 0:
-        raise ValueError("dimensions must be non-negative")
-    val = 4 * d0 - 36 * d13 - 12 * d23 + 24 - dim_v1
-    if val < 0:
-        raise ValueError(f"inconsistent inputs: negative dimension {val}")
-    return val
-
-
 @lru_cache(maxsize=None)
 def derive_dimension_formula() -> LinExpr:
     """Re-derive the dimension formula coefficients (4, -36, -12, 24).
@@ -210,3 +201,16 @@ def derive_dimension_formula() -> LinExpr:
         table[0][j] + f0 * table[1][j] + sum(3 * g * table[n][j] for n, g in gammas.items())
         for j in range(4)
     )
+
+
+def dim_tilde_v1(dim_v1: int, d0: int, d13: int, d23: int) -> int:
+    """dim V~_1: `derive_dimension_formula()` at (d0, d13, d23), minus dim V_1;
+    a non-integral value is a fault of the derivation (InvariantError)."""
+    if min(dim_v1, d0, d13, d23) < 0:
+        raise ValueError("dimensions must be non-negative")
+    val = sum(map(mul, derive_dimension_formula(), (d0, d13, d23, 1))) - dim_v1
+    if val < 0:
+        raise ValueError(f"inconsistent inputs: negative dimension {val}")
+    if val.denominator != 1:
+        raise InvariantError(f"the dimension formula gives {val}, not an integer")
+    return int(val)

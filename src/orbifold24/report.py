@@ -4,7 +4,9 @@ A report is an ordered list of steps, each carrying the computed value, the
 expected value when one exists, and a verdict.  Verdicts are "pass", "fail",
 "discrepancy-documented" (a known defect of the transcribed reference value,
 reported with both numbers), or "info" for steps without expectations.
-JSON output is byte-stable: keys sorted, rationals rendered as "p/q".
+A step holds each value as the byte-stable JSON text that prints, encoded
+once when it is checked (keys sorted, rationals as "p/q"), and the verdict
+compares those bytes.
 """
 
 from __future__ import annotations
@@ -13,43 +15,21 @@ import json
 from fractions import Fraction as Q
 from typing import Any, List, NamedTuple, Sequence
 
-from .affinerep import AffineAlgebra
-from .rootdata import SemisimpleTypeWithLevels, SimpleType
-
 PASS = "pass"
 FAIL = "fail"
 INFO = "info"
 DISCREPANCY = "discrepancy-documented"
 
-
-def render_value(v: Any) -> Any:
-    """Canonical JSON form: non-integral rationals as 'p/q' strings."""
-    # the plain values first: Fraction's isinstance check goes through ABCMeta
-    if v is None or isinstance(v, (int, str)):
-        return v
-    if isinstance(v, Q):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    if isinstance(v, float):
-        raise TypeError("floating-point values do not belong in reports")
-    # the type keys are tuples, but render by name
-    if isinstance(v, (SimpleType, AffineAlgebra, SemisimpleTypeWithLevels)):
-        return str(v)
-    if isinstance(v, (list, tuple)):
-        return [render_value(x) for x in v]
-    if isinstance(v, dict):
-        return {str(k): render_value(x) for k, x in v.items()}
-    return str(v)
-
-
 _string = json.encoder.encode_basestring_ascii
 
 
 def _encode(v: Any, pad: str) -> str:
-    """Sorted, indent-2 JSON of a rendered value in one recursive pass.
-
-    json.dumps takes its C encoder only without indent; this writes the same
-    bytes, with pad the newline and indent that precede a closing bracket.
-    """
+    """Sorted, indent-2 JSON of a value in one recursive pass, tuples as
+    lists, keys as str(k) (a later equal key wins), non-integral rationals
+    as "p/q"; a float or another type raises TypeError.  json.dumps takes
+    its C encoder only without indent; this writes the same bytes, with pad
+    the newline and indent that precede a closing bracket."""
+    # the plain values first: Fraction's isinstance check goes through ABCMeta
     if isinstance(v, str):
         return _string(v)
     if isinstance(v, int):
@@ -57,7 +37,7 @@ def _encode(v: Any, pad: str) -> str:
     if v is None:
         return "null"
     inner = pad + "  "
-    if isinstance(v, list):
+    if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
         items = ("," + inner).join([_encode(x, inner) for x in v])
@@ -65,11 +45,17 @@ def _encode(v: Any, pad: str) -> str:
     if isinstance(v, dict):
         if not v:
             return "{}"
+        named = {str(k): x for k, x in v.items()}
         items = ("," + inner).join(
-            [f"{_string(k)}: {_encode(x, inner)}" for k, x in sorted(v.items())]
+            [f"{_string(k)}: {_encode(x, inner)}" for k, x in sorted(named.items())]
         )
         return f"{{{inner}{items}{pad}}}"
-    raise TypeError(f"{type(v).__name__} does not belong in a rendered report")
+    if isinstance(v, Q):
+        n, d = v.as_integer_ratio()
+        return int.__repr__(n) if d == 1 else f'"{n}/{d}"'
+    if isinstance(v, float):
+        raise TypeError("floating-point values do not belong in reports")
+    raise TypeError(f"{type(v).__name__} does not belong in a report")
 
 
 # the fixed keys of a report and of a step, at the depths json.dumps indents
@@ -88,13 +74,13 @@ def _members(items: List[str]) -> str:
 
 
 class Step(NamedTuple):
-    """One step, its values rendered once, when it is checked: the verdict
-    compares the values that print, and a later change to the object
-    handed in changes neither."""
+    """One step, its values encoded once, when it is checked, as the JSON
+    text that `to_json` prints: the verdict compares those bytes, and a
+    later change to the object handed in changes neither."""
 
     name: str
-    computed: Any
-    expected: Any
+    computed: str
+    expected: str
     verdict: str
     source: str
 
@@ -118,8 +104,8 @@ class Report:
         The source names where the expected value comes from, so a step
         without one, an info step, has none.
         """
-        computed, expected = render_value(computed), render_value(expected)
-        if expected is None:
+        computed, expected = _encode(computed, _VALUE_PAD), _encode(expected, _VALUE_PAD)
+        if expected == "null":
             verdict, source = INFO, ""
         elif computed == expected:
             verdict = PASS
@@ -154,12 +140,12 @@ class Report:
         """The bytes of json.dumps of the report as a dict, sort_keys=True,
         indent=2: the report's keys (assumptions, steps, title, verdict) and
         each step's keys (computed, expected, name, source, verdict) are
-        fixed, so they are written through one template, in sorted order;
-        `_encode` renders the two value fields."""
+        fixed, so they are written through one template, in sorted order,
+        around the two value fields' stored text."""
         steps = [
             _STEP % (
-                _encode(s.computed, _VALUE_PAD),
-                _encode(s.expected, _VALUE_PAD),
+                s.computed,
+                s.expected,
                 _string(s.name),
                 _string(s.source),
                 _string(s.verdict),
@@ -177,13 +163,13 @@ class Report:
         lines = [f"== {self.title} =="]
         width = max((len(s.name) for s in self.steps), default=0)
         for s in self.steps:
-            comp = json.dumps(s.computed, sort_keys=True)
+            comp = json.dumps(json.loads(s.computed), sort_keys=True)
             if s.verdict == INFO:
                 lines.append(f"  {s.name:<{width}}  {comp}")
             elif s.verdict == PASS:
                 lines.append(f"  {s.name:<{width}}  {comp}  [ok]")
             else:
-                exp = json.dumps(s.expected, sort_keys=True)
+                exp = json.dumps(json.loads(s.expected), sort_keys=True)
                 mark = "FAIL" if s.verdict == FAIL else "documented-discrepancy"
                 lines.append(
                     f"  {s.name:<{width}}  computed {comp} vs reference {exp}  [{mark}]"

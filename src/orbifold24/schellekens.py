@@ -144,7 +144,6 @@ def _inner_options_at_level_one(t: SimpleType) -> Tuple[SemisimpleTypeWithLevels
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
 def order3_fixed_options(t: SimpleType, level: int) -> Tuple[FixedOption, ...]:
     """Fixed-subalgebra types realizable by an order-3 automorphism of one ideal.
 

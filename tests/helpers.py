@@ -188,6 +188,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import itertools
+import json
 import pkgutil
 import random
 from collections import Counter
@@ -1701,12 +1702,16 @@ def random_argvs(count, seed="table route"):
 
 def report_dict(rep: Report) -> dict:
     """A report as the dict whose `json.dumps(..., sort_keys=True,
-    indent=2)` `Report.to_json` writes through its template."""
+    indent=2)` `Report.to_json` writes through its template: each step's
+    values decoded from the JSON text that the step holds."""
     return {
         "title": rep.title,
         "verdict": rep.verdict,
         "assumptions": list(rep.assumptions),
-        "steps": [s._asdict() for s in rep.steps],
+        "steps": [
+            {**s._asdict(), "computed": json.loads(s.computed), "expected": json.loads(s.expected)}
+            for s in rep.steps
+        ],
     }
 
 

@@ -4,6 +4,7 @@ Every expectation is pinned here with its stated tolerance (exact equality
 unless noted); timing budgets are asserted where the criterion carries one.
 """
 
+import json
 import random
 import time
 from fractions import Fraction as Q
@@ -244,7 +245,7 @@ def test_criterion_9_documented_discrepancies():
     disc = {s.name: s for s in rep.steps if s.verdict == "discrepancy-documented"}
     ok = any("binom(12,2)" in name for name in disc)
     for step in disc.values():
-        ok = ok and step.computed is not None and step.expected is not None
+        ok = ok and json.loads(step.computed) is not None and json.loads(step.expected) is not None
     from orbifold24.cases import verify_candidates
 
     rep2 = verify_candidates()

@@ -25,6 +25,7 @@ from helpers import (
     dense_table,
     from_dense_table,
     named_witness,
+    package_caches,
     patch_series_coefficient,
     random_argvs,
 )
@@ -578,9 +579,9 @@ def test_case_file_keeps_b2_as_written(tmp_path):
 
 def test_candidate_filter_generates_no_roots(capsys):
     # the order-3 filter reads Kac's data off the affine diagram alone
-    for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one, schellekens._option_rows,
-               schellekens._moves, rootdata._affine_diagram, rootdata.build_root_system):
+    for fn in (schellekens.enumerate_candidates, schellekens._inner_options_at_level_one,
+               schellekens._option_rows, schellekens._moves, rootdata._affine_diagram,
+               rootdata.build_root_system):
         fn.cache_clear()
     code, _ = run_cli(capsys, ["candidates", "--dim", "312", "--ratio", "12", "--fixed",
                                "E6,3 A2,1 A2,1 A2,1"])
@@ -593,9 +594,8 @@ def test_candidate_filter_work_counts(capsys, monkeypatch):
     # diagram's automorphisms, one move list per (target, ideal, cycle
     # open), shared by the candidates of a query, and one row build per
     # ideal, shared by its move lists
-    for fn in (schellekens.enumerate_candidates, schellekens.order3_fixed_options,
-               schellekens._inner_options_at_level_one, schellekens._option_rows,
-               schellekens._moves, schellekens._positions):
+    for fn in (schellekens.enumerate_candidates, schellekens._inner_options_at_level_one,
+               schellekens._option_rows, schellekens._moves, schellekens._positions):
         fn.cache_clear()
     classify = schellekens.kac_fixed_subalgebra
     options = schellekens.order3_fixed_options
@@ -688,19 +688,37 @@ def test_explore_pass_reads_cached_positions_and_rows(capsys, monkeypatch, tmp_p
     # each consulting its option table once, and the move lists once per
     # (target, ideal, cycle open)
     admits, searched = schellekens.admits_order3_with_fixed, []
+    options, consulted = schellekens.order3_fixed_options, []
 
     def count_admits(c, target):
         searched.append(c)
         return admits(c, target)
 
+    def count_options(t, level):
+        consulted.append((t, level))
+        return options(t, level)
+
     monkeypatch.setattr(schellekens, "admits_order3_with_fixed", count_admits)
+    monkeypatch.setattr(schellekens, "order3_fixed_options", count_options)
     for argv in benchmark_ops(monkeypatch, tmp_path, "explore", 41):
         assert run_cli(capsys, argv)[0] == 0
     assert len(searched) == 780 and len(set(searched)) == 156
     assert schellekens._positions.cache_info().misses == 156
     assert schellekens._option_rows.cache_info().misses == 58
-    assert schellekens.order3_fixed_options.cache_info()[:2] == (0, 58)
+    assert len(consulted) == len(set(consulted)) == 58
     assert schellekens._moves.cache_info().misses == 289
+
+
+def test_every_cache_is_hit_by_the_benchmark_traffic(capsys, monkeypatch, tmp_path,
+                                                     fresh_caches):
+    # one seed-1 pass of each benchmark workload in one process, from cold
+    # caches: a cache that no call hits holds work that is done once anyway,
+    # or shadows another cache on the same keys
+    for workload in ("verify-all", "explore", "twist-probe"):
+        for argv in benchmark_ops(monkeypatch, tmp_path / workload, workload):
+            assert run_cli(capsys, argv)[0] == 0, argv
+    unhit = [name for name, fn in package_caches().items() if not fn.cache_info().hits]
+    assert unhit == []
 
 
 def test_all_zero_kac_labels_exit_1(capsys, monkeypatch, fresh_caches):

@@ -29,6 +29,7 @@ from orbifold24.latticevoa import (
     build_isometry,
     certify_frenkel_kac,
     certify_lift,
+    coset_norm_lower_bound,
     count_orthogonal_subsystems,
     disc_digit_action,
     fixed_projection_norm,
@@ -1536,6 +1537,36 @@ def test_glue_automorphism_orders():
     assert glue_automorphism_group_order(GlueCode((SimpleType("D", 4),), ())) == 6
 
 
+def test_every_e6_4_glue_code_lies_in_the_orbit_of_ni_e6_4():
+    # a code C in (P/Q)^4 over the E6 digits glues Q(E6^4) into an even
+    # unimodular lattice with root system E6^4 exactly when C has order 9 =
+    # sqrt(3^4) and every nonzero word's coset has minimal norm an even
+    # integer of at least 4.  G = Out(E6)^4 x S4 acts on the codes, and there
+    # are |G| / |Stab_G(NI_E6_4)| = 384 / 48 of them: all lie in one orbit
+    e6 = NI_E6_4.components[0]
+    add = latticevoa._digit_reps(e6)[2]
+    nonzero = [w for w in itertools.product(range(len(add)), repeat=4) if any(w)]
+
+    def span(u, v):
+        words = {(0,) * 4}
+        while True:
+            more = words | {tuple(add[a][b] for a, b in zip(w, g)) for w in words for g in (u, v)}
+            if more == words:
+                return frozenset(words)
+            words = more
+
+    def valid(code):
+        bounds = [coset_norm_lower_bound(NI_E6_4, w) for w in code if any(w)]
+        return all(b.denominator == 1 and b % 2 == 0 and b >= 4 for b in bounds)
+
+    spans = {span(u, v) for u, v in itertools.combinations(nonzero, 2)}
+    codes = [code for code in spans if len(code) == 9 and valid(code)]
+    group = glue_automorphism_group_order(GlueCode((e6,) * 4, ()))
+    assert group == 2**4 * factorial(4) == 384
+    assert len(codes) == group // glue_automorphism_group_order(NI_E6_4) == 8
+    assert NI_E6_4.words() in codes
+
+
 @pytest.mark.parametrize("t", [SimpleType("E", 6), SimpleType("D", 4)], ids=str)
 def test_diagram_symmetries_give_the_typed_digit_maps(t):
     derived = latticevoa._disc_automorphisms(t)
@@ -1620,8 +1651,7 @@ def test_isometry_order_and_fixed_basis_are_computed_once(monkeypatch):
     # the three lattice_fixed_type builds and every later check read the
     # order and the fixed sublattice again; each isometry is built, and its
     # facts computed, once per process
-    for fn in (cases.lattice_fixed_type, cases.lattice_isometry):
-        fn.cache_clear()
+    cases.lattice_fixed_type.cache_clear()
     built = []
     of = LatticeIsometry.of
 
@@ -1633,9 +1663,9 @@ def test_isometry_order_and_fixed_basis_are_computed_once(monkeypatch):
     for iso, cf in cases.ISOMETRY_CASES.items():
         cases.lattice_fixed_type(cf)
         cases.check_isometry(Report("isometry"), iso)
-        twisted_ground_energy(cases.lattice_isometry(cf))
+        twisted_ground_energy(cases.lattice_fixed_type(cf)[0])
     monkeypatch.undo()
-    want = [cases.lattice_isometry(cf).matrix for cf in cases.ISOMETRY_CASES.values()]
+    want = [cases.lattice_fixed_type(cf)[0].matrix for cf in cases.ISOMETRY_CASES.values()]
     assert sorted(built) == sorted(want)
 
 
@@ -1660,8 +1690,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
     lat, _ = cases.lattice_data(NI_D4_6.root_system())
     roots = lattice_roots(lat)
     cf = cases.ISOMETRY_CASES["sigma4"]
-    cases.unique_survivor(cf)  # the forward chain is built before the count
-    cases.lattice_isometry.cache_clear()
+    _, witness = cases.unique_survivor(cf)  # the forward chain is built before the count
     latticevoa._catalogue_powers.cache_clear()
     built = [0]
     new = fractions.Fraction.__new__
@@ -1671,7 +1700,7 @@ def test_lattice_setup_builds_few_fractions(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
-    iso = cases.lattice_isometry(cf)
+    iso = build_isometry(lat, witness, cf.isometry_name)
     during_isometry = built[0]
     coords = [lat.coords_of(r, den=1) for r in roots]
     during_coords = built[0] - during_isometry

@@ -249,6 +249,27 @@ def test_derived_constant_reads_the_constant_term_of_f(monkeypatch):
     assert qmodular.derive_dimension_formula() == (4, -36, -12, 9)
 
 
+def test_dim_tilde_v1_evaluates_the_derived_formula(monkeypatch):
+    # the chain's dimension comes from the derivation that its step checks:
+    # 5 more in [q^0]f moves the derived constant by -15, and every orbifold
+    # dim with it
+    f = hauptmodul_f(qmodular.TRUNC)
+    shifted = PuiseuxSeries(f.denom, {**f.coeffs, 0: f.coeff(0) + 5}, f.trunc)
+    solve_afresh(monkeypatch)
+    monkeypatch.setattr(qmodular, "hauptmodul_f", lambda trunc: shifted)
+    assert dim_tilde_v1(120, 102, 0, 0) == 312 - 15
+    assert dim_tilde_v1(48, 48, 0, 0) == 168 - 15
+    # a non-integral value is a fault of the derivation; the ValueErrors on
+    # the inputs and on a negative value come first
+    monkeypatch.setattr(qmodular, "derive_dimension_formula", lambda: (4, -36, -12, Q(49, 2)))
+    with pytest.raises(InvariantError, match="^the dimension formula gives 625/2, not an integer$"):
+        dim_tilde_v1(120, 102, 0, 0)
+    with pytest.raises(ValueError, match="^dimensions must be non-negative$"):
+        dim_tilde_v1(120, -1, 0, 0)
+    with pytest.raises(ValueError, match="^inconsistent inputs: negative dimension -1951/2$"):
+        dim_tilde_v1(1000, 0, 0, 0)
+
+
 def test_formula_degenerates_without_twisted_dims():
     a, b, c, d = derive_dimension_formula()
     # with twisted dimensions zero the formula is 4 d0 + 24

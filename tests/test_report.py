@@ -3,36 +3,51 @@ from fractions import Fraction as Q
 
 import pytest
 
-from orbifold24.affinerep import AffineAlgebra
 from orbifold24.cli import read_options
-from orbifold24.report import DISCREPANCY, FAIL, INFO, PASS, Report, render_value
-from orbifold24.rootdata import SemisimpleTypeWithLevels, SimpleType
+from orbifold24.report import DISCREPANCY, FAIL, INFO, PASS, Report, _encode
 
 from helpers import PINNED_OUTPUTS, report_dict
 
 
+def encoded(v):
+    """v as a step stores it: the JSON text that `Report.to_json` prints."""
+    return json.loads(_encode(v, "\n"))
+
+
 def test_render_values():
-    assert render_value(Q(3)) == 3
-    assert render_value(Q(-2, 3)) == "-2/3"
-    assert render_value([Q(1, 2), 4, "x"]) == ["1/2", 4, "x"]
-    assert render_value({"a": Q(7, 12)}) == {"a": "7/12"}
-    with pytest.raises(TypeError):
-        render_value(0.5)
+    assert encoded(Q(3)) == 3
+    assert encoded(Q(-2, 3)) == "-2/3"
+    assert encoded([Q(1, 2), 4, "x"]) == ["1/2", 4, "x"]
+    assert encoded((Q(1, 2), (4,))) == ["1/2", [4]]
+    assert encoded({"a": Q(7, 12)}) == {"a": "7/12"}
+    # keys render as str(k), and a later equal key wins
+    assert encoded({1: Q(1, 2), "1": 2, 3: None}) == {"1": 2, "3": None}
+    step = Report("t").check("v", [Q(1, 2), {"a": Q(7, 12)}], ["1/2", {"a": "7/12"}])
+    assert step.verdict == PASS
+    for bad in (0.5, [1, 0.5], {"a": 0.5}, object(), {1, 2}):
+        with pytest.raises(TypeError):
+            _encode(bad, "\n")
+        with pytest.raises(TypeError):
+            Report("t").note("bad", bad)
 
 
-@pytest.mark.parametrize(
-    "key, name",
-    [
-        (SimpleType("A", 2), "A2"),
-        (AffineAlgebra(SimpleType("E", 6), 3), "E6,3"),
-        (SemisimpleTypeWithLevels.parse("A2,3 D4,1 U(1)"), "A2,3 D4,1 U(1)"),
-    ],
-)
-def test_type_keys_render_by_name(key, name):
-    # the type keys are tuples, yet never render as JSON arrays
-    assert render_value(key) == name
-    assert render_value([key, Q(1, 2)]) == [name, "1/2"]
-    assert render_value({"x": key, key: 1}) == {"x": name, name: 1}
+@pytest.mark.parametrize("computed, expected", [(True, 1), (1, True), (False, 0), (0, False),
+                                                ([True], [1]), ({"a": 1}, {"a": True})])
+def test_a_bool_never_equals_an_int(computed, expected):
+    # a step compares the JSON text that prints: true is not 1
+    rep = Report("t")
+    rep.check("flag", computed, expected)
+    assert rep.steps[-1].verdict == FAIL and rep.exit_code == 1
+
+
+def test_step_holds_the_text_that_prints():
+    rep = Report("t")
+    step = rep.check("a", [Q(1, 3), 2], ("1/3", Q(2)))
+    assert step.verdict == PASS and step.computed == step.expected
+    assert step.computed in rep.to_json()
+    assert rep.note("b", 5).expected == "null"
+    # an expected value that encodes to null makes an info step
+    assert rep.check("c", 1, None, source="reference").verdict == INFO
 
 
 def test_verdicts_and_exit_codes():

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from functools import lru_cache
 from itertools import product
 from math import gcd
 from operator import mul
@@ -19,6 +20,7 @@ from orbifold24.schellekens import (
     simple_ideals_with_ratio,
 )
 
+import helpers
 from helpers import (
     backtracking_admits,
     brute_force_diagram_automorphisms,
@@ -252,7 +254,7 @@ def test_chain_types_carry_int_levels():
         candidates = enumerate_candidates(dim, Q(dim - 24, 24))
         types = [fixed, *candidates]
         for survivor, witness in filter_candidates(candidates, fixed):
-            types += [survivor, lattice_fixed_type(cf)[0]]
+            types += [survivor, lattice_fixed_type(cf)[1]]
             types += [contribution for _, _, contribution in witness]
         assert len(types) > len(candidates) + 3
         assert all(type(k) is int for ty in types for _, k in ty.ideals)
@@ -275,7 +277,17 @@ def oracle_targets(c):
     return sorted(targets, key=str)
 
 
-def test_count_vector_search_matches_backtracking():
+@pytest.fixture
+def memo_options(monkeypatch):
+    """One option table per (type, level) for the test: the oracles and
+    `oracle_targets` read a table at every node, where the package reads
+    it once per ideal, through its cached option rows."""
+    memo = lru_cache(maxsize=None)(order3_fixed_options)
+    monkeypatch.setattr(helpers, "order3_fixed_options", memo)
+    monkeypatch.setitem(globals(), "order3_fixed_options", memo)
+
+
+def test_count_vector_search_matches_backtracking(memo_options):
     checked = admitted = 0
     for dim in range(36, 313, 12):
         for c in enumerate_candidates(dim, Q(dim - 24, 24)):
@@ -287,7 +299,7 @@ def test_count_vector_search_matches_backtracking():
     assert checked > 3000 and admitted > 1000
 
 
-def test_move_lists_match_the_per_call_oracle():
+def test_move_lists_match_the_per_call_oracle(memo_options):
     # the backtracking grid's candidates and targets: each candidate's
     # positions are its sorted ideals with the cycle open where the ideal
     # two places on is equal, and at every ideal of it, with the cycle open

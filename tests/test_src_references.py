@@ -124,8 +124,10 @@ def test_fresh_caches_clears_every_cached_function():
     assert sorted(package_caches()) == sorted(decorated)
     # the count is pinned, so that a new per-process cache is a decision
     # recorded here: the last are the order-3 filter's option rows per ideal
-    # and sorted positions per candidate
-    assert len(decorated) == 27
+    # and sorted positions per candidate.  The option tables per ideal and
+    # the isometry per case went, as shadows of the option rows and of
+    # cases.lattice_fixed_type, which hold the same keys
+    assert len(decorated) == 25
 
 
 def test_no_assert_statement_in_src():
@@ -166,7 +168,6 @@ CACHE_PROBES = {
     "cases.forward_chain": lambda: cases.forward_chain(E6_CASE),
     "cases.lattice_data": lambda: cases.lattice_data(E6_CASE.expected_target),
     "cases.lattice_fixed_type": lambda: cases.lattice_fixed_type(E6_CASE),
-    "cases.lattice_isometry": lambda: cases.lattice_isometry(E6_CASE),
     "latticevoa.GlueCode.words": lambda: latticevoa.NI_E6_4.words(),
     "latticevoa._catalogue_powers":
         lambda: latticevoa._catalogue_powers((E6, "inner", "A2,1 A2,1 A2,1")),
@@ -196,7 +197,6 @@ CACHE_PROBES = {
         lambda: schellekens.enumerate_candidates(
             cases.forward_chain(E6_CASE).target_dim, cases.forward_chain(E6_CASE).ratio
         ),
-    "schellekens.order3_fixed_options": lambda: schellekens.order3_fixed_options(E6, 1),
     "twistbound.ideal_twist": lambda: twistbound.ideal_twist(E6_CASE.ambient[0], E6_CASE.h[0]),
 }
 
